@@ -101,10 +101,11 @@ pub const RULES: &[Rule] = &[
         scope: &[],
         // pool.rs owns the elastic compute-thread pool (the only place
         // worker compute threads are born); runtime.rs owns the single
-        // coordinator thread; repair.rs owns the scoped morsel pools
-        // for index build/recount work; the trace crate owns the
-        // recorder rings that pool/coordinator threads stamp into (its
-        // tests exercise cross-thread recording).
+        // coordinator thread (the protocol core it runs, coord.rs, is
+        // sans-IO and must spawn nothing); repair.rs owns the scoped
+        // morsel pools for index build/recount work; the trace crate
+        // owns the recorder rings that pool/coordinator threads stamp
+        // into (its tests exercise cross-thread recording).
         exempt: &[
             "crates/core/src/pool.rs",
             "crates/core/src/runtime.rs",
@@ -147,6 +148,7 @@ pub const RULES: &[Rule] = &[
         name: "no-unwrap-hot-loop",
         summary: "unwrap()/expect() in coordinator/worker loop bodies",
         scope: &[
+            "crates/core/src/coord.rs",
             "crates/core/src/runtime.rs",
             "crates/core/src/engine.rs",
             "crates/core/src/worker.rs",
@@ -161,13 +163,15 @@ pub const RULES: &[Rule] = &[
         name: "time-epoch-arith",
         summary: "direct SimTime/epoch arithmetic outside the attribution helpers",
         scope: &[],
-        // topology.rs owns the epoch counter; the two engine event
-        // loops and the sim crate own virtual-time scheduling math;
-        // query.rs/report.rs own latency/epoch attribution; the trace
-        // crate owns stamp arithmetic by design (phase folding is
-        // subtraction over admitted/finished stamps).
+        // topology.rs owns the epoch counter; the coordinator core, its
+        // two executors and the sim crate own (virtual-)time scheduling
+        // math and outcome stamping; query.rs/report.rs own
+        // latency/epoch attribution; the trace crate owns stamp
+        // arithmetic by design (phase folding is subtraction over
+        // admitted/finished stamps).
         exempt: &[
             "crates/graph/src/topology.rs",
+            "crates/core/src/coord.rs",
             "crates/core/src/engine.rs",
             "crates/core/src/runtime.rs",
             "crates/core/src/report.rs",

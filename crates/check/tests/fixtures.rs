@@ -136,6 +136,36 @@ fn no_unwrap_hot_loop_fires_on_fixture() {
 }
 
 #[test]
+fn no_unwrap_hot_loop_covers_the_coordinator_core() {
+    // The protocol core is the hottest loop body of both runtimes.
+    assert_fires(
+        "no-unwrap-hot-loop",
+        "crates/core/src/coord.rs",
+        "no_unwrap_hot_loop.rs",
+    );
+}
+
+#[test]
+fn time_epoch_arith_exempts_the_coordinator_core() {
+    // Outcome stamping and window durations are the core's job.
+    let findings = lint_source("crates/core/src/coord.rs", &fixture("time_epoch_arith.rs"));
+    assert!(
+        !findings.iter().any(|f| f.rule == "time-epoch-arith"),
+        "the coordinator core owns outcome/epoch stamping: {findings:?}"
+    );
+}
+
+#[test]
+fn thread_discipline_holds_the_coordinator_core() {
+    // Sans-IO means sans-threads: the core is not on the sanction list.
+    assert_fires(
+        "thread-discipline",
+        "crates/core/src/coord.rs",
+        "thread_discipline.rs",
+    );
+}
+
+#[test]
 fn time_epoch_arith_fires_on_fixture() {
     assert_fires(
         "time-epoch-arith",
@@ -207,6 +237,21 @@ fn every_rule_has_a_fixture_test() {
         4,
         "thread-discipline exemption added — wire a fixture test"
     );
+    // The hot-loop and stamp-arithmetic path lists follow the engine's
+    // module layout: a new protocol/executor module must be listed (and
+    // get a fixture test like the coordinator core's above).
+    let list_len = |rule: &str, exempt: bool| {
+        let r = rules::RULES.iter().find(|r| r.name == rule);
+        r.map(|r| {
+            if exempt {
+                r.exempt.len()
+            } else {
+                r.scope.len()
+            }
+        })
+    };
+    assert_eq!(list_len("no-unwrap-hot-loop", false), Some(4));
+    assert_eq!(list_len("time-epoch-arith", true), Some(8));
 }
 
 #[test]

@@ -32,8 +32,6 @@ pub struct BarrierInput<'a> {
     pub involved_next: &'a [usize],
     /// Whether any message crossed a worker boundary this superstep.
     pub crossed: bool,
-    /// Charge an extra (non-piggybacked) stats message per iteration.
-    pub stats_extra: bool,
 }
 
 /// The barrier's verdict for this iteration.
@@ -46,9 +44,17 @@ pub struct BarrierDecision {
     pub is_local: bool,
 }
 
+/// The one definition of a *completely local* superstep (paper §3.3): it
+/// ran on at most one worker and no message crossed a worker boundary.
+/// [`decide`] prices barriers with it and the coordinator core counts
+/// query locality with it, so the two can never disagree.
+pub fn is_local(involved: usize, crossed: bool) -> bool {
+    involved <= 1 && !crossed
+}
+
 /// Compute the barrier release time for one query iteration.
 pub fn decide(input: &BarrierInput<'_>, cluster: &ClusterModel) -> BarrierDecision {
-    let is_local = input.involved_cur.len() <= 1 && !input.crossed;
+    let is_local = is_local(input.involved_cur.len(), input.crossed);
 
     let max_ctl = |ws: &[usize]| -> SimTime {
         ws.iter()
@@ -67,8 +73,7 @@ pub fn decide(input: &BarrierInput<'_>, cluster: &ClusterModel) -> BarrierDecisi
             // barrierReady to the workers involved now or next.
             let up = max_ctl(input.involved_cur);
             let down = max_ctl(input.involved_cur).max(max_ctl(input.involved_next));
-            let extra = if input.stats_extra { up } else { SimTime::ZERO };
-            (input.compute_done + up + down + extra).max(input.msg_arrival)
+            (input.compute_done + up + down).max(input.msg_arrival)
         }
         BarrierMode::GlobalPerQuery | BarrierMode::SharedGlobal => {
             // Every query synchronizes across *all* workers each iteration,
@@ -76,8 +81,7 @@ pub fn decide(input: &BarrierInput<'_>, cluster: &ClusterModel) -> BarrierDecisi
             // couples all queries' releases to the slowest one.)
             let all: Vec<usize> = (0..cluster.num_workers).collect();
             let rt = max_ctl(&all);
-            let extra = if input.stats_extra { rt } else { SimTime::ZERO };
-            (input.compute_done + rt + rt + extra).max(input.msg_arrival)
+            (input.compute_done + rt + rt).max(input.msg_arrival)
         }
     };
 
@@ -100,7 +104,6 @@ mod tests {
             involved_cur: cur,
             involved_next: next,
             crossed,
-            stats_extra: false,
         }
     }
 
@@ -163,18 +166,5 @@ mod tests {
         // a distant vertex was activated (paper §3.3).
         let d = decide(&base_input(&[0], &[0, 1], true), &c1());
         assert!(!d.is_local);
-    }
-
-    #[test]
-    fn stats_extra_adds_cost() {
-        let cluster = c1();
-        let cur = [0usize, 1];
-        let next = [1usize];
-        let mut input = base_input(&cur, &next, true);
-        input.msg_arrival = SimTime::ZERO; // let the control path dominate
-        let without = decide(&input, &cluster);
-        input.stats_extra = true;
-        let with = decide(&input, &cluster);
-        assert!(with.release > without.release);
     }
 }

@@ -121,10 +121,6 @@ pub struct SystemConfig {
     /// [`crate::sched`]). FIFO reproduces the paper's batches; the other
     /// policies reorder admission for mixed streams.
     pub admission: AdmissionPolicy,
-    /// Piggyback statistics on barrier messages (paper §3.4). When `false`,
-    /// each stats update costs one extra control message per worker and
-    /// iteration.
-    pub stats_piggyback: bool,
     /// Modelled per-vertex state size for repartitioning transfer costs.
     pub state_bytes_per_vertex: u64,
     /// Apply vertex-level message combiners
@@ -192,7 +188,6 @@ impl Default for SystemConfig {
             qcut: None,
             max_parallel_queries: 16,
             admission: AdmissionPolicy::Fifo,
-            stats_piggyback: true,
             state_bytes_per_vertex: 32,
             combiners: true,
             batch_max_msgs: 32,

@@ -6,7 +6,7 @@ use std::collections::VecDeque;
 
 use rustc_hash::{FxHashMap, FxHashSet};
 
-use qgraph_graph::{AppliedMutation, MutationBatch, Topology, VertexId};
+use qgraph_graph::{AppliedMutation, MutationBatch, VertexId};
 use qgraph_partition::{Partitioning, WorkerId};
 use qgraph_sim::SimTime;
 
@@ -281,40 +281,38 @@ impl Controller {
     }
 }
 
-/// What one stop-the-world barrier's mutation phase did — the sim prices
-/// `ops`/`compacted_edges`, and both engines patch the barrier duration
-/// onto `report.mutations[events_from..]` once the barrier end is known.
+/// What one stop-the-world window's mutation phase did — the sizes the
+/// simulation prices.
 pub(crate) struct MutationApply {
     /// Total ops applied across the barrier's batches.
     pub ops: usize,
     /// Live edges rebuilt into a fresh CSR, when the compaction policy
     /// fired.
     pub compacted_edges: Option<usize>,
-    /// Index of the first `MutationEvent` this barrier appended.
-    pub events_from: usize,
 }
 
-/// The runtime-agnostic mutation-epoch body both engines run under their
-/// stop-the-world barriers: apply each due batch atomically (one graph
+/// The mutation-epoch body of a stop-the-world window (see
+/// [`crate::coord`]): apply each due batch atomically (one graph
 /// epoch each, in order), extend the partitioning for created vertices,
 /// drop stale retained scopes, repair the installed label index (when
-/// `index` is `Some` — see [`crate::index_plane::PointIndex::repair`]),
+/// one is installed — see [`crate::index_plane::PointIndex::repair`]),
 /// record `MutationEvent`s, and evaluate the compaction policy once at
-/// the end. The callers add what is theirs alone — the sim charges
+/// the end. The executors add what is theirs alone — the sim charges
 /// virtual cost from the returned totals, the thread runtime broadcasts
-/// the new `Arc<Topology>` to its workers.
-#[allow(clippy::too_many_arguments)]
+/// the new `Arc<Topology>` to its partitions.
 pub(crate) fn apply_mutation_epochs(
-    topology: &mut Topology,
-    partitioning: &mut Partitioning,
-    controller: &mut Controller,
-    report: &mut crate::report::EngineReport,
+    state: &mut crate::coord::EngineState,
     batches: &[MutationBatch],
     compact_fraction: f64,
     applied_at_secs: f64,
-    mut index: Option<&mut (dyn crate::index_plane::PointIndex + 'static)>,
 ) -> MutationApply {
-    let events_from = report.mutations.len();
+    let crate::coord::EngineState {
+        topology,
+        partitioning,
+        controller,
+        index,
+        report,
+    } = state;
     let mut ops = 0usize;
     for batch in batches {
         let applied = topology.apply(batch);
@@ -342,7 +340,7 @@ pub(crate) fn apply_mutation_epochs(
             ops: applied.ops,
             new_vertices: applied.new_vertices.len(),
             compacted: false,
-            barrier_duration: 0.0, // patched once the barrier end is known
+            barrier_duration: 0.0, // stamped once the window's end is known
         });
     }
     // Compaction policy: once per barrier, after every batch applied.
@@ -360,7 +358,6 @@ pub(crate) fn apply_mutation_epochs(
     MutationApply {
         ops,
         compacted_edges,
-        events_from,
     }
 }
 

@@ -1,0 +1,1396 @@
+//! The coordinator core: the paper's one controller protocol, written
+//! once as a sans-IO state machine that both runtimes execute.
+//!
+//! [`Coordinator`] owns everything protocol-shaped — the policy-ordered
+//! admission queue and the closed-loop slots, every live query's
+//! superstep state, release (freeze *every* involved inbox, then dispatch
+//! at most the query's DoP budget of Steps and defer the rest),
+//! step-completion accounting (aggregate roll-over, locality via
+//! [`barrier::is_local`], the next involved set, terminate → collect →
+//! outcome), parking while a stop-the-world window is wanted, the window
+//! body itself (mutation epochs → compaction → index repair → Q-cut
+//! migration, publications, event stamping, unpark + re-admit), and every
+//! protocol-level hb / tracer stamp. It performs no IO and spawns
+//! nothing: it takes *inputs* (submit, mutate, install-index, a step-done
+//! report, a collected local, clock readings) and emits *dispatches*
+//! through the statically-dispatched [`Executor`] it is handed.
+//!
+//! An executor answers "run this dispatch, tell me when it is done":
+//! [`SimEngine`](crate::SimEngine) prices dispatches on a virtual clock,
+//! [`ThreadEngine`](crate::ThreadEngine) turns them into pool commands.
+//! Neither knows about DoP budgets, freeze ordering, parked sets,
+//! locality counting or outcome fields.
+//!
+//! Two Q-cut trigger cadences reach the window through the core:
+//! [`Coordinator::trigger_by_clock`] (cooldown on the clock, ILS planned
+//! at the trigger and applied one budget later — the simulation) and
+//! [`Coordinator::trigger_by_interval`] (every `qcut_interval`
+//! supersteps, ILS planned inside the window — real threads).
+
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use rustc_hash::FxHashMap;
+
+use qgraph_graph::{MutationBatch, Topology, VertexId};
+use qgraph_partition::Partitioning;
+use qgraph_sim::SimTime;
+
+use crate::barrier;
+use crate::config::{QcutConfig, SystemConfig};
+use crate::controller::{apply_mutation_epochs, Controller};
+use crate::hb::Hb;
+use crate::index_plane::PointIndex;
+use crate::qcut::{migrate, run_qcut, IlsResult, Migration};
+use crate::query::{OutcomeStatus, QueryId, QueryOutcome, ServedBy};
+use crate::report::{ActivitySample, EngineReport, RepartitionEvent};
+use crate::sched::{try_index_path, QueueEntry, Scheduler};
+use crate::task::{Envelope, MessageBatch, QueryTask};
+use crate::trace::{outcome_code, Tracer};
+use crate::worker::{LocalState, SuperstepStats};
+
+/// How a `Step` dispatch reaches its partition. The thread runtime pushes
+/// a pool command either way; the simulation prices the two differently.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum StepVia {
+    /// A fresh controller → worker control message: admission, or a
+    /// budget slot freed mid-superstep.
+    Control,
+    /// Rides the barrier release whose `barrierReady` round trip the
+    /// superstep already paid for.
+    Barrier,
+}
+
+/// What a `collect` dispatch yields: the local right away (one address
+/// space) or later, as a [`Coordinator::collected`] input.
+pub(crate) enum Collect {
+    Done(Option<Box<dyn LocalState>>),
+    Pending,
+}
+
+/// The dispatch vocabulary. Every method is one protocol action on
+/// partition `w`; the three `*_report`/`migrate` calls are synchronous
+/// and only issued while the partitions are idle.
+pub(crate) trait Executor {
+    /// A clock reading. Inside a window it advances as the executor
+    /// completes (or prices) the window's work.
+    fn now(&self) -> SimTime;
+    /// Add `batch` to query `q`'s next-superstep inbox on `w`.
+    fn deliver(&mut self, q: QueryId, w: usize, task: &dyn QueryTask, batch: MessageBatch);
+    /// Seal `q`'s inbox on `w` as the coming superstep's input.
+    fn freeze(&mut self, q: QueryId, w: usize);
+    /// Run `q`'s frozen superstep on `w`; completion comes back as a
+    /// [`StepReport`].
+    fn step(&mut self, q: QueryId, w: usize, task: &dyn QueryTask, prev: &Envelope, via: StepVia);
+    /// Hand back `q`'s local state on `w` (the query terminated).
+    fn collect(&mut self, q: QueryId, w: usize) -> Collect;
+    /// Query `q` finished with `output`.
+    fn complete(&mut self, q: QueryId, output: Envelope);
+    /// Mutation epochs were applied: every partition must see the new
+    /// topology and the (possibly grown) assignment before it steps
+    /// again. `ops` / `compacted_edges` size the work for pricing.
+    fn publish_topology(
+        &mut self,
+        topology: &Topology,
+        partitioning: &Partitioning,
+        version: u64,
+        ops: usize,
+        compacted_edges: Option<usize>,
+    );
+    /// A migration committed: publish the new assignment.
+    fn publish_partitioning(&mut self, partitioning: &Partitioning, version: u64);
+    /// Every `(query, partition, live scope vertices)` triple.
+    fn scope_report(&mut self) -> Vec<(QueryId, usize, Vec<VertexId>)>;
+    /// Move the resolved transfers' vertex state *and* pending inboxes;
+    /// returns the `(query, partition)` pairs that gained state.
+    fn migrate(&mut self, migration: &Migration) -> Vec<(QueryId, usize)>;
+    /// Every `(query, partition)` pair with pending messages.
+    fn pending_report(&mut self) -> Vec<(QueryId, usize)>;
+}
+
+/// One finished `Step`, as its partition reports it.
+pub(crate) struct StepReport {
+    pub q: QueryId,
+    pub worker: usize,
+    /// Executions and remote traffic (post/pre sender-side combining,
+    /// wire batches under the configured cap).
+    pub stats: SuperstepStats,
+    pub agg: Envelope,
+    pub remote: Vec<(usize, MessageBatch)>,
+    /// The partition still holds pending messages for `q` after the step.
+    pub self_pending: bool,
+}
+
+/// Where a step report left its query.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum StepOutcome {
+    /// Tasks of the superstep are still running.
+    Running,
+    /// The superstep completed and the query waits at its barrier: the
+    /// executor calls [`Coordinator::release`] when the barrier opens.
+    Barrier,
+    /// The superstep completed and the query terminated (its locals are
+    /// collected or on their way).
+    Terminated,
+}
+
+/// The engine state that outlives a serve session: what a runtime hands
+/// the core at start and takes back when it stops.
+pub(crate) struct EngineState {
+    pub topology: Topology,
+    pub partitioning: Partitioning,
+    pub controller: Controller,
+    pub index: Option<Box<dyn PointIndex>>,
+    pub report: EngineReport,
+}
+
+/// One admitted query's superstep state.
+pub(crate) struct QueryRun {
+    pub task: Arc<dyn QueryTask>,
+    /// The outcome under construction: work counters accumulate in place
+    /// and the record is pushed to the report at completion.
+    out: QueryOutcome,
+    /// Degree-of-parallelism budget ([`crate::DopPolicy::budget`], fixed
+    /// at admission): at most this many of a superstep's tasks run at once.
+    dop: usize,
+    /// Steps dispatched and not yet reported.
+    outstanding: usize,
+    /// Partitions computing the current superstep. The first `released`
+    /// have had their Step dispatched; the budget holds the rest back,
+    /// released in order, one per completing task.
+    pub involved_cur: Vec<usize>,
+    released: usize,
+    /// Partitions with pending messages for the next one (sorted).
+    pub next_involved: Vec<usize>,
+    /// Any message of the current superstep crossed a partition boundary.
+    pub crossed: bool,
+    pub agg_prev: Envelope,
+    agg_acc: Envelope,
+    /// Partitions holding state for the query (sorted) — the collect set.
+    touched: Vec<usize>,
+    collecting: usize,
+    locals: Vec<Box<dyn LocalState>>,
+    /// Supersteps within the current interval-trigger window (so a long
+    /// query's stale early history cannot keep re-firing barriers).
+    window_iterations: u32,
+    window_local: u32,
+    /// Latest instant any of the query's steps finished.
+    pub last_done: SimTime,
+}
+
+/// The repartition the next window applies.
+enum Repartition {
+    None,
+    /// Planned at a clock trigger; its ILS budget has not elapsed yet.
+    Budgeted(IlsResult, SimTime),
+    /// Apply at the next window: a budgeted plan that came due, or
+    /// (`None`) plan inside the window from the scopes gathered there.
+    Due(Option<IlsResult>, SimTime),
+}
+
+/// An open stop-the-world window: where its report events start.
+struct Window {
+    entered: SimTime,
+    mutations_from: usize,
+    repartitions_from: usize,
+}
+
+fn secs(t: SimTime) -> f64 {
+    t.as_secs_f64()
+}
+
+fn insert_sorted(set: &mut Vec<usize>, w: usize) {
+    if let Err(i) = set.binary_search(&w) {
+        set.insert(i, w);
+    }
+}
+
+/// The single outcome constructor: a submission that has done no work
+/// yet. Index-served, rejected and empty queries are recorded as is
+/// (after their tag is set); traversed queries accumulate into it.
+fn blank_outcome(
+    id: QueryId,
+    program: &'static str,
+    queued_at: SimTime,
+    submitted_at: SimTime,
+    epoch: u64,
+) -> QueryOutcome {
+    QueryOutcome {
+        id,
+        program,
+        queued_at,
+        submitted_at,
+        completed_at: submitted_at,
+        first_epoch: epoch,
+        last_epoch: epoch,
+        ..QueryOutcome::default()
+    }
+}
+
+/// The query-protocol state machine. See the module docs.
+pub(crate) struct Coordinator {
+    pub state: EngineState,
+    cfg: SystemConfig,
+    hb: Hb,
+    tracer: Tracer,
+    scheduler: Scheduler,
+    /// Tasks of queued submissions, until admission moves them into a run.
+    waiting: FxHashMap<QueryId, Arc<dyn QueryTask>>,
+    /// Admitted, unfinished queries — ordered, so every float sum over
+    /// them is taken in the same (id) order on every run.
+    queries: BTreeMap<QueryId, QueryRun>,
+    /// No more admissions (shutdown requested): running queries finish.
+    closed: bool,
+    /// A window is wanted or open: no admissions, and queries reaching
+    /// their barrier park instead of releasing.
+    paused: bool,
+    parked: Vec<QueryId>,
+    mutations: Vec<MutationBatch>,
+    repartition: Repartition,
+    window: Option<Window>,
+    // Interval-trigger window (reset together; see `reset_trigger_window`).
+    supersteps_since: usize,
+    worker_activity: Vec<usize>,
+}
+
+impl Coordinator {
+    /// The pool width a configuration asks for over `k` partitions.
+    pub fn pool_width(cfg: &SystemConfig, k: usize) -> usize {
+        match cfg.pool_threads {
+            0 => k,
+            n => n,
+        }
+    }
+
+    /// A core over `state`; stamps the initial topology and assignment as
+    /// published before any partition can read them.
+    pub fn new(mut state: EngineState, cfg: SystemConfig, hb: Hb, tracer: Tracer) -> Self {
+        let k = state.partitioning.num_workers();
+        state.report.admission_policy = cfg.admission.label().to_string();
+        hb.publish_topology(0, state.topology.epoch());
+        hb.publish_partitioning(0);
+        Coordinator {
+            scheduler: Scheduler::bounded(cfg.admission.clone(), cfg.max_queued),
+            state,
+            cfg,
+            hb,
+            tracer,
+            waiting: FxHashMap::default(),
+            queries: BTreeMap::new(),
+            closed: false,
+            paused: false,
+            parked: Vec::new(),
+            mutations: Vec::new(),
+            repartition: Repartition::None,
+            window: None,
+            supersteps_since: 0,
+            worker_activity: vec![0; k],
+        }
+    }
+
+    pub fn cfg(&self) -> &SystemConfig {
+        &self.cfg
+    }
+
+    /// A stop-the-world window is wanted (or open): the executor runs
+    /// [`Coordinator::window_apply`] once its partitions are quiescent.
+    pub fn paused(&self) -> bool {
+        self.paused
+    }
+
+    /// No admitted query and no mutation is left to run.
+    pub fn quiet(&self) -> bool {
+        self.queries.is_empty() && self.mutations.is_empty()
+    }
+
+    /// Fully idle: quiet, nothing queued, no window wanted.
+    pub fn idle(&self) -> bool {
+        self.quiet() && self.scheduler.is_empty() && !self.paused
+    }
+
+    /// Queries currently mid-superstep.
+    pub fn computing(&self) -> usize {
+        self.queries.values().filter(|r| r.outstanding > 0).count()
+    }
+
+    /// Live query `q`'s superstep state (`q` must be live).
+    pub fn run(&self, q: QueryId) -> &QueryRun {
+        let live = self.queries.get(&q);
+        live.unwrap_or_else(|| panic!("protocol invariant: {q} is not a live query"))
+    }
+
+    // ------------------------------------------------------------------
+    // Client inputs
+    // ------------------------------------------------------------------
+
+    /// Query `q` arrived at `arrival`: queue it under the admission
+    /// policy, or bounce it if the bounded queue is full. Returns whether
+    /// it was queued. Does not admit — see [`Coordinator::admit`].
+    pub fn submit(
+        &mut self,
+        q: QueryId,
+        task: Arc<dyn QueryTask>,
+        arrival: SimTime,
+        deadline: Option<SimTime>,
+    ) -> bool {
+        self.tracer.admitted(secs(arrival), u64::from(q.0));
+        let program = task.program_name();
+        if self.scheduler.push(q, program, arrival, deadline) {
+            self.waiting.insert(q, task);
+            return true;
+        }
+        // Backpressure: the submission never executes, its output stays
+        // `None`, every lifecycle stamp is the arrival instant.
+        let epoch = self.state.topology.epoch();
+        let mut out = blank_outcome(q, program, arrival, arrival, epoch);
+        out.status = OutcomeStatus::Rejected;
+        self.conclude(out, outcome_code::REJECTED);
+        false
+    }
+
+    /// A mutation batch to apply at the next window (a new graph epoch).
+    pub fn mutate(&mut self, batch: MutationBatch) {
+        self.mutations.push(batch);
+        self.paused = true;
+    }
+
+    /// Install (or replace) the point-query label index.
+    pub fn install_index(&mut self, index: Box<dyn PointIndex>) {
+        self.state.index = Some(index);
+    }
+
+    /// Stop admitting: already-admitted queries finish, queued ones stay
+    /// queued.
+    pub fn close(&mut self) {
+        self.closed = true;
+    }
+
+    /// Admit waiting queries into free closed-loop slots.
+    pub fn admit<X: Executor>(&mut self, x: &mut X, now: SimTime) {
+        // A closed loop of zero slots would never run anything.
+        let slots = self.cfg.max_parallel_queries.max(1);
+        while !self.paused && !self.closed && self.queries.len() < slots {
+            let Some(entry) = self.scheduler.pop() else {
+                break;
+            };
+            self.start_query(x, entry, now);
+        }
+    }
+
+    fn start_query<X: Executor>(&mut self, x: &mut X, entry: QueueEntry, now: SimTime) {
+        let q = entry.q;
+        let Some(task) = self.waiting.remove(&q) else {
+            debug_assert!(false, "queued {q} has no registered task");
+            return;
+        };
+        let st = &self.state;
+        let epoch = st.topology.epoch();
+        let mut out = blank_outcome(q, task.program_name(), entry.enqueued_at, now, epoch);
+
+        // Index fast path: an eligible point query whose index is repaired
+        // through the admission epoch completes here, without occupying a
+        // closed-loop slot or touching a partition.
+        if let Some(output) = try_index_path(task.as_ref(), st.index.as_deref(), epoch) {
+            out.served_by = ServedBy::Index;
+            x.complete(q, output);
+            self.conclude(out, outcome_code::INDEX_SERVED);
+            return;
+        }
+
+        // Route against the *current* assignment and topology.
+        let pool_width = Self::pool_width(&self.cfg, st.partitioning.num_workers());
+        let route = |v: VertexId| st.partitioning.worker_of(v).index();
+        let batches = task.initial_batches(&st.topology, &route, self.cfg.combiners);
+        let mut run = QueryRun {
+            agg_prev: task.aggregate_identity(),
+            agg_acc: task.aggregate_identity(),
+            out,
+            // The budget is fixed at admission for the query's lifetime.
+            dop: self.cfg.dop.budget(task.as_ref(), pool_width).max(1),
+            outstanding: 0,
+            involved_cur: Vec::new(),
+            released: 0,
+            next_involved: Vec::with_capacity(batches.len()),
+            crossed: false,
+            touched: Vec::with_capacity(batches.len()),
+            collecting: 0,
+            locals: Vec::new(),
+            window_iterations: 0,
+            window_local: 0,
+            last_done: now,
+            task,
+        };
+        // `initial_batches` is sorted by partition, so both sets are too.
+        for (w, batch) in batches {
+            run.touched.push(w);
+            run.next_involved.push(w);
+            x.deliver(q, w, run.task.as_ref(), batch);
+        }
+        let empty = run.next_involved.is_empty();
+        self.queries.insert(q, run);
+        if empty {
+            // No initial messages: finalize over the empty state set.
+            self.complete(x, q, now);
+        } else {
+            self.dispatch_superstep(x, q, now, StepVia::Control);
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Supersteps
+    // ------------------------------------------------------------------
+
+    /// Query `q`'s barrier opened: start its next superstep — unless a
+    /// window is wanted, in which case it parks until the window ends.
+    pub fn release<X: Executor>(&mut self, x: &mut X, q: QueryId, now: SimTime) {
+        if self.paused {
+            self.tracer.park(secs(now), u64::from(q.0));
+            self.parked.push(q);
+            return;
+        }
+        self.dispatch_superstep(x, q, now, StepVia::Barrier);
+    }
+
+    /// The one release path (admission, barrier release, window resume):
+    /// freeze *every* involved inbox first, then dispatch up to the
+    /// budget of Steps and defer the rest. A deferred partition's input
+    /// is already sealed, so nothing an earlier task of this superstep
+    /// produces can leak into it — which is what keeps budgeted execution
+    /// output-identical to the all-at-once baseline.
+    fn dispatch_superstep<X: Executor>(
+        &mut self,
+        x: &mut X,
+        q: QueryId,
+        now: SimTime,
+        via: StepVia,
+    ) {
+        let Some(run) = self.queries.get_mut(&q) else {
+            debug_assert!(false, "released {q} is no longer live");
+            return;
+        };
+        if run.next_involved.is_empty() {
+            // Migration preserves pending messages, so a waiting query
+            // cannot lose them: loud in debug, finish rather than
+            // deadlock in release.
+            debug_assert!(false, "{q} reached a release with nothing pending");
+            self.finish(x, q, now);
+            return;
+        }
+        std::mem::swap(&mut run.involved_cur, &mut run.next_involved);
+        run.next_involved.clear();
+        run.crossed = false;
+        let involved = run.involved_cur.len();
+        run.out.tasks += involved as u64;
+        run.out.effective_dop = run.out.effective_dop.max(involved.min(run.dop) as u32);
+        for &w in &run.involved_cur {
+            x.freeze(q, w);
+        }
+        run.released = involved.min(run.dop);
+        run.outstanding = run.released;
+        for &w in &run.involved_cur[..run.released] {
+            x.step(q, w, run.task.as_ref(), &run.agg_prev, via);
+        }
+        for &w in &run.involved_cur[run.released..] {
+            self.tracer.defer(secs(now), u64::from(q.0), w as u32);
+        }
+    }
+
+    /// A Step finished at `done_at` (≥ `now` when the executor prices the
+    /// send that follows the compute). Routes its remote batches, rolls
+    /// the accounting, and — when it was the superstep's last — closes
+    /// the superstep.
+    pub fn step_done<X: Executor>(
+        &mut self,
+        x: &mut X,
+        rep: StepReport,
+        now: SimTime,
+        done_at: SimTime,
+    ) -> StepOutcome {
+        let q = rep.q;
+        let executed = rep.stats.executed as u64;
+        self.state.report.activity.push(ActivitySample {
+            t: secs(now),
+            worker: rep.worker,
+            executed,
+        });
+        self.worker_activity[rep.worker] += rep.stats.executed;
+        let Some(run) = self.queries.get_mut(&q) else {
+            panic!("protocol invariant: step report for {q}, which is not live");
+        };
+        run.outstanding -= 1;
+        // A freed budget slot immediately releases the next deferred task
+        // of the *same* superstep — even while a window is wanted: the
+        // superstep must complete before the query can park.
+        if let Some(&w) = run.involved_cur.get(run.released) {
+            self.tracer
+                .defer_release(secs(now), u64::from(q.0), w as u32);
+            x.step(q, w, run.task.as_ref(), &run.agg_prev, StepVia::Control);
+            run.released += 1;
+            run.outstanding += 1;
+        }
+        run.out.vertex_updates += executed;
+        run.out.remote_messages += rep.stats.remote_deliveries as u64;
+        run.out.remote_messages_pre_combine += rep.stats.remote_pre_combine as u64;
+        run.out.remote_batches += rep.stats.remote_batches as u64;
+        run.crossed |= !rep.remote.is_empty();
+        run.last_done = run.last_done.max(done_at);
+        run.task.aggregate_combine(&mut run.agg_acc, &rep.agg);
+        if rep.self_pending {
+            insert_sorted(&mut run.next_involved, rep.worker);
+        }
+        for (w, batch) in rep.remote {
+            insert_sorted(&mut run.next_involved, w);
+            insert_sorted(&mut run.touched, w);
+            x.deliver(q, w, run.task.as_ref(), batch);
+        }
+        if run.outstanding > 0 {
+            return StepOutcome::Running;
+        }
+
+        debug_assert_eq!(
+            run.released,
+            run.involved_cur.len(),
+            "barrier with tasks unreleased"
+        );
+        self.tracer.superstep_done(secs(now), u64::from(q.0));
+        run.out.iterations += 1;
+        run.window_iterations += 1;
+        self.supersteps_since += 1;
+        if barrier::is_local(run.involved_cur.len(), run.crossed) {
+            run.out.local_iterations += 1;
+            run.window_local += 1;
+        }
+        let combined = std::mem::replace(&mut run.agg_acc, run.task.aggregate_identity());
+        if run.task.aggregate_sticky() {
+            run.task.aggregate_combine(&mut run.agg_prev, &combined);
+        } else {
+            run.agg_prev = combined;
+        }
+        if run.next_involved.is_empty() || run.task.should_terminate(&run.agg_prev) {
+            self.finish(x, q, now);
+            StepOutcome::Terminated
+        } else {
+            StepOutcome::Barrier
+        }
+    }
+
+    /// Query `q` terminated: collect its state from every partition that
+    /// holds any.
+    fn finish<X: Executor>(&mut self, x: &mut X, q: QueryId, now: SimTime) {
+        let Some(run) = self.queries.get_mut(&q) else {
+            return;
+        };
+        let touched = std::mem::take(&mut run.touched);
+        run.collecting = touched.len();
+        for w in touched {
+            if let Collect::Done(local) = x.collect(q, w) {
+                self.collected(x, q, local, now);
+            }
+        }
+    }
+
+    /// One of `q`'s collected locals arrived; the last one completes it.
+    pub fn collected<X: Executor>(
+        &mut self,
+        x: &mut X,
+        q: QueryId,
+        local: Option<Box<dyn LocalState>>,
+        now: SimTime,
+    ) {
+        let Some(run) = self.queries.get_mut(&q) else {
+            panic!("protocol invariant: collected local for {q}, which is not live");
+        };
+        run.locals.extend(local);
+        run.collecting -= 1;
+        if run.collecting == 0 {
+            self.complete(x, q, now);
+        }
+    }
+
+    fn complete<X: Executor>(&mut self, x: &mut X, q: QueryId, now: SimTime) {
+        let Some(mut run) = self.queries.remove(&q) else {
+            return;
+        };
+        let at = run.last_done.max(now);
+        run.out.completed_at = at;
+        run.out.last_epoch = self.state.topology.epoch();
+        run.out.scope_size = run.locals.iter().map(|l| l.scope_size() as u64).sum();
+        if self.state.controller.qcut_config().is_some() {
+            // Retain the scope for the monitoring window (only worth
+            // materializing when Q-cut runs).
+            let mut scope: Vec<VertexId> = Vec::with_capacity(run.out.scope_size as usize);
+            for l in &run.locals {
+                l.for_each_scope_vertex(&mut |v| scope.push(v));
+            }
+            self.state.controller.record_finished_scope(q, scope, at);
+            self.state.controller.expire(at);
+        }
+        x.complete(q, run.task.finalize(&self.state.topology, run.locals));
+        self.conclude(run.out, outcome_code::COMPLETED);
+        // Closed loop: the freed slot admits the next waiting query.
+        self.admit(x, now);
+    }
+
+    /// Record a final outcome. It is stamped with an epoch, so that
+    /// epoch's publication must be ordered before this point.
+    fn conclude(&mut self, out: QueryOutcome, code: u64) {
+        self.hb.outcome_epoch(0, out.last_epoch);
+        let at = secs(out.completed_at);
+        self.tracer.outcome(at, u64::from(out.id.0), code);
+        let report = &mut self.state.report;
+        report.finished_at_secs = report.finished_at_secs.max(at);
+        report.outcomes.push(out);
+    }
+
+    // ------------------------------------------------------------------
+    // Q-cut triggers
+    // ------------------------------------------------------------------
+
+    /// Start a fresh interval-trigger window: when a checkpoint declines,
+    /// when a window ends, and when the engine goes idle — so an idle gap
+    /// can never leak stale skew into the next burst's trigger.
+    pub fn reset_trigger_window(&mut self) {
+        self.supersteps_since = 0;
+        self.worker_activity.iter_mut().for_each(|a| *a = 0);
+        for run in self.queries.values_mut() {
+            run.window_iterations = 0;
+            run.window_local = 0;
+        }
+    }
+
+    /// Mean of `locality` over the live queries it is defined for (in id
+    /// order), and how many those are; 1.0 over none.
+    fn mean_locality(&self, locality: impl Fn(&QueryRun) -> Option<f64>) -> (f64, usize) {
+        let (mut sum, mut active) = (0.0f64, 0usize);
+        for l in self.queries.values().filter_map(locality) {
+            sum += l;
+            active += 1;
+        }
+        let mean = if active == 0 {
+            1.0
+        } else {
+            sum / active as f64
+        };
+        (mean, active)
+    }
+
+    /// The superstep-cadence trigger: every `qcut_interval` completed
+    /// supersteps, consult the controller thresholds over the window's
+    /// locality and activity balance; on a hit, want a window that plans
+    /// and applies the repartition in one go.
+    pub fn trigger_by_interval(&mut self, now: SimTime) {
+        let interval = self.cfg.qcut.as_ref().map_or(0, |c| c.qcut_interval);
+        if matches!(self.repartition, Repartition::Due(..))
+            || interval == 0
+            || self.supersteps_since < interval
+        {
+            return;
+        }
+        let (mean_locality, active) = self.mean_locality(|r| {
+            let (local, all) = (f64::from(r.window_local), f64::from(r.window_iterations));
+            (all > 0.0).then(|| local / all)
+        });
+        let imbalance = qgraph_partition::imbalance(&self.worker_activity);
+        // A solo query never repartitions, and its window must not
+        // accumulate either: stale solo-phase skew would fire a spurious
+        // barrier the moment a second query is admitted.
+        if self.queries.len() >= 2
+            && self
+                .state
+                .controller
+                .interval_trigger(mean_locality, imbalance, active)
+        {
+            self.repartition = Repartition::Due(None, now);
+            self.paused = true;
+        } else {
+            self.reset_trigger_window();
+        }
+    }
+
+    /// The clock-cadence trigger (paper §3.4), evaluated after a
+    /// superstep: mean lifetime locality of the running queries below Φ
+    /// (or `imbalance` past its threshold), cooldown respected. On a hit
+    /// the ILS runs against a scope snapshot now and its plan comes due
+    /// one ILS budget later — returns that instant, at which the executor
+    /// calls [`Coordinator::plan_due`].
+    pub fn trigger_by_clock<X: Executor>(
+        &mut self,
+        x: &mut X,
+        now: SimTime,
+        imbalance: f64,
+    ) -> Option<SimTime> {
+        if self.paused {
+            return None;
+        }
+        let cfg = self.cfg.qcut.as_ref()?;
+        // Only scopes within the monitoring window may feed the trigger.
+        self.state.controller.expire(now);
+        let (mean_locality, active) =
+            self.mean_locality(|r| (r.out.iterations > 0).then(|| r.out.locality()));
+        if !self
+            .state
+            .controller
+            .should_trigger(now, mean_locality, imbalance, active)
+        {
+            return None;
+        }
+        let (_, live) = self.gather_scopes(x);
+        let result = self.plan(&live, cfg)?;
+        self.state.controller.ils_inflight = true;
+        self.repartition = Repartition::Budgeted(result, now);
+        Some(now + SimTime::from_secs_f64(cfg.ils_budget_secs))
+    }
+
+    /// The budgeted plan's ILS budget elapsed: a non-empty plan wants a
+    /// window.
+    pub fn plan_due(&mut self, now: SimTime) {
+        self.state.controller.ils_inflight = false;
+        self.state.controller.last_repartition = now;
+        if let Repartition::Budgeted(result, triggered_at) =
+            std::mem::replace(&mut self.repartition, Repartition::None)
+        {
+            if !result.plan.is_empty() {
+                self.repartition = Repartition::Due(Some(result), triggered_at);
+                self.paused = true;
+            }
+        }
+    }
+
+    /// The live queries' scopes, per partition (sorted by query, then
+    /// partition) and unioned per query (sorted by query).
+    #[allow(clippy::type_complexity)]
+    fn gather_scopes<X: Executor>(
+        &self,
+        x: &mut X,
+    ) -> (
+        Vec<(QueryId, usize, Vec<VertexId>)>,
+        Vec<(QueryId, Vec<VertexId>)>,
+    ) {
+        let mut local = x.scope_report();
+        local.retain(|(q, _, _)| self.queries.contains_key(q));
+        local.sort_unstable_by_key(|(q, w, _)| (*q, *w));
+        let mut live: Vec<(QueryId, Vec<VertexId>)> = Vec::new();
+        for (q, _, vs) in &local {
+            match live.last_mut() {
+                Some((last, all)) if last == q => all.extend_from_slice(vs),
+                _ => live.push((*q, vs.clone())),
+            }
+        }
+        (local, live)
+    }
+
+    /// One ILS run over the live + retained scopes; `None` when fewer
+    /// than two scopes make a repartition meaningless.
+    fn plan(&self, live: &[(QueryId, Vec<VertexId>)], cfg: &QcutConfig) -> Option<IlsResult> {
+        let st = &self.state;
+        let stats = st.controller.build_scope_stats(live, &st.partitioning);
+        (stats.queries.len() >= 2).then(|| run_qcut(&stats, cfg))
+    }
+
+    // ------------------------------------------------------------------
+    // The stop-the-world window
+    // ------------------------------------------------------------------
+
+    /// The window body, entered once the executor's partitions are
+    /// quiescent: apply every queued mutation batch (each a new graph
+    /// epoch; compaction and index repair ride along), then the due
+    /// repartition. One window serves both, so a mutation landing while a
+    /// Q-cut phase is pending costs no extra quiesce. The executor calls
+    /// [`Coordinator::window_end`] when the window's work is done.
+    pub fn window_apply<X: Executor>(&mut self, x: &mut X) {
+        let entered = x.now();
+        // Open the auditor's window *before* anything else: if a dispatch
+        // is still in flight, its two-stack report beats a bare assert.
+        self.hb.quiesce_begin();
+        self.tracer.quiesce_begin(secs(entered));
+        debug_assert!(self.paused, "a window nobody wanted");
+        let st = &mut self.state;
+        self.window = Some(Window {
+            entered,
+            mutations_from: st.report.mutations.len(),
+            repartitions_from: st.report.repartitions.len(),
+        });
+
+        // Phase 1: mutation epochs, in arrival order.
+        let batches = std::mem::take(&mut self.mutations);
+        if !batches.is_empty() {
+            let n = batches.len() as u64;
+            self.tracer.mutation_begin(secs(entered), n);
+            let epoch_before = st.topology.epoch();
+            let repairs_before = st.report.index_repairs.len();
+            let apply =
+                apply_mutation_epochs(st, &batches, self.cfg.compact_fraction, secs(entered));
+            // Every epoch the batches opened is published inside the
+            // window, before anything resumes and can stamp an outcome
+            // with it or execute against it.
+            for e in epoch_before + 1..=st.topology.epoch() {
+                self.hb.publish_topology(0, e);
+            }
+            let version = self.hb.publish_partitioning(0);
+            x.publish_topology(
+                &st.topology,
+                &st.partitioning,
+                version,
+                apply.ops,
+                apply.compacted_edges,
+            );
+            if apply.compacted_edges.is_some() {
+                self.tracer.compaction(secs(x.now()));
+            }
+            // The repair stages ran inside `apply_mutation_epochs`; the
+            // span covers the mutation phase, its end instant carries the
+            // summed repair counters of this window's batches.
+            let repairs = &st.report.index_repairs[repairs_before..];
+            if !repairs.is_empty() {
+                let sum = |f: fn(&crate::RepairSummary) -> usize| -> u64 {
+                    repairs.iter().map(|ev| f(&ev.summary) as u64).sum()
+                };
+                self.tracer.repair_begin(secs(entered));
+                self.tracer.repair_end(
+                    secs(x.now()),
+                    sum(|s| s.entries_invalidated),
+                    sum(|s| s.roots_rerun),
+                    sum(|s| s.partial_roots),
+                );
+            }
+            self.tracer.mutation_end(secs(x.now()), n);
+        }
+
+        // Phase 2: the repartition, under the same window.
+        if let Repartition::Due(planned, triggered_at) =
+            std::mem::replace(&mut self.repartition, Repartition::None)
+        {
+            self.tracer.qcut_begin(secs(x.now()));
+            self.repartition_phase(x, planned, triggered_at, entered);
+            self.tracer.qcut_end(secs(x.now()));
+        }
+    }
+
+    /// Resolve the plan against the quiesced partitions and migrate. A
+    /// plan can resolve to nothing by now (scopes finished and expired
+    /// since the trigger): then no event is recorded — a
+    /// [`RepartitionEvent`] means vertices moved.
+    fn repartition_phase<X: Executor>(
+        &mut self,
+        x: &mut X,
+        planned: Option<IlsResult>,
+        triggered_at: SimTime,
+        entered: SimTime,
+    ) {
+        let Some(cfg) = self.cfg.qcut.as_ref() else {
+            return;
+        };
+        if planned.is_none() {
+            // Planning here: a burst of short queries followed by quiet
+            // must not keep stale scopes feeding the ILS.
+            self.state.controller.expire(x.now());
+        }
+        let (local, live) = self.gather_scopes(x);
+        let planned = planned.or_else(|| self.plan(&live, cfg).filter(|r| !r.plan.is_empty()));
+        let Some(result) = planned else {
+            return;
+        };
+        let st = &mut self.state;
+        // A live query's current scope on the source partition, or a
+        // finished query's retained scope (the resolver's ownership
+        // filter restricts it to the source).
+        let queries = &self.queries;
+        let controller = &st.controller;
+        let mut scope_of = |q: QueryId, w: usize| -> Vec<VertexId> {
+            if queries.contains_key(&q) {
+                local
+                    .binary_search_by_key(&(q, w), |(q, w, _)| (*q, *w))
+                    .map_or_else(|_| Vec::new(), |i| local[i].2.clone())
+            } else {
+                controller.finished_scope(q).unwrap_or_default().to_vec()
+            }
+        };
+        let migration = migrate::resolve_plan(&result.plan, &st.partitioning, &mut scope_of);
+        if migration.is_empty() {
+            return;
+        }
+        let observed = st.controller.observed_scopes(&live);
+        let mut gained = Vec::new();
+        let (locality_before, locality_after) =
+            migrate::apply_measured(&migration, &mut st.partitioning, &observed, || {
+                gained = x.migrate(&migration);
+            });
+        let version = self.hb.publish_partitioning(0);
+        x.publish_partitioning(&st.partitioning, version);
+        st.report.repartitions.push(RepartitionEvent {
+            triggered_at: secs(triggered_at),
+            applied_at: secs(entered),
+            barrier_duration: 0.0, // stamped once the window's end is known
+            moved_vertices: migration.moved_vertices,
+            locality_before,
+            locality_after,
+            ils: result,
+        });
+        for (q, w) in gained {
+            if let Some(run) = self.queries.get_mut(&q) {
+                insert_sorted(&mut run.touched, w);
+            }
+        }
+        // The migration moved pending inboxes between partitions: rebuild
+        // the next involved set of every query waiting at its barrier.
+        let at_barrier = |r: &QueryRun| r.outstanding == 0 && r.collecting == 0;
+        for run in self.queries.values_mut().filter(|r| at_barrier(r)) {
+            run.next_involved.clear();
+        }
+        for (q, w) in x.pending_report() {
+            if let Some(run) = self.queries.get_mut(&q).filter(|r| at_barrier(r)) {
+                insert_sorted(&mut run.next_involved, w);
+            }
+        }
+    }
+
+    /// The window's work finished at `now`: stamp its duration on the
+    /// events it recorded, close it, resume the parked queries against
+    /// the (possibly new) layout and re-open admissions.
+    pub fn window_end<X: Executor>(&mut self, x: &mut X, now: SimTime) {
+        let Some(win) = self.window.take() else {
+            debug_assert!(false, "window_end without an open window");
+            return;
+        };
+        let duration = secs(now - win.entered);
+        let report = &mut self.state.report;
+        for ev in &mut report.mutations[win.mutations_from..] {
+            ev.barrier_duration = duration;
+        }
+        for ev in &mut report.repartitions[win.repartitions_from..] {
+            ev.barrier_duration = duration;
+        }
+        // Close the window before any release: a release is a dispatch,
+        // and a dispatch inside the window is exactly the PR-2 race.
+        self.hb.quiesce_end();
+        self.tracer.quiesce_end(secs(now));
+        // The lanes are provably idle inside the window: the cheapest
+        // point to move their rings into the central buffer.
+        self.tracer.drain();
+        self.paused = false;
+        for q in std::mem::take(&mut self.parked) {
+            self.tracer.unpark(secs(now), u64::from(q.0));
+            self.dispatch_superstep(x, q, now, StepVia::Barrier);
+        }
+        self.reset_trigger_window();
+        self.admit(x, now);
+        // Work that became ready while the window was open (a mutation,
+        // a plan coming due) re-enters the stop-the-world phase at once.
+        self.paused =
+            !self.mutations.is_empty() || matches!(self.repartition, Repartition::Due(..));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The core against a scripted executor: no threads, no event queue —
+    //! every dispatch is logged and every report is written by hand.
+
+    use super::*;
+    use crate::index_plane::{PointAnswer, PointQuery, RepairSummary};
+    use crate::program::{Context, VertexProgram};
+    use crate::programs::PingProgram;
+    use crate::qcut::{MovePlan, ScopeMove};
+    use crate::sched::DopPolicy;
+    use crate::task::TypedTask;
+    use qgraph_graph::{AppliedMutation, GraphBuilder};
+    use qgraph_partition::{Partitioner, RangePartitioner};
+
+    #[derive(Clone, Debug, PartialEq)]
+    enum Op {
+        Deliver(u32, usize),
+        Freeze(u32, usize),
+        Step(u32, usize, StepVia),
+        Collect(u32, usize),
+        Complete(u32),
+        PublishTopology(u64),
+        PublishPartitioning,
+        Migrate,
+    }
+
+    /// Logs dispatches; answers the synchronous ones from canned data.
+    #[derive(Default)]
+    struct Script {
+        log: Vec<Op>,
+        clock: SimTime,
+        scopes: Vec<(QueryId, usize, Vec<VertexId>)>,
+        gained: Vec<(QueryId, usize)>,
+        pending: Vec<(QueryId, usize)>,
+    }
+
+    impl Executor for Script {
+        fn now(&self) -> SimTime {
+            self.clock
+        }
+        fn deliver(&mut self, q: QueryId, w: usize, _: &dyn QueryTask, _: MessageBatch) {
+            self.log.push(Op::Deliver(q.0, w));
+        }
+        fn freeze(&mut self, q: QueryId, w: usize) {
+            self.log.push(Op::Freeze(q.0, w));
+        }
+        fn step(&mut self, q: QueryId, w: usize, _: &dyn QueryTask, _: &Envelope, via: StepVia) {
+            self.log.push(Op::Step(q.0, w, via));
+        }
+        fn collect(&mut self, q: QueryId, w: usize) -> Collect {
+            self.log.push(Op::Collect(q.0, w));
+            Collect::Done(None)
+        }
+        fn complete(&mut self, q: QueryId, _: Envelope) {
+            self.log.push(Op::Complete(q.0));
+        }
+        fn publish_topology(
+            &mut self,
+            topology: &Topology,
+            _: &Partitioning,
+            _: u64,
+            _: usize,
+            _: Option<usize>,
+        ) {
+            self.log.push(Op::PublishTopology(topology.epoch()));
+        }
+        fn publish_partitioning(&mut self, _: &Partitioning, _: u64) {
+            self.log.push(Op::PublishPartitioning);
+        }
+        fn scope_report(&mut self) -> Vec<(QueryId, usize, Vec<VertexId>)> {
+            self.scopes.clone()
+        }
+        fn migrate(&mut self, _: &Migration) -> Vec<(QueryId, usize)> {
+            self.log.push(Op::Migrate);
+            self.gained.clone()
+        }
+        fn pending_report(&mut self) -> Vec<(QueryId, usize)> {
+            self.pending.clone()
+        }
+    }
+
+    /// Six vertices over three partitions: `{0,1} {2,3} {4,5}`.
+    fn core(cfg: SystemConfig) -> Coordinator {
+        let graph = std::sync::Arc::new(GraphBuilder::new(6).build());
+        let state = EngineState {
+            partitioning: RangePartitioner.partition(&graph, 3),
+            topology: Topology::new(graph),
+            controller: Controller::new(cfg.qcut.clone()),
+            index: None,
+            report: EngineReport::default(),
+        };
+        Coordinator::new(state, cfg, Hb::new(3), Tracer::new(3, 16, false))
+    }
+
+    /// A ping over one vertex of each partition, budgeted to one task at
+    /// a time.
+    fn ping() -> TypedTask<PingProgram> {
+        TypedTask::new(PingProgram {
+            ring: vec![VertexId(0), VertexId(2), VertexId(4)],
+            rounds: 9,
+        })
+    }
+
+    fn serial() -> SystemConfig {
+        SystemConfig {
+            dop: DopPolicy::Fixed(1),
+            ..Default::default()
+        }
+    }
+
+    fn at(us: u64) -> SimTime {
+        SimTime::from_micros(us)
+    }
+
+    /// Partition `w` finished its step of query 0 having executed one
+    /// vertex and sent one message to each partition in `to`.
+    fn report(task: &TypedTask<PingProgram>, w: usize, to: &[usize]) -> StepReport {
+        let target = |p: usize| VertexId(2 * p as u32);
+        StepReport {
+            q: QueryId(0),
+            worker: w,
+            stats: SuperstepStats {
+                executed: 1,
+                remote_deliveries: to.len(),
+                remote_pre_combine: to.len(),
+                remote_batches: to.len(),
+                ..Default::default()
+            },
+            agg: task.aggregate_identity(),
+            remote: to
+                .iter()
+                .map(|&p| (p, task.batch_for_test(vec![(target(p), 1)])))
+                .collect(),
+            self_pending: false,
+        }
+    }
+
+    #[test]
+    fn every_freeze_precedes_every_step_and_deferred_steps_release_in_order() {
+        let (mut core, mut x, task) = (core(serial()), Script::default(), ping());
+        assert!(core.submit(QueryId(0), Arc::new(ping()), at(0), None));
+        core.admit(&mut x, at(1));
+        let step = |w| Op::Step(0, w, StepVia::Control);
+        assert_eq!(
+            x.log,
+            vec![
+                Op::Deliver(0, 0),
+                Op::Deliver(0, 1),
+                Op::Deliver(0, 2),
+                Op::Freeze(0, 0),
+                Op::Freeze(0, 1),
+                Op::Freeze(0, 2),
+                step(0),
+            ],
+            "all three inboxes sealed before the one budgeted Step"
+        );
+        // One deferred partition per step-done, in involved order.
+        x.log.clear();
+        let outcome = core.step_done(&mut x, report(&task, 0, &[1]), at(2), at(2));
+        assert_eq!(
+            (outcome, &x.log[..]),
+            (StepOutcome::Running, &[step(1), Op::Deliver(0, 1)][..])
+        );
+        x.log.clear();
+        let outcome = core.step_done(&mut x, report(&task, 1, &[]), at(3), at(3));
+        assert_eq!(
+            (outcome, &x.log[..]),
+            (StepOutcome::Running, &[step(2)][..])
+        );
+        x.log.clear();
+        let outcome = core.step_done(&mut x, report(&task, 2, &[]), at(4), at(4));
+        assert_eq!(outcome, StepOutcome::Barrier);
+        assert!(x.log.is_empty(), "nothing moves until the barrier opens");
+        // The next superstep involves only the partition that was sent to.
+        core.release(&mut x, QueryId(0), at(5));
+        assert_eq!(
+            x.log,
+            vec![Op::Freeze(0, 1), Op::Step(0, 1, StepVia::Barrier)]
+        );
+        let run = core.run(QueryId(0));
+        assert_eq!((run.out.iterations, run.out.local_iterations), (1, 0));
+        assert_eq!((run.out.tasks, run.out.effective_dop), (4, 1));
+    }
+
+    #[test]
+    fn a_superstep_ending_under_a_wanted_window_parks_until_the_window_ends() {
+        let cfg = SystemConfig {
+            qcut: Some(QcutConfig::default()),
+            ..serial()
+        };
+        let (mut core, mut x, task) = (core(cfg), Script::default(), ping());
+        core.submit(QueryId(0), Arc::new(ping()), at(0), None);
+        core.admit(&mut x, at(1));
+        // A plan comes due mid-superstep: moving q0's scope from
+        // partition 0 to partition 2.
+        let plan = MovePlan {
+            moves: vec![ScopeMove {
+                query: QueryId(0),
+                from: 0,
+                to: 2,
+            }],
+        };
+        let due = IlsResult {
+            plan,
+            initial_cost: 2.0,
+            final_cost: 1.0,
+            trace: Vec::new(),
+            num_clusters: 1,
+        };
+        core.repartition = Repartition::Budgeted(due, at(1));
+        core.plan_due(at(2));
+        assert!(core.paused());
+        // The superstep still runs to its end (deferred steps release
+        // even while the window is wanted) ...
+        core.step_done(&mut x, report(&task, 0, &[]), at(3), at(3));
+        core.step_done(&mut x, report(&task, 1, &[0]), at(4), at(4));
+        let outcome = core.step_done(&mut x, report(&task, 2, &[]), at(5), at(5));
+        assert_eq!(outcome, StepOutcome::Barrier);
+        // ... then parks at the release instead of dispatching.
+        x.log.clear();
+        core.release(&mut x, QueryId(0), at(6));
+        assert!(x.log.is_empty() && core.parked == vec![QueryId(0)]);
+
+        // The window migrates {v0, v1}: the pending inbox on partition 0
+        // travels to partition 2, which the pending report reflects.
+        x.clock = at(7);
+        x.scopes = vec![(QueryId(0), 0, vec![VertexId(0), VertexId(1)])];
+        x.gained = vec![(QueryId(0), 2)];
+        x.pending = vec![(QueryId(0), 2)];
+        core.window_apply(&mut x);
+        assert_eq!(x.log, vec![Op::Migrate, Op::PublishPartitioning]);
+        assert_eq!(core.state.partitioning.worker_of(VertexId(1)).index(), 2);
+        x.log.clear();
+        core.window_end(&mut x, at(9));
+        assert_eq!(
+            x.log,
+            vec![Op::Freeze(0, 2), Op::Step(0, 2, StepVia::Barrier)],
+            "resumed against the post-migration pending report, not the stale set"
+        );
+        assert!(!core.paused() && core.parked.is_empty());
+        let ev = &core.state.report.repartitions[0];
+        assert_eq!((ev.moved_vertices, ev.applied_at), (2, 7e-6));
+        assert!((ev.barrier_duration - 2e-6).abs() < 1e-12);
+    }
+
+    /// A point-shaped program whose traversal never runs in these tests.
+    struct Probe;
+
+    impl VertexProgram for Probe {
+        type State = ();
+        type Message = ();
+        type Aggregate = ();
+        type Output = u32;
+        fn name(&self) -> &'static str {
+            "probe"
+        }
+        fn init_state(&self) {}
+        fn aggregate_identity(&self) {}
+        fn aggregate_combine(&self, _: &mut (), _: &()) {}
+        fn initial_messages(&self, _: &Topology) -> Vec<(VertexId, ())> {
+            vec![(VertexId(0), ())]
+        }
+        fn compute(
+            &self,
+            _: &Topology,
+            _: VertexId,
+            _: &mut (),
+            _: &[()],
+            _: &mut Context<'_, (), ()>,
+        ) {
+        }
+        fn finalize(&self, _: &Topology, _: &mut dyn Iterator<Item = (VertexId, ())>) -> u32 {
+            0
+        }
+        fn point_query(&self) -> Option<PointQuery> {
+            Some(PointQuery::Reach {
+                source: VertexId(0),
+                target: VertexId(1),
+            })
+        }
+        fn output_from_answer(&self, _: &PointAnswer) -> Option<u32> {
+            Some(7)
+        }
+    }
+
+    /// An index that answers everything and is always repaired.
+    struct Oracle;
+
+    impl PointIndex for Oracle {
+        fn serve(&self, _: &PointQuery) -> Option<PointAnswer> {
+            Some(PointAnswer::Reach(true))
+        }
+        fn repaired_through(&self) -> u64 {
+            u64::MAX
+        }
+        fn repair(&mut self, _: &Topology, _: &AppliedMutation, _: u64) -> RepairSummary {
+            RepairSummary::default()
+        }
+    }
+
+    /// The work counters an outcome carries.
+    fn work(o: &QueryOutcome) -> [u64; 8] {
+        [
+            u64::from(o.iterations),
+            u64::from(o.local_iterations),
+            o.vertex_updates,
+            o.remote_messages,
+            o.remote_batches,
+            o.scope_size,
+            o.tasks,
+            u64::from(o.effective_dop),
+        ]
+    }
+
+    #[test]
+    fn the_outcome_constructor_covers_all_four_ways_out() {
+        let cfg = SystemConfig {
+            max_queued: Some(2),
+            ..serial()
+        };
+        let (mut core, mut x, task) = (core(cfg), Script::default(), ping());
+        core.install_index(Box::new(Oracle));
+        let empty = PingProgram {
+            ring: Vec::new(),
+            rounds: 0,
+        };
+        // Queue depth 2: the third arrival bounces.
+        assert!(core.submit(QueryId(0), Arc::new(ping()), at(1), None));
+        assert!(core.submit(QueryId(1), Arc::new(TypedTask::new(Probe)), at(2), None));
+        assert!(!core.submit(
+            QueryId(2),
+            Arc::new(TypedTask::new(empty.clone())),
+            at(3),
+            None
+        ));
+        core.admit(&mut x, at(4));
+        assert!(core.submit(QueryId(3), Arc::new(TypedTask::new(empty)), at(5), None));
+        core.admit(&mut x, at(6));
+
+        // q0 traverses: one superstep before and one after a mutation epoch.
+        core.step_done(&mut x, report(&task, 0, &[1]), at(7), at(7));
+        core.step_done(&mut x, report(&task, 1, &[]), at(8), at(8));
+        core.step_done(&mut x, report(&task, 2, &[]), at(9), at(9));
+        let mut batch = MutationBatch::new();
+        batch.add_edge(0, 1, 1.0);
+        core.mutate(batch);
+        core.release(&mut x, QueryId(0), at(10));
+        x.clock = at(11);
+        core.window_apply(&mut x);
+        core.window_end(&mut x, at(12));
+        assert!(x.log.contains(&Op::PublishTopology(1)));
+        x.log.clear();
+        let outcome = core.step_done(&mut x, report(&task, 1, &[]), at(13), at(14));
+        assert_eq!(outcome, StepOutcome::Terminated);
+        let collects = [Op::Collect(0, 0), Op::Collect(0, 1), Op::Collect(0, 2)];
+        assert_eq!(x.log[..3], collects, "every partition that held state");
+        assert_eq!(x.log[3], Op::Complete(0));
+
+        let by_id = |id: u32| {
+            let outcomes = &core.state.report.outcomes;
+            *outcomes
+                .iter()
+                .find(|o| o.id == QueryId(id))
+                .expect("recorded")
+        };
+        let rejected = by_id(2);
+        assert_eq!(rejected.status, OutcomeStatus::Rejected);
+        assert_eq!((rejected.queued_at, rejected.completed_at), (at(3), at(3)));
+        assert_eq!(work(&rejected), [0; 8]);
+
+        let indexed = by_id(1);
+        assert_eq!(
+            (indexed.status, indexed.served_by),
+            (OutcomeStatus::Completed, ServedBy::Index)
+        );
+        assert_eq!(
+            (
+                indexed.queued_at,
+                indexed.submitted_at,
+                indexed.completed_at
+            ),
+            (at(2), at(4), at(4))
+        );
+        assert_eq!(work(&indexed), [0; 8]);
+
+        let hollow = by_id(3);
+        assert_eq!(
+            (hollow.status, hollow.served_by),
+            (OutcomeStatus::Completed, ServedBy::Traversal)
+        );
+        assert_eq!((hollow.submitted_at, hollow.completed_at), (at(6), at(6)));
+        assert_eq!((work(&hollow), hollow.program), ([0; 8], "ping"));
+
+        let traversed = by_id(0);
+        assert_eq!(traversed.served_by, ServedBy::Traversal);
+        assert_eq!(
+            (
+                traversed.queued_at,
+                traversed.submitted_at,
+                traversed.completed_at
+            ),
+            (at(1), at(4), at(14))
+        );
+        assert_eq!((traversed.first_epoch, traversed.last_epoch), (0, 1));
+        // 2 supersteps (the second one local), 4 vertex updates, 1 remote
+        // message in 1 batch, no collected scope, 3 + 1 tasks at DoP 1.
+        assert_eq!(work(&traversed), [2, 1, 4, 1, 1, 0, 4, 1]);
+        for id in [1, 2, 3] {
+            assert_eq!((by_id(id).first_epoch, by_id(id).last_epoch), (0, 0));
+        }
+    }
+}

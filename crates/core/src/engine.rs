@@ -1,37 +1,38 @@
-//! The discrete-event multi-query engine.
+//! The discrete-event multi-query engine: the virtual-time executor of
+//! the coordinator core.
 //!
-//! [`SimEngine`] executes queries exactly as the real system would —
-//! vertex functions, message routing, scope tracking, the MAPE adaptivity
-//! loop — while *time* advances on the `qgraph-sim` virtual clock using
-//! the cluster's compute/network cost models. Results are bit-identical
-//! across runs for a fixed configuration, and latency decomposes into the
-//! same three components as on the paper's testbeds: compute, network
-//! transfer, and barrier synchronization (see `DESIGN.md` §2).
+//! [`SimEngine`] runs the query protocol of [`crate::coord`] — admission,
+//! per-query barriers, DoP deferral, the stop-the-world window — exactly
+//! as the thread runtime does, while *time* advances on the `qgraph-sim`
+//! virtual clock using the cluster's compute/network cost models. Results
+//! are bit-identical across runs for a fixed configuration, and latency
+//! decomposes into the same three components as on the paper's testbeds:
+//! compute, network transfer, and barrier synchronization.
 //!
 //! The engine is **not generic over a program type**: each submitted
-//! query is wrapped in a type-erased [`QueryTask`](crate::task::QueryTask)
-//! at [`SimEngine::submit`], so one instance runs SSSP, POI, and
-//! reachability queries concurrently. `submit` returns a typed
-//! [`QueryHandle`] through which [`SimEngine::output`] recovers the
-//! program's `Output` without any caller-visible downcasting.
+//! query is wrapped in a type-erased [`QueryTask`] at
+//! [`SimEngine::submit`], which returns a typed [`QueryHandle`] through
+//! which [`SimEngine::output`] recovers the program's `Output`.
 //!
-//! ## Execution model
+//! ## What this executor prices
 //!
 //! Each worker is a sequential resource processing one superstep task at a
-//! time (FIFO); queueing across concurrent queries is what turns workload
-//! imbalance into the paper's straggler effects. One query iteration:
+//! time (FIFO), and at most `pool_threads` workers compute at once;
+//! queueing across concurrent queries is what turns workload imbalance
+//! into the paper's straggler effects. A dispatched `Step`
 //!
-//! 1. barrier release → superstep tasks on all involved workers,
-//! 2. each task: freeze inbox, charge compute cost, execute, route
-//!    messages (free locally, network-priced across workers),
-//! 3. when the last involved worker finishes → [`barrier::decide`]
-//!    computes the next release (hybrid: free if fully local),
-//! 4. no pending messages anywhere → the query completes.
+//! 1. travels as a control message (admission, mid-superstep slot) or
+//!    rides its barrier release,
+//! 2. occupies its worker for the compute cost of its frozen input, then
+//!    for the serialization of what it sends (`SendDone`); wire time
+//!    delays the messages further,
+//! 3. and when the core reports the superstep complete,
+//!    [`barrier::decide`] computes the release *delay* (hybrid: free if
+//!    fully local; `SharedGlobal` couples all queries' releases).
 //!
-//! The controller triggers Q-cut when mean locality drops below Φ; the ILS
-//! runs against a stats snapshot and its *result* is applied one virtual
-//! ILS budget later under a global STOP/START barrier that quiesces the
-//! workers, migrates scope vertices, and charges the bulk-move transfer.
+//! A Q-cut plan is applied one virtual ILS budget after its trigger, and
+//! a window costs its mutation/compaction work plus the slowest pair's
+//! bulk transfer, bracketed by one control round trip each way.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -42,23 +43,27 @@ use qgraph_sim::{ClusterModel, EventQueue, SimTime};
 
 use crate::barrier::{self, BarrierInput};
 use crate::config::{BarrierMode, SystemConfig};
-use crate::controller::{apply_mutation_epochs, Controller};
+use crate::controller::Controller;
+use crate::coord::{Collect, Coordinator, EngineState, Executor, StepOutcome, StepReport, StepVia};
 use crate::hb::{kind, Hb};
 use crate::index_plane::PointIndex;
 use crate::program::VertexProgram;
-use crate::qcut::{migrate, run_qcut, IlsResult};
-use crate::query::{OutcomeStatus, QueryHandle, QueryId, QueryOutcome, ServedBy};
-use crate::report::{ActivitySample, EngineReport, RepartitionEvent};
-use crate::sched::{Scheduler, Submission};
-use crate::task::{Envelope, QueryTask, TypedTask};
-use crate::trace::{cmd, outcome_code, Tracer};
+use crate::qcut::{migrate, Migration};
+use crate::query::{QueryHandle, QueryId};
+use crate::report::{EngineReport, PoolCounters};
+use crate::sched::Submission;
+use crate::task::{Envelope, MessageBatch, QueryTask, TypedTask};
+use crate::trace::{cmd, Tracer};
 use crate::worker::Worker;
 
 #[derive(Clone, Debug)]
 enum Event {
     /// A streamed query's virtual arrival time was reached: it enters the
     /// admission queue (see [`SimEngine::submit_when`]).
-    Arrival { q: QueryId },
+    Arrival {
+        q: QueryId,
+        deadline: Option<SimTime>,
+    },
     /// Query `q` may run a superstep on worker `w`.
     TaskReady { q: QueryId, w: usize },
     /// Worker `w` finished computing query `q`'s superstep.
@@ -67,150 +72,270 @@ enum Event {
     SendDone { w: usize },
     /// Query `q`'s barrier released: start the next superstep.
     BarrierRelease { q: QueryId },
-    /// The virtual ILS budget elapsed; apply the pending plan.
+    /// The virtual ILS budget elapsed; the pending plan comes due.
     IlsReady,
-    /// A mutation batch's virtual application time was reached: stop the
-    /// world at the next quiescent point and open a new graph epoch.
-    MutationDue { m: usize },
+    /// A mutation batch's virtual application time was reached.
+    MutationDue { batch: MutationBatch },
     /// SharedGlobal mode: the cross-query round barrier released.
     RoundRelease,
-    /// Workers are quiescent: migrate scope vertices (STOP barrier body).
+    /// Workers are quiescent: run the window body (STOP barrier).
     GlobalBarrierApply,
-    /// Repartitioning finished: resume query execution (START barrier).
+    /// The window's priced work finished: resume (START barrier).
     GlobalBarrierEnd,
-}
-
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum QueryStatus {
-    Queued,
-    Running,
-    Finished,
-}
-
-/// One submitted query: its erased task plus per-run bookkeeping. No
-/// program types appear here — aggregates travel as [`Envelope`]s.
-struct QueryRun {
-    task: Arc<dyn QueryTask>,
-    status: QueryStatus,
-    /// Arrival: when the query entered the admission queue.
-    queued_at: SimTime,
-    /// Absolute deadline ([`crate::AdmissionPolicy::Deadline`]), if any.
-    deadline: Option<SimTime>,
-    /// Admission: when a closed-loop slot freed and execution began.
-    submitted_at: SimTime,
-    /// Graph epoch at admission (outcome attribution).
-    first_epoch: u64,
-    iteration: u32,
-    local_iterations: u32,
-    vertex_updates: u64,
-    remote_messages: u64,
-    remote_messages_pre_combine: u64,
-    remote_batches: u64,
-    /// Degree-of-parallelism budget ([`crate::DopPolicy::budget`], fixed
-    /// at admission): at most this many of a superstep's per-partition
-    /// tasks run concurrently.
-    dop: usize,
-    /// Involved workers of the current superstep whose dispatch is held
-    /// back by the DoP budget; released one per completing task.
-    deferred: VecDeque<usize>,
-    /// Per-(query, partition) compute tasks dispatched so far.
-    tasks: u64,
-    /// Max over supersteps of `min(dop, involved)`.
-    effective_dop: u32,
-    // Per-superstep bookkeeping.
-    remaining: usize,
-    involved_cur: Vec<usize>,
-    compute_done_max: SimTime,
-    msg_arrival_max: SimTime,
-    crossed: bool,
-    last_done_raw: SimTime,
-    agg_prev: Envelope,
-    agg_acc: Envelope,
 }
 
 struct WorkerSched {
     queue: VecDeque<QueryId>,
     running: Option<QueryId>,
-    busy_until: SimTime,
 }
 
 /// The deterministic multi-query engine. See the module docs.
 pub struct SimEngine {
-    topology: Topology,
+    /// The query-protocol state machine this engine executes.
+    core: Coordinator,
+    x: SimExec,
+}
+
+/// The virtual-time executor: workers in one address space, an event
+/// queue, and the cost models that turn dispatches into delays.
+struct SimExec {
     cluster: ClusterModel,
-    cfg: SystemConfig,
-    partitioning: Partitioning,
+    state_bytes_per_vertex: u64,
     workers: Vec<Worker>,
     sched: Vec<WorkerSched>,
-    /// The simulated elastic pool's thread count
-    /// ([`SystemConfig::pool_threads`]; 0 = one per partition): a global
-    /// concurrency cap over the per-worker FIFO queues. With fewer
-    /// threads than partitions, a freed thread picks up *any* queued
-    /// partition — the work-conserving behavior the real pool exhibits.
+    /// The simulated elastic pool's thread count: a global concurrency
+    /// cap over the per-worker FIFO queues. With fewer threads than
+    /// partitions, a freed thread picks up *any* queued partition — the
+    /// work-conserving behavior the real pool exhibits.
     pool_width: usize,
     /// Worker tasks (compute or send) currently occupying pool threads.
     pool_busy: usize,
-    /// Compute tasks completed (the sim's [`crate::PoolCounters::tasks`];
-    /// steals and idle waits are physical-pool phenomena and stay 0
-    /// here).
+    /// Compute tasks completed (the sim's [`PoolCounters::tasks`]; steals
+    /// and idle waits are physical-pool phenomena and stay 0 here).
     pool_tasks: u64,
     events: EventQueue<Event>,
-    queries: Vec<QueryRun>,
+    /// Every submitted query's task, by id.
+    tasks: Vec<Arc<dyn QueryTask>>,
     outputs: Vec<Option<Envelope>>,
-    /// The policy-ordered admission queue (arrived, not yet admitted).
-    scheduler: Scheduler,
-    in_flight: usize,
-    /// STOP barrier in progress: no new barrier releases or query
-    /// dispatches; in-flight supersteps drain to quiescence first.
-    paused: bool,
+    /// Per query: latest arrival of any inter-worker message it sent.
+    msg_arrival: Vec<SimTime>,
     /// `TaskReady` dispatches scheduled but not yet delivered. Quiescence
     /// requires this to reach zero: a control message racing the STOP
     /// barrier would otherwise start a superstep mid-migration.
     inflight_ready: usize,
-    /// The STOP barrier is waiting for the workers to drain.
-    awaiting_quiesce: bool,
-    deferred_releases: Vec<QueryId>,
-    pending_plan: Option<(IlsResult, SimTime)>,
-    /// The ILS budget has elapsed: the pending plan may be applied at the
-    /// next barrier's migration phase.
-    plan_ready: bool,
-    /// Submitted mutation batches (taken when applied).
-    mutations: Vec<Option<MutationBatch>>,
-    /// Batches whose virtual application time has been reached, waiting
-    /// for the stop-the-world barrier to apply them.
-    due_mutations: Vec<usize>,
-    /// The installed label index (the index plane): consulted at
-    /// admission for eligible point queries, repaired at every mutation
-    /// barrier.
-    index: Option<Box<dyn PointIndex>>,
-    controller: Controller,
-    report: EngineReport,
+    /// `GlobalBarrierApply` is scheduled or the window is open.
+    window_scheduled: bool,
+    /// Virtual cost of the open window's work so far.
+    window_cost: SimTime,
     /// Per-worker vertex updates within the current activity sub-window
-    /// (feeds the controller's straggler watch).
+    /// (feeds the clock trigger's straggler watch).
     activity_window: Vec<u64>,
     activity_window_start: SimTime,
     activity_window_len: SimTime,
     last_activity_imbalance: f64,
     /// SharedGlobal mode: queries whose iteration finished and who wait
-    /// for the cross-query round barrier.
+    /// for the cross-query round barrier, and the round's release time
+    /// (max over them).
     round_waiting: Vec<QueryId>,
-    /// SharedGlobal mode: queries still computing in the current round.
-    round_outstanding: usize,
-    /// SharedGlobal mode: release time of the round (max over queries).
     round_release: SimTime,
-    /// Happens-before auditor (no-op unless the `check-hb` feature is
-    /// on): stamps dispatches, quiesce windows, and epoch publications.
+    /// Happens-before auditor (no-op unless `check-hb`): stamps the
+    /// dispatch tokens of this executor.
     hb: Hb,
-    /// Structured event recorder (no-op unless the `trace` feature *and*
-    /// [`SystemConfig::trace`] are on): stamps the same vocabulary the
-    /// thread runtime stamps, on the virtual clock. Lanes are partition
-    /// indices — the sim's analogue of pool-thread identity.
+    /// Structured event recorder (no-op unless `trace`): task spans on
+    /// the virtual clock. Lanes are partition indices — the sim's
+    /// analogue of pool-thread identity.
     tracer: Tracer,
-    /// Test hook: make [`SimEngine::is_quiescent`] ignore in-flight
+    /// Test hook: make [`SimExec::is_quiescent`] ignore in-flight
     /// `TaskReady` dispatches, reintroducing the pre-fix quiesce race
     /// so the auditor's detection of it stays regression-tested.
     #[cfg(feature = "check-hb")]
     hb_ignore_inflight_ready: bool,
+}
+
+impl Executor for SimExec {
+    fn now(&self) -> SimTime {
+        self.events.now() + self.window_cost
+    }
+
+    fn deliver(&mut self, q: QueryId, w: usize, task: &dyn QueryTask, batch: MessageBatch) {
+        self.workers[w].deliver(task, q, batch);
+    }
+
+    fn freeze(&mut self, q: QueryId, w: usize) {
+        self.workers[w].freeze(q);
+    }
+
+    fn step(&mut self, q: QueryId, w: usize, _: &dyn QueryTask, _: &Envelope, via: StepVia) {
+        match via {
+            StepVia::Barrier => self.task_ready(q, w),
+            // executeQuery(q): a controller → worker dispatch.
+            StepVia::Control => {
+                let at = self.events.now() + self.cluster.control_cost_to_controller(w);
+                self.inflight_ready += 1;
+                self.hb.token_open(q.0, kind::READY);
+                self.events.schedule(at, Event::TaskReady { q, w });
+            }
+        }
+    }
+
+    fn collect(&mut self, q: QueryId, w: usize) -> Collect {
+        Collect::Done(self.workers[w].take_local(q))
+    }
+
+    fn complete(&mut self, q: QueryId, output: Envelope) {
+        self.outputs[q.index()] = Some(output);
+    }
+
+    // The workers read the core's topology and assignment directly, so a
+    // publication only costs time.
+    fn publish_topology(
+        &mut self,
+        _: &Topology,
+        _: &Partitioning,
+        _: u64,
+        ops: usize,
+        compacted_edges: Option<usize>,
+    ) {
+        self.window_cost += self.cluster.compute.mutation_cost(ops);
+        if let Some(edges) = compacted_edges {
+            self.window_cost += self.cluster.compute.compaction_cost(edges);
+        }
+    }
+
+    fn publish_partitioning(&mut self, _: &Partitioning, _: u64) {}
+
+    fn scope_report(&mut self) -> Vec<(QueryId, usize, Vec<VertexId>)> {
+        let mut out = Vec::new();
+        for (w, worker) in self.workers.iter().enumerate() {
+            out.extend(
+                worker
+                    .active_queries()
+                    .map(|q| (q, w, worker.scope_vertices(q))),
+            );
+        }
+        out
+    }
+
+    fn migrate(&mut self, migration: &Migration) -> Vec<(QueryId, usize)> {
+        let tasks = &self.tasks;
+        let task_of = |q: QueryId| Arc::clone(&tasks[q.index()]);
+        let gained = migrate::apply_to_workers(migration, &mut self.workers, &task_of);
+        // The migration lasts as long as the slowest pair's bulk transfer.
+        self.window_cost += migration
+            .per_pair
+            .iter()
+            .map(|&(f, t, n)| {
+                self.cluster.network.bulk_move_cost(
+                    n,
+                    self.state_bytes_per_vertex,
+                    self.cluster.is_remote(f, t),
+                )
+            })
+            .max()
+            .unwrap_or(SimTime::ZERO);
+        gained
+    }
+
+    fn pending_report(&mut self) -> Vec<(QueryId, usize)> {
+        let mut out = Vec::new();
+        for (w, worker) in self.workers.iter().enumerate() {
+            let pending = worker.active_queries().filter(|&q| worker.has_pending(q));
+            out.extend(pending.map(|q| (q, w)));
+        }
+        out
+    }
+}
+
+impl SimExec {
+    // ------------------------------------------------------------------
+    // Task scheduling on workers
+    // ------------------------------------------------------------------
+
+    fn task_ready(&mut self, q: QueryId, w: usize) {
+        // Pre-frozen supersteps always run — during a STOP barrier they
+        // are exactly the in-flight work the barrier drains.
+        self.hb.token_open(q.0, kind::TASK);
+        self.sched[w].queue.push_back(q);
+        self.try_start(w);
+    }
+
+    fn try_start(&mut self, w: usize) {
+        // A partition runs at most one task at a time (actor model), and
+        // the elastic pool caps how many partitions compute at once.
+        if self.sched[w].running.is_some() || self.pool_busy >= self.pool_width {
+            return;
+        }
+        let Some(q) = self.sched[w].queue.pop_front() else {
+            return;
+        };
+        let now = self.events.now();
+        let (active, msgs) = self.workers[w].frozen_counts(q);
+        let cost = self.cluster.compute.superstep_cost(active, msgs);
+        self.sched[w].running = Some(q);
+        self.pool_busy += 1;
+        let (lane, id) = (w as u32, u64::from(q.0));
+        self.tracer
+            .task_begin(now.as_secs_f64(), lane, id, lane, cmd::STEP, false);
+        self.events.schedule(now + cost, Event::TaskDone { q, w });
+    }
+
+    /// Worker `w`'s pool thread freed up. The thread is not bound to the
+    /// partition it just ran, so scan every worker queue (index order —
+    /// the sim's deterministic stand-in for the physical pool's
+    /// affinity-then-steal scan) for the next startable task.
+    fn free_worker(&mut self, w: usize) {
+        debug_assert!(self.sched[w].running.is_some());
+        if let Some(q) = self.sched[w].running.take() {
+            self.hb.token_close(q.0, kind::TASK);
+        }
+        self.pool_busy -= 1;
+        for w in 0..self.sched.len() {
+            if self.pool_busy >= self.pool_width {
+                return;
+            }
+            self.try_start(w);
+        }
+    }
+
+    fn is_quiescent(&self) -> bool {
+        #[cfg(feature = "check-hb")]
+        let ready_drained = self.inflight_ready == 0 || self.hb_ignore_inflight_ready;
+        #[cfg(not(feature = "check-hb"))]
+        let ready_drained = self.inflight_ready == 0;
+        ready_drained
+            && self
+                .sched
+                .iter()
+                .all(|s| s.running.is_none() && s.queue.is_empty())
+    }
+
+    fn max_control_cost(&self) -> SimTime {
+        (0..self.cluster.num_workers)
+            .map(|w| self.cluster.control_cost_to_controller(w))
+            .max()
+            .unwrap_or(SimTime::ZERO)
+    }
+
+    /// Roll the activity sub-window and accumulate this superstep's work.
+    fn record_activity(&mut self, now: SimTime, w: usize, executed: u64) {
+        // Saturating comparison: with Q-cut off the window length is
+        // effectively infinite and `start + len` would overflow.
+        if now.saturating_sub(self.activity_window_start) >= self.activity_window_len {
+            let total: u64 = self.activity_window.iter().sum();
+            // Guard, don't unwrap: with an aggressive trigger cadence the
+            // window can roll before any sample landed (or be evaluated on
+            // a degenerate worker set) — an empty/zero window simply
+            // carries no imbalance signal.
+            let max = self.activity_window.iter().copied().max().unwrap_or(0);
+            if total > 0 && max > 0 {
+                let mean = total as f64 / self.activity_window.len() as f64;
+                self.last_activity_imbalance = max as f64 / mean - 1.0;
+            }
+            self.activity_window.iter_mut().for_each(|a| *a = 0);
+            self.activity_window_start = now;
+        }
+        self.activity_window[w] += executed;
+    }
 }
 
 impl SimEngine {
@@ -245,9 +370,6 @@ impl SimEngine {
             "SystemConfig::batch_max_msgs must match the cluster \
              NetworkModel::batch_max_msgs"
         );
-        let workers: Vec<Worker> = (0..k)
-            .map(|w| Worker::configured(w, cfg.combiners, cfg.batch_max_msgs))
-            .collect();
         // Activity sub-window: an eighth of the monitoring window μ.
         let activity_window_len = SimTime::from_secs_f64(
             cfg.qcut
@@ -255,59 +377,51 @@ impl SimEngine {
                 .map(|q| q.monitoring_window_secs / 8.0)
                 .unwrap_or(f64::MAX / 1e10),
         );
-        // Stamp the initial topology (epoch 0) and partitioning as
-        // published by the controller before anything can read them.
         let hb = Hb::new(k);
-        hb.publish_topology(0, 0);
-        hb.publish_partitioning(0);
-        let pool_width = match cfg.pool_threads {
-            0 => k,
-            n => n,
-        };
         let tracer = Tracer::new(k, cfg.trace_ring_capacity, cfg.trace);
-        SimEngine {
-            hb,
-            tracer,
-            #[cfg(feature = "check-hb")]
-            hb_ignore_inflight_ready: false,
-            topology: Topology::new(graph),
+        let x = SimExec {
             cluster,
-            controller: Controller::new(cfg.qcut.clone()),
-            scheduler: Scheduler::bounded(cfg.admission.clone(), cfg.max_queued),
-            cfg,
-            partitioning,
-            workers,
+            state_bytes_per_vertex: cfg.state_bytes_per_vertex,
+            workers: (0..k)
+                .map(|w| Worker::configured(w, cfg.combiners, cfg.batch_max_msgs))
+                .collect(),
             sched: (0..k)
                 .map(|_| WorkerSched {
                     queue: VecDeque::new(),
                     running: None,
-                    busy_until: SimTime::ZERO,
                 })
                 .collect(),
-            pool_width,
+            pool_width: Coordinator::pool_width(&cfg, k),
             pool_busy: 0,
             pool_tasks: 0,
             events: EventQueue::new(),
-            queries: Vec::new(),
+            tasks: Vec::new(),
             outputs: Vec::new(),
-            in_flight: 0,
-            paused: false,
+            msg_arrival: Vec::new(),
             inflight_ready: 0,
-            awaiting_quiesce: false,
-            deferred_releases: Vec::new(),
-            pending_plan: None,
-            plan_ready: false,
-            mutations: Vec::new(),
-            due_mutations: Vec::new(),
-            index: None,
-            report: EngineReport::default(),
+            window_scheduled: false,
+            window_cost: SimTime::ZERO,
             activity_window: vec![0; k],
             activity_window_start: SimTime::ZERO,
             activity_window_len,
             last_activity_imbalance: 0.0,
             round_waiting: Vec::new(),
-            round_outstanding: 0,
             round_release: SimTime::ZERO,
+            hb: hb.clone(),
+            tracer: tracer.clone(),
+            #[cfg(feature = "check-hb")]
+            hb_ignore_inflight_ready: false,
+        };
+        let state = EngineState {
+            topology: Topology::new(graph),
+            partitioning,
+            controller: Controller::new(cfg.qcut.clone()),
+            index: None,
+            report: EngineReport::default(),
+        };
+        SimEngine {
+            core: Coordinator::new(state, cfg, hb, tracer),
+            x,
         }
     }
 
@@ -351,8 +465,9 @@ impl SimEngine {
         task: Arc<dyn QueryTask>,
         submission: Submission,
     ) -> QueryId {
-        let id = QueryId(self.queries.len() as u32);
-        let now = self.events.now();
+        let x = &mut self.x;
+        let q = QueryId(x.tasks.len() as u32);
+        let now = x.events.now();
         // An arrival in the past clamps to now: the clock never rewinds.
         let arrival = submission
             .at_secs
@@ -361,43 +476,15 @@ impl SimEngine {
         let deadline = submission
             .deadline_secs
             .map(|d| arrival + SimTime::from_secs_f64(d));
-        let program = task.program_name();
-        self.queries.push(QueryRun {
-            agg_prev: task.aggregate_identity(),
-            agg_acc: task.aggregate_identity(),
-            task,
-            status: QueryStatus::Queued,
-            queued_at: arrival,
-            deadline,
-            submitted_at: SimTime::ZERO,
-            first_epoch: 0,
-            iteration: 0,
-            local_iterations: 0,
-            vertex_updates: 0,
-            remote_messages: 0,
-            remote_messages_pre_combine: 0,
-            remote_batches: 0,
-            dop: 1,
-            deferred: VecDeque::new(),
-            tasks: 0,
-            effective_dop: 0,
-            remaining: 0,
-            involved_cur: Vec::new(),
-            compute_done_max: SimTime::ZERO,
-            msg_arrival_max: SimTime::ZERO,
-            crossed: false,
-            last_done_raw: SimTime::ZERO,
-        });
-        self.outputs.push(None);
-        if submission.at_secs.is_some() && arrival > now {
-            self.events.schedule(arrival, Event::Arrival { q: id });
+        x.tasks.push(Arc::clone(&task));
+        x.outputs.push(None);
+        x.msg_arrival.push(SimTime::ZERO);
+        if arrival > now {
+            x.events.schedule(arrival, Event::Arrival { q, deadline });
         } else {
-            self.tracer.admitted(arrival.as_secs_f64(), u64::from(id.0));
-            if !self.scheduler.push(id, program, arrival, deadline) {
-                self.reject_query(arrival, id);
-            }
+            self.core.submit(q, task, arrival, deadline);
         }
-        id
+        q
     }
 
     /// Schedule a [`MutationBatch`] to apply at virtual time `at_secs`
@@ -417,17 +504,14 @@ impl SimEngine {
         if let Err(e) = batch.validate() {
             panic!("rejected mutation batch: {e}");
         }
-        let at = SimTime::from_secs_f64(at_secs).max(self.events.now());
-        let m = self.mutations.len();
-        self.mutations.push(Some(batch));
-        self.events.schedule(at, Event::MutationDue { m });
+        let at = SimTime::from_secs_f64(at_secs).max(self.x.events.now());
+        self.x.events.schedule(at, Event::MutationDue { batch });
     }
 
     /// Apply a [`MutationBatch`] at the next quiescent point (shorthand
     /// for [`SimEngine::mutate_at`] with the current virtual time).
     pub fn mutate(&mut self, batch: MutationBatch) {
-        let now = self.events.now().as_secs_f64();
-        self.mutate_at(batch, now);
+        self.mutate_at(batch, self.now_secs());
     }
 
     /// Run until every submitted query (including future [`Event::Arrival`]
@@ -438,53 +522,91 @@ impl SimEngine {
         // Run boundary: a fresh activity sub-window, so a trigger early in
         // this run never measures imbalance over a window spanning the
         // idle gap since the previous run.
-        let run_started = self.events.now();
-        self.activity_window_start = run_started;
-        self.activity_window.iter_mut().for_each(|a| *a = 0);
-        self.last_activity_imbalance = 0.0;
+        let run_started = self.x.events.now();
+        self.x.activity_window_start = run_started;
+        self.x.activity_window.iter_mut().for_each(|a| *a = 0);
+        self.x.last_activity_imbalance = 0.0;
 
-        self.dispatch_pending();
-        while let Some(ev) = self.events.pop() {
+        self.core.admit(&mut self.x, run_started);
+        while let Some(ev) = self.x.events.pop() {
             let now = ev.at;
             match ev.payload {
-                Event::Arrival { q } => self.on_arrival(q),
+                Event::Arrival { q, deadline } => {
+                    // During a STOP barrier the query waits in the queue
+                    // exactly like a resident one.
+                    let task = Arc::clone(&self.x.tasks[q.index()]);
+                    if self.core.submit(q, task, now, deadline) {
+                        self.core.admit(&mut self.x, now);
+                    }
+                }
                 Event::TaskReady { q, w } => {
-                    self.inflight_ready -= 1;
-                    self.hb.token_close(q.0, kind::READY);
-                    self.on_task_ready(q, w);
+                    self.x.inflight_ready -= 1;
+                    self.x.hb.token_close(q.0, kind::READY);
+                    self.x.task_ready(q, w);
                 }
                 Event::TaskDone { q, w } => self.on_task_done(now, q, w),
-                Event::SendDone { w } => self.on_send_done(now, w),
-                Event::BarrierRelease { q } => self.on_barrier_release(now, q),
-                Event::RoundRelease => self.on_round_release(now),
-                Event::IlsReady => self.on_ils_ready(now),
-                Event::MutationDue { m } => self.on_mutation_due(m),
-                Event::GlobalBarrierApply => self.on_global_apply(now),
-                Event::GlobalBarrierEnd => self.on_global_end(now),
+                Event::SendDone { w } => {
+                    self.x.free_worker(w);
+                    self.maybe_quiesced(now);
+                }
+                Event::BarrierRelease { q } => self.core.release(&mut self.x, q, now),
+                Event::RoundRelease => {
+                    // The cross-query round barrier fired: release every
+                    // waiting query at once.
+                    self.x.round_release = SimTime::ZERO;
+                    for q in std::mem::take(&mut self.x.round_waiting) {
+                        self.core.release(&mut self.x, q, now);
+                    }
+                }
+                Event::IlsReady => {
+                    self.core.plan_due(now);
+                    self.maybe_quiesced(now);
+                }
+                Event::MutationDue { batch } => {
+                    // During an open window the batch simply queues for
+                    // the re-entry check at the window's end.
+                    self.core.mutate(batch);
+                    self.maybe_quiesced(now);
+                }
+                Event::GlobalBarrierApply => {
+                    // The core opens the auditor's window first: if a
+                    // dispatch is still in flight, its two-stack report
+                    // beats this bare assert.
+                    self.core.window_apply(&mut self.x);
+                    debug_assert!(self.x.is_quiescent());
+                    let end = self.x.now() + self.x.max_control_cost();
+                    self.x.events.schedule(end, Event::GlobalBarrierEnd);
+                }
+                Event::GlobalBarrierEnd => {
+                    self.x.window_cost = SimTime::ZERO;
+                    self.x.window_scheduled = false;
+                    self.core.window_end(&mut self.x, now);
+                    self.maybe_quiesced(now);
+                }
             }
-            if self.events.is_empty() {
-                self.dispatch_pending();
+            if self.x.events.is_empty() {
+                self.core.admit(&mut self.x, now);
             }
         }
-        self.report.finished_at_secs = self.events.now().as_secs_f64();
-        // Pool accounting for the sim: steals and idle-waits are physical
-        // phenomena of the real pool and stay 0 here; `tasks` counts the
-        // same per-(query, partition) units the thread runtime counts.
-        self.report.admission_policy = self.cfg.admission.label().to_string();
-        self.tracer.drain();
-        self.report.trace.absorb(&self.tracer);
-        let pool_at_close = crate::report::PoolCounters {
-            threads: self.pool_width,
-            tasks: self.pool_tasks,
+        let x = &mut self.x;
+        let report = &mut self.core.state.report;
+        report.finished_at_secs = x.events.now().as_secs_f64();
+        x.tracer.drain();
+        report.trace.absorb(&x.tracer);
+        // `tasks` counts the same per-(query, partition) units the thread
+        // runtime counts.
+        let pool_at_close = PoolCounters {
+            threads: x.pool_width,
+            tasks: x.pool_tasks,
             steals: 0,
             idle_waits: 0,
         };
-        self.report.close_run(
+        report.close_run(
             run_started.as_secs_f64(),
-            self.report.finished_at_secs,
+            report.finished_at_secs,
             pool_at_close,
         );
-        &self.report
+        report
     }
 
     /// The output of a finished query, recovered through its typed handle.
@@ -501,42 +623,37 @@ impl SimEngine {
 
     /// Erased output access (backs the [`crate::Engine`] trait).
     pub fn output_envelope(&self, q: QueryId) -> Option<&(dyn std::any::Any + Send)> {
-        self.outputs.get(q.index())?.as_deref()
+        self.x.outputs.get(q.index())?.as_deref()
     }
 
     /// Take ownership of a finished query's output.
     pub fn take_output<P: VertexProgram>(&mut self, handle: &QueryHandle<P>) -> Option<P::Output> {
-        let slot = self.outputs.get_mut(handle.id().index())?;
-        // Only take the envelope if it downcasts to the handle's type.
-        slot.as_ref()?.downcast_ref::<P::Output>()?;
-        slot.take()
-            .and_then(|b| b.downcast::<P::Output>().ok())
-            .map(|b| *b)
+        crate::task::take_output::<P>(&mut self.x.outputs, handle.id())
     }
 
     /// The measurement report (also returned by [`SimEngine::run`]).
     pub fn report(&self) -> &EngineReport {
-        &self.report
+        &self.core.state.report
     }
 
     /// The current vertex→worker assignment (mutated by repartitionings).
     pub fn partitioning(&self) -> &Partitioning {
-        &self.partitioning
+        &self.core.state.partitioning
     }
 
     /// Current virtual time in seconds.
     pub fn now_secs(&self) -> f64 {
-        self.events.now().as_secs_f64()
+        self.x.events.now().as_secs_f64()
     }
 
     /// The evolving graph view queries currently execute against.
     pub fn topology(&self) -> &Topology {
-        &self.topology
+        &self.core.state.topology
     }
 
     /// The current graph epoch (mutation batches applied so far).
     pub fn epoch(&self) -> u64 {
-        self.topology.epoch()
+        self.topology().epoch()
     }
 
     /// Install a label index (see [`crate::index_plane::PointIndex`]):
@@ -547,860 +664,136 @@ impl SimEngine {
     /// [`SystemConfig::index_build_threads`](crate::SystemConfig) as its
     /// parallelism hint for rebuild work.
     pub fn install_index(&mut self, mut index: Box<dyn PointIndex>) {
-        index.set_parallelism(self.cfg.index_build_threads);
-        self.index = Some(index);
+        index.set_parallelism(self.core.cfg().index_build_threads);
+        self.core.install_index(index);
     }
 
     /// Remove and return the installed label index, if any (queries fall
     /// back to the traversal path afterwards).
     pub fn take_index(&mut self) -> Option<Box<dyn PointIndex>> {
-        self.index.take()
+        self.core.state.index.take()
     }
 
     /// The installed label index, if any.
     pub fn index(&self) -> Option<&dyn PointIndex> {
-        self.index.as_deref()
-    }
-
-    // ------------------------------------------------------------------
-    // Submission / dispatch
-    // ------------------------------------------------------------------
-
-    /// A streamed query's arrival time was reached: admission-queue it.
-    /// During a STOP barrier the query parks in the queue exactly like a
-    /// resident one — `dispatch_pending` is gated on `paused`.
-    fn on_arrival(&mut self, q: QueryId) {
-        let run = &self.queries[q.index()];
-        self.tracer
-            .admitted(run.queued_at.as_secs_f64(), u64::from(q.0));
-        if !self
-            .scheduler
-            .push(q, run.task.program_name(), run.queued_at, run.deadline)
-        {
-            let at = run.queued_at;
-            self.reject_query(at, q);
-            return;
-        }
-        self.dispatch_pending();
-    }
-
-    /// Bounded-queue backpressure: the waiting queue is full, so the
-    /// submission bounces with a distinct outcome instead of executing.
-    fn reject_query(&mut self, at: SimTime, q: QueryId) {
-        let epoch = self.topology.epoch();
-        let run = &mut self.queries[q.index()];
-        debug_assert_eq!(run.status, QueryStatus::Queued);
-        debug_assert_eq!(run.queued_at, at, "rejections happen at arrival");
-        run.status = QueryStatus::Finished;
-        self.report.outcomes.push(QueryOutcome::rejected(
-            q,
-            run.task.program_name(),
-            at,
-            epoch,
-        ));
-        self.tracer
-            .outcome(at.as_secs_f64(), u64::from(q.0), outcome_code::REJECTED);
-    }
-
-    fn dispatch_pending(&mut self) {
-        while !self.paused && self.in_flight < self.cfg.max_parallel_queries {
-            let Some(entry) = self.scheduler.pop() else {
-                break;
-            };
-            self.start_query(entry.q);
-        }
-    }
-
-    fn start_query(&mut self, q: QueryId) {
-        let now = self.events.now();
-        let task = Arc::clone(&self.queries[q.index()].task);
-
-        // Index fast path: an eligible point query admitted at epoch `e`
-        // is answered from the labels when the installed index is
-        // repaired through `e` — it completes at admission without
-        // occupying a closed-loop slot or touching a worker.
-        if let Some(output) = crate::sched::try_index_path(
-            task.as_ref(),
-            self.index.as_deref(),
-            self.topology.epoch(),
-        ) {
-            let epoch = self.topology.epoch();
-            self.hb.outcome_epoch(0, epoch);
-            let run = &mut self.queries[q.index()];
-            run.status = QueryStatus::Finished;
-            run.submitted_at = now;
-            run.first_epoch = epoch;
-            let outcome = QueryOutcome {
-                id: q,
-                program: task.program_name(),
-                status: OutcomeStatus::Completed,
-                served_by: ServedBy::Index,
-                queued_at: run.queued_at,
-                submitted_at: now,
-                completed_at: now,
-                iterations: 0,
-                local_iterations: 0,
-                vertex_updates: 0,
-                remote_messages: 0,
-                remote_messages_pre_combine: 0,
-                remote_batches: 0,
-                scope_size: 0,
-                tasks: 0,
-                effective_dop: 0,
-                first_epoch: epoch,
-                last_epoch: epoch,
-            };
-            self.outputs[q.index()] = Some(output);
-            self.report.outcomes.push(outcome);
-            self.tracer.outcome(
-                now.as_secs_f64(),
-                u64::from(q.0),
-                outcome_code::INDEX_SERVED,
-            );
-            return;
-        }
-
-        let batches = {
-            let partitioning = &self.partitioning;
-            let route = |v: VertexId| partitioning.worker_of(v).index();
-            task.initial_batches(&self.topology, &route, self.cfg.combiners)
-        };
-        let involved: Vec<usize> = batches.iter().map(|(w, _)| *w).collect();
-
-        // Admission fixes the query's DoP budget for its whole lifetime.
-        let dop = self.cfg.dop.budget(task.as_ref(), self.pool_width).max(1);
-        let run = &mut self.queries[q.index()];
-        run.status = QueryStatus::Running;
-        run.submitted_at = now;
-        run.first_epoch = self.topology.epoch();
-        run.last_done_raw = now;
-        run.dop = dop;
-        self.in_flight += 1;
-
-        if involved.is_empty() {
-            // A query with no initial messages completes immediately.
-            self.complete_query(now, q);
-            return;
-        }
-        self.queries[q.index()].involved_cur = involved.clone();
-        self.queries[q.index()].remaining = involved.len();
-        self.queries[q.index()].compute_done_max = SimTime::ZERO;
-        self.queries[q.index()].msg_arrival_max = SimTime::ZERO;
-        self.queries[q.index()].crossed = false;
-        self.queries[q.index()].tasks = involved.len() as u64;
-        self.queries[q.index()].effective_dop = involved.len().min(dop) as u32;
-        if self.cfg.barrier_mode == BarrierMode::SharedGlobal {
-            self.round_outstanding += 1;
-        }
-
-        for (i, (w, batch)) in batches.into_iter().enumerate() {
-            self.workers[w].deliver(task.as_ref(), q, batch);
-            // Freeze at submission: superstep 0's input is exactly the
-            // initial message set (deferred partitions included — BSP
-            // isolation is what makes budgeted execution output-identical).
-            self.workers[w].freeze(q);
-            if i < dop {
-                // executeQuery(q): controller → worker dispatch.
-                let at = now + self.cluster.control_cost_to_controller(w);
-                self.inflight_ready += 1;
-                self.hb.token_open(q.0, kind::READY);
-                self.events.schedule(at, Event::TaskReady { q, w });
-            } else {
-                self.tracer
-                    .defer(now.as_secs_f64(), u64::from(q.0), w as u32);
-                self.queries[q.index()].deferred.push_back(w);
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Task scheduling on workers
-    // ------------------------------------------------------------------
-
-    fn on_task_ready(&mut self, q: QueryId, w: usize) {
-        // Pre-frozen supersteps always run — during a STOP barrier they
-        // are exactly the in-flight work the barrier drains.
-        self.hb.token_open(q.0, kind::TASK);
-        self.sched[w].queue.push_back(q);
-        self.try_start(w);
-    }
-
-    fn try_start(&mut self, w: usize) {
-        // A partition runs at most one task at a time (actor model), and
-        // the elastic pool caps how many partitions compute at once.
-        if self.sched[w].running.is_some() || self.pool_busy >= self.pool_width {
-            return;
-        }
-        let Some(q) = self.sched[w].queue.pop_front() else {
-            return;
-        };
-        let now = self.events.now();
-        let (active, msgs) = self.workers[w].frozen_counts(q);
-        let cost = self.cluster.compute.superstep_cost(active, msgs);
-        self.sched[w].running = Some(q);
-        self.sched[w].busy_until = now + cost;
-        self.pool_busy += 1;
-        self.tracer.task_begin(
-            now.as_secs_f64(),
-            w as u32,
-            u64::from(q.0),
-            w as u32,
-            cmd::STEP,
-            false,
-        );
-        self.events.schedule(now + cost, Event::TaskDone { q, w });
-    }
-
-    /// A pool thread freed up. The thread is not bound to the partition
-    /// it just ran, so scan every worker queue (index order — the sim's
-    /// deterministic stand-in for the physical pool's affinity-then-steal
-    /// scan) for the next startable task.
-    fn sweep_ready(&mut self) {
-        for w in 0..self.sched.len() {
-            if self.pool_busy >= self.pool_width {
-                return;
-            }
-            self.try_start(w);
-        }
-    }
-
-    fn on_task_done(&mut self, now: SimTime, q: QueryId, w: usize) {
-        debug_assert_eq!(self.sched[w].running, Some(q));
-
-        // Split borrows: the routing closure reads the partitioning while
-        // the worker is mutated.
-        let task = Arc::clone(&self.queries[q.index()].task);
-        let run = &self.queries[q.index()];
-        let partitioning = &self.partitioning;
-        let route = |v: VertexId| partitioning.worker_of(v).index();
-        let (stats, agg, remote) =
-            self.workers[w].execute(q, task.as_ref(), &self.topology, &run.agg_prev, &route);
-
-        self.report.activity.push(ActivitySample {
-            t: now.as_secs_f64(),
-            worker: w,
-            executed: stats.executed as u64,
-        });
-        self.record_activity(now, w, stats.executed as u64);
-
-        // Serialization occupies this worker; the wire time then delays
-        // the messages further.
-        let send_cpu = self.cluster.network.serialize_cost(stats.remote_deliveries);
-        let sent_at = now + send_cpu;
-        let mut msg_arrival_max = SimTime::ZERO;
-        let mut crossed = false;
-        for (w2, batch) in remote {
-            let arrival = sent_at + self.cluster.message_cost(w, w2, batch.len());
-            msg_arrival_max = msg_arrival_max.max(arrival);
-            crossed = true;
-            self.workers[w2].deliver(task.as_ref(), q, batch);
-        }
-
-        let run = &mut self.queries[q.index()];
-        run.vertex_updates += stats.executed as u64;
-        run.remote_messages += stats.remote_deliveries as u64;
-        run.remote_messages_pre_combine += stats.remote_pre_combine as u64;
-        run.remote_batches += stats.remote_batches as u64;
-        run.compute_done_max = run.compute_done_max.max(sent_at);
-        run.last_done_raw = run.last_done_raw.max(sent_at);
-        run.msg_arrival_max = run.msg_arrival_max.max(msg_arrival_max);
-        run.crossed |= crossed;
-        task.aggregate_combine(&mut run.agg_acc, &agg);
-        run.remaining -= 1;
-        self.pool_tasks += 1;
-        self.tracer.task_end(
-            now.as_secs_f64(),
-            w as u32,
-            u64::from(q.0),
-            w as u32,
-            cmd::STEP,
-            stats.executed as u64,
-        );
-
-        // Elastic DoP: a finished task frees one unit of this query's
-        // budget — release the next deferred partition, priced as a fresh
-        // controller→worker dispatch. This runs even mid STOP-barrier
-        // drain: the superstep must complete before the engine can
-        // quiesce, exactly like the pre-frozen tasks already queued.
-        if let Some(w_next) = self.queries[q.index()].deferred.pop_front() {
-            self.tracer
-                .defer_release(now.as_secs_f64(), u64::from(q.0), w_next as u32);
-            let at = now + self.cluster.control_cost_to_controller(w_next);
-            self.inflight_ready += 1;
-            self.hb.token_open(q.0, kind::READY);
-            self.events.schedule(at, Event::TaskReady { q, w: w_next });
-        }
-
-        if self.queries[q.index()].remaining == 0 {
-            self.on_superstep_complete(now, q);
-        }
-        if crossed {
-            // Worker stays busy until the socket push completes — the
-            // pool thread serializes, so it stays occupied too.
-            self.sched[w].busy_until = sent_at;
-            self.events.schedule(sent_at, Event::SendDone { w });
-        } else {
-            self.hb.token_close(q.0, kind::TASK);
-            self.sched[w].running = None;
-            self.pool_busy -= 1;
-            self.sweep_ready();
-            self.maybe_quiesced(now);
-        }
-    }
-
-    fn on_send_done(&mut self, now: SimTime, w: usize) {
-        debug_assert!(self.sched[w].running.is_some());
-        if let Some(q) = self.sched[w].running {
-            self.hb.token_close(q.0, kind::TASK);
-        }
-        self.sched[w].running = None;
-        self.pool_busy -= 1;
-        self.sweep_ready();
-        self.maybe_quiesced(now);
-    }
-
-    /// If a STOP barrier is waiting and the workers have drained, start
-    /// the migration phase.
-    fn maybe_quiesced(&mut self, now: SimTime) {
-        if !self.awaiting_quiesce || !self.is_quiescent() {
-            return;
-        }
-        self.awaiting_quiesce = false;
-        let max_ctl = self.max_control_cost();
-        self.events
-            .schedule(now + max_ctl, Event::GlobalBarrierApply);
-    }
-
-    fn is_quiescent(&self) -> bool {
-        #[cfg(feature = "check-hb")]
-        let ready_drained = self.inflight_ready == 0 || self.hb_ignore_inflight_ready;
-        #[cfg(not(feature = "check-hb"))]
-        let ready_drained = self.inflight_ready == 0;
-        ready_drained
-            && self
-                .sched
-                .iter()
-                .all(|s| s.running.is_none() && s.queue.is_empty())
+        self.core.state.index.as_deref()
     }
 
     /// Test hook (`check-hb` only): reintroduce the quiesce race the
-    /// `inflight_ready` count fixed — [`SimEngine::is_quiescent`] stops
-    /// counting scheduled-but-undelivered `TaskReady` dispatches, so a
+    /// `inflight_ready` count fixed — quiescence stops counting
+    /// scheduled-but-undelivered `TaskReady` dispatches, so a
     /// stop-the-world barrier can fire with control messages in flight.
     /// Exists solely so the regression suite can assert the
     /// happens-before auditor catches that race; never enable otherwise.
     #[cfg(feature = "check-hb")]
     #[doc(hidden)]
     pub fn hb_test_reintroduce_quiesce_race(&mut self) {
-        self.hb_ignore_inflight_ready = true;
-    }
-
-    fn max_control_cost(&self) -> SimTime {
-        (0..self.cluster.num_workers)
-            .map(|w| self.cluster.control_cost_to_controller(w))
-            .max()
-            .unwrap_or(SimTime::ZERO)
+        self.x.hb_ignore_inflight_ready = true;
     }
 
     // ------------------------------------------------------------------
-    // Barriers
+    // Event handlers that need both the core and the executor
     // ------------------------------------------------------------------
 
-    fn on_superstep_complete(&mut self, now: SimTime, q: QueryId) {
-        debug_assert!(
-            self.queries[q.index()].deferred.is_empty(),
-            "superstep barrier with deferred tasks unreleased"
-        );
-        self.tracer
-            .superstep_done(now.as_secs_f64(), u64::from(q.0));
-        let involved_next: Vec<usize> = (0..self.workers.len())
-            .filter(|&w| self.workers[w].has_pending(q))
-            .collect();
+    fn on_task_done(&mut self, now: SimTime, q: QueryId, w: usize) {
+        let x = &mut self.x;
+        debug_assert_eq!(x.sched[w].running, Some(q));
+        let st = &self.core.state;
+        let run = self.core.run(q);
+        let route = |v: VertexId| st.partitioning.worker_of(v).index();
+        let (stats, agg, remote) =
+            x.workers[w].execute(q, run.task.as_ref(), &st.topology, &run.agg_prev, &route);
+        x.record_activity(now, w, stats.executed as u64);
 
-        let run = &mut self.queries[q.index()];
-        let task = Arc::clone(&run.task);
-        let decision = barrier::decide(
-            &BarrierInput {
-                mode: self.cfg.barrier_mode,
-                compute_done: run.compute_done_max,
-                msg_arrival: run.msg_arrival_max,
-                involved_cur: &run.involved_cur,
-                involved_next: &involved_next,
-                crossed: run.crossed,
-                stats_extra: !self.cfg.stats_piggyback,
-            },
-            &self.cluster,
-        );
-
-        run.iteration += 1;
-        if decision.is_local {
-            run.local_iterations += 1;
+        // Serialization occupies this worker; the wire time then delays
+        // the messages further.
+        let sent_at = now + x.cluster.network.serialize_cost(stats.remote_deliveries);
+        let crossed = !remote.is_empty();
+        for (w2, batch) in &remote {
+            let arrival = sent_at + x.cluster.message_cost(w, *w2, batch.len());
+            x.msg_arrival[q.index()] = x.msg_arrival[q.index()].max(arrival);
         }
-        let combined = std::mem::replace(&mut run.agg_acc, task.aggregate_identity());
-        if task.aggregate_sticky() {
-            task.aggregate_combine(&mut run.agg_prev, &combined);
-        } else {
-            run.agg_prev = combined;
-        }
-        let terminate = involved_next.is_empty() || task.should_terminate(&run.agg_prev);
-
-        let shared = self.cfg.barrier_mode == BarrierMode::SharedGlobal;
-        if shared {
-            self.round_outstanding -= 1;
-        }
-        if terminate {
-            let at = self.queries[q.index()].last_done_raw;
-            self.complete_query(at.max(now), q);
-        } else if shared {
-            // Traditional BSP: park the query until the slowest query of
-            // this round has also synchronized.
-            self.round_waiting.push(q);
-            self.round_release = self.round_release.max(decision.release.max(now));
-        } else {
-            let release = decision.release.max(now);
-            self.events.schedule(release, Event::BarrierRelease { q });
-        }
-        if shared && self.round_outstanding == 0 && !self.round_waiting.is_empty() {
-            self.events
-                .schedule(self.round_release.max(now), Event::RoundRelease);
-        }
-        self.maybe_trigger_qcut(now);
-    }
-
-    /// SharedGlobal mode: the cross-query round barrier fired — release
-    /// every parked query at once.
-    fn on_round_release(&mut self, now: SimTime) {
-        let qs = std::mem::take(&mut self.round_waiting);
-        self.round_release = SimTime::ZERO;
-        for q in qs {
-            self.on_barrier_release(now, q);
-        }
-    }
-
-    fn on_barrier_release(&mut self, now: SimTime, q: QueryId) {
-        if self.paused {
-            self.tracer.park(now.as_secs_f64(), u64::from(q.0));
-            self.deferred_releases.push(q);
-            return;
-        }
-        // Re-derive the involved set: repartitioning may have migrated
-        // pending messages while this release was deferred.
-        let involved: Vec<usize> = (0..self.workers.len())
-            .filter(|&w| self.workers[w].has_pending(q))
-            .collect();
-        if involved.is_empty() {
-            self.complete_query(now, q);
-            return;
-        }
-        let dop = {
-            let run = &mut self.queries[q.index()];
-            run.involved_cur = involved.clone();
-            run.remaining = involved.len();
-            run.compute_done_max = SimTime::ZERO;
-            run.msg_arrival_max = SimTime::ZERO;
-            run.crossed = false;
-            run.tasks += involved.len() as u64;
-            run.effective_dop = run.effective_dop.max(involved.len().min(run.dop) as u32);
-            run.dop
-        };
-        if self.cfg.barrier_mode == BarrierMode::SharedGlobal {
-            self.round_outstanding += 1;
-        }
-        for (i, w) in involved.into_iter().enumerate() {
-            // All involved workers freeze at the same release instant: the
-            // superstep's input is sealed before any of them computes —
-            // including the partitions the DoP budget holds back, which is
-            // why deferred execution stays output-identical.
-            self.workers[w].freeze(q);
-            if i < dop {
-                self.on_task_ready(q, w);
-            } else {
-                self.tracer
-                    .defer(now.as_secs_f64(), u64::from(q.0), w as u32);
-                self.queries[q.index()].deferred.push_back(w);
-            }
-        }
-    }
-
-    fn complete_query(&mut self, at: SimTime, q: QueryId) {
-        let run = &mut self.queries[q.index()];
-        debug_assert_ne!(run.status, QueryStatus::Finished);
-        run.status = QueryStatus::Finished;
-        let task = Arc::clone(&run.task);
-        self.in_flight -= 1;
-
-        // Gather the locals the query touched, across workers; the scope
-        // is streamed into one buffer (visitor, no per-worker allocation)
-        // for the controller before finalize consumes the locals.
-        let mut locals = Vec::new();
-        let mut scope: Vec<VertexId> = Vec::new();
-        for w in self.workers.iter_mut() {
-            if let Some(local) = w.take_local(q) {
-                local.for_each_scope_vertex(&mut |v| scope.push(v));
-                locals.push(local);
-            }
-        }
-        let run = &self.queries[q.index()];
-        // The outcome is stamped with the current epoch: that epoch's
-        // publication must be ordered before this point.
-        self.hb.outcome_epoch(0, self.topology.epoch());
-        let outcome = QueryOutcome {
-            id: q,
-            program: task.program_name(),
-            status: OutcomeStatus::Completed,
-            served_by: ServedBy::Traversal,
-            queued_at: run.queued_at,
-            submitted_at: run.submitted_at,
-            completed_at: at,
-            iterations: run.iteration,
-            local_iterations: run.local_iterations,
-            vertex_updates: run.vertex_updates,
-            remote_messages: run.remote_messages,
-            remote_messages_pre_combine: run.remote_messages_pre_combine,
-            remote_batches: run.remote_batches,
-            scope_size: scope.len() as u64,
-            tasks: run.tasks,
-            effective_dop: run.effective_dop,
-            first_epoch: run.first_epoch,
-            last_epoch: self.topology.epoch(),
-        };
-        self.outputs[q.index()] = Some(task.finalize(&self.topology, locals));
-        self.report.outcomes.push(outcome);
-        self.tracer
-            .outcome(at.as_secs_f64(), u64::from(q.0), outcome_code::COMPLETED);
-        self.controller.record_finished_scope(q, scope, at);
-        self.controller.expire(at);
-        self.dispatch_pending();
-    }
-
-    // ------------------------------------------------------------------
-    // Adaptivity (MAPE loop)
-    // ------------------------------------------------------------------
-
-    /// Roll the activity sub-window and accumulate this superstep's work.
-    fn record_activity(&mut self, now: SimTime, w: usize, executed: u64) {
-        // Saturating comparison: with Q-cut off the window length is
-        // effectively infinite and `start + len` would overflow.
-        if now.saturating_sub(self.activity_window_start) >= self.activity_window_len {
-            let total: u64 = self.activity_window.iter().sum();
-            // Guard, don't unwrap: with an aggressive trigger cadence the
-            // window can roll before any sample landed (or be evaluated on
-            // a degenerate worker set) — an empty/zero window simply
-            // carries no imbalance signal.
-            let max = self.activity_window.iter().copied().max().unwrap_or(0);
-            if total > 0 && max > 0 {
-                let mean = total as f64 / self.activity_window.len() as f64;
-                self.last_activity_imbalance = max as f64 / mean - 1.0;
-            }
-            self.activity_window.iter_mut().for_each(|a| *a = 0);
-            self.activity_window_start = now;
-        }
-        self.activity_window[w] += executed;
-    }
-
-    fn mean_running_locality(&self) -> (f64, usize) {
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for run in &self.queries {
-            if run.status == QueryStatus::Running && run.iteration > 0 {
-                sum += run.local_iterations as f64 / run.iteration as f64;
-                n += 1;
-            }
-        }
-        if n == 0 {
-            (1.0, 0)
-        } else {
-            (sum / n as f64, n)
-        }
-    }
-
-    fn maybe_trigger_qcut(&mut self, now: SimTime) {
-        if self.paused || self.controller.qcut_config().is_none() {
-            return;
-        }
-        // Trigger evaluation must only see scopes within the monitoring
-        // window — without this, a quiet stretch (no completions, so no
-        // expiry calls) would feed arbitrarily stale scopes to the ILS.
-        self.controller.expire(now);
-        let (mean_locality, active) = self.mean_running_locality();
-        if !self
-            .controller
-            .should_trigger(now, mean_locality, self.last_activity_imbalance, active)
-        {
-            return;
-        }
-
-        // Snapshot live scopes (union over workers).
-        let live = self.live_scopes();
-        let stats = self.controller.build_scope_stats(&live, &self.partitioning);
-        if stats.queries.len() < 2 {
-            return;
-        }
-        let Some(cfg) = self.controller.qcut_config().cloned() else {
-            // should_trigger() only fires with Q-cut configured; without a
-            // config there is nothing to plan.
-            return;
-        };
-        let result = run_qcut(&stats, &cfg);
-        self.controller.ils_inflight = true;
-        self.pending_plan = Some((result, now));
-        let ready = now + SimTime::from_secs_f64(cfg.ils_budget_secs);
-        self.events.schedule(ready, Event::IlsReady);
-    }
-
-    fn on_ils_ready(&mut self, now: SimTime) {
-        self.controller.ils_inflight = false;
-        self.controller.last_repartition = now;
-        let Some((result, _)) = self.pending_plan.as_ref() else {
-            return;
-        };
-        if result.plan.is_empty() {
-            self.pending_plan = None;
-            return;
-        }
-        self.plan_ready = true;
-        if self.paused {
-            // A mutation barrier is already stopping the world; its apply
-            // phase (or the re-entry check at its end) consumes the plan.
-            return;
-        }
-        // STOP barrier: halt new releases/dispatches, drain in-flight
-        // supersteps, then migrate.
-        self.paused = true;
-        self.awaiting_quiesce = true;
-        self.maybe_quiesced(now);
-    }
-
-    /// A mutation batch's virtual time arrived: join (or open) the
-    /// stop-the-world barrier. During an in-flight barrier the batch
-    /// simply queues — the apply phase drains every due batch at once.
-    fn on_mutation_due(&mut self, m: usize) {
-        self.due_mutations.push(m);
-        if !self.paused {
-            self.paused = true;
-            self.awaiting_quiesce = true;
-            self.maybe_quiesced(self.events.now());
-        }
-    }
-
-    /// The stop-the-world barrier body, entered once the workers drained:
-    /// apply every due mutation batch (each a new graph epoch), compact
-    /// the overlay if it crossed the configured fraction, then migrate
-    /// the repartition plan if its ILS budget has elapsed. One barrier
-    /// serves all three, so a mutation landing while a Q-cut phase is
-    /// pending costs no extra quiesce.
-    fn on_global_apply(&mut self, now: SimTime) {
-        // Open the auditor's quiesce window *before* the quiescence
-        // asserts: if a dispatch is still in flight, the auditor's
-        // violation report (with both stacks) beats a bare assert.
-        self.hb.quiesce_begin();
-        self.tracer.quiesce_begin(now.as_secs_f64());
-        debug_assert!(self.paused);
-        debug_assert!(self.is_quiescent());
-        let mut barrier_cost = SimTime::ZERO;
-
-        // Phase 1: mutation epochs, in submission order (the shared
-        // barrier body — see `controller::apply_mutation_epochs`).
-        let batches: Vec<MutationBatch> = std::mem::take(&mut self.due_mutations)
-            .into_iter()
-            .filter_map(|m| {
-                let batch = self.mutations[m].take();
-                // Each due index is pushed exactly once (on MutationDue),
-                // so its slot is still full here.
-                debug_assert!(batch.is_some(), "mutation batch {m} applied twice");
-                batch
-            })
-            .collect();
-        let epoch_before = self.topology.epoch();
-        if !batches.is_empty() {
-            self.tracer
-                .mutation_begin(now.as_secs_f64(), batches.len() as u64);
-        }
-        let repairs_before = self.report.index_repairs.len();
-        let apply = apply_mutation_epochs(
-            &mut self.topology,
-            &mut self.partitioning,
-            &mut self.controller,
-            &mut self.report,
-            &batches,
-            self.cfg.compact_fraction,
+        x.pool_tasks += 1;
+        let (lane, id) = (w as u32, u64::from(q.0));
+        x.tracer.task_end(
             now.as_secs_f64(),
-            self.index.as_deref_mut(),
+            lane,
+            id,
+            lane,
+            cmd::STEP,
+            stats.executed as u64,
         );
-        let mutation_events_from = apply.events_from;
-        // Every epoch the batches opened is published inside the window,
-        // before anything resumes and can stamp an outcome with it.
-        for e in epoch_before + 1..=self.topology.epoch() {
-            self.hb.publish_topology(0, e);
+        let report = StepReport {
+            q,
+            worker: w,
+            stats,
+            agg,
+            remote,
+            self_pending: x.workers[w].has_pending(q),
+        };
+        let outcome = self.core.step_done(x, report, now, sent_at);
+        if outcome != StepOutcome::Running {
+            self.on_superstep_end(now, q, outcome);
         }
-        barrier_cost += self.cluster.compute.mutation_cost(apply.ops);
-        if let Some(edges) = apply.compacted_edges {
-            barrier_cost += self.cluster.compute.compaction_cost(edges);
-            self.tracer.compaction((now + barrier_cost).as_secs_f64());
-        }
-        // The repair stages ran inside `apply_mutation_epochs`; the span
-        // covers the mutation-phase virtual cost, its stage instants carry
-        // the summed repair counters of this barrier's batches.
-        if self.report.index_repairs.len() > repairs_before {
-            let (mut invalidated, mut reruns, mut resumes) = (0u64, 0u64, 0u64);
-            for ev in &self.report.index_repairs[repairs_before..] {
-                invalidated += ev.summary.entries_invalidated as u64;
-                reruns += ev.summary.roots_rerun as u64;
-                resumes += ev.summary.partial_roots as u64;
-            }
-            self.tracer.repair_begin(now.as_secs_f64());
-            self.tracer.repair_end(
-                (now + barrier_cost).as_secs_f64(),
-                invalidated,
-                reruns,
-                resumes,
-            );
-        }
-        if !batches.is_empty() {
-            self.tracer
-                .mutation_end((now + barrier_cost).as_secs_f64(), batches.len() as u64);
-        }
-        let qcut_from = now + barrier_cost;
-
-        // Phase 2: the repartition plan, once its ILS budget elapsed.
-        let mut repartition: Option<(IlsResult, SimTime, usize, f64, f64)> = None;
-        // `plan_ready` is only set while `pending_plan` is populated
-        // (on_ils_ready clears both together), hence the paired pattern.
-        if let Some((result, triggered_at)) = if self.plan_ready {
-            self.plan_ready = false;
-            self.pending_plan.take()
+        if crossed {
+            // Worker stays busy until the socket push completes — the
+            // pool thread serializes, so it stays occupied too.
+            self.x.events.schedule(sent_at, Event::SendDone { w });
         } else {
-            None
-        } {
-            // Resolve the plan against the quiesced workers: a live
-            // query's current local scope, or a finished query's retained
-            // scope (the resolver's ownership filter restricts it to the
-            // source worker).
-            let migration = {
-                let workers = &self.workers;
-                let queries = &self.queries;
-                let controller = &self.controller;
-                let mut scope_of = |q: QueryId, w: usize| -> Vec<VertexId> {
-                    let live = queries
-                        .get(q.index())
-                        .is_some_and(|r| r.status == QueryStatus::Running);
-                    if live {
-                        workers[w].scope_vertices(q)
-                    } else {
-                        controller
-                            .finished_scope(q)
-                            .map(|vs| vs.to_vec())
-                            .unwrap_or_default()
-                    }
-                };
-                migrate::resolve_plan(&result.plan, &self.partitioning, &mut scope_of)
-            };
-
-            // A plan can resolve to nothing by apply time (scopes finished
-            // and expired since the trigger): no event, matching the
-            // thread runtime's semantics that a RepartitionEvent means
-            // vertices moved.
-            if !migration.is_empty() {
-                let observed = self.controller.observed_scopes(&self.live_scopes());
-                let this = &mut *self;
-                let queries = &this.queries;
-                let workers = &mut this.workers;
-                let task_of =
-                    |q: QueryId| -> Arc<dyn QueryTask> { Arc::clone(&queries[q.index()].task) };
-                let (locality_before, locality_after) =
-                    migrate::apply_measured(&migration, &mut this.partitioning, &observed, || {
-                        migrate::apply_to_workers(&migration, workers, &task_of)
-                    });
-                self.hb.publish_partitioning(0);
-
-                // The migration lasts as long as the slowest pair's bulk
-                // transfer.
-                let duration = migration
-                    .per_pair
-                    .iter()
-                    .map(|&(f, t, n)| {
-                        self.cluster.network.bulk_move_cost(
-                            n,
-                            self.cfg.state_bytes_per_vertex,
-                            self.cluster.is_remote(f, t),
-                        )
-                    })
-                    .max()
-                    .unwrap_or(SimTime::ZERO);
-                barrier_cost += duration;
-                repartition = Some((
-                    result,
-                    triggered_at,
-                    migration.moved_vertices,
-                    locality_before,
-                    locality_after,
-                ));
-            }
-        }
-
-        let end = now + barrier_cost + self.max_control_cost();
-        let barrier_duration = (end - now).as_secs_f64();
-        for ev in &mut self.report.mutations[mutation_events_from..] {
-            ev.barrier_duration = barrier_duration;
-        }
-        if let Some((result, triggered_at, moved_vertices, locality_before, locality_after)) =
-            repartition
-        {
-            self.tracer.qcut_begin(qcut_from.as_secs_f64());
-            self.tracer.qcut_end((now + barrier_cost).as_secs_f64());
-            self.report.repartitions.push(RepartitionEvent {
-                triggered_at: triggered_at.as_secs_f64(),
-                applied_at: now.as_secs_f64(),
-                barrier_duration,
-                moved_vertices,
-                locality_before,
-                locality_after,
-                ils: result,
-            });
-        }
-        self.events.schedule(end, Event::GlobalBarrierEnd);
-    }
-
-    fn on_global_end(&mut self, _now: SimTime) {
-        // Close the window before any deferred release re-opens dispatch.
-        self.hb.quiesce_end();
-        let now = self.events.now();
-        self.tracer.quiesce_end(now.as_secs_f64());
-        // The lanes are provably idle inside the barrier: the cheapest
-        // possible point to move their rings into the central buffer.
-        self.tracer.drain();
-        self.paused = false;
-        // START barrier: resume deferred releases against the new layout.
-        let releases = std::mem::take(&mut self.deferred_releases);
-        for q in releases {
-            self.tracer.unpark(now.as_secs_f64(), u64::from(q.0));
-            self.on_barrier_release(now, q);
-        }
-        self.dispatch_pending();
-        // Work that became ready while the barrier was mid-flight (a
-        // mutation falling due between apply and end, or an ILS budget
-        // elapsing) re-enters the stop-the-world phase immediately.
-        if !self.due_mutations.is_empty() || self.plan_ready {
-            self.paused = true;
-            self.awaiting_quiesce = true;
-            self.maybe_quiesced(self.events.now());
+            self.x.free_worker(w);
+            self.maybe_quiesced(now);
         }
     }
 
-    /// The running queries' live scope vertex sets (union over workers).
-    fn live_scopes(&self) -> Vec<(QueryId, Vec<VertexId>)> {
-        let mut live: Vec<(QueryId, Vec<VertexId>)> = Vec::new();
-        for (i, run) in self.queries.iter().enumerate() {
-            if run.status == QueryStatus::Running {
-                let q = QueryId(i as u32);
-                let mut vs: Vec<VertexId> = Vec::new();
-                for w in &self.workers {
-                    w.for_each_scope_vertex(q, &mut |v| vs.push(v));
-                }
-                live.push((q, vs));
+    /// The core closed query `q`'s superstep: price its barrier, then let
+    /// the clock trigger look at the new locality picture.
+    fn on_superstep_end(&mut self, now: SimTime, q: QueryId, outcome: StepOutcome) {
+        let x = &mut self.x;
+        let mode = self.core.cfg().barrier_mode;
+        let shared = mode == BarrierMode::SharedGlobal;
+        if outcome == StepOutcome::Barrier {
+            let run = self.core.run(q);
+            let decision = barrier::decide(
+                &BarrierInput {
+                    mode,
+                    compute_done: run.last_done,
+                    msg_arrival: x.msg_arrival[q.index()],
+                    involved_cur: &run.involved_cur,
+                    involved_next: &run.next_involved,
+                    crossed: run.crossed,
+                },
+                &x.cluster,
+            );
+            let release = decision.release.max(now);
+            if shared {
+                // Traditional BSP: hold the query until the slowest query
+                // of this round has also synchronized.
+                x.round_waiting.push(q);
+                x.round_release = x.round_release.max(release);
+            } else {
+                x.events.schedule(release, Event::BarrierRelease { q });
             }
         }
-        live
+        if shared && self.core.computing() == 0 && !x.round_waiting.is_empty() {
+            x.events
+                .schedule(x.round_release.max(now), Event::RoundRelease);
+        }
+        let imbalance = x.last_activity_imbalance;
+        if let Some(ready) = self.core.trigger_by_clock(x, now, imbalance) {
+            x.events.schedule(ready, Event::IlsReady);
+        }
+    }
+
+    /// If the core wants a window and the workers have drained, schedule
+    /// its body one control hop out.
+    fn maybe_quiesced(&mut self, now: SimTime) {
+        let x = &mut self.x;
+        if x.window_scheduled || !self.core.paused() || !x.is_quiescent() {
+            return;
+        }
+        x.window_scheduled = true;
+        let max_ctl = x.max_control_cost();
+        x.events.schedule(now + max_ctl, Event::GlobalBarrierApply);
     }
 }
 

@@ -19,14 +19,17 @@
 //! [`task::QueryTask`]; the public API stays fully typed through
 //! [`QueryHandle`]s.
 //!
-//! Two runtimes implement the shared [`Engine`] trait
+//! The controller's query protocol — admission, per-query barriers,
+//! DoP deferral, the stop-the-world window — is written once, as a
+//! sans-IO state machine (the crate-private `coord` module), and two
+//! runtimes execute it behind the shared [`Engine`] trait
 //! (submit / run / output / report):
 //! * [`SimEngine`] — a deterministic discrete-event engine over the
 //!   `qgraph-sim` virtual cluster; every experiment in `EXPERIMENTS.md`
 //!   uses it (see `DESIGN.md` for why the paper's testbeds are simulated).
 //! * [`runtime::ThreadEngine`] — a real shared-memory multi-threaded
-//!   executor with the same worker/controller protocol, demonstrating the
-//!   library on actual hardware.
+//!   executor of the same protocol, demonstrating the library on actual
+//!   hardware.
 //!
 //! Both are assembled from graph, partitioner, cluster, and configuration
 //! by [`EngineBuilder`].
@@ -59,6 +62,7 @@ pub mod api;
 pub mod barrier;
 pub mod config;
 pub mod controller;
+mod coord;
 pub mod engine;
 pub mod hb;
 pub mod index_plane;

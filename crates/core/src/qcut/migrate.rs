@@ -13,9 +13,9 @@
 //! * [`SimEngine`](crate::SimEngine) owns all workers in one address space
 //!   and applies the resolved moves directly via [`apply_to_workers`];
 //! * [`ThreadEngine`](crate::ThreadEngine) ships each resolved move's
-//!   vertex set over the worker command channels (extract on the source
-//!   thread, inject on the destination thread) during its stop-the-world
-//!   barrier.
+//!   vertex set over the pool command queues (extract on the source
+//!   partition, inject on the destination) inside the stop-the-world
+//!   window.
 //!
 //! Ownership flips afterwards in one [`commit`] call, so routing state and
 //! worker data can never disagree mid-plan.
@@ -155,17 +155,22 @@ pub fn apply_measured(
 /// simulation path): every query's data on the moved vertices — vertex
 /// state *and* pending next-superstep messages — is extracted from the
 /// source worker and injected into the destination. Workers must be
-/// quiescent (no frozen superstep in flight).
+/// quiescent (no frozen superstep in flight). Returns the `(query,
+/// destination)` pairs that gained state, like the thread runtime's
+/// extract responses do.
 pub fn apply_to_workers(
     migration: &Migration,
     workers: &mut [Worker],
     task_of: &dyn Fn(QueryId) -> std::sync::Arc<dyn QueryTask>,
-) {
+) -> Vec<(QueryId, usize)> {
+    let mut gained = Vec::new();
     for mv in &migration.moves {
         let set: FxHashSet<VertexId> = mv.vertices.iter().copied().collect();
         let data = workers[mv.from].extract_vertices(task_of, &set);
+        gained.extend(data.iter().map(|(q, _)| (*q, mv.to)));
         workers[mv.to].inject_vertices(task_of, data);
     }
+    gained
 }
 
 /// Scope-weighted locality of the given query scopes under `partitioning`:

@@ -7,7 +7,7 @@ use qgraph_sim::SimTime;
 use crate::program::VertexProgram;
 
 /// Identifier of a query, dense per engine instance.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct QueryId(pub u32);
 
 impl QueryId {
@@ -112,8 +112,9 @@ pub enum ServedBy {
 ///
 /// `latency` follows the paper's definition: the difference between the
 /// last and the first instant at which the query had an active vertex
-/// (§2), here from submission to final barrier.
-#[derive(Clone, Copy, Debug)]
+/// (§2), here from submission to final barrier. The `Default` is a
+/// submission that has done no work: every counter zero.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct QueryOutcome {
     /// The query.
     pub id: QueryId,
@@ -177,33 +178,6 @@ pub struct QueryOutcome {
 }
 
 impl QueryOutcome {
-    /// The outcome of a submission the bounded admission queue bounced
-    /// at `at`: zero work, every lifecycle timestamp pinned to the
-    /// arrival instant, no output — the one shape both runtimes record
-    /// for backpressure rejections.
-    pub fn rejected(id: QueryId, program: &'static str, at: SimTime, epoch: u64) -> Self {
-        QueryOutcome {
-            id,
-            program,
-            status: OutcomeStatus::Rejected,
-            served_by: ServedBy::Traversal,
-            queued_at: at,
-            submitted_at: at,
-            completed_at: at,
-            iterations: 0,
-            local_iterations: 0,
-            vertex_updates: 0,
-            remote_messages: 0,
-            remote_messages_pre_combine: 0,
-            remote_batches: 0,
-            scope_size: 0,
-            tasks: 0,
-            effective_dop: 0,
-            first_epoch: epoch,
-            last_epoch: epoch,
-        }
-    }
-
     /// Was the submission rejected by the bounded admission queue?
     pub fn is_rejected(&self) -> bool {
         self.status == OutcomeStatus::Rejected

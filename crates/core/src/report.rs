@@ -149,7 +149,67 @@ pub struct EngineReport {
     pub trace: TraceData,
 }
 
+/// How much of a growing [`EngineReport`] a peer has already seen: the
+/// baseline for the next [`EngineReport::since`] delta.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct ReportMarks {
+    outcomes: usize,
+    activity: usize,
+    repartitions: usize,
+    mutations: usize,
+    index_repairs: usize,
+    runs: usize,
+    trace: usize,
+}
+
 impl EngineReport {
+    /// The current extent of every append-only part.
+    pub(crate) fn marks(&self) -> ReportMarks {
+        ReportMarks {
+            outcomes: self.outcomes.len(),
+            activity: self.activity.len(),
+            repartitions: self.repartitions.len(),
+            mutations: self.mutations.len(),
+            index_repairs: self.index_repairs.len(),
+            runs: self.runs.len(),
+            trace: self.trace.len(),
+        }
+    }
+
+    /// What the report gained past `marks`, as a report of its own: only
+    /// the appended entries, with the (overwritten, not appended) scalars
+    /// current. A peer holding the identical prefix reconstitutes the
+    /// cumulative report by [`EngineReport::append`]ing it — so periodic
+    /// syncs stay linear in history instead of re-cloning everything.
+    pub(crate) fn since(&self, marks: &ReportMarks) -> EngineReport {
+        EngineReport {
+            outcomes: self.outcomes[marks.outcomes..].to_vec(),
+            activity: self.activity[marks.activity..].to_vec(),
+            repartitions: self.repartitions[marks.repartitions..].to_vec(),
+            mutations: self.mutations[marks.mutations..].to_vec(),
+            index_repairs: self.index_repairs[marks.index_repairs..].to_vec(),
+            runs: self.runs[marks.runs..].to_vec(),
+            trace: self.trace.delta_since(marks.trace),
+            finished_at_secs: self.finished_at_secs,
+            pool: self.pool,
+            admission_policy: self.admission_policy.clone(),
+        }
+    }
+
+    /// Fold in a delta produced by [`EngineReport::since`].
+    pub(crate) fn append(&mut self, delta: EngineReport) {
+        self.outcomes.extend(delta.outcomes);
+        self.activity.extend(delta.activity);
+        self.repartitions.extend(delta.repartitions);
+        self.mutations.extend(delta.mutations);
+        self.index_repairs.extend(delta.index_repairs);
+        self.runs.extend(delta.runs);
+        self.trace.merge(delta.trace);
+        self.finished_at_secs = delta.finished_at_secs;
+        self.pool = delta.pool;
+        self.admission_policy = delta.admission_policy;
+    }
+
     /// The outcomes that actually executed (admission rejections carry no
     /// latency or locality signal, so every mean below skips them).
     pub fn completed(&self) -> impl Iterator<Item = &QueryOutcome> {

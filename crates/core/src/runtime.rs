@@ -1,124 +1,75 @@
-//! A real multi-threaded shared-memory runtime.
+//! A real multi-threaded shared-memory runtime: the `TaskPool` executor
+//! of the coordinator core.
 //!
 //! [`ThreadEngine`] runs the same worker code as the discrete-event engine
-//! — same [`crate::worker::Worker`], same vertex programs, same per-query
-//! limited barriers — but on OS threads with `std::sync::mpsc` channels.
-//! It demonstrates that the library is an executable system, and the
-//! integration tests use it to cross-validate the simulator: both runtimes
-//! must produce identical query outputs.
+//! — same [`crate::worker::Worker`], same vertex programs — and executes
+//! the same query protocol ([`crate::coord`]), on OS threads with
+//! `std::sync::mpsc` channels. It demonstrates that the library is an
+//! executable system, and the integration tests use it to cross-validate
+//! the simulator: both runtimes must produce identical query outputs.
 //!
 //! ## Morsel-style elastic execution
 //!
 //! Partitions are *logical actors*, not threads. Each partition's state —
 //! vertex values, inboxes, Q-cut scope — lives in a [`WorkerCtx`], and
-//! every protocol command for a partition becomes one task in a shared
-//! [`TaskPool`] drawn by [`SystemConfig::pool_threads`] OS threads
-//! (default: one per partition, the fixed-partition baseline). The pool
-//! serializes tasks per partition, so partition ownership still governs
-//! *state placement* exactly as before, while *compute* is elastic: one
-//! thread can drain many partitions, and many threads can race through
-//! one query's superstep.
-//!
-//! Per-query parallelism is budgeted at admission: [`crate::DopPolicy`]
-//! (configured via [`crate::EngineBuilder::dop`]) assigns each query a
-//! degree-of-parallelism budget, and the coordinator releases at most
-//! that many of a superstep's per-partition tasks concurrently, deferring
-//! the rest until earlier tasks of the *same* superstep complete. Because
-//! involved inboxes freeze at barrier release (`Cmd::Freeze`, broadcast
-//! before any `Cmd::Step` of the superstep is dispatched), deferral never
-//! changes what a task reads — outputs and iteration counts are identical
-//! across every pool width and budget.
+//! every dispatch the core emits for a partition becomes one [`Cmd`] task
+//! in a shared [`TaskPool`] drawn by [`SystemConfig::pool_threads`] OS
+//! threads (default: one per partition, the fixed-partition baseline). The
+//! pool serializes tasks per partition, so partition ownership still
+//! governs *state placement*, while *compute* is elastic: one thread can
+//! drain many partitions, and many threads can race through one query's
+//! superstep. `Step` and `Collect` answer on the coordinator channel
+//! ([`Resp`]); the count of those still unanswered is this executor's
+//! definition of quiescence.
 //!
 //! ## Streaming submission and the serving loop
 //!
-//! The engine is *long-lived*: [`ThreadEngine::start`] spawns the worker
-//! threads plus a **coordinator** thread that owns the drive loop, and the
-//! engine then serves an open-ended query stream. Callers on any thread
-//! submit through a cloneable [`EngineClient`] handle *while supersteps
-//! are in flight* — the channel protocol that already carried
-//! submit-during-barrier admissions now carries submit-during-run:
+//! The engine is *long-lived*: [`ThreadEngine::start`] spawns the pool
+//! plus a **coordinator** thread that owns the core and the drive loop
+//! ([`serve`]). Callers on any thread submit through a cloneable
+//! [`EngineClient`] *while supersteps are in flight*:
 //!
 //! * a submission registers its type-erased task in a shared registry
-//!   (which allocates the [`QueryId`]) and sends one message to the
-//!   coordinator; the coordinator stamps the arrival time and places the
-//!   query in the policy-ordered admission queue
-//!   ([`crate::sched::Scheduler`], selected by
-//!   [`SystemConfig::admission`]);
-//! * the closed loop (`max_parallel_queries`) admits from that queue
-//!   whenever a slot frees up — FIFO, per-program-kind priority, or
-//!   earliest-deadline-first ([`EngineClient::submit_with_deadline`]);
-//! * queries arriving while a Q-cut stop-the-world phase is pending or
-//!   running park in the admission queue exactly like resident parked
-//!   queries and are admitted against the *post-migration* layout;
-//! * [`ThreadEngine::drain`] blocks until the engine is idle (everything
-//!   submitted so far has completed) and syncs outputs + the report back
-//!   into the engine; [`ThreadEngine::shutdown`] drains, then stops the
-//!   coordinator and workers. [`ThreadEngine::run`] is `start` + `drain`,
-//!   which keeps the classic batch lifecycle working unchanged.
+//!   (which allocates the [`QueryId`]) and sends one message down the
+//!   same channel the pool answers on; the coordinator stamps the arrival
+//!   time and hands it to the core;
+//! * a client message landing while a stop-the-world window waits on a
+//!   partition is set aside with its receipt stamp and fed to the core
+//!   before the window closes, so it is admitted against the post-window
+//!   layout without disturbing the window's protocol;
+//! * the window's synchronous dispatches (scope report, extract/inject,
+//!   pending report) travel as pool commands to the quiescent partitions,
+//!   and new `Arc<Topology>` / `Arc<Partitioning>` versions are broadcast
+//!   to every partition before anything resumes, so no message is ever
+//!   routed to a stale owner.
 //!
 //! Results become visible on the engine (`output`, `report`,
 //! `partitioning`) after `run`/`drain`/`shutdown` — the coordinator owns
 //! them while serving and the sync points hand them back.
-//!
-//! ## Adaptive Q-cut (stop-the-world)
-//!
-//! With Q-cut configured ([`SystemConfig::qcut`] with a non-zero
-//! [`QcutConfig::qcut_interval`](crate::QcutConfig::qcut_interval)), the
-//! coordinator re-evaluates the repartition trigger every `qcut_interval`
-//! completed query supersteps. When mean query locality or worker balance
-//! degrades past the configured thresholds, it enters a stop-the-world
-//! phase:
-//!
-//! 1. **Park** — queries reaching their superstep barrier are parked
-//!    instead of released; no new queries are admitted; in-flight
-//!    supersteps and collections drain to quiescence.
-//! 2. **Aggregate** — every worker reports its live per-query scope
-//!    vertex sets; the coordinator builds the controller's high-level
-//!    [`ScopeStats`](crate::qcut::ScopeStats) (live scopes plus retained
-//!    finished scopes, expired against the monitoring window first) and
-//!    runs the same [`qcut::run_qcut`](crate::qcut::run_qcut) ILS as the
-//!    simulation.
-//! 3. **Migrate** — the resulting move plan is resolved into disjoint
-//!    vertex transfers by the shared [`qcut::migrate`] layer; each
-//!    transfer is extracted on its source worker thread and injected on
-//!    its destination (vertex state *and* pending inboxes travel
-//!    together), then the new vertex→worker assignment is committed and
-//!    broadcast to every worker before anything resumes.
-//! 4. **Resume** — parked queries' involved sets are recomputed against
-//!    the post-migration message placement and released; the closed loop
-//!    admits waiting queries again.
-//!
-//! Because the assignment only changes while every worker is parked and
-//! each worker swaps to the new assignment before executing another
-//! superstep, no message is ever routed to a stale owner. Client messages
-//! (submissions, drain requests) arriving *during* the phase are absorbed
-//! into the admission queue / waiter list without disturbing the barrier
-//! protocol.
 
-use std::collections::VecDeque;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread;
 use std::time::Instant;
 
-use rustc_hash::{FxHashMap, FxHashSet};
+use rustc_hash::FxHashSet;
 
 use qgraph_graph::{Graph, MutationBatch as GraphMutationBatch, Topology, VertexId};
 use qgraph_partition::Partitioning;
 use qgraph_sim::SimTime;
 
 use crate::config::SystemConfig;
-use crate::controller::{apply_mutation_epochs, Controller};
+use crate::controller::Controller;
+use crate::coord::{Collect, Coordinator, EngineState, Executor, StepOutcome, StepReport, StepVia};
 use crate::hb::{kind, Hb};
-use crate::index_plane::{IndexRepairEvent, PointIndex};
+use crate::index_plane::PointIndex;
 use crate::pool::TaskPool;
 use crate::program::VertexProgram;
-use crate::qcut::{migrate, run_qcut, IlsResult, Migration};
-use crate::query::{OutcomeStatus, QueryHandle, QueryId, QueryOutcome, ServedBy};
-use crate::report::{ActivitySample, EngineReport, MutationEvent, PoolCounters, RepartitionEvent};
-use crate::sched::Scheduler;
+use crate::qcut::Migration;
+use crate::query::{QueryHandle, QueryId};
+use crate::report::{EngineReport, PoolCounters};
 use crate::task::{Envelope, MessageBatch, QueryTask, TypedTask};
-use crate::trace::{cmd, outcome_code, TraceData, Tracer};
+use crate::trace::{cmd, Tracer};
 use crate::worker::{LocalState, Worker};
 
 /// The shared, growable task registry: submissions (engine or any client)
@@ -134,21 +85,13 @@ fn reg_read(tasks: &TaskRegistry) -> std::sync::RwLockReadGuard<'_, Vec<Arc<dyn 
     tasks.read().unwrap_or_else(|p| p.into_inner())
 }
 
-/// Write counterpart of [`reg_read`]; same append-only reasoning.
-fn reg_write(tasks: &TaskRegistry) -> std::sync::RwLockWriteGuard<'_, Vec<Arc<dyn QueryTask>>> {
-    tasks.write().unwrap_or_else(|p| p.into_inner())
-}
-
 enum Cmd {
     Deliver {
         q: QueryId,
         batch: MessageBatch,
     },
     /// Seal query `q`'s inbox on this worker: the pending messages become
-    /// the next superstep's input. Broadcast to *every* involved worker at
-    /// barrier release, before any of the superstep's `Step` tasks run —
-    /// the BSP isolation edge that makes DoP-deferred execution
-    /// output-identical to the all-at-once baseline.
+    /// the next superstep's input.
     Freeze {
         q: QueryId,
     },
@@ -181,36 +124,19 @@ enum Cmd {
 }
 
 enum Resp {
-    StepDone {
-        q: QueryId,
-        executed: usize,
-        /// Remote messages actually shipped (post sender-side combining).
-        remote_sent: u64,
-        /// Remote messages as produced, before combining.
-        remote_pre: u64,
-        /// Wire batches under the configured batch cap.
-        remote_batches: u64,
-        agg: Envelope,
-        remote: Vec<(usize, MessageBatch)>,
-        self_pending: bool,
-        worker: usize,
-    },
+    StepDone(StepReport),
     Collected {
         q: QueryId,
         local: Option<Box<dyn LocalState>>,
     },
-    Scopes {
-        worker: usize,
-        scopes: Vec<(QueryId, Vec<VertexId>)>,
-    },
+    /// `(query, this partition, live scope vertices)` triples.
+    Scopes(Vec<(QueryId, usize, Vec<VertexId>)>),
     Extracted {
         token: usize,
         data: Vec<(QueryId, Envelope)>,
     },
-    Pending {
-        worker: usize,
-        queries: Vec<QueryId>,
-    },
+    /// `(query, this partition)` pairs with pending messages.
+    Pending(Vec<(QueryId, usize)>),
 }
 
 /// Everything the coordinator thread receives: worker responses plus the
@@ -242,116 +168,15 @@ enum CoordMsg {
     Shutdown,
 }
 
-/// The state a drain hands back to the engine: only the report entries
-/// appended since the previous drain (the engine holds an identical
-/// prefix, so appending the delta reconstitutes the cumulative report —
-/// a long-lived serve loop with periodic drains stays linear in history
-/// instead of re-cloning everything each time).
+/// The state a drain hands back to the engine: the report entries
+/// appended since the previous drain (see [`EngineReport::since`]) plus
+/// the current layout.
 struct Snapshot {
-    new_outcomes: Vec<QueryOutcome>,
-    new_activity: Vec<ActivitySample>,
-    new_repartitions: Vec<RepartitionEvent>,
-    new_mutations: Vec<MutationEvent>,
-    new_index_repairs: Vec<IndexRepairEvent>,
-    new_runs: Vec<crate::report::RunSummary>,
-    finished_at_secs: f64,
-    partitioning: Partitioning,
-    topology: Topology,
-    /// Cumulative pool counters (overwritten, not appended — the
-    /// coordinator folds the previous sessions' totals in).
-    pool: PoolCounters,
-    /// Trace events appended since the previous drain (zero-sized
-    /// without the `trace` feature; see [`crate::trace::TraceData`]).
-    new_trace: TraceData,
-    admission_policy: String,
-}
-
-/// How much of the coordinator's report the engine has already seen
-/// (delta baseline for the next drain snapshot).
-#[derive(Clone, Copy, Default)]
-struct SyncMarks {
-    outcomes: usize,
-    activity: usize,
-    repartitions: usize,
-    mutations: usize,
-    index_repairs: usize,
-    runs: usize,
-    trace: usize,
-}
-
-impl SyncMarks {
-    fn of(report: &EngineReport) -> Self {
-        SyncMarks {
-            outcomes: report.outcomes.len(),
-            activity: report.activity.len(),
-            repartitions: report.repartitions.len(),
-            mutations: report.mutations.len(),
-            index_repairs: report.index_repairs.len(),
-            runs: report.runs.len(),
-            trace: report.trace.len(),
-        }
-    }
-}
-
-/// One finished query's output, streamed back to the engine.
-struct Completion {
-    q: QueryId,
-    output: Envelope,
-}
-
-/// What the coordinator thread returns when it stops.
-struct CoordinatorExit {
     report: EngineReport,
     partitioning: Partitioning,
     topology: Topology,
-    controller: Controller,
-    index: Option<Box<dyn PointIndex>>,
-}
-
-struct QueryTracking {
-    task: Arc<dyn QueryTask>,
-    outstanding: usize,
-    /// The query's degree-of-parallelism budget
-    /// ([`crate::DopPolicy::budget`], fixed at admission): at most this
-    /// many of a superstep's per-partition tasks run concurrently.
-    dop: usize,
-    /// Involved workers of the current superstep whose `Step` is held
-    /// back by the DoP budget; released one per completing task.
-    deferred: VecDeque<usize>,
-    /// Per-(query, partition) compute tasks released so far.
-    tasks: u64,
-    /// Max over supersteps of `min(dop, involved)` — the parallelism the
-    /// budget actually bought.
-    effective_dop: u32,
-    /// Workers computing the current superstep (for the locality metric).
-    involved_cur: usize,
-    /// Any message of the current superstep crossed a worker boundary
-    /// (the `!crossed` half of the canonical locality definition,
-    /// [`crate::barrier::decide`]).
-    crossed: bool,
-    agg_acc: Envelope,
-    agg_prev: Envelope,
-    next_involved: FxHashSet<usize>,
-    touched: FxHashSet<usize>,
-    collecting: usize,
-    locals: Vec<Box<dyn LocalState>>,
-    iterations: u32,
-    local_iterations: u32,
-    /// Supersteps completed within the current trigger window (reset with
-    /// the activity counters, so a long query's stale early history
-    /// cannot keep re-firing barriers after a successful migration).
-    window_iterations: u32,
-    window_local: u32,
-    vertex_updates: u64,
-    remote_messages: u64,
-    remote_messages_pre_combine: u64,
-    remote_batches: u64,
-    /// Arrival time (entered the admission queue).
-    queued_at: SimTime,
-    /// Admission time (started executing).
-    started_at: SimTime,
-    /// Graph epoch at admission (outcome attribution).
-    first_epoch: u64,
+    /// Outputs of the queries that finished since the previous drain.
+    outputs: Vec<(QueryId, Envelope)>,
 }
 
 /// The serving clock: wall time since `start`, offset by the report's
@@ -367,85 +192,6 @@ struct Clock {
 impl Clock {
     fn now(&self) -> SimTime {
         SimTime::from_secs_f64(self.base + self.started.elapsed().as_secs_f64())
-    }
-}
-
-/// Client-protocol state the coordinator can update at *any* receive
-/// point: the policy-ordered admission queue, the drain waiters, and the
-/// shutdown flag.
-struct ClientState {
-    scheduler: Scheduler,
-    drain_waiters: Vec<Sender<Snapshot>>,
-    /// Mutation batches awaiting the next stop-the-world barrier.
-    mutations: Vec<GraphMutationBatch>,
-    /// Submissions the bounded queue bounced, awaiting their rejection
-    /// outcome (flushed into the report on the coordinator's next turn).
-    rejected: Vec<(QueryId, &'static str, SimTime)>,
-    /// A label index installed mid-serve, awaiting pickup on the
-    /// coordinator's next turn (last install wins).
-    pending_index: Option<Box<dyn PointIndex>>,
-    shutdown: bool,
-    /// Stamps the admission instant of every submission (a clone of the
-    /// coordinator's tracer; no-op when tracing is off).
-    tracer: Tracer,
-}
-
-impl ClientState {
-    /// Fold one message in; returns the worker response if it was one.
-    fn absorb(&mut self, msg: CoordMsg, tasks: &TaskRegistry, now: SimTime) -> Option<Resp> {
-        match msg {
-            CoordMsg::Worker(r) => Some(r),
-            CoordMsg::Submit { q, deadline_secs } => {
-                let program = reg_read(tasks)[q.index()].program_name();
-                let deadline = deadline_secs.map(|d| now + SimTime::from_secs_f64(d));
-                self.tracer.admitted(now.as_secs_f64(), u64::from(q.0));
-                if !self.scheduler.push(q, program, now, deadline) {
-                    self.rejected.push((q, program, now));
-                }
-                None
-            }
-            CoordMsg::Mutate(batch) => {
-                self.mutations.push(batch);
-                None
-            }
-            CoordMsg::InstallIndex(index) => {
-                self.pending_index = Some(index);
-                None
-            }
-            CoordMsg::Drain { ack } => {
-                self.drain_waiters.push(ack);
-                None
-            }
-            CoordMsg::Shutdown => {
-                self.shutdown = true;
-                None
-            }
-        }
-    }
-}
-
-/// Block until a *worker* response arrives, absorbing any client messages
-/// that land in between (submit-during-barrier and friends).
-fn recv_worker(
-    rx: &Receiver<CoordMsg>,
-    cs: &mut ClientState,
-    tasks: &TaskRegistry,
-    now: SimTime,
-    hb: &Hb,
-) -> Resp {
-    loop {
-        // Mid-barrier the workers must still hold their Sender clones
-        // (they only drop on worker exit), so a closed channel here
-        // means every worker died: tear down rather than resume from a
-        // half-applied barrier.
-        let msg = rx
-            .recv()
-            // qlint: allow(no-unwrap-hot-loop) — see above; recovery is impossible
-            .expect("workers alive while a barrier is in flight");
-        hb.coord_recv();
-        if let Some(r) = cs.absorb(msg, tasks, now) {
-            return r;
-        }
     }
 }
 
@@ -506,7 +252,8 @@ impl EngineClient {
 
 /// Append `task` to the shared registry, allocating its [`QueryId`].
 fn register_task(tasks: &TaskRegistry, task: Arc<dyn QueryTask>) -> QueryId {
-    let mut reg = reg_write(tasks);
+    // Poison-tolerant for the same append-only reason as [`reg_read`].
+    let mut reg = tasks.write().unwrap_or_else(|p| p.into_inner());
     let q = QueryId(reg.len() as u32);
     reg.push(task);
     q
@@ -516,47 +263,28 @@ fn register_task(tasks: &TaskRegistry, task: Arc<dyn QueryTask>) -> QueryId {
 /// thread runs.
 struct Serving {
     tx: Sender<CoordMsg>,
-    done_rx: Receiver<Completion>,
-    handle: thread::JoinHandle<CoordinatorExit>,
+    /// Yields the final state plus the outputs of any completions that
+    /// raced between the last drain ack and the stop.
+    handle: thread::JoinHandle<(EngineState, Vec<(QueryId, Envelope)>)>,
 }
 
-/// The multi-threaded runtime: one OS thread per worker partition plus a
+/// The multi-threaded runtime: an elastic pool of compute threads plus a
 /// coordinator thread serving an open-ended query stream, with the same
-/// submit/run/output lifecycle as the simulated engine and the same
-/// adaptive Q-cut loop running as a stop-the-world phase (see the module
-/// docs for the streaming and barrier protocols).
-/// Submissions and mutations made before `start`, forwarded in order
-/// when serving begins.
-enum PreOp {
-    Submit(QueryId, Option<f64>),
-    Mutate(GraphMutationBatch),
-}
-
+/// submit/run/output lifecycle as the simulated engine (see the module
+/// docs for the streaming protocol).
 pub struct ThreadEngine {
-    /// The engine's copy of the evolving graph view, synced from the
-    /// coordinator at every drain (the coordinator holds the master while
-    /// serving; its epoch counts the mutation batches applied).
-    topology: Topology,
-    /// The engine's copy of the vertex→worker assignment, synced from the
-    /// coordinator at every drain (the coordinator holds the master while
-    /// serving).
-    partitioning: Partitioning,
+    /// The engine's state as of the last sync point. While serving, the
+    /// coordinator holds the master: topology, assignment and report here
+    /// are copies refreshed at every drain, and the controller (so
+    /// retained finished scopes survive serve sessions) and the label
+    /// index are away with the session until shutdown hands them back.
+    state: EngineState,
     cfg: SystemConfig,
-    /// Present while *not* serving; moved into the coordinator for the
-    /// session and handed back at shutdown, so retained finished scopes
-    /// survive serve sessions.
-    controller: Option<Controller>,
     tasks: TaskRegistry,
     outputs: Vec<Option<Envelope>>,
     /// Submissions/mutations made before `start` (forwarded in order when
     /// serving begins).
-    pre_ops: Vec<PreOp>,
-    /// The point-query label index, present while *not* serving; moved
-    /// into the coordinator for the session (which repairs it at mutation
-    /// barriers and serves eligible queries from it) and handed back at
-    /// shutdown.
-    index: Option<Box<dyn PointIndex>>,
-    report: EngineReport,
+    pre_ops: Vec<CoordMsg>,
     serving: Option<Serving>,
     /// Test hook: see [`ThreadEngine::hb_test_reintroduce_quiesce_race`].
     #[cfg(feature = "check-hb")]
@@ -582,15 +310,17 @@ impl ThreadEngine {
             "partitioning does not cover the graph"
         );
         ThreadEngine {
-            topology: Topology::new(graph),
-            partitioning,
-            controller: Some(Controller::new(cfg.qcut.clone())),
+            state: EngineState {
+                topology: Topology::new(graph),
+                partitioning,
+                controller: Controller::new(cfg.qcut.clone()),
+                index: None,
+                report: EngineReport::default(),
+            },
             cfg,
             tasks: Arc::new(RwLock::new(Vec::new())),
             outputs: Vec::new(),
             pre_ops: Vec::new(),
-            index: None,
-            report: EngineReport::default(),
             serving: None,
             #[cfg(feature = "check-hb")]
             hb_test_early_quiesce: false,
@@ -627,7 +357,7 @@ impl ThreadEngine {
             Some(s) => {
                 let _ = s.tx.send(CoordMsg::InstallIndex(index));
             }
-            None => self.index = Some(index),
+            None => self.state.index = Some(index),
         }
     }
 
@@ -635,12 +365,12 @@ impl ThreadEngine {
     /// serving (the coordinator owns it during a session — call
     /// [`ThreadEngine::shutdown`] first); returns `None` otherwise.
     pub fn take_index(&mut self) -> Option<Box<dyn PointIndex>> {
-        self.index.take()
+        self.state.index.take()
     }
 
     /// The installed index, if present and the engine is not serving.
     pub fn index(&self) -> Option<&dyn PointIndex> {
-        self.index.as_deref()
+        self.state.index.as_deref()
     }
 
     /// Apply a mutation batch: if the engine is serving it rides the next
@@ -656,11 +386,16 @@ impl ThreadEngine {
         if let Err(e) = batch.validate() {
             panic!("rejected mutation batch: {e}");
         }
+        self.send(CoordMsg::Mutate(batch));
+    }
+
+    /// Hand `msg` to the coordinator, or queue it for the next `start`.
+    fn send(&mut self, msg: CoordMsg) {
         match &self.serving {
             Some(s) => {
-                let _ = s.tx.send(CoordMsg::Mutate(batch));
+                let _ = s.tx.send(msg);
             }
-            None => self.pre_ops.push(PreOp::Mutate(batch)),
+            None => self.pre_ops.push(msg),
         }
     }
 
@@ -695,15 +430,7 @@ impl ThreadEngine {
         deadline_secs: Option<f64>,
     ) -> QueryId {
         let q = register_task(&self.tasks, task);
-        if self.outputs.len() <= q.index() {
-            self.outputs.resize_with(q.index() + 1, || None);
-        }
-        match &self.serving {
-            Some(s) => {
-                let _ = s.tx.send(CoordMsg::Submit { q, deadline_secs });
-            }
-            None => self.pre_ops.push(PreOp::Submit(q, deadline_secs)),
-        }
+        self.send(CoordMsg::Submit { q, deadline_secs });
         q
     }
 
@@ -714,22 +441,42 @@ impl ThreadEngine {
         if self.serving.is_some() {
             return;
         }
-        let k = self.partitioning.num_workers();
+        let k = self.state.partitioning.num_workers();
         let (msg_tx, msg_rx) = channel::<CoordMsg>();
-        let (done_tx, done_rx) = channel::<Completion>();
-        let shared_parts = Arc::new(self.partitioning.clone());
-        let combiners = self.cfg.combiners;
-        let batch_max = self.cfg.batch_max_msgs;
-        let shared_topology = Arc::new(self.topology.clone());
-        // The initial topology and assignment are published before any
-        // worker can read them; each context starts from both Arcs.
         let hb = Hb::new(k);
-        hb.publish_topology(0, self.topology.epoch());
-        hb.publish_partitioning(0);
+        // 0 = the fixed-partition baseline: one thread per partition.
+        let pool_threads = Coordinator::pool_width(&self.cfg, k);
+        // One time base for the whole session: the coordinator and every
+        // pool thread stamp trace events (and the coordinator its report
+        // entries) off this same clock, so lane spans and query envelopes
+        // line up without cross-clock skew.
+        let clock = Clock {
+            base: self.state.report.finished_at_secs,
+            started: Instant::now(),
+        };
+        let tracer = Tracer::new(pool_threads, self.cfg.trace_ring_capacity, self.cfg.trace);
+        // The core continues the cumulative report; the engine keeps its
+        // identical copy and appends drain deltas to it. The controller
+        // and the index travel with the session (a static placeholder
+        // stays behind). Building the core stamps the initial topology and
+        // assignment as published, before any partition context below can
+        // read them.
+        let st = &mut self.state;
+        let state = EngineState {
+            topology: st.topology.clone(),
+            partitioning: st.partitioning.clone(),
+            controller: std::mem::replace(&mut st.controller, Controller::new(None)),
+            index: st.index.take(),
+            report: st.report.clone(),
+        };
+        let core = Coordinator::new(state, self.cfg.clone(), hb.clone(), tracer.clone());
         // Partition state stays partition-owned: one context per logical
         // worker, taken by whichever pool thread draws that partition's
         // next command. The pool serializes per partition, so the lock is
         // never contended — it only moves the state between pool threads.
+        let shared_parts = Arc::new(self.state.partitioning.clone());
+        let shared_topology = Arc::new(self.state.topology.clone());
+        let (combiners, batch_max) = (self.cfg.combiners, self.cfg.batch_max_msgs);
         let ctxs: Arc<Vec<Mutex<WorkerCtx>>> = Arc::new(
             (0..k)
                 .map(|w| {
@@ -742,71 +489,44 @@ impl ThreadEngine {
                 })
                 .collect(),
         );
-        let registry = Arc::clone(&self.tasks);
-        let resp = msg_tx.clone();
-        let worker_hb = hb.clone();
-        // 0 = the fixed-partition baseline: one thread per partition.
-        let pool_threads = match self.cfg.pool_threads {
-            0 => k,
-            n => n,
+        let lane = Lane {
+            width: pool_threads,
+            ctxs,
+            registry: Arc::clone(&self.tasks),
+            resp: msg_tx.clone(),
+            hb: hb.clone(),
+            tracer: tracer.clone(),
+            clock,
         };
-        // One time base for the whole session: the coordinator and every
-        // pool thread stamp trace events (and the coordinator its report
-        // entries) off this same clock, so lane spans and query envelopes
-        // line up without cross-clock skew.
-        let clock = Clock {
-            base: self.report.finished_at_secs,
-            started: Instant::now(),
-        };
-        let tracer = Tracer::new(pool_threads, self.cfg.trace_ring_capacity, self.cfg.trace);
-        let worker_tracer = tracer.clone();
-        let pool = TaskPool::new(k, pool_threads, move |tid, w, cmd| {
-            handle_cmd(
-                tid,
-                pool_threads,
-                w,
-                cmd,
-                &ctxs,
-                &registry,
-                &resp,
-                &worker_hb,
-                &worker_tracer,
-                &clock,
-            );
-        });
-
-        let Some(controller) = self.controller.take() else {
-            unreachable!("controller is present whenever the engine is not serving");
-        };
-        let coordinator = Coordinator {
-            topology: self.topology.clone(),
-            cfg: self.cfg.clone(),
-            controller,
-            partitioning: self.partitioning.clone(),
+        let pool = TaskPool::new(k, pool_threads, move |tid, w, cmd| lane.handle(tid, w, cmd));
+        let x = PoolExec {
+            pool,
+            msg_rx,
+            finished: Vec::new(),
             tasks: Arc::clone(&self.tasks),
-            index: self.index.take(),
-            // The coordinator continues the cumulative report; the engine
-            // keeps its identical copy and appends drain deltas to it.
-            report: self.report.clone(),
             hb,
             tracer,
             clock,
+            k,
+            batch_cap: self.cfg.batch_max_msgs.max(1),
+            inflight_ops: 0,
+            pool_tasks: 0,
+            // The hook widens "quiescent" to one still-open op — exactly
+            // the race the hb auditor exists to catch.
             #[cfg(feature = "check-hb")]
-            hb_test_early_quiesce: self.hb_test_early_quiesce,
+            quiesce_at: usize::from(self.hb_test_early_quiesce),
+            #[cfg(not(feature = "check-hb"))]
+            quiesce_at: 0,
+            backlog: Vec::new(),
+            drain_waiters: Vec::new(),
+            shutdown: false,
         };
-        let handle = thread::spawn(move || coordinator.serve(pool, msg_rx, done_tx));
+        let handle = thread::spawn(move || serve(core, x));
 
-        for op in std::mem::take(&mut self.pre_ops) {
-            let _ = msg_tx.send(match op {
-                PreOp::Submit(q, deadline_secs) => CoordMsg::Submit { q, deadline_secs },
-                PreOp::Mutate(batch) => CoordMsg::Mutate(batch),
-            });
+        for msg in self.pre_ops.drain(..) {
+            let _ = msg_tx.send(msg);
         }
-        self.serving = Some(Serving {
-            tx: msg_tx,
-            done_rx,
-            handle,
-        });
+        self.serving = Some(Serving { tx: msg_tx, handle });
     }
 
     /// A cloneable concurrent submission handle (starts the engine if it
@@ -833,16 +553,16 @@ impl ThreadEngine {
     pub fn drain(&mut self) -> &EngineReport {
         if self.serving.is_none() {
             if self.pre_ops.is_empty() {
-                return &self.report;
+                return &self.state.report;
             }
             self.start();
         }
         let (ack_tx, ack_rx) = channel::<Snapshot>();
-        let sent = match self.serving.as_ref() {
-            Some(s) => s.tx.send(CoordMsg::Drain { ack: ack_tx }).is_ok(),
-            None => unreachable!("start() always installs the serving session"),
-        };
-        let Some(snapshot) = sent.then(|| ack_rx.recv().ok()).flatten() else {
+        let sent = self.serving.as_ref().and_then(|s| {
+            let drain = CoordMsg::Drain { ack: ack_tx };
+            s.tx.send(drain).ok()
+        });
+        let Some(snapshot) = sent.and_then(|()| ack_rx.recv().ok()) else {
             // The coordinator hung up mid-serve; it only exits early by
             // panicking. Join its thread to surface the *original* panic
             // (payload intact) instead of a secondary channel error here.
@@ -853,20 +573,11 @@ impl ThreadEngine {
             }
             unreachable!("coordinator exited without acking the drain");
         };
-        self.report.outcomes.extend(snapshot.new_outcomes);
-        self.report.activity.extend(snapshot.new_activity);
-        self.report.repartitions.extend(snapshot.new_repartitions);
-        self.report.mutations.extend(snapshot.new_mutations);
-        self.report.index_repairs.extend(snapshot.new_index_repairs);
-        self.report.runs.extend(snapshot.new_runs);
-        self.report.trace.merge(snapshot.new_trace);
-        self.report.finished_at_secs = snapshot.finished_at_secs;
-        self.report.pool = snapshot.pool;
-        self.report.admission_policy = snapshot.admission_policy;
-        self.partitioning = snapshot.partitioning;
-        self.topology = snapshot.topology;
-        self.sync_outputs();
-        &self.report
+        self.state.report.append(snapshot.report);
+        self.state.partitioning = snapshot.partitioning;
+        self.state.topology = snapshot.topology;
+        self.store_outputs(snapshot.outputs);
+        &self.state.report
     }
 
     /// Execute every pending query to completion; equivalent to
@@ -887,49 +598,33 @@ impl ThreadEngine {
     /// shutdown.
     pub fn shutdown(&mut self) -> &EngineReport {
         if self.serving.is_none() {
-            return &self.report;
+            return &self.state.report;
         }
         self.drain();
         let Some(s) = self.serving.take() else {
             // drain() tears the session down itself only by propagating a
             // coordinator panic, so reaching here without one is a bug —
             // but returning the synced report beats panicking over it.
-            return &self.report;
+            return &self.state.report;
         };
         let _ = s.tx.send(CoordMsg::Shutdown);
-        let exit = match s.handle.join() {
+        let (state, outputs) = match s.handle.join() {
             Ok(exit) => exit,
             // Propagate the coordinator's own panic payload.
             Err(payload) => std::panic::resume_unwind(payload),
         };
-        self.report = exit.report;
-        self.partitioning = exit.partitioning;
-        self.topology = exit.topology;
-        self.controller = Some(exit.controller);
-        self.index = exit.index;
-        // Any completions raced between the drain ack and the stop.
-        while let Ok(c) = s.done_rx.try_recv() {
-            self.store_output(c);
-        }
-        &self.report
+        self.state = state;
+        self.store_outputs(outputs);
+        &self.state.report
     }
 
-    fn sync_outputs(&mut self) {
-        let Some(s) = &self.serving else { return };
-        let mut received = Vec::new();
-        while let Ok(c) = s.done_rx.try_recv() {
-            received.push(c);
+    fn store_outputs(&mut self, finished: Vec<(QueryId, Envelope)>) {
+        // Ids are dense registry indices, and the registry only grows.
+        self.outputs
+            .resize_with(reg_read(&self.tasks).len(), || None);
+        for (q, output) in finished {
+            self.outputs[q.index()] = Some(output);
         }
-        for c in received {
-            self.store_output(c);
-        }
-    }
-
-    fn store_output(&mut self, c: Completion) {
-        if self.outputs.len() <= c.q.index() {
-            self.outputs.resize_with(c.q.index() + 1, || None);
-        }
-        self.outputs[c.q.index()] = Some(c.output);
     }
 
     /// The output of a finished query, recovered through its typed handle
@@ -951,36 +646,31 @@ impl ThreadEngine {
 
     /// Take ownership of a finished query's output.
     pub fn take_output<P: VertexProgram>(&mut self, handle: &QueryHandle<P>) -> Option<P::Output> {
-        let slot = self.outputs.get_mut(handle.id().index())?;
-        // Only take the envelope if it downcasts to the handle's type.
-        slot.as_ref()?.downcast_ref::<P::Output>()?;
-        slot.take()
-            .and_then(|b| b.downcast::<P::Output>().ok())
-            .map(|b| *b)
+        crate::task::take_output::<P>(&mut self.outputs, handle.id())
     }
 
     /// The cumulative measurement report over the engine's lifetime, as of
     /// the last sync point (`run`/`drain`/`shutdown`).
     pub fn report(&self) -> &EngineReport {
-        &self.report
+        &self.state.report
     }
 
     /// The vertex→worker assignment as of the last sync point (mutated by
     /// repartitionings while serving).
     pub fn partitioning(&self) -> &Partitioning {
-        &self.partitioning
+        &self.state.partitioning
     }
 
     /// The evolving graph view as of the last sync point
     /// (`run`/`drain`/`shutdown`).
     pub fn topology(&self) -> &Topology {
-        &self.topology
+        &self.state.topology
     }
 
     /// The graph epoch as of the last sync point (mutation batches
     /// applied over the engine's lifetime).
     pub fn epoch(&self) -> u64 {
-        self.topology.epoch()
+        self.state.topology.epoch()
     }
 }
 
@@ -997,976 +687,340 @@ impl Drop for ThreadEngine {
     }
 }
 
-/// The coordinator: owns the drive loop while the engine serves. All of
-/// the engine's measurement state lives here for the session and flows
-/// back through drain snapshots / the exit value.
-struct Coordinator {
-    topology: Topology,
-    cfg: SystemConfig,
-    controller: Controller,
-    partitioning: Partitioning,
+/// The `TaskPool` executor: turns the core's dispatches into pool
+/// commands and channel traffic. All of the session's measurement state
+/// lives in the core it serves and flows back through drain snapshots /
+/// the exit value.
+struct PoolExec {
+    pool: TaskPool<Cmd>,
+    msg_rx: Receiver<CoordMsg>,
+    /// Outputs of finished queries, until the next drain ships them.
+    finished: Vec<(QueryId, Envelope)>,
     tasks: TaskRegistry,
-    index: Option<Box<dyn PointIndex>>,
-    report: EngineReport,
     /// Happens-before auditor (no-op unless `check-hb`): stamps the
-    /// command/response channel edges, quiesce windows, and
-    /// topology/partitioning publications of the serve protocol.
+    /// command/response channel edges and the Step/Collect tokens.
     hb: Hb,
     /// Structured event recorder (no-op unless `trace`); the pool threads
     /// hold clones of the same recorder and stamp off the same clock.
     tracer: Tracer,
     /// The session time base shared with every pool thread.
     clock: Clock,
-    /// Test hook: see [`ThreadEngine::hb_test_reintroduce_quiesce_race`].
-    #[cfg(feature = "check-hb")]
-    hb_test_early_quiesce: bool,
+    k: usize,
+    /// Wire cap `Deliver` payloads are chunked at.
+    batch_cap: usize,
+    /// Step and Collect commands awaiting a response: zero while a window
+    /// is wanted means the partitions are quiescent.
+    inflight_ops: usize,
+    /// Steps completed, cumulative across serve sessions.
+    pool_tasks: u64,
+    /// How many unanswered ops still count as quiescent: 0, or 1 under
+    /// [`ThreadEngine::hb_test_reintroduce_quiesce_race`].
+    quiesce_at: usize,
+    /// Client messages that landed while a window waited on a partition,
+    /// with their receipt stamps.
+    backlog: Vec<(CoordMsg, SimTime)>,
+    drain_waiters: Vec<Sender<Snapshot>>,
+    shutdown: bool,
 }
 
-impl Coordinator {
-    /// The serving loop: runs until [`CoordMsg::Shutdown`], then stops the
-    /// pool and returns the final state.
-    fn serve(
-        mut self,
-        pool: TaskPool<Cmd>,
-        msg_rx: Receiver<CoordMsg>,
-        done_tx: Sender<Completion>,
-    ) -> CoordinatorExit {
-        // One monotonic time base across serve sessions: this session's
-        // timestamps continue from the previous report's end, so the
-        // cumulative report's outcomes and `finished_at_secs` agree. The
-        // base was fixed in `start()` and is shared (by copy) with every
-        // pool thread, so coordinator and lane trace stamps agree too.
-        let clock = self.clock;
-        let k = self.partitioning.num_workers();
-        self.report.admission_policy = self.cfg.admission.label().to_string();
-        // Pool counters accumulate across serve sessions: this session's
-        // `TaskPool` starts its own stats at zero, so fold in the totals
-        // the report carried into the session.
-        let pool_base = self.report.pool;
-        let mut pool_tasks: u64 = pool_base.tasks;
-        // The hook widens "quiescent" to one still-open op — exactly the
-        // race the hb auditor exists to catch (see the regression test).
-        #[cfg(feature = "check-hb")]
-        let quiesce_at: usize = usize::from(self.hb_test_early_quiesce);
-        #[cfg(not(feature = "check-hb"))]
-        let quiesce_at: usize = 0;
-        let tasks = Arc::clone(&self.tasks);
-        let mut cs = ClientState {
-            scheduler: Scheduler::bounded(self.cfg.admission.clone(), self.cfg.max_queued),
-            drain_waiters: Vec::new(),
-            mutations: Vec::new(),
-            rejected: Vec::new(),
-            pending_index: None,
-            shutdown: false,
-            tracer: self.tracer.clone(),
-        };
-        let mut tracking: FxHashMap<QueryId, QueryTracking> = FxHashMap::default();
-        let max_parallel = self.cfg.max_parallel_queries.max(1);
-        let mut in_flight = 0usize;
-        // The current run window opens where the previous one closed.
-        let mut run_started = clock.base;
-        // The engine holds an identical report prefix; drains ship only
-        // what was appended past these marks.
-        let mut synced = SyncMarks::of(&self.report);
-
-        // Stop-the-world repartition state. `inflight_ops` counts Step and
-        // Collect commands awaiting a response: zero while a barrier is
-        // pending means the workers are quiescent.
-        let qcut_enabled = self.cfg.qcut.is_some();
-        let batch_cap = self.cfg.batch_max_msgs.max(1);
-        let qcut_interval = self.cfg.qcut.as_ref().map_or(0, |c| c.qcut_interval);
-        let mut supersteps_since = 0usize;
-        let mut worker_activity = vec![0usize; k];
-        let mut repart_pending = false;
-        let mut repart_triggered_at = 0.0f64;
-        let mut parked: Vec<(QueryId, Vec<usize>)> = Vec::new();
-        let mut inflight_ops = 0usize;
-
-        // Start a fresh trigger-evaluation window: used when a checkpoint
-        // declines to repartition, when a barrier ends, and when the
-        // engine goes idle at a drain — every windowed counter resets at
-        // exactly the same points, and an idle gap can never leak stale
-        // skew into the next burst's trigger.
-        macro_rules! reset_trigger_window {
-            () => {{
-                supersteps_since = 0;
-                worker_activity.iter_mut().for_each(|a| *a = 0);
-                for t in tracking.values_mut() {
-                    t.window_iterations = 0;
-                    t.window_local = 0;
-                }
-            }};
-        }
-
-        // Refresh the report's cumulative pool counters from the live
-        // pool (called at every drain ack and at teardown, so snapshots
-        // and the exit value always carry current totals).
-        macro_rules! sync_pool_counters {
-            () => {{
-                let ps = pool.stats();
-                self.report.pool = PoolCounters {
-                    threads: pool.width(),
-                    tasks: pool_tasks,
-                    steals: pool_base.steals + ps.steals,
-                    idle_waits: pool_base.idle_waits + ps.idle_waits,
-                };
-            }};
-        }
-
-        // Release query `$t`'s next superstep to the given involved
-        // workers — one dispatch path shared by the normal barrier release
-        // and the post-repartition resume, so their bookkeeping cannot
-        // diverge. Freezes *every* involved inbox first, then dispatches
-        // up to the query's DoP budget of Steps, deferring the rest: a
-        // deferred partition's input is already sealed, so nothing an
-        // earlier task of this superstep produces can leak into it.
-        macro_rules! dispatch_step {
-            ($q:expr, $t:expr, $next:expr) => {{
-                let next: Vec<usize> = $next;
-                $t.involved_cur = next.len();
-                $t.tasks += next.len() as u64;
-                $t.effective_dop = $t.effective_dop.max(next.len().min($t.dop) as u32);
-                for &w in &next {
-                    self.hb.send_cmd(w);
-                    pool.push(w, Cmd::Freeze { q: $q });
-                }
-                for (i, w) in next.into_iter().enumerate() {
-                    if i < $t.dop {
-                        self.hb.send_step($q.0, w);
-                        pool.push(
-                            w,
-                            Cmd::Step {
-                                q: $q,
-                                prev_agg: $t.task.clone_aggregate(&$t.agg_prev),
-                            },
-                        );
-                        $t.outstanding += 1;
-                        inflight_ops += 1;
-                    } else {
-                        self.tracer
-                            .defer(clock.now().as_secs_f64(), u64::from($q.0), w as u32);
-                        $t.deferred.push_back(w);
-                    }
-                }
-            }};
-        }
-
-        // Closed-loop seeding: start a query popped from the admission
-        // queue; returns false if it finished immediately (no initial
-        // messages).
-        macro_rules! start_query {
-            ($entry:expr) => {{
-                let entry: crate::sched::QueueEntry = $entry;
-                let q = entry.q;
+impl PoolExec {
+    /// Fold one client message, received at `now`, into the core.
+    fn client(&mut self, core: &mut Coordinator, msg: CoordMsg, now: SimTime) {
+        match msg {
+            CoordMsg::Worker(_) => unreachable!("pool responses are not client traffic"),
+            CoordMsg::Submit { q, deadline_secs } => {
                 let task = Arc::clone(&reg_read(&self.tasks)[q.index()]);
-                // Index fast path: an eligible point query with an index
-                // repaired through the current epoch never reaches a
-                // worker — it is answered at admission with zero work and
-                // occupies no closed-loop slot.
-                if let Some(output) = crate::sched::try_index_path(
-                    task.as_ref(),
-                    self.index.as_deref(),
-                    self.topology.epoch(),
-                ) {
-                    let at = clock.now();
-                    self.hb.outcome_epoch(0, self.topology.epoch());
-                    let _ = done_tx.send(Completion { q, output });
-                    self.report.finished_at_secs = at.as_secs_f64();
-                    self.report.outcomes.push(QueryOutcome {
-                        id: q,
-                        program: task.program_name(),
-                        status: OutcomeStatus::Completed,
-                        served_by: ServedBy::Index,
-                        queued_at: entry.enqueued_at,
-                        submitted_at: at,
-                        completed_at: at,
-                        iterations: 0,
-                        local_iterations: 0,
-                        vertex_updates: 0,
-                        remote_messages: 0,
-                        remote_messages_pre_combine: 0,
-                        remote_batches: 0,
-                        scope_size: 0,
-                        tasks: 0,
-                        effective_dop: 0,
-                        first_epoch: self.topology.epoch(),
-                        last_epoch: self.topology.epoch(),
-                    });
-                    self.tracer.outcome(
-                        at.as_secs_f64(),
-                        u64::from(q.0),
-                        outcome_code::INDEX_SERVED,
-                    );
-                    false
-                } else {
-                    let batches = {
-                        // Route against the *current* assignment and
-                        // topology: earlier repartitions and mutation
-                        // epochs of this session have already moved on.
-                        let route = |v: VertexId| self.partitioning.worker_of(v).index();
-                        task.initial_batches(&self.topology, &route, self.cfg.combiners)
-                    };
-                    if batches.is_empty() {
-                        // No initial messages: finalize over the empty
-                        // state set.
-                        let at = clock.now();
-                        self.hb.outcome_epoch(0, self.topology.epoch());
-                        let _ = done_tx.send(Completion {
-                            q,
-                            output: task.finalize(&self.topology, Vec::new()),
-                        });
-                        self.report.finished_at_secs = at.as_secs_f64();
-                        self.report.outcomes.push(QueryOutcome {
-                            id: q,
-                            program: task.program_name(),
-                            status: OutcomeStatus::Completed,
-                            served_by: ServedBy::Traversal,
-                            queued_at: entry.enqueued_at,
-                            submitted_at: at,
-                            completed_at: at,
-                            iterations: 0,
-                            local_iterations: 0,
-                            vertex_updates: 0,
-                            remote_messages: 0,
-                            remote_messages_pre_combine: 0,
-                            remote_batches: 0,
-                            scope_size: 0,
-                            tasks: 0,
-                            effective_dop: 0,
-                            first_epoch: self.topology.epoch(),
-                            last_epoch: self.topology.epoch(),
-                        });
-                        self.tracer.outcome(
-                            at.as_secs_f64(),
-                            u64::from(q.0),
-                            outcome_code::COMPLETED,
-                        );
-                        false
-                    } else {
-                        // The DoP budget is fixed at admission: point-
-                        // shaped programs stay serial, analytics fan out
-                        // to the policy's width (see `DopPolicy`).
-                        let dop = self.cfg.dop.budget(task.as_ref(), pool.width()).max(1);
-                        let involved = batches.len();
-                        let mut t = QueryTracking {
-                            agg_acc: task.aggregate_identity(),
-                            agg_prev: task.aggregate_identity(),
-                            task: Arc::clone(&task),
-                            outstanding: 0,
-                            dop,
-                            deferred: VecDeque::new(),
-                            tasks: involved as u64,
-                            effective_dop: involved.min(dop) as u32,
-                            involved_cur: involved,
-                            crossed: false,
-                            next_involved: FxHashSet::default(),
-                            touched: FxHashSet::default(),
-                            collecting: 0,
-                            locals: Vec::new(),
-                            iterations: 0,
-                            local_iterations: 0,
-                            window_iterations: 0,
-                            window_local: 0,
-                            vertex_updates: 0,
-                            remote_messages: 0,
-                            remote_messages_pre_combine: 0,
-                            remote_batches: 0,
-                            queued_at: entry.enqueued_at,
-                            started_at: clock.now(),
-                            first_epoch: self.topology.epoch(),
-                        };
-                        let mut ws: Vec<usize> = Vec::with_capacity(involved);
-                        for (w, batch) in batches {
-                            t.touched.insert(w);
-                            // Chunk at the wire cap: one bounded envelope
-                            // per `batch_max_msgs` messages (physical
-                            // batching, matching the accounting).
-                            for chunk in task.split_batch(batch, batch_cap) {
-                                self.hb.send_cmd(w);
-                                pool.push(w, Cmd::Deliver { q, batch: chunk });
-                            }
-                            // Seal the first superstep's input on every
-                            // involved worker before any Step runs (the
-                            // same release-time freeze as dispatch_step!).
-                            self.hb.send_cmd(w);
-                            pool.push(w, Cmd::Freeze { q });
-                            ws.push(w);
-                        }
-                        for &w in ws.iter().take(dop) {
-                            self.hb.send_step(q.0, w);
-                            pool.push(
-                                w,
-                                Cmd::Step {
-                                    q,
-                                    prev_agg: task.clone_aggregate(&t.agg_prev),
-                                },
-                            );
-                            t.outstanding += 1;
-                            inflight_ops += 1;
-                        }
-                        if self.tracer.enabled() {
-                            let at = clock.now().as_secs_f64();
-                            for &w in ws.iter().skip(dop) {
-                                self.tracer.defer(at, u64::from(q.0), w as u32);
-                            }
-                        }
-                        t.deferred.extend(ws.iter().skip(dop).copied());
-                        tracking.insert(q, t);
-                        true
-                    }
-                }
-            }};
+                let deadline = deadline_secs.map(|d| now + SimTime::from_secs_f64(d));
+                core.submit(q, task, now, deadline);
+            }
+            CoordMsg::Mutate(batch) => core.mutate(batch),
+            CoordMsg::InstallIndex(index) => core.install_index(index),
+            CoordMsg::Drain { ack } => self.drain_waiters.push(ack),
+            CoordMsg::Shutdown => {
+                // Already-admitted queries finish, queued ones drop.
+                self.shutdown = true;
+                core.close();
+            }
         }
+    }
 
-        // Admit waiting queries into free closed-loop slots (held back
-        // while a repartition barrier is pending, and once a shutdown is
-        // requested — already-admitted queries finish, queued ones drop).
-        macro_rules! admit {
-            () => {{
-                while !repart_pending
-                    && cs.mutations.is_empty()
-                    && !cs.shutdown
-                    && in_flight < max_parallel
-                {
-                    let Some(entry) = cs.scheduler.pop() else {
-                        break;
-                    };
-                    if start_query!(entry) {
-                        in_flight += 1;
-                    }
-                }
-            }};
-        }
-
-        // The serving loop.
+    /// Block until a *pool* response arrives, setting aside any client
+    /// messages that land in between (submit-during-window and friends).
+    fn recv_worker(&mut self) -> Resp {
+        let now = self.clock.now();
         loop {
-            // Pick up a mid-serve index install (last one wins) before any
-            // admission decision of this turn.
-            if let Some(ix) = cs.pending_index.take() {
-                self.index = Some(ix);
-            }
-
-            // Surface bounded-queue rejections as distinct outcomes (the
-            // submission never executed; its output stays `None`).
-            for (q, program, at) in cs.rejected.drain(..) {
-                self.tracer
-                    .outcome(at.as_secs_f64(), u64::from(q.0), outcome_code::REJECTED);
-                self.report.outcomes.push(QueryOutcome::rejected(
-                    q,
-                    program,
-                    at,
-                    self.topology.epoch(),
-                ));
-            }
-
-            // Stop-the-world phase — mutation epochs and/or Q-cut — runs
-            // once the in-flight work has drained (every tracked query is
-            // then parked or collected). One barrier serves both: a
-            // mutation landing while a repartition is pending costs no
-            // extra quiesce.
-            if (repart_pending || !cs.mutations.is_empty()) && inflight_ops <= quiesce_at {
-                let entered_at = clock.now().as_secs_f64();
-                // The quiesce window opens only once every Step/Collect
-                // token is closed — the auditor holds us to exactly that.
-                self.hb.quiesce_begin();
-                self.tracer.quiesce_begin(entered_at);
-
-                // Phase 1: mutation epochs, in arrival order (the shared
-                // barrier body — see `controller::apply_mutation_epochs`).
-                let batches = std::mem::take(&mut cs.mutations);
-                let epoch_before = self.topology.epoch();
-                let mutation_from = clock.now().as_secs_f64();
-                if !batches.is_empty() {
-                    self.tracer
-                        .mutation_begin(mutation_from, batches.len() as u64);
-                }
-                let repairs_before = self.report.index_repairs.len();
-                let apply = apply_mutation_epochs(
-                    &mut self.topology,
-                    &mut self.partitioning,
-                    &mut self.controller,
-                    &mut self.report,
-                    &batches,
-                    self.cfg.compact_fraction,
-                    clock.now().as_secs_f64(),
-                    self.index.as_deref_mut(),
-                );
-                let mutation_events_from = apply.events_from;
-                if apply.compacted_edges.is_some() {
-                    self.tracer.compaction(clock.now().as_secs_f64());
-                }
-                // The repair stages ran inside `apply_mutation_epochs`:
-                // the span covers the apply call's tail, its stage
-                // instants carry the summed counters of this barrier.
-                if self.report.index_repairs.len() > repairs_before {
-                    let (mut invalidated, mut reruns, mut resumes) = (0u64, 0u64, 0u64);
-                    for ev in &self.report.index_repairs[repairs_before..] {
-                        invalidated += ev.summary.entries_invalidated as u64;
-                        reruns += ev.summary.roots_rerun as u64;
-                        resumes += ev.summary.partial_roots as u64;
-                    }
-                    self.tracer.repair_begin(mutation_from);
-                    self.tracer
-                        .repair_end(clock.now().as_secs_f64(), invalidated, reruns, resumes);
-                }
-                if !batches.is_empty() {
-                    self.tracer
-                        .mutation_end(clock.now().as_secs_f64(), batches.len() as u64);
-                }
-                if !batches.is_empty() {
-                    for e in epoch_before + 1..=self.topology.epoch() {
-                        self.hb.publish_topology(0, e);
-                    }
-                    let pv = self.hb.publish_partitioning(0);
-                    // Broadcast the new epoch (and the assignment grown by
-                    // new-vertex placement) before anything resumes: every
-                    // subsequent superstep executes and routes against it.
-                    let topo = Arc::new(self.topology.clone());
-                    let parts = Arc::new(self.partitioning.clone());
-                    for w in 0..k {
-                        self.hb.send_topology(w, self.topology.epoch());
-                        pool.push(w, Cmd::SetTopology(Arc::clone(&topo)));
-                        self.hb.send_partitioning(w, pv);
-                        pool.push(w, Cmd::SetPartitioning(Arc::clone(&parts)));
-                    }
-                }
-
-                // Phase 2: the Q-cut repartition, under the same barrier.
-                let outcome = if repart_pending {
-                    self.tracer.qcut_begin(clock.now().as_secs_f64());
-                    let o = self.qcut_barrier(&mut tracking, &pool, &msg_rx, &mut cs, &clock);
-                    self.tracer.qcut_end(clock.now().as_secs_f64());
-                    o
-                } else {
-                    None
-                };
-                let applied = outcome.is_some();
-                if let Some((ils, migration, locality_before, locality_after)) = outcome {
-                    let applied_at = clock.now().as_secs_f64();
-                    self.report.repartitions.push(RepartitionEvent {
-                        triggered_at: repart_triggered_at,
-                        applied_at,
-                        barrier_duration: applied_at - entered_at,
-                        moved_vertices: migration.moved_vertices,
-                        locality_before,
-                        locality_after,
-                        ils,
-                    });
-                }
-                let barrier_done = clock.now().as_secs_f64();
-                for ev in &mut self.report.mutations[mutation_events_from..] {
-                    ev.barrier_duration = barrier_done - entered_at;
-                }
-                if applied {
-                    // The migration moved pending inboxes between workers:
-                    // rebuild every parked query's involved set from the
-                    // workers' post-migration pending reports.
-                    for w in 0..k {
-                        self.hb.send_cmd(w);
-                        pool.push(w, Cmd::PendingReport);
-                    }
-                    let mut pending_on: FxHashMap<QueryId, Vec<usize>> = FxHashMap::default();
-                    for _ in 0..k {
-                        match recv_worker(&msg_rx, &mut cs, &tasks, clock.now(), &self.hb) {
-                            Resp::Pending { worker, queries } => {
-                                for q in queries {
-                                    pending_on.entry(q).or_default().push(worker);
-                                }
-                            }
-                            _ => unreachable!("quiesced workers only answer the pending report"),
-                        }
-                    }
-                    for (q, next) in parked.iter_mut() {
-                        let mut n = pending_on.remove(q).unwrap_or_default();
-                        n.sort_unstable();
-                        *next = n;
-                    }
-                }
-                // START: release the parked queries against the (possibly
-                // new) layout, then re-open admissions. The quiesce window
-                // closes first — releases are dispatches, and a dispatch
-                // inside the window is exactly the PR-2 race.
-                self.hb.quiesce_end();
-                let released_at = clock.now().as_secs_f64();
-                self.tracer.quiesce_end(released_at);
-                // The pool is provably idle inside the barrier: the
-                // cheapest possible point to move lane rings into the
-                // central buffer.
-                self.tracer.drain();
-                for (q, next) in std::mem::take(&mut parked) {
-                    let Some(t) = tracking.get_mut(&q) else {
-                        // Defensive: a parked query is by construction
-                        // still tracked (removal happens only after its
-                        // final Collect). Skip rather than corrupt the
-                        // release bookkeeping; surface loudly in debug.
-                        debug_assert!(false, "parked query {q:?} is no longer tracked");
-                        continue;
-                    };
-                    self.tracer.unpark(released_at, u64::from(q.0));
-                    if next.is_empty() {
-                        // Defensive: migration preserves pending messages,
-                        // so a parked query cannot lose them — surface the
-                        // broken invariant loudly in debug builds, finish
-                        // the query rather than deadlock in release.
-                        debug_assert!(
-                            false,
-                            "parked query {q:?} lost its pending messages across a migration"
-                        );
-                        t.collecting = t.touched.len();
-                        for &w in &t.touched {
-                            self.hb.send_collect(q.0, w);
-                            pool.push(w, Cmd::Collect { q });
-                            inflight_ops += 1;
-                        }
-                        continue;
-                    }
-                    dispatch_step!(q, t, next);
-                }
-                repart_pending = false;
-                reset_trigger_window!();
-                admit!();
-                continue;
-            }
-
-            // Drain acks fire at full idle: nothing tracked, waiting,
-            // parked, or mid-barrier. Each ack closes one run window.
-            if !cs.drain_waiters.is_empty()
-                && tracking.is_empty()
-                && cs.scheduler.is_empty()
-                && parked.is_empty()
-                && !repart_pending
-                && cs.mutations.is_empty()
-                && inflight_ops == 0
-            {
-                let end = clock.now().as_secs_f64();
-                self.report.finished_at_secs = end;
-                // Counters first: the closing window's per-window pool
-                // delta is computed against the *current* totals. The
-                // lanes are idle at a drain, so their rings drain fully.
-                sync_pool_counters!();
-                self.tracer.drain();
-                self.report.trace.absorb(&self.tracer);
-                self.report.close_run(run_started, end, self.report.pool);
-                run_started = end;
-                reset_trigger_window!();
-                for ack in cs.drain_waiters.drain(..) {
-                    // Only the delta past the engine's synced prefix; a
-                    // second waiter in the same idle moment gets an empty
-                    // one (its engine-side state is already current).
-                    let _ = ack.send(Snapshot {
-                        new_outcomes: self.report.outcomes[synced.outcomes..].to_vec(),
-                        new_activity: self.report.activity[synced.activity..].to_vec(),
-                        new_repartitions: self.report.repartitions[synced.repartitions..].to_vec(),
-                        new_mutations: self.report.mutations[synced.mutations..].to_vec(),
-                        new_index_repairs: self.report.index_repairs[synced.index_repairs..]
-                            .to_vec(),
-                        new_runs: self.report.runs[synced.runs..].to_vec(),
-                        new_trace: self.report.trace.delta_since(synced.trace),
-                        finished_at_secs: self.report.finished_at_secs,
-                        partitioning: self.partitioning.clone(),
-                        topology: self.topology.clone(),
-                        pool: self.report.pool,
-                        admission_policy: self.report.admission_policy.clone(),
-                    });
-                    synced = SyncMarks::of(&self.report);
-                }
-            }
-
-            // Stop only once admitted work has finished: a submission the
-            // coordinator already started executing is never abandoned
-            // (its completion streams out and shutdown() collects it).
-            if cs.shutdown
-                && tracking.is_empty()
-                && parked.is_empty()
-                && cs.mutations.is_empty()
-                && inflight_ops == 0
-            {
-                break;
-            }
-
-            let Ok(msg) = msg_rx.recv() else {
-                // Every sender (engine handle included) is gone.
-                break;
-            };
+            // Mid-window the pool threads must still hold their Sender
+            // clones (they only drop on pool exit), so a closed channel
+            // here means every one of them died: tear down rather than
+            // resume from a half-applied window.
+            let msg = self
+                .msg_rx
+                .recv()
+                // qlint: allow(no-unwrap-hot-loop) — see above; recovery is impossible
+                .expect("pool alive while a window is open");
             self.hb.coord_recv();
-            // One clock read per message turn, shared by the absorb
-            // stamp, activity samples, and every tracer event this turn
-            // emits — repeated reads are measurable on chained
-            // single-partition supersteps.
-            let now = clock.now();
-            let Some(resp) = cs.absorb(msg, &tasks, now) else {
-                if !repart_pending {
-                    admit!();
-                }
-                continue;
-            };
-            match resp {
-                Resp::StepDone {
-                    q,
-                    executed,
-                    remote_sent,
-                    remote_pre,
-                    remote_batches,
-                    agg,
-                    remote,
-                    self_pending,
-                    worker,
-                } => {
-                    inflight_ops -= 1;
-                    pool_tasks += 1;
-                    self.hb.token_close(q.0, kind::STEP);
-                    self.report.activity.push(ActivitySample {
-                        t: now.as_secs_f64(),
-                        worker,
-                        executed: executed as u64,
-                    });
-                    worker_activity[worker] += executed;
-                    // A StepDone can only answer a Step this loop issued,
-                    // and tracking entries outlive their outstanding steps.
-                    // qlint: allow(no-unwrap-hot-loop) — protocol invariant, see above
-                    let t = tracking.get_mut(&q).expect("tracked query");
-                    t.outstanding -= 1;
-                    // Elastic DoP: a freed budget slot immediately
-                    // releases the next deferred task of the *same*
-                    // superstep — even mid stop-the-world drain, because
-                    // the superstep must complete before the query can
-                    // park at its barrier.
-                    if let Some(w_next) = t.deferred.pop_front() {
-                        self.tracer
-                            .defer_release(now.as_secs_f64(), u64::from(q.0), w_next as u32);
-                        self.hb.send_step(q.0, w_next);
-                        pool.push(
-                            w_next,
-                            Cmd::Step {
-                                q,
-                                prev_agg: t.task.clone_aggregate(&t.agg_prev),
-                            },
-                        );
-                        t.outstanding += 1;
-                        inflight_ops += 1;
-                    }
-                    t.vertex_updates += executed as u64;
-                    t.remote_messages += remote_sent;
-                    t.remote_messages_pre_combine += remote_pre;
-                    t.remote_batches += remote_batches;
-                    t.crossed |= remote_sent > 0;
-                    t.task.aggregate_combine(&mut t.agg_acc, &agg);
-                    if self_pending {
-                        t.next_involved.insert(worker);
-                    }
-                    for (w2, batch) in remote {
-                        t.next_involved.insert(w2);
-                        t.touched.insert(w2);
-                        // Chunk at the wire cap (`batch_max_msgs`): the
-                        // paper's 32-message batches as physical envelopes,
-                        // bounding per-envelope latency under bursts.
-                        for chunk in t.task.split_batch(batch, batch_cap) {
-                            self.hb.send_cmd(w2);
-                            pool.push(w2, Cmd::Deliver { q, batch: chunk });
-                        }
-                    }
-                    if t.outstanding == 0 {
-                        debug_assert!(
-                            t.deferred.is_empty(),
-                            "superstep barrier with deferred tasks unreleased"
-                        );
-                        self.tracer
-                            .superstep_done(now.as_secs_f64(), u64::from(q.0));
-                        t.iterations += 1;
-                        t.window_iterations += 1;
-                        supersteps_since += 1;
-                        // Same definition as the simulated barrier: one
-                        // involved worker and nothing crossed a boundary.
-                        if t.involved_cur == 1 && !t.crossed {
-                            t.local_iterations += 1;
-                            t.window_local += 1;
-                        }
-                        t.crossed = false;
-                        let combined =
-                            std::mem::replace(&mut t.agg_acc, t.task.aggregate_identity());
-                        if t.task.aggregate_sticky() {
-                            t.task.aggregate_combine(&mut t.agg_prev, &combined);
-                        } else {
-                            t.agg_prev = combined;
-                        }
-                        let mut next: Vec<usize> = t.next_involved.drain().collect();
-                        next.sort_unstable();
-                        if next.is_empty() || t.task.should_terminate(&t.agg_prev) {
-                            // Collect states from every touched worker.
-                            t.collecting = t.touched.len();
-                            for &w in &t.touched {
-                                self.hb.send_collect(q.0, w);
-                                pool.push(w, Cmd::Collect { q });
-                                inflight_ops += 1;
-                            }
-                        } else if repart_pending || !cs.mutations.is_empty() {
-                            // STOP: park at the barrier until the
-                            // stop-the-world phase (Q-cut and/or mutation
-                            // epoch) has run.
-                            self.tracer.park(now.as_secs_f64(), u64::from(q.0));
-                            parked.push((q, next));
-                        } else {
-                            dispatch_step!(q, t, next);
-                        }
-                        // Periodic trigger: every `qcut_interval` completed
-                        // supersteps, consult the controller thresholds.
-                        if !repart_pending && qcut_interval > 0 && supersteps_since >= qcut_interval
-                        {
-                            if tracking.len() < 2 {
-                                // A solo query never repartitions, but its
-                                // window must not accumulate either — a
-                                // stale solo-phase activity skew would
-                                // fire a spurious barrier the moment a
-                                // second query is admitted.
-                                reset_trigger_window!();
-                            } else {
-                                // Windowed locality (supersteps since the
-                                // last checkpoint): a long query's stale
-                                // early history must not keep re-firing
-                                // barriers after a successful migration.
-                                let mut sum = 0.0f64;
-                                let mut active = 0usize;
-                                for t in tracking.values() {
-                                    if t.window_iterations > 0 {
-                                        sum += t.window_local as f64 / t.window_iterations as f64;
-                                        active += 1;
-                                    }
-                                }
-                                let mean_locality = if active == 0 {
-                                    1.0
-                                } else {
-                                    sum / active as f64
-                                };
-                                let imbalance = qgraph_partition::imbalance(&worker_activity);
-                                if self.controller.interval_trigger(
-                                    mean_locality,
-                                    imbalance,
-                                    active,
-                                ) {
-                                    repart_pending = true;
-                                    repart_triggered_at = now.as_secs_f64();
-                                } else {
-                                    reset_trigger_window!();
-                                }
-                            }
-                        }
-                    }
-                }
-                Resp::Collected { q, local } => {
-                    inflight_ops -= 1;
-                    self.hb.token_close(q.0, kind::COLLECT);
-                    // Collects are only issued for tracked queries and the
-                    // entry stays until the last one (counted) returns.
-                    // qlint: allow(no-unwrap-hot-loop) — protocol invariant, see above
-                    let t = tracking.get_mut(&q).expect("tracked query");
-                    t.locals.extend(local);
-                    t.collecting -= 1;
-                    if t.collecting == 0 {
-                        // qlint: allow(no-unwrap-hot-loop) — entry just mutated above
-                        let t = tracking.remove(&q).expect("present");
-                        let at = now;
-                        let scope_size: u64 = t.locals.iter().map(|l| l.scope_size() as u64).sum();
-                        if qcut_enabled {
-                            // Retain the scope for the monitoring window
-                            // (only worth materializing when Q-cut runs);
-                            // streamed into one buffer via the visitor.
-                            let mut scope: Vec<VertexId> = Vec::new();
-                            for l in &t.locals {
-                                l.for_each_scope_vertex(&mut |v| scope.push(v));
-                            }
-                            self.controller.record_finished_scope(q, scope, at);
-                            self.controller.expire(at);
-                        }
-                        self.hb.outcome_epoch(0, self.topology.epoch());
-                        let _ = done_tx.send(Completion {
-                            q,
-                            output: t.task.finalize(&self.topology, t.locals),
-                        });
-                        self.report.finished_at_secs = at.as_secs_f64();
-                        self.report.outcomes.push(QueryOutcome {
-                            id: q,
-                            program: t.task.program_name(),
-                            status: OutcomeStatus::Completed,
-                            served_by: ServedBy::Traversal,
-                            queued_at: t.queued_at,
-                            submitted_at: t.started_at,
-                            completed_at: at,
-                            iterations: t.iterations,
-                            local_iterations: t.local_iterations,
-                            vertex_updates: t.vertex_updates,
-                            remote_messages: t.remote_messages,
-                            remote_messages_pre_combine: t.remote_messages_pre_combine,
-                            remote_batches: t.remote_batches,
-                            scope_size,
-                            tasks: t.tasks,
-                            effective_dop: t.effective_dop,
-                            first_epoch: t.first_epoch,
-                            last_epoch: self.topology.epoch(),
-                        });
-                        self.tracer.outcome(
-                            at.as_secs_f64(),
-                            u64::from(q.0),
-                            outcome_code::COMPLETED,
-                        );
-                        in_flight -= 1;
-                        // Closed loop: admit the next waiting query (held
-                        // back while a repartition barrier is pending).
-                        admit!();
-                    }
-                }
-                _ => unreachable!("barrier responses are consumed synchronously"),
+            match msg {
+                CoordMsg::Worker(r) => return r,
+                client => self.backlog.push((client, now)),
             }
-        }
-
-        // Teardown: drain and join the pool threads (propagating any pool
-        // thread's own panic payload), then close any trailing run window
-        // so every outcome has a home.
-        sync_pool_counters!();
-        pool.shutdown();
-        self.tracer.drain();
-        self.report.trace.absorb(&self.tracer);
-        let runs_before = self.report.runs.len();
-        let end = clock.now().as_secs_f64();
-        // `close_run` no-ops when nothing happened past the last boundary
-        // (the normal case: shutdown() drained first).
-        self.report.close_run(run_started, end, self.report.pool);
-        if self.report.runs.len() > runs_before {
-            self.report.finished_at_secs = end;
-        }
-        CoordinatorExit {
-            report: self.report,
-            partitioning: self.partitioning,
-            topology: self.topology,
-            controller: self.controller,
-            index: self.index,
         }
     }
 
-    /// The stop-the-world Q-cut phase body (workers quiescent): gather
-    /// scope statistics, run the ILS, migrate the resolved vertex
-    /// transfers across the worker channels, commit + broadcast the new
-    /// assignment. Returns `None` when the phase decides not to
-    /// repartition (too few scopes, empty plan, or nothing to move).
-    #[allow(clippy::type_complexity)]
-    fn qcut_barrier(
-        &mut self,
-        tracking: &mut FxHashMap<QueryId, QueryTracking>,
-        pool: &TaskPool<Cmd>,
-        msg_rx: &Receiver<CoordMsg>,
-        cs: &mut ClientState,
-        clock: &Clock,
-    ) -> Option<(IlsResult, Migration, f64, f64)> {
-        let cfg = self.cfg.qcut.clone()?;
-        let k = self.partitioning.num_workers();
-        let tasks = Arc::clone(&self.tasks);
-        // Trigger evaluation only sees scopes within the monitoring
-        // window — a burst of short queries followed by quiet must not
-        // keep stale scopes feeding the ILS.
-        self.controller.expire(clock.now());
-
-        // Aggregate per-scope statistics from the live query state.
-        for w in 0..k {
-            self.hb.send_cmd(w);
-            pool.push(w, Cmd::ScopeReport);
-        }
-        let mut scope_map: FxHashMap<(QueryId, usize), Vec<VertexId>> = FxHashMap::default();
-        let mut per_query: FxHashMap<QueryId, Vec<VertexId>> = FxHashMap::default();
-        for _ in 0..k {
-            match recv_worker(msg_rx, cs, &tasks, clock.now(), &self.hb) {
-                Resp::Scopes { worker, scopes } => {
-                    for (q, vs) in scopes {
-                        if !tracking.contains_key(&q) {
-                            continue;
-                        }
-                        per_query.entry(q).or_default().extend(vs.iter().copied());
-                        scope_map.insert((q, worker), vs);
-                    }
-                }
-                _ => unreachable!("quiesced workers only answer the scope report"),
-            }
-        }
-        let mut live: Vec<(QueryId, Vec<VertexId>)> = per_query.into_iter().collect();
-        live.sort_unstable_by_key(|(q, _)| *q);
-
-        let stats = self.controller.build_scope_stats(&live, &self.partitioning);
-        if stats.queries.len() < 2 {
-            return None;
-        }
-        let result = run_qcut(&stats, &cfg);
-        if result.plan.is_empty() {
-            return None;
-        }
-
-        // Resolve the plan: live scopes from the snapshot just gathered,
-        // finished queries from the controller's retained scopes.
-        let migration = {
-            let controller = &self.controller;
-            let mut scope_of = |q: QueryId, w: usize| -> Vec<VertexId> {
-                if tracking.contains_key(&q) {
-                    scope_map.get(&(q, w)).cloned().unwrap_or_default()
-                } else {
-                    controller
-                        .finished_scope(q)
-                        .map(|vs| vs.to_vec())
-                        .unwrap_or_default()
-                }
-            };
-            migrate::resolve_plan(&result.plan, &self.partitioning, &mut scope_of)
+    /// Close the run window `[started, end]` on `report`. Pool counters
+    /// first — the window's pool delta is computed against the *current*
+    /// totals, and this session's `TaskPool` starts its own stats at zero,
+    /// so fold in the `base` the report carried into the session. The
+    /// lanes are idle whenever a window closes, so their rings drain fully.
+    fn close_run(&self, report: &mut EngineReport, base: PoolCounters, started: f64, end: f64) {
+        let ps = self.pool.stats();
+        report.pool = PoolCounters {
+            threads: self.pool.width(),
+            tasks: self.pool_tasks,
+            steals: base.steals + ps.steals,
+            idle_waits: base.idle_waits + ps.idle_waits,
         };
-        if migration.is_empty() {
-            return None;
-        }
-        let observed = self.controller.observed_scopes(&live);
-        // Cloned out so the closure does not re-borrow `self` while
-        // `self.partitioning` is mutably held by `apply_measured`.
-        let hb = self.hb.clone();
-        let (locality_before, locality_after) =
-            migrate::apply_measured(&migration, &mut self.partitioning, &observed, || {
-                // Migrate vertex ownership and in-flight program state
-                // across the worker channels. All extracts are issued up
-                // front (independent source workers run them in parallel);
-                // each response is forwarded to its destination as it
-                // arrives. Safe to interleave because the resolved moves'
-                // vertex sets are pairwise disjoint — an inject can never
-                // overlap a still-queued extract on the same worker.
-                for (token, mv) in migration.moves.iter().enumerate() {
-                    hb.send_cmd(mv.from);
-                    pool.push(
-                        mv.from,
-                        Cmd::Extract {
-                            token,
-                            vertices: mv.vertices.clone(),
-                        },
-                    );
-                }
-                for _ in 0..migration.moves.len() {
-                    let (token, data) = match recv_worker(msg_rx, cs, &tasks, clock.now(), &hb) {
-                        Resp::Extracted { token, data } => (token, data),
-                        _ => unreachable!("quiesced workers only answer the extract"),
-                    };
-                    let mv = &migration.moves[token];
-                    for (q, _) in &data {
-                        if let Some(t) = tracking.get_mut(q) {
-                            t.touched.insert(mv.to);
-                        }
-                    }
-                    if !data.is_empty() {
-                        hb.send_cmd(mv.to);
-                        pool.push(mv.to, Cmd::Inject { data });
-                    }
-                }
-            });
-
-        // Broadcast the new assignment before anything resumes: every
-        // subsequent superstep routes against the new owners.
-        let pv = self.hb.publish_partitioning(0);
-        let shared = Arc::new(self.partitioning.clone());
-        for w in 0..k {
-            self.hb.send_partitioning(w, pv);
-            pool.push(w, Cmd::SetPartitioning(Arc::clone(&shared)));
-        }
-        Some((result, migration, locality_before, locality_after))
+        self.tracer.drain();
+        report.trace.absorb(&self.tracer);
+        report.close_run(started, end, report.pool);
     }
+
+    /// Push `cmd()` to every (quiescent) partition and gather the `k`
+    /// answers, `pick`ing each one's payload.
+    fn ask_all<T>(&mut self, cmd: fn() -> Cmd, pick: fn(Resp) -> Option<Vec<T>>) -> Vec<T> {
+        for w in 0..self.k {
+            self.hb.send_cmd(w);
+            self.pool.push(w, cmd());
+        }
+        let mut out = Vec::new();
+        for _ in 0..self.k {
+            match pick(self.recv_worker()) {
+                Some(part) => out.extend(part),
+                None => unreachable!("quiesced partitions only answer what they were asked"),
+            }
+        }
+        out
+    }
+}
+
+impl Executor for PoolExec {
+    fn now(&self) -> SimTime {
+        self.clock.now()
+    }
+
+    fn deliver(&mut self, q: QueryId, w: usize, task: &dyn QueryTask, batch: MessageBatch) {
+        // Chunk at the wire cap (`batch_max_msgs`): the paper's 32-message
+        // batches as physical envelopes, bounding per-envelope latency
+        // under bursts (and matching the accounting).
+        for chunk in task.split_batch(batch, self.batch_cap) {
+            self.hb.send_cmd(w);
+            self.pool.push(w, Cmd::Deliver { q, batch: chunk });
+        }
+    }
+
+    fn freeze(&mut self, q: QueryId, w: usize) {
+        self.hb.send_cmd(w);
+        self.pool.push(w, Cmd::Freeze { q });
+    }
+
+    fn step(&mut self, q: QueryId, w: usize, task: &dyn QueryTask, prev: &Envelope, _: StepVia) {
+        self.hb.send_step(q.0, w);
+        let prev_agg = task.clone_aggregate(prev);
+        self.pool.push(w, Cmd::Step { q, prev_agg });
+        self.inflight_ops += 1;
+    }
+
+    fn collect(&mut self, q: QueryId, w: usize) -> Collect {
+        self.hb.send_collect(q.0, w);
+        self.pool.push(w, Cmd::Collect { q });
+        self.inflight_ops += 1;
+        Collect::Pending
+    }
+
+    fn complete(&mut self, q: QueryId, output: Envelope) {
+        self.finished.push((q, output));
+    }
+
+    fn publish_topology(
+        &mut self,
+        topology: &Topology,
+        partitioning: &Partitioning,
+        version: u64,
+        _: usize,
+        _: Option<usize>,
+    ) {
+        let shared = Arc::new(topology.clone());
+        for w in 0..self.k {
+            self.hb.send_topology(w, topology.epoch());
+            self.pool.push(w, Cmd::SetTopology(Arc::clone(&shared)));
+        }
+        self.publish_partitioning(partitioning, version);
+    }
+
+    fn publish_partitioning(&mut self, partitioning: &Partitioning, version: u64) {
+        let shared = Arc::new(partitioning.clone());
+        for w in 0..self.k {
+            self.hb.send_partitioning(w, version);
+            self.pool.push(w, Cmd::SetPartitioning(Arc::clone(&shared)));
+        }
+    }
+
+    fn scope_report(&mut self) -> Vec<(QueryId, usize, Vec<VertexId>)> {
+        self.ask_all(
+            || Cmd::ScopeReport,
+            |r| match r {
+                Resp::Scopes(scopes) => Some(scopes),
+                _ => None,
+            },
+        )
+    }
+
+    fn migrate(&mut self, migration: &Migration) -> Vec<(QueryId, usize)> {
+        // All extracts are issued up front (independent source partitions
+        // run them in parallel); each response is forwarded to its
+        // destination as it arrives. Safe to interleave because the
+        // resolved moves' vertex sets are pairwise disjoint — an inject
+        // can never overlap a still-queued extract on the same partition.
+        for (token, mv) in migration.moves.iter().enumerate() {
+            self.hb.send_cmd(mv.from);
+            let vertices = mv.vertices.clone();
+            self.pool.push(mv.from, Cmd::Extract { token, vertices });
+        }
+        let mut gained = Vec::new();
+        for _ in 0..migration.moves.len() {
+            let (token, data) = match self.recv_worker() {
+                Resp::Extracted { token, data } => (token, data),
+                _ => unreachable!("quiesced partitions only answer the extract"),
+            };
+            let to = migration.moves[token].to;
+            gained.extend(data.iter().map(|(q, _)| (*q, to)));
+            if !data.is_empty() {
+                self.hb.send_cmd(to);
+                self.pool.push(to, Cmd::Inject { data });
+            }
+        }
+        gained
+    }
+
+    fn pending_report(&mut self) -> Vec<(QueryId, usize)> {
+        self.ask_all(
+            || Cmd::PendingReport,
+            |r| match r {
+                Resp::Pending(pending) => Some(pending),
+                _ => None,
+            },
+        )
+    }
+}
+
+/// The serving loop: feeds the core from the one channel that carries
+/// pool responses and client traffic, runs a window whenever the core
+/// wants one and the pool has drained, and acks drains at full idle. Runs
+/// until [`CoordMsg::Shutdown`], then stops the pool and returns the
+/// final state.
+fn serve(mut core: Coordinator, mut x: PoolExec) -> (EngineState, Vec<(QueryId, Envelope)>) {
+    // One monotonic time base across serve sessions: this session's
+    // timestamps continue from the previous report's end, so the
+    // cumulative report's outcomes and `finished_at_secs` agree.
+    let clock = x.clock;
+    let pool_base = core.state.report.pool;
+    x.pool_tasks = pool_base.tasks;
+    // The current run window opens where the previous one closed.
+    let mut run_started = clock.base;
+    // The engine holds an identical report prefix; drains ship only what
+    // was appended past these marks.
+    let mut synced = core.state.report.marks();
+
+    loop {
+        // Stop-the-world window — mutation epochs and/or Q-cut — once the
+        // in-flight work has drained (every live query is then waiting at
+        // its barrier or collected).
+        if core.paused() && x.inflight_ops <= x.quiesce_at {
+            core.window_apply(&mut x);
+            for (msg, at) in std::mem::take(&mut x.backlog) {
+                x.client(&mut core, msg, at);
+            }
+            core.window_end(&mut x, clock.now());
+            continue;
+        }
+
+        // Drain acks fire at full idle. Each ack closes one run window.
+        if !x.drain_waiters.is_empty() && core.idle() && x.inflight_ops == 0 {
+            let end = clock.now().as_secs_f64();
+            core.state.report.finished_at_secs = end;
+            x.close_run(&mut core.state.report, pool_base, run_started, end);
+            run_started = end;
+            core.reset_trigger_window();
+            for ack in x.drain_waiters.drain(..) {
+                // Only the delta past the engine's synced prefix; a second
+                // waiter in the same idle moment gets an empty one (its
+                // engine-side state is already current).
+                let _ = ack.send(Snapshot {
+                    report: core.state.report.since(&synced),
+                    partitioning: core.state.partitioning.clone(),
+                    topology: core.state.topology.clone(),
+                    outputs: std::mem::take(&mut x.finished),
+                });
+                synced = core.state.report.marks();
+            }
+        }
+
+        // Stop only once admitted work has finished: a submission the
+        // core already started executing is never abandoned (its
+        // completion streams out and shutdown() collects it).
+        if x.shutdown && core.quiet() && x.inflight_ops == 0 {
+            break;
+        }
+
+        let Ok(msg) = x.msg_rx.recv() else {
+            // Every sender (engine handle included) is gone.
+            break;
+        };
+        x.hb.coord_recv();
+        // One clock read per message turn, shared by every stamp the turn
+        // emits — repeated reads are measurable on chained
+        // single-partition supersteps.
+        let now = clock.now();
+        match msg {
+            CoordMsg::Worker(Resp::StepDone(report)) => {
+                let q = report.q;
+                x.inflight_ops -= 1;
+                x.pool_tasks += 1;
+                x.hb.token_close(q.0, kind::STEP);
+                match core.step_done(&mut x, report, now, now) {
+                    StepOutcome::Running => continue,
+                    // Real threads have no barrier delay to wait out.
+                    StepOutcome::Barrier => core.release(&mut x, q, now),
+                    StepOutcome::Terminated => {}
+                }
+                core.trigger_by_interval(now);
+            }
+            CoordMsg::Worker(Resp::Collected { q, local }) => {
+                x.inflight_ops -= 1;
+                x.hb.token_close(q.0, kind::COLLECT);
+                core.collected(&mut x, q, local, now);
+            }
+            CoordMsg::Worker(_) => unreachable!("window responses are consumed synchronously"),
+            client => {
+                x.client(&mut core, client, now);
+                core.admit(&mut x, now);
+            }
+        }
+    }
+
+    // Teardown: drain and join the pool threads (propagating any pool
+    // thread's own panic payload), then close any trailing run window so
+    // every outcome has a home.
+    let report = &mut core.state.report;
+    let runs_before = report.runs.len();
+    let end = clock.now().as_secs_f64();
+    // `close_run` no-ops when nothing happened past the last boundary
+    // (the normal case: shutdown() drained first).
+    x.close_run(report, pool_base, run_started, end);
+    if report.runs.len() > runs_before {
+        report.finished_at_secs = end;
+    }
+    x.pool.shutdown();
+    (core.state, x.finished)
 }
 
 /// The partition-owned state a pool task operates on: the logical
@@ -1983,157 +1037,150 @@ struct WorkerCtx {
     partitioning: Arc<Partitioning>,
 }
 
-/// One pool task: execute a single protocol command against partition
-/// `w`'s state — the body of the old per-partition thread loop. The hb
-/// auditor brackets it with the pool hand-off edges
-/// ([`Hb::pool_acquire`]/[`Hb::pool_release`]) that now carry the
-/// actor-serialization guarantee the dedicated threads used to give for
-/// free.
-#[allow(clippy::too_many_arguments)]
-fn handle_cmd(
-    tid: usize,
+/// What every pool thread shares to execute commands: the partition
+/// contexts, the task registry, the response channel, and the session's
+/// auditor / recorder / clock. Each pool thread holds its own clone.
+#[derive(Clone)]
+struct Lane {
     width: usize,
-    w: usize,
-    cmd: Cmd,
-    ctxs: &[Mutex<WorkerCtx>],
-    registry: &TaskRegistry,
-    resp: &Sender<CoordMsg>,
-    hb: &Hb,
-    tracer: &Tracer,
-    clock: &Clock,
-) {
-    hb.pool_acquire(w);
-    // Every executed command joins the clock snapshot the coordinator
-    // queued at the matching send — the channel edge of the HB graph.
-    hb.worker_recv(w);
-    // The lane span opens before the state lock: lock wait is part of
-    // the task's runtime as the pool experiences it. Steals are labelled
-    // the same way `pick()` counts them — off the affine thread.
-    let traced: Option<(QueryId, u8, f64)> = if tracer.enabled() {
-        let code = match &cmd {
-            Cmd::Deliver { q, .. } => Some((*q, cmd::DELIVER)),
-            Cmd::Freeze { q } => Some((*q, cmd::FREEZE)),
-            Cmd::Step { q, .. } => Some((*q, cmd::STEP)),
-            Cmd::Collect { q } => Some((*q, cmd::COLLECT)),
-            _ => None,
+    ctxs: Arc<Vec<Mutex<WorkerCtx>>>,
+    registry: TaskRegistry,
+    resp: Sender<CoordMsg>,
+    hb: Hb,
+    tracer: Tracer,
+    clock: Clock,
+}
+
+impl Lane {
+    /// One pool task: pool thread `tid` executes a single command against
+    /// partition `w`'s state. The hb auditor brackets it with the pool
+    /// hand-off edges ([`Hb::pool_acquire`]/[`Hb::pool_release`]) that
+    /// carry the actor-serialization guarantee dedicated threads would
+    /// give for free.
+    fn handle(&self, tid: usize, w: usize, cmd: Cmd) {
+        let (hb, tracer) = (&self.hb, &self.tracer);
+        hb.pool_acquire(w);
+        // Every executed command joins the clock snapshot the coordinator
+        // queued at the matching send — the channel edge of the HB graph.
+        hb.worker_recv(w);
+        // The lane span opens before the state lock: lock wait is part of
+        // the task's runtime as the pool experiences it. Steals are
+        // labelled the same way `pick()` counts them — off the affine
+        // thread.
+        let traced: Option<(QueryId, u8, f64)> = if tracer.enabled() {
+            let code = match &cmd {
+                Cmd::Deliver { q, .. } => Some((*q, cmd::DELIVER)),
+                Cmd::Freeze { q } => Some((*q, cmd::FREEZE)),
+                Cmd::Step { q, .. } => Some((*q, cmd::STEP)),
+                Cmd::Collect { q } => Some((*q, cmd::COLLECT)),
+                _ => None,
+            };
+            // The begin stamp is read here but recorded with the end
+            // stamp below: one ring lock per task instead of two keeps
+            // the span's serial cost on chained point queries in check.
+            code.map(|(q, c)| (q, c, self.clock.now().as_secs_f64()))
+        } else {
+            None
         };
-        // The begin stamp is read here but recorded with the end stamp
-        // below: one ring lock per task instead of two keeps the span's
-        // serial cost on chained point queries in check.
-        code.map(|(q, c)| (q, c, clock.now().as_secs_f64()))
-    } else {
-        None
-    };
-    let mut guard = ctxs[w]
-        .lock()
-        // qlint: allow(no-unwrap-hot-loop) — poisoned ⇒ a sibling pool thread already panicked; propagate
-        .expect("worker state poisoned by an earlier panic");
-    let ctx = &mut *guard;
-    let task_of = |q: QueryId| -> Arc<dyn QueryTask> { Arc::clone(&reg_read(registry)[q.index()]) };
-    let mut executed_n: u64 = 0;
-    // Every command produces at most one response; funneling them through
-    // a single send gives one clean-shutdown path instead of a panic per
-    // protocol arm.
-    let reply: Option<Resp> = match cmd {
-        Cmd::Deliver { q, batch } => {
-            let task = task_of(q);
-            ctx.worker.deliver(task.as_ref(), q, batch);
-            None
+        let mut guard = self.ctxs[w]
+            .lock()
+            // qlint: allow(no-unwrap-hot-loop) — poisoned ⇒ a sibling pool thread already panicked; propagate
+            .expect("worker state poisoned by an earlier panic");
+        let ctx = &mut *guard;
+        let task_of =
+            |q: QueryId| -> Arc<dyn QueryTask> { Arc::clone(&reg_read(&self.registry)[q.index()]) };
+        let mut executed_n: u64 = 0;
+        // Every command produces at most one response; funneling them
+        // through a single send gives one clean-shutdown path instead of
+        // a panic per protocol arm.
+        let reply: Option<Resp> = match cmd {
+            Cmd::Deliver { q, batch } => {
+                let task = task_of(q);
+                ctx.worker.deliver(task.as_ref(), q, batch);
+                None
+            }
+            Cmd::Freeze { q } => {
+                // Barrier release sealed this superstep's input; anything
+                // delivered from here on belongs to the next superstep.
+                ctx.worker.freeze(q);
+                None
+            }
+            Cmd::Step { q, prev_agg } => {
+                // The superstep reads the published topology/assignment:
+                // the auditor checks this worker's clock is ordered after
+                // the latest publication before any vertex executes.
+                hb.worker_step(w);
+                let task = task_of(q);
+                let route = |v: VertexId| ctx.partitioning.worker_of(v).index();
+                let (stats, agg, remote) =
+                    ctx.worker
+                        .execute(q, task.as_ref(), &ctx.topology, &prev_agg, &route);
+                executed_n = stats.executed as u64;
+                let self_pending = ctx.worker.has_pending(q);
+                Some(Resp::StepDone(StepReport {
+                    q,
+                    worker: w,
+                    stats,
+                    agg,
+                    remote,
+                    self_pending,
+                }))
+            }
+            Cmd::Collect { q } => {
+                let local = ctx.worker.take_local(q);
+                Some(Resp::Collected { q, local })
+            }
+            Cmd::ScopeReport => {
+                // Unordered: the core sorts by (query, partition), and a
+                // scope is only ever counted or turned into a set.
+                let qs = ctx.worker.active_queries();
+                let scopes = qs.map(|q| (q, w, ctx.worker.scope_vertices(q)));
+                Some(Resp::Scopes(scopes.collect()))
+            }
+            Cmd::Extract { token, vertices } => {
+                let set: FxHashSet<VertexId> = vertices.into_iter().collect();
+                let data = ctx.worker.extract_vertices(&task_of, &set);
+                Some(Resp::Extracted { token, data })
+            }
+            Cmd::Inject { data } => {
+                ctx.worker.inject_vertices(&task_of, data);
+                None
+            }
+            Cmd::SetPartitioning(p) => {
+                ctx.partitioning = p;
+                None
+            }
+            Cmd::SetTopology(t) => {
+                ctx.topology = t;
+                None
+            }
+            Cmd::PendingReport => {
+                let pending = ctx.worker.active_queries();
+                let pending = pending.filter(|&q| ctx.worker.has_pending(q));
+                Some(Resp::Pending(pending.map(|q| (q, w)).collect()))
+            }
+        };
+        if let Some((q, code, begin_at)) = traced {
+            tracer.task_span(
+                begin_at,
+                self.clock.now().as_secs_f64(),
+                tid as u32,
+                u64::from(q.0),
+                w as u32,
+                code,
+                w % self.width != tid,
+                executed_n,
+            );
         }
-        Cmd::Freeze { q } => {
-            // Barrier release sealed this superstep's input; anything
-            // delivered from here on belongs to the next superstep.
-            ctx.worker.freeze(q);
-            None
+        if let Some(r) = reply {
+            hb.worker_send(w);
+            // The coordinator hanging up (its thread panicked or exited
+            // early) is tolerable: nobody is left to consume responses,
+            // and the pool is torn down right behind it.
+            let _ = self.resp.send(CoordMsg::Worker(r));
         }
-        Cmd::Step { q, prev_agg } => {
-            // The superstep reads the published topology/assignment: the
-            // auditor checks this worker's clock is ordered after the
-            // latest publication before any vertex executes.
-            hb.worker_step(w);
-            let task = task_of(q);
-            let route = |v: VertexId| ctx.partitioning.worker_of(v).index();
-            let (stats, agg, remote) =
-                ctx.worker
-                    .execute(q, task.as_ref(), &ctx.topology, &prev_agg, &route);
-            executed_n = stats.executed as u64;
-            let self_pending = ctx.worker.has_pending(q);
-            Some(Resp::StepDone {
-                q,
-                executed: stats.executed,
-                remote_sent: stats.remote_deliveries as u64,
-                remote_pre: stats.remote_pre_combine as u64,
-                remote_batches: stats.remote_batches as u64,
-                agg,
-                remote,
-                self_pending,
-                worker: w,
-            })
-        }
-        Cmd::Collect { q } => {
-            let local = ctx.worker.take_local(q);
-            Some(Resp::Collected { q, local })
-        }
-        Cmd::ScopeReport => {
-            let mut qs: Vec<QueryId> = ctx.worker.active_queries().collect();
-            qs.sort_unstable();
-            let scopes: Vec<(QueryId, Vec<VertexId>)> = qs
-                .into_iter()
-                .map(|q| {
-                    let mut vs = ctx.worker.scope_vertices(q);
-                    vs.sort_unstable();
-                    (q, vs)
-                })
-                .collect();
-            Some(Resp::Scopes { worker: w, scopes })
-        }
-        Cmd::Extract { token, vertices } => {
-            let set: FxHashSet<VertexId> = vertices.into_iter().collect();
-            let data = ctx.worker.extract_vertices(&task_of, &set);
-            Some(Resp::Extracted { token, data })
-        }
-        Cmd::Inject { data } => {
-            ctx.worker.inject_vertices(&task_of, data);
-            None
-        }
-        Cmd::SetPartitioning(p) => {
-            ctx.partitioning = p;
-            None
-        }
-        Cmd::SetTopology(t) => {
-            ctx.topology = t;
-            None
-        }
-        Cmd::PendingReport => {
-            let mut queries: Vec<QueryId> = ctx
-                .worker
-                .active_queries()
-                .filter(|&q| ctx.worker.has_pending(q))
-                .collect();
-            queries.sort_unstable();
-            Some(Resp::Pending { worker: w, queries })
-        }
-    };
-    if let Some((q, code, begin_at)) = traced {
-        tracer.task_span(
-            begin_at,
-            clock.now().as_secs_f64(),
-            tid as u32,
-            u64::from(q.0),
-            w as u32,
-            code,
-            w % width != tid,
-            executed_n,
-        );
+        hb.pool_release(w);
     }
-    if let Some(r) = reply {
-        hb.worker_send(w);
-        // The coordinator hanging up (its thread panicked or exited
-        // early) is tolerable: nobody is left to consume responses, and
-        // the pool is torn down right behind it.
-        let _ = resp.send(CoordMsg::Worker(r));
-    }
-    hb.pool_release(w);
 }
 
 #[cfg(test)]

@@ -34,6 +34,19 @@ use crate::worker::{CombineScratch, LocalState, QueryLocal, SuperstepStats};
 /// A type-erased, sendable payload (messages, aggregate, states, output).
 pub type Envelope = Box<dyn Any + Send>;
 
+/// Take query `q`'s finished output out of an engine's output table —
+/// only if it downcasts to the program type the caller's handle names.
+pub(crate) fn take_output<P: VertexProgram>(
+    outputs: &mut [Option<Envelope>],
+    q: crate::QueryId,
+) -> Option<P::Output> {
+    let slot = outputs.get_mut(q.index())?;
+    slot.as_ref()?.downcast_ref::<P::Output>()?;
+    slot.take()
+        .and_then(|b| b.downcast::<P::Output>().ok())
+        .map(|b| *b)
+}
+
 /// A batch of one query's messages addressed to one worker. The payload is
 /// a `Vec<(VertexId, P::Message)>` behind an [`Envelope`]; the message
 /// counts are carried openly for the runtimes' cost models: `count` is

@@ -5,11 +5,10 @@
 //!
 //! With the feature on, [`Tracer`] wraps a shared
 //! `qgraph_trace::Recorder` (per-actor bounded rings, drained at
-//! barriers; a full ring drops + counts, never blocks) plus a
-//! monotonic wall clock for the thread runtime's stamps. The simulated
-//! engine passes its virtual clock readings instead — every method
+//! barriers; a full ring drops + counts, never blocks). Every method
 //! takes an explicit `at` in seconds, so each runtime stamps its own
-//! notion of time with the same vocabulary.
+//! notion of time — the session wall clock, or virtual time — with the
+//! same vocabulary.
 //!
 //! Recording is additionally gated at runtime by
 //! [`crate::SystemConfig::trace`]: a `trace`-feature build with the
@@ -44,7 +43,7 @@ pub(crate) mod outcome_code {
 
 #[cfg(feature = "trace")]
 mod imp {
-    use qgraph_trace::{CmdKind, Event, Kind, Recorder, WallClock};
+    use qgraph_trace::{CmdKind, Event, Kind, Recorder};
     use std::sync::Arc;
 
     fn cmd_kind(code: u8) -> CmdKind {
@@ -59,7 +58,6 @@ mod imp {
 
     struct Inner {
         rec: Recorder,
-        clock: WallClock,
     }
 
     /// Shared recording handle: the coordinator (or sim event loop)
@@ -78,7 +76,6 @@ mod imp {
                 inner: enabled.then(|| {
                     Arc::new(Inner {
                         rec: Recorder::new(lanes, capacity),
-                        clock: WallClock::new(),
                     })
                 }),
             }
@@ -86,13 +83,6 @@ mod imp {
 
         pub fn enabled(&self) -> bool {
             self.inner.is_some()
-        }
-
-        /// Monotonic wall seconds since tracer creation (the thread
-        /// runtime's stamp source; the sim passes virtual time and
-        /// never calls this).
-        pub fn now_secs(&self) -> f64 {
-            self.inner.as_ref().map_or(0.0, |i| i.clock.now_secs())
         }
 
         fn rec(&self, actor: usize, ev: Event) {
@@ -328,10 +318,6 @@ mod imp {
         #[inline(always)]
         pub fn enabled(&self) -> bool {
             false
-        }
-        #[inline(always)]
-        pub fn now_secs(&self) -> f64 {
-            0.0
         }
         #[inline(always)]
         pub fn admitted(&self, _at: f64, _q: u64) {}

@@ -24,7 +24,6 @@ mod hash;
 mod ldg;
 mod quality;
 mod range;
-mod replication;
 mod types;
 
 pub use domain::DomainPartitioner;
@@ -32,5 +31,4 @@ pub use hash::HashPartitioner;
 pub use ldg::LdgPartitioner;
 pub use quality::{edge_cut, imbalance, locality_fraction, query_cut, PartitionQuality};
 pub use range::RangePartitioner;
-pub use replication::{plan_replication, replicated_query_cut, Replica, ReplicationPlan};
 pub use types::{Partitioner, Partitioning, WorkerId};

@@ -166,3 +166,37 @@ fn same_source_queries_are_independent() {
     assert_eq!(e.output(&q1).unwrap().len(), 3);
     assert_eq!(e.output(&q2).unwrap().len(), 6);
 }
+
+/// `max_parallel_queries: 0` used to diverge: the thread runtime clamped
+/// it to one slot while the simulated engine admitted nothing and
+/// returned zero outcomes, silently. The shared coordinator core clamps
+/// once, so both runtimes run the query (one at a time).
+#[test]
+fn zero_parallelism_is_clamped_to_one_slot_on_both_runtimes() {
+    use qgraph_core::{Engine, EngineBuilder};
+
+    fn drive<E: Engine>(e: &mut E) {
+        let a = e.submit(ReachProgram::new(VertexId(0)));
+        let b = e.submit(ReachProgram::new(VertexId(4)));
+        e.run();
+        assert_eq!(e.outcomes().len(), 2, "both queries ran");
+        assert_eq!(e.output(&a).map(Vec::len), Some(8));
+        assert_eq!(e.output(&b).map(Vec::len), Some(4));
+        // One slot: the second query is admitted only once the first is done.
+        let (first, second) = (&e.outcomes()[0], &e.outcomes()[1]);
+        assert!(second.submitted_at >= first.completed_at);
+    }
+
+    let cfg = SystemConfig {
+        max_parallel_queries: 0,
+        ..Default::default()
+    };
+    let builder = || {
+        EngineBuilder::new(line_graph(8))
+            .workers(2)
+            .partitioner(RangePartitioner)
+            .config(cfg.clone())
+    };
+    drive(&mut builder().build_sim());
+    drive(&mut builder().build_threaded());
+}
