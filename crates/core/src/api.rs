@@ -232,19 +232,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Thread-runtime repartition cadence: evaluate the Q-cut trigger
-    /// every `supersteps` completed query supersteps (see
-    /// [`QcutConfig::qcut_interval`]). Enables Q-cut with its defaults if
-    /// it is not configured yet; the simulated engine's virtual-time
-    /// trigger is unaffected by the cadence.
-    pub fn qcut_interval(mut self, supersteps: usize) -> Self {
-        self.config
-            .qcut
-            .get_or_insert_with(QcutConfig::default)
-            .qcut_interval = supersteps;
-        self
-    }
-
     /// The admission policy draining the waiting backlog into free
     /// closed-loop slots (shorthand for setting
     /// [`SystemConfig::admission`]): FIFO, per-program-kind priorities, or
@@ -444,29 +431,17 @@ mod tests {
     #[test]
     fn builder_threads_qcut_config_into_both_runtimes() {
         let cfg = QcutConfig {
-            qcut_interval: 7,
+            min_repartition_interval_secs: 0.25,
             locality_threshold: 0.9,
             ..Default::default()
         };
-        // qcut() installs the full config.
-        let b = EngineBuilder::new(line(8)).workers(2).qcut(cfg.clone());
-        assert_eq!(b.config.qcut.as_ref().unwrap().qcut_interval, 7);
-        // qcut_interval() on a fresh builder enables Q-cut with defaults.
-        let b = EngineBuilder::new(line(8)).workers(2).qcut_interval(3);
-        let q = b.config.qcut.as_ref().unwrap();
-        assert_eq!(q.qcut_interval, 3);
-        assert_eq!(
-            q.locality_threshold,
-            QcutConfig::default().locality_threshold
-        );
-        // qcut_interval() after qcut() only adjusts the cadence.
-        let b = EngineBuilder::new(line(8))
-            .workers(2)
-            .qcut(cfg)
-            .qcut_interval(5);
-        let q = b.config.qcut.as_ref().unwrap();
-        assert_eq!(q.qcut_interval, 5);
+        // qcut() installs the full config on a builder that had none.
+        let b = EngineBuilder::new(line(8)).workers(2);
+        assert!(b.config.qcut.is_none());
+        let q = b.qcut(cfg).config.qcut.expect("installed");
+        assert_eq!(q.min_repartition_interval_secs, 0.25);
         assert_eq!(q.locality_threshold, 0.9);
+        assert_eq!(q.max_queries, QcutConfig::default().max_queries);
     }
 
     #[test]

@@ -32,11 +32,13 @@ pub struct QcutConfig {
     /// Domain's problem is stragglers, not locality — so the controller
     /// also watches balance. Default 2δ.
     pub imbalance_threshold: f64,
-    /// Monitoring window μ in seconds: how long finished queries'
-    /// statistics stay in the controller's view. Virtual seconds in the
-    /// simulation, wall-clock seconds in the thread runtime (whose clock
-    /// *is* real time — short runs retain every finished scope, bounded
-    /// by the `max_queries`-derived cap). Paper: 240 s.
+    /// Monitoring window μ in seconds on the executor's own clock: how
+    /// long finished queries' statistics stay in the controller's view,
+    /// and (an eighth of it) the sub-window the activity imbalance is
+    /// measured over. Virtual seconds in the simulation, session
+    /// wall-clock seconds in the thread runtime (short runs retain every
+    /// finished scope, bounded by the `max_queries`-derived cap).
+    /// Paper: 240 s.
     pub monitoring_window_secs: f64,
     /// Maximum queries fed into one ILS run. Paper: 128.
     pub max_queries: usize,
@@ -52,17 +54,13 @@ pub struct QcutConfig {
     /// Cluster queries to at most `cluster_factor * k` clusters before the
     /// local search (paper App. A.1 uses 4k).
     pub cluster_factor: usize,
-    /// Minimum virtual seconds between repartitionings (prevents barrier
-    /// thrashing while statistics are still converging).
+    /// Cooldown: minimum seconds between repartitionings, on the
+    /// executor's own clock — virtual seconds in the simulation, session
+    /// wall-clock seconds in the thread runtime, where it is all that
+    /// stands between a low-locality stream and one stop-the-world window
+    /// per superstep (prevents barrier thrashing while statistics are
+    /// still converging). `0.0` lets every superstep end re-trigger.
     pub min_repartition_interval_secs: f64,
-    /// Thread-runtime trigger cadence: evaluate the repartition trigger
-    /// every this many completed query supersteps, entering a
-    /// stop-the-world Q-cut phase when locality or balance warrants it.
-    /// Real threads have no virtual clock, so the superstep count plays
-    /// the cooldown role that `min_repartition_interval_secs` plays in the
-    /// simulation. `0` keeps the thread runtime on its static initial
-    /// partitioning; the simulated engine ignores this field.
-    pub qcut_interval: usize,
     /// RNG seed for the ILS (perturbation and clustering are randomized).
     pub seed: u64,
 }
@@ -79,7 +77,6 @@ impl Default for QcutConfig {
             delta: 0.25,
             cluster_factor: 4,
             min_repartition_interval_secs: 10.0,
-            qcut_interval: 64,
             seed: 0xC0FFEE,
         }
     }
@@ -255,12 +252,21 @@ mod tests {
     }
 
     #[test]
-    fn time_scaling_leaves_superstep_cadence_alone() {
-        // qcut_interval counts supersteps, not seconds: scaling the time
-        // constants must not touch it.
-        let q = QcutConfig::time_scaled(100.0);
-        assert_eq!(q.qcut_interval, QcutConfig::default().qcut_interval);
-        assert!(q.monitoring_window_secs < QcutConfig::default().monitoring_window_secs);
+    fn time_scaling_divides_the_time_constants_and_nothing_else() {
+        let (q, base) = (QcutConfig::time_scaled(100.0), QcutConfig::default());
+        assert_eq!(
+            q.monitoring_window_secs,
+            base.monitoring_window_secs / 100.0
+        );
+        assert_eq!(q.ils_budget_secs, base.ils_budget_secs / 100.0);
+        assert_eq!(
+            q.min_repartition_interval_secs,
+            base.min_repartition_interval_secs / 100.0
+        );
+        assert_eq!(
+            (q.locality_threshold, q.max_queries, q.delta),
+            (base.locality_threshold, base.max_queries, base.delta)
+        );
     }
 
     #[test]

@@ -33,8 +33,8 @@ struct RetainedScope {
 pub struct Controller {
     cfg: Option<QcutConfig>,
     finished: VecDeque<RetainedScope>,
-    /// When the last repartition (or trigger evaluation that ran ILS)
-    /// happened.
+    /// When the last repartition came due (a window was asked for, or
+    /// its ILS found nothing to move): the cooldown counts from here.
     pub last_repartition: SimTime,
     /// An ILS run is in flight (its virtual budget has not elapsed).
     pub ils_inflight: bool,
@@ -118,51 +118,33 @@ impl Controller {
             .retain(|r| !r.vertices.iter().any(|v| set.contains(v)));
     }
 
-    /// Should a repartition be triggered now? (paper §3.4: mean query
-    /// locality of active queries below Φ — extended with the activity
-    /// imbalance watch, see [`QcutConfig::imbalance_threshold`] — not
-    /// already running, cooldown respected.)
+    /// Should a repartition be triggered now? The one trigger predicate
+    /// (paper §3.4): no ILS in flight, the cooldown since the last
+    /// repartition elapsed on the executor's clock, and the mean of the
+    /// active queries' `localities` below Φ — extended with the activity
+    /// imbalance watch, see [`QcutConfig::imbalance_threshold`]. The
+    /// cooldown is tested before `localities` is consumed: on threads
+    /// this runs at every superstep end.
     pub fn should_trigger(
         &self,
         now: SimTime,
-        mean_locality: f64,
         activity_imbalance: f64,
-        active_queries: usize,
+        localities: impl Iterator<Item = f64>,
     ) -> bool {
         let Some(cfg) = &self.cfg else { return false };
-        if self.ils_inflight || active_queries == 0 {
-            return false;
-        }
         let cooldown = SimTime::from_secs_f64(cfg.min_repartition_interval_secs);
-        if now < self.last_repartition + cooldown {
+        if self.ils_inflight || now < self.last_repartition + cooldown {
             return false;
         }
-        Self::thresholds_exceeded(cfg, mean_locality, activity_imbalance)
-    }
-
-    /// Threshold-only trigger for the thread runtime's superstep-cadence
-    /// stop-the-world phase: the cadence ([`QcutConfig::qcut_interval`])
-    /// already plays the cooldown role that virtual time plays in
-    /// [`Controller::should_trigger`], so only the locality / imbalance
-    /// thresholds are consulted here.
-    pub fn interval_trigger(
-        &self,
-        mean_locality: f64,
-        activity_imbalance: f64,
-        active_queries: usize,
-    ) -> bool {
-        let Some(cfg) = &self.cfg else { return false };
-        if active_queries == 0 {
-            return false;
+        let (mut sum, mut active) = (0.0f64, 0usize);
+        for locality in localities {
+            sum += locality;
+            active += 1;
         }
-        Self::thresholds_exceeded(cfg, mean_locality, activity_imbalance)
-    }
-
-    /// The shared trigger policy (paper §3.4 Φ plus the imbalance watch):
-    /// both the virtual-time and the superstep-cadence triggers consult
-    /// exactly this predicate.
-    fn thresholds_exceeded(cfg: &QcutConfig, mean_locality: f64, activity_imbalance: f64) -> bool {
-        mean_locality < cfg.locality_threshold || activity_imbalance > cfg.imbalance_threshold
+        let mean_locality = sum / active as f64;
+        active > 0
+            && (mean_locality < cfg.locality_threshold
+                || activity_imbalance > cfg.imbalance_threshold)
     }
 
     /// The ILS input selection policy: live queries first, then retained
@@ -448,57 +430,50 @@ mod tests {
         assert_eq!(c.finished_scope(QueryId(2)), Some(&[VertexId(3)][..]));
     }
 
+    /// `should_trigger` at `secs` over `active` queries of one locality.
+    fn hit(c: &Controller, secs: u64, locality: f64, imbalance: f64, active: usize) -> bool {
+        let localities = std::iter::repeat_n(locality, active);
+        c.should_trigger(SimTime::from_secs(secs), imbalance, localities)
+    }
+
     #[test]
     fn trigger_respects_threshold_and_cooldown() {
         let mut c = ctl();
-        assert!(c.should_trigger(SimTime::from_secs(11), 0.5, 0.0, 4));
-        assert!(
-            !c.should_trigger(SimTime::from_secs(11), 0.9, 0.0, 4),
-            "locality fine, balance fine"
-        );
-        assert!(
-            !c.should_trigger(SimTime::from_secs(5), 0.5, 0.0, 4),
-            "cooldown"
-        );
-        assert!(
-            !c.should_trigger(SimTime::from_secs(11), 0.5, 0.0, 0),
-            "no queries"
-        );
+        assert!(hit(&c, 11, 0.5, 0.0, 4));
+        assert!(!hit(&c, 11, 0.9, 0.0, 4), "locality fine, balance fine");
+        assert!(!hit(&c, 5, 0.5, 0.0, 4), "cooldown");
+        assert!(!hit(&c, 11, 0.5, 0.0, 0), "no queries");
         c.ils_inflight = true;
-        assert!(
-            !c.should_trigger(SimTime::from_secs(11), 0.5, 0.0, 4),
-            "in flight"
-        );
+        assert!(!hit(&c, 11, 0.5, 0.0, 4), "in flight");
     }
 
     #[test]
     fn imbalance_also_triggers() {
         let c = ctl();
         assert!(
-            c.should_trigger(SimTime::from_secs(11), 0.95, 0.8, 4),
+            hit(&c, 11, 0.95, 0.8, 4),
             "high locality but heavy straggler skew must trigger"
         );
-        assert!(!c.should_trigger(SimTime::from_secs(11), 0.95, 0.3, 4));
+        assert!(!hit(&c, 11, 0.95, 0.3, 4));
     }
 
     #[test]
     fn static_controller_never_triggers() {
-        let c = Controller::new(None);
-        assert!(!c.should_trigger(SimTime::from_secs(100), 0.0, 1.0, 10));
-        assert!(!c.interval_trigger(0.0, 1.0, 10));
+        assert!(!hit(&Controller::new(None), 100, 0.0, 1.0, 10));
     }
 
     #[test]
-    fn interval_trigger_ignores_cooldown_but_keeps_thresholds() {
-        let mut c = ctl();
-        // Freshly repartitioned: the time-based trigger is in cooldown but
-        // the cadence-based one only looks at the thresholds.
+    fn the_cooldown_counts_from_the_last_repartition_and_is_tested_first() {
+        let mut c = ctl(); // 10 s cooldown
         c.last_repartition = SimTime::from_secs(100);
-        assert!(!c.should_trigger(SimTime::from_secs(101), 0.5, 0.0, 4));
-        assert!(c.interval_trigger(0.5, 0.0, 4), "low locality");
-        assert!(c.interval_trigger(0.9, 0.8, 4), "straggler skew");
-        assert!(!c.interval_trigger(0.9, 0.0, 4), "healthy system");
-        assert!(!c.interval_trigger(0.5, 0.0, 0), "no queries");
+        assert!(!hit(&c, 109, 0.5, 0.8, 4));
+        assert!(hit(&c, 110, 0.5, 0.0, 4));
+        assert!(!hit(&c, 110, 0.9, 0.0, 4), "elapsed, but nothing to fix");
+        // Inside the cooldown no query's locality is even looked at.
+        let mut looked = 0;
+        let localities = [0.0, 0.0].into_iter().inspect(|_| looked += 1);
+        assert!(!c.should_trigger(SimTime::from_secs(105), 0.0, localities));
+        assert_eq!(looked, 0);
     }
 
     #[test]

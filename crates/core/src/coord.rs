@@ -21,11 +21,25 @@
 //! Neither knows about DoP budgets, freeze ordering, parked sets,
 //! locality counting or outcome fields.
 //!
-//! Two Q-cut trigger cadences reach the window through the core:
-//! [`Coordinator::trigger_by_clock`] (cooldown on the clock, ILS planned
-//! at the trigger and applied one budget later — the simulation) and
-//! [`Coordinator::trigger_by_interval`] (every `qcut_interval`
-//! supersteps, ILS planned inside the window — real threads).
+//! ## The Q-cut trigger
+//!
+//! There is one (paper §3.4): after a superstep closes, the executor
+//! calls [`Coordinator::trigger`] with its own clock reading — virtual
+//! seconds in the simulation, session wall-clock seconds on threads — and
+//! the core tests the cooldown, then the mean lifetime locality of the
+//! running queries against Φ and the activity imbalance of the last μ/8
+//! sub-window against its threshold. Only *when the ILS runs* differs,
+//! by what [`Executor::scopes_readable_live`] answers:
+//!
+//! * yes (one address space — the simulation): the ILS runs at the
+//!   trigger, hidden behind query processing as in the paper, and its
+//!   plan is applied by the window that opens one priced
+//!   `ils_budget_secs` later ([`Coordinator::plan_due`]);
+//! * no (real threads — a scope report needs quiescent partitions): the
+//!   trigger asks for the window at once and the ILS runs inside it,
+//!   from the scopes gathered there.
+//!
+//! Either way the cooldown starts when the window is asked for.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -99,6 +113,10 @@ pub(crate) trait Executor {
     );
     /// A migration committed: publish the new assignment.
     fn publish_partitioning(&mut self, partitioning: &Partitioning, version: u64);
+    /// Whether [`Executor::scope_report`] can also be answered while
+    /// partitions compute — which decides when the ILS runs (see the
+    /// module docs).
+    fn scopes_readable_live(&self) -> bool;
     /// Every `(query, partition, live scope vertices)` triple.
     fn scope_report(&mut self) -> Vec<(QueryId, usize, Vec<VertexId>)>;
     /// Move the resolved transfers' vertex state *and* pending inboxes;
@@ -170,10 +188,6 @@ pub(crate) struct QueryRun {
     touched: Vec<usize>,
     collecting: usize,
     locals: Vec<Box<dyn LocalState>>,
-    /// Supersteps within the current interval-trigger window (so a long
-    /// query's stale early history cannot keep re-firing barriers).
-    window_iterations: u32,
-    window_local: u32,
     /// Latest instant any of the query's steps finished.
     pub last_done: SimTime,
 }
@@ -181,7 +195,7 @@ pub(crate) struct QueryRun {
 /// The repartition the next window applies.
 enum Repartition {
     None,
-    /// Planned at a clock trigger; its ILS budget has not elapsed yet.
+    /// Planned at the trigger; its ILS budget has not elapsed yet.
     Budgeted(IlsResult, SimTime),
     /// Apply at the next window: a budgeted plan that came due, or
     /// (`None`) plan inside the window from the scopes gathered there.
@@ -248,9 +262,13 @@ pub(crate) struct Coordinator {
     mutations: Vec<MutationBatch>,
     repartition: Repartition,
     window: Option<Window>,
-    // Interval-trigger window (reset together; see `reset_trigger_window`).
-    supersteps_since: usize,
-    worker_activity: Vec<usize>,
+    /// The trigger's straggler watch (Q-cut on): per-partition vertex
+    /// updates over a rolling sub-window — an eighth of the monitoring
+    /// window μ — of the executor's clock, and the imbalance of the last
+    /// sub-window that completed with any work in it.
+    activity: Vec<usize>,
+    activity_since: SimTime,
+    activity_imbalance: f64,
 }
 
 impl Coordinator {
@@ -271,6 +289,9 @@ impl Coordinator {
         hb.publish_partitioning(0);
         Coordinator {
             scheduler: Scheduler::bounded(cfg.admission.clone(), cfg.max_queued),
+            activity: vec![0; k],
+            activity_since: SimTime::ZERO,
+            activity_imbalance: 0.0,
             state,
             cfg,
             hb,
@@ -283,8 +304,6 @@ impl Coordinator {
             mutations: Vec::new(),
             repartition: Repartition::None,
             window: None,
-            supersteps_since: 0,
-            worker_activity: vec![0; k],
         }
     }
 
@@ -415,8 +434,6 @@ impl Coordinator {
             touched: Vec::with_capacity(batches.len()),
             collecting: 0,
             locals: Vec::new(),
-            window_iterations: 0,
-            window_local: 0,
             last_done: now,
             task,
         };
@@ -513,7 +530,17 @@ impl Coordinator {
             worker: rep.worker,
             executed,
         });
-        self.worker_activity[rep.worker] += rep.stats.executed;
+        if let Some(qcut) = &self.cfg.qcut {
+            let sub_window = SimTime::from_secs_f64(qcut.monitoring_window_secs / 8.0);
+            if now.saturating_sub(self.activity_since) >= sub_window {
+                if self.activity.iter().any(|&a| a > 0) {
+                    self.activity_imbalance = qgraph_partition::imbalance(&self.activity);
+                }
+                self.activity.fill(0);
+                self.activity_since = now;
+            }
+            self.activity[rep.worker] += rep.stats.executed;
+        }
         let Some(run) = self.queries.get_mut(&q) else {
             panic!("protocol invariant: step report for {q}, which is not live");
         };
@@ -554,11 +581,8 @@ impl Coordinator {
         );
         self.tracer.superstep_done(secs(now), u64::from(q.0));
         run.out.iterations += 1;
-        run.window_iterations += 1;
-        self.supersteps_since += 1;
         if barrier::is_local(run.involved_cur.len(), run.crossed) {
             run.out.local_iterations += 1;
-            run.window_local += 1;
         }
         let combined = std::mem::replace(&mut run.agg_acc, run.task.aggregate_identity());
         if run.task.aggregate_sticky() {
@@ -623,7 +647,6 @@ impl Coordinator {
                 l.for_each_scope_vertex(&mut |v| scope.push(v));
             }
             self.state.controller.record_finished_scope(q, scope, at);
-            self.state.controller.expire(at);
         }
         x.complete(q, run.task.finalize(&self.state.topology, run.locals));
         self.conclude(run.out, outcome_code::COMPLETED);
@@ -643,95 +666,45 @@ impl Coordinator {
     }
 
     // ------------------------------------------------------------------
-    // Q-cut triggers
+    // The Q-cut trigger
     // ------------------------------------------------------------------
 
-    /// Start a fresh interval-trigger window: when a checkpoint declines,
-    /// when a window ends, and when the engine goes idle — so an idle gap
-    /// can never leak stale skew into the next burst's trigger.
-    pub fn reset_trigger_window(&mut self) {
-        self.supersteps_since = 0;
-        self.worker_activity.iter_mut().for_each(|a| *a = 0);
-        for run in self.queries.values_mut() {
-            run.window_iterations = 0;
-            run.window_local = 0;
-        }
+    /// A run boundary (the engine went idle): the straggler watch starts
+    /// over, so a trigger early in the next burst never measures
+    /// imbalance across the gap.
+    pub fn restart_activity_watch(&mut self, now: SimTime) {
+        self.activity.fill(0);
+        self.activity_since = now;
+        self.activity_imbalance = 0.0;
     }
 
-    /// Mean of `locality` over the live queries it is defined for (in id
-    /// order), and how many those are; 1.0 over none.
-    fn mean_locality(&self, locality: impl Fn(&QueryRun) -> Option<f64>) -> (f64, usize) {
-        let (mut sum, mut active) = (0.0f64, 0usize);
-        for l in self.queries.values().filter_map(locality) {
-            sum += l;
-            active += 1;
-        }
-        let mean = if active == 0 {
-            1.0
-        } else {
-            sum / active as f64
-        };
-        (mean, active)
-    }
-
-    /// The superstep-cadence trigger: every `qcut_interval` completed
-    /// supersteps, consult the controller thresholds over the window's
-    /// locality and activity balance; on a hit, want a window that plans
-    /// and applies the repartition in one go.
-    pub fn trigger_by_interval(&mut self, now: SimTime) {
-        let interval = self.cfg.qcut.as_ref().map_or(0, |c| c.qcut_interval);
-        if matches!(self.repartition, Repartition::Due(..))
-            || interval == 0
-            || self.supersteps_since < interval
-        {
-            return;
-        }
-        let (mean_locality, active) = self.mean_locality(|r| {
-            let (local, all) = (f64::from(r.window_local), f64::from(r.window_iterations));
-            (all > 0.0).then(|| local / all)
-        });
-        let imbalance = qgraph_partition::imbalance(&self.worker_activity);
-        // A solo query never repartitions, and its window must not
-        // accumulate either: stale solo-phase skew would fire a spurious
-        // barrier the moment a second query is admitted.
-        if self.queries.len() >= 2
-            && self
-                .state
-                .controller
-                .interval_trigger(mean_locality, imbalance, active)
-        {
-            self.repartition = Repartition::Due(None, now);
-            self.paused = true;
-        } else {
-            self.reset_trigger_window();
-        }
-    }
-
-    /// The clock-cadence trigger (paper §3.4), evaluated after a
-    /// superstep: mean lifetime locality of the running queries below Φ
-    /// (or `imbalance` past its threshold), cooldown respected. On a hit
-    /// the ILS runs against a scope snapshot now and its plan comes due
-    /// one ILS budget later — returns that instant, at which the executor
-    /// calls [`Coordinator::plan_due`].
-    pub fn trigger_by_clock<X: Executor>(
-        &mut self,
-        x: &mut X,
-        now: SimTime,
-        imbalance: f64,
-    ) -> Option<SimTime> {
+    /// The repartition trigger (paper §3.4), evaluated after a superstep
+    /// closes — see the module docs. When the ILS ran here, returns the
+    /// instant its budget elapses, at which the executor calls
+    /// [`Coordinator::plan_due`]; otherwise a hit wants a window at once.
+    pub fn trigger<X: Executor>(&mut self, x: &mut X, now: SimTime) -> Option<SimTime> {
         if self.paused {
             return None;
         }
         let cfg = self.cfg.qcut.as_ref()?;
         // Only scopes within the monitoring window may feed the trigger.
-        self.state.controller.expire(now);
-        let (mean_locality, active) =
-            self.mean_locality(|r| (r.out.iterations > 0).then(|| r.out.locality()));
-        if !self
-            .state
-            .controller
-            .should_trigger(now, mean_locality, imbalance, active)
-        {
+        let controller = &mut self.state.controller;
+        controller.expire(now);
+        // Fewer than two known scopes make a repartition meaningless (a
+        // solo query never repartitions).
+        if self.queries.len() + controller.retained() < 2 {
+            return None;
+        }
+        // Lifetime locality of the running queries, in id order.
+        let running = self.queries.values().filter(|r| r.out.iterations > 0);
+        let localities = running.map(|r| r.out.locality());
+        if !controller.should_trigger(now, self.activity_imbalance, localities) {
+            return None;
+        }
+        if !x.scopes_readable_live() {
+            controller.last_repartition = now;
+            self.repartition = Repartition::Due(None, now);
+            self.paused = true;
             return None;
         }
         let (_, live) = self.gather_scopes(x);
@@ -741,8 +714,8 @@ impl Coordinator {
         Some(now + SimTime::from_secs_f64(cfg.ils_budget_secs))
     }
 
-    /// The budgeted plan's ILS budget elapsed: a non-empty plan wants a
-    /// window.
+    /// The budgeted plan's ILS budget elapsed: the cooldown starts, and a
+    /// non-empty plan wants a window.
     pub fn plan_due(&mut self, now: SimTime) {
         self.state.controller.ils_inflight = false;
         self.state.controller.last_repartition = now;
@@ -880,11 +853,6 @@ impl Coordinator {
         let Some(cfg) = self.cfg.qcut.as_ref() else {
             return;
         };
-        if planned.is_none() {
-            // Planning here: a burst of short queries followed by quiet
-            // must not keep stale scopes feeding the ILS.
-            self.state.controller.expire(x.now());
-        }
         let (local, live) = self.gather_scopes(x);
         let planned = planned.or_else(|| self.plan(&live, cfg).filter(|r| !r.plan.is_empty()));
         let Some(result) = planned else {
@@ -972,7 +940,6 @@ impl Coordinator {
             self.tracer.unpark(secs(now), u64::from(q.0));
             self.dispatch_superstep(x, q, now, StepVia::Barrier);
         }
-        self.reset_trigger_window();
         self.admit(x, now);
         // Work that became ready while the window was open (a mutation,
         // a plan coming due) re-enters the stop-the-world phase at once.
@@ -1013,6 +980,9 @@ mod tests {
     struct Script {
         log: Vec<Op>,
         clock: SimTime,
+        /// Answers scope reports while partitions compute (the
+        /// simulation's shape); off, like real threads, by default.
+        live_scopes: bool,
         scopes: Vec<(QueryId, usize, Vec<VertexId>)>,
         gained: Vec<(QueryId, usize)>,
         pending: Vec<(QueryId, usize)>,
@@ -1050,6 +1020,9 @@ mod tests {
         }
         fn publish_partitioning(&mut self, _: &Partitioning, _: u64) {
             self.log.push(Op::PublishPartitioning);
+        }
+        fn scopes_readable_live(&self) -> bool {
+            self.live_scopes
         }
         fn scope_report(&mut self) -> Vec<(QueryId, usize, Vec<VertexId>)> {
             self.scopes.clone()
@@ -1225,6 +1198,137 @@ mod tests {
         let ev = &core.state.report.repartitions[0];
         assert_eq!((ev.moved_vertices, ev.applied_at), (2, 7e-6));
         assert!((ev.barrier_duration - 2e-6).abs() < 1e-12);
+    }
+
+    /// Q-cut on with the given cooldown, every other constant the paper's.
+    fn adaptive(cooldown_secs: f64) -> SystemConfig {
+        SystemConfig {
+            qcut: Some(QcutConfig {
+                min_repartition_interval_secs: cooldown_secs,
+                ..Default::default()
+            }),
+            ..Default::default()
+        }
+    }
+
+    /// Two admitted pings, each one crossing superstep in (lifetime
+    /// locality 0) and waiting at its barrier on partition 1.
+    fn two_remote_queries(cfg: SystemConfig) -> (Coordinator, Script) {
+        let (mut core, mut x, task) = (core(cfg), Script::default(), ping());
+        for q in 0..2 {
+            core.submit(QueryId(q), Arc::new(ping()), at(0), None);
+        }
+        core.admit(&mut x, at(0));
+        for q in 0..2 {
+            for (w, to) in [(0, &[1][..]), (1, &[]), (2, &[])] {
+                let q = QueryId(q);
+                core.step_done(
+                    &mut x,
+                    StepReport {
+                        q,
+                        ..report(&task, w, to)
+                    },
+                    at(1),
+                    at(1),
+                );
+            }
+        }
+        (core, x)
+    }
+
+    #[test]
+    fn the_cooldown_blocks_a_second_trigger_until_it_has_elapsed_again() {
+        let (mut core, mut x) = two_remote_queries(adaptive(1.0));
+        let sec = 1_000_000;
+        // Locality 0 is under Φ, but the session is younger than the
+        // cooldown.
+        assert_eq!(core.trigger(&mut x, at(sec - 1)), None);
+        assert!(!core.paused());
+        // No live scope reports (threads): the hit wants its window at
+        // once and plans inside it.
+        assert_eq!(core.trigger(&mut x, at(sec)), None);
+        assert!(core.paused());
+        assert!(matches!(core.repartition, Repartition::Due(None, t) if t == at(sec)));
+        for q in 0..2 {
+            core.release(&mut x, QueryId(q), at(sec + 1));
+        }
+        x.clock = at(sec + 2);
+        core.window_apply(&mut x);
+        core.window_end(&mut x, at(sec + 3));
+        // The script reported no scopes, so nothing moved — and still the
+        // cooldown restarted when the window was asked for.
+        assert!(!core.paused() && core.state.report.repartitions.is_empty());
+        assert_eq!(core.trigger(&mut x, at(2 * sec - 1)), None);
+        assert!(!core.paused(), "one microsecond short of the cooldown");
+        core.trigger(&mut x, at(2 * sec));
+        assert!(core.paused());
+    }
+
+    #[test]
+    fn a_declined_trigger_leaves_the_pause_and_the_plan_untouched() {
+        let mut cfg = adaptive(0.0);
+        cfg.qcut.as_mut().expect("adaptive").locality_threshold = 0.4;
+        let (mut core, mut x) = two_remote_queries(cfg);
+        x.live_scopes = true;
+        let task = ping();
+        // One local superstep each lifts the mean locality to 0.5.
+        for q in 0..2 {
+            let q = QueryId(q);
+            core.release(&mut x, q, at(2));
+            let rep = StepReport {
+                q,
+                self_pending: true,
+                ..report(&task, 1, &[])
+            };
+            assert_eq!(
+                core.step_done(&mut x, rep, at(3), at(3)),
+                StepOutcome::Barrier
+            );
+            assert_eq!(core.run(q).out.locality(), 0.5);
+        }
+        assert_eq!(core.trigger(&mut x, at(4)), None);
+        assert!(!core.paused() && matches!(core.repartition, Repartition::None));
+        let controller = &core.state.controller;
+        assert!(!controller.ils_inflight && controller.last_repartition == SimTime::ZERO);
+    }
+
+    #[test]
+    fn fewer_than_two_known_scopes_never_open_a_window() {
+        // One live query, nothing retained: not even a look at locality.
+        let (mut core, mut x, task) = (core(adaptive(0.0)), Script::default(), ping());
+        core.submit(QueryId(0), Arc::new(ping()), at(0), None);
+        core.admit(&mut x, at(0));
+        for (w, to) in [(0, &[1][..]), (1, &[]), (2, &[])] {
+            core.step_done(&mut x, report(&task, w, to), at(1), at(1));
+        }
+        assert_eq!(core.trigger(&mut x, at(2)), None);
+        assert!(!core.paused());
+        // A finished query's retained scope is the second one.
+        let retained = vec![VertexId(4)];
+        core.state
+            .controller
+            .record_finished_scope(QueryId(9), retained, at(2));
+        core.trigger(&mut x, at(3));
+        assert!(core.paused());
+
+        // With live scope reports the ILS input is counted exactly: two
+        // live queries of which one has an empty scope plan nothing ...
+        let (mut core, mut x) = two_remote_queries(adaptive(0.0));
+        x.live_scopes = true;
+        x.scopes = vec![(QueryId(0), 0, vec![VertexId(0)])];
+        assert_eq!(core.trigger(&mut x, at(2)), None);
+        assert!(matches!(core.repartition, Repartition::None));
+        assert!(!core.state.controller.ils_inflight);
+        // ... and two scopes run the ILS at the trigger: its plan comes
+        // due one budget (the paper's 2 s) later, nothing re-triggers in
+        // between, and the cooldown starts when it comes due.
+        x.scopes.push((QueryId(1), 1, vec![VertexId(2)]));
+        assert_eq!(core.trigger(&mut x, at(3)), Some(at(2_000_003)));
+        assert!(matches!(core.repartition, Repartition::Budgeted(_, t) if t == at(3)));
+        assert_eq!(core.trigger(&mut x, at(4)), None);
+        core.plan_due(at(2_000_003));
+        let controller = &core.state.controller;
+        assert!(!controller.ils_inflight && controller.last_repartition == at(2_000_003));
     }
 
     /// A point-shaped program whose traversal never runs in these tests.

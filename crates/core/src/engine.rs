@@ -30,9 +30,10 @@
 //!    [`barrier::decide`] computes the release *delay* (hybrid: free if
 //!    fully local; `SharedGlobal` couples all queries' releases).
 //!
-//! A Q-cut plan is applied one virtual ILS budget after its trigger, and
-//! a window costs its mutation/compaction work plus the slowest pair's
-//! bulk transfer, bracketed by one control round trip each way.
+//! A Q-cut plan is computed at its trigger (these workers can report
+//! scopes while they run) and applied one virtual ILS budget later; a
+//! window costs its mutation/compaction work plus the slowest pair's bulk
+//! transfer, bracketed by one control round trip each way.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -127,12 +128,6 @@ struct SimExec {
     window_scheduled: bool,
     /// Virtual cost of the open window's work so far.
     window_cost: SimTime,
-    /// Per-worker vertex updates within the current activity sub-window
-    /// (feeds the clock trigger's straggler watch).
-    activity_window: Vec<u64>,
-    activity_window_start: SimTime,
-    activity_window_len: SimTime,
-    last_activity_imbalance: f64,
     /// SharedGlobal mode: queries whose iteration finished and who wait
     /// for the cross-query round barrier, and the round's release time
     /// (max over them).
@@ -203,6 +198,10 @@ impl Executor for SimExec {
     }
 
     fn publish_partitioning(&mut self, _: &Partitioning, _: u64) {}
+
+    fn scopes_readable_live(&self) -> bool {
+        true
+    }
 
     fn scope_report(&mut self) -> Vec<(QueryId, usize, Vec<VertexId>)> {
         let mut out = Vec::new();
@@ -315,27 +314,6 @@ impl SimExec {
             .max()
             .unwrap_or(SimTime::ZERO)
     }
-
-    /// Roll the activity sub-window and accumulate this superstep's work.
-    fn record_activity(&mut self, now: SimTime, w: usize, executed: u64) {
-        // Saturating comparison: with Q-cut off the window length is
-        // effectively infinite and `start + len` would overflow.
-        if now.saturating_sub(self.activity_window_start) >= self.activity_window_len {
-            let total: u64 = self.activity_window.iter().sum();
-            // Guard, don't unwrap: with an aggressive trigger cadence the
-            // window can roll before any sample landed (or be evaluated on
-            // a degenerate worker set) — an empty/zero window simply
-            // carries no imbalance signal.
-            let max = self.activity_window.iter().copied().max().unwrap_or(0);
-            if total > 0 && max > 0 {
-                let mean = total as f64 / self.activity_window.len() as f64;
-                self.last_activity_imbalance = max as f64 / mean - 1.0;
-            }
-            self.activity_window.iter_mut().for_each(|a| *a = 0);
-            self.activity_window_start = now;
-        }
-        self.activity_window[w] += executed;
-    }
 }
 
 impl SimEngine {
@@ -370,13 +348,6 @@ impl SimEngine {
             "SystemConfig::batch_max_msgs must match the cluster \
              NetworkModel::batch_max_msgs"
         );
-        // Activity sub-window: an eighth of the monitoring window μ.
-        let activity_window_len = SimTime::from_secs_f64(
-            cfg.qcut
-                .as_ref()
-                .map(|q| q.monitoring_window_secs / 8.0)
-                .unwrap_or(f64::MAX / 1e10),
-        );
         let hb = Hb::new(k);
         let tracer = Tracer::new(k, cfg.trace_ring_capacity, cfg.trace);
         let x = SimExec {
@@ -401,10 +372,6 @@ impl SimEngine {
             inflight_ready: 0,
             window_scheduled: false,
             window_cost: SimTime::ZERO,
-            activity_window: vec![0; k],
-            activity_window_start: SimTime::ZERO,
-            activity_window_len,
-            last_activity_imbalance: 0.0,
             round_waiting: Vec::new(),
             round_release: SimTime::ZERO,
             hb: hb.clone(),
@@ -519,13 +486,8 @@ impl SimEngine {
     /// window this call covers is the last entry of
     /// [`EngineReport::runs`].
     pub fn run(&mut self) -> &EngineReport {
-        // Run boundary: a fresh activity sub-window, so a trigger early in
-        // this run never measures imbalance over a window spanning the
-        // idle gap since the previous run.
         let run_started = self.x.events.now();
-        self.x.activity_window_start = run_started;
-        self.x.activity_window.iter_mut().for_each(|a| *a = 0);
-        self.x.last_activity_imbalance = 0.0;
+        self.core.restart_activity_watch(run_started);
 
         self.core.admit(&mut self.x, run_started);
         while let Some(ev) = self.x.events.pop() {
@@ -703,7 +665,6 @@ impl SimEngine {
         let route = |v: VertexId| st.partitioning.worker_of(v).index();
         let (stats, agg, remote) =
             x.workers[w].execute(q, run.task.as_ref(), &st.topology, &run.agg_prev, &route);
-        x.record_activity(now, w, stats.executed as u64);
 
         // Serialization occupies this worker; the wire time then delays
         // the messages further.
@@ -746,7 +707,7 @@ impl SimEngine {
     }
 
     /// The core closed query `q`'s superstep: price its barrier, then let
-    /// the clock trigger look at the new locality picture.
+    /// the Q-cut trigger look at the new locality picture.
     fn on_superstep_end(&mut self, now: SimTime, q: QueryId, outcome: StepOutcome) {
         let x = &mut self.x;
         let mode = self.core.cfg().barrier_mode;
@@ -778,8 +739,7 @@ impl SimEngine {
             x.events
                 .schedule(x.round_release.max(now), Event::RoundRelease);
         }
-        let imbalance = x.last_activity_imbalance;
-        if let Some(ready) = self.core.trigger_by_clock(x, now, imbalance) {
+        if let Some(ready) = self.core.trigger(x, now) {
             x.events.schedule(ready, Event::IlsReady);
         }
     }

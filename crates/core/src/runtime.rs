@@ -33,6 +33,11 @@
 //!   (which allocates the [`QueryId`]) and sends one message down the
 //!   same channel the pool answers on; the coordinator stamps the arrival
 //!   time and hands it to the core;
+//! * when a superstep closes, the loop reads the session clock for the
+//!   core's one Q-cut trigger ([`Coordinator::trigger`]): the
+//!   [`crate::QcutConfig`] time constants are session wall-clock seconds
+//!   here, and a hit's ILS runs inside the window it opens, because only
+//!   quiescent partitions report stable scopes;
 //! * a client message landing while a stop-the-world window waits on a
 //!   partition is set aside with its receipt stamp and fed to the core
 //!   before the window closes, so it is admitted against the post-window
@@ -300,9 +305,9 @@ impl ThreadEngine {
 
     /// Create a runtime with an explicit configuration. The thread runtime
     /// honors `max_parallel_queries`, the admission policy, and — when
-    /// `qcut` is set with a non-zero `qcut_interval` — the adaptive
-    /// repartitioning loop; barrier mode and the simulated cost model
-    /// remain simulation-only.
+    /// `qcut` is set — the adaptive repartitioning loop, its time
+    /// constants read in session wall-clock seconds; barrier mode and the
+    /// simulated cost model remain simulation-only.
     pub fn with_config(graph: Arc<Graph>, partitioning: Partitioning, cfg: SystemConfig) -> Self {
         assert_eq!(
             partitioning.num_vertices(),
@@ -864,6 +869,12 @@ impl Executor for PoolExec {
         }
     }
 
+    // A partition answers a scope report between its other commands, so
+    // only a quiescent one reports a scope no running step is changing.
+    fn scopes_readable_live(&self) -> bool {
+        false
+    }
+
     fn scope_report(&mut self) -> Vec<(QueryId, usize, Vec<VertexId>)> {
         self.ask_all(
             || Cmd::ScopeReport,
@@ -945,11 +956,12 @@ fn serve(mut core: Coordinator, mut x: PoolExec) -> (EngineState, Vec<(QueryId, 
 
         // Drain acks fire at full idle. Each ack closes one run window.
         if !x.drain_waiters.is_empty() && core.idle() && x.inflight_ops == 0 {
-            let end = clock.now().as_secs_f64();
+            let now = clock.now();
+            let end = now.as_secs_f64();
             core.state.report.finished_at_secs = end;
             x.close_run(&mut core.state.report, pool_base, run_started, end);
             run_started = end;
-            core.reset_trigger_window();
+            core.restart_activity_watch(now);
             for ack in x.drain_waiters.drain(..) {
                 // Only the delta past the engine's synced prefix; a second
                 // waiter in the same idle moment gets an empty one (its
@@ -986,13 +998,19 @@ fn serve(mut core: Coordinator, mut x: PoolExec) -> (EngineState, Vec<(QueryId, 
                 x.inflight_ops -= 1;
                 x.pool_tasks += 1;
                 x.hb.token_close(q.0, kind::STEP);
-                match core.step_done(&mut x, report, now, now) {
-                    StepOutcome::Running => continue,
-                    // Real threads have no barrier delay to wait out.
-                    StepOutcome::Barrier => core.release(&mut x, q, now),
-                    StepOutcome::Terminated => {}
+                let outcome = core.step_done(&mut x, report, now, now);
+                if outcome == StepOutcome::Running {
+                    continue;
                 }
-                core.trigger_by_interval(now);
+                // The superstep closed: the Q-cut trigger looks first, so
+                // a window it wants parks `q` at this very release. The
+                // ILS runs inside that window, never on a budget.
+                let budgeted = core.trigger(&mut x, now);
+                debug_assert!(budgeted.is_none(), "no live scope reports here");
+                if outcome == StepOutcome::Barrier {
+                    // Real threads have no barrier delay to wait out.
+                    core.release(&mut x, q, now);
+                }
             }
             CoordMsg::Worker(Resp::Collected { q, local }) => {
                 x.inflight_ops -= 1;
@@ -1435,22 +1453,28 @@ mod tests {
         assert_eq!(e.report().outcomes.len(), 7);
     }
 
-    #[test]
-    fn qcut_barrier_repartitions_and_preserves_answers() {
-        let g = line(64);
-        // Interleaved assignment: every reach superstep crosses a
-        // boundary, so mean locality is ~0 and the trigger always fires.
-        let assign: Vec<qgraph_partition::WorkerId> =
-            (0..64).map(|v| qgraph_partition::WorkerId(v % 2)).collect();
-        let parts = Partitioning::new(assign, 2);
-        let cfg = SystemConfig {
+    /// `n` vertices dealt round-robin over two partitions: every reach
+    /// superstep on a line crosses the boundary, so locality is ~0.
+    fn interleaved(n: u32) -> Partitioning {
+        let assign = (0..n).map(|v| qgraph_partition::WorkerId(v % 2)).collect();
+        Partitioning::new(assign, 2)
+    }
+
+    fn qcut_with_cooldown(secs: f64) -> SystemConfig {
+        SystemConfig {
             qcut: Some(QcutConfig {
-                qcut_interval: 4,
+                min_repartition_interval_secs: secs,
                 ..Default::default()
             }),
             ..Default::default()
-        };
-        let mut e = ThreadEngine::with_config(Arc::clone(&g), parts, cfg);
+        }
+    }
+
+    #[test]
+    fn qcut_barrier_repartitions_and_preserves_answers() {
+        let g = line(64);
+        let mut e =
+            ThreadEngine::with_config(Arc::clone(&g), interleaved(64), qcut_with_cooldown(0.0));
         let a = e.submit(ReachProgram::new(VertexId(0)));
         let b = e.submit(ReachProgram::new(VertexId(1)));
         e.run();
@@ -1471,20 +1495,48 @@ mod tests {
         assert_eq!(e.partitioning().sizes().iter().sum::<usize>(), 64);
     }
 
+    /// The thrash net: on a partitioning that keeps locality under Φ for
+    /// the whole run, windows still open no more often than the cooldown
+    /// (session wall-clock) allows.
     #[test]
-    fn zero_interval_keeps_the_thread_runtime_static() {
+    fn the_cooldown_spaces_repartitions_on_the_wall_clock() {
+        let cooldown = 1e-3;
+        let g = line(1024);
+        let parts = interleaved(1024);
+        let mut e = ThreadEngine::with_config(Arc::clone(&g), parts, qcut_with_cooldown(cooldown));
+        let qs: Vec<_> = (0..4u32)
+            .map(|i| e.submit(ReachProgram::new(VertexId(i))))
+            .collect();
+        e.run();
+        for (i, q) in qs.iter().enumerate() {
+            assert_eq!(e.output(q).unwrap().len(), 1024 - i);
+        }
+        let report = e.report();
+        let events = &report.repartitions;
+        assert!(
+            !events.is_empty(),
+            "a thousand remote supersteps, no window"
+        );
+        for pair in events.windows(2) {
+            let gap = pair[1].triggered_at - pair[0].triggered_at;
+            assert!(gap >= cooldown - 1e-9, "triggers {gap} s apart");
+        }
+        let most = (report.finished_at_secs / cooldown).floor() as usize + 1;
+        assert!(
+            events.len() <= most,
+            "{} windows, at most {most}",
+            events.len()
+        );
+    }
+
+    #[test]
+    fn the_default_cooldown_outlasts_a_short_run() {
+        // Ten wall-clock seconds from session start: a millisecond run on
+        // the worst partitioning never pays for a window.
         let g = line(32);
-        let assign: Vec<qgraph_partition::WorkerId> =
-            (0..32).map(|v| qgraph_partition::WorkerId(v % 2)).collect();
-        let parts = Partitioning::new(assign, 2);
+        let parts = interleaved(32);
         let before = parts.clone();
-        let cfg = SystemConfig {
-            qcut: Some(QcutConfig {
-                qcut_interval: 0,
-                ..Default::default()
-            }),
-            ..Default::default()
-        };
+        let cfg = SystemConfig::qgraph();
         let mut e = ThreadEngine::with_config(Arc::clone(&g), parts, cfg);
         let a = e.submit(ReachProgram::new(VertexId(0)));
         let b = e.submit(ReachProgram::new(VertexId(1)));

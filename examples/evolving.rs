@@ -40,8 +40,10 @@ fn main() {
     let churn = road_closures(&graph, &ChurnConfig::poisson(12, 6, 1.0, 7));
 
     let cfg = SystemConfig {
+        // The run lasts a fraction of a second: scale the cooldown
+        // (session wall-clock on threads) down with it.
         qcut: Some(QcutConfig {
-            qcut_interval: 16,
+            min_repartition_interval_secs: 0.01,
             ..Default::default()
         }),
         // Compact aggressively so the example shows a CSR rebuild.

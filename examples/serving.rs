@@ -48,8 +48,10 @@ fn main() {
     let graph = Arc::new(world.graph.clone());
 
     let cfg = SystemConfig {
+        // The stream lasts a fraction of a second: scale the cooldown
+        // (session wall-clock on threads) down with it.
         qcut: Some(QcutConfig {
-            qcut_interval: 6,
+            min_repartition_interval_secs: 0.005,
             ..Default::default()
         }),
         // POI lookups are latency-sensitive point queries: let them

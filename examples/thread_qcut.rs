@@ -66,8 +66,10 @@ fn main() {
     let static_report = run_hotspot(&graph, None);
     let adaptive_report = run_hotspot(
         &graph,
+        // The run lasts milliseconds, so the paper's 10 s cooldown (wall
+        // clock on threads) would never let a second window open.
         Some(QcutConfig {
-            qcut_interval: 6,
+            min_repartition_interval_secs: 0.002,
             ..Default::default()
         }),
     );
@@ -83,6 +85,20 @@ fn main() {
         adaptive_report.mean_locality(),
         adaptive_report.repartitions.len(),
         adaptive_report.total_moved_vertices()
+    );
+    // A thrashing trigger shows here first: many windows, most of the
+    // wall spent inside them.
+    let in_barrier: f64 = adaptive_report
+        .repartitions
+        .iter()
+        .map(|r| r.barrier_duration)
+        .sum();
+    let wall = adaptive_report.finished_at_secs;
+    println!(
+        "           {:.1} ms of {:.1} ms wall inside repartition windows ({:.0}%)",
+        in_barrier * 1e3,
+        wall * 1e3,
+        100.0 * in_barrier / wall
     );
     for (i, r) in adaptive_report.repartitions.iter().enumerate() {
         println!(

@@ -175,7 +175,7 @@ fn queries_dispatched_while_barrier_pending_sim() {
 }
 
 /// Repartition-timing stress, real threads: with the trigger firing at
-/// every superstep checkpoint and a narrow closed loop, admissions land
+/// every superstep end and a narrow closed loop, admissions land
 /// while a barrier is pending and parked queries resume against migrated
 /// inboxes. The run must terminate (no deadlock) and every answer must
 /// match Dijkstra (no stale-owner message delivery).
@@ -186,9 +186,9 @@ fn queries_admitted_while_barrier_pending_threaded() {
     let parts = HashPartitioner::default().partition(&graph, 4);
     let cfg = SystemConfig {
         qcut: Some(QcutConfig {
-            qcut_interval: 1,
-            // locality is in [0, 1]: threshold 2.0 forces a barrier at
-            // every checkpoint with >= 2 active queries.
+            // locality is in [0, 1]: threshold 2.0 with no cooldown forces
+            // a barrier at every superstep end with >= 2 known scopes.
+            min_repartition_interval_secs: 0.0,
             locality_threshold: 2.0,
             ils_max_rounds: 4,
             ..Default::default()
@@ -256,4 +256,57 @@ fn static_config_never_repartitions() {
     engine.run();
     assert!(engine.report().repartitions.is_empty());
     assert_eq!(engine.partitioning(), &before, "assignment untouched");
+}
+
+/// Adaptivity on real threads: the same hotspot stream from the same
+/// hash partitioning, the trigger on the session wall clock with a
+/// cooldown sized to a run of milliseconds. Locality, not wall time, is
+/// what must move — late finishers run on the layout the early ones
+/// paid for — and every answer still matches Dijkstra.
+#[test]
+fn thread_qcut_improves_locality_over_the_run() {
+    let world = small_road_world(13);
+    let graph = Arc::new(world.graph.clone());
+    let parts = HashPartitioner::default().partition(&graph, 4);
+    let cfg = SystemConfig {
+        qcut: Some(QcutConfig {
+            min_repartition_interval_secs: 1e-3,
+            ..Default::default()
+        }),
+        ..Default::default()
+    };
+    let mut engine = ThreadEngine::with_config(Arc::clone(&graph), parts, cfg);
+    let gen = WorkloadGenerator::new(&world);
+    let mut jobs = Vec::new();
+    for s in gen.generate(&WorkloadConfig::single(128, false, false, 13)) {
+        if let QueryKind::Sssp { source, target } = s.kind {
+            let h = engine.submit(SsspProgram::new(source, target));
+            jobs.push((source, target, h));
+        }
+    }
+    engine.run();
+    let report = engine.report();
+    assert_eq!(report.outcomes.len(), jobs.len(), "every query finished");
+    assert!(!report.repartitions.is_empty(), "locality ~0 under hash");
+    // Outcomes are recorded in completion order.
+    let quartile = report.outcomes.len() / 4;
+    let mean = |os: &[qgraph_core::QueryOutcome]| {
+        os.iter().map(|o| o.locality()).sum::<f64>() / os.len() as f64
+    };
+    let early = mean(&report.outcomes[..quartile]);
+    let late = mean(&report.outcomes[report.outcomes.len() - quartile..]);
+    // Measured, debug and release: ~0.16 against ~0.70.
+    assert!(
+        late > early + 0.25,
+        "locality must improve: first quartile {early:.3}, last {late:.3}"
+    );
+    for (i, (s, t, h)) in jobs.iter().enumerate() {
+        let want = dijkstra_to(&graph, *s, *t);
+        let got = *engine.output(h).unwrap();
+        match (want, got) {
+            (Some(a), Some(b)) => assert!((a - b).abs() < 1e-3, "query {i}: {a} vs {b}"),
+            (None, None) => {}
+            other => panic!("query {i}: {other:?}"),
+        }
+    }
 }

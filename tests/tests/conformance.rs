@@ -93,7 +93,8 @@ fn verify_mixed<E: Engine>(engine: &E, graph: &Graph, sources: &[VertexId], h: &
     assert_eq!(got_bfs, want_bfs, "bfs disagrees with reference");
 }
 
-/// Q-cut configuration for the simulated engine (virtual-time trigger).
+/// Q-cut configuration for the simulated engine (time constants scaled to
+/// its virtual milliseconds).
 fn sim_qcut() -> SystemConfig {
     SystemConfig {
         qcut: Some(QcutConfig::time_scaled(2000.0)),
@@ -101,11 +102,12 @@ fn sim_qcut() -> SystemConfig {
     }
 }
 
-/// Q-cut configuration for the thread runtime (superstep-cadence trigger).
+/// Q-cut configuration for the thread runtime: the same trigger on the
+/// session wall clock, where these runs last milliseconds — no cooldown.
 fn thread_qcut() -> SystemConfig {
     SystemConfig {
         qcut: Some(QcutConfig {
-            qcut_interval: 6,
+            min_repartition_interval_secs: 0.0,
             ..Default::default()
         }),
         ..Default::default()
@@ -326,7 +328,7 @@ fn thread_qcut_locality_no_worse_than_static() {
             .map(|r| (r.locality_before, r.locality_after))
             .collect::<Vec<_>>()
     );
-    // Thread scheduling decides exactly which checkpoints repartition, so
+    // Thread scheduling decides exactly which superstep ends repartition, so
     // the behavioural mean is noisy run to run; the tolerance absorbs that
     // noise without weakening the acceptance claim (observed adaptive
     // locality is consistently a multiple of the near-zero static value).

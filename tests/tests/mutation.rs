@@ -138,8 +138,9 @@ fn qcut_cfg_sim() -> SystemConfig {
 
 fn qcut_cfg_thread() -> SystemConfig {
     SystemConfig {
+        // Wall-clock cooldown on threads; these runs last milliseconds.
         qcut: Some(QcutConfig {
-            qcut_interval: 8,
+            min_repartition_interval_secs: 0.0,
             ..Default::default()
         }),
         compact_fraction: 0.1,
@@ -256,13 +257,13 @@ fn thread_serving_streams_mutations_and_queries_concurrently() {
     let refs = epoch_references(&base, &stream);
 
     // Aggressive knobs so compaction *and* repartition barriers both fire
-    // mid-stream: locality is in [0, 1], so threshold 2.0 trips the
-    // trigger at every checkpoint with >= 2 active queries (the
-    // adaptivity suite's always-on recipe), and a tiny overlay fraction
-    // compacts at every mutation epoch.
+    // mid-stream: locality is in [0, 1], so threshold 2.0 with no
+    // cooldown trips the trigger at every superstep end with >= 2 known
+    // scopes (the adaptivity suite's always-on recipe), and a tiny overlay
+    // fraction compacts at every mutation epoch.
     let cfg = SystemConfig {
         qcut: Some(QcutConfig {
-            qcut_interval: 1,
+            min_repartition_interval_secs: 0.0,
             locality_threshold: 2.0,
             ils_max_rounds: 4,
             ..Default::default()

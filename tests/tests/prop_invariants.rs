@@ -448,7 +448,6 @@ proptest! {
                 SystemConfig {
                     combiners,
                     qcut: (qcut == 1).then(|| QcutConfig {
-                        qcut_interval: 3,
                         locality_threshold: 1.0,
                         min_repartition_interval_secs: 0.0,
                         ils_budget_secs: 1e-6,

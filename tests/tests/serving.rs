@@ -82,8 +82,9 @@ fn verify_mixed<E: Engine>(engine: &E, graph: &Graph, sources: &[VertexId], h: &
 
 fn serving_config(policy: AdmissionPolicy) -> SystemConfig {
     SystemConfig {
+        // Wall-clock cooldown on threads; these streams last milliseconds.
         qcut: Some(QcutConfig {
-            qcut_interval: 6,
+            min_repartition_interval_secs: 0.0,
             ..Default::default()
         }),
         admission: policy,
@@ -448,9 +449,9 @@ fn thread_stream_races_repartition_barriers() {
     let parts = HashPartitioner::default().partition(&graph, 4);
     let cfg = SystemConfig {
         qcut: Some(QcutConfig {
-            qcut_interval: 1,
-            // locality is in [0, 1]: threshold 2.0 forces a barrier at
-            // every checkpoint with >= 2 active queries.
+            // locality is in [0, 1]: threshold 2.0 with no cooldown forces
+            // a barrier at every superstep end with >= 2 known scopes.
+            min_repartition_interval_secs: 0.0,
             locality_threshold: 2.0,
             ils_max_rounds: 4,
             ..Default::default()
