@@ -21,6 +21,21 @@
 //! Neither knows about DoP budgets, freeze ordering, parked sets,
 //! locality counting or outcome fields.
 //!
+//! ## Solo supersteps
+//!
+//! A dispatched superstep whose involved set is one partition carries a
+//! `solo` hint on its [`Executor::step`]: nothing else is stepping the
+//! query, so if that step crosses no boundary and leaves the partition
+//! with pending messages, the next involved set is the same partition
+//! again — the paper's communication-free local barrier (§3.3). An
+//! executor may then close such supersteps where they ran
+//! ([`close_superstep`] is the one roll-over + termination test, shared
+//! with [`Coordinator::step_done`]) and say so on the report
+//! ([`StepReport::chained`]); the core folds them in as if each had been
+//! reported on its own. The thread runtime does (see
+//! [`crate::runtime`]); the simulation's local barrier is already free
+//! and it ignores the hint.
+//!
 //! ## The Q-cut trigger
 //!
 //! There is one (paper §3.4): after a superstep closes, the executor
@@ -94,8 +109,17 @@ pub(crate) trait Executor {
     /// Seal `q`'s inbox on `w` as the coming superstep's input.
     fn freeze(&mut self, q: QueryId, w: usize);
     /// Run `q`'s frozen superstep on `w`; completion comes back as a
-    /// [`StepReport`].
-    fn step(&mut self, q: QueryId, w: usize, task: &dyn QueryTask, prev: &Envelope, via: StepVia);
+    /// [`StepReport`]. `solo`: this is the superstep's only task (see
+    /// the module docs).
+    fn step(
+        &mut self,
+        q: QueryId,
+        w: usize,
+        task: &dyn QueryTask,
+        prev: &Envelope,
+        via: StepVia,
+        solo: bool,
+    );
     /// Hand back `q`'s local state on `w` (the query terminated).
     fn collect(&mut self, q: QueryId, w: usize) -> Collect;
     /// Query `q` finished with `output`.
@@ -137,6 +161,35 @@ pub(crate) struct StepReport {
     pub remote: Vec<(usize, MessageBatch)>,
     /// The partition still holds pending messages for `q` after the step.
     pub self_pending: bool,
+    /// Solo supersteps the partition closed itself ahead of the reported
+    /// one; `stats` then sums over all `1 + n` executions.
+    pub chained: Option<Chained>,
+}
+
+/// Supersteps closed where they ran (see the module docs): each was
+/// local, left its partition pending and did not terminate the query.
+pub(crate) struct Chained {
+    pub n: u32,
+    /// The aggregate they left — what the reported superstep read.
+    pub agg_prev: Envelope,
+}
+
+/// The superstep close, written once for the core and for an executor
+/// that chains solo supersteps: roll `acc` (identity ⊕ the superstep's
+/// contributions) into `agg_prev`, the aggregate the next superstep reads
+/// — folded in when the program's aggregate is sticky, replacing it
+/// otherwise — and say whether the query terminates on it.
+pub(crate) fn close_superstep(
+    task: &dyn QueryTask,
+    agg_prev: &mut Envelope,
+    acc: Envelope,
+) -> bool {
+    if task.aggregate_sticky() {
+        task.aggregate_combine(agg_prev, &acc);
+    } else {
+        *agg_prev = acc;
+    }
+    task.should_terminate(agg_prev)
 }
 
 /// Where a step report left its query.
@@ -504,8 +557,9 @@ impl Coordinator {
         }
         run.released = involved.min(run.dop);
         run.outstanding = run.released;
+        let solo = involved == 1;
         for &w in &run.involved_cur[..run.released] {
-            x.step(q, w, run.task.as_ref(), &run.agg_prev, via);
+            x.step(q, w, run.task.as_ref(), &run.agg_prev, via, solo);
         }
         for &w in &run.involved_cur[run.released..] {
             self.tracer.defer(secs(now), u64::from(q.0), w as u32);
@@ -551,9 +605,29 @@ impl Coordinator {
         if let Some(&w) = run.involved_cur.get(run.released) {
             self.tracer
                 .defer_release(secs(now), u64::from(q.0), w as u32);
-            x.step(q, w, run.task.as_ref(), &run.agg_prev, StepVia::Control);
+            x.step(
+                q,
+                w,
+                run.task.as_ref(),
+                &run.agg_prev,
+                StepVia::Control,
+                false,
+            );
             run.released += 1;
             run.outstanding += 1;
+        }
+        if let Some(chain) = rep.chained {
+            // Supersteps closed where they ran: each was one task on one
+            // partition, crossed nothing, and rolled the aggregate through
+            // `close_superstep`.
+            debug_assert!(run.involved_cur.len() == 1 && run.outstanding == 0);
+            for _ in 0..chain.n {
+                self.tracer.superstep_done(secs(now), u64::from(q.0));
+            }
+            run.out.iterations += chain.n;
+            run.out.local_iterations += chain.n;
+            run.out.tasks += u64::from(chain.n);
+            run.agg_prev = chain.agg_prev;
         }
         run.out.vertex_updates += executed;
         run.out.remote_messages += rep.stats.remote_deliveries as u64;
@@ -585,12 +659,8 @@ impl Coordinator {
             run.out.local_iterations += 1;
         }
         let combined = std::mem::replace(&mut run.agg_acc, run.task.aggregate_identity());
-        if run.task.aggregate_sticky() {
-            run.task.aggregate_combine(&mut run.agg_prev, &combined);
-        } else {
-            run.agg_prev = combined;
-        }
-        if run.next_involved.is_empty() || run.task.should_terminate(&run.agg_prev) {
+        let terminate = close_superstep(run.task.as_ref(), &mut run.agg_prev, combined);
+        if run.next_involved.is_empty() || terminate {
             self.finish(x, q, now);
             StepOutcome::Terminated
         } else {
@@ -956,7 +1026,7 @@ mod tests {
     use super::*;
     use crate::index_plane::{PointAnswer, PointQuery, RepairSummary};
     use crate::program::{Context, VertexProgram};
-    use crate::programs::PingProgram;
+    use crate::programs::{PingProgram, Tally};
     use crate::qcut::{MovePlan, ScopeMove};
     use crate::sched::DopPolicy;
     use crate::task::TypedTask;
@@ -967,7 +1037,8 @@ mod tests {
     enum Op {
         Deliver(u32, usize),
         Freeze(u32, usize),
-        Step(u32, usize, StepVia),
+        /// `(query, partition, via, solo hint)`.
+        Step(u32, usize, StepVia, bool),
         Collect(u32, usize),
         Complete(u32),
         PublishTopology(u64),
@@ -998,8 +1069,16 @@ mod tests {
         fn freeze(&mut self, q: QueryId, w: usize) {
             self.log.push(Op::Freeze(q.0, w));
         }
-        fn step(&mut self, q: QueryId, w: usize, _: &dyn QueryTask, _: &Envelope, via: StepVia) {
-            self.log.push(Op::Step(q.0, w, via));
+        fn step(
+            &mut self,
+            q: QueryId,
+            w: usize,
+            _: &dyn QueryTask,
+            _: &Envelope,
+            via: StepVia,
+            solo: bool,
+        ) {
+            self.log.push(Op::Step(q.0, w, via, solo));
         }
         fn collect(&mut self, q: QueryId, w: usize) -> Collect {
             self.log.push(Op::Collect(q.0, w));
@@ -1089,6 +1168,7 @@ mod tests {
                 .map(|&p| (p, task.batch_for_test(vec![(target(p), 1)])))
                 .collect(),
             self_pending: false,
+            chained: None,
         }
     }
 
@@ -1097,7 +1177,7 @@ mod tests {
         let (mut core, mut x, task) = (core(serial()), Script::default(), ping());
         assert!(core.submit(QueryId(0), Arc::new(ping()), at(0), None));
         core.admit(&mut x, at(1));
-        let step = |w| Op::Step(0, w, StepVia::Control);
+        let step = |w| Op::Step(0, w, StepVia::Control, false);
         assert_eq!(
             x.log,
             vec![
@@ -1132,7 +1212,7 @@ mod tests {
         core.release(&mut x, QueryId(0), at(5));
         assert_eq!(
             x.log,
-            vec![Op::Freeze(0, 1), Op::Step(0, 1, StepVia::Barrier)]
+            vec![Op::Freeze(0, 1), Op::Step(0, 1, StepVia::Barrier, true)]
         );
         let run = core.run(QueryId(0));
         assert_eq!((run.out.iterations, run.out.local_iterations), (1, 0));
@@ -1191,7 +1271,7 @@ mod tests {
         core.window_end(&mut x, at(9));
         assert_eq!(
             x.log,
-            vec![Op::Freeze(0, 2), Op::Step(0, 2, StepVia::Barrier)],
+            vec![Op::Freeze(0, 2), Op::Step(0, 2, StepVia::Barrier, true)],
             "resumed against the post-migration pending report, not the stale set"
         );
         assert!(!core.paused() && core.parked.is_empty());
@@ -1329,6 +1409,180 @@ mod tests {
         core.plan_due(at(2_000_003));
         let controller = &core.state.controller;
         assert!(!controller.ils_inflight && controller.last_repartition == at(2_000_003));
+    }
+
+    /// A tally seeded on partition 1 and admitted: one involved
+    /// partition, so its first Step is dispatched solo.
+    fn solo_tally(sticky: bool, stop_at: u64) -> (Coordinator, Script, TypedTask<Tally>) {
+        let program = Tally {
+            seed: VertexId(2),
+            sticky,
+            stop_at,
+        };
+        let (mut core, mut x) = (core(SystemConfig::default()), Script::default());
+        let task = Arc::new(TypedTask::new(program.clone()));
+        core.submit(QueryId(0), task, at(0), None);
+        core.admit(&mut x, at(1));
+        let dispatched = vec![
+            Op::Deliver(0, 1),
+            Op::Freeze(0, 1),
+            Op::Step(0, 1, StepVia::Control, true),
+        ];
+        assert_eq!(std::mem::take(&mut x.log), dispatched);
+        (core, x, TypedTask::new(program))
+    }
+
+    /// Partition 1 reports `supersteps` executions of the tally's one
+    /// vertex — the last contributing `contribution`, the earlier ones
+    /// `chained` — having sent nothing away and still pending.
+    fn local_report(contribution: u64, chained: Option<Chained>, supersteps: usize) -> StepReport {
+        StepReport {
+            q: QueryId(0),
+            worker: 1,
+            stats: SuperstepStats {
+                executed: supersteps,
+                local_deliveries: supersteps,
+                tasks: supersteps,
+                ..Default::default()
+            },
+            agg: Box::new(contribution),
+            remote: Vec::new(),
+            self_pending: true,
+            chained,
+        }
+    }
+
+    fn tally_of(aggregate: &Envelope) -> u64 {
+        *aggregate.downcast_ref::<u64>().expect("a tally aggregate")
+    }
+
+    #[test]
+    fn a_chained_report_folds_like_the_same_supersteps_reported_one_by_one() {
+        for (sticky, left) in [(false, 3), (true, 6)] {
+            // One by one: local supersteps contributing 1, 2 and 3, a
+            // report and a release each.
+            let (mut single, mut x, _) = solo_tally(sticky, u64::MAX);
+            for c in [1, 2, 3] {
+                let rep = local_report(c, None, 1);
+                let outcome = single.step_done(&mut x, rep, at(1 + c), at(1 + c));
+                assert_eq!(outcome, StepOutcome::Barrier);
+                if c < 3 {
+                    single.release(&mut x, QueryId(0), at(1 + c));
+                }
+            }
+            // Chained: the first two closed where they ran, through the
+            // core's own close, and ride the third one's report.
+            let (mut chained, mut y, task) = solo_tally(sticky, u64::MAX);
+            let mut prev = task.aggregate_identity();
+            for c in [1u64, 2] {
+                let mut acc = task.aggregate_identity();
+                task.aggregate_combine(&mut acc, &(Box::new(c) as Envelope));
+                assert!(!close_superstep(&task, &mut prev, acc));
+            }
+            let chain = Chained {
+                n: 2,
+                agg_prev: prev,
+            };
+            let rep = local_report(3, Some(chain), 3);
+            let outcome = chained.step_done(&mut y, rep, at(4), at(4));
+            assert_eq!(outcome, StepOutcome::Barrier);
+            assert!(y.log.is_empty(), "two coordinator turns never happened");
+
+            let (a, b) = (single.run(QueryId(0)), chained.run(QueryId(0)));
+            // 3 supersteps, all local, 3 vertex updates, 3 tasks at DoP 1.
+            assert_eq!(work(&b.out), [3, 3, 3, 0, 0, 0, 3, 1]);
+            assert_eq!(work(&a.out), work(&b.out));
+            assert_eq!((tally_of(&a.agg_prev), tally_of(&b.agg_prev)), (left, left));
+            assert_eq!((&a.next_involved, &b.next_involved), (&vec![1], &vec![1]));
+            // One activity sample per report, the same work in total.
+            let executed = |c: &Coordinator| -> Vec<u64> {
+                let samples = c.state.report.activity.iter();
+                samples.map(|s| s.executed).collect()
+            };
+            assert_eq!(
+                (executed(&single), executed(&chained)),
+                (vec![1; 3], vec![3])
+            );
+        }
+    }
+
+    #[test]
+    fn a_close_that_terminates_is_left_to_the_core_which_terminates_once() {
+        // Sticky and stopping at 3: the third close ends the query. The
+        // chain tries it on a copy, finds that out, and reports that
+        // superstep unrolled.
+        let (mut core, mut x, task) = solo_tally(true, 3);
+        let two: Envelope = Box::new(2u64);
+        let mut peek = task.clone_aggregate(&two);
+        assert!(close_superstep(&task, &mut peek, Box::new(1u64)));
+        assert_eq!((tally_of(&peek), tally_of(&two)), (3, 2));
+        let chain = Chained {
+            n: 2,
+            agg_prev: two,
+        };
+        let outcome = core.step_done(&mut x, local_report(1, Some(chain), 3), at(2), at(2));
+        assert_eq!(outcome, StepOutcome::Terminated);
+        assert_eq!(x.log, vec![Op::Collect(0, 1), Op::Complete(0)]);
+        assert!(core.quiet());
+        let outcomes = &core.state.report.outcomes;
+        assert_eq!(outcomes.len(), 1);
+        assert_eq!(work(&outcomes[0]), [3, 3, 3, 0, 0, 0, 3, 1]);
+    }
+
+    #[test]
+    fn a_chained_report_under_a_wanted_window_parks_at_its_release() {
+        let (mut core, mut x, _) = solo_tally(false, u64::MAX);
+        let mut batch = MutationBatch::new();
+        batch.add_edge(0, 1, 1.0);
+        core.mutate(batch);
+        assert!(core.paused());
+        let chain = Chained {
+            n: 4,
+            agg_prev: Box::new(1u64),
+        };
+        let outcome = core.step_done(&mut x, local_report(1, Some(chain), 5), at(2), at(2));
+        assert_eq!(outcome, StepOutcome::Barrier);
+        core.release(&mut x, QueryId(0), at(2));
+        assert!(x.log.is_empty() && core.parked == vec![QueryId(0)]);
+        assert_eq!(core.run(QueryId(0)).out.iterations, 5);
+        // The window resumes it where its messages are: solo again.
+        x.clock = at(3);
+        core.window_apply(&mut x);
+        x.log.clear();
+        core.window_end(&mut x, at(4));
+        let resumed = vec![Op::Freeze(0, 1), Op::Step(0, 1, StepVia::Barrier, true)];
+        assert_eq!(x.log, resumed);
+    }
+
+    #[test]
+    fn only_a_one_partition_dispatch_carries_the_solo_hint() {
+        // An unbudgeted ping over three partitions: three Steps at once,
+        // none solo. (A DoP-deferred Step never is either — see
+        // `every_freeze_precedes_every_step_and_deferred_steps_release_in_order`.)
+        let cfg = SystemConfig::default();
+        let (mut core, mut x, task) = (core(cfg), Script::default(), ping());
+        core.submit(QueryId(0), Arc::new(ping()), at(0), None);
+        core.admit(&mut x, at(1));
+        let steps = |log: &[Op]| -> Vec<Op> {
+            let steps = log.iter().filter(|op| matches!(op, Op::Step(..)));
+            steps.cloned().collect()
+        };
+        let control = |w| Op::Step(0, w, StepVia::Control, false);
+        assert_eq!(steps(&x.log), vec![control(0), control(1), control(2)]);
+        // Two partitions pending: still a shared superstep.
+        for (w, to) in [(0, &[1][..]), (1, &[2]), (2, &[])] {
+            core.step_done(&mut x, report(&task, w, to), at(2), at(2));
+        }
+        x.log.clear();
+        core.release(&mut x, QueryId(0), at(3));
+        let barrier = |w, solo| Op::Step(0, w, StepVia::Barrier, solo);
+        assert_eq!(steps(&x.log), vec![barrier(1, false), barrier(2, false)]);
+        // One partition pending: the superstep's only task.
+        core.step_done(&mut x, report(&task, 1, &[]), at(4), at(4));
+        core.step_done(&mut x, report(&task, 2, &[0]), at(4), at(4));
+        x.log.clear();
+        core.release(&mut x, QueryId(0), at(5));
+        assert_eq!(steps(&x.log), vec![barrier(0, true)]);
     }
 
     /// A point-shaped program whose traversal never runs in these tests.

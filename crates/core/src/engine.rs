@@ -160,7 +160,18 @@ impl Executor for SimExec {
         self.workers[w].freeze(q);
     }
 
-    fn step(&mut self, q: QueryId, w: usize, _: &dyn QueryTask, _: &Envelope, via: StepVia) {
+    // The solo hint is ignored: `barrier::decide` already releases a
+    // local superstep at `compute_done`, so virtual time has nothing to
+    // save by closing it on the worker.
+    fn step(
+        &mut self,
+        q: QueryId,
+        w: usize,
+        _: &dyn QueryTask,
+        _: &Envelope,
+        via: StepVia,
+        _solo: bool,
+    ) {
         match via {
             StepVia::Barrier => self.task_ready(q, w),
             // executeQuery(q): a controller → worker dispatch.
@@ -691,6 +702,7 @@ impl SimEngine {
             agg,
             remote,
             self_pending: x.workers[w].has_pending(q),
+            chained: None,
         };
         let outcome = self.core.step_done(x, report, now, sent_at);
         if outcome != StepOutcome::Running {

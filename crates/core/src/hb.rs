@@ -130,6 +130,8 @@ mod imp {
         held_epoch: Vec<u64>,
         held_part: Vec<u64>,
         tokens: Vec<Token>,
+        /// Supersteps audited by [`Hb::worker_step`].
+        steps: u64,
         window: Option<Window>,
         /// Elastic-pool mutual exclusion: the acquire stack of the pool
         /// thread currently executing each partition's command, `None`
@@ -195,6 +197,7 @@ mod imp {
                     held_epoch: vec![0; k],
                     held_part: vec![0; k],
                     tokens: Vec::new(),
+                    steps: 0,
                     window: None,
                     pool_held: (0..k).map(|_| None).collect(),
                 })),
@@ -392,7 +395,8 @@ mod imp {
         /// (the barrier broadcasts before resuming), and both
         /// publications must be ordered before this read.
         pub fn worker_step(&self, w: usize) {
-            let s = self.lock();
+            let mut s = self.lock();
+            s.steps += 1;
             let reader = &s.clocks[1 + w];
             if s.held_epoch[w] != s.latest_epoch {
                 let p = s.topo_pubs.get(&s.latest_epoch);
@@ -433,6 +437,13 @@ mod imp {
                 reader,
                 &format!("worker {w} superstep"),
             );
+        }
+
+        /// `(supersteps audited, dispatch tokens open)` so far.
+        #[cfg(test)]
+        pub fn audited(&self) -> (u64, usize) {
+            let s = self.lock();
+            (s.steps, s.tokens.len())
         }
 
         /// A pool thread takes partition `w`'s next command — the

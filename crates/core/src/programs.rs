@@ -164,6 +164,58 @@ impl VertexProgram for PingProgram {
     }
 }
 
+/// Test program for the superstep close: one vertex that re-activates
+/// itself forever, contributing 1 to a summed aggregate every superstep —
+/// per superstep, or over the run when `sticky` — and stopping once the
+/// aggregate reaches `stop_at`.
+#[cfg(test)]
+#[derive(Clone, Debug)]
+pub(crate) struct Tally {
+    pub seed: VertexId,
+    pub sticky: bool,
+    pub stop_at: u64,
+}
+
+#[cfg(test)]
+impl VertexProgram for Tally {
+    type State = ();
+    type Message = ();
+    type Aggregate = u64;
+    type Output = ();
+
+    fn name(&self) -> &'static str {
+        "tally"
+    }
+    fn init_state(&self) {}
+    fn aggregate_identity(&self) -> u64 {
+        0
+    }
+    fn aggregate_combine(&self, a: &mut u64, b: &u64) {
+        *a += *b;
+    }
+    fn aggregate_sticky(&self) -> bool {
+        self.sticky
+    }
+    fn initial_messages(&self, _: &Topology) -> Vec<(VertexId, ())> {
+        vec![(self.seed, ())]
+    }
+    fn compute(
+        &self,
+        _: &Topology,
+        vertex: VertexId,
+        _: &mut (),
+        _: &[()],
+        ctx: &mut Context<'_, (), u64>,
+    ) {
+        ctx.aggregate(&1);
+        ctx.send(vertex, ());
+    }
+    fn should_terminate(&self, aggregate: &u64) -> bool {
+        *aggregate >= self.stop_at
+    }
+    fn finalize(&self, _: &Topology, _: &mut dyn Iterator<Item = (VertexId, ())>) {}
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -8,16 +8,19 @@ use crate::qcut::IlsResult;
 use crate::query::QueryOutcome;
 use crate::trace::TraceData;
 
-/// One worker-activity observation: a superstep's vertex-function count,
-/// attributed to its completion time. Figure 6e derives workload-imbalance
-/// curves from these.
+/// One worker-activity observation: the vertex-function count of one step
+/// report, attributed to the instant it reached the coordinator. Figure 6e
+/// derives workload-imbalance curves from these. One sample per report:
+/// a superstep execution in the simulation; on the thread runtime a run
+/// of local supersteps closed on the partition's lane is one report, its
+/// executions summed at the report instant.
 #[derive(Clone, Copy, Debug)]
 pub struct ActivitySample {
-    /// Completion time (virtual seconds).
+    /// Report time (the executor's clock, seconds).
     pub t: f64,
     /// Worker index.
     pub worker: usize,
-    /// Vertex functions executed in the superstep.
+    /// Vertex functions executed in the reported superstep(s).
     pub executed: u64,
 }
 
@@ -107,8 +110,11 @@ pub struct PoolCounters {
     /// Pool threads serving the partitions (the effective width:
     /// `SystemConfig::pool_threads`, or the partition count when 0).
     pub threads: usize,
-    /// Commands the pool executed (Deliver/Freeze/Step/Collect/...). The
-    /// sim counts the compute tasks it priced.
+    /// Per-(query, partition) superstep executions — the sum of
+    /// [`QueryOutcome::tasks`] over the traversed queries, on both
+    /// runtimes. Not pool commands: Deliver/Freeze/Collect are not
+    /// counted, and a thread-runtime Step that closes `n` further local
+    /// supersteps on its lane counts `1 + n`.
     pub tasks: u64,
     /// Tasks a thread executed off its affine partition (thread runtime
     /// only).
@@ -124,7 +130,7 @@ pub struct PoolCounters {
 pub struct EngineReport {
     /// Per-query outcomes, in completion order.
     pub outcomes: Vec<QueryOutcome>,
-    /// Per-superstep worker activity.
+    /// Worker activity, one sample per step report.
     pub activity: Vec<ActivitySample>,
     /// Adaptive repartitioning events.
     pub repartitions: Vec<RepartitionEvent>,

@@ -22,6 +22,20 @@
 //! ([`Resp`]); the count of those still unanswered is this executor's
 //! definition of quiescence.
 //!
+//! ## The local barrier stays on the lane
+//!
+//! A superstep that ran on one partition and crossed no boundary needs no
+//! synchronisation at all (paper §3.3; the simulation prices it so). When
+//! a `Step` carries the core's `solo` hint, [`Lane::handle`] therefore
+//! keeps going: if the step sent nothing away, left the partition with
+//! pending messages and the rolled aggregate does not terminate the
+//! query, it closes the superstep itself — the core's own
+//! [`close_superstep`] — seals its inbox and executes again, up to
+//! [`LOCAL_QUANTUM`] closes per dispatch. One [`StepReport`] then carries
+//! the summed statistics and what was closed, and the core accounts for
+//! each superstep as if it had been reported on its own. Dispatched
+//! supersteps keep the freeze-every-involved-inbox-then-step order.
+//!
 //! ## Streaming submission and the serving loop
 //!
 //! The engine is *long-lived*: [`ThreadEngine::start`] spawns the pool
@@ -65,7 +79,10 @@ use qgraph_sim::SimTime;
 
 use crate::config::SystemConfig;
 use crate::controller::Controller;
-use crate::coord::{Collect, Coordinator, EngineState, Executor, StepOutcome, StepReport, StepVia};
+use crate::coord::{
+    close_superstep, Chained, Collect, Coordinator, EngineState, Executor, StepOutcome, StepReport,
+    StepVia,
+};
 use crate::hb::{kind, Hb};
 use crate::index_plane::PointIndex;
 use crate::pool::TaskPool;
@@ -75,7 +92,7 @@ use crate::query::{QueryHandle, QueryId};
 use crate::report::{EngineReport, PoolCounters};
 use crate::task::{Envelope, MessageBatch, QueryTask, TypedTask};
 use crate::trace::{cmd, Tracer};
-use crate::worker::{LocalState, Worker};
+use crate::worker::{LocalState, SuperstepStats, Worker};
 
 /// The shared, growable task registry: submissions (engine or any client)
 /// append under the lock, which also allocates the dense [`QueryId`];
@@ -103,6 +120,9 @@ enum Cmd {
     Step {
         q: QueryId,
         prev_agg: Envelope,
+        /// The superstep's only task: the lane may close local supersteps
+        /// itself (see [`LOCAL_QUANTUM`]).
+        solo: bool,
     },
     Collect {
         q: QueryId,
@@ -127,6 +147,32 @@ enum Cmd {
     /// Report the queries with pending messages here (barrier resume).
     PendingReport,
 }
+
+/// How many supersteps a lane closes on its own per dispatched solo
+/// `Step` before it reports (so one dispatch executes at most
+/// `1 + LOCAL_QUANTUM`). The paper's hybrid barrier makes a superstep that
+/// ran on one partition and crossed no boundary communication-free; the
+/// quantum bounds how long a wanted stop-the-world window, or another
+/// query queued on the same partition, waits behind such a run. Chain
+/// termination depends only on data, so per-query step counts stay
+/// deterministic. One value in use, hence a constant; swept on ISSUE 14's
+/// sizing prototype over `qbench`'s `road-domain` (locality 0.95, 88 %
+/// local supersteps; 2 cores, 12 s; without chaining 3.17k qps, p95
+/// 15.5 ms):
+///
+/// | quantum | qps | lat_p95_ms |
+/// |---|---|---|
+/// | 1 | 3.92k | 13.8 |
+/// | 2 | 4.15k | 14.3 |
+/// | 3 | 4.20k | 15.0 |
+/// | **4** | 4.19k | 15.3 |
+/// | 8 | 4.2k | 17.0 |
+/// | 16 | 3.98k | 19.6 |
+/// | unbounded | 4.2k | 18.7 |
+///
+/// Throughput saturates by 3–4; past that only the tail grows
+/// (head-of-line blocking on the hotspot partition).
+const LOCAL_QUANTUM: u32 = 4;
 
 enum Resp {
     StepDone(StepReport),
@@ -752,7 +798,6 @@ impl PoolExec {
     /// Block until a *pool* response arrives, setting aside any client
     /// messages that land in between (submit-during-window and friends).
     fn recv_worker(&mut self) -> Resp {
-        let now = self.clock.now();
         loop {
             // Mid-window the pool threads must still hold their Sender
             // clones (they only drop on pool exit), so a closed channel
@@ -766,7 +811,10 @@ impl PoolExec {
             self.hb.coord_recv();
             match msg {
                 CoordMsg::Worker(r) => return r,
-                client => self.backlog.push((client, now)),
+                client => {
+                    let received = self.clock.now();
+                    self.backlog.push((client, received));
+                }
             }
         }
     }
@@ -827,10 +875,18 @@ impl Executor for PoolExec {
         self.pool.push(w, Cmd::Freeze { q });
     }
 
-    fn step(&mut self, q: QueryId, w: usize, task: &dyn QueryTask, prev: &Envelope, _: StepVia) {
+    fn step(
+        &mut self,
+        q: QueryId,
+        w: usize,
+        task: &dyn QueryTask,
+        prev: &Envelope,
+        _: StepVia,
+        solo: bool,
+    ) {
         self.hb.send_step(q.0, w);
         let prev_agg = task.clone_aggregate(prev);
-        self.pool.push(w, Cmd::Step { q, prev_agg });
+        self.pool.push(w, Cmd::Step { q, prev_agg, solo });
         self.inflight_ops += 1;
     }
 
@@ -996,7 +1052,8 @@ fn serve(mut core: Coordinator, mut x: PoolExec) -> (EngineState, Vec<(QueryId, 
             CoordMsg::Worker(Resp::StepDone(report)) => {
                 let q = report.q;
                 x.inflight_ops -= 1;
-                x.pool_tasks += 1;
+                // One pool task per executed superstep, wherever it closed.
+                x.pool_tasks += 1 + report.chained.as_ref().map_or(0, |c| u64::from(c.n));
                 x.hb.token_close(q.0, kind::STEP);
                 let outcome = core.step_done(&mut x, report, now, now);
                 if outcome == StepOutcome::Running {
@@ -1123,26 +1180,58 @@ impl Lane {
                 ctx.worker.freeze(q);
                 None
             }
-            Cmd::Step { q, prev_agg } => {
-                // The superstep reads the published topology/assignment:
-                // the auditor checks this worker's clock is ordered after
-                // the latest publication before any vertex executes.
-                hb.worker_step(w);
+            Cmd::Step {
+                q,
+                mut prev_agg,
+                solo,
+            } => {
                 let task = task_of(q);
                 let route = |v: VertexId| ctx.partitioning.worker_of(v).index();
-                let (stats, agg, remote) =
-                    ctx.worker
-                        .execute(q, task.as_ref(), &ctx.topology, &prev_agg, &route);
-                executed_n = stats.executed as u64;
-                let self_pending = ctx.worker.has_pending(q);
-                Some(Resp::StepDone(StepReport {
-                    q,
-                    worker: w,
-                    stats,
-                    agg,
-                    remote,
-                    self_pending,
-                }))
+                let mut stats = SuperstepStats::default();
+                let mut closed = 0;
+                loop {
+                    // The superstep reads the published topology/assignment:
+                    // the auditor checks this worker's clock is ordered after
+                    // the latest publication before any vertex executes.
+                    hb.worker_step(w);
+                    let (step, agg, remote) =
+                        ctx.worker
+                            .execute(q, task.as_ref(), &ctx.topology, &prev_agg, &route);
+                    stats.then(&step);
+                    let self_pending = ctx.worker.has_pending(q);
+                    // The local barrier: the only task of its superstep
+                    // sent nothing away and left work here, so the next
+                    // involved set is this partition alone — unless the
+                    // rolled aggregate ends the query, which is the core's
+                    // to find. Nothing else is stepping `q`, so no message
+                    // can be in flight to the inbox sealed below.
+                    if solo && closed < LOCAL_QUANTUM && remote.is_empty() && self_pending {
+                        let mut acc = task.aggregate_identity();
+                        task.aggregate_combine(&mut acc, &agg);
+                        // On a copy: a close that terminates is not taken.
+                        let mut rolled = task.clone_aggregate(&prev_agg);
+                        if !close_superstep(task.as_ref(), &mut rolled, acc) {
+                            prev_agg = rolled;
+                            closed += 1;
+                            ctx.worker.freeze(q);
+                            continue;
+                        }
+                    }
+                    executed_n = stats.executed as u64;
+                    let chained = (closed > 0).then(|| Chained {
+                        n: closed,
+                        agg_prev: prev_agg,
+                    });
+                    break Some(Resp::StepDone(StepReport {
+                        q,
+                        worker: w,
+                        stats,
+                        agg,
+                        remote,
+                        self_pending,
+                        chained,
+                    }));
+                }
             }
             Cmd::Collect { q } => {
                 let local = ctx.worker.take_local(q);
@@ -1205,7 +1294,7 @@ impl Lane {
 mod tests {
     use super::*;
     use crate::config::QcutConfig;
-    use crate::programs::{PingProgram, ReachProgram};
+    use crate::programs::{PingProgram, ReachProgram, Tally};
     use qgraph_graph::GraphBuilder;
     use qgraph_partition::{Partitioner, RangePartitioner};
 
@@ -1215,6 +1304,141 @@ mod tests {
             b.add_edge(i as u32, i as u32 + 1, 1.0);
         }
         Arc::new(b.build())
+    }
+
+    /// A lane with no pool behind it: the test thread handles partition
+    /// commands itself, stamped for the auditor the way `PoolExec` stamps
+    /// them. Query 0 is `task`, seeded and sealed on every partition its
+    /// initial messages route to.
+    fn seeded_lane(
+        g: &Arc<Graph>,
+        parts: Partitioning,
+        task: Arc<dyn QueryTask>,
+    ) -> (Lane, Receiver<CoordMsg>) {
+        let k = parts.num_workers();
+        let hb = Hb::new(k);
+        hb.publish_topology(0, 0);
+        hb.publish_partitioning(0);
+        let topology = Arc::new(Topology::new(Arc::clone(g)));
+        let parts = Arc::new(parts);
+        let ctx = |w| {
+            hb.spawn_worker(w);
+            Mutex::new(WorkerCtx {
+                worker: Worker::new(w),
+                topology: Arc::clone(&topology),
+                partitioning: Arc::clone(&parts),
+            })
+        };
+        let (resp, rx) = channel();
+        let lane = Lane {
+            width: 1,
+            ctxs: Arc::new((0..k).map(ctx).collect()),
+            registry: Arc::new(RwLock::new(vec![Arc::clone(&task)])),
+            resp,
+            hb: hb.clone(),
+            tracer: Tracer::new(1, 16, false),
+            clock: Clock {
+                base: 0.0,
+                started: Instant::now(),
+            },
+        };
+        let route = |v: VertexId| parts.worker_of(v).index();
+        for (w, batch) in task.initial_batches(&topology, &route, true) {
+            handle(
+                &lane,
+                w,
+                Cmd::Deliver {
+                    q: QueryId(0),
+                    batch,
+                },
+            );
+            handle(&lane, w, Cmd::Freeze { q: QueryId(0) });
+        }
+        (lane, rx)
+    }
+
+    fn handle(lane: &Lane, w: usize, cmd: Cmd) {
+        match &cmd {
+            Cmd::Step { q, .. } => lane.hb.send_step(q.0, w),
+            _ => lane.hb.send_cmd(w),
+        }
+        lane.handle(0, w, cmd);
+    }
+
+    /// Dispatch query 0's sealed superstep on `w`; its one report.
+    fn step(lane: &Lane, rx: &Receiver<CoordMsg>, w: usize, solo: bool) -> StepReport {
+        let q = QueryId(0);
+        let prev_agg = reg_read(&lane.registry)[0].aggregate_identity();
+        handle(lane, w, Cmd::Step { q, prev_agg, solo });
+        let Ok(CoordMsg::Worker(Resp::StepDone(report))) = rx.try_recv() else {
+            panic!("a Step answers with its report");
+        };
+        assert!(rx.try_recv().is_err(), "one report per dispatch");
+        report
+    }
+
+    fn tally(sticky: bool, stop_at: u64) -> Arc<dyn QueryTask> {
+        Arc::new(TypedTask::new(Tally {
+            seed: VertexId(0),
+            sticky,
+            stop_at,
+        }))
+    }
+
+    fn tally_of(aggregate: &Envelope) -> u64 {
+        *aggregate.downcast_ref::<u64>().expect("a tally aggregate")
+    }
+
+    #[test]
+    fn a_solo_step_closes_a_quantum_of_local_supersteps_on_the_lane() {
+        let g = line(4);
+        let parts = || RangePartitioner.partition(&g, 2);
+        // The tally's vertex re-activates itself forever: the chain ends
+        // at the quantum, with the partition still pending.
+        let (lane, rx) = seeded_lane(&g, parts(), tally(false, u64::MAX));
+        let rep = step(&lane, &rx, 0, true);
+        let executions = 1 + LOCAL_QUANTUM as usize;
+        let chain = rep.chained.expect("closed on the lane");
+        assert_eq!((chain.n, tally_of(&chain.agg_prev)), (LOCAL_QUANTUM, 1));
+        assert_eq!(
+            (rep.stats.executed, rep.stats.tasks),
+            (executions, executions)
+        );
+        assert_eq!(rep.stats.local_deliveries, executions);
+        assert!(rep.self_pending && rep.remote.is_empty() && tally_of(&rep.agg) == 1);
+        // Every execution was audited against the published versions and
+        // the one Step token is still open: the coordinator closes it.
+        #[cfg(feature = "check-hb")]
+        assert_eq!(lane.hb.audited(), (executions as u64, 1));
+
+        // Without the hint the same superstep is reported as it ends.
+        let (lane, rx) = seeded_lane(&g, parts(), tally(false, u64::MAX));
+        let rep = step(&lane, &rx, 0, false);
+        assert!(rep.chained.is_none() && rep.self_pending);
+        assert_eq!((rep.stats.executed, rep.stats.tasks), (1, 1));
+    }
+
+    #[test]
+    fn a_chain_stops_before_a_terminating_close_and_at_a_crossing_step() {
+        let g = line(4);
+        let parts = || RangePartitioner.partition(&g, 2);
+        // Sticky and stopping at 3: the third close would end the query,
+        // so the third superstep is reported unrolled behind two closes.
+        let (lane, rx) = seeded_lane(&g, parts(), tally(true, 3));
+        let rep = step(&lane, &rx, 0, true);
+        let chain = rep.chained.expect("two closed on the lane");
+        assert_eq!((chain.n, tally_of(&chain.agg_prev)), (2, 2));
+        assert_eq!((rep.stats.executed, tally_of(&rep.agg)), (3, 1));
+        assert!(rep.self_pending);
+
+        // A flood from vertex 0 of `{0,1} {2,3}`: the superstep at vertex
+        // 1 crosses, so it ends the chain and carries its remote batch.
+        let reach = Arc::new(TypedTask::new(ReachProgram::new(VertexId(0))));
+        let (lane, rx) = seeded_lane(&g, parts(), reach);
+        let rep = step(&lane, &rx, 0, true);
+        assert_eq!(rep.chained.map(|c| c.n), Some(1));
+        assert_eq!((rep.stats.executed, rep.stats.remote_deliveries), (2, 1));
+        assert!(!rep.self_pending && rep.remote.len() == 1 && rep.remote[0].0 == 1);
     }
 
     #[test]

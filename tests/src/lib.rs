@@ -6,8 +6,39 @@
 
 #![forbid(unsafe_code)]
 
+use qgraph_core::{EngineReport, QueryId};
 use qgraph_graph::Graph;
 use qgraph_workload::{RoadNetworkConfig, RoadNetworkGenerator};
+
+/// The placement- and schedule-independent structural record of every
+/// outcome, keyed by query id: program, iterations, local iterations,
+/// vertex updates, remote messages, remote batches, scope size, tasks.
+/// With adaptivity off it must be identical across pool widths, DoP
+/// budgets and runtimes.
+pub type Fingerprint = Vec<(QueryId, &'static str, u32, u32, u64, u64, u64, u64, u64)>;
+
+/// The [`Fingerprint`] of `report`, sorted by query id.
+pub fn fingerprint(report: &EngineReport) -> Fingerprint {
+    let mut fp: Fingerprint = report
+        .outcomes
+        .iter()
+        .map(|o| {
+            (
+                o.id,
+                o.program,
+                o.iterations,
+                o.local_iterations,
+                o.vertex_updates,
+                o.remote_messages,
+                o.remote_batches,
+                o.scope_size,
+                o.tasks,
+            )
+        })
+        .collect();
+    fp.sort_unstable_by_key(|f| f.0);
+    fp
+}
 
 /// A small deterministic road network (a few thousand vertices) used by the
 /// integration tests. Cheap enough to build per-test.

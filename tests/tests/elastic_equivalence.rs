@@ -17,10 +17,10 @@ use proptest::prelude::*;
 use qgraph_algo::{BfsProgram, PoiProgram, SsspProgram, WccProgram};
 use qgraph_core::programs::ReachProgram;
 use qgraph_core::{
-    DopPolicy, Engine, EngineReport, QcutConfig, QueryHandle, QueryId, SimEngine, SystemConfig,
-    ThreadEngine,
+    DopPolicy, Engine, EngineReport, QcutConfig, QueryHandle, SimEngine, SystemConfig, ThreadEngine,
 };
 use qgraph_graph::{Graph, GraphBuilder, MutationBatch, VertexId};
+use qgraph_integration_tests::fingerprint;
 use qgraph_partition::{HashPartitioner, Partitioner};
 use qgraph_sim::ClusterModel;
 
@@ -77,33 +77,6 @@ macro_rules! assert_same_outputs {
         prop_assert_eq!($a.output(&$h.wcc), $b.output(&$h.wcc));
         prop_assert!($a.output(&$h.sssp).is_some(), "queries must finish");
     }};
-}
-
-/// The placement-independent structural record of every outcome, keyed
-/// by query id: everything here must be bit-identical across pool
-/// widths and DoP budgets (with adaptivity off).
-type Fingerprint = Vec<(QueryId, &'static str, u32, u32, u64, u64, u64, u64, u64)>;
-
-fn fingerprint(report: &EngineReport) -> Fingerprint {
-    let mut fp: Fingerprint = report
-        .outcomes
-        .iter()
-        .map(|o| {
-            (
-                o.id,
-                o.program,
-                o.iterations,
-                o.local_iterations,
-                o.vertex_updates,
-                o.remote_messages,
-                o.remote_batches,
-                o.scope_size,
-                o.tasks,
-            )
-        })
-        .collect();
-    fp.sort_unstable_by_key(|f| f.0);
-    fp
 }
 
 /// Pool/DoP accounting coherence, independent of the comparison run:

@@ -5,7 +5,9 @@
 //! * **timelines** — every submitted query gets a per-query timeline
 //!   whose five-phase breakdown (queued / executing / frozen-waiting /
 //!   deferred-by-dop / parked-at-barrier) partitions its time in
-//!   system;
+//!   system, and whose superstep count equals the outcome's — also for
+//!   the supersteps the thread runtime closes on a partition's lane,
+//!   which the core stamps when their report arrives;
 //! * **saturation** — a deliberately tiny ring must *drop and count*,
 //!   never block or grow: the engine completes identical work and the
 //!   loss is visible in `dropped_events`;
@@ -22,11 +24,11 @@
 #![cfg(feature = "trace")]
 
 use qgraph_algo::{BfsProgram, SsspProgram};
-use qgraph_core::{EngineBuilder, SystemConfig};
+use qgraph_core::{EngineBuilder, EngineReport, SystemConfig};
 use qgraph_graph::VertexId;
 use qgraph_integration_tests::line_graph;
-use qgraph_partition::HashPartitioner;
-use qgraph_trace::outcome;
+use qgraph_partition::{HashPartitioner, RangePartitioner};
+use qgraph_trace::{outcome, QueryTimeline};
 
 fn traced_cfg() -> SystemConfig {
     SystemConfig {
@@ -55,6 +57,15 @@ fn grid_world() -> qgraph_graph::Graph {
     b.build()
 }
 
+/// The supersteps `report` counted for the query of timeline `t`.
+fn iterations(report: &EngineReport, t: &QueryTimeline) -> u64 {
+    let outcome = report
+        .outcomes
+        .iter()
+        .find(|o| u64::from(o.id.0) == t.query);
+    u64::from(outcome.expect("every timeline has an outcome").iterations)
+}
+
 /// Five-phase partition + one timeline per query, simulated engine
 /// (virtual stamps: the residual is pure float noise).
 #[test]
@@ -74,6 +85,7 @@ fn sim_timelines_partition_time_in_system() {
     for t in &s.timelines {
         assert_eq!(t.outcome, outcome::COMPLETED, "query {}", t.query);
         assert!(t.supersteps > 0 && t.tasks > 0, "query {}", t.query);
+        assert_eq!(t.supersteps, iterations(e.report(), t), "query {}", t.query);
         assert!(t.executing_secs > 0.0, "query {}", t.query);
         let residual = (t.phase_sum_secs() - t.time_in_system_secs()).abs();
         assert!(
@@ -104,6 +116,7 @@ fn thread_timelines_and_chrome_round_trip() {
     assert_eq!(s.dropped_events, 0);
     for t in &s.timelines {
         assert_eq!(t.outcome, outcome::COMPLETED, "query {}", t.query);
+        assert_eq!(t.supersteps, iterations(report, t), "query {}", t.query);
         assert!(t.executing_secs > 0.0, "query {}", t.query);
         let residual = (t.phase_sum_secs() - t.time_in_system_secs()).abs();
         assert!(
@@ -118,6 +131,39 @@ fn thread_timelines_and_chrome_round_trip() {
     // Lane tracks + coordinator + one per query.
     assert!(stats.tracks > 6, "got {} tracks", stats.tracks);
     assert!(stats.spans > 0);
+}
+
+/// Supersteps closed on a partition's lane never pass through the
+/// coordinator one by one, yet each gets its `superstep_done` stamp: on a
+/// contiguous partitioning of a line, a shortest path is one long run of
+/// local supersteps per partition, far fewer Step spans than supersteps.
+#[test]
+fn thread_timelines_count_supersteps_closed_on_the_lane() {
+    let mut e = EngineBuilder::new(line_graph(96))
+        .workers(3)
+        .partitioner(RangePartitioner)
+        .config(traced_cfg())
+        .build_threaded();
+    for _ in 0..3 {
+        e.submit(SsspProgram::new(VertexId(0), VertexId(95)));
+    }
+    e.run();
+    let report = e.shutdown();
+    let s = report.trace();
+    assert_eq!((s.timelines.len(), s.dropped_events), (3, 0));
+    for t in &s.timelines {
+        assert_eq!(t.supersteps, 96, "query {}", t.query);
+        assert_eq!(t.supersteps, iterations(report, t), "query {}", t.query);
+        assert!(
+            t.tasks < t.supersteps,
+            "query {}: {} commands for {} supersteps",
+            t.query,
+            t.tasks,
+            t.supersteps
+        );
+        let residual = (t.phase_sum_secs() - t.time_in_system_secs()).abs();
+        assert!(residual <= 1e-9 + 0.01 * t.time_in_system_secs());
+    }
 }
 
 /// Saturation: a 16-event ring on a schedule that records far more
