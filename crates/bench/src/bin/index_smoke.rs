@@ -6,7 +6,8 @@
 //!
 //! Four phases:
 //! 1. **Construction** — pruned-landmark build over the road network
-//!    (size + wall time recorded).
+//!    (size + wall time recorded; at most 130 label entries per vertex —
+//!    the rank order's diet, a count and so safe to assert in CI).
 //! 2. **Serving A/B** — the same point-query stream (dist + reach pairs)
 //!    through a traversal-only engine and an index-serving engine,
 //!    best-of-3 each; answers must be identical, and the wall-clock
@@ -21,6 +22,9 @@
 //!    to route a genuinely heavy batch to rebuild), and the JSON records
 //!    the incremental-vs-rebuild split plus witness counters per batch.
 //!
+//! Every batch record carries why it rebuilt (`rebuild_cause`) and how
+//! many full passes a sweep-cap bail had already spent (`sweep_passes`).
+//!
 //! Env knobs: `QGRAPH_SCALE` (graph scale, default 0.02),
 //! `QGRAPH_QUERIES` (default 256), `QGRAPH_WORKERS` (default 4),
 //! `QGRAPH_BATCHES` (churn batches per churn phase, default 8),
@@ -33,7 +37,7 @@ use std::time::Instant;
 
 use qgraph_algo::{ReachPointProgram, SsspProgram};
 use qgraph_bench::{build_network, partition_graph, GraphPreset, Strategy};
-use qgraph_core::{Engine, SystemConfig, ThreadEngine, Topology};
+use qgraph_core::{Engine, RepairSummary, SystemConfig, ThreadEngine, Topology};
 use qgraph_graph::{Graph, VertexId};
 use qgraph_index::{IndexConfig, LabelIndex};
 use qgraph_partition::{HashPartitioner, Partitioner, Partitioning};
@@ -128,6 +132,15 @@ fn best_of_3(
     (best, answers, index_served, traversal_served)
 }
 
+/// The repair-summary fields every batch record ends with.
+fn summary_json(s: &RepairSummary) -> String {
+    format!(
+        "\"labels_removed\": {}, \"labels_added\": {}, \"rebuilt\": {}, \
+         \"rebuild_cause\": \"{:?}\", \"sweep_passes\": {}",
+        s.labels_removed, s.labels_added, s.rebuilt, s.rebuild_cause, s.sweep_passes,
+    )
+}
+
 fn env_f64(key: &str, default: f64) -> f64 {
     std::env::var(key)
         .ok()
@@ -172,6 +185,11 @@ fn main() {
     let index = LabelIndex::build(&Topology::new(Arc::clone(&graph)), cfg);
     let construction_ms = build_start.elapsed().as_secs_f64() * 1e3;
     let entries = index.total_entries();
+    let entries_per_vertex = entries as f64 / graph.num_vertices().max(1) as f64;
+    assert!(
+        entries_per_vertex <= 130.0,
+        "label volume off the diet: {entries_per_vertex:.1} entries per vertex"
+    );
 
     // Phase 2: serving A/B on the static graph.
     let (trav_ms, trav_answers, trav_idx, trav_tra) = best_of_3(&graph, &parts, None, &specs);
@@ -211,14 +229,11 @@ fn main() {
         .zip(&batch_walls)
         .map(|(r, wall)| {
             format!(
-                "{{\"epoch\": {}, \"wall_ms\": {:.3}, \"roots_rerun\": {}, \
-                 \"labels_removed\": {}, \"labels_added\": {}, \"rebuilt\": {}}}",
+                "{{\"epoch\": {}, \"wall_ms\": {:.3}, \"roots_rerun\": {}, {}}}",
                 r.epoch,
                 wall,
                 r.summary.roots_rerun,
-                r.summary.labels_removed,
-                r.summary.labels_added,
-                r.summary.rebuilt,
+                summary_json(&r.summary),
             )
         })
         .collect();
@@ -285,17 +300,14 @@ fn main() {
             format!(
                 "{{\"epoch\": {}, \"wall_ms\": {:.3}, \"roots_rerun\": {}, \
                  \"partial_roots\": {}, \"witness_decrements\": {}, \
-                 \"entries_invalidated\": {}, \"labels_removed\": {}, \
-                 \"labels_added\": {}, \"rebuilt\": {}}}",
+                 \"entries_invalidated\": {}, {}}}",
                 r.epoch,
                 wall,
                 r.summary.roots_rerun,
                 r.summary.partial_roots,
                 r.summary.witness_decrements,
                 r.summary.entries_invalidated,
-                r.summary.labels_removed,
-                r.summary.labels_added,
-                r.summary.rebuilt,
+                summary_json(&r.summary),
             )
         })
         .collect();
@@ -320,6 +332,7 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"index_smoke\",\n  \"graph_vertices\": {},\n  \"queries\": {},\n  \
          \"workers\": {},\n  \"construction_ms\": {:.3},\n  \"label_entries\": {},\n  \
+         \"entries_per_vertex\": {:.1},\n  \
          \"traversal_wall_ms\": {:.3},\n  \"index_wall_ms\": {:.3},\n  \
          \"latency_ratio\": {:.3},\n  \"churn_batches\": {},\n  \
          \"repair_total_ms\": {:.3},\n  \"repair_mean_ms\": {:.3},\n  \"batches\": [\n    {}\n  ],\n  \
@@ -331,6 +344,7 @@ fn main() {
         workers,
         construction_ms,
         entries,
+        entries_per_vertex,
         trav_ms,
         idx_ms,
         latency_ratio,

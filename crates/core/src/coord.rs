@@ -881,20 +881,12 @@ impl Coordinator {
                 self.tracer.compaction(secs(x.now()));
             }
             // The repair stages ran inside `apply_mutation_epochs`; the
-            // span covers the mutation phase, its end instant carries the
-            // summed repair counters of this window's batches.
+            // span covers the mutation phase, its end instants carry the
+            // repair counters of this window's batches.
             let repairs = &st.report.index_repairs[repairs_before..];
             if !repairs.is_empty() {
-                let sum = |f: fn(&crate::RepairSummary) -> usize| -> u64 {
-                    repairs.iter().map(|ev| f(&ev.summary) as u64).sum()
-                };
                 self.tracer.repair_begin(secs(entered));
-                self.tracer.repair_end(
-                    secs(x.now()),
-                    sum(|s| s.entries_invalidated),
-                    sum(|s| s.roots_rerun),
-                    sum(|s| s.partial_roots),
-                );
+                self.tracer.repair_end(secs(x.now()), repairs);
             }
             self.tracer.mutation_end(secs(x.now()), n);
         }

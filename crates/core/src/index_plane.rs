@@ -68,6 +68,26 @@ pub enum PointAnswer {
     Reach(bool),
 }
 
+/// Why a repair fell back to a full rebuild — each variant names the
+/// point at which the damage cap was consulted. The discriminants are
+/// the trace codes (`qgraph_trace::classify::CAUSES`).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum RebuildCause {
+    /// No rebuild: the batch was repaired incrementally.
+    #[default]
+    None = 0,
+    /// Classification alone flagged more full re-runs than the cap.
+    PreFlagged = 1,
+    /// The batch's footprint — root passes its removals touch at all,
+    /// flagged or merely decremented — exceeded the cap before any pass
+    /// ran.
+    Footprint = 2,
+    /// The backstop: full re-runs accumulated past the cap mid-sweep
+    /// (cascading weakenings classification could not see); the passes
+    /// already spent are in [`RepairSummary::sweep_passes`].
+    SweepCap = 3,
+}
+
 /// What one repair pass did — returned by [`PointIndex::repair`] and
 /// recorded as an [`IndexRepairEvent`].
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -81,12 +101,19 @@ pub struct RepairSummary {
     pub witness_decrements: usize,
     /// Label entries invalidated because their witness count hit zero.
     pub entries_invalidated: usize,
-    /// Label entries invalidated by the batch.
+    /// Label entries invalidated by the batch (on a rebuild: the whole
+    /// pre-batch index, whichever exit the repair took).
     pub labels_removed: usize,
     /// Label entries (re)committed by the repair.
     pub labels_added: usize,
     /// Did the damage threshold trip a full scoped rebuild?
+    /// (`rebuild_cause != None`, kept as a flag for report consumers.)
     pub rebuilt: bool,
+    /// Which consultation of the damage cap tripped the rebuild.
+    pub rebuild_cause: RebuildCause,
+    /// Full passes re-run and then discarded by a
+    /// [`RebuildCause::SweepCap`] bail (0 on every other exit).
+    pub sweep_passes: usize,
 }
 
 /// The object-safe index contract the engines hold. Implemented by

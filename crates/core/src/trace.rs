@@ -43,6 +43,7 @@ pub(crate) mod outcome_code {
 
 #[cfg(feature = "trace")]
 mod imp {
+    use crate::index_plane::IndexRepairEvent;
     use qgraph_trace::{CmdKind, Event, Kind, Recorder};
     use std::sync::Arc;
 
@@ -222,13 +223,32 @@ mod imp {
             self.rec(0, Event::coord(at, Kind::RepairBegin, 0));
         }
 
-        /// Close the repair span and stamp its stage instants:
-        /// classify (entries invalidated), invalidate (full root
-        /// re-runs), resume (partial resumes).
-        pub fn repair_end(&self, at: f64, invalidated: u64, reruns: u64, resumes: u64) {
-            self.rec(0, Event::coord(at, Kind::RepairClassify, invalidated));
-            self.rec(0, Event::coord(at, Kind::RepairInvalidate, reruns));
-            self.rec(0, Event::coord(at, Kind::RepairResume, resumes));
+        /// Close the repair span and stamp its stage instants: one
+        /// classify per absorbed batch (entries invalidated, rebuild
+        /// cause, passes a sweep-cap bail discarded), then the
+        /// window's invalidate (full root re-runs) and resume
+        /// (partial resumes) totals.
+        pub fn repair_end(&self, at: f64, repairs: &[IndexRepairEvent]) {
+            let sum = |f: fn(&crate::RepairSummary) -> usize| -> u64 {
+                repairs.iter().map(|ev| f(&ev.summary) as u64).sum()
+            };
+            for ev in repairs {
+                let s = &ev.summary;
+                let aux = qgraph_trace::classify::pack(
+                    s.entries_invalidated as u64,
+                    s.rebuild_cause as u64,
+                    s.sweep_passes as u64,
+                );
+                self.rec(0, Event::coord(at, Kind::RepairClassify, aux));
+            }
+            self.rec(
+                0,
+                Event::coord(at, Kind::RepairInvalidate, sum(|s| s.roots_rerun)),
+            );
+            self.rec(
+                0,
+                Event::coord(at, Kind::RepairResume, sum(|s| s.partial_roots)),
+            );
             self.rec(0, Event::coord(at, Kind::RepairEnd, 0));
         }
 
@@ -368,7 +388,7 @@ mod imp {
         #[inline(always)]
         pub fn repair_begin(&self, _at: f64) {}
         #[inline(always)]
-        pub fn repair_end(&self, _at: f64, _invalidated: u64, _reruns: u64, _resumes: u64) {}
+        pub fn repair_end(&self, _at: f64, _repairs: &[crate::index_plane::IndexRepairEvent]) {}
         #[inline(always)]
         pub fn drain(&self) {}
     }

@@ -13,15 +13,21 @@
 //! re-filtered against the *live* labels — everything committed by
 //! earlier waves and by earlier roots of this wave. The wave passes
 //! prune only against the pre-wave snapshot, so their propagating sets
-//! are supersets; the live filter cuts them back to exactly the
-//! sequential minimal labeling, for any wave width, engine, or thread
-//! count. Minimal labels keep the closure property the witness-repair
-//! tightness test needs (every tight strict parent of a committed entry
-//! is itself committed — a broken cover at the parent would cover the
-//! child too), and minimality is what keeps repair local: the repair
-//! plane treats a dropped entry as a weakened pruning certificate, so
-//! redundant entries would amplify the first full re-run into a
-//! cascade.
+//! are supersets; the live filter cuts them back toward the sequential
+//! labeling. *Toward*, not *to*: a pass that propagated through a
+//! vertex the sequential build would have pruned at settles the
+//! vertices beyond it at their true distance, where the covering hub
+//! ties in real arithmetic — and the 2-hop cover sum associates
+//! differently from the path sum in f32, so the live filter's exact
+//! comparison keeps entries a width-1 build never tests (on the
+//! 1.9k-vertex road map widths 1 / 8 / 32 commit 151,184 / 154,258 /
+//! 169,522 entries). What *is* identical is the labeling at one width
+//! across the sequential builder, both engines and every thread count;
+//! across widths the answers agree (to the rounding of the 2-hop sum),
+//! the entry counts do not. Near-minimal labels matter beyond size: the
+//! repair plane treats a dropped entry as a weakened pruning
+//! certificate, so redundant entries amplify the first full re-run
+//! into a cascade.
 
 use std::sync::Arc;
 
@@ -72,7 +78,7 @@ pub fn build_on_engine<E: Engine>(engine: &mut E, cfg: IndexConfig) -> LabelInde
                 // Re-test against the live labels (earlier waves plus
                 // earlier roots of this wave): the pass propagated under
                 // the weaker snapshot filter, so this prunes its result
-                // down to the sequential minimal labeling.
+                // back toward the sequential labeling (module docs).
                 let threshold = match dir {
                     Direction::Forward => labels.query_below(root, v, r),
                     Direction::Backward => labels.query_below(v, root, r),
@@ -140,19 +146,23 @@ mod tests {
     }
 
     #[test]
-    fn both_runtimes_build_identical_labels() {
+    fn every_builder_commits_identical_labels_at_one_width() {
         let graph = gadget();
         let cfg = IndexConfig {
             wave: 3,
             ..IndexConfig::default()
         };
+        let seq = LabelIndex::build(&Topology::new(graph.clone()), cfg);
         let mut sim = EngineBuilder::new(graph.clone()).workers(2).build_sim();
         let mut threaded = EngineBuilder::new(graph).workers(2).build_threaded();
         let a = build_on_engine(&mut sim, cfg);
         let b = build_on_engine(&mut threaded, cfg);
-        assert_eq!(a.labels().order, b.labels().order);
-        assert_eq!(a.labels().out_labels, b.labels().out_labels);
-        assert_eq!(a.labels().in_labels, b.labels().in_labels);
+        // One rank order and one labeling, whoever builds at this width.
+        for other in [&b, &seq] {
+            assert_eq!(a.labels().order, other.labels().order);
+            assert_eq!(a.labels().out_labels, other.labels().out_labels);
+            assert_eq!(a.labels().in_labels, other.labels().in_labels);
+        }
     }
 
     #[test]

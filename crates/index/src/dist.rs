@@ -63,3 +63,21 @@ pub(crate) fn tight_via(du: f32, w: f32, dv: f32) -> bool {
 pub(crate) fn within_slack(sum: f32, d: f32) -> bool {
     sum.is_finite() && sum <= d * (1.0 + REL_SLACK)
 }
+
+/// Total order on finite f32 distances for the Dijkstra heaps.
+#[derive(Clone, Copy, PartialEq)]
+pub(crate) struct OrdF32(pub(crate) f32);
+
+impl Eq for OrdF32 {}
+
+impl PartialOrd for OrdF32 {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for OrdF32 {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.partial_cmp(&other.0).expect("finite distances")
+    }
+}

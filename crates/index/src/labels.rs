@@ -1,8 +1,9 @@
 //! The 2-hop hub label store and its flat, read-only serving form.
 //!
-//! Every vertex is a landmark *root*, ranked by degree (descending,
-//! vertex id breaking ties) — rank 0 is the highest-priority root. A
-//! directed graph needs two label families:
+//! Every vertex is a landmark *root*, ranked by sampled shortest-path
+//! coverage × degree (descending, vertex id breaking ties; see
+//! `rank_order`) — rank 0 is the highest-priority root. A directed
+//! graph needs two label families:
 //!
 //! * `in_labels[v]`  — entries `(rank(r), dist(r → v))`, committed by
 //!   *forward* passes from each root `r`;
@@ -28,8 +29,13 @@
 //! ties): repair treats any deletion touching a fragile entry
 //! conservatively, by re-running the root in full.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use qgraph_graph::{Topology, VertexId};
 use rustc_hash::FxHashSet;
+
+use crate::dist::{improves, OrdF32};
 
 /// One mutable label entry: hub rank, certified distance, and the
 /// witness count of tight parent edges. Lists are sorted by rank.
@@ -130,13 +136,71 @@ fn intersect_below<A: RankDist, B: RankDist>(out: &[A], inl: &[B], rank_limit: u
     best
 }
 
+/// Shortest-path trees sampled to score the rank order. A constant, not
+/// a knob: on the 1.9k-vertex road map 16 / 64 / 256 trees give 181k /
+/// 154k / 153k label entries (degree order: 1,057k) — flat past a few
+/// dozen.
+const ORDER_SAMPLES: usize = 64;
+
+/// rank → vertex by *sampled shortest-path coverage × degree*,
+/// descending, vertex id breaking ties. [`ORDER_SAMPLES`] plain Dijkstra
+/// trees grow from sources spread evenly over the vertex ids; a vertex
+/// scores the sum of its subtree sizes — how many sampled shortest
+/// paths run through it, hence how much a pass from it lets every later
+/// pass prune. Degree alone says that on a social graph and nothing on
+/// a road map (every degree is 2–4); coverage alone over-ranks chains
+/// on hub-dominated graphs; the product serves both. No RNG, no engine,
+/// no thread count: every builder derives the same order.
+fn rank_order(topology: &Topology) -> Vec<VertexId> {
+    let n = topology.num_vertices();
+    let samples = ORDER_SAMPLES.min(n);
+    let mut score = vec![0u64; n];
+    let mut dist = vec![f32::INFINITY; n];
+    let mut parent = vec![u32::MAX; n];
+    let mut size = vec![0u64; n];
+    let mut settled: Vec<u32> = Vec::with_capacity(n);
+    let mut heap: BinaryHeap<Reverse<(OrdF32, u32)>> = BinaryHeap::new();
+    for i in 0..samples {
+        let source = (i * n / samples) as u32;
+        dist.fill(f32::INFINITY);
+        dist[source as usize] = 0.0;
+        parent[source as usize] = u32::MAX;
+        heap.push(Reverse((OrdF32(0.0), source)));
+        while let Some(Reverse((OrdF32(d), v))) = heap.pop() {
+            if improves(dist[v as usize], d) {
+                continue; // stale heap entry
+            }
+            settled.push(v);
+            for (t, w) in topology.neighbors(VertexId(v)) {
+                let nd = d + w;
+                if improves(nd, dist[t.index()]) {
+                    dist[t.index()] = nd;
+                    parent[t.index()] = v;
+                    heap.push(Reverse((OrdF32(nd), t.0)));
+                }
+            }
+        }
+        // Children settle after their parents: one reverse sweep folds
+        // subtree sizes upward (and zeroes `size` for the next tree).
+        for v in settled.drain(..).rev() {
+            let subtree = std::mem::take(&mut size[v as usize]) + 1;
+            score[v as usize] += subtree;
+            if let Some(p) = size.get_mut(parent[v as usize] as usize) {
+                *p += subtree;
+            }
+        }
+    }
+    let mut order: Vec<VertexId> = (0..n as u32).map(VertexId).collect();
+    order.sort_by_cached_key(|&v| (Reverse(score[v.index()] * topology.degree(v) as u64), v.0));
+    order
+}
+
 /// The mutable hub label store: per-vertex rank-sorted label lists plus
 /// the rank order itself.
 #[derive(Clone, Debug, Default)]
 pub struct HubLabels {
-    /// rank → vertex (degree-descending, id ascending on ties; vertices
-    /// created by later mutation epochs are appended at the end, i.e.
-    /// lowest priority).
+    /// rank → vertex (`rank_order`; vertices created by later mutation
+    /// epochs are appended at the end, i.e. lowest priority).
     pub order: Vec<VertexId>,
     /// vertex index → rank (inverse of `order`).
     pub rank_of: Vec<u32>,
@@ -147,13 +211,12 @@ pub struct HubLabels {
 }
 
 impl HubLabels {
-    /// An empty store over `topology`'s vertices with the degree rank
-    /// order (descending degree, ascending id on ties — the stable
-    /// tie-break that keeps construction deterministic across engines).
+    /// An empty store over `topology`'s vertices, ranked by
+    /// `rank_order` — the one place the order is made, shared by the
+    /// sequential build, the engine build and the in-barrier rebuild.
     pub fn empty(topology: &Topology) -> Self {
         let n = topology.num_vertices();
-        let mut order: Vec<VertexId> = (0..n as u32).map(VertexId).collect();
-        order.sort_by_key(|&v| (std::cmp::Reverse(topology.degree(v)), v.0));
+        let order = rank_order(topology);
         let mut rank_of = vec![0u32; n];
         for (rank, &v) in order.iter().enumerate() {
             rank_of[v.index()] = rank as u32;
@@ -391,10 +454,63 @@ mod tests {
     }
 
     #[test]
-    fn rank_order_is_degree_desc_id_asc() {
-        let labels = HubLabels::empty(&topo());
-        assert_eq!(labels.order, vec![VertexId(0), VertexId(1), VertexId(2)]);
-        assert_eq!(labels.rank_of, vec![0, 1, 2]);
+    fn rank_order_is_a_deterministic_permutation() {
+        let topo = topo();
+        let labels = HubLabels::empty(&topo);
+        let mut seen = labels.order.clone();
+        seen.sort_unstable();
+        assert_eq!(seen, vec![VertexId(0), VertexId(1), VertexId(2)]);
+        for (rank, &v) in labels.order.iter().enumerate() {
+            assert_eq!(labels.rank_of[v.index()], rank as u32);
+        }
+        assert_eq!(labels.order, HubLabels::empty(&topo).order);
+    }
+
+    /// Two 5-cliques joined through vertex 5, which touches one *gate*
+    /// per clique (4 and 6). Every clique vertex has a higher degree
+    /// than the bridge's 2, so a degree order ranks it dead last; every
+    /// cross-clique shortest path runs through it, so coverage lifts it
+    /// above all eight non-gate clique vertices — only the gates, which
+    /// carry the same paths at degree 5, stay ahead.
+    #[test]
+    fn barbell_bridge_outranks_higher_degree_clique_vertices() {
+        let mut b = GraphBuilder::new(11);
+        for base in [0u32, 6] {
+            for u in base..base + 5 {
+                for v in u + 1..base + 5 {
+                    b.add_undirected_edge(u, v, 1.0);
+                }
+            }
+        }
+        b.add_undirected_edge(4, 5, 1.0);
+        b.add_undirected_edge(5, 6, 1.0);
+        let topo = Topology::new(Arc::new(b.build()));
+        let labels = HubLabels::empty(&topo);
+        assert_eq!(topo.degree(VertexId(5)), 2);
+        assert_eq!(labels.rank_of[5], 2, "order: {:?}", labels.order);
+        let mut gates = labels.order[..2].to_vec();
+        gates.sort_unstable();
+        assert_eq!(gates, vec![VertexId(4), VertexId(6)]);
+    }
+
+    #[test]
+    fn degenerate_graphs_still_rank_every_vertex() {
+        // Edgeless: every score·degree is 0, ids break the ties.
+        let edgeless = Topology::new(Arc::new(GraphBuilder::new(4).build()));
+        let ids = |n: u32| (0..n).map(VertexId).collect::<Vec<_>>();
+        assert_eq!(HubLabels::empty(&edgeless).order, ids(4));
+        assert!(
+            HubLabels::empty(&Topology::new(Arc::new(GraphBuilder::new(0).build())))
+                .order
+                .is_empty()
+        );
+        // Disconnected: trees stop at their component's edge.
+        let mut b = GraphBuilder::new(5);
+        b.add_undirected_edge(0, 1, 1.0);
+        b.add_undirected_edge(3, 4, 2.0);
+        let mut order = HubLabels::empty(&Topology::new(Arc::new(b.build()))).order;
+        order.sort_unstable();
+        assert_eq!(order, ids(5));
     }
 
     #[test]

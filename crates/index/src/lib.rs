@@ -2,8 +2,9 @@
 //!
 //! Microsecond point queries (`dist(u,v)` / `reach(u,v)`) over the
 //! evolving graph, by pruned landmark labeling (2-hop hub labels):
-//! every vertex is a landmark root ranked by degree; each root runs a
-//! rank-restricted pruned pass in both directions; a query intersects
+//! every vertex is a landmark root ranked by sampled shortest-path
+//! coverage × degree; each root runs a rank-restricted pruned pass in
+//! both directions; a query intersects
 //! the source's out-labels with the target's in-labels. The minimum
 //! over common hubs is the exact shortest-path distance — Quegel's Hub2
 //! serving mode, grown into a full plane of this engine:
@@ -21,7 +22,8 @@
 //!   resume passes from the new edge (Akiba-style), deletions invalidate
 //!   exactly the roots whose witness paths used a removed edge and
 //!   re-run them, and damage beyond [`IndexConfig::damage_threshold`]
-//!   falls back to a full rebuild. Epoch validity is tracked so a query
+//!   — judged from the batch's footprint before any pass runs — falls
+//!   back to a full rebuild. Epoch validity is tracked so a query
 //!   admitted at epoch *e* is never served by an index repaired only
 //!   through *e − 1*.
 
@@ -50,13 +52,18 @@ pub struct IndexConfig {
     pub repair: bool,
     /// Fraction of a rebuild's `2n` root passes that repair may re-run
     /// in full before bailing to the rebuild instead (which also
-    /// re-ranks by the new degree distribution). Counted per *pass*,
+    /// re-ranks the roots on the new topology). Counted per *pass*,
     /// not per root: most weakened roots re-run a single direction.
+    /// Consulted up front against the passes a batch's removals touch
+    /// and again mid-sweep against the full re-runs actually incurred.
     pub damage_threshold: f64,
     /// Landmark roots per construction wave (each submits two passes).
-    /// Wider waves cost fewer engine round-trips; the committed labels
-    /// are identical for every width, because wave outputs are
-    /// re-filtered against the live labels in rank order.
+    /// Wider waves cost fewer engine round-trips and commit a few more
+    /// entries: wave outputs are re-filtered against the live labels in
+    /// rank order, which answers every query the same but is not the
+    /// width-1 labeling entry for entry (see `build.rs`). At one width
+    /// the labels are identical across builders, engines and thread
+    /// counts.
     pub wave: usize,
     /// Worker threads for offline index work — the sequential build,
     /// barrier-time full rebuilds, and witness recount sweeps. `0` picks
@@ -187,6 +194,7 @@ impl PointIndex for LabelIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qgraph_core::RebuildCause;
     use qgraph_graph::{GraphBuilder, MutationBatch, VertexId};
 
     fn topo() -> Topology {
@@ -342,8 +350,27 @@ mod tests {
         let mut batch = MutationBatch::new();
         batch.remove_edge(0, 1);
         let applied = topo.apply(&batch);
+        let entries_before = index.total_entries();
         let summary = index.repair(&topo, &applied, applied.epoch);
         assert!(summary.rebuilt);
+        // The cap clamps to one pass and the removal flags exactly one,
+        // so both up-front checks pass; the re-run weakens a second
+        // root mid-sweep and the backstop trips with one pass spent.
+        assert_eq!(summary.rebuild_cause, RebuildCause::SweepCap);
+        assert_eq!(summary.sweep_passes, 1);
+        assert_eq!(summary.labels_removed, entries_before);
+        assert_matches_rebuild(&index, &topo);
+
+        // Two more removals touch more passes than the cap allows: the
+        // decision is taken before any pass is spent.
+        let mut batch = MutationBatch::new();
+        batch.remove_edge(2, 3).remove_edge(4, 0);
+        let applied = topo.apply(&batch);
+        let entries_before = index.total_entries();
+        let summary = index.repair(&topo, &applied, applied.epoch);
+        assert_eq!(summary.rebuild_cause, RebuildCause::Footprint);
+        assert_eq!(summary.sweep_passes, 0);
+        assert_eq!(summary.labels_removed, entries_before);
         assert_matches_rebuild(&index, &topo);
     }
 

@@ -46,7 +46,11 @@
 //! Past a damage threshold (fully re-run *passes* as a fraction of a
 //! rebuild's own `2n` root passes, clamped to at least one pass so tiny
 //! indexes still repair incrementally) repair falls back to a full
-//! rebuild, which also re-ranks by the new degree distribution. The rebuild — and the
+//! rebuild, which also re-ranks the roots on the new topology. The cap
+//! is consulted before the sweep — against the passes classification
+//! flagged, then against every pass the removals touch (the batch's
+//! *footprint*) — and once more inside it as the backstop; the summary
+//! carries which one tripped ([`RebuildCause`]). The rebuild — and the
 //! sequential [`crate::LabelIndex::build`] — run as **morsel-parallel
 //! waves**: each wave's root passes prune against a shared snapshot of
 //! the labels committed by earlier waves and execute read-only across
@@ -57,32 +61,14 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use qgraph_core::RepairSummary;
+use qgraph_core::{RebuildCause, RepairSummary};
 use qgraph_graph::{AppliedMutation, EdgeChange, Topology, VertexId};
 use rustc_hash::{FxHashMap, FxHashSet};
 
-use crate::dist::{covers, improves, looser, same, tight_via, within_slack};
+use crate::dist::{covers, improves, looser, same, tight_via, within_slack, OrdF32};
 use crate::labels::{entry, Direction, HubLabels};
 use crate::program::{reverse_adjacency, RevAdj};
 use crate::IndexConfig;
-
-/// Total order on finite f32 distances for the Dijkstra heap.
-#[derive(Clone, Copy, PartialEq)]
-struct OrdF32(f32);
-
-impl Eq for OrdF32 {}
-
-impl PartialOrd for OrdF32 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for OrdF32 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.partial_cmp(&other.0).expect("finite distances")
-    }
-}
 
 /// One sequential pruned pass for hub `rank`, seeded at `seeds`.
 ///
@@ -307,11 +293,13 @@ pub(crate) fn build_waves(labels: &mut HubLabels, topology: &Topology, cfg: &Ind
         // Commit in rank order, re-testing each entry against everything
         // committed so far (earlier waves AND earlier tasks of this
         // wave). The wave passes prune only against pre-wave labels, so
-        // their results are a superset; this filter reproduces exactly
-        // the sequential minimal labeling — for any wave width and any
-        // thread count. Minimality matters beyond size: repair treats a
-        // dropped entry as a weakened pruning certificate, so redundant
-        // entries would turn the first full re-run into an avalanche.
+        // their results are a superset; this filter cuts them back
+        // toward the sequential labeling — the same labels for any
+        // thread count and as the engine build of this width, though
+        // not the width-1 labels entry for entry (`build.rs` says why).
+        // Near-minimality matters beyond size: repair treats a dropped
+        // entry as a weakened pruning certificate, so redundant entries
+        // would turn the first full re-run into an avalanche.
         for (&(r, dir), settled) in tasks.iter().zip(results) {
             let root = labels.order[r as usize];
             for (v, d) in settled {
@@ -480,12 +468,12 @@ pub(crate) fn recount_all(
     }
 }
 
-/// Full from-scratch rebuild on the current topology, also re-ranking by
-/// the new degree distribution, via the wave-parallel builder. Safe to
-/// call mid-repair: it discards the label state wholesale.
+/// Full from-scratch rebuild on the current topology, re-ranked
+/// ([`HubLabels::empty`]), via the wave-parallel builder. Safe to call
+/// mid-repair: it discards the label state wholesale — so what the
+/// batch removed, and why it came to this, is the caller's to fill in.
 fn rebuild(labels: &mut HubLabels, topology: &Topology, cfg: &IndexConfig) -> RepairSummary {
     let mut summary = RepairSummary {
-        labels_removed: labels.total_entries(),
         rebuilt: true,
         ..RepairSummary::default()
     };
@@ -506,6 +494,15 @@ struct WitnessPlan {
     /// Tight decrement targets per rank (with multiplicity: one per
     /// removed tight parent edge).
     direct: FxHashMap<u32, Vec<VertexId>>,
+}
+
+impl WitnessPlan {
+    /// Passes of this direction the removals touch at all: flagged for
+    /// a full re-run or holding a decrement target.
+    fn footprint(&self) -> usize {
+        let direct_only = self.direct.keys().filter(|r| !self.full.contains(r));
+        self.full.len() + direct_only.count()
+    }
 }
 
 /// Classify one direction's removals against the stored entries. For the
@@ -827,11 +824,32 @@ pub(crate) fn repair(
     // common case. The cap is clamped to at least one pass: on a tiny
     // index the product used to round down to zero and *any* removal
     // tripped a rebuild.
+    //
+    // Consulted twice before any pass runs: against the passes already
+    // flagged for a full re-run, then against the batch's *footprint* —
+    // every pass the removals touch. Classification sees first-order
+    // damage only; a wide footprint is what cascades, and the sweep
+    // runs its most expensive roots first, so learning it at the
+    // mid-sweep backstop costs as much again as the rebuild it ends in.
     let n_before = labels.order.len().max(1);
     let damage_cap = (cfg.damage_threshold * 2.0 * n_before as f64).max(1.0);
+    let labels_before = labels.total_entries();
+    let bail = |labels: &mut HubLabels, rebuild_cause, sweep_passes| RepairSummary {
+        labels_removed: labels_before,
+        rebuild_cause,
+        sweep_passes,
+        ..rebuild(labels, topology, cfg)
+    };
+    let over_cap = |passes: usize| passes as f64 > damage_cap;
     let pre_flagged = fwd_plan.full.len() + bwd_plan.full.len();
-    if pre_flagged as f64 > damage_cap {
-        return rebuild(labels, topology, cfg);
+    // `full` ⊆ footprint, so the footprint test subsumes the other.
+    if over_cap(fwd_plan.footprint() + bwd_plan.footprint()) {
+        let cause = if over_cap(pre_flagged) {
+            RebuildCause::PreFlagged
+        } else {
+            RebuildCause::Footprint
+        };
+        return bail(labels, cause, 0);
     }
 
     // Vertices created by this batch join at the lowest ranks; their
@@ -906,10 +924,11 @@ pub(crate) fn repair(
             // must compare against those pre-repair values too.
             outcomes[slot] = Some(outcome);
         }
-        flagged_passes += full_fwd as usize + full_bwd as usize;
-        if flagged_passes as f64 > damage_cap {
-            return rebuild(labels, topology, cfg);
+        let flagged_here = full_fwd as usize + full_bwd as usize;
+        if over_cap(flagged_passes + flagged_here) {
+            return bail(labels, RebuildCause::SweepCap, flagged_passes);
         }
+        flagged_passes += flagged_here;
         let seed = [(root, 0.0f32)];
         for (outcome, (full, dir)) in outcomes.into_iter().zip([
             (full_fwd, Direction::Forward),

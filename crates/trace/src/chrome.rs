@@ -200,12 +200,16 @@ pub fn export_chrome(events: &[Event]) -> String {
                 w.instant("compaction", "barrier", PID_ENGINE, 0.0, ev.at_secs, "");
             }
             Kind::RepairClassify | Kind::RepairInvalidate | Kind::RepairResume => {
-                let name = match ev.kind {
-                    Kind::RepairClassify => "repair.classify",
-                    Kind::RepairInvalidate => "repair.invalidate",
-                    _ => "repair.resume",
+                let count = |n: u64| format!("\"count\":{n}");
+                let (name, args) = match ev.kind {
+                    Kind::RepairClassify => {
+                        let (n, cause, passes) = crate::classify::unpack(ev.aux);
+                        let detail = format!(",\"rebuild\":\"{cause}\",\"sweep_passes\":{passes}");
+                        ("repair.classify", count(n) + &detail)
+                    }
+                    Kind::RepairInvalidate => ("repair.invalidate", count(ev.aux)),
+                    _ => ("repair.resume", count(ev.aux)),
                 };
-                let args = format!("\"count\":{}", ev.aux);
                 w.instant(name, "repair", PID_ENGINE, 0.0, ev.at_secs, &args);
             }
             _ => {}
@@ -364,7 +368,7 @@ mod tests {
             Event::coord(1.4, Kind::MutationEnd, 2),
             Event::coord(1.4, Kind::Compaction, 0),
             Event::coord(1.45, Kind::RepairBegin, 0),
-            Event::coord(1.45, Kind::RepairClassify, 5),
+            Event::coord(1.45, Kind::RepairClassify, crate::classify::pack(5, 3, 12)),
             Event::coord(1.5, Kind::RepairEnd, 0),
             Event::coord(1.5, Kind::QuiesceEnd, 0),
             Event::query(1.5, Kind::Unpark, q),
@@ -393,6 +397,7 @@ mod tests {
         assert!(json.contains("\"name\":\"step q3 p2\""));
         assert!(json.contains("\"name\":\"quiesce\""));
         assert!(json.contains("\"name\":\"parked-at-barrier\""));
+        assert!(json.contains("\"count\":5,\"rebuild\":\"sweep-cap\",\"sweep_passes\":12"));
     }
 
     #[test]

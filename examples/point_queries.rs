@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use qgraph_algo::{ReachPointProgram, SsspProgram};
-use qgraph_core::{SystemConfig, ThreadEngine, Topology};
+use qgraph_core::{RebuildCause, SystemConfig, ThreadEngine, Topology};
 use qgraph_graph::VertexId;
 use qgraph_index::{IndexConfig, LabelIndex};
 use qgraph_partition::{HashPartitioner, Partitioner};
@@ -55,7 +55,7 @@ fn main() {
     );
 
     // Build the two-hop label index (sequential pruned landmark labeling,
-    // highest-degree vertices ranked first).
+    // roots ranked by sampled shortest-path coverage × degree).
     let build_start = Instant::now();
     let index = LabelIndex::build(
         &Topology::new(Arc::clone(&graph)),
@@ -124,10 +124,9 @@ fn main() {
             r.summary.roots_rerun,
             r.summary.labels_removed,
             r.summary.labels_added,
-            if r.summary.rebuilt {
-                " (full rebuild)"
-            } else {
-                ""
+            match r.summary.rebuild_cause {
+                RebuildCause::None => String::new(),
+                cause => format!(" (full rebuild: {cause:?})"),
             },
         );
     }
