@@ -1,7 +1,8 @@
 //! Index-plane smoke benchmark: hub-label point-query serving vs plain
-//! traversal on the thread runtime, plus per-batch incremental repair
-//! cost under edge churn, emitting a small JSON summary
-//! (`BENCH_index.json`) that the `index-stress` CI job uploads as an
+//! traversal on the thread runtime, plus per-batch repair cost under
+//! edge churn — a rebuild when the batch nets to a removal, a resume
+//! when it only inserts — emitting a small JSON summary
+//! (`BENCH_index.json`) that the `bench-smoke` CI job uploads as an
 //! artifact.
 //!
 //! Four phases:
@@ -13,17 +14,15 @@
 //!    best-of-3 each; answers must be identical, and the wall-clock
 //!    ratio is the headline number.
 //! 3. **Churn** — mixed edge-churn batches applied at mutation barriers
-//!    with incremental repair on; per-batch wall cost and repair
-//!    summaries are recorded, and a post-churn query wave must again
-//!    match a traversal engine on the churned graph exactly.
+//!    with repair on; per-batch wall cost and repair summaries are
+//!    recorded, and a post-churn query wave must again match a traversal
+//!    engine on the churned graph exactly.
 //! 4. **Road closures** — removal-biased churn (closures outnumber
-//!    re-openings 2:1): the witness-count deletion path must absorb at
-//!    least 75% of the batches incrementally (the damage cap is allowed
-//!    to route a genuinely heavy batch to rebuild), and the JSON records
-//!    the incremental-vs-rebuild split plus witness counters per batch.
+//!    re-openings 2:1) against a fresh copy of the pre-churn index, same
+//!    record and same conformance check.
 //!
-//! Every batch record carries why it rebuilt (`rebuild_cause`) and how
-//! many full passes a sweep-cap bail had already spent (`sweep_passes`).
+//! Timings are recorded, counts are asserted: every batch rebuilt iff it
+//! netted to a removal.
 //!
 //! Env knobs: `QGRAPH_SCALE` (graph scale, default 0.02),
 //! `QGRAPH_QUERIES` (default 256), `QGRAPH_WORKERS` (default 4),
@@ -37,13 +36,13 @@ use std::time::Instant;
 
 use qgraph_algo::{ReachPointProgram, SsspProgram};
 use qgraph_bench::{build_network, partition_graph, GraphPreset, Strategy};
-use qgraph_core::{Engine, RepairSummary, SystemConfig, ThreadEngine, Topology};
+use qgraph_core::{Engine, SystemConfig, ThreadEngine, Topology};
 use qgraph_graph::{Graph, VertexId};
 use qgraph_index::{IndexConfig, LabelIndex};
 use qgraph_partition::{HashPartitioner, Partitioner, Partitioning};
 use qgraph_workload::{
-    edge_churn, generate_point_queries, road_closures, ChurnConfig, PairSkew, PointQuerySpec,
-    PointWorkloadConfig,
+    edge_churn, generate_point_queries, nets_to_removal, road_closures, ChurnConfig, PairSkew,
+    PointQuerySpec, PointWorkloadConfig, TimedMutation,
 };
 
 /// One answered point query, for cross-engine comparison.
@@ -132,13 +131,80 @@ fn best_of_3(
     (best, answers, index_served, traversal_served)
 }
 
-/// The repair-summary fields every batch record ends with.
-fn summary_json(s: &RepairSummary) -> String {
-    format!(
-        "\"labels_removed\": {}, \"labels_added\": {}, \"rebuilt\": {}, \
-         \"rebuild_cause\": \"{:?}\", \"sweep_passes\": {}",
-        s.labels_removed, s.labels_added, s.rebuilt, s.rebuild_cause, s.sweep_passes,
-    )
+/// What one churn phase measured.
+struct ChurnPhase {
+    /// One JSON record per batch.
+    batch_json: Vec<String>,
+    total_ms: f64,
+    max_ms: f64,
+    rebuilds: usize,
+}
+
+/// Apply `stream` batch by batch to an engine serving a copy of `index`,
+/// timing each barrier (mutation + repair + drain); assert every batch
+/// rebuilt iff it netted to a removal, then hold a post-churn query wave
+/// to a traversal engine built on the churned graph.
+fn churn_phase(
+    graph: &Arc<Graph>,
+    parts: &Partitioning,
+    index: &LabelIndex,
+    stream: Vec<TimedMutation>,
+    post_specs: &[PointQuerySpec],
+    ctx: &str,
+) -> ChurnPhase {
+    let mut engine = fresh_engine(graph, parts);
+    engine.install_index(Box::new(index.clone()));
+    let mut replay = Topology::new(Arc::clone(graph));
+    let mut walls: Vec<f64> = Vec::new();
+    let mut removals: Vec<bool> = Vec::new();
+    for tm in stream {
+        let before = replay.clone();
+        replay.apply(&tm.batch);
+        removals.push(nets_to_removal(&before, &replay));
+        let start = Instant::now();
+        engine.mutate(tm.batch);
+        engine.drain();
+        walls.push(start.elapsed().as_secs_f64() * 1e3);
+    }
+    let repairs = engine.report().index_repairs.clone();
+    assert_eq!(repairs.len(), walls.len(), "{ctx}: one repair per batch");
+    let mut batch_json = Vec::new();
+    for ((r, wall), &removal) in repairs.iter().zip(&walls).zip(&removals) {
+        let s = r.summary;
+        assert_eq!(
+            s.rebuilt, removal,
+            "{ctx}: epoch {} rebuilds iff it nets to a removal ({s:?})",
+            r.epoch
+        );
+        batch_json.push(format!(
+            "{{\"epoch\": {}, \"wall_ms\": {:.3}, \"rebuilt\": {}, \"roots_rerun\": {}, \
+             \"labels_removed\": {}, \"labels_added\": {}}}",
+            r.epoch, wall, s.rebuilt, s.roots_rerun, s.labels_removed, s.labels_added,
+        ));
+    }
+
+    // Conformance: the repaired index must agree with a traversal engine
+    // built on the churned graph.
+    let churned = Arc::new(engine.topology_snapshot().materialize());
+    let (_, idx_answers) = serve(&mut engine, post_specs);
+    assert_eq!(
+        engine.report().index_served(),
+        post_specs.len(),
+        "{ctx}: repaired index must keep serving"
+    );
+    engine.shutdown();
+    let churned_parts = HashPartitioner::with_seed(17).partition(&churned, parts.num_workers());
+    let mut ref_engine = fresh_engine(&churned, &churned_parts);
+    let (_, ref_answers) = serve(&mut ref_engine, post_specs);
+    ref_engine.shutdown();
+    assert_answers_close(&idx_answers, &ref_answers, ctx);
+
+    ChurnPhase {
+        batch_json,
+        total_ms: walls.iter().sum(),
+        max_ms: walls.iter().copied().fold(0.0, f64::max),
+        rebuilds: removals.iter().filter(|&&r| r).count(),
+    }
 }
 
 fn env_f64(key: &str, default: f64) -> f64 {
@@ -172,17 +238,7 @@ fn main() {
 
     // Phase 1: construction.
     let build_start = Instant::now();
-    // A generous damage threshold (fraction of a rebuild's `2n` root
-    // passes): road-network deletions cascade widely — a removed witness
-    // edge voids pruning certificates down the rank order — and the
-    // bench wants to time the incremental path, not only rebuilds. The
-    // cap still routes a batch whose repair would cost nearly as much as
-    // a rebuild (>80% of the passes) to the rebuild path.
-    let cfg = IndexConfig {
-        damage_threshold: 0.8,
-        ..IndexConfig::default()
-    };
-    let index = LabelIndex::build(&Topology::new(Arc::clone(&graph)), cfg);
+    let index = LabelIndex::build(&Topology::new(Arc::clone(&graph)), IndexConfig::default());
     let construction_ms = build_start.elapsed().as_secs_f64() * 1e3;
     let entries = index.total_entries();
     let entries_per_vertex = entries as f64 / graph.num_vertices().max(1) as f64;
@@ -211,36 +267,8 @@ fn main() {
     );
     let latency_ratio = trav_ms / idx_ms.max(1e-9);
 
-    // Phase 3: churn with incremental repair at the barriers.
-    let churn = edge_churn(&graph, &ChurnConfig::uniform(batches, 6, 10.0, 23));
-    let mut engine = fresh_engine(&graph, &parts);
-    engine.install_index(Box::new(index.clone()));
-    let mut batch_walls: Vec<f64> = Vec::new();
-    for tm in churn {
-        let start = Instant::now();
-        engine.mutate(tm.batch);
-        engine.drain();
-        batch_walls.push(start.elapsed().as_secs_f64() * 1e3);
-    }
-    let repairs = engine.report().index_repairs.clone();
-    assert_eq!(repairs.len(), batches, "one repair event per churn batch");
-    let batch_json: Vec<String> = repairs
-        .iter()
-        .zip(&batch_walls)
-        .map(|(r, wall)| {
-            format!(
-                "{{\"epoch\": {}, \"wall_ms\": {:.3}, \"roots_rerun\": {}, {}}}",
-                r.epoch,
-                wall,
-                r.summary.roots_rerun,
-                summary_json(&r.summary),
-            )
-        })
-        .collect();
-
-    // Post-churn conformance: the repaired index must agree with a
-    // traversal engine built on the churned graph.
-    let churned = Arc::new(engine.topology_snapshot().materialize());
+    // Phases 3 and 4: mixed edge churn, then removal-biased road
+    // closures, each against its own copy of the pre-churn index.
     let post_specs = generate_point_queries(
         &live,
         &PointWorkloadConfig {
@@ -250,95 +278,34 @@ fn main() {
             seed: 29,
         },
     );
-    let (_, post_idx_answers) = serve(&mut engine, &post_specs);
-    assert_eq!(
-        engine.report().index_served(),
-        post_specs.len(),
-        "repaired index must keep serving after churn"
+    let churn = churn_phase(
+        &graph,
+        &parts,
+        &index,
+        edge_churn(&graph, &ChurnConfig::uniform(batches, 6, 10.0, 23)),
+        &post_specs,
+        "churned graph",
     );
-    engine.shutdown();
-    let churned_parts = HashPartitioner::with_seed(17).partition(&churned, workers);
-    let mut ref_engine = fresh_engine(&churned, &churned_parts);
-    let (_, post_ref_answers) = serve(&mut ref_engine, &post_specs);
-    ref_engine.shutdown();
-    assert_answers_close(&post_idx_answers, &post_ref_answers, "churned graph");
+    let closures = churn_phase(
+        &graph,
+        &parts,
+        &index,
+        road_closures(&graph, &ChurnConfig::uniform(batches, 2, 10.0, 31)),
+        &post_specs,
+        "closed graph",
+    );
 
-    // Phase 4: removal-biased road closures against a fresh copy of the
-    // pre-churn index. This is the deletion workload the witness counts
-    // exist for: closures outnumber re-openings 2:1, and each sub-cap
-    // batch must ride decrement + partial-resume repair, not the
-    // rebuild bail-out.
-    let closures = road_closures(&graph, &ChurnConfig::uniform(batches, 2, 10.0, 31));
-    let mut engine = fresh_engine(&graph, &parts);
-    engine.install_index(Box::new(index.clone()));
-    let mut closure_walls: Vec<f64> = Vec::new();
-    for tm in closures {
-        let start = Instant::now();
-        engine.mutate(tm.batch);
-        engine.drain();
-        closure_walls.push(start.elapsed().as_secs_f64() * 1e3);
-    }
-    let closure_repairs = engine.report().index_repairs.clone();
-    assert_eq!(
-        closure_repairs.len(),
-        batches,
-        "one repair event per closure batch"
-    );
-    let incremental = closure_repairs
-        .iter()
-        .filter(|r| !r.summary.rebuilt)
-        .count();
-    assert!(
-        incremental * 4 >= batches * 3,
-        "removal-heavy churn must repair >=75% of batches incrementally \
-         ({incremental}/{batches})"
-    );
-    let closure_json: Vec<String> = closure_repairs
-        .iter()
-        .zip(&closure_walls)
-        .map(|(r, wall)| {
-            format!(
-                "{{\"epoch\": {}, \"wall_ms\": {:.3}, \"roots_rerun\": {}, \
-                 \"partial_roots\": {}, \"witness_decrements\": {}, \
-                 \"entries_invalidated\": {}, {}}}",
-                r.epoch,
-                wall,
-                r.summary.roots_rerun,
-                r.summary.partial_roots,
-                r.summary.witness_decrements,
-                r.summary.entries_invalidated,
-                summary_json(&r.summary),
-            )
-        })
-        .collect();
-
-    // Post-closure conformance, same shape as phase 3.
-    let closed = Arc::new(engine.topology_snapshot().materialize());
-    let (_, closed_idx_answers) = serve(&mut engine, &post_specs);
-    assert_eq!(
-        engine.report().index_served(),
-        post_specs.len(),
-        "repaired index must keep serving after closures"
-    );
-    engine.shutdown();
-    let closed_parts = HashPartitioner::with_seed(17).partition(&closed, workers);
-    let mut ref_engine = fresh_engine(&closed, &closed_parts);
-    let (_, closed_ref_answers) = serve(&mut ref_engine, &post_specs);
-    ref_engine.shutdown();
-    assert_answers_close(&closed_idx_answers, &closed_ref_answers, "closed graph");
-
-    let closure_total_ms: f64 = closure_walls.iter().sum();
-    let repair_total_ms: f64 = batch_walls.iter().sum();
     let json = format!(
         "{{\n  \"bench\": \"index_smoke\",\n  \"graph_vertices\": {},\n  \"queries\": {},\n  \
          \"workers\": {},\n  \"construction_ms\": {:.3},\n  \"label_entries\": {},\n  \
          \"entries_per_vertex\": {:.1},\n  \
          \"traversal_wall_ms\": {:.3},\n  \"index_wall_ms\": {:.3},\n  \
-         \"latency_ratio\": {:.3},\n  \"churn_batches\": {},\n  \
-         \"repair_total_ms\": {:.3},\n  \"repair_mean_ms\": {:.3},\n  \"batches\": [\n    {}\n  ],\n  \
-         \"closure_batches\": {},\n  \"closure_incremental\": {},\n  \
-         \"closure_rebuilds\": {},\n  \"closure_total_ms\": {:.3},\n  \
-         \"closure_mean_ms\": {:.3},\n  \"closures\": [\n    {}\n  ]\n}}\n",
+         \"latency_ratio\": {:.3},\n  \"churn_batches\": {},\n  \"churn_rebuilds\": {},\n  \
+         \"repair_total_ms\": {:.3},\n  \"repair_mean_ms\": {:.3},\n  \
+         \"repair_max_ms\": {:.3},\n  \"batches\": [\n    {}\n  ],\n  \
+         \"closure_batches\": {},\n  \"closure_rebuilds\": {},\n  \
+         \"closure_total_ms\": {:.3},\n  \"closure_mean_ms\": {:.3},\n  \
+         \"closure_max_ms\": {:.3},\n  \"closures\": [\n    {}\n  ]\n}}\n",
         graph.num_vertices(),
         specs.len(),
         workers,
@@ -349,15 +316,17 @@ fn main() {
         idx_ms,
         latency_ratio,
         batches,
-        repair_total_ms,
-        repair_total_ms / batches.max(1) as f64,
-        batch_json.join(",\n    "),
+        churn.rebuilds,
+        churn.total_ms,
+        churn.total_ms / batches.max(1) as f64,
+        churn.max_ms,
+        churn.batch_json.join(",\n    "),
         batches,
-        incremental,
-        batches - incremental,
-        closure_total_ms,
-        closure_total_ms / batches.max(1) as f64,
-        closure_json.join(",\n    "),
+        closures.rebuilds,
+        closures.total_ms,
+        closures.total_ms / batches.max(1) as f64,
+        closures.max_ms,
+        closures.batch_json.join(",\n    "),
     );
     std::fs::write(&out_path, &json).expect("write bench JSON");
     println!("{json}");

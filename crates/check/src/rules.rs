@@ -103,7 +103,7 @@ pub const RULES: &[Rule] = &[
         // worker compute threads are born); runtime.rs owns the single
         // coordinator thread (the protocol core it runs, coord.rs, is
         // sans-IO and must spawn nothing); repair.rs owns the scoped
-        // morsel pools for index build/recount work; the trace crate
+        // morsel pools for index build/rebuild work; the trace crate
         // owns the recorder rings that pool/coordinator threads stamp
         // into (its tests exercise cross-thread recording).
         exempt: &[

@@ -147,11 +147,13 @@ pub struct SystemConfig {
     /// distinct [`crate::OutcomeStatus::Rejected`] outcome and its output
     /// stays `None`. `None` = unbounded (the default).
     pub max_queued: Option<usize>,
-    /// Worker threads for point-index (hub-label) construction and full
-    /// rebuilds, forwarded to [`crate::PointIndex::set_parallelism`] when
-    /// an index is installed. `0` (the default) lets the index pick:
-    /// available parallelism capped at 8, and sequential for small
-    /// graphs. The built labels are identical for any thread count.
+    /// Worker threads for point-index (hub-label) rebuilds, forwarded to
+    /// [`crate::PointIndex::set_parallelism`] when an index is installed.
+    /// `0` (the default) forwards nothing, so the index keeps its own
+    /// setting — for `qgraph-index` that is `IndexConfig::build_threads`,
+    /// itself defaulting to available parallelism capped at 8 and
+    /// sequential for small graphs. The built labels are identical for
+    /// any thread count.
     pub index_build_threads: usize,
     /// Compute threads in the elastic morsel pool (see [`crate::pool`]):
     /// partitions keep state ownership while this many threads draw

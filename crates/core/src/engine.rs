@@ -633,11 +633,15 @@ impl SimEngine {
     /// from now on, eligible point queries popping off the admission
     /// queue are answered by label intersection instead of traversal —
     /// provided the index stays repaired through the admission epoch.
-    /// Replaces any previously installed index. The index receives
-    /// [`SystemConfig::index_build_threads`](crate::SystemConfig) as its
-    /// parallelism hint for rebuild work.
+    /// Replaces any previously installed index. A non-zero
+    /// [`SystemConfig::index_build_threads`](crate::SystemConfig) is
+    /// forwarded as the index's parallelism hint for rebuild work; zero
+    /// leaves the index's own setting alone.
     pub fn install_index(&mut self, mut index: Box<dyn PointIndex>) {
-        index.set_parallelism(self.core.cfg().index_build_threads);
+        let threads = self.core.cfg().index_build_threads;
+        if threads != 0 {
+            index.set_parallelism(threads);
+        }
         self.core.install_index(index);
     }
 

@@ -68,52 +68,21 @@ pub enum PointAnswer {
     Reach(bool),
 }
 
-/// Why a repair fell back to a full rebuild — each variant names the
-/// point at which the damage cap was consulted. The discriminants are
-/// the trace codes (`qgraph_trace::classify::CAUSES`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum RebuildCause {
-    /// No rebuild: the batch was repaired incrementally.
-    #[default]
-    None = 0,
-    /// Classification alone flagged more full re-runs than the cap.
-    PreFlagged = 1,
-    /// The batch's footprint — root passes its removals touch at all,
-    /// flagged or merely decremented — exceeded the cap before any pass
-    /// ran.
-    Footprint = 2,
-    /// The backstop: full re-runs accumulated past the cap mid-sweep
-    /// (cascading weakenings classification could not see); the passes
-    /// already spent are in [`RepairSummary::sweep_passes`].
-    SweepCap = 3,
-}
-
-/// What one repair pass did — returned by [`PointIndex::repair`] and
+/// What one repair did — returned by [`PointIndex::repair`] and
 /// recorded as an [`IndexRepairEvent`].
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct RepairSummary {
-    /// Landmark roots whose passes were re-run (or resumed) in full.
+    /// Root passes run: resumed or first-run passes on an incremental
+    /// repair, every root's two passes on a rebuild.
     pub roots_rerun: usize,
-    /// Root passes repaired by a seeded partial resume over the
-    /// witness-invalidated region only (the cheap deletion path).
-    pub partial_roots: usize,
-    /// Witness-count decrements applied (direct hits plus cascade).
-    pub witness_decrements: usize,
-    /// Label entries invalidated because their witness count hit zero.
-    pub entries_invalidated: usize,
-    /// Label entries invalidated by the batch (on a rebuild: the whole
-    /// pre-batch index, whichever exit the repair took).
+    /// Label entries dropped by the batch (on a rebuild: the whole
+    /// pre-batch index).
     pub labels_removed: usize,
     /// Label entries (re)committed by the repair.
     pub labels_added: usize,
-    /// Did the damage threshold trip a full scoped rebuild?
-    /// (`rebuild_cause != None`, kept as a flag for report consumers.)
+    /// Were the labels rebuilt from scratch? For `qgraph-index` that is
+    /// the reason too: the batch netted to an edge removal.
     pub rebuilt: bool,
-    /// Which consultation of the damage cap tripped the rebuild.
-    pub rebuild_cause: RebuildCause,
-    /// Full passes re-run and then discarded by a
-    /// [`RebuildCause::SweepCap`] bail (0 on every other exit).
-    pub sweep_passes: usize,
 }
 
 /// The object-safe index contract the engines hold. Implemented by
@@ -141,11 +110,12 @@ pub trait PointIndex: Send {
     ) -> RepairSummary;
 
     /// Hint how many worker threads the index may use for its own
-    /// offline work (full rebuilds at mutation barriers, witness
-    /// recounts). `0` = pick automatically. The engines forward
+    /// offline work (full rebuilds at mutation barriers). The engines
+    /// forward a non-zero
     /// [`SystemConfig::index_build_threads`](crate::SystemConfig) here
-    /// at [`install_index`](crate::Engine::install_index) time; indexes
-    /// without internal parallelism ignore it.
+    /// at [`install_index`](crate::Engine::install_index) time — zero
+    /// leaves the index's own setting alone; indexes without internal
+    /// parallelism ignore it.
     fn set_parallelism(&mut self, _threads: usize) {}
 }
 

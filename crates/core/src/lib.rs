@@ -81,9 +81,7 @@ pub mod worker;
 pub use api::{Engine, EngineBuilder};
 pub use config::{BarrierMode, QcutConfig, SystemConfig};
 pub use engine::SimEngine;
-pub use index_plane::{
-    IndexRepairEvent, PointAnswer, PointIndex, PointQuery, RebuildCause, RepairSummary,
-};
+pub use index_plane::{IndexRepairEvent, PointAnswer, PointIndex, PointQuery, RepairSummary};
 pub use pool::PoolStats;
 pub use program::{Context, VertexProgram};
 pub use query::{OutcomeStatus, QueryHandle, QueryId, QueryOutcome, ServedBy};

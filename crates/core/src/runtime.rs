@@ -398,12 +398,14 @@ impl ThreadEngine {
     /// handed to the coordinator (picked up on its next turn); otherwise
     /// it is held until the next [`ThreadEngine::start`]. Eligible point
     /// queries are answered from the index at admission, and mutation
-    /// barriers repair it before opening the new epoch to queries. The
-    /// index receives
-    /// [`SystemConfig::index_build_threads`](crate::SystemConfig) as its
-    /// parallelism hint for rebuild work.
+    /// barriers repair it before opening the new epoch to queries. A
+    /// non-zero [`SystemConfig::index_build_threads`](crate::SystemConfig)
+    /// is forwarded as the index's parallelism hint for rebuild work;
+    /// zero leaves the index's own setting alone.
     pub fn install_index(&mut self, mut index: Box<dyn PointIndex>) {
-        index.set_parallelism(self.cfg.index_build_threads);
+        if self.cfg.index_build_threads != 0 {
+            index.set_parallelism(self.cfg.index_build_threads);
+        }
         match &self.serving {
             Some(s) => {
                 let _ = s.tx.send(CoordMsg::InstallIndex(index));

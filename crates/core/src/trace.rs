@@ -223,33 +223,13 @@ mod imp {
             self.rec(0, Event::coord(at, Kind::RepairBegin, 0));
         }
 
-        /// Close the repair span and stamp its stage instants: one
-        /// classify per absorbed batch (entries invalidated, rebuild
-        /// cause, passes a sweep-cap bail discarded), then the
-        /// window's invalidate (full root re-runs) and resume
-        /// (partial resumes) totals.
+        /// Close the repair span: the window's root passes run and how
+        /// many of its batches rebuilt (see [`Kind::RepairEnd`]).
         pub fn repair_end(&self, at: f64, repairs: &[IndexRepairEvent]) {
-            let sum = |f: fn(&crate::RepairSummary) -> usize| -> u64 {
-                repairs.iter().map(|ev| f(&ev.summary) as u64).sum()
-            };
-            for ev in repairs {
-                let s = &ev.summary;
-                let aux = qgraph_trace::classify::pack(
-                    s.entries_invalidated as u64,
-                    s.rebuild_cause as u64,
-                    s.sweep_passes as u64,
-                );
-                self.rec(0, Event::coord(at, Kind::RepairClassify, aux));
-            }
-            self.rec(
-                0,
-                Event::coord(at, Kind::RepairInvalidate, sum(|s| s.roots_rerun)),
-            );
-            self.rec(
-                0,
-                Event::coord(at, Kind::RepairResume, sum(|s| s.partial_roots)),
-            );
-            self.rec(0, Event::coord(at, Kind::RepairEnd, 0));
+            let passes: usize = repairs.iter().map(|ev| ev.summary.roots_rerun).sum();
+            let rebuilt = repairs.iter().filter(|ev| ev.summary.rebuilt).count();
+            let aux = (passes as u64).min(u64::from(u32::MAX)) | (rebuilt as u64) << 32;
+            self.rec(0, Event::coord(at, Kind::RepairEnd, aux));
         }
 
         /// Move every lane ring into the central buffer — called at

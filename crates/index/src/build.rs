@@ -24,10 +24,7 @@
 //! 169,522 entries). What *is* identical is the labeling at one width
 //! across the sequential builder, both engines and every thread count;
 //! across widths the answers agree (to the rounding of the 2-hop sum),
-//! the entry counts do not. Near-minimal labels matter beyond size: the
-//! repair plane treats a dropped entry as a weakened pruning
-//! certificate, so redundant entries amplify the first full re-run
-//! into a cascade.
+//! the entry counts do not.
 
 use std::sync::Arc;
 
@@ -83,18 +80,13 @@ pub fn build_on_engine<E: Engine>(engine: &mut E, cfg: IndexConfig) -> LabelInde
                     Direction::Forward => labels.query_below(root, v, r),
                     Direction::Backward => labels.query_below(v, root, r),
                 };
-                if crate::dist::looser(threshold, d) {
+                if !crate::dist::covers(threshold, d) {
                     labels.commit(v, r, d, dir);
                 }
             }
         }
         rank = end;
     }
-
-    // Engine-built labels need witness counts too: repair's deletion
-    // path reads them no matter which driver constructed the index.
-    let threads = crate::repair::resolve_threads(cfg.build_threads, n);
-    crate::repair::recount_all(&mut labels, &topology, &rev, threads);
 
     LabelIndex::from_labels(labels, topology.epoch(), cfg)
 }

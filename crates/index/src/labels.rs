@@ -16,66 +16,25 @@
 //! both label sets — the canonical 2-hop cover invariant that
 //! rank-restricted pruning preserves).
 //!
-//! Since PR 7 every mutable entry also carries a **witness count**: the
-//! number of tight parent edges in the root's shortest-path DAG — edges
-//! `(u, v, w)` with a committed entry `d(r, u)` satisfying
-//! `d(r, u) + w = d(r, v)` and `d(r, u) < d(r, v)`. The count is a lower
-//! bound on the number of distinct shortest paths the entry certifies:
-//! as long as it stays positive after a deletion decremented it, at
-//! least one witness path survives and the entry (and everything
-//! downstream of it) is still valid — the invariant that makes removals
-//! truly incremental (see `repair.rs`). A count of zero marks the entry
-//! *fragile* (its witnesses could not be certified, e.g. zero-weight
-//! ties): repair treats any deletion touching a fragile entry
-//! conservatively, by re-running the root in full.
+//! The mutable store ([`HubLabels`]) and the frozen serving form
+//! ([`FlatLabels`]) hold the same 8-byte [`LabelEntry`]; freezing only
+//! flattens the per-vertex lists into one array per family.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use qgraph_graph::{Topology, VertexId};
-use rustc_hash::FxHashSet;
 
 use crate::dist::{improves, OrdF32};
 
-/// One mutable label entry: hub rank, certified distance, and the
-/// witness count of tight parent edges. Lists are sorted by rank.
+/// One label entry: hub rank and certified distance. Lists are sorted by
+/// rank.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LabelEntry {
     /// The hub's rank (index into [`HubLabels::order`]).
     pub rank: u32,
     /// The certified distance between hub and vertex.
     pub dist: f32,
-    /// Number of tight parent edges certifying `dist` (0 = fragile).
-    pub wit: u32,
-}
-
-/// One frozen serving entry: `(hub rank, distance)` — witness counts are
-/// repair-time state and stay out of the hot query arrays.
-pub type FlatEntry = (u32, f32);
-
-/// Rank + distance access shared by mutable and frozen entries, so the
-/// same two-pointer intersection serves both forms.
-trait RankDist: Copy {
-    fn rank(self) -> u32;
-    fn dist(self) -> f32;
-}
-
-impl RankDist for LabelEntry {
-    fn rank(self) -> u32 {
-        self.rank
-    }
-    fn dist(self) -> f32 {
-        self.dist
-    }
-}
-
-impl RankDist for FlatEntry {
-    fn rank(self) -> u32 {
-        self.0
-    }
-    fn dist(self) -> f32 {
-        self.1
-    }
 }
 
 /// Find the distance entry for `rank` in a rank-sorted list.
@@ -85,38 +44,14 @@ pub(crate) fn entry(list: &[LabelEntry], rank: u32) -> Option<f32> {
         .map(|i| list[i].dist)
 }
 
-/// Insert or overwrite the entry for `rank`, keeping the list sorted.
-/// Returns `true` if a new entry was inserted. Either way the entry's
-/// witness count resets to 0 (fragile) — callers recount after a pass.
-pub(crate) fn upsert(list: &mut Vec<LabelEntry>, rank: u32, d: f32) -> bool {
-    match list.binary_search_by_key(&rank, |e| e.rank) {
-        Ok(i) => {
-            list[i].dist = d;
-            list[i].wit = 0;
-            false
-        }
-        Err(i) => {
-            list.insert(
-                i,
-                LabelEntry {
-                    rank,
-                    dist: d,
-                    wit: 0,
-                },
-            );
-            true
-        }
-    }
-}
-
 /// Minimum `out + in` over common hubs of two rank-sorted lists,
 /// restricted to hubs with rank strictly below `rank_limit`.
-fn intersect_below<A: RankDist, B: RankDist>(out: &[A], inl: &[B], rank_limit: u32) -> f32 {
+fn intersect_below(out: &[LabelEntry], inl: &[LabelEntry], rank_limit: u32) -> f32 {
     let mut best = f32::INFINITY;
     let (mut i, mut j) = (0usize, 0usize);
     while i < out.len() && j < inl.len() {
-        let (ro, d_out) = (out[i].rank(), out[i].dist());
-        let (ri, d_in) = (inl[j].rank(), inl[j].dist());
+        let (ro, d_out) = (out[i].rank, out[i].dist);
+        let (ri, d_in) = (inl[j].rank, inl[j].dist);
         if ro >= rank_limit || ri >= rank_limit {
             break; // sorted by rank: nothing below the limit remains
         }
@@ -125,7 +60,7 @@ fn intersect_below<A: RankDist, B: RankDist>(out: &[A], inl: &[B], rank_limit: u
             std::cmp::Ordering::Greater => j += 1,
             std::cmp::Ordering::Equal => {
                 let d = d_out + d_in;
-                if crate::dist::improves(d, best) {
+                if improves(d, best) {
                     best = d;
                 }
                 i += 1;
@@ -292,86 +227,24 @@ impl HubLabels {
         }
     }
 
-    /// Mutable access to the family of `dir`.
-    pub(crate) fn family_mut(&mut self, dir: Direction) -> &mut Vec<Vec<LabelEntry>> {
-        match dir {
+    /// Commit (insert or tighten) hub `rank`'s entry at `v`, keeping the
+    /// list sorted; returns `true` if a new entry was inserted.
+    pub fn commit(&mut self, v: VertexId, rank: u32, d: f32, dir: Direction) -> bool {
+        let lists = match dir {
             Direction::Forward => &mut self.in_labels,
             Direction::Backward => &mut self.out_labels,
-        }
-    }
-
-    /// Commit (insert or tighten) hub `rank`'s entry at `v`; returns
-    /// `true` if a new entry was inserted. The entry's witness count is
-    /// reset — run a recount over the pass's committed vertices after.
-    pub fn commit(&mut self, v: VertexId, rank: u32, d: f32, dir: Direction) -> bool {
-        upsert(&mut self.family_mut(dir)[v.index()], rank, d)
-    }
-
-    /// Decrement the witness count of hub `rank`'s entry at `v`.
-    /// Returns the count *before* the decrement, or `None` when no entry
-    /// exists — so callers can distinguish a fragile entry (`Some(0)`,
-    /// which stays at 0) from one whose last certified witness just died
-    /// (`Some(1)`).
-    pub(crate) fn decrement_witness(
-        &mut self,
-        v: VertexId,
-        rank: u32,
-        dir: Direction,
-    ) -> Option<u32> {
-        let list = &mut self.family_mut(dir)[v.index()];
-        let i = list.binary_search_by_key(&rank, |e| e.rank).ok()?;
-        let pre = list[i].wit;
-        list[i].wit = pre.saturating_sub(1);
-        Some(pre)
-    }
-
-    /// Overwrite the witness count of hub `rank`'s entry at `v` (no-op
-    /// when the entry does not exist).
-    pub(crate) fn set_witness(&mut self, v: VertexId, rank: u32, dir: Direction, wit: u32) {
-        let list = &mut self.family_mut(dir)[v.index()];
-        if let Ok(i) = list.binary_search_by_key(&rank, |e| e.rank) {
-            list[i].wit = wit;
-        }
-    }
-
-    /// Drop hub `rank`'s entry at `v`, returning its distance.
-    pub(crate) fn remove_entry(&mut self, v: VertexId, rank: u32, dir: Direction) -> Option<f32> {
-        let list = &mut self.family_mut(dir)[v.index()];
-        let i = list.binary_search_by_key(&rank, |e| e.rank).ok()?;
-        Some(list.remove(i).dist)
-    }
-
-    /// Strip one hub's entries from one label family, returning the
-    /// removed `(vertex, distance)` pairs — repair compares them against
-    /// the re-run's fresh entries to decide whether the hub *changed*
-    /// (shrank or grew anywhere), which is what cascades invalidation to
-    /// lower-ranked hubs whose pruning certificates consulted it.
-    pub fn remove_hub(&mut self, rank: u32, dir: Direction) -> Vec<(VertexId, f32)> {
-        let lists = self.family_mut(dir);
-        let mut removed = Vec::new();
-        for (v, list) in lists.iter_mut().enumerate() {
-            if let Ok(i) = list.binary_search_by_key(&rank, |e| e.rank) {
-                removed.push((VertexId(v as u32), list.remove(i).dist));
+        };
+        let list = &mut lists[v.index()];
+        match list.binary_search_by_key(&rank, |e| e.rank) {
+            Ok(i) => {
+                list[i].dist = d;
+                false
+            }
+            Err(i) => {
+                list.insert(i, LabelEntry { rank, dist: d });
+                true
             }
         }
-        removed
-    }
-
-    /// Strip every entry of the given hubs from one label family;
-    /// returns the number removed. One sweep over all vertices — callers
-    /// batch all affected hubs of a repair into a single pass.
-    pub fn remove_hubs(&mut self, hubs: &FxHashSet<u32>, dir: Direction) -> usize {
-        if hubs.is_empty() {
-            return 0;
-        }
-        let lists = self.family_mut(dir);
-        let mut removed = 0usize;
-        for list in lists.iter_mut() {
-            let before = list.len();
-            list.retain(|e| !hubs.contains(&e.rank));
-            removed += before - list.len();
-        }
-        removed
     }
 }
 
@@ -388,25 +261,24 @@ pub enum Direction {
 /// contiguous arrays with per-vertex offsets, rebuilt from [`HubLabels`]
 /// after construction and after every repair. Point queries touch only
 /// these four arrays — two offset lookups and one merge-intersection.
-/// Witness counts are stripped: they are repair-time state.
 #[derive(Clone, Debug, Default)]
 pub struct FlatLabels {
     out_offsets: Vec<u32>,
-    out_entries: Vec<FlatEntry>,
+    out_entries: Vec<LabelEntry>,
     in_offsets: Vec<u32>,
-    in_entries: Vec<FlatEntry>,
+    in_entries: Vec<LabelEntry>,
 }
 
 impl FlatLabels {
     /// Pack `labels` into the flat form.
     pub fn freeze(labels: &HubLabels) -> Self {
-        fn pack(lists: &[Vec<LabelEntry>]) -> (Vec<u32>, Vec<FlatEntry>) {
+        fn pack(lists: &[Vec<LabelEntry>]) -> (Vec<u32>, Vec<LabelEntry>) {
             let total: usize = lists.iter().map(Vec::len).sum();
             let mut offsets = Vec::with_capacity(lists.len() + 1);
             let mut entries = Vec::with_capacity(total);
             offsets.push(0u32);
             for list in lists {
-                entries.extend(list.iter().map(|e| (e.rank, e.dist)));
+                entries.extend_from_slice(list);
                 offsets.push(entries.len() as u32);
             }
             (offsets, entries)
@@ -530,51 +402,6 @@ mod tests {
         let flat = FlatLabels::freeze(&labels);
         assert_eq!(flat.dist(VertexId(0), VertexId(2)), Some(2.0));
         assert_eq!(flat.dist(VertexId(2), VertexId(0)), None);
-    }
-
-    #[test]
-    fn remove_hubs_strips_only_the_named_ranks() {
-        let mut labels = HubLabels::empty(&topo());
-        labels.commit(VertexId(1), 0, 1.0, Direction::Forward);
-        labels.commit(VertexId(1), 1, 0.0, Direction::Forward);
-        let mut hubs = FxHashSet::default();
-        hubs.insert(0u32);
-        assert_eq!(labels.remove_hubs(&hubs, Direction::Forward), 1);
-        assert_eq!(
-            labels.in_labels[1],
-            vec![LabelEntry {
-                rank: 1,
-                dist: 0.0,
-                wit: 0
-            }]
-        );
-    }
-
-    #[test]
-    fn witness_decrement_floors_at_zero() {
-        let mut labels = HubLabels::empty(&topo());
-        labels.commit(VertexId(2), 0, 2.0, Direction::Forward);
-        labels.in_labels[2][0].wit = 1;
-        assert_eq!(
-            labels.decrement_witness(VertexId(2), 0, Direction::Forward),
-            Some(1)
-        );
-        // Fragile entries stay at zero instead of underflowing.
-        assert_eq!(
-            labels.decrement_witness(VertexId(2), 0, Direction::Forward),
-            Some(0)
-        );
-        assert_eq!(labels.in_labels[2][0].wit, 0);
-        // No entry for rank 1 anywhere.
-        assert_eq!(
-            labels.decrement_witness(VertexId(2), 1, Direction::Forward),
-            None
-        );
-        assert_eq!(
-            labels.remove_entry(VertexId(2), 0, Direction::Forward),
-            Some(2.0)
-        );
-        assert!(labels.in_labels[2].is_empty());
     }
 
     #[test]

@@ -18,14 +18,13 @@
 //!   `ServedBy::Index`, and fall back to traversal whenever the index
 //!   declines.
 //! * **Repair** ([`PointIndex::repair`](qgraph_core::PointIndex::repair))
-//!   absorbs each applied mutation batch at the barrier: insertions
-//!   resume passes from the new edge (Akiba-style), deletions invalidate
-//!   exactly the roots whose witness paths used a removed edge and
-//!   re-run them, and damage beyond [`IndexConfig::damage_threshold`]
-//!   — judged from the batch's footprint before any pass runs — falls
-//!   back to a full rebuild. Epoch validity is tracked so a query
-//!   admitted at epoch *e* is never served by an index repaired only
-//!   through *e − 1*.
+//!   absorbs each applied mutation batch at the barrier: a batch that
+//!   nets to an edge removal (or a reweight-up of the cheapest parallel)
+//!   rebuilds the labels on the new topology, an insert-only batch
+//!   resumes passes from the new edges (Akiba-style), new vertices run
+//!   their own passes. Epoch validity is tracked so a query admitted at
+//!   epoch *e* is never served by an index repaired only through
+//!   *e − 1*.
 
 #![forbid(unsafe_code)]
 
@@ -46,17 +45,10 @@ use qgraph_graph::{AppliedMutation, Topology};
 /// Index-plane tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct IndexConfig {
-    /// Repair incrementally at mutation barriers. When `false` the index
-    /// never advances its valid epoch past construction, so queries on
-    /// mutated graphs silently fall back to traversal.
+    /// Repair at mutation barriers. When `false` the index never
+    /// advances its valid epoch past construction, so queries on mutated
+    /// graphs silently fall back to traversal.
     pub repair: bool,
-    /// Fraction of a rebuild's `2n` root passes that repair may re-run
-    /// in full before bailing to the rebuild instead (which also
-    /// re-ranks the roots on the new topology). Counted per *pass*,
-    /// not per root: most weakened roots re-run a single direction.
-    /// Consulted up front against the passes a batch's removals touch
-    /// and again mid-sweep against the full re-runs actually incurred.
-    pub damage_threshold: f64,
     /// Landmark roots per construction wave (each submits two passes).
     /// Wider waves cost fewer engine round-trips and commit a few more
     /// entries: wave outputs are re-filtered against the live labels in
@@ -65,29 +57,20 @@ pub struct IndexConfig {
     /// the labels are identical across builders, engines and thread
     /// counts.
     pub wave: usize,
-    /// Worker threads for offline index work — the sequential build,
-    /// barrier-time full rebuilds, and witness recount sweeps. `0` picks
-    /// the machine's parallelism (capped at 8). The committed labels are
-    /// identical for every thread count: waves prune against a shared
-    /// snapshot and commit in rank order regardless of who ran the pass.
+    /// Worker threads for offline index work — the sequential build and
+    /// barrier-time rebuilds. `0` picks the machine's parallelism (capped
+    /// at 8). The committed labels are identical for every thread count:
+    /// waves prune against a shared snapshot and commit in rank order
+    /// regardless of who ran the pass.
     pub build_threads: usize,
-    /// Paranoid audit mode (debug builds only): after construction and
-    /// after every repair, recount every witness from scratch and
-    /// re-verify each entry's tightness and the pruned labeling's cover
-    /// invariant over every live edge. O(n·entries + m·entries) per
-    /// barrier — a test harness for the incremental repair machinery,
-    /// never a serving configuration. No-op in release builds.
-    pub paranoid: bool,
 }
 
 impl Default for IndexConfig {
     fn default() -> Self {
         IndexConfig {
             repair: true,
-            damage_threshold: 0.25,
             wave: 8,
             build_threads: 0,
-            paranoid: false,
         }
     }
 }
@@ -113,9 +96,6 @@ impl LabelIndex {
     pub fn build(topology: &Topology, cfg: IndexConfig) -> Self {
         let mut labels = HubLabels::empty(topology);
         repair::build_waves(&mut labels, topology, &cfg);
-        if cfg.paranoid && cfg!(debug_assertions) {
-            repair::audit(&labels, topology);
-        }
         Self::from_labels(labels, topology.epoch(), cfg)
     }
 
@@ -144,6 +124,17 @@ impl LabelIndex {
     /// The configuration the index was built with.
     pub fn config(&self) -> &IndexConfig {
         &self.cfg
+    }
+
+    /// Test harness: re-verify the labeling's cover invariant over every
+    /// live edge of `topology` — the graph the index was last built or
+    /// repaired on — and panic on the first entry a real path beats with
+    /// no higher-ranked hub covering it. O(m · entries), exact
+    /// comparisons: meant for integer-weighted test graphs, after every
+    /// repair.
+    #[doc(hidden)]
+    pub fn audit(&self, topology: &Topology) {
+        repair::audit(&self.labels, topology);
     }
 }
 
@@ -176,11 +167,6 @@ impl PointIndex for LabelIndex {
             return RepairSummary::default();
         }
         let summary = repair::repair(&mut self.labels, topology, applied, &self.cfg);
-        if self.cfg.paranoid && cfg!(debug_assertions) {
-            // Covers both outcomes — incremental repair and a damage-cap
-            // bailout to rebuild — since either commits into `labels`.
-            repair::audit(&self.labels, topology);
-        }
         self.flat = FlatLabels::freeze(&self.labels);
         self.repaired_through = epoch;
         summary
@@ -194,7 +180,6 @@ impl PointIndex for LabelIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qgraph_core::RebuildCause;
     use qgraph_graph::{GraphBuilder, MutationBatch, VertexId};
 
     fn topo() -> Topology {
@@ -210,8 +195,10 @@ mod tests {
     }
 
     /// Every pair's answer must equal a fresh build's answer on the
-    /// current topology — the repair-correctness oracle.
+    /// current topology, and the cover invariant must hold on every live
+    /// edge — the repair-correctness oracle.
     fn assert_matches_rebuild(index: &LabelIndex, topology: &Topology) {
+        index.audit(topology);
         let fresh = LabelIndex::build(topology, *index.config());
         let n = topology.num_vertices() as u32;
         for u in 0..n {
@@ -223,6 +210,44 @@ mod tests {
                 assert_eq!(index.serve(&q), fresh.serve(&q), "{u}->{v}");
             }
         }
+    }
+
+    /// The stronger oracle a rebuild earns: the repaired labels *are* a
+    /// fresh build's, entry for entry, and the summary says so.
+    fn assert_rebuilt_to_fresh_labels(
+        index: &LabelIndex,
+        topology: &Topology,
+        summary: RepairSummary,
+        entries_before: usize,
+    ) {
+        let fresh = LabelIndex::build(topology, *index.config());
+        assert_eq!(index.labels().order, fresh.labels().order);
+        assert_eq!(index.labels().out_labels, fresh.labels().out_labels);
+        assert_eq!(index.labels().in_labels, fresh.labels().in_labels);
+        assert_eq!(
+            summary,
+            RepairSummary {
+                rebuilt: true,
+                roots_rerun: 2 * topology.num_vertices(),
+                labels_removed: entries_before,
+                labels_added: fresh.total_entries(),
+            }
+        );
+        index.audit(topology);
+    }
+
+    /// Apply `batch`, repair, and hand back the summary with the entry
+    /// count the index held going in.
+    fn apply_and_repair(
+        index: &mut LabelIndex,
+        topo: &mut Topology,
+        batch: &MutationBatch,
+    ) -> (RepairSummary, usize) {
+        let entries_before = index.total_entries();
+        let applied = topo.apply(batch);
+        let summary = index.repair(topo, &applied, applied.epoch);
+        assert_eq!(index.repaired_through(), applied.epoch);
+        (summary, entries_before)
     }
 
     #[test]
@@ -251,58 +276,42 @@ mod tests {
         let mut index = LabelIndex::build(&topo, IndexConfig::default());
         let mut batch = MutationBatch::new();
         batch.add_edge(2, 5, 1.0).add_edge(1, 4, 1.0);
-        let applied = topo.apply(&batch);
-        index.repair(&topo, &applied, applied.epoch);
-        assert_eq!(index.repaired_through(), applied.epoch);
+        let (summary, _) = apply_and_repair(&mut index, &mut topo, &batch);
+        assert!(!summary.rebuilt, "insert-only batches resume: {summary:?}");
+        assert!(summary.roots_rerun > 0, "{summary:?}");
+        assert_eq!(summary.labels_removed, 0);
         assert_matches_rebuild(&index, &topo);
     }
 
     #[test]
     fn repair_absorbs_removals_and_reweights() {
         let mut topo = topo();
-        let mut index = LabelIndex::build(
-            &topo,
-            IndexConfig {
-                damage_threshold: 1.0, // force the incremental path
-                ..IndexConfig::default()
-            },
-        );
+        let mut index = LabelIndex::build(&topo, IndexConfig::default());
         let mut batch = MutationBatch::new();
         batch.remove_edge(0, 1).set_weight(0, 2, 1.0);
-        let applied = topo.apply(&batch);
-        let summary = index.repair(&topo, &applied, applied.epoch);
-        assert!(!summary.rebuilt);
-        assert_matches_rebuild(&index, &topo);
+        let (summary, before) = apply_and_repair(&mut index, &mut topo, &batch);
+        // The reweight-down alone would resume; the removal beside it
+        // decides the batch.
+        assert_rebuilt_to_fresh_labels(&index, &topo, summary, before);
     }
 
     #[test]
-    fn tight_removal_takes_the_witness_path() {
+    fn tight_removal_rebuilds_to_fresh_labels() {
         let mut topo = topo();
-        let mut index = LabelIndex::build(
-            &topo,
-            IndexConfig {
-                damage_threshold: 1.0,
-                ..IndexConfig::default()
-            },
-        );
-        // 1→2 is the unique tight witness for d(0,2)=2 (the 0→2 edge
-        // weighs 5): counts hit zero and invalidate downstream, but the
-        // repair stays a seeded partial resume — no rebuild.
+        let mut index = LabelIndex::build(&topo, IndexConfig::default());
+        // 1→2 is the unique tight parent of d(0,2)=2 (the 0→2 edge
+        // weighs 5): every distance through it grows.
         let mut batch = MutationBatch::new();
         batch.remove_edge(1, 2);
-        let applied = topo.apply(&batch);
-        let summary = index.repair(&topo, &applied, applied.epoch);
-        assert!(!summary.rebuilt);
-        assert!(summary.witness_decrements > 0, "{summary:?}");
-        assert!(summary.entries_invalidated > 0, "{summary:?}");
-        assert!(summary.partial_roots > 0, "{summary:?}");
-        assert_matches_rebuild(&index, &topo);
+        let (summary, before) = apply_and_repair(&mut index, &mut topo, &batch);
+        assert_rebuilt_to_fresh_labels(&index, &topo, summary, before);
     }
 
-    /// PR 7 satellite: `damage_threshold * n` rounds to 0 on a tiny
-    /// index, so before the clamp *any* removal tripped a full rebuild.
-    /// A diamond has two tight parents into the sink, so the witness
-    /// count absorbs one removal within the clamped one-root cap.
+    /// A diamond has two tight parents into the sink, so removing one
+    /// changes no distance — the rule does not look: a netted removal
+    /// rebuilds, on a four-vertex index as on any other. (The name is
+    /// from when such a removal had a path of its own; kept so the suite
+    /// still lists the test.)
     #[test]
     fn small_index_removals_repair_incrementally() {
         let mut b = GraphBuilder::new(4);
@@ -311,17 +320,11 @@ mod tests {
         b.add_edge(1, 3, 1.0);
         b.add_edge(2, 3, 1.0);
         let mut topo = Topology::new(std::sync::Arc::new(b.build()));
-        // Default threshold: 0.25 * 4 = 1.0 — zero before the clamp
-        // would already have been hit by the pre-PR 7 `<=` endpoint
-        // test flagging three roots here.
         let mut index = LabelIndex::build(&topo, IndexConfig::default());
         let mut batch = MutationBatch::new();
         batch.remove_edge(1, 3);
-        let applied = topo.apply(&batch);
-        let summary = index.repair(&topo, &applied, applied.epoch);
-        assert!(!summary.rebuilt, "{summary:?}");
-        assert!(summary.witness_decrements > 0, "{summary:?}");
-        assert_matches_rebuild(&index, &topo);
+        let (summary, before) = apply_and_repair(&mut index, &mut topo, &batch);
+        assert_rebuilt_to_fresh_labels(&index, &topo, summary, before);
     }
 
     #[test]
@@ -333,45 +336,98 @@ mod tests {
         batch.add_edge(6, 0, 1.0).add_edge(2, 6, 2.0);
         let applied = topo.apply(&batch);
         assert_eq!(applied.new_vertices, vec![VertexId(6)]);
-        index.repair(&topo, &applied, applied.epoch);
+        let summary = index.repair(&topo, &applied, applied.epoch);
+        assert!(!summary.rebuilt, "{summary:?}");
+        // Appended at the lowest rank, not re-ranked.
+        assert_eq!(index.labels().order.last(), Some(&VertexId(6)));
         assert_matches_rebuild(&index, &topo);
+    }
+
+    /// A new vertex beside a removal: the rebuild ranks and covers the
+    /// newcomer with everyone else.
+    #[test]
+    fn new_vertex_beside_a_removal_rebuilds_and_is_covered() {
+        let mut topo = topo();
+        let mut index = LabelIndex::build(&topo, IndexConfig::default());
+        let mut batch = MutationBatch::new();
+        batch.add_vertex(); // vertex 6
+        batch
+            .add_edge(6, 0, 1.0)
+            .add_edge(2, 6, 2.0)
+            .remove_edge(3, 4);
+        let (summary, before) = apply_and_repair(&mut index, &mut topo, &batch);
+        assert_rebuilt_to_fresh_labels(&index, &topo, summary, before);
+        assert_eq!(index.labels().num_vertices(), 7);
+        let to_new = PointQuery::Dist {
+            source: VertexId(0),
+            target: VertexId(6),
+        };
+        assert_eq!(index.serve(&to_new), Some(PointAnswer::Dist(Some(4.0))));
     }
 
     #[test]
     fn heavy_damage_trips_rebuild() {
         let mut topo = topo();
-        let mut index = LabelIndex::build(
-            &topo,
-            IndexConfig {
-                damage_threshold: 0.0,
-                ..IndexConfig::default()
-            },
-        );
+        let mut index = LabelIndex::build(&topo, IndexConfig::default());
         let mut batch = MutationBatch::new();
         batch.remove_edge(0, 1);
-        let applied = topo.apply(&batch);
-        let entries_before = index.total_entries();
-        let summary = index.repair(&topo, &applied, applied.epoch);
-        assert!(summary.rebuilt);
-        // The cap clamps to one pass and the removal flags exactly one,
-        // so both up-front checks pass; the re-run weakens a second
-        // root mid-sweep and the backstop trips with one pass spent.
-        assert_eq!(summary.rebuild_cause, RebuildCause::SweepCap);
-        assert_eq!(summary.sweep_passes, 1);
-        assert_eq!(summary.labels_removed, entries_before);
-        assert_matches_rebuild(&index, &topo);
+        let (summary, before) = apply_and_repair(&mut index, &mut topo, &batch);
+        assert_rebuilt_to_fresh_labels(&index, &topo, summary, before);
 
-        // Two more removals touch more passes than the cap allows: the
-        // decision is taken before any pass is spent.
+        // Two more removals, rebuilt from the already-rebuilt labels.
         let mut batch = MutationBatch::new();
         batch.remove_edge(2, 3).remove_edge(4, 0);
-        let applied = topo.apply(&batch);
-        let entries_before = index.total_entries();
-        let summary = index.repair(&topo, &applied, applied.epoch);
-        assert_eq!(summary.rebuild_cause, RebuildCause::Footprint);
-        assert_eq!(summary.sweep_passes, 0);
-        assert_eq!(summary.labels_removed, entries_before);
+        let (summary, before) = apply_and_repair(&mut index, &mut topo, &batch);
+        assert_rebuilt_to_fresh_labels(&index, &topo, summary, before);
+    }
+
+    /// Netting: a batch whose events cancel moves no edge's cheapest
+    /// parallel, so nothing runs — not a pass, not a rebuild.
+    #[test]
+    fn batches_that_net_to_nothing_run_zero_passes() {
+        let mut topo = topo();
+        // Stack a heavier parallel beside 0→1 (weight 1).
+        let mut stack = MutationBatch::new();
+        stack.add_edge(0, 1, 4.0);
+        topo.apply(&stack);
+        let mut index = LabelIndex::build(&topo, IndexConfig::default());
+        let labels_before = index.labels().clone();
+
+        // Insert an edge and remove it again.
+        let mut batch = MutationBatch::new();
+        batch.add_edge(5, 0, 1.0).remove_edge(5, 0);
+        let (summary, _) = apply_and_repair(&mut index, &mut topo, &batch);
+        assert_eq!(summary, RepairSummary::default());
+
+        // Remove the heavier of the two parallels (`remove_edge` drops
+        // both; the cheaper one goes straight back in).
+        let mut batch = MutationBatch::new();
+        batch.remove_edge(0, 1).add_edge(0, 1, 1.0);
+        let (summary, _) = apply_and_repair(&mut index, &mut topo, &batch);
+        assert_eq!(summary, RepairSummary::default());
+
+        assert_eq!(index.labels().out_labels, labels_before.out_labels);
+        assert_eq!(index.labels().in_labels, labels_before.in_labels);
         assert_matches_rebuild(&index, &topo);
+    }
+
+    /// Reweights are judged on the cheapest parallel: up rebuilds — on
+    /// the path or off it — down resumes.
+    #[test]
+    fn reweight_up_rebuilds_and_reweight_down_resumes() {
+        let mut topo = topo();
+        let mut index = LabelIndex::build(&topo, IndexConfig::default());
+        let mut batch = MutationBatch::new();
+        batch.set_weight(0, 2, 1.0); // 5 → 1: now beats 0→1→2
+        let (summary, _) = apply_and_repair(&mut index, &mut topo, &batch);
+        assert!(!summary.rebuilt, "{summary:?}");
+        assert!(summary.roots_rerun > 0, "{summary:?}");
+        assert_matches_rebuild(&index, &topo);
+
+        let mut batch = MutationBatch::new();
+        batch.set_weight(0, 2, 3.0); // 1 → 3
+        let (summary, before) = apply_and_repair(&mut index, &mut topo, &batch);
+        assert_rebuilt_to_fresh_labels(&index, &topo, summary, before);
     }
 
     #[test]
@@ -395,34 +451,30 @@ mod tests {
     #[test]
     fn sequence_of_mixed_batches_stays_exact() {
         let mut topo = topo();
-        let mut index = LabelIndex::build(
-            &topo,
-            IndexConfig {
-                damage_threshold: 1.0,
-                ..IndexConfig::default()
-            },
-        );
-        let batches: Vec<MutationBatch> = {
+        let mut index = LabelIndex::build(&topo, IndexConfig::default());
+        // (batch, does it net to a removal?)
+        let batches: Vec<(MutationBatch, bool)> = {
             let mut v = Vec::new();
             let mut b = MutationBatch::new();
             b.add_edge(4, 2, 1.0).remove_edge(2, 3);
-            v.push(b);
+            v.push((b, true));
             let mut b = MutationBatch::new();
             b.add_vertex();
             b.add_edge(6, 5, 1.0)
                 .add_edge(1, 6, 1.0)
-                .set_weight(0, 1, 3.0);
-            v.push(b);
+                .set_weight(0, 1, 3.0); // 1 → 3: a reweight-up
+            v.push((b, true));
             let mut b = MutationBatch::new();
-            b.remove_edge(4, 0)
-                .set_weight(0, 2, 0.5)
-                .add_edge(3, 0, 4.0);
-            v.push(b);
+            b.set_weight(0, 2, 0.5).add_edge(3, 0, 4.0);
+            v.push((b, false));
+            let mut b = MutationBatch::new();
+            b.remove_edge(4, 0).add_edge(3, 0, 2.0);
+            v.push((b, true));
             v
         };
-        for batch in &batches {
-            let applied = topo.apply(batch);
-            index.repair(&topo, &applied, applied.epoch);
+        for (batch, removal) in &batches {
+            let (summary, _) = apply_and_repair(&mut index, &mut topo, batch);
+            assert_eq!(summary.rebuilt, *removal, "{summary:?}");
             assert_matches_rebuild(&index, &topo);
         }
     }
@@ -431,7 +483,7 @@ mod tests {
 /// Regression: a mutation program (originally found by the integration
 /// property test) that stacks *parallel* edges, inserts-then-removes an
 /// edge inside one batch, and mixes reweights with new vertices. Repair
-/// must classify per-edge *minimum* weights, not per-event weights.
+/// must judge per-edge *minimum* weights, not per-event weights.
 #[cfg(test)]
 mod multigraph_repair_regression {
     use super::*;
@@ -473,13 +525,7 @@ mod multigraph_repair_regression {
             ],
         ];
         let mut topo = ring_world(n);
-        let mut index = LabelIndex::build(
-            &topo,
-            IndexConfig {
-                damage_threshold: 0.3,
-                ..IndexConfig::default()
-            },
-        );
+        let mut index = LabelIndex::build(&topo, IndexConfig::default());
         let mut vcount = n;
         for (e, ops) in batches.iter().enumerate() {
             let mut batch = MutationBatch::new();
@@ -507,6 +553,7 @@ mod multigraph_repair_regression {
             }
             let applied = topo.apply(&batch);
             index.repair(&topo, &applied, applied.epoch);
+            index.audit(&topo);
             let fresh = LabelIndex::build(&topo, *index.config());
             for u in 0..vcount {
                 for v in 0..vcount {

@@ -42,10 +42,8 @@ pub fn reverse_adjacency(topology: &Topology) -> RevAdj {
 ///
 /// Output: the pass's settled `(vertex, distance)` pairs, sorted by
 /// vertex id. The driver applies the *same* prune predicate again at
-/// commit time, so exactly the propagating vertices receive a label —
-/// the closure property (every committed entry's witness path traverses
-/// only committed vertices) that incremental repair's tightness test
-/// relies on.
+/// commit time, against the live labels, so only vertices no
+/// higher-ranked hub covers receive a label.
 pub struct PllPassProgram {
     root: VertexId,
     root_rank: u32,

@@ -191,26 +191,18 @@ pub fn export_chrome(events: &[Event]) -> String {
                 {
                     let (k, t0, aux) = coord_open.remove(i);
                     if let Some((_, name)) = coord_pair(k) {
-                        let args = format!("\"aux\":{aux}");
+                        let args = if ev.kind == Kind::RepairEnd {
+                            let (passes, rebuilt) = (ev.aux & u64::from(u32::MAX), ev.aux >> 32);
+                            format!("\"passes\":{passes},\"rebuilt\":{rebuilt}")
+                        } else {
+                            format!("\"aux\":{aux}")
+                        };
                         w.span(name, "barrier", PID_ENGINE, 0.0, t0, ev.at_secs, &args);
                     }
                 }
             }
             Kind::Compaction => {
                 w.instant("compaction", "barrier", PID_ENGINE, 0.0, ev.at_secs, "");
-            }
-            Kind::RepairClassify | Kind::RepairInvalidate | Kind::RepairResume => {
-                let count = |n: u64| format!("\"count\":{n}");
-                let (name, args) = match ev.kind {
-                    Kind::RepairClassify => {
-                        let (n, cause, passes) = crate::classify::unpack(ev.aux);
-                        let detail = format!(",\"rebuild\":\"{cause}\",\"sweep_passes\":{passes}");
-                        ("repair.classify", count(n) + &detail)
-                    }
-                    Kind::RepairInvalidate => ("repair.invalidate", count(ev.aux)),
-                    _ => ("repair.resume", count(ev.aux)),
-                };
-                w.instant(name, "repair", PID_ENGINE, 0.0, ev.at_secs, &args);
             }
             _ => {}
         }
@@ -368,8 +360,7 @@ mod tests {
             Event::coord(1.4, Kind::MutationEnd, 2),
             Event::coord(1.4, Kind::Compaction, 0),
             Event::coord(1.45, Kind::RepairBegin, 0),
-            Event::coord(1.45, Kind::RepairClassify, crate::classify::pack(5, 3, 12)),
-            Event::coord(1.5, Kind::RepairEnd, 0),
+            Event::coord(1.5, Kind::RepairEnd, 1 << 32 | 2534),
             Event::coord(1.5, Kind::QuiesceEnd, 0),
             Event::query(1.5, Kind::Unpark, q),
             Event::task(1.6, Kind::TaskBegin, 0, q, 1, CmdKind::Step, 1),
@@ -397,7 +388,7 @@ mod tests {
         assert!(json.contains("\"name\":\"step q3 p2\""));
         assert!(json.contains("\"name\":\"quiesce\""));
         assert!(json.contains("\"name\":\"parked-at-barrier\""));
-        assert!(json.contains("\"count\":5,\"rebuild\":\"sweep-cap\",\"sweep_passes\":12"));
+        assert!(json.contains("\"passes\":2534,\"rebuilt\":1"));
     }
 
     #[test]

@@ -125,16 +125,10 @@ pub enum Kind {
     Compaction,
     /// Point-index repair began at this mutation barrier.
     RepairBegin,
-    /// Point-index repair finished.
+    /// Point-index repair finished: `aux` holds the root passes run in
+    /// its low 32 bits and, above them, how many of the window's batches
+    /// rebuilt the labels (each because it netted to an edge removal).
     RepairEnd,
-    /// Repair classify stage, one per absorbed batch: `aux` is a
-    /// [`classify`] word — entries invalidated, the rebuild cause, and
-    /// the full passes a sweep-cap bail discarded.
-    RepairClassify,
-    /// Repair invalidate stage: `aux` = full root passes re-run.
-    RepairInvalidate,
-    /// Repair resume stage: `aux` = partial resumes.
-    RepairResume,
 }
 
 /// [`Event::aux`] codes for [`Kind::Outcome`].
@@ -145,28 +139,6 @@ pub mod outcome {
     pub const REJECTED: u64 = 1;
     /// Answered from the point index at admission.
     pub const INDEX_SERVED: u64 = 2;
-}
-
-/// The [`Event::aux`] word of [`Kind::RepairClassify`]: entries
-/// invalidated in bits 0..32, sweep passes discarded in bits 32..62, a
-/// rebuild-cause code in bits 62..64 (fields saturate, never spill).
-pub mod classify {
-    /// Cause codes, in the order of `qgraph_core::RebuildCause`.
-    pub const CAUSES: [&str; 4] = ["none", "pre-flagged", "footprint", "sweep-cap"];
-
-    /// Pack one batch's classification outcome.
-    pub fn pack(invalidated: u64, cause: u64, sweep_passes: u64) -> u64 {
-        invalidated.min(u32::MAX as u64) | sweep_passes.min((1 << 30) - 1) << 32 | (cause & 3) << 62
-    }
-
-    /// `(invalidated, cause name, sweep passes)` of a packed word.
-    pub fn unpack(aux: u64) -> (u64, &'static str, u64) {
-        (
-            aux & u32::MAX as u64,
-            CAUSES[(aux >> 62) as usize],
-            aux >> 32 & ((1 << 30) - 1),
-        )
-    }
 }
 
 /// Where an event renders in the exported trace.

@@ -95,6 +95,26 @@ fn random_live_edge(topo: &Topology, rng: &mut SmallRng) -> Option<(u32, u32, f3
     None
 }
 
+/// Did the step from `before` to `after` make some edge's cheapest
+/// parallel heavier, or remove it — the class of batch that can lengthen
+/// shortest paths (an index repairs those by rebuilding)? Read off the
+/// two graphs, not a batch's events, so an edge inserted and removed
+/// again, or a heavier parallel dropped, does not count.
+pub fn nets_to_removal(before: &Topology, after: &Topology) -> bool {
+    let cheapest = |t: &Topology, u: VertexId, v: VertexId| {
+        t.neighbors(u)
+            .filter(|&(x, _)| x == v)
+            .map(|(_, w)| w)
+            .reduce(f32::min)
+    };
+    before.vertices().any(|u| {
+        before.neighbors(u).any(|(v, _)| {
+            let was = cheapest(before, u, v).expect("the edge was just listed");
+            cheapest(after, u, v).is_none_or(|now| now > was)
+        })
+    })
+}
+
 /// Unstructured edge churn: each op flips a fair coin between inserting a
 /// random edge (weight in `[0.5, 2)`) and removing a random live one —
 /// the adversarial baseline for Q-cut under topology drift.
@@ -251,6 +271,34 @@ mod tests {
         assert!(t.num_edges() <= g.num_edges());
         let times: Vec<f64> = stream.iter().map(|m| m.at_secs).collect();
         assert!(times.windows(2).all(|w| w[0] <= w[1]), "monotone arrivals");
+    }
+
+    #[test]
+    fn nets_to_removal_reads_the_cheapest_parallel() {
+        let base = Topology::new(grid(4));
+        let step = |build: &dyn Fn(&mut MutationBatch)| {
+            let mut batch = MutationBatch::new();
+            build(&mut batch);
+            let mut after = base.clone();
+            after.apply(&batch);
+            nets_to_removal(&base, &after)
+        };
+        assert!(step(&|b| {
+            b.remove_edge(0, 1);
+        }));
+        assert!(step(&|b| {
+            b.set_weight(1, 2, 3.0);
+        }));
+        assert!(!step(&|b| {
+            b.set_weight(1, 2, 0.5).add_edge(0, 3, 1.0);
+        }));
+        // Ephemeral edge; a heavier parallel that comes and goes.
+        assert!(!step(&|b| {
+            b.add_edge(0, 2, 1.0).remove_edge(0, 2);
+        }));
+        assert!(!step(&|b| {
+            b.add_edge(0, 1, 9.0).remove_edge(0, 1).add_edge(0, 1, 1.0);
+        }));
     }
 
     #[test]

@@ -24,7 +24,9 @@ mod social;
 mod tags;
 
 pub use arrivals::{arrival_times, schedule_open_loop, ArrivalConfig, ArrivalPattern, TimedQuery};
-pub use churn::{edge_churn, road_closures, social_follows, ChurnConfig, TimedMutation};
+pub use churn::{
+    edge_churn, nets_to_removal, road_closures, social_follows, ChurnConfig, TimedMutation,
+};
 pub use points::{
     generate_point_queries, schedule_point_queries, PairSkew, PointQuerySpec, PointWorkloadConfig,
     TimedPointQuery,

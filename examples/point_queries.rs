@@ -5,9 +5,10 @@
 //! reachability) are then answered at admission by a two-hop label
 //! intersection instead of running a BSP traversal — same answers,
 //! orders of magnitude less work. Edge churn is streamed in to show the
-//! other half of the plane: every mutation barrier triggers an
-//! incremental label repair (or a rebuild when the damage cascade grows
-//! too large), and the index keeps serving across epochs.
+//! other half of the plane: every mutation barrier repairs the labels —
+//! a rebuild when the batch nets to an edge removal, a resume of the
+//! affected passes when it only inserts — and the index keeps serving
+//! across epochs.
 //!
 //! Run with: `cargo run --release --bin point_queries`
 
@@ -17,7 +18,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use qgraph_algo::{ReachPointProgram, SsspProgram};
-use qgraph_core::{RebuildCause, SystemConfig, ThreadEngine, Topology};
+use qgraph_core::{SystemConfig, ThreadEngine, Topology};
 use qgraph_graph::VertexId;
 use qgraph_index::{IndexConfig, LabelIndex};
 use qgraph_partition::{HashPartitioner, Partitioner};
@@ -57,13 +58,7 @@ fn main() {
     // Build the two-hop label index (sequential pruned landmark labeling,
     // roots ranked by sampled shortest-path coverage × degree).
     let build_start = Instant::now();
-    let index = LabelIndex::build(
-        &Topology::new(Arc::clone(&graph)),
-        IndexConfig {
-            damage_threshold: 0.6,
-            ..IndexConfig::default()
-        },
-    );
+    let index = LabelIndex::build(&Topology::new(Arc::clone(&graph)), IndexConfig::default());
     println!(
         "label index: {} entries ({:.1} per vertex) built in {:.1} ms",
         index.total_entries(),
@@ -119,14 +114,15 @@ fn main() {
     }
     for r in &engine.report().index_repairs {
         println!(
-            "  epoch {}: {} root passes rerun, -{}/+{} labels{}",
+            "  epoch {}: {} root passes run, -{}/+{} labels{}",
             r.epoch,
             r.summary.roots_rerun,
             r.summary.labels_removed,
             r.summary.labels_added,
-            match r.summary.rebuild_cause {
-                RebuildCause::None => String::new(),
-                cause => format!(" (full rebuild: {cause:?})"),
+            if r.summary.rebuilt {
+                " (rebuilt: the batch nets to a removal)"
+            } else {
+                " (resumed)"
             },
         );
     }
