@@ -7,7 +7,7 @@
 //!
 //! or a single one: `cargo bench -p qgraph-bench --bench experiments -- fig6a`.
 //! Set `QGRAPH_QUICK=1` for a fast smoke pass. Absolute numbers are virtual
-//! seconds on the simulated cluster (see DESIGN.md §2); the paper
+//! seconds on the simulated cluster (see ARCHITECTURE.md, "Runtimes"); the paper
 //! comparison lives in EXPERIMENTS.md.
 
 use qgraph_bench::{run_road_experiment, ExperimentSpec, GraphPreset, Strategy};

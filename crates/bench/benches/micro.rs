@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks for the performance-critical building
 //! blocks: partitioners, the Q-cut ILS, graph generation, and single-query
-//! engine execution — plus the ablations called out in DESIGN.md §5.
+//! engine execution — plus the Q-cut clustering ablation.
 
 use std::sync::Arc;
 
@@ -70,7 +70,7 @@ fn bench_qcut(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
-    // Ablation (DESIGN.md §5): flat (no clustering) vs clustered search.
+    // Ablation: flat (no clustering) vs clustered search.
     g.bench_function("local_search_flat_vs_clustered", |b| {
         let flat: Vec<_> = (0..stats.queries.len())
             .map(|q| qgraph_core::qcut::QueryCluster { members: vec![q] })

@@ -15,7 +15,7 @@ use qgraph_workload::{
 };
 
 /// Which road network to generate (paper: BW and GY OpenStreetMap graphs;
-/// see DESIGN.md §2 for the synthetic substitution).
+/// the `qgraph-workload` crate docs describe the synthetic substitution).
 #[derive(Clone, Copy, Debug)]
 pub enum GraphPreset {
     /// Baden-Württemberg-like: 16 cities.

@@ -26,7 +26,8 @@
 //! (submit / run / output / report):
 //! * [`SimEngine`] — a deterministic discrete-event engine over the
 //!   `qgraph-sim` virtual cluster; every experiment in `EXPERIMENTS.md`
-//!   uses it (see `DESIGN.md` for why the paper's testbeds are simulated).
+//!   uses it (the `qgraph-sim` crate docs say why the paper's testbeds are
+//!   simulated; ARCHITECTURE.md, "Runtimes", how the two relate).
 //! * [`runtime::ThreadEngine`] — a real shared-memory multi-threaded
 //!   executor of the same protocol, demonstrating the library on actual
 //!   hardware.

@@ -1,4 +1,5 @@
-//! The 2-hop hub label store and its flat, read-only serving form.
+//! The 2-hop hub label store: the one copy of the labels, which builds
+//! and repairs write and point queries read.
 //!
 //! Every vertex is a landmark *root*, ranked by sampled shortest-path
 //! coverage × degree (descending, vertex id breaking ties; see
@@ -15,10 +16,6 @@
 //! distance (the highest-ranked vertex on a shortest `u → v` path is in
 //! both label sets — the canonical 2-hop cover invariant that
 //! rank-restricted pruning preserves).
-//!
-//! The mutable store ([`HubLabels`]) and the frozen serving form
-//! ([`FlatLabels`]) hold the same 8-byte [`LabelEntry`]; freezing only
-//! flattens the per-vertex lists into one array per family.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -84,8 +81,8 @@ const ORDER_SAMPLES: usize = 64;
 /// paths run through it, hence how much a pass from it lets every later
 /// pass prune. Degree alone says that on a social graph and nothing on
 /// a road map (every degree is 2–4); coverage alone over-ranks chains
-/// on hub-dominated graphs; the product serves both. No RNG, no engine,
-/// no thread count: every builder derives the same order.
+/// on hub-dominated graphs; the product serves both. No RNG, no thread
+/// count: every build derives the same order.
 fn rank_order(topology: &Topology) -> Vec<VertexId> {
     let n = topology.num_vertices();
     let samples = ORDER_SAMPLES.min(n);
@@ -130,8 +127,8 @@ fn rank_order(topology: &Topology) -> Vec<VertexId> {
     order
 }
 
-/// The mutable hub label store: per-vertex rank-sorted label lists plus
-/// the rank order itself.
+/// The hub label store: per-vertex rank-sorted label lists plus the rank
+/// order itself.
 #[derive(Clone, Debug, Default)]
 pub struct HubLabels {
     /// rank → vertex (`rank_order`; vertices created by later mutation
@@ -148,7 +145,7 @@ pub struct HubLabels {
 impl HubLabels {
     /// An empty store over `topology`'s vertices, ranked by
     /// `rank_order` — the one place the order is made, shared by the
-    /// sequential build, the engine build and the in-barrier rebuild.
+    /// build and the in-barrier rebuild.
     pub fn empty(topology: &Topology) -> Self {
         let n = topology.num_vertices();
         let order = rank_order(topology);
@@ -257,57 +254,22 @@ pub enum Direction {
     Backward,
 }
 
-/// The frozen, flat serving form: both label families packed into single
-/// contiguous arrays with per-vertex offsets, rebuilt from [`HubLabels`]
-/// after construction and after every repair. Point queries touch only
-/// these four arrays — two offset lookups and one merge-intersection.
-#[derive(Clone, Debug, Default)]
-pub struct FlatLabels {
-    out_offsets: Vec<u32>,
-    out_entries: Vec<LabelEntry>,
-    in_offsets: Vec<u32>,
-    in_entries: Vec<LabelEntry>,
-}
+/// Reverse adjacency: `rev[v]` lists `(u, w)` for every live edge
+/// `u → v`. Backward passes traverse it; the build and the repair
+/// construct it once per topology epoch.
+pub(crate) type RevAdj = Vec<Vec<(VertexId, f32)>>;
 
-impl FlatLabels {
-    /// Pack `labels` into the flat form.
-    pub fn freeze(labels: &HubLabels) -> Self {
-        fn pack(lists: &[Vec<LabelEntry>]) -> (Vec<u32>, Vec<LabelEntry>) {
-            let total: usize = lists.iter().map(Vec::len).sum();
-            let mut offsets = Vec::with_capacity(lists.len() + 1);
-            let mut entries = Vec::with_capacity(total);
-            offsets.push(0u32);
-            for list in lists {
-                entries.extend_from_slice(list);
-                offsets.push(entries.len() as u32);
-            }
-            (offsets, entries)
-        }
-        let (out_offsets, out_entries) = pack(&labels.out_labels);
-        let (in_offsets, in_entries) = pack(&labels.in_labels);
-        FlatLabels {
-            out_offsets,
-            out_entries,
-            in_offsets,
-            in_entries,
+/// Build the reverse adjacency of `topology`'s live edges.
+pub(crate) fn reverse_adjacency(topology: &Topology) -> RevAdj {
+    let n = topology.num_vertices();
+    let mut rev: RevAdj = vec![Vec::new(); n];
+    for u in 0..n as u32 {
+        let u = VertexId(u);
+        for (v, w) in topology.neighbors(u) {
+            rev[v.index()].push((u, w));
         }
     }
-
-    /// Number of covered vertices.
-    pub fn num_vertices(&self) -> usize {
-        self.out_offsets.len().saturating_sub(1)
-    }
-
-    /// Exact distance `u → v`; `None` when unreachable. Callers must
-    /// bounds-check `u`/`v` against [`FlatLabels::num_vertices`].
-    pub fn dist(&self, u: VertexId, v: VertexId) -> Option<f32> {
-        let out = &self.out_entries
-            [self.out_offsets[u.index()] as usize..self.out_offsets[u.index() + 1] as usize];
-        let inl = &self.in_entries
-            [self.in_offsets[v.index()] as usize..self.in_offsets[v.index() + 1] as usize];
-        let d = intersect_below(out, inl, u32::MAX);
-        d.is_finite().then_some(d)
-    }
+    rev
 }
 
 #[cfg(test)]
@@ -399,9 +361,13 @@ mod tests {
         assert!(labels
             .query_below(VertexId(0), VertexId(2), 0)
             .is_infinite());
-        let flat = FlatLabels::freeze(&labels);
-        assert_eq!(flat.dist(VertexId(0), VertexId(2)), Some(2.0));
-        assert_eq!(flat.dist(VertexId(2), VertexId(0)), None);
+    }
+
+    #[test]
+    fn reverse_adjacency_inverts_edges() {
+        let rev = reverse_adjacency(&topo());
+        assert_eq!(rev[2], vec![(VertexId(0), 5.0), (VertexId(1), 1.0)]);
+        assert!(rev[0].is_empty());
     }
 
     #[test]

@@ -9,14 +9,15 @@
 //! over common hubs is the exact shortest-path distance — Quegel's Hub2
 //! serving mode, grown into a full plane of this engine:
 //!
-//! * **Construction** ([`build_on_engine`]) runs the landmark passes as
-//!   ordinary vertex-program queries on either runtime, in waves — the
-//!   index is built *by* the engine it will serve.
+//! * **Construction** ([`LabelIndex::build`]) runs the landmark passes
+//!   offline over a [`Topology`], in rank-ordered waves fanned across
+//!   scoped worker threads — one builder, which the in-barrier rebuild
+//!   runs too.
 //! * **Serving** ([`LabelIndex`] implementing
-//!   [`PointIndex`](qgraph_core::PointIndex)) answers from frozen flat
-//!   label arrays; the engines consult it at admission, tag outcomes
-//!   `ServedBy::Index`, and fall back to traversal whenever the index
-//!   declines.
+//!   [`PointIndex`](qgraph_core::PointIndex)) answers from the one label
+//!   store ([`HubLabels`]); the engines consult it at admission, tag
+//!   outcomes `ServedBy::Index`, and fall back to traversal whenever the
+//!   index declines.
 //! * **Repair** ([`PointIndex::repair`](qgraph_core::PointIndex::repair))
 //!   absorbs each applied mutation batch at the barrier: a batch that
 //!   nets to an edge removal (or a reweight-up of the cheapest parallel)
@@ -29,15 +30,11 @@
 #![forbid(unsafe_code)]
 
 pub mod labels;
-pub mod program;
 
-mod build;
 mod dist;
 mod repair;
 
-pub use build::build_on_engine;
-pub use labels::{Direction, FlatLabels, HubLabels, LabelEntry};
-pub use program::{reverse_adjacency, PllPassProgram, RevAdj};
+pub use labels::{Direction, HubLabels, LabelEntry};
 
 use qgraph_core::{PointAnswer, PointIndex, PointQuery, RepairSummary};
 use qgraph_graph::{AppliedMutation, Topology};
@@ -49,19 +46,11 @@ pub struct IndexConfig {
     /// advances its valid epoch past construction, so queries on mutated
     /// graphs silently fall back to traversal.
     pub repair: bool,
-    /// Landmark roots per construction wave (each submits two passes).
-    /// Wider waves cost fewer engine round-trips and commit a few more
-    /// entries: wave outputs are re-filtered against the live labels in
-    /// rank order, which answers every query the same but is not the
-    /// width-1 labeling entry for entry (see `build.rs`). At one width
-    /// the labels are identical across builders, engines and thread
-    /// counts.
-    pub wave: usize,
-    /// Worker threads for offline index work — the sequential build and
+    /// Worker threads for offline index work — the build and
     /// barrier-time rebuilds. `0` picks the machine's parallelism (capped
     /// at 8). The committed labels are identical for every thread count:
-    /// waves prune against a shared snapshot and commit in rank order
-    /// regardless of who ran the pass.
+    /// a wave's passes prune against the labels of earlier waves and
+    /// commit in rank order regardless of who ran the pass.
     pub build_threads: usize,
 }
 
@@ -69,48 +58,36 @@ impl Default for IndexConfig {
     fn default() -> Self {
         IndexConfig {
             repair: true,
-            wave: 8,
             build_threads: 0,
         }
     }
 }
 
-/// The servable hub-label index: mutable labels for repair, frozen flat
-/// labels for answering, and the graph epoch the labels are valid
-/// through.
+/// The servable hub-label index: the labels, which repairs write and
+/// queries read, and the graph epoch they are valid through.
 #[derive(Clone, Debug)]
 pub struct LabelIndex {
     labels: HubLabels,
-    flat: FlatLabels,
     repaired_through: u64,
     cfg: IndexConfig,
 }
 
 impl LabelIndex {
-    /// Build over `topology` without an engine: pruned root passes in
-    /// waves of [`IndexConfig::wave`], fanned across
-    /// [`IndexConfig::build_threads`] scoped workers. The committed
-    /// labels equal the engine-built labels for the same wave width
-    /// (`wave: 1` gives the fully sequential minimal labeling) and are
-    /// independent of the thread count.
+    /// Build over `topology`: pruned root passes in rank-ordered waves,
+    /// fanned across [`IndexConfig::build_threads`] scoped workers. The
+    /// committed labels are independent of the thread count, and valid
+    /// through the topology's epoch.
     pub fn build(topology: &Topology, cfg: IndexConfig) -> Self {
         let mut labels = HubLabels::empty(topology);
-        repair::build_waves(&mut labels, topology, &cfg);
-        Self::from_labels(labels, topology.epoch(), cfg)
-    }
-
-    /// Wrap already-constructed labels valid through `epoch`.
-    pub(crate) fn from_labels(labels: HubLabels, epoch: u64, cfg: IndexConfig) -> Self {
-        let flat = FlatLabels::freeze(&labels);
+        repair::build_waves(&mut labels, topology, cfg.build_threads);
         LabelIndex {
             labels,
-            flat,
-            repaired_through: epoch,
+            repaired_through: topology.epoch(),
             cfg,
         }
     }
 
-    /// The mutable label store (rank order + per-vertex entries).
+    /// The label store (rank order + per-vertex entries).
     pub fn labels(&self) -> &HubLabels {
         &self.labels
     }
@@ -140,14 +117,15 @@ impl LabelIndex {
 
 impl PointIndex for LabelIndex {
     fn serve(&self, q: &PointQuery) -> Option<PointAnswer> {
-        let n = self.flat.num_vertices();
+        let n = self.labels.num_vertices();
         let (u, v) = (q.source(), q.target());
         if u.index() >= n || v.index() >= n {
             return None; // unknown vertex: let the traversal path decide
         }
+        let dist = self.labels.query_dist(u, v);
         match q {
-            PointQuery::Dist { .. } => Some(PointAnswer::Dist(self.flat.dist(u, v))),
-            PointQuery::Reach { .. } => Some(PointAnswer::Reach(self.flat.dist(u, v).is_some())),
+            PointQuery::Dist { .. } => Some(PointAnswer::Dist(dist)),
+            PointQuery::Reach { .. } => Some(PointAnswer::Reach(dist.is_some())),
         }
     }
 
@@ -166,8 +144,7 @@ impl PointIndex for LabelIndex {
             // epoch and the engines route everything to traversal.
             return RepairSummary::default();
         }
-        let summary = repair::repair(&mut self.labels, topology, applied, &self.cfg);
-        self.flat = FlatLabels::freeze(&self.labels);
+        let summary = repair::repair(&mut self.labels, topology, applied, self.cfg.build_threads);
         self.repaired_through = epoch;
         summary
     }
@@ -268,6 +245,26 @@ mod tests {
         assert_eq!(d(5, 0), Some(4.0)); // 5->3->4->0
         assert_eq!(d(0, 5), None); // 5 has no in-edges
         assert_eq!(d(3, 3), Some(0.0));
+    }
+
+    #[test]
+    fn serve_answers_reachability_and_bounds_checks() {
+        let index = LabelIndex::build(&topo(), IndexConfig::default());
+        let reach = |u: u32, v: u32| {
+            index.serve(&PointQuery::Reach {
+                source: VertexId(u),
+                target: VertexId(v),
+            })
+        };
+        assert_eq!(reach(5, 0), Some(PointAnswer::Reach(true)));
+        assert_eq!(reach(0, 5), Some(PointAnswer::Reach(false)));
+        // Out-of-range vertices decline rather than answer.
+        assert_eq!(reach(0, 99), None);
+        let dist_from_unknown = PointQuery::Dist {
+            source: VertexId(99),
+            target: VertexId(0),
+        };
+        assert_eq!(index.serve(&dist_from_unknown), None);
     }
 
     #[test]

@@ -1,25 +1,36 @@
-//! Label repair under graph mutation, and the wave-parallel sequential
-//! builder.
+//! The label builder, and label repair under graph mutation.
 //!
-//! Consumes one [`AppliedMutation`]'s `edge_changes`, netted per edge to
-//! the cheapest parallel's weight before and after the batch, and
+//! One read-only kernel, [`pass`], runs every pruned landmark pass in the
+//! crate: a hub's pass reads only higher-ranked hubs' labels and the
+//! hub's own pre-pass entries, so it never needs to write while it runs —
+//! the build, the insert resume and a new vertex's first pass all settle
+//! first and commit after.
+//!
+//! The builder ([`build_waves`], behind [`crate::LabelIndex::build`] and
+//! the in-barrier rebuild) runs the passes as **morsel-parallel waves**:
+//! each wave of [`WAVE`] roots prunes against the labels committed by
+//! earlier waves, executes across scoped worker threads, then commits in
+//! rank order. The committed labels do not depend on the thread count.
+//!
+//! Repair consumes one [`AppliedMutation`]'s `edge_changes`, netted per
+//! edge to the cheapest parallel's weight before and after the batch, and
 //! restores the 2-hop cover on the post-batch topology by one rule:
 //!
 //! * **A batch that nets to a removal rebuilds.** A deleted edge, or a
 //!   reweight-up of the cheapest parallel, can lengthen shortest paths;
 //!   the labels are discarded and built afresh on the new topology —
 //!   re-ranked, vertices created by the batch included — by the same
-//!   wave builder [`crate::LabelIndex::build`] runs, so the repaired
-//!   labels *are* a fresh build's, entry for entry. Re-running only the
-//!   passes a removal touches does not pay: they are the top-ranked,
-//!   most expensive ones, run one at a time against live labels, and
-//!   that lost to the parallel rebuild on every measured cell (ROADMAP
-//!   item 3 has the table). The price is a closure on a quiet street:
-//!   a few percent of the passes touched, one rebuild paid.
+//!   builder, so the repaired labels *are* a fresh build's, entry for
+//!   entry. Re-running only the passes a removal touches does not pay:
+//!   they are the top-ranked, most expensive ones, run one at a time
+//!   against live labels, and that lost to the parallel rebuild on every
+//!   measured cell (ROADMAP item 3 has the table). The price is a closure
+//!   on a quiet street: a few percent of the passes touched, one rebuild
+//!   paid.
 //! * **Insertions / reweight-down** only create shorter paths. Each root
 //!   with a committed entry at the new edge's tail resumes its pass from
 //!   the head (Akiba-style): seeds `d(r,a) + w` at `b`, then a pruned
-//!   Dijkstra over the new topology commits every improvement. Resumes
+//!   Dijkstra over the new topology settles every improvement. Resumes
 //!   never drop an entry a shorter path made redundant, so labels drift
 //!   above minimal until the next rebuild.
 //! * **New vertices** are appended at the tail of the rank order and run
@@ -28,14 +39,6 @@
 //! Netting is what makes "insert an edge and remove it again" or
 //! "remove the heavier of two parallels" a no-op: no minimum moved, no
 //! pass runs.
-//!
-//! The rebuild — and the sequential [`crate::LabelIndex::build`] — run
-//! as **morsel-parallel waves**: each wave's root passes prune against a
-//! shared snapshot of the labels committed by earlier waves and execute
-//! read-only across scoped worker threads, then commit in rank order.
-//! The snapshot discipline makes the result identical to the
-//! engine-built labels for the same wave width, and independent of the
-//! thread count.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
@@ -45,144 +48,120 @@ use qgraph_graph::{AppliedMutation, EdgeChange, Topology, VertexId};
 use rustc_hash::FxHashMap;
 
 use crate::dist::{covers, improves, OrdF32};
-use crate::labels::{entry, Direction, HubLabels, LabelEntry};
-use crate::program::{reverse_adjacency, RevAdj};
-use crate::IndexConfig;
+use crate::labels::{entry, reverse_adjacency, Direction, HubLabels, LabelEntry, RevAdj};
 
-/// One sequential pruned pass for hub `rank`, seeded at `seeds`.
+/// Landmark roots per build wave (each runs two passes). A wave's passes
+/// prune only against earlier waves, so a wider wave keeps more workers
+/// busy and commits a few more entries: its outputs are re-filtered
+/// against the live labels in rank order, which answers every query the
+/// same but is not the width-1 labeling entry for entry — a pass that
+/// propagated through a vertex the sequential build would have pruned at
+/// settles the vertices beyond it at their true distance, where the
+/// covering hub ties in real arithmetic, and the 2-hop sum associates
+/// differently from the path sum in f32 (on the 1.9k-vertex road map
+/// widths 1 / 8 / 32 commit 151,184 / 154,258 / 169,522 entries).
+const WAVE: usize = 8;
+
+/// The labels' best distance between `root` and `vertex` in `dir`,
+/// witnessed by hubs ranked above `rank` — the prune threshold of hub
+/// `rank`'s pass at `vertex`.
+fn threshold(
+    labels: &HubLabels,
+    root: VertexId,
+    vertex: VertexId,
+    rank: u32,
+    dir: Direction,
+) -> f32 {
+    match dir {
+        Direction::Forward => labels.query_below(root, vertex, rank),
+        Direction::Backward => labels.query_below(vertex, root, rank),
+    }
+}
+
+/// One read-only pruned Dijkstra pass for hub `rank`, seeded at `seeds`:
+/// the morsel a build wave runs per worker, and the body of every repair
+/// pass. Returns the settled `(vertex, distance)` pairs no higher-ranked
+/// hub covers, in settling order, for the caller to commit.
 ///
-/// `resume` gates commits on improving the hub's *existing* entries —
-/// the mode of an insertion resume; a new vertex's first pass has none
-/// and passes `false`. Returns the number of label entries inserted.
-/// The prune/commit predicate matches the engine pass exactly
-/// (rank-restricted query against the live labels), so sequential and
-/// engine-built labels coincide entry for entry.
-pub(crate) fn pruned_pass(
-    labels: &mut HubLabels,
+/// `resume` also stops at a vertex whose *existing* entry for this hub
+/// already covers the candidate — the mode of an insertion resume, where
+/// only improvements propagate because the old entries' consequences are
+/// already in the labels. A full pass from the root passes `false`.
+///
+/// Settling first and committing after equals committing while settling:
+/// the pass reads ranks below `rank` and the hub's pre-pass entry at a
+/// vertex, and Dijkstra settles each vertex once.
+pub(crate) fn pass(
+    labels: &HubLabels,
     topology: &Topology,
     rev: &RevAdj,
     rank: u32,
     dir: Direction,
     seeds: &[(VertexId, f32)],
     resume: bool,
-) -> usize {
-    let root = labels.order[rank as usize];
-    let mut dist: FxHashMap<u32, f32> = FxHashMap::default();
-    let mut heap: BinaryHeap<Reverse<(OrdF32, u32)>> = BinaryHeap::new();
-    for &(v, d) in seeds {
+) -> Vec<(VertexId, f32)> {
+    type Heap = BinaryHeap<Reverse<(OrdF32, u32)>>;
+    fn relax(dist: &mut FxHashMap<u32, f32>, heap: &mut Heap, v: VertexId, d: f32) {
         let slot = dist.entry(v.0).or_insert(f32::INFINITY);
         if improves(d, *slot) {
             *slot = d;
             heap.push(Reverse((OrdF32(d), v.0)));
         }
     }
-    let mut added = 0usize;
+    let root = labels.order[rank as usize];
+    let mut dist: FxHashMap<u32, f32> = FxHashMap::default();
+    let mut heap = Heap::new();
+    for &(v, d) in seeds {
+        relax(&mut dist, &mut heap, v, d);
+    }
+    let mut settled: Vec<(VertexId, f32)> = Vec::new();
     while let Some(Reverse((OrdF32(d), v))) = heap.pop() {
         if improves(dist.get(&v).copied().unwrap_or(f32::INFINITY), d) {
             continue; // stale heap entry
         }
         let vertex = VertexId(v);
-        if resume {
-            // Only improvements over the committed entry propagate; the
-            // existing entry's consequences are already in the labels.
-            if let Some(old) = labels.hub_entry(vertex, rank, dir) {
-                if covers(old, d) {
-                    continue;
-                }
-            }
+        if resume
+            && labels
+                .hub_entry(vertex, rank, dir)
+                .is_some_and(|old| covers(old, d))
+        {
+            continue;
         }
-        let threshold = match dir {
-            Direction::Forward => labels.query_below(root, vertex, rank),
-            Direction::Backward => labels.query_below(vertex, root, rank),
-        };
-        if covers(threshold, d) {
+        if covers(threshold(labels, root, vertex, rank, dir), d) {
             continue; // pruned: a higher-ranked hub covers it
-        }
-        if labels.commit(vertex, rank, d, dir) {
-            added += 1;
-        }
-        match dir {
-            Direction::Forward => {
-                for (t, w) in topology.neighbors(vertex) {
-                    let nd = d + w;
-                    let slot = dist.entry(t.0).or_insert(f32::INFINITY);
-                    if improves(nd, *slot) {
-                        *slot = nd;
-                        heap.push(Reverse((OrdF32(nd), t.0)));
-                    }
-                }
-            }
-            Direction::Backward => {
-                for &(t, w) in &rev[vertex.index()] {
-                    let nd = d + w;
-                    let slot = dist.entry(t.0).or_insert(f32::INFINITY);
-                    if improves(nd, *slot) {
-                        *slot = nd;
-                        heap.push(Reverse((OrdF32(nd), t.0)));
-                    }
-                }
-            }
-        }
-    }
-    added
-}
-
-/// One read-only pruned pass for hub `rank` against a label *snapshot*:
-/// the morsel a wave-parallel build runs per worker. Returns the settled
-/// `(vertex, distance)` pairs that passed the snapshot's prune predicate
-/// — the same set the engine's `PllPassProgram` driver commits, so wave
-/// builds are identical across the sequential path, both engines, and
-/// any thread count.
-pub(crate) fn snapshot_pass(
-    snapshot: &HubLabels,
-    topology: &Topology,
-    rev: &RevAdj,
-    rank: u32,
-    dir: Direction,
-) -> Vec<(VertexId, f32)> {
-    let root = snapshot.order[rank as usize];
-    let mut dist: FxHashMap<u32, f32> = FxHashMap::default();
-    let mut heap: BinaryHeap<Reverse<(OrdF32, u32)>> = BinaryHeap::new();
-    dist.insert(root.0, 0.0);
-    heap.push(Reverse((OrdF32(0.0), root.0)));
-    let mut settled: Vec<(VertexId, f32)> = Vec::new();
-    while let Some(Reverse((OrdF32(d), v))) = heap.pop() {
-        if improves(dist.get(&v).copied().unwrap_or(f32::INFINITY), d) {
-            continue;
-        }
-        let vertex = VertexId(v);
-        let threshold = match dir {
-            Direction::Forward => snapshot.query_below(root, vertex, rank),
-            Direction::Backward => snapshot.query_below(vertex, root, rank),
-        };
-        if covers(threshold, d) {
-            continue;
         }
         settled.push((vertex, d));
         match dir {
             Direction::Forward => {
                 for (t, w) in topology.neighbors(vertex) {
-                    let nd = d + w;
-                    let slot = dist.entry(t.0).or_insert(f32::INFINITY);
-                    if improves(nd, *slot) {
-                        *slot = nd;
-                        heap.push(Reverse((OrdF32(nd), t.0)));
-                    }
+                    relax(&mut dist, &mut heap, t, d + w);
                 }
             }
             Direction::Backward => {
                 for &(t, w) in &rev[vertex.index()] {
-                    let nd = d + w;
-                    let slot = dist.entry(t.0).or_insert(f32::INFINITY);
-                    if improves(nd, *slot) {
-                        *slot = nd;
-                        heap.push(Reverse((OrdF32(nd), t.0)));
-                    }
+                    relax(&mut dist, &mut heap, t, d + w);
                 }
             }
         }
     }
     settled
+}
+
+/// Commit one pass's settled pairs as hub `rank`'s entries; returns the
+/// number of entries inserted (the rest tightened an existing one).
+fn commit_pass(
+    labels: &mut HubLabels,
+    rank: u32,
+    dir: Direction,
+    settled: Vec<(VertexId, f32)>,
+) -> usize {
+    let mut added = 0usize;
+    for (v, d) in settled {
+        if labels.commit(v, rank, d, dir) {
+            added += 1;
+        }
+    }
+    added
 }
 
 /// Resolve the worker-thread count for offline index work. `0` asks for
@@ -203,21 +182,22 @@ pub(crate) fn resolve_threads(configured: usize, n: usize) -> usize {
 }
 
 /// Build the complete labeling over `topology` in pruned waves: each
-/// wave of [`IndexConfig::wave`] roots runs both directions' passes
-/// read-only against a snapshot of the labels committed by earlier
-/// waves — fanned across scoped worker threads — then commits in rank
-/// order. `wave = 1` reproduces the fully sequential labeling; any wave
-/// width reproduces the engine-built labels of the same width,
-/// independent of `threads`.
-pub(crate) fn build_waves(labels: &mut HubLabels, topology: &Topology, cfg: &IndexConfig) -> usize {
+/// wave of [`WAVE`] roots runs both directions' passes read-only against
+/// the labels committed by earlier waves — fanned across scoped worker
+/// threads — then commits in rank order. Returns the number of entries
+/// committed; the labels are the same for any `build_threads`.
+pub(crate) fn build_waves(
+    labels: &mut HubLabels,
+    topology: &Topology,
+    build_threads: usize,
+) -> usize {
     let rev = reverse_adjacency(topology);
     let n = labels.order.len();
-    let wave = cfg.wave.max(1);
-    let threads = resolve_threads(cfg.build_threads, n);
+    let threads = resolve_threads(build_threads, n);
     let mut added = 0usize;
     let mut rank = 0usize;
     while rank < n {
-        let end = (rank + wave).min(n);
+        let end = (rank + WAVE).min(n);
         let tasks: Vec<(u32, Direction)> = (rank..end)
             .flat_map(|r| {
                 [
@@ -230,14 +210,14 @@ pub(crate) fn build_waves(labels: &mut HubLabels, topology: &Topology, cfg: &Ind
         // happen only after every pass of the wave has finished, so the
         // sequential branch and the threaded branch compute identical
         // results.
+        let snapshot: &HubLabels = labels;
+        let run = |r: u32, dir: Direction| {
+            let root = snapshot.order[r as usize];
+            pass(snapshot, topology, &rev, r, dir, &[(root, 0.0)], false)
+        };
         let results: Vec<Vec<(VertexId, f32)>> = if threads <= 1 {
-            tasks
-                .iter()
-                .map(|&(r, dir)| snapshot_pass(labels, topology, &rev, r, dir))
-                .collect()
+            tasks.iter().map(|&(r, dir)| run(r, dir)).collect()
         } else {
-            let snapshot: &HubLabels = labels;
-            let rev_ref = &rev;
             let tasks_ref = &tasks;
             std::thread::scope(|s| {
                 let handles: Vec<_> = (0..threads.min(tasks.len()))
@@ -248,9 +228,7 @@ pub(crate) fn build_waves(labels: &mut HubLabels, topology: &Topology, cfg: &Ind
                                 .iter()
                                 .enumerate()
                                 .filter(|(i, _)| i % workers == tid)
-                                .map(|(i, &(r, dir))| {
-                                    (i, snapshot_pass(snapshot, topology, rev_ref, r, dir))
-                                })
+                                .map(|(i, &(r, dir))| (i, run(r, dir)))
                                 .collect::<Vec<_>>()
                         })
                     })
@@ -269,22 +247,12 @@ pub(crate) fn build_waves(labels: &mut HubLabels, topology: &Topology, cfg: &Ind
         // wave). The wave passes prune only against pre-wave labels, so
         // their results are a superset; this filter cuts them back
         // toward the sequential labeling — the same labels for any
-        // thread count and as the engine build of this width, though
-        // not the width-1 labels entry for entry (`build.rs` says why).
-        for (&(r, dir), settled) in tasks.iter().zip(results) {
+        // thread count, though not the width-1 labels entry for entry
+        // ([`WAVE`] says why).
+        for (&(r, dir), mut settled) in tasks.iter().zip(results) {
             let root = labels.order[r as usize];
-            for (v, d) in settled {
-                let covered = match dir {
-                    Direction::Forward => covers(labels.query_below(root, v, r), d),
-                    Direction::Backward => covers(labels.query_below(v, root, r), d),
-                };
-                if covered {
-                    continue;
-                }
-                if labels.commit(v, r, d, dir) {
-                    added += 1;
-                }
-            }
+            settled.retain(|&(v, d)| !covers(threshold(labels, root, v, r, dir), d));
+            added += commit_pass(labels, r, dir, settled);
         }
         rank = end;
     }
@@ -294,13 +262,13 @@ pub(crate) fn build_waves(labels: &mut HubLabels, topology: &Topology, cfg: &Ind
 /// Full from-scratch rebuild on the current topology, re-ranked
 /// ([`HubLabels::empty`]), via the wave-parallel builder: the whole
 /// pre-batch index counts as removed.
-fn rebuild(labels: &mut HubLabels, topology: &Topology, cfg: &IndexConfig) -> RepairSummary {
+fn rebuild(labels: &mut HubLabels, topology: &Topology, build_threads: usize) -> RepairSummary {
     let labels_removed = labels.total_entries();
     *labels = HubLabels::empty(topology);
     RepairSummary {
         rebuilt: true,
         labels_removed,
-        labels_added: build_waves(labels, topology, cfg),
+        labels_added: build_waves(labels, topology, build_threads),
         roots_rerun: 2 * labels.order.len(),
     }
 }
@@ -377,10 +345,10 @@ pub(crate) fn repair(
     labels: &mut HubLabels,
     topology: &Topology,
     applied: &AppliedMutation,
-    cfg: &IndexConfig,
+    build_threads: usize,
 ) -> RepairSummary {
     let Some(inserts) = net_changes(topology, applied) else {
-        return rebuild(labels, topology, cfg);
+        return rebuild(labels, topology, build_threads);
     };
     let mut summary = RepairSummary::default();
     if inserts.is_empty() && applied.new_vertices.is_empty() {
@@ -395,7 +363,7 @@ pub(crate) fn repair(
 
     // 1. Insertion resumes, in rank order. A root's seed distances are
     //    read from its own entries at each new edge's tail — exact for
-    //    their hub by rank induction — and the resumed pass commits
+    //    their hub by rank induction — and the resumed pass settles
     //    every improvement on the new topology.
     let mut hubs: BTreeSet<u32> = BTreeSet::new();
     for &(a, b, _) in &inserts {
@@ -418,8 +386,8 @@ pub(crate) fn repair(
                 })
                 .collect();
             if !seeds.is_empty() {
-                summary.labels_added +=
-                    pruned_pass(labels, topology, &rev, rank, dir, &seeds, true);
+                let settled = pass(labels, topology, &rev, rank, dir, &seeds, true);
+                summary.labels_added += commit_pass(labels, rank, dir, settled);
                 summary.roots_rerun += 1;
             }
         }
@@ -429,8 +397,8 @@ pub(crate) fn repair(
     for &v in &applied.new_vertices {
         let rank = labels.rank_of[v.index()];
         for dir in [Direction::Forward, Direction::Backward] {
-            summary.labels_added +=
-                pruned_pass(labels, topology, &rev, rank, dir, &[(v, 0.0)], false);
+            let settled = pass(labels, topology, &rev, rank, dir, &[(v, 0.0)], false);
+            summary.labels_added += commit_pass(labels, rank, dir, settled);
             summary.roots_rerun += 1;
         }
     }
@@ -460,10 +428,7 @@ pub(crate) fn audit(labels: &HubLabels, topology: &Topology) {
             if held.is_some_and(|dc| covers(dc, cand)) {
                 continue;
             }
-            let probe = match dir {
-                Direction::Forward => labels.query_below(root, child, rank),
-                Direction::Backward => labels.query_below(child, root, rank),
-            };
+            let probe = threshold(labels, root, child, rank, dir);
             assert!(
                 covers(probe, cand),
                 "index audit: vertex {} holds {held:?} for {dir:?} hub rank {rank} but \
@@ -482,6 +447,104 @@ pub(crate) fn audit(labels: &HubLabels, topology: &Topology) {
             // against it (the head is the parent of the tail).
             check(Direction::Forward, u, t, w);
             check(Direction::Backward, t, u, w);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qgraph_graph::{GraphBuilder, MutationBatch};
+    use std::sync::Arc;
+
+    /// 0 → 1 → 3 beats 0 → 2 → 3; 4 hangs off 3.
+    fn diamond() -> Topology {
+        let mut b = GraphBuilder::new(5);
+        b.add_edge(0, 1, 1.0);
+        b.add_edge(1, 3, 1.0);
+        b.add_edge(0, 2, 5.0);
+        b.add_edge(2, 3, 1.0);
+        b.add_edge(3, 4, 2.0);
+        Topology::new(Arc::new(b.build()))
+    }
+
+    fn sorted(mut settled: Vec<(VertexId, f32)>) -> Vec<(u32, f32)> {
+        settled.sort_by_key(|&(v, _)| v);
+        settled.into_iter().map(|(v, d)| (v.0, d)).collect()
+    }
+
+    /// A full pass from `v` against empty labels, where nothing prunes:
+    /// plain Dijkstra, sorted by vertex.
+    fn unpruned(v: u32, dir: Direction) -> Vec<(u32, f32)> {
+        let topo = diamond();
+        let labels = HubLabels::empty(&topo);
+        let rev = reverse_adjacency(&topo);
+        let rank = labels.rank_of[v as usize];
+        let seeds = [(VertexId(v), 0.0)];
+        sorted(pass(&labels, &topo, &rev, rank, dir, &seeds, false))
+    }
+
+    #[test]
+    fn forward_pass_settles_distances() {
+        assert_eq!(
+            unpruned(0, Direction::Forward),
+            vec![(0, 0.0), (1, 1.0), (2, 5.0), (3, 2.0), (4, 4.0)]
+        );
+    }
+
+    #[test]
+    fn backward_pass_settles_reverse_distances() {
+        // Distances *to* vertex 3.
+        assert_eq!(
+            unpruned(3, Direction::Backward),
+            vec![(0, 2.0), (1, 1.0), (2, 1.0), (3, 0.0)]
+        );
+    }
+
+    /// The kernel is read-only — a resume settles the improvements and
+    /// leaves the labels as they were — and the repair built from it
+    /// answers like a fresh build and keeps the cover invariant.
+    #[test]
+    fn pass_reads_labels_and_the_resume_built_from_it_matches_a_fresh_build() {
+        let mut topo = diamond();
+        let mut labels = HubLabels::empty(&topo);
+        build_waves(&mut labels, &topo, 1);
+        let before = labels.clone();
+
+        // 2 → 4 at weight 1 shortens 2 ⇝ 4 from 3 to 1.
+        let mut batch = MutationBatch::new();
+        batch.add_edge(2, 4, 1.0);
+        let applied = topo.apply(&batch);
+        let rev = reverse_adjacency(&topo);
+        let rank = labels.rank_of[2];
+        let settled = pass(
+            &labels,
+            &topo,
+            &rev,
+            rank,
+            Direction::Forward,
+            &[(VertexId(4), 1.0)],
+            true,
+        );
+        assert_eq!(sorted(settled), vec![(4, 1.0)]);
+        assert_eq!(labels.order, before.order);
+        assert_eq!(labels.out_labels, before.out_labels);
+        assert_eq!(labels.in_labels, before.in_labels);
+
+        let summary = repair(&mut labels, &topo, &applied, 1);
+        assert!(!summary.rebuilt && summary.roots_rerun > 0, "{summary:?}");
+        audit(&labels, &topo);
+        let mut fresh = HubLabels::empty(&topo);
+        build_waves(&mut fresh, &topo, 1);
+        for u in 0..5 {
+            for v in 0..5 {
+                let (u, v) = (VertexId(u), VertexId(v));
+                assert_eq!(
+                    labels.query_dist(u, v),
+                    fresh.query_dist(u, v),
+                    "{u:?}->{v:?}"
+                );
+            }
         }
     }
 }

@@ -3,10 +3,10 @@
 //! The paper evaluates Q-Graph on two multi-core machines (M1, M2, workers
 //! communicating over loopback TCP) and an 8-node Gigabit-Ethernet cluster
 //! (C1). Reproducing those testbeds in wall-clock time is impossible here,
-//! so — per the substitution rule in `DESIGN.md` — this crate provides the
-//! closest synthetic equivalent: a virtual-time discrete-event simulator
-//! whose cost model captures exactly the three latency components the
-//! paper's results hinge on:
+//! so this crate provides the closest synthetic equivalent (ARCHITECTURE.md,
+//! "Runtimes", has its place in the engine): a virtual-time discrete-event
+//! simulator whose cost model captures exactly the three latency components
+//! the paper's results hinge on:
 //!
 //! 1. **compute** — per-vertex-update cost on each worker ([`ComputeModel`]),
 //! 2. **network** — per-message latency + bandwidth + serialization cost,

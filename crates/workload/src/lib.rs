@@ -3,8 +3,8 @@
 //! The paper evaluates on OpenStreetMap exports of Germany (GY, 11.8 M
 //! vertices) and Baden-Württemberg (BW, 1.8 M vertices) with hotspot query
 //! workloads around the biggest cities. Those data sets are not available
-//! here, so this crate generates the closest synthetic equivalent (see
-//! `DESIGN.md` §2): parametric road networks whose properties drive every
+//! here, so this crate generates the closest synthetic equivalent:
+//! parametric road networks whose properties drive every
 //! effect in the paper — population-weighted urban hotspots, low-degree
 //! spatial topology, travel-time edge weights, and POI tags.
 //!

@@ -2,9 +2,10 @@
 //! from traversal, on both runtimes, across mutation epochs.
 //!
 //! Three layers:
-//! * **static conformance** — an index built *on* each engine answers
-//!   every dist/reach pair exactly as `qgraph_algo::reference` does, and
-//!   the outcomes are tagged `ServedBy::Index` with zero traversal work;
+//! * **static conformance** — an index built over each engine's topology
+//!   answers every dist/reach pair exactly as `qgraph_algo::reference`
+//!   does, the outcomes are tagged `ServedBy::Index` with zero traversal
+//!   work, and the build itself leaves no query in the engine's report;
 //! * **repair conformance** — after each of a stream of mutation batches
 //!   (applied through the engine, repairing the installed index at the
 //!   barrier), index-served answers still match the reference graph of
@@ -28,7 +29,7 @@ use qgraph_core::{
 };
 use qgraph_graph::AppliedMutation;
 use qgraph_graph::{Graph, GraphBuilder, VertexId};
-use qgraph_index::{build_on_engine, IndexConfig, LabelIndex};
+use qgraph_index::{IndexConfig, LabelIndex};
 use qgraph_partition::HashPartitioner;
 use qgraph_workload::{
     generate_ba, generate_point_queries, generate_ws, nets_to_removal, BarabasiAlbertConfig,
@@ -156,7 +157,7 @@ fn pair_stream(n: u32, count: usize, seed: u64) -> Vec<(u32, u32)> {
 
 fn static_conformance<E: Engine>(mut engine: E, label: &str) {
     let reference = engine.topology_snapshot().materialize();
-    let index = build_on_engine(&mut engine, IndexConfig::default());
+    let index = LabelIndex::build(&engine.topology_snapshot(), IndexConfig::default());
     assert_eq!(index.repaired_through(), 0);
     engine.install_index(Box::new(index));
     serve_and_check(
@@ -168,9 +169,9 @@ fn static_conformance<E: Engine>(mut engine: E, label: &str) {
     );
     let report = engine.report();
     assert_eq!(report.index_served(), 48, "{label}: all 48 queries indexed");
-    // The only traversals on record are the construction passes
-    // themselves (48 roots x 2 directions).
-    assert_eq!(report.traversal_served(), 96, "{label}");
+    // The build ran beside the engine, not through it: the report holds
+    // the caller's queries only.
+    assert_eq!(report.traversal_served(), 0, "{label}");
 }
 
 #[test]
@@ -266,7 +267,7 @@ fn mixed_batches(n: u32) -> Vec<MutationBatch> {
 
 fn repair_conformance<E: MutableEngine>(mut engine: E, label: &str) {
     let n = 36u32;
-    let index = build_on_engine(&mut engine, IndexConfig::default());
+    let index = LabelIndex::build(&engine.topology_snapshot(), IndexConfig::default());
     let shared = SharedIndex::install(&mut engine, index);
     let mut replay = Topology::new(ring_world(n));
     // Removal; reweight-up (3→4 weighs 4); new vertex + inserts; removals.
@@ -326,7 +327,7 @@ fn thread_index_repairs_across_mutation_epochs() {
 
 fn insert_only_batches_resume<E: MutableEngine>(mut engine: E, label: &str) {
     let n = 36u32;
-    let index = build_on_engine(&mut engine, IndexConfig::default());
+    let index = LabelIndex::build(&engine.topology_snapshot(), IndexConfig::default());
     let shared = SharedIndex::install(&mut engine, index);
     let mut replay = Topology::new(ring_world(n));
 
@@ -471,7 +472,7 @@ fn admission_races_barrier<E: MutableEngine>(mut engine: E, label: &str) {
         assert_ne!(before, after, "probe {k} must be epoch-sensitive");
     }
 
-    let index = build_on_engine(&mut engine, IndexConfig::default());
+    let index = LabelIndex::build(&engine.topology_snapshot(), IndexConfig::default());
     engine.install_index(Box::new(index));
 
     // Interleave barriers and submissions with no settling in between:
@@ -547,8 +548,8 @@ fn thread_admission_racing_barrier_answers_for_its_epoch() {
 fn stale_index_falls_back_to_traversal() {
     let n = 30u32;
     let mut engine = EngineBuilder::new(ring_world(n)).workers(2).build_sim();
-    let index = build_on_engine(
-        &mut engine,
+    let index = LabelIndex::build(
+        &engine.topology_snapshot(),
         IndexConfig {
             repair: false,
             ..IndexConfig::default()
@@ -585,8 +586,8 @@ fn stale_index_falls_back_to_traversal() {
         "stale epoch 1",
     );
     assert_eq!(engine.report().index_served(), 4);
-    // 60 construction passes (30 roots x 2 directions) + 6 fallbacks.
-    assert_eq!(engine.report().traversal_served(), 66);
+    // The 6 fallbacks; building the index submitted nothing.
+    assert_eq!(engine.report().traversal_served(), 6);
 }
 
 // ---------------------------------------------------------------------
@@ -596,7 +597,7 @@ fn stale_index_falls_back_to_traversal() {
 #[test]
 fn floods_stay_on_the_traversal_path() {
     let mut engine = EngineBuilder::new(ring_world(24)).workers(2).build_sim();
-    let index = build_on_engine(&mut engine, IndexConfig::default());
+    let index = LabelIndex::build(&engine.topology_snapshot(), IndexConfig::default());
     engine.install_index(Box::new(index));
     let q = engine.submit(qgraph_core::programs::ReachProgram::new(VertexId(0)));
     engine.run();
@@ -628,7 +629,7 @@ fn apply_program<E: MutableEngine>(
     batches: &[Vec<(u32, u32, u32, u32)>],
     label: &str,
 ) {
-    let index = build_on_engine(&mut engine, IndexConfig::default());
+    let index = LabelIndex::build(&engine.topology_snapshot(), IndexConfig::default());
     let shared = SharedIndex::install(&mut engine, index);
     let mut replay = Topology::new(ring_world(n));
     let mut vcount = n;
@@ -765,7 +766,7 @@ fn check_epoch_against_fresh_build<E: MutableEngine>(
 
 fn removal_heavy_churn<E: MutableEngine>(mut engine: E, label: &str) {
     let n = 432u32;
-    let index = build_on_engine(&mut engine, IndexConfig::default());
+    let index = LabelIndex::build(&engine.topology_snapshot(), IndexConfig::default());
     let shared = SharedIndex::install(&mut engine, index);
     let mut replay = Topology::new(grid_world(24, 18));
 
@@ -838,9 +839,9 @@ fn thread_removal_heavy_churn_stays_incremental_and_exact() {
 }
 
 // ---------------------------------------------------------------------
-// The rank order: label-volume guards, wave widths, a wide closure wave.
-// Entry counts are exact functions of (graph, order, wave width), so
-// they repeat run to run and can gate.
+// The rank order: label-volume guards, build threads, a wide closure
+// wave. Entry counts are exact functions of (graph, order), so they
+// repeat run to run and can gate.
 // ---------------------------------------------------------------------
 
 /// A BW-like road map with real-valued (f32) segment weights.
@@ -859,20 +860,6 @@ fn dist_of(index: &LabelIndex, s: u32, t: u32) -> Option<f32> {
     }) {
         Some(PointAnswer::Dist(d)) => d,
         other => panic!("dist query {s}->{t} answered {other:?}"),
-    }
-}
-
-/// Same reachability, distances equal up to the rounding of the 2-hop
-/// sum (different label sets pick differently associated sums).
-fn assert_same_answers(a: &LabelIndex, b: &LabelIndex, pairs: &[(u32, u32)], ctx: &str) {
-    for &(s, t) in pairs {
-        match (dist_of(a, s, t), dist_of(b, s, t)) {
-            (Some(x), Some(y)) => assert!(
-                (x - y).abs() <= 1e-4 * x.abs().max(y.abs()).max(1.0),
-                "{ctx}: {s}->{t} {x} vs {y}"
-            ),
-            (x, y) => assert_eq!(x, y, "{ctx}: {s}->{t}"),
-        }
     }
 }
 
@@ -916,47 +903,26 @@ fn social_graph_labels_stay_within_a_tenth_of_degree_order() {
     }
 }
 
-/// What is and is not invariant in the wave width: at one width the
-/// sequential builder (any thread count) and both engines commit the
-/// same labels entry for entry; across widths the answers agree and the
-/// entry counts need not (reported, not asserted — see `build.rs`).
+/// The labels do not depend on who ran the passes: one build thread and
+/// three commit the same order and the same entries.
 #[test]
-fn wave_width_fixes_answers_not_entry_counts() {
-    let graph = road_map(0.01, 17);
-    let topo = Topology::new(Arc::clone(&graph));
-    let at = |wave: usize, build_threads: usize| IndexConfig {
-        wave,
-        build_threads,
-        ..IndexConfig::default()
-    };
-    let narrow = LabelIndex::build(&topo, at(1, 1));
-    let wide = LabelIndex::build(&topo, at(8, 1));
-    println!(
-        "road 0.01: width 1 commits {} entries, width 8 commits {}",
-        narrow.total_entries(),
-        wide.total_entries()
+fn build_threads_commit_identical_labels() {
+    let topo = Topology::new(road_map(0.01, 17));
+    assert!(
+        topo.num_vertices() >= 256,
+        "below that every build is serial"
     );
-    let n = graph.num_vertices() as u32;
-    assert_same_answers(&narrow, &wide, &pair_stream(n, 400, 5), "width 1 vs 8");
-
-    let threaded = LabelIndex::build(&topo, at(8, 3));
-    let mut sim = EngineBuilder::new(Arc::clone(&graph))
-        .workers(3)
-        .build_sim();
-    let mut threads = EngineBuilder::new(Arc::clone(&graph))
-        .workers(2)
-        .build_threaded();
-    let on_sim = build_on_engine(&mut sim, at(8, 1));
-    let on_threads = build_on_engine(&mut threads, at(8, 1));
-    for (other, who) in [
-        (&threaded, "3 build threads"),
-        (&on_sim, "sim engine"),
-        (&on_threads, "thread engine"),
-    ] {
-        assert_eq!(wide.labels().order, other.labels().order, "{who}");
-        assert_eq!(wide.labels().out_labels, other.labels().out_labels, "{who}");
-        assert_eq!(wide.labels().in_labels, other.labels().in_labels, "{who}");
-    }
+    let with = |build_threads: usize| {
+        let cfg = IndexConfig {
+            build_threads,
+            ..IndexConfig::default()
+        };
+        LabelIndex::build(&topo, cfg)
+    };
+    let (serial, threaded) = (with(1), with(3));
+    assert_eq!(serial.labels().order, threaded.labels().order);
+    assert_eq!(serial.labels().out_labels, threaded.labels().out_labels);
+    assert_eq!(serial.labels().in_labels, threaded.labels().in_labels);
 }
 
 /// `evolve-churn`'s batch shape: 113 road segments (4 % of the serving
@@ -1034,7 +1000,7 @@ fn apply_removal_churn<E: MutableEngine>(
     plan: &[Vec<(u32, u32, u32)>],
     label: &str,
 ) {
-    let index = build_on_engine(&mut engine, IndexConfig::default());
+    let index = LabelIndex::build(&engine.topology_snapshot(), IndexConfig::default());
     let shared = SharedIndex::install(&mut engine, index);
     let mut replay = Topology::new(ring_world(n));
     for (e, ops) in plan.iter().enumerate() {
