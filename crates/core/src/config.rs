@@ -132,10 +132,9 @@ pub struct SystemConfig {
     /// `NetworkModel::batch_max_msgs` (same default) and asserts at
     /// construction that the two caps agree, so reported batch counts
     /// always match what the cost model charges (and what the thread
-    /// runtime reports for the same config). The thread runtime also
-    /// *chunks* its `Deliver` payloads at this cap, so a burst to one
-    /// destination becomes several bounded envelopes rather than one
-    /// unbounded one.
+    /// runtime reports for the same config). Accounting only: the count
+    /// comes from `Worker::execute`; the thread runtime moves a Step's
+    /// messages to one destination as one batch, mailbox to mailbox.
     pub batch_max_msgs: usize,
     /// Mutation-plane compaction threshold: at a mutation epoch barrier,
     /// rebuild the CSR (see `qgraph_graph::Topology::compacted`) once the

@@ -3,14 +3,14 @@
 //!
 //! [`Coordinator`] owns everything protocol-shaped — the policy-ordered
 //! admission queue and the closed-loop slots, every live query's
-//! superstep state, release (freeze *every* involved inbox, then dispatch
-//! at most the query's DoP budget of Steps and defer the rest),
-//! step-completion accounting (aggregate roll-over, locality via
-//! [`barrier::is_local`], the next involved set, terminate → collect →
-//! outcome), parking while a stop-the-world window is wanted, the window
-//! body itself (mutation epochs → compaction → index repair → Q-cut
-//! migration, publications, event stamping, unpark + re-admit), and every
-//! protocol-level hb / tracer stamp. It performs no IO and spawns
+//! superstep state, release (*which* partitions compute a superstep, in
+//! *which* order, under what DoP budget — handed to the executor as one
+//! [`Superstep`]), step-completion accounting (aggregate roll-over,
+//! locality via [`barrier::is_local`], the next involved set, terminate →
+//! collect → outcome), parking while a stop-the-world window is wanted,
+//! the window body itself (mutation epochs → compaction → index repair →
+//! Q-cut migration, publications, event stamping, unpark + re-admit), and
+//! every protocol-level hb / tracer stamp. It performs no IO and spawns
 //! nothing: it takes *inputs* (submit, mutate, install-index, a step-done
 //! report, a collected local, clock readings) and emits *dispatches*
 //! through the statically-dispatched [`Executor`] it is handed.
@@ -18,23 +18,37 @@
 //! An executor answers "run this dispatch, tell me when it is done":
 //! [`SimEngine`](crate::SimEngine) prices dispatches on a virtual clock,
 //! [`ThreadEngine`](crate::ThreadEngine) turns them into pool commands.
-//! Neither knows about DoP budgets, freeze ordering, parked sets,
-//! locality counting or outcome fields.
+//! Neither knows about parked sets, locality counting or outcome fields.
+//!
+//! ## One superstep, one dispatch
+//!
+//! The core dispatches a superstep whole ([`Executor::superstep`]) and
+//! hears back one [`StepReport`] per involved partition, through
+//! [`Coordinator::step_done`]. What the executor owes in between is the
+//! BSP contract, by whatever means suit it: every involved partition
+//! executes exactly the input that was pending for it when the superstep
+//! was dispatched — nothing a Step of this superstep sends may reach
+//! another Step of it, however late that one runs — at most `dop` Steps
+//! run at once, and the held-back partitions go in `involved` order, one
+//! per completing Step. *When* the next deferred one goes is decided where
+//! the completion is observed: an event one control hop later in the
+//! simulation, the finishing lane itself on threads. The messages a Step
+//! sends away travel executor-side too (the report names only their
+//! destination partitions); the core routes nothing but a query's initial
+//! batches ([`Executor::deliver`]).
 //!
 //! ## Solo supersteps
 //!
-//! A dispatched superstep whose involved set is one partition carries a
-//! `solo` hint on its [`Executor::step`]: nothing else is stepping the
-//! query, so if that step crosses no boundary and leaves the partition
-//! with pending messages, the next involved set is the same partition
-//! again — the paper's communication-free local barrier (§3.3). An
-//! executor may then close such supersteps where they ran
+//! When a dispatched superstep involves one partition, nothing else is
+//! stepping the query, so if that step crosses no boundary and leaves the
+//! partition with pending messages, the next involved set is the same
+//! partition again — the paper's communication-free local barrier (§3.3).
+//! An executor may then close such supersteps where they ran
 //! ([`close_superstep`] is the one roll-over + termination test, shared
 //! with [`Coordinator::step_done`]) and say so on the report
 //! ([`StepReport::chained`]); the core folds them in as if each had been
 //! reported on its own. The thread runtime does (see
-//! [`crate::runtime`]); the simulation's local barrier is already free
-//! and it ignores the hint.
+//! [`crate::runtime`]); the simulation's local barrier is already free.
 //!
 //! ## The Q-cut trigger
 //!
@@ -78,12 +92,12 @@ use crate::task::{Envelope, MessageBatch, QueryTask};
 use crate::trace::{outcome_code, Tracer};
 use crate::worker::{LocalState, SuperstepStats};
 
-/// How a `Step` dispatch reaches its partition. The thread runtime pushes
-/// a pool command either way; the simulation prices the two differently.
+/// How a superstep's first Steps reach their partitions. The thread
+/// runtime pushes pool commands either way; the simulation prices the two
+/// differently.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum StepVia {
-    /// A fresh controller → worker control message: admission, or a
-    /// budget slot freed mid-superstep.
+    /// A fresh controller → worker control message (admission).
     Control,
     /// Rides the barrier release whose `barrierReady` round trip the
     /// superstep already paid for.
@@ -97,29 +111,35 @@ pub(crate) enum Collect {
     Pending,
 }
 
-/// The dispatch vocabulary. Every method is one protocol action on
-/// partition `w`; the three `*_report`/`migrate` calls are synchronous
-/// and only issued while the partitions are idle.
+/// One whole superstep of one query, as the core hands it to an executor
+/// (see the module docs for what the executor owes).
+pub(crate) struct Superstep<'a> {
+    pub task: &'a Arc<dyn QueryTask>,
+    /// The aggregate the superstep reads.
+    pub prev: &'a Envelope,
+    /// The partitions computing it, in release order.
+    pub involved: &'a [usize],
+    /// At most this many of their Steps run at once.
+    pub dop: usize,
+    /// How many supersteps the query has closed before this one. A Step
+    /// of superstep `n` produces input of superstep `n + 1`.
+    pub index: u32,
+    /// How the first `dop` Steps travel.
+    pub via: StepVia,
+}
+
+/// The dispatch vocabulary. The three `*_report`/`migrate` calls are
+/// synchronous and only issued while the partitions are idle.
 pub(crate) trait Executor {
     /// A clock reading. Inside a window it advances as the executor
     /// completes (or prices) the window's work.
     fn now(&self) -> SimTime;
-    /// Add `batch` to query `q`'s next-superstep inbox on `w`.
+    /// Query `q` was admitted with `batch` addressed to `w`: input of its
+    /// superstep 0 there.
     fn deliver(&mut self, q: QueryId, w: usize, task: &dyn QueryTask, batch: MessageBatch);
-    /// Seal `q`'s inbox on `w` as the coming superstep's input.
-    fn freeze(&mut self, q: QueryId, w: usize);
-    /// Run `q`'s frozen superstep on `w`; completion comes back as a
-    /// [`StepReport`]. `solo`: this is the superstep's only task (see
-    /// the module docs).
-    fn step(
-        &mut self,
-        q: QueryId,
-        w: usize,
-        task: &dyn QueryTask,
-        prev: &Envelope,
-        via: StepVia,
-        solo: bool,
-    );
+    /// Run `q`'s next superstep; each involved partition's completion
+    /// comes back as a [`StepReport`].
+    fn superstep(&mut self, q: QueryId, s: Superstep<'_>);
     /// Hand back `q`'s local state on `w` (the query terminated).
     fn collect(&mut self, q: QueryId, w: usize) -> Collect;
     /// Query `q` finished with `output`.
@@ -158,7 +178,9 @@ pub(crate) struct StepReport {
     /// wire batches under the configured cap).
     pub stats: SuperstepStats,
     pub agg: Envelope,
-    pub remote: Vec<(usize, MessageBatch)>,
+    /// The partitions the step sent messages to (the executor carries the
+    /// messages themselves).
+    pub remote: Vec<usize>,
     /// The partition still holds pending messages for `q` after the step.
     pub self_pending: bool,
     /// Solo supersteps the partition closed itself ahead of the reported
@@ -224,13 +246,12 @@ pub(crate) struct QueryRun {
     /// Degree-of-parallelism budget ([`crate::DopPolicy::budget`], fixed
     /// at admission): at most this many of a superstep's tasks run at once.
     dop: usize,
-    /// Steps dispatched and not yet reported.
+    /// Steps of the dispatched superstep not yet reported.
     outstanding: usize,
-    /// Partitions computing the current superstep. The first `released`
-    /// have had their Step dispatched; the budget holds the rest back,
-    /// released in order, one per completing task.
+    /// Partitions computing the current superstep, in release order: the
+    /// budget holds all but the first `dop` back, one more going per
+    /// completing task.
     pub involved_cur: Vec<usize>,
-    released: usize,
     /// Partitions with pending messages for the next one (sorted).
     pub next_involved: Vec<usize>,
     /// Any message of the current superstep crossed a partition boundary.
@@ -481,7 +502,6 @@ impl Coordinator {
             dop: self.cfg.dop.budget(task.as_ref(), pool_width).max(1),
             outstanding: 0,
             involved_cur: Vec::new(),
-            released: 0,
             next_involved: Vec::with_capacity(batches.len()),
             crossed: false,
             touched: Vec::with_capacity(batches.len()),
@@ -522,11 +542,11 @@ impl Coordinator {
     }
 
     /// The one release path (admission, barrier release, window resume):
-    /// freeze *every* involved inbox first, then dispatch up to the
-    /// budget of Steps and defer the rest. A deferred partition's input
-    /// is already sealed, so nothing an earlier task of this superstep
-    /// produces can leak into it — which is what keeps budgeted execution
-    /// output-identical to the all-at-once baseline.
+    /// the pending set becomes the involved set and the whole superstep
+    /// goes to the executor, which runs at most the budget of Steps at
+    /// once. A deferred partition still executes the input it had at this
+    /// instant (the executor's BSP contract), which is what keeps
+    /// budgeted execution output-identical to the all-at-once baseline.
     fn dispatch_superstep<X: Executor>(
         &mut self,
         x: &mut X,
@@ -552,24 +572,26 @@ impl Coordinator {
         let involved = run.involved_cur.len();
         run.out.tasks += involved as u64;
         run.out.effective_dop = run.out.effective_dop.max(involved.min(run.dop) as u32);
-        for &w in &run.involved_cur {
-            x.freeze(q, w);
-        }
-        run.released = involved.min(run.dop);
-        run.outstanding = run.released;
-        let solo = involved == 1;
-        for &w in &run.involved_cur[..run.released] {
-            x.step(q, w, run.task.as_ref(), &run.agg_prev, via, solo);
-        }
-        for &w in &run.involved_cur[run.released..] {
+        run.outstanding = involved;
+        for &w in run.involved_cur.iter().skip(run.dop) {
             self.tracer.defer(secs(now), u64::from(q.0), w as u32);
         }
+        x.superstep(
+            q,
+            Superstep {
+                task: &run.task,
+                prev: &run.agg_prev,
+                involved: &run.involved_cur,
+                dop: run.dop,
+                index: run.out.iterations,
+                via,
+            },
+        );
     }
 
     /// A Step finished at `done_at` (≥ `now` when the executor prices the
-    /// send that follows the compute). Routes its remote batches, rolls
-    /// the accounting, and — when it was the superstep's last — closes
-    /// the superstep.
+    /// send that follows the compute). Rolls the accounting and — when it
+    /// was the superstep's last — closes the superstep.
     pub fn step_done<X: Executor>(
         &mut self,
         x: &mut X,
@@ -598,24 +620,10 @@ impl Coordinator {
         let Some(run) = self.queries.get_mut(&q) else {
             panic!("protocol invariant: step report for {q}, which is not live");
         };
+        // The executor releases the superstep's deferred Steps on its own
+        // — even while a window is wanted: the superstep must complete
+        // before the query can park.
         run.outstanding -= 1;
-        // A freed budget slot immediately releases the next deferred task
-        // of the *same* superstep — even while a window is wanted: the
-        // superstep must complete before the query can park.
-        if let Some(&w) = run.involved_cur.get(run.released) {
-            self.tracer
-                .defer_release(secs(now), u64::from(q.0), w as u32);
-            x.step(
-                q,
-                w,
-                run.task.as_ref(),
-                &run.agg_prev,
-                StepVia::Control,
-                false,
-            );
-            run.released += 1;
-            run.outstanding += 1;
-        }
         if let Some(chain) = rep.chained {
             // Supersteps closed where they ran: each was one task on one
             // partition, crossed nothing, and rolled the aggregate through
@@ -639,20 +647,14 @@ impl Coordinator {
         if rep.self_pending {
             insert_sorted(&mut run.next_involved, rep.worker);
         }
-        for (w, batch) in rep.remote {
+        for w in rep.remote {
             insert_sorted(&mut run.next_involved, w);
             insert_sorted(&mut run.touched, w);
-            x.deliver(q, w, run.task.as_ref(), batch);
         }
         if run.outstanding > 0 {
             return StepOutcome::Running;
         }
 
-        debug_assert_eq!(
-            run.released,
-            run.involved_cur.len(),
-            "barrier with tasks unreleased"
-        );
         self.tracer.superstep_done(secs(now), u64::from(q.0));
         run.out.iterations += 1;
         if barrier::is_local(run.involved_cur.len(), run.crossed) {
@@ -1028,9 +1030,8 @@ mod tests {
     #[derive(Clone, Debug, PartialEq)]
     enum Op {
         Deliver(u32, usize),
-        Freeze(u32, usize),
-        /// `(query, partition, via, solo hint)`.
-        Step(u32, usize, StepVia, bool),
+        /// `(query, involved in release order, DoP budget, index, via)`.
+        Superstep(u32, Vec<usize>, usize, u32, StepVia),
         Collect(u32, usize),
         Complete(u32),
         PublishTopology(u64),
@@ -1058,19 +1059,10 @@ mod tests {
         fn deliver(&mut self, q: QueryId, w: usize, _: &dyn QueryTask, _: MessageBatch) {
             self.log.push(Op::Deliver(q.0, w));
         }
-        fn freeze(&mut self, q: QueryId, w: usize) {
-            self.log.push(Op::Freeze(q.0, w));
-        }
-        fn step(
-            &mut self,
-            q: QueryId,
-            w: usize,
-            _: &dyn QueryTask,
-            _: &Envelope,
-            via: StepVia,
-            solo: bool,
-        ) {
-            self.log.push(Op::Step(q.0, w, via, solo));
+        fn superstep(&mut self, q: QueryId, s: Superstep<'_>) {
+            let involved = s.involved.to_vec();
+            self.log
+                .push(Op::Superstep(q.0, involved, s.dop, s.index, s.via));
         }
         fn collect(&mut self, q: QueryId, w: usize) -> Collect {
             self.log.push(Op::Collect(q.0, w));
@@ -1143,7 +1135,6 @@ mod tests {
     /// Partition `w` finished its step of query 0 having executed one
     /// vertex and sent one message to each partition in `to`.
     fn report(task: &TypedTask<PingProgram>, w: usize, to: &[usize]) -> StepReport {
-        let target = |p: usize| VertexId(2 * p as u32);
         StepReport {
             q: QueryId(0),
             worker: w,
@@ -1155,10 +1146,7 @@ mod tests {
                 ..Default::default()
             },
             agg: task.aggregate_identity(),
-            remote: to
-                .iter()
-                .map(|&p| (p, task.batch_for_test(vec![(target(p), 1)])))
-                .collect(),
+            remote: to.to_vec(),
             self_pending: false,
             chained: None,
         }
@@ -1169,34 +1157,25 @@ mod tests {
         let (mut core, mut x, task) = (core(serial()), Script::default(), ping());
         assert!(core.submit(QueryId(0), Arc::new(ping()), at(0), None));
         core.admit(&mut x, at(1));
-        let step = |w| Op::Step(0, w, StepVia::Control, false);
         assert_eq!(
             x.log,
             vec![
                 Op::Deliver(0, 0),
                 Op::Deliver(0, 1),
                 Op::Deliver(0, 2),
-                Op::Freeze(0, 0),
-                Op::Freeze(0, 1),
-                Op::Freeze(0, 2),
-                step(0),
+                Op::Superstep(0, vec![0, 1, 2], 1, 0, StepVia::Control),
             ],
-            "all three inboxes sealed before the one budgeted Step"
+            "one dispatch: all three inputs are in before it, the budget \
+             and the release order travel with it"
         );
-        // One deferred partition per step-done, in involved order.
+        // A step-done moves nothing: what a Step sent is the executor's to
+        // hold back until the next superstep, and so is the release of the
+        // deferred partitions, in involved order.
         x.log.clear();
         let outcome = core.step_done(&mut x, report(&task, 0, &[1]), at(2), at(2));
-        assert_eq!(
-            (outcome, &x.log[..]),
-            (StepOutcome::Running, &[step(1), Op::Deliver(0, 1)][..])
-        );
-        x.log.clear();
+        assert_eq!(outcome, StepOutcome::Running);
         let outcome = core.step_done(&mut x, report(&task, 1, &[]), at(3), at(3));
-        assert_eq!(
-            (outcome, &x.log[..]),
-            (StepOutcome::Running, &[step(2)][..])
-        );
-        x.log.clear();
+        assert_eq!(outcome, StepOutcome::Running);
         let outcome = core.step_done(&mut x, report(&task, 2, &[]), at(4), at(4));
         assert_eq!(outcome, StepOutcome::Barrier);
         assert!(x.log.is_empty(), "nothing moves until the barrier opens");
@@ -1204,7 +1183,7 @@ mod tests {
         core.release(&mut x, QueryId(0), at(5));
         assert_eq!(
             x.log,
-            vec![Op::Freeze(0, 1), Op::Step(0, 1, StepVia::Barrier, true)]
+            vec![Op::Superstep(0, vec![1], 1, 1, StepVia::Barrier)]
         );
         let run = core.run(QueryId(0));
         assert_eq!((run.out.iterations, run.out.local_iterations), (1, 0));
@@ -1263,7 +1242,7 @@ mod tests {
         core.window_end(&mut x, at(9));
         assert_eq!(
             x.log,
-            vec![Op::Freeze(0, 2), Op::Step(0, 2, StepVia::Barrier, true)],
+            vec![Op::Superstep(0, vec![2], 1, 1, StepVia::Barrier)],
             "resumed against the post-migration pending report, not the stale set"
         );
         assert!(!core.paused() && core.parked.is_empty());
@@ -1403,8 +1382,8 @@ mod tests {
         assert!(!controller.ils_inflight && controller.last_repartition == at(2_000_003));
     }
 
-    /// A tally seeded on partition 1 and admitted: one involved
-    /// partition, so its first Step is dispatched solo.
+    /// A tally seeded on partition 1 and admitted: its first superstep
+    /// involves that one partition (budget: the pool's width, 3).
     fn solo_tally(sticky: bool, stop_at: u64) -> (Coordinator, Script, TypedTask<Tally>) {
         let program = Tally {
             seed: VertexId(2),
@@ -1417,8 +1396,7 @@ mod tests {
         core.admit(&mut x, at(1));
         let dispatched = vec![
             Op::Deliver(0, 1),
-            Op::Freeze(0, 1),
-            Op::Step(0, 1, StepVia::Control, true),
+            Op::Superstep(0, vec![1], 3, 0, StepVia::Control),
         ];
         assert_eq!(std::mem::take(&mut x.log), dispatched);
         (core, x, TypedTask::new(program))
@@ -1537,44 +1515,45 @@ mod tests {
         core.release(&mut x, QueryId(0), at(2));
         assert!(x.log.is_empty() && core.parked == vec![QueryId(0)]);
         assert_eq!(core.run(QueryId(0)).out.iterations, 5);
-        // The window resumes it where its messages are: solo again.
+        // The window resumes it where its messages are, as superstep 5.
         x.clock = at(3);
         core.window_apply(&mut x);
         x.log.clear();
         core.window_end(&mut x, at(4));
-        let resumed = vec![Op::Freeze(0, 1), Op::Step(0, 1, StepVia::Barrier, true)];
+        let resumed = vec![Op::Superstep(0, vec![1], 3, 5, StepVia::Barrier)];
         assert_eq!(x.log, resumed);
     }
 
     #[test]
     fn only_a_one_partition_dispatch_carries_the_solo_hint() {
-        // An unbudgeted ping over three partitions: three Steps at once,
-        // none solo. (A DoP-deferred Step never is either — see
-        // `every_freeze_precedes_every_step_and_deferred_steps_release_in_order`.)
+        // The hint is the involved set itself: an executor may close
+        // supersteps where they ran only when it was handed one partition.
+        // An unbudgeted ping over three partitions: all three at once.
         let cfg = SystemConfig::default();
         let (mut core, mut x, task) = (core(cfg), Script::default(), ping());
         core.submit(QueryId(0), Arc::new(ping()), at(0), None);
         core.admit(&mut x, at(1));
-        let steps = |log: &[Op]| -> Vec<Op> {
-            let steps = log.iter().filter(|op| matches!(op, Op::Step(..)));
-            steps.cloned().collect()
+        let supersteps = |log: &[Op]| -> Vec<Op> {
+            let dispatched = log.iter().filter(|op| matches!(op, Op::Superstep(..)));
+            dispatched.cloned().collect()
         };
-        let control = |w| Op::Step(0, w, StepVia::Control, false);
-        assert_eq!(steps(&x.log), vec![control(0), control(1), control(2)]);
+        let first = Op::Superstep(0, vec![0, 1, 2], 3, 0, StepVia::Control);
+        assert_eq!(supersteps(&x.log), vec![first]);
         // Two partitions pending: still a shared superstep.
         for (w, to) in [(0, &[1][..]), (1, &[2]), (2, &[])] {
             core.step_done(&mut x, report(&task, w, to), at(2), at(2));
         }
         x.log.clear();
         core.release(&mut x, QueryId(0), at(3));
-        let barrier = |w, solo| Op::Step(0, w, StepVia::Barrier, solo);
-        assert_eq!(steps(&x.log), vec![barrier(1, false), barrier(2, false)]);
+        let shared = Op::Superstep(0, vec![1, 2], 3, 1, StepVia::Barrier);
+        assert_eq!(supersteps(&x.log), vec![shared]);
         // One partition pending: the superstep's only task.
         core.step_done(&mut x, report(&task, 1, &[]), at(4), at(4));
         core.step_done(&mut x, report(&task, 2, &[0]), at(4), at(4));
         x.log.clear();
         core.release(&mut x, QueryId(0), at(5));
-        assert_eq!(steps(&x.log), vec![barrier(0, true)]);
+        let solo = Op::Superstep(0, vec![0], 3, 2, StepVia::Barrier);
+        assert_eq!(supersteps(&x.log), vec![solo]);
     }
 
     /// A point-shaped program whose traversal never runs in these tests.

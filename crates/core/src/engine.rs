@@ -19,10 +19,13 @@
 //! Each worker is a sequential resource processing one superstep task at a
 //! time (FIFO), and at most `pool_threads` workers compute at once;
 //! queueing across concurrent queries is what turns workload imbalance
-//! into the paper's straggler effects. A dispatched `Step`
+//! into the paper's straggler effects. A dispatched superstep seals every
+//! involved inbox at once (the cost model reads the frozen counts), and
+//! each of its Steps
 //!
-//! 1. travels as a control message (admission, mid-superstep slot) or
-//!    rides its barrier release,
+//! 1. travels as a control message (admission; a budget slot freed by a
+//!    completing Step, one control hop after that completion) or rides
+//!    its barrier release,
 //! 2. occupies its worker for the compute cost of its frozen input, then
 //!    for the serialization of what it sends (`SendDone`); wire time
 //!    delays the messages further,
@@ -45,7 +48,9 @@ use qgraph_sim::{ClusterModel, EventQueue, SimTime};
 use crate::barrier::{self, BarrierInput};
 use crate::config::{BarrierMode, SystemConfig};
 use crate::controller::Controller;
-use crate::coord::{Collect, Coordinator, EngineState, Executor, StepOutcome, StepReport, StepVia};
+use crate::coord::{
+    Collect, Coordinator, EngineState, Executor, StepOutcome, StepReport, StepVia, Superstep,
+};
 use crate::hb::{kind, Hb};
 use crate::index_plane::PointIndex;
 use crate::program::VertexProgram;
@@ -120,6 +125,9 @@ struct SimExec {
     outputs: Vec<Option<Envelope>>,
     /// Per query: latest arrival of any inter-worker message it sent.
     msg_arrival: Vec<SimTime>,
+    /// Per query: how many of the current superstep's involved partitions
+    /// have had their Step released (the DoP budget holds the rest back).
+    released: Vec<usize>,
     /// `TaskReady` dispatches scheduled but not yet delivered. Quiescence
     /// requires this to reach zero: a control message racing the STOP
     /// barrier would otherwise start a superstep mid-migration.
@@ -156,30 +164,22 @@ impl Executor for SimExec {
         self.workers[w].deliver(task, q, batch);
     }
 
-    fn freeze(&mut self, q: QueryId, w: usize) {
-        self.workers[w].freeze(q);
-    }
-
-    // The solo hint is ignored: `barrier::decide` already releases a
-    // local superstep at `compute_done`, so virtual time has nothing to
-    // save by closing it on the worker.
-    fn step(
-        &mut self,
-        q: QueryId,
-        w: usize,
-        _: &dyn QueryTask,
-        _: &Envelope,
-        via: StepVia,
-        _solo: bool,
-    ) {
-        match via {
-            StepVia::Barrier => self.task_ready(q, w),
-            // executeQuery(q): a controller → worker dispatch.
-            StepVia::Control => {
-                let at = self.events.now() + self.cluster.control_cost_to_controller(w);
-                self.inflight_ready += 1;
-                self.hb.token_open(q.0, kind::READY);
-                self.events.schedule(at, Event::TaskReady { q, w });
+    // Every involved inbox is sealed here, at the release instant, so
+    // whatever a Step of this superstep delivers lands in a next-superstep
+    // inbox however late a deferred partition runs. A one-partition
+    // superstep is not closed on the worker: `barrier::decide` already
+    // releases a local superstep at `compute_done`, so virtual time has
+    // nothing to save there.
+    fn superstep(&mut self, q: QueryId, s: Superstep<'_>) {
+        for &w in s.involved {
+            self.workers[w].freeze(q);
+        }
+        let released = s.involved.len().min(s.dop);
+        self.released[q.index()] = released;
+        for &w in &s.involved[..released] {
+            match s.via {
+                StepVia::Barrier => self.task_ready(q, w),
+                StepVia::Control => self.control_ready(q, w),
             }
         }
     }
@@ -260,6 +260,15 @@ impl SimExec {
     // ------------------------------------------------------------------
     // Task scheduling on workers
     // ------------------------------------------------------------------
+
+    /// executeQuery(q): a controller → worker dispatch, one control hop
+    /// out.
+    fn control_ready(&mut self, q: QueryId, w: usize) {
+        let at = self.events.now() + self.cluster.control_cost_to_controller(w);
+        self.inflight_ready += 1;
+        self.hb.token_open(q.0, kind::READY);
+        self.events.schedule(at, Event::TaskReady { q, w });
+    }
 
     fn task_ready(&mut self, q: QueryId, w: usize) {
         // Pre-frozen supersteps always run — during a STOP barrier they
@@ -380,6 +389,7 @@ impl SimEngine {
             tasks: Vec::new(),
             outputs: Vec::new(),
             msg_arrival: Vec::new(),
+            released: Vec::new(),
             inflight_ready: 0,
             window_scheduled: false,
             window_cost: SimTime::ZERO,
@@ -457,6 +467,7 @@ impl SimEngine {
         x.tasks.push(Arc::clone(&task));
         x.outputs.push(None);
         x.msg_arrival.push(SimTime::ZERO);
+        x.released.push(0);
         if arrival > now {
             x.events.schedule(arrival, Event::Arrival { q, deadline });
         } else {
@@ -685,9 +696,22 @@ impl SimEngine {
         // the messages further.
         let sent_at = now + x.cluster.network.serialize_cost(stats.remote_deliveries);
         let crossed = !remote.is_empty();
-        for (w2, batch) in &remote {
-            let arrival = sent_at + x.cluster.message_cost(w, *w2, batch.len());
+        let self_pending = x.workers[w].has_pending(q);
+        let mut sent_to = Vec::with_capacity(remote.len());
+        for (w2, batch) in remote {
+            let arrival = sent_at + x.cluster.message_cost(w, w2, batch.len());
             x.msg_arrival[q.index()] = x.msg_arrival[q.index()].max(arrival);
+            x.workers[w2].deliver(run.task.as_ref(), q, batch);
+            sent_to.push(w2);
+        }
+        // The freed budget slot releases the superstep's next deferred
+        // partition, priced as a fresh controller dispatch.
+        let cursor = &mut x.released[q.index()];
+        if let Some(&w2) = run.involved_cur.get(*cursor) {
+            *cursor += 1;
+            x.tracer
+                .defer_release(now.as_secs_f64(), w as u32, u64::from(q.0), w2 as u32);
+            x.control_ready(q, w2);
         }
         x.pool_tasks += 1;
         let (lane, id) = (w as u32, u64::from(q.0));
@@ -704,8 +728,8 @@ impl SimEngine {
             worker: w,
             stats,
             agg,
-            remote,
-            self_pending: x.workers[w].has_pending(q),
+            remote: sent_to,
+            self_pending,
             chained: None,
         };
         let outcome = self.core.step_done(x, report, now, sent_at);

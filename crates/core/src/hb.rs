@@ -33,8 +33,28 @@
 //! ordered — there the value of the auditor is the token/window logic
 //! (invariant 2) and the publication ledger (invariants 1 and 3). The
 //! thread runtime exercises the clocks for real: the per-worker
-//! command channels are FIFO queues of clock snapshots (exact), the
+//! command channels are FIFO queues of clock snapshots, the
 //! many-producer response channel is a conservative sync-object join.
+//!
+//! Since messages and deferred Steps travel lane to lane, three more
+//! edges are stamped. A **mailbox** is a sync object per partition: a put
+//! joins the sender's clock into it ([`Hb::mail_put`] — a partition's
+//! Step, or the coordinator at admission), a take joins it into the
+//! owner's ([`Hb::mail_take`]). A **lane-to-lane Step hand-off**
+//! ([`Hb::lane_send_step`]) is a command-channel send whose snapshot is
+//! the finishing partition's clock, not the coordinator's. The command
+//! queues then have several producers, and a snapshot is queued a moment
+//! before its command: two racing producers can queue them in opposite
+//! orders, which delays a join by one command but cannot lose one — and
+//! version-tagged snapshots are only sent inside a quiesce window, where
+//! the coordinator is the only producer. A **superstep record** is a
+//! sync object per query: every member's report joins its clock in
+//! ([`Hb::record_join`]) and the last finisher takes the lot
+//! ([`Hb::record_close`]) before its one send, so that message carries
+//! every member's clock to the coordinator. One `STEP` token per involved
+//! partition is opened at dispatch ([`Hb::send_step`] for the released,
+//! [`Hb::token_open`] for the deferred) and closed as its report is
+//! folded.
 
 /// Dispatch-token kinds (what kind of in-flight work a token stands
 /// for). `READY` is a scheduled-but-undelivered sim dispatch
@@ -117,8 +137,13 @@ mod imp {
 
     struct State {
         clocks: Vec<VClock>,
-        /// FIFO clock queue per coordinator→worker command channel.
+        /// FIFO clock queue per partition command channel (producers: the
+        /// coordinator, and lanes handing a deferred Step on).
         cmd_chans: Vec<VecDeque<Entry>>,
+        /// Sync-object clock per partition mailbox.
+        mail: Vec<VClock>,
+        /// Sync-object clock per shared superstep record, by query.
+        records: FxHashMap<u32, VClock>,
         /// Conservative sync-object clock for the many-producer
         /// worker→coordinator response channel.
         msg_chan: VClock,
@@ -142,9 +167,14 @@ mod imp {
     }
 
     impl State {
-        fn publish(&mut self, actor: usize) -> (VClock, Backtrace) {
+        /// `actor` stamps an event: its clock after the tick.
+        fn stamp(&mut self, actor: usize) -> VClock {
             self.clocks[actor].tick(actor);
-            (self.clocks[actor].clone(), Backtrace::force_capture())
+            self.clocks[actor].clone()
+        }
+
+        fn publish(&mut self, actor: usize) -> (VClock, Backtrace) {
+            (self.stamp(actor), Backtrace::force_capture())
         }
 
         fn check_pub(
@@ -189,6 +219,8 @@ mod imp {
                 inner: Arc::new(Mutex::new(State {
                     clocks: (0..n).map(|_| VClock::new(n)).collect(),
                     cmd_chans: (0..k).map(|_| VecDeque::new()).collect(),
+                    mail: (0..k).map(|_| VClock::new(n)).collect(),
+                    records: FxHashMap::default(),
                     msg_chan: VClock::new(n),
                     topo_pubs: FxHashMap::default(),
                     part_pubs: FxHashMap::default(),
@@ -338,36 +370,84 @@ mod imp {
 
         /// An untagged coordinator→worker command send.
         pub fn send_cmd(&self, w: usize) {
-            self.send_entry(w, None);
+            self.send_entry(0, w, None);
         }
 
         /// Coordinator broadcasts a new topology to worker `w`.
         pub fn send_topology(&self, w: usize, epoch: u64) {
-            self.send_entry(w, Some(Tag::Topology(epoch)));
+            self.send_entry(0, w, Some(Tag::Topology(epoch)));
         }
 
         /// Coordinator broadcasts a new partitioning to worker `w`.
         pub fn send_partitioning(&self, w: usize, version: u64) {
-            self.send_entry(w, Some(Tag::Partitioning(version)));
+            self.send_entry(0, w, Some(Tag::Partitioning(version)));
         }
 
         /// A `Step` dispatch to worker `w`: channel edge + work token.
         pub fn send_step(&self, q: u32, w: usize) {
             self.token_open(q, kind::STEP);
-            self.send_entry(w, None);
+            self.send_entry(0, w, None);
         }
 
         /// A `Collect` dispatch to worker `w`: channel edge + work token.
         pub fn send_collect(&self, q: u32, w: usize) {
             self.token_open(q, kind::COLLECT);
-            self.send_entry(w, None);
+            self.send_entry(0, w, None);
         }
 
-        fn send_entry(&self, w: usize, tag: Option<Tag>) {
+        /// `actor` queues a command for worker `w`.
+        fn send_entry(&self, actor: usize, w: usize, tag: Option<Tag>) {
             let mut s = self.lock();
-            s.clocks[0].tick(0);
-            let clock = s.clocks[0].clone();
+            let clock = s.stamp(actor);
             s.cmd_chans[w].push_back(Entry { clock, tag });
+        }
+
+        /// Worker `from`, finishing its Step, pushes the superstep's next
+        /// deferred Step to worker `to` itself: a command-channel edge
+        /// from a worker actor. (The Step's token was opened at dispatch.)
+        pub fn lane_send_step(&self, from: usize, to: usize) {
+            self.send_entry(1 + from, to, None);
+        }
+
+        /// `actor` (0 = the coordinator at admission, `1 + w` = partition
+        /// `w`'s Step) puts a message batch into partition `to`'s mailbox.
+        pub fn mail_put(&self, actor: usize, to: usize) {
+            let mut s = self.lock();
+            let snap = s.stamp(actor);
+            s.mail[to].join(&snap);
+        }
+
+        /// Worker `w` takes mail out of its own mailbox: ordered after
+        /// every put so far.
+        pub fn mail_take(&self, w: usize) {
+            let mut s = self.lock();
+            let mail = s.mail[w].clone();
+            s.clocks[1 + w].join(&mail);
+        }
+
+        /// Worker `w` files its report in query `q`'s superstep record.
+        pub fn record_join(&self, q: u32, w: usize) {
+            let mut s = self.lock();
+            let snap = s.stamp(1 + w);
+            match s.records.get_mut(&q) {
+                Some(record) => record.join(&snap),
+                None => drop(s.records.insert(q, snap)),
+            }
+        }
+
+        /// Worker `w` filed the record's last report and takes all of
+        /// them to the coordinator: ordered after every member's filing.
+        pub fn record_close(&self, q: u32, w: usize) {
+            let mut s = self.lock();
+            let Some(record) = s.records.remove(&q) else {
+                panic!(
+                    "hb violation: worker {w} closes a superstep record of \
+                     query {q} that no report was filed in\n\
+                     --- current stack ---\n{}",
+                    Backtrace::force_capture()
+                );
+            };
+            s.clocks[1 + w].join(&record);
         }
 
         /// Worker `w` received its next command: pop the FIFO snapshot,
@@ -446,6 +526,13 @@ mod imp {
             (s.steps, s.tokens.len())
         }
 
+        /// Has `actor` seen everything actor `of` has stamped so far?
+        #[cfg(test)]
+        pub fn has_seen(&self, actor: usize, of: usize) -> bool {
+            let s = self.lock();
+            s.clocks[actor].0[of] >= s.clocks[of].0[of]
+        }
+
         /// A pool thread takes partition `w`'s next command — the
         /// elastic pool's task hand-off edge. The partitions stay
         /// logical actors: their clocks are sound only if at most one
@@ -482,8 +569,7 @@ mod imp {
         /// Worker `w` sends a response up the shared channel.
         pub fn worker_send(&self, w: usize) {
             let mut s = self.lock();
-            s.clocks[1 + w].tick(1 + w);
-            let snap = s.clocks[1 + w].clone();
+            let snap = s.stamp(1 + w);
             s.msg_chan.join(&snap);
         }
 
@@ -539,6 +625,16 @@ mod imp {
         #[inline(always)]
         pub fn send_collect(&self, _q: u32, _w: usize) {}
         #[inline(always)]
+        pub fn lane_send_step(&self, _from: usize, _to: usize) {}
+        #[inline(always)]
+        pub fn mail_put(&self, _actor: usize, _to: usize) {}
+        #[inline(always)]
+        pub fn mail_take(&self, _w: usize) {}
+        #[inline(always)]
+        pub fn record_join(&self, _q: u32, _w: usize) {}
+        #[inline(always)]
+        pub fn record_close(&self, _q: u32, _w: usize) {}
+        #[inline(always)]
         pub fn pool_acquire(&self, _w: usize) {}
         #[inline(always)]
         pub fn pool_release(&self, _w: usize) {}
@@ -580,6 +676,82 @@ mod tests {
         hb.send_topology(1, 1);
         hb.quiesce_end();
         hb.outcome_epoch(0, 1);
+    }
+
+    /// Two published versions and two spawned workers.
+    fn two_workers() -> Hb {
+        let hb = Hb::new(2);
+        hb.publish_topology(0, 0);
+        hb.publish_partitioning(0);
+        hb.spawn_worker(0);
+        hb.spawn_worker(1);
+        hb
+    }
+
+    #[test]
+    fn a_mailbox_put_orders_the_sender_before_the_take() {
+        let hb = two_workers();
+        hb.mail_put(1, 1); // partition 0's Step puts into partition 1's box
+        assert!(!hb.has_seen(2, 1), "no edge until the mail is taken");
+        hb.mail_take(1);
+        assert!(hb.has_seen(2, 1));
+        // The coordinator's admission put reaches the taker the same way.
+        hb.mail_put(0, 0);
+        hb.mail_take(0);
+        assert!(hb.has_seen(1, 0));
+    }
+
+    #[test]
+    fn a_lane_to_lane_step_is_a_command_edge_from_the_sending_worker() {
+        let hb = two_workers();
+        // Dispatch: partition 0 released, partition 1 deferred.
+        hb.send_step(7, 0);
+        hb.token_open(7, kind::STEP);
+        hb.pool_acquire(0);
+        hb.worker_recv(0);
+        hb.worker_step(0);
+        hb.lane_send_step(0, 1);
+        hb.pool_release(0);
+        hb.pool_acquire(1);
+        hb.worker_recv(1);
+        assert!(hb.has_seen(2, 1), "the receiver joined the sender's clock");
+        hb.worker_step(1);
+        hb.pool_release(1);
+        hb.token_close(7, kind::STEP);
+        hb.token_close(7, kind::STEP);
+        hb.quiesce_begin();
+    }
+
+    #[test]
+    #[should_panic(expected = "no stamped send")]
+    fn an_unstamped_lane_to_lane_push_is_flagged() {
+        let hb = two_workers();
+        hb.send_step(7, 0);
+        hb.pool_acquire(0);
+        hb.worker_recv(0);
+        hb.pool_release(0);
+        // Partition 0's lane pushed partition 1's Step without stamping.
+        hb.pool_acquire(1);
+        hb.worker_recv(1);
+    }
+
+    #[test]
+    fn a_record_carries_every_members_clock_in_one_message() {
+        let hb = two_workers();
+        hb.record_join(7, 0);
+        hb.record_join(7, 1);
+        hb.record_close(7, 1);
+        hb.worker_send(1);
+        assert!(!hb.has_seen(0, 1) && !hb.has_seen(0, 2));
+        hb.coord_recv();
+        assert!(hb.has_seen(0, 1) && hb.has_seen(0, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "no report was filed")]
+    fn closing_an_empty_record_is_flagged() {
+        let hb = Hb::new(1);
+        hb.record_close(3, 0);
     }
 
     #[test]

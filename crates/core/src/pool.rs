@@ -21,6 +21,15 @@
 //!    exactly the ordering semantics of the old dedicated thread +
 //!    mpsc channel, so the coordinator protocol is unchanged.
 //!
+//! Commands come from two kinds of producer: the owner of the pool
+//! ([`TaskPool::push`]) and the handler itself, which is handed a `push`
+//! closure so a lane that finishes one partition's command can enqueue the
+//! next one — for any partition, its own included — without a round trip
+//! through the owner. Both go through the same queue under the same lock,
+//! so the two invariants hold for either; a handler's push wakes one
+//! parked thread (if every other thread is busy, the pushing thread picks
+//! the command up itself on its next scan).
+//!
 //! Threads prefer partitions they are affine to (`p % threads == tid`);
 //! draining another thread's partition is counted as a *steal*, and a
 //! fruitless scan that parks on the condvar as an *idle wait* — both
@@ -35,7 +44,7 @@ use std::thread;
 /// off its affine thread, and how often threads found nothing runnable.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Commands executed (every Deliver/Freeze/Step/Collect/... is one).
+    /// Commands executed (every Step/Collect/window command is one).
     pub tasks: u64,
     /// Commands executed by a thread the partition is not affine to.
     pub steals: u64,
@@ -105,10 +114,32 @@ fn pick<T>(st: &PoolState<T>, tid: usize, threads: usize) -> Option<(usize, bool
         .map(|p| (p, true))
 }
 
+/// Enqueue `item` on partition `p`'s FIFO and wake one parked thread.
+/// Refuses (returns `false`, dropping `item`) once a pool thread has
+/// panicked: the partition it was serving is wedged and the pool is going
+/// down. A handler's push into a pool that is merely shutting down still
+/// runs: threads exit only on empty queues, and the pushing thread scans
+/// again.
+fn enqueue<T>(shared: &Shared<T>, p: usize, item: T) -> bool {
+    let mut st = shared.state.lock().expect("pool state poisoned");
+    if st.panicked {
+        return false;
+    }
+    st.queues[p].push_back(item);
+    drop(st);
+    shared.cv.notify_one();
+    true
+}
+
 fn pool_thread<T, F>(tid: usize, threads: usize, shared: &Shared<T>, handler: F)
 where
-    F: Fn(usize, usize, T),
+    F: Fn(&dyn Fn(usize, T), usize, usize, T),
 {
+    // Into a panicked pool the command is dropped: the original panic is
+    // the one `shutdown` should surface, not a second one from here.
+    let push = |p: usize, item: T| {
+        enqueue(shared, p, item);
+    };
     loop {
         let (p, item) = {
             let mut st = shared.state.lock().expect("pool state poisoned");
@@ -133,7 +164,7 @@ where
             shared,
             armed: true,
         };
-        handler(tid, p, item);
+        handler(&push, tid, p, item);
         guard.armed = false;
         drop(guard);
         shared.state.lock().expect("pool state poisoned").running[p] = false;
@@ -146,14 +177,16 @@ where
 impl<T: Send + 'static> TaskPool<T> {
     /// Spawn `threads` pool threads (at least one) over `partitions`
     /// command queues. Each thread runs its own clone of `handler`;
-    /// `handler(tid, p, item)` is invoked with the partition's `running`
-    /// flag held, so for a fixed `p` calls never overlap and follow push
-    /// order. `tid` is the executing pool thread — comparing it against
-    /// the partition's affine thread (`p % width`) tells a steal from an
-    /// affine run, which is how the tracing plane labels its tracks.
+    /// `handler(push, tid, p, item)` is invoked with the partition's
+    /// `running` flag held, so for a fixed `p` calls never overlap and
+    /// follow push order. `push(p2, item)` enqueues a further command from
+    /// inside the handler (see the module docs). `tid` is the executing
+    /// pool thread — comparing it against the partition's affine thread
+    /// (`p % width`) tells a steal from an affine run, which is how the
+    /// tracing plane labels its tracks.
     pub fn new<F>(partitions: usize, threads: usize, handler: F) -> Self
     where
-        F: Fn(usize, usize, T) + Send + Clone + 'static,
+        F: Fn(&dyn Fn(usize, T), usize, usize, T) + Send + Clone + 'static,
     {
         let width = threads.max(1);
         let shared = Arc::new(Shared {
@@ -187,15 +220,10 @@ impl<T: Send + 'static> TaskPool<T> {
     /// thread has panicked — the partition it was serving is wedged and
     /// the response the coordinator is waiting on will never come.
     pub fn push(&self, p: usize, item: T) {
-        let mut st = self.shared.state.lock().expect("pool state poisoned");
         assert!(
-            !st.panicked,
+            enqueue(&self.shared, p, item),
             "worker {p} hung up mid-serve (a pool thread panicked)"
         );
-        debug_assert!(!st.shutdown, "push into a shut-down pool");
-        st.queues[p].push_back(item);
-        drop(st);
-        self.shared.cv.notify_one();
     }
 
     /// The number of pool threads.
@@ -263,7 +291,7 @@ mod tests {
         let done = Arc::new(AtomicUsize::new(0));
         let pool = {
             let done = Arc::clone(&done);
-            TaskPool::new(4, 2, move |_tid, _p, _item: usize| {
+            TaskPool::new(4, 2, move |_push, _tid, _p, _item: usize| {
                 done.fetch_add(1, Ordering::SeqCst);
             })
         };
@@ -285,7 +313,7 @@ mod tests {
         let pool = {
             let seen = Arc::clone(&seen);
             let in_flight = Arc::clone(&in_flight);
-            TaskPool::new(3, 4, move |_tid, p, seq: usize| {
+            TaskPool::new(3, 4, move |_push, _tid, p, seq: usize| {
                 assert_eq!(
                     in_flight[p].fetch_add(1, Ordering::SeqCst),
                     0,
@@ -316,11 +344,55 @@ mod tests {
     }
 
     #[test]
+    fn a_push_from_inside_a_handler_keeps_the_invariants_and_wakes_a_parked_thread() {
+        use std::sync::mpsc::channel;
+        // Item 0 on partition 0 pushes 1 and 2 to partition 1 and 3 to its
+        // own partition, then waits until item 1 has run: with its own
+        // thread blocked here, only the *parked* thread can run item 1.
+        let seen: Arc<Mutex<Vec<(usize, u32)>>> = Arc::new(Mutex::new(Vec::new()));
+        let busy: Arc<Vec<AtomicUsize>> = Arc::new((0..2).map(|_| AtomicUsize::new(0)).collect());
+        let (ran_tx, ran_rx) = channel::<()>();
+        let (ran_tx, ran_rx) = (Mutex::new(ran_tx), Arc::new(Mutex::new(ran_rx)));
+        let pool = {
+            let (seen, busy) = (Arc::clone(&seen), Arc::clone(&busy));
+            let ran_tx = Arc::new(ran_tx);
+            TaskPool::new(2, 2, move |push, _tid, p, item: u32| {
+                assert_eq!(busy[p].fetch_add(1, Ordering::SeqCst), 0, "overlap");
+                seen.lock().unwrap().push((p, item));
+                match item {
+                    0 => {
+                        push(1, 1);
+                        push(1, 2);
+                        push(0, 3);
+                        ran_rx.lock().unwrap().recv().expect("item 1 ran");
+                    }
+                    1 => ran_tx.lock().unwrap().send(()).expect("item 0 waits"),
+                    _ => {}
+                }
+                busy[p].fetch_sub(1, Ordering::SeqCst);
+            })
+        };
+        // Both threads scanned the empty queues and parked.
+        while pool.stats().idle_waits < 2 {
+            std::thread::yield_now();
+        }
+        pool.push(0, 0);
+        pool.shutdown();
+        let seen = seen.lock().unwrap();
+        let on = |p: usize| -> Vec<u32> {
+            let mine = seen.iter().filter(|(q, _)| *q == p);
+            mine.map(|(_, item)| *item).collect()
+        };
+        // FIFO per partition; 3 waited for 0 to leave partition 0.
+        assert_eq!((on(0), on(1)), (vec![0, 3], vec![1, 2]));
+    }
+
+    #[test]
     fn narrow_pool_still_drains_every_partition() {
         let done = Arc::new(AtomicUsize::new(0));
         let pool = {
             let done = Arc::clone(&done);
-            TaskPool::new(8, 1, move |_tid, _p, _item: ()| {
+            TaskPool::new(8, 1, move |_push, _tid, _p, _item: ()| {
                 done.fetch_add(1, Ordering::SeqCst);
             })
         };
@@ -333,7 +405,7 @@ mod tests {
 
     #[test]
     fn counters_cover_all_executed_work() {
-        let pool = TaskPool::new(4, 2, |_tid, _p, _item: ()| {});
+        let pool = TaskPool::new(4, 2, |_push, _tid, _p, _item: ()| {});
         for p in 0..4 {
             for _ in 0..5 {
                 pool.push(p, ());
@@ -352,7 +424,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "hung up mid-serve")]
     fn push_after_handler_panic_fails_fast() {
-        let pool = TaskPool::new(2, 1, |_tid, _p, item: u32| {
+        let pool = TaskPool::new(2, 1, |_push, _tid, _p, item: u32| {
             assert!(item != 7, "poison item");
         });
         pool.push(0, 7);

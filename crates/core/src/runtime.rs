@@ -18,23 +18,53 @@
 //! pool serializes tasks per partition, so partition ownership still
 //! governs *state placement*, while *compute* is elastic: one thread can
 //! drain many partitions, and many threads can race through one query's
-//! superstep. `Step` and `Collect` answer on the coordinator channel
-//! ([`Resp`]); the count of those still unanswered is this executor's
-//! definition of quiescence.
+//! superstep. A dispatched superstep and a `Collect` each answer once on
+//! the coordinator channel ([`Resp`]); the count of those still
+//! unanswered is this executor's definition of quiescence.
+//!
+//! ## Messages stay on the lanes
+//!
+//! Between two supersteps of a query nothing but the reports crosses the
+//! coordinator. Each partition owns a [`Mailbox`] beside its
+//! [`WorkerCtx`]: one lock, two slots keyed by query, chosen by the parity
+//! of the superstep that will *read* them. A Step of superstep `n` first
+//! takes its own parity-`n` slot into the worker inbox and seals it, and
+//! after executing puts every remote batch straight into the destination's
+//! parity-`n + 1` slot — so BSP isolation holds by construction: a
+//! partition of superstep `n` that runs late (deferred by the DoP budget)
+//! cannot see this superstep's output, whenever it runs. Two slots
+//! suffice: mail for `n + 2` is put by Steps of `n + 1`, which are
+//! dispatched only after every partition holding mail for `n` has taken
+//! it. Admission's initial batches go into parity-0 slots, `Collect`
+//! clears both of the query's slots (a query terminated by its aggregate
+//! may leave mail), and the window commands flush the whole mailbox into
+//! the worker inboxes first, so scope reports, migration and the pending
+//! report see every message.
+//!
+//! ## One superstep, one dispatch, one report
+//!
+//! The core hands over a whole superstep ([`Executor::superstep`]). If it
+//! involves one partition, that is one inline `Step` command and one
+//! [`StepReport`] back. Otherwise the involved partitions share a
+//! [`SharedStep`] record: the first `dop` Steps are pushed, and the lane
+//! that finishes a Step files its report in the record, pushes the next
+//! deferred partition's Step into the pool itself (in the core's release
+//! order) and — if it was the last — sends the one message that carries
+//! every report. The coordinator is woken once per superstep and folds the
+//! reports through [`Coordinator::step_done`] one by one.
 //!
 //! ## The local barrier stays on the lane
 //!
 //! A superstep that ran on one partition and crossed no boundary needs no
 //! synchronisation at all (paper §3.3; the simulation prices it so). When
-//! a `Step` carries the core's `solo` hint, [`Lane::handle`] therefore
+//! a `Step` is its superstep's only task, [`Lane::handle`] therefore
 //! keeps going: if the step sent nothing away, left the partition with
 //! pending messages and the rolled aggregate does not terminate the
 //! query, it closes the superstep itself — the core's own
 //! [`close_superstep`] — seals its inbox and executes again, up to
 //! [`LOCAL_QUANTUM`] closes per dispatch. One [`StepReport`] then carries
 //! the summed statistics and what was closed, and the core accounts for
-//! each superstep as if it had been reported on its own. Dispatched
-//! supersteps keep the freeze-every-involved-inbox-then-step order.
+//! each superstep as if it had been reported on its own.
 //!
 //! ## Streaming submission and the serving loop
 //!
@@ -66,12 +96,13 @@
 //! `partitioning`) after `run`/`drain`/`shutdown` — the coordinator owns
 //! them while serving and the sync points hand them back.
 
+use std::collections::VecDeque;
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::thread;
 use std::time::Instant;
 
-use rustc_hash::FxHashSet;
+use rustc_hash::{FxHashMap, FxHashSet};
 
 use qgraph_graph::{Graph, MutationBatch as GraphMutationBatch, Topology, VertexId};
 use qgraph_partition::Partitioning;
@@ -81,7 +112,7 @@ use crate::config::SystemConfig;
 use crate::controller::Controller;
 use crate::coord::{
     close_superstep, Chained, Collect, Coordinator, EngineState, Executor, StepOutcome, StepReport,
-    StepVia,
+    Superstep,
 };
 use crate::hb::{kind, Hb};
 use crate::index_plane::PointIndex;
@@ -95,8 +126,9 @@ use crate::trace::{cmd, Tracer};
 use crate::worker::{LocalState, SuperstepStats, Worker};
 
 /// The shared, growable task registry: submissions (engine or any client)
-/// append under the lock, which also allocates the dense [`QueryId`];
-/// worker threads resolve ids through it.
+/// append under the lock, which also allocates the dense [`QueryId`]. The
+/// coordinator resolves a submission through it, and the lanes the queries
+/// a window command finds on a partition; a `Step` carries its task.
 type TaskRegistry = Arc<RwLock<Vec<Arc<dyn QueryTask>>>>;
 
 /// Read the registry, recovering from poisoning. The registry is
@@ -107,22 +139,76 @@ fn reg_read(tasks: &TaskRegistry) -> std::sync::RwLockReadGuard<'_, Vec<Arc<dyn 
     tasks.read().unwrap_or_else(|p| p.into_inner())
 }
 
+/// Lock a mailbox or a superstep record, recovering from poisoning the way
+/// [`reg_read`] does: each update (a push, a take, a counter step) leaves
+/// them valid, and a Step that panicked elsewhere must not wedge the
+/// other partitions' mail behind a poisoned lock.
+fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// One partition's mail (see the module docs): per query, the batches
+/// other partitions' Steps — or admission — addressed here, in the slot of
+/// the parity of the superstep that will read them.
+#[derive(Default)]
+struct Mailbox {
+    slots: [FxHashMap<QueryId, Vec<MessageBatch>>; 2],
+}
+
+/// A partition: the worker state the pool serializes access to, and the
+/// mailbox any lane may put into.
+struct Partition {
+    ctx: Mutex<WorkerCtx>,
+    mail: Mutex<Mailbox>,
+}
+
+impl Partition {
+    /// Add `batch` to the input of query `q`'s superstep `index` here.
+    fn put(&self, q: QueryId, index: u32, batch: MessageBatch) {
+        let mut mail = relock(&self.mail);
+        mail.slots[(index & 1) as usize]
+            .entry(q)
+            .or_default()
+            .push(batch);
+    }
+
+    /// Take what was put for query `q`'s superstep `index`, in put order.
+    fn take(&self, q: QueryId, index: u32) -> Vec<MessageBatch> {
+        let mut mail = relock(&self.mail);
+        mail.slots[(index & 1) as usize]
+            .remove(&q)
+            .unwrap_or_default()
+    }
+}
+
+/// The record the Steps of a superstep over several partitions share.
+struct SharedStep {
+    state: Mutex<SharedState>,
+}
+
+struct SharedState {
+    /// Partitions the DoP budget still holds back, in release order, each
+    /// with its copy of the aggregate the superstep reads.
+    deferred: VecDeque<(usize, Envelope)>,
+    /// Steps that have not filed their report yet.
+    remaining: usize,
+    reports: Vec<StepReport>,
+}
+
 enum Cmd {
-    Deliver {
-        q: QueryId,
-        batch: MessageBatch,
-    },
-    /// Seal query `q`'s inbox on this worker: the pending messages become
-    /// the next superstep's input.
-    Freeze {
-        q: QueryId,
-    },
+    /// Execute query `q`'s superstep `index` here: take this partition's
+    /// mail for it, seal the inbox, run, put what it sends away into the
+    /// destinations' mailboxes for `index + 1`.
     Step {
         q: QueryId,
+        task: Arc<dyn QueryTask>,
         prev_agg: Envelope,
-        /// The superstep's only task: the lane may close local supersteps
-        /// itself (see [`LOCAL_QUANTUM`]).
-        solo: bool,
+        index: u32,
+        /// The record of a superstep shared with other partitions. `None`:
+        /// this is the superstep's only task, reported by itself, and the
+        /// lane may close local supersteps on its own (see
+        /// [`LOCAL_QUANTUM`]).
+        shared: Option<Arc<SharedStep>>,
     },
     Collect {
         q: QueryId,
@@ -148,8 +234,8 @@ enum Cmd {
     PendingReport,
 }
 
-/// How many supersteps a lane closes on its own per dispatched solo
-/// `Step` before it reports (so one dispatch executes at most
+/// How many supersteps a lane closes on its own per dispatched
+/// one-partition superstep before it reports (so one dispatch executes at most
 /// `1 + LOCAL_QUANTUM`). The paper's hybrid barrier makes a superstep that
 /// ran on one partition and crossed no boundary communication-free; the
 /// quantum bounds how long a wanted stop-the-world window, or another
@@ -175,7 +261,11 @@ enum Cmd {
 const LOCAL_QUANTUM: u32 = 4;
 
 enum Resp {
+    /// A one-partition superstep finished.
     StepDone(StepReport),
+    /// A superstep shared by several partitions finished: every member's
+    /// report, in completion order.
+    SuperstepDone(Vec<StepReport>),
     Collected {
         q: QueryId,
         local: Option<Box<dyn LocalState>>,
@@ -340,6 +430,17 @@ pub struct ThreadEngine {
     /// Test hook: see [`ThreadEngine::hb_test_reintroduce_quiesce_race`].
     #[cfg(feature = "check-hb")]
     hb_test_early_quiesce: bool,
+    /// Test probe: what the coordinator dispatched and heard back.
+    #[cfg(test)]
+    traffic: Arc<StepTraffic>,
+}
+
+/// Supersteps the coordinator dispatched and step messages it received.
+#[cfg(test)]
+#[derive(Default)]
+struct StepTraffic {
+    dispatched: std::sync::atomic::AtomicU64,
+    messages: std::sync::atomic::AtomicU64,
 }
 
 impl ThreadEngine {
@@ -375,6 +476,8 @@ impl ThreadEngine {
             serving: None,
             #[cfg(feature = "check-hb")]
             hb_test_early_quiesce: false,
+            #[cfg(test)]
+            traffic: Arc::default(),
         }
     }
 
@@ -525,35 +628,42 @@ impl ThreadEngine {
         let core = Coordinator::new(state, self.cfg.clone(), hb.clone(), tracer.clone());
         // Partition state stays partition-owned: one context per logical
         // worker, taken by whichever pool thread draws that partition's
-        // next command. The pool serializes per partition, so the lock is
-        // never contended — it only moves the state between pool threads.
+        // next command. The pool serializes per partition, so the context
+        // lock is never contended — it only moves the state between pool
+        // threads. The mailbox beside it is what other lanes reach.
         let shared_parts = Arc::new(self.state.partitioning.clone());
         let shared_topology = Arc::new(self.state.topology.clone());
         let (combiners, batch_max) = (self.cfg.combiners, self.cfg.batch_max_msgs);
-        let ctxs: Arc<Vec<Mutex<WorkerCtx>>> = Arc::new(
+        let parts: Arc<Vec<Partition>> = Arc::new(
             (0..k)
                 .map(|w| {
                     hb.spawn_worker(w);
-                    Mutex::new(WorkerCtx {
-                        worker: Worker::configured(w, combiners, batch_max),
-                        topology: Arc::clone(&shared_topology),
-                        partitioning: Arc::clone(&shared_parts),
-                    })
+                    Partition {
+                        ctx: Mutex::new(WorkerCtx {
+                            worker: Worker::configured(w, combiners, batch_max),
+                            topology: Arc::clone(&shared_topology),
+                            partitioning: Arc::clone(&shared_parts),
+                        }),
+                        mail: Mutex::default(),
+                    }
                 })
                 .collect(),
         );
         let lane = Lane {
             width: pool_threads,
-            ctxs,
+            parts: Arc::clone(&parts),
             registry: Arc::clone(&self.tasks),
             resp: msg_tx.clone(),
             hb: hb.clone(),
             tracer: tracer.clone(),
             clock,
         };
-        let pool = TaskPool::new(k, pool_threads, move |tid, w, cmd| lane.handle(tid, w, cmd));
+        let pool = TaskPool::new(k, pool_threads, move |push, tid, w, cmd| {
+            lane.handle(push, tid, w, cmd)
+        });
         let x = PoolExec {
             pool,
+            parts,
             msg_rx,
             finished: Vec::new(),
             tasks: Arc::clone(&self.tasks),
@@ -561,7 +671,6 @@ impl ThreadEngine {
             tracer,
             clock,
             k,
-            batch_cap: self.cfg.batch_max_msgs.max(1),
             inflight_ops: 0,
             pool_tasks: 0,
             // The hook widens "quiescent" to one still-open op — exactly
@@ -573,6 +682,8 @@ impl ThreadEngine {
             backlog: Vec::new(),
             drain_waiters: Vec::new(),
             shutdown: false,
+            #[cfg(test)]
+            traffic: Arc::clone(&self.traffic),
         };
         let handle = thread::spawn(move || serve(core, x));
 
@@ -746,6 +857,9 @@ impl Drop for ThreadEngine {
 /// the exit value.
 struct PoolExec {
     pool: TaskPool<Cmd>,
+    /// The partitions' mailboxes: admission puts a query's initial
+    /// batches straight in.
+    parts: Arc<Vec<Partition>>,
     msg_rx: Receiver<CoordMsg>,
     /// Outputs of finished queries, until the next drain ships them.
     finished: Vec<(QueryId, Envelope)>,
@@ -759,10 +873,9 @@ struct PoolExec {
     /// The session time base shared with every pool thread.
     clock: Clock,
     k: usize,
-    /// Wire cap `Deliver` payloads are chunked at.
-    batch_cap: usize,
-    /// Step and Collect commands awaiting a response: zero while a window
-    /// is wanted means the partitions are quiescent.
+    /// Dispatched supersteps and Collect commands awaiting their one
+    /// response: zero while a window is wanted means the partitions are
+    /// quiescent.
     inflight_ops: usize,
     /// Steps completed, cumulative across serve sessions.
     pool_tasks: u64,
@@ -774,6 +887,8 @@ struct PoolExec {
     backlog: Vec<(CoordMsg, SimTime)>,
     drain_waiters: Vec<Sender<Snapshot>>,
     shutdown: bool,
+    #[cfg(test)]
+    traffic: Arc<StepTraffic>,
 }
 
 impl PoolExec {
@@ -794,6 +909,43 @@ impl PoolExec {
                 self.shutdown = true;
                 core.close();
             }
+        }
+    }
+
+    /// The one message a dispatched superstep answers with arrived: fold
+    /// its reports — the last closes the superstep — then let the Q-cut
+    /// trigger look and release the query's barrier.
+    fn stepped(
+        &mut self,
+        core: &mut Coordinator,
+        reports: impl IntoIterator<Item = StepReport>,
+        now: SimTime,
+    ) {
+        self.inflight_ops -= 1;
+        #[cfg(test)]
+        self.traffic
+            .messages
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let mut last = None;
+        for report in reports {
+            let q = report.q;
+            // One pool task per executed superstep, wherever it closed.
+            self.pool_tasks += 1 + report.chained.as_ref().map_or(0, |c| u64::from(c.n));
+            self.hb.token_close(q.0, kind::STEP);
+            last = Some((q, core.step_done(self, report, now, now)));
+        }
+        let Some((q, outcome)) = last else {
+            return;
+        };
+        debug_assert!(outcome != StepOutcome::Running, "a report went missing");
+        // The superstep closed: the Q-cut trigger looks first, so a window
+        // it wants parks `q` at this very release. The ILS runs inside
+        // that window, never on a budget.
+        let budgeted = core.trigger(self, now);
+        debug_assert!(budgeted.is_none(), "no live scope reports here");
+        if outcome == StepOutcome::Barrier {
+            // Real threads have no barrier delay to wait out.
+            core.release(self, q, now);
         }
     }
 
@@ -862,34 +1014,45 @@ impl Executor for PoolExec {
         self.clock.now()
     }
 
-    fn deliver(&mut self, q: QueryId, w: usize, task: &dyn QueryTask, batch: MessageBatch) {
-        // Chunk at the wire cap (`batch_max_msgs`): the paper's 32-message
-        // batches as physical envelopes, bounding per-envelope latency
-        // under bursts (and matching the accounting).
-        for chunk in task.split_batch(batch, self.batch_cap) {
-            self.hb.send_cmd(w);
-            self.pool.push(w, Cmd::Deliver { q, batch: chunk });
-        }
+    fn deliver(&mut self, q: QueryId, w: usize, _: &dyn QueryTask, batch: MessageBatch) {
+        self.hb.mail_put(0, w);
+        self.parts[w].put(q, 0, batch);
     }
 
-    fn freeze(&mut self, q: QueryId, w: usize) {
-        self.hb.send_cmd(w);
-        self.pool.push(w, Cmd::Freeze { q });
-    }
-
-    fn step(
-        &mut self,
-        q: QueryId,
-        w: usize,
-        task: &dyn QueryTask,
-        prev: &Envelope,
-        _: StepVia,
-        solo: bool,
-    ) {
-        self.hb.send_step(q.0, w);
-        let prev_agg = task.clone_aggregate(prev);
-        self.pool.push(w, Cmd::Step { q, prev_agg, solo });
+    fn superstep(&mut self, q: QueryId, s: Superstep<'_>) {
         self.inflight_ops += 1;
+        #[cfg(test)]
+        self.traffic
+            .dispatched
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let step = |shared| Cmd::Step {
+            q,
+            task: Arc::clone(s.task),
+            prev_agg: s.task.clone_aggregate(s.prev),
+            index: s.index,
+            shared,
+        };
+        if let [w] = *s.involved {
+            self.hb.send_step(q.0, w);
+            self.pool.push(w, step(None));
+            return;
+        }
+        let (released, deferred) = s.involved.split_at(s.involved.len().min(s.dop));
+        let deferred = deferred.iter().map(|&w| {
+            self.hb.token_open(q.0, kind::STEP);
+            (w, s.task.clone_aggregate(s.prev))
+        });
+        let shared = Arc::new(SharedStep {
+            state: Mutex::new(SharedState {
+                deferred: deferred.collect(),
+                remaining: s.involved.len(),
+                reports: Vec::with_capacity(s.involved.len()),
+            }),
+        });
+        for &w in released {
+            self.hb.send_step(q.0, w);
+            self.pool.push(w, step(Some(Arc::clone(&shared))));
+        }
     }
 
     fn collect(&mut self, q: QueryId, w: usize) -> Collect {
@@ -1051,26 +1214,8 @@ fn serve(mut core: Coordinator, mut x: PoolExec) -> (EngineState, Vec<(QueryId, 
         // single-partition supersteps.
         let now = clock.now();
         match msg {
-            CoordMsg::Worker(Resp::StepDone(report)) => {
-                let q = report.q;
-                x.inflight_ops -= 1;
-                // One pool task per executed superstep, wherever it closed.
-                x.pool_tasks += 1 + report.chained.as_ref().map_or(0, |c| u64::from(c.n));
-                x.hb.token_close(q.0, kind::STEP);
-                let outcome = core.step_done(&mut x, report, now, now);
-                if outcome == StepOutcome::Running {
-                    continue;
-                }
-                // The superstep closed: the Q-cut trigger looks first, so
-                // a window it wants parks `q` at this very release. The
-                // ILS runs inside that window, never on a budget.
-                let budgeted = core.trigger(&mut x, now);
-                debug_assert!(budgeted.is_none(), "no live scope reports here");
-                if outcome == StepOutcome::Barrier {
-                    // Real threads have no barrier delay to wait out.
-                    core.release(&mut x, q, now);
-                }
-            }
+            CoordMsg::Worker(Resp::StepDone(report)) => x.stepped(&mut core, [report], now),
+            CoordMsg::Worker(Resp::SuperstepDone(reports)) => x.stepped(&mut core, reports, now),
             CoordMsg::Worker(Resp::Collected { q, local }) => {
                 x.inflight_ops -= 1;
                 x.hb.token_close(q.0, kind::COLLECT);
@@ -1114,13 +1259,13 @@ struct WorkerCtx {
     partitioning: Arc<Partitioning>,
 }
 
-/// What every pool thread shares to execute commands: the partition
-/// contexts, the task registry, the response channel, and the session's
-/// auditor / recorder / clock. Each pool thread holds its own clone.
+/// What every pool thread shares to execute commands: the partitions, the
+/// task registry, the response channel, and the session's auditor /
+/// recorder / clock. Each pool thread holds its own clone.
 #[derive(Clone)]
 struct Lane {
     width: usize,
-    ctxs: Arc<Vec<Mutex<WorkerCtx>>>,
+    parts: Arc<Vec<Partition>>,
     registry: TaskRegistry,
     resp: Sender<CoordMsg>,
     hb: Hb,
@@ -1130,15 +1275,16 @@ struct Lane {
 
 impl Lane {
     /// One pool task: pool thread `tid` executes a single command against
-    /// partition `w`'s state. The hb auditor brackets it with the pool
-    /// hand-off edges ([`Hb::pool_acquire`]/[`Hb::pool_release`]) that
-    /// carry the actor-serialization guarantee dedicated threads would
-    /// give for free.
-    fn handle(&self, tid: usize, w: usize, cmd: Cmd) {
+    /// partition `w`'s state; `push` enqueues a further command from here
+    /// (the next deferred Step of a shared superstep). The hb auditor
+    /// brackets the task with the pool hand-off edges
+    /// ([`Hb::pool_acquire`]/[`Hb::pool_release`]) that carry the
+    /// actor-serialization guarantee dedicated threads would give for free.
+    fn handle(&self, push: &dyn Fn(usize, Cmd), tid: usize, w: usize, cmd: Cmd) {
         let (hb, tracer) = (&self.hb, &self.tracer);
         hb.pool_acquire(w);
-        // Every executed command joins the clock snapshot the coordinator
-        // queued at the matching send — the channel edge of the HB graph.
+        // Every executed command joins the clock snapshot queued at the
+        // matching send — the channel edge of the HB graph.
         hb.worker_recv(w);
         // The lane span opens before the state lock: lock wait is part of
         // the task's runtime as the pool experiences it. Steals are
@@ -1146,8 +1292,6 @@ impl Lane {
         // thread.
         let traced: Option<(QueryId, u8, f64)> = if tracer.enabled() {
             let code = match &cmd {
-                Cmd::Deliver { q, .. } => Some((*q, cmd::DELIVER)),
-                Cmd::Freeze { q } => Some((*q, cmd::FREEZE)),
                 Cmd::Step { q, .. } => Some((*q, cmd::STEP)),
                 Cmd::Collect { q } => Some((*q, cmd::COLLECT)),
                 _ => None,
@@ -1159,39 +1303,54 @@ impl Lane {
         } else {
             None
         };
-        let mut guard = self.ctxs[w]
+        let mut guard = self.parts[w]
+            .ctx
             .lock()
             // qlint: allow(no-unwrap-hot-loop) — poisoned ⇒ a sibling pool thread already panicked; propagate
             .expect("worker state poisoned by an earlier panic");
         let ctx = &mut *guard;
         let task_of =
             |q: QueryId| -> Arc<dyn QueryTask> { Arc::clone(&reg_read(&self.registry)[q.index()]) };
+        // The window commands see every message: whatever is still in the
+        // mailbox moves into the worker inboxes first (the partitions are
+        // quiescent, so nothing is being put meanwhile).
+        if matches!(
+            cmd,
+            Cmd::ScopeReport | Cmd::Extract { .. } | Cmd::PendingReport
+        ) {
+            let mail = std::mem::take(&mut *relock(&self.parts[w].mail));
+            hb.mail_take(w);
+            for (q, batches) in mail.slots.into_iter().flatten() {
+                let task = task_of(q);
+                for batch in batches {
+                    ctx.worker.deliver(task.as_ref(), q, batch);
+                }
+            }
+        }
         let mut executed_n: u64 = 0;
         // Every command produces at most one response; funneling them
         // through a single send gives one clean-shutdown path instead of
         // a panic per protocol arm.
         let reply: Option<Resp> = match cmd {
-            Cmd::Deliver { q, batch } => {
-                let task = task_of(q);
-                ctx.worker.deliver(task.as_ref(), q, batch);
-                None
-            }
-            Cmd::Freeze { q } => {
-                // Barrier release sealed this superstep's input; anything
-                // delivered from here on belongs to the next superstep.
-                ctx.worker.freeze(q);
-                None
-            }
             Cmd::Step {
                 q,
+                task,
                 mut prev_agg,
-                solo,
+                index,
+                shared,
             } => {
-                let task = task_of(q);
+                // This superstep's input: what was put for it, sealed
+                // with what the partition sent itself. Mail put from here
+                // on is for the next superstep and lands in the other slot.
+                hb.mail_take(w);
+                for batch in self.parts[w].take(q, index) {
+                    ctx.worker.deliver(task.as_ref(), q, batch);
+                }
+                ctx.worker.freeze(q);
                 let route = |v: VertexId| ctx.partitioning.worker_of(v).index();
                 let mut stats = SuperstepStats::default();
                 let mut closed = 0;
-                loop {
+                let (agg, remote, self_pending) = loop {
                     // The superstep reads the published topology/assignment:
                     // the auditor checks this worker's clock is ordered after
                     // the latest publication before any vertex executes.
@@ -1205,9 +1364,13 @@ impl Lane {
                     // sent nothing away and left work here, so the next
                     // involved set is this partition alone — unless the
                     // rolled aggregate ends the query, which is the core's
-                    // to find. Nothing else is stepping `q`, so no message
-                    // can be in flight to the inbox sealed below.
-                    if solo && closed < LOCAL_QUANTUM && remote.is_empty() && self_pending {
+                    // to find. Nothing else is stepping `q`, so nobody can
+                    // have put mail for the inbox sealed below.
+                    if shared.is_none()
+                        && closed < LOCAL_QUANTUM
+                        && remote.is_empty()
+                        && self_pending
+                    {
                         let mut acc = task.aggregate_identity();
                         task.aggregate_combine(&mut acc, &agg);
                         // On a copy: a close that terminates is not taken.
@@ -1219,23 +1382,74 @@ impl Lane {
                             continue;
                         }
                     }
-                    executed_n = stats.executed as u64;
-                    let chained = (closed > 0).then(|| Chained {
+                    break (agg, remote, self_pending);
+                };
+                executed_n = stats.executed as u64;
+                // What the reported superstep sent away is input of the
+                // one after it.
+                let reads = index + closed + 1;
+                let sent_to = remote.into_iter().map(|(to, batch)| {
+                    hb.mail_put(1 + w, to);
+                    self.parts[to].put(q, reads, batch);
+                    to
+                });
+                let report = StepReport {
+                    q,
+                    worker: w,
+                    stats,
+                    agg,
+                    remote: sent_to.collect(),
+                    self_pending,
+                    chained: (closed > 0).then(|| Chained {
                         n: closed,
                         agg_prev: prev_agg,
-                    });
-                    break Some(Resp::StepDone(StepReport {
-                        q,
-                        worker: w,
-                        stats,
-                        agg,
-                        remote,
-                        self_pending,
-                        chained,
-                    }));
+                    }),
+                };
+                match shared {
+                    None => Some(Resp::StepDone(report)),
+                    Some(record) => {
+                        hb.record_join(q.0, w);
+                        let (next, reports) = {
+                            let mut st = relock(&record.state);
+                            st.reports.push(report);
+                            st.remaining -= 1;
+                            let last = st.remaining == 0;
+                            let reports = last.then(|| std::mem::take(&mut st.reports));
+                            (st.deferred.pop_front(), reports)
+                        };
+                        // The freed budget slot releases the next deferred
+                        // partition from here, in the core's order — no
+                        // coordinator turn in between.
+                        if let Some((to, prev_agg)) = next {
+                            if tracer.enabled() {
+                                let (at, id) = (self.clock.now().as_secs_f64(), u64::from(q.0));
+                                tracer.defer_release(at, tid as u32, id, to as u32);
+                            }
+                            hb.lane_send_step(w, to);
+                            let shared = Some(Arc::clone(&record));
+                            push(
+                                to,
+                                Cmd::Step {
+                                    q,
+                                    task,
+                                    prev_agg,
+                                    index,
+                                    shared,
+                                },
+                            );
+                        }
+                        // The last finisher's one message carries them all.
+                        reports.map(|reports| {
+                            hb.record_close(q.0, w);
+                            Resp::SuperstepDone(reports)
+                        })
+                    }
                 }
             }
             Cmd::Collect { q } => {
+                for slot in &mut relock(&self.parts[w].mail).slots {
+                    slot.remove(&q);
+                }
                 let local = ctx.worker.take_local(q);
                 Some(Resp::Collected { q, local })
             }
@@ -1310,31 +1524,40 @@ mod tests {
 
     /// A lane with no pool behind it: the test thread handles partition
     /// commands itself, stamped for the auditor the way `PoolExec` stamps
-    /// them. Query 0 is `task`, seeded and sealed on every partition its
-    /// initial messages route to.
-    fn seeded_lane(
-        g: &Arc<Graph>,
-        parts: Partitioning,
+    /// them, and collects what the lane pushes. Query 0 is `task`, its
+    /// initial batches put where admission puts them.
+    struct ByHand {
+        lane: Lane,
+        rx: Receiver<CoordMsg>,
         task: Arc<dyn QueryTask>,
-    ) -> (Lane, Receiver<CoordMsg>) {
+        /// Commands the lane pushed itself (already stamped by it).
+        pushed: std::cell::RefCell<Vec<(usize, Cmd)>>,
+    }
+
+    const Q: QueryId = QueryId(0);
+
+    fn seeded_lane(g: &Arc<Graph>, parts: Partitioning, task: Arc<dyn QueryTask>) -> ByHand {
         let k = parts.num_workers();
         let hb = Hb::new(k);
         hb.publish_topology(0, 0);
         hb.publish_partitioning(0);
         let topology = Arc::new(Topology::new(Arc::clone(g)));
         let parts = Arc::new(parts);
-        let ctx = |w| {
+        let partition = |w| {
             hb.spawn_worker(w);
-            Mutex::new(WorkerCtx {
-                worker: Worker::new(w),
-                topology: Arc::clone(&topology),
-                partitioning: Arc::clone(&parts),
-            })
+            Partition {
+                ctx: Mutex::new(WorkerCtx {
+                    worker: Worker::new(w),
+                    topology: Arc::clone(&topology),
+                    partitioning: Arc::clone(&parts),
+                }),
+                mail: Mutex::default(),
+            }
         };
         let (resp, rx) = channel();
         let lane = Lane {
             width: 1,
-            ctxs: Arc::new((0..k).map(ctx).collect()),
+            parts: Arc::new((0..k).map(partition).collect()),
             registry: Arc::new(RwLock::new(vec![Arc::clone(&task)])),
             resp,
             hb: hb.clone(),
@@ -1346,37 +1569,94 @@ mod tests {
         };
         let route = |v: VertexId| parts.worker_of(v).index();
         for (w, batch) in task.initial_batches(&topology, &route, true) {
-            handle(
-                &lane,
-                w,
-                Cmd::Deliver {
-                    q: QueryId(0),
-                    batch,
-                },
-            );
-            handle(&lane, w, Cmd::Freeze { q: QueryId(0) });
+            hb.mail_put(0, w);
+            lane.parts[w].put(Q, 0, batch);
         }
-        (lane, rx)
+        ByHand {
+            lane,
+            rx,
+            task,
+            pushed: Default::default(),
+        }
     }
 
-    fn handle(lane: &Lane, w: usize, cmd: Cmd) {
-        match &cmd {
-            Cmd::Step { q, .. } => lane.hb.send_step(q.0, w),
-            _ => lane.hb.send_cmd(w),
+    impl ByHand {
+        /// Run `cmd` on partition `w` as a command the coordinator sent.
+        fn handle(&self, w: usize, cmd: Cmd) {
+            match &cmd {
+                Cmd::Step { q, .. } => self.lane.hb.send_step(q.0, w),
+                _ => self.lane.hb.send_cmd(w),
+            }
+            self.run(w, cmd);
         }
-        lane.handle(0, w, cmd);
-    }
 
-    /// Dispatch query 0's sealed superstep on `w`; its one report.
-    fn step(lane: &Lane, rx: &Receiver<CoordMsg>, w: usize, solo: bool) -> StepReport {
-        let q = QueryId(0);
-        let prev_agg = reg_read(&lane.registry)[0].aggregate_identity();
-        handle(lane, w, Cmd::Step { q, prev_agg, solo });
-        let Ok(CoordMsg::Worker(Resp::StepDone(report))) = rx.try_recv() else {
-            panic!("a Step answers with its report");
-        };
-        assert!(rx.try_recv().is_err(), "one report per dispatch");
-        report
+        fn run(&self, w: usize, cmd: Cmd) {
+            let push = |to: usize, cmd: Cmd| self.pushed.borrow_mut().push((to, cmd));
+            self.lane.handle(&push, 0, w, cmd);
+        }
+
+        /// Query 0's superstep `index` as a command for one partition.
+        fn step_cmd(&self, index: u32, shared: Option<Arc<SharedStep>>) -> Cmd {
+            Cmd::Step {
+                q: Q,
+                task: Arc::clone(&self.task),
+                prev_agg: self.task.aggregate_identity(),
+                index,
+                shared,
+            }
+        }
+
+        /// A record for a superstep over `members` partitions of which
+        /// `deferred` are still held back.
+        fn record(&self, members: usize, deferred: &[usize]) -> Arc<SharedStep> {
+            let held = deferred.iter().map(|&w| {
+                self.lane.hb.token_open(Q.0, kind::STEP);
+                (w, self.task.aggregate_identity())
+            });
+            Arc::new(SharedStep {
+                state: Mutex::new(SharedState {
+                    deferred: held.collect(),
+                    remaining: members,
+                    reports: Vec::new(),
+                }),
+            })
+        }
+
+        /// The one message waiting on the coordinator channel, if any.
+        fn response(&self) -> Option<Resp> {
+            let Ok(CoordMsg::Worker(resp)) = self.rx.try_recv() else {
+                return None;
+            };
+            assert!(self.rx.try_recv().is_err(), "one message at a time");
+            Some(resp)
+        }
+
+        /// Dispatch query 0's superstep 0 on `w` as its only task; its
+        /// one report. `solo`: as a one-partition superstep (else through
+        /// a one-member record, the way a shared superstep reports).
+        fn step(&self, w: usize, solo: bool) -> StepReport {
+            let shared = (!solo).then(|| self.record(1, &[]));
+            self.handle(w, self.step_cmd(0, shared));
+            match self.response() {
+                Some(Resp::StepDone(report)) if solo => report,
+                Some(Resp::SuperstepDone(mut reports)) if !solo && reports.len() == 1 => {
+                    reports.remove(0)
+                }
+                _ => panic!("a Step answers with its report"),
+            }
+        }
+
+        /// Batches waiting in partition `w`'s mailbox for query 0, per
+        /// parity slot.
+        fn mail(&self, w: usize) -> [usize; 2] {
+            let mail = relock(&self.lane.parts[w].mail);
+            [0, 1].map(|slot| mail.slots[slot].get(&Q).map_or(0, Vec::len))
+        }
+
+        fn has_pending(&self, w: usize) -> bool {
+            let ctx = self.lane.parts[w].ctx.lock().unwrap();
+            ctx.worker.has_pending(Q)
+        }
     }
 
     fn tally(sticky: bool, stop_at: u64) -> Arc<dyn QueryTask> {
@@ -1397,8 +1677,8 @@ mod tests {
         let parts = || RangePartitioner.partition(&g, 2);
         // The tally's vertex re-activates itself forever: the chain ends
         // at the quantum, with the partition still pending.
-        let (lane, rx) = seeded_lane(&g, parts(), tally(false, u64::MAX));
-        let rep = step(&lane, &rx, 0, true);
+        let by_hand = seeded_lane(&g, parts(), tally(false, u64::MAX));
+        let rep = by_hand.step(0, true);
         let executions = 1 + LOCAL_QUANTUM as usize;
         let chain = rep.chained.expect("closed on the lane");
         assert_eq!((chain.n, tally_of(&chain.agg_prev)), (LOCAL_QUANTUM, 1));
@@ -1411,11 +1691,11 @@ mod tests {
         // Every execution was audited against the published versions and
         // the one Step token is still open: the coordinator closes it.
         #[cfg(feature = "check-hb")]
-        assert_eq!(lane.hb.audited(), (executions as u64, 1));
+        assert_eq!(by_hand.lane.hb.audited(), (executions as u64, 1));
 
-        // Without the hint the same superstep is reported as it ends.
-        let (lane, rx) = seeded_lane(&g, parts(), tally(false, u64::MAX));
-        let rep = step(&lane, &rx, 0, false);
+        // In a shared superstep the same Step is reported as it ends.
+        let by_hand = seeded_lane(&g, parts(), tally(false, u64::MAX));
+        let rep = by_hand.step(0, false);
         assert!(rep.chained.is_none() && rep.self_pending);
         assert_eq!((rep.stats.executed, rep.stats.tasks), (1, 1));
     }
@@ -1426,21 +1706,132 @@ mod tests {
         let parts = || RangePartitioner.partition(&g, 2);
         // Sticky and stopping at 3: the third close would end the query,
         // so the third superstep is reported unrolled behind two closes.
-        let (lane, rx) = seeded_lane(&g, parts(), tally(true, 3));
-        let rep = step(&lane, &rx, 0, true);
+        let by_hand = seeded_lane(&g, parts(), tally(true, 3));
+        let rep = by_hand.step(0, true);
         let chain = rep.chained.expect("two closed on the lane");
         assert_eq!((chain.n, tally_of(&chain.agg_prev)), (2, 2));
         assert_eq!((rep.stats.executed, tally_of(&rep.agg)), (3, 1));
         assert!(rep.self_pending);
 
         // A flood from vertex 0 of `{0,1} {2,3}`: the superstep at vertex
-        // 1 crosses, so it ends the chain and carries its remote batch.
+        // 1 crosses, so it ends the chain — and what it sent waits in
+        // partition 1's mailbox for superstep 2.
         let reach = Arc::new(TypedTask::new(ReachProgram::new(VertexId(0))));
-        let (lane, rx) = seeded_lane(&g, parts(), reach);
-        let rep = step(&lane, &rx, 0, true);
+        let by_hand = seeded_lane(&g, parts(), reach);
+        let rep = by_hand.step(0, true);
         assert_eq!(rep.chained.map(|c| c.n), Some(1));
         assert_eq!((rep.stats.executed, rep.stats.remote_deliveries), (2, 1));
-        assert!(!rep.self_pending && rep.remote.len() == 1 && rep.remote[0].0 == 1);
+        assert!(!rep.self_pending && rep.remote == vec![1]);
+        assert_eq!((by_hand.mail(0), by_hand.mail(1)), ([0, 0], [1, 0]));
+    }
+
+    /// A ping between vertex 0 (partition 0) and vertex 2 (partition 1) of
+    /// `{0,1} {2,3}`: every superstep involves both and each sends to the
+    /// other.
+    fn ping_pong(g: &Arc<Graph>) -> ByHand {
+        let ping = PingProgram {
+            ring: vec![VertexId(0), VertexId(2)],
+            rounds: 4,
+        };
+        let parts = RangePartitioner.partition(g, 2);
+        seeded_lane(g, parts, Arc::new(TypedTask::new(ping)))
+    }
+
+    #[test]
+    fn a_deferred_step_executes_its_sealed_input_while_the_mail_waits() {
+        let by_hand = ping_pong(&line(4));
+        assert_eq!((by_hand.mail(0), by_hand.mail(1)), ([1, 0], [1, 0]));
+        // Superstep 0 at DoP 1: partition 0 runs, partition 1 is deferred.
+        let record = by_hand.record(2, &[1]);
+        by_hand.handle(0, by_hand.step_cmd(0, Some(Arc::clone(&record))));
+        // Partition 0 sent to partition 1 *before* partition 1 ran: the
+        // batch sits in the slot superstep 1 will read, beside the input
+        // of superstep 0. Nothing went to the coordinator; the lane pushed
+        // the deferred Step itself.
+        assert_eq!((by_hand.mail(0), by_hand.mail(1)), ([0, 0], [1, 1]));
+        assert!(by_hand.response().is_none());
+        let (to, next) = by_hand.pushed.borrow_mut().pop().expect("handed on");
+        assert!(to == 1 && matches!(next, Cmd::Step { index: 0, .. }));
+        by_hand.run(to, next);
+        // Partition 1 executed exactly its sealed input — one message,
+        // not two — and the one message carries both reports.
+        let Some(Resp::SuperstepDone(reports)) = by_hand.response() else {
+            panic!("the last finisher reports the superstep");
+        };
+        let summary = |r: &StepReport| (r.worker, r.stats.messages_in, r.remote.clone());
+        let reports: Vec<_> = reports.iter().map(summary).collect();
+        assert_eq!(reports, vec![(0, 1, vec![1]), (1, 1, vec![0])]);
+        assert_eq!((by_hand.mail(0), by_hand.mail(1)), ([0, 1], [0, 1]));
+        assert!(by_hand.pushed.borrow().is_empty());
+        #[cfg(feature = "check-hb")]
+        assert_eq!(by_hand.lane.hb.audited(), (2, 2));
+        // Superstep 1 reads what superstep 0 sent.
+        by_hand.handle(1, by_hand.step_cmd(1, Some(by_hand.record(1, &[]))));
+        let Some(Resp::SuperstepDone(reports)) = by_hand.response() else {
+            panic!("a one-member record still reports through it");
+        };
+        assert_eq!(reports[0].stats.messages_in, 1);
+        assert_eq!((by_hand.mail(0), by_hand.mail(1)), ([1, 1], [0, 0]));
+    }
+
+    #[test]
+    fn a_collect_clears_both_of_the_querys_mail_slots() {
+        let by_hand = ping_pong(&line(4));
+        // Leave mail in both parities on partition 1: the seed for
+        // superstep 0 and what partition 0's Step sent for superstep 1.
+        by_hand.handle(0, by_hand.step_cmd(0, Some(by_hand.record(1, &[]))));
+        assert!(by_hand.response().is_some());
+        assert_eq!(by_hand.mail(1), [1, 1]);
+        for w in [0, 1] {
+            by_hand.handle(w, Cmd::Collect { q: Q });
+            let Some(Resp::Collected { q: Q, local }) = by_hand.response() else {
+                panic!("a Collect answers with the local");
+            };
+            assert_eq!(local.is_some(), w == 0, "only partition 0 executed");
+            assert_eq!(by_hand.mail(w), [0, 0]);
+        }
+    }
+
+    #[test]
+    fn the_window_commands_flush_mail_so_a_pending_inbox_survives_migration() {
+        // A flood from vertex 0 of `{0,1} {2,3}` leaves one batch for
+        // vertex 2 in partition 1's mailbox, nothing in its inbox.
+        let g = line(4);
+        let mailed = || {
+            let reach = Arc::new(TypedTask::new(ReachProgram::new(VertexId(0))));
+            let by_hand = seeded_lane(&g, RangePartitioner.partition(&g, 2), reach);
+            by_hand.step(0, true);
+            assert!(by_hand.mail(1) == [1, 0] && !by_hand.has_pending(1));
+            by_hand
+        };
+        let by_hand = mailed();
+        by_hand.handle(1, Cmd::PendingReport);
+        let Some(Resp::Pending(pending)) = by_hand.response() else {
+            panic!("a pending report answers");
+        };
+        assert_eq!(pending, vec![(Q, 1)]);
+        assert!(by_hand.mail(1) == [0, 0] && by_hand.has_pending(1));
+
+        let by_hand = mailed();
+        by_hand.handle(1, Cmd::ScopeReport);
+        assert!(matches!(by_hand.response(), Some(Resp::Scopes(_))));
+        assert!(by_hand.mail(1) == [0, 0] && by_hand.has_pending(1));
+
+        // Migrating vertex 2 to partition 0 takes the mailed message along.
+        let by_hand = mailed();
+        let vertices = vec![VertexId(2)];
+        by_hand.handle(1, Cmd::Extract { token: 0, vertices });
+        let Some(Resp::Extracted { data, .. }) = by_hand.response() else {
+            panic!("an extract answers");
+        };
+        assert!(by_hand.mail(1) == [0, 0] && !by_hand.has_pending(1));
+        assert_eq!(data.len(), 1, "the query's pending message moved");
+        by_hand.handle(0, Cmd::Inject { data });
+        by_hand.handle(0, Cmd::PendingReport);
+        let Some(Resp::Pending(pending)) = by_hand.response() else {
+            panic!("a pending report answers");
+        };
+        assert_eq!(pending, vec![(Q, 0)]);
     }
 
     #[test]
@@ -1677,6 +2068,67 @@ mod tests {
             assert!(e.output(h).is_some());
         }
         assert_eq!(e.report().outcomes.len(), 7);
+    }
+
+    #[test]
+    fn budgeted_supersteps_match_the_simulation_and_answer_with_one_message_each() {
+        use crate::sched::DopPolicy;
+        use std::sync::atomic::Ordering;
+        // A line dealt round-robin over four partitions: every hop crosses,
+        // so no superstep is closed on a lane and every one is dispatched.
+        let g = line(48);
+        let parts = || {
+            let assign = (0..48).map(|v| qgraph_partition::WorkerId(v % 4));
+            Partitioning::new(assign.collect(), 4)
+        };
+        fn submit<E: crate::Engine>(e: &mut E) {
+            for source in [0, 17, 30, 47] {
+                e.submit(ReachProgram::bounded(VertexId(source), 9));
+            }
+            e.submit(PingProgram {
+                ring: (0..7).map(VertexId).collect(),
+                rounds: 6,
+            });
+        }
+        let work = |report: &EngineReport| {
+            let mut work: Vec<_> = report
+                .outcomes
+                .iter()
+                .map(|o| {
+                    let msgs = (o.remote_messages, o.remote_batches, o.vertex_updates);
+                    let supersteps = (o.iterations, o.local_iterations);
+                    (o.id, supersteps, o.tasks, o.effective_dop, msgs)
+                })
+                .collect();
+            work.sort_unstable();
+            work
+        };
+        for dop in [1, 2] {
+            let cfg = SystemConfig {
+                dop: DopPolicy::Fixed(dop),
+                ..Default::default()
+            };
+            let mut threads = ThreadEngine::with_config(Arc::clone(&g), parts(), cfg.clone());
+            let mut sim = crate::SimEngine::new(
+                Arc::clone(&g),
+                qgraph_sim::ClusterModel::scale_up(4),
+                parts(),
+                cfg,
+            );
+            submit(&mut threads);
+            submit(&mut sim);
+            threads.run();
+            sim.run();
+            let expected = work(sim.report());
+            assert_eq!(work(threads.report()), expected, "DoP {dop}");
+            let supersteps: u64 = expected.iter().map(|w| u64::from(w.1 .0)).sum();
+            let dispatched = threads.traffic.dispatched.load(Ordering::Relaxed);
+            let messages = threads.traffic.messages.load(Ordering::Relaxed);
+            assert_eq!((dispatched, messages), (supersteps, supersteps));
+            // The ping starts on all four partitions: the budget held
+            // some of them back.
+            assert_eq!(expected[4].3, dop as u32);
+        }
     }
 
     /// `n` vertices dealt round-robin over two partitions: every reach

@@ -127,15 +127,6 @@ pub trait QueryTask: Send + Sync {
     /// Deliver a batch into `local`'s next-superstep inbox.
     fn deliver(&self, local: &mut dyn LocalState, batch: MessageBatch);
 
-    /// Split `batch` into chunks of at most `max` messages, preserving
-    /// message order (the thread runtime ships each chunk as its own
-    /// `Deliver` envelope — the paper's wire batch cap applied
-    /// physically, not just in the accounting). The pre-combine count is
-    /// conserved: each chunk carries its own length and the first chunk
-    /// absorbs the combiner's savings, so summing `pre_combine()` over
-    /// the chunks equals the original batch's.
-    fn split_batch(&self, batch: MessageBatch, max: usize) -> Vec<MessageBatch>;
-
     /// Execute `local`'s frozen superstep; returns the step statistics,
     /// the superstep's aggregate contribution, and remote message batches
     /// bucketed by destination worker (combined sender-side through
@@ -291,27 +282,6 @@ impl<P: VertexProgram> QueryTask for TypedTask<P> {
         self.local_mut(local).deliver(msgs);
     }
 
-    fn split_batch(&self, batch: MessageBatch, max: usize) -> Vec<MessageBatch> {
-        let max = max.max(1);
-        if batch.len() <= max {
-            return vec![batch];
-        }
-        let pre_total = batch.pre_combine();
-        let msgs = self.messages(batch);
-        let combined_away = pre_total - msgs.len();
-        let mut out = Vec::with_capacity(msgs.len().div_ceil(max));
-        let mut iter = msgs.into_iter();
-        loop {
-            let chunk: Vec<(VertexId, P::Message)> = iter.by_ref().take(max).collect();
-            if chunk.is_empty() {
-                break;
-            }
-            let pre = chunk.len() + if out.is_empty() { combined_away } else { 0 };
-            out.push(self.wrap_batch(pre, chunk));
-        }
-        out
-    }
-
     fn execute(
         &self,
         local: &mut dyn LocalState,
@@ -383,30 +353,6 @@ mod tests {
         assert_eq!(batches[0].0, 0); // vertex 2 routes to worker 0
         assert_eq!(batches[0].1.len(), 1);
         assert_eq!(batches[0].1.pre_combine(), 1);
-    }
-
-    #[test]
-    fn split_batch_chunks_at_cap_and_conserves_counts() {
-        let task = TypedTask::new(ReachProgram::new(VertexId(0)));
-        let msgs: Vec<(VertexId, u32)> = (0..7u32).map(|v| (VertexId(v), v)).collect();
-        // Simulate a combiner that collapsed 3 messages: pre = 10.
-        let batch = task.wrap_batch(10, msgs);
-        let chunks = task.split_batch(batch, 3);
-        assert_eq!(chunks.len(), 3, "7 msgs at cap 3");
-        assert_eq!(
-            chunks.iter().map(MessageBatch::len).collect::<Vec<_>>(),
-            vec![3, 3, 1]
-        );
-        assert_eq!(
-            chunks.iter().map(MessageBatch::pre_combine).sum::<usize>(),
-            10,
-            "pre-combine conserved across chunks"
-        );
-        // A batch under the cap passes through untouched.
-        let small = task.wrap_batch(2, vec![(VertexId(0), 0), (VertexId(1), 1)]);
-        let passthrough = task.split_batch(small, 3);
-        assert_eq!(passthrough.len(), 1);
-        assert_eq!(passthrough[0].len(), 2);
     }
 
     #[test]

@@ -24,8 +24,6 @@
 /// Task-span command codes, shared by both facade variants (the no-op
 /// build has no `qgraph_trace::CmdKind` to name).
 pub(crate) mod cmd {
-    pub const DELIVER: u8 = 0;
-    pub const FREEZE: u8 = 1;
     pub const STEP: u8 = 2;
     pub const COLLECT: u8 = 3;
     /// Catch-all for non-query commands; reserved — no call site emits
@@ -49,8 +47,6 @@ mod imp {
 
     fn cmd_kind(code: u8) -> CmdKind {
         match code {
-            super::cmd::DELIVER => CmdKind::Deliver,
-            super::cmd::FREEZE => CmdKind::Freeze,
             super::cmd::STEP => CmdKind::Step,
             super::cmd::COLLECT => CmdKind::Collect,
             _ => CmdKind::Other,
@@ -122,9 +118,13 @@ mod imp {
             );
         }
 
-        pub fn defer_release(&self, at: f64, q: u64, p: u32) {
+        /// Stamped where the completion that frees the budget slot is
+        /// observed: `lane` is the pool thread (thread runtime) or the
+        /// partition (sim) whose Step just finished, `p` the partition
+        /// released.
+        pub fn defer_release(&self, at: f64, lane: u32, q: u64, p: u32) {
             self.rec(
-                0,
+                lane as usize + 1,
                 Event {
                     partition: p,
                     ..Event::query(at, Kind::DeferRelease, q)
@@ -332,7 +332,7 @@ mod imp {
         #[inline(always)]
         pub fn defer(&self, _at: f64, _q: u64, _p: u32) {}
         #[inline(always)]
-        pub fn defer_release(&self, _at: f64, _q: u64, _p: u32) {}
+        pub fn defer_release(&self, _at: f64, _lane: u32, _q: u64, _p: u32) {}
         #[inline(always)]
         pub fn task_begin(&self, _at: f64, _lane: u32, _q: u64, _p: u32, _cmd: u8, _stolen: bool) {}
         #[inline(always)]

@@ -58,11 +58,8 @@ pub const PNONE: u32 = u32::MAX;
 /// What a task-span event was executing (the pool command vocabulary).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CmdKind {
-    /// Initial-message delivery for a starting query.
-    Deliver,
-    /// Superstep freeze: coalesce the partition inbox before compute.
-    Freeze,
-    /// Superstep compute: execute the vertex function over the scope.
+    /// Superstep compute: take the partition's mail, seal the inbox and
+    /// execute the vertex function over the scope.
     Step,
     /// Output collection after termination.
     Collect,
@@ -74,8 +71,6 @@ impl CmdKind {
     /// Stable display name (Chrome span names, summaries).
     pub fn name(self) -> &'static str {
         match self {
-            CmdKind::Deliver => "deliver",
-            CmdKind::Freeze => "freeze",
             CmdKind::Step => "step",
             CmdKind::Collect => "collect",
             CmdKind::Other => "other",

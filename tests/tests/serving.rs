@@ -632,12 +632,12 @@ fn thread_bounded_queue_rejects_overload() {
 }
 
 // ---------------------------------------------------------------------
-// Deliver chunking: physical wire batches at `batch_max_msgs`.
+// The wire batch cap (`batch_max_msgs`) is accounting only.
 // ---------------------------------------------------------------------
 
-/// The chunking pin: the thread runtime splits Deliver payloads at the
-/// wire cap, and a run chunked at cap 2 is output- and
-/// structure-identical to one with an effectively unbounded cap.
+/// The cap pin: `batch_max_msgs` sets how many wire batches a Step's
+/// messages are *counted* as, nothing else — a run at cap 2 is output-
+/// and structure-identical to one with an effectively unbounded cap.
 #[test]
 fn thread_chunked_and_unchunked_runs_are_identical() {
     let (graph, sources) = {
