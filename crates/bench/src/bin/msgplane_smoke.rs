@@ -1,7 +1,8 @@
 //! Message-plane smoke benchmark: combiners on vs off on an SSSP-heavy
 //! road serving mix, on both runtimes, emitting a small JSON summary
-//! (`BENCH_msgplane.json`) that the `bench-smoke` CI job uploads as an
-//! artifact — the seed of the BENCH_*.json trajectory.
+//! (`target/BENCH_msgplane.json`) that the `bench-smoke` CI job uploads as
+//! an artifact. The tracked `BENCH_msgplane.json` at the repository root
+//! is not this file: it holds `qbench` parent / change pairs.
 //!
 //! The workload is the heterogeneous traffic one engine instance serves:
 //! a burst of road SSSP queries (the paper's headline query) with a small
@@ -11,7 +12,8 @@
 //!
 //! Env knobs: `QGRAPH_SCALE` (graph scale, default 0.1),
 //! `QGRAPH_QUERIES` (default 96), `QGRAPH_WORKERS` (default 4),
-//! `QGRAPH_BENCH_JSON` (output path, default `BENCH_msgplane.json`).
+//! `QGRAPH_BENCH_JSON` (output path, default
+//! `target/BENCH_msgplane.json`, relative to the working directory).
 
 #![forbid(unsafe_code)]
 
@@ -141,8 +143,8 @@ fn main() {
     let scale = env_f64("QGRAPH_SCALE", 0.1);
     let queries = env_f64("QGRAPH_QUERIES", 96.0) as usize;
     let workers = env_f64("QGRAPH_WORKERS", 4.0) as usize;
-    let out_path =
-        std::env::var("QGRAPH_BENCH_JSON").unwrap_or_else(|_| "BENCH_msgplane.json".to_string());
+    let out_path = std::env::var("QGRAPH_BENCH_JSON")
+        .unwrap_or_else(|_| "target/BENCH_msgplane.json".to_string());
 
     // Hash partitioning on purpose: it maximizes boundary crossings, so
     // the message plane is the bottleneck being measured.
@@ -177,6 +179,9 @@ fn main() {
         thr_red,
         thr_speedup,
     );
+    if let Some(dir) = std::path::Path::new(&out_path).parent() {
+        std::fs::create_dir_all(dir).expect("create the bench JSON's directory");
+    }
     std::fs::write(&out_path, &json).expect("write bench JSON");
     println!("{json}");
     println!("wrote {out_path}");

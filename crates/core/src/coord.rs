@@ -1387,6 +1387,7 @@ mod tests {
     fn solo_tally(sticky: bool, stop_at: u64) -> (Coordinator, Script, TypedTask<Tally>) {
         let program = Tally {
             seed: VertexId(2),
+            hop: 0,
             sticky,
             stop_at,
         };

@@ -26,9 +26,21 @@
 //! closure so a lane that finishes one partition's command can enqueue the
 //! next one — for any partition, its own included — without a round trip
 //! through the owner. Both go through the same queue under the same lock,
-//! so the two invariants hold for either; a handler's push wakes one
-//! parked thread (if every other thread is busy, the pushing thread picks
-//! the command up itself on its next scan).
+//! so the two invariants hold for either.
+//!
+//! **Only parked threads are signalled.** The pool counts the threads
+//! inside the condvar wait (`parked`, under the pool lock). A push
+//! notifies one thread if that count is non-zero — when it is zero every
+//! thread is in a handler or about to scan, and will find the command by
+//! itself. A completion notifies one thread only if someone is parked
+//! *and* its partition still has a queued command: that command is the
+//! one thing a cleared `running` flag can make runnable, and the
+//! completing thread, which scans again, may prefer an affine partition
+//! over it. Shutdown and a handler panic wake everyone, as does every
+//! completion once shutdown is flagged (a parked thread's exit may have
+//! been waiting for exactly that queue to empty). On a Step that costs
+//! single-digit microseconds the futex calls this saves are a measurable
+//! share (ARCHITECTURE.md, "Elastic execution").
 //!
 //! Threads prefer partitions they are affine to (`p % threads == tid`);
 //! draining another thread's partition is counted as a *steal*, and a
@@ -58,6 +70,10 @@ struct PoolState<T> {
     queues: Vec<VecDeque<T>>,
     /// Is some thread currently executing this partition's command?
     running: Vec<bool>,
+    /// Threads inside `cv.wait` (or woken and not yet holding the lock
+    /// again). Zero means every thread will scan the queues again by
+    /// itself, so there is nobody to signal.
+    parked: usize,
     shutdown: bool,
     /// A handler panicked; the partition it held is permanently wedged
     /// and further `push` calls refuse (mirroring the old runtime's
@@ -114,10 +130,10 @@ fn pick<T>(st: &PoolState<T>, tid: usize, threads: usize) -> Option<(usize, bool
         .map(|p| (p, true))
 }
 
-/// Enqueue `item` on partition `p`'s FIFO and wake one parked thread.
-/// Refuses (returns `false`, dropping `item`) once a pool thread has
-/// panicked: the partition it was serving is wedged and the pool is going
-/// down. A handler's push into a pool that is merely shutting down still
+/// Enqueue `item` on partition `p`'s FIFO and wake one parked thread, if
+/// there is one. Refuses (returns `false`, dropping `item`) once a pool
+/// thread has panicked: the partition it was serving is wedged and the
+/// pool is going down. A handler's push into a pool that is merely shutting down still
 /// runs: threads exit only on empty queues, and the pushing thread scans
 /// again.
 fn enqueue<T>(shared: &Shared<T>, p: usize, item: T) -> bool {
@@ -126,8 +142,11 @@ fn enqueue<T>(shared: &Shared<T>, p: usize, item: T) -> bool {
         return false;
     }
     st.queues[p].push_back(item);
+    let wake = st.parked > 0;
     drop(st);
-    shared.cv.notify_one();
+    if wake {
+        shared.cv.notify_one();
+    }
     true
 }
 
@@ -157,7 +176,9 @@ where
                     return;
                 }
                 st.stats.idle_waits += 1;
+                st.parked += 1;
                 st = shared.cv.wait(st).expect("pool state poisoned");
+                st.parked -= 1;
             }
         };
         let mut guard = PanicGuard {
@@ -167,10 +188,21 @@ where
         handler(&push, tid, p, item);
         guard.armed = false;
         drop(guard);
-        shared.state.lock().expect("pool state poisoned").running[p] = false;
-        // A completion can unblock any thread whose pick was gated on
-        // this partition's running flag, so wake them all.
-        shared.cv.notify_all();
+        let mut st = shared.state.lock().expect("pool state poisoned");
+        st.running[p] = false;
+        // The cleared flag makes one thing runnable that was not: the
+        // command queued behind this one, if any. This thread scans again
+        // but may prefer an affine partition, so a parked thread is told.
+        // During shutdown it may also have been the last thing a parked
+        // thread's exit was waiting for.
+        let wake = st.parked > 0 && !st.queues[p].is_empty();
+        let exiting = st.shutdown;
+        drop(st);
+        if exiting {
+            shared.cv.notify_all();
+        } else if wake {
+            shared.cv.notify_one();
+        }
     }
 }
 
@@ -193,6 +225,7 @@ impl<T: Send + 'static> TaskPool<T> {
             state: Mutex::new(PoolState {
                 queues: (0..partitions).map(|_| VecDeque::new()).collect(),
                 running: vec![false; partitions],
+                parked: 0,
                 shutdown: false,
                 panicked: false,
                 stats: PoolStats::default(),
@@ -385,6 +418,137 @@ mod tests {
         };
         // FIFO per partition; 3 waited for 0 to leave partition 0.
         assert_eq!((on(0), on(1)), (vec![0, 3], vec![1, 2]));
+    }
+
+    /// Spin until the pool has parked `n` times in all.
+    fn parks(pool: &TaskPool<u32>, n: u64) {
+        while pool.stats().idle_waits < n {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_command_behind_a_running_partition_runs_once_the_handler_returns() {
+        use std::sync::mpsc::channel;
+        // Item 0 holds partition 0 until released; item 1 is queued behind
+        // it while the other thread is parked. Only the returning handler
+        // makes it runnable, and whichever thread then runs it, it runs.
+        let (go_tx, go_rx) = channel::<()>();
+        let (ran_tx, ran_rx) = channel::<u32>();
+        let go_rx = Arc::new(Mutex::new(go_rx));
+        let pool = TaskPool::new(2, 2, move |_push, _tid, _p, item: u32| {
+            if item == 0 {
+                go_rx.lock().unwrap().recv().expect("released");
+            }
+            ran_tx.send(item).expect("the test listens");
+        });
+        parks(&pool, 2);
+        pool.push(0, 0); // wakes one thread, which blocks in the handler
+        pool.push(0, 1); // wakes the other, which finds nothing runnable
+        parks(&pool, 3);
+        let shared = Arc::clone(&pool.shared);
+        let parked = shared.state.lock().unwrap().parked;
+        assert_eq!(parked, 1, "every thread but the running one");
+        assert!(ran_rx.try_recv().is_err(), "nothing ran past the gate");
+        go_tx.send(()).expect("item 0 waits");
+        assert_eq!((ran_rx.recv(), ran_rx.recv()), (Ok(0), Ok(1)));
+        pool.shutdown();
+        assert_eq!(shared.state.lock().unwrap().stats.tasks, 2);
+    }
+
+    #[test]
+    fn an_idle_wait_is_one_park_and_nobody_is_woken_for_nothing() {
+        const N: u64 = 60;
+        let pool = TaskPool::new(2, 2, |_push, _tid, _p, _item: u32| {});
+        let shared = Arc::clone(&pool.shared);
+        let settled = |tasks: u64| loop {
+            let st = shared.state.lock().unwrap();
+            if st.stats.tasks == tasks && st.parked == 2 {
+                break st.stats.idle_waits;
+            }
+            drop(st);
+            std::thread::yield_now();
+        };
+        assert_eq!(settled(0), 2);
+        // One command at a time: one thread is woken for it, runs it,
+        // finds nothing queued behind it — tells nobody — and parks again,
+        // while the other sleeps through. (Waking everyone at each
+        // completion would park twice per command.)
+        for i in 0..N {
+            pool.push((i % 2) as usize, 0);
+            settled(i + 1);
+        }
+        let idle_waits = settled(N);
+        assert!(
+            (2 + N..2 + N + N / 2).contains(&idle_waits),
+            "{idle_waits} parks for {N} commands"
+        );
+        pool.shutdown();
+    }
+
+    #[test]
+    fn a_churn_of_owner_and_handler_pushes_runs_every_command_and_shuts_down() {
+        // More threads than partitions, so threads park and are woken all
+        // the time; every command below 2/3 of the budget pushes one more
+        // from inside the handler, to the other partition or its own.
+        const OWNER: u32 = 40_000;
+        const TOTAL: usize = 100_000;
+        let done = Arc::new(AtomicUsize::new(0));
+        let spawned = Arc::new(AtomicUsize::new(OWNER as usize));
+        let pool = {
+            let (done, spawned) = (Arc::clone(&done), Arc::clone(&spawned));
+            TaskPool::new(3, 5, move |push, _tid, p, item: u32| {
+                done.fetch_add(1, Ordering::SeqCst);
+                let more = spawned.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                    (n < TOTAL).then_some(n + 1)
+                });
+                if more.is_ok() {
+                    push((p + item as usize % 2) % 3, item / 2);
+                }
+            })
+        };
+        for i in 0..OWNER {
+            pool.push(i as usize % 3, i);
+        }
+        // Shutdown drains: it returns only once every thread has exited,
+        // and threads exit only on empty queues.
+        pool.shutdown();
+        assert_eq!(done.load(Ordering::SeqCst), TOTAL);
+    }
+
+    #[test]
+    fn shutdown_with_a_command_queued_behind_a_running_one_joins_every_thread() {
+        use std::sync::mpsc::channel;
+        // The parked threads are woken by the shutdown, find the queue
+        // non-empty but not runnable, and park again: the completions
+        // that follow must wake them to exit.
+        let (go_tx, go_rx) = channel::<()>();
+        let go_rx = Arc::new(Mutex::new(go_rx));
+        let pool = TaskPool::new(1, 3, move |_push, _tid, _p, item: u32| {
+            if item == 0 {
+                go_rx.lock().unwrap().recv().expect("released");
+            }
+        });
+        parks(&pool, 3);
+        pool.push(0, 0);
+        pool.push(0, 1);
+        parks(&pool, 4);
+        let shared = Arc::clone(&pool.shared);
+        let release = std::thread::spawn(move || {
+            // Once the flag is up and both idle threads parked again on
+            // the still-queued item.
+            loop {
+                let st = shared.state.lock().unwrap();
+                if st.shutdown && st.parked == 2 && st.stats.idle_waits >= 6 {
+                    break;
+                }
+                drop(st);
+                std::thread::yield_now();
+            }
+            go_tx.send(()).expect("item 0 waits");
+        });
+        pool.shutdown();
+        release.join().expect("released");
     }
 
     #[test]

@@ -164,14 +164,16 @@ impl VertexProgram for PingProgram {
     }
 }
 
-/// Test program for the superstep close: one vertex that re-activates
-/// itself forever, contributing 1 to a summed aggregate every superstep —
-/// per superstep, or over the run when `sticky` — and stopping once the
-/// aggregate reaches `stop_at`.
+/// Test program for the superstep close: one active vertex that forever
+/// activates the vertex `hop` ids on (itself when 0), contributing 1 to a
+/// summed aggregate every superstep — per superstep, or over the run when
+/// `sticky` — and stopping once the aggregate reaches `stop_at`, with the
+/// last message unread.
 #[cfg(test)]
 #[derive(Clone, Debug)]
 pub(crate) struct Tally {
     pub seed: VertexId,
+    pub hop: u32,
     pub sticky: bool,
     pub stop_at: u64,
 }
@@ -208,7 +210,7 @@ impl VertexProgram for Tally {
         ctx: &mut Context<'_, (), u64>,
     ) {
         ctx.aggregate(&1);
-        ctx.send(vertex, ());
+        ctx.send(VertexId(vertex.0 + self.hop), ());
     }
     fn should_terminate(&self, aggregate: &u64) -> bool {
         *aggregate >= self.stop_at

@@ -41,6 +41,14 @@
 //! the worker inboxes first, so scope reports, migration and the pending
 //! report see every message.
 //!
+//! Taking does not dismantle the slot: [`Partition::take`] swaps the
+//! slot's vector with the empty one the [`WorkerCtx`] owns, so the entry
+//! stays — with a buffer the next puts fill — until `Collect` removes it,
+//! and a Step's whole take is delivered under one lookup of the query's
+//! local ([`Worker::deliver_all`]). Together with the circulating batch
+//! buffers of [`crate::worker`], a steady-state Step puts, takes and
+//! delivers without touching the allocator.
+//!
 //! ## One superstep, one dispatch, one report
 //!
 //! The core hands over a whole superstep ([`Executor::superstep`]). If it
@@ -172,12 +180,15 @@ impl Partition {
             .push(batch);
     }
 
-    /// Take what was put for query `q`'s superstep `index`, in put order.
-    fn take(&self, q: QueryId, index: u32) -> Vec<MessageBatch> {
+    /// Take what was put for query `q`'s superstep `index`, in put order,
+    /// into the empty `into`: the two buffers trade places, so the slot
+    /// entry stays (until `Collect`) with a buffer the next puts fill.
+    fn take(&self, q: QueryId, index: u32, into: &mut Vec<MessageBatch>) {
+        debug_assert!(into.is_empty(), "the taken mail would be lost");
         let mut mail = relock(&self.mail);
-        mail.slots[(index & 1) as usize]
-            .remove(&q)
-            .unwrap_or_default()
+        if let Some(put) = mail.slots[(index & 1) as usize].get_mut(&q) {
+            std::mem::swap(put, into);
+        }
     }
 }
 
@@ -433,6 +444,9 @@ pub struct ThreadEngine {
     /// Test probe: what the coordinator dispatched and heard back.
     #[cfg(test)]
     traffic: Arc<StepTraffic>,
+    /// Test probe: the serving session's partitions (their mailboxes).
+    #[cfg(test)]
+    parts: Option<Arc<Vec<Partition>>>,
 }
 
 /// Supersteps the coordinator dispatched and step messages it received.
@@ -478,6 +492,8 @@ impl ThreadEngine {
             hb_test_early_quiesce: false,
             #[cfg(test)]
             traffic: Arc::default(),
+            #[cfg(test)]
+            parts: None,
         }
     }
 
@@ -643,12 +659,17 @@ impl ThreadEngine {
                             worker: Worker::configured(w, combiners, batch_max),
                             topology: Arc::clone(&shared_topology),
                             partitioning: Arc::clone(&shared_parts),
+                            taken: Vec::new(),
                         }),
                         mail: Mutex::default(),
                     }
                 })
                 .collect(),
         );
+        #[cfg(test)]
+        {
+            self.parts = Some(Arc::clone(&parts));
+        }
         let lane = Lane {
             width: pool_threads,
             parts: Arc::clone(&parts),
@@ -1257,6 +1278,9 @@ struct WorkerCtx {
     worker: Worker,
     topology: Arc<Topology>,
     partitioning: Arc<Partitioning>,
+    /// The buffer a Step takes its mail into (see [`Partition::take`]);
+    /// empty between Steps.
+    taken: Vec<MessageBatch>,
 }
 
 /// What every pool thread shares to execute commands: the partitions, the
@@ -1321,10 +1345,7 @@ impl Lane {
             let mail = std::mem::take(&mut *relock(&self.parts[w].mail));
             hb.mail_take(w);
             for (q, batches) in mail.slots.into_iter().flatten() {
-                let task = task_of(q);
-                for batch in batches {
-                    ctx.worker.deliver(task.as_ref(), q, batch);
-                }
+                ctx.worker.deliver_all(task_of(q).as_ref(), q, batches);
             }
         }
         let mut executed_n: u64 = 0;
@@ -1343,9 +1364,9 @@ impl Lane {
                 // with what the partition sent itself. Mail put from here
                 // on is for the next superstep and lands in the other slot.
                 hb.mail_take(w);
-                for batch in self.parts[w].take(q, index) {
-                    ctx.worker.deliver(task.as_ref(), q, batch);
-                }
+                self.parts[w].take(q, index, &mut ctx.taken);
+                ctx.worker
+                    .deliver_all(task.as_ref(), q, ctx.taken.drain(..));
                 ctx.worker.freeze(q);
                 let route = |v: VertexId| ctx.partitioning.worker_of(v).index();
                 let mut stats = SuperstepStats::default();
@@ -1550,6 +1571,7 @@ mod tests {
                     worker: Worker::new(w),
                     topology: Arc::clone(&topology),
                     partitioning: Arc::clone(&parts),
+                    taken: Vec::new(),
                 }),
                 mail: Mutex::default(),
             }
@@ -1653,6 +1675,13 @@ mod tests {
             [0, 1].map(|slot| mail.slots[slot].get(&Q).map_or(0, Vec::len))
         }
 
+        /// Does partition `w`'s mailbox have an entry for query 0, per
+        /// parity slot (a taken slot keeps its entry, empty).
+        fn holds(&self, w: usize) -> [bool; 2] {
+            let mail = relock(&self.lane.parts[w].mail);
+            [0, 1].map(|slot| mail.slots[slot].contains_key(&Q))
+        }
+
         fn has_pending(&self, w: usize) -> bool {
             let ctx = self.lane.parts[w].ctx.lock().unwrap();
             ctx.worker.has_pending(Q)
@@ -1662,6 +1691,7 @@ mod tests {
     fn tally(sticky: bool, stop_at: u64) -> Arc<dyn QueryTask> {
         Arc::new(TypedTask::new(Tally {
             seed: VertexId(0),
+            hop: 0,
             sticky,
             stop_at,
         }))
@@ -1788,8 +1818,41 @@ mod tests {
                 panic!("a Collect answers with the local");
             };
             assert_eq!(local.is_some(), w == 0, "only partition 0 executed");
-            assert_eq!(by_hand.mail(w), [0, 0]);
+            assert_eq!(by_hand.holds(w), [false, false]);
         }
+    }
+
+    #[test]
+    fn a_taken_slot_keeps_its_entry_and_trades_buffers_with_the_partition() {
+        let by_hand = ping_pong(&line(4));
+        let buffer = |w: usize, slot: usize| {
+            let mail = relock(&by_hand.lane.parts[w].mail);
+            (
+                mail.slots[slot][&Q].as_ptr(),
+                mail.slots[slot][&Q].capacity(),
+            )
+        };
+        let seeded = buffer(0, 0);
+        assert!(seeded.1 > 0 && by_hand.holds(0) == [true, false]);
+        // Superstep 0 on partition 0 takes the seed batch: the entry stays,
+        // empty, holding the (unallocated) buffer the partition owned, and
+        // the partition now owns the slot's.
+        by_hand.handle(0, by_hand.step_cmd(0, Some(by_hand.record(2, &[]))));
+        assert_eq!((by_hand.holds(0), by_hand.mail(0)), ([true, false], [0, 0]));
+        assert_eq!(buffer(0, 0).1, 0);
+        {
+            let ctx = by_hand.lane.parts[0].ctx.lock().unwrap();
+            assert!(ctx.taken.is_empty(), "delivered, every batch");
+            assert_eq!((ctx.taken.as_ptr(), ctx.taken.capacity()), seeded);
+        }
+        // Partition 1's Step sends back for superstep 1; superstep 2 would
+        // read parity 0 again, where the entry still is.
+        by_hand.handle(1, by_hand.step_cmd(0, Some(by_hand.record(1, &[]))));
+        assert_eq!((by_hand.holds(0), by_hand.mail(0)), ([true, true], [0, 1]));
+        by_hand.handle(0, by_hand.step_cmd(1, Some(by_hand.record(1, &[]))));
+        assert_eq!((by_hand.holds(0), by_hand.mail(0)), ([true, true], [0, 0]));
+        // The buffer superstep 0 took is the one superstep 1's slot keeps.
+        assert_eq!(buffer(0, 1), seeded);
     }
 
     #[test]
@@ -2068,6 +2131,40 @@ mod tests {
             assert!(e.output(h).is_some());
         }
         assert_eq!(e.report().outcomes.len(), 7);
+    }
+
+    #[test]
+    fn no_mail_entry_outlives_its_query() {
+        // `take` leaves entries behind; `Collect` is what removes them. A
+        // mixed stream over an every-hop-crosses layout: floods that end by
+        // running dry, a ping, and a tally its aggregate stops while the
+        // fourth vertex's activation waits in the mail.
+        let g = line(48);
+        let assign = (0..48).map(|v| qgraph_partition::WorkerId(v % 4));
+        let mut e = ThreadEngine::new(Arc::clone(&g), Partitioning::new(assign.collect(), 4));
+        for round in 0..3u32 {
+            for source in [0, 17, 30] {
+                e.submit(ReachProgram::bounded(VertexId(source + round), 9));
+            }
+            e.submit(PingProgram {
+                ring: (0..7).map(VertexId).collect(),
+                rounds: 5,
+            });
+            e.submit(Tally {
+                seed: VertexId(round),
+                hop: 1,
+                sticky: true,
+                stop_at: 3,
+            });
+            e.drain();
+            let parts = e.parts.as_ref().expect("serving");
+            for (w, part) in parts.iter().enumerate() {
+                let mail = relock(&part.mail);
+                let left: Vec<_> = mail.slots.iter().flat_map(|s| s.keys()).collect();
+                assert!(left.is_empty(), "partition {w} still holds {left:?}");
+            }
+        }
+        assert_eq!(e.report().outcomes.len(), 15);
     }
 
     #[test]

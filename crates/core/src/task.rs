@@ -17,6 +17,12 @@
 //!   the output envelope exactly once, in
 //!   [`Engine::output`](crate::Engine::output).
 //!
+//! A message batch's payload is the sender's bucket itself — a
+//! `Box<Vec<(VertexId, Message)>>` coerced to an [`Envelope`], not a
+//! vector boxed a second time — and [`QueryTask::deliver`] downcasts it
+//! back to the same box, which the receiving [`QueryLocal`] keeps as the
+//! buffer of a bucket it will send (see [`crate::worker`]).
+//!
 //! The counts a runtime needs for cost accounting (how many messages a
 //! batch carries) ride alongside the envelope in [`MessageBatch`], so the
 //! simulation's network model never has to peek inside an erased payload.
@@ -29,7 +35,7 @@ use rustc_hash::{FxHashMap, FxHashSet};
 use qgraph_graph::{Topology, VertexId};
 
 use crate::program::VertexProgram;
-use crate::worker::{CombineScratch, LocalState, QueryLocal, SuperstepStats};
+use crate::worker::{Batch, CombineScratch, LocalState, QueryLocal, SuperstepStats};
 
 /// A type-erased, sendable payload (messages, aggregate, states, output).
 pub type Envelope = Box<dyn Any + Send>;
@@ -48,7 +54,8 @@ pub(crate) fn take_output<P: VertexProgram>(
 }
 
 /// A batch of one query's messages addressed to one worker. The payload is
-/// a `Vec<(VertexId, P::Message)>` behind an [`Envelope`]; the message
+/// the sender's boxed `Vec<(VertexId, P::Message)>` as an [`Envelope`]
+/// (one allocation, which the receiver reuses); the message
 /// counts are carried openly for the runtimes' cost models: `count` is
 /// what the batch actually holds (post sender-side combining — what the
 /// wire carries and the network model prices), `pre_combine` what the
@@ -176,8 +183,9 @@ impl<P: VertexProgram> TypedTask<P> {
             .expect("query task type mismatch: local state is not this program's")
     }
 
-    fn messages(&self, batch: MessageBatch) -> Vec<(VertexId, P::Message)> {
-        *batch
+    /// The batch's buffer, still in the box it travelled in.
+    fn messages(&self, batch: MessageBatch) -> Batch<P> {
+        batch
             .payload
             .downcast::<Vec<(VertexId, P::Message)>>()
             .expect("query task type mismatch: message batch is not this program's")
@@ -189,11 +197,12 @@ impl<P: VertexProgram> TypedTask<P> {
             .expect("query task type mismatch: aggregate envelope is not this program's")
     }
 
-    fn wrap_batch(&self, pre_combine: usize, msgs: Vec<(VertexId, P::Message)>) -> MessageBatch {
+    /// The box becomes the payload as it is: no second allocation.
+    fn wrap_batch(&self, pre_combine: usize, msgs: Batch<P>) -> MessageBatch {
         MessageBatch {
             count: msgs.len(),
             pre_combine,
-            payload: Box::new(msgs),
+            payload: msgs,
         }
     }
 
@@ -206,7 +215,7 @@ impl<P: VertexProgram> TypedTask<P> {
     #[cfg(test)]
     pub(crate) fn batch_for_test(&self, msgs: Vec<(VertexId, P::Message)>) -> MessageBatch {
         let pre = msgs.len();
-        self.wrap_batch(pre, msgs)
+        self.wrap_batch(pre, Box::new(msgs))
     }
 }
 
@@ -270,7 +279,7 @@ impl<P: VertexProgram> QueryTask for TypedTask<P> {
                 if combiners {
                     self.combine_bucket(&mut msgs);
                 }
-                (w, self.wrap_batch(pre, msgs))
+                (w, self.wrap_batch(pre, Box::new(msgs)))
             })
             .collect();
         out.sort_unstable_by_key(|(w, _)| *w); // deterministic order
@@ -363,7 +372,7 @@ mod tests {
         let mk = |v: u32| -> Box<dyn LocalState> {
             let program = Arc::new(ReachProgram::new(VertexId(0)));
             let mut local = QueryLocal::<ReachProgram>::new(Arc::clone(&program), true);
-            local.deliver(vec![(VertexId(v), 0u32)]);
+            local.deliver(Box::new(vec![(VertexId(v), 0u32)]));
             LocalState::freeze(&mut local);
             local.execute(
                 &g,
@@ -378,6 +387,38 @@ mod tests {
         let out = task.finalize(&g, vec![mk(0), mk(3)]);
         let reached = out.downcast::<Vec<VertexId>>().expect("typed output");
         assert_eq!(*reached, vec![VertexId(0), VertexId(3)]);
+    }
+
+    #[test]
+    fn a_batch_travels_in_one_box_from_delivery_to_the_next_send() {
+        // 0 -> 1 with vertex 1 on worker 1: what worker 0 sends is the
+        // envelope it was sent.
+        let mut b = GraphBuilder::new(2);
+        b.add_edge(0, 1, 1.0);
+        let g = Topology::new(b.build());
+        let task = TypedTask::new(ReachProgram::new(VertexId(0)));
+        let address = |batch: &MessageBatch| {
+            let msgs = batch.payload.downcast_ref::<Vec<(VertexId, u32)>>();
+            msgs.expect("a reach batch") as *const Vec<_>
+        };
+        let arriving = task.batch_for_test(vec![(VertexId(0), 0)]);
+        let sent = address(&arriving);
+        let mut local = task.new_local(true);
+        task.deliver(local.as_mut(), arriving);
+        local.freeze();
+        let (_, _, remote) = task.execute(
+            local.as_mut(),
+            &g,
+            &task.aggregate_identity(),
+            0,
+            &|v| v.0 as usize,
+            &mut CombineScratch::default(),
+        );
+        let [(1, leaving)] = &remote[..] else {
+            panic!("one batch, for worker 1");
+        };
+        assert_eq!(address(leaving), sent);
+        assert_eq!((leaving.len(), leaving.pre_combine()), (1, 1));
     }
 
     #[test]

@@ -25,6 +25,20 @@
 //! charge combined traffic while still accounting for what combining
 //! saved.
 //!
+//! A steady-state superstep allocates nothing for its messages. The
+//! [`QueryLocal`] keeps every buffer it works in across supersteps — the
+//! frozen runs, the inbox, the vector `compute` sends into, and a dense
+//! per-destination bucket table in place of a per-superstep hash map —
+//! and the batch buffers themselves **circulate**: `deliver` drains a
+//! batch that arrived and parks its emptied, still boxed, buffer on a
+//! short spare list ([`SPARE_BATCHES`]); `execute` opens a bucket by
+//! popping one; the box then travels as the [`MessageBatch`] payload to
+//! the next partition's spare list. On a hash layout a partition receives
+//! about as many batches as it sends, so the envelopes travel in circles;
+//! the list dies with the local when the query is collected. The table is
+//! walked in index order, so the batches leave in ascending destination
+//! order without a sort.
+//!
 //! Since the heterogeneous-query redesign the worker is **not generic**:
 //! each query's local state is held behind the object-safe [`LocalState`]
 //! facade, and every operation whose signature mentions program-specific
@@ -106,11 +120,6 @@ pub trait LocalState: Any + Send {
     /// Does a next superstep have pending messages here?
     fn has_pending(&self) -> bool;
 
-    /// `(active vertices, messages)` pending for the next superstep.
-    /// Counted pre-coalesce (the inbox is flat until the freeze), so the
-    /// message count is an upper bound on what the superstep will apply.
-    fn pending_counts(&self) -> (usize, usize);
-
     /// Freeze the pending inbox as the current superstep's input; returns
     /// `(active vertices, messages)` for the cost model (messages
     /// post-combine — what will actually be applied).
@@ -147,7 +156,30 @@ pub struct QueryLocal<P: VertexProgram> {
     /// Apply the program's combiner (engines disable this to verify
     /// output equivalence).
     combine: bool,
+    /// What `compute` produced this superstep, before routing. Empty
+    /// between supersteps; kept for its capacity.
+    outgoing: Vec<(VertexId, P::Message)>,
+    /// Routing table of the running superstep, indexed by destination
+    /// worker: `(pre-combine count, open bucket)`. All closed between
+    /// supersteps; kept so routing hashes nothing.
+    buckets: Vec<(usize, Option<Batch<P>>)>,
+    /// Emptied buffers of delivered batches, at most [`SPARE_BATCHES`]:
+    /// the next buckets `execute` opens.
+    spare: Vec<Batch<P>>,
 }
+
+/// The buffer of one message batch. It stays boxed from the sender's
+/// bucket through the [`MessageBatch`] payload to the receiver's spare
+/// list, so a batch crossing partitions moves one pointer and allocates
+/// nothing once buffers circulate.
+pub(crate) type Batch<P> = Box<Vec<(VertexId, <P as VertexProgram>::Message)>>;
+
+/// How many emptied batch buffers a [`QueryLocal`] keeps. A superstep
+/// opens at most one bucket per other partition and, on a hash layout,
+/// receives about as many batches as it sends; anything past a few
+/// supersteps' worth would only be memory held by a query that stopped
+/// sending.
+const SPARE_BATCHES: usize = 32;
 
 /// Worker-owned sender-side combine index: a stamp-tagged
 /// direct-address array `vertex → slot in its destination bucket`.
@@ -203,6 +235,9 @@ impl<P: VertexProgram> QueryLocal<P> {
             state: FxHashMap::default(),
             program,
             combine,
+            outgoing: Vec::new(),
+            buckets: Vec::new(),
+            spare: Vec::new(),
         }
     }
 
@@ -227,11 +262,6 @@ impl<P: VertexProgram> QueryLocal<P> {
 impl<P: VertexProgram> LocalState for QueryLocal<P> {
     fn has_pending(&self) -> bool {
         !self.next.is_empty()
-    }
-
-    fn pending_counts(&self) -> (usize, usize) {
-        let distinct: FxHashSet<VertexId> = self.next.iter().map(|(v, _)| *v).collect();
-        (distinct.len(), self.next.len())
     }
 
     /// Called at *barrier release* (not task start): all involved workers
@@ -290,10 +320,14 @@ impl<P: VertexProgram> LocalState for QueryLocal<P> {
 }
 
 impl<P: VertexProgram> QueryLocal<P> {
-    /// Deliver messages into the next-superstep inbox (a flat append).
-    pub(crate) fn deliver(&mut self, msgs: impl IntoIterator<Item = (VertexId, P::Message)>) {
-        for (v, m) in msgs {
+    /// Deliver a batch into the next-superstep inbox (a flat append) and
+    /// keep its emptied buffer for a bucket of a later superstep.
+    pub(crate) fn deliver(&mut self, mut batch: Batch<P>) {
+        for (v, m) in batch.drain(..) {
             self.push_pending(v, m);
+        }
+        if self.spare.len() < SPARE_BATCHES {
+            self.spare.push(batch);
         }
     }
 
@@ -301,9 +335,9 @@ impl<P: VertexProgram> QueryLocal<P> {
     ///
     /// `route` resolves the *current* assignment; messages to `home` go
     /// straight into the next inbox, others are returned bucketed by
-    /// destination worker as `(worker, pre-combine count, messages)` —
-    /// each bucket vertex-sorted and combined when the program has a
-    /// combiner.
+    /// destination worker as `(worker, pre-combine count, messages)`, in
+    /// ascending worker order — each bucket combined when the program has
+    /// a combiner.
     #[allow(clippy::type_complexity)]
     pub(crate) fn execute(
         &mut self,
@@ -313,21 +347,20 @@ impl<P: VertexProgram> QueryLocal<P> {
         home: usize,
         route: &dyn Fn(VertexId) -> usize,
         scratch: &mut CombineScratch,
-    ) -> (
-        SuperstepStats,
-        P::Aggregate,
-        Vec<(usize, usize, Vec<(VertexId, P::Message)>)>,
-    ) {
+    ) -> (SuperstepStats, P::Aggregate, Vec<(usize, usize, Batch<P>)>) {
         let mut stats = SuperstepStats {
             tasks: 1,
             ..SuperstepStats::default()
         };
         let mut aggregate = program.aggregate_identity();
-        let mut outgoing: Vec<(VertexId, P::Message)> = Vec::new();
         let combine = |a: &mut P::Aggregate, b: &P::Aggregate| program.aggregate_combine(a, b);
 
+        // The frozen buffers and the outgoing vector are taken for the
+        // loop and handed back empty: their capacity amortizes across the
+        // query's supersteps instead of regrowing from zero at every one.
         let mut cur = std::mem::take(&mut self.cur);
         let mut cur_msgs = std::mem::take(&mut self.cur_msgs);
+        let mut outgoing = std::mem::take(&mut self.outgoing);
         for (v, run) in &cur {
             let msgs = &cur_msgs[run.clone()];
             let state = self.state.entry(*v).or_insert_with(|| program.init_state());
@@ -341,9 +374,6 @@ impl<P: VertexProgram> QueryLocal<P> {
             stats.executed += 1;
             stats.messages_in += msgs.len();
         }
-        // Hand the frozen buffers back empty: their capacity amortizes
-        // across the query's supersteps instead of reallocating from zero
-        // at every freeze.
         cur.clear();
         cur_msgs.clear();
         self.cur = cur;
@@ -353,13 +383,12 @@ impl<P: VertexProgram> QueryLocal<P> {
         // the buckets are built: one direct-address scratch probe per
         // remote message merges it into an earlier message to the same
         // vertex — no hashing, no sort, nothing for the receiver to redo.
-        // Bucket counts track `(pre-combine, messages)` per worker.
-        let mut buckets: FxHashMap<usize, (usize, Vec<(VertexId, P::Message)>)> =
-            FxHashMap::default();
+        // A bucket is opened on a spare buffer when there is one.
         if self.combine {
             scratch.begin(graph.num_vertices());
         }
-        for (to, msg) in outgoing {
+        let mut opened = 0;
+        for (to, msg) in outgoing.drain(..) {
             let w = route(to);
             if w == home {
                 self.push_pending(to, msg);
@@ -367,8 +396,15 @@ impl<P: VertexProgram> QueryLocal<P> {
                 continue;
             }
             stats.remote_pre_combine += 1;
-            let (pre, bucket) = buckets.entry(w).or_default();
+            if w >= self.buckets.len() {
+                self.buckets.resize_with(w + 1, || (0, None));
+            }
+            let (pre, bucket) = &mut self.buckets[w];
             *pre += 1;
+            let bucket = bucket.get_or_insert_with(|| {
+                opened += 1;
+                self.spare.pop().unwrap_or_default()
+            });
             if self.combine {
                 if let Some(slot) = scratch.slot(to) {
                     if program.combine(&mut bucket[slot].1, &msg) {
@@ -381,14 +417,18 @@ impl<P: VertexProgram> QueryLocal<P> {
             }
             bucket.push((to, msg));
         }
+        self.outgoing = outgoing;
         stats.local_scope = self.state.len();
 
-        let mut remote: Vec<(usize, usize, Vec<(VertexId, P::Message)>)> = Vec::new();
-        for (w, (pre, msgs)) in buckets {
-            stats.remote_deliveries += msgs.len();
-            remote.push((w, pre, msgs));
+        // The table is walked in index order, so the batches come out by
+        // ascending destination — the deterministic order — unsorted.
+        let mut remote = Vec::with_capacity(opened);
+        for (w, (pre, bucket)) in self.buckets.iter_mut().enumerate() {
+            if let Some(msgs) = bucket.take() {
+                stats.remote_deliveries += msgs.len();
+                remote.push((w, std::mem::take(pre), msgs));
+            }
         }
-        remote.sort_unstable_by_key(|(w, _, _)| *w); // deterministic order
         (stats, aggregate, remote)
     }
 
@@ -526,18 +566,26 @@ impl Worker {
 
     /// Deliver a message batch into query `q`'s next-superstep inbox.
     pub fn deliver(&mut self, task: &dyn QueryTask, q: QueryId, batch: MessageBatch) {
+        self.deliver_all(task, q, [batch]);
+    }
+
+    /// Deliver `batches`, in order, into query `q`'s next-superstep inbox
+    /// under one lookup of the query's local.
+    pub fn deliver_all(
+        &mut self,
+        task: &dyn QueryTask,
+        q: QueryId,
+        batches: impl IntoIterator<Item = MessageBatch>,
+    ) {
         let local = self.local_or_new(task, q);
-        task.deliver(local.as_mut(), batch);
+        for batch in batches {
+            task.deliver(local.as_mut(), batch);
+        }
     }
 
     /// Does query `q` have pending messages for a next superstep here?
     pub fn has_pending(&self, q: QueryId) -> bool {
         self.queries.get(&q).is_some_and(|l| l.has_pending())
-    }
-
-    /// `(active vertices, messages)` pending for query `q`'s next superstep.
-    pub fn pending_counts(&self, q: QueryId) -> (usize, usize) {
-        self.queries.get(&q).map_or((0, 0), |l| l.pending_counts())
     }
 
     /// Freeze query `q`'s pending inbox as the current superstep's input;
@@ -682,10 +730,7 @@ mod tests {
         let q = QueryId(0);
         w.deliver(&task, q, batch(&task, vec![(VertexId(0), 0)]));
         assert!(w.has_pending(q));
-        assert_eq!(w.pending_counts(q), (1, 1));
-
-        let (active, msgs) = w.freeze(q);
-        assert_eq!((active, msgs), (1, 1));
+        assert_eq!(w.freeze(q), (1, 1));
         let prev = task.aggregate_identity();
         let (stats, _agg, remote) = w.execute(q, &task, &g, &prev, &|_| 0);
         assert_eq!(stats.executed, 1);
@@ -730,10 +775,9 @@ mod tests {
             q,
             batch(&task, vec![(VertexId(1), 1), (VertexId(1), 2)]),
         );
-        let (_, pending) = w.pending_counts(q);
+        assert!(w.has_pending(q));
         let (active, msgs) = w.freeze(q);
         assert_eq!(active, 2);
-        assert!(msgs <= pending, "coalesce never grows the inbox");
         assert_eq!(msgs, 2, "per-vertex runs collapse to one message");
     }
 
@@ -795,7 +839,7 @@ mod tests {
         b.inject_vertices(&task_of, data);
         assert_eq!(b.scope_size(q), 1);
         assert!(b.has_pending(q));
-        assert_eq!(b.pending_counts(q), (1, 1));
+        assert_eq!(b.freeze(q), (1, 1));
     }
 
     #[test]
@@ -816,7 +860,7 @@ mod tests {
         let data = w.extract_vertices(&task_of, &moved);
         assert_eq!(data.len(), 1);
         assert!(w.has_pending(q), "vertex 2's message stays");
-        assert_eq!(w.pending_counts(q), (1, 1));
+        assert_eq!(w.freeze(q), (1, 1));
     }
 
     #[test]
@@ -899,6 +943,111 @@ mod tests {
         let q = QueryId(0);
         w.deliver(&task, q, batch(&task, vec![(VertexId(0), 0)]));
         // Delivering a ping batch through the reach local must be caught.
-        w.deliver(&ping, q, ping.batch_for_test(vec![(VertexId(0), 0)]));
+        w.deliver_all(&ping, q, [ping.batch_for_test(vec![(VertexId(0), 0)])]);
+    }
+
+    fn reach_local() -> (Arc<ReachProgram>, QueryLocal<ReachProgram>) {
+        let program = Arc::new(ReachProgram::new(VertexId(0)));
+        let local = QueryLocal::new(Arc::clone(&program), true);
+        (program, local)
+    }
+
+    #[test]
+    fn a_delivered_batchs_buffer_is_the_next_bucket() {
+        let g = line(); // 0 -> 1, with vertex 1 on worker 1
+        let (program, mut local) = reach_local();
+        let mut travelling: Batch<ReachProgram> = Box::new(Vec::with_capacity(7));
+        travelling.push((VertexId(0), 0));
+        let (envelope, buffer) = (&*travelling as *const Vec<_>, travelling.as_ptr());
+        local.deliver(travelling);
+        local.freeze();
+        let route = |v: VertexId| v.0 as usize;
+        let mut scratch = CombineScratch::default();
+        let (_, (), remote) = local.execute(&g, &program, &(), 0, &route, &mut scratch);
+        let [(1, 1, bucket)] = &remote[..] else {
+            panic!("one bucket, for worker 1");
+        };
+        // Same box, same heap buffer: nothing was allocated for the batch.
+        assert_eq!(
+            (&**bucket as *const Vec<_>, bucket.as_ptr()),
+            (envelope, buffer)
+        );
+        assert_eq!((bucket.len(), bucket.capacity()), (1, 7));
+        assert!(local.spare.is_empty(), "the one spare is on its way");
+    }
+
+    #[test]
+    fn the_spare_list_is_capped() {
+        let (_, mut local) = reach_local();
+        for i in 0..SPARE_BATCHES as u32 + 5 {
+            local.deliver(Box::new(vec![(VertexId(i), 0)]));
+            assert!(local.spare.len() <= SPARE_BATCHES);
+        }
+        assert_eq!(local.spare.len(), SPARE_BATCHES);
+        assert_eq!(local.next.len(), SPARE_BATCHES + 5, "no message lost");
+    }
+
+    #[test]
+    fn remote_comes_out_in_ascending_destination_order() {
+        // `compute` walks the edges to 1, 2, 3, 4, which live on workers
+        // 4, 3, 2, 1: the buckets are opened in descending order. Vertices
+        // 0 and 5 are at home; the second round reuses the table.
+        let mut b = GraphBuilder::new(6);
+        for t in 1..5 {
+            b.add_edge(0, t, 1.0);
+            b.add_edge(5, t, 1.0);
+        }
+        let g = Topology::new(b.build());
+        let task = reach_task();
+        let q = QueryId(0);
+        let mut w = Worker::new(0);
+        let route = |v: VertexId| (5 - v.0 as usize) % 5;
+        let prev = task.aggregate_identity();
+        for round in 0..2 {
+            w.deliver(&task, q, batch(&task, vec![(VertexId(5 * round), 0)]));
+            w.freeze(q);
+            let (stats, _, remote) = w.execute(q, &task, &g, &prev, &route);
+            let to: Vec<usize> = remote.iter().map(|(to, _)| *to).collect();
+            assert_eq!(to, vec![1, 2, 3, 4], "round {round}");
+            assert!(remote
+                .iter()
+                .all(|(_, b)| b.len() == 1 && b.pre_combine() == 1));
+            assert_eq!((stats.remote_deliveries, stats.remote_batches), (4, 4));
+        }
+    }
+
+    #[test]
+    fn sender_side_counts_with_the_combiner_on_and_off() {
+        // Two vertices at home relax the one vertex that is away, 2, in
+        // each of two supersteps (0 and 1, then 3 and 4).
+        let mut b = GraphBuilder::new(5);
+        for s in [0, 1, 3, 4] {
+            b.add_edge(s, 2, 1.0);
+        }
+        let g = Topology::new(b.build());
+        let task = reach_task();
+        let q = QueryId(0);
+        let route = |v: VertexId| usize::from(v == VertexId(2));
+        let prev = task.aggregate_identity();
+        // (remote_pre_combine, remote_deliveries, remote_batches)
+        for (combiners, counts) in [(true, (2, 1, 1)), (false, (2, 2, 1))] {
+            let mut w = Worker::configured(0, combiners, 32);
+            for first in [0, 3] {
+                let seeds = vec![(VertexId(first), 0), (VertexId(first + 1), 3)];
+                w.deliver(&task, q, batch(&task, seeds));
+                w.freeze(q);
+                let (stats, _, remote) = w.execute(q, &task, &g, &prev, &route);
+                let got = (
+                    stats.remote_pre_combine,
+                    stats.remote_deliveries,
+                    stats.remote_batches,
+                );
+                assert_eq!(got, counts, "combiners {combiners}");
+                assert_eq!(
+                    (remote[0].1.pre_combine(), remote[0].1.len()),
+                    (2, counts.1)
+                );
+            }
+        }
     }
 }
