@@ -280,8 +280,8 @@ pub(crate) struct MutationApply {
 /// one is installed — see [`crate::index_plane::PointIndex::repair`]),
 /// record `MutationEvent`s, and evaluate the compaction policy once at
 /// the end. The executors add what is theirs alone — the sim charges
-/// virtual cost from the returned totals, the thread runtime broadcasts
-/// the new `Arc<Topology>` to its partitions.
+/// virtual cost from the returned totals, the thread runtime installs
+/// the new `Arc<Topology>` in its partitions.
 pub(crate) fn apply_mutation_epochs(
     state: &mut crate::coord::EngineState,
     batches: &[MutationBatch],

@@ -164,8 +164,13 @@ pub(crate) trait Executor {
     /// Every `(query, partition, live scope vertices)` triple.
     fn scope_report(&mut self) -> Vec<(QueryId, usize, Vec<VertexId>)>;
     /// Move the resolved transfers' vertex state *and* pending inboxes;
-    /// returns the `(query, partition)` pairs that gained state.
-    fn migrate(&mut self, migration: &Migration) -> Vec<(QueryId, usize)>;
+    /// `task_of` resolves a live query's task. Returns the `(query,
+    /// partition)` pairs that gained state.
+    fn migrate(
+        &mut self,
+        migration: &Migration,
+        task_of: &dyn Fn(QueryId) -> Arc<dyn QueryTask>,
+    ) -> Vec<(QueryId, usize)>;
     /// Every `(query, partition)` pair with pending messages.
     fn pending_report(&mut self) -> Vec<(QueryId, usize)>;
 }
@@ -386,7 +391,7 @@ impl Coordinator {
     }
 
     /// A stop-the-world window is wanted (or open): the executor runs
-    /// [`Coordinator::window_apply`] once its partitions are quiescent.
+    /// [`Coordinator::window_open`] once its partitions are quiescent.
     pub fn paused(&self) -> bool {
         self.paused
     }
@@ -836,25 +841,37 @@ impl Coordinator {
     // The stop-the-world window
     // ------------------------------------------------------------------
 
-    /// The window body, entered once the executor's partitions are
-    /// quiescent: apply every queued mutation batch (each a new graph
-    /// epoch; compaction and index repair ride along), then the due
-    /// repartition. One window serves both, so a mutation landing while a
-    /// Q-cut phase is pending costs no extra quiesce. The executor calls
-    /// [`Coordinator::window_end`] when the window's work is done.
-    pub fn window_apply<X: Executor>(&mut self, x: &mut X) {
+    /// Open the window once the executor's partitions are quiescent. The
+    /// executor may then touch them (the thread runtime flushes their
+    /// mailboxes) before it runs [`Coordinator::window_apply`].
+    pub fn window_open<X: Executor>(&mut self, x: &X) {
         let entered = x.now();
         // Open the auditor's window *before* anything else: if a dispatch
-        // is still in flight, its two-stack report beats a bare assert.
+        // is still in flight, its two-stack report beats a bare assert,
+        // and no partition has been touched yet.
         self.hb.quiesce_begin();
         self.tracer.quiesce_begin(secs(entered));
         debug_assert!(self.paused, "a window nobody wanted");
-        let st = &mut self.state;
+        let report = &self.state.report;
         self.window = Some(Window {
             entered,
-            mutations_from: st.report.mutations.len(),
-            repartitions_from: st.report.repartitions.len(),
+            mutations_from: report.mutations.len(),
+            repartitions_from: report.repartitions.len(),
         });
+    }
+
+    /// The window body, in the window [`Coordinator::window_open`]
+    /// opened: apply every queued mutation batch (each a new graph epoch;
+    /// compaction and index repair ride along), then the due repartition.
+    /// One window serves both, so a mutation landing while a Q-cut phase
+    /// is pending costs no extra quiesce. The executor calls
+    /// [`Coordinator::window_end`] when the window's work is done.
+    pub fn window_apply<X: Executor>(&mut self, x: &mut X) {
+        let Some(entered) = self.window.as_ref().map(|w| w.entered) else {
+            debug_assert!(false, "window_apply without an open window");
+            return;
+        };
+        let st = &mut self.state;
 
         // Phase 1: mutation epochs, in arrival order.
         let batches = std::mem::take(&mut self.mutations);
@@ -942,10 +959,13 @@ impl Coordinator {
             return;
         }
         let observed = st.controller.observed_scopes(&live);
+        // Only live queries hold state on a partition: `Collect` took a
+        // finished one's.
+        let task_of = |q: QueryId| Arc::clone(&queries[&q].task);
         let mut gained = Vec::new();
         let (locality_before, locality_after) =
             migrate::apply_measured(&migration, &mut st.partitioning, &observed, || {
-                gained = x.migrate(&migration);
+                gained = x.migrate(&migration, &task_of);
             });
         let version = self.hb.publish_partitioning(0);
         x.publish_partitioning(&st.partitioning, version);
@@ -1090,7 +1110,11 @@ mod tests {
         fn scope_report(&mut self) -> Vec<(QueryId, usize, Vec<VertexId>)> {
             self.scopes.clone()
         }
-        fn migrate(&mut self, _: &Migration) -> Vec<(QueryId, usize)> {
+        fn migrate(
+            &mut self,
+            _: &Migration,
+            _: &dyn Fn(QueryId) -> Arc<dyn QueryTask>,
+        ) -> Vec<(QueryId, usize)> {
             self.log.push(Op::Migrate);
             self.gained.clone()
         }
@@ -1235,6 +1259,7 @@ mod tests {
         x.scopes = vec![(QueryId(0), 0, vec![VertexId(0), VertexId(1)])];
         x.gained = vec![(QueryId(0), 2)];
         x.pending = vec![(QueryId(0), 2)];
+        core.window_open(&x);
         core.window_apply(&mut x);
         assert_eq!(x.log, vec![Op::Migrate, Op::PublishPartitioning]);
         assert_eq!(core.state.partitioning.worker_of(VertexId(1)).index(), 2);
@@ -1304,6 +1329,7 @@ mod tests {
             core.release(&mut x, QueryId(q), at(sec + 1));
         }
         x.clock = at(sec + 2);
+        core.window_open(&x);
         core.window_apply(&mut x);
         core.window_end(&mut x, at(sec + 3));
         // The script reported no scopes, so nothing moved — and still the
@@ -1518,6 +1544,7 @@ mod tests {
         assert_eq!(core.run(QueryId(0)).out.iterations, 5);
         // The window resumes it where its messages are, as superstep 5.
         x.clock = at(3);
+        core.window_open(&x);
         core.window_apply(&mut x);
         x.log.clear();
         core.window_end(&mut x, at(4));
@@ -1660,6 +1687,7 @@ mod tests {
         core.mutate(batch);
         core.release(&mut x, QueryId(0), at(10));
         x.clock = at(11);
+        core.window_open(&x);
         core.window_apply(&mut x);
         core.window_end(&mut x, at(12));
         assert!(x.log.contains(&Op::PublishTopology(1)));

@@ -62,12 +62,12 @@ use crate::task::{Envelope, MessageBatch, QueryTask, TypedTask};
 use crate::trace::{cmd, Tracer};
 use crate::worker::Worker;
 
-#[derive(Clone, Debug)]
 enum Event {
     /// A streamed query's virtual arrival time was reached: it enters the
     /// admission queue (see [`SimEngine::submit_when`]).
     Arrival {
         q: QueryId,
+        task: Arc<dyn QueryTask>,
         deadline: Option<SimTime>,
     },
     /// Query `q` may run a superstep on worker `w`.
@@ -120,8 +120,6 @@ struct SimExec {
     /// and idle waits are physical-pool phenomena and stay 0 here).
     pool_tasks: u64,
     events: EventQueue<Event>,
-    /// Every submitted query's task, by id.
-    tasks: Vec<Arc<dyn QueryTask>>,
     outputs: Vec<Option<Envelope>>,
     /// Per query: latest arrival of any inter-worker message it sent.
     msg_arrival: Vec<SimTime>,
@@ -215,21 +213,15 @@ impl Executor for SimExec {
     }
 
     fn scope_report(&mut self) -> Vec<(QueryId, usize, Vec<VertexId>)> {
-        let mut out = Vec::new();
-        for (w, worker) in self.workers.iter().enumerate() {
-            out.extend(
-                worker
-                    .active_queries()
-                    .map(|q| (q, w, worker.scope_vertices(q))),
-            );
-        }
-        out
+        self.workers.iter().flat_map(Worker::scope_report).collect()
     }
 
-    fn migrate(&mut self, migration: &Migration) -> Vec<(QueryId, usize)> {
-        let tasks = &self.tasks;
-        let task_of = |q: QueryId| Arc::clone(&tasks[q.index()]);
-        let gained = migrate::apply_to_workers(migration, &mut self.workers, &task_of);
+    fn migrate(
+        &mut self,
+        migration: &Migration,
+        task_of: &dyn Fn(QueryId) -> Arc<dyn QueryTask>,
+    ) -> Vec<(QueryId, usize)> {
+        let gained = migrate::apply_to_workers(migration, &mut self.workers, task_of);
         // The migration lasts as long as the slowest pair's bulk transfer.
         self.window_cost += migration
             .per_pair
@@ -247,12 +239,10 @@ impl Executor for SimExec {
     }
 
     fn pending_report(&mut self) -> Vec<(QueryId, usize)> {
-        let mut out = Vec::new();
-        for (w, worker) in self.workers.iter().enumerate() {
-            let pending = worker.active_queries().filter(|&q| worker.has_pending(q));
-            out.extend(pending.map(|q| (q, w)));
-        }
-        out
+        self.workers
+            .iter()
+            .flat_map(Worker::pending_report)
+            .collect()
     }
 }
 
@@ -386,7 +376,6 @@ impl SimEngine {
             pool_busy: 0,
             pool_tasks: 0,
             events: EventQueue::new(),
-            tasks: Vec::new(),
             outputs: Vec::new(),
             msg_arrival: Vec::new(),
             released: Vec::new(),
@@ -454,7 +443,7 @@ impl SimEngine {
         submission: Submission,
     ) -> QueryId {
         let x = &mut self.x;
-        let q = QueryId(x.tasks.len() as u32);
+        let q = QueryId(x.outputs.len() as u32);
         let now = x.events.now();
         // An arrival in the past clamps to now: the clock never rewinds.
         let arrival = submission
@@ -464,12 +453,12 @@ impl SimEngine {
         let deadline = submission
             .deadline_secs
             .map(|d| arrival + SimTime::from_secs_f64(d));
-        x.tasks.push(Arc::clone(&task));
         x.outputs.push(None);
         x.msg_arrival.push(SimTime::ZERO);
         x.released.push(0);
         if arrival > now {
-            x.events.schedule(arrival, Event::Arrival { q, deadline });
+            x.events
+                .schedule(arrival, Event::Arrival { q, task, deadline });
         } else {
             self.core.submit(q, task, arrival, deadline);
         }
@@ -515,10 +504,9 @@ impl SimEngine {
         while let Some(ev) = self.x.events.pop() {
             let now = ev.at;
             match ev.payload {
-                Event::Arrival { q, deadline } => {
+                Event::Arrival { q, task, deadline } => {
                     // During a STOP barrier the query waits in the queue
                     // exactly like a resident one.
-                    let task = Arc::clone(&self.x.tasks[q.index()]);
                     if self.core.submit(q, task, now, deadline) {
                         self.core.admit(&mut self.x, now);
                     }
@@ -556,6 +544,7 @@ impl SimEngine {
                     // The core opens the auditor's window first: if a
                     // dispatch is still in flight, its two-stack report
                     // beats this bare assert.
+                    self.core.window_open(&self.x);
                     self.core.window_apply(&mut self.x);
                     debug_assert!(self.x.is_quiescent());
                     let end = self.x.now() + self.x.max_control_cost();
@@ -1001,6 +990,25 @@ mod tests {
             ..Default::default()
         };
         let _ = SimEngine::new(g, ClusterModel::scale_up(2), parts, cfg);
+    }
+
+    /// Submitted through the erased paths — at once and as a future
+    /// arrival — a task is held while its query lives, and by nothing once
+    /// it finished.
+    #[test]
+    fn a_finished_querys_task_is_dropped() {
+        let mut e = engine_on(line_graph(8), 2, SystemConfig::default());
+        let reach = |v| -> Arc<dyn QueryTask> { Arc::new(TypedTask::new(ReachProgram::new(v))) };
+        let (now, later) = (reach(VertexId(0)), reach(VertexId(3)));
+        let kept = [Arc::downgrade(&now), Arc::downgrade(&later)];
+        e.submit_task(now);
+        e.submit_task_when(later, Submission::at(1e-3));
+        e.run();
+        assert_eq!(e.report().outcomes.len(), 2);
+        assert!(
+            kept.iter().all(|t| t.upgrade().is_none()),
+            "a task outlived its query"
+        );
     }
 
     #[test]

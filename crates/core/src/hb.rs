@@ -11,8 +11,9 @@
 //!
 //! 1. every read of a published `Topology`/`Partitioning` is ordered
 //!    *after* its publication (and, at a worker superstep, the held
-//!    version is the latest published one — the barrier broadcasts
-//!    before resuming, so a stale version at execution is a lost edge);
+//!    version is the latest published one — the window installs it in
+//!    every partition before resuming, so a stale version at execution
+//!    is a lost edge);
 //! 2. no query-task dispatch is concurrent with a quiesce window (the
 //!    PR-2 class of bug: a `TaskReady` in flight while the barrier
 //!    believed the world stopped);
@@ -35,6 +36,11 @@
 //! thread runtime exercises the clocks for real: the per-worker
 //! command channels are FIFO queues of clock snapshots, the
 //! many-producer response channel is a conservative sync-object join.
+//! Inside a window the coordinator locks the quiescent partitions'
+//! contexts itself; installing a published version there
+//! ([`Hb::install_topology`] / [`Hb::install_partitioning`]) is a
+//! coordinator → partition edge taken under the context lock, and sets
+//! the version the partition holds.
 //!
 //! Since messages and deferred Steps travel lane to lane, three more
 //! edges are stamped. A **mailbox** is a sync object per partition: a put
@@ -45,16 +51,14 @@
 //! the finishing partition's clock, not the coordinator's. The command
 //! queues then have several producers, and a snapshot is queued a moment
 //! before its command: two racing producers can queue them in opposite
-//! orders, which delays a join by one command but cannot lose one — and
-//! version-tagged snapshots are only sent inside a quiesce window, where
-//! the coordinator is the only producer. A **superstep record** is a
-//! sync object per query: every member's report joins its clock in
-//! ([`Hb::record_join`]) and the last finisher takes the lot
-//! ([`Hb::record_close`]) before its one send, so that message carries
-//! every member's clock to the coordinator. One `STEP` token per involved
-//! partition is opened at dispatch ([`Hb::send_step`] for the released,
-//! [`Hb::token_open`] for the deferred) and closed as its report is
-//! folded.
+//! orders, which delays a join by one command but cannot lose one. A
+//! **superstep record** is a sync object per query: every member's report
+//! joins its clock in ([`Hb::record_join`]) and the last finisher takes
+//! the lot ([`Hb::record_close`]) before its one send, so that message
+//! carries every member's clock to the coordinator. One `STEP` token per
+//! involved partition is opened at dispatch ([`Hb::send_step`] for the
+//! released, [`Hb::token_open`] for the deferred) and closed as its
+//! report is folded.
 
 /// Dispatch-token kinds (what kind of in-flight work a token stands
 /// for). `READY` is a scheduled-but-undelivered sim dispatch
@@ -108,18 +112,6 @@ mod imp {
         }
     }
 
-    /// A clock snapshot traveling down a FIFO command channel,
-    /// optionally tagged with the object version it installs.
-    struct Entry {
-        clock: VClock,
-        tag: Option<Tag>,
-    }
-
-    enum Tag {
-        Topology(u64),
-        Partitioning(u64),
-    }
-
     struct Publication {
         clock: VClock,
         stack: Backtrace,
@@ -139,7 +131,7 @@ mod imp {
         clocks: Vec<VClock>,
         /// FIFO clock queue per partition command channel (producers: the
         /// coordinator, and lanes handing a deferred Step on).
-        cmd_chans: Vec<VecDeque<Entry>>,
+        cmd_chans: Vec<VecDeque<VClock>>,
         /// Sync-object clock per partition mailbox.
         mail: Vec<VClock>,
         /// Sync-object clock per shared superstep record, by query.
@@ -368,45 +360,53 @@ mod imp {
             s.held_part[w] = s.latest_part;
         }
 
-        /// An untagged coordinator→worker command send.
-        pub fn send_cmd(&self, w: usize) {
-            self.send_entry(0, w, None);
+        /// The coordinator, inside a window, installs graph epoch `epoch`
+        /// into worker `w`'s context under its lock: the worker's next
+        /// command is ordered after the install, and holds that version.
+        pub fn install_topology(&self, w: usize, epoch: u64) {
+            let mut s = self.install(w);
+            s.held_epoch[w] = epoch;
         }
 
-        /// Coordinator broadcasts a new topology to worker `w`.
-        pub fn send_topology(&self, w: usize, epoch: u64) {
-            self.send_entry(0, w, Some(Tag::Topology(epoch)));
+        /// The coordinator, inside a window, installs partitioning
+        /// `version` into worker `w`'s context under its lock.
+        pub fn install_partitioning(&self, w: usize, version: u64) {
+            let mut s = self.install(w);
+            s.held_part[w] = version;
         }
 
-        /// Coordinator broadcasts a new partitioning to worker `w`.
-        pub fn send_partitioning(&self, w: usize, version: u64) {
-            self.send_entry(0, w, Some(Tag::Partitioning(version)));
+        /// The coordinator → worker `w` edge of an install.
+        fn install(&self, w: usize) -> MutexGuard<'_, State> {
+            let mut s = self.lock();
+            let snap = s.stamp(0);
+            s.clocks[1 + w].join(&snap);
+            s
         }
 
         /// A `Step` dispatch to worker `w`: channel edge + work token.
         pub fn send_step(&self, q: u32, w: usize) {
             self.token_open(q, kind::STEP);
-            self.send_entry(0, w, None);
+            self.send_entry(0, w);
         }
 
         /// A `Collect` dispatch to worker `w`: channel edge + work token.
         pub fn send_collect(&self, q: u32, w: usize) {
             self.token_open(q, kind::COLLECT);
-            self.send_entry(0, w, None);
+            self.send_entry(0, w);
         }
 
         /// `actor` queues a command for worker `w`.
-        fn send_entry(&self, actor: usize, w: usize, tag: Option<Tag>) {
+        fn send_entry(&self, actor: usize, w: usize) {
             let mut s = self.lock();
             let clock = s.stamp(actor);
-            s.cmd_chans[w].push_back(Entry { clock, tag });
+            s.cmd_chans[w].push_back(clock);
         }
 
         /// Worker `from`, finishing its Step, pushes the superstep's next
         /// deferred Step to worker `to` itself: a command-channel edge
         /// from a worker actor. (The Step's token was opened at dispatch.)
         pub fn lane_send_step(&self, from: usize, to: usize) {
-            self.send_entry(1 + from, to, None);
+            self.send_entry(1 + from, to);
         }
 
         /// `actor` (0 = the coordinator at admission, `1 + w` = partition
@@ -450,11 +450,11 @@ mod imp {
             s.clocks[1 + w].join(&record);
         }
 
-        /// Worker `w` received its next command: pop the FIFO snapshot,
-        /// join it, and install any version tag it carries.
+        /// Worker `w` received its next command: pop the FIFO snapshot and
+        /// join it.
         pub fn worker_recv(&self, w: usize) {
             let mut s = self.lock();
-            let Some(entry) = s.cmd_chans[w].pop_front() else {
+            let Some(clock) = s.cmd_chans[w].pop_front() else {
                 panic!(
                     "hb violation: worker {w} received a command with no \
                      stamped send (an uninstrumented channel?)\n\
@@ -462,17 +462,12 @@ mod imp {
                     Backtrace::force_capture()
                 );
             };
-            s.clocks[1 + w].join(&entry.clock);
-            match entry.tag {
-                Some(Tag::Topology(e)) => s.held_epoch[w] = e,
-                Some(Tag::Partitioning(v)) => s.held_part[w] = v,
-                None => {}
-            }
+            s.clocks[1 + w].join(&clock);
         }
 
         /// Worker `w` executes a superstep: invariant 1. Its held
         /// topology/partitioning must be the latest published versions
-        /// (the barrier broadcasts before resuming), and both
+        /// (the window installs them before resuming), and both
         /// publications must be ordered before this read.
         pub fn worker_step(&self, w: usize) {
             let mut s = self.lock();
@@ -615,11 +610,9 @@ mod imp {
         #[inline(always)]
         pub fn spawn_worker(&self, _w: usize) {}
         #[inline(always)]
-        pub fn send_cmd(&self, _w: usize) {}
+        pub fn install_topology(&self, _w: usize, _epoch: u64) {}
         #[inline(always)]
-        pub fn send_topology(&self, _w: usize, _epoch: u64) {}
-        #[inline(always)]
-        pub fn send_partitioning(&self, _w: usize, _version: u64) {}
+        pub fn install_partitioning(&self, _w: usize, _version: u64) {}
         #[inline(always)]
         pub fn send_step(&self, _q: u32, _w: usize) {}
         #[inline(always)]
@@ -672,8 +665,8 @@ mod tests {
         hb.token_close(7, kind::STEP);
         hb.quiesce_begin();
         hb.publish_topology(0, 1);
-        hb.send_topology(0, 1);
-        hb.send_topology(1, 1);
+        hb.install_topology(0, 1);
+        hb.install_topology(1, 1);
         hb.quiesce_end();
         hb.outcome_epoch(0, 1);
     }
@@ -808,9 +801,43 @@ mod tests {
         hb.publish_topology(0, 0);
         hb.publish_partitioning(0);
         hb.spawn_worker(0);
-        // Epoch 1 is published but never broadcast to the worker.
+        // Epoch 1 is published but never installed at the worker.
         hb.publish_topology(0, 1);
-        hb.send_cmd(0);
+        hb.send_step(7, 0);
+        hb.worker_recv(0);
+        hb.worker_step(0);
+    }
+
+    #[test]
+    fn an_install_orders_the_coordinator_before_the_partitions_next_step() {
+        let hb = two_workers();
+        hb.quiesce_begin();
+        hb.publish_topology(0, 1);
+        for w in 0..2 {
+            hb.install_topology(w, 1);
+            assert!(hb.has_seen(1 + w, 0), "partition {w} saw the install");
+        }
+        hb.quiesce_end();
+        for w in 0..2 {
+            hb.send_step(7, w);
+            hb.worker_recv(w);
+            hb.worker_step(w);
+        }
+        // A repartition's install reaches the next step the same way.
+        let v = hb.publish_partitioning(0);
+        hb.install_partitioning(0, v);
+        hb.worker_step(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "resume outran the barrier broadcast")]
+    fn a_partition_the_window_skipped_is_flagged() {
+        let hb = two_workers();
+        hb.quiesce_begin();
+        hb.publish_topology(0, 1);
+        hb.install_topology(1, 1);
+        hb.quiesce_end();
+        hb.send_step(7, 0);
         hb.worker_recv(0);
         hb.worker_step(0);
     }

@@ -56,7 +56,7 @@ use std::thread;
 /// off its affine thread, and how often threads found nothing runnable.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Commands executed (every Step/Collect/window command is one).
+    /// Commands executed (every Step and every Collect is one).
     pub tasks: u64,
     /// Commands executed by a thread the partition is not affine to.
     pub steals: u64,
@@ -134,8 +134,8 @@ fn pick<T>(st: &PoolState<T>, tid: usize, threads: usize) -> Option<(usize, bool
 /// there is one. Refuses (returns `false`, dropping `item`) once a pool
 /// thread has panicked: the partition it was serving is wedged and the
 /// pool is going down. A handler's push into a pool that is merely shutting down still
-/// runs: threads exit only on empty queues, and the pushing thread scans
-/// again.
+/// runs: threads exit only once every queue is empty and no handler is
+/// running, since a running one may still push.
 fn enqueue<T>(shared: &Shared<T>, p: usize, item: T) -> bool {
     let mut st = shared.state.lock().expect("pool state poisoned");
     if st.panicked {
@@ -172,7 +172,8 @@ where
                     }
                     break (p, item);
                 }
-                if st.panicked || (st.shutdown && st.queues.iter().all(|q| q.is_empty())) {
+                let drained = st.queues.iter().all(VecDeque::is_empty);
+                if st.panicked || (st.shutdown && drained && !st.running.contains(&true)) {
                     return;
                 }
                 st.stats.idle_waits += 1;

@@ -7,18 +7,19 @@
 //! the ILS plan's `move(LS(q,w), w, w')` requests into disjoint per-move
 //! vertex sets, enforcing the system invariant that a vertex moves at most
 //! once per plan (overlapping scopes assigned to different destinations
-//! must not ping-pong their shared vertices). The *data plumbing* then
-//! differs by runtime:
-//!
-//! * [`SimEngine`](crate::SimEngine) owns all workers in one address space
-//!   and applies the resolved moves directly via [`apply_to_workers`];
-//! * [`ThreadEngine`](crate::ThreadEngine) ships each resolved move's
-//!   vertex set over the pool command queues (extract on the source
-//!   partition, inject on the destination) inside the stop-the-world
-//!   window.
+//! must not ping-pong their shared vertices). The *data plumbing* is one
+//! path too: inside the stop-the-world window no partition computes, so
+//! [`apply_to_workers`] extracts each move's vertices from the source
+//! worker and injects them into the destination directly —
+//! [`SimEngine`](crate::SimEngine) on the workers it owns,
+//! [`ThreadEngine`](crate::ThreadEngine) on the ones it holds locked in
+//! the partition contexts (their mailboxes flushed first).
 //!
 //! Ownership flips afterwards in one [`commit`] call, so routing state and
 //! worker data can never disagree mid-plan.
+
+use std::borrow::BorrowMut;
+use std::sync::Arc;
 
 use rustc_hash::FxHashSet;
 
@@ -135,9 +136,9 @@ pub fn commit(migration: &Migration, partitioning: &mut Partitioning) {
 
 /// Run a migration's measured commit sequence in the canonical order —
 /// locality before, data `transfer`, ownership [`commit`], locality after
-/// — and return `(locality_before, locality_after)`. Both runtimes route
-/// through this so the measurement protocol cannot drift between them;
-/// only the `transfer` body (in-process vs. channel-borne) differs.
+/// — and return `(locality_before, locality_after)`. The core's window
+/// routes every migration through this, so the measurement protocol is
+/// written once; `transfer` is the executor's [`apply_to_workers`] call.
 pub fn apply_measured(
     migration: &Migration,
     partitioning: &mut Partitioning,
@@ -151,24 +152,27 @@ pub fn apply_measured(
     (locality_before, locality_after)
 }
 
-/// Apply the resolved transfers to workers sharing one address space (the
-/// simulation path): every query's data on the moved vertices — vertex
-/// state *and* pending next-superstep messages — is extracted from the
-/// source worker and injected into the destination. Workers must be
-/// quiescent (no frozen superstep in flight). Returns the `(query,
-/// destination)` pairs that gained state, like the thread runtime's
-/// extract responses do.
-pub fn apply_to_workers(
+/// Apply the resolved transfers to the workers, indexed by partition:
+/// every query's data on the moved vertices — vertex state *and* pending
+/// next-superstep messages — is extracted from the source worker and
+/// injected into the destination. The workers must be quiescent (no
+/// frozen superstep in flight): the simulation owns them, the thread
+/// runtime passes them out of the partition contexts it holds locked.
+/// `task_of` resolves a live query's task. Returns the `(query,
+/// destination)` pairs that gained state.
+pub fn apply_to_workers<W: BorrowMut<Worker>>(
     migration: &Migration,
-    workers: &mut [Worker],
-    task_of: &dyn Fn(QueryId) -> std::sync::Arc<dyn QueryTask>,
+    workers: &mut [W],
+    task_of: &dyn Fn(QueryId) -> Arc<dyn QueryTask>,
 ) -> Vec<(QueryId, usize)> {
     let mut gained = Vec::new();
     for mv in &migration.moves {
         let set: FxHashSet<VertexId> = mv.vertices.iter().copied().collect();
-        let data = workers[mv.from].extract_vertices(task_of, &set);
+        let data = workers[mv.from]
+            .borrow_mut()
+            .extract_vertices(task_of, &set);
         gained.extend(data.iter().map(|(q, _)| (*q, mv.to)));
-        workers[mv.to].inject_vertices(task_of, data);
+        workers[mv.to].borrow_mut().inject_vertices(task_of, data);
     }
     gained
 }
@@ -209,7 +213,6 @@ mod tests {
     use crate::programs::ReachProgram;
     use crate::qcut::ScopeMove;
     use crate::task::TypedTask;
-    use std::sync::Arc;
 
     fn part(assign: &[u32], k: usize) -> Partitioning {
         Partitioning::new(assign.iter().map(|&w| WorkerId(w)).collect(), k)

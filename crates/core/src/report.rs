@@ -112,9 +112,9 @@ pub struct PoolCounters {
     pub threads: usize,
     /// Per-(query, partition) superstep executions — the sum of
     /// [`QueryOutcome::tasks`] over the traversed queries, on both
-    /// runtimes. Not pool commands: Collect and the window commands are
-    /// not counted, and a thread-runtime Step that closes `n` further
-    /// local supersteps on its lane counts `1 + n`.
+    /// runtimes. Not pool commands: a Collect is not counted, and a
+    /// thread-runtime Step that closes `n` further local supersteps on its
+    /// lane counts `1 + n`.
     pub tasks: u64,
     /// Tasks a thread executed off its affine partition (thread runtime
     /// only).

@@ -37,9 +37,9 @@
 //! dispatched only after every partition holding mail for `n` has taken
 //! it. Admission's initial batches go into parity-0 slots, `Collect`
 //! clears both of the query's slots (a query terminated by its aggregate
-//! may leave mail), and the window commands flush the whole mailbox into
-//! the worker inboxes first, so scope reports, migration and the pending
-//! report see every message.
+//! may leave mail), and a window flushes every mailbox into the worker
+//! inboxes before it reads anything, so scope reports, migration and the
+//! pending report see every message.
 //!
 //! Taking does not dismantle the slot: [`Partition::take`] swaps the
 //! slot's vector with the empty one the [`WorkerCtx`] owns, so the entry
@@ -74,6 +74,18 @@
 //! the summed statistics and what was closed, and the core accounts for
 //! each superstep as if it had been reported on its own.
 //!
+//! ## The window touches quiescent partitions directly
+//!
+//! A stop-the-world window opens only when no dispatched superstep or
+//! `Collect` is unanswered, so no lane computes until it ends. The
+//! coordinator then locks each partition's `WorkerCtx` itself, in
+//! partition order, and makes the simulation's [`Worker`] calls — mailbox
+//! flush, `Worker::scope_report`, [`migrate::apply_to_workers`],
+//! `Worker::pending_report` — and installs a new `Arc<Topology>` /
+//! `Arc<Partitioning>` into every context before anything resumes. A lane
+//! releases its context before it reports, so a window never waits on a
+//! lane's epilogue.
+//!
 //! ## Streaming submission and the serving loop
 //!
 //! The engine is *long-lived*: [`ThreadEngine::start`] spawns the pool
@@ -81,36 +93,30 @@
 //! ([`serve`]). Callers on any thread submit through a cloneable
 //! [`EngineClient`] *while supersteps are in flight*:
 //!
-//! * a submission registers its type-erased task in a shared registry
-//!   (which allocates the [`QueryId`]) and sends one message down the
-//!   same channel the pool answers on; the coordinator stamps the arrival
-//!   time and hands it to the core;
+//! * a submission draws its [`QueryId`] from a shared counter and sends
+//!   its type-erased task down the same channel the pool answers on; the
+//!   coordinator stamps the arrival time and hands both to the core, which
+//!   holds the task until the query completes — nothing else keeps it;
 //! * when a superstep closes, the loop reads the session clock for the
 //!   core's one Q-cut trigger ([`Coordinator::trigger`]): the
 //!   [`crate::QcutConfig`] time constants are session wall-clock seconds
 //!   here, and a hit's ILS runs inside the window it opens, because only
 //!   quiescent partitions report stable scopes;
-//! * a client message landing while a stop-the-world window waits on a
-//!   partition is set aside with its receipt stamp and fed to the core
-//!   before the window closes, so it is admitted against the post-window
-//!   layout without disturbing the window's protocol;
-//! * the window's synchronous dispatches (scope report, extract/inject,
-//!   pending report) travel as pool commands to the quiescent partitions,
-//!   and new `Arc<Topology>` / `Arc<Partitioning>` versions are broadcast
-//!   to every partition before anything resumes, so no message is ever
-//!   routed to a stale owner.
+//! * the window reads nothing from the channel: a client message sent
+//!   meanwhile waits there and is admitted against the post-window layout.
 //!
 //! Results become visible on the engine (`output`, `report`,
 //! `partitioning`) after `run`/`drain`/`shutdown` — the coordinator owns
 //! them while serving and the sync points hand them back.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::Instant;
 
-use rustc_hash::{FxHashMap, FxHashSet};
+use rustc_hash::FxHashMap;
 
 use qgraph_graph::{Graph, MutationBatch as GraphMutationBatch, Topology, VertexId};
 use qgraph_partition::Partitioning;
@@ -126,33 +132,27 @@ use crate::hb::{kind, Hb};
 use crate::index_plane::PointIndex;
 use crate::pool::TaskPool;
 use crate::program::VertexProgram;
-use crate::qcut::Migration;
+use crate::qcut::{migrate, Migration};
 use crate::query::{QueryHandle, QueryId};
 use crate::report::{EngineReport, PoolCounters};
 use crate::task::{Envelope, MessageBatch, QueryTask, TypedTask};
 use crate::trace::{cmd, Tracer};
 use crate::worker::{LocalState, SuperstepStats, Worker};
 
-/// The shared, growable task registry: submissions (engine or any client)
-/// append under the lock, which also allocates the dense [`QueryId`]. The
-/// coordinator resolves a submission through it, and the lanes the queries
-/// a window command finds on a partition; a `Step` carries its task.
-type TaskRegistry = Arc<RwLock<Vec<Arc<dyn QueryTask>>>>;
-
-/// Read the registry, recovering from poisoning. The registry is
-/// append-only (a writer can never leave it torn), so a client thread
-/// that panicked mid-`submit` must not wedge the coordinator or the
-/// workers behind a poisoned lock.
-fn reg_read(tasks: &TaskRegistry) -> std::sync::RwLockReadGuard<'_, Vec<Arc<dyn QueryTask>>> {
-    tasks.read().unwrap_or_else(|p| p.into_inner())
-}
-
-/// Lock a mailbox or a superstep record, recovering from poisoning the way
-/// [`reg_read`] does: each update (a push, a take, a counter step) leaves
-/// them valid, and a Step that panicked elsewhere must not wedge the
-/// other partitions' mail behind a poisoned lock.
+/// Lock a mailbox or a superstep record, recovering from poisoning: each
+/// update (a push, a take, a counter step) leaves them valid, and a Step
+/// that panicked elsewhere must not wedge the other partitions' mail
+/// behind a poisoned lock.
 fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// Lock a partition's worker state. Unlike mail, a command that panicked
+/// mid-way may have left it torn, so poisoning propagates.
+fn lock_ctx(ctx: &Mutex<WorkerCtx>) -> MutexGuard<'_, WorkerCtx> {
+    ctx.lock()
+        // qlint: allow(no-unwrap-hot-loop) — poisoned ⇒ a sibling pool thread already panicked; propagate
+        .expect("worker state poisoned by an earlier panic")
 }
 
 /// One partition's mail (see the module docs): per query, the batches
@@ -192,6 +192,24 @@ impl Partition {
     }
 }
 
+/// A window's first act: every mailbox's batches move into its worker's
+/// inboxes, in put order, leaving the slot entries and their buffers in
+/// place. Only while the partitions are quiescent, so nothing is put
+/// meanwhile.
+fn flush_mail(parts: &[Partition], hb: &Hb, task_of: &dyn Fn(QueryId) -> Arc<dyn QueryTask>) {
+    for (w, part) in parts.iter().enumerate() {
+        let mut ctx = lock_ctx(&part.ctx);
+        let mut mail = relock(&part.mail);
+        hb.mail_take(w);
+        for (&q, batches) in mail.slots.iter_mut().flatten() {
+            if !batches.is_empty() {
+                let task = task_of(q);
+                ctx.worker.deliver_all(task.as_ref(), q, batches.drain(..));
+            }
+        }
+    }
+}
+
 /// The record the Steps of a superstep over several partitions share.
 struct SharedStep {
     state: Mutex<SharedState>,
@@ -224,25 +242,6 @@ enum Cmd {
     Collect {
         q: QueryId,
     },
-    /// Report every query's live scope vertex set (repartition barrier).
-    ScopeReport,
-    /// Extract all queries' data on the given vertices (migration);
-    /// `token` identifies the resolved move and is echoed back so the
-    /// coordinator can pipeline extracts across workers.
-    Extract {
-        token: usize,
-        vertices: Vec<VertexId>,
-    },
-    /// Inject data extracted from another worker (migration).
-    Inject {
-        data: Vec<(QueryId, Envelope)>,
-    },
-    /// Swap in the post-migration vertex→worker assignment.
-    SetPartitioning(Arc<Partitioning>),
-    /// Swap in the post-mutation graph view (a new epoch).
-    SetTopology(Arc<Topology>),
-    /// Report the queries with pending messages here (barrier resume).
-    PendingReport,
 }
 
 /// How many supersteps a lane closes on its own per dispatched
@@ -281,27 +280,18 @@ enum Resp {
         q: QueryId,
         local: Option<Box<dyn LocalState>>,
     },
-    /// `(query, this partition, live scope vertices)` triples.
-    Scopes(Vec<(QueryId, usize, Vec<VertexId>)>),
-    Extracted {
-        token: usize,
-        data: Vec<(QueryId, Envelope)>,
-    },
-    /// `(query, this partition)` pairs with pending messages.
-    Pending(Vec<(QueryId, usize)>),
 }
 
 /// Everything the coordinator thread receives: worker responses plus the
 /// client-side protocol (submissions, drain requests, shutdown). One
-/// channel carries both so a submission can land at *any* point of the
-/// drive loop — including mid-barrier, where it is absorbed into the
-/// admission queue without disturbing the worker protocol.
+/// channel carries both, read only between windows.
 enum CoordMsg {
     Worker(Resp),
-    /// A query was registered; admit it under the configured policy. The
+    /// A query was submitted; admit it under the configured policy. The
     /// deadline is relative seconds from arrival (stamped on receipt).
     Submit {
         q: QueryId,
+        task: Arc<dyn QueryTask>,
         deadline_secs: Option<f64>,
     },
     /// A mutation batch to apply at the next stop-the-world barrier
@@ -356,7 +346,7 @@ impl Clock {
 /// shutdown must coordinate externally if that matters.
 #[derive(Clone)]
 pub struct EngineClient {
-    tasks: TaskRegistry,
+    next_id: Arc<AtomicU32>,
     tx: Sender<CoordMsg>,
 }
 
@@ -378,8 +368,12 @@ impl EngineClient {
 
     /// Type-erased submission backing the typed ones.
     pub fn submit_task(&self, task: Arc<dyn QueryTask>, deadline_secs: Option<f64>) -> QueryId {
-        let q = register_task(&self.tasks, task);
-        let _ = self.tx.send(CoordMsg::Submit { q, deadline_secs });
+        let q = QueryId(self.next_id.fetch_add(1, Ordering::Relaxed));
+        let _ = self.tx.send(CoordMsg::Submit {
+            q,
+            task,
+            deadline_secs,
+        });
         q
     }
 
@@ -400,15 +394,6 @@ impl EngineClient {
         }
         let _ = self.tx.send(CoordMsg::Mutate(batch));
     }
-}
-
-/// Append `task` to the shared registry, allocating its [`QueryId`].
-fn register_task(tasks: &TaskRegistry, task: Arc<dyn QueryTask>) -> QueryId {
-    // Poison-tolerant for the same append-only reason as [`reg_read`].
-    let mut reg = tasks.write().unwrap_or_else(|p| p.into_inner());
-    let q = QueryId(reg.len() as u32);
-    reg.push(task);
-    q
 }
 
 /// The serving-session handles the engine keeps while the coordinator
@@ -432,7 +417,8 @@ pub struct ThreadEngine {
     /// index are away with the session until shutdown hands them back.
     state: EngineState,
     cfg: SystemConfig,
-    tasks: TaskRegistry,
+    /// The next [`QueryId`], shared with every client: ids are dense.
+    next_id: Arc<AtomicU32>,
     outputs: Vec<Option<Envelope>>,
     /// Submissions/mutations made before `start` (forwarded in order when
     /// serving begins).
@@ -484,7 +470,7 @@ impl ThreadEngine {
                 report: EngineReport::default(),
             },
             cfg,
-            tasks: Arc::new(RwLock::new(Vec::new())),
+            next_id: Arc::default(),
             outputs: Vec::new(),
             pre_ops: Vec::new(),
             serving: None,
@@ -601,8 +587,12 @@ impl ThreadEngine {
         task: Arc<dyn QueryTask>,
         deadline_secs: Option<f64>,
     ) -> QueryId {
-        let q = register_task(&self.tasks, task);
-        self.send(CoordMsg::Submit { q, deadline_secs });
+        let q = QueryId(self.next_id.fetch_add(1, Ordering::Relaxed));
+        self.send(CoordMsg::Submit {
+            q,
+            task,
+            deadline_secs,
+        });
         q
     }
 
@@ -643,10 +633,10 @@ impl ThreadEngine {
         };
         let core = Coordinator::new(state, self.cfg.clone(), hb.clone(), tracer.clone());
         // Partition state stays partition-owned: one context per logical
-        // worker, taken by whichever pool thread draws that partition's
-        // next command. The pool serializes per partition, so the context
-        // lock is never contended — it only moves the state between pool
-        // threads. The mailbox beside it is what other lanes reach.
+        // worker, locked by whichever pool thread draws that partition's
+        // next command — or, inside a window, by the coordinator — so the
+        // lock only moves the state between threads. The mailbox beside
+        // it is what other lanes reach.
         let shared_parts = Arc::new(self.state.partitioning.clone());
         let shared_topology = Arc::new(self.state.topology.clone());
         let (combiners, batch_max) = (self.cfg.combiners, self.cfg.batch_max_msgs);
@@ -673,7 +663,6 @@ impl ThreadEngine {
         let lane = Lane {
             width: pool_threads,
             parts: Arc::clone(&parts),
-            registry: Arc::clone(&self.tasks),
             resp: msg_tx.clone(),
             hb: hb.clone(),
             tracer: tracer.clone(),
@@ -687,11 +676,9 @@ impl ThreadEngine {
             parts,
             msg_rx,
             finished: Vec::new(),
-            tasks: Arc::clone(&self.tasks),
             hb,
             tracer,
             clock,
-            k,
             inflight_ops: 0,
             pool_tasks: 0,
             // The hook widens "quiescent" to one still-open op — exactly
@@ -700,7 +687,6 @@ impl ThreadEngine {
             quiesce_at: usize::from(self.hb_test_early_quiesce),
             #[cfg(not(feature = "check-hb"))]
             quiesce_at: 0,
-            backlog: Vec::new(),
             drain_waiters: Vec::new(),
             shutdown: false,
             #[cfg(test)]
@@ -723,7 +709,7 @@ impl ThreadEngine {
             unreachable!("start() always installs the serving session");
         };
         EngineClient {
-            tasks: Arc::clone(&self.tasks),
+            next_id: Arc::clone(&self.next_id),
             tx: s.tx.clone(),
         }
     }
@@ -804,9 +790,11 @@ impl ThreadEngine {
     }
 
     fn store_outputs(&mut self, finished: Vec<(QueryId, Envelope)>) {
-        // Ids are dense registry indices, and the registry only grows.
-        self.outputs
-            .resize_with(reg_read(&self.tasks).len(), || None);
+        // Ids are dense. The counter publishes nothing, so `Relaxed`: a
+        // finished id was drawn before its `Submit` was sent, and the
+        // channel orders that draw before this drain's ack.
+        let issued = self.next_id.load(Ordering::Relaxed) as usize;
+        self.outputs.resize_with(issued, || None);
         for (q, output) in finished {
             self.outputs[q.index()] = Some(output);
         }
@@ -872,28 +860,28 @@ impl Drop for ThreadEngine {
     }
 }
 
-/// The `TaskPool` executor: turns the core's dispatches into pool
-/// commands and channel traffic. All of the session's measurement state
-/// lives in the core it serves and flows back through drain snapshots /
-/// the exit value.
+/// The `TaskPool` executor: turns the core's superstep and collect
+/// dispatches into pool commands and channel traffic, and works a window
+/// on the quiescent partitions directly. All of the session's measurement
+/// state lives in the core it serves and flows back through drain
+/// snapshots / the exit value.
 struct PoolExec {
     pool: TaskPool<Cmd>,
-    /// The partitions' mailboxes: admission puts a query's initial
-    /// batches straight in.
+    /// The partitions: admission puts a query's initial batches straight
+    /// into their mailboxes, and a window locks their contexts.
     parts: Arc<Vec<Partition>>,
     msg_rx: Receiver<CoordMsg>,
     /// Outputs of finished queries, until the next drain ships them.
     finished: Vec<(QueryId, Envelope)>,
-    tasks: TaskRegistry,
     /// Happens-before auditor (no-op unless `check-hb`): stamps the
-    /// command/response channel edges and the Step/Collect tokens.
+    /// command/response channel edges, the Step/Collect tokens and the
+    /// window's installs.
     hb: Hb,
     /// Structured event recorder (no-op unless `trace`); the pool threads
     /// hold clones of the same recorder and stamp off the same clock.
     tracer: Tracer,
     /// The session time base shared with every pool thread.
     clock: Clock,
-    k: usize,
     /// Dispatched supersteps and Collect commands awaiting their one
     /// response: zero while a window is wanted means the partitions are
     /// quiescent.
@@ -903,9 +891,6 @@ struct PoolExec {
     /// How many unanswered ops still count as quiescent: 0, or 1 under
     /// [`ThreadEngine::hb_test_reintroduce_quiesce_race`].
     quiesce_at: usize,
-    /// Client messages that landed while a window waited on a partition,
-    /// with their receipt stamps.
-    backlog: Vec<(CoordMsg, SimTime)>,
     drain_waiters: Vec<Sender<Snapshot>>,
     shutdown: bool,
     #[cfg(test)]
@@ -913,26 +898,6 @@ struct PoolExec {
 }
 
 impl PoolExec {
-    /// Fold one client message, received at `now`, into the core.
-    fn client(&mut self, core: &mut Coordinator, msg: CoordMsg, now: SimTime) {
-        match msg {
-            CoordMsg::Worker(_) => unreachable!("pool responses are not client traffic"),
-            CoordMsg::Submit { q, deadline_secs } => {
-                let task = Arc::clone(&reg_read(&self.tasks)[q.index()]);
-                let deadline = deadline_secs.map(|d| now + SimTime::from_secs_f64(d));
-                core.submit(q, task, now, deadline);
-            }
-            CoordMsg::Mutate(batch) => core.mutate(batch),
-            CoordMsg::InstallIndex(index) => core.install_index(index),
-            CoordMsg::Drain { ack } => self.drain_waiters.push(ack),
-            CoordMsg::Shutdown => {
-                // Already-admitted queries finish, queued ones drop.
-                self.shutdown = true;
-                core.close();
-            }
-        }
-    }
-
     /// The one message a dispatched superstep answers with arrived: fold
     /// its reports — the last closes the superstep — then let the Q-cut
     /// trigger look and release the query's barrier.
@@ -970,28 +935,10 @@ impl PoolExec {
         }
     }
 
-    /// Block until a *pool* response arrives, setting aside any client
-    /// messages that land in between (submit-during-window and friends).
-    fn recv_worker(&mut self) -> Resp {
-        loop {
-            // Mid-window the pool threads must still hold their Sender
-            // clones (they only drop on pool exit), so a closed channel
-            // here means every one of them died: tear down rather than
-            // resume from a half-applied window.
-            let msg = self
-                .msg_rx
-                .recv()
-                // qlint: allow(no-unwrap-hot-loop) — see above; recovery is impossible
-                .expect("pool alive while a window is open");
-            self.hb.coord_recv();
-            match msg {
-                CoordMsg::Worker(r) => return r,
-                client => {
-                    let received = self.clock.now();
-                    self.backlog.push((client, received));
-                }
-            }
-        }
+    /// The window's hold on the quiescent partitions: every worker state,
+    /// locked in partition order.
+    fn contexts(&self) -> Vec<MutexGuard<'_, WorkerCtx>> {
+        self.parts.iter().map(|p| lock_ctx(&p.ctx)).collect()
     }
 
     /// Close the run window `[started, end]` on `report`. Pool counters
@@ -1010,23 +957,6 @@ impl PoolExec {
         self.tracer.drain();
         report.trace.absorb(&self.tracer);
         report.close_run(started, end, report.pool);
-    }
-
-    /// Push `cmd()` to every (quiescent) partition and gather the `k`
-    /// answers, `pick`ing each one's payload.
-    fn ask_all<T>(&mut self, cmd: fn() -> Cmd, pick: fn(Resp) -> Option<Vec<T>>) -> Vec<T> {
-        for w in 0..self.k {
-            self.hb.send_cmd(w);
-            self.pool.push(w, cmd());
-        }
-        let mut out = Vec::new();
-        for _ in 0..self.k {
-            match pick(self.recv_worker()) {
-                Some(part) => out.extend(part),
-                None => unreachable!("quiesced partitions only answer what they were asked"),
-            }
-        }
-        out
     }
 }
 
@@ -1096,72 +1026,51 @@ impl Executor for PoolExec {
         _: Option<usize>,
     ) {
         let shared = Arc::new(topology.clone());
-        for w in 0..self.k {
-            self.hb.send_topology(w, topology.epoch());
-            self.pool.push(w, Cmd::SetTopology(Arc::clone(&shared)));
+        for (w, mut ctx) in self.contexts().into_iter().enumerate() {
+            self.hb.install_topology(w, topology.epoch());
+            ctx.topology = Arc::clone(&shared);
         }
         self.publish_partitioning(partitioning, version);
     }
 
     fn publish_partitioning(&mut self, partitioning: &Partitioning, version: u64) {
         let shared = Arc::new(partitioning.clone());
-        for w in 0..self.k {
-            self.hb.send_partitioning(w, version);
-            self.pool.push(w, Cmd::SetPartitioning(Arc::clone(&shared)));
+        for (w, mut ctx) in self.contexts().into_iter().enumerate() {
+            self.hb.install_partitioning(w, version);
+            ctx.partitioning = Arc::clone(&shared);
         }
     }
 
-    // A partition answers a scope report between its other commands, so
-    // only a quiescent one reports a scope no running step is changing.
+    // A running Step changes the scope it would report, so scopes are
+    // read only inside a window, where no Step runs.
     fn scopes_readable_live(&self) -> bool {
         false
     }
 
     fn scope_report(&mut self) -> Vec<(QueryId, usize, Vec<VertexId>)> {
-        self.ask_all(
-            || Cmd::ScopeReport,
-            |r| match r {
-                Resp::Scopes(scopes) => Some(scopes),
-                _ => None,
-            },
-        )
+        let contexts = self.contexts();
+        contexts
+            .iter()
+            .flat_map(|c| c.worker.scope_report())
+            .collect()
     }
 
-    fn migrate(&mut self, migration: &Migration) -> Vec<(QueryId, usize)> {
-        // All extracts are issued up front (independent source partitions
-        // run them in parallel); each response is forwarded to its
-        // destination as it arrives. Safe to interleave because the
-        // resolved moves' vertex sets are pairwise disjoint — an inject
-        // can never overlap a still-queued extract on the same partition.
-        for (token, mv) in migration.moves.iter().enumerate() {
-            self.hb.send_cmd(mv.from);
-            let vertices = mv.vertices.clone();
-            self.pool.push(mv.from, Cmd::Extract { token, vertices });
-        }
-        let mut gained = Vec::new();
-        for _ in 0..migration.moves.len() {
-            let (token, data) = match self.recv_worker() {
-                Resp::Extracted { token, data } => (token, data),
-                _ => unreachable!("quiesced partitions only answer the extract"),
-            };
-            let to = migration.moves[token].to;
-            gained.extend(data.iter().map(|(q, _)| (*q, to)));
-            if !data.is_empty() {
-                self.hb.send_cmd(to);
-                self.pool.push(to, Cmd::Inject { data });
-            }
-        }
-        gained
+    fn migrate(
+        &mut self,
+        migration: &Migration,
+        task_of: &dyn Fn(QueryId) -> Arc<dyn QueryTask>,
+    ) -> Vec<(QueryId, usize)> {
+        let mut contexts = self.contexts();
+        let mut workers: Vec<&mut Worker> = contexts.iter_mut().map(|c| &mut c.worker).collect();
+        migrate::apply_to_workers(migration, &mut workers, task_of)
     }
 
     fn pending_report(&mut self) -> Vec<(QueryId, usize)> {
-        self.ask_all(
-            || Cmd::PendingReport,
-            |r| match r {
-                Resp::Pending(pending) => Some(pending),
-                _ => None,
-            },
-        )
+        let contexts = self.contexts();
+        contexts
+            .iter()
+            .flat_map(|c| c.worker.pending_report())
+            .collect()
     }
 }
 
@@ -1186,12 +1095,14 @@ fn serve(mut core: Coordinator, mut x: PoolExec) -> (EngineState, Vec<(QueryId, 
     loop {
         // Stop-the-world window — mutation epochs and/or Q-cut — once the
         // in-flight work has drained (every live query is then waiting at
-        // its barrier or collected).
+        // its barrier or collected). The auditor's window opens before
+        // any partition is touched.
         if core.paused() && x.inflight_ops <= x.quiesce_at {
+            core.window_open(&x);
+            // Mail is only ever held for live queries (`Collect` clears a
+            // query's slots), so the core resolves every task.
+            flush_mail(&x.parts, &x.hb, &|q| Arc::clone(&core.run(q).task));
             core.window_apply(&mut x);
-            for (msg, at) in std::mem::take(&mut x.backlog) {
-                x.client(&mut core, msg, at);
-            }
             core.window_end(&mut x, clock.now());
             continue;
         }
@@ -1242,10 +1153,24 @@ fn serve(mut core: Coordinator, mut x: PoolExec) -> (EngineState, Vec<(QueryId, 
                 x.hb.token_close(q.0, kind::COLLECT);
                 core.collected(&mut x, q, local, now);
             }
-            CoordMsg::Worker(_) => unreachable!("window responses are consumed synchronously"),
-            client => {
-                x.client(&mut core, client, now);
+            CoordMsg::Submit {
+                q,
+                task,
+                deadline_secs,
+            } => {
+                let deadline = deadline_secs.map(|d| now + SimTime::from_secs_f64(d));
+                core.submit(q, task, now, deadline);
+                // The only client message that can make admission
+                // possible: completions and window ends admit themselves.
                 core.admit(&mut x, now);
+            }
+            CoordMsg::Mutate(batch) => core.mutate(batch),
+            CoordMsg::InstallIndex(index) => core.install_index(index),
+            CoordMsg::Drain { ack } => x.drain_waiters.push(ack),
+            CoordMsg::Shutdown => {
+                // Already-admitted queries finish, queued ones drop.
+                x.shutdown = true;
+                core.close();
             }
         }
     }
@@ -1271,9 +1196,10 @@ fn serve(mut core: Coordinator, mut x: PoolExec) -> (EngineState, Vec<(QueryId, 
 /// of the published topology and assignment. Placement stays fixed to the
 /// partition — only *compute* is elastic — so everything that used to be
 /// a dedicated worker thread's locals lives here, and whichever pool
-/// thread draws the partition's next command locks it. The pool
-/// serializes commands per partition, so the lock is never contended; it
-/// exists to move the state between pool threads.
+/// thread draws the partition's next command locks it; inside a window the
+/// coordinator does. The pool serializes commands per partition and a
+/// window opens only at quiescence, so the lock exists to move the state
+/// between threads.
 struct WorkerCtx {
     worker: Worker,
     topology: Arc<Topology>,
@@ -1284,13 +1210,12 @@ struct WorkerCtx {
 }
 
 /// What every pool thread shares to execute commands: the partitions, the
-/// task registry, the response channel, and the session's auditor /
-/// recorder / clock. Each pool thread holds its own clone.
+/// response channel, and the session's auditor / recorder / clock. Each
+/// pool thread holds its own clone.
 #[derive(Clone)]
 struct Lane {
     width: usize,
     parts: Arc<Vec<Partition>>,
-    registry: TaskRegistry,
     resp: Sender<CoordMsg>,
     hb: Hb,
     tracer: Tracer,
@@ -1304,50 +1229,25 @@ impl Lane {
     /// brackets the task with the pool hand-off edges
     /// ([`Hb::pool_acquire`]/[`Hb::pool_release`]) that carry the
     /// actor-serialization guarantee dedicated threads would give for free.
+    /// The partition's state is held for the execution only and released
+    /// before anything is reported.
     fn handle(&self, push: &dyn Fn(usize, Cmd), tid: usize, w: usize, cmd: Cmd) {
         let (hb, tracer) = (&self.hb, &self.tracer);
         hb.pool_acquire(w);
         // Every executed command joins the clock snapshot queued at the
         // matching send — the channel edge of the HB graph.
         hb.worker_recv(w);
+        let (traced_q, code) = match &cmd {
+            Cmd::Step { q, .. } => (*q, cmd::STEP),
+            Cmd::Collect { q } => (*q, cmd::COLLECT),
+        };
         // The lane span opens before the state lock: lock wait is part of
         // the task's runtime as the pool experiences it. Steals are
         // labelled the same way `pick()` counts them — off the affine
-        // thread.
-        let traced: Option<(QueryId, u8, f64)> = if tracer.enabled() {
-            let code = match &cmd {
-                Cmd::Step { q, .. } => Some((*q, cmd::STEP)),
-                Cmd::Collect { q } => Some((*q, cmd::COLLECT)),
-                _ => None,
-            };
-            // The begin stamp is read here but recorded with the end
-            // stamp below: one ring lock per task instead of two keeps
-            // the span's serial cost on chained point queries in check.
-            code.map(|(q, c)| (q, c, self.clock.now().as_secs_f64()))
-        } else {
-            None
-        };
-        let mut guard = self.parts[w]
-            .ctx
-            .lock()
-            // qlint: allow(no-unwrap-hot-loop) — poisoned ⇒ a sibling pool thread already panicked; propagate
-            .expect("worker state poisoned by an earlier panic");
-        let ctx = &mut *guard;
-        let task_of =
-            |q: QueryId| -> Arc<dyn QueryTask> { Arc::clone(&reg_read(&self.registry)[q.index()]) };
-        // The window commands see every message: whatever is still in the
-        // mailbox moves into the worker inboxes first (the partitions are
-        // quiescent, so nothing is being put meanwhile).
-        if matches!(
-            cmd,
-            Cmd::ScopeReport | Cmd::Extract { .. } | Cmd::PendingReport
-        ) {
-            let mail = std::mem::take(&mut *relock(&self.parts[w].mail));
-            hb.mail_take(w);
-            for (q, batches) in mail.slots.into_iter().flatten() {
-                ctx.worker.deliver_all(task_of(q).as_ref(), q, batches);
-            }
-        }
+        // thread. The begin stamp is read here but recorded with the end
+        // stamp below: one ring lock per task instead of two keeps the
+        // span's serial cost on chained point queries in check.
+        let begin_at = tracer.enabled().then(|| self.clock.now().as_secs_f64());
         let mut executed_n: u64 = 0;
         // Every command produces at most one response; funneling them
         // through a single send gives one clean-shutdown path instead of
@@ -1360,50 +1260,57 @@ impl Lane {
                 index,
                 shared,
             } => {
-                // This superstep's input: what was put for it, sealed
-                // with what the partition sent itself. Mail put from here
-                // on is for the next superstep and lands in the other slot.
-                hb.mail_take(w);
-                self.parts[w].take(q, index, &mut ctx.taken);
-                ctx.worker
-                    .deliver_all(task.as_ref(), q, ctx.taken.drain(..));
-                ctx.worker.freeze(q);
-                let route = |v: VertexId| ctx.partitioning.worker_of(v).index();
                 let mut stats = SuperstepStats::default();
                 let mut closed = 0;
-                let (agg, remote, self_pending) = loop {
-                    // The superstep reads the published topology/assignment:
-                    // the auditor checks this worker's clock is ordered after
-                    // the latest publication before any vertex executes.
-                    hb.worker_step(w);
-                    let (step, agg, remote) =
-                        ctx.worker
-                            .execute(q, task.as_ref(), &ctx.topology, &prev_agg, &route);
-                    stats.then(&step);
-                    let self_pending = ctx.worker.has_pending(q);
-                    // The local barrier: the only task of its superstep
-                    // sent nothing away and left work here, so the next
-                    // involved set is this partition alone — unless the
-                    // rolled aggregate ends the query, which is the core's
-                    // to find. Nothing else is stepping `q`, so nobody can
-                    // have put mail for the inbox sealed below.
-                    if shared.is_none()
-                        && closed < LOCAL_QUANTUM
-                        && remote.is_empty()
-                        && self_pending
-                    {
-                        let mut acc = task.aggregate_identity();
-                        task.aggregate_combine(&mut acc, &agg);
-                        // On a copy: a close that terminates is not taken.
-                        let mut rolled = task.clone_aggregate(&prev_agg);
-                        if !close_superstep(task.as_ref(), &mut rolled, acc) {
-                            prev_agg = rolled;
-                            closed += 1;
-                            ctx.worker.freeze(q);
-                            continue;
+                let (agg, remote, self_pending) = {
+                    let mut guard = lock_ctx(&self.parts[w].ctx);
+                    let ctx = &mut *guard;
+                    // This superstep's input: what was put for it, sealed
+                    // with what the partition sent itself. Mail put from
+                    // here on is for the next superstep and lands in the
+                    // other slot.
+                    hb.mail_take(w);
+                    self.parts[w].take(q, index, &mut ctx.taken);
+                    ctx.worker
+                        .deliver_all(task.as_ref(), q, ctx.taken.drain(..));
+                    ctx.worker.freeze(q);
+                    let route = |v: VertexId| ctx.partitioning.worker_of(v).index();
+                    loop {
+                        // The superstep reads the published topology and
+                        // assignment: the auditor checks this worker's clock
+                        // is ordered after the latest publication before any
+                        // vertex executes.
+                        hb.worker_step(w);
+                        let (step, agg, remote) =
+                            ctx.worker
+                                .execute(q, task.as_ref(), &ctx.topology, &prev_agg, &route);
+                        stats.then(&step);
+                        let self_pending = ctx.worker.has_pending(q);
+                        // The local barrier: the only task of its superstep
+                        // sent nothing away and left work here, so the next
+                        // involved set is this partition alone — unless the
+                        // rolled aggregate ends the query, which is the
+                        // core's to find. Nothing else is stepping `q`, so
+                        // nobody can have put mail for the inbox sealed
+                        // below.
+                        if shared.is_none()
+                            && closed < LOCAL_QUANTUM
+                            && remote.is_empty()
+                            && self_pending
+                        {
+                            let mut acc = task.aggregate_identity();
+                            task.aggregate_combine(&mut acc, &agg);
+                            // On a copy: a terminating close is not taken.
+                            let mut rolled = task.clone_aggregate(&prev_agg);
+                            if !close_superstep(task.as_ref(), &mut rolled, acc) {
+                                prev_agg = rolled;
+                                closed += 1;
+                                ctx.worker.freeze(q);
+                                continue;
+                            }
                         }
+                        break (agg, remote, self_pending);
                     }
-                    break (agg, remote, self_pending);
                 };
                 executed_n = stats.executed as u64;
                 // What the reported superstep sent away is input of the
@@ -1471,45 +1378,16 @@ impl Lane {
                 for slot in &mut relock(&self.parts[w].mail).slots {
                     slot.remove(&q);
                 }
-                let local = ctx.worker.take_local(q);
+                let local = lock_ctx(&self.parts[w].ctx).worker.take_local(q);
                 Some(Resp::Collected { q, local })
             }
-            Cmd::ScopeReport => {
-                // Unordered: the core sorts by (query, partition), and a
-                // scope is only ever counted or turned into a set.
-                let qs = ctx.worker.active_queries();
-                let scopes = qs.map(|q| (q, w, ctx.worker.scope_vertices(q)));
-                Some(Resp::Scopes(scopes.collect()))
-            }
-            Cmd::Extract { token, vertices } => {
-                let set: FxHashSet<VertexId> = vertices.into_iter().collect();
-                let data = ctx.worker.extract_vertices(&task_of, &set);
-                Some(Resp::Extracted { token, data })
-            }
-            Cmd::Inject { data } => {
-                ctx.worker.inject_vertices(&task_of, data);
-                None
-            }
-            Cmd::SetPartitioning(p) => {
-                ctx.partitioning = p;
-                None
-            }
-            Cmd::SetTopology(t) => {
-                ctx.topology = t;
-                None
-            }
-            Cmd::PendingReport => {
-                let pending = ctx.worker.active_queries();
-                let pending = pending.filter(|&q| ctx.worker.has_pending(q));
-                Some(Resp::Pending(pending.map(|q| (q, w)).collect()))
-            }
         };
-        if let Some((q, code, begin_at)) = traced {
+        if let Some(begin_at) = begin_at {
             tracer.task_span(
                 begin_at,
                 self.clock.now().as_secs_f64(),
                 tid as u32,
-                u64::from(q.0),
+                u64::from(traced_q.0),
                 w as u32,
                 code,
                 w % self.width != tid,
@@ -1580,7 +1458,6 @@ mod tests {
         let lane = Lane {
             width: 1,
             parts: Arc::new((0..k).map(partition).collect()),
-            registry: Arc::new(RwLock::new(vec![Arc::clone(&task)])),
             resp,
             hb: hb.clone(),
             tracer: Tracer::new(1, 16, false),
@@ -1607,7 +1484,7 @@ mod tests {
         fn handle(&self, w: usize, cmd: Cmd) {
             match &cmd {
                 Cmd::Step { q, .. } => self.lane.hb.send_step(q.0, w),
-                _ => self.lane.hb.send_cmd(w),
+                Cmd::Collect { q } => self.lane.hb.send_collect(q.0, w),
             }
             self.run(w, cmd);
         }
@@ -1685,6 +1562,12 @@ mod tests {
         fn has_pending(&self, w: usize) -> bool {
             let ctx = self.lane.parts[w].ctx.lock().unwrap();
             ctx.worker.has_pending(Q)
+        }
+
+        /// Partition `w`'s part of a pending report.
+        fn pending(&self, w: usize) -> Vec<(QueryId, usize)> {
+            let ctx = self.lane.parts[w].ctx.lock().unwrap();
+            ctx.worker.pending_report().collect()
         }
     }
 
@@ -1856,45 +1739,72 @@ mod tests {
     }
 
     #[test]
-    fn the_window_commands_flush_mail_so_a_pending_inbox_survives_migration() {
+    fn a_window_flushes_the_mail_so_a_pending_inbox_survives_migration() {
         // A flood from vertex 0 of `{0,1} {2,3}` leaves one batch for
         // vertex 2 in partition 1's mailbox, nothing in its inbox.
         let g = line(4);
-        let mailed = || {
-            let reach = Arc::new(TypedTask::new(ReachProgram::new(VertexId(0))));
-            let by_hand = seeded_lane(&g, RangePartitioner.partition(&g, 2), reach);
-            by_hand.step(0, true);
-            assert!(by_hand.mail(1) == [1, 0] && !by_hand.has_pending(1));
-            by_hand
-        };
-        let by_hand = mailed();
-        by_hand.handle(1, Cmd::PendingReport);
-        let Some(Resp::Pending(pending)) = by_hand.response() else {
-            panic!("a pending report answers");
-        };
-        assert_eq!(pending, vec![(Q, 1)]);
-        assert!(by_hand.mail(1) == [0, 0] && by_hand.has_pending(1));
-
-        let by_hand = mailed();
-        by_hand.handle(1, Cmd::ScopeReport);
-        assert!(matches!(by_hand.response(), Some(Resp::Scopes(_))));
-        assert!(by_hand.mail(1) == [0, 0] && by_hand.has_pending(1));
+        let reach: Arc<dyn QueryTask> = Arc::new(TypedTask::new(ReachProgram::new(VertexId(0))));
+        let by_hand = seeded_lane(&g, RangePartitioner.partition(&g, 2), Arc::clone(&reach));
+        by_hand.step(0, true);
+        assert!(by_hand.mail(1) == [1, 0] && !by_hand.has_pending(1));
+        // The window's flush moves it into the inbox, where the pending
+        // report sees it.
+        let (parts, hb) = (&by_hand.lane.parts, &by_hand.lane.hb);
+        let task_of = |_: QueryId| Arc::clone(&reach);
+        flush_mail(parts, hb, &task_of);
+        assert_eq!(by_hand.mail(1), [0, 0]);
+        assert_eq!(
+            (by_hand.pending(0), by_hand.pending(1)),
+            (vec![], vec![(Q, 1)])
+        );
 
         // Migrating vertex 2 to partition 0 takes the mailed message along.
-        let by_hand = mailed();
-        let vertices = vec![VertexId(2)];
-        by_hand.handle(1, Cmd::Extract { token: 0, vertices });
-        let Some(Resp::Extracted { data, .. }) = by_hand.response() else {
-            panic!("an extract answers");
+        let migration = Migration {
+            moves: vec![crate::qcut::VertexMove {
+                query: Q,
+                from: 1,
+                to: 0,
+                vertices: vec![VertexId(2)],
+            }],
+            moved_vertices: 1,
+            per_pair: vec![(1, 0, 1)],
         };
-        assert!(by_hand.mail(1) == [0, 0] && !by_hand.has_pending(1));
-        assert_eq!(data.len(), 1, "the query's pending message moved");
-        by_hand.handle(0, Cmd::Inject { data });
-        by_hand.handle(0, Cmd::PendingReport);
-        let Some(Resp::Pending(pending)) = by_hand.response() else {
-            panic!("a pending report answers");
-        };
-        assert_eq!(pending, vec![(Q, 0)]);
+        let mut contexts: Vec<_> = parts.iter().map(|p| lock_ctx(&p.ctx)).collect();
+        let mut workers: Vec<&mut Worker> = contexts.iter_mut().map(|c| &mut c.worker).collect();
+        let gained = migrate::apply_to_workers(&migration, &mut workers, &task_of);
+        drop(contexts);
+        assert_eq!(gained, vec![(Q, 0)]);
+        assert_eq!(
+            (by_hand.pending(0), by_hand.pending(1)),
+            (vec![(Q, 0)], vec![])
+        );
+        assert_eq!((by_hand.mail(0), by_hand.mail(1)), ([0, 0], [0, 0]));
+    }
+
+    /// Submitted through the erased path, a task is held by the core while
+    /// its query lives, and by nothing once it finished.
+    #[test]
+    fn a_finished_querys_task_is_dropped() {
+        let g = line(8);
+        let mut e = ThreadEngine::new(Arc::clone(&g), RangePartitioner.partition(&g, 2));
+        let reach = |v| -> Arc<dyn QueryTask> { Arc::new(TypedTask::new(ReachProgram::new(v))) };
+        let mut kept = Vec::new();
+        // Two before the engine starts, one from a client while it serves.
+        for v in [0, 3] {
+            let task = reach(VertexId(v));
+            kept.push(Arc::downgrade(&task));
+            e.submit_task(task);
+        }
+        e.run();
+        let task = reach(VertexId(5));
+        kept.push(Arc::downgrade(&task));
+        e.client().submit_task(task, None);
+        e.drain();
+        assert_eq!(e.report().outcomes.len(), 3);
+        assert!(
+            kept.iter().all(|t| t.upgrade().is_none()),
+            "a task outlived its query"
+        );
     }
 
     #[test]

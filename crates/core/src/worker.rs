@@ -660,6 +660,23 @@ impl Worker {
         self.queries.keys().copied()
     }
 
+    /// This worker's part of a scope report: `(query, this worker, live
+    /// scope vertices)` per query with state here, in no particular order.
+    /// Only stable while no superstep of the query runs.
+    pub(crate) fn scope_report(
+        &self,
+    ) -> impl Iterator<Item = (QueryId, usize, Vec<VertexId>)> + '_ {
+        self.active_queries()
+            .map(|q| (q, self.id, self.scope_vertices(q)))
+    }
+
+    /// This worker's part of a pending report: `(query, this worker)` per
+    /// query with messages waiting for a next superstep here.
+    pub(crate) fn pending_report(&self) -> impl Iterator<Item = (QueryId, usize)> + '_ {
+        let pending = self.queries.iter().filter(|(_, l)| l.has_pending());
+        pending.map(|(&q, _)| (q, self.id))
+    }
+
     /// Remove query `q` entirely, returning its local state (for the
     /// task's `finalize`).
     pub fn take_local(&mut self, q: QueryId) -> Option<Box<dyn LocalState>> {
