@@ -20,45 +20,41 @@
 //! [`ThreadEngine`](crate::ThreadEngine) turns them into pool commands.
 //! Neither knows about parked sets, locality counting or outcome fields.
 //!
-//! ## One superstep, one dispatch
+//! ## One superstep, one dispatch, one close
 //!
-//! The core dispatches a superstep whole ([`Executor::superstep`]) and
-//! hears back one [`StepReport`] per involved partition, through
-//! [`Coordinator::step_done`]. What the executor owes in between is the
-//! BSP contract, by whatever means suit it: every involved partition
+//! A query's superstep state is one [`Stepping`] record behind a shared
+//! lock ([`Record`]), with one fold ([`Stepping::fold`], a finished Step's
+//! [`StepReport`]) and one close ([`Stepping::close`]); whoever observes a
+//! superstep's last Step closes it there. [`Coordinator::step_done`] is
+//! fold + close, for the simulation's reports; the thread runtime's lanes
+//! fold, close and release the next superstep themselves (see
+//! [`crate::runtime`]), so its core hears of a query only when it
+//! terminates, parks for a window, or a Q-cut check is due.
+//!
+//! What an executor owes for a dispatched superstep
+//! ([`Executor::superstep`]) is the BSP contract: every involved partition
 //! executes exactly the input that was pending for it when the superstep
-//! was dispatched — nothing a Step of this superstep sends may reach
-//! another Step of it, however late that one runs — at most `dop` Steps
-//! run at once, and the held-back partitions go in `involved` order, one
-//! per completing Step. *When* the next deferred one goes is decided where
-//! the completion is observed: an event one control hop later in the
-//! simulation, the finishing lane itself on threads. The messages a Step
-//! sends away travel executor-side too (the report names only their
-//! destination partitions); the core routes nothing but a query's initial
-//! batches ([`Executor::deliver`]).
-//!
-//! ## Solo supersteps
-//!
-//! When a dispatched superstep involves one partition, nothing else is
-//! stepping the query, so if that step crosses no boundary and leaves the
-//! partition with pending messages, the next involved set is the same
-//! partition again — the paper's communication-free local barrier (§3.3).
-//! An executor may then close such supersteps where they ran
-//! ([`close_superstep`] is the one roll-over + termination test, shared
-//! with [`Coordinator::step_done`]) and say so on the report
-//! ([`StepReport::chained`]); the core folds them in as if each had been
-//! reported on its own. The thread runtime does (see
-//! [`crate::runtime`]); the simulation's local barrier is already free.
+//! began — nothing a Step of this superstep sends may reach another Step
+//! of it, however late that one runs — at most `dop` Steps run at once,
+//! and the held-back partitions go in `involved` order, one per completing
+//! Step ([`Stepping::next_deferred`]), decided where the completion is
+//! observed. The messages a Step sends away travel executor-side too; the
+//! core routes nothing but a query's initial batches
+//! ([`Executor::deliver`]).
 //!
 //! ## The Q-cut trigger
 //!
-//! There is one (paper §3.4): after a superstep closes, the executor
-//! calls [`Coordinator::trigger`] with its own clock reading — virtual
-//! seconds in the simulation, session wall-clock seconds on threads — and
-//! the core tests the cooldown, then the mean lifetime locality of the
-//! running queries against Φ and the activity imbalance of the last μ/8
-//! sub-window against its threshold. Only *when the ILS runs* differs,
-//! by what [`Executor::scopes_readable_live`] answers:
+//! There is one (paper §3.4): [`Coordinator::trigger`], called with the
+//! executor's own clock reading — virtual seconds in the simulation,
+//! session wall-clock seconds on threads. The simulation calls it after
+//! every superstep close; the thread runtime when a lane closes a
+//! superstep at or after [`Coordinator::next_check`] (the cooldown's end;
+//! a check that declines leaves it due, so the next close checks again).
+//! The core tests the cooldown, then the mean lifetime locality of the
+//! running queries against Φ — read live from their records — and the
+//! activity imbalance of the last μ/8 sub-window
+//! ([`Coordinator::note_activity`]) against its threshold. Only *when the
+//! ILS runs* differs, by what [`Executor::scopes_readable_live`] answers:
 //!
 //! * yes (one address space — the simulation): the ILS runs at the
 //!   trigger, hidden behind query processing as in the paper, and its
@@ -71,7 +67,7 @@
 //! Either way the cooldown starts when the window is asked for.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use rustc_hash::FxHashMap;
 
@@ -104,26 +100,16 @@ pub(crate) enum StepVia {
     Barrier,
 }
 
-/// What a `collect` dispatch yields: the local right away (one address
-/// space) or later, as a [`Coordinator::collected`] input.
-pub(crate) enum Collect {
-    Done(Option<Box<dyn LocalState>>),
-    Pending,
-}
-
 /// One whole superstep of one query, as the core hands it to an executor
 /// (see the module docs for what the executor owes).
 pub(crate) struct Superstep<'a> {
     pub task: &'a Arc<dyn QueryTask>,
-    /// The aggregate the superstep reads.
-    pub prev: &'a Envelope,
-    /// The partitions computing it, in release order.
-    pub involved: &'a [usize],
-    /// At most this many of their Steps run at once.
-    pub dop: usize,
-    /// How many supersteps the query has closed before this one. A Step
-    /// of superstep `n` produces input of superstep `n + 1`.
-    pub index: u32,
+    /// The query's record, locked by the core for the call (`step`): an
+    /// executor may close supersteps where they end. `step.out.iterations`
+    /// is the superstep's index; a Step of superstep `n` produces input of
+    /// superstep `n + 1`.
+    pub record: &'a Record,
+    pub step: &'a Stepping,
     /// How the first `dop` Steps travel.
     pub via: StepVia,
 }
@@ -137,11 +123,12 @@ pub(crate) trait Executor {
     /// Query `q` was admitted with `batch` addressed to `w`: input of its
     /// superstep 0 there.
     fn deliver(&mut self, q: QueryId, w: usize, task: &dyn QueryTask, batch: MessageBatch);
-    /// Run `q`'s next superstep; each involved partition's completion
-    /// comes back as a [`StepReport`].
+    /// Run `q`'s next superstep and close it (see the module docs).
     fn superstep(&mut self, q: QueryId, s: Superstep<'_>);
-    /// Hand back `q`'s local state on `w` (the query terminated).
-    fn collect(&mut self, q: QueryId, w: usize) -> Collect;
+    /// Hand back `q`'s local state on every partition in `touched` (the
+    /// query terminated): right away (one address space), or `None` and
+    /// later, all at once, as a [`Coordinator::collected`] input.
+    fn collect(&mut self, q: QueryId, touched: Vec<usize>) -> Option<Locals>;
     /// Query `q` finished with `output`.
     fn complete(&mut self, q: QueryId, output: Envelope);
     /// Mutation epochs were applied: every partition must see the new
@@ -188,48 +175,139 @@ pub(crate) struct StepReport {
     pub remote: Vec<usize>,
     /// The partition still holds pending messages for `q` after the step.
     pub self_pending: bool,
-    /// Solo supersteps the partition closed itself ahead of the reported
-    /// one; `stats` then sums over all `1 + n` executions.
-    pub chained: Option<Chained>,
 }
 
-/// Supersteps closed where they ran (see the module docs): each was
-/// local, left its partition pending and did not terminate the query.
-pub(crate) struct Chained {
-    pub n: u32,
-    /// The aggregate they left — what the reported superstep read.
+/// A terminated query's collected local states.
+pub(crate) type Locals = Vec<Box<dyn LocalState>>;
+
+/// A query's superstep state, shared by the core and whoever closes its
+/// supersteps (see the module docs).
+pub(crate) type Record = Arc<Mutex<Stepping>>;
+
+/// Lock a record, a mailbox or a collect, recovering from poisoning: each
+/// update leaves them valid, and a panic elsewhere surfaces on its own.
+pub(crate) fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// One admitted query's superstep state.
+pub(crate) struct Stepping {
+    /// The outcome under construction: work counters accumulate in place.
+    pub out: QueryOutcome,
+    /// DoP budget ([`crate::DopPolicy::budget`], fixed at admission).
+    pub dop: usize,
+    /// Steps of the current superstep not yet folded.
+    pub outstanding: usize,
+    /// How many of `involved_cur` have been released.
+    released: usize,
+    /// Partitions computing the current superstep, in release order.
+    pub involved_cur: Vec<usize>,
+    /// Partitions with pending messages for the next one (sorted).
+    pub next_involved: Vec<usize>,
+    /// Any message of the current superstep crossed a partition boundary.
+    pub crossed: bool,
+    /// The aggregate the current superstep reads.
     pub agg_prev: Envelope,
+    agg_acc: Envelope,
+    /// Partitions holding state for the query (sorted) — the collect set.
+    pub touched: Vec<usize>,
 }
 
-/// The superstep close, written once for the core and for an executor
-/// that chains solo supersteps: roll `acc` (identity ⊕ the superstep's
-/// contributions) into `agg_prev`, the aggregate the next superstep reads
-/// — folded in when the program's aggregate is sticky, replacing it
-/// otherwise — and say whether the query terminates on it.
-pub(crate) fn close_superstep(
-    task: &dyn QueryTask,
-    agg_prev: &mut Envelope,
-    acc: Envelope,
-) -> bool {
-    if task.aggregate_sticky() {
-        task.aggregate_combine(agg_prev, &acc);
-    } else {
-        *agg_prev = acc;
-    }
-    task.should_terminate(agg_prev)
-}
-
-/// Where a step report left its query.
+/// What a closed superstep leaves its query to do: start the next one
+/// over `next_involved` (or park first), or be collected.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum StepOutcome {
-    /// Tasks of the superstep are still running.
-    Running,
-    /// The superstep completed and the query waits at its barrier: the
-    /// executor calls [`Coordinator::release`] when the barrier opens.
-    Barrier,
-    /// The superstep completed and the query terminated (its locals are
-    /// collected or on their way).
-    Terminated,
+pub(crate) enum Close {
+    Next,
+    Terminate,
+}
+
+impl Stepping {
+    /// A query's record at admission: nothing pending, nothing touched.
+    pub fn new(task: &dyn QueryTask, out: QueryOutcome, dop: usize, partitions: usize) -> Self {
+        Stepping {
+            out,
+            dop,
+            outstanding: 0,
+            released: 0,
+            involved_cur: Vec::new(),
+            next_involved: Vec::with_capacity(partitions),
+            crossed: false,
+            agg_prev: task.aggregate_identity(),
+            agg_acc: task.aggregate_identity(),
+            touched: Vec::with_capacity(partitions),
+        }
+    }
+
+    /// Start the next superstep: the pending set becomes the involved set,
+    /// and the first `dop` of it are released.
+    pub fn begin(&mut self) {
+        std::mem::swap(&mut self.involved_cur, &mut self.next_involved);
+        self.next_involved.clear();
+        self.crossed = false;
+        let involved = self.involved_cur.len();
+        self.out.tasks += involved as u64;
+        self.out.effective_dop = self.out.effective_dop.max(involved.min(self.dop) as u32);
+        self.outstanding = involved;
+        self.released = involved.min(self.dop);
+    }
+
+    /// The partitions whose Steps go as the superstep begins, and those
+    /// the budget holds back, in release order.
+    pub fn released(&self) -> (&[usize], &[usize]) {
+        self.involved_cur.split_at(self.released)
+    }
+
+    /// A Step completed and freed its budget slot: the next held-back
+    /// partition, if any, goes now.
+    pub fn next_deferred(&mut self) -> Option<usize> {
+        let w = *self.involved_cur.get(self.released)?;
+        self.released += 1;
+        Some(w)
+    }
+
+    /// Fold one finished Step in: its work, where its messages went, its
+    /// aggregate contribution. True when it was the superstep's last.
+    pub fn fold(&mut self, task: &dyn QueryTask, rep: &StepReport) -> bool {
+        self.outstanding -= 1;
+        let stats = &rep.stats;
+        self.out.vertex_updates += stats.executed as u64;
+        self.out.remote_messages += stats.remote_deliveries as u64;
+        self.out.remote_messages_pre_combine += stats.remote_pre_combine as u64;
+        self.out.remote_batches += stats.remote_batches as u64;
+        self.crossed |= !rep.remote.is_empty();
+        task.aggregate_combine(&mut self.agg_acc, &rep.agg);
+        if rep.self_pending {
+            insert_sorted(&mut self.next_involved, rep.worker);
+        }
+        for &w in &rep.remote {
+            insert_sorted(&mut self.next_involved, w);
+            insert_sorted(&mut self.touched, w);
+        }
+        self.outstanding == 0
+    }
+
+    /// Close the superstep whose last Step was just folded: count it (and
+    /// whether it was local, [`barrier::is_local`]), roll the aggregate —
+    /// the contributions are folded into the one the next superstep reads
+    /// when the program's aggregate is sticky, replace it otherwise — and
+    /// say whether the query goes on.
+    pub fn close(&mut self, task: &dyn QueryTask) -> Close {
+        self.out.iterations += 1;
+        if barrier::is_local(self.involved_cur.len(), self.crossed) {
+            self.out.local_iterations += 1;
+        }
+        let acc = std::mem::replace(&mut self.agg_acc, task.aggregate_identity());
+        if task.aggregate_sticky() {
+            task.aggregate_combine(&mut self.agg_prev, &acc);
+        } else {
+            self.agg_prev = acc;
+        }
+        if task.should_terminate(&self.agg_prev) || self.next_involved.is_empty() {
+            Close::Terminate
+        } else {
+            Close::Next
+        }
+    }
 }
 
 /// The engine state that outlives a serve session: what a runtime hands
@@ -242,33 +320,19 @@ pub(crate) struct EngineState {
     pub report: EngineReport,
 }
 
-/// One admitted query's superstep state.
+/// One admitted query.
 pub(crate) struct QueryRun {
     pub task: Arc<dyn QueryTask>,
-    /// The outcome under construction: work counters accumulate in place
-    /// and the record is pushed to the report at completion.
-    out: QueryOutcome,
-    /// Degree-of-parallelism budget ([`crate::DopPolicy::budget`], fixed
-    /// at admission): at most this many of a superstep's tasks run at once.
-    dop: usize,
-    /// Steps of the dispatched superstep not yet reported.
-    outstanding: usize,
-    /// Partitions computing the current superstep, in release order: the
-    /// budget holds all but the first `dop` back, one more going per
-    /// completing task.
-    pub involved_cur: Vec<usize>,
-    /// Partitions with pending messages for the next one (sorted).
-    pub next_involved: Vec<usize>,
-    /// Any message of the current superstep crossed a partition boundary.
-    pub crossed: bool,
-    pub agg_prev: Envelope,
-    agg_acc: Envelope,
-    /// Partitions holding state for the query (sorted) — the collect set.
-    touched: Vec<usize>,
-    collecting: usize,
-    locals: Vec<Box<dyn LocalState>>,
-    /// Latest instant any of the query's steps finished.
+    pub record: Record,
+    /// Latest instant any of the query's steps finished, as the executor
+    /// reported it to [`Coordinator::step_done`].
     pub last_done: SimTime,
+}
+
+impl QueryRun {
+    pub fn stepping(&self) -> MutexGuard<'_, Stepping> {
+        relock(&self.record)
+    }
 }
 
 /// The repartition the next window applies.
@@ -408,7 +472,20 @@ impl Coordinator {
 
     /// Queries currently mid-superstep.
     pub fn computing(&self) -> usize {
-        self.queries.values().filter(|r| r.outstanding > 0).count()
+        let mid = |r: &&QueryRun| r.stepping().outstanding > 0;
+        self.queries.values().filter(mid).count()
+    }
+
+    /// When the next Q-cut check is due: the cooldown's end, or never (Q-cut
+    /// off, or a window wanted). A check that declines leaves it due.
+    pub fn next_check(&self) -> SimTime {
+        match &self.cfg.qcut {
+            Some(cfg) if !self.paused => {
+                let cooldown = SimTime::from_secs_f64(cfg.min_repartition_interval_secs);
+                self.state.controller.last_repartition + cooldown
+            }
+            _ => SimTime::MAX,
+        }
     }
 
     /// Live query `q`'s superstep state (`q` must be live).
@@ -499,33 +576,25 @@ impl Coordinator {
         let pool_width = Self::pool_width(&self.cfg, st.partitioning.num_workers());
         let route = |v: VertexId| st.partitioning.worker_of(v).index();
         let batches = task.initial_batches(&st.topology, &route, self.cfg.combiners);
-        let mut run = QueryRun {
-            agg_prev: task.aggregate_identity(),
-            agg_acc: task.aggregate_identity(),
-            out,
-            // The budget is fixed at admission for the query's lifetime.
-            dop: self.cfg.dop.budget(task.as_ref(), pool_width).max(1),
-            outstanding: 0,
-            involved_cur: Vec::new(),
-            next_involved: Vec::with_capacity(batches.len()),
-            crossed: false,
-            touched: Vec::with_capacity(batches.len()),
-            collecting: 0,
-            locals: Vec::new(),
-            last_done: now,
-            task,
-        };
+        // The budget is fixed at admission for the query's lifetime.
+        let dop = self.cfg.dop.budget(task.as_ref(), pool_width).max(1);
+        let mut step = Stepping::new(task.as_ref(), out, dop, batches.len());
         // `initial_batches` is sorted by partition, so both sets are too.
         for (w, batch) in batches {
-            run.touched.push(w);
-            run.next_involved.push(w);
-            x.deliver(q, w, run.task.as_ref(), batch);
+            step.touched.push(w);
+            step.next_involved.push(w);
+            x.deliver(q, w, task.as_ref(), batch);
         }
-        let empty = run.next_involved.is_empty();
+        let empty = step.next_involved.is_empty();
+        let run = QueryRun {
+            task,
+            record: Arc::new(Mutex::new(step)),
+            last_done: now,
+        };
         self.queries.insert(q, run);
         if empty {
             // No initial messages: finalize over the empty state set.
-            self.complete(x, q, now);
+            self.collected(x, q, Vec::new(), now);
         } else {
             self.dispatch_superstep(x, q, now, StepVia::Control);
         }
@@ -559,56 +628,80 @@ impl Coordinator {
         now: SimTime,
         via: StepVia,
     ) {
-        let Some(run) = self.queries.get_mut(&q) else {
+        let Some(run) = self.queries.get(&q) else {
             debug_assert!(false, "released {q} is no longer live");
             return;
         };
-        if run.next_involved.is_empty() {
+        let mut step = run.stepping();
+        if step.next_involved.is_empty() {
             // Migration preserves pending messages, so a waiting query
             // cannot lose them: loud in debug, finish rather than
             // deadlock in release.
             debug_assert!(false, "{q} reached a release with nothing pending");
+            drop(step);
             self.finish(x, q, now);
             return;
         }
-        std::mem::swap(&mut run.involved_cur, &mut run.next_involved);
-        run.next_involved.clear();
-        run.crossed = false;
-        let involved = run.involved_cur.len();
-        run.out.tasks += involved as u64;
-        run.out.effective_dop = run.out.effective_dop.max(involved.min(run.dop) as u32);
-        run.outstanding = involved;
-        for &w in run.involved_cur.iter().skip(run.dop) {
+        step.begin();
+        for &w in step.released().1 {
             self.tracer.defer(secs(now), u64::from(q.0), w as u32);
         }
         x.superstep(
             q,
             Superstep {
                 task: &run.task,
-                prev: &run.agg_prev,
-                involved: &run.involved_cur,
-                dop: run.dop,
-                index: run.out.iterations,
+                record: &run.record,
+                step: &step,
                 via,
             },
         );
     }
 
     /// A Step finished at `done_at` (≥ `now` when the executor prices the
-    /// send that follows the compute). Rolls the accounting and — when it
-    /// was the superstep's last — closes the superstep.
+    /// send that follows the compute): fold its report into the query's
+    /// record and, when it was the superstep's last, close the superstep —
+    /// `None` while Steps of it are still running. On `Next` the query
+    /// waits at its barrier ([`Coordinator::release`]); on `Terminate` it
+    /// is collected. The simulation's path; the thread runtime's lanes fold
+    /// and close on their own.
     pub fn step_done<X: Executor>(
         &mut self,
         x: &mut X,
         rep: StepReport,
         now: SimTime,
         done_at: SimTime,
-    ) -> StepOutcome {
+    ) -> Option<Close> {
         let q = rep.q;
-        let executed = rep.stats.executed as u64;
-        self.state.report.activity.push(ActivitySample {
-            t: secs(now),
-            worker: rep.worker,
+        self.note_activity(now, rep.worker, rep.stats.executed as u64);
+        let Some(run) = self.queries.get_mut(&q) else {
+            panic!("protocol invariant: step report for {q}, which is not live");
+        };
+        run.last_done = run.last_done.max(done_at);
+        // The executor releases the superstep's deferred Steps on its own
+        // — even while a window is wanted: the superstep must complete
+        // before the query can park.
+        let mut step = run.stepping();
+        if !step.fold(run.task.as_ref(), &rep) {
+            return None;
+        }
+        self.tracer.superstep_done(secs(now), u64::from(q.0));
+        let close = step.close(run.task.as_ref());
+        drop(step);
+        if close == Close::Terminate {
+            self.finish(x, q, now);
+        }
+        Some(close)
+    }
+
+    /// `executed` vertex updates on `worker`, seen at `now`: a report
+    /// sample, and the straggler watch when Q-cut runs — per Step report in
+    /// the simulation, per partition whenever the thread coordinator looks.
+    pub fn note_activity(&mut self, now: SimTime, worker: usize, executed: u64) {
+        let t = secs(now);
+        let report = &mut self.state.report;
+        report.activity.push(ActivitySample {
+            t,
+            worker,
             executed,
         });
         if let Some(qcut) = &self.cfg.qcut {
@@ -620,113 +713,44 @@ impl Coordinator {
                 self.activity.fill(0);
                 self.activity_since = now;
             }
-            self.activity[rep.worker] += rep.stats.executed;
-        }
-        let Some(run) = self.queries.get_mut(&q) else {
-            panic!("protocol invariant: step report for {q}, which is not live");
-        };
-        // The executor releases the superstep's deferred Steps on its own
-        // — even while a window is wanted: the superstep must complete
-        // before the query can park.
-        run.outstanding -= 1;
-        if let Some(chain) = rep.chained {
-            // Supersteps closed where they ran: each was one task on one
-            // partition, crossed nothing, and rolled the aggregate through
-            // `close_superstep`.
-            debug_assert!(run.involved_cur.len() == 1 && run.outstanding == 0);
-            for _ in 0..chain.n {
-                self.tracer.superstep_done(secs(now), u64::from(q.0));
-            }
-            run.out.iterations += chain.n;
-            run.out.local_iterations += chain.n;
-            run.out.tasks += u64::from(chain.n);
-            run.agg_prev = chain.agg_prev;
-        }
-        run.out.vertex_updates += executed;
-        run.out.remote_messages += rep.stats.remote_deliveries as u64;
-        run.out.remote_messages_pre_combine += rep.stats.remote_pre_combine as u64;
-        run.out.remote_batches += rep.stats.remote_batches as u64;
-        run.crossed |= !rep.remote.is_empty();
-        run.last_done = run.last_done.max(done_at);
-        run.task.aggregate_combine(&mut run.agg_acc, &rep.agg);
-        if rep.self_pending {
-            insert_sorted(&mut run.next_involved, rep.worker);
-        }
-        for w in rep.remote {
-            insert_sorted(&mut run.next_involved, w);
-            insert_sorted(&mut run.touched, w);
-        }
-        if run.outstanding > 0 {
-            return StepOutcome::Running;
-        }
-
-        self.tracer.superstep_done(secs(now), u64::from(q.0));
-        run.out.iterations += 1;
-        if barrier::is_local(run.involved_cur.len(), run.crossed) {
-            run.out.local_iterations += 1;
-        }
-        let combined = std::mem::replace(&mut run.agg_acc, run.task.aggregate_identity());
-        let terminate = close_superstep(run.task.as_ref(), &mut run.agg_prev, combined);
-        if run.next_involved.is_empty() || terminate {
-            self.finish(x, q, now);
-            StepOutcome::Terminated
-        } else {
-            StepOutcome::Barrier
+            self.activity[worker] += executed as usize;
         }
     }
 
     /// Query `q` terminated: collect its state from every partition that
     /// holds any.
     fn finish<X: Executor>(&mut self, x: &mut X, q: QueryId, now: SimTime) {
-        let Some(run) = self.queries.get_mut(&q) else {
+        let Some(run) = self.queries.get(&q) else {
             return;
         };
-        let touched = std::mem::take(&mut run.touched);
-        run.collecting = touched.len();
-        for w in touched {
-            if let Collect::Done(local) = x.collect(q, w) {
-                self.collected(x, q, local, now);
-            }
+        let touched = std::mem::take(&mut run.stepping().touched);
+        if let Some(locals) = x.collect(q, touched) {
+            self.collected(x, q, locals, now);
         }
     }
 
-    /// One of `q`'s collected locals arrived; the last one completes it.
-    pub fn collected<X: Executor>(
-        &mut self,
-        x: &mut X,
-        q: QueryId,
-        local: Option<Box<dyn LocalState>>,
-        now: SimTime,
-    ) {
-        let Some(run) = self.queries.get_mut(&q) else {
-            panic!("protocol invariant: collected local for {q}, which is not live");
+    /// Query `q` terminated and its collected locals arrived: finalize it
+    /// and free its closed-loop slot.
+    pub fn collected<X: Executor>(&mut self, x: &mut X, q: QueryId, locals: Locals, now: SimTime) {
+        let Some(run) = self.queries.remove(&q) else {
+            panic!("protocol invariant: collected locals for {q}, which is not live");
         };
-        run.locals.extend(local);
-        run.collecting -= 1;
-        if run.collecting == 0 {
-            self.complete(x, q, now);
-        }
-    }
-
-    fn complete<X: Executor>(&mut self, x: &mut X, q: QueryId, now: SimTime) {
-        let Some(mut run) = self.queries.remove(&q) else {
-            return;
-        };
+        let mut out = run.stepping().out;
         let at = run.last_done.max(now);
-        run.out.completed_at = at;
-        run.out.last_epoch = self.state.topology.epoch();
-        run.out.scope_size = run.locals.iter().map(|l| l.scope_size() as u64).sum();
+        out.completed_at = at;
+        out.last_epoch = self.state.topology.epoch();
+        out.scope_size = locals.iter().map(|l| l.scope_size() as u64).sum();
         if self.state.controller.qcut_config().is_some() {
             // Retain the scope for the monitoring window (only worth
             // materializing when Q-cut runs).
-            let mut scope: Vec<VertexId> = Vec::with_capacity(run.out.scope_size as usize);
-            for l in &run.locals {
+            let mut scope: Vec<VertexId> = Vec::with_capacity(out.scope_size as usize);
+            for l in &locals {
                 l.for_each_scope_vertex(&mut |v| scope.push(v));
             }
             self.state.controller.record_finished_scope(q, scope, at);
         }
-        x.complete(q, run.task.finalize(&self.state.topology, run.locals));
-        self.conclude(run.out, outcome_code::COMPLETED);
+        x.complete(q, run.task.finalize(&self.state.topology, locals));
+        self.conclude(out, outcome_code::COMPLETED);
         // Closed loop: the freed slot admits the next waiting query.
         self.admit(x, now);
     }
@@ -772,9 +796,12 @@ impl Coordinator {
         if self.queries.len() + controller.retained() < 2 {
             return None;
         }
-        // Lifetime locality of the running queries, in id order.
-        let running = self.queries.values().filter(|r| r.out.iterations > 0);
-        let localities = running.map(|r| r.out.locality());
+        // Lifetime locality of the running queries, in id order, read
+        // from their records as they stand.
+        let localities = self.queries.values().filter_map(|r| {
+            let step = r.stepping();
+            (step.out.iterations > 0).then(|| step.out.locality())
+        });
         if !controller.should_trigger(now, self.activity_imbalance, localities) {
             return None;
         }
@@ -979,19 +1006,24 @@ impl Coordinator {
             ils: result,
         });
         for (q, w) in gained {
-            if let Some(run) = self.queries.get_mut(&q) {
-                insert_sorted(&mut run.touched, w);
+            if let Some(run) = self.queries.get(&q) {
+                insert_sorted(&mut run.stepping().touched, w);
             }
         }
         // The migration moved pending inboxes between partitions: rebuild
         // the next involved set of every query waiting at its barrier.
-        let at_barrier = |r: &QueryRun| r.outstanding == 0 && r.collecting == 0;
-        for run in self.queries.values_mut().filter(|r| at_barrier(r)) {
-            run.next_involved.clear();
+        for run in self.queries.values() {
+            let mut step = run.stepping();
+            if step.outstanding == 0 {
+                step.next_involved.clear();
+            }
         }
         for (q, w) in x.pending_report() {
-            if let Some(run) = self.queries.get_mut(&q).filter(|r| at_barrier(r)) {
-                insert_sorted(&mut run.next_involved, w);
+            if let Some(run) = self.queries.get(&q) {
+                let mut step = run.stepping();
+                if step.outstanding == 0 {
+                    insert_sorted(&mut step.next_involved, w);
+                }
             }
         }
     }
@@ -1080,13 +1112,15 @@ mod tests {
             self.log.push(Op::Deliver(q.0, w));
         }
         fn superstep(&mut self, q: QueryId, s: Superstep<'_>) {
-            let involved = s.involved.to_vec();
+            let (step, involved) = (s.step, s.step.involved_cur.clone());
+            let index = step.out.iterations;
             self.log
-                .push(Op::Superstep(q.0, involved, s.dop, s.index, s.via));
+                .push(Op::Superstep(q.0, involved, step.dop, index, s.via));
         }
-        fn collect(&mut self, q: QueryId, w: usize) -> Collect {
-            self.log.push(Op::Collect(q.0, w));
-            Collect::Done(None)
+        fn collect(&mut self, q: QueryId, touched: Vec<usize>) -> Option<Locals> {
+            let collects = touched.into_iter().map(|w| Op::Collect(q.0, w));
+            self.log.extend(collects);
+            Some(Vec::new())
         }
         fn complete(&mut self, q: QueryId, _: Envelope) {
             self.log.push(Op::Complete(q.0));
@@ -1172,7 +1206,6 @@ mod tests {
             agg: task.aggregate_identity(),
             remote: to.to_vec(),
             self_pending: false,
-            chained: None,
         }
     }
 
@@ -1197,11 +1230,11 @@ mod tests {
         // deferred partitions, in involved order.
         x.log.clear();
         let outcome = core.step_done(&mut x, report(&task, 0, &[1]), at(2), at(2));
-        assert_eq!(outcome, StepOutcome::Running);
+        assert_eq!(outcome, None);
         let outcome = core.step_done(&mut x, report(&task, 1, &[]), at(3), at(3));
-        assert_eq!(outcome, StepOutcome::Running);
+        assert_eq!(outcome, None);
         let outcome = core.step_done(&mut x, report(&task, 2, &[]), at(4), at(4));
-        assert_eq!(outcome, StepOutcome::Barrier);
+        assert_eq!(outcome, Some(Close::Next));
         assert!(x.log.is_empty(), "nothing moves until the barrier opens");
         // The next superstep involves only the partition that was sent to.
         core.release(&mut x, QueryId(0), at(5));
@@ -1209,9 +1242,9 @@ mod tests {
             x.log,
             vec![Op::Superstep(0, vec![1], 1, 1, StepVia::Barrier)]
         );
-        let run = core.run(QueryId(0));
-        assert_eq!((run.out.iterations, run.out.local_iterations), (1, 0));
-        assert_eq!((run.out.tasks, run.out.effective_dop), (4, 1));
+        let out = core.run(QueryId(0)).stepping().out;
+        assert_eq!((out.iterations, out.local_iterations), (1, 0));
+        assert_eq!((out.tasks, out.effective_dop), (4, 1));
     }
 
     #[test]
@@ -1247,7 +1280,7 @@ mod tests {
         core.step_done(&mut x, report(&task, 0, &[]), at(3), at(3));
         core.step_done(&mut x, report(&task, 1, &[0]), at(4), at(4));
         let outcome = core.step_done(&mut x, report(&task, 2, &[]), at(5), at(5));
-        assert_eq!(outcome, StepOutcome::Barrier);
+        assert_eq!(outcome, Some(Close::Next));
         // ... then parks at the release instead of dispatching.
         x.log.clear();
         core.release(&mut x, QueryId(0), at(6));
@@ -1357,11 +1390,8 @@ mod tests {
                 self_pending: true,
                 ..report(&task, 1, &[])
             };
-            assert_eq!(
-                core.step_done(&mut x, rep, at(3), at(3)),
-                StepOutcome::Barrier
-            );
-            assert_eq!(core.run(q).out.locality(), 0.5);
+            assert_eq!(core.step_done(&mut x, rep, at(3), at(3)), Some(Close::Next));
+            assert_eq!(core.run(q).stepping().out.locality(), 0.5);
         }
         assert_eq!(core.trigger(&mut x, at(4)), None);
         assert!(!core.paused() && matches!(core.repartition, Repartition::None));
@@ -1429,24 +1459,39 @@ mod tests {
         (core, x, TypedTask::new(program))
     }
 
-    /// Partition 1 reports `supersteps` executions of the tally's one
-    /// vertex — the last contributing `contribution`, the earlier ones
-    /// `chained` — having sent nothing away and still pending.
-    fn local_report(contribution: u64, chained: Option<Chained>, supersteps: usize) -> StepReport {
+    /// Partition 1 executed the tally's one vertex once, contributing
+    /// `contribution`, sent nothing away and is still pending.
+    fn local_report(contribution: u64) -> StepReport {
         StepReport {
             q: QueryId(0),
             worker: 1,
             stats: SuperstepStats {
-                executed: supersteps,
-                local_deliveries: supersteps,
-                tasks: supersteps,
+                executed: 1,
+                local_deliveries: 1,
+                tasks: 1,
                 ..Default::default()
             },
             agg: Box::new(contribution),
             remote: Vec::new(),
             self_pending: true,
-            chained,
         }
+    }
+
+    /// What a lane does with query 0's solo supersteps contributing
+    /// `contributions`: fold and close each on the record, beginning the
+    /// next in place while the query goes on. No coordinator turn.
+    fn close_on_the_lane(core: &Coordinator, task: &dyn QueryTask, contributions: &[u64]) -> Close {
+        let mut step = core.run(QueryId(0)).stepping();
+        let mut close = Close::Next;
+        for (i, &c) in contributions.iter().enumerate() {
+            if i > 0 {
+                assert_eq!(close, Close::Next, "closed past a termination");
+                step.begin();
+            }
+            assert!(step.fold(task, &local_report(c)), "solo: its last Step");
+            close = step.close(task);
+        }
+        close
     }
 
     fn tally_of(aggregate: &Envelope) -> u64 {
@@ -1457,69 +1502,45 @@ mod tests {
     fn a_chained_report_folds_like_the_same_supersteps_reported_one_by_one() {
         for (sticky, left) in [(false, 3), (true, 6)] {
             // One by one: local supersteps contributing 1, 2 and 3, a
-            // report and a release each.
+            // report to the core and a release each.
             let (mut single, mut x, _) = solo_tally(sticky, u64::MAX);
             for c in [1, 2, 3] {
-                let rep = local_report(c, None, 1);
-                let outcome = single.step_done(&mut x, rep, at(1 + c), at(1 + c));
-                assert_eq!(outcome, StepOutcome::Barrier);
+                let outcome = single.step_done(&mut x, local_report(c), at(1 + c), at(1 + c));
+                assert_eq!(outcome, Some(Close::Next));
                 if c < 3 {
                     single.release(&mut x, QueryId(0), at(1 + c));
                 }
             }
-            // Chained: the first two closed where they ran, through the
-            // core's own close, and ride the third one's report.
-            let (mut chained, mut y, task) = solo_tally(sticky, u64::MAX);
-            let mut prev = task.aggregate_identity();
-            for c in [1u64, 2] {
-                let mut acc = task.aggregate_identity();
-                task.aggregate_combine(&mut acc, &(Box::new(c) as Envelope));
-                assert!(!close_superstep(&task, &mut prev, acc));
-            }
-            let chain = Chained {
-                n: 2,
-                agg_prev: prev,
-            };
-            let rep = local_report(3, Some(chain), 3);
-            let outcome = chained.step_done(&mut y, rep, at(4), at(4));
-            assert_eq!(outcome, StepOutcome::Barrier);
+            // Chained on the lane: the same three, closed through the
+            // record's one fold and close, the next begun in place.
+            let (chained, y, task) = solo_tally(sticky, u64::MAX);
+            assert_eq!(close_on_the_lane(&chained, &task, &[1, 2, 3]), Close::Next);
             assert!(y.log.is_empty(), "two coordinator turns never happened");
 
             let (a, b) = (single.run(QueryId(0)), chained.run(QueryId(0)));
+            let (a, b) = (a.stepping(), b.stepping());
             // 3 supersteps, all local, 3 vertex updates, 3 tasks at DoP 1.
             assert_eq!(work(&b.out), [3, 3, 3, 0, 0, 0, 3, 1]);
             assert_eq!(work(&a.out), work(&b.out));
             assert_eq!((tally_of(&a.agg_prev), tally_of(&b.agg_prev)), (left, left));
             assert_eq!((&a.next_involved, &b.next_involved), (&vec![1], &vec![1]));
-            // One activity sample per report, the same work in total.
-            let executed = |c: &Coordinator| -> Vec<u64> {
-                let samples = c.state.report.activity.iter();
-                samples.map(|s| s.executed).collect()
-            };
-            assert_eq!(
-                (executed(&single), executed(&chained)),
-                (vec![1; 3], vec![3])
-            );
         }
     }
 
     #[test]
-    fn a_close_that_terminates_is_left_to_the_core_which_terminates_once() {
-        // Sticky and stopping at 3: the third close ends the query. The
-        // chain tries it on a copy, finds that out, and reports that
-        // superstep unrolled.
+    fn a_query_its_lane_terminated_completes_from_one_collect() {
+        // Sticky and stopping at 3: the third close ends the query, on the
+        // lane, which takes the collect set and hands back every local at
+        // once. The core's one turn completes the query.
         let (mut core, mut x, task) = solo_tally(true, 3);
-        let two: Envelope = Box::new(2u64);
-        let mut peek = task.clone_aggregate(&two);
-        assert!(close_superstep(&task, &mut peek, Box::new(1u64)));
-        assert_eq!((tally_of(&peek), tally_of(&two)), (3, 2));
-        let chain = Chained {
-            n: 2,
-            agg_prev: two,
-        };
-        let outcome = core.step_done(&mut x, local_report(1, Some(chain), 3), at(2), at(2));
-        assert_eq!(outcome, StepOutcome::Terminated);
-        assert_eq!(x.log, vec![Op::Collect(0, 1), Op::Complete(0)]);
+        assert_eq!(
+            close_on_the_lane(&core, &task, &[1, 1, 1]),
+            Close::Terminate
+        );
+        let touched = std::mem::take(&mut core.run(QueryId(0)).stepping().touched);
+        assert_eq!(touched, vec![1]);
+        core.collected(&mut x, QueryId(0), Vec::new(), at(2));
+        assert_eq!(x.log, vec![Op::Complete(0)]);
         assert!(core.quiet());
         let outcomes = &core.state.report.outcomes;
         assert_eq!(outcomes.len(), 1);
@@ -1528,20 +1549,17 @@ mod tests {
 
     #[test]
     fn a_chained_report_under_a_wanted_window_parks_at_its_release() {
-        let (mut core, mut x, _) = solo_tally(false, u64::MAX);
+        let (mut core, mut x, task) = solo_tally(false, u64::MAX);
         let mut batch = MutationBatch::new();
         batch.add_edge(0, 1, 1.0);
         core.mutate(batch);
         assert!(core.paused());
-        let chain = Chained {
-            n: 4,
-            agg_prev: Box::new(1u64),
-        };
-        let outcome = core.step_done(&mut x, local_report(1, Some(chain), 5), at(2), at(2));
-        assert_eq!(outcome, StepOutcome::Barrier);
+        // The lane closes five, sees the window wanted and hands the query
+        // back: the core parks it at its release.
+        assert_eq!(close_on_the_lane(&core, &task, &[1; 5]), Close::Next);
         core.release(&mut x, QueryId(0), at(2));
         assert!(x.log.is_empty() && core.parked == vec![QueryId(0)]);
-        assert_eq!(core.run(QueryId(0)).out.iterations, 5);
+        assert_eq!(core.run(QueryId(0)).stepping().out.iterations, 5);
         // The window resumes it where its messages are, as superstep 5.
         x.clock = at(3);
         core.window_open(&x);
@@ -1554,8 +1572,8 @@ mod tests {
 
     #[test]
     fn only_a_one_partition_dispatch_carries_the_solo_hint() {
-        // The hint is the involved set itself: an executor may close
-        // supersteps where they ran only when it was handed one partition.
+        // The hint is the involved set itself: a lane executes the next
+        // superstep in place only when its record involves one partition.
         // An unbudgeted ping over three partitions: all three at once.
         let cfg = SystemConfig::default();
         let (mut core, mut x, task) = (core(cfg), Script::default(), ping());
@@ -1693,7 +1711,7 @@ mod tests {
         assert!(x.log.contains(&Op::PublishTopology(1)));
         x.log.clear();
         let outcome = core.step_done(&mut x, report(&task, 1, &[]), at(13), at(14));
-        assert_eq!(outcome, StepOutcome::Terminated);
+        assert_eq!(outcome, Some(Close::Terminate));
         let collects = [Op::Collect(0, 0), Op::Collect(0, 1), Op::Collect(0, 2)];
         assert_eq!(x.log[..3], collects, "every partition that held state");
         assert_eq!(x.log[3], Op::Complete(0));

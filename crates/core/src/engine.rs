@@ -49,7 +49,7 @@ use crate::barrier::{self, BarrierInput};
 use crate::config::{BarrierMode, SystemConfig};
 use crate::controller::Controller;
 use crate::coord::{
-    Collect, Coordinator, EngineState, Executor, StepOutcome, StepReport, StepVia, Superstep,
+    Close, Coordinator, EngineState, Executor, Locals, StepReport, StepVia, Superstep,
 };
 use crate::hb::{kind, Hb};
 use crate::index_plane::PointIndex;
@@ -123,9 +123,6 @@ struct SimExec {
     outputs: Vec<Option<Envelope>>,
     /// Per query: latest arrival of any inter-worker message it sent.
     msg_arrival: Vec<SimTime>,
-    /// Per query: how many of the current superstep's involved partitions
-    /// have had their Step released (the DoP budget holds the rest back).
-    released: Vec<usize>,
     /// `TaskReady` dispatches scheduled but not yet delivered. Quiescence
     /// requires this to reach zero: a control message racing the STOP
     /// barrier would otherwise start a superstep mid-migration.
@@ -169,12 +166,10 @@ impl Executor for SimExec {
     // releases a local superstep at `compute_done`, so virtual time has
     // nothing to save there.
     fn superstep(&mut self, q: QueryId, s: Superstep<'_>) {
-        for &w in s.involved {
+        for &w in &s.step.involved_cur {
             self.workers[w].freeze(q);
         }
-        let released = s.involved.len().min(s.dop);
-        self.released[q.index()] = released;
-        for &w in &s.involved[..released] {
+        for &w in s.step.released().0 {
             match s.via {
                 StepVia::Barrier => self.task_ready(q, w),
                 StepVia::Control => self.control_ready(q, w),
@@ -182,8 +177,9 @@ impl Executor for SimExec {
         }
     }
 
-    fn collect(&mut self, q: QueryId, w: usize) -> Collect {
-        Collect::Done(self.workers[w].take_local(q))
+    fn collect(&mut self, q: QueryId, touched: Vec<usize>) -> Option<Locals> {
+        let locals = touched.into_iter().map(|w| self.workers[w].take_local(q));
+        Some(locals.flatten().collect())
     }
 
     fn complete(&mut self, q: QueryId, output: Envelope) {
@@ -378,7 +374,6 @@ impl SimEngine {
             events: EventQueue::new(),
             outputs: Vec::new(),
             msg_arrival: Vec::new(),
-            released: Vec::new(),
             inflight_ready: 0,
             window_scheduled: false,
             window_cost: SimTime::ZERO,
@@ -455,7 +450,6 @@ impl SimEngine {
             .map(|d| arrival + SimTime::from_secs_f64(d));
         x.outputs.push(None);
         x.msg_arrival.push(SimTime::ZERO);
-        x.released.push(0);
         if arrival > now {
             x.events
                 .schedule(arrival, Event::Arrival { q, task, deadline });
@@ -677,9 +671,10 @@ impl SimEngine {
         debug_assert_eq!(x.sched[w].running, Some(q));
         let st = &self.core.state;
         let run = self.core.run(q);
+        let mut step = run.stepping();
         let route = |v: VertexId| st.partitioning.worker_of(v).index();
         let (stats, agg, remote) =
-            x.workers[w].execute(q, run.task.as_ref(), &st.topology, &run.agg_prev, &route);
+            x.workers[w].execute(q, run.task.as_ref(), &st.topology, &step.agg_prev, &route);
 
         // Serialization occupies this worker; the wire time then delays
         // the messages further.
@@ -695,13 +690,12 @@ impl SimEngine {
         }
         // The freed budget slot releases the superstep's next deferred
         // partition, priced as a fresh controller dispatch.
-        let cursor = &mut x.released[q.index()];
-        if let Some(&w2) = run.involved_cur.get(*cursor) {
-            *cursor += 1;
+        if let Some(w2) = step.next_deferred() {
             x.tracer
                 .defer_release(now.as_secs_f64(), w as u32, u64::from(q.0), w2 as u32);
             x.control_ready(q, w2);
         }
+        drop(step);
         x.pool_tasks += 1;
         let (lane, id) = (w as u32, u64::from(q.0));
         x.tracer.task_end(
@@ -719,11 +713,9 @@ impl SimEngine {
             agg,
             remote: sent_to,
             self_pending,
-            chained: None,
         };
-        let outcome = self.core.step_done(x, report, now, sent_at);
-        if outcome != StepOutcome::Running {
-            self.on_superstep_end(now, q, outcome);
+        if let Some(close) = self.core.step_done(x, report, now, sent_at) {
+            self.on_superstep_end(now, q, close);
         }
         if crossed {
             // Worker stays busy until the socket push completes — the
@@ -737,20 +729,21 @@ impl SimEngine {
 
     /// The core closed query `q`'s superstep: price its barrier, then let
     /// the Q-cut trigger look at the new locality picture.
-    fn on_superstep_end(&mut self, now: SimTime, q: QueryId, outcome: StepOutcome) {
+    fn on_superstep_end(&mut self, now: SimTime, q: QueryId, close: Close) {
         let x = &mut self.x;
         let mode = self.core.cfg().barrier_mode;
         let shared = mode == BarrierMode::SharedGlobal;
-        if outcome == StepOutcome::Barrier {
+        if close == Close::Next {
             let run = self.core.run(q);
+            let step = run.stepping();
             let decision = barrier::decide(
                 &BarrierInput {
                     mode,
                     compute_done: run.last_done,
                     msg_arrival: x.msg_arrival[q.index()],
-                    involved_cur: &run.involved_cur,
-                    involved_next: &run.next_involved,
-                    crossed: run.crossed,
+                    involved_cur: &step.involved_cur,
+                    involved_next: &step.next_involved,
+                    crossed: step.crossed,
                 },
                 &x.cluster,
             );

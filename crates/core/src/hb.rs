@@ -42,23 +42,29 @@
 //! coordinator → partition edge taken under the context lock, and sets
 //! the version the partition holds.
 //!
-//! Since messages and deferred Steps travel lane to lane, three more
+//! Since messages, Steps and Collects travel lane to lane, three more
 //! edges are stamped. A **mailbox** is a sync object per partition: a put
 //! joins the sender's clock into it ([`Hb::mail_put`] — a partition's
 //! Step, or the coordinator at admission), a take joins it into the
-//! owner's ([`Hb::mail_take`]). A **lane-to-lane Step hand-off**
+//! owner's ([`Hb::mail_take`]). A **lane-to-lane hand-off**
 //! ([`Hb::lane_send_step`]) is a command-channel send whose snapshot is
-//! the finishing partition's clock, not the coordinator's. The command
-//! queues then have several producers, and a snapshot is queued a moment
-//! before its command: two racing producers can queue them in opposite
-//! orders, which delays a join by one command but cannot lose one. A
-//! **superstep record** is a sync object per query: every member's report
-//! joins its clock in ([`Hb::record_join`]) and the last finisher takes
-//! the lot ([`Hb::record_close`]) before its one send, so that message
-//! carries every member's clock to the coordinator. One `STEP` token per
-//! involved partition is opened at dispatch ([`Hb::send_step`] for the
-//! released, [`Hb::token_open`] for the deferred) and closed as its
-//! report is folded.
+//! the sending partition's clock, not the coordinator's: a held-back Step
+//! a finishing Step releases, the next superstep's Steps a closing Step
+//! releases, the Collects of a query a closing Step terminated. The
+//! command queues then have several producers, and a snapshot is queued a
+//! moment before its command: two racing producers can queue them in
+//! opposite orders, which delays a join by one command but cannot lose
+//! one. A **superstep record** is a sync object per query: every member
+//! Step's fold joins its clock in ([`Hb::record_join`]) and the last
+//! finisher takes the lot ([`Hb::record_close`]) as it closes the
+//! superstep, so the next superstep's Steps it releases — or its one
+//! message to the coordinator — are ordered after every member; a
+//! query's Collects use the record the same way. One `STEP` token per
+//! involved partition is opened as a superstep begins ([`Hb::send_step`]
+//! for the released at the core's dispatch, [`Hb::token_open`] for the
+//! rest) and closed as its lane finishes the Step: after the fold and
+//! whatever the fold released, so a query on the lanes always holds an
+//! open token.
 
 /// Dispatch-token kinds (what kind of in-flight work a token stands
 /// for). `READY` is a scheduled-but-undelivered sim dispatch
@@ -402,9 +408,10 @@ mod imp {
             s.cmd_chans[w].push_back(clock);
         }
 
-        /// Worker `from`, finishing its Step, pushes the superstep's next
-        /// deferred Step to worker `to` itself: a command-channel edge
-        /// from a worker actor. (The Step's token was opened at dispatch.)
+        /// Worker `from` pushes a command to worker `to` itself — a
+        /// held-back Step, the next superstep's, or a Collect: a
+        /// command-channel edge from a worker actor. (The command's token
+        /// is opened by the caller.)
         pub fn lane_send_step(&self, from: usize, to: usize) {
             self.send_entry(1 + from, to);
         }
@@ -425,7 +432,7 @@ mod imp {
             s.clocks[1 + w].join(&mail);
         }
 
-        /// Worker `w` files its report in query `q`'s superstep record.
+        /// Worker `w` folds its Step into query `q`'s superstep record.
         pub fn record_join(&self, q: u32, w: usize) {
             let mut s = self.lock();
             let snap = s.stamp(1 + w);
@@ -435,8 +442,8 @@ mod imp {
             }
         }
 
-        /// Worker `w` filed the record's last report and takes all of
-        /// them to the coordinator: ordered after every member's filing.
+        /// Worker `w` folded the record's last Step and closes it: ordered
+        /// after every member's fold, before whatever it sends next.
         pub fn record_close(&self, q: u32, w: usize) {
             let mut s = self.lock();
             let Some(record) = s.records.remove(&q) else {
@@ -738,6 +745,42 @@ mod tests {
         assert!(!hb.has_seen(0, 1) && !hb.has_seen(0, 2));
         hb.coord_recv();
         assert!(hb.has_seen(0, 1) && hb.has_seen(0, 2));
+    }
+
+    #[test]
+    fn a_superstep_closed_on_a_lane_orders_every_member_before_the_next_one() {
+        let hb = Hb::new(3);
+        hb.publish_topology(0, 0);
+        hb.publish_partitioning(0);
+        for w in 0..3 {
+            hb.spawn_worker(w);
+        }
+        // Superstep n on partitions 0 and 1: both fold into the record,
+        // partition 1 last.
+        for w in [0, 1] {
+            hb.send_step(7, w);
+            hb.pool_acquire(w);
+            hb.worker_recv(w);
+            hb.worker_step(w);
+            hb.record_join(7, w);
+        }
+        // Partition 1 closes it and releases superstep n + 1 on partition
+        // 2 itself, then both Steps end.
+        hb.record_close(7, 1);
+        hb.token_open(7, kind::STEP);
+        hb.lane_send_step(1, 2);
+        for w in [0, 1] {
+            hb.token_close(7, kind::STEP);
+            hb.pool_release(w);
+        }
+        assert!(!hb.has_seen(3, 1), "no edge until the Step is received");
+        hb.pool_acquire(2);
+        hb.worker_recv(2);
+        assert!(hb.has_seen(3, 1) && hb.has_seen(3, 2), "every member of n");
+        hb.worker_step(2);
+        hb.token_close(7, kind::STEP);
+        hb.pool_release(2);
+        hb.quiesce_begin();
     }
 
     #[test]

@@ -18,14 +18,15 @@
 //! pool serializes tasks per partition, so partition ownership still
 //! governs *state placement*, while *compute* is elastic: one thread can
 //! drain many partitions, and many threads can race through one query's
-//! superstep. A dispatched superstep and a `Collect` each answer once on
-//! the coordinator channel ([`Resp`]); the count of those still
-//! unanswered is this executor's definition of quiescence.
+//! superstep. A query the core dispatches stays on the lanes until it
+//! terminates or parks, and then answers once on the coordinator channel
+//! ([`Resp`]), as does a collect the core issues itself; the count of
+//! those still unanswered is this executor's definition of quiescence.
 //!
 //! ## Messages stay on the lanes
 //!
-//! Between two supersteps of a query nothing but the reports crosses the
-//! coordinator. Each partition owns a [`Mailbox`] beside its
+//! No message of a running query crosses the coordinator. Each partition
+//! owns a [`Mailbox`] beside its
 //! [`WorkerCtx`]: one lock, two slots keyed by query, chosen by the parity
 //! of the superstep that will *read* them. A Step of superstep `n` first
 //! takes its own parity-`n` slot into the worker inbox and seals it, and
@@ -49,41 +50,37 @@
 //! buffers of [`crate::worker`], a steady-state Step puts, takes and
 //! delivers without touching the allocator.
 //!
-//! ## One superstep, one dispatch, one report
+//! ## Lanes close every superstep
 //!
-//! The core hands over a whole superstep ([`Executor::superstep`]). If it
-//! involves one partition, that is one inline `Step` command and one
-//! [`StepReport`] back. Otherwise the involved partitions share a
-//! [`SharedStep`] record: the first `dop` Steps are pushed, and the lane
-//! that finishes a Step files its report in the record, pushes the next
-//! deferred partition's Step into the pool itself (in the core's release
-//! order) and — if it was the last — sends the one message that carries
-//! every report. The coordinator is woken once per superstep and folds the
-//! reports through [`Coordinator::step_done`] one by one.
-//!
-//! ## The local barrier stays on the lane
-//!
-//! A superstep that ran on one partition and crossed no boundary needs no
-//! synchronisation at all (paper §3.3; the simulation prices it so). When
-//! a `Step` is its superstep's only task, [`Lane::handle`] therefore
-//! keeps going: if the step sent nothing away, left the partition with
-//! pending messages and the rolled aggregate does not terminate the
-//! query, it closes the superstep itself — the core's own
-//! [`close_superstep`] — seals its inbox and executes again, up to
-//! [`LOCAL_QUANTUM`] closes per dispatch. One [`StepReport`] then carries
-//! the summed statistics and what was closed, and the core accounts for
-//! each superstep as if it had been reported on its own.
+//! The core dispatches a query's first superstep (and a parked query's
+//! next) with its [`Record`]; from then on the lanes drive it. Every
+//! `Step` carries the record: the lane that finishes one folds its report
+//! in ([`Stepping::fold`]) and pushes the next held-back partition's Step
+//! itself, and the last finisher closes the superstep
+//! ([`Stepping::close`], the close the simulation's
+//! [`Coordinator::step_done`] runs too) and, under the same lock, begins
+//! the next one and pushes its first `dop` Steps ([`launch`]) — or pushes
+//! the `Collect`s of a terminated query, whose last sends the coordinator
+//! every local in one message, or hands the query back to park when the
+//! serving loop has raised the park flag ([`Signals`]). A Q-cut check is
+//! due from an instant the coordinator publishes
+//! ([`Coordinator::next_check`]): the lane that closes a superstep at or
+//! after it takes it and sends one [`Resp::Tick`]. A local superstep —
+//! one partition, nothing sent away — that goes on is begun in place:
+//! nobody can have put mail for it, so the lane seals its inbox and
+//! executes again, up to [`LOCAL_QUANTUM`] times per `Step` (the paper's
+//! communication-free local barrier, §3.3).
 //!
 //! ## The window touches quiescent partitions directly
 //!
-//! A stop-the-world window opens only when no dispatched superstep or
-//! `Collect` is unanswered, so no lane computes until it ends. The
+//! A stop-the-world window opens only when no query is on the lanes and
+//! no collect is unanswered, so no lane computes until it ends. The
 //! coordinator then locks each partition's `WorkerCtx` itself, in
 //! partition order, and makes the simulation's [`Worker`] calls — mailbox
 //! flush, `Worker::scope_report`, [`migrate::apply_to_workers`],
 //! `Worker::pending_report` — and installs a new `Arc<Topology>` /
 //! `Arc<Partitioning>` into every context before anything resumes. A lane
-//! releases its context before it reports, so a window never waits on a
+//! releases its context before it answers, so a window never waits on a
 //! lane's epilogue.
 //!
 //! ## Streaming submission and the serving loop
@@ -97,11 +94,13 @@
 //!   its type-erased task down the same channel the pool answers on; the
 //!   coordinator stamps the arrival time and hands both to the core, which
 //!   holds the task until the query completes — nothing else keeps it;
-//! * when a superstep closes, the loop reads the session clock for the
-//!   core's one Q-cut trigger ([`Coordinator::trigger`]): the
+//! * a [`Resp::Tick`] runs the core's one Q-cut trigger
+//!   ([`Coordinator::trigger`]) on the session clock: the
 //!   [`crate::QcutConfig`] time constants are session wall-clock seconds
 //!   here, and a hit's ILS runs inside the window it opens, because only
 //!   quiescent partitions report stable scopes;
+//! * a lane that panics says so as it unwinds, and stopping the pool
+//!   re-raises the panic through `drain`;
 //! * the window reads nothing from the channel: a client message sent
 //!   meanwhile waits there and is admitted against the post-window layout.
 //!
@@ -109,8 +108,7 @@
 //! `partitioning`) after `run`/`drain`/`shutdown` — the coordinator owns
 //! them while serving and the sync points hand them back.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
@@ -125,7 +123,7 @@ use qgraph_sim::SimTime;
 use crate::config::SystemConfig;
 use crate::controller::Controller;
 use crate::coord::{
-    close_superstep, Chained, Collect, Coordinator, EngineState, Executor, StepOutcome, StepReport,
+    relock, Close, Coordinator, EngineState, Executor, Locals, Record, StepReport, Stepping,
     Superstep,
 };
 use crate::hb::{kind, Hb};
@@ -137,15 +135,7 @@ use crate::query::{QueryHandle, QueryId};
 use crate::report::{EngineReport, PoolCounters};
 use crate::task::{Envelope, MessageBatch, QueryTask, TypedTask};
 use crate::trace::{cmd, Tracer};
-use crate::worker::{LocalState, SuperstepStats, Worker};
-
-/// Lock a mailbox or a superstep record, recovering from poisoning: each
-/// update (a push, a take, a counter step) leaves them valid, and a Step
-/// that panicked elsewhere must not wedge the other partitions' mail
-/// behind a poisoned lock.
-fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
-}
+use crate::worker::Worker;
 
 /// Lock a partition's worker state. Unlike mail, a command that panicked
 /// mid-way may have left it torn, so poisoning propagates.
@@ -163,11 +153,13 @@ struct Mailbox {
     slots: [FxHashMap<QueryId, Vec<MessageBatch>>; 2],
 }
 
-/// A partition: the worker state the pool serializes access to, and the
-/// mailbox any lane may put into.
+/// A partition: the worker state the pool serializes access to, the
+/// mailbox any lane may put into, and the vertex updates its Steps ran
+/// since the coordinator last looked.
 struct Partition {
     ctx: Mutex<WorkerCtx>,
     mail: Mutex<Mailbox>,
+    executed: AtomicU64,
 }
 
 impl Partition {
@@ -210,46 +202,35 @@ fn flush_mail(parts: &[Partition], hb: &Hb, task_of: &dyn Fn(QueryId) -> Arc<dyn
     }
 }
 
-/// The record the Steps of a superstep over several partitions share.
-struct SharedStep {
-    state: Mutex<SharedState>,
-}
-
-struct SharedState {
-    /// Partitions the DoP budget still holds back, in release order, each
-    /// with its copy of the aggregate the superstep reads.
-    deferred: VecDeque<(usize, Envelope)>,
-    /// Steps that have not filed their report yet.
-    remaining: usize,
-    reports: Vec<StepReport>,
+/// A terminated query's collect: partitions still to answer, locals so far.
+struct Gather {
+    left: usize,
+    locals: Locals,
 }
 
 enum Cmd {
-    /// Execute query `q`'s superstep `index` here: take this partition's
-    /// mail for it, seal the inbox, run, put what it sends away into the
-    /// destinations' mailboxes for `index + 1`.
+    /// Execute query `q`'s superstep `index` here and fold it into the
+    /// query's record (see the module docs).
     Step {
         q: QueryId,
         task: Arc<dyn QueryTask>,
+        /// This Step's copy of the aggregate the superstep reads.
         prev_agg: Envelope,
         index: u32,
-        /// The record of a superstep shared with other partitions. `None`:
-        /// this is the superstep's only task, reported by itself, and the
-        /// lane may close local supersteps on its own (see
-        /// [`LOCAL_QUANTUM`]).
-        shared: Option<Arc<SharedStep>>,
+        record: Record,
     },
+    /// Hand query `q`'s local state here to the collect.
     Collect {
         q: QueryId,
+        gather: Arc<Mutex<Gather>>,
     },
 }
 
-/// How many supersteps a lane closes on its own per dispatched
-/// one-partition superstep before it reports (so one dispatch executes at most
-/// `1 + LOCAL_QUANTUM`). The paper's hybrid barrier makes a superstep that
-/// ran on one partition and crossed no boundary communication-free; the
-/// quantum bounds how long a wanted stop-the-world window, or another
-/// query queued on the same partition, waits behind such a run. Chain
+/// How many supersteps a lane begins in place per `Step` command (so one
+/// command executes at most `1 + LOCAL_QUANTUM`). The paper's hybrid
+/// barrier makes a superstep that ran on one partition and crossed no
+/// boundary communication-free; the quantum bounds how long another query
+/// queued on the same partition waits behind such a run. Chain
 /// termination depends only on data, so per-query step counts stay
 /// deterministic. One value in use, hence a constant; swept on ISSUE 14's
 /// sizing prototype over `qbench`'s `road-domain` (locality 0.95, 88 %
@@ -267,19 +248,31 @@ enum Cmd {
 /// | unbounded | 4.2k | 18.7 |
 ///
 /// Throughput saturates by 3–4; past that only the tail grows
-/// (head-of-line blocking on the hotspot partition).
+/// (head-of-line blocking on the hotspot partition). With the lanes
+/// closing every superstep, chaining still pays: a variant that pushed
+/// each next local superstep through the pool instead read lower on
+/// `road-domain` in 3 of 4 pairs.
 const LOCAL_QUANTUM: u32 = 4;
 
+/// What the lanes tell the coordinator.
 enum Resp {
-    /// A one-partition superstep finished.
-    StepDone(StepReport),
-    /// A superstep shared by several partitions finished: every member's
-    /// report, in completion order.
-    SuperstepDone(Vec<StepReport>),
-    Collected {
-        q: QueryId,
-        local: Option<Box<dyn LocalState>>,
-    },
+    /// Query `q` closed a superstep while a window was wanted.
+    Parked(QueryId),
+    /// Query `q` terminated: every partition's local.
+    Collected { q: QueryId, locals: Locals },
+    /// A superstep closed at or after the published Q-cut check instant.
+    Tick,
+    /// A lane is unwinding from a panic.
+    Panicked,
+}
+
+/// What the lanes read at every close and the coordinator publishes.
+struct Signals {
+    /// A window is wanted: a closing lane hands its query back.
+    park: AtomicBool,
+    /// The session-clock instant (nanoseconds) from which a close asks for
+    /// a Q-cut check; `u64::MAX`: none due, or one asked for already.
+    check_at: AtomicU64,
 }
 
 /// Everything the coordinator thread receives: worker responses plus the
@@ -433,9 +426,13 @@ pub struct ThreadEngine {
     /// Test probe: the serving session's partitions (their mailboxes).
     #[cfg(test)]
     parts: Option<Arc<Vec<Partition>>>,
+    /// Test probe: the serving session's signals (the park flag).
+    #[cfg(test)]
+    signals: Option<Arc<Signals>>,
 }
 
-/// Supersteps the coordinator dispatched and step messages it received.
+/// Supersteps the coordinator dispatched, and the messages about queries
+/// it heard back from the lanes.
 #[cfg(test)]
 #[derive(Default)]
 struct StepTraffic {
@@ -480,6 +477,8 @@ impl ThreadEngine {
             traffic: Arc::default(),
             #[cfg(test)]
             parts: None,
+            #[cfg(test)]
+            signals: None,
         }
     }
 
@@ -652,17 +651,24 @@ impl ThreadEngine {
                             taken: Vec::new(),
                         }),
                         mail: Mutex::default(),
+                        executed: AtomicU64::default(),
                     }
                 })
                 .collect(),
         );
+        let signals = Arc::new(Signals {
+            park: AtomicBool::new(false),
+            check_at: AtomicU64::new(u64::MAX),
+        });
         #[cfg(test)]
         {
             self.parts = Some(Arc::clone(&parts));
+            self.signals = Some(Arc::clone(&signals));
         }
         let lane = Lane {
             width: pool_threads,
             parts: Arc::clone(&parts),
+            signals: Arc::clone(&signals),
             resp: msg_tx.clone(),
             hb: hb.clone(),
             tracer: tracer.clone(),
@@ -674,6 +680,8 @@ impl ThreadEngine {
         let x = PoolExec {
             pool,
             parts,
+            signals,
+            check_at: u64::MAX,
             msg_rx,
             finished: Vec::new(),
             hb,
@@ -870,6 +878,10 @@ struct PoolExec {
     /// The partitions: admission puts a query's initial batches straight
     /// into their mailboxes, and a window locks their contexts.
     parts: Arc<Vec<Partition>>,
+    signals: Arc<Signals>,
+    /// The check instant last published; a lane that takes it swaps in
+    /// `u64::MAX`, which stands until its `Tick` is handled.
+    check_at: u64,
     msg_rx: Receiver<CoordMsg>,
     /// Outputs of finished queries, until the next drain ships them.
     finished: Vec<(QueryId, Envelope)>,
@@ -882,11 +894,12 @@ struct PoolExec {
     tracer: Tracer,
     /// The session time base shared with every pool thread.
     clock: Clock,
-    /// Dispatched supersteps and Collect commands awaiting their one
-    /// response: zero while a window is wanted means the partitions are
-    /// quiescent.
+    /// Queries on the lanes and collects the core issued, each owing the
+    /// coordinator one message: zero while a window is wanted means the
+    /// partitions are quiescent.
     inflight_ops: usize,
-    /// Steps completed, cumulative across serve sessions.
+    /// Superstep executions of completed queries, cumulative across serve
+    /// sessions.
     pool_tasks: u64,
     /// How many unanswered ops still count as quiescent: 0, or 1 under
     /// [`ThreadEngine::hb_test_reintroduce_quiesce_race`].
@@ -898,40 +911,35 @@ struct PoolExec {
 }
 
 impl PoolExec {
-    /// The one message a dispatched superstep answers with arrived: fold
-    /// its reports — the last closes the superstep — then let the Q-cut
-    /// trigger look and release the query's barrier.
-    fn stepped(
-        &mut self,
-        core: &mut Coordinator,
-        reports: impl IntoIterator<Item = StepReport>,
-        now: SimTime,
-    ) {
+    /// One of the messages `inflight_ops` counts arrived.
+    fn answered(&mut self) {
         self.inflight_ops -= 1;
         #[cfg(test)]
-        self.traffic
-            .messages
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let mut last = None;
-        for report in reports {
-            let q = report.q;
-            // One pool task per executed superstep, wherever it closed.
-            self.pool_tasks += 1 + report.chained.as_ref().map_or(0, |c| u64::from(c.n));
-            self.hb.token_close(q.0, kind::STEP);
-            last = Some((q, core.step_done(self, report, now, now)));
+        self.traffic.messages.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Copy the core's pause into the park flag, and publish the next
+    /// check instant unless a lane's `Tick` is still on its way.
+    fn publish(&mut self, core: &Coordinator) {
+        let signals = &self.signals;
+        signals.park.store(core.paused(), Ordering::Relaxed);
+        let at = core.next_check().0;
+        if at != self.check_at
+            && (signals.check_at)
+                .compare_exchange(self.check_at, at, Ordering::Relaxed, Ordering::Relaxed)
+                .is_ok()
+        {
+            self.check_at = at;
         }
-        let Some((q, outcome)) = last else {
-            return;
-        };
-        debug_assert!(outcome != StepOutcome::Running, "a report went missing");
-        // The superstep closed: the Q-cut trigger looks first, so a window
-        // it wants parks `q` at this very release. The ILS runs inside
-        // that window, never on a budget.
-        let budgeted = core.trigger(self, now);
-        debug_assert!(budgeted.is_none(), "no live scope reports here");
-        if outcome == StepOutcome::Barrier {
-            // Real threads have no barrier delay to wait out.
-            core.release(self, q, now);
+    }
+
+    /// Note the lanes' vertex updates since the last look.
+    fn note_activity(&self, core: &mut Coordinator, now: SimTime) {
+        for (w, part) in self.parts.iter().enumerate() {
+            let executed = part.executed.swap(0, Ordering::Relaxed);
+            if executed > 0 {
+                core.note_activity(now, w, executed);
+            }
         }
     }
 
@@ -970,47 +978,23 @@ impl Executor for PoolExec {
         self.parts[w].put(q, 0, batch);
     }
 
+    // The query goes onto the lanes until it terminates or parks.
     fn superstep(&mut self, q: QueryId, s: Superstep<'_>) {
         self.inflight_ops += 1;
         #[cfg(test)]
-        self.traffic
-            .dispatched
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let step = |shared| Cmd::Step {
-            q,
-            task: Arc::clone(s.task),
-            prev_agg: s.task.clone_aggregate(s.prev),
-            index: s.index,
-            shared,
-        };
-        if let [w] = *s.involved {
-            self.hb.send_step(q.0, w);
-            self.pool.push(w, step(None));
-            return;
-        }
-        let (released, deferred) = s.involved.split_at(s.involved.len().min(s.dop));
-        let deferred = deferred.iter().map(|&w| {
-            self.hb.token_open(q.0, kind::STEP);
-            (w, s.task.clone_aggregate(s.prev))
-        });
-        let shared = Arc::new(SharedStep {
-            state: Mutex::new(SharedState {
-                deferred: deferred.collect(),
-                remaining: s.involved.len(),
-                reports: Vec::with_capacity(s.involved.len()),
-            }),
-        });
-        for &w in released {
-            self.hb.send_step(q.0, w);
-            self.pool.push(w, step(Some(Arc::clone(&shared))));
-        }
+        self.traffic.dispatched.fetch_add(1, Ordering::Relaxed);
+        let push = |w, cmd| self.pool.push(w, cmd);
+        launch(&push, &self.hb, None, q, s.task, s.record, s.step);
     }
 
-    fn collect(&mut self, q: QueryId, w: usize) -> Collect {
-        self.hb.send_collect(q.0, w);
-        self.pool.push(w, Cmd::Collect { q });
+    fn collect(&mut self, q: QueryId, touched: Vec<usize>) -> Option<Locals> {
+        if touched.is_empty() {
+            return Some(Vec::new());
+        }
+        let push = |w, cmd| self.pool.push(w, cmd);
+        gather(&push, &self.hb, None, q, &touched);
         self.inflight_ops += 1;
-        Collect::Pending
+        None
     }
 
     fn complete(&mut self, q: QueryId, output: Envelope) {
@@ -1093,16 +1077,20 @@ fn serve(mut core: Coordinator, mut x: PoolExec) -> (EngineState, Vec<(QueryId, 
     let mut synced = core.state.report.marks();
 
     loop {
+        x.publish(&core);
         // Stop-the-world window — mutation epochs and/or Q-cut — once the
-        // in-flight work has drained (every live query is then waiting at
-        // its barrier or collected). The auditor's window opens before
-        // any partition is touched.
+        // lanes have handed back every query (each is then parked at its
+        // barrier, or collected). The auditor's window opens before any
+        // partition is touched.
         if core.paused() && x.inflight_ops <= x.quiesce_at {
             core.window_open(&x);
             // Mail is only ever held for live queries (`Collect` clears a
             // query's slots), so the core resolves every task.
             flush_mail(&x.parts, &x.hb, &|q| Arc::clone(&core.run(q).task));
             core.window_apply(&mut x);
+            // The queries the window resumes must not park again on the
+            // flag it leaves behind.
+            x.signals.park.store(false, Ordering::Relaxed);
             core.window_end(&mut x, clock.now());
             continue;
         }
@@ -1110,6 +1098,7 @@ fn serve(mut core: Coordinator, mut x: PoolExec) -> (EngineState, Vec<(QueryId, 
         // Drain acks fire at full idle. Each ack closes one run window.
         if !x.drain_waiters.is_empty() && core.idle() && x.inflight_ops == 0 {
             let now = clock.now();
+            x.note_activity(&mut core, now);
             let end = now.as_secs_f64();
             core.state.report.finished_at_secs = end;
             x.close_run(&mut core.state.report, pool_base, run_started, end);
@@ -1142,17 +1131,28 @@ fn serve(mut core: Coordinator, mut x: PoolExec) -> (EngineState, Vec<(QueryId, 
         };
         x.hb.coord_recv();
         // One clock read per message turn, shared by every stamp the turn
-        // emits — repeated reads are measurable on chained
-        // single-partition supersteps.
+        // emits.
         let now = clock.now();
         match msg {
-            CoordMsg::Worker(Resp::StepDone(report)) => x.stepped(&mut core, [report], now),
-            CoordMsg::Worker(Resp::SuperstepDone(reports)) => x.stepped(&mut core, reports, now),
-            CoordMsg::Worker(Resp::Collected { q, local }) => {
-                x.inflight_ops -= 1;
-                x.hb.token_close(q.0, kind::COLLECT);
-                core.collected(&mut x, q, local, now);
+            CoordMsg::Worker(Resp::Parked(q)) => {
+                x.answered();
+                core.release(&mut x, q, now);
             }
+            CoordMsg::Worker(Resp::Collected { q, locals }) => {
+                x.answered();
+                // One pool task per superstep execution, wherever it ran.
+                x.pool_tasks += core.run(q).stepping().out.tasks;
+                core.collected(&mut x, q, locals, now);
+            }
+            CoordMsg::Worker(Resp::Tick) => {
+                // The lane that sent it took the published instant.
+                x.check_at = u64::MAX;
+                x.note_activity(&mut core, now);
+                let budgeted = core.trigger(&mut x, now);
+                debug_assert!(budgeted.is_none(), "no live scope reports here");
+            }
+            // Stopping the pool below re-raises the lane's panic.
+            CoordMsg::Worker(Resp::Panicked) => break,
             CoordMsg::Submit {
                 q,
                 task,
@@ -1178,6 +1178,7 @@ fn serve(mut core: Coordinator, mut x: PoolExec) -> (EngineState, Vec<(QueryId, 
     // Teardown: drain and join the pool threads (propagating any pool
     // thread's own panic payload), then close any trailing run window so
     // every outcome has a home.
+    x.note_activity(&mut core, clock.now());
     let report = &mut core.state.report;
     let runs_before = report.runs.len();
     let end = clock.now().as_secs_f64();
@@ -1209,29 +1210,97 @@ struct WorkerCtx {
     taken: Vec<MessageBatch>,
 }
 
+/// Push the first Steps of the superstep `step` just began, one `STEP`
+/// token per involved partition; `from`: `None` for the core's dispatch,
+/// else the partition whose lane closed the superstep before.
+fn launch(
+    push: &dyn Fn(usize, Cmd),
+    hb: &Hb,
+    from: Option<usize>,
+    q: QueryId,
+    task: &Arc<dyn QueryTask>,
+    record: &Record,
+    step: &Stepping,
+) {
+    let (first, held_back) = step.released();
+    for &w in first {
+        match from {
+            None => hb.send_step(q.0, w),
+            Some(from) => {
+                hb.token_open(q.0, kind::STEP);
+                hb.lane_send_step(from, w);
+            }
+        }
+        let cmd = Cmd::Step {
+            q,
+            task: Arc::clone(task),
+            prev_agg: task.clone_aggregate(&step.agg_prev),
+            index: step.out.iterations,
+            record: Arc::clone(record),
+        };
+        push(w, cmd);
+    }
+    for _ in held_back {
+        hb.token_open(q.0, kind::STEP);
+    }
+}
+
+/// Push a `Collect` of the terminated query `q` to every partition in
+/// `touched` (non-empty); `from` as for [`launch`].
+fn gather(push: &dyn Fn(usize, Cmd), hb: &Hb, from: Option<usize>, q: QueryId, touched: &[usize]) {
+    let gather = Arc::new(Mutex::new(Gather {
+        left: touched.len(),
+        locals: Vec::with_capacity(touched.len()),
+    }));
+    for &w in touched {
+        match from {
+            None => hb.send_collect(q.0, w),
+            Some(from) => {
+                hb.token_open(q.0, kind::COLLECT);
+                hb.lane_send_step(from, w);
+            }
+        }
+        let gather = Arc::clone(&gather);
+        push(w, Cmd::Collect { q, gather });
+    }
+}
+
 /// What every pool thread shares to execute commands: the partitions, the
-/// response channel, and the session's auditor / recorder / clock. Each
-/// pool thread holds its own clone.
+/// signals, the response channel, and the session's auditor / recorder /
+/// clock. Each pool thread holds its own clone.
 #[derive(Clone)]
 struct Lane {
     width: usize,
     parts: Arc<Vec<Partition>>,
+    signals: Arc<Signals>,
     resp: Sender<CoordMsg>,
     hb: Hb,
     tracer: Tracer,
     clock: Clock,
 }
 
+/// Tells the coordinator when a lane unwinds past it: a panicking command
+/// loses its query's next Step, and nothing else would answer for it.
+struct Unwind<'a>(&'a Sender<CoordMsg>);
+
+impl Drop for Unwind<'_> {
+    fn drop(&mut self) {
+        if thread::panicking() {
+            let _ = self.0.send(CoordMsg::Worker(Resp::Panicked));
+        }
+    }
+}
+
 impl Lane {
     /// One pool task: pool thread `tid` executes a single command against
-    /// partition `w`'s state; `push` enqueues a further command from here
-    /// (the next deferred Step of a shared superstep). The hb auditor
-    /// brackets the task with the pool hand-off edges
+    /// partition `w`'s state; `push` enqueues further commands from here
+    /// (the Steps and Collects that follow a Step, see the module docs).
+    /// The hb auditor brackets the task with the pool hand-off edges
     /// ([`Hb::pool_acquire`]/[`Hb::pool_release`]) that carry the
     /// actor-serialization guarantee dedicated threads would give for free.
-    /// The partition's state is held for the execution only and released
-    /// before anything is reported.
+    /// The partition's state is released before anything is answered.
     fn handle(&self, push: &dyn Fn(usize, Cmd), tid: usize, w: usize, cmd: Cmd) {
+        let _unwind = Unwind(&self.resp);
         let (hb, tracer) = (&self.hb, &self.tracer);
         hb.pool_acquire(w);
         // Every executed command joins the clock snapshot queued at the
@@ -1239,7 +1308,7 @@ impl Lane {
         hb.worker_recv(w);
         let (traced_q, code) = match &cmd {
             Cmd::Step { q, .. } => (*q, cmd::STEP),
-            Cmd::Collect { q } => (*q, cmd::COLLECT),
+            Cmd::Collect { q, .. } => (*q, cmd::COLLECT),
         };
         // The lane span opens before the state lock: lock wait is part of
         // the task's runtime as the pool experiences it. Steals are
@@ -1247,140 +1316,16 @@ impl Lane {
         // thread. The begin stamp is read here but recorded with the end
         // stamp below: one ring lock per task instead of two keeps the
         // span's serial cost on chained point queries in check.
-        let begin_at = tracer.enabled().then(|| self.clock.now().as_secs_f64());
-        let mut executed_n: u64 = 0;
-        // Every command produces at most one response; funneling them
-        // through a single send gives one clean-shutdown path instead of
-        // a panic per protocol arm.
-        let reply: Option<Resp> = match cmd {
+        let begin_at = self.trace_now();
+        let (executed, reply) = match cmd {
             Cmd::Step {
                 q,
                 task,
-                mut prev_agg,
+                prev_agg,
                 index,
-                shared,
-            } => {
-                let mut stats = SuperstepStats::default();
-                let mut closed = 0;
-                let (agg, remote, self_pending) = {
-                    let mut guard = lock_ctx(&self.parts[w].ctx);
-                    let ctx = &mut *guard;
-                    // This superstep's input: what was put for it, sealed
-                    // with what the partition sent itself. Mail put from
-                    // here on is for the next superstep and lands in the
-                    // other slot.
-                    hb.mail_take(w);
-                    self.parts[w].take(q, index, &mut ctx.taken);
-                    ctx.worker
-                        .deliver_all(task.as_ref(), q, ctx.taken.drain(..));
-                    ctx.worker.freeze(q);
-                    let route = |v: VertexId| ctx.partitioning.worker_of(v).index();
-                    loop {
-                        // The superstep reads the published topology and
-                        // assignment: the auditor checks this worker's clock
-                        // is ordered after the latest publication before any
-                        // vertex executes.
-                        hb.worker_step(w);
-                        let (step, agg, remote) =
-                            ctx.worker
-                                .execute(q, task.as_ref(), &ctx.topology, &prev_agg, &route);
-                        stats.then(&step);
-                        let self_pending = ctx.worker.has_pending(q);
-                        // The local barrier: the only task of its superstep
-                        // sent nothing away and left work here, so the next
-                        // involved set is this partition alone — unless the
-                        // rolled aggregate ends the query, which is the
-                        // core's to find. Nothing else is stepping `q`, so
-                        // nobody can have put mail for the inbox sealed
-                        // below.
-                        if shared.is_none()
-                            && closed < LOCAL_QUANTUM
-                            && remote.is_empty()
-                            && self_pending
-                        {
-                            let mut acc = task.aggregate_identity();
-                            task.aggregate_combine(&mut acc, &agg);
-                            // On a copy: a terminating close is not taken.
-                            let mut rolled = task.clone_aggregate(&prev_agg);
-                            if !close_superstep(task.as_ref(), &mut rolled, acc) {
-                                prev_agg = rolled;
-                                closed += 1;
-                                ctx.worker.freeze(q);
-                                continue;
-                            }
-                        }
-                        break (agg, remote, self_pending);
-                    }
-                };
-                executed_n = stats.executed as u64;
-                // What the reported superstep sent away is input of the
-                // one after it.
-                let reads = index + closed + 1;
-                let sent_to = remote.into_iter().map(|(to, batch)| {
-                    hb.mail_put(1 + w, to);
-                    self.parts[to].put(q, reads, batch);
-                    to
-                });
-                let report = StepReport {
-                    q,
-                    worker: w,
-                    stats,
-                    agg,
-                    remote: sent_to.collect(),
-                    self_pending,
-                    chained: (closed > 0).then(|| Chained {
-                        n: closed,
-                        agg_prev: prev_agg,
-                    }),
-                };
-                match shared {
-                    None => Some(Resp::StepDone(report)),
-                    Some(record) => {
-                        hb.record_join(q.0, w);
-                        let (next, reports) = {
-                            let mut st = relock(&record.state);
-                            st.reports.push(report);
-                            st.remaining -= 1;
-                            let last = st.remaining == 0;
-                            let reports = last.then(|| std::mem::take(&mut st.reports));
-                            (st.deferred.pop_front(), reports)
-                        };
-                        // The freed budget slot releases the next deferred
-                        // partition from here, in the core's order — no
-                        // coordinator turn in between.
-                        if let Some((to, prev_agg)) = next {
-                            if tracer.enabled() {
-                                let (at, id) = (self.clock.now().as_secs_f64(), u64::from(q.0));
-                                tracer.defer_release(at, tid as u32, id, to as u32);
-                            }
-                            hb.lane_send_step(w, to);
-                            let shared = Some(Arc::clone(&record));
-                            push(
-                                to,
-                                Cmd::Step {
-                                    q,
-                                    task,
-                                    prev_agg,
-                                    index,
-                                    shared,
-                                },
-                            );
-                        }
-                        // The last finisher's one message carries them all.
-                        reports.map(|reports| {
-                            hb.record_close(q.0, w);
-                            Resp::SuperstepDone(reports)
-                        })
-                    }
-                }
-            }
-            Cmd::Collect { q } => {
-                for slot in &mut relock(&self.parts[w].mail).slots {
-                    slot.remove(&q);
-                }
-                let local = lock_ctx(&self.parts[w].ctx).worker.take_local(q);
-                Some(Resp::Collected { q, local })
-            }
+                record,
+            } => self.step(push, tid, w, q, task, prev_agg, index, record),
+            Cmd::Collect { q, gather } => (0, self.collect(w, q, &gather)),
         };
         if let Some(begin_at) = begin_at {
             tracer.task_span(
@@ -1391,17 +1336,203 @@ impl Lane {
                 w as u32,
                 code,
                 w % self.width != tid,
-                executed_n,
+                executed,
             );
         }
         if let Some(r) = reply {
-            hb.worker_send(w);
-            // The coordinator hanging up (its thread panicked or exited
-            // early) is tolerable: nobody is left to consume responses,
-            // and the pool is torn down right behind it.
-            let _ = self.resp.send(CoordMsg::Worker(r));
+            self.answer(w, r);
         }
         hb.pool_release(w);
+    }
+
+    /// One `Step` (see the module docs): take, seal, execute, put, fold —
+    /// and as the superstep's last Step, close it and see to what follows.
+    /// Returns the vertex updates and, when the query leaves the lanes
+    /// here to park, the answer.
+    #[allow(clippy::too_many_arguments)]
+    fn step(
+        &self,
+        push: &dyn Fn(usize, Cmd),
+        tid: usize,
+        w: usize,
+        q: QueryId,
+        task: Arc<dyn QueryTask>,
+        mut prev_agg: Envelope,
+        mut index: u32,
+        record: Record,
+    ) -> (u64, Option<Resp>) {
+        let hb = &self.hb;
+        let (mut executed, mut chained) = (0, 0);
+        let mut guard = lock_ctx(&self.parts[w].ctx);
+        let ctx = &mut *guard;
+        // This superstep's input: what was put for it, sealed with what
+        // the partition sent itself. Mail put from here on is for the next
+        // superstep and lands in the other slot.
+        hb.mail_take(w);
+        self.parts[w].take(q, index, &mut ctx.taken);
+        ctx.worker
+            .deliver_all(task.as_ref(), q, ctx.taken.drain(..));
+        ctx.worker.freeze(q);
+        let route = |v: VertexId| ctx.partitioning.worker_of(v).index();
+        let (mut step, close) = loop {
+            // The superstep reads the published topology and assignment:
+            // the auditor checks this worker's clock is ordered after the
+            // latest publication before any vertex executes.
+            hb.worker_step(w);
+            let (stats, agg, remote) =
+                ctx.worker
+                    .execute(q, task.as_ref(), &ctx.topology, &prev_agg, &route);
+            executed += stats.executed as u64;
+            // What the superstep sent away is input of the next one: in
+            // the destinations' mailboxes before the fold can release it.
+            let sent_to = remote.into_iter().map(|(to, batch)| {
+                hb.mail_put(1 + w, to);
+                self.parts[to].put(q, index + 1, batch);
+                to
+            });
+            let report = StepReport {
+                q,
+                worker: w,
+                stats,
+                agg,
+                remote: sent_to.collect(),
+                self_pending: ctx.worker.has_pending(q),
+            };
+            let mut step = relock(&record);
+            hb.record_join(q.0, w);
+            if !step.fold(task.as_ref(), &report) {
+                break (step, None);
+            }
+            hb.record_close(q.0, w);
+            let close = step.close(task.as_ref());
+            self.closed(w, q);
+            // The local barrier: a superstep on this partition alone that
+            // sent nothing away and goes on involves this partition alone
+            // next, and nothing else is stepping `q`, so nobody can have
+            // put mail for the inbox sealed below.
+            let local = step.involved_cur.len() == 1 && report.remote.is_empty();
+            if close == Close::Next && local && chained < LOCAL_QUANTUM && !self.parking() {
+                step.begin();
+                prev_agg = task.clone_aggregate(&step.agg_prev);
+                (index, chained) = (index + 1, chained + 1);
+                drop(step);
+                ctx.worker.freeze(q);
+                continue;
+            }
+            break (step, Some(close));
+        };
+        drop(guard);
+        if executed > 0 {
+            self.parts[w]
+                .executed
+                .fetch_add(executed, Ordering::Relaxed);
+        }
+        // Everything below happens under the record's lock, before this
+        // Step's token closes: while the query is on the lanes, one of its
+        // tokens is always open.
+        let reply = match close {
+            // Not the last: the freed budget slot releases the next
+            // held-back partition, in the core's order, with this Step's
+            // copy of the aggregate the superstep reads.
+            None => {
+                if let Some(to) = step.next_deferred() {
+                    if let Some(at) = self.trace_now() {
+                        let id = u64::from(q.0);
+                        self.tracer.defer_release(at, tid as u32, id, to as u32);
+                    }
+                    hb.lane_send_step(w, to);
+                    let record = Arc::clone(&record);
+                    let cmd = Cmd::Step {
+                        q,
+                        task,
+                        prev_agg,
+                        index,
+                        record,
+                    };
+                    push(to, cmd);
+                }
+                None
+            }
+            Some(Close::Terminate) => {
+                let touched = std::mem::take(&mut step.touched);
+                gather(push, hb, Some(w), q, &touched);
+                None
+            }
+            // A window is wanted: the query waits at this barrier.
+            Some(Close::Next) if self.parking() => Some(Resp::Parked(q)),
+            Some(Close::Next) => {
+                step.begin();
+                if let Some(at) = self.trace_now() {
+                    for &p in step.released().1 {
+                        self.tracer.defer(at, u64::from(q.0), p as u32);
+                    }
+                }
+                launch(push, hb, Some(w), q, &task, &record, &step);
+                None
+            }
+        };
+        hb.token_close(q.0, kind::STEP);
+        (executed, reply)
+    }
+
+    /// A superstep of `q` closed on this lane: stamp it, and ask for the
+    /// Q-cut check if one is due — the lane that takes the published
+    /// instant sends the one `Tick`.
+    fn closed(&self, w: usize, q: QueryId) {
+        if let Some(at) = self.trace_now() {
+            self.tracer.superstep_done(at, u64::from(q.0));
+        }
+        let check = &self.signals.check_at;
+        let at = check.load(Ordering::Relaxed);
+        let due = at != u64::MAX && self.clock.now().0 >= at;
+        let relaxed = Ordering::Relaxed;
+        if due
+            && check
+                .compare_exchange(at, u64::MAX, relaxed, relaxed)
+                .is_ok()
+        {
+            self.answer(w, Resp::Tick);
+        }
+    }
+
+    /// A `Collect`: hand this partition's local of `q` over; the last of
+    /// the query's Collects answers with them all.
+    fn collect(&self, w: usize, q: QueryId, gather: &Mutex<Gather>) -> Option<Resp> {
+        for slot in &mut relock(&self.parts[w].mail).slots {
+            slot.remove(&q);
+        }
+        let local = lock_ctx(&self.parts[w].ctx).worker.take_local(q);
+        let mut gather = relock(gather);
+        self.hb.record_join(q.0, w);
+        gather.locals.extend(local);
+        gather.left -= 1;
+        let reply = (gather.left == 0).then(|| {
+            self.hb.record_close(q.0, w);
+            let locals = std::mem::take(&mut gather.locals);
+            Resp::Collected { q, locals }
+        });
+        self.hb.token_close(q.0, kind::COLLECT);
+        reply
+    }
+
+    /// A window is wanted.
+    fn parking(&self) -> bool {
+        self.signals.park.load(Ordering::Relaxed)
+    }
+
+    /// The session clock in seconds, read only when the tracer records.
+    fn trace_now(&self) -> Option<f64> {
+        self.tracer
+            .enabled()
+            .then(|| self.clock.now().as_secs_f64())
+    }
+
+    fn answer(&self, w: usize, r: Resp) {
+        self.hb.worker_send(w);
+        // The coordinator hanging up (its thread panicked or exited early)
+        // is tolerable: nobody is left to consume answers, and the pool is
+        // torn down right behind it.
+        let _ = self.resp.send(CoordMsg::Worker(r));
     }
 }
 
@@ -1421,21 +1552,28 @@ mod tests {
         Arc::new(b.build())
     }
 
-    /// A lane with no pool behind it: the test thread handles partition
-    /// commands itself, stamped for the auditor the way `PoolExec` stamps
-    /// them, and collects what the lane pushes. Query 0 is `task`, its
-    /// initial batches put where admission puts them.
+    /// A lane with no pool behind it: the test thread runs the pushed
+    /// commands itself, oldest first, stamped for the auditor by whoever
+    /// pushed them. Query 0 is `task` under the DoP budget `dop`, admitted:
+    /// its initial batches put where admission puts them, its record as
+    /// admission leaves it.
     struct ByHand {
         lane: Lane,
         rx: Receiver<CoordMsg>,
         task: Arc<dyn QueryTask>,
-        /// Commands the lane pushed itself (already stamped by it).
-        pushed: std::cell::RefCell<Vec<(usize, Cmd)>>,
+        record: Record,
+        /// Commands pushed and not run yet.
+        queue: std::cell::RefCell<std::collections::VecDeque<(usize, Cmd)>>,
     }
 
     const Q: QueryId = QueryId(0);
 
-    fn seeded_lane(g: &Arc<Graph>, parts: Partitioning, task: Arc<dyn QueryTask>) -> ByHand {
+    fn seeded_lane(
+        g: &Arc<Graph>,
+        parts: Partitioning,
+        task: Arc<dyn QueryTask>,
+        dop: usize,
+    ) -> ByHand {
         let k = parts.num_workers();
         let hb = Hb::new(k);
         hb.publish_topology(0, 0);
@@ -1452,12 +1590,17 @@ mod tests {
                     taken: Vec::new(),
                 }),
                 mail: Mutex::default(),
+                executed: AtomicU64::default(),
             }
         };
         let (resp, rx) = channel();
         let lane = Lane {
             width: 1,
             parts: Arc::new((0..k).map(partition).collect()),
+            signals: Arc::new(Signals {
+                park: AtomicBool::new(false),
+                check_at: AtomicU64::new(u64::MAX),
+            }),
             resp,
             hb: hb.clone(),
             tracer: Tracer::new(1, 16, false),
@@ -1467,58 +1610,67 @@ mod tests {
             },
         };
         let route = |v: VertexId| parts.worker_of(v).index();
+        let mut step = Stepping::new(task.as_ref(), Default::default(), dop, k);
         for (w, batch) in task.initial_batches(&topology, &route, true) {
             hb.mail_put(0, w);
             lane.parts[w].put(Q, 0, batch);
+            step.touched.push(w);
+            step.next_involved.push(w);
         }
         ByHand {
             lane,
             rx,
             task,
-            pushed: Default::default(),
+            record: Arc::new(Mutex::new(step)),
+            queue: Default::default(),
         }
     }
 
     impl ByHand {
-        /// Run `cmd` on partition `w` as a command the coordinator sent.
-        fn handle(&self, w: usize, cmd: Cmd) {
-            match &cmd {
-                Cmd::Step { q, .. } => self.lane.hb.send_step(q.0, w),
-                Cmd::Collect { q } => self.lane.hb.send_collect(q.0, w),
-            }
-            self.run(w, cmd);
+        fn push(&self) -> impl Fn(usize, Cmd) + '_ {
+            |w, cmd| self.queue.borrow_mut().push_back((w, cmd))
         }
 
-        fn run(&self, w: usize, cmd: Cmd) {
-            let push = |to: usize, cmd: Cmd| self.pushed.borrow_mut().push((to, cmd));
-            self.lane.handle(&push, 0, w, cmd);
+        /// Begin query 0's next superstep and push its first Steps, the
+        /// way the core's dispatch does.
+        fn dispatch(&self) {
+            let mut step = relock(&self.record);
+            step.begin();
+            let hb = &self.lane.hb;
+            launch(&self.push(), hb, None, Q, &self.task, &self.record, &step);
         }
 
-        /// Query 0's superstep `index` as a command for one partition.
-        fn step_cmd(&self, index: u32, shared: Option<Arc<SharedStep>>) -> Cmd {
-            Cmd::Step {
-                q: Q,
-                task: Arc::clone(&self.task),
-                prev_agg: self.task.aggregate_identity(),
-                index,
-                shared,
-            }
+        /// Collect query 0 from `touched`, the way the core does.
+        fn collect(&self, touched: &[usize]) {
+            gather(&self.push(), &self.lane.hb, None, Q, touched);
         }
 
-        /// A record for a superstep over `members` partitions of which
-        /// `deferred` are still held back.
-        fn record(&self, members: usize, deferred: &[usize]) -> Arc<SharedStep> {
-            let held = deferred.iter().map(|&w| {
-                self.lane.hb.token_open(Q.0, kind::STEP);
-                (w, self.task.aggregate_identity())
+        /// Run the oldest pushed command; its partition.
+        fn run_next(&self) -> usize {
+            let next = self.queue.borrow_mut().pop_front();
+            let (w, cmd) = next.expect("a pushed command");
+            self.lane.handle(&self.push(), 0, w, cmd);
+            w
+        }
+
+        /// The commands waiting: a Step's partition and superstep, a
+        /// Collect's partition and `None`.
+        fn queued(&self) -> Vec<(usize, Option<u32>)> {
+            let queue = self.queue.borrow();
+            let summary = queue.iter().map(|(w, cmd)| match cmd {
+                Cmd::Step { index, .. } => (*w, Some(*index)),
+                Cmd::Collect { .. } => (*w, None),
             });
-            Arc::new(SharedStep {
-                state: Mutex::new(SharedState {
-                    deferred: held.collect(),
-                    remaining: members,
-                    reports: Vec::new(),
-                }),
-            })
+            summary.collect()
+        }
+
+        fn out(&self) -> crate::QueryOutcome {
+            relock(&self.record).out
+        }
+
+        /// Vertex updates counted for partition `w`.
+        fn executed(&self, w: usize) -> u64 {
+            self.lane.parts[w].executed.load(Ordering::Relaxed)
         }
 
         /// The one message waiting on the coordinator channel, if any.
@@ -1528,21 +1680,6 @@ mod tests {
             };
             assert!(self.rx.try_recv().is_err(), "one message at a time");
             Some(resp)
-        }
-
-        /// Dispatch query 0's superstep 0 on `w` as its only task; its
-        /// one report. `solo`: as a one-partition superstep (else through
-        /// a one-member record, the way a shared superstep reports).
-        fn step(&self, w: usize, solo: bool) -> StepReport {
-            let shared = (!solo).then(|| self.record(1, &[]));
-            self.handle(w, self.step_cmd(0, shared));
-            match self.response() {
-                Some(Resp::StepDone(report)) if solo => report,
-                Some(Resp::SuperstepDone(mut reports)) if !solo && reports.len() == 1 => {
-                    reports.remove(0)
-                }
-                _ => panic!("a Step answers with its report"),
-            }
         }
 
         /// Batches waiting in partition `w`'s mailbox for query 0, per
@@ -1588,126 +1725,157 @@ mod tests {
     fn a_solo_step_closes_a_quantum_of_local_supersteps_on_the_lane() {
         let g = line(4);
         let parts = || RangePartitioner.partition(&g, 2);
-        // The tally's vertex re-activates itself forever: the chain ends
+        // The tally's vertex re-activates itself forever: the command ends
         // at the quantum, with the partition still pending.
-        let by_hand = seeded_lane(&g, parts(), tally(false, u64::MAX));
-        let rep = by_hand.step(0, true);
-        let executions = 1 + LOCAL_QUANTUM as usize;
-        let chain = rep.chained.expect("closed on the lane");
-        assert_eq!((chain.n, tally_of(&chain.agg_prev)), (LOCAL_QUANTUM, 1));
+        let by_hand = seeded_lane(&g, parts(), tally(false, u64::MAX), 1);
+        by_hand.dispatch();
+        by_hand.run_next();
+        let executions = 1 + LOCAL_QUANTUM;
+        let out = by_hand.out();
+        // Every execution closed its superstep on the lane, each local;
+        // the last close began the next one and pushed its Step back into
+        // the pool. Nothing went to the coordinator.
         assert_eq!(
-            (rep.stats.executed, rep.stats.tasks),
+            (out.iterations, out.local_iterations),
             (executions, executions)
         );
-        assert_eq!(rep.stats.local_deliveries, executions);
-        assert!(rep.self_pending && rep.remote.is_empty() && tally_of(&rep.agg) == 1);
-        // Every execution was audited against the published versions and
-        // the one Step token is still open: the coordinator closes it.
+        let executions = u64::from(executions);
+        assert_eq!(
+            (out.vertex_updates, out.tasks),
+            (executions, executions + 1)
+        );
+        assert_eq!(by_hand.queued(), vec![(0, Some(executions as u32))]);
+        assert!(by_hand.response().is_none());
+        assert_eq!(by_hand.executed(0), executions);
+        assert_eq!(tally_of(&relock(&by_hand.record).agg_prev), 1);
+        // Every execution was audited against the published versions; the
+        // one token open is the pushed Step's.
         #[cfg(feature = "check-hb")]
-        assert_eq!(by_hand.lane.hb.audited(), (executions as u64, 1));
+        assert_eq!(by_hand.lane.hb.audited(), (executions, 1));
 
-        // In a shared superstep the same Step is reported as it ends.
-        let by_hand = seeded_lane(&g, parts(), tally(false, u64::MAX));
-        let rep = by_hand.step(0, false);
-        assert!(rep.chained.is_none() && rep.self_pending);
-        assert_eq!((rep.stats.executed, rep.stats.tasks), (1, 1));
+        // A Step of a shared superstep runs once: here partition 1 shares
+        // superstep 0 with nothing to do, and as its last finisher closes
+        // it and releases superstep 1 — partition 0 alone.
+        let by_hand = seeded_lane(&g, parts(), tally(false, u64::MAX), 2);
+        relock(&by_hand.record).next_involved.push(1);
+        by_hand.dispatch();
+        assert_eq!(by_hand.run_next(), 0);
+        let out = by_hand.out();
+        assert_eq!((out.iterations, out.vertex_updates), (0, 1));
+        assert_eq!(by_hand.run_next(), 1);
+        let out = by_hand.out();
+        assert_eq!((out.iterations, out.local_iterations), (1, 0));
+        assert_eq!(by_hand.queued(), vec![(0, Some(1))]);
     }
 
     #[test]
     fn a_chain_stops_before_a_terminating_close_and_at_a_crossing_step() {
         let g = line(4);
         let parts = || RangePartitioner.partition(&g, 2);
-        // Sticky and stopping at 3: the third close would end the query,
-        // so the third superstep is reported unrolled behind two closes.
-        let by_hand = seeded_lane(&g, parts(), tally(true, 3));
-        let rep = by_hand.step(0, true);
-        let chain = rep.chained.expect("two closed on the lane");
-        assert_eq!((chain.n, tally_of(&chain.agg_prev)), (2, 2));
-        assert_eq!((rep.stats.executed, tally_of(&rep.agg)), (3, 1));
-        assert!(rep.self_pending);
+        // Sticky and stopping at 3: the third close ends the query, and the
+        // lane collects it instead of executing again. The last Collect
+        // answers for the query.
+        let by_hand = seeded_lane(&g, parts(), tally(true, 3), 1);
+        by_hand.dispatch();
+        by_hand.run_next();
+        let out = by_hand.out();
+        assert_eq!((out.iterations, out.vertex_updates, out.tasks), (3, 3, 3));
+        assert_eq!(by_hand.queued(), vec![(0, None)]);
+        assert!(by_hand.response().is_none());
+        by_hand.run_next();
+        let Some(Resp::Collected { q: Q, locals }) = by_hand.response() else {
+            panic!("the last Collect answers with every local");
+        };
+        assert_eq!(locals.len(), 1);
+        #[cfg(feature = "check-hb")]
+        assert_eq!(by_hand.lane.hb.audited(), (3, 0));
 
         // A flood from vertex 0 of `{0,1} {2,3}`: the superstep at vertex
         // 1 crosses, so it ends the chain — and what it sent waits in
-        // partition 1's mailbox for superstep 2.
+        // partition 1's mailbox for superstep 2, whose Step is pushed.
         let reach = Arc::new(TypedTask::new(ReachProgram::new(VertexId(0))));
-        let by_hand = seeded_lane(&g, parts(), reach);
-        let rep = by_hand.step(0, true);
-        assert_eq!(rep.chained.map(|c| c.n), Some(1));
-        assert_eq!((rep.stats.executed, rep.stats.remote_deliveries), (2, 1));
-        assert!(!rep.self_pending && rep.remote == vec![1]);
+        let by_hand = seeded_lane(&g, parts(), reach, 1);
+        by_hand.dispatch();
+        by_hand.run_next();
+        let out = by_hand.out();
+        assert_eq!((out.iterations, out.local_iterations), (2, 1));
+        assert_eq!((out.vertex_updates, out.remote_messages), (2, 1));
+        assert_eq!(by_hand.queued(), vec![(1, Some(2))]);
         assert_eq!((by_hand.mail(0), by_hand.mail(1)), ([0, 0], [1, 0]));
     }
 
     /// A ping between vertex 0 (partition 0) and vertex 2 (partition 1) of
     /// `{0,1} {2,3}`: every superstep involves both and each sends to the
     /// other.
-    fn ping_pong(g: &Arc<Graph>) -> ByHand {
+    fn ping_pong(g: &Arc<Graph>, dop: usize) -> ByHand {
         let ping = PingProgram {
             ring: vec![VertexId(0), VertexId(2)],
             rounds: 4,
         };
         let parts = RangePartitioner.partition(g, 2);
-        seeded_lane(g, parts, Arc::new(TypedTask::new(ping)))
+        seeded_lane(g, parts, Arc::new(TypedTask::new(ping)), dop)
     }
 
     #[test]
     fn a_deferred_step_executes_its_sealed_input_while_the_mail_waits() {
-        let by_hand = ping_pong(&line(4));
+        let by_hand = ping_pong(&line(4), 1);
         assert_eq!((by_hand.mail(0), by_hand.mail(1)), ([1, 0], [1, 0]));
-        // Superstep 0 at DoP 1: partition 0 runs, partition 1 is deferred.
-        let record = by_hand.record(2, &[1]);
-        by_hand.handle(0, by_hand.step_cmd(0, Some(Arc::clone(&record))));
+        // Superstep 0 at DoP 1: partition 0 runs, partition 1 is held back.
+        by_hand.dispatch();
+        assert_eq!(by_hand.queued(), vec![(0, Some(0))]);
+        by_hand.run_next();
         // Partition 0 sent to partition 1 *before* partition 1 ran: the
         // batch sits in the slot superstep 1 will read, beside the input
         // of superstep 0. Nothing went to the coordinator; the lane pushed
-        // the deferred Step itself.
+        // the held-back Step itself.
         assert_eq!((by_hand.mail(0), by_hand.mail(1)), ([0, 0], [1, 1]));
         assert!(by_hand.response().is_none());
-        let (to, next) = by_hand.pushed.borrow_mut().pop().expect("handed on");
-        assert!(to == 1 && matches!(next, Cmd::Step { index: 0, .. }));
-        by_hand.run(to, next);
-        // Partition 1 executed exactly its sealed input — one message,
-        // not two — and the one message carries both reports.
-        let Some(Resp::SuperstepDone(reports)) = by_hand.response() else {
-            panic!("the last finisher reports the superstep");
-        };
-        let summary = |r: &StepReport| (r.worker, r.stats.messages_in, r.remote.clone());
-        let reports: Vec<_> = reports.iter().map(summary).collect();
-        assert_eq!(reports, vec![(0, 1, vec![1]), (1, 1, vec![0])]);
+        assert_eq!(by_hand.queued(), vec![(1, Some(0))]);
+        by_hand.run_next();
+        // Partition 1 executed exactly its sealed input — the batch for
+        // superstep 1 is still there — and, as the last finisher, closed
+        // superstep 0 and released superstep 1's first Step.
         assert_eq!((by_hand.mail(0), by_hand.mail(1)), ([0, 1], [0, 1]));
-        assert!(by_hand.pushed.borrow().is_empty());
+        let out = by_hand.out();
+        assert_eq!(
+            (out.iterations, out.vertex_updates, out.remote_messages),
+            (1, 2, 2)
+        );
+        assert_eq!(by_hand.queued(), vec![(0, Some(1))]);
+        assert!(by_hand.response().is_none());
+        // Both of superstep 1's tokens are open, the held-back one's too.
         #[cfg(feature = "check-hb")]
         assert_eq!(by_hand.lane.hb.audited(), (2, 2));
         // Superstep 1 reads what superstep 0 sent.
-        by_hand.handle(1, by_hand.step_cmd(1, Some(by_hand.record(1, &[]))));
-        let Some(Resp::SuperstepDone(reports)) = by_hand.response() else {
-            panic!("a one-member record still reports through it");
-        };
-        assert_eq!(reports[0].stats.messages_in, 1);
-        assert_eq!((by_hand.mail(0), by_hand.mail(1)), ([1, 1], [0, 0]));
+        by_hand.run_next();
+        assert_eq!(by_hand.out().vertex_updates, 3);
+        assert_eq!((by_hand.mail(0), by_hand.mail(1)), ([0, 0], [1, 1]));
+        assert_eq!(by_hand.queued(), vec![(1, Some(1))]);
     }
 
     #[test]
     fn a_collect_clears_both_of_the_querys_mail_slots() {
-        let by_hand = ping_pong(&line(4));
+        let by_hand = ping_pong(&line(4), 2);
         // Leave mail in both parities on partition 1: the seed for
         // superstep 0 and what partition 0's Step sent for superstep 1.
-        by_hand.handle(0, by_hand.step_cmd(0, Some(by_hand.record(1, &[]))));
-        assert!(by_hand.response().is_some());
+        by_hand.dispatch();
+        assert_eq!(by_hand.run_next(), 0);
         assert_eq!(by_hand.mail(1), [1, 1]);
+        by_hand.queue.borrow_mut().clear();
+        by_hand.collect(&[0, 1]);
         for w in [0, 1] {
-            by_hand.handle(w, Cmd::Collect { q: Q });
-            let Some(Resp::Collected { q: Q, local }) = by_hand.response() else {
-                panic!("a Collect answers with the local");
-            };
-            assert_eq!(local.is_some(), w == 0, "only partition 0 executed");
+            assert_eq!(by_hand.run_next(), w);
             assert_eq!(by_hand.holds(w), [false, false]);
         }
+        let Some(Resp::Collected { q: Q, locals }) = by_hand.response() else {
+            panic!("the last Collect answers with every local");
+        };
+        assert_eq!(locals.len(), 1, "only partition 0 executed");
     }
 
     #[test]
     fn a_taken_slot_keeps_its_entry_and_trades_buffers_with_the_partition() {
-        let by_hand = ping_pong(&line(4));
+        let by_hand = ping_pong(&line(4), 2);
         let buffer = |w: usize, slot: usize| {
             let mail = relock(&by_hand.lane.parts[w].mail);
             (
@@ -1720,7 +1888,8 @@ mod tests {
         // Superstep 0 on partition 0 takes the seed batch: the entry stays,
         // empty, holding the (unallocated) buffer the partition owned, and
         // the partition now owns the slot's.
-        by_hand.handle(0, by_hand.step_cmd(0, Some(by_hand.record(2, &[]))));
+        by_hand.dispatch();
+        assert_eq!(by_hand.run_next(), 0);
         assert_eq!((by_hand.holds(0), by_hand.mail(0)), ([true, false], [0, 0]));
         assert_eq!(buffer(0, 0).1, 0);
         {
@@ -1730,9 +1899,9 @@ mod tests {
         }
         // Partition 1's Step sends back for superstep 1; superstep 2 would
         // read parity 0 again, where the entry still is.
-        by_hand.handle(1, by_hand.step_cmd(0, Some(by_hand.record(1, &[]))));
+        assert_eq!(by_hand.run_next(), 1);
         assert_eq!((by_hand.holds(0), by_hand.mail(0)), ([true, true], [0, 1]));
-        by_hand.handle(0, by_hand.step_cmd(1, Some(by_hand.record(1, &[]))));
+        assert_eq!(by_hand.run_next(), 0);
         assert_eq!((by_hand.holds(0), by_hand.mail(0)), ([true, true], [0, 0]));
         // The buffer superstep 0 took is the one superstep 1's slot keeps.
         assert_eq!(buffer(0, 1), seeded);
@@ -1744,8 +1913,9 @@ mod tests {
         // vertex 2 in partition 1's mailbox, nothing in its inbox.
         let g = line(4);
         let reach: Arc<dyn QueryTask> = Arc::new(TypedTask::new(ReachProgram::new(VertexId(0))));
-        let by_hand = seeded_lane(&g, RangePartitioner.partition(&g, 2), Arc::clone(&reach));
-        by_hand.step(0, true);
+        let by_hand = seeded_lane(&g, RangePartitioner.partition(&g, 2), Arc::clone(&reach), 1);
+        by_hand.dispatch();
+        by_hand.run_next();
         assert!(by_hand.mail(1) == [1, 0] && !by_hand.has_pending(1));
         // The window's flush moves it into the inbox, where the pending
         // report sees it.
@@ -2078,11 +2248,10 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_supersteps_match_the_simulation_and_answer_with_one_message_each() {
+    fn budgeted_supersteps_match_the_simulation_and_cost_the_coordinator_one_message_per_query() {
         use crate::sched::DopPolicy;
-        use std::sync::atomic::Ordering;
         // A line dealt round-robin over four partitions: every hop crosses,
-        // so no superstep is closed on a lane and every one is dispatched.
+        // so every superstep is a full round of the lanes' fold and close.
         let g = line(48);
         let parts = || {
             let assign = (0..48).map(|v| qgraph_partition::WorkerId(v % 4));
@@ -2128,10 +2297,12 @@ mod tests {
             sim.run();
             let expected = work(sim.report());
             assert_eq!(work(threads.report()), expected, "DoP {dop}");
-            let supersteps: u64 = expected.iter().map(|w| u64::from(w.1 .0)).sum();
+            // The core dispatched each query once and heard back once,
+            // when it terminated: no window opened, so nothing parked.
+            let queries = expected.len() as u64;
             let dispatched = threads.traffic.dispatched.load(Ordering::Relaxed);
             let messages = threads.traffic.messages.load(Ordering::Relaxed);
-            assert_eq!((dispatched, messages), (supersteps, supersteps));
+            assert_eq!((dispatched, messages), (queries, queries), "DoP {dop}");
             // The ping starts on all four partitions: the budget held
             // some of them back.
             assert_eq!(expected[4].3, dop as u32);
@@ -2178,6 +2349,106 @@ mod tests {
         // The assignment actually changed and still covers the graph.
         assert_eq!(e.partitioning().num_vertices(), 64);
         assert_eq!(e.partitioning().sizes().iter().sum::<usize>(), 64);
+    }
+
+    /// A gate the test opens once.
+    type Gate = Arc<(Mutex<bool>, std::sync::Condvar)>;
+
+    /// A flood that holds its lane at vertex `at` until the gate opens.
+    struct GatedReach {
+        flood: ReachProgram,
+        at: VertexId,
+        gate: Gate,
+    }
+
+    impl VertexProgram for GatedReach {
+        type State = crate::programs::ReachState;
+        type Message = u32;
+        type Aggregate = ();
+        type Output = Vec<VertexId>;
+
+        fn init_state(&self) -> Self::State {
+            self.flood.init_state()
+        }
+        fn aggregate_identity(&self) {}
+        fn aggregate_combine(&self, _: &mut (), _: &()) {}
+        fn initial_messages(&self, graph: &Topology) -> Vec<(VertexId, u32)> {
+            self.flood.initial_messages(graph)
+        }
+        fn compute(
+            &self,
+            graph: &Topology,
+            vertex: VertexId,
+            state: &mut Self::State,
+            messages: &[u32],
+            ctx: &mut crate::program::Context<'_, u32, ()>,
+        ) {
+            if vertex == self.at {
+                let (open, opened) = &*self.gate;
+                let mut open = open.lock().unwrap();
+                while !*open {
+                    open = opened.wait(open).unwrap();
+                }
+            }
+            self.flood.compute(graph, vertex, state, messages, ctx);
+        }
+        fn finalize(
+            &self,
+            graph: &Topology,
+            states: &mut dyn Iterator<Item = (VertexId, Self::State)>,
+        ) -> Vec<VertexId> {
+            self.flood.finalize(graph, states)
+        }
+    }
+
+    /// A mutation batch lands while floods run on the lanes: each parks
+    /// at the next barrier it closes, one window applies the batch, and
+    /// every flood resumes against the new epoch — at every pool width.
+    #[test]
+    fn a_wanted_window_parks_lane_driven_queries_at_their_next_barrier() {
+        const N: u32 = 256;
+        let g = line(N as usize);
+        let k = 2;
+        for width in [1, k, 2 * k + 1] {
+            let cfg = SystemConfig {
+                pool_threads: width,
+                ..Default::default()
+            };
+            let mut e = ThreadEngine::with_config(Arc::clone(&g), interleaved(N), cfg);
+            // Each flood holds its lane at its source until the coordinator
+            // has the batch: none can close a superstep before that.
+            let gate = Gate::default();
+            let floods: Vec<_> = (0..4)
+                .map(|s| {
+                    e.submit(GatedReach {
+                        flood: ReachProgram::new(VertexId(s)),
+                        at: VertexId(s),
+                        gate: Arc::clone(&gate),
+                    })
+                })
+                .collect();
+            e.start();
+            // Epoch 1 closes the line into a ring.
+            let mut ring = GraphMutationBatch::new();
+            ring.add_edge(N - 1, 0, 1.0);
+            e.mutate(ring);
+            let signals = Arc::clone(e.signals.as_ref().expect("serving"));
+            while !signals.park.load(Ordering::Relaxed) {
+                thread::yield_now();
+            }
+            *gate.0.lock().unwrap() = true;
+            gate.1.notify_all();
+            e.run();
+            let report = e.report();
+            assert_eq!(report.mutations.len(), 1, "width {width}: one window");
+            for h in &floods {
+                let o = report.outcomes.iter().find(|o| o.id == h.id());
+                let o = o.expect("every flood finished");
+                // Parked mid-run, finished under the ring: every vertex.
+                assert_eq!((o.first_epoch, o.last_epoch), (0, 1), "width {width}");
+                assert_eq!(e.output(h).unwrap().len(), N as usize, "width {width}");
+            }
+        }
     }
 
     /// The thrash net: on a partitioning that keeps locality under Φ for

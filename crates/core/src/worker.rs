@@ -97,21 +97,6 @@ pub struct SuperstepStats {
     pub tasks: usize,
 }
 
-impl SuperstepStats {
-    /// Fold in the superstep the same partition ran next for the same
-    /// query: the counters add up, the scope is the later one's.
-    pub(crate) fn then(&mut self, next: &SuperstepStats) {
-        self.executed += next.executed;
-        self.messages_in += next.messages_in;
-        self.local_deliveries += next.local_deliveries;
-        self.remote_deliveries += next.remote_deliveries;
-        self.remote_pre_combine += next.remote_pre_combine;
-        self.remote_batches += next.remote_batches;
-        self.local_scope = next.local_scope;
-        self.tasks += next.tasks;
-    }
-}
-
 /// The object-safe facade over one query's per-worker state: everything a
 /// runtime needs that does *not* mention program-specific types. Typed
 /// operations reach the concrete [`QueryLocal`] by downcasting through

@@ -1,13 +1,17 @@
 //! Failure/perturbation injection: the system must stay *correct* under a
 //! straggling worker (inflated compute costs), an overloaded network, or a
-//! degenerate cluster layout — only latency may suffer.
+//! degenerate cluster layout — only latency may suffer — and a vertex
+//! program that panics must surface, not hang the engine.
 
+use std::sync::mpsc::channel;
 use std::sync::Arc;
+use std::time::Duration;
 
 use qgraph_algo::{dijkstra_to, SsspProgram};
-use qgraph_core::{SimEngine, SystemConfig};
-use qgraph_integration_tests::small_road_world;
-use qgraph_partition::{HashPartitioner, Partitioner};
+use qgraph_core::{Context, SimEngine, SystemConfig, ThreadEngine, Topology, VertexProgram};
+use qgraph_graph::VertexId;
+use qgraph_integration_tests::{line_graph, small_road_world};
+use qgraph_partition::{HashPartitioner, Partitioner, RangePartitioner};
 use qgraph_sim::{ClusterModel, ComputeModel, NetworkModel};
 use qgraph_workload::{QueryKind, WorkloadConfig, WorkloadGenerator};
 
@@ -84,6 +88,64 @@ fn congested_network_only_slows_the_system() {
 fn single_worker_cluster_is_a_valid_degenerate_case() {
     let (got, want, _) = run_with_cluster(ClusterModel::scale_up(1), 41);
     assert_answers(&got, &want);
+}
+
+/// A flood whose vertex function panics at its third vertex.
+struct Boom;
+
+impl VertexProgram for Boom {
+    type State = ();
+    type Message = ();
+    type Aggregate = ();
+    type Output = ();
+    fn init_state(&self) {}
+    fn aggregate_identity(&self) {}
+    fn aggregate_combine(&self, _: &mut (), _: &()) {}
+    fn initial_messages(&self, _: &Topology) -> Vec<(VertexId, ())> {
+        vec![(VertexId(0), ())]
+    }
+    fn compute(
+        &self,
+        _: &Topology,
+        v: VertexId,
+        _: &mut (),
+        _: &[()],
+        ctx: &mut Context<'_, (), ()>,
+    ) {
+        assert!(v.0 < 2, "boom: the vertex program failed at {v:?}");
+        ctx.send(VertexId(v.0 + 1), ());
+    }
+    fn finalize(&self, _: &Topology, _: &mut dyn Iterator<Item = (VertexId, ())>) {}
+}
+
+/// The lane that runs the panicking Step owns the query's progress, so
+/// nothing else would answer for it: the coordinator must hear of the
+/// panic and `drain` must re-raise it. The engine runs on a helper thread
+/// so that a hang fails the test instead of stalling the suite.
+#[test]
+fn a_panicking_vertex_program_surfaces_from_drain() {
+    let (done, outcome) = channel();
+    std::thread::spawn(move || {
+        let ran = std::panic::catch_unwind(|| {
+            let g = Arc::new(line_graph(8));
+            let parts = RangePartitioner.partition(&g, 2);
+            let mut e = ThreadEngine::new(Arc::clone(&g), parts);
+            e.submit(Boom);
+            e.run();
+        });
+        let message = ran.err().map(|payload| match payload.downcast::<String>() {
+            Ok(message) => *message,
+            Err(payload) => payload
+                .downcast_ref::<&str>()
+                .map_or_else(String::new, |m| m.to_string()),
+        });
+        let _ = done.send(message);
+    });
+    let message = outcome
+        .recv_timeout(Duration::from_secs(30))
+        .expect("drain() neither returned nor panicked within 30 s");
+    let message = message.expect("drain() returned although the vertex program panicked");
+    assert!(message.contains("boom"), "surfaced: {message}");
 }
 
 #[test]
