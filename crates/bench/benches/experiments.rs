@@ -7,8 +7,10 @@
 //!
 //! or a single one: `cargo bench -p qgraph-bench --bench experiments -- fig6a`.
 //! Set `QGRAPH_QUICK=1` for a fast smoke pass. Absolute numbers are virtual
-//! seconds on the simulated cluster (see ARCHITECTURE.md, "Runtimes"); the paper
-//! comparison lives in EXPERIMENTS.md.
+//! seconds on the simulated cluster (see ARCHITECTURE.md, "Runtimes"). Each
+//! figure prints the paper's caption and numbers beside its own table; the
+//! headline (Hash / Domain / +Q-cut latency and locality) is tracked run to
+//! run by the `sim-paper` workload of `qbench`.
 
 use qgraph_bench::{run_road_experiment, ExperimentSpec, GraphPreset, Strategy};
 use qgraph_core::{BarrierMode, EngineReport};

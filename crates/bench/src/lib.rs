@@ -1,12 +1,12 @@
 //! Shared experiment harness: builds the paper's workload/infrastructure
 //! combinations and runs them on the deterministic engine. Every figure
-//! binary (`benches/experiments.rs` targets) composes these pieces.
+//! of `benches/experiments.rs` composes these pieces, and so does the
+//! repository's benchmark, `qbench`.
 
 #![forbid(unsafe_code)]
 
 pub mod setup;
 
 pub use setup::{
-    build_network, partition_graph, run_mixed_road_experiment, run_road_experiment, ExperimentSpec,
-    GraphPreset, Strategy,
+    build_network, partition_graph, run_road_experiment, ExperimentSpec, GraphPreset, Strategy,
 };

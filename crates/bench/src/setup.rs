@@ -183,62 +183,6 @@ pub fn run_road_experiment(spec: &ExperimentSpec) -> EngineReport {
     engine.run().clone()
 }
 
-/// Run a *mixed* SSSP + POI workload in one engine instance (a mapping
-/// service's traffic mix): half the queries of `spec.workload` as
-/// shortest paths, half as nearest-POI, interleaved. The returned
-/// report's [`EngineReport::per_program`] breaks the run down per query
-/// type.
-pub fn run_mixed_road_experiment(spec: &ExperimentSpec) -> EngineReport {
-    let net = build_network(spec.graph, spec.tag_probability, spec.seed);
-    let partitioning = partition_graph(spec.strategy, &net, spec.workers, spec.seed);
-    let cluster = if spec.scale_out {
-        ClusterModel::c1(spec.workers)
-    } else {
-        ClusterModel::scale_up(spec.workers)
-    };
-    let cfg = SystemConfig {
-        barrier_mode: spec.barrier,
-        qcut: spec
-            .strategy
-            .adaptive()
-            .then(|| QcutConfig::time_scaled(spec.time_scale)),
-        ..Default::default()
-    };
-
-    let gen = WorkloadGenerator::new(&net);
-    let n = spec.workload.total_queries().max(2);
-    let sssp = gen.generate(&WorkloadConfig::single(n / 2, false, false, spec.seed));
-    let poi = gen.generate(&WorkloadConfig::single(
-        n - n / 2,
-        true,
-        false,
-        spec.seed ^ 0x51,
-    ));
-    let graph = Arc::new(net.graph);
-    let mut engine = SimEngine::new(graph, cluster, partitioning, cfg);
-    let mut sssp_it = sssp.iter();
-    let mut poi_it = poi.iter();
-    loop {
-        let mut submitted = false;
-        if let Some(s) = sssp_it.next() {
-            if let QueryKind::Sssp { source, target } = s.kind {
-                engine.submit(RoadProgram::sssp(source, target));
-            }
-            submitted = true;
-        }
-        if let Some(p) = poi_it.next() {
-            if let QueryKind::Poi { source } = p.kind {
-                engine.submit(RoadProgram::poi(source));
-            }
-            submitted = true;
-        }
-        if !submitted {
-            break;
-        }
-    }
-    engine.run().clone()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,22 +196,5 @@ mod tests {
         let report = run_road_experiment(&spec);
         assert_eq!(report.outcomes.len(), 16);
         assert!(report.mean_latency() > 0.0);
-    }
-
-    #[test]
-    fn mixed_experiment_reports_per_program() {
-        let spec = ExperimentSpec {
-            workload: WorkloadConfig::single(16, false, false, 3),
-            tag_probability: 1.0 / 100.0,
-            ..ExperimentSpec::default_bw(Strategy::Hash, 16, 0.05)
-        };
-        let report = run_mixed_road_experiment(&spec);
-        assert_eq!(report.outcomes.len(), 16);
-        let summaries = report.per_program();
-        assert_eq!(summaries.len(), 2, "both query kinds present");
-        let total: usize = summaries.iter().map(|s| s.queries).sum();
-        assert_eq!(total, 16);
-        assert!(summaries.iter().any(|s| s.program == "sssp"));
-        assert!(summaries.iter().any(|s| s.program == "poi"));
     }
 }

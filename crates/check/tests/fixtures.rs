@@ -109,10 +109,10 @@ fn thread_discipline_exempts_the_trace_crate() {
 #[test]
 fn thread_discipline_trace_exemption_is_dir_precise() {
     // The sanction covers crates/trace/src, not trace-adjacent code
-    // elsewhere (a bench binary must not inherit it).
+    // elsewhere (the engine's own trace module must not inherit it).
     assert_fires(
         "thread-discipline",
-        "crates/bench/src/bin/trace_smoke.rs",
+        "crates/core/src/trace.rs",
         "thread_discipline.rs",
     );
 }
@@ -194,7 +194,7 @@ fn time_epoch_arith_trace_exemption_is_dir_precise() {
     // consumers must go through the attribution helpers.
     assert_fires(
         "time-epoch-arith",
-        "crates/bench/src/bin/trace_smoke.rs",
+        "crates/core/src/trace.rs",
         "time_epoch_arith.rs",
     );
 }

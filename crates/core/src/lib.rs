@@ -25,9 +25,11 @@
 //! runtimes execute it behind the shared [`Engine`] trait
 //! (submit / run / output / report):
 //! * [`SimEngine`] — a deterministic discrete-event engine over the
-//!   `qgraph-sim` virtual cluster; every experiment in `EXPERIMENTS.md`
-//!   uses it (the `qgraph-sim` crate docs say why the paper's testbeds are
-//!   simulated; ARCHITECTURE.md, "Runtimes", how the two relate).
+//!   `qgraph-sim` virtual cluster; every paper figure of the
+//!   `qgraph-bench` experiments harness and `qbench`'s `sim-paper`
+//!   workload use it (the `qgraph-sim` crate docs say why the paper's
+//!   testbeds are simulated; ARCHITECTURE.md, "Runtimes", how the two
+//!   relate).
 //! * [`runtime::ThreadEngine`] — a real shared-memory multi-threaded
 //!   executor of the same protocol, demonstrating the library on actual
 //!   hardware.

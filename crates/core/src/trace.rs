@@ -12,9 +12,11 @@
 //!
 //! Recording is additionally gated at runtime by
 //! [`crate::SystemConfig::trace`]: a `trace`-feature build with the
-//! knob off carries one `Option` check per call site (that residual is
-//! what the `trace_smoke` bench's overhead assertion measures against
-//! its traced twin).
+//! knob off carries one `Option` check per call site. The cost of
+//! tracing on the wall clock is tracked by `qbench` as
+//! `bench.trace_overhead` (a plain window's qps over a traced one's);
+//! `trace_plane::sim_timelines_partition_time_in_system` pins the phase
+//! fold against time in system.
 //!
 //! [`TraceData`] is the report-side accumulation (raw events + dropped
 //! count). It exists in both builds — zero-sized without the feature —

@@ -5,7 +5,9 @@
 //! machine per query; at every transition the elapsed interval lands
 //! in exactly one bucket, so `phase_sum_secs()` equals
 //! `time_in_system_secs()` up to f64 rounding *by construction* —
-//! the `trace_smoke` bench asserts the residual stays under 1%.
+//! `trace_plane::sim_timelines_partition_time_in_system` (and its thread
+//! twin) asserts the residual stays under 1%; `qbench`'s
+//! `bench.trace_overhead` tracks what tracing costs on the wall clock.
 //!
 //! Phase semantics (the precise micro-definitions behind the names):
 //! * **queued** — admission until the query's first task starts
