@@ -71,8 +71,9 @@ pub trait Engine {
     fn install_index(&mut self, index: Box<dyn PointIndex>);
 
     /// A coherent copy of the current graph view — the epoch an index
-    /// built now would be valid for. (The thread runtime syncs with its
-    /// coordinator first, so the snapshot is never stale.)
+    /// built now would be valid for. (The thread runtime drains first,
+    /// taking its coordinator's hand-over, so the snapshot is never
+    /// stale.)
     fn topology_snapshot(&mut self) -> qgraph_graph::Topology;
 
     /// Submit a query of any [`VertexProgram`] type; the returned handle
@@ -156,8 +157,8 @@ impl Engine for ThreadEngine {
     }
 
     fn topology_snapshot(&mut self) -> qgraph_graph::Topology {
-        // Sync the engine's copy with the coordinator's master first —
-        // an index built from a stale view would disagree with serving.
+        // Take the coordinator's hand-over first — an index built from a
+        // stale view would disagree with serving.
         ThreadEngine::drain(self);
         ThreadEngine::topology(self).clone()
     }

@@ -123,8 +123,8 @@ pub struct SystemConfig {
     /// Apply vertex-level message combiners
     /// ([`crate::VertexProgram::combine`]) at both ends of the wire.
     /// Combining is output-preserving by the combiner contract; disable
-    /// it only for A/B measurement (the equivalence property tests and
-    /// the message-plane microbench do).
+    /// it only for A/B checks (only the combiner on ≡ off equivalence
+    /// tests do).
     pub combiners: bool,
     /// Wire batch cap used for remote-batch *accounting*
     /// ([`crate::QueryOutcome::remote_batches`]): the paper's 32-message

@@ -88,18 +88,6 @@ use crate::task::{Envelope, MessageBatch, QueryTask};
 use crate::trace::{outcome_code, Tracer};
 use crate::worker::{LocalState, SuperstepStats};
 
-/// How a superstep's first Steps reach their partitions. The thread
-/// runtime pushes pool commands either way; the simulation prices the two
-/// differently.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum StepVia {
-    /// A fresh controller → worker control message (admission).
-    Control,
-    /// Rides the barrier release whose `barrierReady` round trip the
-    /// superstep already paid for.
-    Barrier,
-}
-
 /// One whole superstep of one query, as the core hands it to an executor
 /// (see the module docs for what the executor owes).
 pub(crate) struct Superstep<'a> {
@@ -107,11 +95,11 @@ pub(crate) struct Superstep<'a> {
     /// The query's record, locked by the core for the call (`step`): an
     /// executor may close supersteps where they end. `step.out.iterations`
     /// is the superstep's index; a Step of superstep `n` produces input of
-    /// superstep `n + 1`.
+    /// superstep `n + 1`. Superstep 0 is dispatched by admission; every
+    /// later one follows a close (a barrier release, or a window resuming
+    /// a parked query).
     pub record: &'a Record,
     pub step: &'a Stepping,
-    /// How the first `dop` Steps travel.
-    pub via: StepVia,
 }
 
 /// The dispatch vocabulary. The three `*_report`/`migrate` calls are
@@ -596,7 +584,7 @@ impl Coordinator {
             // No initial messages: finalize over the empty state set.
             self.collected(x, q, Vec::new(), now);
         } else {
-            self.dispatch_superstep(x, q, now, StepVia::Control);
+            self.dispatch_superstep(x, q, now);
         }
     }
 
@@ -612,7 +600,7 @@ impl Coordinator {
             self.parked.push(q);
             return;
         }
-        self.dispatch_superstep(x, q, now, StepVia::Barrier);
+        self.dispatch_superstep(x, q, now);
     }
 
     /// The one release path (admission, barrier release, window resume):
@@ -621,13 +609,7 @@ impl Coordinator {
     /// once. A deferred partition still executes the input it had at this
     /// instant (the executor's BSP contract), which is what keeps
     /// budgeted execution output-identical to the all-at-once baseline.
-    fn dispatch_superstep<X: Executor>(
-        &mut self,
-        x: &mut X,
-        q: QueryId,
-        now: SimTime,
-        via: StepVia,
-    ) {
+    fn dispatch_superstep<X: Executor>(&mut self, x: &mut X, q: QueryId, now: SimTime) {
         let Some(run) = self.queries.get(&q) else {
             debug_assert!(false, "released {q} is no longer live");
             return;
@@ -652,7 +634,6 @@ impl Coordinator {
                 task: &run.task,
                 record: &run.record,
                 step: &step,
-                via,
             },
         );
     }
@@ -1054,7 +1035,7 @@ impl Coordinator {
         self.paused = false;
         for q in std::mem::take(&mut self.parked) {
             self.tracer.unpark(secs(now), u64::from(q.0));
-            self.dispatch_superstep(x, q, now, StepVia::Barrier);
+            self.dispatch_superstep(x, q, now);
         }
         self.admit(x, now);
         // Work that became ready while the window was open (a mutation,
@@ -1082,8 +1063,8 @@ mod tests {
     #[derive(Clone, Debug, PartialEq)]
     enum Op {
         Deliver(u32, usize),
-        /// `(query, involved in release order, DoP budget, index, via)`.
-        Superstep(u32, Vec<usize>, usize, u32, StepVia),
+        /// `(query, involved in release order, DoP budget, index)`.
+        Superstep(u32, Vec<usize>, usize, u32),
         Collect(u32, usize),
         Complete(u32),
         PublishTopology(u64),
@@ -1114,8 +1095,7 @@ mod tests {
         fn superstep(&mut self, q: QueryId, s: Superstep<'_>) {
             let (step, involved) = (s.step, s.step.involved_cur.clone());
             let index = step.out.iterations;
-            self.log
-                .push(Op::Superstep(q.0, involved, step.dop, index, s.via));
+            self.log.push(Op::Superstep(q.0, involved, step.dop, index));
         }
         fn collect(&mut self, q: QueryId, touched: Vec<usize>) -> Option<Locals> {
             let collects = touched.into_iter().map(|w| Op::Collect(q.0, w));
@@ -1220,7 +1200,7 @@ mod tests {
                 Op::Deliver(0, 0),
                 Op::Deliver(0, 1),
                 Op::Deliver(0, 2),
-                Op::Superstep(0, vec![0, 1, 2], 1, 0, StepVia::Control),
+                Op::Superstep(0, vec![0, 1, 2], 1, 0),
             ],
             "one dispatch: all three inputs are in before it, the budget \
              and the release order travel with it"
@@ -1238,10 +1218,7 @@ mod tests {
         assert!(x.log.is_empty(), "nothing moves until the barrier opens");
         // The next superstep involves only the partition that was sent to.
         core.release(&mut x, QueryId(0), at(5));
-        assert_eq!(
-            x.log,
-            vec![Op::Superstep(0, vec![1], 1, 1, StepVia::Barrier)]
-        );
+        assert_eq!(x.log, vec![Op::Superstep(0, vec![1], 1, 1)]);
         let out = core.run(QueryId(0)).stepping().out;
         assert_eq!((out.iterations, out.local_iterations), (1, 0));
         assert_eq!((out.tasks, out.effective_dop), (4, 1));
@@ -1300,7 +1277,7 @@ mod tests {
         core.window_end(&mut x, at(9));
         assert_eq!(
             x.log,
-            vec![Op::Superstep(0, vec![2], 1, 1, StepVia::Barrier)],
+            vec![Op::Superstep(0, vec![2], 1, 1)],
             "resumed against the post-migration pending report, not the stale set"
         );
         assert!(!core.paused() && core.parked.is_empty());
@@ -1451,10 +1428,7 @@ mod tests {
         let task = Arc::new(TypedTask::new(program.clone()));
         core.submit(QueryId(0), task, at(0), None);
         core.admit(&mut x, at(1));
-        let dispatched = vec![
-            Op::Deliver(0, 1),
-            Op::Superstep(0, vec![1], 3, 0, StepVia::Control),
-        ];
+        let dispatched = vec![Op::Deliver(0, 1), Op::Superstep(0, vec![1], 3, 0)];
         assert_eq!(std::mem::take(&mut x.log), dispatched);
         (core, x, TypedTask::new(program))
     }
@@ -1566,7 +1540,7 @@ mod tests {
         core.window_apply(&mut x);
         x.log.clear();
         core.window_end(&mut x, at(4));
-        let resumed = vec![Op::Superstep(0, vec![1], 3, 5, StepVia::Barrier)];
+        let resumed = vec![Op::Superstep(0, vec![1], 3, 5)];
         assert_eq!(x.log, resumed);
     }
 
@@ -1583,7 +1557,7 @@ mod tests {
             let dispatched = log.iter().filter(|op| matches!(op, Op::Superstep(..)));
             dispatched.cloned().collect()
         };
-        let first = Op::Superstep(0, vec![0, 1, 2], 3, 0, StepVia::Control);
+        let first = Op::Superstep(0, vec![0, 1, 2], 3, 0);
         assert_eq!(supersteps(&x.log), vec![first]);
         // Two partitions pending: still a shared superstep.
         for (w, to) in [(0, &[1][..]), (1, &[2]), (2, &[])] {
@@ -1591,14 +1565,14 @@ mod tests {
         }
         x.log.clear();
         core.release(&mut x, QueryId(0), at(3));
-        let shared = Op::Superstep(0, vec![1, 2], 3, 1, StepVia::Barrier);
+        let shared = Op::Superstep(0, vec![1, 2], 3, 1);
         assert_eq!(supersteps(&x.log), vec![shared]);
         // One partition pending: the superstep's only task.
         core.step_done(&mut x, report(&task, 1, &[]), at(4), at(4));
         core.step_done(&mut x, report(&task, 2, &[0]), at(4), at(4));
         x.log.clear();
         core.release(&mut x, QueryId(0), at(5));
-        let solo = Op::Superstep(0, vec![0], 3, 2, StepVia::Barrier);
+        let solo = Op::Superstep(0, vec![0], 3, 2);
         assert_eq!(supersteps(&x.log), vec![solo]);
     }
 

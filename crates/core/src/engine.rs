@@ -48,9 +48,7 @@ use qgraph_sim::{ClusterModel, EventQueue, SimTime};
 use crate::barrier::{self, BarrierInput};
 use crate::config::{BarrierMode, SystemConfig};
 use crate::controller::Controller;
-use crate::coord::{
-    Close, Coordinator, EngineState, Executor, Locals, StepReport, StepVia, Superstep,
-};
+use crate::coord::{Close, Coordinator, EngineState, Executor, Locals, StepReport, Superstep};
 use crate::hb::{kind, Hb};
 use crate::index_plane::PointIndex;
 use crate::program::VertexProgram;
@@ -164,15 +162,19 @@ impl Executor for SimExec {
     // inbox however late a deferred partition runs. A one-partition
     // superstep is not closed on the worker: `barrier::decide` already
     // releases a local superstep at `compute_done`, so virtual time has
-    // nothing to save there.
+    // nothing to save there. Superstep 0's Steps are admission's control
+    // messages; every later superstep rides the barrier release whose
+    // round trip its close already paid for.
     fn superstep(&mut self, q: QueryId, s: Superstep<'_>) {
         for &w in &s.step.involved_cur {
             self.workers[w].freeze(q);
         }
+        let admitted = s.step.out.iterations == 0;
         for &w in s.step.released().0 {
-            match s.via {
-                StepVia::Barrier => self.task_ready(q, w),
-                StepVia::Control => self.control_ready(q, w),
+            if admitted {
+                self.control_ready(q, w);
+            } else {
+                self.task_ready(q, w);
             }
         }
     }

@@ -1,7 +1,15 @@
 //! The measurement record one engine run produces, plus the derived
 //! series the experiment harness plots.
+//!
+//! An engine's report is cumulative over its lifetime, and every entry in
+//! it has one owner. The thread runtime's coordinator records into a
+//! report of its own and, at every drain and at the stop, hands its
+//! entries over ([`EngineReport::hand_over`]): they leave the coordinator,
+//! which keeps only the scalars ([`EngineReport::carry`]), and the engine
+//! appends them and closes the run window ([`EngineReport::close_run`]).
 
 use qgraph_metrics::{Table, TimeSeries};
+use qgraph_partition::imbalance;
 
 use crate::index_plane::IndexRepairEvent;
 use crate::qcut::IlsResult;
@@ -155,61 +163,35 @@ pub struct EngineReport {
     pub trace: TraceData,
 }
 
-/// How much of a growing [`EngineReport`] a peer has already seen: the
-/// baseline for the next [`EngineReport::since`] delta.
-#[derive(Clone, Copy, Default)]
-pub(crate) struct ReportMarks {
-    outcomes: usize,
-    activity: usize,
-    repartitions: usize,
-    mutations: usize,
-    index_repairs: usize,
-    runs: usize,
-    trace: usize,
-}
-
 impl EngineReport {
-    /// The current extent of every append-only part.
-    pub(crate) fn marks(&self) -> ReportMarks {
-        ReportMarks {
-            outcomes: self.outcomes.len(),
-            activity: self.activity.len(),
-            repartitions: self.repartitions.len(),
-            mutations: self.mutations.len(),
-            index_repairs: self.index_repairs.len(),
-            runs: self.runs.len(),
-            trace: self.trace.len(),
-        }
-    }
-
-    /// What the report gained past `marks`, as a report of its own: only
-    /// the appended entries, with the (overwritten, not appended) scalars
-    /// current. A peer holding the identical prefix reconstitutes the
-    /// cumulative report by [`EngineReport::append`]ing it — so periodic
-    /// syncs stay linear in history instead of re-cloning everything.
-    pub(crate) fn since(&self, marks: &ReportMarks) -> EngineReport {
+    /// A report holding only this one's scalars (`finished_at_secs`,
+    /// `pool`, `admission_policy`): where a recorder that hands its
+    /// entries over starts from.
+    pub(crate) fn carry(&self) -> EngineReport {
         EngineReport {
-            outcomes: self.outcomes[marks.outcomes..].to_vec(),
-            activity: self.activity[marks.activity..].to_vec(),
-            repartitions: self.repartitions[marks.repartitions..].to_vec(),
-            mutations: self.mutations[marks.mutations..].to_vec(),
-            index_repairs: self.index_repairs[marks.index_repairs..].to_vec(),
-            runs: self.runs[marks.runs..].to_vec(),
-            trace: self.trace.delta_since(marks.trace),
             finished_at_secs: self.finished_at_secs,
             pool: self.pool,
             admission_policy: self.admission_policy.clone(),
+            ..EngineReport::default()
         }
     }
 
-    /// Fold in a delta produced by [`EngineReport::since`].
+    /// Move every entry recorded so far out, as a report of its own with
+    /// the scalars current; this one keeps only the scalars
+    /// ([`EngineReport::carry`]). The receiver [`EngineReport::append`]s
+    /// it and closes its run window itself.
+    pub(crate) fn hand_over(&mut self) -> EngineReport {
+        let carried = self.carry();
+        std::mem::replace(self, carried)
+    }
+
+    /// Fold in what a recorder handed over ([`EngineReport::hand_over`]).
     pub(crate) fn append(&mut self, delta: EngineReport) {
         self.outcomes.extend(delta.outcomes);
         self.activity.extend(delta.activity);
         self.repartitions.extend(delta.repartitions);
         self.mutations.extend(delta.mutations);
         self.index_repairs.extend(delta.index_repairs);
-        self.runs.extend(delta.runs);
         self.trace.merge(delta.trace);
         self.finished_at_secs = delta.finished_at_secs;
         self.pool = delta.pool;
@@ -287,12 +269,13 @@ impl EngineReport {
     /// serving drain with the pool counters *as of the close* — the
     /// window keeps the delta since the previous closed window, so
     /// summing `runs[..].pool` reproduces the cumulative counters.
+    /// Returns whether a window was recorded.
     pub(crate) fn close_run(
         &mut self,
         started_at_secs: f64,
         finished_at_secs: f64,
         pool_at_close: PoolCounters,
-    ) {
+    ) -> bool {
         self.pool = pool_at_close;
         let (o0, r0) = self
             .runs
@@ -303,7 +286,7 @@ impl EngineReport {
             // Nothing happened since the last boundary (an idle drain, an
             // empty run): recording an empty window would only add noise.
             // Its pool delta (if any) folds into the next closed window.
-            return;
+            return false;
         }
         let prior = self.runs.iter().fold((0u64, 0u64, 0u64), |acc, r| {
             (
@@ -327,6 +310,7 @@ impl EngineReport {
                 idle_waits: pool_at_close.idle_waits.saturating_sub(prior.2),
             },
         });
+        true
     }
 
     /// Per-query timeline summaries from the tracing plane: one
@@ -378,7 +362,8 @@ impl EngineReport {
 
     /// Workload imbalance over time: bucket worker activity into windows
     /// of `window` seconds; imbalance of a window is
-    /// `max_w(load) / mean_w(load) - 1` (0 = perfectly balanced).
+    /// `max_w(load) / mean_w(load) - 1` (0 = perfectly balanced;
+    /// [`qgraph_partition::imbalance`]).
     pub fn imbalance_series(&self, num_workers: usize, window: f64) -> TimeSeries {
         assert!(window > 0.0);
         let mut s = TimeSeries::new("imbalance");
@@ -386,22 +371,22 @@ impl EngineReport {
             return s;
         }
         let mut bucket_start = 0.0f64;
-        let mut loads = vec![0u64; num_workers];
+        let mut loads = vec![0usize; num_workers];
         let mut any = false;
         for a in &self.activity {
             while a.t >= bucket_start + window {
                 if any {
-                    s.push(bucket_start, imbalance_of(&loads));
+                    s.push(bucket_start, imbalance(&loads));
                 }
                 loads.iter_mut().for_each(|l| *l = 0);
                 any = false;
                 bucket_start += window;
             }
-            loads[a.worker] += a.executed;
+            loads[a.worker] += a.executed as usize;
             any = true;
         }
         if any {
-            s.push(bucket_start, imbalance_of(&loads));
+            s.push(bucket_start, imbalance(&loads));
         }
         s
     }
@@ -623,16 +608,6 @@ pub struct ProgramSummary {
     /// Time-in-system percentiles (arrival → completion) — the
     /// end-to-end tail, where the index plane's win shows.
     pub time_in_system: Percentiles,
-}
-
-fn imbalance_of(loads: &[u64]) -> f64 {
-    let total: u64 = loads.iter().sum();
-    if total == 0 {
-        return 0.0;
-    }
-    let mean = total as f64 / loads.len() as f64;
-    let max = *loads.iter().max().expect("non-empty") as f64;
-    max / mean - 1.0
 }
 
 #[cfg(test)]

@@ -88,8 +88,12 @@
 //! The engine is *long-lived*: [`ThreadEngine::start`] spawns the pool
 //! plus a **coordinator** thread that owns the core and the drive loop
 //! ([`serve`]). Callers on any thread submit through a cloneable
-//! [`EngineClient`] *while supersteps are in flight*:
+//! [`EngineClient`] *while supersteps are in flight*; the engine's own
+//! `submit*` and `mutate` are its client's:
 //!
+//! * the client channel is created with the engine, and a stop opens a
+//!   fresh one: whatever is sent before `start`, or after `shutdown`,
+//!   waits there and the next session serves it in order;
 //! * a submission draws its [`QueryId`] from a shared counter and sends
 //!   its type-erased task down the same channel the pool answers on; the
 //!   coordinator stamps the arrival time and hands both to the core, which
@@ -104,9 +108,18 @@
 //! * the window reads nothing from the channel: a client message sent
 //!   meanwhile waits there and is admitted against the post-window layout.
 //!
-//! Results become visible on the engine (`output`, `report`,
-//! `partitioning`) after `run`/`drain`/`shutdown` — the coordinator owns
-//! them while serving and the sync points hand them back.
+//! ## One hand-off
+//!
+//! Every report entry has one owner. A session's coordinator records
+//! outcomes, activity samples, window events and trace events into a
+//! report that starts from the engine's scalars alone
+//! ([`EngineReport::carry`]). At every drain, and at the stop, it moves
+//! what it recorded since the previous hand-over into one [`Snapshot`],
+//! with the run window that closes and the layout; the engine appends the
+//! entries and closes the [`crate::RunSummary`] itself. The stop's
+//! snapshot comes back with the controller and the label index. Results
+//! become visible on the engine (`output`, `report`, `partitioning`) at
+//! these hand-overs: `run`, `drain` and `shutdown`.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -293,8 +306,8 @@ enum CoordMsg {
     /// Install (or replace) the point-query label index on the serving
     /// coordinator; picked up on its next turn through the loop.
     InstallIndex(Box<dyn PointIndex>),
-    /// Reply on `ack` once the engine is idle (everything submitted so
-    /// far has completed).
+    /// Hand over on `ack` once the engine is idle (everything submitted
+    /// so far has completed).
     Drain {
         ack: Sender<Snapshot>,
     },
@@ -303,16 +316,24 @@ enum CoordMsg {
     Shutdown,
 }
 
-/// The state a drain hands back to the engine: the report entries
-/// appended since the previous drain (see [`EngineReport::since`]) plus
-/// the current layout.
+/// One hand-over from the coordinator to the engine (see the module
+/// docs): what was recorded since the previous one, and the layout.
 struct Snapshot {
+    /// The entries, moved out of the coordinator's report
+    /// ([`EngineReport::hand_over`]), with the scalars current.
     report: EngineReport,
+    /// The run window this hand-over closes: `(started, finished)`,
+    /// session-clock seconds.
+    run: (f64, f64),
     partitioning: Partitioning,
     topology: Topology,
-    /// Outputs of the queries that finished since the previous drain.
+    /// Outputs of the queries that finished since the previous hand-over.
     outputs: Vec<(QueryId, Envelope)>,
 }
+
+/// What a stopped coordinator hands back: the last hand-over, plus the
+/// controller and the label index it served with.
+type Stopped = (Snapshot, Controller, Option<Box<dyn PointIndex>>);
 
 /// The serving clock: wall time since `start`, offset by the report's
 /// previous end so timestamps stay monotonic across serve sessions.
@@ -334,9 +355,10 @@ impl Clock {
 /// one with [`ThreadEngine::client`]; clones can be moved to any thread
 /// and submit concurrently while the engine runs supersteps.
 ///
-/// Submissions after the engine has shut down are silently dropped (the
-/// returned handle's output stays `None`) — a streaming producer racing a
-/// shutdown must coordinate externally if that matters.
+/// A client serves one session: submissions after the engine has shut
+/// down are silently dropped (the returned handle's output stays `None`)
+/// — a streaming producer racing a shutdown must coordinate externally if
+/// that matters.
 #[derive(Clone)]
 pub struct EngineClient {
     next_id: Arc<AtomicU32>,
@@ -389,34 +411,27 @@ impl EngineClient {
     }
 }
 
-/// The serving-session handles the engine keeps while the coordinator
-/// thread runs.
-struct Serving {
-    tx: Sender<CoordMsg>,
-    /// Yields the final state plus the outputs of any completions that
-    /// raced between the last drain ack and the stop.
-    handle: thread::JoinHandle<(EngineState, Vec<(QueryId, Envelope)>)>,
-}
-
 /// The multi-threaded runtime: an elastic pool of compute threads plus a
 /// coordinator thread serving an open-ended query stream, with the same
 /// submit/run/output lifecycle as the simulated engine (see the module
 /// docs for the streaming protocol).
 pub struct ThreadEngine {
-    /// The engine's state as of the last sync point. While serving, the
-    /// coordinator holds the master: topology, assignment and report here
-    /// are copies refreshed at every drain, and the controller (so
-    /// retained finished scopes survive serve sessions) and the label
-    /// index are away with the session until shutdown hands them back.
+    /// The engine's state as of the last hand-over. While serving, the
+    /// coordinator holds the master: topology and assignment here are
+    /// copies refreshed at every drain, the report holds every entry
+    /// handed over so far, and the controller (so retained finished
+    /// scopes survive serve sessions) and the label index are away with
+    /// the session until the stop hands them back.
     state: EngineState,
     cfg: SystemConfig,
-    /// The next [`QueryId`], shared with every client: ids are dense.
-    next_id: Arc<AtomicU32>,
+    /// The engine's own client: `submit*` and `mutate` are its.
+    client: EngineClient,
+    /// The receiving end of `client`'s channel until a session's
+    /// coordinator takes it: what was sent meanwhile waits there.
+    inbox: Option<Receiver<CoordMsg>>,
+    /// The serving session's coordinator thread.
+    serving: Option<thread::JoinHandle<Stopped>>,
     outputs: Vec<Option<Envelope>>,
-    /// Submissions/mutations made before `start` (forwarded in order when
-    /// serving begins).
-    pre_ops: Vec<CoordMsg>,
-    serving: Option<Serving>,
     /// Test hook: see [`ThreadEngine::hb_test_reintroduce_quiesce_race`].
     #[cfg(feature = "check-hb")]
     hb_test_early_quiesce: bool,
@@ -458,6 +473,7 @@ impl ThreadEngine {
             graph.num_vertices(),
             "partitioning does not cover the graph"
         );
+        let (tx, rx) = channel();
         ThreadEngine {
             state: EngineState {
                 topology: Topology::new(graph),
@@ -467,10 +483,13 @@ impl ThreadEngine {
                 report: EngineReport::default(),
             },
             cfg,
-            next_id: Arc::default(),
-            outputs: Vec::new(),
-            pre_ops: Vec::new(),
+            client: EngineClient {
+                next_id: Arc::default(),
+                tx,
+            },
+            inbox: Some(rx),
             serving: None,
+            outputs: Vec::new(),
             #[cfg(feature = "check-hb")]
             hb_test_early_quiesce: false,
             #[cfg(test)]
@@ -510,11 +529,10 @@ impl ThreadEngine {
         if self.cfg.index_build_threads != 0 {
             index.set_parallelism(self.cfg.index_build_threads);
         }
-        match &self.serving {
-            Some(s) => {
-                let _ = s.tx.send(CoordMsg::InstallIndex(index));
-            }
-            None => self.state.index = Some(index),
+        if self.serving.is_some() {
+            let _ = self.client.tx.send(CoordMsg::InstallIndex(index));
+        } else {
+            self.state.index = Some(index);
         }
     }
 
@@ -530,37 +548,24 @@ impl ThreadEngine {
         self.state.index.as_deref()
     }
 
-    /// Apply a mutation batch: if the engine is serving it rides the next
-    /// stop-the-world barrier (a new graph epoch, exactly like
-    /// [`EngineClient::mutate`]); before `start` it queues and applies —
-    /// in order with pre-start submissions — when serving begins.
+    /// Apply a mutation batch through the engine's own client
+    /// ([`EngineClient::mutate`]): it rides the serving session's next
+    /// stop-the-world barrier, or — sent before `start` or after
+    /// `shutdown` — the next session's, in order with the submissions
+    /// around it.
     ///
     /// # Panics
-    /// Rejects the batch at submission (see
-    /// [`GraphMutationBatch::validate`]) if any op carries a NaN,
-    /// negative, or infinite weight.
+    /// Rejects an invalid batch at submission, as
+    /// [`EngineClient::mutate`] does.
     pub fn mutate(&mut self, batch: GraphMutationBatch) {
-        if let Err(e) = batch.validate() {
-            panic!("rejected mutation batch: {e}");
-        }
-        self.send(CoordMsg::Mutate(batch));
-    }
-
-    /// Hand `msg` to the coordinator, or queue it for the next `start`.
-    fn send(&mut self, msg: CoordMsg) {
-        match &self.serving {
-            Some(s) => {
-                let _ = s.tx.send(msg);
-            }
-            None => self.pre_ops.push(msg),
-        }
+        self.client.mutate(batch);
     }
 
     /// Enqueue a query of any program type; it starts as soon as a
     /// closed-loop slot frees up once the engine is serving (or at the
     /// next [`ThreadEngine::run`]).
     pub fn submit<P: VertexProgram>(&mut self, program: P) -> QueryHandle<P> {
-        QueryHandle::new(self.submit_task(Arc::new(TypedTask::new(program))))
+        self.client.submit(program)
     }
 
     /// Submit with a deadline `deadline_secs` from arrival (consulted by
@@ -570,40 +575,23 @@ impl ThreadEngine {
         program: P,
         deadline_secs: f64,
     ) -> QueryHandle<P> {
-        QueryHandle::new(
-            self.submit_task_opts(Arc::new(TypedTask::new(program)), Some(deadline_secs)),
-        )
+        self.client.submit_with_deadline(program, deadline_secs)
     }
 
     /// Type-erased submission backing [`ThreadEngine::submit`] (and the
     /// [`crate::Engine`] trait).
     pub fn submit_task(&mut self, task: Arc<dyn QueryTask>) -> QueryId {
-        self.submit_task_opts(task, None)
-    }
-
-    fn submit_task_opts(
-        &mut self,
-        task: Arc<dyn QueryTask>,
-        deadline_secs: Option<f64>,
-    ) -> QueryId {
-        let q = QueryId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        self.send(CoordMsg::Submit {
-            q,
-            task,
-            deadline_secs,
-        });
-        q
+        self.client.submit_task(task, None)
     }
 
     /// Start serving: spawn the elastic pool threads and the coordinator
-    /// thread owning the drive loop. Idempotent. Queries submitted before
-    /// this call are forwarded in submission order.
+    /// thread owning the drive loop. Idempotent. What was sent before
+    /// this call is served in the order it was sent.
     pub fn start(&mut self) {
-        if self.serving.is_some() {
+        let Some(msg_rx) = self.inbox.take() else {
             return;
-        }
+        };
         let k = self.state.partitioning.num_workers();
-        let (msg_tx, msg_rx) = channel::<CoordMsg>();
         let hb = Hb::new(k);
         // 0 = the fixed-partition baseline: one thread per partition.
         let pool_threads = Coordinator::pool_width(&self.cfg, k);
@@ -616,19 +604,19 @@ impl ThreadEngine {
             started: Instant::now(),
         };
         let tracer = Tracer::new(pool_threads, self.cfg.trace_ring_capacity, self.cfg.trace);
-        // The core continues the cumulative report; the engine keeps its
-        // identical copy and appends drain deltas to it. The controller
-        // and the index travel with the session (a static placeholder
-        // stays behind). Building the core stamps the initial topology and
-        // assignment as published, before any partition context below can
-        // read them.
+        // The core records from the report's scalars alone and hands its
+        // entries over at every drain. The controller and the index
+        // travel with the session (a static placeholder stays behind).
+        // Building the core stamps the initial topology and assignment as
+        // published, before any partition context below can read them.
         let st = &mut self.state;
+        let pool_base = st.report.pool;
         let state = EngineState {
             topology: st.topology.clone(),
             partitioning: st.partitioning.clone(),
             controller: std::mem::replace(&mut st.controller, Controller::new(None)),
             index: st.index.take(),
-            report: st.report.clone(),
+            report: st.report.carry(),
         };
         let core = Coordinator::new(state, self.cfg.clone(), hb.clone(), tracer.clone());
         // Partition state stays partition-owned: one context per logical
@@ -669,7 +657,7 @@ impl ThreadEngine {
             width: pool_threads,
             parts: Arc::clone(&parts),
             signals: Arc::clone(&signals),
-            resp: msg_tx.clone(),
+            resp: self.client.tx.clone(),
             hb: hb.clone(),
             tracer: tracer.clone(),
             clock,
@@ -687,25 +675,22 @@ impl ThreadEngine {
             hb,
             tracer,
             clock,
+            run_started: clock.base,
             inflight_ops: 0,
-            pool_tasks: 0,
+            pool_base,
+            pool_tasks: pool_base.tasks,
             // The hook widens "quiescent" to one still-open op — exactly
             // the race the hb auditor exists to catch.
             #[cfg(feature = "check-hb")]
             quiesce_at: usize::from(self.hb_test_early_quiesce),
             #[cfg(not(feature = "check-hb"))]
             quiesce_at: 0,
-            drain_waiters: Vec::new(),
+            drain: None,
             shutdown: false,
             #[cfg(test)]
             traffic: Arc::clone(&self.traffic),
         };
-        let handle = thread::spawn(move || serve(core, x));
-
-        for msg in self.pre_ops.drain(..) {
-            let _ = msg_tx.send(msg);
-        }
-        self.serving = Some(Serving { tx: msg_tx, handle });
+        self.serving = Some(thread::spawn(move || serve(core, x)));
     }
 
     /// A cloneable concurrent submission handle (starts the engine if it
@@ -713,97 +698,93 @@ impl ThreadEngine {
     /// supersteps are in flight.
     pub fn client(&mut self) -> EngineClient {
         self.start();
-        let Some(s) = self.serving.as_ref() else {
-            unreachable!("start() always installs the serving session");
-        };
-        EngineClient {
-            next_id: Arc::clone(&self.next_id),
-            tx: s.tx.clone(),
-        }
+        self.client.clone()
     }
 
-    /// Block until everything submitted so far has completed, then sync
-    /// outputs, report, and partitioning back into the engine. One run
-    /// window ([`crate::RunSummary`]) closes per drain. If concurrent
-    /// clients keep submitting, the drain waits for *them* too — it
-    /// returns at a moment the engine is fully idle. Starts the engine if
-    /// there are pre-start submissions waiting (a `submit` + `drain` pair
-    /// must never silently skip the query).
+    /// Block until everything submitted so far has completed, then take
+    /// the coordinator's hand-over in: outputs, report entries and
+    /// partitioning. One run window ([`crate::RunSummary`]) closes per
+    /// drain. If concurrent clients keep submitting, the drain waits for
+    /// *them* too — it returns at a moment the engine is fully idle.
+    /// Starts the engine if it is not serving.
     pub fn drain(&mut self) -> &EngineReport {
-        if self.serving.is_none() {
-            if self.pre_ops.is_empty() {
-                return &self.state.report;
-            }
-            self.start();
-        }
+        self.start();
         let (ack_tx, ack_rx) = channel::<Snapshot>();
-        let sent = self.serving.as_ref().and_then(|s| {
-            let drain = CoordMsg::Drain { ack: ack_tx };
-            s.tx.send(drain).ok()
-        });
+        let drain = CoordMsg::Drain { ack: ack_tx };
+        let sent = self.client.tx.send(drain).ok();
         let Some(snapshot) = sent.and_then(|()| ack_rx.recv().ok()) else {
             // The coordinator hung up mid-serve; it only exits early by
-            // panicking. Join its thread to surface the *original* panic
+            // panicking. Stopping it surfaces the *original* panic
             // (payload intact) instead of a secondary channel error here.
-            if let Some(s) = self.serving.take() {
-                if let Err(payload) = s.handle.join() {
-                    std::panic::resume_unwind(payload);
-                }
-            }
+            self.stop();
             unreachable!("coordinator exited without acking the drain");
         };
-        self.state.report.append(snapshot.report);
-        self.state.partitioning = snapshot.partitioning;
-        self.state.topology = snapshot.topology;
-        self.store_outputs(snapshot.outputs);
+        self.absorb(snapshot);
         &self.state.report
     }
 
-    /// Execute every pending query to completion; equivalent to
-    /// [`ThreadEngine::start`] followed by [`ThreadEngine::drain`]. The
-    /// engine keeps serving afterwards (subsequent submissions stream into
-    /// the same session); it stops at [`ThreadEngine::shutdown`] or drop.
+    /// Execute every pending query to completion: [`ThreadEngine::drain`],
+    /// which starts the engine first. The engine keeps serving afterwards
+    /// (subsequent submissions stream into the same session); it stops at
+    /// [`ThreadEngine::shutdown`] or drop.
     pub fn run(&mut self) -> &EngineReport {
-        self.start();
         self.drain()
     }
 
     /// Drain, then stop the coordinator and worker threads and take the
-    /// final report/partitioning/controller state back. The engine can be
-    /// started again afterwards. A client submission racing the stop is
+    /// last hand-over, the controller and the index back. The engine can
+    /// be started again afterwards. A client submission racing the stop is
     /// still *executed* if the coordinator had already admitted it (its
     /// outcome and output are in the final state); one still waiting in
     /// the admission queue is discarded, like any submission after
     /// shutdown.
     pub fn shutdown(&mut self) -> &EngineReport {
-        if self.serving.is_none() {
-            return &self.state.report;
+        if self.serving.is_some() {
+            self.drain();
+            let _ = self.client.tx.send(CoordMsg::Shutdown);
+            self.stop();
         }
-        self.drain();
-        let Some(s) = self.serving.take() else {
-            // drain() tears the session down itself only by propagating a
-            // coordinator panic, so reaching here without one is a bug —
-            // but returning the synced report beats panicking over it.
-            return &self.state.report;
-        };
-        let _ = s.tx.send(CoordMsg::Shutdown);
-        let (state, outputs) = match s.handle.join() {
-            Ok(exit) => exit,
-            // Propagate the coordinator's own panic payload.
-            Err(payload) => std::panic::resume_unwind(payload),
-        };
-        self.state = state;
-        self.store_outputs(outputs);
         &self.state.report
     }
 
-    fn store_outputs(&mut self, finished: Vec<(QueryId, Envelope)>) {
+    /// Join the serving coordinator — told to stop, or dead — and take its
+    /// last hand-over, the controller and the index back; the engine's
+    /// client gets a fresh channel for the next session. Re-raises the
+    /// coordinator's panic.
+    fn stop(&mut self) {
+        let Some(handle) = self.serving.take() else {
+            return;
+        };
+        let (tx, rx) = channel();
+        self.client.tx = tx;
+        self.inbox = Some(rx);
+        let (snapshot, controller, index) = match handle.join() {
+            Ok(stopped) => stopped,
+            Err(payload) => std::panic::resume_unwind(payload),
+        };
+        self.absorb(snapshot);
+        self.state.controller = controller;
+        self.state.index = index;
+    }
+
+    /// Take a hand-over in: append its entries and close the run window
+    /// it ends (a window that closes stamps the report's end), adopt the
+    /// layout, store the outputs.
+    fn absorb(&mut self, s: Snapshot) {
+        let report = &mut self.state.report;
+        report.append(s.report);
+        let (started, finished) = s.run;
+        if report.close_run(started, finished, report.pool) {
+            report.finished_at_secs = finished;
+        }
+        self.state.partitioning = s.partitioning;
+        self.state.topology = s.topology;
         // Ids are dense. The counter publishes nothing, so `Relaxed`: a
         // finished id was drawn before its `Submit` was sent, and the
-        // channel orders that draw before this drain's ack.
-        let issued = self.next_id.load(Ordering::Relaxed) as usize;
+        // channel orders that draw before this hand-over.
+        let issued = self.client.next_id.load(Ordering::Relaxed) as usize;
         self.outputs.resize_with(issued, || None);
-        for (q, output) in finished {
+        for (q, output) in s.outputs {
             self.outputs[q.index()] = Some(output);
         }
     }
@@ -831,24 +812,24 @@ impl ThreadEngine {
     }
 
     /// The cumulative measurement report over the engine's lifetime, as of
-    /// the last sync point (`run`/`drain`/`shutdown`).
+    /// the last hand-over (`run`/`drain`/`shutdown`).
     pub fn report(&self) -> &EngineReport {
         &self.state.report
     }
 
-    /// The vertex→worker assignment as of the last sync point (mutated by
+    /// The vertex→worker assignment as of the last hand-over (mutated by
     /// repartitionings while serving).
     pub fn partitioning(&self) -> &Partitioning {
         &self.state.partitioning
     }
 
-    /// The evolving graph view as of the last sync point
+    /// The evolving graph view as of the last hand-over
     /// (`run`/`drain`/`shutdown`).
     pub fn topology(&self) -> &Topology {
         &self.state.topology
     }
 
-    /// The graph epoch as of the last sync point (mutation batches
+    /// The graph epoch as of the last hand-over (mutation batches
     /// applied over the engine's lifetime).
     pub fn epoch(&self) -> u64 {
         self.state.topology.epoch()
@@ -861,9 +842,9 @@ impl Drop for ThreadEngine {
     /// engine), queued ones are dropped (use [`ThreadEngine::shutdown`]
     /// for a clean stop that keeps the results).
     fn drop(&mut self) {
-        if let Some(s) = self.serving.take() {
-            let _ = s.tx.send(CoordMsg::Shutdown);
-            let _ = s.handle.join();
+        if let Some(handle) = self.serving.take() {
+            let _ = self.client.tx.send(CoordMsg::Shutdown);
+            let _ = handle.join();
         }
     }
 }
@@ -871,8 +852,7 @@ impl Drop for ThreadEngine {
 /// The `TaskPool` executor: turns the core's superstep and collect
 /// dispatches into pool commands and channel traffic, and works a window
 /// on the quiescent partitions directly. All of the session's measurement
-/// state lives in the core it serves and flows back through drain
-/// snapshots / the exit value.
+/// state lives in the core it serves and leaves it at each hand-over.
 struct PoolExec {
     pool: TaskPool<Cmd>,
     /// The partitions: admission puts a query's initial batches straight
@@ -883,7 +863,7 @@ struct PoolExec {
     /// `u64::MAX`, which stands until its `Tick` is handled.
     check_at: u64,
     msg_rx: Receiver<CoordMsg>,
-    /// Outputs of finished queries, until the next drain ships them.
+    /// Outputs of finished queries, until the next hand-over.
     finished: Vec<(QueryId, Envelope)>,
     /// Happens-before auditor (no-op unless `check-hb`): stamps the
     /// command/response channel edges, the Step/Collect tokens and the
@@ -894,17 +874,24 @@ struct PoolExec {
     tracer: Tracer,
     /// The session time base shared with every pool thread.
     clock: Clock,
+    /// Where the run window the next hand-over closes opened: where the
+    /// previous one closed.
+    run_started: f64,
     /// Queries on the lanes and collects the core issued, each owing the
     /// coordinator one message: zero while a window is wanted means the
     /// partitions are quiescent.
     inflight_ops: usize,
+    /// The pool counters the report carried into the session: this
+    /// session's `TaskPool` counts from zero on top of them.
+    pool_base: PoolCounters,
     /// Superstep executions of completed queries, cumulative across serve
     /// sessions.
     pool_tasks: u64,
     /// How many unanswered ops still count as quiescent: 0, or 1 under
     /// [`ThreadEngine::hb_test_reintroduce_quiesce_race`].
     quiesce_at: usize,
-    drain_waiters: Vec<Sender<Snapshot>>,
+    /// The engine's drain, acked at full idle.
+    drain: Option<Sender<Snapshot>>,
     shutdown: bool,
     #[cfg(test)]
     traffic: Arc<StepTraffic>,
@@ -949,22 +936,30 @@ impl PoolExec {
         self.parts.iter().map(|p| lock_ctx(&p.ctx)).collect()
     }
 
-    /// Close the run window `[started, end]` on `report`. Pool counters
-    /// first — the window's pool delta is computed against the *current*
-    /// totals, and this session's `TaskPool` starts its own stats at zero,
-    /// so fold in the `base` the report carried into the session. The
-    /// lanes are idle whenever a window closes, so their rings drain fully.
-    fn close_run(&self, report: &mut EngineReport, base: PoolCounters, started: f64, end: f64) {
-        let ps = self.pool.stats();
-        report.pool = PoolCounters {
+    /// Hand over what the core recorded since the previous hand-over,
+    /// closing the run window at `now`: first the lanes' activity, the
+    /// pool counters as of now and the trace (the lanes are idle whenever
+    /// a window closes, so their rings drain fully), then every entry
+    /// leaves the core's report with the layout as it stands.
+    fn hand_over(&mut self, core: &mut Coordinator, now: SimTime) -> Snapshot {
+        self.note_activity(core, now);
+        let (base, ps) = (self.pool_base, self.pool.stats());
+        let st = &mut core.state;
+        st.report.pool = PoolCounters {
             threads: self.pool.width(),
             tasks: self.pool_tasks,
             steals: base.steals + ps.steals,
             idle_waits: base.idle_waits + ps.idle_waits,
         };
-        self.tracer.drain();
-        report.trace.absorb(&self.tracer);
-        report.close_run(started, end, report.pool);
+        st.report.trace.absorb(&self.tracer);
+        let end = now.as_secs_f64();
+        Snapshot {
+            report: st.report.hand_over(),
+            run: (std::mem::replace(&mut self.run_started, end), end),
+            partitioning: st.partitioning.clone(),
+            topology: st.topology.clone(),
+            outputs: std::mem::take(&mut self.finished),
+        }
     }
 }
 
@@ -1060,21 +1055,14 @@ impl Executor for PoolExec {
 
 /// The serving loop: feeds the core from the one channel that carries
 /// pool responses and client traffic, runs a window whenever the core
-/// wants one and the pool has drained, and acks drains at full idle. Runs
-/// until [`CoordMsg::Shutdown`], then stops the pool and returns the
-/// final state.
-fn serve(mut core: Coordinator, mut x: PoolExec) -> (EngineState, Vec<(QueryId, Envelope)>) {
+/// wants one and the pool has drained, and hands over at the engine's
+/// drain once fully idle. Runs until [`CoordMsg::Shutdown`], then stops
+/// the pool and hands over one last time.
+fn serve(mut core: Coordinator, mut x: PoolExec) -> Stopped {
     // One monotonic time base across serve sessions: this session's
     // timestamps continue from the previous report's end, so the
     // cumulative report's outcomes and `finished_at_secs` agree.
     let clock = x.clock;
-    let pool_base = core.state.report.pool;
-    x.pool_tasks = pool_base.tasks;
-    // The current run window opens where the previous one closed.
-    let mut run_started = clock.base;
-    // The engine holds an identical report prefix; drains ship only what
-    // was appended past these marks.
-    let mut synced = core.state.report.marks();
 
     loop {
         x.publish(&core);
@@ -1095,26 +1083,15 @@ fn serve(mut core: Coordinator, mut x: PoolExec) -> (EngineState, Vec<(QueryId, 
             continue;
         }
 
-        // Drain acks fire at full idle. Each ack closes one run window.
-        if !x.drain_waiters.is_empty() && core.idle() && x.inflight_ops == 0 {
+        // The drain's hand-over fires at full idle and closes one run
+        // window; even an idle one stamps the report's end.
+        if x.drain.is_some() && core.idle() && x.inflight_ops == 0 {
             let now = clock.now();
-            x.note_activity(&mut core, now);
-            let end = now.as_secs_f64();
-            core.state.report.finished_at_secs = end;
-            x.close_run(&mut core.state.report, pool_base, run_started, end);
-            run_started = end;
+            core.state.report.finished_at_secs = now.as_secs_f64();
+            let snapshot = x.hand_over(&mut core, now);
             core.restart_activity_watch(now);
-            for ack in x.drain_waiters.drain(..) {
-                // Only the delta past the engine's synced prefix; a second
-                // waiter in the same idle moment gets an empty one (its
-                // engine-side state is already current).
-                let _ = ack.send(Snapshot {
-                    report: core.state.report.since(&synced),
-                    partitioning: core.state.partitioning.clone(),
-                    topology: core.state.topology.clone(),
-                    outputs: std::mem::take(&mut x.finished),
-                });
-                synced = core.state.report.marks();
+            if let Some(ack) = x.drain.take() {
+                let _ = ack.send(snapshot);
             }
         }
 
@@ -1166,7 +1143,7 @@ fn serve(mut core: Coordinator, mut x: PoolExec) -> (EngineState, Vec<(QueryId, 
             }
             CoordMsg::Mutate(batch) => core.mutate(batch),
             CoordMsg::InstallIndex(index) => core.install_index(index),
-            CoordMsg::Drain { ack } => x.drain_waiters.push(ack),
+            CoordMsg::Drain { ack } => x.drain = Some(ack),
             CoordMsg::Shutdown => {
                 // Already-admitted queries finish, queued ones drop.
                 x.shutdown = true;
@@ -1175,21 +1152,13 @@ fn serve(mut core: Coordinator, mut x: PoolExec) -> (EngineState, Vec<(QueryId, 
         }
     }
 
-    // Teardown: drain and join the pool threads (propagating any pool
-    // thread's own panic payload), then close any trailing run window so
-    // every outcome has a home.
-    x.note_activity(&mut core, clock.now());
-    let report = &mut core.state.report;
-    let runs_before = report.runs.len();
-    let end = clock.now().as_secs_f64();
-    // `close_run` no-ops when nothing happened past the last boundary
-    // (the normal case: shutdown() drained first).
-    x.close_run(report, pool_base, run_started, end);
-    if report.runs.len() > runs_before {
-        report.finished_at_secs = end;
-    }
+    // Teardown: the last hand-over — empty in the normal case, as
+    // shutdown() drained first; the engine closes a run window only if
+    // something happened since — then drain and join the pool threads,
+    // propagating any pool thread's own panic payload.
+    let snapshot = x.hand_over(&mut core, clock.now());
     x.pool.shutdown();
-    (core.state, x.finished)
+    (snapshot, core.state.controller, core.state.index)
 }
 
 /// The partition-owned state a pool task operates on: the logical
@@ -2054,22 +2023,71 @@ mod tests {
         assert_eq!(e.report().run_outcomes(1).len(), 1);
     }
 
+    /// `drain()` executes the backlog of an engine that was never started
+    /// instead of returning early. The engine submits through its own
+    /// client, so what it sends before `start`, and again after
+    /// `shutdown`, waits in the channel and the next session serves it in
+    /// order: a flood sent before a mutation is admitted in the old epoch,
+    /// one sent after it in the new.
     #[test]
     fn drain_without_start_runs_pre_submitted_queries() {
         let g = line(8);
-        let parts = RangePartitioner.partition(&g, 2);
-        let mut e = ThreadEngine::new(Arc::clone(&g), parts);
-        let q = e.submit(ReachProgram::new(VertexId(0)));
-        // drain() must honor its contract and execute the backlog, not
-        // return early because start() was never called.
-        e.drain();
-        assert_eq!(e.output(&q).unwrap().len(), 8);
-        assert_eq!(e.report().outcomes.len(), 1);
-        // ...but a never-started, never-submitted engine stays inert.
+        let mut e = ThreadEngine::new(Arc::clone(&g), RangePartitioner.partition(&g, 2));
+        let mut seen = Vec::new();
+        // Epoch 1 closes the line into a ring, epoch 2 opens it again.
+        for ring in [true, false] {
+            let before = e.submit(ReachProgram::new(VertexId(7)));
+            let mut batch = GraphMutationBatch::new();
+            if ring {
+                batch.add_edge(7, 0, 1.0);
+            } else {
+                batch.remove_edge(7, 0);
+            }
+            e.mutate(batch);
+            let after = e.submit(ReachProgram::new(VertexId(7)));
+            e.drain();
+            e.shutdown();
+            for h in [before, after] {
+                let outcomes = &e.report().outcomes;
+                let o = outcomes.iter().find(|o| o.id == h.id()).expect("finished");
+                seen.push((o.first_epoch, e.output(&h).expect("an output").len()));
+            }
+        }
+        // The flood admitted on the ring crossed 7 → 0 in its first
+        // superstep, before the window that removed the edge.
+        assert_eq!(seen, vec![(0, 1), (1, 8), (1, 8), (2, 1)]);
+        assert_eq!((e.epoch(), e.report().outcomes.len()), (2, 4));
+        // A never-started, never-submitted engine drains to the empty
+        // report.
         let parts = RangePartitioner.partition(&g, 2);
         let mut idle = ThreadEngine::new(Arc::clone(&g), parts);
-        idle.drain();
-        assert!(idle.report().outcomes.is_empty());
+        assert!(idle.drain().outcomes.is_empty());
+    }
+
+    /// The stop is the last hand-over, without the drain `shutdown` sends
+    /// first: with nothing recorded since the last drain it closes no run
+    /// window and stamps nothing; a query the coordinator admitted after
+    /// the last drain finishes before it stops, and its run window closes
+    /// at the engine — stamping the report's end — like a drain's.
+    #[test]
+    fn the_stop_hands_over_a_trailing_run_and_stamps_its_end() {
+        let g = line(8);
+        let mut e = ThreadEngine::new(Arc::clone(&g), RangePartitioner.partition(&g, 2));
+        let drained_at = e.drain().finished_at_secs;
+        assert!(drained_at > 0.0, "an idle drain stamps");
+        let _ = e.client.tx.send(CoordMsg::Shutdown);
+        e.stop();
+        assert_eq!(e.report().finished_at_secs, drained_at);
+        let q = e.submit(ReachProgram::new(VertexId(0)));
+        e.start();
+        let _ = e.client.tx.send(CoordMsg::Shutdown);
+        e.stop();
+        let report = e.report();
+        assert!(report.finished_at_secs > drained_at);
+        assert_eq!((report.runs.len(), report.run_outcomes(0).len()), (1, 1));
+        assert_eq!(report.finished_at_secs, report.runs[0].finished_at_secs);
+        assert_eq!(report.pool.tasks, report.outcomes[0].tasks);
+        assert_eq!(e.output(&q).unwrap().len(), 8);
     }
 
     #[test]

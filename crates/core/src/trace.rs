@@ -20,8 +20,10 @@
 //!
 //! [`TraceData`] is the report-side accumulation (raw events + dropped
 //! count). It exists in both builds — zero-sized without the feature —
-//! so `EngineReport` and the thread runtime's drain `Snapshot` carry
-//! it unconditionally.
+//! so `EngineReport` and the thread runtime's `Snapshot` carry it
+//! unconditionally. The thread coordinator hands its accumulation over
+//! at every drain and at the stop and starts a new one, so what the
+//! engine merges is disjoint: events append, dropped counts add.
 
 /// Task-span command codes, shared by both facade variants (the no-op
 /// build has no `qgraph_trace::CmdKind` to name).
@@ -243,8 +245,8 @@ mod imp {
         }
     }
 
-    /// Accumulated trace output carried by `EngineReport` (and, as a
-    /// delta, by the thread runtime's drain snapshots).
+    /// Accumulated trace output carried by `EngineReport` (and by what
+    /// the thread runtime's coordinator hands over at a drain or stop).
     #[derive(Clone, Debug, Default, PartialEq)]
     pub struct TraceData {
         /// Raw events (unsorted; consumers sort by stamp).
@@ -265,30 +267,16 @@ mod imp {
             }
         }
 
-        /// Events accumulated so far (a sync mark for delta shipping).
-        pub fn len(&self) -> usize {
-            self.events.len()
-        }
-
         pub fn is_empty(&self) -> bool {
             self.events.is_empty()
         }
 
-        /// Everything past `mark`, with the *cumulative* dropped
-        /// count (merge overwrites, so replaying deltas is idempotent
-        /// on the counter).
-        pub fn delta_since(&self, mark: usize) -> TraceData {
-            TraceData {
-                events: self.events.get(mark..).unwrap_or(&[]).to_vec(),
-                dropped_events: self.dropped_events,
-            }
-        }
-
-        /// Apply a [`TraceData::delta_since`] delta shipped from the
-        /// coordinator.
-        pub fn merge(&mut self, delta: TraceData) {
-            self.events.extend(delta.events);
-            self.dropped_events = delta.dropped_events;
+        /// Fold in an accumulation handed over by the coordinator. Its
+        /// dropped count covers only what it held — the coordinator's
+        /// restarts at every hand-over — so the counts add.
+        pub fn merge(&mut self, handed: TraceData) {
+            self.events.extend(handed.events);
+            self.dropped_events += handed.dropped_events;
         }
 
         /// Per-query timelines + recorder health (see
@@ -384,19 +372,11 @@ mod imp {
         #[inline(always)]
         pub fn absorb(&mut self, _t: &Tracer) {}
         #[inline(always)]
-        pub fn len(&self) -> usize {
-            0
-        }
-        #[inline(always)]
         pub fn is_empty(&self) -> bool {
             true
         }
         #[inline(always)]
-        pub fn delta_since(&self, _mark: usize) -> TraceData {
-            TraceData
-        }
-        #[inline(always)]
-        pub fn merge(&mut self, _delta: TraceData) {}
+        pub fn merge(&mut self, _handed: TraceData) {}
     }
 }
 
@@ -427,7 +407,7 @@ mod tests {
         t.outcome(2.0, 7, outcome_code::COMPLETED);
         let mut data = TraceData::default();
         data.absorb(&t);
-        assert_eq!(data.len(), 5);
+        assert_eq!(data.events.len(), 5);
         let s = data.summary();
         assert_eq!(s.timelines.len(), 1);
         assert_eq!(s.timelines[0].queued_secs, 1.0);
@@ -436,18 +416,20 @@ mod tests {
     }
 
     #[test]
-    fn delta_shipping_reconstructs_the_accumulation() {
-        let t = Tracer::new(0, 64, true);
-        t.admitted(0.0, 1);
-        let mut coord = TraceData::default();
-        coord.absorb(&t);
-        let mark = 0;
-        let mut client = TraceData::default();
-        client.merge(coord.delta_since(mark));
-        let mark = coord.len();
-        t.outcome(1.0, 1, outcome_code::COMPLETED);
-        coord.absorb(&t);
-        client.merge(coord.delta_since(mark));
-        assert_eq!(client, coord);
+    fn hand_overs_add_up_their_events_and_drops() {
+        // A 1-event coordinator ring: of the two events recorded between
+        // hand-overs, the second is dropped.
+        let t = Tracer::new(0, 1, true);
+        let mut engine = TraceData::default();
+        for q in 0..3 {
+            t.admitted(0.0, q);
+            t.outcome(1.0, q, outcome_code::COMPLETED);
+            // What the coordinator hands over holds only its own window.
+            let mut handed = TraceData::default();
+            handed.absorb(&t);
+            assert_eq!((handed.events.len(), handed.dropped_events), (1, 1));
+            engine.merge(handed);
+        }
+        assert_eq!((engine.events.len(), engine.dropped_events), (3, 3));
     }
 }

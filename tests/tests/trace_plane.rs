@@ -168,7 +168,9 @@ fn thread_timelines_count_supersteps_closed_on_the_lane() {
 
 /// Saturation: a 16-event ring on a schedule that records far more
 /// must drop + count, while the engine's own results stay identical to
-/// an untraced run — recording loss is never execution loss.
+/// an untraced run — recording loss is never execution loss. The count
+/// adds up over hand-overs and sessions: each later drain, a single
+/// query's, raises it, before and after a restart.
 #[test]
 fn full_rings_drop_and_count_without_blocking() {
     let run = |capacity: usize, trace: bool| {
@@ -181,23 +183,31 @@ fn full_rings_drop_and_count_without_blocking() {
                 ..Default::default()
             })
             .build_threaded();
-        let h: Vec<_> = (0..4)
-            .map(|_| e.submit(SsspProgram::new(VertexId(0), VertexId(95))))
-            .collect();
-        e.run();
+        let sssp = SsspProgram::new(VertexId(0), VertexId(95));
+        let mut h: Vec<_> = (0..4).map(|_| e.submit(sssp.clone())).collect();
+        let mut dropped = vec![e.run().trace.summary().dropped_events];
+        h.push(e.submit(sssp.clone()));
+        dropped.push(e.drain().trace.summary().dropped_events);
+        e.shutdown();
+        h.push(e.submit(sssp));
+        dropped.push(e.run().trace.summary().dropped_events);
+        e.shutdown();
         let outputs: Vec<Option<f32>> = h.iter().map(|h| e.output(h).copied().flatten()).collect();
-        let dropped = e.shutdown().trace.summary().dropped_events;
         (outputs, dropped)
     };
     let (saturated_out, saturated_dropped) = run(16, true);
     let (untraced_out, untraced_dropped) = run(1 << 20, false);
     assert!(
-        saturated_dropped > 0,
+        saturated_dropped[0] > 0,
         "a 16-event ring must overflow on a 4x95-superstep schedule"
     );
-    assert_eq!(untraced_dropped, 0);
+    assert!(
+        saturated_dropped.windows(2).all(|w| w[0] < w[1]),
+        "every hand-over adds its own drops: {saturated_dropped:?}"
+    );
+    assert_eq!(untraced_dropped, vec![0; 3]);
     assert_eq!(saturated_out, untraced_out);
-    assert_eq!(saturated_out, vec![Some(95.0); 4]);
+    assert_eq!(saturated_out, vec![Some(95.0); 6]);
 }
 
 /// The sim's flavor of saturation: virtual stamps, same drop contract.
