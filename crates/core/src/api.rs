@@ -1,19 +1,19 @@
-//! The shared engine API: one [`Engine`] trait over both runtimes and an
+//! The engine API: one [`Engine`] front over both runtimes and an
 //! [`EngineBuilder`] that assembles graph, partitioner, cluster, and
 //! configuration into either of them.
 //!
-//! The trait's required methods are the *erased* lifecycle
-//! (`submit_task`, `output_envelope`, ...); the typed surface — generic
-//! [`Engine::submit`] returning a [`QueryHandle`], [`Engine::output`]
-//! recovering `&P::Output` — is provided on top, so both
-//! [`SimEngine`] and [`ThreadEngine`] share one
-//! submit/run/output contract and generic drivers can be written once:
+//! [`Engine<R>`] defines the lifecycle once — typed [`Engine::submit`]
+//! returning a [`QueryHandle`], [`Engine::run`], [`Engine::output`]
+//! recovering `&P::Output`, the report, layout and index accessors — over
+//! the [`Runtime`] `R` that executes the coordinator protocol:
+//! [`SimEngine`] is `Engine<Sim>` and [`ThreadEngine`] is
+//! `Engine<Threads>`. Generic drivers are written once:
 //!
 //! ```
-//! use qgraph_core::{programs::ReachProgram, Engine, EngineBuilder};
+//! use qgraph_core::{programs::ReachProgram, Engine, EngineBuilder, Runtime};
 //! use qgraph_graph::{GraphBuilder, VertexId};
 //!
-//! fn count_reached<E: Engine>(engine: &mut E) -> usize {
+//! fn count_reached<R: Runtime>(engine: &mut Engine<R>) -> usize {
 //!     let q = engine.submit(ReachProgram::new(VertexId(0)));
 //!     engine.run();
 //!     engine.output(&q).map_or(0, Vec::len)
@@ -32,135 +32,175 @@
 use std::any::Any;
 use std::sync::Arc;
 
-use qgraph_graph::Graph;
+use qgraph_graph::{Graph, MutationBatch, Topology};
 use qgraph_partition::{HashPartitioner, Partitioner, Partitioning};
 use qgraph_sim::ClusterModel;
 
-use crate::config::{QcutConfig, SystemConfig};
-use crate::engine::SimEngine;
+use crate::config::SystemConfig;
+use crate::coord::EngineState;
+use crate::engine::{Sim, SimEngine};
 use crate::index_plane::PointIndex;
 use crate::program::VertexProgram;
 use crate::query::{QueryHandle, QueryId, QueryOutcome};
 use crate::report::EngineReport;
-use crate::runtime::ThreadEngine;
-use crate::sched::{AdmissionPolicy, DopPolicy};
-use crate::task::{QueryTask, TypedTask};
+use crate::runtime::{ThreadEngine, Threads};
+use crate::task::{take_output, Envelope, QueryTask, TypedTask};
 
-/// The shared multi-query engine lifecycle: submit heterogeneous queries,
-/// run them to completion, retrieve typed outputs and the measurement
-/// report. Implemented by [`SimEngine`] (deterministic discrete-event
-/// simulation) and [`ThreadEngine`] (real OS threads).
-pub trait Engine {
-    /// Erased submission: enqueue a prepared [`QueryTask`]. Prefer the
-    /// typed [`Engine::submit`].
-    fn submit_task(&mut self, task: Arc<dyn QueryTask>) -> QueryId;
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for super::Sim {}
+    impl Sealed for super::Threads {}
+}
 
-    /// Run every submitted query to completion; returns the report.
-    fn run(&mut self) -> &EngineReport;
+/// What executes an [`Engine`]'s queries: [`Sim`], the deterministic
+/// discrete-event simulation, or [`Threads`], real OS threads. Sealed: it
+/// names the runtime in generic drivers (`fn f<R: Runtime>(e: &mut
+/// Engine<R>)`) and cannot be implemented outside this crate. Its hidden
+/// methods are the per-runtime glue the front calls.
+pub trait Runtime: sealed::Sealed {
+    /// The engine state and the finished queries' outputs.
+    #[doc(hidden)]
+    fn held(&self) -> (&EngineState, &[Option<Envelope>]);
+    #[doc(hidden)]
+    fn held_mut(&mut self) -> (&mut EngineState, &mut [Option<Envelope>]);
+    #[doc(hidden)]
+    fn enqueue(&mut self, task: Arc<dyn QueryTask>) -> QueryId;
+    /// Run every submitted query to completion.
+    #[doc(hidden)]
+    fn drive(&mut self);
+    #[doc(hidden)]
+    fn install(&mut self, index: Box<dyn PointIndex>) {
+        self.held_mut().0.index = Some(index);
+    }
+    /// Validate a mutation batch, then apply it at the next quiescent
+    /// point.
+    #[doc(hidden)]
+    fn apply(&mut self, batch: MutationBatch);
+    /// Make the held state current before a snapshot of it.
+    #[doc(hidden)]
+    fn settle(&mut self) {}
+}
 
-    /// The measurement report accumulated so far.
-    fn report(&self) -> &EngineReport;
+/// The multi-query engine: submit heterogeneous queries, run them to
+/// completion, retrieve typed outputs and the measurement report — the
+/// same calls on both runtimes. Build one with [`EngineBuilder`]; the
+/// calls only one runtime has are on [`SimEngine`] and [`ThreadEngine`].
+pub struct Engine<R> {
+    pub(crate) rt: R,
+}
 
-    /// Erased output access backing the typed lookups.
-    fn output_envelope(&self, q: QueryId) -> Option<&(dyn Any + Send)>;
-
-    /// Install (or replace) a point-query label index
-    /// ([`crate::index_plane::PointIndex`]). Eligible point queries are
-    /// answered from it at admission; mutation barriers repair it before
-    /// the new epoch opens to queries.
-    fn install_index(&mut self, index: Box<dyn PointIndex>);
-
-    /// A coherent copy of the current graph view — the epoch an index
-    /// built now would be valid for. (The thread runtime drains first,
-    /// taking its coordinator's hand-over, so the snapshot is never
-    /// stale.)
-    fn topology_snapshot(&mut self) -> qgraph_graph::Topology;
-
-    /// Submit a query of any [`VertexProgram`] type; the returned handle
-    /// recovers the typed output after [`Engine::run`].
-    fn submit<P: VertexProgram>(&mut self, program: P) -> QueryHandle<P>
-    where
-        Self: Sized,
-    {
-        let id = self.submit_task(Arc::new(TypedTask::new(program)));
-        QueryHandle::new(id)
+impl<R: Runtime> Engine<R> {
+    /// Enqueue a query of any [`VertexProgram`] type; one engine runs
+    /// heterogeneous queries concurrently. It starts once a closed-loop
+    /// slot is free (`max_parallel_queries` in flight at a time); the
+    /// returned handle recovers the typed output after [`Engine::run`].
+    pub fn submit<P: VertexProgram>(&mut self, program: P) -> QueryHandle<P> {
+        QueryHandle::new(self.submit_task(Arc::new(TypedTask::new(program))))
     }
 
-    /// The output of a finished query, through its typed handle.
-    fn output<P: VertexProgram>(&self, handle: &QueryHandle<P>) -> Option<&P::Output>
-    where
-        Self: Sized,
-    {
+    /// Erased submission: enqueue a prepared [`QueryTask`]. Prefer the
+    /// typed [`Engine::submit`].
+    pub fn submit_task(&mut self, task: Arc<dyn QueryTask>) -> QueryId {
+        self.rt.enqueue(task)
+    }
+
+    /// Apply a [`MutationBatch`] at the next quiescent point: the engine
+    /// stops the world, applies the batch atomically and opens a new graph
+    /// epoch — in-flight queries park at their barriers and resume
+    /// against the mutated topology. Batches apply in submission order (on
+    /// threads, a batch sent while not serving waits for the next session).
+    ///
+    /// # Panics
+    /// Rejects the batch here, on the caller's stack (see
+    /// [`MutationBatch::validate`]), if any op carries a NaN, negative, or
+    /// infinite weight.
+    pub fn mutate(&mut self, batch: MutationBatch) {
+        self.rt.apply(batch);
+    }
+
+    /// Run every submitted query to completion; returns the cumulative
+    /// report, whose last [`EngineReport::runs`] entry is the window this
+    /// call covers. A thread engine keeps serving afterwards.
+    pub fn run(&mut self) -> &EngineReport {
+        self.rt.drive();
+        self.report()
+    }
+
+    /// The output of a finished query, through its typed handle (on
+    /// threads, visible after `run`/`drain`/`shutdown`).
+    pub fn output<P: VertexProgram>(&self, handle: &QueryHandle<P>) -> Option<&P::Output> {
         self.output_as::<P>(handle.id())
     }
 
     /// Typed output lookup by raw [`QueryId`]; `None` if unfinished or if
     /// `P` is not the program type the query was submitted with.
-    fn output_as<P: VertexProgram>(&self, q: QueryId) -> Option<&P::Output>
-    where
-        Self: Sized,
-    {
+    pub fn output_as<P: VertexProgram>(&self, q: QueryId) -> Option<&P::Output> {
         self.output_envelope(q)?.downcast_ref::<P::Output>()
     }
 
+    /// Erased output access backing the typed lookups.
+    pub fn output_envelope(&self, q: QueryId) -> Option<&(dyn Any + Send)> {
+        self.rt.held().1.get(q.index())?.as_deref()
+    }
+
+    /// Take ownership of a finished query's output.
+    pub fn take_output<P: VertexProgram>(&mut self, handle: &QueryHandle<P>) -> Option<P::Output> {
+        take_output::<P>(self.rt.held_mut().1, handle.id())
+    }
+
+    /// The cumulative measurement report (on threads, as of the last
+    /// hand-over: `run`/`drain`/`shutdown`).
+    pub fn report(&self) -> &EngineReport {
+        &self.rt.held().0.report
+    }
+
     /// Per-query outcomes, in completion order.
-    fn outcomes(&self) -> &[QueryOutcome] {
+    pub fn outcomes(&self) -> &[QueryOutcome] {
         &self.report().outcomes
     }
-}
 
-impl Engine for SimEngine {
-    fn submit_task(&mut self, task: Arc<dyn QueryTask>) -> QueryId {
-        SimEngine::submit_task(self, task)
+    /// The current vertex→worker assignment (mutated by repartitionings).
+    pub fn partitioning(&self) -> &Partitioning {
+        &self.rt.held().0.partitioning
     }
 
-    fn run(&mut self) -> &EngineReport {
-        SimEngine::run(self)
+    /// The evolving graph view queries execute against.
+    pub fn topology(&self) -> &Topology {
+        &self.rt.held().0.topology
     }
 
-    fn report(&self) -> &EngineReport {
-        SimEngine::report(self)
+    /// The current graph epoch (mutation batches applied so far).
+    pub fn epoch(&self) -> u64 {
+        self.topology().epoch()
     }
 
-    fn output_envelope(&self, q: QueryId) -> Option<&(dyn Any + Send)> {
-        SimEngine::output_envelope(self, q)
+    /// A coherent copy of the current graph view — the epoch an index
+    /// built now would be valid for. (A thread engine drains first, taking
+    /// its coordinator's hand-over, so the snapshot is never stale.)
+    pub fn topology_snapshot(&mut self) -> Topology {
+        self.rt.settle();
+        self.topology().clone()
     }
 
-    fn install_index(&mut self, index: Box<dyn PointIndex>) {
-        SimEngine::install_index(self, index)
+    /// Install (or replace) a point-query label index (see
+    /// [`PointIndex`]): eligible point queries popping off the admission
+    /// queue are answered by it instead of traversal, and mutation
+    /// barriers repair it before the new epoch opens to queries. A serving
+    /// thread engine's coordinator picks it up on its next turn.
+    pub fn install_index(&mut self, index: Box<dyn PointIndex>) {
+        self.rt.install(index);
     }
 
-    fn topology_snapshot(&mut self) -> qgraph_graph::Topology {
-        SimEngine::topology(self).clone()
-    }
-}
-
-impl Engine for ThreadEngine {
-    fn submit_task(&mut self, task: Arc<dyn QueryTask>) -> QueryId {
-        ThreadEngine::submit_task(self, task)
+    /// Remove and return the installed index, if any (queries fall back to
+    /// traversal afterwards). A serving thread engine's coordinator owns
+    /// it — `None` until [`ThreadEngine::shutdown`].
+    pub fn take_index(&mut self) -> Option<Box<dyn PointIndex>> {
+        self.rt.held_mut().0.index.take()
     }
 
-    fn run(&mut self) -> &EngineReport {
-        ThreadEngine::run(self)
-    }
-
-    fn report(&self) -> &EngineReport {
-        ThreadEngine::report(self)
-    }
-
-    fn output_envelope(&self, q: QueryId) -> Option<&(dyn Any + Send)> {
-        ThreadEngine::output_envelope(self, q)
-    }
-
-    fn install_index(&mut self, index: Box<dyn PointIndex>) {
-        ThreadEngine::install_index(self, index)
-    }
-
-    fn topology_snapshot(&mut self) -> qgraph_graph::Topology {
-        // Take the coordinator's hand-over first — an index built from a
-        // stale view would disagree with serving.
-        ThreadEngine::drain(self);
-        ThreadEngine::topology(self).clone()
+    /// The installed index, if any (and, on threads, not serving).
+    pub fn index(&self) -> Option<&dyn PointIndex> {
+        self.rt.held().0.index.as_deref()
     }
 }
 
@@ -226,69 +266,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Enable adaptive Q-cut repartitioning with the given configuration
-    /// (shorthand for setting [`SystemConfig::qcut`] on the config).
-    pub fn qcut(mut self, qcut: QcutConfig) -> Self {
-        self.config.qcut = Some(qcut);
-        self
-    }
-
-    /// The admission policy draining the waiting backlog into free
-    /// closed-loop slots (shorthand for setting
-    /// [`SystemConfig::admission`]): FIFO, per-program-kind priorities, or
-    /// earliest deadline first. See [`crate::sched`].
-    pub fn admission(mut self, policy: AdmissionPolicy) -> Self {
-        self.config.admission = policy;
-        self
-    }
-
-    /// Elastic pool width (shorthand for [`SystemConfig::pool_threads`]):
-    /// the number of compute threads drawing per-(query, partition)
-    /// tasks from the shared morsel pool. `0` (the default) matches the
-    /// partition count — the fixed-partition baseline's thread budget.
-    /// The simulated engine prices the same width as its cap on
-    /// concurrently executing tasks.
-    pub fn pool_threads(mut self, threads: usize) -> Self {
-        self.config.pool_threads = threads;
-        self
-    }
-
-    /// Per-query degree-of-parallelism policy (shorthand for
-    /// [`SystemConfig::dop`]): how many of a superstep's per-partition
-    /// tasks the coordinator dispatches concurrently per query. See
-    /// [`DopPolicy`].
-    pub fn dop(mut self, policy: DopPolicy) -> Self {
-        self.config.dop = policy;
-        self
-    }
-
-    /// Bound the admission queue at `depth` waiting queries (shorthand
-    /// for [`SystemConfig::max_queued`]): submissions arriving beyond it
-    /// are rejected with a distinct [`crate::OutcomeStatus::Rejected`]
-    /// outcome — backpressure for overloaded serving engines.
-    pub fn max_queued(mut self, depth: usize) -> Self {
-        self.config.max_queued = Some(depth);
-        self
-    }
-
-    /// Mutation-plane compaction threshold (shorthand for
-    /// [`SystemConfig::compact_fraction`]): rebuild the CSR at a mutation
-    /// barrier once the overlay crosses this fraction of the base edges.
-    pub fn compact_fraction(mut self, fraction: f64) -> Self {
-        self.config.compact_fraction = fraction;
-        self
-    }
-
-    /// Record structured trace events (shorthand for
-    /// [`SystemConfig::trace`]): per-query timelines via
-    /// `EngineReport::trace()` and Chrome-trace export. Only effective
-    /// when the crate is compiled with the `trace` feature; the knob is
-    /// a no-op otherwise (see [`crate::trace`]).
-    pub fn trace(mut self, enabled: bool) -> Self {
-        self.config.trace = enabled;
-        self
-    }
-
     /// Order-independent assembly: an explicit partitioning fixes the
     /// worker count, else an explicit `workers(k)`, else the cluster's,
     /// else 1. Conflicting explicit counts panic here with the
@@ -349,6 +326,7 @@ impl EngineBuilder {
 mod tests {
     use super::*;
     use crate::programs::{PingProgram, ReachProgram};
+    use crate::sched::DopPolicy;
     use qgraph_graph::{GraphBuilder, VertexId};
     use qgraph_partition::RangePartitioner;
 
@@ -360,9 +338,9 @@ mod tests {
         b.build()
     }
 
-    /// A driver written once against the trait, exercised on both
+    /// A driver written once against the front, exercised on both
     /// runtimes — the point of the shared API.
-    fn mixed_drive<E: Engine>(engine: &mut E) -> (usize, u32) {
+    fn mixed_drive<R: Runtime>(engine: &mut Engine<R>) -> (usize, u32) {
         let reach = engine.submit(ReachProgram::bounded(VertexId(0), 4));
         let ping = engine.submit(PingProgram {
             ring: vec![VertexId(1), VertexId(7)],
@@ -383,8 +361,8 @@ mod tests {
         let b = mixed_drive(&mut threaded);
         assert_eq!(a, (5, 2));
         assert_eq!(a, b, "runtimes must agree");
-        assert_eq!(Engine::outcomes(&sim).len(), 2);
-        assert_eq!(Engine::outcomes(&threaded).len(), 2);
+        assert_eq!(sim.outcomes().len(), 2);
+        assert_eq!(threaded.outcomes().len(), 2);
     }
 
     #[test]
@@ -430,58 +408,17 @@ mod tests {
     }
 
     #[test]
-    fn builder_threads_qcut_config_into_both_runtimes() {
-        let cfg = QcutConfig {
-            min_repartition_interval_secs: 0.25,
-            locality_threshold: 0.9,
-            ..Default::default()
-        };
-        // qcut() installs the full config on a builder that had none.
-        let b = EngineBuilder::new(line(8)).workers(2);
-        assert!(b.config.qcut.is_none());
-        let q = b.qcut(cfg).config.qcut.expect("installed");
-        assert_eq!(q.min_repartition_interval_secs, 0.25);
-        assert_eq!(q.locality_threshold, 0.9);
-        assert_eq!(q.max_queries, QcutConfig::default().max_queries);
-    }
-
-    #[test]
-    fn builder_threads_admission_policy_into_config() {
-        let b = EngineBuilder::new(line(8))
-            .workers(2)
-            .admission(AdmissionPolicy::Deadline);
-        assert_eq!(b.config.admission, AdmissionPolicy::Deadline);
-        let b = EngineBuilder::new(line(8))
-            .workers(2)
-            .admission(AdmissionPolicy::priorities(&[("poi", 5)]));
-        assert!(matches!(
-            b.config.admission,
-            AdmissionPolicy::ProgramPriority(_)
-        ));
-    }
-
-    #[test]
     fn builder_threads_elastic_knobs_into_config() {
-        let b = EngineBuilder::new(line(8))
-            .workers(2)
-            .pool_threads(3)
-            .dop(DopPolicy::Fixed(2));
-        assert_eq!(b.config.pool_threads, 3);
-        assert_eq!(b.config.dop, DopPolicy::Fixed(2));
         // Elastic knobs are structure-preserving: a narrow pool still
         // computes identical outputs on both runtimes.
-        let mut sim = EngineBuilder::new(line(8))
-            .workers(4)
-            .pool_threads(1)
-            .dop(DopPolicy::Fixed(1))
-            .build_sim();
-        let mut threaded = EngineBuilder::new(line(8))
-            .workers(4)
-            .pool_threads(1)
-            .dop(DopPolicy::Fixed(1))
-            .build_threaded();
-        assert_eq!(mixed_drive(&mut sim), (5, 2));
-        assert_eq!(mixed_drive(&mut threaded), (5, 2));
+        let narrow = || SystemConfig {
+            pool_threads: 1,
+            dop: DopPolicy::Fixed(1),
+            ..Default::default()
+        };
+        let builder = || EngineBuilder::new(line(8)).workers(4).config(narrow());
+        assert_eq!(mixed_drive(&mut builder().build_sim()), (5, 2));
+        assert_eq!(mixed_drive(&mut builder().build_threaded()), (5, 2));
     }
 
     #[test]

@@ -300,7 +300,7 @@ impl Stepping {
 
 /// The engine state that outlives a serve session: what a runtime hands
 /// the core at start and takes back when it stops.
-pub(crate) struct EngineState {
+pub struct EngineState {
     pub topology: Topology,
     pub partitioning: Partitioning,
     pub controller: Controller,
@@ -515,11 +515,6 @@ impl Coordinator {
     pub fn mutate(&mut self, batch: MutationBatch) {
         self.mutations.push(batch);
         self.paused = true;
-    }
-
-    /// Install (or replace) the point-query label index.
-    pub fn install_index(&mut self, index: Box<dyn PointIndex>) {
-        self.state.index = Some(index);
     }
 
     /// Stop admitting: already-admitted queries finish, queued ones stay
@@ -1652,7 +1647,7 @@ mod tests {
             ..serial()
         };
         let (mut core, mut x, task) = (core(cfg), Script::default(), ping());
-        core.install_index(Box::new(Oracle));
+        core.state.index = Some(Box::new(Oracle));
         let empty = PingProgram {
             ring: Vec::new(),
             rounds: 0,

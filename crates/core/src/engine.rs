@@ -11,8 +11,8 @@
 //!
 //! The engine is **not generic over a program type**: each submitted
 //! query is wrapped in a type-erased [`QueryTask`] at
-//! [`SimEngine::submit`], which returns a typed [`QueryHandle`] through
-//! which [`SimEngine::output`] recovers the program's `Output`.
+//! [`Engine::submit`], which returns a typed [`QueryHandle`] through
+//! which [`Engine::output`] recovers the program's `Output`.
 //!
 //! ## What this executor prices
 //!
@@ -45,17 +45,17 @@ use qgraph_graph::{Graph, MutationBatch, Topology, VertexId};
 use qgraph_partition::Partitioning;
 use qgraph_sim::{ClusterModel, EventQueue, SimTime};
 
+use crate::api::{Engine, Runtime};
 use crate::barrier::{self, BarrierInput};
 use crate::config::{BarrierMode, SystemConfig};
 use crate::controller::Controller;
 use crate::coord::{Close, Coordinator, EngineState, Executor, Locals, StepReport, Superstep};
 use crate::hb::{kind, Hb};
-use crate::index_plane::PointIndex;
 use crate::program::VertexProgram;
 use crate::qcut::{migrate, Migration};
 use crate::query::{QueryHandle, QueryId};
 use crate::report::{EngineReport, PoolCounters};
-use crate::sched::Submission;
+use crate::sched::{check_submission, Submission};
 use crate::task::{Envelope, MessageBatch, QueryTask, TypedTask};
 use crate::trace::{cmd, Tracer};
 use crate::worker::Worker;
@@ -93,9 +93,13 @@ struct WorkerSched {
     running: Option<QueryId>,
 }
 
-/// The deterministic multi-query engine. See the module docs.
-pub struct SimEngine {
-    /// The query-protocol state machine this engine executes.
+/// The deterministic multi-query engine: the shared [`Engine`] front
+/// over the simulated runtime. See the module docs.
+pub type SimEngine = Engine<Sim>;
+
+/// The discrete-event [`Runtime`]: the query-protocol state machine and
+/// its virtual-time executor.
+pub struct Sim {
     core: Coordinator,
     x: SimExec,
 }
@@ -324,7 +328,7 @@ impl SimExec {
     }
 }
 
-impl SimEngine {
+impl Engine<Sim> {
     /// Create an engine over `graph`, simulated on `cluster`, starting from
     /// `partitioning`.
     ///
@@ -393,18 +397,10 @@ impl SimEngine {
             index: None,
             report: EngineReport::default(),
         };
-        SimEngine {
-            core: Coordinator::new(state, cfg, hb, tracer),
-            x,
+        let core = Coordinator::new(state, cfg, hb, tracer);
+        Engine {
+            rt: Sim { core, x },
         }
-    }
-
-    /// Enqueue a query of any program type; one engine instance runs
-    /// heterogeneous queries concurrently. It starts once a closed-loop
-    /// slot is free (`max_parallel_queries` in flight at a time, the
-    /// paper's batches). Returns a typed handle for [`SimEngine::output`].
-    pub fn submit<P: VertexProgram>(&mut self, program: P) -> QueryHandle<P> {
-        QueryHandle::new(self.submit_task(Arc::new(TypedTask::new(program))))
     }
 
     /// Submit with explicit arrival/deadline options: a [`Submission`]
@@ -426,73 +422,68 @@ impl SimEngine {
         self.submit_when(program, Submission::at(at_secs))
     }
 
-    /// Type-erased submission backing [`SimEngine::submit`] (and the
-    /// [`crate::Engine`] trait).
-    pub fn submit_task(&mut self, task: Arc<dyn QueryTask>) -> QueryId {
-        self.submit_task_when(task, Submission::default())
-    }
-
     /// Type-erased submission with arrival/deadline options (see
     /// [`SimEngine::submit_when`]).
+    ///
+    /// # Panics
+    /// Rejects a submission whose arrival or deadline is not a finite,
+    /// non-negative number of seconds, before the query gets an id.
     pub fn submit_task_when(
         &mut self,
         task: Arc<dyn QueryTask>,
         submission: Submission,
     ) -> QueryId {
-        let x = &mut self.x;
-        let q = QueryId(x.outputs.len() as u32);
-        let now = x.events.now();
-        // An arrival in the past clamps to now: the clock never rewinds.
-        let arrival = submission
-            .at_secs
-            .map(|t| SimTime::from_secs_f64(t).max(now))
-            .unwrap_or(now);
-        let deadline = submission
-            .deadline_secs
-            .map(|d| arrival + SimTime::from_secs_f64(d));
-        x.outputs.push(None);
-        x.msg_arrival.push(SimTime::ZERO);
-        if arrival > now {
-            x.events
-                .schedule(arrival, Event::Arrival { q, task, deadline });
-        } else {
-            self.core.submit(q, task, arrival, deadline);
-        }
-        q
+        self.rt.accept(task, submission)
     }
 
     /// Schedule a [`MutationBatch`] to apply at virtual time `at_secs`
-    /// (clamped to now): when the clock reaches it, the engine stops the
-    /// world at the next quiescent point, applies the batch atomically,
-    /// and opens a new graph epoch — in-flight queries park at their
-    /// barriers and resume against the mutated topology, exactly like the
-    /// Q-cut stop-the-world phase. Batches due at the same barrier apply
-    /// in submission order.
+    /// (clamped to now), as [`Engine::mutate`] does at the current one.
+    /// Batches due at the same barrier apply in submission order.
     ///
     /// # Panics
-    /// Rejects the batch at submission (see [`MutationBatch::validate`])
-    /// if any op carries a NaN, negative, or infinite weight — failing
-    /// here, rather than at the barrier, keeps the error on the caller's
-    /// stack.
+    /// Rejects an invalid batch at submission, as [`Engine::mutate`] does.
     pub fn mutate_at(&mut self, batch: MutationBatch, at_secs: f64) {
-        if let Err(e) = batch.validate() {
-            panic!("rejected mutation batch: {e}");
-        }
-        let at = SimTime::from_secs_f64(at_secs).max(self.x.events.now());
-        self.x.events.schedule(at, Event::MutationDue { batch });
+        self.rt.schedule_mutation(batch, at_secs);
     }
 
-    /// Apply a [`MutationBatch`] at the next quiescent point (shorthand
-    /// for [`SimEngine::mutate_at`] with the current virtual time).
-    pub fn mutate(&mut self, batch: MutationBatch) {
-        self.mutate_at(batch, self.now_secs());
+    /// Current virtual time in seconds.
+    pub fn now_secs(&self) -> f64 {
+        self.rt.x.events.now().as_secs_f64()
     }
 
-    /// Run until every submitted query (including future [`Event::Arrival`]
-    /// submissions) has finished. Returns the cumulative report; the
-    /// window this call covers is the last entry of
-    /// [`EngineReport::runs`].
-    pub fn run(&mut self) -> &EngineReport {
+    /// Test hook (`check-hb` only): reintroduce the quiesce race the
+    /// `inflight_ready` count fixed — quiescence stops counting
+    /// scheduled-but-undelivered `TaskReady` dispatches, so a
+    /// stop-the-world barrier can fire with control messages in flight.
+    /// Exists solely so the regression suite can assert the
+    /// happens-before auditor catches that race; never enable otherwise.
+    #[cfg(feature = "check-hb")]
+    #[doc(hidden)]
+    pub fn hb_test_reintroduce_quiesce_race(&mut self) {
+        self.rt.x.hb_ignore_inflight_ready = true;
+    }
+}
+
+impl Runtime for Sim {
+    fn held(&self) -> (&EngineState, &[Option<Envelope>]) {
+        (&self.core.state, &self.x.outputs)
+    }
+
+    fn held_mut(&mut self) -> (&mut EngineState, &mut [Option<Envelope>]) {
+        (&mut self.core.state, &mut self.x.outputs)
+    }
+
+    fn enqueue(&mut self, task: Arc<dyn QueryTask>) -> QueryId {
+        self.accept(task, Submission::default())
+    }
+
+    fn apply(&mut self, batch: MutationBatch) {
+        self.schedule_mutation(batch, self.x.events.now().as_secs_f64());
+    }
+
+    // Runs until every submitted query, future arrivals included, has
+    // finished.
+    fn drive(&mut self) {
         let run_started = self.x.events.now();
         self.core.restart_activity_watch(run_started);
 
@@ -575,86 +566,42 @@ impl SimEngine {
             report.finished_at_secs,
             pool_at_close,
         );
-        report
+    }
+}
+
+impl Sim {
+    fn accept(&mut self, task: Arc<dyn QueryTask>, submission: Submission) -> QueryId {
+        check_submission(submission.at_secs, submission.deadline_secs);
+        let x = &mut self.x;
+        let q = QueryId(x.outputs.len() as u32);
+        let now = x.events.now();
+        // An arrival in the past clamps to now: the clock never rewinds.
+        let arrival = submission
+            .at_secs
+            .map(|t| SimTime::from_secs_f64(t).max(now))
+            .unwrap_or(now);
+        let deadline = submission
+            .deadline_secs
+            .map(|d| arrival + SimTime::from_secs_f64(d));
+        x.outputs.push(None);
+        x.msg_arrival.push(SimTime::ZERO);
+        if arrival > now {
+            x.events
+                .schedule(arrival, Event::Arrival { q, task, deadline });
+        } else {
+            self.core.submit(q, task, arrival, deadline);
+        }
+        q
     }
 
-    /// The output of a finished query, recovered through its typed handle.
-    pub fn output<P: VertexProgram>(&self, handle: &QueryHandle<P>) -> Option<&P::Output> {
-        self.output_as::<P>(handle.id())
-    }
-
-    /// Typed output lookup by raw [`QueryId`] (for callers that index
-    /// queries positionally); `None` if unfinished or if `P` is not the
-    /// program type the query was submitted with.
-    pub fn output_as<P: VertexProgram>(&self, q: QueryId) -> Option<&P::Output> {
-        self.output_envelope(q)?.downcast_ref::<P::Output>()
-    }
-
-    /// Erased output access (backs the [`crate::Engine`] trait).
-    pub fn output_envelope(&self, q: QueryId) -> Option<&(dyn std::any::Any + Send)> {
-        self.x.outputs.get(q.index())?.as_deref()
-    }
-
-    /// Take ownership of a finished query's output.
-    pub fn take_output<P: VertexProgram>(&mut self, handle: &QueryHandle<P>) -> Option<P::Output> {
-        crate::task::take_output::<P>(&mut self.x.outputs, handle.id())
-    }
-
-    /// The measurement report (also returned by [`SimEngine::run`]).
-    pub fn report(&self) -> &EngineReport {
-        &self.core.state.report
-    }
-
-    /// The current vertex→worker assignment (mutated by repartitionings).
-    pub fn partitioning(&self) -> &Partitioning {
-        &self.core.state.partitioning
-    }
-
-    /// Current virtual time in seconds.
-    pub fn now_secs(&self) -> f64 {
-        self.x.events.now().as_secs_f64()
-    }
-
-    /// The evolving graph view queries currently execute against.
-    pub fn topology(&self) -> &Topology {
-        &self.core.state.topology
-    }
-
-    /// The current graph epoch (mutation batches applied so far).
-    pub fn epoch(&self) -> u64 {
-        self.topology().epoch()
-    }
-
-    /// Install a label index (see [`crate::index_plane::PointIndex`]):
-    /// from now on, eligible point queries popping off the admission
-    /// queue are answered by label intersection instead of traversal —
-    /// provided the index stays repaired through the admission epoch.
-    /// Replaces any previously installed index.
-    pub fn install_index(&mut self, index: Box<dyn PointIndex>) {
-        self.core.install_index(index);
-    }
-
-    /// Remove and return the installed label index, if any (queries fall
-    /// back to the traversal path afterwards).
-    pub fn take_index(&mut self) -> Option<Box<dyn PointIndex>> {
-        self.core.state.index.take()
-    }
-
-    /// The installed label index, if any.
-    pub fn index(&self) -> Option<&dyn PointIndex> {
-        self.core.state.index.as_deref()
-    }
-
-    /// Test hook (`check-hb` only): reintroduce the quiesce race the
-    /// `inflight_ready` count fixed — quiescence stops counting
-    /// scheduled-but-undelivered `TaskReady` dispatches, so a
-    /// stop-the-world barrier can fire with control messages in flight.
-    /// Exists solely so the regression suite can assert the
-    /// happens-before auditor catches that race; never enable otherwise.
-    #[cfg(feature = "check-hb")]
-    #[doc(hidden)]
-    pub fn hb_test_reintroduce_quiesce_race(&mut self) {
-        self.x.hb_ignore_inflight_ready = true;
+    // Failing at submission, rather than at the barrier, keeps the error
+    // on the caller's stack.
+    fn schedule_mutation(&mut self, batch: MutationBatch, at_secs: f64) {
+        if let Err(e) = batch.validate() {
+            panic!("rejected mutation batch: {e}");
+        }
+        let at = SimTime::from_secs_f64(at_secs).max(self.x.events.now());
+        self.x.events.schedule(at, Event::MutationDue { batch });
     }
 
     // ------------------------------------------------------------------

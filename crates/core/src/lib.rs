@@ -21,26 +21,27 @@
 //!
 //! The controller's query protocol — admission, per-query barriers,
 //! DoP deferral, the stop-the-world window — is written once, as a
-//! sans-IO state machine (the crate-private `coord` module), and two
-//! runtimes execute it behind the shared [`Engine`] trait
-//! (submit / run / output / report):
-//! * [`SimEngine`] — a deterministic discrete-event engine over the
-//!   `qgraph-sim` virtual cluster; every paper figure of the
-//!   `qgraph-bench` experiments harness and `qbench`'s `sim-paper`
+//! sans-IO state machine (the crate-private `coord` module), and the query
+//! API is written once too: one [`Engine`] front (submit / run / output /
+//! report) over the [`Runtime`] that executes the protocol:
+//! * [`SimEngine`] (`Engine<Sim>`) — a deterministic discrete-event
+//!   engine over the `qgraph-sim` virtual cluster; every paper figure of
+//!   the `qgraph-bench` experiments harness and `qbench`'s `sim-paper`
 //!   workload use it (the `qgraph-sim` crate docs say why the paper's
 //!   testbeds are simulated; ARCHITECTURE.md, "Runtimes", how the two
 //!   relate).
-//! * [`runtime::ThreadEngine`] — a real shared-memory multi-threaded
-//!   executor of the same protocol, demonstrating the library on actual
-//!   hardware.
+//! * [`ThreadEngine`] (`Engine<Threads>`) — a real shared-memory
+//!   multi-threaded executor of the same protocol, demonstrating the
+//!   library on actual hardware.
 //!
 //! Both are assembled from graph, partitioner, cluster, and configuration
-//! by [`EngineBuilder`].
+//! by [`EngineBuilder`]; a driver generic over `R: Runtime` runs on
+//! either.
 //!
 //! # Quick example
 //!
 //! ```
-//! use qgraph_core::{programs::ReachProgram, Engine, EngineBuilder};
+//! use qgraph_core::{programs::ReachProgram, EngineBuilder};
 //! use qgraph_graph::{GraphBuilder, VertexId};
 //! use qgraph_partition::RangePartitioner;
 //! use qgraph_sim::ClusterModel;
@@ -81,7 +82,7 @@ pub mod task;
 pub mod trace;
 pub mod worker;
 
-pub use api::{Engine, EngineBuilder};
+pub use api::{Engine, EngineBuilder, Runtime};
 pub use config::{BarrierMode, QcutConfig, SystemConfig};
 pub use engine::SimEngine;
 pub use index_plane::{IndexRepairEvent, PointAnswer, PointIndex, PointQuery, RepairSummary};

@@ -133,6 +133,7 @@ use qgraph_graph::{Graph, MutationBatch as GraphMutationBatch, Topology, VertexI
 use qgraph_partition::Partitioning;
 use qgraph_sim::SimTime;
 
+use crate::api::{Engine, Runtime};
 use crate::config::SystemConfig;
 use crate::controller::Controller;
 use crate::coord::{
@@ -146,6 +147,7 @@ use crate::program::VertexProgram;
 use crate::qcut::{migrate, Migration};
 use crate::query::{QueryHandle, QueryId};
 use crate::report::{EngineReport, PoolCounters};
+use crate::sched::check_submission;
 use crate::task::{Envelope, MessageBatch, QueryTask, TypedTask};
 use crate::trace::{cmd, Tracer};
 use crate::worker::Worker;
@@ -382,7 +384,12 @@ impl EngineClient {
     }
 
     /// Type-erased submission backing the typed ones.
+    ///
+    /// # Panics
+    /// Rejects a deadline that is not a finite, non-negative number of
+    /// seconds here, on the caller's stack, before the query gets an id.
     pub fn submit_task(&self, task: Arc<dyn QueryTask>, deadline_secs: Option<f64>) -> QueryId {
+        check_submission(None, deadline_secs);
         let q = QueryId(self.next_id.fetch_add(1, Ordering::Relaxed));
         let _ = self.tx.send(CoordMsg::Submit {
             q,
@@ -411,11 +418,15 @@ impl EngineClient {
     }
 }
 
-/// The multi-threaded runtime: an elastic pool of compute threads plus a
-/// coordinator thread serving an open-ended query stream, with the same
-/// submit/run/output lifecycle as the simulated engine (see the module
-/// docs for the streaming protocol).
-pub struct ThreadEngine {
+/// The multi-threaded engine: the shared [`Engine`] front over the thread
+/// runtime, an elastic pool of compute threads plus a coordinator thread
+/// serving an open-ended query stream (see the module docs for the
+/// streaming protocol).
+pub type ThreadEngine = Engine<Threads>;
+
+/// The thread [`Runtime`]: the engine's state between serve sessions and
+/// the session it serves.
+pub struct Threads {
     /// The engine's state as of the last hand-over. While serving, the
     /// coordinator holds the master: topology and assignment here are
     /// copies refreshed at every drain, the report holds every entry
@@ -432,7 +443,7 @@ pub struct ThreadEngine {
     /// The serving session's coordinator thread.
     serving: Option<thread::JoinHandle<Stopped>>,
     outputs: Vec<Option<Envelope>>,
-    /// Test hook: see [`ThreadEngine::hb_test_reintroduce_quiesce_race`].
+    /// Test hook: see [`Engine::hb_test_reintroduce_quiesce_race`].
     #[cfg(feature = "check-hb")]
     hb_test_early_quiesce: bool,
     /// Test probe: what the coordinator dispatched and heard back.
@@ -455,13 +466,7 @@ struct StepTraffic {
     messages: std::sync::atomic::AtomicU64,
 }
 
-impl ThreadEngine {
-    /// Create a runtime over `graph` with an initial `partitioning` and
-    /// the default [`SystemConfig`].
-    pub fn new(graph: Arc<Graph>, partitioning: Partitioning) -> Self {
-        Self::with_config(graph, partitioning, SystemConfig::default())
-    }
-
+impl Engine<Threads> {
     /// Create a runtime with an explicit configuration. The thread runtime
     /// honors `max_parallel_queries`, the admission policy, and — when
     /// `qcut` is set — the adaptive repartitioning loop, its time
@@ -474,7 +479,7 @@ impl ThreadEngine {
             "partitioning does not cover the graph"
         );
         let (tx, rx) = channel();
-        ThreadEngine {
+        let rt = Threads {
             state: EngineState {
                 topology: Topology::new(graph),
                 partitioning,
@@ -498,7 +503,8 @@ impl ThreadEngine {
             parts: None,
             #[cfg(test)]
             signals: None,
-        }
+        };
+        Engine { rt }
     }
 
     /// Test-only hook: re-introduce the historical bug where the
@@ -511,18 +517,91 @@ impl ThreadEngine {
     #[doc(hidden)]
     pub fn hb_test_reintroduce_quiesce_race(&mut self) {
         assert!(
-            self.serving.is_none(),
+            self.rt.serving.is_none(),
             "set the quiesce-race hook before the engine starts serving"
         );
-        self.hb_test_early_quiesce = true;
+        self.rt.hb_test_early_quiesce = true;
     }
 
-    /// Install (or replace) a point-query label index. While serving it is
-    /// handed to the coordinator (picked up on its next turn); otherwise
-    /// it is held until the next [`ThreadEngine::start`]. Eligible point
-    /// queries are answered from the index at admission, and mutation
-    /// barriers repair it before opening the new epoch to queries.
-    pub fn install_index(&mut self, index: Box<dyn PointIndex>) {
+    /// Start serving: spawn the elastic pool threads and the coordinator
+    /// thread owning the drive loop. Idempotent. What was sent before
+    /// this call is served in the order it was sent.
+    pub fn start(&mut self) {
+        self.rt.start();
+    }
+
+    /// Submit with a deadline `deadline_secs` from arrival (consulted by
+    /// [`crate::AdmissionPolicy::Deadline`]).
+    ///
+    /// # Panics
+    /// Rejects a malformed deadline, as [`EngineClient::submit_task`] does.
+    pub fn submit_with_deadline<P: VertexProgram>(
+        &mut self,
+        program: P,
+        deadline_secs: f64,
+    ) -> QueryHandle<P> {
+        self.rt.client.submit_with_deadline(program, deadline_secs)
+    }
+
+    /// A cloneable concurrent submission handle (starts the engine if it
+    /// is not serving yet). Clients submit from any thread while
+    /// supersteps are in flight.
+    pub fn client(&mut self) -> EngineClient {
+        self.rt.start();
+        self.rt.client.clone()
+    }
+
+    /// Block until everything submitted so far has completed, then take
+    /// the coordinator's hand-over in: outputs, report entries and
+    /// partitioning. One run window ([`crate::RunSummary`]) closes per
+    /// drain. If concurrent clients keep submitting, the drain waits for
+    /// *them* too — it returns at a moment the engine is fully idle.
+    /// Starts the engine if it is not serving; [`Engine::run`] is this
+    /// call.
+    pub fn drain(&mut self) -> &EngineReport {
+        self.run()
+    }
+
+    /// Drain, then stop the coordinator and worker threads and take the
+    /// last hand-over, the controller and the index back. The engine can
+    /// be started again afterwards. A client submission racing the stop is
+    /// still *executed* if the coordinator had already admitted it (its
+    /// outcome and output are in the final state); one still waiting in
+    /// the admission queue is discarded, like any submission after
+    /// shutdown.
+    pub fn shutdown(&mut self) -> &EngineReport {
+        let rt = &mut self.rt;
+        if rt.serving.is_some() {
+            rt.drive();
+            let _ = rt.client.tx.send(CoordMsg::Shutdown);
+            rt.stop();
+        }
+        self.report()
+    }
+}
+
+impl Runtime for Threads {
+    fn held(&self) -> (&EngineState, &[Option<Envelope>]) {
+        (&self.state, &self.outputs)
+    }
+
+    fn held_mut(&mut self) -> (&mut EngineState, &mut [Option<Envelope>]) {
+        (&mut self.state, &mut self.outputs)
+    }
+
+    // Sent before `start` or after `shutdown`, a submission or a batch
+    // waits in the channel for the next session, in order with the rest.
+    fn enqueue(&mut self, task: Arc<dyn QueryTask>) -> QueryId {
+        self.client.submit_task(task, None)
+    }
+
+    fn apply(&mut self, batch: GraphMutationBatch) {
+        self.client.mutate(batch);
+    }
+
+    // While serving the coordinator owns the index and picks a new one up
+    // on its next turn; otherwise it waits for the next `start`.
+    fn install(&mut self, index: Box<dyn PointIndex>) {
         if self.serving.is_some() {
             let _ = self.client.tx.send(CoordMsg::InstallIndex(index));
         } else {
@@ -530,58 +609,30 @@ impl ThreadEngine {
         }
     }
 
-    /// Remove and return the installed index. Only meaningful while not
-    /// serving (the coordinator owns it during a session — call
-    /// [`ThreadEngine::shutdown`] first); returns `None` otherwise.
-    pub fn take_index(&mut self) -> Option<Box<dyn PointIndex>> {
-        self.state.index.take()
+    fn drive(&mut self) {
+        self.start();
+        let (ack_tx, ack_rx) = channel::<Snapshot>();
+        let drain = CoordMsg::Drain { ack: ack_tx };
+        let sent = self.client.tx.send(drain).ok();
+        let Some(snapshot) = sent.and_then(|()| ack_rx.recv().ok()) else {
+            // The coordinator hung up mid-serve; it only exits early by
+            // panicking. Stopping it surfaces the *original* panic
+            // (payload intact) instead of a secondary channel error here.
+            self.stop();
+            unreachable!("coordinator exited without acking the drain");
+        };
+        self.absorb(snapshot);
     }
 
-    /// The installed index, if present and the engine is not serving.
-    pub fn index(&self) -> Option<&dyn PointIndex> {
-        self.state.index.as_deref()
+    // Take the coordinator's hand-over first: an index built from a stale
+    // view would disagree with serving.
+    fn settle(&mut self) {
+        self.drive();
     }
+}
 
-    /// Apply a mutation batch through the engine's own client
-    /// ([`EngineClient::mutate`]): it rides the serving session's next
-    /// stop-the-world barrier, or — sent before `start` or after
-    /// `shutdown` — the next session's, in order with the submissions
-    /// around it.
-    ///
-    /// # Panics
-    /// Rejects an invalid batch at submission, as
-    /// [`EngineClient::mutate`] does.
-    pub fn mutate(&mut self, batch: GraphMutationBatch) {
-        self.client.mutate(batch);
-    }
-
-    /// Enqueue a query of any program type; it starts as soon as a
-    /// closed-loop slot frees up once the engine is serving (or at the
-    /// next [`ThreadEngine::run`]).
-    pub fn submit<P: VertexProgram>(&mut self, program: P) -> QueryHandle<P> {
-        self.client.submit(program)
-    }
-
-    /// Submit with a deadline `deadline_secs` from arrival (consulted by
-    /// [`crate::AdmissionPolicy::Deadline`]).
-    pub fn submit_with_deadline<P: VertexProgram>(
-        &mut self,
-        program: P,
-        deadline_secs: f64,
-    ) -> QueryHandle<P> {
-        self.client.submit_with_deadline(program, deadline_secs)
-    }
-
-    /// Type-erased submission backing [`ThreadEngine::submit`] (and the
-    /// [`crate::Engine`] trait).
-    pub fn submit_task(&mut self, task: Arc<dyn QueryTask>) -> QueryId {
-        self.client.submit_task(task, None)
-    }
-
-    /// Start serving: spawn the elastic pool threads and the coordinator
-    /// thread owning the drive loop. Idempotent. What was sent before
-    /// this call is served in the order it was sent.
-    pub fn start(&mut self) {
+impl Threads {
+    fn start(&mut self) {
         let Some(msg_rx) = self.inbox.take() else {
             return;
         };
@@ -687,60 +738,6 @@ impl ThreadEngine {
         self.serving = Some(thread::spawn(move || serve(core, x)));
     }
 
-    /// A cloneable concurrent submission handle (starts the engine if it
-    /// is not serving yet). Clients submit from any thread while
-    /// supersteps are in flight.
-    pub fn client(&mut self) -> EngineClient {
-        self.start();
-        self.client.clone()
-    }
-
-    /// Block until everything submitted so far has completed, then take
-    /// the coordinator's hand-over in: outputs, report entries and
-    /// partitioning. One run window ([`crate::RunSummary`]) closes per
-    /// drain. If concurrent clients keep submitting, the drain waits for
-    /// *them* too — it returns at a moment the engine is fully idle.
-    /// Starts the engine if it is not serving.
-    pub fn drain(&mut self) -> &EngineReport {
-        self.start();
-        let (ack_tx, ack_rx) = channel::<Snapshot>();
-        let drain = CoordMsg::Drain { ack: ack_tx };
-        let sent = self.client.tx.send(drain).ok();
-        let Some(snapshot) = sent.and_then(|()| ack_rx.recv().ok()) else {
-            // The coordinator hung up mid-serve; it only exits early by
-            // panicking. Stopping it surfaces the *original* panic
-            // (payload intact) instead of a secondary channel error here.
-            self.stop();
-            unreachable!("coordinator exited without acking the drain");
-        };
-        self.absorb(snapshot);
-        &self.state.report
-    }
-
-    /// Execute every pending query to completion: [`ThreadEngine::drain`],
-    /// which starts the engine first. The engine keeps serving afterwards
-    /// (subsequent submissions stream into the same session); it stops at
-    /// [`ThreadEngine::shutdown`] or drop.
-    pub fn run(&mut self) -> &EngineReport {
-        self.drain()
-    }
-
-    /// Drain, then stop the coordinator and worker threads and take the
-    /// last hand-over, the controller and the index back. The engine can
-    /// be started again afterwards. A client submission racing the stop is
-    /// still *executed* if the coordinator had already admitted it (its
-    /// outcome and output are in the final state); one still waiting in
-    /// the admission queue is discarded, like any submission after
-    /// shutdown.
-    pub fn shutdown(&mut self) -> &EngineReport {
-        if self.serving.is_some() {
-            self.drain();
-            let _ = self.client.tx.send(CoordMsg::Shutdown);
-            self.stop();
-        }
-        &self.state.report
-    }
-
     /// Join the serving coordinator — told to stop, or dead — and take its
     /// last hand-over, the controller and the index back; the engine's
     /// client gets a fresh channel for the next session. Re-raises the
@@ -782,58 +779,12 @@ impl ThreadEngine {
             self.outputs[q.index()] = Some(output);
         }
     }
-
-    /// The output of a finished query, recovered through its typed handle
-    /// (visible after `run`/`drain`/`shutdown`).
-    pub fn output<P: VertexProgram>(&self, handle: &QueryHandle<P>) -> Option<&P::Output> {
-        self.output_as::<P>(handle.id())
-    }
-
-    /// Typed output lookup by raw [`QueryId`]; `None` if unfinished or if
-    /// `P` is not the program type the query was submitted with.
-    pub fn output_as<P: VertexProgram>(&self, q: QueryId) -> Option<&P::Output> {
-        self.output_envelope(q)?.downcast_ref::<P::Output>()
-    }
-
-    /// Erased output access (backs the [`crate::Engine`] trait).
-    pub fn output_envelope(&self, q: QueryId) -> Option<&(dyn std::any::Any + Send)> {
-        self.outputs.get(q.index())?.as_deref()
-    }
-
-    /// Take ownership of a finished query's output.
-    pub fn take_output<P: VertexProgram>(&mut self, handle: &QueryHandle<P>) -> Option<P::Output> {
-        crate::task::take_output::<P>(&mut self.outputs, handle.id())
-    }
-
-    /// The cumulative measurement report over the engine's lifetime, as of
-    /// the last hand-over (`run`/`drain`/`shutdown`).
-    pub fn report(&self) -> &EngineReport {
-        &self.state.report
-    }
-
-    /// The vertex→worker assignment as of the last hand-over (mutated by
-    /// repartitionings while serving).
-    pub fn partitioning(&self) -> &Partitioning {
-        &self.state.partitioning
-    }
-
-    /// The evolving graph view as of the last hand-over
-    /// (`run`/`drain`/`shutdown`).
-    pub fn topology(&self) -> &Topology {
-        &self.state.topology
-    }
-
-    /// The graph epoch as of the last hand-over (mutation batches
-    /// applied over the engine's lifetime).
-    pub fn epoch(&self) -> u64 {
-        self.state.topology.epoch()
-    }
 }
 
-impl Drop for ThreadEngine {
+impl Drop for Threads {
     /// Best-effort teardown *without* draining: already-admitted queries
     /// finish their run (their results are simply discarded with the
-    /// engine), queued ones are dropped (use [`ThreadEngine::shutdown`]
+    /// engine), queued ones are dropped (use [`Engine::shutdown`]
     /// for a clean stop that keeps the results).
     fn drop(&mut self) {
         if let Some(handle) = self.serving.take() {
@@ -1136,7 +1087,7 @@ fn serve(mut core: Coordinator, mut x: PoolExec) -> Stopped {
                 core.admit(&mut x, now);
             }
             CoordMsg::Mutate(batch) => core.mutate(batch),
-            CoordMsg::InstallIndex(index) => core.install_index(index),
+            CoordMsg::InstallIndex(index) => core.state.index = Some(index),
             CoordMsg::Drain { ack } => x.drain = Some(ack),
             CoordMsg::Shutdown => {
                 // Already-admitted queries finish, queued ones drop.
@@ -1919,7 +1870,11 @@ mod tests {
     #[test]
     fn a_finished_querys_task_is_dropped() {
         let g = line(8);
-        let mut e = ThreadEngine::new(Arc::clone(&g), RangePartitioner.partition(&g, 2));
+        let mut e = ThreadEngine::with_config(
+            Arc::clone(&g),
+            RangePartitioner.partition(&g, 2),
+            SystemConfig::default(),
+        );
         let reach = |v| -> Arc<dyn QueryTask> { Arc::new(TypedTask::new(ReachProgram::new(v))) };
         let mut kept = Vec::new();
         // Two before the engine starts, one from a client while it serves.
@@ -1944,7 +1899,7 @@ mod tests {
     fn single_query_runs_to_completion() {
         let g = line(12);
         let parts = RangePartitioner.partition(&g, 3);
-        let mut e = ThreadEngine::new(Arc::clone(&g), parts);
+        let mut e = ThreadEngine::with_config(Arc::clone(&g), parts, SystemConfig::default());
         let q = e.submit(ReachProgram::new(VertexId(0)));
         e.run();
         assert_eq!(e.output(&q).unwrap().len(), 12);
@@ -1960,7 +1915,7 @@ mod tests {
     fn many_parallel_queries() {
         let g = line(64);
         let parts = RangePartitioner.partition(&g, 4);
-        let mut e = ThreadEngine::new(Arc::clone(&g), parts);
+        let mut e = ThreadEngine::with_config(Arc::clone(&g), parts, SystemConfig::default());
         let qs: Vec<_> = (0..12u32)
             .map(|i| e.submit(ReachProgram::bounded(VertexId(i * 5), 4)))
             .collect();
@@ -1976,7 +1931,7 @@ mod tests {
     fn heterogeneous_queries_in_one_run() {
         let g = line(16);
         let parts = RangePartitioner.partition(&g, 2);
-        let mut e = ThreadEngine::new(Arc::clone(&g), parts);
+        let mut e = ThreadEngine::with_config(Arc::clone(&g), parts, SystemConfig::default());
         let reach = e.submit(ReachProgram::bounded(VertexId(0), 5));
         let ping = e.submit(PingProgram {
             ring: vec![VertexId(2), VertexId(14)],
@@ -1994,7 +1949,7 @@ mod tests {
     fn empty_run_is_a_no_op() {
         let g = line(4);
         let parts = RangePartitioner.partition(&g, 2);
-        let mut e = ThreadEngine::new(g, parts);
+        let mut e = ThreadEngine::with_config(g, parts, SystemConfig::default());
         e.run();
         assert!(e.report().outcomes.is_empty());
     }
@@ -2003,7 +1958,7 @@ mod tests {
     fn run_then_submit_then_run_again() {
         let g = line(8);
         let parts = RangePartitioner.partition(&g, 2);
-        let mut e = ThreadEngine::new(Arc::clone(&g), parts);
+        let mut e = ThreadEngine::with_config(Arc::clone(&g), parts, SystemConfig::default());
         let q1 = e.submit(ReachProgram::new(VertexId(3)));
         e.run();
         let q2 = e.submit(ReachProgram::new(VertexId(6)));
@@ -2026,7 +1981,11 @@ mod tests {
     #[test]
     fn drain_without_start_runs_pre_submitted_queries() {
         let g = line(8);
-        let mut e = ThreadEngine::new(Arc::clone(&g), RangePartitioner.partition(&g, 2));
+        let mut e = ThreadEngine::with_config(
+            Arc::clone(&g),
+            RangePartitioner.partition(&g, 2),
+            SystemConfig::default(),
+        );
         let mut seen = Vec::new();
         // Epoch 1 closes the line into a ring, epoch 2 opens it again.
         for ring in [true, false] {
@@ -2054,7 +2013,7 @@ mod tests {
         // A never-started, never-submitted engine drains to the empty
         // report.
         let parts = RangePartitioner.partition(&g, 2);
-        let mut idle = ThreadEngine::new(Arc::clone(&g), parts);
+        let mut idle = ThreadEngine::with_config(Arc::clone(&g), parts, SystemConfig::default());
         assert!(idle.drain().outcomes.is_empty());
     }
 
@@ -2066,16 +2025,20 @@ mod tests {
     #[test]
     fn the_stop_hands_over_a_trailing_run_and_stamps_its_end() {
         let g = line(8);
-        let mut e = ThreadEngine::new(Arc::clone(&g), RangePartitioner.partition(&g, 2));
+        let mut e = ThreadEngine::with_config(
+            Arc::clone(&g),
+            RangePartitioner.partition(&g, 2),
+            SystemConfig::default(),
+        );
         let drained_at = e.drain().finished_at_secs;
         assert!(drained_at > 0.0, "an idle drain stamps");
-        let _ = e.client.tx.send(CoordMsg::Shutdown);
-        e.stop();
+        let _ = e.rt.client.tx.send(CoordMsg::Shutdown);
+        e.rt.stop();
         assert_eq!(e.report().finished_at_secs, drained_at);
         let q = e.submit(ReachProgram::new(VertexId(0)));
         e.start();
-        let _ = e.client.tx.send(CoordMsg::Shutdown);
-        e.stop();
+        let _ = e.rt.client.tx.send(CoordMsg::Shutdown);
+        e.rt.stop();
         let report = e.report();
         assert!(report.finished_at_secs > drained_at);
         assert_eq!((report.runs.len(), report.run_outcomes(0).len()), (1, 1));
@@ -2092,7 +2055,7 @@ mod tests {
         // must not count as local — same as the simulated engine.
         let g = line(12);
         let parts = RangePartitioner.partition(&g, 2);
-        let mut e = ThreadEngine::new(Arc::clone(&g), parts);
+        let mut e = ThreadEngine::with_config(Arc::clone(&g), parts, SystemConfig::default());
         let q = e.submit(ReachProgram::new(VertexId(0)));
         e.run();
         assert_eq!(e.output(&q).unwrap().len(), 12);
@@ -2105,7 +2068,7 @@ mod tests {
     fn report_time_base_is_monotonic_across_runs() {
         let g = line(8);
         let parts = RangePartitioner.partition(&g, 2);
-        let mut e = ThreadEngine::new(Arc::clone(&g), parts);
+        let mut e = ThreadEngine::with_config(Arc::clone(&g), parts, SystemConfig::default());
         e.submit(ReachProgram::new(VertexId(0)));
         e.run();
         let first_end = e.report().finished_at_secs;
@@ -2127,7 +2090,7 @@ mod tests {
     fn time_base_survives_shutdown_and_restart() {
         let g = line(8);
         let parts = RangePartitioner.partition(&g, 2);
-        let mut e = ThreadEngine::new(Arc::clone(&g), parts);
+        let mut e = ThreadEngine::with_config(Arc::clone(&g), parts, SystemConfig::default());
         e.submit(ReachProgram::new(VertexId(0)));
         e.run();
         let first_end = e.report().finished_at_secs;
@@ -2144,7 +2107,7 @@ mod tests {
     fn single_worker_partition() {
         let g = line(8);
         let parts = RangePartitioner.partition(&g, 1);
-        let mut e = ThreadEngine::new(Arc::clone(&g), parts);
+        let mut e = ThreadEngine::with_config(Arc::clone(&g), parts, SystemConfig::default());
         let q = e.submit(ReachProgram::new(VertexId(3)));
         e.run();
         assert_eq!(e.output(&q).unwrap().len(), 5);
@@ -2177,7 +2140,7 @@ mod tests {
     fn client_submits_from_second_thread() {
         let g = line(32);
         let parts = RangePartitioner.partition(&g, 2);
-        let mut e = ThreadEngine::new(Arc::clone(&g), parts);
+        let mut e = ThreadEngine::with_config(Arc::clone(&g), parts, SystemConfig::default());
         let client = e.client();
         let producer = thread::spawn(move || {
             (0..8u32)
@@ -2233,7 +2196,11 @@ mod tests {
         // fourth vertex's activation waits in the mail.
         let g = line(48);
         let assign = (0..48).map(|v| qgraph_partition::WorkerId(v % 4));
-        let mut e = ThreadEngine::new(Arc::clone(&g), Partitioning::new(assign.collect(), 4));
+        let mut e = ThreadEngine::with_config(
+            Arc::clone(&g),
+            Partitioning::new(assign.collect(), 4),
+            SystemConfig::default(),
+        );
         for round in 0..3u32 {
             for source in [0, 17, 30] {
                 e.submit(ReachProgram::bounded(VertexId(source + round), 9));
@@ -2249,7 +2216,7 @@ mod tests {
                 stop_at: 3,
             });
             e.drain();
-            let parts = e.parts.as_ref().expect("serving");
+            let parts = e.rt.parts.as_ref().expect("serving");
             for (w, part) in parts.iter().enumerate() {
                 let mail = relock(&part.mail);
                 let left: Vec<_> = mail.slots.iter().flat_map(|s| s.keys()).collect();
@@ -2269,7 +2236,7 @@ mod tests {
             let assign = (0..48).map(|v| qgraph_partition::WorkerId(v % 4));
             Partitioning::new(assign.collect(), 4)
         };
-        fn submit<E: crate::Engine>(e: &mut E) {
+        fn submit<R: Runtime>(e: &mut Engine<R>) {
             for source in [0, 17, 30, 47] {
                 e.submit(ReachProgram::bounded(VertexId(source), 9));
             }
@@ -2312,8 +2279,8 @@ mod tests {
             // The core dispatched each query once and heard back once,
             // when it terminated: no window opened, so nothing parked.
             let queries = expected.len() as u64;
-            let dispatched = threads.traffic.dispatched.load(Ordering::Relaxed);
-            let messages = threads.traffic.messages.load(Ordering::Relaxed);
+            let dispatched = threads.rt.traffic.dispatched.load(Ordering::Relaxed);
+            let messages = threads.rt.traffic.messages.load(Ordering::Relaxed);
             assert_eq!((dispatched, messages), (queries, queries), "DoP {dop}");
             // The ping starts on all four partitions: the budget held
             // some of them back.
@@ -2444,7 +2411,7 @@ mod tests {
             let mut ring = GraphMutationBatch::new();
             ring.add_edge(N - 1, 0, 1.0);
             e.mutate(ring);
-            let signals = Arc::clone(e.signals.as_ref().expect("serving"));
+            let signals = Arc::clone(e.rt.signals.as_ref().expect("serving"));
             while !signals.park.load(Ordering::Relaxed) {
                 thread::yield_now();
             }

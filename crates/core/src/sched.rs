@@ -188,6 +188,20 @@ impl Submission {
     }
 }
 
+/// Reject, on the submitting caller's stack, a submission time that is not
+/// a finite, non-negative number of seconds — before the query draws an
+/// id, so a malformed submission costs its caller, not the engine.
+pub(crate) fn check_submission(at_secs: Option<f64>, deadline_secs: Option<f64>) {
+    for (name, t) in [("at_secs", at_secs), ("deadline_secs", deadline_secs)] {
+        if let Some(t) = t {
+            assert!(
+                t.is_finite() && t >= 0.0,
+                "rejected submission: {name} is {t}, not a finite, non-negative time"
+            );
+        }
+    }
+}
+
 /// One waiting query: everything the policy needs to order it.
 #[derive(Clone, Debug)]
 pub struct QueueEntry {

@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use qgraph_algo::{BfsProgram, PprProgram};
-use qgraph_core::runtime::ThreadEngine;
+use qgraph_core::{SystemConfig, ThreadEngine};
 use qgraph_graph::VertexId;
 use qgraph_partition::{DomainPartitioner, Partitioner};
 use qgraph_workload::{generate_ws, WattsStrogatzConfig};
@@ -37,7 +37,7 @@ fn main() {
 
     // One heterogeneous batch on real threads: 2-hop circles for a set of
     // users *and* a localized PageRank around the first one.
-    let mut engine = ThreadEngine::new(Arc::clone(&graph), parts);
+    let mut engine = ThreadEngine::with_config(Arc::clone(&graph), parts, SystemConfig::default());
     let users: Vec<u32> = (0..12).map(|i| i * 1_500 + 37).collect();
     let circles: Vec<_> = users
         .iter()

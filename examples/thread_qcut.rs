@@ -13,19 +13,20 @@
 use std::sync::Arc;
 
 use qgraph_algo::{dijkstra_to, SsspProgram};
-use qgraph_core::{EngineBuilder, EngineReport, QcutConfig};
+use qgraph_core::{EngineBuilder, EngineReport, QcutConfig, SystemConfig};
 use qgraph_graph::{Graph, VertexId};
 use qgraph_partition::HashPartitioner;
 use qgraph_workload::{RoadNetworkConfig, RoadNetworkGenerator};
 
 fn run_hotspot(graph: &Arc<Graph>, qcut: Option<QcutConfig>) -> EngineReport {
-    let mut builder = EngineBuilder::new(Arc::clone(graph))
+    let mut engine = EngineBuilder::new(Arc::clone(graph))
         .workers(4)
-        .partitioner(HashPartitioner::default());
-    if let Some(qcut) = qcut {
-        builder = builder.qcut(qcut);
-    }
-    let mut engine = builder.build_threaded();
+        .partitioner(HashPartitioner::default())
+        .config(SystemConfig {
+            qcut,
+            ..Default::default()
+        })
+        .build_threaded();
 
     // A tight hotspot: eight source→target pairs, each submitted four
     // times, so the live scopes overlap heavily.

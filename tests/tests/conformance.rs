@@ -21,7 +21,7 @@ use qgraph_algo::{
 };
 use qgraph_core::programs::ReachProgram;
 use qgraph_core::{
-    Engine, EngineBuilder, EngineReport, MutationBatch, QcutConfig, QueryHandle, QueryId,
+    Engine, EngineBuilder, EngineReport, MutationBatch, QcutConfig, QueryHandle, QueryId, Runtime,
     SystemConfig, Topology,
 };
 use qgraph_graph::{Graph, VertexId};
@@ -48,7 +48,7 @@ fn tagged_world() -> (Arc<Graph>, Vec<VertexId>) {
     (Arc::new(world.graph), sources)
 }
 
-fn submit_mixed<E: Engine>(engine: &mut E, sources: &[VertexId]) -> MixedHandles {
+fn submit_mixed<R: Runtime>(engine: &mut Engine<R>, sources: &[VertexId]) -> MixedHandles {
     let mut sssp = Vec::new();
     let mut poi = Vec::new();
     for (i, &s) in sources.iter().enumerate() {
@@ -68,7 +68,12 @@ fn submit_mixed<E: Engine>(engine: &mut E, sources: &[VertexId]) -> MixedHandles
     }
 }
 
-fn verify_mixed<E: Engine>(engine: &E, graph: &Graph, sources: &[VertexId], h: &MixedHandles) {
+fn verify_mixed<R: Runtime>(
+    engine: &Engine<R>,
+    graph: &Graph,
+    sources: &[VertexId],
+    h: &MixedHandles,
+) {
     for (i, (&s, hs)) in sources.iter().zip(&h.sssp).enumerate() {
         let t = sources[(i + 5) % sources.len()];
         let want = dijkstra_to(graph, s, t);
@@ -195,46 +200,32 @@ fn thread_qcut_matches_references_and_repartitions() {
     );
 }
 
-/// Output-lifecycle conformance, simulated engine: `take_output` moves
-/// the result out exactly once; every later access through any path sees
-/// `None`; a second `take_output` is `None`, not a panic.
+/// Output-lifecycle conformance, the same on both runtimes: `take_output`
+/// moves the result out exactly once; every later access through any path
+/// sees `None`; a second `take_output` is `None`, not a panic.
+fn take_then_gone<R: Runtime>(mut e: Engine<R>, source: VertexId) {
+    let q = e.submit(ReachProgram::new(source));
+    e.run();
+    assert!(e.output(&q).is_some(), "finished query has an output");
+    let owned = e.take_output(&q).expect("first take succeeds");
+    assert!(!owned.is_empty());
+    assert!(e.output(&q).is_none(), "output after take is None");
+    assert!(e.take_output(&q).is_none(), "second take is None");
+    assert!(e.output_envelope(q.id()).is_none(), "erased access agrees");
+}
+
 #[test]
 fn sim_output_lifecycle_take_then_gone() {
     let (graph, sources) = tagged_world();
-    let mut e = EngineBuilder::new(Arc::clone(&graph))
-        .workers(2)
-        .build_sim();
-    let q = e.submit(ReachProgram::new(sources[0]));
-    e.run();
-    assert!(e.output(&q).is_some(), "finished query has an output");
-    let owned = e.take_output(&q).expect("first take succeeds");
-    assert!(!owned.is_empty());
-    assert!(e.output(&q).is_none(), "output after take is None");
-    assert!(e.take_output(&q).is_none(), "second take is None");
-    assert!(
-        Engine::output_envelope(&e, q.id()).is_none(),
-        "erased access agrees"
-    );
+    take_then_gone(EngineBuilder::new(graph).workers(2).build_sim(), sources[0]);
 }
 
-/// Output-lifecycle conformance, thread runtime: identical pinned
-/// behavior to the simulated engine.
 #[test]
 fn thread_output_lifecycle_take_then_gone() {
     let (graph, sources) = tagged_world();
-    let mut e = EngineBuilder::new(Arc::clone(&graph))
-        .workers(2)
-        .build_threaded();
-    let q = e.submit(ReachProgram::new(sources[0]));
-    e.run();
-    assert!(e.output(&q).is_some(), "finished query has an output");
-    let owned = e.take_output(&q).expect("first take succeeds");
-    assert!(!owned.is_empty());
-    assert!(e.output(&q).is_none(), "output after take is None");
-    assert!(e.take_output(&q).is_none(), "second take is None");
-    assert!(
-        Engine::output_envelope(&e, q.id()).is_none(),
-        "erased access agrees"
+    take_then_gone(
+        EngineBuilder::new(graph).workers(2).build_threaded(),
+        sources[0],
     );
 }
 
@@ -395,7 +386,7 @@ enum LocalHandle {
     Reach(QueryHandle<ReachPointProgram>),
 }
 
-fn submit_local<E: Engine>(e: &mut E, stream: &[Local]) -> Vec<LocalHandle> {
+fn submit_local<R: Runtime>(e: &mut Engine<R>, stream: &[Local]) -> Vec<LocalHandle> {
     let submit = |q: &Local| match *q {
         Local::Sssp(s, t) => LocalHandle::Road(e.submit(RoadProgram::sssp(s, t))),
         Local::Poi(s) => LocalHandle::Road(e.submit(RoadProgram::poi(s))),
@@ -411,7 +402,7 @@ enum LocalAnswer {
     Reach(bool),
 }
 
-fn answers<E: Engine>(e: &E, handles: &[LocalHandle]) -> Vec<(QueryId, LocalAnswer)> {
+fn answers<R: Runtime>(e: &Engine<R>, handles: &[LocalHandle]) -> Vec<(QueryId, LocalAnswer)> {
     let answer = |h: &LocalHandle| match h {
         LocalHandle::Road(h) => (
             h.id(),
@@ -461,7 +452,10 @@ fn supersteps_closed_on_the_lane_match_the_simulation_outcome_for_outcome() {
     for width in [1, 2, k] {
         let mut e = EngineBuilder::new(Arc::clone(&graph))
             .partitioning(parts())
-            .pool_threads(width)
+            .config(SystemConfig {
+                pool_threads: width,
+                ..Default::default()
+            })
             .build_threaded();
         let handles = submit_local(&mut e, &stream);
         e.run();

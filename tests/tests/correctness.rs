@@ -150,7 +150,7 @@ fn thread_engine_agrees_with_sim_engine() {
     sim.run();
 
     // Real threads, via the same submit/run/output lifecycle.
-    let mut te = ThreadEngine::new(Arc::clone(&graph), parts);
+    let mut te = ThreadEngine::with_config(Arc::clone(&graph), parts, SystemConfig::default());
     let thread_handles: Vec<_> = programs.iter().map(|p| te.submit(p.clone())).collect();
     te.run();
 

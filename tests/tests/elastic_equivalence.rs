@@ -22,7 +22,8 @@ use proptest::prelude::*;
 use qgraph_algo::{BfsProgram, PoiProgram, RoadProgram, SsspProgram, WccProgram};
 use qgraph_core::programs::ReachProgram;
 use qgraph_core::{
-    DopPolicy, Engine, EngineReport, QcutConfig, QueryHandle, SimEngine, SystemConfig, ThreadEngine,
+    DopPolicy, Engine, EngineReport, QcutConfig, QueryHandle, Runtime, SimEngine, SystemConfig,
+    ThreadEngine,
 };
 use qgraph_graph::{Graph, GraphBuilder, MutationBatch, VertexId};
 use qgraph_integration_tests::fingerprint;
@@ -65,7 +66,13 @@ struct MixedHandles {
     wcc: QueryHandle<WccProgram>,
 }
 
-fn submit_mixed<E: Engine>(e: &mut E, n: usize, s: u32, t: u32, depth: u32) -> MixedHandles {
+fn submit_mixed<R: Runtime>(
+    e: &mut Engine<R>,
+    n: usize,
+    s: u32,
+    t: u32,
+    depth: u32,
+) -> MixedHandles {
     let s = VertexId(s % n as u32);
     let t = VertexId(t % n as u32);
     MixedHandles {
@@ -131,9 +138,8 @@ fn check_pool_accounting(
 /// Drive one engine through the phased workload: mutation epochs land in
 /// their own `run()` (so they apply at a quiescent, width-independent
 /// point), query batches in theirs.
-fn drive<E: Engine>(
-    e: &mut E,
-    mutate: &mut dyn FnMut(&mut E, MutationBatch),
+fn drive<R: Runtime>(
+    e: &mut Engine<R>,
     n: usize,
     s: u32,
     t: u32,
@@ -142,14 +148,14 @@ fn drive<E: Engine>(
     let mut m1 = MutationBatch::new();
     m1.add_edge(0, (n as u32 - 1) % n as u32, 0.5);
     m1.add_vertex();
-    mutate(e, m1);
+    e.mutate(m1);
     e.run();
     let h_a = submit_mixed(e, n, s, t, depth);
     e.run();
     let mut m2 = MutationBatch::new();
     m2.add_edge(s % n as u32, t % n as u32, 0.25);
     m2.remove_edge(0, 1);
-    mutate(e, m2);
+    e.mutate(m2);
     e.run();
     let h_b = submit_mixed(e, n, t.wrapping_add(3), s.wrapping_add(7), depth + 1);
     e.run();
@@ -182,10 +188,9 @@ proptest! {
                 SystemConfig { pool_threads, dop, ..Default::default() },
             )
         };
-        let mut mutate_sim = |e: &mut SimEngine, m: MutationBatch| e.mutate(m);
 
         let mut base = mk(0, DopPolicy::Adaptive);
-        let (bh_a, bh_b) = drive(&mut base, &mut mutate_sim, n, s, t, depth);
+        let (bh_a, bh_b) = drive(&mut base, n, s, t, depth);
         let base_fp = fingerprint(base.report());
         check_pool_accounting(base.report(), k, k, None);
 
@@ -203,7 +208,7 @@ proptest! {
                     _ => None,
                 };
                 let mut e = mk(w, dop.clone());
-                let (h_a, h_b) = drive(&mut e, &mut mutate_sim, n, s, t, depth);
+                let (h_a, h_b) = drive(&mut e, n, s, t, depth);
                 assert_same_outputs!(e, base, h_a);
                 assert_same_outputs!(e, base, h_b);
                 prop_assert_eq!(h_a.sssp.id(), bh_a.sssp.id());
@@ -252,12 +257,11 @@ proptest! {
                 },
             )
         };
-        let mut mutate_sim = |e: &mut SimEngine, m: MutationBatch| e.mutate(m);
         let mut base = mk(0, DopPolicy::Adaptive);
-        let (bh_a, bh_b) = drive(&mut base, &mut mutate_sim, n, s, t, 3);
+        let (bh_a, bh_b) = drive(&mut base, n, s, t, 3);
         for (w, dop) in [(1usize, DopPolicy::Fixed(1)), (2, DopPolicy::Adaptive), (7, DopPolicy::Fixed(2))] {
             let mut e = mk(w, dop);
-            let (h_a, h_b) = drive(&mut e, &mut mutate_sim, n, s, t, 3);
+            let (h_a, h_b) = drive(&mut e, n, s, t, 3);
             prop_assert_eq!(h_a.sssp.id(), bh_a.sssp.id());
             prop_assert_eq!(h_b.reach.id(), bh_b.reach.id());
             assert_same_outputs!(e, base, h_a);
@@ -309,9 +313,8 @@ proptest! {
                 },
             )
         };
-        let mut mutate_thread = |e: &mut ThreadEngine, m: MutationBatch| e.mutate(m);
         let mut base = mk(0, DopPolicy::Adaptive);
-        let (bh_a, bh_b) = drive(&mut base, &mut mutate_thread, n, s, t, depth);
+        let (bh_a, bh_b) = drive(&mut base, n, s, t, depth);
         let base_fp = fingerprint(base.report());
         for (w, dop) in [
             (1usize, DopPolicy::Adaptive),
@@ -324,7 +327,7 @@ proptest! {
                 _ => None,
             };
             let mut e = mk(w, dop.clone());
-            let (h_a, h_b) = drive(&mut e, &mut mutate_thread, n, s, t, depth);
+            let (h_a, h_b) = drive(&mut e, n, s, t, depth);
             prop_assert_eq!(h_a.sssp.id(), bh_a.sssp.id());
             prop_assert_eq!(h_b.wcc.id(), bh_b.wcc.id());
             assert_same_outputs!(e, base, h_a);

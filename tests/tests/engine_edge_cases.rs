@@ -173,9 +173,9 @@ fn same_source_queries_are_independent() {
 /// once, so both runtimes run the query (one at a time).
 #[test]
 fn zero_parallelism_is_clamped_to_one_slot_on_both_runtimes() {
-    use qgraph_core::{Engine, EngineBuilder};
+    use qgraph_core::{Engine, EngineBuilder, Runtime};
 
-    fn drive<E: Engine>(e: &mut E) {
+    fn drive<R: Runtime>(e: &mut Engine<R>) {
         let a = e.submit(ReachProgram::new(VertexId(0)));
         let b = e.submit(ReachProgram::new(VertexId(4)));
         e.run();

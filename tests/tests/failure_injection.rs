@@ -129,7 +129,7 @@ fn a_panicking_vertex_program_surfaces_from_drain() {
         let ran = std::panic::catch_unwind(|| {
             let g = Arc::new(line_graph(8));
             let parts = RangePartitioner.partition(&g, 2);
-            let mut e = ThreadEngine::new(Arc::clone(&g), parts);
+            let mut e = ThreadEngine::with_config(Arc::clone(&g), parts, SystemConfig::default());
             e.submit(Boom);
             e.run();
         });

@@ -25,7 +25,7 @@ use proptest::prelude::*;
 use qgraph_algo::{connected_component_of, dijkstra_to, ReachPointProgram, SsspProgram};
 use qgraph_core::{
     Engine, EngineBuilder, MutationBatch, OutcomeStatus, PointAnswer, PointIndex, PointQuery,
-    QueryHandle, QueryOutcome, RepairSummary, ServedBy, Topology,
+    QueryHandle, QueryOutcome, RepairSummary, Runtime, ServedBy, SimEngine, ThreadEngine, Topology,
 };
 use qgraph_graph::AppliedMutation;
 use qgraph_graph::{Graph, GraphBuilder, VertexId};
@@ -50,7 +50,7 @@ fn ring_world(n: u32) -> Graph {
     b.build()
 }
 
-fn outcome_of(engine: &impl Engine, id: qgraph_core::QueryId) -> &QueryOutcome {
+fn outcome_of<R: Runtime>(engine: &Engine<R>, id: qgraph_core::QueryId) -> &QueryOutcome {
     engine
         .report()
         .outcomes
@@ -66,7 +66,7 @@ fn outcome_of(engine: &impl Engine, id: qgraph_core::QueryId) -> &QueryOutcome {
 struct SharedIndex(Arc<Mutex<LabelIndex>>);
 
 impl SharedIndex {
-    fn install<E: Engine>(engine: &mut E, index: LabelIndex) -> Self {
+    fn install<R: Runtime>(engine: &mut Engine<R>, index: LabelIndex) -> Self {
         let shared = SharedIndex(Arc::new(Mutex::new(index)));
         engine.install_index(Box::new(shared.clone()));
         shared
@@ -106,8 +106,8 @@ impl PointIndex for SharedIndex {
 
 /// Submit the pair stream as real queries and check answers + tags
 /// against `reference` (the materialized graph of the current epoch).
-fn serve_and_check<E: Engine>(
-    engine: &mut E,
+fn serve_and_check<R: Runtime>(
+    engine: &mut Engine<R>,
     reference: &Graph,
     pairs: &[(u32, u32)],
     expect: ServedBy,
@@ -151,7 +151,7 @@ fn pair_stream(n: u32, count: usize, seed: u64) -> Vec<(u32, u32)> {
 // Static conformance, both runtimes.
 // ---------------------------------------------------------------------
 
-fn static_conformance<E: Engine>(mut engine: E, label: &str) {
+fn static_conformance<R: Runtime>(mut engine: Engine<R>, label: &str) {
     let reference = engine.topology_snapshot().materialize();
     let index = LabelIndex::build(&engine.topology_snapshot(), IndexConfig::default());
     assert_eq!(index.repaired_through(), 0);
@@ -196,9 +196,8 @@ fn thread_index_serves_point_queries_exactly() {
 // Repair conformance across a mutation stream, both runtimes.
 // ---------------------------------------------------------------------
 
-/// The settle step differs per runtime (see tests/tests/mutation.rs).
-trait MutableEngine: Engine {
-    fn apply_and_settle(&mut self, batch: MutationBatch);
+/// How a submission races a mutation barrier differs per runtime.
+trait Racing {
     /// Stream the batch in *without* settling, so subsequent submissions
     /// race its barrier. `step` spaces the barriers out in virtual time
     /// on the sim engine (interleaved submissions at one instant would
@@ -209,12 +208,7 @@ trait MutableEngine: Engine {
     fn submit_racing(&mut self, program: SsspProgram, step: u64) -> QueryHandle<SsspProgram>;
 }
 
-impl MutableEngine for qgraph_core::SimEngine {
-    fn apply_and_settle(&mut self, batch: MutationBatch) {
-        self.mutate(batch);
-        qgraph_core::SimEngine::run(self);
-    }
-
+impl Racing for SimEngine {
     fn enqueue_mutation(&mut self, batch: MutationBatch, step: u64) {
         self.mutate_at(batch, step as f64);
     }
@@ -224,12 +218,7 @@ impl MutableEngine for qgraph_core::SimEngine {
     }
 }
 
-impl MutableEngine for qgraph_core::ThreadEngine {
-    fn apply_and_settle(&mut self, batch: MutationBatch) {
-        self.mutate(batch);
-        self.drain();
-    }
-
+impl Racing for ThreadEngine {
     fn enqueue_mutation(&mut self, batch: MutationBatch, _step: u64) {
         self.mutate(batch);
     }
@@ -261,7 +250,7 @@ fn mixed_batches(n: u32) -> Vec<MutationBatch> {
     batches
 }
 
-fn repair_conformance<E: MutableEngine>(mut engine: E, label: &str) {
+fn repair_conformance<R: Runtime>(mut engine: Engine<R>, label: &str) {
     let n = 36u32;
     let index = LabelIndex::build(&engine.topology_snapshot(), IndexConfig::default());
     let shared = SharedIndex::install(&mut engine, index);
@@ -272,7 +261,8 @@ fn repair_conformance<E: MutableEngine>(mut engine: E, label: &str) {
         let before = replay.clone();
         replay.apply(&batch);
         assert_eq!(nets_to_removal(&before, &replay), rebuilds[e]);
-        engine.apply_and_settle(batch);
+        engine.mutate(batch);
+        engine.run();
         shared.check(&replay, rebuilds[e], &format!("{label} epoch {}", e + 1));
         let reference = replay.materialize();
         let live = reference.num_vertices() as u32;
@@ -321,7 +311,7 @@ fn thread_index_repairs_across_mutation_epochs() {
 // labels and resumes — or, when its events cancel, runs nothing at all.
 // ---------------------------------------------------------------------
 
-fn insert_only_batches_resume<E: MutableEngine>(mut engine: E, label: &str) {
+fn insert_only_batches_resume<R: Runtime>(mut engine: Engine<R>, label: &str) {
     let n = 36u32;
     let index = LabelIndex::build(&engine.topology_snapshot(), IndexConfig::default());
     let shared = SharedIndex::install(&mut engine, index);
@@ -340,7 +330,8 @@ fn insert_only_batches_resume<E: MutableEngine>(mut engine: E, label: &str) {
         let before = replay.clone();
         replay.apply(&batch);
         assert!(!nets_to_removal(&before, &replay));
-        engine.apply_and_settle(batch);
+        engine.mutate(batch);
+        engine.run();
         let ctx = format!("{label} epoch {}", e + 1);
         shared.check(&replay, false, &ctx);
         let pairs = pair_stream(n, 12, 500 + e as u64);
@@ -386,7 +377,10 @@ fn thread_insert_only_batches_resume_without_rebuilding() {
 // batch, so serving from the stale labels would be caught.
 // ---------------------------------------------------------------------
 
-fn admission_races_barrier<E: MutableEngine>(mut engine: E, label: &str) {
+fn admission_races_barrier<R: Runtime>(mut engine: Engine<R>, label: &str)
+where
+    Engine<R>: Racing,
+{
     let n = 36u32;
     let probes: Vec<(u32, u32)> = (0..4).map(|k| (9 * k, 9 * k + 1)).collect();
 
@@ -554,8 +548,8 @@ fn arb_mutation_program() -> impl Strategy<Value = (u32, Vec<Vec<(u32, u32, u32,
     )
 }
 
-fn apply_program<E: MutableEngine>(
-    mut engine: E,
+fn apply_program<R: Runtime>(
+    mut engine: Engine<R>,
     n: u32,
     batches: &[Vec<(u32, u32, u32, u32)>],
     label: &str,
@@ -590,7 +584,8 @@ fn apply_program<E: MutableEngine>(
         }
         let before = replay.clone();
         replay.apply(&batch);
-        engine.apply_and_settle(batch);
+        engine.mutate(batch);
+        engine.run();
         // Some cases resume and some rebuild — both must stay exact.
         let rebuilt = nets_to_removal(&before, &replay);
         shared.check(&replay, rebuilt, &format!("{label} batch {}", e + 1));
@@ -672,8 +667,8 @@ fn churn_batch(replay: &Topology, n: u32, ops: &[(u32, u32, u32)]) -> MutationBa
 /// Check the engine-served answers AND a fresh `LabelIndex` built from
 /// scratch on the same topology against the traversal reference — the
 /// repaired labels must be answer-equivalent to a fresh build.
-fn check_epoch_against_fresh_build<E: MutableEngine>(
-    engine: &mut E,
+fn check_epoch_against_fresh_build<R: Runtime>(
+    engine: &mut Engine<R>,
     replay: &Topology,
     pairs: &[(u32, u32)],
     ctx: &str,
@@ -695,7 +690,7 @@ fn check_epoch_against_fresh_build<E: MutableEngine>(
     serve_and_check(engine, &reference, pairs, ServedBy::Index, ctx);
 }
 
-fn removal_heavy_churn<E: MutableEngine>(mut engine: E, label: &str) {
+fn removal_heavy_churn<R: Runtime>(mut engine: Engine<R>, label: &str) {
     let n = 432u32;
     let index = LabelIndex::build(&engine.topology_snapshot(), IndexConfig::default());
     let shared = SharedIndex::install(&mut engine, index);
@@ -716,7 +711,8 @@ fn removal_heavy_churn<E: MutableEngine>(mut engine: E, label: &str) {
         let batch = churn_batch(&replay, n, &ops);
         let before = replay.clone();
         replay.apply(&batch);
-        engine.apply_and_settle(batch);
+        engine.mutate(batch);
+        engine.run();
         let ctx = format!("{label} epoch {}", e + 1);
         // After a removal batch the repaired labels are a fresh build's.
         removal_epochs.push(nets_to_removal(&before, &replay));
@@ -904,8 +900,8 @@ fn arb_removal_churn() -> impl Strategy<Value = (u32, Vec<ChurnPlanBatch>)> {
     )
 }
 
-fn apply_removal_churn<E: MutableEngine>(
-    mut engine: E,
+fn apply_removal_churn<R: Runtime>(
+    mut engine: Engine<R>,
     n: u32,
     plan: &[Vec<(u32, u32, u32)>],
     label: &str,
@@ -917,7 +913,8 @@ fn apply_removal_churn<E: MutableEngine>(
         let batch = churn_batch(&replay, n, ops);
         let before = replay.clone();
         replay.apply(&batch);
-        engine.apply_and_settle(batch);
+        engine.mutate(batch);
+        engine.run();
         let ctx = format!("{label} epoch {}", e + 1);
         let removal = nets_to_removal(&before, &replay);
         shared.check(&replay, removal, &ctx);

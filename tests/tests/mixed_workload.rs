@@ -1,5 +1,5 @@
 //! Heterogeneous multi-query execution: one engine instance — simulated
-//! *and* threaded, driven through the shared `Engine` trait — runs
+//! *and* threaded, driven through the shared `Engine` front — runs
 //! reachability, SSSP, POI, and BFS programs concurrently in a single
 //! `run`, and every typed output must match the sequential reference
 //! algorithms.
@@ -10,7 +10,7 @@ use qgraph_algo::{
     connected_component_of, dijkstra_to, k_hop, nearest_tagged, BfsProgram, PoiProgram, SsspProgram,
 };
 use qgraph_core::programs::ReachProgram;
-use qgraph_core::{Engine, EngineBuilder, QueryHandle};
+use qgraph_core::{Engine, EngineBuilder, QueryHandle, Runtime};
 use qgraph_graph::{Graph, VertexId};
 use qgraph_integration_tests::small_road_world;
 use qgraph_partition::{HashPartitioner, Partitioner};
@@ -26,8 +26,8 @@ struct MixedHandles {
 }
 
 /// Submit the same heterogeneous batch to any engine — written once
-/// against the `Engine` trait, used for both runtimes.
-fn submit_mixed<E: Engine>(engine: &mut E, sources: &[VertexId]) -> MixedHandles {
+/// against the `Engine` front, used for both runtimes.
+fn submit_mixed<R: Runtime>(engine: &mut Engine<R>, sources: &[VertexId]) -> MixedHandles {
     let reach = engine.submit(ReachProgram::new(sources[0]));
     let mut sssp = Vec::new();
     let mut poi = Vec::new();
@@ -46,7 +46,12 @@ fn submit_mixed<E: Engine>(engine: &mut E, sources: &[VertexId]) -> MixedHandles
 }
 
 /// Check every typed output against the sequential references.
-fn verify_mixed<E: Engine>(engine: &E, graph: &Graph, sources: &[VertexId], h: &MixedHandles) {
+fn verify_mixed<R: Runtime>(
+    engine: &Engine<R>,
+    graph: &Graph,
+    sources: &[VertexId],
+    h: &MixedHandles,
+) {
     // Reachability == connected component (the road network is undirected).
     let mut want_reach = connected_component_of(graph, sources[0]);
     want_reach.sort_unstable();

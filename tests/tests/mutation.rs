@@ -21,7 +21,7 @@ use proptest::prelude::*;
 use qgraph_algo::{connected_component_of, dijkstra_to, k_hop, BfsProgram, SsspProgram};
 use qgraph_core::programs::ReachProgram;
 use qgraph_core::{
-    Engine, EngineBuilder, MutationBatch, QcutConfig, QueryId, SystemConfig, Topology,
+    Engine, EngineBuilder, MutationBatch, QcutConfig, QueryId, Runtime, SystemConfig, Topology,
 };
 use qgraph_graph::{Graph, VertexId};
 use qgraph_integration_tests::line_graph;
@@ -65,13 +65,14 @@ fn assert_sssp_matches(reference: &Graph, s: VertexId, t: VertexId, got: Option<
 // Per-epoch reference conformance, four configurations.
 // ---------------------------------------------------------------------
 
-fn epoch_conformance<E: MutableEngine>(mk: impl Fn() -> E, label: &str) {
+fn epoch_conformance<R: Runtime>(mk: impl Fn() -> Engine<R>, label: &str) {
     let base = ring_world(60);
     let stream = road_closures(&base, &ChurnConfig::uniform(5, 4, 1.0, 11));
     let refs = epoch_references(&base, &stream);
     let mut engine = mk();
     for (e, m) in stream.iter().enumerate() {
-        engine.apply_and_settle(m.batch.clone());
+        engine.mutate(m.batch.clone());
+        engine.run();
         let epoch = (e + 1) as u64;
         let reference = &refs[e + 1];
         // Re-run a query mix against the mutated engine and the
@@ -105,26 +106,6 @@ fn epoch_conformance<E: MutableEngine>(mk: impl Fn() -> E, label: &str) {
             assert_eq!(o.last_epoch, epoch, "{label}: completed in the epoch");
             assert!(o.single_epoch());
         }
-    }
-}
-
-/// The mutation lifecycle both runtimes share, for generic drivers:
-/// apply one batch and settle (one epoch barrier has run).
-trait MutableEngine: Engine {
-    fn apply_and_settle(&mut self, batch: MutationBatch);
-}
-
-impl MutableEngine for qgraph_core::SimEngine {
-    fn apply_and_settle(&mut self, batch: MutationBatch) {
-        self.mutate(batch);
-        qgraph_core::SimEngine::run(self);
-    }
-}
-
-impl MutableEngine for qgraph_core::ThreadEngine {
-    fn apply_and_settle(&mut self, batch: MutationBatch) {
-        self.mutate(batch);
-        self.drain();
     }
 }
 
@@ -214,13 +195,14 @@ fn added_vertices_are_placed_and_reachable_both_runtimes() {
     let final_n = refs.last().unwrap().num_vertices();
     assert!(final_n > 30, "the follow stream must add users");
 
-    fn grow_and_check<E: MutableEngine>(
-        mut engine: E,
+    fn grow_and_check<R: Runtime>(
+        mut engine: Engine<R>,
         stream: &[TimedMutation],
         reference: &Graph,
     ) {
         for m in stream {
-            engine.apply_and_settle(m.batch.clone());
+            engine.mutate(m.batch.clone());
+            engine.run();
         }
         // Follows point from the new user into the graph: a flood from
         // the newest vertex must traverse its follow edges into the old
@@ -240,7 +222,10 @@ fn added_vertices_are_placed_and_reachable_both_runtimes() {
         EngineBuilder::new(base.clone())
             .workers(3)
             .partitioner(HashPartitioner::default())
-            .compact_fraction(0.2)
+            .config(SystemConfig {
+                compact_fraction: 0.2,
+                ..Default::default()
+            })
     };
     grow_and_check(builder().build_sim(), &stream, refs.last().unwrap());
     grow_and_check(builder().build_threaded(), &stream, refs.last().unwrap());

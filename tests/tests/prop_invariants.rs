@@ -10,7 +10,7 @@ use qgraph_core::programs::ReachProgram;
 use qgraph_core::qcut::{
     cluster_queries, local_search, migrate, run_qcut, MovePlan, ScopeMove, ScopeStats, Solution,
 };
-use qgraph_core::{QcutConfig, QueryId, SimEngine, SystemConfig, ThreadEngine};
+use qgraph_core::{Engine, QcutConfig, QueryId, Runtime, SimEngine, SystemConfig, ThreadEngine};
 use qgraph_graph::{Graph, GraphBuilder, VertexId};
 use qgraph_partition::{HashPartitioner, Partitioner, Partitioning, WorkerId};
 use qgraph_sim::ClusterModel;
@@ -69,8 +69,8 @@ struct MixedHandles {
     wcc: qgraph_core::QueryHandle<WccProgram>,
 }
 
-fn submit_mixed<E: qgraph_core::Engine>(
-    e: &mut E,
+fn submit_mixed<R: Runtime>(
+    e: &mut Engine<R>,
     n: usize,
     s: u32,
     t: u32,

@@ -19,7 +19,7 @@ use qgraph_algo::{
 use qgraph_core::programs::ReachProgram;
 use qgraph_core::{
     AdmissionPolicy, Engine, EngineBuilder, OutcomeStatus, PoolCounters, QcutConfig, QueryHandle,
-    QueryId, Submission, SystemConfig,
+    QueryId, Runtime, Submission, SystemConfig,
 };
 use qgraph_graph::{Graph, VertexId};
 use qgraph_integration_tests::{line_graph, small_road_world};
@@ -43,7 +43,12 @@ struct MixedHandles {
     bfs: QueryHandle<BfsProgram>,
 }
 
-fn verify_mixed<E: Engine>(engine: &E, graph: &Graph, sources: &[VertexId], h: &MixedHandles) {
+fn verify_mixed<R: Runtime>(
+    engine: &Engine<R>,
+    graph: &Graph,
+    sources: &[VertexId],
+    h: &MixedHandles,
+) {
     for (i, (&s, hs)) in sources.iter().zip(&h.sssp).enumerate() {
         let t = sources[(i + 5) % sources.len()];
         let want = dijkstra_to(graph, s, t);
@@ -616,7 +621,10 @@ fn sim_bounded_queue_rejects_overload() {
 fn sim_bounded_queue_admits_spaced_arrivals() {
     let mut e = EngineBuilder::new(line_graph(24))
         .workers(2)
-        .max_queued(2)
+        .config(SystemConfig {
+            max_queued: Some(2),
+            ..Default::default()
+        })
         .build_sim();
     for i in 0..6u32 {
         e.submit_at(ReachProgram::bounded(VertexId(i), 2), i as f64 * 10.0);
@@ -723,4 +731,45 @@ fn thread_chunked_and_unchunked_runs_are_identical() {
         chunked.1, unchunked.1,
         "iterations/updates/messages identical"
     );
+}
+
+/// A malformed submission time costs its caller, not the engine: the
+/// simulation rejects a NaN arrival on the submitting stack.
+#[test]
+#[should_panic(expected = "rejected submission")]
+fn sim_rejects_a_nan_arrival_on_the_callers_stack() {
+    let mut e = EngineBuilder::new(line_graph(8)).workers(2).build_sim();
+    e.submit_at(ReachProgram::new(VertexId(0)), f64::NAN);
+}
+
+/// The thread runtime rejects a negative deadline on the submitting
+/// stack, not on its coordinator thread.
+#[test]
+#[should_panic(expected = "rejected submission")]
+fn thread_rejects_a_negative_deadline_on_the_callers_stack() {
+    let mut e = EngineBuilder::new(line_graph(8))
+        .workers(2)
+        .build_threaded();
+    let client = e.client();
+    client.submit_with_deadline(ReachProgram::new(VertexId(0)), -1.0);
+}
+
+/// A client thread's rejected submission leaves the engine serving: it
+/// drew no id, a later query completes, and the drain does not panic.
+#[test]
+fn a_rejected_client_submission_leaves_the_engine_serving() {
+    let mut e = EngineBuilder::new(line_graph(8))
+        .workers(2)
+        .build_threaded();
+    let client = e.client();
+    let rejected = thread::spawn(move || {
+        client.submit_with_deadline(ReachProgram::new(VertexId(0)), f64::NAN);
+    })
+    .join();
+    assert!(rejected.is_err(), "the client's thread takes the panic");
+    let q = e.submit(ReachProgram::new(VertexId(0)));
+    e.drain();
+    assert_eq!(q.id(), QueryId(0), "the rejected submission drew no id");
+    assert_eq!(e.output(&q).map(Vec::len), Some(8));
+    assert_eq!(e.outcomes().len(), 1);
 }
