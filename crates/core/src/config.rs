@@ -42,9 +42,11 @@ pub struct QcutConfig {
     pub monitoring_window_secs: f64,
     /// Maximum queries fed into one ILS run. Paper: 128.
     pub max_queries: usize,
-    /// Virtual time budget for one ILS run; the result is applied this long
-    /// after triggering (the computation itself is hidden behind query
-    /// processing, paper §3.4). Paper: 2 s.
+    /// Time budget for one ILS run, which runs at the trigger, hidden
+    /// behind query processing (paper §3.4). The simulation prices it: the
+    /// plan comes due this many virtual seconds after the trigger. On
+    /// threads the budget is the ILS's own run time — the plan comes due
+    /// as the ILS returns — and this value is not read. Paper: 2 s.
     pub ils_budget_secs: f64,
     /// Hard cap on ILS outer iterations (perturbation rounds), bounding the
     /// host CPU spent per run.
@@ -118,24 +120,12 @@ pub struct SystemConfig {
     /// [`crate::sched`]). FIFO reproduces the paper's batches; the other
     /// policies reorder admission for mixed streams.
     pub admission: AdmissionPolicy,
-    /// Modelled per-vertex state size for repartitioning transfer costs.
-    pub state_bytes_per_vertex: u64,
     /// Apply vertex-level message combiners
     /// ([`crate::VertexProgram::combine`]) at both ends of the wire.
     /// Combining is output-preserving by the combiner contract; disable
     /// it only for A/B checks (only the combiner on ≡ off equivalence
     /// tests do).
     pub combiners: bool,
-    /// Wire batch cap used for remote-batch *accounting*
-    /// ([`crate::QueryOutcome::remote_batches`]): the paper's 32-message
-    /// batches. The simulated engine prices transfers with its
-    /// `NetworkModel::batch_max_msgs` (same default) and asserts at
-    /// construction that the two caps agree, so reported batch counts
-    /// always match what the cost model charges (and what the thread
-    /// runtime reports for the same config). Accounting only: the count
-    /// comes from `Worker::execute`; the thread runtime moves a Step's
-    /// messages to one destination as one batch, mailbox to mailbox.
-    pub batch_max_msgs: usize,
     /// Mutation-plane compaction threshold: at a mutation epoch barrier,
     /// rebuild the CSR (see `qgraph_graph::Topology::compacted`) once the
     /// overlay's op count reaches this fraction of the base edge count.
@@ -178,9 +168,7 @@ impl Default for SystemConfig {
             qcut: None,
             max_parallel_queries: 16,
             admission: AdmissionPolicy::Fifo,
-            state_bytes_per_vertex: 32,
             combiners: true,
-            batch_max_msgs: 32,
             compact_fraction: 0.25,
             max_queued: None,
             pool_threads: 0,
@@ -228,7 +216,7 @@ mod tests {
         assert_eq!(s.barrier_mode, BarrierMode::Hybrid);
         assert!(s.qcut.is_none());
         assert!(s.combiners, "combiners are on by default");
-        assert_eq!(s.batch_max_msgs, 32, "the paper's batch cap");
+        assert_eq!(qgraph_sim::BATCH_MAX_MSGS, 32, "the paper's batch cap");
         assert_eq!(s.compact_fraction, 0.25);
         assert!(s.max_queued.is_none(), "unbounded admission by default");
         assert_eq!(s.pool_threads, 0, "pool width follows partition count");

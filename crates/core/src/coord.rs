@@ -53,18 +53,17 @@
 //! The core tests the cooldown, then the mean lifetime locality of the
 //! running queries against Φ — read live from their records — and the
 //! activity imbalance of the last μ/8 sub-window
-//! ([`Coordinator::note_activity`]) against its threshold. Only *when the
-//! ILS runs* differs, by what [`Executor::scopes_readable_live`] answers:
-//!
-//! * yes (one address space — the simulation): the ILS runs at the
-//!   trigger, hidden behind query processing as in the paper, and its
-//!   plan is applied by the window that opens one priced
-//!   `ils_budget_secs` later ([`Coordinator::plan_due`]);
-//! * no (real threads — a scope report needs quiescent partitions): the
-//!   trigger asks for the window at once and the ILS runs inside it,
-//!   from the scopes gathered there.
-//!
-//! Either way the cooldown starts when the window is asked for.
+//! ([`Coordinator::note_activity`]) against its threshold. A hit reads
+//! the scopes while partitions compute and runs the ILS there and then,
+//! hidden behind query processing as in the paper; a hit that finds fewer
+//! than two scopes stays wanted, and the next check plans without testing
+//! again (on threads a terminated query's scope reaches the core with its
+//! collect). The plan comes due ([`Coordinator::plan_due`]) one priced
+//! `ils_budget_secs` later in the simulation, and as soon as the ILS
+//! returns on threads, where the coordinator's turn has paid for it. The
+//! cooldown restarts when the plan comes due, and only a plan that moves
+//! something wants a window, which resolves it against the scopes
+//! gathered inside and migrates.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -76,7 +75,7 @@ use qgraph_partition::Partitioning;
 use qgraph_sim::SimTime;
 
 use crate::barrier;
-use crate::config::{QcutConfig, SystemConfig};
+use crate::config::SystemConfig;
 use crate::controller::{apply_mutation_epochs, Controller};
 use crate::hb::Hb;
 use crate::index_plane::PointIndex;
@@ -102,8 +101,10 @@ pub(crate) struct Superstep<'a> {
     pub step: &'a Stepping,
 }
 
-/// The dispatch vocabulary. The three `*_report`/`migrate` calls are
-/// synchronous and only issued while the partitions are idle.
+/// The dispatch vocabulary. The `*_report` and `migrate` calls are
+/// synchronous. `migrate` and `pending_report` are issued only inside a
+/// window, while the partitions are idle; `scope_report` also at the
+/// trigger, while they compute.
 pub(crate) trait Executor {
     /// A clock reading. Inside a window it advances as the executor
     /// completes (or prices) the window's work.
@@ -132,11 +133,8 @@ pub(crate) trait Executor {
     );
     /// A migration committed: publish the new assignment.
     fn publish_partitioning(&mut self, partitioning: &Partitioning, version: u64);
-    /// Whether [`Executor::scope_report`] can also be answered while
-    /// partitions compute — which decides when the ILS runs (see the
-    /// module docs).
-    fn scopes_readable_live(&self) -> bool;
-    /// Every `(query, partition, live scope vertices)` triple.
+    /// Every `(query, partition, live scope vertices)` triple, each
+    /// partition read between two of its Steps.
     fn scope_report(&mut self) -> Vec<(QueryId, usize, Vec<VertexId>)>;
     /// Move the resolved transfers' vertex state *and* pending inboxes;
     /// `task_of` resolves a live query's task. Returns the `(query,
@@ -323,14 +321,17 @@ impl QueryRun {
     }
 }
 
-/// The repartition the next window applies.
+/// Where the next repartition stands; a plan carries its trigger instant.
 enum Repartition {
     None,
-    /// Planned at the trigger; its ILS budget has not elapsed yet.
+    /// A hit that found fewer than two scopes to plan over — on threads a
+    /// terminated query's scope travels with its collect: the next check
+    /// plans without testing again.
+    Wanted,
+    /// Planned at the trigger; not due yet.
     Budgeted(IlsResult, SimTime),
-    /// Apply at the next window: a budgeted plan that came due, or
-    /// (`None`) plan inside the window from the scopes gathered there.
-    Due(Option<IlsResult>, SimTime),
+    /// A plan that came due and moves something: apply at the next window.
+    Due(IlsResult, SimTime),
 }
 
 /// An open stop-the-world window: where its report events start.
@@ -756,9 +757,9 @@ impl Coordinator {
     }
 
     /// The repartition trigger (paper §3.4), evaluated after a superstep
-    /// closes — see the module docs. When the ILS ran here, returns the
-    /// instant its budget elapses, at which the executor calls
-    /// [`Coordinator::plan_due`]; otherwise a hit wants a window at once.
+    /// closes — see the module docs. When the ILS ran, returns the instant
+    /// its priced budget elapses; the executor calls
+    /// [`Coordinator::plan_due`] then (the simulation) or at once (threads).
     pub fn trigger<X: Executor>(&mut self, x: &mut X, now: SimTime) -> Option<SimTime> {
         if self.paused {
             return None;
@@ -778,24 +779,25 @@ impl Coordinator {
             let step = r.stepping();
             (step.out.iterations > 0).then(|| step.out.locality())
         });
-        if !controller.should_trigger(now, self.activity_imbalance, localities) {
-            return None;
-        }
-        if !x.scopes_readable_live() {
-            controller.last_repartition = now;
-            self.repartition = Repartition::Due(None, now);
-            self.paused = true;
+        let wanted = matches!(self.repartition, Repartition::Wanted);
+        if !wanted && !controller.should_trigger(now, self.activity_imbalance, localities) {
             return None;
         }
         let (_, live) = self.gather_scopes(x);
-        let result = self.plan(&live, cfg)?;
-        self.state.controller.ils_inflight = true;
-        self.repartition = Repartition::Budgeted(result, now);
+        let st = &mut self.state;
+        let stats = st.controller.build_scope_stats(&live, &st.partitioning);
+        // Fewer than two non-empty scopes make a plan meaningless.
+        if stats.queries.len() < 2 {
+            self.repartition = Repartition::Wanted;
+            return None;
+        }
+        st.controller.ils_inflight = true;
+        self.repartition = Repartition::Budgeted(run_qcut(&stats, cfg), now);
         Some(now + SimTime::from_secs_f64(cfg.ils_budget_secs))
     }
 
-    /// The budgeted plan's ILS budget elapsed: the cooldown starts, and a
-    /// non-empty plan wants a window.
+    /// The budgeted plan came due: the cooldown restarts, and a plan that
+    /// moves something wants a window.
     pub fn plan_due(&mut self, now: SimTime) {
         self.state.controller.ils_inflight = false;
         self.state.controller.last_repartition = now;
@@ -803,7 +805,7 @@ impl Coordinator {
             std::mem::replace(&mut self.repartition, Repartition::None)
         {
             if !result.plan.is_empty() {
-                self.repartition = Repartition::Due(Some(result), triggered_at);
+                self.repartition = Repartition::Due(result, triggered_at);
                 self.paused = true;
             }
         }
@@ -830,14 +832,6 @@ impl Coordinator {
             }
         }
         (local, live)
-    }
-
-    /// One ILS run over the live + retained scopes; `None` when fewer
-    /// than two scopes make a repartition meaningless.
-    fn plan(&self, live: &[(QueryId, Vec<VertexId>)], cfg: &QcutConfig) -> Option<IlsResult> {
-        let st = &self.state;
-        let stats = st.controller.build_scope_stats(live, &st.partitioning);
-        (stats.queries.len() >= 2).then(|| run_qcut(&stats, cfg))
     }
 
     // ------------------------------------------------------------------
@@ -914,11 +908,11 @@ impl Coordinator {
         }
 
         // Phase 2: the repartition, under the same window.
-        if let Repartition::Due(planned, triggered_at) =
+        if let Repartition::Due(result, triggered_at) =
             std::mem::replace(&mut self.repartition, Repartition::None)
         {
             self.tracer.qcut_begin(secs(x.now()));
-            self.repartition_phase(x, planned, triggered_at, entered);
+            self.repartition_phase(x, result, triggered_at, entered);
             self.tracer.qcut_end(secs(x.now()));
         }
     }
@@ -930,18 +924,11 @@ impl Coordinator {
     fn repartition_phase<X: Executor>(
         &mut self,
         x: &mut X,
-        planned: Option<IlsResult>,
+        result: IlsResult,
         triggered_at: SimTime,
         entered: SimTime,
     ) {
-        let Some(cfg) = self.cfg.qcut.as_ref() else {
-            return;
-        };
         let (local, live) = self.gather_scopes(x);
-        let planned = planned.or_else(|| self.plan(&live, cfg).filter(|r| !r.plan.is_empty()));
-        let Some(result) = planned else {
-            return;
-        };
         let st = &mut self.state;
         // A live query's current scope on the source partition, or a
         // finished query's retained scope (the resolver's ownership
@@ -1046,6 +1033,7 @@ mod tests {
     //! every dispatch is logged and every report is written by hand.
 
     use super::*;
+    use crate::config::QcutConfig;
     use crate::index_plane::{PointAnswer, PointQuery, RepairSummary};
     use crate::program::{Context, VertexProgram};
     use crate::programs::{PingProgram, Tally};
@@ -1072,9 +1060,6 @@ mod tests {
     struct Script {
         log: Vec<Op>,
         clock: SimTime,
-        /// Answers scope reports while partitions compute (the
-        /// simulation's shape); off, like real threads, by default.
-        live_scopes: bool,
         scopes: Vec<(QueryId, usize, Vec<VertexId>)>,
         gained: Vec<(QueryId, usize)>,
         pending: Vec<(QueryId, usize)>,
@@ -1112,9 +1097,6 @@ mod tests {
         }
         fn publish_partitioning(&mut self, _: &Partitioning, _: u64) {
             self.log.push(Op::PublishPartitioning);
-        }
-        fn scopes_readable_live(&self) -> bool {
-            self.live_scopes
         }
         fn scope_report(&mut self) -> Vec<(QueryId, usize, Vec<VertexId>)> {
             self.scopes.clone()
@@ -1317,33 +1299,73 @@ mod tests {
         (core, x)
     }
 
+    /// Each query's scope split over partitions 0 and 1 (`{0} {2}` and
+    /// `{1} {3}`): the ILS gathers each onto one partition.
+    fn split_scopes() -> Vec<(QueryId, usize, Vec<VertexId>)> {
+        let (q0, q1) = (QueryId(0), QueryId(1));
+        vec![
+            (q0, 0, vec![VertexId(0)]),
+            (q0, 1, vec![VertexId(2)]),
+            (q1, 0, vec![VertexId(1)]),
+            (q1, 1, vec![VertexId(3)]),
+        ]
+    }
+
     #[test]
     fn the_cooldown_blocks_a_second_trigger_until_it_has_elapsed_again() {
         let (mut core, mut x) = two_remote_queries(adaptive(1.0));
+        x.scopes = split_scopes();
         let sec = 1_000_000;
         // Locality 0 is under Φ, but the session is younger than the
         // cooldown.
         assert_eq!(core.trigger(&mut x, at(sec - 1)), None);
+        // The hit plans at the trigger; its plan comes due one budget (the
+        // paper's 2 s) later, and nothing re-triggers in between.
+        let due = at(3 * sec);
+        assert_eq!(core.trigger(&mut x, at(sec)), Some(due));
+        assert!(matches!(core.repartition, Repartition::Budgeted(_, t) if t == at(sec)));
+        assert_eq!(core.trigger(&mut x, at(sec + 1)), None);
         assert!(!core.paused());
-        // No live scope reports (threads): the hit wants its window at
-        // once and plans inside it.
-        assert_eq!(core.trigger(&mut x, at(sec)), None);
-        assert!(core.paused());
-        assert!(matches!(core.repartition, Repartition::Due(None, t) if t == at(sec)));
+        core.plan_due(due);
+        assert!(core.paused(), "the plan moves something");
         for q in 0..2 {
-            core.release(&mut x, QueryId(q), at(sec + 1));
+            core.release(&mut x, QueryId(q), due);
         }
-        x.clock = at(sec + 2);
+        x.pending = vec![(QueryId(0), 1), (QueryId(1), 1)];
+        x.clock = at(3 * sec + 1);
         core.window_open(&x);
         core.window_apply(&mut x);
-        core.window_end(&mut x, at(sec + 3));
-        // The script reported no scopes, so nothing moved — and still the
-        // cooldown restarted when the window was asked for.
-        assert!(!core.paused() && core.state.report.repartitions.is_empty());
-        assert_eq!(core.trigger(&mut x, at(2 * sec - 1)), None);
+        core.window_end(&mut x, at(3 * sec + 2));
+        let ev = &core.state.report.repartitions[0];
+        assert_eq!((ev.triggered_at, ev.applied_at), (1.0, 3.000001));
+        // The cooldown restarted when the plan came due.
+        assert!(!core.paused());
+        assert_eq!(core.trigger(&mut x, at(4 * sec - 1)), None);
         assert!(!core.paused(), "one microsecond short of the cooldown");
-        core.trigger(&mut x, at(2 * sec));
-        assert!(core.paused());
+        assert_eq!(core.trigger(&mut x, at(4 * sec)), Some(at(6 * sec)));
+    }
+
+    #[test]
+    fn a_hit_whose_plan_moves_nothing_opens_no_window() {
+        let (mut core, mut x) = two_remote_queries(adaptive(0.0));
+        // Each scope already lies on one partition: nothing to move.
+        x.scopes = vec![
+            (QueryId(0), 0, vec![VertexId(0), VertexId(1)]),
+            (QueryId(1), 1, vec![VertexId(2), VertexId(3)]),
+        ];
+        // The thread runtime's shape: the plan comes due on the trigger's
+        // turn.
+        core.trigger(&mut x, at(2));
+        core.plan_due(at(2));
+        assert!(!core.paused(), "an empty plan wants no window");
+        assert!(matches!(core.repartition, Repartition::None));
+        let controller = &core.state.controller;
+        assert!(!controller.ils_inflight && controller.last_repartition == at(2));
+        // Both queries go on without parking.
+        x.log.clear();
+        core.release(&mut x, QueryId(0), at(3));
+        assert_eq!(x.log, vec![Op::Superstep(0, vec![1], 3, 1)]);
+        assert!(core.parked.is_empty());
     }
 
     #[test]
@@ -1351,7 +1373,6 @@ mod tests {
         let mut cfg = adaptive(0.0);
         cfg.qcut.as_mut().expect("adaptive").locality_threshold = 0.4;
         let (mut core, mut x) = two_remote_queries(cfg);
-        x.live_scopes = true;
         let task = ping();
         // One local superstep each lifts the mean locality to 0.5.
         for q in 0..2 {
@@ -1380,34 +1401,60 @@ mod tests {
         for (w, to) in [(0, &[1][..]), (1, &[]), (2, &[])] {
             core.step_done(&mut x, report(&task, w, to), at(1), at(1));
         }
+        x.scopes = vec![(QueryId(0), 0, vec![VertexId(0)])];
         assert_eq!(core.trigger(&mut x, at(2)), None);
-        assert!(!core.paused());
+        assert!(matches!(core.repartition, Repartition::None));
         // A finished query's retained scope is the second one.
         let retained = vec![VertexId(4)];
         core.state
             .controller
             .record_finished_scope(QueryId(9), retained, at(2));
-        core.trigger(&mut x, at(3));
-        assert!(core.paused());
+        assert_eq!(core.trigger(&mut x, at(3)), Some(at(2_000_003)));
 
-        // With live scope reports the ILS input is counted exactly: two
-        // live queries of which one has an empty scope plan nothing ...
+        // The ILS input counts non-empty scopes: two live queries of
+        // which one has an empty scope plan nothing, and the hit stays
+        // wanted ...
         let (mut core, mut x) = two_remote_queries(adaptive(0.0));
-        x.live_scopes = true;
         x.scopes = vec![(QueryId(0), 0, vec![VertexId(0)])];
         assert_eq!(core.trigger(&mut x, at(2)), None);
-        assert!(matches!(core.repartition, Repartition::None));
-        assert!(!core.state.controller.ils_inflight);
-        // ... and two scopes run the ILS at the trigger: its plan comes
-        // due one budget (the paper's 2 s) later, nothing re-triggers in
-        // between, and the cooldown starts when it comes due.
+        assert!(matches!(core.repartition, Repartition::Wanted));
+        let controller = &core.state.controller;
+        assert!(!controller.ils_inflight && controller.last_repartition == SimTime::ZERO);
+        // ... until the next check finds two scopes, and plans.
         x.scopes.push((QueryId(1), 1, vec![VertexId(2)]));
         assert_eq!(core.trigger(&mut x, at(3)), Some(at(2_000_003)));
         assert!(matches!(core.repartition, Repartition::Budgeted(_, t) if t == at(3)));
-        assert_eq!(core.trigger(&mut x, at(4)), None);
-        core.plan_due(at(2_000_003));
-        let controller = &core.state.controller;
-        assert!(!controller.ils_inflight && controller.last_repartition == at(2_000_003));
+        assert!(!core.paused());
+    }
+
+    #[test]
+    fn a_hit_plans_once_the_scopes_it_lacked_are_retained() {
+        // Both queries terminated on the lanes: their scopes travel with
+        // their collects, so the hit finds none to plan over.
+        let (mut core, mut x) = two_remote_queries(adaptive(0.0));
+        assert_eq!(core.trigger(&mut x, at(2)), None);
+        assert!(matches!(core.repartition, Repartition::Wanted));
+        for (q, vs) in [(7, [0, 2]), (8, [1, 3])] {
+            let scope = vs.map(VertexId).to_vec();
+            core.state
+                .controller
+                .record_finished_scope(QueryId(q), scope, at(3));
+        }
+        for q in 0..2 {
+            core.collected(&mut x, QueryId(q), Vec::new(), at(3));
+        }
+        // No query runs any more, so the locality test would decline: the
+        // wanted hit plans over the retained scopes without it, and the
+        // window migrates them.
+        assert_eq!(core.trigger(&mut x, at(4)), Some(at(2_000_004)));
+        core.plan_due(at(4));
+        assert!(core.paused());
+        x.clock = at(5);
+        core.window_open(&x);
+        core.window_apply(&mut x);
+        core.window_end(&mut x, at(6));
+        assert!(x.log.contains(&Op::Migrate));
+        assert_eq!(core.state.report.repartitions.len(), 1);
     }
 
     /// A tally seeded on partition 1 and admitted: its first superstep

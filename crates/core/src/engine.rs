@@ -33,10 +33,10 @@
 //!    [`barrier::decide`] computes the release *delay* (hybrid: free if
 //!    fully local; `SharedGlobal` couples all queries' releases).
 //!
-//! A Q-cut plan is computed at its trigger (these workers can report
-//! scopes while they run) and applied one virtual ILS budget later; a
-//! window costs its mutation/compaction work plus the slowest pair's bulk
-//! transfer, bracketed by one control round trip each way.
+//! A Q-cut plan is computed at its trigger and comes due one virtual ILS
+//! budget later (`Event::IlsReady`); a window costs its
+//! mutation/compaction work plus the slowest pair's bulk transfer,
+//! bracketed by one control round trip each way.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -108,7 +108,6 @@ pub struct Sim {
 /// queue, and the cost models that turn dispatches into delays.
 struct SimExec {
     cluster: ClusterModel,
-    state_bytes_per_vertex: u64,
     workers: Vec<Worker>,
     sched: Vec<WorkerSched>,
     /// The simulated elastic pool's thread count: a global concurrency
@@ -210,10 +209,6 @@ impl Executor for SimExec {
 
     fn publish_partitioning(&mut self, _: &Partitioning, _: u64) {}
 
-    fn scopes_readable_live(&self) -> bool {
-        true
-    }
-
     fn scope_report(&mut self) -> Vec<(QueryId, usize, Vec<VertexId>)> {
         self.workers.iter().flat_map(Worker::scope_report).collect()
     }
@@ -229,11 +224,8 @@ impl Executor for SimExec {
             .per_pair
             .iter()
             .map(|&(f, t, n)| {
-                self.cluster.network.bulk_move_cost(
-                    n,
-                    self.state_bytes_per_vertex,
-                    self.cluster.is_remote(f, t),
-                )
+                let remote = self.cluster.is_remote(f, t);
+                self.cluster.network.bulk_move_cost(n, remote)
             })
             .max()
             .unwrap_or(SimTime::ZERO);
@@ -351,22 +343,12 @@ impl Engine<Sim> {
             "partitioning and cluster disagree on worker count"
         );
         let k = cluster.num_workers;
-        // Batch accounting (`remote_batches`) uses the config's cap, and
-        // pricing (`transfer_cost`) uses the network model's — they must
-        // agree, or the reported batch counts would diverge from what the
-        // cost model charges (and from the thread runtime's accounting).
-        assert_eq!(
-            cfg.batch_max_msgs, cluster.network.batch_max_msgs,
-            "SystemConfig::batch_max_msgs must match the cluster \
-             NetworkModel::batch_max_msgs"
-        );
         let hb = Hb::new(k);
         let tracer = Tracer::new(k, cfg.trace_ring_capacity, cfg.trace);
         let x = SimExec {
             cluster,
-            state_bytes_per_vertex: cfg.state_bytes_per_vertex,
             workers: (0..k)
-                .map(|w| Worker::configured(w, cfg.combiners, cfg.batch_max_msgs))
+                .map(|w| Worker::configured(w, cfg.combiners))
                 .collect(),
             sched: (0..k)
                 .map(|_| WorkerSched {
@@ -913,18 +895,6 @@ mod tests {
         e.run();
         assert_eq!(*e.output(&q).unwrap(), 4);
         assert_eq!(e.report().outcomes[0].iterations, 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "batch_max_msgs")]
-    fn mismatched_batch_caps_panic() {
-        let g = line_graph(4);
-        let parts = RangePartitioner.partition(&g, 2);
-        let cfg = SystemConfig {
-            batch_max_msgs: 8,
-            ..Default::default()
-        };
-        let _ = SimEngine::new(g, ClusterModel::scale_up(2), parts, cfg);
     }
 
     /// Submitted through the erased paths — at once and as a future

@@ -153,9 +153,11 @@ pub struct QueryOutcome {
     /// ([`VertexProgram::combine`]) saved.
     pub remote_messages_pre_combine: u64,
     /// Wire batches the remote messages occupied under the paper's batch
-    /// cap (`SystemConfig::batch_max_msgs`, 32): `Σ ⌈msgs/cap⌉` per
+    /// cap ([`qgraph_sim::BATCH_MAX_MSGS`], 32): `Σ ⌈msgs/cap⌉` per
     /// (destination, superstep) send — the unit the network model's
-    /// per-batch overhead is charged in.
+    /// per-batch overhead is charged in. Both runtimes count it in
+    /// `Worker::execute`; on threads it is accounting only, as a Step's
+    /// messages to one destination move as one batch, mailbox to mailbox.
     pub remote_batches: u64,
     /// Total vertices this query activated (its global scope |GS(q)|).
     pub scope_size: u64,

@@ -81,7 +81,8 @@
 //! `Worker::pending_report` — and installs a new `Arc<Topology>` /
 //! `Arc<Partitioning>` into every context before anything resumes. A lane
 //! releases its context before it answers, so a window never waits on a
-//! lane's epilogue.
+//! lane's epilogue. Outside a window the coordinator locks a context only
+//! for the Q-cut trigger's scope read, one at a time.
 //!
 //! ## Streaming submission and the serving loop
 //!
@@ -98,11 +99,14 @@
 //!   its type-erased task down the same channel the pool answers on; the
 //!   coordinator stamps the arrival time and hands both to the core, which
 //!   holds the task until the query completes — nothing else keeps it;
-//! * a [`Resp::Tick`] runs the core's one Q-cut trigger
+//! * a [`Resp::Tick`] — and, while a check is due, a query's collect,
+//!   which brings its scope — runs the core's one Q-cut trigger
 //!   ([`Coordinator::trigger`]) on the session clock: the
 //!   [`crate::QcutConfig`] time constants are session wall-clock seconds
-//!   here, and a hit's ILS runs inside the window it opens, because only
-//!   quiescent partitions report stable scopes;
+//!   here; a hit reads the scopes while the lanes compute, locking one
+//!   context at a time, runs the ILS on this turn and makes its plan due
+//!   as the ILS returns (`Coordinator::plan_due`) — a plan that moves
+//!   nothing opens no window;
 //! * a lane that panics says so as it unwinds, and stopping the pool
 //!   re-raises the panic through `drain`;
 //! * the window reads nothing from the channel: a client message sent
@@ -671,14 +675,14 @@ impl Threads {
         // it is what other lanes reach.
         let shared_parts = Arc::new(self.state.partitioning.clone());
         let shared_topology = Arc::new(self.state.topology.clone());
-        let (combiners, batch_max) = (self.cfg.combiners, self.cfg.batch_max_msgs);
+        let combiners = self.cfg.combiners;
         let parts: Arc<Vec<Partition>> = Arc::new(
             (0..k)
                 .map(|w| {
                     hb.spawn_worker(w);
                     Partition {
                         ctx: Mutex::new(WorkerCtx {
-                            worker: Worker::configured(w, combiners, batch_max),
+                            worker: Worker::configured(w, combiners),
                             topology: Arc::clone(&shared_topology),
                             partitioning: Arc::clone(&shared_parts),
                             taken: Vec::new(),
@@ -875,6 +879,16 @@ impl PoolExec {
         }
     }
 
+    /// A due Q-cut check: the lanes' activity feeds the straggler watch,
+    /// then the trigger runs. This turn paid for the ILS, so its plan is
+    /// due as it returns.
+    fn check(&mut self, core: &mut Coordinator, now: SimTime) {
+        self.note_activity(core, now);
+        if core.trigger(self, now).is_some() {
+            core.plan_due(self.clock.now());
+        }
+    }
+
     /// The window's hold on the quiescent partitions: every worker state,
     /// locked in partition order.
     fn contexts(&self) -> Vec<MutexGuard<'_, WorkerCtx>> {
@@ -965,18 +979,14 @@ impl Executor for PoolExec {
         }
     }
 
-    // A running Step changes the scope it would report, so scopes are
-    // read only inside a window, where no Step runs.
-    fn scopes_readable_live(&self) -> bool {
-        false
-    }
-
+    // Also read at the trigger, while lanes compute: one context at a
+    // time, so a lane (which holds only its own) never waits on a cycle.
     fn scope_report(&mut self) -> Vec<(QueryId, usize, Vec<VertexId>)> {
-        let contexts = self.contexts();
-        contexts
-            .iter()
-            .flat_map(|c| c.worker.scope_report())
-            .collect()
+        let read = |p: &Partition| {
+            let ctx = lock_ctx(&p.ctx);
+            ctx.worker.scope_report().collect::<Vec<_>>()
+        };
+        self.parts.iter().flat_map(read).collect()
     }
 
     fn migrate(
@@ -1065,13 +1075,16 @@ fn serve(mut core: Coordinator, mut x: PoolExec) -> Stopped {
                 // One pool task per superstep execution, wherever it ran.
                 x.pool_tasks += core.run(q).stepping().out.tasks;
                 core.collected(&mut x, q, locals, now);
+                // A query's last close is heard here, with its scope: a
+                // due check sees it, as the simulation's does.
+                if now >= core.next_check() {
+                    x.check(&mut core, now);
+                }
             }
             CoordMsg::Worker(Resp::Tick) => {
                 // The lane that sent it took the published instant.
                 x.check_at = u64::MAX;
-                x.note_activity(&mut core, now);
-                let budgeted = core.trigger(&mut x, now);
-                debug_assert!(budgeted.is_none(), "no live scope reports here");
+                x.check(&mut core, now);
             }
             // Stopping the pool below re-raises the lane's panic.
             CoordMsg::Worker(Resp::Panicked) => break,
@@ -1112,9 +1125,9 @@ fn serve(mut core: Coordinator, mut x: PoolExec) -> Stopped {
 /// partition — only *compute* is elastic — so everything that used to be
 /// a dedicated worker thread's locals lives here, and whichever pool
 /// thread draws the partition's next command locks it; inside a window the
-/// coordinator does. The pool serializes commands per partition and a
-/// window opens only at quiescence, so the lock exists to move the state
-/// between threads.
+/// coordinator does, and at the Q-cut trigger it reads the scopes under
+/// it. The pool serializes commands per partition and a window opens only
+/// at quiescence, so the lock exists to move the state between threads.
 struct WorkerCtx {
     worker: Worker,
     topology: Arc<Topology>,

@@ -58,6 +58,7 @@ use std::sync::Arc;
 use rustc_hash::{FxHashMap, FxHashSet};
 
 use qgraph_graph::{Topology, VertexId};
+use qgraph_sim::BATCH_MAX_MSGS;
 
 use crate::program::{Context, VertexProgram};
 use crate::task::{Envelope, MessageBatch, QueryTask};
@@ -516,28 +517,23 @@ pub struct Worker {
     queries: FxHashMap<QueryId, Box<dyn LocalState>>,
     /// Combiners enabled for newly created query locals.
     combiners: bool,
-    /// The wire batch cap used for [`SuperstepStats::remote_batches`]
-    /// accounting (the paper's 32-message batches).
-    batch_max_msgs: usize,
     /// Shared sender-side combine index (see [`CombineScratch`]).
     scratch: CombineScratch,
 }
 
 impl Worker {
-    /// An empty worker with combiners on and the paper's 32-message batch
-    /// cap.
+    /// An empty worker with combiners on.
     pub fn new(id: usize) -> Self {
-        Self::configured(id, true, 32)
+        Self::configured(id, true)
     }
 
-    /// An empty worker with explicit combiner gating and batch cap (the
-    /// engines thread [`crate::SystemConfig`] through here).
-    pub fn configured(id: usize, combiners: bool, batch_max_msgs: usize) -> Self {
+    /// An empty worker with explicit combiner gating (the engines thread
+    /// [`crate::SystemConfig::combiners`] through here).
+    pub fn configured(id: usize, combiners: bool) -> Self {
         Worker {
             id,
             queries: FxHashMap::default(),
             combiners,
-            batch_max_msgs: batch_max_msgs.max(1),
             scratch: CombineScratch::default(),
         }
     }
@@ -596,7 +592,6 @@ impl Worker {
         route: &dyn Fn(VertexId) -> usize,
     ) -> (SuperstepStats, Envelope, Vec<(usize, MessageBatch)>) {
         let home = self.id;
-        let batch_max = self.batch_max_msgs;
         let combiners = self.combiners;
         // Split borrows: the query map and the combine scratch are
         // disjoint worker fields.
@@ -614,7 +609,7 @@ impl Worker {
         );
         stats.remote_batches = remote
             .iter()
-            .map(|(_, b)| b.len().div_ceil(batch_max))
+            .map(|(_, b)| b.len().div_ceil(BATCH_MAX_MSGS))
             .sum();
         (stats, agg, remote)
     }
@@ -786,7 +781,7 @@ mod tests {
     #[test]
     fn combiner_disabled_keeps_every_message() {
         let task = reach_task();
-        let mut w = Worker::configured(0, false, 32);
+        let mut w = Worker::configured(0, false);
         let q = QueryId(0);
         w.deliver(
             &task,
@@ -799,21 +794,23 @@ mod tests {
 
     #[test]
     fn remote_batches_respect_the_wire_cap() {
-        // 5 distinct remote destinations with a cap of 2 → ⌈5/2⌉ batches.
-        let mut b = GraphBuilder::new(6);
-        for t in 1..6 {
-            b.add_edge(0, t, 1.0);
+        // One message more than a batch holds, all to partition 1 → 2
+        // batches.
+        let n = BATCH_MAX_MSGS + 1;
+        let mut b = GraphBuilder::new(n + 1);
+        for t in 1..=n {
+            b.add_edge(0, t as u32, 1.0);
         }
         let g = Topology::new(b.build());
         let task = reach_task();
-        let mut w = Worker::configured(0, true, 2);
+        let mut w = Worker::new(0);
         let q = QueryId(0);
         w.deliver(&task, q, batch(&task, vec![(VertexId(0), 0)]));
         w.freeze(q);
         let prev = task.aggregate_identity();
         let (stats, _, remote) = w.execute(q, &task, &g, &prev, &|v| usize::from(v != VertexId(0)));
-        assert_eq!(stats.remote_deliveries, 5);
-        assert_eq!(stats.remote_batches, 3);
+        assert_eq!(stats.remote_deliveries, n);
+        assert_eq!(stats.remote_batches, 2);
         assert_eq!(remote.len(), 1);
     }
 
@@ -1033,7 +1030,7 @@ mod tests {
         let prev = task.aggregate_identity();
         // (remote_pre_combine, remote_deliveries, remote_batches)
         for (combiners, counts) in [(true, (2, 1, 1)), (false, (2, 2, 1))] {
-            let mut w = Worker::configured(0, combiners, 32);
+            let mut w = Worker::configured(0, combiners);
             for first in [0, 3] {
                 let seeds = vec![(VertexId(first), 0), (VertexId(first + 1), 3)];
                 w.deliver(&task, q, batch(&task, seeds));

@@ -25,4 +25,6 @@ mod models;
 
 pub use clock::SimTime;
 pub use event::{EventQueue, ScheduledEvent};
-pub use models::{ClusterModel, ComputeModel, NetworkModel};
+pub use models::{
+    ClusterModel, ComputeModel, NetworkModel, BATCH_MAX_MSGS, STATE_BYTES_PER_VERTEX,
+};

@@ -4,6 +4,12 @@ use serde::{Deserialize, Serialize};
 
 use crate::SimTime;
 
+/// Messages per wire batch (the paper: 32 messages / 32 KiB): what
+/// [`NetworkModel::transfer_cost`] prices and both runtimes count.
+pub const BATCH_MAX_MSGS: usize = 32;
+/// Query state a repartitioning moves per vertex, in bytes.
+pub const STATE_BYTES_PER_VERTEX: u64 = 32;
+
 /// Per-worker computation cost model.
 ///
 /// The engine charges `vertex_update` for every executed vertex function and
@@ -84,8 +90,6 @@ pub struct NetworkModel {
     pub serialize_ns_per_msg: u64,
     /// Encoded size of one vertex message, in bytes.
     pub bytes_per_msg: u64,
-    /// Maximum messages per batch (the paper: 32 messages / 32 KiB).
-    pub batch_max_msgs: usize,
     /// Fixed protocol overhead per batch, in bytes.
     pub batch_overhead_bytes: u64,
 }
@@ -105,7 +109,6 @@ impl NetworkModel {
             loopback_bandwidth_bps: 8_000_000_000,
             serialize_ns_per_msg: 4_000,
             bytes_per_msg: 24,
-            batch_max_msgs: 32,
             batch_overhead_bytes: 66,
         }
     }
@@ -119,29 +122,22 @@ impl NetworkModel {
             loopback_bandwidth_bps: 8_000_000_000,
             serialize_ns_per_msg: 4_000,
             bytes_per_msg: 24,
-            batch_max_msgs: 32,
             batch_overhead_bytes: 66,
         }
     }
 
     /// Wire time of `msgs` vertex messages between two workers that are
     /// on different hosts (`remote = true`) or co-located (`false`).
-    /// Batching amortizes latency: ceil(msgs / batch_max) round trips.
+    /// Batching amortizes latency: ceil(msgs / [`BATCH_MAX_MSGS`]) trips.
     /// Sender-side CPU is *not* included — charge it separately via
     /// [`NetworkModel::serialize_cost`], it occupies the worker.
     pub fn transfer_cost(&self, msgs: usize, remote: bool) -> SimTime {
         if msgs == 0 {
             return SimTime::ZERO;
         }
-        let (lat, bw) = if remote {
-            (self.remote_latency_ns, self.remote_bandwidth_bps)
-        } else {
-            (self.loopback_latency_ns, self.loopback_bandwidth_bps)
-        };
-        let batches = msgs.div_ceil(self.batch_max_msgs) as u64;
+        let batches = msgs.div_ceil(BATCH_MAX_MSGS) as u64;
         let bytes = self.bytes_per_msg * msgs as u64 + self.batch_overhead_bytes * batches;
-        let wire_ns = bytes.saturating_mul(1_000_000_000) / bw.max(1);
-        SimTime(lat + wire_ns)
+        self.wire(bytes, remote)
     }
 
     /// Sender-side CPU time to serialize `msgs` messages and push them
@@ -159,18 +155,21 @@ impl NetworkModel {
         self.transfer_cost(1, remote)
     }
 
-    /// Cost of bulk-moving `vertices` vertices' state (repartitioning). Each
-    /// vertex moves its query state, modelled as `state_bytes` per vertex.
-    pub fn bulk_move_cost(&self, vertices: usize, state_bytes: u64, remote: bool) -> SimTime {
+    /// Cost of moving `vertices` vertices' state to repartition, [`STATE_BYTES_PER_VERTEX`] each.
+    pub fn bulk_move_cost(&self, vertices: usize, remote: bool) -> SimTime {
         if vertices == 0 {
             return SimTime::ZERO;
         }
+        self.wire(STATE_BYTES_PER_VERTEX * vertices as u64, remote)
+    }
+
+    /// One-way latency plus `bytes` at the link's bandwidth.
+    fn wire(&self, bytes: u64, remote: bool) -> SimTime {
         let (lat, bw) = if remote {
             (self.remote_latency_ns, self.remote_bandwidth_bps)
         } else {
             (self.loopback_latency_ns, self.loopback_bandwidth_bps)
         };
-        let bytes = state_bytes * vertices as u64;
         SimTime(lat + bytes.saturating_mul(1_000_000_000) / bw.max(1))
     }
 }
@@ -316,9 +315,9 @@ mod tests {
     #[test]
     fn bulk_move_scales_with_state() {
         let n = NetworkModel::gigabit_ethernet();
-        let small = n.bulk_move_cost(100, 16, true);
-        let big = n.bulk_move_cost(100, 64, true);
+        let small = n.bulk_move_cost(100, true);
+        let big = n.bulk_move_cost(400, true);
         assert!(big > small);
-        assert_eq!(n.bulk_move_cost(0, 64, true), SimTime::ZERO);
+        assert_eq!(n.bulk_move_cost(0, true), SimTime::ZERO);
     }
 }

@@ -677,62 +677,6 @@ fn thread_bounded_queue_rejects_overload() {
     engine.shutdown();
 }
 
-// ---------------------------------------------------------------------
-// The wire batch cap (`batch_max_msgs`) is accounting only.
-// ---------------------------------------------------------------------
-
-/// The cap pin: `batch_max_msgs` sets how many wire batches a Step's
-/// messages are *counted* as, nothing else — a run at cap 2 is output-
-/// and structure-identical to one with an effectively unbounded cap.
-#[test]
-fn thread_chunked_and_unchunked_runs_are_identical() {
-    let (graph, sources) = {
-        let world = small_road_world(77);
-        let n = world.graph.num_vertices() as u32;
-        let sources: Vec<VertexId> = (0..10u32).map(|i| VertexId((i * 31) % (n / 3))).collect();
-        (Arc::new(world.graph), sources)
-    };
-    let run = |batch_max_msgs: usize| {
-        let cfg = SystemConfig {
-            batch_max_msgs,
-            ..Default::default()
-        };
-        let parts = HashPartitioner::default().partition(&graph, 4);
-        let mut e = qgraph_core::ThreadEngine::with_config(Arc::clone(&graph), parts, cfg);
-        let handles: Vec<_> = sources
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| {
-                let t = sources[(i + 3) % sources.len()];
-                e.submit(SsspProgram::new(s, t))
-            })
-            .collect();
-        e.run();
-        let outputs: Vec<Option<f32>> = handles
-            .iter()
-            .map(|h| e.output(h).copied().expect("finished"))
-            .collect();
-        let structure: Vec<(u32, u64, u64)> = {
-            let mut o: Vec<_> = e
-                .report()
-                .outcomes
-                .iter()
-                .map(|o| (o.iterations, o.vertex_updates, o.remote_messages))
-                .collect();
-            o.sort_unstable();
-            o
-        };
-        (outputs, structure)
-    };
-    let chunked = run(2);
-    let unchunked = run(1 << 20);
-    assert_eq!(chunked.0, unchunked.0, "outputs identical");
-    assert_eq!(
-        chunked.1, unchunked.1,
-        "iterations/updates/messages identical"
-    );
-}
-
 /// A malformed submission time costs its caller, not the engine: the
 /// simulation rejects a NaN arrival on the submitting stack.
 #[test]
