@@ -72,13 +72,16 @@ pub enum PointAnswer {
 /// recorded as an [`IndexRepairEvent`].
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct RepairSummary {
-    /// Root passes run: resumed or first-run passes on an incremental
-    /// repair, every root's two passes on a rebuild.
+    /// Root directions relabelled: resumed or first-run passes on an
+    /// incremental repair; two per root on a rebuild, since a rebuild
+    /// commits both label families even where one pass per root fills
+    /// both.
     pub roots_rerun: usize,
     /// Label entries dropped by the batch (on a rebuild: the whole
     /// pre-batch index).
     pub labels_removed: usize,
-    /// Label entries (re)committed by the repair.
+    /// Label entries (re)committed by the repair, both families
+    /// counted.
     pub labels_added: usize,
     /// Were the labels rebuilt from scratch? For `qgraph-index` that is
     /// the reason too: the batch netted to an edge removal.

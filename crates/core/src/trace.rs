@@ -227,8 +227,8 @@ mod imp {
             self.rec(0, Event::coord(at, Kind::RepairBegin, 0));
         }
 
-        /// Close the repair span: the window's root passes run and how
-        /// many of its batches rebuilt (see [`Kind::RepairEnd`]).
+        /// Close the repair span: the window's root directions relabelled
+        /// and how many of its batches rebuilt (see [`Kind::RepairEnd`]).
         pub fn repair_end(&self, at: f64, repairs: &[IndexRepairEvent]) {
             let passes: usize = repairs.iter().map(|ev| ev.summary.roots_rerun).sum();
             let rebuilt = repairs.iter().filter(|ev| ev.summary.rebuilt).count();

@@ -16,11 +16,18 @@
 //! distance (the highest-ranked vertex on a shortest `u → v` path is in
 //! both label sets — the canonical 2-hop cover invariant that
 //! rank-restricted pruning preserves).
+//!
+//! The passes and the rank order walk `Adjacency` — flat CSR snapshots
+//! of the live out- and in-edges, taken once per build or repair — and
+//! never the mutation overlay. Where every edge has an equal-weight twin
+//! the other way (a road map), the snapshot is `symmetric` and the two
+//! families of a fresh build are mirror images.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
-use qgraph_graph::{Topology, VertexId};
+use qgraph_graph::{Graph, GraphBuilder, Topology, VertexId};
 
 use crate::dist::{improves, OrdF32};
 
@@ -82,9 +89,12 @@ const ORDER_SAMPLES: usize = 64;
 /// pass prune. Degree alone says that on a social graph and nothing on
 /// a road map (every degree is 2–4); coverage alone over-ranks chains
 /// on hub-dominated graphs; the product serves both. No RNG, no thread
-/// count: every build derives the same order.
-fn rank_order(topology: &Topology) -> Vec<VertexId> {
-    let n = topology.num_vertices();
+/// count: every build derives the same order. Parent ties go to the
+/// first relaxation, so `fwd` must list edges in `Topology::neighbors`
+/// order.
+// qlint: allow(raw-adjacency) — an `Adjacency` snapshot: the live edges, overlay included
+fn rank_order(fwd: &Graph) -> Vec<VertexId> {
+    let n = fwd.num_vertices();
     let samples = ORDER_SAMPLES.min(n);
     let mut score = vec![0u64; n];
     let mut dist = vec![f32::INFINITY; n];
@@ -103,7 +113,7 @@ fn rank_order(topology: &Topology) -> Vec<VertexId> {
                 continue; // stale heap entry
             }
             settled.push(v);
-            for (t, w) in topology.neighbors(VertexId(v)) {
+            for (t, w) in fwd.neighbors(VertexId(v)) {
                 let nd = d + w;
                 if improves(nd, dist[t.index()]) {
                     dist[t.index()] = nd;
@@ -123,7 +133,7 @@ fn rank_order(topology: &Topology) -> Vec<VertexId> {
         }
     }
     let mut order: Vec<VertexId> = (0..n as u32).map(VertexId).collect();
-    order.sort_by_cached_key(|&v| (Reverse(score[v.index()] * topology.degree(v) as u64), v.0));
+    order.sort_by_cached_key(|&v| (Reverse(score[v.index()] * fwd.degree(v) as u64), v.0));
     order
 }
 
@@ -144,11 +154,18 @@ pub struct HubLabels {
 
 impl HubLabels {
     /// An empty store over `topology`'s vertices, ranked by
+    /// `rank_order`.
+    pub fn empty(topology: &Topology) -> Self {
+        Self::ranked(&Adjacency::new(topology).fwd)
+    }
+
+    /// An empty store over the forward snapshot's vertices, ranked by
     /// `rank_order` — the one place the order is made, shared by the
     /// build and the in-barrier rebuild.
-    pub fn empty(topology: &Topology) -> Self {
-        let n = topology.num_vertices();
-        let order = rank_order(topology);
+    // qlint: allow(raw-adjacency) — an `Adjacency` snapshot: the live edges, overlay included
+    pub(crate) fn ranked(fwd: &Graph) -> Self {
+        let n = fwd.num_vertices();
+        let order = rank_order(fwd);
         let mut rank_of = vec![0u32; n];
         for (rank, &v) in order.iter().enumerate() {
             rank_of[v.index()] = rank as u32;
@@ -254,29 +271,64 @@ pub enum Direction {
     Backward,
 }
 
-/// Reverse adjacency: `rev[v]` lists `(u, w)` for every live edge
-/// `u → v`. Backward passes traverse it; the build and the repair
-/// construct it once per topology epoch.
-pub(crate) type RevAdj = Vec<Vec<(VertexId, f32)>>;
+/// Flat CSR snapshots of a topology's live edges, taken once per build
+/// or repair: the passes and the rank order walk these instead of the
+/// mutation overlay.
+pub(crate) struct Adjacency {
+    /// Out-edges, in `Topology::neighbors` order: the base itself when no
+    /// overlay is pending.
+    pub(crate) fwd: Arc<Graph>,
+    /// In-edges: `rev.neighbors(v)` lists `(u, w)` for every live edge
+    /// `u → v`, by ascending `u`.
+    pub(crate) rev: Graph,
+    /// Every vertex's out-edge multiset equals its in-edge multiset,
+    /// weights bit for bit — a root's backward pass would repeat its
+    /// forward pass, so the build runs one and commits both families.
+    pub(crate) symmetric: bool,
+}
 
-/// Build the reverse adjacency of `topology`'s live edges.
-pub(crate) fn reverse_adjacency(topology: &Topology) -> RevAdj {
-    let n = topology.num_vertices();
-    let mut rev: RevAdj = vec![Vec::new(); n];
-    for u in 0..n as u32 {
-        let u = VertexId(u);
-        for (v, w) in topology.neighbors(u) {
-            rev[v.index()].push((u, w));
+impl Adjacency {
+    pub(crate) fn new(topology: &Topology) -> Self {
+        let fwd = if topology.is_compact() {
+            Arc::clone(topology.base())
+        } else {
+            Arc::new(topology.materialize())
+        };
+        let mut b = GraphBuilder::new(fwd.num_vertices()).with_edge_capacity(fwd.num_edges());
+        for (u, v, w) in fwd.edges() {
+            b.add_edge(v.0, u.0, w);
+        }
+        let rev = b.build();
+        let symmetric = same_multisets(&fwd, &rev);
+        Adjacency {
+            fwd,
+            rev,
+            symmetric,
         }
     }
-    rev
+}
+
+/// Every vertex lists the same `(neighbor, weight bits)` multiset in `a`
+/// as in `b`.
+// qlint: allow(raw-adjacency) — an `Adjacency` snapshot: the live edges, overlay included
+fn same_multisets(a: &Graph, b: &Graph) -> bool {
+    let key = |(t, w): (VertexId, f32)| (t.0, w.to_bits());
+    let (mut xs, mut ys) = (Vec::new(), Vec::new());
+    a.vertices().all(|v| {
+        xs.clear();
+        xs.extend(a.neighbors(v).map(key));
+        xs.sort_unstable();
+        ys.clear();
+        ys.extend(b.neighbors(v).map(key));
+        ys.sort_unstable();
+        xs == ys
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qgraph_graph::GraphBuilder;
-    use std::sync::Arc;
+    use qgraph_graph::MutationBatch;
 
     fn topo() -> Topology {
         // 0 -> 1 -> 2, 0 -> 2; degrees: 0:2, 1:1, 2:0.
@@ -363,11 +415,55 @@ mod tests {
             .is_infinite());
     }
 
+    /// On an overlaid topology the forward snapshot keeps
+    /// `Topology::neighbors` order, the reverse one lists exactly the
+    /// in-edges, and `symmetric` holds only while every edge has its
+    /// equal-weight twin.
     #[test]
-    fn reverse_adjacency_inverts_edges() {
-        let rev = reverse_adjacency(&topo());
-        assert_eq!(rev[2], vec![(VertexId(0), 5.0), (VertexId(1), 1.0)]);
-        assert!(rev[0].is_empty());
+    fn snapshots_follow_the_overlay_and_detect_symmetry() {
+        let mut b = GraphBuilder::new(4);
+        b.add_undirected_edge(0, 1, 1.5);
+        b.add_undirected_edge(0, 2, 0.1);
+        b.add_undirected_edge(1, 2, 2.0);
+        b.add_undirected_edge(2, 3, 0.7);
+        let mut topo = Topology::new(Arc::new(b.build()));
+        assert!(Adjacency::new(&topo).symmetric);
+
+        let mut batch = MutationBatch::new();
+        batch
+            .add_undirected_edge(0, 3, 4.0)
+            .remove_undirected_edge(0, 1)
+            .add_undirected_edge(0, 1, 1.5);
+        topo.apply(&batch);
+        assert!(!topo.is_compact());
+        let adj = Adjacency::new(&topo);
+        assert!(adj.symmetric, "the batch re-adds every edge it removes");
+        let mut in_edges: Vec<Vec<(VertexId, f32)>> = vec![Vec::new(); 4];
+        for u in topo.vertices() {
+            let live: Vec<_> = topo.neighbors(u).collect();
+            assert_eq!(adj.fwd.neighbors(u).collect::<Vec<_>>(), live);
+            for (v, w) in live {
+                in_edges[v.index()].push((u, w));
+            }
+        }
+        for v in topo.vertices() {
+            assert_eq!(
+                adj.rev.neighbors(v).collect::<Vec<_>>(),
+                in_edges[v.index()]
+            );
+        }
+        assert_eq!(adj.rev.num_edges(), topo.num_edges());
+
+        let mut one_way = topo.clone();
+        let mut batch = MutationBatch::new();
+        batch.add_edge(1, 3, 1.0);
+        one_way.apply(&batch);
+        assert!(!Adjacency::new(&one_way).symmetric);
+        let mut reweighted = topo;
+        let mut batch = MutationBatch::new();
+        batch.set_weight(2, 3, 0.75);
+        reweighted.apply(&batch);
+        assert!(!Adjacency::new(&reweighted).symmetric);
     }
 
     #[test]

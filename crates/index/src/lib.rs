@@ -3,16 +3,19 @@
 //! Microsecond point queries (`dist(u,v)` / `reach(u,v)`) over the
 //! evolving graph, by pruned landmark labeling (2-hop hub labels):
 //! every vertex is a landmark root ranked by sampled shortest-path
-//! coverage × degree; each root runs a rank-restricted pruned pass in
-//! both directions; a query intersects
+//! coverage × degree; each root's rank-restricted pruned passes fill its
+//! entries in both label families; a query intersects
 //! the source's out-labels with the target's in-labels. The minimum
 //! over common hubs is the exact shortest-path distance — Quegel's Hub2
 //! serving mode, grown into a full plane of this engine:
 //!
 //! * **Construction** ([`LabelIndex::build`]) runs the landmark passes
-//!   over a [`Topology`] one rank at a time, on the caller's thread, over
-//!   one reused scratch — one builder, which the in-barrier rebuild runs
-//!   too.
+//!   one rank at a time, on the caller's thread, over one reused scratch
+//!   and flat CSR snapshots of the [`Topology`]'s live edges, taken once
+//!   per build. Each root runs a forward and a backward pass; where
+//!   every edge has an equal-weight twin the other way (a road map), its
+//!   one forward pass commits into both families. One builder, which the
+//!   in-barrier rebuild runs too.
 //! * **Serving** ([`LabelIndex`] implementing
 //!   [`PointIndex`](qgraph_core::PointIndex)) answers from the one label
 //!   store ([`HubLabels`]); the engines consult it at admission, tag
@@ -66,12 +69,13 @@ pub struct LabelIndex {
 }
 
 impl LabelIndex {
-    /// Build over `topology`: each root's pruned forward and backward
-    /// passes, in rank order. The labels are valid through the
-    /// topology's epoch.
+    /// Build over `topology`: each root's pruned passes, in rank order,
+    /// over flat CSR snapshots of its live edges — a forward and a
+    /// backward pass, or on a symmetric graph one pass that fills both
+    /// label families. The labels are valid through the topology's
+    /// epoch.
     pub fn build(topology: &Topology, cfg: IndexConfig) -> Self {
-        let mut labels = HubLabels::empty(topology);
-        repair::build(&mut labels, topology, &mut repair::Scratch::default());
+        let labels = repair::build(topology, &mut repair::Scratch::default());
         LabelIndex {
             labels,
             repaired_through: topology.epoch(),

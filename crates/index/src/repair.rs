@@ -2,18 +2,23 @@
 //!
 //! One kernel, [`pass`], runs every pruned landmark pass in the crate —
 //! the build's, an insertion resume's and a new vertex's first — over a
-//! caller-owned [`Scratch`], and commits while it settles: a hub's pass
-//! reads only higher-ranked hubs' entries and the hub's own pre-pass
-//! entry at each vertex, so the entries it writes never feed back into
-//! its own decisions.
+//! caller-owned [`Scratch`] and the flat CSR snapshots of an
+//! [`Adjacency`], taken once per build or repair, and commits while it
+//! settles: a hub's pass reads only higher-ranked hubs' entries and the
+//! hub's own pre-pass entry at each vertex, so the entries it writes
+//! never feed back into its own decisions.
 //!
 //! The builder ([`build`], behind [`crate::LabelIndex::build`] and the
 //! in-barrier rebuild) is classic sequential pruned landmark labeling:
 //! one rank loop, each root's forward pass then its backward pass, each
-//! pruning against every entry committed before it. A pass on the
-//! 1.9k-vertex serving map costs a few microseconds, less than handing it
-//! to another thread, so the builder runs on the caller's thread
-//! (ARCHITECTURE.md has the measurements).
+//! pruning against every entry committed before it. On a symmetric
+//! snapshot each root runs its forward pass alone and commits into both
+//! families — the backward pass would settle the same entries bit for
+//! bit. Resumes and new-vertex passes keep both directions: drifted
+//! labels need not be mirror images. A pass on the 1.9k-vertex serving
+//! map costs a few microseconds, less than handing it to another
+//! thread, so the builder runs on the caller's thread (ARCHITECTURE.md
+//! has the measurements).
 //!
 //! Repair consumes one [`AppliedMutation`]'s `edge_changes`, netted per
 //! edge to the cheapest parallel's weight before and after the batch, and
@@ -50,7 +55,7 @@ use qgraph_graph::{AppliedMutation, EdgeChange, Topology, VertexId};
 use rustc_hash::FxHashMap;
 
 use crate::dist::{covers, improves, OrdF32};
-use crate::labels::{entry, reverse_adjacency, Direction, HubLabels, LabelEntry, RevAdj};
+use crate::labels::{entry, Adjacency, Direction, HubLabels, LabelEntry};
 
 /// The labels' best distance between `root` and `vertex` in `dir`,
 /// witnessed by hubs ranked above `rank` — what hub `rank`'s pass prunes
@@ -110,9 +115,15 @@ impl Scratch {
     }
 }
 
-/// One pruned Dijkstra pass for hub `rank` in `dir`: commits every
-/// settled vertex no higher-ranked hub covers as the hub's entry there,
-/// and returns the number of entries inserted (the rest tightened one).
+/// One pruned Dijkstra pass for hub `rank` in `dir` over the snapshot
+/// `adj`: commits every settled vertex no higher-ranked hub covers as the
+/// hub's entry there, and returns the number of entries inserted (the
+/// rest tightened one).
+///
+/// `mirror` commits each settled entry into the backward family too: a
+/// forward pass from the root, run on a symmetric snapshot over labels
+/// whose families are mirror images, settles exactly what the backward
+/// pass would (see [`build`]).
 ///
 /// `resume` is `None` for a full pass, seeded at the root with 0. An
 /// insertion resume passes its seeds instead, and the pass then also
@@ -126,17 +137,22 @@ impl Scratch {
 /// [`threshold`] — so it decides every prune exactly as `threshold` does.
 pub(crate) fn pass(
     labels: &mut HubLabels,
-    topology: &Topology,
-    rev: &RevAdj,
+    adj: &Adjacency,
     rank: u32,
     dir: Direction,
     resume: Option<&[(VertexId, f32)]>,
+    mirror: bool,
     scratch: &mut Scratch,
 ) -> usize {
+    debug_assert!(!mirror || (dir == Direction::Forward && resume.is_none()));
     let s = scratch;
     let root = labels.order[rank as usize];
-    if s.dist.len() < topology.num_vertices() {
-        s.dist.resize(topology.num_vertices(), f32::INFINITY);
+    let edges = match dir {
+        Direction::Forward => &*adj.fwd,
+        Direction::Backward => &adj.rev,
+    };
+    if s.dist.len() < edges.num_vertices() {
+        s.dist.resize(edges.num_vertices(), f32::INFINITY);
     }
     if s.hub.len() < labels.order.len() {
         s.hub.resize(labels.order.len(), f32::INFINITY);
@@ -181,17 +197,11 @@ pub(crate) fn pass(
         if labels.commit(vertex, rank, d, dir) {
             added += 1;
         }
-        match dir {
-            Direction::Forward => {
-                for (t, w) in topology.neighbors(vertex) {
-                    s.relax(t, d + w);
-                }
-            }
-            Direction::Backward => {
-                for &(t, w) in &rev[vertex.index()] {
-                    s.relax(t, d + w);
-                }
-            }
+        if mirror && labels.commit(vertex, rank, d, Direction::Backward) {
+            added += 1;
+        }
+        for (t, w) in edges.neighbors(vertex) {
+            s.relax(t, d + w);
         }
     }
     for v in s.touched.drain(..) {
@@ -203,19 +213,30 @@ pub(crate) fn pass(
     added
 }
 
-/// Build the complete labeling over `topology` into `labels`, which
-/// hold its rank order and no entry: for each rank, the root's forward
-/// pass, then its backward pass. Returns the number of entries
-/// committed.
-pub(crate) fn build(labels: &mut HubLabels, topology: &Topology, scratch: &mut Scratch) -> usize {
-    let rev = reverse_adjacency(topology);
-    let mut added = 0usize;
+/// Build the complete labeling over `topology`, ranked by `rank_order`
+/// on its forward snapshot: for each rank, the root's forward pass, then
+/// its backward pass.
+///
+/// On a symmetric snapshot each root runs its forward pass alone and
+/// commits into both families. That is exact: the backward pass would
+/// sum the same weights in the same order from the root and settle the
+/// same `(vertex, distance)` pairs bit for bit, its prune test being the
+/// forward one with the operands of one IEEE addition swapped — so, by
+/// induction on rank, `in_labels == out_labels` after every rank.
+pub(crate) fn build(topology: &Topology, scratch: &mut Scratch) -> HubLabels {
+    let adj = Adjacency::new(topology);
+    let mut labels = HubLabels::ranked(&adj.fwd);
+    let dirs: &[Direction] = if adj.symmetric {
+        &[Direction::Forward]
+    } else {
+        &[Direction::Forward, Direction::Backward]
+    };
     for rank in 0..labels.order.len() as u32 {
-        for dir in [Direction::Forward, Direction::Backward] {
-            added += pass(labels, topology, &rev, rank, dir, None, scratch);
+        for &dir in dirs {
+            pass(&mut labels, &adj, rank, dir, None, adj.symmetric, scratch);
         }
     }
-    added
+    labels
 }
 
 /// Net the batch's edge changes per `(from, to)`: `None` when some
@@ -294,13 +315,14 @@ pub(crate) fn repair(
     let mut scratch = Scratch::default();
     let Some(inserts) = net_changes(topology, applied) else {
         // A full rebuild on the current topology, re-ranked: the whole
-        // pre-batch index counts as removed.
-        let labels_removed = labels.total_entries();
-        *labels = HubLabels::empty(topology);
+        // pre-batch index counts as removed, and is freed before the
+        // build allocates its own.
+        let labels_removed = std::mem::take(labels).total_entries();
+        *labels = build(topology, &mut scratch);
         return RepairSummary {
             rebuilt: true,
             labels_removed,
-            labels_added: build(labels, topology, &mut scratch),
+            labels_added: labels.total_entries(),
             roots_rerun: 2 * labels.order.len(),
         };
     };
@@ -313,7 +335,7 @@ pub(crate) fn repair(
     // passes run last, and insert-resumes reach *through* them because
     // the resumed Dijkstra runs on the new topology.
     labels.append_vertices(&applied.new_vertices);
-    let rev = reverse_adjacency(topology);
+    let adj = Adjacency::new(topology);
 
     // 1. Insertion resumes, in rank order. A root's seed distances are
     //    read from its own entries at each new edge's tail — exact for
@@ -341,8 +363,7 @@ pub(crate) fn repair(
                 .collect();
             if !seeds.is_empty() {
                 let resume = Some(seeds.as_slice());
-                summary.labels_added +=
-                    pass(labels, topology, &rev, rank, dir, resume, &mut scratch);
+                summary.labels_added += pass(labels, &adj, rank, dir, resume, false, &mut scratch);
                 summary.roots_rerun += 1;
             }
         }
@@ -352,7 +373,7 @@ pub(crate) fn repair(
     for &v in &applied.new_vertices {
         let rank = labels.rank_of[v.index()];
         for dir in [Direction::Forward, Direction::Backward] {
-            summary.labels_added += pass(labels, topology, &rev, rank, dir, None, &mut scratch);
+            summary.labels_added += pass(labels, &adj, rank, dir, None, false, &mut scratch);
             summary.roots_rerun += 1;
         }
     }
@@ -449,9 +470,7 @@ mod tests {
     }
 
     fn fresh_build(topology: &Topology) -> HubLabels {
-        let mut labels = HubLabels::empty(topology);
-        build(&mut labels, topology, &mut Scratch::default());
-        labels
+        build(topology, &mut Scratch::default())
     }
 
     /// Hub `rank`'s entries in `dir`'s family, sorted by vertex.
@@ -472,6 +491,20 @@ mod tests {
         assert_eq!(a.order, b.order);
         assert_eq!(a.out_labels, b.out_labels);
         assert_eq!(a.in_labels, b.in_labels);
+    }
+
+    /// Reverse adjacency: `rev[v]` lists `(u, w)` for every live edge
+    /// `u → v`, read off the topology itself.
+    type RevAdj = Vec<Vec<(VertexId, f32)>>;
+
+    fn reverse_adjacency(topology: &Topology) -> RevAdj {
+        let mut rev: RevAdj = vec![Vec::new(); topology.num_vertices()];
+        for u in topology.vertices() {
+            for (v, w) in topology.neighbors(u) {
+                rev[v.index()].push((u, w));
+            }
+        }
+        rev
     }
 
     /// The kernel before it took a scratch: a hash-map `dist`, the label
@@ -515,7 +548,7 @@ mod tests {
     }
 
     /// Classic pruned landmark labeling over the reference kernel: each
-    /// pass commits before the next one runs.
+    /// pass commits before the next one runs, both directions per root.
     fn reference_build(topology: &Topology) -> HubLabels {
         let mut labels = HubLabels::empty(topology);
         let rev = reverse_adjacency(topology);
@@ -534,10 +567,10 @@ mod tests {
     fn unpruned(v: u32, dir: Direction) -> Vec<(u32, f32)> {
         let topo = diamond();
         let mut labels = HubLabels::empty(&topo);
-        let rev = reverse_adjacency(&topo);
+        let adj = Adjacency::new(&topo);
         let rank = labels.rank_of[v as usize];
         let mut scratch = Scratch::default();
-        pass(&mut labels, &topo, &rev, rank, dir, None, &mut scratch);
+        pass(&mut labels, &adj, rank, dir, None, false, &mut scratch);
         assert_clean(&scratch);
         entries_of(&labels, rank, dir)
     }
@@ -572,7 +605,7 @@ mod tests {
         let mut batch = MutationBatch::new();
         batch.add_edge(2, 4, 1.0);
         let applied = topo.apply(&batch);
-        let rev = reverse_adjacency(&topo);
+        let adj = Adjacency::new(&topo);
         let rank = labels.rank_of[2];
         let mut resumed = labels.clone();
         let seeds = [(VertexId(4), 1.0)];
@@ -580,11 +613,11 @@ mod tests {
         let (fwd, bwd) = (Direction::Forward, Direction::Backward);
         pass(
             &mut resumed,
-            &topo,
-            &rev,
+            &adj,
             rank,
             fwd,
             Some(&seeds),
+            false,
             &mut scratch,
         );
         assert_clean(&scratch);
@@ -621,26 +654,50 @@ mod tests {
 
     /// The scratch kernel builds the reference's labels entry for entry,
     /// on real-valued road weights and on an integer digraph, and every
-    /// pass hands its scratch back clean.
+    /// pass hands its scratch back clean. The road map is symmetric, so
+    /// its builds take the one-pass path — compact, and overlaid after a
+    /// removal batch; one one-way edge sends it down the two-pass path.
     #[test]
     fn build_equals_the_reference_kernel_entry_for_entry() {
-        for topo in [road_map(), random_digraph(120, 3)] {
+        let mut closed = road_map();
+        let mut batch = MutationBatch::new();
+        for u in [3u32, 40, 77] {
+            let (v, _) = closed.neighbors(VertexId(u)).next().expect("road vertex");
+            batch.remove_undirected_edge(u, v.0);
+        }
+        closed.apply(&batch);
+        assert!(!closed.is_compact());
+        let mut one_way = road_map();
+        let mut batch = MutationBatch::new();
+        batch.add_edge(5, 90, 0.3);
+        one_way.apply(&batch);
+        for (topo, symmetric) in [
+            (road_map(), true),
+            (closed, true),
+            (one_way, false),
+            (random_digraph(120, 3), false),
+        ] {
+            let adj = Adjacency::new(&topo);
+            assert_eq!(adj.symmetric, symmetric);
             let want = reference_build(&topo);
-            let mut labels = HubLabels::empty(&topo);
-            let added = build(&mut labels, &topo, &mut Scratch::default());
+            let labels = build(&topo, &mut Scratch::default());
             assert_same_labels(&labels, &want);
-            assert_eq!(added, want.total_entries());
 
-            let mut checked = HubLabels::empty(&topo);
-            let rev = reverse_adjacency(&topo);
-            let mut scratch = Scratch::default();
+            let mut checked = HubLabels::ranked(&adj.fwd);
+            let dirs: &[Direction] = if symmetric {
+                &[Direction::Forward]
+            } else {
+                &[Direction::Forward, Direction::Backward]
+            };
+            let (mut added, mut scratch) = (0, Scratch::default());
             for rank in 0..checked.order.len() as u32 {
-                for dir in [Direction::Forward, Direction::Backward] {
-                    pass(&mut checked, &topo, &rev, rank, dir, None, &mut scratch);
+                for &dir in dirs {
+                    added += pass(&mut checked, &adj, rank, dir, None, symmetric, &mut scratch);
                     assert_clean(&scratch);
                 }
             }
             assert_same_labels(&checked, &want);
+            assert_eq!(added, want.total_entries());
         }
     }
 
@@ -650,14 +707,14 @@ mod tests {
     fn a_reused_scratch_resumes_like_a_fresh_one() {
         let mut reused = Scratch::default();
         let big = random_digraph(200, 11);
-        build(&mut HubLabels::empty(&big), &big, &mut reused);
+        build(&big, &mut reused);
 
         let mut topo = random_digraph(80, 5);
         let base = fresh_build(&topo);
         let mut batch = MutationBatch::new();
         batch.add_edge(3, 41, 1.0).add_edge(57, 8, 1.0);
         topo.apply(&batch);
-        let rev = reverse_adjacency(&topo);
+        let adj = Adjacency::new(&topo);
         let (mut with_reused, mut with_fresh) = (base.clone(), base.clone());
         let mut resumes = 0;
         for rank in 0..base.order.len() as u32 {
@@ -674,15 +731,15 @@ mod tests {
                 let resume = Some(&seeds[..]);
                 let a = pass(
                     &mut with_reused,
-                    &topo,
-                    &rev,
+                    &adj,
                     rank,
                     dir,
                     resume,
+                    false,
                     &mut reused,
                 );
                 let fresh = &mut Scratch::default();
-                let b = pass(&mut with_fresh, &topo, &rev, rank, dir, resume, fresh);
+                let b = pass(&mut with_fresh, &adj, rank, dir, resume, false, fresh);
                 assert_eq!(a, b, "rank {rank} {dir:?}");
                 assert_clean(&reused);
                 assert_same_labels(&with_reused, &with_fresh);

@@ -120,9 +120,10 @@ pub enum Kind {
     Compaction,
     /// Point-index repair began at this mutation barrier.
     RepairBegin,
-    /// Point-index repair finished: `aux` holds the root passes run in
-    /// its low 32 bits and, above them, how many of the window's batches
-    /// rebuilt the labels (each because it netted to an edge removal).
+    /// Point-index repair finished: `aux` holds the root directions
+    /// relabelled (`RepairSummary::roots_rerun`) in its low 32 bits and,
+    /// above them, how many of the window's batches rebuilt the labels
+    /// (each because it netted to an edge removal).
     RepairEnd,
 }
 

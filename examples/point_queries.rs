@@ -114,7 +114,7 @@ fn main() {
     }
     for r in &engine.report().index_repairs {
         println!(
-            "  epoch {}: {} root passes run, -{}/+{} labels{}",
+            "  epoch {}: {} root directions relabelled, -{}/+{} labels{}",
             r.epoch,
             r.summary.roots_rerun,
             r.summary.labels_removed,
