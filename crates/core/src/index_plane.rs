@@ -72,19 +72,19 @@ pub enum PointAnswer {
 /// recorded as an [`IndexRepairEvent`].
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct RepairSummary {
-    /// Root directions relabelled: resumed or first-run passes on an
-    /// incremental repair; two per root on a rebuild, since a rebuild
-    /// commits both label families even where one pass per root fills
-    /// both.
+    /// Root directions relabelled: two per root on a rebuild, since a
+    /// rebuild commits both label families even where one pass per root
+    /// fills both.
     pub roots_rerun: usize,
     /// Label entries dropped by the batch (on a rebuild: the whole
     /// pre-batch index).
     pub labels_removed: usize,
-    /// Label entries (re)committed by the repair, both families
-    /// counted.
+    /// Label entries committed by the repair, both families counted.
     pub labels_added: usize,
     /// Were the labels rebuilt from scratch? For `qgraph-index` that is
-    /// the reason too: the batch netted to an edge removal.
+    /// the reason too: the batch moved some edge's cheapest parallel or
+    /// created a vertex. A batch that moves nothing leaves the summary
+    /// at its default.
     pub rebuilt: bool,
 }
 

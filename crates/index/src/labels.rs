@@ -1,5 +1,6 @@
-//! The 2-hop hub label store: the one copy of the labels, which builds
-//! and repairs write and point queries read.
+//! The 2-hop hub label store: the one copy of the labels, which the
+//! builder writes — offline or as a repair's rebuild — and point queries
+//! read.
 //!
 //! Every vertex is a landmark *root*, ranked by sampled shortest-path
 //! coverage × degree (descending, vertex id breaking ties; see
@@ -18,7 +19,7 @@
 //! rank-restricted pruning preserves).
 //!
 //! The passes and the rank order walk `Adjacency` — flat CSR snapshots
-//! of the live out- and in-edges, taken once per build or repair — and
+//! of the live out- and in-edges, taken once per build — and
 //! never the mutation overlay. Where every edge has an equal-weight twin
 //! the other way (a road map), the snapshot is `symmetric` and the two
 //! families of a fresh build are mirror images.
@@ -141,8 +142,9 @@ fn rank_order(fwd: &Graph) -> Vec<VertexId> {
 /// order itself.
 #[derive(Clone, Debug, Default)]
 pub struct HubLabels {
-    /// rank → vertex (`rank_order`; vertices created by later mutation
-    /// epochs are appended at the end, i.e. lowest priority).
+    /// rank → vertex (`rank_order` over the graph the labels were built
+    /// on; a repair that creates vertices rebuilds, re-ranking them with
+    /// everyone else).
     pub order: Vec<VertexId>,
     /// vertex index → rank (inverse of `order`).
     pub rank_of: Vec<u32>,
@@ -189,19 +191,6 @@ impl HubLabels {
             + self.in_labels.iter().map(Vec::len).sum::<usize>()
     }
 
-    /// Append vertices created by a mutation epoch at the *end* of the
-    /// rank order (lowest priority) — existing labels stay valid and the
-    /// newcomers' own passes run last.
-    pub fn append_vertices(&mut self, new: &[VertexId]) {
-        for &v in new {
-            debug_assert_eq!(v.index(), self.rank_of.len(), "dense id append");
-            self.rank_of.push(self.order.len() as u32);
-            self.order.push(v);
-            self.out_labels.push(Vec::new());
-            self.in_labels.push(Vec::new());
-        }
-    }
-
     /// Exact distance `u → v` over the full label intersection;
     /// `None` when unreachable.
     pub fn query_dist(&self, u: VertexId, v: VertexId) -> Option<f32> {
@@ -225,14 +214,6 @@ impl HubLabels {
         )
     }
 
-    /// The committed entry of hub `rank` at `v` in the given direction.
-    pub fn hub_entry(&self, v: VertexId, rank: u32, dir: Direction) -> Option<f32> {
-        match dir {
-            Direction::Forward => entry(&self.in_labels[v.index()], rank),
-            Direction::Backward => entry(&self.out_labels[v.index()], rank),
-        }
-    }
-
     /// The label family a pass in `dir` commits into.
     pub(crate) fn family(&self, dir: Direction) -> &Vec<Vec<LabelEntry>> {
         match dir {
@@ -241,24 +222,21 @@ impl HubLabels {
         }
     }
 
-    /// Commit (insert or tighten) hub `rank`'s entry at `v`, keeping the
-    /// list sorted; returns `true` if a new entry was inserted.
-    pub fn commit(&mut self, v: VertexId, rank: u32, d: f32, dir: Direction) -> bool {
+    /// Insert hub `rank`'s entry at `v`, keeping the list sorted. A
+    /// build commits each `(vertex, rank, family)` once: a pass settles a
+    /// vertex once.
+    pub fn commit(&mut self, v: VertexId, rank: u32, d: f32, dir: Direction) {
         let lists = match dir {
             Direction::Forward => &mut self.in_labels,
             Direction::Backward => &mut self.out_labels,
         };
         let list = &mut lists[v.index()];
-        match list.binary_search_by_key(&rank, |e| e.rank) {
-            Ok(i) => {
-                list[i].dist = d;
-                false
-            }
-            Err(i) => {
-                list.insert(i, LabelEntry { rank, dist: d });
-                true
-            }
-        }
+        let i = list.partition_point(|e| e.rank < rank);
+        debug_assert!(
+            list.get(i).is_none_or(|e| e.rank != rank),
+            "hub rank {rank} committed twice at {v:?} ({dir:?})"
+        );
+        list.insert(i, LabelEntry { rank, dist: d });
     }
 }
 
@@ -271,9 +249,9 @@ pub enum Direction {
     Backward,
 }
 
-/// Flat CSR snapshots of a topology's live edges, taken once per build
-/// or repair: the passes and the rank order walk these instead of the
-/// mutation overlay.
+/// Flat CSR snapshots of a topology's live edges, taken once per build:
+/// the passes and the rank order walk these instead of the mutation
+/// overlay.
 pub(crate) struct Adjacency {
     /// Out-edges, in `Topology::neighbors` order: the base itself when no
     /// overlay is pending.
@@ -464,14 +442,5 @@ mod tests {
         batch.set_weight(2, 3, 0.75);
         reweighted.apply(&batch);
         assert!(!Adjacency::new(&reweighted).symmetric);
-    }
-
-    #[test]
-    fn append_vertices_extends_at_lowest_priority() {
-        let mut labels = HubLabels::empty(&topo());
-        labels.append_vertices(&[VertexId(3)]);
-        assert_eq!(labels.order.last(), Some(&VertexId(3)));
-        assert_eq!(labels.rank_of[3], 3);
-        assert_eq!(labels.num_vertices(), 4);
     }
 }

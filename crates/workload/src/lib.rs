@@ -25,7 +25,7 @@ mod tags;
 
 pub use arrivals::{arrival_times, schedule_open_loop, ArrivalConfig, ArrivalPattern, TimedQuery};
 pub use churn::{
-    edge_churn, nets_to_removal, road_closures, social_follows, ChurnConfig, TimedMutation,
+    edge_churn, moves_a_minimum, road_closures, social_follows, ChurnConfig, TimedMutation,
 };
 pub use points::{
     generate_point_queries, schedule_point_queries, PairSkew, PointQuerySpec, PointWorkloadConfig,

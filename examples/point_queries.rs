@@ -6,9 +6,9 @@
 //! intersection instead of running a BSP traversal — same answers,
 //! orders of magnitude less work. Edge churn is streamed in to show the
 //! other half of the plane: every mutation barrier repairs the labels —
-//! a rebuild when the batch nets to an edge removal, a resume of the
-//! affected passes when it only inserts — and the index keeps serving
-//! across epochs.
+//! a rebuild when the batch moves some edge's cheapest parallel or
+//! creates a vertex, nothing when it moves no minimum — and the index
+//! keeps serving across epochs.
 //!
 //! Run with: `cargo run --release --bin point_queries`
 
@@ -120,9 +120,9 @@ fn main() {
             r.summary.labels_removed,
             r.summary.labels_added,
             if r.summary.rebuilt {
-                " (rebuilt: the batch nets to a removal)"
+                " (rebuilt: the batch moves a minimum)"
             } else {
-                " (resumed)"
+                " (skipped: no minimum moved)"
             },
         );
     }

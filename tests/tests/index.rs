@@ -18,8 +18,9 @@
 //! Plus the validity rule: with repair disabled the index goes stale at
 //! the first mutation and every query silently falls back to traversal —
 //! still correct, just not index-served. And the repair rule itself: a
-//! batch that nets to an edge removal rebuilds — to the labels a fresh
-//! build commits, entry for entry — and any other batch resumes.
+//! batch that moves some edge's cheapest parallel, or creates a vertex,
+//! rebuilds — to the labels a fresh build commits, entry for entry — and
+//! any other batch runs nothing.
 
 use proptest::prelude::*;
 use qgraph_algo::{connected_component_of, dijkstra_to, ReachPointProgram, SsspProgram};
@@ -32,7 +33,7 @@ use qgraph_graph::{Graph, GraphBuilder, VertexId};
 use qgraph_index::{IndexConfig, LabelIndex};
 use qgraph_partition::HashPartitioner;
 use qgraph_workload::{
-    generate_ba, generate_point_queries, generate_ws, nets_to_removal, BarabasiAlbertConfig,
+    generate_ba, generate_point_queries, generate_ws, moves_a_minimum, BarabasiAlbertConfig,
     PointWorkloadConfig, RoadNetworkConfig, RoadNetworkGenerator, WattsStrogatzConfig,
 };
 use rand::{rngs::SmallRng, Rng, SeedableRng};
@@ -60,37 +61,63 @@ fn outcome_of<R: Runtime>(engine: &Engine<R>, id: qgraph_core::QueryId) -> &Quer
 }
 
 /// The installed index behind a shared handle: the engine owns a
-/// `Box<dyn PointIndex>`, the test keeps a clone to read the labels its
-/// barriers repaired.
-#[derive(Clone)]
-struct SharedIndex(Arc<Mutex<LabelIndex>>);
+/// `Box<dyn PointIndex>` over the labels its barriers repair.
+struct Installed(Arc<Mutex<LabelIndex>>);
+
+/// The test's side of an installed index: the same labels, and the graph
+/// they must be a fresh build of.
+struct SharedIndex {
+    index: Arc<Mutex<LabelIndex>>,
+    built_on: Topology,
+}
 
 impl SharedIndex {
-    fn install<R: Runtime>(engine: &mut Engine<R>, index: LabelIndex) -> Self {
-        let shared = SharedIndex(Arc::new(Mutex::new(index)));
-        engine.install_index(Box::new(shared.clone()));
-        shared
+    /// Build the index over the engine's topology and install it.
+    fn install<R: Runtime>(engine: &mut Engine<R>) -> Self {
+        let built_on = engine.topology_snapshot();
+        let index = Arc::new(Mutex::new(LabelIndex::build(
+            &built_on,
+            IndexConfig::default(),
+        )));
+        engine.install_index(Box::new(Installed(Arc::clone(&index))));
+        SharedIndex { index, built_on }
     }
 
-    /// Audit the labels against `topology`, and — when the last batch
-    /// rebuilt — hold them to a fresh build's, entry for entry.
-    fn check(&self, topology: &Topology, rebuilt: bool, ctx: &str) {
-        let index = self.0.lock().unwrap();
-        index.audit(topology);
-        if rebuilt {
-            let fresh = LabelIndex::build(topology, *index.config());
-            assert_eq!(index.labels().order, fresh.labels().order, "{ctx}");
-            assert_eq!(
-                index.labels().out_labels,
-                fresh.labels().out_labels,
-                "{ctx}"
-            );
-            assert_eq!(index.labels().in_labels, fresh.labels().in_labels, "{ctx}");
+    /// After the batch that took the graph from `before` to `after` was
+    /// repaired as `summary`: a batch that moved a minimum rebuilt, and
+    /// any other ran nothing. Either way the labels are a fresh build's,
+    /// entry for entry — on `after`, or on the last graph a batch that
+    /// moved a minimum left — and they cover `after`. Returns whether the
+    /// batch moved a minimum.
+    fn check(
+        &mut self,
+        before: &Topology,
+        after: &Topology,
+        summary: RepairSummary,
+        ctx: &str,
+    ) -> bool {
+        let moved = moves_a_minimum(before, after);
+        if moved {
+            assert!(summary.rebuilt, "{ctx}: {summary:?}");
+            self.built_on = after.clone();
+        } else {
+            assert_eq!(summary, RepairSummary::default(), "{ctx}: moved nothing");
         }
+        let index = self.index.lock().unwrap();
+        index.audit(after);
+        let fresh = LabelIndex::build(&self.built_on, *index.config());
+        assert_eq!(index.labels().order, fresh.labels().order, "{ctx}");
+        assert_eq!(
+            index.labels().out_labels,
+            fresh.labels().out_labels,
+            "{ctx}"
+        );
+        assert_eq!(index.labels().in_labels, fresh.labels().in_labels, "{ctx}");
+        moved
     }
 }
 
-impl PointIndex for SharedIndex {
+impl PointIndex for Installed {
     fn serve(&self, q: &PointQuery) -> Option<PointAnswer> {
         self.0.lock().unwrap().serve(q)
     }
@@ -252,35 +279,28 @@ fn mixed_batches(n: u32) -> Vec<MutationBatch> {
 
 fn repair_conformance<R: Runtime>(mut engine: Engine<R>, label: &str) {
     let n = 36u32;
-    let index = LabelIndex::build(&engine.topology_snapshot(), IndexConfig::default());
-    let shared = SharedIndex::install(&mut engine, index);
+    let mut shared = SharedIndex::install(&mut engine);
     let mut replay = Topology::new(ring_world(n));
-    // Removal; reweight-up (3→4 weighs 4); new vertex + inserts; removals.
-    let rebuilds = [true, true, false, true];
+    // Removal; reweight-up (3→4 weighs 4); new vertex + inserts;
+    // removals: every batch moves a minimum.
     for (e, batch) in mixed_batches(n).into_iter().enumerate() {
         let before = replay.clone();
         replay.apply(&batch);
-        assert_eq!(nets_to_removal(&before, &replay), rebuilds[e]);
         engine.mutate(batch);
         engine.run();
-        shared.check(&replay, rebuilds[e], &format!("{label} epoch {}", e + 1));
+        let ctx = format!("{label} epoch {}", e + 1);
+        let summary = engine.report().index_repairs[e].summary;
+        assert!(shared.check(&before, &replay, summary, &ctx), "{ctx}");
         let reference = replay.materialize();
         let live = reference.num_vertices() as u32;
         let pairs: Vec<(u32, u32)> = pair_stream(live, 12, 100 + e as u64);
-        serve_and_check(
-            &mut engine,
-            &reference,
-            &pairs,
-            ServedBy::Index,
-            &format!("{label} epoch {}", e + 1),
-        );
+        serve_and_check(&mut engine, &reference, &pairs, ServedBy::Index, &ctx);
     }
     // Each batch produced one repair event at its barrier.
     let repairs = &engine.report().index_repairs;
     assert_eq!(repairs.len(), 4, "{label}: one repair per batch");
     for (i, r) in repairs.iter().enumerate() {
         assert_eq!(r.epoch, i as u64 + 1, "{label}: repair epochs in order");
-        assert_eq!(r.summary.rebuilt, rebuilds[i], "{label}: {r:?}");
     }
 }
 
@@ -307,14 +327,16 @@ fn thread_index_repairs_across_mutation_epochs() {
 }
 
 // ---------------------------------------------------------------------
-// The other side of the rule: a batch with no netted removal keeps the
-// labels and resumes — or, when its events cancel, runs nothing at all.
+// Insert-only batches: shortcuts and a reweight-down move minima, so they
+// rebuild like removals do; a batch whose events cancel, or that only
+// stacks a heavier parallel, moves nothing and runs nothing. (The two
+// tests keep the names they had when insert-only batches resumed passes
+// instead of rebuilding, so the suite still lists them.)
 // ---------------------------------------------------------------------
 
 fn insert_only_batches_resume<R: Runtime>(mut engine: Engine<R>, label: &str) {
     let n = 36u32;
-    let index = LabelIndex::build(&engine.topology_snapshot(), IndexConfig::default());
-    let shared = SharedIndex::install(&mut engine, index);
+    let mut shared = SharedIndex::install(&mut engine);
     let mut replay = Topology::new(ring_world(n));
 
     // Two shortcuts and a reweight-down (18→19 weighs 5).
@@ -326,26 +348,21 @@ fn insert_only_batches_resume<R: Runtime>(mut engine: Engine<R>, label: &str) {
     // An edge that comes and goes inside one batch.
     let mut ephemeral = MutationBatch::new();
     ephemeral.add_edge(4, 25, 1.0).remove_edge(4, 25);
-    for (e, batch) in [inserts, ephemeral].into_iter().enumerate() {
+    // A heavier parallel beside 2→20 (weight 1).
+    let mut heavier = MutationBatch::new();
+    heavier.add_edge(2, 20, 6.0);
+    let moves = [true, false, false];
+    for (e, batch) in [inserts, ephemeral, heavier].into_iter().enumerate() {
         let before = replay.clone();
         replay.apply(&batch);
-        assert!(!nets_to_removal(&before, &replay));
         engine.mutate(batch);
         engine.run();
         let ctx = format!("{label} epoch {}", e + 1);
-        shared.check(&replay, false, &ctx);
+        let summary = engine.report().index_repairs[e].summary;
+        assert_eq!(shared.check(&before, &replay, summary, &ctx), moves[e]);
         let pairs = pair_stream(n, 12, 500 + e as u64);
         check_epoch_against_fresh_build(&mut engine, &replay, &pairs, &ctx);
     }
-    let repairs = &engine.report().index_repairs;
-    let resumed = repairs[0].summary;
-    assert!(!resumed.rebuilt && resumed.roots_rerun > 0, "{resumed:?}");
-    assert_eq!(resumed.labels_removed, 0, "{label}: {resumed:?}");
-    assert_eq!(
-        repairs[1].summary,
-        RepairSummary::default(),
-        "{label}: a batch that nets to nothing runs zero passes"
-    );
 }
 
 #[test]
@@ -554,8 +571,7 @@ fn apply_program<R: Runtime>(
     batches: &[Vec<(u32, u32, u32, u32)>],
     label: &str,
 ) {
-    let index = LabelIndex::build(&engine.topology_snapshot(), IndexConfig::default());
-    let shared = SharedIndex::install(&mut engine, index);
+    let mut shared = SharedIndex::install(&mut engine);
     let mut replay = Topology::new(ring_world(n));
     let mut vcount = n;
     for (e, ops) in batches.iter().enumerate() {
@@ -586,29 +602,20 @@ fn apply_program<R: Runtime>(
         replay.apply(&batch);
         engine.mutate(batch);
         engine.run();
-        // Some cases resume and some rebuild — both must stay exact.
-        let rebuilt = nets_to_removal(&before, &replay);
-        shared.check(&replay, rebuilt, &format!("{label} batch {}", e + 1));
+        let ctx = format!("{label} batch {}", e + 1);
+        let summary = engine.report().index_repairs[e].summary;
+        shared.check(&before, &replay, summary, &ctx);
         let reference = replay.materialize();
         let pairs = pair_stream(vcount, 6, 31 * (e as u64 + 1));
-        serve_and_check(
-            &mut engine,
-            &reference,
-            &pairs,
-            ServedBy::Index,
-            &format!("{label} batch {}", e + 1),
-        );
-        let summary = engine.report().index_repairs[e].summary;
-        assert_eq!(summary.rebuilt, rebuilt, "{label} batch {}", e + 1);
+        serve_and_check(&mut engine, &reference, &pairs, ServedBy::Index, &ctx);
     }
 }
 
 // ---------------------------------------------------------------------
-// Removal-biased churn: deletions dominate, so most batches rebuild —
-// to exactly the labels of a fresh build — and only the insert-only
-// ones stay incremental; the index must answer like traversal every
-// epoch. (The two tests keep the names they had when removals, too,
-// were repaired incrementally, so the suite still lists them.)
+// Removal-biased churn: every batch that moves a minimum rebuilds — to
+// exactly the labels of a fresh build — and the index must answer like
+// traversal every epoch. (The two tests keep the names they had when
+// removals were repaired incrementally, so the suite still lists them.)
 // ---------------------------------------------------------------------
 
 /// A w×h road-like grid with tie-breaking integer weights: removing one
@@ -692,8 +699,7 @@ fn check_epoch_against_fresh_build<R: Runtime>(
 
 fn removal_heavy_churn<R: Runtime>(mut engine: Engine<R>, label: &str) {
     let n = 432u32;
-    let index = LabelIndex::build(&engine.topology_snapshot(), IndexConfig::default());
-    let shared = SharedIndex::install(&mut engine, index);
+    let mut shared = SharedIndex::install(&mut engine);
     let mut replay = Topology::new(grid_world(24, 18));
 
     // Deterministic LCG-driven plan: 10 batches of two ops, ~70%
@@ -705,7 +711,6 @@ fn removal_heavy_churn<R: Runtime>(mut engine: Engine<R>, label: &str) {
             .wrapping_add(1442695040888963407);
         (state >> 33) as u32
     };
-    let mut removal_epochs = Vec::new();
     for e in 0..10 {
         let ops: Vec<(u32, u32, u32)> = (0..2).map(|_| (rng(), rng(), rng())).collect();
         let batch = churn_batch(&replay, n, &ops);
@@ -714,33 +719,18 @@ fn removal_heavy_churn<R: Runtime>(mut engine: Engine<R>, label: &str) {
         engine.mutate(batch);
         engine.run();
         let ctx = format!("{label} epoch {}", e + 1);
-        // After a removal batch the repaired labels are a fresh build's.
-        removal_epochs.push(nets_to_removal(&before, &replay));
-        shared.check(&replay, removal_epochs[e], &ctx);
+        let s = engine.report().index_repairs[e].summary;
+        // A rebuild runs every root's two passes and drops the whole
+        // old index.
+        if shared.check(&before, &replay, s, &ctx) {
+            assert_eq!(s.roots_rerun, 2 * n as usize, "{ctx}: {s:?}");
+            assert!(s.labels_removed > 0, "{ctx}: {s:?}");
+        }
         let pairs = pair_stream(n, 8, 1000 + e as u64);
         check_epoch_against_fresh_build(&mut engine, &replay, &pairs, &ctx);
     }
-
-    // One rule: rebuilt iff the batch netted to a removal; a rebuild
-    // runs every root's two passes and drops the whole old index, any
-    // other repair drops nothing.
     let repairs = &engine.report().index_repairs;
     assert_eq!(repairs.len(), 10, "{label}: one repair per batch");
-    for (r, &removal) in repairs.iter().zip(&removal_epochs) {
-        let s = r.summary;
-        assert_eq!(s.rebuilt, removal, "{label}: epoch {} {s:?}", r.epoch);
-        if removal {
-            assert_eq!(s.roots_rerun, 2 * n as usize, "{label}: {s:?}");
-            assert!(s.labels_removed > 0, "{label}: {s:?}");
-        } else {
-            assert_eq!(s.labels_removed, 0, "{label}: {s:?}");
-        }
-    }
-    let rebuilds = removal_epochs.iter().filter(|&&r| r).count();
-    assert!(
-        (1..10).contains(&rebuilds),
-        "{label}: the plan exercises both paths ({rebuilds}/10 rebuilt)"
-    );
 }
 
 #[test]
@@ -832,7 +822,7 @@ fn social_graph_labels_stay_within_a_tenth_of_degree_order() {
 }
 
 /// `evolve-churn`'s batch shape: 113 road segments (4 % of the serving
-/// map) closed at once. It nets to removals, so it rebuilds — the whole
+/// map) closed at once. It moves minima, so it rebuilds — the whole
 /// old index out, a fresh build's labels in, real-valued weights and all.
 #[test]
 fn wide_closure_wave_rebuilds_on_its_footprint() {
@@ -906,8 +896,7 @@ fn apply_removal_churn<R: Runtime>(
     plan: &[Vec<(u32, u32, u32)>],
     label: &str,
 ) {
-    let index = LabelIndex::build(&engine.topology_snapshot(), IndexConfig::default());
-    let shared = SharedIndex::install(&mut engine, index);
+    let mut shared = SharedIndex::install(&mut engine);
     let mut replay = Topology::new(ring_world(n));
     for (e, ops) in plan.iter().enumerate() {
         let batch = churn_batch(&replay, n, ops);
@@ -916,15 +905,10 @@ fn apply_removal_churn<R: Runtime>(
         engine.mutate(batch);
         engine.run();
         let ctx = format!("{label} epoch {}", e + 1);
-        let removal = nets_to_removal(&before, &replay);
-        shared.check(&replay, removal, &ctx);
+        let s = engine.report().index_repairs[e].summary;
+        shared.check(&before, &replay, s, &ctx);
         let pairs = pair_stream(n, 5, 73 * (e as u64 + 1));
         check_epoch_against_fresh_build(&mut engine, &replay, &pairs, &ctx);
-        // Labels leave only through a rebuild, and a rebuild happens
-        // only for a netted removal.
-        let s = engine.report().index_repairs[e].summary;
-        assert_eq!(s.rebuilt, removal, "{ctx}: {s:?}");
-        assert_eq!(s.labels_removed > 0, removal, "{ctx}: {s:?}");
     }
 }
 
