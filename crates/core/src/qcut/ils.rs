@@ -280,4 +280,127 @@ mod tests {
             "gathering the hot cluster would unbalance the system"
         );
     }
+
+    /// The 128-query × 8-worker hash-like input of the benchmark's ILS
+    /// probe: every scope split evenly, a chain of light overlaps.
+    fn ils_probe_input() -> ScopeStats {
+        let (queries, k) = (128usize, 8usize);
+        ScopeStats {
+            num_workers: k,
+            queries: (0..queries as u32).map(QueryId).collect(),
+            sizes: vec![vec![50.0 / k as f64; k]; queries],
+            overlaps: (0..queries - 1).map(|i| (i, i + 1, 5.0)).collect(),
+            base_vertices: vec![2000.0; k],
+        }
+    }
+
+    /// A Domain-like input that violates δ from the start: most scopes
+    /// (and most base vertices) sit on worker 0, with fractional sizes and
+    /// overlaps so any change in summation order shows in the bits.
+    fn domain_like_input() -> ScopeStats {
+        let (queries, k) = (20usize, 4usize);
+        let sizes = (0..queries)
+            .map(|i| {
+                let home = if i < 12 { 0 } else { i % k };
+                (0..k)
+                    .map(|w| {
+                        if w == home {
+                            (30 + (i * 17) % 20) as f64 * 1.1
+                        } else {
+                            ((i * 3 + w * 5) % 4) as f64 / 3.0
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let overlaps = (0..queries - 1)
+            .filter(|i| i % 3 != 2)
+            .map(|i| (i, i + 1, (2 + i % 5) as f64 * 0.7))
+            .collect();
+        ScopeStats {
+            num_workers: k,
+            queries: (0..queries as u32).map(QueryId).collect(),
+            sizes,
+            overlaps,
+            base_vertices: vec![3000.0, 1000.0, 1000.0, 1000.0],
+        }
+    }
+
+    /// A plan as `(query, from, to)` triples.
+    fn triples(plan: &MovePlan) -> Vec<(u32, usize, usize)> {
+        plan.moves
+            .iter()
+            .map(|m| (m.query.0, m.from, m.to))
+            .collect()
+    }
+
+    /// The trace's best costs, as bits, expanded from `(bits, repeats)`.
+    fn runs(runs: &[(u64, usize)]) -> Vec<u64> {
+        runs.iter()
+            .flat_map(|&(bits, n)| std::iter::repeat_n(bits, n))
+            .collect()
+    }
+
+    /// `run_qcut`'s output pinned on the benchmark probe's input. A
+    /// planner change that moves any bit here changes every Q-cut plan.
+    #[test]
+    fn golden_plan_on_the_ils_probe_input() {
+        let r = run_qcut(&ils_probe_input(), &QcutConfig::default());
+        assert_eq!(r.initial_cost.to_bits(), 0x40b5e00000000000);
+        assert_eq!(r.final_cost.to_bits(), 0);
+        assert_eq!(r.num_clusters, 32);
+        let trace: Vec<_> = r
+            .trace
+            .iter()
+            .map(|p| (p.best_cost.to_bits(), p.perturbed))
+            .collect();
+        assert_eq!(trace, vec![(0, false)]);
+        let golden: Vec<(u32, usize, usize)> = include_str!("golden/ils_probe.plan")
+            .lines()
+            .map(|l| {
+                let f: Vec<usize> = l.split(' ').map(|x| x.parse().expect("a number")).collect();
+                (f[0] as u32, f[1], f[2])
+            })
+            .collect();
+        assert_eq!(golden.len(), 896);
+        assert_eq!(triples(&r.plan), golden);
+    }
+
+    /// `run_qcut`'s output pinned on a δ-violating Domain-like input: 60
+    /// perturbation rounds, every one through the rebalance loop.
+    #[test]
+    fn golden_plan_on_a_domain_like_input() {
+        let stats = domain_like_input();
+        let r = run_qcut(&stats, &QcutConfig::default());
+        assert_eq!(r.initial_cost.to_bits(), 0x4059c44444444444);
+        assert_eq!(r.final_cost.to_bits(), 0x4016aaaaaaaaaaa0);
+        assert_eq!(r.num_clusters, 16);
+        let bits: Vec<u64> = r.trace.iter().map(|p| p.best_cost.to_bits()).collect();
+        let golden = runs(&[
+            (0x401ffffffffffff8, 2),
+            (0x401eaaaaaaaaaaa0, 1),
+            (0x401d555555555550, 1),
+            (0x401bfffffffffff8, 2),
+            (0x4017fffffffffff8, 4),
+            (0x4016aaaaaaaaaaa0, 51),
+        ]);
+        assert_eq!(bits, golden);
+        assert!(!r.trace[0].perturbed && r.trace[1..].iter().all(|p| p.perturbed));
+        #[rustfmt::skip]
+        let plan = vec![
+            (0, 0, 3), (0, 1, 3), (0, 2, 3), (1, 0, 3), (2, 0, 1), (2, 3, 1), (3, 0, 2),
+            (3, 1, 2), (4, 0, 3), (5, 0, 3), (4, 1, 3), (4, 2, 3), (5, 2, 3), (6, 0, 1),
+            (6, 3, 1), (7, 0, 2), (7, 1, 2), (8, 0, 3), (9, 0, 1), (10, 0, 1), (11, 0, 2),
+            (11, 1, 2), (12, 0, 3), (13, 0, 1), (14, 0, 1), (13, 2, 1), (14, 2, 1),
+            (13, 3, 1), (14, 3, 1), (15, 0, 2), (15, 1, 2), (15, 3, 2), (16, 0, 3),
+            (17, 0, 1), (18, 0, 2), (19, 0, 2), (18, 1, 2), (19, 1, 2), (18, 3, 2),
+            (19, 3, 2),
+        ];
+        assert_eq!(triples(&r.plan), plan);
+        let clusters = cluster_queries(&stats, 16, &mut SmallRng::seed_from_u64(0xC0FFEE));
+        assert!(
+            !Solution::initial(&stats, &clusters, 0.25).is_balanced(),
+            "the input starts outside δ"
+        );
+    }
 }
