@@ -4,7 +4,7 @@
 
 use std::collections::VecDeque;
 
-use rustc_hash::{FxHashMap, FxHashSet};
+use rustc_hash::FxHashSet;
 
 use qgraph_graph::{AppliedMutation, MutationBatch, VertexId};
 use qgraph_partition::{Partitioning, WorkerId};
@@ -38,6 +38,21 @@ pub struct Controller {
     pub last_repartition: SimTime,
     /// An ILS run is in flight (its virtual budget has not elapsed).
     pub ils_inflight: bool,
+    /// [`Controller::build_scope_stats`]'s buffers, kept between triggers.
+    scratch: StatsScratch,
+}
+
+/// The scope statistics' working buffers.
+#[derive(Default)]
+struct StatsScratch {
+    /// CSR offsets of the vertex → scope-index inverted index.
+    offsets: Vec<u32>,
+    /// The inverted index's scope indices, ascending per vertex.
+    members: Vec<u32>,
+    /// Shared-vertex counts of the current scope `a` with each `b > a`.
+    row: Vec<u32>,
+    /// The `b`s with a nonzero count in `row`.
+    touched: Vec<u32>,
 }
 
 impl Controller {
@@ -48,6 +63,7 @@ impl Controller {
             finished: VecDeque::new(),
             last_repartition: SimTime::ZERO,
             ils_inflight: false,
+            scratch: StatsScratch::default(),
         }
     }
 
@@ -150,10 +166,11 @@ impl Controller {
     /// The ILS input selection policy: live queries first, then retained
     /// finished scopes newest-first, empties skipped, capped at the
     /// configured `max_queries`. Both the [`ScopeStats`] snapshot and the
-    /// repartition locality measurement go through this one selection, so
-    /// the reported `locality_before/after` covers exactly the scopes the
+    /// repartition locality measurement (what the runtimes measure
+    /// `RepartitionEvent::locality_before/after` over) go through this one
+    /// selection, so the reported locality covers exactly the scopes the
     /// ILS optimized.
-    fn select_scopes<'a>(
+    pub fn observed_scopes<'a>(
         &'a self,
         live: &'a [(QueryId, Vec<VertexId>)],
     ) -> Vec<(QueryId, &'a [VertexId])> {
@@ -182,65 +199,115 @@ impl Controller {
         selected
     }
 
-    /// The scope population a repartition observes (owned form of
-    /// [`Controller::select_scopes`]) — what the runtimes measure
-    /// `RepartitionEvent::locality_before/after` over.
-    pub fn observed_scopes(
-        &self,
-        live: &[(QueryId, Vec<VertexId>)],
-    ) -> Vec<(QueryId, Vec<VertexId>)> {
-        self.select_scopes(live)
-            .into_iter()
-            .map(|(q, vs)| (q, vs.to_vec()))
-            .collect()
-    }
-
     /// Build the high-level [`ScopeStats`] snapshot for an ILS run from the
     /// live queries' scopes plus the retained finished scopes, capped at
     /// the configured maximum (most recent first; live queries preferred).
+    ///
+    /// Overlaps come from an inverted index, vertex → the ascending
+    /// indices of the scopes holding it, in CSR form over the
+    /// partitioning's vertices; each query `a` then counts its shared
+    /// vertices with every `b > a` in one row. Every figure is an integer
+    /// count. The index and the row are the controller's, reused across
+    /// triggers.
     pub fn build_scope_stats(
-        &self,
+        &mut self,
         live: &[(QueryId, Vec<VertexId>)],
         partitioning: &Partitioning,
     ) -> ScopeStats {
-        let k = partitioning.num_workers();
-        let selected = self.select_scopes(live);
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let stats = self.scope_stats(live, partitioning, &mut scratch);
+        self.scratch = scratch;
+        stats
+    }
 
-        // Sizes per worker + inverted index for overlaps.
+    fn scope_stats(
+        &self,
+        live: &[(QueryId, Vec<VertexId>)],
+        partitioning: &Partitioning,
+        scratch: &mut StatsScratch,
+    ) -> ScopeStats {
+        let k = partitioning.num_workers();
+        let selected = self.observed_scopes(live);
+        let StatsScratch {
+            offsets,
+            members,
+            row,
+            touched,
+        } = scratch;
+        let entries: usize = selected.iter().map(|(_, vs)| vs.len()).sum();
+        assert!(entries <= u32::MAX as usize, "scope entries overflow u32");
+
+        // Sizes per worker, vertices in some scope per worker, and the
+        // inverted index's counts (`offsets[v]`: scopes holding `v`).
         let mut sizes = vec![vec![0.0f64; k]; selected.len()];
-        let mut vertex_queries: FxHashMap<VertexId, Vec<u32>> = FxHashMap::default();
+        let mut in_scope = vec![0.0f64; k];
+        offsets.clear();
+        offsets.resize(partitioning.num_vertices() + 1, 0);
         for (qi, (_, vs)) in selected.iter().enumerate() {
             for &v in vs.iter() {
-                sizes[qi][partitioning.worker_of(v).index()] += 1.0;
-                vertex_queries.entry(v).or_default().push(qi as u32);
+                let w = partitioning.worker_of(v).index();
+                sizes[qi][w] += 1.0;
+                let count = &mut offsets[v.index()];
+                if *count == 0 {
+                    in_scope[w] += 1.0;
+                }
+                *count += 1;
+            }
+        }
+        // Running sums make `offsets[v]` the end of `v`'s run; filling
+        // from the last query down walks it back to the start and leaves
+        // each run ascending. `offsets[n]` stays the total.
+        let mut end = 0u32;
+        for o in offsets.iter_mut() {
+            end += *o;
+            *o = end;
+        }
+        members.clear();
+        members.resize(entries, 0);
+        for (qi, (_, vs)) in selected.iter().enumerate().rev() {
+            for &v in vs.iter() {
+                let slot = &mut offsets[v.index()];
+                *slot -= 1;
+                members[*slot as usize] = qi as u32;
             }
         }
 
-        // Pairwise overlaps via the inverted index (each vertex lives on
-        // exactly one worker, so the per-worker and global overlap agree).
-        let mut overlap_map: FxHashMap<(u32, u32), f64> = FxHashMap::default();
-        let mut scope_vertices_per_worker = vec![0.0f64; k];
-        for (v, qs) in &vertex_queries {
-            scope_vertices_per_worker[partitioning.worker_of(*v).index()] += 1.0;
-            if qs.len() >= 2 {
-                for i in 0..qs.len() {
-                    for j in (i + 1)..qs.len() {
-                        let key = (qs[i].min(qs[j]), qs[i].max(qs[j]));
-                        *overlap_map.entry(key).or_default() += 1.0;
+        // Pairwise overlaps (each vertex lives on exactly one worker, so
+        // the per-worker and global overlap agree), `(a, b)` ascending.
+        let mut overlaps: Vec<(usize, usize, f64)> = Vec::new();
+        row.clear();
+        row.resize(selected.len(), 0);
+        for (a, (_, vs)) in selected.iter().enumerate() {
+            for &v in vs.iter() {
+                let holders =
+                    &members[offsets[v.index()] as usize..offsets[v.index() + 1] as usize];
+                if holders.len() < 2 {
+                    continue;
+                }
+                debug_assert!(
+                    holders.windows(2).all(|p| p[0] < p[1]),
+                    "a scope holds each vertex once"
+                );
+                let after = holders.partition_point(|&b| b as usize <= a);
+                for &b in &holders[after..] {
+                    if row[b as usize] == 0 {
+                        touched.push(b);
                     }
+                    row[b as usize] += 1;
                 }
             }
+            touched.sort_unstable();
+            for &b in touched.iter() {
+                overlaps.push((a, b as usize, f64::from(row[b as usize])));
+                row[b as usize] = 0;
+            }
+            touched.clear();
         }
-        let mut overlaps: Vec<(usize, usize, f64)> = overlap_map
-            .into_iter()
-            .map(|((a, b), o)| (a as usize, b as usize, o))
-            .collect();
-        overlaps.sort_unstable_by_key(|&(a, b, _)| (a, b));
 
         let base_vertices: Vec<f64> = partitioning
             .sizes()
             .iter()
-            .zip(&scope_vertices_per_worker)
+            .zip(&in_scope)
             .map(|(&total, &in_scope)| (total as f64 - in_scope).max(0.0))
             .collect();
 
@@ -478,7 +545,7 @@ mod tests {
 
     #[test]
     fn scope_stats_sizes_and_overlaps() {
-        let c = ctl();
+        let mut c = ctl();
         let p = part(vec![0, 0, 1, 1], 2);
         let live = vec![
             (QueryId(0), vec![VertexId(0), VertexId(1), VertexId(2)]),
@@ -563,5 +630,169 @@ mod tests {
         c.record_finished_scope(QueryId(3), vec![VertexId(7)], SimTime::ZERO);
         assert_eq!(c.finished_scope(QueryId(3)), Some(&[VertexId(7)][..]));
         assert_eq!(c.finished_scope(QueryId(4)), None);
+    }
+
+    /// The hash-map construction [`Controller::build_scope_stats`]
+    /// replaces, kept as its reference: a map from vertex to its scopes'
+    /// indices, a map from index pair to shared-vertex count.
+    fn reference_stats(
+        c: &Controller,
+        live: &[(QueryId, Vec<VertexId>)],
+        partitioning: &Partitioning,
+    ) -> ScopeStats {
+        use rustc_hash::FxHashMap;
+        let k = partitioning.num_workers();
+        let selected = c.observed_scopes(live);
+        let mut sizes = vec![vec![0.0f64; k]; selected.len()];
+        let mut vertex_queries: FxHashMap<VertexId, Vec<u32>> = FxHashMap::default();
+        for (qi, (_, vs)) in selected.iter().enumerate() {
+            for &v in vs.iter() {
+                sizes[qi][partitioning.worker_of(v).index()] += 1.0;
+                vertex_queries.entry(v).or_default().push(qi as u32);
+            }
+        }
+        let mut overlap_map: FxHashMap<(u32, u32), f64> = FxHashMap::default();
+        let mut scope_vertices_per_worker = vec![0.0f64; k];
+        for (v, qs) in &vertex_queries {
+            scope_vertices_per_worker[partitioning.worker_of(*v).index()] += 1.0;
+            for i in 0..qs.len() {
+                for j in (i + 1)..qs.len() {
+                    let key = (qs[i].min(qs[j]), qs[i].max(qs[j]));
+                    *overlap_map.entry(key).or_default() += 1.0;
+                }
+            }
+        }
+        let mut overlaps: Vec<(usize, usize, f64)> = overlap_map
+            .into_iter()
+            .map(|((a, b), o)| (a as usize, b as usize, o))
+            .collect();
+        overlaps.sort_unstable_by_key(|&(a, b, _)| (a, b));
+        let base_vertices = partitioning
+            .sizes()
+            .iter()
+            .zip(&scope_vertices_per_worker)
+            .map(|(&total, &in_scope)| (total as f64 - in_scope).max(0.0))
+            .collect();
+        ScopeStats {
+            num_workers: k,
+            queries: selected.iter().map(|(q, _)| *q).collect(),
+            sizes,
+            overlaps,
+            base_vertices,
+        }
+    }
+
+    /// `build_scope_stats` equals the reference, field for field and bit
+    /// for bit.
+    fn assert_stats_match_reference(
+        c: &mut Controller,
+        live: &[(QueryId, Vec<VertexId>)],
+        p: &Partitioning,
+    ) -> ScopeStats {
+        let want = reference_stats(c, live, p);
+        let got = c.build_scope_stats(live, p);
+        assert_eq!(got.validate(), Ok(()));
+        assert_eq!(got.num_workers, want.num_workers);
+        assert_eq!(got.queries, want.queries);
+        let bits = |rows: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            rows.iter()
+                .map(|r| r.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(bits(&got.sizes), bits(&want.sizes));
+        let pairs = |o: &[(usize, usize, f64)]| -> Vec<(usize, usize, u64)> {
+            o.iter().map(|&(a, b, x)| (a, b, x.to_bits())).collect()
+        };
+        assert_eq!(pairs(&got.overlaps), pairs(&want.overlaps));
+        assert_eq!(
+            bits(std::slice::from_ref(&got.base_vertices)),
+            bits(&[want.base_vertices])
+        );
+        got
+    }
+
+    /// `len` distinct vertices of `0..n`, in random order.
+    fn random_scope(rng: &mut rand::rngs::SmallRng, n: u32, len: usize) -> Vec<VertexId> {
+        use rand::Rng;
+        let mut picked = FxHashSet::default();
+        let mut scope = Vec::with_capacity(len);
+        while scope.len() < len.min(n as usize) {
+            let v = rng.gen_range(0..n);
+            if picked.insert(v) {
+                scope.push(VertexId(v));
+            }
+        }
+        scope
+    }
+
+    #[test]
+    fn scope_stats_equal_the_hash_map_reference() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(35);
+        for trial in 0..40u32 {
+            let mut c = ctl();
+            let (n, k) = (rng.gen_range(1..300u32), rng.gen_range(1..9usize));
+            let p = part((0..n).map(|_| rng.gen_range(0..k as u32)).collect(), k);
+            let scopes = rng.gen_range(0..30usize);
+            let live: Vec<_> = (0..scopes as u32)
+                .map(|q| {
+                    let len = match q % 4 {
+                        0 => 0, // skipped by the selection
+                        1 => rng.gen_range(1..4),
+                        _ => rng.gen_range(1..(n as usize).max(2)),
+                    };
+                    (QueryId(q), random_scope(&mut rng, n, len))
+                })
+                .collect();
+            // One trigger in three also sees finished scopes.
+            let finished = if trial % 3 == 0 { 3 } else { 0 };
+            for f in 0..finished {
+                let len = rng.gen_range(1..(n as usize).max(2));
+                let scope = random_scope(&mut rng, n, len);
+                c.record_finished_scope(QueryId(1000 + f), scope, SimTime::ZERO);
+            }
+            // Twice: the second call runs on the first one's scratch.
+            assert_stats_match_reference(&mut c, &live, &p);
+            assert_stats_match_reference(&mut c, &live, &p);
+        }
+    }
+
+    #[test]
+    fn scope_stats_edge_cases_equal_the_reference() {
+        let mut c = ctl();
+        let p = part(vec![0, 1, 2, 0, 1, 2, 0], 3);
+        let last = VertexId(6); // num_vertices - 1
+        let shared: Vec<_> = (0..5u32)
+            .map(|q| (QueryId(q), vec![VertexId(q), last]))
+            .collect();
+        let s = assert_stats_match_reference(&mut c, &shared, &p);
+        assert_eq!(s.overlaps.len(), 10, "every pair shares the last vertex");
+        assert!(s.overlaps.iter().all(|&(_, _, o)| o == 1.0));
+
+        // Empty scopes are skipped; nothing at all is an empty snapshot.
+        let empties = vec![(QueryId(0), vec![]), (QueryId(1), vec![last])];
+        let s = assert_stats_match_reference(&mut c, &empties, &p);
+        assert_eq!(s.queries, vec![QueryId(1)]);
+        let s = assert_stats_match_reference(&mut c, &[], &p);
+        assert!(s.queries.is_empty() && s.overlaps.is_empty());
+
+        // Live plus finished scopes, under the `max_queries` cap, and the
+        // scratch reused on a bigger partitioning, then a smaller one.
+        let mut capped = Controller::new(Some(QcutConfig {
+            max_queries: 3,
+            ..Default::default()
+        }));
+        capped.record_finished_scope(QueryId(7), vec![VertexId(1), last], SimTime::ZERO);
+        capped.record_finished_scope(QueryId(8), vec![last, VertexId(2)], SimTime::ZERO);
+        let live = vec![(QueryId(0), vec![VertexId(0), last])];
+        let s = assert_stats_match_reference(&mut capped, &live, &p);
+        assert_eq!(s.queries, vec![QueryId(0), QueryId(8), QueryId(7)]);
+        let big = part((0..40).map(|v| v % 3).collect(), 3);
+        let live = vec![
+            (QueryId(0), vec![VertexId(39), VertexId(0)]),
+            (QueryId(1), vec![VertexId(39)]),
+        ];
+        assert_stats_match_reference(&mut capped, &live, &big);
+        assert_stats_match_reference(&mut capped, &shared[..2], &p);
     }
 }

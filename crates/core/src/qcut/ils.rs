@@ -99,8 +99,7 @@ pub fn run_qcut(stats: &ScopeStats, cfg: &QcutConfig) -> IlsResult {
         }
         let mut s = best.clone();
         perturb(&mut s, &mut rng);
-        let cost = local_search(&mut s);
-        let _ = cost;
+        local_search(&mut s);
         if prefer(&s, &best) {
             best = s;
         }

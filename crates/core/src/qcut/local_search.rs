@@ -3,32 +3,15 @@
 //! Steepest descent over scope moves: enumerate every
 //! `(cluster, from, to)` successor satisfying the balance constraint, take
 //! the one with minimal cost, repeat until no successor improves. Returns
-//! the reached local minimum's cost.
+//! the reached local minimum's cost. Each step is one cached scan,
+//! [`Solution::steepest_move`].
 
 use super::Solution;
 
 /// Run Algorithm 2 on `s` in place; returns the local-minimum cost.
 pub fn local_search(s: &mut Solution) -> f64 {
     loop {
-        let mut best: Option<(usize, usize, usize, f64)> = None;
-        for c in 0..s.num_clusters() {
-            for from in 0..s.num_workers() {
-                if s.scope_mass(c, from) <= 0.0 {
-                    continue;
-                }
-                for to in 0..s.num_workers() {
-                    if !s.move_allowed(c, from, to) {
-                        continue;
-                    }
-                    let delta = s.move_cost_delta(c, from, to);
-                    match best {
-                        Some((_, _, _, d)) if d <= delta => {}
-                        _ => best = Some((c, from, to, delta)),
-                    }
-                }
-            }
-        }
-        match best {
+        match s.steepest_move() {
             Some((c, from, to, delta)) if delta < 0.0 => {
                 s.apply_move(c, from, to);
                 debug_assert!((s.cost() - s.recompute_cost()).abs() < 1e-6);

@@ -142,7 +142,7 @@ pub fn commit(migration: &Migration, partitioning: &mut Partitioning) {
 pub fn apply_measured(
     migration: &Migration,
     partitioning: &mut Partitioning,
-    observed: &[(QueryId, Vec<VertexId>)],
+    observed: &[(QueryId, &[VertexId])],
     transfer: impl FnOnce(),
 ) -> (f64, f64) {
     let locality_before = scope_locality(observed, partitioning);
@@ -184,12 +184,12 @@ pub fn apply_to_workers<W: BorrowMut<Worker>>(
 /// the partition-level counterpart of the behavioural per-query locality
 /// in [`QueryOutcome::locality`](crate::QueryOutcome::locality), and the
 /// quantity a repartitioning is meant to raise.
-pub fn scope_locality(scopes: &[(QueryId, Vec<VertexId>)], partitioning: &Partitioning) -> f64 {
+pub fn scope_locality(scopes: &[(QueryId, &[VertexId])], partitioning: &Partitioning) -> f64 {
     let k = partitioning.num_workers();
     let mut on_majority = 0.0f64;
     let mut total = 0.0f64;
     let mut per_worker = vec![0u64; k];
-    for (_, vs) in scopes {
+    for &(_, vs) in scopes {
         if vs.is_empty() {
             continue;
         }
@@ -356,11 +356,13 @@ mod tests {
     fn scope_locality_bounds_and_direction() {
         let spread = part(&[0, 1, 0, 1], 2);
         let gathered = part(&[0, 0, 0, 0], 2);
-        let scopes = vec![(QueryId(0), vids(&[0, 1, 2, 3]))];
+        let all = vids(&[0, 1, 2, 3]);
+        let scopes = [(QueryId(0), &all[..])];
         assert_eq!(scope_locality(&scopes, &spread), 0.5);
         assert_eq!(scope_locality(&scopes, &gathered), 1.0);
         assert_eq!(scope_locality(&[], &spread), 1.0, "vacuously local");
-        let with_empty = vec![(QueryId(0), Vec::new()), (QueryId(1), vids(&[0]))];
+        let one = vids(&[0]);
+        let with_empty = [(QueryId(0), &[][..]), (QueryId(1), &one[..])];
         assert_eq!(scope_locality(&with_empty, &spread), 1.0);
     }
 }

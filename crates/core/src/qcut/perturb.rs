@@ -17,9 +17,7 @@ use super::Solution;
 /// cluster existed or balance moves were possible).
 pub fn perturb(s: &mut Solution, rng: &mut SmallRng) -> bool {
     // (i) candidates: clusters spread over at least two workers.
-    let spread: Vec<usize> = (0..s.num_clusters())
-        .filter(|&c| s.spread(c).len() >= 2)
-        .collect();
+    let spread: Vec<usize> = (0..s.num_clusters()).filter(|&c| s.is_spread(c)).collect();
     let mut changed = false;
     if let Some(&c) = pick(&spread, rng) {
         // (ii) gather on the argmax worker.
@@ -35,13 +33,13 @@ pub fn perturb(s: &mut Solution, rng: &mut SmallRng) -> bool {
     // (iii) rebalance: move random scopes max→min worker.
     let mut attempts = 0;
     let max_attempts = 4 * s.num_clusters().max(1);
+    let mut movable = Vec::new();
     while s.imbalance() >= s.delta() && attempts < max_attempts {
         attempts += 1;
         let (max_w, min_w) = extreme_workers(s);
         // Scopes available to move off the hottest worker.
-        let movable: Vec<usize> = (0..s.num_clusters())
-            .filter(|&c| s.scope_mass(c, max_w) > 0.0)
-            .collect();
+        movable.clear();
+        movable.extend((0..s.num_clusters()).filter(|&c| s.scope_mass(c, max_w) > 0.0));
         let Some(&c) = pick(&movable, rng) else { break };
         // Only helpful if it does not immediately overshoot far past min.
         let x = s.scope_mass(c, max_w);

@@ -73,9 +73,23 @@ impl Solution {
     /// workers (paper App. A.3).
     pub fn initial(stats: &ScopeStats, clusters: &[QueryCluster], delta: f64) -> Solution {
         let k = stats.num_workers;
+        // Intra-cluster overlap per cluster, added in `overlaps` order.
+        let mut cluster_of = vec![usize::MAX; stats.queries.len()];
+        for (c, cl) in clusters.iter().enumerate() {
+            for &q in &cl.members {
+                debug_assert_eq!(cluster_of[q], usize::MAX, "clusters are disjoint");
+                cluster_of[q] = c;
+            }
+        }
+        let mut overlap = vec![0.0f64; clusters.len()];
+        for &(a, b, o) in &stats.overlaps {
+            if cluster_of[a] == cluster_of[b] && cluster_of[a] != usize::MAX {
+                overlap[cluster_of[a]] += o;
+            }
+        }
         let mut qmass = Vec::with_capacity(clusters.len());
         let mut vmass = Vec::with_capacity(clusters.len());
-        for cl in clusters {
+        for (cl, &overlap) in clusters.iter().zip(&overlap) {
             let mut per_w = vec![0.0f64; k];
             let mut sum_total = 0.0;
             let mut max_member = 0.0f64;
@@ -89,12 +103,6 @@ impl Solution {
             }
             // Union estimate: member sum shrunk by intra-cluster overlap,
             // never below the largest member.
-            let overlap: f64 = stats
-                .overlaps
-                .iter()
-                .filter(|&&(a, b, _)| cl.members.contains(&a) && cl.members.contains(&b))
-                .map(|&(_, _, o)| o)
-                .sum();
             let union = (sum_total - overlap).max(max_member).max(0.0);
             let shrink = if sum_total > 0.0 {
                 union / sum_total
@@ -174,9 +182,12 @@ impl Solution {
 
     /// Relative imbalance `(max_w L_w - min_w L_w) / max_w L_w`.
     pub fn imbalance(&self) -> f64 {
-        let loads: Vec<f64> = (0..self.num_workers).map(|w| self.load(w)).collect();
-        let max = loads.iter().cloned().fold(0.0, f64::max);
-        let min = loads.iter().cloned().fold(f64::INFINITY, f64::min);
+        let (mut max, mut min) = (0.0f64, f64::INFINITY);
+        for w in 0..self.num_workers {
+            let l = self.load(w);
+            max = max.max(l);
+            min = min.min(l);
+        }
         if max <= 0.0 {
             0.0
         } else {
@@ -242,6 +253,69 @@ impl Solution {
         (total - max_after) - before
     }
 
+    /// The steepest allowed move: the `(c, from, to, cost delta)` with the
+    /// least delta over every `(c, from, to)` that [`Solution::move_allowed`]
+    /// accepts, the first one in `(c, from, to)` order on ties — exactly
+    /// what looping over `move_allowed` and [`Solution::move_cost_delta`]
+    /// returns, bit for bit, in one scan.
+    ///
+    /// The loads and the imbalance are read once per scan, each cluster's
+    /// total and cost once per cluster. The max (min) over the workers
+    /// other than `from` and `to` is the first of the three heaviest
+    /// (lightest) workers that is neither: max and min are exact, so every
+    /// compared value is the reference's.
+    pub fn steepest_move(&self) -> Option<(usize, usize, usize, f64)> {
+        let k = self.num_workers;
+        let loads: Vec<f64> = (0..k).map(|w| self.load(w)).collect();
+        let imbalance = self.imbalance();
+        let heaviest = leaders(k, |a, b| loads[a] > loads[b]);
+        let lightest = leaders(k, |a, b| loads[a] < loads[b]);
+        let mut best: Option<(usize, usize, usize, f64)> = None;
+        for (c, (q, v)) in self.qmass.iter().zip(&self.vmass).enumerate() {
+            let total: f64 = q.iter().sum();
+            let before = self.cluster_cost(c);
+            let heaviest_mass = leaders(k, |a, b| q[a] > q[b]);
+            for from in 0..k {
+                if q[from] <= 0.0 {
+                    continue;
+                }
+                let shift = (q[from] + v[from]) / 2.0;
+                let lf = loads[from] - shift;
+                for to in 0..k {
+                    if to == from {
+                        continue;
+                    }
+                    let lt = loads[to] + shift;
+                    let mut post_max = lf.max(lt);
+                    let mut post_min = lf.min(lt);
+                    if let Some(w) = other(&heaviest, from, to) {
+                        post_max = post_max.max(loads[w]);
+                    }
+                    if let Some(w) = other(&lightest, from, to) {
+                        post_min = post_min.min(loads[w]);
+                    }
+                    let allowed = post_max <= 0.0 || {
+                        let post_imb = (post_max - post_min) / post_max;
+                        post_imb < self.delta || post_imb < imbalance - 1e-12
+                    };
+                    if !allowed {
+                        continue;
+                    }
+                    let mut max_after = 0.0f64.max(q[to] + q[from]);
+                    if let Some(w) = other(&heaviest_mass, from, to) {
+                        max_after = max_after.max(q[w]);
+                    }
+                    let delta = (total - max_after) - before;
+                    match best {
+                        Some((_, _, _, d)) if d <= delta => {}
+                        _ => best = Some((c, from, to, delta)),
+                    }
+                }
+            }
+        }
+        best
+    }
+
     /// Apply the move, updating masses, holders, and the cached cost.
     pub fn apply_move(&mut self, c: usize, from: usize, to: usize) {
         debug_assert!(from != to);
@@ -273,6 +347,11 @@ impl Solution {
             }
         }
         best
+    }
+
+    /// Whether cluster `c` has scope mass on at least two workers.
+    pub fn is_spread(&self, c: usize) -> bool {
+        self.qmass[c].iter().filter(|&&m| m > 0.0).nth(1).is_some()
     }
 
     /// Workers on which cluster `c` currently has scope mass.
@@ -307,9 +386,38 @@ impl Solution {
     }
 }
 
+/// The (up to) three first workers of `0..k` in the order `before`
+/// defines; `usize::MAX` pads when `k < 3`. The first of them that is
+/// neither `from` nor `to` leads every worker but those two.
+fn leaders(k: usize, before: impl Fn(usize, usize) -> bool) -> [usize; 3] {
+    let mut top = [usize::MAX; 3];
+    for w in 0..k {
+        let mut cand = w;
+        for slot in top.iter_mut() {
+            if *slot == usize::MAX {
+                *slot = cand;
+                break;
+            }
+            if before(cand, *slot) {
+                std::mem::swap(slot, &mut cand);
+            }
+        }
+    }
+    top
+}
+
+/// The first of `leaders` that is neither `from` nor `to`.
+fn other(leaders: &[usize; 3], from: usize, to: usize) -> Option<usize> {
+    leaders
+        .iter()
+        .copied()
+        .find(|&w| w != from && w != to && w != usize::MAX)
+}
+
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
 
     /// 2 workers; q0 fully on w0 (13), q1 split 2/14, q2 fully on w1 (5).
     pub(crate) fn example() -> (ScopeStats, Vec<QueryCluster>) {
@@ -483,5 +591,165 @@ pub(crate) mod tests {
         let (stats, clusters) = example();
         let s = Solution::initial(&stats, &clusters, 0.25);
         assert!(s.is_balanced()); // loads 25 vs 24
+    }
+
+    /// The reference scan [`Solution::steepest_move`] replaces: every
+    /// `(c, from, to)` through `move_allowed` and `move_cost_delta`, the
+    /// first minimum kept.
+    fn reference_move(s: &Solution) -> Option<(usize, usize, usize, f64)> {
+        let mut best: Option<(usize, usize, usize, f64)> = None;
+        for c in 0..s.num_clusters() {
+            for from in 0..s.num_workers() {
+                if s.scope_mass(c, from) <= 0.0 {
+                    continue;
+                }
+                for to in 0..s.num_workers() {
+                    if !s.move_allowed(c, from, to) {
+                        continue;
+                    }
+                    let delta = s.move_cost_delta(c, from, to);
+                    match best {
+                        Some((_, _, _, d)) if d <= delta => {}
+                        _ => best = Some((c, from, to, delta)),
+                    }
+                }
+            }
+        }
+        best
+    }
+
+    /// Both scans agree bit for bit on `s`.
+    fn assert_scans_agree(s: &Solution, what: &str) {
+        let bits =
+            |m: Option<(usize, usize, usize, f64)>| m.map(|(c, f, t, d)| (c, f, t, d.to_bits()));
+        assert_eq!(bits(s.steepest_move()), bits(reference_move(s)), "{what}");
+    }
+
+    /// Random statistics: `k` workers, fractional sizes, or small integer
+    /// ones (`ties`) that make equal deltas common; `skew` piles scopes
+    /// and base vertices on worker 0, as a Domain layout does.
+    fn random_stats(rng: &mut SmallRng, k: usize, ties: bool, skew: bool) -> ScopeStats {
+        use rand::Rng;
+        let n = rng.gen_range(2..40usize);
+        let sizes = (0..n)
+            .map(|_| {
+                (0..k)
+                    .map(|w| {
+                        if rng.gen_bool(0.3) {
+                            0.0
+                        } else if ties {
+                            f64::from(rng.gen_range(1..4u32))
+                        } else {
+                            let scale = if skew && w == 0 { 8.0 } else { 1.0 };
+                            rng.gen_range(0.0..40.0) * scale
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut overlaps = Vec::new();
+        for a in 0..n {
+            for b in (a + 1)..n {
+                if rng.gen_bool(0.05) {
+                    let o = if ties { 1.0 } else { rng.gen_range(0.0..10.0) };
+                    overlaps.push((a, b, o));
+                }
+            }
+        }
+        let base_vertices = (0..k)
+            .map(|w| {
+                if skew && w == 0 {
+                    2000.0
+                } else {
+                    rng.gen_range(0.0..300.0)
+                }
+            })
+            .collect();
+        ScopeStats {
+            num_workers: k,
+            queries: (0..n as u32).map(QueryId).collect(),
+            sizes,
+            overlaps,
+            base_vertices,
+        }
+    }
+
+    #[test]
+    fn steepest_move_equals_the_reference_scan() {
+        use crate::qcut::{cluster_queries, perturb};
+        use rand::SeedableRng;
+        let mut rng = SmallRng::seed_from_u64(35);
+        let mut imbalanced = 0;
+        for trial in 0..300 {
+            let k = [1, 2, 2, 3, 4, 5, 8][trial % 7];
+            let (ties, skew) = (trial % 3 == 0, trial % 4 == 1);
+            let stats = random_stats(&mut rng, k, ties, skew);
+            let max_clusters = [2, 4, 4 * k][trial % 3];
+            let clusters = cluster_queries(&stats, max_clusters, &mut rng);
+            let delta = [0.1, 0.25, 0.5][trial % 3];
+            let mut s = Solution::initial(&stats, &clusters, delta);
+            imbalanced += usize::from(!s.is_balanced());
+            for round in 0..4 {
+                // Down one descent, checking every step, then perturb.
+                loop {
+                    assert_scans_agree(&s, &format!("trial {trial} round {round}"));
+                    match s.steepest_move() {
+                        Some((c, from, to, d)) if d < 0.0 => s.apply_move(c, from, to),
+                        _ => break,
+                    }
+                }
+                perturb(&mut s, &mut rng);
+            }
+        }
+        assert!(imbalanced > 50, "the trials cover δ-violating states");
+    }
+
+    #[test]
+    fn steepest_move_keeps_the_first_of_tied_moves() {
+        // Four identical split clusters on two workers: every gathering
+        // move ties, and the reference keeps the first.
+        let stats = ScopeStats {
+            num_workers: 2,
+            queries: (0..4).map(QueryId).collect(),
+            sizes: vec![vec![3.0, 3.0]; 4],
+            overlaps: vec![],
+            base_vertices: vec![100.0, 100.0],
+        };
+        let clusters: Vec<_> = (0..4).map(|q| QueryCluster { members: vec![q] }).collect();
+        let s = Solution::initial(&stats, &clusters, 0.25);
+        assert_eq!(s.steepest_move(), Some((0, 0, 1, -3.0)));
+        assert_scans_agree(&s, "ties");
+    }
+
+    #[test]
+    fn intra_cluster_overlap_is_summed_in_list_order() {
+        // The reference sum: per cluster, every overlap with both ends in
+        // it, in `overlaps` order.
+        use rand::SeedableRng;
+        let mut rng = SmallRng::seed_from_u64(8);
+        for _ in 0..50 {
+            let stats = random_stats(&mut rng, 3, false, false);
+            let clusters = crate::qcut::cluster_queries(&stats, 3, &mut rng);
+            let s = Solution::initial(&stats, &clusters, 0.25);
+            for (c, cl) in clusters.iter().enumerate() {
+                let overlap: f64 = stats
+                    .overlaps
+                    .iter()
+                    .filter(|&&(a, b, _)| cl.members.contains(&a) && cl.members.contains(&b))
+                    .map(|&(_, _, o)| o)
+                    .sum();
+                let total: f64 = cl.members.iter().map(|&q| stats.global_size(q)).sum();
+                let max_member = cl
+                    .members
+                    .iter()
+                    .map(|&q| stats.global_size(q))
+                    .fold(0.0, f64::max);
+                let union = (total - overlap).max(max_member).max(0.0);
+                let shrink = if total > 0.0 { union / total } else { 1.0 };
+                for w in 0..3 {
+                    assert_eq!(s.vmass[c][w].to_bits(), (s.qmass[c][w] * shrink).to_bits());
+                }
+            }
+        }
     }
 }
