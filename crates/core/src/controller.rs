@@ -47,6 +47,8 @@ pub struct Controller {
 struct StatsScratch {
     /// CSR offsets of the vertex → scope-index inverted index.
     offsets: Vec<u32>,
+    /// Where each vertex's run in `members` ends.
+    ends: Vec<u32>,
     /// The inverted index's scope indices, ascending per vertex.
     members: Vec<u32>,
     /// Shared-vertex counts of the current scope `a` with each `b > a`.
@@ -140,7 +142,7 @@ impl Controller {
     /// active queries' `localities` below Φ — extended with the activity
     /// imbalance watch, see [`QcutConfig::imbalance_threshold`]. The
     /// cooldown is tested before `localities` is consumed: on threads
-    /// this runs at every superstep end.
+    /// this runs at every due check, a lane's `Tick` or a collect.
     pub fn should_trigger(
         &self,
         now: SimTime,
@@ -214,26 +216,16 @@ impl Controller {
         live: &[(QueryId, Vec<VertexId>)],
         partitioning: &Partitioning,
     ) -> ScopeStats {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let stats = self.scope_stats(live, partitioning, &mut scratch);
-        self.scratch = scratch;
-        stats
-    }
-
-    fn scope_stats(
-        &self,
-        live: &[(QueryId, Vec<VertexId>)],
-        partitioning: &Partitioning,
-        scratch: &mut StatsScratch,
-    ) -> ScopeStats {
         let k = partitioning.num_workers();
-        let selected = self.observed_scopes(live);
+        let mut scratch = std::mem::take(&mut self.scratch);
         let StatsScratch {
             offsets,
+            ends,
             members,
             row,
             touched,
-        } = scratch;
+        } = &mut scratch;
+        let selected = self.observed_scopes(live);
         let entries: usize = selected.iter().map(|(_, vs)| vs.len()).sum();
         assert!(entries <= u32::MAX as usize, "scope entries overflow u32");
 
@@ -254,55 +246,49 @@ impl Controller {
                 *count += 1;
             }
         }
-        // Running sums make `offsets[v]` the end of `v`'s run; filling
-        // from the last query down walks it back to the start and leaves
-        // each run ascending. `offsets[n]` stays the total.
+        // Running sums make `offsets[v]` the end of `v`'s run (`ends`
+        // keeps it). Filling from the last scope down walks each offset
+        // back to its run's start and leaves every run ascending; when
+        // scope `a` lands on `v`, the rest of `v`'s run is already the
+        // scopes `b > a` that share `v`, so the same pass counts the
+        // overlaps, one row per `a`.
         let mut end = 0u32;
         for o in offsets.iter_mut() {
             end += *o;
             *o = end;
         }
+        ends.clear();
+        ends.extend_from_slice(offsets);
         members.clear();
         members.resize(entries, 0);
-        for (qi, (_, vs)) in selected.iter().enumerate().rev() {
+        row.clear();
+        row.resize(selected.len(), 0);
+        // Each vertex lives on exactly one worker, so the per-worker and
+        // global overlap agree.
+        let mut overlaps: Vec<(usize, usize, f64)> = Vec::new();
+        for (a, (_, vs)) in selected.iter().enumerate().rev() {
             for &v in vs.iter() {
                 let slot = &mut offsets[v.index()];
                 *slot -= 1;
-                members[*slot as usize] = qi as u32;
-            }
-        }
-
-        // Pairwise overlaps (each vertex lives on exactly one worker, so
-        // the per-worker and global overlap agree), `(a, b)` ascending.
-        let mut overlaps: Vec<(usize, usize, f64)> = Vec::new();
-        row.clear();
-        row.resize(selected.len(), 0);
-        for (a, (_, vs)) in selected.iter().enumerate() {
-            for &v in vs.iter() {
-                let holders =
-                    &members[offsets[v.index()] as usize..offsets[v.index() + 1] as usize];
-                if holders.len() < 2 {
-                    continue;
-                }
-                debug_assert!(
-                    holders.windows(2).all(|p| p[0] < p[1]),
-                    "a scope holds each vertex once"
-                );
-                let after = holders.partition_point(|&b| b as usize <= a);
-                for &b in &holders[after..] {
+                let start = *slot as usize;
+                members[start] = a as u32;
+                for &b in &members[start + 1..ends[v.index()] as usize] {
+                    debug_assert_ne!(b as usize, a, "a scope holds each vertex once");
                     if row[b as usize] == 0 {
                         touched.push(b);
                     }
                     row[b as usize] += 1;
                 }
             }
-            touched.sort_unstable();
+            // Descending here, ascending once the list is reversed.
+            touched.sort_unstable_by(|x, y| y.cmp(x));
             for &b in touched.iter() {
                 overlaps.push((a, b as usize, f64::from(row[b as usize])));
                 row[b as usize] = 0;
             }
             touched.clear();
         }
+        overlaps.reverse();
 
         let base_vertices: Vec<f64> = partitioning
             .sizes()
@@ -311,13 +297,15 @@ impl Controller {
             .map(|(&total, &in_scope)| (total as f64 - in_scope).max(0.0))
             .collect();
 
-        ScopeStats {
+        let stats = ScopeStats {
             num_workers: k,
             queries: selected.iter().map(|(q, _)| *q).collect(),
             sizes,
             overlaps,
             base_vertices,
-        }
+        };
+        self.scratch = scratch;
+        stats
     }
 
     /// Resolve a finished query's retained scope (for move execution).

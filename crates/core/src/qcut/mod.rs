@@ -12,7 +12,8 @@
 //!   most `4k` clusters (paper App. A.1).
 //! * `solution` — the solution state, its cost function, and the balance
 //!   constraint δ.
-//! * `local_search` — Algorithm 2: steepest-descent scope moves.
+//! * `local_search` — Algorithm 2: steepest-descent scope moves, one
+//!   cached scan per move ([`Solution::steepest_move`]).
 //! * `perturb` — Appendix A.2: gather one query's scopes, then rebalance.
 //! * `ils` — Algorithm 1: the ILS driver with cost tracing.
 //! * `migrate` — shared [`MovePlan`] application: resolve scope moves into

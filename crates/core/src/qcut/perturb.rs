@@ -30,24 +30,31 @@ pub fn perturb(s: &mut Solution, rng: &mut SmallRng) -> bool {
         }
     }
 
-    // (iii) rebalance: move random scopes max→min worker.
+    // (iii) rebalance: move random scopes max→min worker. Only a move
+    // changes the loads, so the extremes and the movable scopes are read
+    // again after each move, not after each draw.
     let mut attempts = 0;
     let max_attempts = 4 * s.num_clusters().max(1);
     let mut movable = Vec::new();
-    while s.imbalance() >= s.delta() && attempts < max_attempts {
-        attempts += 1;
+    'rebalance: while s.imbalance() >= s.delta() && attempts < max_attempts {
         let (max_w, min_w) = extreme_workers(s);
         // Scopes available to move off the hottest worker.
         movable.clear();
         movable.extend((0..s.num_clusters()).filter(|&c| s.scope_mass(c, max_w) > 0.0));
-        let Some(&c) = pick(&movable, rng) else { break };
-        // Only helpful if it does not immediately overshoot far past min.
-        let x = s.scope_mass(c, max_w);
-        let new_diff = ((s.load(max_w) - x) - (s.load(min_w) + x)).abs();
         let old_diff = (s.load(max_w) - s.load(min_w)).abs();
-        if new_diff < old_diff {
-            s.apply_move(c, max_w, min_w);
-            changed = true;
+        while attempts < max_attempts {
+            attempts += 1;
+            let Some(&c) = pick(&movable, rng) else {
+                break 'rebalance;
+            };
+            // Only helpful if it does not immediately overshoot far past min.
+            let x = s.scope_mass(c, max_w);
+            let new_diff = ((s.load(max_w) - x) - (s.load(min_w) + x)).abs();
+            if new_diff < old_diff {
+                s.apply_move(c, max_w, min_w);
+                changed = true;
+                break;
+            }
         }
     }
     changed
@@ -151,5 +158,80 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(2);
         perturb(&mut s, &mut rng);
         assert_eq!(s.spread(0).len(), 1);
+    }
+
+    /// The perturbation as it read every draw's extremes and movable
+    /// scopes afresh: the reference [`perturb`] is held to.
+    fn reference_perturb(s: &mut Solution, rng: &mut SmallRng) -> bool {
+        let spread: Vec<usize> = (0..s.num_clusters())
+            .filter(|&c| s.spread(c).len() >= 2)
+            .collect();
+        let mut changed = false;
+        if let Some(&c) = pick(&spread, rng) {
+            let target = s.argmax_worker(c);
+            for from in s.spread(c) {
+                if from != target {
+                    s.apply_move(c, from, target);
+                    changed = true;
+                }
+            }
+        }
+        let mut attempts = 0;
+        let max_attempts = 4 * s.num_clusters().max(1);
+        while s.imbalance() >= s.delta() && attempts < max_attempts {
+            attempts += 1;
+            let (max_w, min_w) = extreme_workers(s);
+            let movable: Vec<usize> = (0..s.num_clusters())
+                .filter(|&c| s.scope_mass(c, max_w) > 0.0)
+                .collect();
+            let Some(&c) = pick(&movable, rng) else { break };
+            let x = s.scope_mass(c, max_w);
+            let new_diff = ((s.load(max_w) - x) - (s.load(min_w) + x)).abs();
+            let old_diff = (s.load(max_w) - s.load(min_w)).abs();
+            if new_diff < old_diff {
+                s.apply_move(c, max_w, min_w);
+                changed = true;
+            }
+        }
+        changed
+    }
+
+    /// Every mass, load and the cost, as bits.
+    fn fingerprint(s: &Solution) -> Vec<u64> {
+        let mut bits = vec![s.cost().to_bits()];
+        for w in 0..s.num_workers() {
+            bits.push(s.load(w).to_bits());
+            bits.extend((0..s.num_clusters()).map(|c| s.scope_mass(c, w).to_bits()));
+        }
+        bits
+    }
+
+    #[test]
+    fn perturb_equals_the_reference_draw_for_draw() {
+        use crate::qcut::cluster_queries;
+        use crate::qcut::solution::tests::random_stats;
+        use rand::Rng;
+        let mut inputs = SmallRng::seed_from_u64(35);
+        for trial in 0..200u64 {
+            let k = [2, 3, 4, 8][trial as usize % 4];
+            let stats = random_stats(&mut inputs, k, trial % 3 == 0, trial % 2 == 1);
+            let clusters = cluster_queries(&stats, 4 * k, &mut inputs);
+            let mut s = Solution::initial(&stats, &clusters, [0.1, 0.25][trial as usize % 2]);
+            let mut reference = s.clone();
+            let (mut rng, mut ref_rng) = (
+                SmallRng::seed_from_u64(trial),
+                SmallRng::seed_from_u64(trial),
+            );
+            for round in 0..5 {
+                let changed = perturb(&mut s, &mut rng);
+                assert_eq!(changed, reference_perturb(&mut reference, &mut ref_rng));
+                assert_eq!(
+                    fingerprint(&s),
+                    fingerprint(&reference),
+                    "trial {trial} round {round}"
+                );
+                assert_eq!(rng.gen::<u64>(), ref_rng.gen::<u64>(), "the same draws");
+            }
+        }
     }
 }

@@ -628,7 +628,7 @@ pub(crate) mod tests {
     /// Random statistics: `k` workers, fractional sizes, or small integer
     /// ones (`ties`) that make equal deltas common; `skew` piles scopes
     /// and base vertices on worker 0, as a Domain layout does.
-    fn random_stats(rng: &mut SmallRng, k: usize, ties: bool, skew: bool) -> ScopeStats {
+    pub(crate) fn random_stats(rng: &mut SmallRng, k: usize, ties: bool, skew: bool) -> ScopeStats {
         use rand::Rng;
         let n = rng.gen_range(2..40usize);
         let sizes = (0..n)
