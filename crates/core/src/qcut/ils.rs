@@ -365,8 +365,8 @@ mod tests {
         assert_eq!(triples(&r.plan), golden);
     }
 
-    /// `run_qcut`'s output pinned on a δ-violating Domain-like input: 60
-    /// perturbation rounds, every one through the rebalance loop.
+    /// `run_qcut`'s output pinned on a δ-violating Domain-like input: the
+    /// search starts outside δ and runs all 60 perturbation rounds.
     #[test]
     fn golden_plan_on_a_domain_like_input() {
         let stats = domain_like_input();
