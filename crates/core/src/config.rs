@@ -2,6 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use qgraph_sim::SimTime;
+
 use crate::sched::{AdmissionPolicy, DopPolicy};
 
 /// How query iterations are synchronized (paper §3.3).
@@ -35,7 +37,8 @@ pub struct QcutConfig {
     /// Monitoring window μ in seconds on the executor's own clock: how
     /// long finished queries' statistics stay in the controller's view,
     /// and (an eighth of it) the sub-window the activity imbalance is
-    /// measured over. Virtual seconds in the simulation, session
+    /// measured over — on threads also the cap on the wait between Q-cut
+    /// checks. Virtual seconds in the simulation, session
     /// wall-clock seconds in the thread runtime (short runs retain every
     /// finished scope, bounded by the `max_queries`-derived cap).
     /// Paper: 240 s.
@@ -56,12 +59,13 @@ pub struct QcutConfig {
     /// Cluster queries to at most `cluster_factor * k` clusters before the
     /// local search (paper App. A.1 uses 4k).
     pub cluster_factor: usize,
-    /// Cooldown: minimum seconds between repartitionings, on the
-    /// executor's own clock — virtual seconds in the simulation, session
-    /// wall-clock seconds in the thread runtime, where it is all that
-    /// stands between a low-locality stream and one stop-the-world window
-    /// per superstep (prevents barrier thrashing while statistics are
-    /// still converging). `0.0` lets every superstep end re-trigger.
+    /// Cooldown: minimum virtual seconds between repartitionings in the
+    /// simulation, counted from the last plan's due instant (prevents
+    /// barrier thrashing while statistics are still converging). `0.0`
+    /// lets every superstep end re-trigger. On threads the coordinator
+    /// paces the trigger by its measured planning cost instead — the wait
+    /// doubles after each plan, floored at that plan's own run time and
+    /// capped at μ/8 — and this value is not read. Paper: 10 s.
     pub min_repartition_interval_secs: f64,
     /// RNG seed for the ILS (perturbation and clustering are randomized).
     pub seed: u64,
@@ -93,6 +97,8 @@ impl QcutConfig {
     /// constants (monitoring window μ, ILS budget, repartition cooldown)
     /// must shrink by the same factor to keep the *ratio* of adaptation
     /// rate to query rate faithful. `factor = 1` is the paper verbatim.
+    /// The ILS budget and the cooldown are simulation-only (threads pace
+    /// Q-cut by measured planning cost), so on threads only μ scales.
     pub fn time_scaled(factor: f64) -> Self {
         assert!(factor > 0.0, "time scale must be positive");
         let base = QcutConfig::default();
@@ -102,6 +108,12 @@ impl QcutConfig {
             min_repartition_interval_secs: base.min_repartition_interval_secs / factor,
             ..base
         }
+    }
+
+    /// μ/8: the sub-window the activity imbalance is measured over, and
+    /// the cap on the thread runtime's wait between Q-cut checks.
+    pub fn sub_window(&self) -> SimTime {
+        SimTime::from_secs_f64(self.monitoring_window_secs / 8.0)
     }
 }
 

@@ -34,7 +34,8 @@ pub struct Controller {
     cfg: Option<QcutConfig>,
     finished: VecDeque<RetainedScope>,
     /// When the last repartition came due (a window was asked for, or
-    /// its ILS found nothing to move): the cooldown counts from here.
+    /// its ILS found nothing to move): the wait to the next check counts
+    /// from here.
     pub last_repartition: SimTime,
     /// An ILS run is in flight (its virtual budget has not elapsed).
     pub ils_inflight: bool,
@@ -136,13 +137,9 @@ impl Controller {
             .retain(|r| !r.vertices.iter().any(|v| set.contains(v)));
     }
 
-    /// Should a repartition be triggered now? The one trigger predicate
-    /// (paper §3.4): no ILS in flight, the cooldown since the last
-    /// repartition elapsed on the executor's clock, and the mean of the
-    /// active queries' `localities` below Φ — extended with the activity
-    /// imbalance watch, see [`QcutConfig::imbalance_threshold`]. The
-    /// cooldown is tested before `localities` is consumed: on threads
-    /// this runs at every due check, a lane's `Tick` or a collect.
+    /// Should a repartition be triggered now, with the simulation's
+    /// cooldown, [`QcutConfig::min_repartition_interval_secs`]? See
+    /// [`Controller::should_trigger_after`].
     pub fn should_trigger(
         &self,
         now: SimTime,
@@ -151,7 +148,25 @@ impl Controller {
     ) -> bool {
         let Some(cfg) = &self.cfg else { return false };
         let cooldown = SimTime::from_secs_f64(cfg.min_repartition_interval_secs);
-        if self.ils_inflight || now < self.last_repartition + cooldown {
+        self.should_trigger_after(cooldown, now, activity_imbalance, localities)
+    }
+
+    /// Should a repartition be triggered now? The one trigger predicate
+    /// (paper §3.4): no ILS in flight, `wait` since the last repartition
+    /// elapsed on the executor's clock, and the mean of the active
+    /// queries' `localities` below Φ — extended with the activity
+    /// imbalance watch, see [`QcutConfig::imbalance_threshold`]. The wait
+    /// is tested before `localities` is consumed: on threads this runs at
+    /// every due check, a lane's `Tick` or a collect.
+    pub fn should_trigger_after(
+        &self,
+        wait: SimTime,
+        now: SimTime,
+        activity_imbalance: f64,
+        localities: impl Iterator<Item = f64>,
+    ) -> bool {
+        let Some(cfg) = &self.cfg else { return false };
+        if self.ils_inflight || now < self.last_repartition + wait {
             return false;
         }
         let (mut sum, mut active) = (0.0f64, 0usize);

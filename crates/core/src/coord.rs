@@ -48,9 +48,13 @@
 //! executor's own clock reading — virtual seconds in the simulation,
 //! session wall-clock seconds on threads. The simulation calls it after
 //! every superstep close; the thread runtime when a lane closes a
-//! superstep at or after [`Coordinator::next_check`] (the cooldown's end;
-//! a check that declines leaves it due, so the next close checks again).
-//! The core tests the cooldown, then the mean lifetime locality of the
+//! superstep at or after [`Coordinator::next_check`] (the wait's end; a
+//! check that declines leaves it due, so the next close checks again).
+//! The core tests the wait since the last plan came due — the configured
+//! cooldown, `min_repartition_interval_secs`, in the simulation; on
+//! threads a wait the executor measures ([`Executor::qcut_wait`]), which
+//! doubles after every plan, floored at that plan's own planning time and
+//! capped at μ/8 — then the mean lifetime locality of the
 //! running queries against Φ — read live from their records — and the
 //! activity imbalance of the last μ/8 sub-window
 //! ([`Coordinator::note_activity`]) against its threshold. A hit reads
@@ -61,7 +65,7 @@
 //! collect). The plan comes due ([`Coordinator::plan_due`]) one priced
 //! `ils_budget_secs` later in the simulation, and as soon as the ILS
 //! returns on threads, where the coordinator's turn has paid for it. The
-//! cooldown restarts when the plan comes due, and only a plan that moves
+//! wait restarts when the plan comes due, and only a plan that moves
 //! something wants a window, which resolves it against the scopes
 //! gathered inside and migrates.
 
@@ -146,6 +150,12 @@ pub(crate) trait Executor {
     ) -> Vec<(QueryId, usize)>;
     /// Every `(query, partition)` pair with pending messages.
     fn pending_report(&mut self) -> Vec<(QueryId, usize)>;
+    /// The wait from the last repartition to the next Q-cut check, when
+    /// the executor measures it (threads); `None` counts the configured
+    /// cooldown, `min_repartition_interval_secs` (the simulation).
+    fn qcut_wait(&self) -> Option<SimTime> {
+        None
+    }
 }
 
 /// One finished `Step`, as its partition reports it.
@@ -465,14 +475,13 @@ impl Coordinator {
         self.queries.values().filter(mid).count()
     }
 
-    /// When the next Q-cut check is due: the cooldown's end, or never (Q-cut
-    /// off, or a window wanted). A check that declines leaves it due.
-    pub fn next_check(&self) -> SimTime {
+    /// When the next Q-cut check is due: `wait` — the executor's
+    /// [`Executor::qcut_wait`] — after the last repartition, or never
+    /// (Q-cut off, or a window wanted). A check that declines leaves it
+    /// due.
+    pub fn next_check(&self, wait: SimTime) -> SimTime {
         match &self.cfg.qcut {
-            Some(cfg) if !self.paused => {
-                let cooldown = SimTime::from_secs_f64(cfg.min_repartition_interval_secs);
-                self.state.controller.last_repartition + cooldown
-            }
+            Some(_) if !self.paused => self.state.controller.last_repartition + wait,
             _ => SimTime::MAX,
         }
     }
@@ -682,8 +691,7 @@ impl Coordinator {
             executed,
         });
         if let Some(qcut) = &self.cfg.qcut {
-            let sub_window = SimTime::from_secs_f64(qcut.monitoring_window_secs / 8.0);
-            if now.saturating_sub(self.activity_since) >= sub_window {
+            if now.saturating_sub(self.activity_since) >= qcut.sub_window() {
                 if self.activity.iter().any(|&a| a > 0) {
                     self.activity_imbalance = qgraph_partition::imbalance(&self.activity);
                 }
@@ -780,7 +788,12 @@ impl Coordinator {
             (step.out.iterations > 0).then(|| step.out.locality())
         });
         let wanted = matches!(self.repartition, Repartition::Wanted);
-        if !wanted && !controller.should_trigger(now, self.activity_imbalance, localities) {
+        let imbalance = self.activity_imbalance;
+        let hit = || match x.qcut_wait() {
+            Some(wait) => controller.should_trigger_after(wait, now, imbalance, localities),
+            None => controller.should_trigger(now, imbalance, localities),
+        };
+        if !wanted && !hit() {
             return None;
         }
         let (_, live) = self.gather_scopes(x);
@@ -796,8 +809,8 @@ impl Coordinator {
         Some(now + SimTime::from_secs_f64(cfg.ils_budget_secs))
     }
 
-    /// The budgeted plan came due: the cooldown restarts, and a plan that
-    /// moves something wants a window.
+    /// The budgeted plan came due: the wait to the next check restarts,
+    /// and a plan that moves something wants a window.
     pub fn plan_due(&mut self, now: SimTime) {
         self.state.controller.ils_inflight = false;
         self.state.controller.last_repartition = now;
@@ -1063,6 +1076,8 @@ mod tests {
         scopes: Vec<(QueryId, usize, Vec<VertexId>)>,
         gained: Vec<(QueryId, usize)>,
         pending: Vec<(QueryId, usize)>,
+        /// A measured Q-cut wait, as the thread runtime supplies one.
+        wait: Option<SimTime>,
     }
 
     impl Executor for Script {
@@ -1111,6 +1126,9 @@ mod tests {
         }
         fn pending_report(&mut self) -> Vec<(QueryId, usize)> {
             self.pending.clone()
+        }
+        fn qcut_wait(&self) -> Option<SimTime> {
+            self.wait
         }
     }
 
@@ -1343,6 +1361,32 @@ mod tests {
         assert_eq!(core.trigger(&mut x, at(4 * sec - 1)), None);
         assert!(!core.paused(), "one microsecond short of the cooldown");
         assert_eq!(core.trigger(&mut x, at(4 * sec)), Some(at(6 * sec)));
+    }
+
+    #[test]
+    fn a_wait_the_executor_supplies_replaces_the_configured_cooldown() {
+        // A cooldown of a whole second, which the executor's wait
+        // overrides: a wait of 0 lets the first check plan at once.
+        let (mut core, mut x) = two_remote_queries(adaptive(1.0));
+        x.scopes = split_scopes();
+        x.wait = Some(SimTime::ZERO);
+        assert_eq!(core.trigger(&mut x, at(2)), Some(at(2_000_002)));
+        core.plan_due(at(3));
+        assert!(core.paused(), "the plan moves something");
+        for q in 0..2 {
+            core.release(&mut x, QueryId(q), at(3));
+        }
+        x.pending = vec![(QueryId(0), 1), (QueryId(1), 1)];
+        x.clock = at(4);
+        core.window_open(&x);
+        core.window_apply(&mut x);
+        core.window_end(&mut x, at(5));
+        // The next wait counts from the plan's due instant, not the
+        // cooldown: due at 3 µs plus 10 µs.
+        x.wait = Some(at(10));
+        assert_eq!(core.next_check(at(10)), at(13));
+        assert_eq!(core.trigger(&mut x, at(12)), None);
+        assert_eq!(core.trigger(&mut x, at(13)), Some(at(2_000_013)));
     }
 
     #[test]

@@ -200,64 +200,21 @@ impl Solution {
         self.imbalance() < self.delta
     }
 
-    /// Algorithm 2 line 15: is moving cluster `c`'s scope from `from` to
-    /// `to` allowed?
-    ///
-    /// The paper requires the post-move balance between the two workers to
-    /// satisfy δ. We check the *global* post-move imbalance (which
-    /// subsumes the moved pair) and additionally accept moves that
-    /// strictly reduce it, so the search can escape initial states that
-    /// already violate δ (e.g. Domain partitionings) — the paper's premise
-    /// that "all solution states have balanced workload" does not hold for
-    /// its own Domain baseline. Accepted moves therefore never increase
-    /// imbalance beyond `max(δ, current imbalance)`.
-    pub fn move_allowed(&self, c: usize, from: usize, to: usize) -> bool {
-        if from == to || self.qmass[c][from] <= 0.0 {
-            return false;
-        }
-        let shift = (self.qmass[c][from] + self.vmass[c][from]) / 2.0;
-        let lf = self.load(from) - shift;
-        let lt = self.load(to) + shift;
-        let mut post_max = lf.max(lt);
-        let mut post_min = lf.min(lt);
-        for w in 0..self.num_workers {
-            if w != from && w != to {
-                let l = self.load(w);
-                post_max = post_max.max(l);
-                post_min = post_min.min(l);
-            }
-        }
-        if post_max <= 0.0 {
-            return true;
-        }
-        let post_imb = (post_max - post_min) / post_max;
-        post_imb < self.delta || post_imb < self.imbalance() - 1e-12
-    }
-
-    /// Cost change if cluster `c`'s scope on `from` moved to `to`
-    /// (without applying it).
-    pub fn move_cost_delta(&self, c: usize, from: usize, to: usize) -> f64 {
-        let before = self.cluster_cost(c);
-        let total: f64 = self.qmass[c].iter().sum();
-        let mut max_after = 0.0f64;
-        for w in 0..self.num_workers {
-            let v = if w == from {
-                0.0
-            } else if w == to {
-                self.qmass[c][to] + self.qmass[c][from]
-            } else {
-                self.qmass[c][w]
-            };
-            max_after = max_after.max(v);
-        }
-        (total - max_after) - before
-    }
-
     /// The steepest allowed move: the `(c, from, to, cost delta)` with the
-    /// least delta over every `(c, from, to)` that [`Solution::move_allowed`]
-    /// accepts, the first one in `(c, from, to)` order on ties — exactly
-    /// what looping over `move_allowed` and [`Solution::move_cost_delta`]
-    /// returns, bit for bit, in one scan.
+    /// least delta over every allowed `(c, from, to)`, the first one in
+    /// `(c, from, to)` order on ties — exactly what looping over the test
+    /// module's reference `move_allowed` and `move_cost_delta` returns, bit
+    /// for bit, in one scan.
+    ///
+    /// Which moves are allowed (Algorithm 2 line 15): the paper requires
+    /// the post-move balance between the two workers to satisfy δ. We
+    /// check the *global* post-move imbalance (which subsumes the moved
+    /// pair) and additionally accept moves that strictly reduce it, so the
+    /// search can escape initial states that already violate δ (e.g.
+    /// Domain partitionings) — the paper's premise that "all solution
+    /// states have balanced workload" does not hold for its own Domain
+    /// baseline. Accepted moves therefore never increase imbalance beyond
+    /// `max(δ, current imbalance)`.
     ///
     /// The loads and the imbalance are read once per scan, each cluster's
     /// total and cost once per cluster. The max (min) over the workers
@@ -418,6 +375,54 @@ fn other(leaders: &[usize; 3], from: usize, to: usize) -> Option<usize> {
 pub(crate) mod tests {
     use super::*;
     use rand::rngs::SmallRng;
+
+    /// The reference [`Solution::steepest_move`] is held to, one move at a
+    /// time.
+    impl Solution {
+        /// Is moving cluster `c`'s scope from `from` to `to` allowed? See
+        /// [`Solution::steepest_move`] for the rule.
+        pub(crate) fn move_allowed(&self, c: usize, from: usize, to: usize) -> bool {
+            if from == to || self.qmass[c][from] <= 0.0 {
+                return false;
+            }
+            let shift = (self.qmass[c][from] + self.vmass[c][from]) / 2.0;
+            let lf = self.load(from) - shift;
+            let lt = self.load(to) + shift;
+            let mut post_max = lf.max(lt);
+            let mut post_min = lf.min(lt);
+            for w in 0..self.num_workers {
+                if w != from && w != to {
+                    let l = self.load(w);
+                    post_max = post_max.max(l);
+                    post_min = post_min.min(l);
+                }
+            }
+            if post_max <= 0.0 {
+                return true;
+            }
+            let post_imb = (post_max - post_min) / post_max;
+            post_imb < self.delta || post_imb < self.imbalance() - 1e-12
+        }
+
+        /// Cost change if cluster `c`'s scope on `from` moved to `to`
+        /// (without applying it).
+        pub(crate) fn move_cost_delta(&self, c: usize, from: usize, to: usize) -> f64 {
+            let before = self.cluster_cost(c);
+            let total: f64 = self.qmass[c].iter().sum();
+            let mut max_after = 0.0f64;
+            for w in 0..self.num_workers {
+                let v = if w == from {
+                    0.0
+                } else if w == to {
+                    self.qmass[c][to] + self.qmass[c][from]
+                } else {
+                    self.qmass[c][w]
+                };
+                max_after = max_after.max(v);
+            }
+            (total - max_after) - before
+        }
+    }
 
     /// 2 workers; q0 fully on w0 (13), q1 split 2/14, q2 fully on w1 (5).
     pub(crate) fn example() -> (ScopeStats, Vec<QueryCluster>) {

@@ -64,12 +64,13 @@
 //! every local in one message, or hands the query back to park when the
 //! serving loop has raised the park flag ([`Signals`]). A Q-cut check is
 //! due from an instant the coordinator publishes
-//! ([`Coordinator::next_check`]): the lane that closes a superstep at or
-//! after it takes it and sends one [`Resp::Tick`]. A local superstep —
-//! one partition, nothing sent away — that goes on is begun in place:
-//! nobody can have put mail for it, so the lane seals its inbox and
-//! executes again, up to [`LOCAL_QUANTUM`] times per `Step` (the paper's
-//! communication-free local barrier, §3.3).
+//! ([`Coordinator::next_check`], the last plan's due instant plus a wait
+//! paced by measured planning cost, `back_off`): the lane that closes a
+//! superstep at or after it takes it and sends one [`Resp::Tick`]. A
+//! local superstep — one partition, nothing sent away — that goes on is
+//! begun in place: nobody can have put mail for it, so the lane seals its
+//! inbox and executes again, up to [`LOCAL_QUANTUM`] times per `Step`
+//! (the paper's communication-free local barrier, §3.3).
 //!
 //! ## The window touches quiescent partitions directly
 //!
@@ -101,12 +102,15 @@
 //!   holds the task until the query completes — nothing else keeps it;
 //! * a [`Resp::Tick`] — and, while a check is due, a query's collect,
 //!   which brings its scope — runs the core's one Q-cut trigger
-//!   ([`Coordinator::trigger`]) on the session clock: the
-//!   [`crate::QcutConfig`] time constants are session wall-clock seconds
-//!   here; a hit reads the scopes while the lanes compute, locking one
+//!   ([`Coordinator::trigger`]) on the session clock: μ is session
+//!   wall-clock seconds here, and the cooldown and the ILS budget are not
+//!   read; a hit reads the scopes while the lanes compute, locking one
 //!   context at a time, runs the ILS on this turn and makes its plan due
 //!   as the ILS returns (`Coordinator::plan_due`) — a plan that moves
-//!   nothing opens no window;
+//!   nothing opens no window. The next check waits twice as long as the
+//!   last wait, at least what the scope statistics and the ILS just took
+//!   and at most μ/8 (`back_off`), from a first wait of 0: a stream that
+//!   keeps locality under Φ replans O(log T) times in T seconds;
 //! * a lane that panics says so as it unwinds, and stopping the pool
 //!   re-raises the panic through `drain`;
 //! * the window reads nothing from the channel: a client message sent
@@ -338,8 +342,8 @@ struct Snapshot {
 }
 
 /// What a stopped coordinator hands back: the last hand-over, plus the
-/// controller and the label index it served with.
-type Stopped = (Snapshot, Controller, Option<Box<dyn PointIndex>>);
+/// controller, the label index and the Q-cut wait it served with.
+type Stopped = (Snapshot, Controller, Option<Box<dyn PointIndex>>, SimTime);
 
 /// The serving clock: wall time since `start`, offset by the report's
 /// previous end so timestamps stay monotonic across serve sessions.
@@ -447,6 +451,9 @@ pub struct Threads {
     /// The serving session's coordinator thread.
     serving: Option<thread::JoinHandle<Stopped>>,
     outputs: Vec<Option<Envelope>>,
+    /// The Q-cut wait ([`back_off`]) between sessions: it travels with
+    /// the controller.
+    qcut_wait: SimTime,
     /// Test hook: see [`Engine::hb_test_reintroduce_quiesce_race`].
     #[cfg(feature = "check-hb")]
     hb_test_early_quiesce: bool,
@@ -473,8 +480,9 @@ struct StepTraffic {
 impl Engine<Threads> {
     /// Create a runtime with an explicit configuration. The thread runtime
     /// honors `max_parallel_queries`, the admission policy, and — when
-    /// `qcut` is set — the adaptive repartitioning loop, its time
-    /// constants read in session wall-clock seconds; barrier mode and the
+    /// `qcut` is set — the adaptive repartitioning loop, μ read in session
+    /// wall-clock seconds and paced by its measured planning cost, not by
+    /// the cooldown or the ILS budget; barrier mode and the
     /// simulated cost model remain simulation-only.
     pub fn with_config(graph: Arc<Graph>, partitioning: Partitioning, cfg: SystemConfig) -> Self {
         assert_eq!(
@@ -499,6 +507,7 @@ impl Engine<Threads> {
             inbox: Some(rx),
             serving: None,
             outputs: Vec::new(),
+            qcut_wait: SimTime::ZERO,
             #[cfg(feature = "check-hb")]
             hb_test_early_quiesce: false,
             #[cfg(test)]
@@ -725,6 +734,8 @@ impl Threads {
             tracer,
             clock,
             run_started: clock.base,
+            qcut_wait: self.qcut_wait,
+            scoped_at: SimTime::ZERO,
             inflight_ops: 0,
             pool_base,
             pool_tasks: pool_base.tasks,
@@ -753,13 +764,14 @@ impl Threads {
         let (tx, rx) = channel();
         self.client.tx = tx;
         self.inbox = Some(rx);
-        let (snapshot, controller, index) = match handle.join() {
+        let (snapshot, controller, index, qcut_wait) = match handle.join() {
             Ok(stopped) => stopped,
             Err(payload) => std::panic::resume_unwind(payload),
         };
         self.absorb(snapshot);
         self.state.controller = controller;
         self.state.index = index;
+        self.qcut_wait = qcut_wait;
     }
 
     /// Take a hand-over in: append its entries and close the run window
@@ -826,6 +838,11 @@ struct PoolExec {
     /// Where the run window the next hand-over closes opened: where the
     /// previous one closed.
     run_started: f64,
+    /// The wait from the last plan to the next Q-cut check ([`back_off`]).
+    qcut_wait: SimTime,
+    /// When the last scope read returned: a hit's planning cost counts
+    /// from here, as the read itself waits on lanes that hold a context.
+    scoped_at: SimTime,
     /// Queries on the lanes and collects the core issued, each owing the
     /// coordinator one message: zero while a window is wanted means the
     /// partitions are quiescent.
@@ -859,7 +876,7 @@ impl PoolExec {
     fn publish(&mut self, core: &Coordinator) {
         let signals = &self.signals;
         signals.park.store(core.paused(), Ordering::Relaxed);
-        let at = core.next_check().0;
+        let at = core.next_check(self.qcut_wait).0;
         if at != self.check_at
             && (signals.check_at)
                 .compare_exchange(self.check_at, at, Ordering::Relaxed, Ordering::Relaxed)
@@ -881,11 +898,21 @@ impl PoolExec {
 
     /// A due Q-cut check: the lanes' activity feeds the straggler watch,
     /// then the trigger runs. This turn paid for the ILS, so its plan is
-    /// due as it returns.
+    /// due as it returns, and what the hit took to plan — the scope
+    /// statistics and the ILS, from the scope read's return — paces the
+    /// next check ([`back_off`]).
     fn check(&mut self, core: &mut Coordinator, now: SimTime) {
         self.note_activity(core, now);
         if core.trigger(self, now).is_some() {
-            core.plan_due(self.clock.now());
+            let due = self.clock.now();
+            core.plan_due(due);
+            let cap = core
+                .cfg()
+                .qcut
+                .as_ref()
+                .map_or(SimTime::MAX, |q| q.sub_window());
+            let planned = due.saturating_sub(self.scoped_at);
+            self.qcut_wait = back_off(self.qcut_wait, planned, cap);
         }
     }
 
@@ -922,9 +949,24 @@ impl PoolExec {
     }
 }
 
+/// The thread runtime's wait to the next Q-cut check after a plan that
+/// took `planned` to make: double the last `wait`, floored at `planned`
+/// and capped at `cap` (μ/8). From a first wait of 0 a stream that keeps
+/// locality under Φ for `T` seconds plans O(log₂(T / planned)) times, and
+/// the cap keeps a long-lived server re-planning after a hotspot shift.
+fn back_off(wait: SimTime, planned: SimTime, cap: SimTime) -> SimTime {
+    SimTime(wait.as_nanos().saturating_mul(2))
+        .max(planned)
+        .min(cap)
+}
+
 impl Executor for PoolExec {
     fn now(&self) -> SimTime {
         self.clock.now()
+    }
+
+    fn qcut_wait(&self) -> Option<SimTime> {
+        Some(self.qcut_wait)
     }
 
     fn deliver(&mut self, q: QueryId, w: usize, _: &dyn QueryTask, batch: MessageBatch) {
@@ -986,7 +1028,9 @@ impl Executor for PoolExec {
             let ctx = lock_ctx(&p.ctx);
             ctx.worker.scope_report().collect::<Vec<_>>()
         };
-        self.parts.iter().flat_map(read).collect()
+        let scopes = self.parts.iter().flat_map(read).collect();
+        self.scoped_at = self.clock.now();
+        scopes
     }
 
     fn migrate(
@@ -1077,7 +1121,7 @@ fn serve(mut core: Coordinator, mut x: PoolExec) -> Stopped {
                 core.collected(&mut x, q, locals, now);
                 // A query's last close is heard here, with its scope: a
                 // due check sees it, as the simulation's does.
-                if now >= core.next_check() {
+                if now >= core.next_check(x.qcut_wait) {
                     x.check(&mut core, now);
                 }
             }
@@ -1116,7 +1160,12 @@ fn serve(mut core: Coordinator, mut x: PoolExec) -> Stopped {
     // propagating any pool thread's own panic payload.
     let snapshot = x.hand_over(&mut core, clock.now());
     x.pool.shutdown();
-    (snapshot, core.state.controller, core.state.index)
+    (
+        snapshot,
+        core.state.controller,
+        core.state.index,
+        x.qcut_wait,
+    )
 }
 
 /// The partition-owned state a pool task operates on: the logical
@@ -2444,14 +2493,13 @@ mod tests {
     }
 
     /// The thrash net: on a partitioning that keeps locality under Φ for
-    /// the whole run, windows still open no more often than the cooldown
-    /// (session wall-clock) allows.
+    /// the whole run, the wait between checks doubles after every plan,
+    /// so the window count stays logarithmic in the run length.
     #[test]
-    fn the_cooldown_spaces_repartitions_on_the_wall_clock() {
-        let cooldown = 1e-3;
+    fn the_measured_wait_keeps_windows_logarithmic_in_the_run_length() {
         let g = line(1024);
-        let parts = interleaved(1024);
-        let mut e = ThreadEngine::with_config(Arc::clone(&g), parts, qcut_with_cooldown(cooldown));
+        let mut e =
+            ThreadEngine::with_config(Arc::clone(&g), interleaved(1024), qcut_with_cooldown(0.0));
         let qs: Vec<_> = (0..4u32)
             .map(|i| e.submit(ReachProgram::new(VertexId(i))))
             .collect();
@@ -2465,33 +2513,74 @@ mod tests {
             !events.is_empty(),
             "a thousand remote supersteps, no window"
         );
-        for pair in events.windows(2) {
-            let gap = pair[1].triggered_at - pair[0].triggered_at;
-            assert!(gap >= cooldown - 1e-9, "triggers {gap} s apart");
-        }
-        let most = (report.finished_at_secs / cooldown).floor() as usize + 1;
+        // A plan takes at least a microsecond (it reads the scopes under
+        // locks, clusters and searches), so from a first wait of 0 the
+        // n-th plan comes at least (2^(n-1) - 1) µs after the first.
+        let micros = report.finished_at_secs * 1e6;
+        let most = 1 + (micros + 1.0).log2().floor() as usize;
         assert!(
             events.len() <= most,
-            "{} windows, at most {most}",
+            "{} windows in {micros:.0} µs, at most {most}",
             events.len()
         );
     }
 
     #[test]
-    fn the_default_cooldown_outlasts_a_short_run() {
-        // Ten wall-clock seconds from session start: a millisecond run on
-        // the worst partitioning never pays for a window.
-        let g = line(32);
-        let parts = interleaved(32);
-        let before = parts.clone();
-        let cfg = SystemConfig::qgraph();
-        let mut e = ThreadEngine::with_config(Arc::clone(&g), parts, cfg);
-        let a = e.submit(ReachProgram::new(VertexId(0)));
-        let b = e.submit(ReachProgram::new(VertexId(1)));
-        e.run();
-        assert_eq!(e.output(&a).unwrap().len(), 32);
-        assert_eq!(e.output(&b).unwrap().len(), 31);
-        assert!(e.report().repartitions.is_empty());
-        assert_eq!(e.partitioning(), &before, "assignment untouched");
+    fn a_default_config_run_repartitions_and_never_reads_the_cooldown() {
+        // SystemConfig::qgraph() keeps the paper's 10 s cooldown, which
+        // only the simulation counts: on threads the first check plans,
+        // so a millisecond run on the worst partitioning repartitions —
+        // with any cooldown at all. Two waves of short floods: a plan
+        // made at superstep 0 sees one-vertex scopes and moves nothing,
+        // and the later ones find scopes small enough to gather one move
+        // at a time within δ.
+        const N: u32 = 1024;
+        let g = line(N as usize);
+        let mut unread = SystemConfig::qgraph();
+        unread
+            .qcut
+            .as_mut()
+            .expect("Q-cut on")
+            .min_repartition_interval_secs = 1e9;
+        for cfg in [SystemConfig::qgraph(), unread] {
+            let mut e = ThreadEngine::with_config(Arc::clone(&g), interleaved(N), cfg);
+            let floods: Vec<_> = (0..32u32)
+                .map(|i| e.submit(ReachProgram::bounded(VertexId(32 * i), 16)))
+                .collect();
+            e.run();
+            for (i, h) in floods.iter().enumerate() {
+                let from = 32 * i as u32;
+                let reached: Vec<_> = (from..=from + 16).map(VertexId).collect();
+                assert_eq!(e.output(h).unwrap(), &reached);
+            }
+            assert!(!e.report().repartitions.is_empty(), "no window");
+            assert_ne!(e.partitioning(), &interleaved(N), "assignment untouched");
+            e.shutdown();
+            assert!(
+                e.rt.qcut_wait > SimTime::ZERO,
+                "the wait travels with the controller"
+            );
+        }
+    }
+
+    #[test]
+    fn the_wait_doubles_from_zero_floored_at_the_plan_time_and_capped_at_a_sub_window() {
+        let ms = SimTime::from_millis;
+        let cap = QcutConfig::default().sub_window();
+        assert_eq!(cap, SimTime::from_secs(30), "μ/8 at the paper's μ");
+        // Every engine starts due: the first check may plan.
+        let e = ThreadEngine::with_config(line(4), interleaved(4), SystemConfig::qgraph());
+        assert_eq!(e.rt.qcut_wait, SimTime::ZERO);
+        // The first plan's own run time is the first wait ...
+        assert_eq!(back_off(SimTime::ZERO, ms(3), cap), ms(3));
+        // ... which then doubles while plans stay cheaper ...
+        assert_eq!(back_off(ms(3), ms(1), cap), ms(6));
+        assert_eq!(back_off(ms(6), ms(6), cap), ms(12));
+        // ... unless a plan took longer than twice the wait ...
+        assert_eq!(back_off(ms(6), ms(40), cap), ms(40));
+        // ... up to the sub-window, where it stays.
+        assert_eq!(back_off(SimTime::from_secs(20), ms(1), cap), cap);
+        assert_eq!(back_off(cap, ms(1), cap), cap);
+        assert_eq!(back_off(cap, SimTime::from_secs(60), cap), cap);
     }
 }

@@ -48,12 +48,7 @@ fn main() {
     let graph = Arc::new(world.graph.clone());
 
     let cfg = SystemConfig {
-        // The stream lasts a fraction of a second: scale the cooldown
-        // (session wall-clock on threads) down with it.
-        qcut: Some(QcutConfig {
-            min_repartition_interval_secs: 0.005,
-            ..Default::default()
-        }),
+        qcut: Some(QcutConfig::default()),
         // POI lookups are latency-sensitive point queries: let them
         // overtake queued SSSP scans.
         admission: AdmissionPolicy::priorities(&[("poi", 10), ("sssp", 1)]),

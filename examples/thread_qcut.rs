@@ -65,15 +65,7 @@ fn main() {
     let graph = Arc::new(world.graph);
 
     let static_report = run_hotspot(&graph, None);
-    let adaptive_report = run_hotspot(
-        &graph,
-        // The run lasts milliseconds, so the paper's 10 s cooldown (wall
-        // clock on threads) would never let a second window open.
-        Some(QcutConfig {
-            min_repartition_interval_secs: 0.002,
-            ..Default::default()
-        }),
-    );
+    let adaptive_report = run_hotspot(&graph, Some(QcutConfig::default()));
 
     println!("all 64 answers match sequential Dijkstra");
     println!(
