@@ -64,7 +64,8 @@ pub struct QcutConfig {
     /// barrier thrashing while statistics are still converging). `0.0`
     /// lets every superstep end re-trigger. On threads the coordinator
     /// paces the trigger by its measured planning cost instead — the wait
-    /// doubles after each plan, floored at that plan's own run time and
+    /// doubles after each plan whose window raised no locality (kept
+    /// after one that did), floored at that plan's own run time and
     /// capped at μ/8 — and this value is not read. Paper: 10 s.
     pub min_repartition_interval_secs: f64,
     /// RNG seed for the ILS (perturbation and clustering are randomized).

@@ -39,6 +39,10 @@ pub struct Controller {
     pub last_repartition: SimTime,
     /// An ILS run is in flight (its virtual budget has not elapsed).
     pub ils_inflight: bool,
+    /// The wait from `last_repartition` to the next check when the
+    /// executor measures it (threads: paced by planning cost); `None`
+    /// counts the configured cooldown (the simulation).
+    pub measured_wait: Option<SimTime>,
     /// [`Controller::build_scope_stats`]'s buffers, kept between triggers.
     scratch: StatsScratch,
 }
@@ -66,6 +70,7 @@ impl Controller {
             finished: VecDeque::new(),
             last_repartition: SimTime::ZERO,
             ils_inflight: false,
+            measured_wait: None,
             scratch: StatsScratch::default(),
         }
     }
@@ -137,9 +142,26 @@ impl Controller {
             .retain(|r| !r.vertices.iter().any(|v| set.contains(v)));
     }
 
-    /// Should a repartition be triggered now, with the simulation's
-    /// cooldown, [`QcutConfig::min_repartition_interval_secs`]? See
-    /// [`Controller::should_trigger_after`].
+    /// The wait from the last repartition to the next check: the
+    /// executor's measured one, else the configured cooldown,
+    /// [`QcutConfig::min_repartition_interval_secs`].
+    pub fn wait(&self) -> SimTime {
+        self.measured_wait.unwrap_or_else(|| {
+            let cooldown = self
+                .cfg
+                .as_ref()
+                .map_or(0.0, |c| c.min_repartition_interval_secs);
+            SimTime::from_secs_f64(cooldown)
+        })
+    }
+
+    /// Should a repartition be triggered now? The one trigger predicate
+    /// (paper §3.4): no ILS in flight, the [`Controller::wait`] since the
+    /// last repartition elapsed on the executor's clock, and the mean of
+    /// the active queries' `localities` below Φ — extended with the
+    /// activity imbalance watch, see [`QcutConfig::imbalance_threshold`].
+    /// The wait is tested before `localities` is consumed: on threads
+    /// this runs at every due check, a lane's `Tick` or a collect.
     pub fn should_trigger(
         &self,
         now: SimTime,
@@ -147,26 +169,7 @@ impl Controller {
         localities: impl Iterator<Item = f64>,
     ) -> bool {
         let Some(cfg) = &self.cfg else { return false };
-        let cooldown = SimTime::from_secs_f64(cfg.min_repartition_interval_secs);
-        self.should_trigger_after(cooldown, now, activity_imbalance, localities)
-    }
-
-    /// Should a repartition be triggered now? The one trigger predicate
-    /// (paper §3.4): no ILS in flight, `wait` since the last repartition
-    /// elapsed on the executor's clock, and the mean of the active
-    /// queries' `localities` below Φ — extended with the activity
-    /// imbalance watch, see [`QcutConfig::imbalance_threshold`]. The wait
-    /// is tested before `localities` is consumed: on threads this runs at
-    /// every due check, a lane's `Tick` or a collect.
-    pub fn should_trigger_after(
-        &self,
-        wait: SimTime,
-        now: SimTime,
-        activity_imbalance: f64,
-        localities: impl Iterator<Item = f64>,
-    ) -> bool {
-        let Some(cfg) = &self.cfg else { return false };
-        if self.ils_inflight || now < self.last_repartition + wait {
+        if self.ils_inflight || now < self.last_repartition + self.wait() {
             return false;
         }
         let (mut sum, mut active) = (0.0f64, 0usize);

@@ -50,13 +50,12 @@
 //! every superstep close; the thread runtime when a lane closes a
 //! superstep at or after [`Coordinator::next_check`] (the wait's end; a
 //! check that declines leaves it due, so the next close checks again).
-//! The core tests the wait since the last plan came due — the configured
-//! cooldown, `min_repartition_interval_secs`, in the simulation; on
-//! threads a wait the executor measures ([`Executor::qcut_wait`]), which
-//! doubles after every plan, floored at that plan's own planning time and
-//! capped at μ/8 — then the mean lifetime locality of the
-//! running queries against Φ — read live from their records — and the
-//! activity imbalance of the last μ/8 sub-window
+//! The core tests the wait since the last plan came due
+//! ([`Controller::wait`]: the configured cooldown,
+//! `min_repartition_interval_secs`, in the simulation; on threads a wait
+//! the executor measures from its planning cost), then the mean lifetime
+//! locality of the running queries against Φ — read live from their
+//! records — and the activity imbalance of the last μ/8 sub-window
 //! ([`Coordinator::note_activity`]) against its threshold. A hit reads
 //! the scopes while partitions compute and runs the ILS there and then,
 //! hidden behind query processing as in the paper; a hit that finds fewer
@@ -150,12 +149,6 @@ pub(crate) trait Executor {
     ) -> Vec<(QueryId, usize)>;
     /// Every `(query, partition)` pair with pending messages.
     fn pending_report(&mut self) -> Vec<(QueryId, usize)>;
-    /// The wait from the last repartition to the next Q-cut check, when
-    /// the executor measures it (threads); `None` counts the configured
-    /// cooldown, `min_repartition_interval_secs` (the simulation).
-    fn qcut_wait(&self) -> Option<SimTime> {
-        None
-    }
 }
 
 /// One finished `Step`, as its partition reports it.
@@ -475,13 +468,15 @@ impl Coordinator {
         self.queries.values().filter(mid).count()
     }
 
-    /// When the next Q-cut check is due: `wait` — the executor's
-    /// [`Executor::qcut_wait`] — after the last repartition, or never
-    /// (Q-cut off, or a window wanted). A check that declines leaves it
-    /// due.
-    pub fn next_check(&self, wait: SimTime) -> SimTime {
+    /// When the next Q-cut check is due: the controller's wait
+    /// ([`Controller::wait`]) after the last repartition, or never (Q-cut
+    /// off, or a window wanted). A check that declines leaves it due.
+    pub fn next_check(&self) -> SimTime {
         match &self.cfg.qcut {
-            Some(_) if !self.paused => self.state.controller.last_repartition + wait,
+            Some(_) if !self.paused => {
+                let controller = &self.state.controller;
+                controller.last_repartition + controller.wait()
+            }
             _ => SimTime::MAX,
         }
     }
@@ -788,12 +783,7 @@ impl Coordinator {
             (step.out.iterations > 0).then(|| step.out.locality())
         });
         let wanted = matches!(self.repartition, Repartition::Wanted);
-        let imbalance = self.activity_imbalance;
-        let hit = || match x.qcut_wait() {
-            Some(wait) => controller.should_trigger_after(wait, now, imbalance, localities),
-            None => controller.should_trigger(now, imbalance, localities),
-        };
-        if !wanted && !hit() {
+        if !wanted && !controller.should_trigger(now, self.activity_imbalance, localities) {
             return None;
         }
         let (_, live) = self.gather_scopes(x);
@@ -962,6 +952,10 @@ impl Coordinator {
             return;
         }
         let observed = st.controller.observed_scopes(&live);
+        // The selection lists the live queries' scopes first.
+        let running = live.iter().filter(|(_, vs)| !vs.is_empty()).count();
+        let running = &observed[..running.min(observed.len())];
+        let live_locality_before = migrate::scope_locality(running, &st.partitioning);
         // Only live queries hold state on a partition: `Collect` took a
         // finished one's.
         let task_of = |q: QueryId| Arc::clone(&queries[&q].task);
@@ -970,6 +964,7 @@ impl Coordinator {
             migrate::apply_measured(&migration, &mut st.partitioning, &observed, || {
                 gained = x.migrate(&migration, &task_of);
             });
+        let live_locality_after = migrate::scope_locality(running, &st.partitioning);
         let version = self.hb.publish_partitioning(0);
         x.publish_partitioning(&st.partitioning, version);
         st.report.repartitions.push(RepartitionEvent {
@@ -979,6 +974,8 @@ impl Coordinator {
             moved_vertices: migration.moved_vertices,
             locality_before,
             locality_after,
+            live_locality_before,
+            live_locality_after,
             ils: result,
         });
         for (q, w) in gained {
@@ -1076,8 +1073,6 @@ mod tests {
         scopes: Vec<(QueryId, usize, Vec<VertexId>)>,
         gained: Vec<(QueryId, usize)>,
         pending: Vec<(QueryId, usize)>,
-        /// A measured Q-cut wait, as the thread runtime supplies one.
-        wait: Option<SimTime>,
     }
 
     impl Executor for Script {
@@ -1126,9 +1121,6 @@ mod tests {
         }
         fn pending_report(&mut self) -> Vec<(QueryId, usize)> {
             self.pending.clone()
-        }
-        fn qcut_wait(&self) -> Option<SimTime> {
-            self.wait
         }
     }
 
@@ -1364,12 +1356,12 @@ mod tests {
     }
 
     #[test]
-    fn a_wait_the_executor_supplies_replaces_the_configured_cooldown() {
-        // A cooldown of a whole second, which the executor's wait
-        // overrides: a wait of 0 lets the first check plan at once.
+    fn a_measured_wait_replaces_the_configured_cooldown() {
+        // A cooldown of a whole second, which a measured wait overrides:
+        // a wait of 0 lets the first check plan at once.
         let (mut core, mut x) = two_remote_queries(adaptive(1.0));
         x.scopes = split_scopes();
-        x.wait = Some(SimTime::ZERO);
+        core.state.controller.measured_wait = Some(SimTime::ZERO);
         assert_eq!(core.trigger(&mut x, at(2)), Some(at(2_000_002)));
         core.plan_due(at(3));
         assert!(core.paused(), "the plan moves something");
@@ -1383,8 +1375,8 @@ mod tests {
         core.window_end(&mut x, at(5));
         // The next wait counts from the plan's due instant, not the
         // cooldown: due at 3 µs plus 10 µs.
-        x.wait = Some(at(10));
-        assert_eq!(core.next_check(at(10)), at(13));
+        core.state.controller.measured_wait = Some(at(10));
+        assert_eq!(core.next_check(), at(13));
         assert_eq!(core.trigger(&mut x, at(12)), None);
         assert_eq!(core.trigger(&mut x, at(13)), Some(at(2_000_013)));
     }

@@ -52,8 +52,24 @@ pub struct RepartitionEvent {
     /// the migration — always the post-move assignment, never the initial
     /// one, so successive events stay comparable as partitions drift.
     pub locality_after: f64,
+    /// [`RepartitionEvent::locality_before`] over the live queries'
+    /// scopes alone: the queries the window parked.
+    pub live_locality_before: f64,
+    /// [`RepartitionEvent::locality_after`] over the same live scopes.
+    pub live_locality_after: f64,
     /// The ILS run's result (costs, trace, plan size).
     pub ils: IlsResult,
+}
+
+impl RepartitionEvent {
+    /// Did the migration raise locality — over the scopes the ILS
+    /// optimized, or over the live queries' alone? The thread runtime
+    /// doubles its wait to the next Q-cut check after a window that did
+    /// not.
+    pub fn raised_locality(&self) -> bool {
+        self.locality_after > self.locality_before
+            || self.live_locality_after > self.live_locality_before
+    }
 }
 
 /// One applied mutation epoch: a `MutationBatch` absorbed at a

@@ -107,10 +107,13 @@
 //!   read; a hit reads the scopes while the lanes compute, locking one
 //!   context at a time, runs the ILS on this turn and makes its plan due
 //!   as the ILS returns (`Coordinator::plan_due`) — a plan that moves
-//!   nothing opens no window. The next check waits twice as long as the
-//!   last wait, at least what the scope statistics and the ILS just took
-//!   and at most μ/8 (`back_off`), from a first wait of 0: a stream that
-//!   keeps locality under Φ replans O(log T) times in T seconds;
+//!   nothing opens no window. The next check waits as long as the last
+//!   wait if the plan's window raised locality
+//!   ([`RepartitionEvent::raised_locality`]), and twice as long
+//!   otherwise, at least what the scope statistics and the ILS just took
+//!   and at most μ/8 (`back_off`), from a first wait of 0: windows that
+//!   buy locality may follow at the planner's pace while locality stays
+//!   under Φ, and plans that buy none thin out to O(log T) in T seconds;
 //! * a lane that panics says so as it unwinds, and stopping the pool
 //!   re-raises the panic through `drain`;
 //! * the window reads nothing from the channel: a client message sent
@@ -154,7 +157,7 @@ use crate::pool::TaskPool;
 use crate::program::VertexProgram;
 use crate::qcut::{migrate, Migration};
 use crate::query::{QueryHandle, QueryId};
-use crate::report::{EngineReport, PoolCounters};
+use crate::report::{EngineReport, PoolCounters, RepartitionEvent};
 use crate::sched::check_submission;
 use crate::task::{Envelope, MessageBatch, QueryTask, TypedTask};
 use crate::trace::{cmd, Tracer};
@@ -342,8 +345,8 @@ struct Snapshot {
 }
 
 /// What a stopped coordinator hands back: the last hand-over, plus the
-/// controller, the label index and the Q-cut wait it served with.
-type Stopped = (Snapshot, Controller, Option<Box<dyn PointIndex>>, SimTime);
+/// controller and the label index it served with.
+type Stopped = (Snapshot, Controller, Option<Box<dyn PointIndex>>);
 
 /// The serving clock: wall time since `start`, offset by the report's
 /// previous end so timestamps stay monotonic across serve sessions.
@@ -451,9 +454,6 @@ pub struct Threads {
     /// The serving session's coordinator thread.
     serving: Option<thread::JoinHandle<Stopped>>,
     outputs: Vec<Option<Envelope>>,
-    /// The Q-cut wait ([`back_off`]) between sessions: it travels with
-    /// the controller.
-    qcut_wait: SimTime,
     /// Test hook: see [`Engine::hb_test_reintroduce_quiesce_race`].
     #[cfg(feature = "check-hb")]
     hb_test_early_quiesce: bool,
@@ -491,11 +491,14 @@ impl Engine<Threads> {
             "partitioning does not cover the graph"
         );
         let (tx, rx) = channel();
+        // The Q-cut wait is measured here, from 0 (`back_off`).
+        let mut controller = Controller::new(cfg.qcut.clone());
+        controller.measured_wait = Some(SimTime::ZERO);
         let rt = Threads {
             state: EngineState {
                 topology: Topology::new(graph),
                 partitioning,
-                controller: Controller::new(cfg.qcut.clone()),
+                controller,
                 index: None,
                 report: EngineReport::default(),
             },
@@ -507,7 +510,6 @@ impl Engine<Threads> {
             inbox: Some(rx),
             serving: None,
             outputs: Vec::new(),
-            qcut_wait: SimTime::ZERO,
             #[cfg(feature = "check-hb")]
             hb_test_early_quiesce: false,
             #[cfg(test)]
@@ -734,8 +736,8 @@ impl Threads {
             tracer,
             clock,
             run_started: clock.base,
-            qcut_wait: self.qcut_wait,
             scoped_at: SimTime::ZERO,
+            planned: None,
             inflight_ops: 0,
             pool_base,
             pool_tasks: pool_base.tasks,
@@ -764,14 +766,13 @@ impl Threads {
         let (tx, rx) = channel();
         self.client.tx = tx;
         self.inbox = Some(rx);
-        let (snapshot, controller, index, qcut_wait) = match handle.join() {
+        let (snapshot, controller, index) = match handle.join() {
             Ok(stopped) => stopped,
             Err(payload) => std::panic::resume_unwind(payload),
         };
         self.absorb(snapshot);
         self.state.controller = controller;
         self.state.index = index;
-        self.qcut_wait = qcut_wait;
     }
 
     /// Take a hand-over in: append its entries and close the run window
@@ -838,11 +839,12 @@ struct PoolExec {
     /// Where the run window the next hand-over closes opened: where the
     /// previous one closed.
     run_started: f64,
-    /// The wait from the last plan to the next Q-cut check ([`back_off`]).
-    qcut_wait: SimTime,
     /// When the last scope read returned: a hit's planning cost counts
     /// from here, as the read itself waits on lanes that hold a context.
     scoped_at: SimTime,
+    /// What the plan the pending window applies took to make: the window
+    /// paces the next check once it has measured its locality gain.
+    planned: Option<SimTime>,
     /// Queries on the lanes and collects the core issued, each owing the
     /// coordinator one message: zero while a window is wanted means the
     /// partitions are quiescent.
@@ -876,7 +878,7 @@ impl PoolExec {
     fn publish(&mut self, core: &Coordinator) {
         let signals = &self.signals;
         signals.park.store(core.paused(), Ordering::Relaxed);
-        let at = core.next_check(self.qcut_wait).0;
+        let at = core.next_check().0;
         if at != self.check_at
             && (signals.check_at)
                 .compare_exchange(self.check_at, at, Ordering::Relaxed, Ordering::Relaxed)
@@ -900,19 +902,19 @@ impl PoolExec {
     /// then the trigger runs. This turn paid for the ILS, so its plan is
     /// due as it returns, and what the hit took to plan — the scope
     /// statistics and the ILS, from the scope read's return — paces the
-    /// next check ([`back_off`]).
+    /// next check ([`back_off`]): at once when the plan moves nothing,
+    /// else once its window has measured its locality gain.
     fn check(&mut self, core: &mut Coordinator, now: SimTime) {
         self.note_activity(core, now);
         if core.trigger(self, now).is_some() {
             let due = self.clock.now();
             core.plan_due(due);
-            let cap = core
-                .cfg()
-                .qcut
-                .as_ref()
-                .map_or(SimTime::MAX, |q| q.sub_window());
             let planned = due.saturating_sub(self.scoped_at);
-            self.qcut_wait = back_off(self.qcut_wait, planned, cap);
+            if core.paused() {
+                self.planned = Some(planned);
+            } else {
+                pace(core, planned, false);
+            }
         }
     }
 
@@ -949,13 +951,29 @@ impl PoolExec {
     }
 }
 
+/// Pace the next Q-cut check after a plan that took `planned` to make:
+/// the controller's wait [`back_off`]s, kept when the plan's window
+/// `raised` locality ([`RepartitionEvent::raised_locality`]).
+fn pace(core: &mut Coordinator, planned: SimTime, raised: bool) {
+    let cap = core
+        .cfg()
+        .qcut
+        .as_ref()
+        .map_or(SimTime::MAX, |q| q.sub_window());
+    let controller = &mut core.state.controller;
+    let wait = controller.measured_wait.unwrap_or_default();
+    controller.measured_wait = Some(back_off(wait, planned, cap, raised));
+}
+
 /// The thread runtime's wait to the next Q-cut check after a plan that
-/// took `planned` to make: double the last `wait`, floored at `planned`
-/// and capped at `cap` (μ/8). From a first wait of 0 a stream that keeps
-/// locality under Φ for `T` seconds plans O(log₂(T / planned)) times, and
-/// the cap keeps a long-lived server re-planning after a hotspot shift.
-fn back_off(wait: SimTime, planned: SimTime, cap: SimTime) -> SimTime {
-    SimTime(wait.as_nanos().saturating_mul(2))
+/// took `planned` to make: the last `wait` — doubled unless the plan's
+/// window `raised` locality — floored at `planned` and capped at `cap`
+/// (μ/8). The wait never shrinks, so plans that raise nothing number
+/// O(log₂(T / planned)) over `T` seconds, and the cap keeps a long-lived
+/// server re-planning after a hotspot shift.
+fn back_off(wait: SimTime, planned: SimTime, cap: SimTime, raised: bool) -> SimTime {
+    let factor = if raised { 1 } else { 2 };
+    SimTime(wait.as_nanos().saturating_mul(factor))
         .max(planned)
         .min(cap)
 }
@@ -963,10 +981,6 @@ fn back_off(wait: SimTime, planned: SimTime, cap: SimTime) -> SimTime {
 impl Executor for PoolExec {
     fn now(&self) -> SimTime {
         self.clock.now()
-    }
-
-    fn qcut_wait(&self) -> Option<SimTime> {
-        Some(self.qcut_wait)
     }
 
     fn deliver(&mut self, q: QueryId, w: usize, _: &dyn QueryTask, batch: MessageBatch) {
@@ -1074,7 +1088,13 @@ fn serve(mut core: Coordinator, mut x: PoolExec) -> Stopped {
             // Mail is only ever held for live queries (`Collect` clears a
             // query's slots), so the core resolves every task.
             flush_mail(&x.parts, &x.hb, &|q| Arc::clone(&core.run(q).task));
+            let events = core.state.report.repartitions.len();
             core.window_apply(&mut x);
+            if let Some(planned) = x.planned.take() {
+                let applied = &core.state.report.repartitions[events..];
+                let raised = applied.iter().any(RepartitionEvent::raised_locality);
+                pace(&mut core, planned, raised);
+            }
             // The queries the window resumes must not park again on the
             // flag it leaves behind.
             x.signals.park.store(false, Ordering::Relaxed);
@@ -1121,7 +1141,7 @@ fn serve(mut core: Coordinator, mut x: PoolExec) -> Stopped {
                 core.collected(&mut x, q, locals, now);
                 // A query's last close is heard here, with its scope: a
                 // due check sees it, as the simulation's does.
-                if now >= core.next_check(x.qcut_wait) {
+                if now >= core.next_check() {
                     x.check(&mut core, now);
                 }
             }
@@ -1160,12 +1180,7 @@ fn serve(mut core: Coordinator, mut x: PoolExec) -> Stopped {
     // propagating any pool thread's own panic payload.
     let snapshot = x.hand_over(&mut core, clock.now());
     x.pool.shutdown();
-    (
-        snapshot,
-        core.state.controller,
-        core.state.index,
-        x.qcut_wait,
-    )
+    (snapshot, core.state.controller, core.state.index)
 }
 
 /// The partition-owned state a pool task operates on: the logical
@@ -2493,13 +2508,14 @@ mod tests {
     }
 
     /// The thrash net: on a partitioning that keeps locality under Φ for
-    /// the whole run, the wait between checks doubles after every plan,
-    /// so the window count stays logarithmic in the run length.
+    /// the whole run, the wait between checks doubles after every plan
+    /// whose window did not raise locality, so those windows stay
+    /// logarithmic in the run length.
     #[test]
-    fn the_measured_wait_keeps_windows_logarithmic_in_the_run_length() {
+    fn the_measured_wait_keeps_windows_that_raise_nothing_logarithmic() {
         let g = line(1024);
         let mut e =
-            ThreadEngine::with_config(Arc::clone(&g), interleaved(1024), qcut_with_cooldown(0.0));
+            ThreadEngine::with_config(Arc::clone(&g), interleaved(1024), SystemConfig::qgraph());
         let qs: Vec<_> = (0..4u32)
             .map(|i| e.submit(ReachProgram::new(VertexId(i))))
             .collect();
@@ -2514,13 +2530,15 @@ mod tests {
             "a thousand remote supersteps, no window"
         );
         // A plan takes at least a microsecond (it reads the scopes under
-        // locks, clusters and searches), so from a first wait of 0 the
-        // n-th plan comes at least (2^(n-1) - 1) µs after the first.
+        // locks, clusters and searches) and the wait never shrinks, so
+        // from a first wait of 0 the n-th doubling comes at least
+        // (2^(n-1) - 1) µs after the first plan.
         let micros = report.finished_at_secs * 1e6;
         let most = 1 + (micros + 1.0).log2().floor() as usize;
+        let flat = events.iter().filter(|e| !e.raised_locality()).count();
         assert!(
-            events.len() <= most,
-            "{} windows in {micros:.0} µs, at most {most}",
+            flat <= most,
+            "{flat} of {} windows raised no locality in {micros:.0} µs, at most {most}",
             events.len()
         );
     }
@@ -2556,8 +2574,9 @@ mod tests {
             assert!(!e.report().repartitions.is_empty(), "no window");
             assert_ne!(e.partitioning(), &interleaved(N), "assignment untouched");
             e.shutdown();
+            let wait = e.rt.state.controller.measured_wait;
             assert!(
-                e.rt.qcut_wait > SimTime::ZERO,
+                wait > Some(SimTime::ZERO),
                 "the wait travels with the controller"
             );
         }
@@ -2570,17 +2589,23 @@ mod tests {
         assert_eq!(cap, SimTime::from_secs(30), "μ/8 at the paper's μ");
         // Every engine starts due: the first check may plan.
         let e = ThreadEngine::with_config(line(4), interleaved(4), SystemConfig::qgraph());
-        assert_eq!(e.rt.qcut_wait, SimTime::ZERO);
+        assert_eq!(e.rt.state.controller.measured_wait, Some(SimTime::ZERO));
         // The first plan's own run time is the first wait ...
-        assert_eq!(back_off(SimTime::ZERO, ms(3), cap), ms(3));
+        assert_eq!(back_off(SimTime::ZERO, ms(3), cap, false), ms(3));
         // ... which then doubles while plans stay cheaper ...
-        assert_eq!(back_off(ms(3), ms(1), cap), ms(6));
-        assert_eq!(back_off(ms(6), ms(6), cap), ms(12));
+        assert_eq!(back_off(ms(3), ms(1), cap, false), ms(6));
+        assert_eq!(back_off(ms(6), ms(6), cap, false), ms(12));
         // ... unless a plan took longer than twice the wait ...
-        assert_eq!(back_off(ms(6), ms(40), cap), ms(40));
+        assert_eq!(back_off(ms(6), ms(40), cap, false), ms(40));
         // ... up to the sub-window, where it stays.
-        assert_eq!(back_off(SimTime::from_secs(20), ms(1), cap), cap);
-        assert_eq!(back_off(cap, ms(1), cap), cap);
-        assert_eq!(back_off(cap, SimTime::from_secs(60), cap), cap);
+        assert_eq!(back_off(SimTime::from_secs(20), ms(1), cap, false), cap);
+        assert_eq!(back_off(cap, ms(1), cap, false), cap);
+        assert_eq!(back_off(cap, SimTime::from_secs(60), cap, false), cap);
+        // A window that raised locality keeps the wait,
+        // floored and capped alike.
+        assert_eq!(back_off(ms(6), ms(1), cap, true), ms(6));
+        assert_eq!(back_off(SimTime::ZERO, ms(3), cap, true), ms(3));
+        assert_eq!(back_off(ms(6), ms(40), cap, true), ms(40));
+        assert_eq!(back_off(cap, SimTime::from_secs(60), cap, true), cap);
     }
 }
