@@ -102,13 +102,13 @@ pub const RULES: &[Rule] = &[
         // pool.rs owns the elastic compute-thread pool (the only place
         // worker compute threads are born); runtime.rs owns the single
         // coordinator thread (the protocol core it runs, coord.rs, is
-        // sans-IO and must spawn nothing); the trace crate owns the
-        // recorder rings that pool/coordinator threads stamp into (its
-        // tests exercise cross-thread recording).
+        // sans-IO and must spawn nothing); the tracer's submodules own
+        // the recorder rings that pool/coordinator threads stamp into
+        // (their tests exercise cross-thread recording).
         exempt: &[
             "crates/core/src/pool.rs",
             "crates/core/src/runtime.rs",
-            "crates/trace/src",
+            "crates/core/src/trace/",
         ],
         check: Check::ForbidSeqs(&[
             &[Pat::Id("thread"), Pat::P("::"), Pat::Id("spawn")],
@@ -164,7 +164,7 @@ pub const RULES: &[Rule] = &[
         // topology.rs owns the epoch counter; the coordinator core, its
         // two executors and the sim crate own (virtual-)time scheduling
         // math and outcome stamping; query.rs/report.rs own
-        // latency/epoch attribution; the trace crate owns stamp
+        // latency/epoch attribution; the tracer's submodules own stamp
         // arithmetic by design (phase folding is subtraction over
         // admitted/finished stamps).
         exempt: &[
@@ -175,7 +175,7 @@ pub const RULES: &[Rule] = &[
             "crates/core/src/report.rs",
             "crates/core/src/query.rs",
             "crates/sim/src",
-            "crates/trace/src",
+            "crates/core/src/trace/",
         ],
         check: Check::ForbidAdjacent {
             ops: &["+", "-", "+=", "-=", "*", "/"],

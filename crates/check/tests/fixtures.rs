@@ -98,18 +98,21 @@ fn thread_discipline_pool_exemption_is_file_precise() {
 #[test]
 fn thread_discipline_exempts_the_trace_crate() {
     // The recorder's tests spawn threads to exercise cross-thread
-    // recording; the crate is sanctioned.
-    let findings = lint_source("crates/trace/src/lib.rs", &fixture("thread_discipline.rs"));
+    // recording; the tracer's submodules are sanctioned.
+    let findings = lint_source(
+        "crates/core/src/trace/recorder.rs",
+        &fixture("thread_discipline.rs"),
+    );
     assert!(
         !findings.iter().any(|f| f.rule == "thread-discipline"),
-        "the trace crate owns its recorder-thread tests: {findings:?}"
+        "the tracer owns its recorder-thread tests: {findings:?}"
     );
 }
 
 #[test]
 fn thread_discipline_trace_exemption_is_dir_precise() {
-    // The sanction covers crates/trace/src, not trace-adjacent code
-    // elsewhere (the engine's own trace module must not inherit it).
+    // The sanction covers crates/core/src/trace/, not trace-adjacent
+    // code elsewhere (the tracer's facade module must not inherit it).
     assert_fires(
         "thread-discipline",
         "crates/core/src/trace.rs",
@@ -187,21 +190,21 @@ fn time_epoch_arith_fires_on_fixture() {
 
 #[test]
 fn time_epoch_arith_exempts_the_trace_crate() {
-    // Phase folding *is* stamp subtraction; the trace crate owns that
-    // arithmetic the same way the sim crate owns virtual-time math.
+    // Phase folding *is* stamp subtraction; the tracer's submodules own
+    // that arithmetic the same way the sim crate owns virtual-time math.
     let findings = lint_source(
-        "crates/trace/src/summary.rs",
+        "crates/core/src/trace/summary.rs",
         &fixture("time_epoch_arith.rs"),
     );
     assert!(
         !findings.iter().any(|f| f.rule == "time-epoch-arith"),
-        "the trace crate owns stamp arithmetic: {findings:?}"
+        "the tracer owns stamp arithmetic: {findings:?}"
     );
 }
 
 #[test]
 fn time_epoch_arith_trace_exemption_is_dir_precise() {
-    // Outside crates/trace/src the rule still polices stamp math —
+    // Outside crates/core/src/trace/ the rule still polices stamp math —
     // consumers must go through the attribution helpers.
     assert_fires(
         "time-epoch-arith",

@@ -162,10 +162,10 @@ pub struct SystemConfig {
     /// [`DopPolicy`]): how many of a superstep's per-partition tasks may
     /// run concurrently. Structure-preserving for every budget.
     pub dop: DopPolicy,
-    /// Record structured trace events (see [`crate::trace`]). Only
-    /// meaningful when the crate is compiled with the `trace` feature;
-    /// without it the recorder is a zero-sized no-op regardless of this
-    /// knob. Off by default: tracing is opt-in per engine.
+    /// Record structured trace events (see [`crate::trace`]). The one
+    /// switch for the tracer, which every build compiles in; off, each
+    /// call site costs one `Option` check. Off by default: tracing is
+    /// opt-in per engine.
     pub trace: bool,
     /// Per-actor trace ring capacity (events buffered between barrier
     /// drains). A full ring drops further events and counts them in

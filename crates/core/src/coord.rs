@@ -87,7 +87,7 @@ use crate::query::{OutcomeStatus, QueryId, QueryOutcome, ServedBy};
 use crate::report::{ActivitySample, EngineReport, RepartitionEvent};
 use crate::sched::{try_index_path, QueueEntry, Scheduler};
 use crate::task::{Envelope, MessageBatch, QueryTask};
-use crate::trace::{outcome_code, Tracer};
+use crate::trace::{outcome, Tracer};
 use crate::worker::{LocalState, SuperstepStats};
 
 /// One whole superstep of one query, as the core hands it to an executor
@@ -512,7 +512,7 @@ impl Coordinator {
         let epoch = self.state.topology.epoch();
         let mut out = blank_outcome(q, program, arrival, arrival, epoch);
         out.status = OutcomeStatus::Rejected;
-        self.conclude(out, outcome_code::REJECTED);
+        self.conclude(out, outcome::REJECTED);
         false
     }
 
@@ -556,7 +556,7 @@ impl Coordinator {
         if let Some(output) = try_index_path(task.as_ref(), st.index.as_deref(), epoch) {
             out.served_by = ServedBy::Index;
             x.complete(q, output);
-            self.conclude(out, outcome_code::INDEX_SERVED);
+            self.conclude(out, outcome::INDEX_SERVED);
             return;
         }
 
@@ -730,7 +730,7 @@ impl Coordinator {
             self.state.controller.record_finished_scope(q, scope, at);
         }
         x.complete(q, run.task.finalize(&self.state.topology, locals));
-        self.conclude(out, outcome_code::COMPLETED);
+        self.conclude(out, outcome::COMPLETED);
         // Closed loop: the freed slot admits the next waiting query.
         self.admit(x, now);
     }

@@ -57,7 +57,7 @@ use crate::query::{QueryHandle, QueryId};
 use crate::report::{EngineReport, PoolCounters};
 use crate::sched::{check_submission, Submission};
 use crate::task::{Envelope, MessageBatch, QueryTask, TypedTask};
-use crate::trace::{cmd, Tracer};
+use crate::trace::{CmdKind, Tracer};
 use crate::worker::Worker;
 
 enum Event {
@@ -278,7 +278,7 @@ impl SimExec {
         self.pool_busy += 1;
         let (lane, id) = (w as u32, u64::from(q.0));
         self.tracer
-            .task_begin(now.as_secs_f64(), lane, id, lane, cmd::STEP, false);
+            .task_begin(now.as_secs_f64(), lane, id, lane, CmdKind::Step, false);
         self.events.schedule(now + cost, Event::TaskDone { q, w });
     }
 
@@ -627,7 +627,7 @@ impl Sim {
             lane,
             id,
             lane,
-            cmd::STEP,
+            CmdKind::Step,
             stats.executed as u64,
         );
         let report = StepReport {

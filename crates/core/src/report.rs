@@ -14,7 +14,7 @@ use qgraph_partition::imbalance;
 use crate::index_plane::IndexRepairEvent;
 use crate::qcut::IlsResult;
 use crate::query::QueryOutcome;
-use crate::trace::TraceData;
+use crate::trace::{TraceData, TraceSummary};
 
 /// One worker-activity observation: the vertex-function count of one step
 /// report, attributed to the instant it reached the coordinator. Figure 6e
@@ -174,8 +174,7 @@ pub struct EngineReport {
     /// [`EngineReport::slo`]. Empty on a hand-built report.
     pub admission_policy: String,
     /// Accumulated structured trace events (see [`crate::trace`]);
-    /// zero-sized unless the crate is built with the `trace` feature
-    /// and empty unless [`crate::SystemConfig::trace`] was on.
+    /// empty unless [`crate::SystemConfig::trace`] was on.
     pub trace: TraceData,
 }
 
@@ -330,14 +329,12 @@ impl EngineReport {
     }
 
     /// Per-query timeline summaries from the tracing plane: one
-    /// [`qgraph_trace::QueryTimeline`] per traced query with the
+    /// [`crate::trace::QueryTimeline`] per traced query with the
     /// five-phase time-in-system breakdown (queued / executing /
     /// frozen-waiting / deferred-by-dop / parked-at-barrier), plus the
-    /// recorder's `dropped_events` health counter. Only available when
-    /// the crate is built with the `trace` feature; empty unless
+    /// recorder's `dropped_events` health counter. Empty unless
     /// [`crate::SystemConfig::trace`] was on.
-    #[cfg(feature = "trace")]
-    pub fn trace(&self) -> qgraph_trace::TraceSummary {
+    pub fn trace(&self) -> TraceSummary {
         self.trace.summary()
     }
 

@@ -160,7 +160,7 @@ use crate::query::{QueryHandle, QueryId};
 use crate::report::{EngineReport, PoolCounters, RepartitionEvent};
 use crate::sched::check_submission;
 use crate::task::{Envelope, MessageBatch, QueryTask, TypedTask};
-use crate::trace::{cmd, Tracer};
+use crate::trace::{CmdKind, Tracer};
 use crate::worker::Worker;
 
 /// Lock a partition's worker state. Unlike mail, a command that panicked
@@ -1297,9 +1297,9 @@ impl Lane {
         // Every executed command joins the clock snapshot queued at the
         // matching send — the channel edge of the HB graph.
         hb.worker_recv(w);
-        let (traced_q, code) = match &cmd {
-            Cmd::Step { q, .. } => (*q, cmd::STEP),
-            Cmd::Collect { q, .. } => (*q, cmd::COLLECT),
+        let (traced_q, kind) = match &cmd {
+            Cmd::Step { q, .. } => (*q, CmdKind::Step),
+            Cmd::Collect { q, .. } => (*q, CmdKind::Collect),
         };
         // The lane span opens before the state lock: lock wait is part of
         // the task's runtime as the pool experiences it. Steals are
@@ -1325,7 +1325,7 @@ impl Lane {
                 tid as u32,
                 u64::from(traced_q.0),
                 w as u32,
-                code,
+                kind,
                 w % self.width != tid,
                 executed,
             );

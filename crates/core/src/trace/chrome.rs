@@ -21,9 +21,9 @@
 //! non-negative (begin ≤ end), and every query's phase spans nest
 //! inside that query's envelope.
 
-use crate::json::{self, Value};
-use crate::summary::fold_queries;
-use crate::{order, CmdKind, Event, Kind, QNONE};
+use super::json::{self, Value};
+use super::summary::fold_queries;
+use super::{order, CmdKind, Event, Kind, Track, QNONE};
 
 const PID_ENGINE: f64 = 1.0;
 const PID_QUERIES: f64 = 2.0;
@@ -114,7 +114,7 @@ pub fn export_chrome(events: &[Event]) -> String {
     let mut lanes: Vec<u32> = sorted
         .iter()
         .filter_map(|e| match e.track {
-            crate::Track::Lane(l) => Some(l),
+            Track::Lane(l) => Some(l),
             _ => None,
         })
         .collect();
@@ -145,12 +145,12 @@ pub fn export_chrome(events: &[Event]) -> String {
     for ev in &sorted {
         match ev.kind {
             Kind::TaskBegin => {
-                if let crate::Track::Lane(l) = ev.track {
+                if let Track::Lane(l) = ev.track {
                     open.push((l, ev.query, ev.partition, ev.cmd, ev.at_secs, ev.aux));
                 }
             }
             Kind::TaskEnd => {
-                if let crate::Track::Lane(l) = ev.track {
+                if let Track::Lane(l) = ev.track {
                     let key = (l, ev.query, ev.partition, ev.cmd);
                     if let Some(i) = open
                         .iter()
@@ -345,7 +345,7 @@ pub fn validate_chrome(text: &str) -> Result<ChromeStats, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{outcome, Event};
+    use crate::trace::outcome;
 
     fn sample_events() -> Vec<Event> {
         let q = 3;

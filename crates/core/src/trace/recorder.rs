@@ -1,54 +1,8 @@
-//! **qgraph-trace**: the structured event recorder behind the engines'
-//! tracing plane (compiled into `qgraph-core` only under its `trace`
-//! feature; the engines' call sites go through a zero-sized no-op
-//! facade when the feature is off, the same pattern as the
-//! happens-before auditor in `qgraph-core/src/hb.rs`).
-//!
-//! # Model
-//!
-//! Every actor that can stamp events — the coordinator (or the whole
-//! simulated engine) plus one lane per pool thread — owns a bounded
-//! *ring* it appends [`Event`]s to. Recording never blocks and never
-//! grows a ring past its capacity: a full ring **drops** the event and
-//! bumps a shared `dropped` counter (surfaced all the way up through
-//! `EngineReport::trace()`), because the recorder must degrade rather
-//! than distort the schedule it is observing. Rings are guarded by
-//! per-actor mutexes that are uncontended in steady state (only the
-//! owning actor touches its ring between barriers); the coordinator
-//! *drains* every ring into a central buffer at the points where the
-//! engine is quiescent anyway — superstep barriers, mutation/Q-cut
-//! quiesce windows, drain, teardown — which is when taking all the
-//! locks is free.
-//!
-//! Timestamps are plain `f64` seconds with no unit enforcement on
-//! purpose: the simulated engine stamps **virtual** time (its event
-//! queue clock) and the thread runtime stamps **monotonic wall** time
-//! (a [`WallClock`] anchored at recorder creation), so the same
-//! vocabulary yields comparable traces from both runtimes and every
-//! sim cost-model constant can be calibrated against a real trace.
-//!
-//! Consumers:
-//! * [`summarize`] folds an event stream into per-query
-//!   [`QueryTimeline`]s whose five phase buckets (queued / executing /
-//!   frozen-waiting / deferred-by-dop / parked-at-barrier) partition
-//!   the query's time in system by construction.
-//! * [`export_chrome`] renders the stream as Chrome trace-event JSON
-//!   (one track per lane, one per query) loadable in Perfetto, and
-//!   [`validate_chrome`] round-trips that JSON through a
-//!   validity + track-consistency + envelope-nesting check.
-
-#![forbid(unsafe_code)]
-
-mod chrome;
-mod json;
-mod summary;
-
-pub use chrome::{export_chrome, validate_chrome, ChromeStats};
-pub use summary::{summarize, QueryTimeline, TraceSummary};
+//! The per-actor ring recorder and the event vocabulary it stores (see
+//! [`crate::trace`] for the model).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// "No query" marker for [`Event::query`].
 pub const QNONE: u64 = u64::MAX;
@@ -323,11 +277,6 @@ impl Recorder {
         }
     }
 
-    /// Events dropped by full rings since creation.
-    pub fn dropped_events(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
     /// Drain, then hand over everything accumulated since the last
     /// `take_all`, plus the dropped-count delta over the same window.
     pub fn take_all(&self) -> (Vec<Event>, u64) {
@@ -336,28 +285,6 @@ impl Recorder {
         let dropped = self.dropped.load(Ordering::Relaxed);
         let prior = self.dropped_taken.swap(dropped, Ordering::Relaxed);
         (events, dropped.saturating_sub(prior))
-    }
-}
-
-/// Monotonic wall clock for the thread runtime's stamps: seconds since
-/// recorder creation, comparable across every thread in the process.
-pub struct WallClock {
-    t0: Instant,
-}
-
-impl Default for WallClock {
-    fn default() -> Self {
-        WallClock::new()
-    }
-}
-
-impl WallClock {
-    pub fn new() -> WallClock {
-        WallClock { t0: Instant::now() }
-    }
-
-    pub fn now_secs(&self) -> f64 {
-        self.t0.elapsed().as_secs_f64()
     }
 }
 
@@ -389,7 +316,7 @@ mod tests {
         for i in 0..10 {
             r.record(0, ev(i as f64));
         }
-        assert_eq!(r.dropped_events(), 6);
+        assert_eq!(r.dropped.load(Ordering::Relaxed), 6);
         let (got, dropped) = r.take_all();
         assert_eq!(got.len(), 4, "ring held exactly its capacity");
         assert_eq!(dropped, 6);
@@ -420,14 +347,18 @@ mod tests {
         r.record(0, ev(3.0));
         let (_, d) = r.take_all();
         assert_eq!(d, 1, "second window reports only its own drops");
-        assert_eq!(r.dropped_events(), 2, "cumulative counter keeps both");
+        assert_eq!(
+            r.dropped.load(Ordering::Relaxed),
+            2,
+            "cumulative counter keeps both"
+        );
     }
 
     #[test]
     fn unknown_actor_counts_as_dropped() {
         let r = Recorder::new(1, 8);
         r.record(7, ev(0.0));
-        assert_eq!(r.dropped_events(), 1);
+        assert_eq!(r.dropped.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -449,13 +380,5 @@ mod tests {
         let (got, dropped) = r.take_all();
         assert_eq!(got.len(), 800);
         assert_eq!(dropped, 0);
-    }
-
-    #[test]
-    fn wall_clock_is_monotonic() {
-        let c = WallClock::new();
-        let a = c.now_secs();
-        let b = c.now_secs();
-        assert!(b >= a);
     }
 }

@@ -25,7 +25,7 @@
 //! * **parked-at-barrier** — parked for a global quiesce window
 //!   (mutation epochs, Q-cut migration, compaction) until released.
 
-use crate::{order, Event, Kind, QNONE};
+use super::{order, Event, Kind, QNONE};
 
 /// One query's journey through the engine.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -35,7 +35,7 @@ pub struct QueryTimeline {
     pub admitted_at_secs: f64,
     /// Outcome stamp.
     pub finished_at_secs: f64,
-    /// [`crate::outcome`] code from the outcome event.
+    /// [`outcome`](super::outcome) code from the outcome event.
     pub outcome: u64,
     pub queued_secs: f64,
     pub executing_secs: f64,
@@ -227,7 +227,7 @@ pub fn summarize(events: &[Event], dropped: u64) -> TraceSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{outcome, CmdKind, Event};
+    use crate::trace::{outcome, CmdKind};
 
     fn task(at: f64, kind: Kind, q: u64) -> Event {
         Event::task(at, kind, 0, q, 0, CmdKind::Step, 0)

@@ -186,9 +186,8 @@ fn queries_admitted_while_barrier_pending_threaded() {
     let parts = HashPartitioner::default().partition(&graph, 4);
     let cfg = SystemConfig {
         qcut: Some(QcutConfig {
-            // locality is in [0, 1]: threshold 2.0 with no cooldown forces
-            // a barrier at every superstep end with >= 2 known scopes.
-            min_repartition_interval_secs: 0.0,
+            // locality is in [0, 1]: threshold 2.0 trips the trigger at
+            // every due check with >= 2 known scopes.
             locality_threshold: 2.0,
             ils_max_rounds: 4,
             ..Default::default()
@@ -259,8 +258,8 @@ fn static_config_never_repartitions() {
 }
 
 /// Adaptivity on real threads: the same hotspot stream from the same
-/// hash partitioning, the trigger on the session wall clock with a
-/// cooldown sized to a run of milliseconds. Locality, not wall time, is
+/// hash partitioning under the default Q-cut configuration, the checks
+/// paced by the measured planning cost. Locality, not wall time, is
 /// what must move — late finishers run on the layout the early ones
 /// paid for — and every answer still matches Dijkstra.
 #[test]
@@ -268,14 +267,7 @@ fn thread_qcut_improves_locality_over_the_run() {
     let world = small_road_world(13);
     let graph = Arc::new(world.graph.clone());
     let parts = HashPartitioner::default().partition(&graph, 4);
-    let cfg = SystemConfig {
-        qcut: Some(QcutConfig {
-            min_repartition_interval_secs: 1e-3,
-            ..Default::default()
-        }),
-        ..Default::default()
-    };
-    let mut engine = ThreadEngine::with_config(Arc::clone(&graph), parts, cfg);
+    let mut engine = ThreadEngine::with_config(Arc::clone(&graph), parts, SystemConfig::qgraph());
     let gen = WorkloadGenerator::new(&world);
     let mut jobs = Vec::new();
     for s in gen.generate(&WorkloadConfig::single(128, false, false, 13)) {

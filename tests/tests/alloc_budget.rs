@@ -122,8 +122,8 @@ fn a_pool_task_stays_inside_its_heap_budget() {
     let hash = heap_calls_per_task(&graph, layout(&HashPartitioner::default()), &stream);
     let domain = heap_calls_per_task(&graph, layout(&DomainPartitioner), &stream);
     println!("heap calls per pool task: hash {hash:.2}, domain {domain:.2}");
-    // The auditor's and the tracer's stamps allocate per task.
-    if cfg!(any(feature = "check-hb", feature = "trace")) {
+    // The auditor's stamps allocate per task.
+    if cfg!(feature = "check-hb") {
         return;
     }
     assert!(hash <= 8.0, "hash layout: {hash:.2} heap calls per task");

@@ -119,18 +119,6 @@ fn sim_qcut() -> SystemConfig {
     }
 }
 
-/// Q-cut configuration for the thread runtime: the same trigger on the
-/// session wall clock, where these runs last milliseconds — no cooldown.
-fn thread_qcut() -> SystemConfig {
-    SystemConfig {
-        qcut: Some(QcutConfig {
-            min_repartition_interval_secs: 0.0,
-            ..Default::default()
-        }),
-        ..Default::default()
-    }
-}
-
 #[test]
 fn sim_static_matches_references() {
     let (graph, sources) = tagged_world();
@@ -176,7 +164,7 @@ fn thread_qcut_matches_references_and_repartitions() {
     let mut e = EngineBuilder::new(Arc::clone(&graph))
         .workers(4)
         .partitioner(HashPartitioner::default())
-        .config(thread_qcut())
+        .config(SystemConfig::qgraph())
         .build_threaded();
     let h = submit_mixed(&mut e, &sources);
     e.run();
@@ -308,7 +296,7 @@ fn thread_qcut_locality_no_worse_than_static() {
     };
 
     let (static_locality, static_events) = run(SystemConfig::default());
-    let (adaptive_locality, events) = run(thread_qcut());
+    let (adaptive_locality, events) = run(SystemConfig::qgraph());
 
     assert!(static_events.is_empty());
     assert!(!events.is_empty(), "the hotspot must trigger Q-cut");
@@ -476,7 +464,7 @@ fn supersteps_closed_on_the_lane_match_the_simulation_outcome_for_outcome() {
     }
 }
 
-/// The stream again, with a mutation epoch and short-cooldown Q-cut
+/// The stream again, with a mutation epoch and always-triggered Q-cut
 /// windows landing while chains are running: parked chains resume against
 /// the new topology and layout, and answers equal the references.
 #[test]
@@ -496,9 +484,8 @@ fn chains_survive_a_mutation_epoch_and_qcut_windows_mid_run() {
 
     let cfg = SystemConfig {
         qcut: Some(QcutConfig {
-            // Always under Φ, a window every millisecond at most.
+            // Always under Φ: every due check plans.
             locality_threshold: 1.0,
-            min_repartition_interval_secs: 1e-3,
             ..Default::default()
         }),
         ..Default::default()

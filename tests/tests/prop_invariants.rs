@@ -449,7 +449,6 @@ proptest! {
                     combiners,
                     qcut: (qcut == 1).then(|| QcutConfig {
                         locality_threshold: 1.0,
-                        min_repartition_interval_secs: 0.0,
                         ils_budget_secs: 1e-6,
                         ils_max_rounds: 8,
                         ..QcutConfig::default()

@@ -87,11 +87,7 @@ fn verify_mixed<R: Runtime>(
 
 fn serving_config(policy: AdmissionPolicy) -> SystemConfig {
     SystemConfig {
-        // Wall-clock cooldown on threads; these streams last milliseconds.
-        qcut: Some(QcutConfig {
-            min_repartition_interval_secs: 0.0,
-            ..Default::default()
-        }),
+        qcut: Some(QcutConfig::default()),
         admission: policy,
         ..Default::default()
     }
@@ -454,9 +450,8 @@ fn thread_stream_races_repartition_barriers() {
     let parts = HashPartitioner::default().partition(&graph, 4);
     let cfg = SystemConfig {
         qcut: Some(QcutConfig {
-            // locality is in [0, 1]: threshold 2.0 with no cooldown forces
-            // a barrier at every superstep end with >= 2 known scopes.
-            min_repartition_interval_secs: 0.0,
+            // locality is in [0, 1]: threshold 2.0 trips the trigger at
+            // every due check with >= 2 known scopes.
             locality_threshold: 2.0,
             ils_max_rounds: 4,
             ..Default::default()

@@ -1,5 +1,5 @@
-//! Tracing-plane integration suite (`qgraph_core::trace`, behind the
-//! `trace` feature).
+//! Tracing-plane integration suite (`qgraph_core::trace`, switched on
+//! per engine by `SystemConfig::trace`).
 //!
 //! What this file pins down, on *both* runtimes:
 //! * **timelines** — every submitted query gets a per-query timeline
@@ -21,14 +21,12 @@
 //!   mutation schedules run clean with both instrumentation planes
 //!   live (they share the barrier drain points).
 
-#![cfg(feature = "trace")]
-
 use qgraph_algo::{BfsProgram, SsspProgram};
+use qgraph_core::trace::{outcome, validate_chrome, QueryTimeline};
 use qgraph_core::{EngineBuilder, EngineReport, SystemConfig};
 use qgraph_graph::VertexId;
 use qgraph_integration_tests::line_graph;
 use qgraph_partition::{HashPartitioner, RangePartitioner};
-use qgraph_trace::{outcome, QueryTimeline};
 
 fn traced_cfg() -> SystemConfig {
     SystemConfig {
@@ -125,8 +123,8 @@ fn thread_timelines_and_chrome_round_trip() {
             t.query
         );
     }
-    let stats = qgraph_trace::validate_chrome(&report.trace.export_chrome())
-        .expect("chrome export must validate");
+    let stats =
+        validate_chrome(&report.trace.export_chrome()).expect("chrome export must validate");
     assert_eq!(stats.envelopes, 6);
     // Lane tracks + coordinator + one per query.
     assert!(stats.tracks > 6, "got {} tracks", stats.tracks);
@@ -332,7 +330,7 @@ mod with_hb_auditor {
         let s = report.trace();
         assert_eq!(s.timelines.len(), 4);
         assert!(s.timelines.iter().all(|t| t.outcome == outcome::COMPLETED));
-        qgraph_trace::validate_chrome(&report.trace.export_chrome())
+        validate_chrome(&report.trace.export_chrome())
             .expect("chrome export valid under both planes");
     }
 }
