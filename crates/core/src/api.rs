@@ -191,13 +191,6 @@ impl<R: Runtime> Engine<R> {
         self.rt.install(index);
     }
 
-    /// Remove and return the installed index, if any (queries fall back to
-    /// traversal afterwards). A serving thread engine's coordinator owns
-    /// it — `None` until [`ThreadEngine::shutdown`].
-    pub fn take_index(&mut self) -> Option<Box<dyn PointIndex>> {
-        self.rt.held_mut().0.index.take()
-    }
-
     /// The installed index, if any (and, on threads, not serving).
     pub fn index(&self) -> Option<&dyn PointIndex> {
         self.rt.held().0.index.as_deref()

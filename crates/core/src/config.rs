@@ -27,13 +27,6 @@ pub struct QcutConfig {
     /// Locality threshold Φ: repartition when the mean query locality over
     /// the monitoring window drops below it. Paper: 0.7.
     pub locality_threshold: f64,
-    /// Also repartition when the workers' recent *activity* imbalance
-    /// (vertex updates per monitoring sub-window) exceeds this. The paper's
-    /// trigger is locality-only, but its Domain+Q-cut curves (Fig. 5/6)
-    /// require rebalancing a partitioning whose locality is already high —
-    /// Domain's problem is stragglers, not locality — so the controller
-    /// also watches balance. Default 2δ.
-    pub imbalance_threshold: f64,
     /// Monitoring window μ in seconds on the executor's own clock: how
     /// long finished queries' statistics stay in the controller's view,
     /// and (an eighth of it) the sub-window the activity imbalance is
@@ -54,8 +47,6 @@ pub struct QcutConfig {
     /// Hard cap on ILS outer iterations (perturbation rounds), bounding the
     /// host CPU spent per run.
     pub ils_max_rounds: usize,
-    /// Maximum workload imbalance δ between any worker pair. Paper: 0.25.
-    pub delta: f64,
     /// Cluster queries to at most `cluster_factor * k` clusters before the
     /// local search (paper App. A.1 uses 4k).
     pub cluster_factor: usize,
@@ -68,28 +59,37 @@ pub struct QcutConfig {
     /// after one that did), floored at that plan's own run time and
     /// capped at μ/8 — and this value is not read. Paper: 10 s.
     pub min_repartition_interval_secs: f64,
-    /// RNG seed for the ILS (perturbation and clustering are randomized).
-    pub seed: u64,
 }
 
 impl Default for QcutConfig {
     fn default() -> Self {
         QcutConfig {
             locality_threshold: 0.7,
-            imbalance_threshold: 0.5,
             monitoring_window_secs: 240.0,
             max_queries: 128,
             ils_budget_secs: 2.0,
             ils_max_rounds: 60,
-            delta: 0.25,
             cluster_factor: 4,
             min_repartition_interval_secs: 10.0,
-            seed: 0xC0FFEE,
         }
     }
 }
 
 impl QcutConfig {
+    /// Maximum workload imbalance δ between any worker pair. Paper: 0.25.
+    pub const DELTA: f64 = 0.25;
+
+    /// Also repartition when the workers' recent *activity* imbalance
+    /// (vertex updates per monitoring sub-window) exceeds this. The paper's
+    /// trigger is locality-only, but its Domain+Q-cut curves (Fig. 5/6)
+    /// require rebalancing a partitioning whose locality is already high —
+    /// Domain's problem is stragglers, not locality — so the controller
+    /// also watches balance. 2δ.
+    pub const IMBALANCE_THRESHOLD: f64 = 2.0 * Self::DELTA;
+
+    /// RNG seed for the ILS (perturbation and clustering are randomized).
+    pub const SEED: u64 = 0xC0FFEE;
+
     /// The paper's defaults with every *time* constant divided by `factor`.
     ///
     /// The experiments run on graphs scaled down from the paper's (and on
@@ -223,7 +223,8 @@ mod tests {
         assert_eq!(q.monitoring_window_secs, 240.0);
         assert_eq!(q.max_queries, 128);
         assert_eq!(q.ils_budget_secs, 2.0);
-        assert_eq!(q.delta, 0.25);
+        assert_eq!(QcutConfig::DELTA, 0.25);
+        assert_eq!(QcutConfig::IMBALANCE_THRESHOLD, 0.5);
         let s = SystemConfig::default();
         assert_eq!(s.max_parallel_queries, 16);
         assert_eq!(s.barrier_mode, BarrierMode::Hybrid);
@@ -256,8 +257,12 @@ mod tests {
             base.min_repartition_interval_secs / 100.0
         );
         assert_eq!(
-            (q.locality_threshold, q.max_queries, q.delta),
-            (base.locality_threshold, base.max_queries, base.delta)
+            (q.locality_threshold, q.max_queries, q.ils_max_rounds),
+            (
+                base.locality_threshold,
+                base.max_queries,
+                base.ils_max_rounds
+            )
         );
     }
 

@@ -159,7 +159,7 @@ impl Controller {
     /// (paper §3.4): no ILS in flight, the [`Controller::wait`] since the
     /// last repartition elapsed on the executor's clock, and the mean of
     /// the active queries' `localities` below Φ — extended with the
-    /// activity imbalance watch, see [`QcutConfig::imbalance_threshold`].
+    /// activity imbalance watch, see [`QcutConfig::IMBALANCE_THRESHOLD`].
     /// The wait is tested before `localities` is consumed: on threads
     /// this runs at every due check, a lane's `Tick` or a collect.
     pub fn should_trigger(
@@ -180,7 +180,7 @@ impl Controller {
         let mean_locality = sum / active as f64;
         active > 0
             && (mean_locality < cfg.locality_threshold
-                || activity_imbalance > cfg.imbalance_threshold)
+                || activity_imbalance > QcutConfig::IMBALANCE_THRESHOLD)
     }
 
     /// The ILS input selection policy: live queries first, then retained
@@ -469,7 +469,6 @@ mod tests {
             monitoring_window_secs: 100.0,
             min_repartition_interval_secs: 10.0,
             locality_threshold: 0.7,
-            imbalance_threshold: 0.5,
             ..Default::default()
         }))
     }

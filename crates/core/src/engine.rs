@@ -140,9 +140,9 @@ struct SimExec {
     /// Happens-before auditor (no-op unless `check-hb`): stamps the
     /// dispatch tokens of this executor.
     hb: Hb,
-    /// Structured event recorder (no-op unless `trace`): task spans on
-    /// the virtual clock. Lanes are partition indices — the sim's
-    /// analogue of pool-thread identity.
+    /// Structured event recorder (no-op unless `SystemConfig::trace`):
+    /// task spans on the virtual clock. Lanes are partition indices — the
+    /// sim's analogue of pool-thread identity.
     tracer: Tracer,
     /// Test hook: make [`SimExec::is_quiescent`] ignore in-flight
     /// `TaskReady` dispatches, reintroducing the pre-fix quiesce race

@@ -77,11 +77,11 @@ fn prefer(a: &Solution, b: &Solution) -> bool {
 /// Run Q-cut on the given scope statistics.
 pub fn run_qcut(stats: &ScopeStats, cfg: &QcutConfig) -> IlsResult {
     debug_assert_eq!(stats.validate(), Ok(()));
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
+    let mut rng = SmallRng::seed_from_u64(QcutConfig::SEED);
     let max_clusters = cfg.cluster_factor * stats.num_workers;
     let clusters = cluster_queries(stats, max_clusters, &mut rng);
 
-    let mut best = Solution::initial(stats, &clusters, cfg.delta);
+    let mut best = Solution::initial(stats, &clusters, QcutConfig::DELTA);
     let initial_cost = best.cost();
     let mut trace = Vec::with_capacity(cfg.ils_max_rounds + 1);
 
@@ -396,9 +396,9 @@ mod tests {
             (19, 3, 2),
         ];
         assert_eq!(triples(&r.plan), plan);
-        let clusters = cluster_queries(&stats, 16, &mut SmallRng::seed_from_u64(0xC0FFEE));
+        let clusters = cluster_queries(&stats, 16, &mut SmallRng::seed_from_u64(QcutConfig::SEED));
         assert!(
-            !Solution::initial(&stats, &clusters, 0.25).is_balanced(),
+            !Solution::initial(&stats, &clusters, QcutConfig::DELTA).is_balanced(),
             "the input starts outside δ"
         );
     }

@@ -831,8 +831,9 @@ struct PoolExec {
     /// command/response channel edges, the Step/Collect tokens and the
     /// window's installs.
     hb: Hb,
-    /// Structured event recorder (no-op unless `trace`); the pool threads
-    /// hold clones of the same recorder and stamp off the same clock.
+    /// Structured event recorder (no-op unless `SystemConfig::trace`); the
+    /// pool threads hold clones of the same recorder and stamp off the
+    /// same clock.
     tracer: Tracer,
     /// The session time base shared with every pool thread.
     clock: Clock,

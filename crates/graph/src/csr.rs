@@ -99,11 +99,6 @@ impl Graph {
     pub fn has_edge(&self, v: VertexId, u: VertexId) -> bool {
         self.neighbors(v).any(|(t, _)| t == u)
     }
-
-    /// Total weight of all out-edges of `v`.
-    pub fn out_weight(&self, v: VertexId) -> f64 {
-        self.neighbors(v).map(|(_, w)| w as f64).sum()
-    }
 }
 
 /// Iterator over `(target, weight)` pairs of one vertex's out-edges.
@@ -215,12 +210,6 @@ mod tests {
         let g = diamond();
         assert!(g.has_edge(VertexId(0), VertexId(2)));
         assert!(!g.has_edge(VertexId(3), VertexId(0)));
-    }
-
-    #[test]
-    fn out_weight_sums() {
-        let g = diamond();
-        assert!((g.out_weight(VertexId(0)) - 3.0).abs() < 1e-9);
     }
 
     #[test]

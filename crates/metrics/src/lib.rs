@@ -1,7 +1,6 @@
-//! Measurement plumbing for the Q-Graph experiments: time series over
-//! virtual time, windowed aggregation (the paper uses tumbling windows for
-//! monitoring and sliding windows for plots), summary statistics, and the
-//! table/CSV emitters the experiment binaries print paper-style rows with.
+//! Measurement plumbing for the Q-Graph experiments: the mean, time
+//! series over virtual time bucketed into tumbling windows, and the
+//! aligned tables the experiment binaries print paper-style rows with.
 
 #![forbid(unsafe_code)]
 
@@ -10,5 +9,5 @@ mod stats;
 mod table;
 
 pub use series::{Sample, TimeSeries};
-pub use stats::{mean, percentile, stddev, Summary};
-pub use table::{to_csv, Table};
+pub use stats::mean;
+pub use table::Table;

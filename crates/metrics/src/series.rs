@@ -27,11 +27,6 @@ impl TimeSeries {
         }
     }
 
-    /// The series name (used as a column header by the emitters).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Append an observation. Times must be non-decreasing.
     pub fn push(&mut self, t: f64, value: f64) {
         debug_assert!(
@@ -57,28 +52,15 @@ impl TimeSeries {
         self.samples.is_empty()
     }
 
-    /// Values only, discarding times.
-    pub fn values(&self) -> impl Iterator<Item = f64> + '_ {
-        self.samples.iter().map(|s| s.value)
-    }
-
     /// Mean of all values (NaN when empty).
     pub fn mean(&self) -> f64 {
         crate::mean(self.samples.iter().map(|s| s.value))
     }
 
-    /// Sum of all values.
-    pub fn sum(&self) -> f64 {
-        self.values().sum()
-    }
-
     /// Aggregate into tumbling windows of `width` seconds starting at t=0;
     /// each output sample sits at the window's start and carries the mean of
-    /// the window's values. Empty windows produce no sample.
-    ///
-    /// This is the aggregation the controller applies to its monitoring
-    /// window μ (paper §3.4) and the one the figure harnesses use to bucket
-    /// per-query latencies over time.
+    /// the window's values. Empty windows produce no sample. The figure
+    /// harness buckets per-query latencies over time with it.
     pub fn tumbling_mean(&self, width: f64) -> TimeSeries {
         assert!(width > 0.0, "window width must be positive");
         let mut out = TimeSeries::new(format!("{}/tumbling{width}", self.name));
@@ -97,64 +79,6 @@ impl TimeSeries {
             out.push(start, sum / n as f64);
         }
         out
-    }
-
-    /// Centered sliding-window mean with window `width` seconds, evaluated at
-    /// each sample's time (the paper's Figure 6e/6f use 10 s / 20 s sliding
-    /// windows).
-    pub fn sliding_mean(&self, width: f64) -> TimeSeries {
-        assert!(width > 0.0, "window width must be positive");
-        let half = width / 2.0;
-        let mut out = TimeSeries::new(format!("{}/sliding{width}", self.name));
-        let mut lo = 0usize;
-        let mut hi = 0usize;
-        let mut sum = 0.0;
-        for i in 0..self.samples.len() {
-            let t = self.samples[i].t;
-            while hi < self.samples.len() && self.samples[hi].t <= t + half {
-                sum += self.samples[hi].value;
-                hi += 1;
-            }
-            while lo < hi && self.samples[lo].t < t - half {
-                sum -= self.samples[lo].value;
-                lo += 1;
-            }
-            out.push(t, sum / (hi - lo) as f64);
-        }
-        out
-    }
-
-    /// Divide each value by the value of `baseline`'s temporally-closest
-    /// sample (the paper normalizes latencies by static-Hash latency).
-    pub fn normalized_by(&self, baseline: &TimeSeries) -> TimeSeries {
-        let mut out = TimeSeries::new(format!("{}/norm", self.name));
-        if baseline.is_empty() {
-            return out;
-        }
-        for s in &self.samples {
-            let b = baseline.closest_value(s.t);
-            out.push(s.t, if b == 0.0 { f64::NAN } else { s.value / b });
-        }
-        out
-    }
-
-    /// Value of the sample whose time is closest to `t`.
-    pub fn closest_value(&self, t: f64) -> f64 {
-        assert!(!self.is_empty(), "closest_value on empty series");
-        let idx = self
-            .samples
-            .partition_point(|s| s.t < t)
-            .min(self.samples.len() - 1);
-        let right = self.samples[idx];
-        if idx == 0 {
-            return right.value;
-        }
-        let left = self.samples[idx - 1];
-        if (t - left.t).abs() <= (right.t - t).abs() {
-            left.value
-        } else {
-            right.value
-        }
     }
 }
 
@@ -175,7 +99,6 @@ mod tests {
         let s = ts(&[(0.0, 1.0), (1.0, 3.0)]);
         assert_eq!(s.len(), 2);
         assert_eq!(s.mean(), 2.0);
-        assert_eq!(s.sum(), 4.0);
     }
 
     #[test]
@@ -194,40 +117,11 @@ mod tests {
     }
 
     #[test]
-    fn sliding_mean_is_centered() {
-        let s = ts(&[(0.0, 0.0), (1.0, 2.0), (2.0, 4.0)]);
-        let w = s.sliding_mean(2.0);
-        // At t=1 the window [0,2] covers all three samples.
-        assert_eq!(w.samples()[1].value, 2.0);
-        // At t=0 the window [-1,1] covers the first two.
-        assert_eq!(w.samples()[0].value, 1.0);
-    }
-
-    #[test]
-    fn normalization_against_baseline() {
-        let a = ts(&[(0.0, 2.0), (10.0, 8.0)]);
-        let b = ts(&[(0.0, 4.0), (10.0, 4.0)]);
-        let n = a.normalized_by(&b);
-        assert_eq!(n.samples()[0].value, 0.5);
-        assert_eq!(n.samples()[1].value, 2.0);
-    }
-
-    #[test]
-    fn closest_value_picks_nearest_sample() {
-        let s = ts(&[(0.0, 1.0), (10.0, 2.0)]);
-        assert_eq!(s.closest_value(-5.0), 1.0);
-        assert_eq!(s.closest_value(4.0), 1.0);
-        assert_eq!(s.closest_value(6.0), 2.0);
-        assert_eq!(s.closest_value(100.0), 2.0);
-    }
-
-    #[test]
     fn empty_series_edge_cases() {
         let s = TimeSeries::new("e");
         assert!(s.is_empty());
         assert!(s.mean().is_nan());
         assert!(s.tumbling_mean(1.0).is_empty());
-        assert!(s.sliding_mean(1.0).is_empty());
     }
 
     #[test]

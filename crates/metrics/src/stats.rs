@@ -1,6 +1,4 @@
-//! Scalar summary statistics.
-
-use serde::{Deserialize, Serialize};
+//! Scalar statistics.
 
 /// Arithmetic mean; NaN for an empty iterator.
 pub fn mean(values: impl IntoIterator<Item = f64>) -> f64 {
@@ -17,80 +15,6 @@ pub fn mean(values: impl IntoIterator<Item = f64>) -> f64 {
     }
 }
 
-/// Population standard deviation; NaN for an empty iterator.
-pub fn stddev(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return f64::NAN;
-    }
-    let m = mean(values.iter().copied());
-    let var = values.iter().map(|v| (v - m).powi(2)).sum::<f64>() / values.len() as f64;
-    var.sqrt()
-}
-
-/// Percentile by linear interpolation between closest ranks;
-/// `p` in `[0, 100]`. NaN for an empty slice.
-pub fn percentile(values: &[f64], p: f64) -> f64 {
-    if values.is_empty() {
-        return f64::NAN;
-    }
-    assert!((0.0..=100.0).contains(&p), "percentile out of range: {p}");
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
-    let rank = p / 100.0 * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
-    } else {
-        let frac = rank - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-    }
-}
-
-/// A five-number-style summary of a value set.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct Summary {
-    /// Number of observations.
-    pub count: usize,
-    /// Mean value.
-    pub mean: f64,
-    /// Population standard deviation.
-    pub stddev: f64,
-    /// Minimum.
-    pub min: f64,
-    /// Median (p50).
-    pub median: f64,
-    /// 95th percentile.
-    pub p95: f64,
-    /// Maximum.
-    pub max: f64,
-}
-
-impl Summary {
-    /// Summarize `values`. All fields are NaN when empty.
-    pub fn of(values: &[f64]) -> Summary {
-        Summary {
-            count: values.len(),
-            mean: mean(values.iter().copied()),
-            stddev: stddev(values),
-            min: values.iter().copied().fold(f64::NAN, f64::min),
-            median: percentile(values, 50.0),
-            p95: percentile(values, 95.0),
-            max: values.iter().copied().fold(f64::NAN, f64::max),
-        }
-    }
-}
-
-impl std::fmt::Display for Summary {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.4} sd={:.4} min={:.4} p50={:.4} p95={:.4} max={:.4}",
-            self.count, self.mean, self.stddev, self.min, self.median, self.p95, self.max
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,48 +23,5 @@ mod tests {
     fn mean_basic() {
         assert_eq!(mean([1.0, 2.0, 3.0]), 2.0);
         assert!(mean(std::iter::empty()).is_nan());
-    }
-
-    #[test]
-    fn stddev_basic() {
-        assert_eq!(stddev(&[2.0, 2.0, 2.0]), 0.0);
-        let s = stddev(&[1.0, 3.0]);
-        assert!((s - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn percentile_interpolates() {
-        let v = [0.0, 10.0];
-        assert_eq!(percentile(&v, 0.0), 0.0);
-        assert_eq!(percentile(&v, 100.0), 10.0);
-        assert_eq!(percentile(&v, 50.0), 5.0);
-    }
-
-    #[test]
-    fn percentile_single() {
-        assert_eq!(percentile(&[7.0], 95.0), 7.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "percentile out of range")]
-    fn percentile_rejects_out_of_range() {
-        percentile(&[1.0], 101.0);
-    }
-
-    #[test]
-    fn summary_fields() {
-        let s = Summary::of(&[4.0, 1.0, 3.0, 2.0]);
-        assert_eq!(s.count, 4);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 4.0);
-        assert_eq!(s.mean, 2.5);
-        assert_eq!(s.median, 2.5);
-    }
-
-    #[test]
-    fn summary_empty_is_nan() {
-        let s = Summary::of(&[]);
-        assert_eq!(s.count, 0);
-        assert!(s.mean.is_nan() && s.min.is_nan() && s.max.is_nan());
     }
 }

@@ -1,4 +1,4 @@
-//! Paper-style result tables: aligned text for the terminal, CSV for plotting.
+//! Paper-style result tables: aligned text for the terminal.
 
 /// A simple column-aligned table.
 #[derive(Clone, Debug, Default)]
@@ -27,12 +27,6 @@ impl Table {
             self.title
         );
         self.rows.push(cells.to_vec());
-    }
-
-    /// Convenience: append a row of display-able cells.
-    pub fn row_display<T: std::fmt::Display>(&mut self, cells: &[T]) {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells);
     }
 
     /// Number of data rows.
@@ -68,47 +62,6 @@ impl Table {
         }
         out
     }
-
-    /// Render as CSV (headers + rows).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.headers.join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        out
-    }
-}
-
-/// CSV-encode parallel named series sampled on a shared index column.
-///
-/// `index` labels the rows (e.g. virtual time or worker count), each entry in
-/// `columns` is `(name, values)` and must be as long as `index`.
-pub fn to_csv(index_name: &str, index: &[f64], columns: &[(&str, Vec<f64>)]) -> String {
-    for (name, vals) in columns {
-        assert_eq!(
-            vals.len(),
-            index.len(),
-            "column `{name}` length mismatch with index"
-        );
-    }
-    let mut out = String::new();
-    out.push_str(index_name);
-    for (name, _) in columns {
-        out.push(',');
-        out.push_str(name);
-    }
-    out.push('\n');
-    for (i, ix) in index.iter().enumerate() {
-        out.push_str(&format!("{ix}"));
-        for (_, vals) in columns {
-            out.push_str(&format!(",{}", vals[i]));
-        }
-        out.push('\n');
-    }
-    out
 }
 
 #[cfg(test)]
@@ -127,29 +80,9 @@ mod tests {
     }
 
     #[test]
-    fn row_display_stringifies() {
-        let mut t = Table::new("d", &["a", "b"]);
-        t.row_display(&[1.5, 2.5]);
-        assert_eq!(t.num_rows(), 1);
-        assert!(t.to_csv().contains("1.5,2.5"));
-    }
-
-    #[test]
     #[should_panic(expected = "row arity mismatch")]
     fn arity_mismatch_panics() {
         let mut t = Table::new("d", &["a", "b"]);
         t.row(&["1".into()]);
-    }
-
-    #[test]
-    fn csv_export() {
-        let csv = to_csv("t", &[0.0, 1.0], &[("x", vec![5.0, 6.0])]);
-        assert_eq!(csv, "t,x\n0,5\n1,6\n");
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn csv_length_mismatch_panics() {
-        to_csv("t", &[0.0], &[("x", vec![])]);
     }
 }

@@ -106,17 +106,6 @@ impl Partitioning {
         sizes
     }
 
-    /// Vertices assigned to worker `w` (allocates; intended for setup, not
-    /// the hot path).
-    pub fn vertices_of(&self, w: WorkerId) -> Vec<VertexId> {
-        self.assignment
-            .iter()
-            .enumerate()
-            .filter(|(_, &a)| a == w)
-            .map(|(i, _)| VertexId::from(i))
-            .collect()
-    }
-
     /// The raw assignment slice.
     pub fn assignment(&self) -> &[WorkerId] {
         &self.assignment
@@ -166,12 +155,6 @@ mod tests {
     fn push_out_of_range_panics() {
         let mut p = Partitioning::new(vec![WorkerId(0)], 2);
         p.push(WorkerId(2));
-    }
-
-    #[test]
-    fn vertices_of_lists_members() {
-        let p = Partitioning::new(vec![WorkerId(1), WorkerId(0), WorkerId(1)], 2);
-        assert_eq!(p.vertices_of(WorkerId(1)), vec![VertexId(0), VertexId(2)]);
     }
 
     #[test]

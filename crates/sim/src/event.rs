@@ -85,11 +85,6 @@ impl<E> EventQueue<E> {
         self.heap.push(ScheduledEvent { at, seq, payload });
     }
 
-    /// Schedule `payload` `delay` after the current time.
-    pub fn schedule_in(&mut self, delay: SimTime, payload: E) {
-        self.schedule(self.now + delay, payload);
-    }
-
     /// Pop the earliest event and advance the clock to its time.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
         let ev = self.heap.pop()?;
@@ -145,16 +140,6 @@ mod tests {
         assert_eq!(q.now(), SimTime::ZERO);
         q.pop();
         assert_eq!(q.now(), SimTime::from_secs(5));
-    }
-
-    #[test]
-    fn schedule_in_is_relative() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(1), 1);
-        q.pop();
-        q.schedule_in(SimTime::from_secs(2), 2);
-        let e = q.pop().unwrap();
-        assert_eq!(e.at, SimTime::from_secs(3));
     }
 
     #[test]

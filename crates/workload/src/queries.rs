@@ -102,11 +102,6 @@ impl WorkloadConfig {
             seed,
         }
     }
-
-    /// Total queries across all phases.
-    pub fn total_queries(&self) -> usize {
-        self.phases.iter().map(|p| p.count).sum()
-    }
 }
 
 /// Generates hotspot query streams over a [`RoadNetwork`].

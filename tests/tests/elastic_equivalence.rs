@@ -236,7 +236,7 @@ proptest! {
     ) {
         let g = build_tagged(n, &extra);
         let mk = |pool_threads: usize, dop: DopPolicy| {
-            let parts = HashPartitioner::default().partition(&g, 3);
+            let parts = HashPartitioner::with_seed(seed).partition(&g, 3);
             SimEngine::new(
                 Arc::clone(&g),
                 ClusterModel::scale_up(3),
@@ -249,7 +249,6 @@ proptest! {
                         min_repartition_interval_secs: 0.0,
                         ils_budget_secs: 1e-6,
                         ils_max_rounds: 8,
-                        seed,
                         ..QcutConfig::default()
                     }),
                     max_parallel_queries: 4,

@@ -265,18 +265,17 @@ proptest! {
         seed in 0u64..40,
     ) {
         let g = build(n, &extra);
-        let parts = HashPartitioner::default().partition(&g, 3);
+        let parts = HashPartitioner::with_seed(seed).partition(&g, 3);
         let cfg = SystemConfig {
             qcut: Some(QcutConfig {
                 // Trigger at every opportunity: any non-local query mix
                 // repartitions as soon as the cooldown (scaled away)
-                // allows, so the repartition points vary with the
-                // graph/seed rather than a tuned schedule.
+                // allows, so the repartition points vary with the graph
+                // and the hash seed rather than a tuned schedule.
                 locality_threshold: 1.0,
                 min_repartition_interval_secs: 0.0,
                 ils_budget_secs: 1e-6,
                 ils_max_rounds: 8,
-                seed,
                 ..QcutConfig::default()
             }),
             max_parallel_queries: 4,
@@ -388,7 +387,7 @@ proptest! {
     ) {
         let g = build_tagged(n, &extra);
         let mk = |combiners: bool| {
-            let parts = HashPartitioner::default().partition(&g, 3);
+            let parts = HashPartitioner::with_seed(seed).partition(&g, 3);
             SimEngine::new(
                 Arc::clone(&g),
                 ClusterModel::scale_up(3),
@@ -400,7 +399,6 @@ proptest! {
                         min_repartition_interval_secs: 0.0,
                         ils_budget_secs: 1e-6,
                         ils_max_rounds: 8,
-                        seed,
                         ..QcutConfig::default()
                     }),
                     max_parallel_queries: 4,
