@@ -1,13 +1,11 @@
 //! System configuration mirroring the paper's §4.1 parameter table.
 
-use serde::{Deserialize, Serialize};
-
 use qgraph_sim::SimTime;
 
 use crate::sched::{AdmissionPolicy, DopPolicy};
 
 /// How query iterations are synchronized (paper §3.3).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BarrierMode {
     /// The hybrid barrier: per-query barriers limited to involved workers;
     /// fully local queries synchronize for free (no controller round-trip).
@@ -22,7 +20,7 @@ pub enum BarrierMode {
 }
 
 /// Configuration of the Q-cut adaptive repartitioning loop (paper §3.2/3.4).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct QcutConfig {
     /// Locality threshold Φ: repartition when the mean query locality over
     /// the monitoring window drops below it. Paper: 0.7.
@@ -33,11 +31,9 @@ pub struct QcutConfig {
     /// measured over — on threads also the cap on the wait between Q-cut
     /// checks. Virtual seconds in the simulation, session
     /// wall-clock seconds in the thread runtime (short runs retain every
-    /// finished scope, bounded by the `max_queries`-derived cap).
+    /// finished scope, bounded by a cap of 4 × [`QcutConfig::MAX_QUERIES`]).
     /// Paper: 240 s.
     pub monitoring_window_secs: f64,
-    /// Maximum queries fed into one ILS run. Paper: 128.
-    pub max_queries: usize,
     /// Time budget for one ILS run, which runs at the trigger, hidden
     /// behind query processing (paper §3.4). The simulation prices it: the
     /// plan comes due this many virtual seconds after the trigger. On
@@ -47,17 +43,12 @@ pub struct QcutConfig {
     /// Hard cap on ILS outer iterations (perturbation rounds), bounding the
     /// host CPU spent per run.
     pub ils_max_rounds: usize,
-    /// Cluster queries to at most `cluster_factor * k` clusters before the
-    /// local search (paper App. A.1 uses 4k).
-    pub cluster_factor: usize,
     /// Cooldown: minimum virtual seconds between repartitionings in the
     /// simulation, counted from the last plan's due instant (prevents
     /// barrier thrashing while statistics are still converging). `0.0`
     /// lets every superstep end re-trigger. On threads the coordinator
-    /// paces the trigger by its measured planning cost instead — the wait
-    /// doubles after each plan whose window raised no locality (kept
-    /// after one that did), floored at that plan's own run time and
-    /// capped at μ/8 — and this value is not read. Paper: 10 s.
+    /// paces the trigger by its measured planning cost instead
+    /// ([`crate::controller::Controller::pace`]) and this value is not read. Paper: 10 s.
     pub min_repartition_interval_secs: f64,
 }
 
@@ -66,10 +57,8 @@ impl Default for QcutConfig {
         QcutConfig {
             locality_threshold: 0.7,
             monitoring_window_secs: 240.0,
-            max_queries: 128,
             ils_budget_secs: 2.0,
             ils_max_rounds: 60,
-            cluster_factor: 4,
             min_repartition_interval_secs: 10.0,
         }
     }
@@ -89,6 +78,13 @@ impl QcutConfig {
 
     /// RNG seed for the ILS (perturbation and clustering are randomized).
     pub const SEED: u64 = 0xC0FFEE;
+
+    /// Maximum queries fed into one ILS run. Paper: 128.
+    pub const MAX_QUERIES: usize = 128;
+
+    /// Cluster queries to at most `CLUSTER_FACTOR · k` clusters before the
+    /// local search. Paper (App. A.1): 4.
+    pub const CLUSTER_FACTOR: usize = 4;
 
     /// The paper's defaults with every *time* constant divided by `factor`.
     ///
@@ -119,7 +115,7 @@ impl QcutConfig {
 }
 
 /// Top-level engine configuration.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SystemConfig {
     /// Barrier synchronization mode.
     pub barrier_mode: BarrierMode,
@@ -221,7 +217,8 @@ mod tests {
         let q = QcutConfig::default();
         assert_eq!(q.locality_threshold, 0.7);
         assert_eq!(q.monitoring_window_secs, 240.0);
-        assert_eq!(q.max_queries, 128);
+        assert_eq!(QcutConfig::MAX_QUERIES, 128);
+        assert_eq!(QcutConfig::CLUSTER_FACTOR, 4);
         assert_eq!(q.ils_budget_secs, 2.0);
         assert_eq!(QcutConfig::DELTA, 0.25);
         assert_eq!(QcutConfig::IMBALANCE_THRESHOLD, 0.5);
@@ -257,12 +254,8 @@ mod tests {
             base.min_repartition_interval_secs / 100.0
         );
         assert_eq!(
-            (q.locality_threshold, q.max_queries, q.ils_max_rounds),
-            (
-                base.locality_threshold,
-                base.max_queries,
-                base.ils_max_rounds
-            )
+            (q.locality_threshold, q.ils_max_rounds),
+            (base.locality_threshold, base.ils_max_rounds)
         );
     }
 

@@ -11,7 +11,7 @@ use qgraph_partition::{Partitioning, WorkerId};
 use qgraph_sim::SimTime;
 
 use crate::config::QcutConfig;
-use crate::qcut::ScopeStats;
+use crate::qcut::{run_qcut, IlsResult, ScopeStats};
 use crate::QueryId;
 
 /// A finished query's retained scope (until the monitoring window expires).
@@ -29,20 +29,24 @@ struct RetainedScope {
 /// paper that resolution happens on the workers; keeping the registry
 /// beside the engine's single address space is equivalent and keeps the
 /// controller/worker split observable in the cost model rather than the
-/// data layout.
+/// data layout. It also owns the Q-cut check's state.
 pub struct Controller {
     cfg: Option<QcutConfig>,
     finished: VecDeque<RetainedScope>,
     /// When the last repartition came due (a window was asked for, or
     /// its ILS found nothing to move): the wait to the next check counts
     /// from here.
-    pub last_repartition: SimTime,
-    /// An ILS run is in flight (its virtual budget has not elapsed).
-    pub ils_inflight: bool,
-    /// The wait from `last_repartition` to the next check when the
-    /// executor measures it (threads: paced by planning cost); `None`
-    /// counts the configured cooldown (the simulation).
-    pub measured_wait: Option<SimTime>,
+    last_repartition: SimTime,
+    /// The wait from `last_repartition` to the next check: the configured
+    /// cooldown in the simulation, paced by planning cost on threads
+    /// ([`Controller::pace`]).
+    wait: SimTime,
+    /// The straggler watch: per-partition vertex updates over a rolling
+    /// μ/8 sub-window of the executor's clock, and the imbalance of the
+    /// last sub-window that completed with any work in it.
+    activity: Vec<usize>,
+    activity_since: SimTime,
+    activity_imbalance: f64,
     /// [`Controller::build_scope_stats`]'s buffers, kept between triggers.
     scratch: StatsScratch,
 }
@@ -63,15 +67,30 @@ struct StatsScratch {
 }
 
 impl Controller {
-    /// A controller with the given Q-cut configuration (`None` = static).
-    pub fn new(cfg: Option<QcutConfig>) -> Self {
+    /// A controller over `workers` partitions with the given Q-cut
+    /// configuration (`None` = static), waiting the configured cooldown
+    /// between checks as the simulation does.
+    pub fn new(cfg: Option<QcutConfig>, workers: usize) -> Self {
+        let cooldown = cfg
+            .as_ref()
+            .map_or(0.0, |c| c.min_repartition_interval_secs);
         Controller {
             cfg,
             finished: VecDeque::new(),
             last_repartition: SimTime::ZERO,
-            ils_inflight: false,
-            measured_wait: None,
+            wait: SimTime::from_secs_f64(cooldown),
+            activity: vec![0; workers],
+            activity_since: SimTime::ZERO,
+            activity_imbalance: 0.0,
             scratch: StatsScratch::default(),
+        }
+    }
+
+    /// The thread runtime's: a wait from 0, paced by [`Controller::pace`].
+    pub fn paced(cfg: Option<QcutConfig>, workers: usize) -> Self {
+        Controller {
+            wait: SimTime::ZERO,
+            ..Controller::new(cfg, workers)
         }
     }
 
@@ -91,7 +110,7 @@ impl Controller {
         let Some((window_secs, cap)) = self
             .cfg
             .as_ref()
-            .map(|c| (c.monitoring_window_secs, c.max_queries * 4))
+            .map(|c| (c.monitoring_window_secs, QcutConfig::MAX_QUERIES * 4))
         else {
             return;
         };
@@ -142,34 +161,68 @@ impl Controller {
             .retain(|r| !r.vertices.iter().any(|v| set.contains(v)));
     }
 
-    /// The wait from the last repartition to the next check: the
-    /// executor's measured one, else the configured cooldown,
-    /// [`QcutConfig::min_repartition_interval_secs`].
-    pub fn wait(&self) -> SimTime {
-        self.measured_wait.unwrap_or_else(|| {
-            let cooldown = self
-                .cfg
-                .as_ref()
-                .map_or(0.0, |c| c.min_repartition_interval_secs);
-            SimTime::from_secs_f64(cooldown)
-        })
+    /// When the next Q-cut check is due: the wait after the last
+    /// repartition, or never (Q-cut off).
+    pub fn next_check(&self) -> SimTime {
+        match self.cfg {
+            Some(_) => self.last_repartition + self.wait,
+            None => SimTime::MAX,
+        }
+    }
+
+    /// A plan came due at `now` (or a hit's ILS found nothing to move):
+    /// the wait to the next check counts from here.
+    pub fn plan_due(&mut self, now: SimTime) {
+        self.last_repartition = now;
+    }
+
+    /// Pace the next check after a plan that took `planned` to make
+    /// (threads): the wait — doubled unless the plan's window `raised`
+    /// locality — floored at `planned` and capped at μ/8. It never shrinks,
+    /// so plans that raise nothing number O(log₂(T / planned)) over `T`.
+    pub fn pace(&mut self, planned: SimTime, raised: bool) {
+        let Some(cfg) = &self.cfg else { return };
+        let factor = if raised { 1 } else { 2 };
+        self.wait = SimTime(self.wait.as_nanos().saturating_mul(factor))
+            .max(planned)
+            .min(cfg.sub_window());
+    }
+
+    /// `executed` vertex updates on `worker`, seen at `now`, for the
+    /// straggler watch (Q-cut on): a sub-window of μ/8 that has elapsed
+    /// closes — its imbalance stands if any work fell in it — and a new
+    /// one opens.
+    pub fn note_activity(&mut self, now: SimTime, worker: usize, executed: u64) {
+        let Some(cfg) = &self.cfg else { return };
+        if now.saturating_sub(self.activity_since) >= cfg.sub_window() {
+            if self.activity.iter().any(|&a| a > 0) {
+                self.activity_imbalance = qgraph_partition::imbalance(&self.activity);
+            }
+            self.activity.fill(0);
+            self.activity_since = now;
+        }
+        self.activity[worker] += executed as usize;
+    }
+
+    /// A run boundary (the engine went idle): the straggler watch starts
+    /// over, so a trigger early in the next burst never measures
+    /// imbalance across the gap.
+    pub fn restart_activity_watch(&mut self, now: SimTime) {
+        self.activity.fill(0);
+        self.activity_since = now;
+        self.activity_imbalance = 0.0;
     }
 
     /// Should a repartition be triggered now? The one trigger predicate
-    /// (paper §3.4): no ILS in flight, the [`Controller::wait`] since the
-    /// last repartition elapsed on the executor's clock, and the mean of
-    /// the active queries' `localities` below Φ — extended with the
-    /// activity imbalance watch, see [`QcutConfig::IMBALANCE_THRESHOLD`].
-    /// The wait is tested before `localities` is consumed: on threads
-    /// this runs at every due check, a lane's `Tick` or a collect.
-    pub fn should_trigger(
-        &self,
-        now: SimTime,
-        activity_imbalance: f64,
-        localities: impl Iterator<Item = f64>,
-    ) -> bool {
+    /// (paper §3.4): the wait since the last repartition elapsed on the
+    /// executor's clock ([`Controller::next_check`]), and the mean of the
+    /// active queries' `localities` below Φ — extended with the straggler
+    /// watch, see [`QcutConfig::IMBALANCE_THRESHOLD`]. The wait is tested
+    /// before `localities` is consumed: on threads this runs at every due
+    /// check, a lane's `Tick` or a collect.
+    pub fn should_trigger(&self, now: SimTime, localities: impl Iterator<Item = f64>) -> bool {
         let Some(cfg) = &self.cfg else { return false };
-        if self.ils_inflight || now < self.last_repartition + self.wait() {
+        if now < self.next_check() {
             return false;
         }
         let (mut sum, mut active) = (0.0f64, 0usize);
@@ -180,12 +233,20 @@ impl Controller {
         let mean_locality = sum / active as f64;
         active > 0
             && (mean_locality < cfg.locality_threshold
-                || activity_imbalance > QcutConfig::IMBALANCE_THRESHOLD)
+                || self.activity_imbalance > QcutConfig::IMBALANCE_THRESHOLD)
+    }
+
+    /// Run Q-cut over `stats` (Q-cut on): the plan, and the simulation's
+    /// priced time to its due instant, [`QcutConfig::ils_budget_secs`].
+    pub fn plan(&self, stats: &ScopeStats) -> (IlsResult, SimTime) {
+        let cfg = self.cfg.as_ref().expect("a plan needs Q-cut on");
+        let budget = SimTime::from_secs_f64(cfg.ils_budget_secs);
+        (run_qcut(stats, cfg), budget)
     }
 
     /// The ILS input selection policy: live queries first, then retained
-    /// finished scopes newest-first, empties skipped, capped at the
-    /// configured `max_queries`. Both the [`ScopeStats`] snapshot and the
+    /// finished scopes newest-first, empties skipped, capped at
+    /// [`QcutConfig::MAX_QUERIES`]. Both the [`ScopeStats`] snapshot and the
     /// repartition locality measurement (what the runtimes measure
     /// `RepartitionEvent::locality_before/after` over) go through this one
     /// selection, so the reported locality covers exactly the scopes the
@@ -194,11 +255,10 @@ impl Controller {
         &'a self,
         live: &'a [(QueryId, Vec<VertexId>)],
     ) -> Vec<(QueryId, &'a [VertexId])> {
-        let max_queries = self
-            .cfg
-            .as_ref()
-            .map(|c| c.max_queries)
-            .unwrap_or(usize::MAX);
+        let max_queries = match self.cfg {
+            Some(_) => QcutConfig::MAX_QUERIES,
+            None => usize::MAX,
+        };
         let mut selected: Vec<(QueryId, &[VertexId])> = Vec::new();
         for (q, vs) in live {
             if selected.len() >= max_queries {
@@ -464,13 +524,21 @@ pub fn place_new_vertices(partitioning: &mut Partitioning, applied: &AppliedMuta
 mod tests {
     use super::*;
 
+    /// Two partitions, μ = 100 s, a 10 s cooldown.
     fn ctl() -> Controller {
-        Controller::new(Some(QcutConfig {
+        let cfg = QcutConfig {
             monitoring_window_secs: 100.0,
             min_repartition_interval_secs: 10.0,
             locality_threshold: 0.7,
             ..Default::default()
-        }))
+        };
+        Controller::new(Some(cfg), 2)
+    }
+
+    impl Controller {
+        pub(crate) fn wait(&self) -> SimTime {
+            self.wait
+        }
     }
 
     fn part(assign: Vec<u32>, k: usize) -> Partitioning {
@@ -503,49 +571,105 @@ mod tests {
     }
 
     /// `should_trigger` at `secs` over `active` queries of one locality.
-    fn hit(c: &Controller, secs: u64, locality: f64, imbalance: f64, active: usize) -> bool {
+    fn hit(c: &Controller, secs: u64, locality: f64, active: usize) -> bool {
         let localities = std::iter::repeat_n(locality, active);
-        c.should_trigger(SimTime::from_secs(secs), imbalance, localities)
+        c.should_trigger(SimTime::from_secs(secs), localities)
+    }
+
+    /// A sub-window (μ/8 = 12.5 s) whose vertex updates per partition
+    /// were `loads` closes at 13 s.
+    fn watched(c: &mut Controller, loads: [u64; 2]) {
+        c.restart_activity_watch(SimTime::ZERO);
+        for (w, executed) in loads.into_iter().enumerate() {
+            c.note_activity(SimTime::from_secs(1), w, executed);
+        }
+        c.note_activity(SimTime::from_secs(13), 0, 0);
     }
 
     #[test]
     fn trigger_respects_threshold_and_cooldown() {
-        let mut c = ctl();
-        assert!(hit(&c, 11, 0.5, 0.0, 4));
-        assert!(!hit(&c, 11, 0.9, 0.0, 4), "locality fine, balance fine");
-        assert!(!hit(&c, 5, 0.5, 0.0, 4), "cooldown");
-        assert!(!hit(&c, 11, 0.5, 0.0, 0), "no queries");
-        c.ils_inflight = true;
-        assert!(!hit(&c, 11, 0.5, 0.0, 4), "in flight");
+        let c = ctl();
+        assert!(hit(&c, 11, 0.5, 4));
+        assert!(!hit(&c, 11, 0.9, 4), "locality fine, balance fine");
+        assert!(!hit(&c, 5, 0.5, 4), "cooldown");
+        assert!(!hit(&c, 11, 0.5, 0), "no queries");
     }
 
     #[test]
     fn imbalance_also_triggers() {
-        let c = ctl();
+        let mut c = ctl();
+        watched(&mut c, [9, 1]); // imbalance 0.8
         assert!(
-            hit(&c, 11, 0.95, 0.8, 4),
+            hit(&c, 11, 0.95, 4),
             "high locality but heavy straggler skew must trigger"
         );
-        assert!(!hit(&c, 11, 0.95, 0.3, 4));
+        watched(&mut c, [13, 7]); // 0.3
+        assert!(!hit(&c, 11, 0.95, 4));
+        // A sub-window without work keeps the last imbalance; a restart
+        // clears it.
+        watched(&mut c, [9, 1]);
+        c.note_activity(SimTime::from_secs(26), 0, 0);
+        assert!(hit(&c, 30, 0.95, 4));
+        c.restart_activity_watch(SimTime::from_secs(30));
+        assert!(!hit(&c, 30, 0.95, 4));
     }
 
     #[test]
     fn static_controller_never_triggers() {
-        assert!(!hit(&Controller::new(None), 100, 0.0, 1.0, 10));
+        let mut c = Controller::new(None, 2);
+        c.note_activity(SimTime::ZERO, 0, 9);
+        c.note_activity(SimTime::from_secs(100), 0, 0);
+        assert!(!hit(&c, 100, 0.0, 10));
+        assert_eq!(c.next_check(), SimTime::MAX);
     }
 
     #[test]
     fn the_cooldown_counts_from_the_last_repartition_and_is_tested_first() {
         let mut c = ctl(); // 10 s cooldown
-        c.last_repartition = SimTime::from_secs(100);
-        assert!(!hit(&c, 109, 0.5, 0.8, 4));
-        assert!(hit(&c, 110, 0.5, 0.0, 4));
-        assert!(!hit(&c, 110, 0.9, 0.0, 4), "elapsed, but nothing to fix");
+        assert_eq!(c.next_check(), SimTime::from_secs(10));
+        c.plan_due(SimTime::from_secs(100));
+        assert_eq!(c.next_check(), SimTime::from_secs(110));
+        watched(&mut c, [9, 1]);
+        assert!(!hit(&c, 109, 0.5, 4));
+        assert!(hit(&c, 110, 0.5, 4));
+        c.restart_activity_watch(SimTime::ZERO);
+        assert!(!hit(&c, 110, 0.9, 4), "elapsed, but nothing to fix");
         // Inside the cooldown no query's locality is even looked at.
         let mut looked = 0;
         let localities = [0.0, 0.0].into_iter().inspect(|_| looked += 1);
-        assert!(!c.should_trigger(SimTime::from_secs(105), 0.0, localities));
+        assert!(!c.should_trigger(SimTime::from_secs(105), localities));
         assert_eq!(looked, 0);
+    }
+
+    #[test]
+    fn the_wait_doubles_from_zero_floored_at_the_plan_time_capped_at_mu_8() {
+        let ms = SimTime::from_millis;
+        let cap = QcutConfig::default().sub_window();
+        assert_eq!(cap, SimTime::from_secs(30), "μ/8 at the paper's μ");
+        // A paced controller starts due: the first check may plan.
+        let mut c = Controller::paced(Some(QcutConfig::default()), 2);
+        assert_eq!((c.wait(), c.next_check()), (SimTime::ZERO, SimTime::ZERO));
+        let mut paced = |planned, raised| {
+            c.pace(planned, raised);
+            c.wait()
+        };
+        // The first plan's own run time is the first wait ...
+        assert_eq!(paced(ms(3), false), ms(3));
+        // ... which then doubles while plans stay cheaper ...
+        assert_eq!(paced(ms(1), false), ms(6));
+        assert_eq!(paced(ms(6), false), ms(12));
+        // ... unless a plan took longer than twice the wait.
+        assert_eq!(paced(ms(40), false), ms(40));
+        // A window that raised locality keeps the wait, floored alike ...
+        assert_eq!(paced(ms(1), true), ms(40));
+        assert_eq!(paced(ms(50), true), ms(50));
+        // ... and both stop at the sub-window.
+        assert_eq!(paced(SimTime::from_secs(20), false), SimTime::from_secs(20));
+        assert_eq!(paced(ms(1), false), cap);
+        assert_eq!(paced(ms(1), false), cap);
+        assert_eq!(paced(SimTime::from_secs(60), false), cap);
+        assert_eq!(paced(SimTime::from_secs(60), true), cap);
+        assert_eq!(paced(ms(1), true), cap);
     }
 
     #[test]
@@ -576,20 +700,23 @@ mod tests {
         assert_eq!(s.base_vertices, vec![0.0, 1.0]);
     }
 
+    /// `n` live one-vertex scopes over two vertices.
+    fn many_live(n: u32) -> Vec<(QueryId, Vec<VertexId>)> {
+        (0..n)
+            .map(|q| (QueryId(q), vec![VertexId(q % 2)]))
+            .collect()
+    }
+
     #[test]
     fn max_queries_cap_prefers_live() {
-        let mut c = Controller::new(Some(QcutConfig {
-            max_queries: 2,
-            ..Default::default()
-        }));
+        let mut c = ctl();
         let p = part(vec![0, 1], 2);
-        c.record_finished_scope(QueryId(9), vec![VertexId(0)], SimTime::ZERO);
-        let live = vec![
-            (QueryId(0), vec![VertexId(0)]),
-            (QueryId(1), vec![VertexId(1)]),
-        ];
-        let s = c.build_scope_stats(&live, &p);
-        assert_eq!(s.queries, vec![QueryId(0), QueryId(1)]);
+        c.record_finished_scope(QueryId(900), vec![VertexId(0)], SimTime::ZERO);
+        let cap = QcutConfig::MAX_QUERIES as u32;
+        let s = c.build_scope_stats(&many_live(cap), &p);
+        assert_eq!(s.queries, (0..cap).map(QueryId).collect::<Vec<_>>());
+        let s = c.build_scope_stats(&many_live(cap - 1), &p);
+        assert_eq!(s.queries.last(), Some(&QueryId(900)));
     }
 
     #[test]
@@ -781,17 +908,17 @@ mod tests {
         let s = assert_stats_match_reference(&mut c, &[], &p);
         assert!(s.queries.is_empty() && s.overlaps.is_empty());
 
-        // Live plus finished scopes, under the `max_queries` cap, and the
+        // Live plus finished scopes, under the `MAX_QUERIES` cap, and the
         // scratch reused on a bigger partitioning, then a smaller one.
-        let mut capped = Controller::new(Some(QcutConfig {
-            max_queries: 3,
-            ..Default::default()
-        }));
-        capped.record_finished_scope(QueryId(7), vec![VertexId(1), last], SimTime::ZERO);
-        capped.record_finished_scope(QueryId(8), vec![last, VertexId(2)], SimTime::ZERO);
-        let live = vec![(QueryId(0), vec![VertexId(0), last])];
+        let mut capped = ctl();
+        capped.record_finished_scope(QueryId(1007), vec![VertexId(1), last], SimTime::ZERO);
+        capped.record_finished_scope(QueryId(1008), vec![last, VertexId(2)], SimTime::ZERO);
+        let live: Vec<_> = (0..QcutConfig::MAX_QUERIES as u32 - 1)
+            .map(|q| (QueryId(q), vec![VertexId(q % 6), last]))
+            .collect();
         let s = assert_stats_match_reference(&mut capped, &live, &p);
-        assert_eq!(s.queries, vec![QueryId(0), QueryId(8), QueryId(7)]);
+        let selected = &s.queries[live.len() - 1..];
+        assert_eq!(selected, [QueryId(live.len() as u32 - 1), QueryId(1008)]);
         let big = part((0..40).map(|v| v % 3).collect(), 3);
         let live = vec![
             (QueryId(0), vec![VertexId(39), VertexId(0)]),

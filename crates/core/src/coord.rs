@@ -50,13 +50,12 @@
 //! every superstep close; the thread runtime when a lane closes a
 //! superstep at or after [`Coordinator::next_check`] (the wait's end; a
 //! check that declines leaves it due, so the next close checks again).
-//! The core tests the wait since the last plan came due
-//! ([`Controller::wait`]: the configured cooldown,
-//! `min_repartition_interval_secs`, in the simulation; on threads a wait
-//! the executor measures from its planning cost), then the mean lifetime
-//! locality of the running queries against Φ — read live from their
-//! records — and the activity imbalance of the last μ/8 sub-window
-//! ([`Coordinator::note_activity`]) against its threshold. A hit reads
+//! Unless a plan is in flight, the [`Controller`] tests the wait since the
+//! last plan came due ([`Controller::next_check`]: the configured cooldown
+//! in the simulation, paced by planning cost on threads), then the mean
+//! lifetime locality of the running queries against Φ — read live from
+//! their records — and the activity imbalance of the last μ/8 sub-window
+//! ([`Controller::note_activity`]) against its threshold. A hit reads
 //! the scopes while partitions compute and runs the ILS there and then,
 //! hidden behind query processing as in the paper; a hit that finds fewer
 //! than two scopes stays wanted, and the next check plans without testing
@@ -82,7 +81,7 @@ use crate::config::SystemConfig;
 use crate::controller::{apply_mutation_epochs, Controller};
 use crate::hb::Hb;
 use crate::index_plane::PointIndex;
-use crate::qcut::{migrate, run_qcut, IlsResult, Migration};
+use crate::qcut::{migrate, IlsResult, Migration};
 use crate::query::{OutcomeStatus, QueryId, QueryOutcome, ServedBy};
 use crate::report::{ActivitySample, EngineReport, RepartitionEvent};
 use crate::sched::{try_index_path, QueueEntry, Scheduler};
@@ -397,13 +396,6 @@ pub(crate) struct Coordinator {
     mutations: Vec<MutationBatch>,
     repartition: Repartition,
     window: Option<Window>,
-    /// The trigger's straggler watch (Q-cut on): per-partition vertex
-    /// updates over a rolling sub-window — an eighth of the monitoring
-    /// window μ — of the executor's clock, and the imbalance of the last
-    /// sub-window that completed with any work in it.
-    activity: Vec<usize>,
-    activity_since: SimTime,
-    activity_imbalance: f64,
 }
 
 impl Coordinator {
@@ -416,17 +408,15 @@ impl Coordinator {
     }
 
     /// A core over `state`; stamps the initial topology and assignment as
-    /// published before any partition can read them.
+    /// published before any partition can read them; the straggler watch
+    /// restarts.
     pub fn new(mut state: EngineState, cfg: SystemConfig, hb: Hb, tracer: Tracer) -> Self {
-        let k = state.partitioning.num_workers();
         state.report.admission_policy = cfg.admission.label().to_string();
+        state.controller.restart_activity_watch(SimTime::ZERO);
         hb.publish_topology(0, state.topology.epoch());
         hb.publish_partitioning(0);
         Coordinator {
             scheduler: Scheduler::bounded(cfg.admission.clone(), cfg.max_queued),
-            activity: vec![0; k],
-            activity_since: SimTime::ZERO,
-            activity_imbalance: 0.0,
             state,
             cfg,
             hb,
@@ -468,16 +458,13 @@ impl Coordinator {
         self.queries.values().filter(mid).count()
     }
 
-    /// When the next Q-cut check is due: the controller's wait
-    /// ([`Controller::wait`]) after the last repartition, or never (Q-cut
-    /// off, or a window wanted). A check that declines leaves it due.
+    /// When the next Q-cut check is due ([`Controller::next_check`]), or
+    /// never while a window is wanted. A check that declines leaves it due.
     pub fn next_check(&self) -> SimTime {
-        match &self.cfg.qcut {
-            Some(_) if !self.paused => {
-                let controller = &self.state.controller;
-                controller.last_repartition + controller.wait()
-            }
-            _ => SimTime::MAX,
+        if self.paused {
+            SimTime::MAX
+        } else {
+            self.state.controller.next_check()
         }
     }
 
@@ -675,26 +662,17 @@ impl Coordinator {
     }
 
     /// `executed` vertex updates on `worker`, seen at `now`: a report
-    /// sample, and the straggler watch when Q-cut runs — per Step report in
+    /// sample, and the controller's straggler watch — per Step report in
     /// the simulation, per partition whenever the thread coordinator looks.
     pub fn note_activity(&mut self, now: SimTime, worker: usize, executed: u64) {
         let t = secs(now);
-        let report = &mut self.state.report;
-        report.activity.push(ActivitySample {
+        let st = &mut self.state;
+        st.report.activity.push(ActivitySample {
             t,
             worker,
             executed,
         });
-        if let Some(qcut) = &self.cfg.qcut {
-            if now.saturating_sub(self.activity_since) >= qcut.sub_window() {
-                if self.activity.iter().any(|&a| a > 0) {
-                    self.activity_imbalance = qgraph_partition::imbalance(&self.activity);
-                }
-                self.activity.fill(0);
-                self.activity_since = now;
-            }
-            self.activity[worker] += executed as usize;
-        }
+        st.controller.note_activity(now, worker, executed);
     }
 
     /// Query `q` terminated: collect its state from every partition that
@@ -750,30 +728,21 @@ impl Coordinator {
     // The Q-cut trigger
     // ------------------------------------------------------------------
 
-    /// A run boundary (the engine went idle): the straggler watch starts
-    /// over, so a trigger early in the next burst never measures
-    /// imbalance across the gap.
-    pub fn restart_activity_watch(&mut self, now: SimTime) {
-        self.activity.fill(0);
-        self.activity_since = now;
-        self.activity_imbalance = 0.0;
-    }
-
     /// The repartition trigger (paper §3.4), evaluated after a superstep
     /// closes — see the module docs. When the ILS ran, returns the instant
     /// its priced budget elapses; the executor calls
     /// [`Coordinator::plan_due`] then (the simulation) or at once (threads).
     pub fn trigger<X: Executor>(&mut self, x: &mut X, now: SimTime) -> Option<SimTime> {
-        if self.paused {
+        let controller = &mut self.state.controller;
+        if self.paused || controller.qcut_config().is_none() {
             return None;
         }
-        let cfg = self.cfg.qcut.as_ref()?;
         // Only scopes within the monitoring window may feed the trigger.
-        let controller = &mut self.state.controller;
         controller.expire(now);
-        // Fewer than two known scopes make a repartition meaningless (a
-        // solo query never repartitions).
-        if self.queries.len() + controller.retained() < 2 {
+        // No plan while one is in flight; fewer than two known scopes
+        // make one meaningless (a solo query never repartitions).
+        let inflight = matches!(self.repartition, Repartition::Budgeted(..));
+        if inflight || self.queries.len() + controller.retained() < 2 {
             return None;
         }
         // Lifetime locality of the running queries, in id order, read
@@ -783,7 +752,7 @@ impl Coordinator {
             (step.out.iterations > 0).then(|| step.out.locality())
         });
         let wanted = matches!(self.repartition, Repartition::Wanted);
-        if !wanted && !controller.should_trigger(now, self.activity_imbalance, localities) {
+        if !wanted && !controller.should_trigger(now, localities) {
             return None;
         }
         let (_, live) = self.gather_scopes(x);
@@ -794,16 +763,15 @@ impl Coordinator {
             self.repartition = Repartition::Wanted;
             return None;
         }
-        st.controller.ils_inflight = true;
-        self.repartition = Repartition::Budgeted(run_qcut(&stats, cfg), now);
-        Some(now + SimTime::from_secs_f64(cfg.ils_budget_secs))
+        let (result, budget) = st.controller.plan(&stats);
+        self.repartition = Repartition::Budgeted(result, now);
+        Some(now + budget)
     }
 
     /// The budgeted plan came due: the wait to the next check restarts,
     /// and a plan that moves something wants a window.
     pub fn plan_due(&mut self, now: SimTime) {
-        self.state.controller.ils_inflight = false;
-        self.state.controller.last_repartition = now;
+        self.state.controller.plan_due(now);
         if let Repartition::Budgeted(result, triggered_at) =
             std::mem::replace(&mut self.repartition, Repartition::None)
         {
@@ -1130,7 +1098,7 @@ mod tests {
         let state = EngineState {
             partitioning: RangePartitioner.partition(&graph, 3),
             topology: Topology::new(graph),
-            controller: Controller::new(cfg.qcut.clone()),
+            controller: Controller::new(cfg.qcut.clone(), 3),
             index: None,
             report: EngineReport::default(),
         };
@@ -1330,7 +1298,8 @@ mod tests {
         // cooldown.
         assert_eq!(core.trigger(&mut x, at(sec - 1)), None);
         // The hit plans at the trigger; its plan comes due one budget (the
-        // paper's 2 s) later, and nothing re-triggers in between.
+        // paper's 2 s) later, and nothing re-triggers while it is in
+        // flight, though the cooldown has elapsed.
         let due = at(3 * sec);
         assert_eq!(core.trigger(&mut x, at(sec)), Some(due));
         assert!(matches!(core.repartition, Repartition::Budgeted(_, t) if t == at(sec)));
@@ -1357,11 +1326,12 @@ mod tests {
 
     #[test]
     fn a_measured_wait_replaces_the_configured_cooldown() {
-        // A cooldown of a whole second, which a measured wait overrides:
-        // a wait of 0 lets the first check plan at once.
+        // A cooldown of a whole second, which a paced controller never
+        // reads: its first wait of 0 lets the first check plan at once.
         let (mut core, mut x) = two_remote_queries(adaptive(1.0));
         x.scopes = split_scopes();
-        core.state.controller.measured_wait = Some(SimTime::ZERO);
+        let cfg = core.state.controller.qcut_config().cloned();
+        core.state.controller = Controller::paced(cfg, 3);
         assert_eq!(core.trigger(&mut x, at(2)), Some(at(2_000_002)));
         core.plan_due(at(3));
         assert!(core.paused(), "the plan moves something");
@@ -1374,8 +1344,8 @@ mod tests {
         core.window_apply(&mut x);
         core.window_end(&mut x, at(5));
         // The next wait counts from the plan's due instant, not the
-        // cooldown: due at 3 µs plus 10 µs.
-        core.state.controller.measured_wait = Some(at(10));
+        // cooldown: due at 3 µs plus a plan time of 10 µs.
+        core.state.controller.pace(at(10), false);
         assert_eq!(core.next_check(), at(13));
         assert_eq!(core.trigger(&mut x, at(12)), None);
         assert_eq!(core.trigger(&mut x, at(13)), Some(at(2_000_013)));
@@ -1395,8 +1365,7 @@ mod tests {
         core.plan_due(at(2));
         assert!(!core.paused(), "an empty plan wants no window");
         assert!(matches!(core.repartition, Repartition::None));
-        let controller = &core.state.controller;
-        assert!(!controller.ils_inflight && controller.last_repartition == at(2));
+        assert_eq!(core.next_check(), at(2), "the wait restarted");
         // Both queries go on without parking.
         x.log.clear();
         core.release(&mut x, QueryId(0), at(3));
@@ -1424,8 +1393,7 @@ mod tests {
         }
         assert_eq!(core.trigger(&mut x, at(4)), None);
         assert!(!core.paused() && matches!(core.repartition, Repartition::None));
-        let controller = &core.state.controller;
-        assert!(!controller.ils_inflight && controller.last_repartition == SimTime::ZERO);
+        assert_eq!(core.next_check(), SimTime::ZERO, "the wait did not restart");
     }
 
     #[test]
@@ -1454,8 +1422,7 @@ mod tests {
         x.scopes = vec![(QueryId(0), 0, vec![VertexId(0)])];
         assert_eq!(core.trigger(&mut x, at(2)), None);
         assert!(matches!(core.repartition, Repartition::Wanted));
-        let controller = &core.state.controller;
-        assert!(!controller.ils_inflight && controller.last_repartition == SimTime::ZERO);
+        assert_eq!(core.next_check(), SimTime::ZERO, "the wait did not restart");
         // ... until the next check finds two scopes, and plans.
         x.scopes.push((QueryId(1), 1, vec![VertexId(2)]));
         assert_eq!(core.trigger(&mut x, at(3)), Some(at(2_000_003)));

@@ -90,7 +90,8 @@ enum Event {
 
 struct WorkerSched {
     queue: VecDeque<QueryId>,
-    running: Option<QueryId>,
+    /// The task running and when it began.
+    running: Option<(QueryId, SimTime)>,
 }
 
 /// The deterministic multi-query engine: the shared [`Engine`] front
@@ -274,11 +275,8 @@ impl SimExec {
         let now = self.events.now();
         let (active, msgs) = self.workers[w].frozen_counts(q);
         let cost = self.cluster.compute.superstep_cost(active, msgs);
-        self.sched[w].running = Some(q);
+        self.sched[w].running = Some((q, now));
         self.pool_busy += 1;
-        let (lane, id) = (w as u32, u64::from(q.0));
-        self.tracer
-            .task_begin(now.as_secs_f64(), lane, id, lane, CmdKind::Step, false);
         self.events.schedule(now + cost, Event::TaskDone { q, w });
     }
 
@@ -288,7 +286,7 @@ impl SimExec {
     /// affinity-then-steal scan) for the next startable task.
     fn free_worker(&mut self, w: usize) {
         debug_assert!(self.sched[w].running.is_some());
-        if let Some(q) = self.sched[w].running.take() {
+        if let Some((q, _)) = self.sched[w].running.take() {
             self.hb.token_close(q.0, kind::TASK);
         }
         self.pool_busy -= 1;
@@ -375,7 +373,7 @@ impl Engine<Sim> {
         let state = EngineState {
             topology: Topology::new(graph),
             partitioning,
-            controller: Controller::new(cfg.qcut.clone()),
+            controller: Controller::new(cfg.qcut.clone(), k),
             index: None,
             report: EngineReport::default(),
         };
@@ -467,7 +465,10 @@ impl Runtime for Sim {
     // finished.
     fn drive(&mut self) {
         let run_started = self.x.events.now();
-        self.core.restart_activity_watch(run_started);
+        self.core
+            .state
+            .controller
+            .restart_activity_watch(run_started);
 
         self.core.admit(&mut self.x, run_started);
         while let Some(ev) = self.x.events.pop() {
@@ -592,7 +593,8 @@ impl Sim {
 
     fn on_task_done(&mut self, now: SimTime, q: QueryId, w: usize) {
         let x = &mut self.x;
-        debug_assert_eq!(x.sched[w].running, Some(q));
+        debug_assert_eq!(x.sched[w].running.map(|(running, _)| running), Some(q));
+        let began = x.sched[w].running.map_or(now, |(_, began)| began);
         let st = &self.core.state;
         let run = self.core.run(q);
         let mut step = run.stepping();
@@ -622,12 +624,14 @@ impl Sim {
         drop(step);
         x.pool_tasks += 1;
         let (lane, id) = (w as u32, u64::from(q.0));
-        x.tracer.task_end(
+        x.tracer.task_span(
+            began.as_secs_f64(),
             now.as_secs_f64(),
             lane,
             id,
             lane,
             CmdKind::Step,
+            false,
             stats.executed as u64,
         );
         let report = StepReport {

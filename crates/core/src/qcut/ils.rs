@@ -76,9 +76,14 @@ fn prefer(a: &Solution, b: &Solution) -> bool {
 
 /// Run Q-cut on the given scope statistics.
 pub fn run_qcut(stats: &ScopeStats, cfg: &QcutConfig) -> IlsResult {
+    run_with(stats, cfg, QcutConfig::CLUSTER_FACTOR)
+}
+
+/// [`run_qcut`] over at most `factor · k` query clusters.
+pub(crate) fn run_with(stats: &ScopeStats, cfg: &QcutConfig, factor: usize) -> IlsResult {
     debug_assert_eq!(stats.validate(), Ok(()));
     let mut rng = SmallRng::seed_from_u64(QcutConfig::SEED);
-    let max_clusters = cfg.cluster_factor * stats.num_workers;
+    let max_clusters = factor * stats.num_workers;
     let clusters = cluster_queries(stats, max_clusters, &mut rng);
 
     let mut best = Solution::initial(stats, &clusters, QcutConfig::DELTA);
@@ -243,11 +248,7 @@ mod tests {
             overlaps: vec![(0, 1, 15.0), (1, 2, 15.0), (3, 4, 15.0), (4, 5, 15.0)],
             base_vertices: vec![1000.0, 1000.0],
         };
-        let cfg = QcutConfig {
-            cluster_factor: 1,
-            ..Default::default()
-        };
-        let r = run_qcut(&stats, &cfg);
+        let r = run_with(&stats, &QcutConfig::default(), 1);
         assert_eq!(r.num_clusters, 2, "contracted to the 1·k bound");
         assert_eq!(r.final_cost, 0.0);
         assert!(!r.plan.is_empty());
@@ -268,11 +269,8 @@ mod tests {
                 .collect(),
             base_vertices: vec![50.0; 4],
         };
-        let cfg = QcutConfig {
-            cluster_factor: 0, // force full contraction to one cluster
-            ..Default::default()
-        };
-        let r = run_qcut(&stats, &cfg);
+        // A factor of 0 forces full contraction to one cluster.
+        let r = run_with(&stats, &QcutConfig::default(), 0);
         assert_eq!(r.num_clusters, 1);
         assert!(
             r.plan.is_empty(),

@@ -223,13 +223,6 @@ impl QueryOutcome {
             self.local_iterations as f64 / self.iterations as f64
         }
     }
-
-    /// Remote messages the combiner eliminated before they reached the
-    /// wire.
-    pub fn messages_combined_away(&self) -> u64 {
-        self.remote_messages_pre_combine
-            .saturating_sub(self.remote_messages)
-    }
 }
 
 #[cfg(test)]
@@ -273,7 +266,7 @@ mod tests {
     #[test]
     fn combine_accounting_is_coherent() {
         let o = outcome(4, 2);
-        assert_eq!(o.messages_combined_away(), 1);
+        assert_eq!(o.remote_messages_pre_combine - o.remote_messages, 1);
         assert!(o.remote_messages <= o.remote_messages_pre_combine);
     }
 

@@ -347,14 +347,6 @@ impl EngineReport {
             .unwrap_or(&[])
     }
 
-    /// The repartition events that fired within run window `index`.
-    pub fn run_repartitions(&self, index: usize) -> &[RepartitionEvent] {
-        self.runs
-            .get(index)
-            .map(|r| &self.repartitions[r.repartitions_start..r.repartitions_end])
-            .unwrap_or(&[])
-    }
-
     /// Latency samples over completion time.
     pub fn latency_series(&self) -> TimeSeries {
         let mut s = TimeSeries::new("latency");
@@ -408,31 +400,6 @@ impl EngineReport {
     /// wire carried).
     pub fn total_remote_messages(&self) -> u64 {
         self.outcomes.iter().map(|o| o.remote_messages).sum()
-    }
-
-    /// Total remote messages as produced, before sender-side combining.
-    pub fn total_remote_messages_pre_combine(&self) -> u64 {
-        self.outcomes
-            .iter()
-            .map(|o| o.remote_messages_pre_combine)
-            .sum()
-    }
-
-    /// Total wire batches across all queries (the paper's 32-message
-    /// batch granularity; per-batch protocol overhead is charged per one
-    /// of these).
-    pub fn total_remote_batches(&self) -> u64 {
-        self.outcomes.iter().map(|o| o.remote_batches).sum()
-    }
-
-    /// Fraction of produced remote traffic the combiners eliminated
-    /// (`0.0` when nothing was combined — or nothing was sent).
-    pub fn combine_reduction(&self) -> f64 {
-        let pre = self.total_remote_messages_pre_combine();
-        if pre == 0 {
-            return 0.0;
-        }
-        1.0 - self.total_remote_messages() as f64 / pre as f64
     }
 
     /// Total vertices migrated across all repartitioning events.
@@ -677,9 +644,6 @@ mod tests {
         assert_eq!(r.total_latency(), 6.0);
         assert_eq!(r.mean_locality(), 0.75);
         assert_eq!(r.total_remote_messages(), 6);
-        assert_eq!(r.total_remote_messages_pre_combine(), 10);
-        assert_eq!(r.total_remote_batches(), 4);
-        assert!((r.combine_reduction() - 0.4).abs() < 1e-12);
         assert_eq!(r.latency_series().len(), 2);
         assert_eq!(r.locality_series().len(), 2);
     }
@@ -718,7 +682,6 @@ mod tests {
         let r = EngineReport::default();
         assert!(r.mean_latency().is_nan());
         assert_eq!(r.total_latency(), 0.0);
-        assert_eq!(r.combine_reduction(), 0.0, "empty report combines nothing");
         assert!(r.imbalance_series(2, 1.0).is_empty());
         assert!(r.per_program().is_empty());
         assert_eq!(r.program_table().num_rows(), 0);
@@ -738,7 +701,8 @@ mod tests {
         assert_eq!(r.run_outcomes(1).len(), 1);
         assert_eq!(r.run_outcomes(1)[0].completed_at, SimTime::from_secs(8));
         assert!(r.run_outcomes(2).is_empty(), "unknown window is empty");
-        assert!(r.run_repartitions(0).is_empty());
+        let no_events = (r.runs[0].repartitions_start, r.runs[0].repartitions_end);
+        assert_eq!(no_events, (0, 0));
         assert_eq!(r.runs[1].index, 1);
         assert!(r.runs[0].finished_at_secs <= r.runs[1].started_at_secs);
     }

@@ -65,7 +65,7 @@
 //! serving loop has raised the park flag ([`Signals`]). A Q-cut check is
 //! due from an instant the coordinator publishes
 //! ([`Coordinator::next_check`], the last plan's due instant plus a wait
-//! paced by measured planning cost, `back_off`): the lane that closes a
+//! paced by measured planning cost): the lane that closes a
 //! superstep at or after it takes it and sends one [`Resp::Tick`]. A
 //! local superstep — one partition, nothing sent away — that goes on is
 //! begun in place: nobody can have put mail for it, so the lane seals its
@@ -107,13 +107,10 @@
 //!   read; a hit reads the scopes while the lanes compute, locking one
 //!   context at a time, runs the ILS on this turn and makes its plan due
 //!   as the ILS returns (`Coordinator::plan_due`) — a plan that moves
-//!   nothing opens no window. The next check waits as long as the last
-//!   wait if the plan's window raised locality
-//!   ([`RepartitionEvent::raised_locality`]), and twice as long
-//!   otherwise, at least what the scope statistics and the ILS just took
-//!   and at most μ/8 (`back_off`), from a first wait of 0: windows that
-//!   buy locality may follow at the planner's pace while locality stays
-//!   under Φ, and plans that buy none thin out to O(log T) in T seconds;
+//!   nothing opens no window. What the scope statistics and the ILS took,
+//!   and whether the plan's window raised locality
+//!   ([`RepartitionEvent::raised_locality`]), pace the next check
+//!   ([`Controller::pace`], from a first wait of 0);
 //! * a lane that panics says so as it unwinds, and stopping the pool
 //!   re-raises the panic through `drain`;
 //! * the window reads nothing from the channel: a client message sent
@@ -491,9 +488,7 @@ impl Engine<Threads> {
             "partitioning does not cover the graph"
         );
         let (tx, rx) = channel();
-        // The Q-cut wait is measured here, from 0 (`back_off`).
-        let mut controller = Controller::new(cfg.qcut.clone());
-        controller.measured_wait = Some(SimTime::ZERO);
+        let controller = Controller::paced(cfg.qcut.clone(), partitioning.num_workers());
         let rt = Threads {
             state: EngineState {
                 topology: Topology::new(graph),
@@ -674,7 +669,7 @@ impl Threads {
         let state = EngineState {
             topology: st.topology.clone(),
             partitioning: st.partitioning.clone(),
-            controller: std::mem::replace(&mut st.controller, Controller::new(None)),
+            controller: std::mem::replace(&mut st.controller, Controller::new(None, 0)),
             index: st.index.take(),
             report: st.report.carry(),
         };
@@ -903,7 +898,7 @@ impl PoolExec {
     /// then the trigger runs. This turn paid for the ILS, so its plan is
     /// due as it returns, and what the hit took to plan — the scope
     /// statistics and the ILS, from the scope read's return — paces the
-    /// next check ([`back_off`]): at once when the plan moves nothing,
+    /// next check ([`Controller::pace`]): at once when the plan moves nothing,
     /// else once its window has measured its locality gain.
     fn check(&mut self, core: &mut Coordinator, now: SimTime) {
         self.note_activity(core, now);
@@ -914,7 +909,7 @@ impl PoolExec {
             if core.paused() {
                 self.planned = Some(planned);
             } else {
-                pace(core, planned, false);
+                core.state.controller.pace(planned, false);
             }
         }
     }
@@ -950,33 +945,6 @@ impl PoolExec {
             outputs: std::mem::take(&mut self.finished),
         }
     }
-}
-
-/// Pace the next Q-cut check after a plan that took `planned` to make:
-/// the controller's wait [`back_off`]s, kept when the plan's window
-/// `raised` locality ([`RepartitionEvent::raised_locality`]).
-fn pace(core: &mut Coordinator, planned: SimTime, raised: bool) {
-    let cap = core
-        .cfg()
-        .qcut
-        .as_ref()
-        .map_or(SimTime::MAX, |q| q.sub_window());
-    let controller = &mut core.state.controller;
-    let wait = controller.measured_wait.unwrap_or_default();
-    controller.measured_wait = Some(back_off(wait, planned, cap, raised));
-}
-
-/// The thread runtime's wait to the next Q-cut check after a plan that
-/// took `planned` to make: the last `wait` — doubled unless the plan's
-/// window `raised` locality — floored at `planned` and capped at `cap`
-/// (μ/8). The wait never shrinks, so plans that raise nothing number
-/// O(log₂(T / planned)) over `T` seconds, and the cap keeps a long-lived
-/// server re-planning after a hotspot shift.
-fn back_off(wait: SimTime, planned: SimTime, cap: SimTime, raised: bool) -> SimTime {
-    let factor = if raised { 1 } else { 2 };
-    SimTime(wait.as_nanos().saturating_mul(factor))
-        .max(planned)
-        .min(cap)
 }
 
 impl Executor for PoolExec {
@@ -1094,7 +1062,7 @@ fn serve(mut core: Coordinator, mut x: PoolExec) -> Stopped {
             if let Some(planned) = x.planned.take() {
                 let applied = &core.state.report.repartitions[events..];
                 let raised = applied.iter().any(RepartitionEvent::raised_locality);
-                pace(&mut core, planned, raised);
+                core.state.controller.pace(planned, raised);
             }
             // The queries the window resumes must not park again on the
             // flag it leaves behind.
@@ -1109,7 +1077,7 @@ fn serve(mut core: Coordinator, mut x: PoolExec) -> Stopped {
             let now = clock.now();
             core.state.report.finished_at_secs = now.as_secs_f64();
             let snapshot = x.hand_over(&mut core, now);
-            core.restart_activity_watch(now);
+            core.state.controller.restart_activity_watch(now);
             if let Some(ack) = x.drain.take() {
                 let _ = ack.send(snapshot);
             }
@@ -1531,7 +1499,6 @@ impl Lane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::QcutConfig;
     use crate::programs::{PingProgram, ReachProgram, Tally};
     use qgraph_graph::GraphBuilder;
     use qgraph_partition::{Partitioner, RangePartitioner};
@@ -2373,21 +2340,11 @@ mod tests {
         Partitioning::new(assign, 2)
     }
 
-    fn qcut_with_cooldown(secs: f64) -> SystemConfig {
-        SystemConfig {
-            qcut: Some(QcutConfig {
-                min_repartition_interval_secs: secs,
-                ..Default::default()
-            }),
-            ..Default::default()
-        }
-    }
-
     #[test]
     fn qcut_barrier_repartitions_and_preserves_answers() {
         let g = line(64);
         let mut e =
-            ThreadEngine::with_config(Arc::clone(&g), interleaved(64), qcut_with_cooldown(0.0));
+            ThreadEngine::with_config(Arc::clone(&g), interleaved(64), SystemConfig::qgraph());
         let a = e.submit(ReachProgram::new(VertexId(0)));
         let b = e.submit(ReachProgram::new(VertexId(1)));
         e.run();
@@ -2575,38 +2532,8 @@ mod tests {
             assert!(!e.report().repartitions.is_empty(), "no window");
             assert_ne!(e.partitioning(), &interleaved(N), "assignment untouched");
             e.shutdown();
-            let wait = e.rt.state.controller.measured_wait;
-            assert!(
-                wait > Some(SimTime::ZERO),
-                "the wait travels with the controller"
-            );
+            let wait = e.rt.state.controller.wait();
+            assert!(wait > SimTime::ZERO, "the wait travels with the controller");
         }
-    }
-
-    #[test]
-    fn the_wait_doubles_from_zero_floored_at_the_plan_time_and_capped_at_a_sub_window() {
-        let ms = SimTime::from_millis;
-        let cap = QcutConfig::default().sub_window();
-        assert_eq!(cap, SimTime::from_secs(30), "μ/8 at the paper's μ");
-        // Every engine starts due: the first check may plan.
-        let e = ThreadEngine::with_config(line(4), interleaved(4), SystemConfig::qgraph());
-        assert_eq!(e.rt.state.controller.measured_wait, Some(SimTime::ZERO));
-        // The first plan's own run time is the first wait ...
-        assert_eq!(back_off(SimTime::ZERO, ms(3), cap, false), ms(3));
-        // ... which then doubles while plans stay cheaper ...
-        assert_eq!(back_off(ms(3), ms(1), cap, false), ms(6));
-        assert_eq!(back_off(ms(6), ms(6), cap, false), ms(12));
-        // ... unless a plan took longer than twice the wait ...
-        assert_eq!(back_off(ms(6), ms(40), cap, false), ms(40));
-        // ... up to the sub-window, where it stays.
-        assert_eq!(back_off(SimTime::from_secs(20), ms(1), cap, false), cap);
-        assert_eq!(back_off(cap, ms(1), cap, false), cap);
-        assert_eq!(back_off(cap, SimTime::from_secs(60), cap, false), cap);
-        // A window that raised locality keeps the wait,
-        // floored and capped alike.
-        assert_eq!(back_off(ms(6), ms(1), cap, true), ms(6));
-        assert_eq!(back_off(SimTime::ZERO, ms(3), cap, true), ms(3));
-        assert_eq!(back_off(ms(6), ms(40), cap, true), ms(40));
-        assert_eq!(back_off(cap, SimTime::from_secs(60), cap, true), cap);
     }
 }

@@ -25,8 +25,6 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use serde::{Deserialize, Serialize};
-
 use qgraph_sim::SimTime;
 
 use crate::index_plane::PointIndex;
@@ -66,7 +64,7 @@ pub(crate) fn try_index_path(
 }
 
 /// How the waiting backlog drains into the closed loop's free slots.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub enum AdmissionPolicy {
     /// Strict arrival order.
     #[default]
@@ -114,7 +112,7 @@ impl AdmissionPolicy {
 /// placement is untouched — a budget below the involved-partition count
 /// only *sequences* the superstep's tasks, so outputs, iteration counts,
 /// and locality are identical for every budget.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub enum DopPolicy {
     /// Point/index-shaped queries ([`QueryTask::point_query`]) are pinned
     /// to DoP 1 — they stay out of the pool's way — while analytics fan

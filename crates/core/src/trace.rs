@@ -132,27 +132,10 @@ impl Tracer {
         );
     }
 
-    /// A lane started a task. Thread runtime: `lane` = pool thread id,
-    /// stamped from that thread. Sim: `lane` = partition.
-    pub fn task_begin(&self, at: f64, lane: u32, q: u64, p: u32, cmd: CmdKind, stolen: bool) {
-        self.rec(
-            lane as usize + 1,
-            Event::task(at, Kind::TaskBegin, lane, q, p, cmd, u64::from(stolen)),
-        );
-    }
-
-    /// The matching task finished; `executed` = vertices stepped.
-    pub fn task_end(&self, at: f64, lane: u32, q: u64, p: u32, cmd: CmdKind, executed: u64) {
-        self.rec(
-            lane as usize + 1,
-            Event::task(at, Kind::TaskEnd, lane, q, p, cmd, executed),
-        );
-    }
-
-    /// Begin + end recorded together under one ring lock — the thread
-    /// runtime's hot path, where both stamps are in hand by the time
-    /// the task finishes and pool commands are short enough that a
-    /// second lock round-trip is measurable.
+    /// A lane ran a task from `begin_at` to `end_at`; `executed` =
+    /// vertices stepped. Thread runtime: `lane` = pool thread id, stamped
+    /// from that thread. Sim: `lane` = partition. Begin and end are
+    /// recorded together, under one ring lock, once the task finished.
     #[allow(clippy::too_many_arguments)]
     pub fn task_span(
         &self,
@@ -286,7 +269,7 @@ mod tests {
         let t = Tracer::new(2, 64, false);
         assert!(!t.enabled());
         t.admitted(0.0, 1);
-        t.task_begin(0.1, 0, 1, 0, CmdKind::Step, false);
+        t.task_span(0.1, 0.2, 0, 1, 0, CmdKind::Step, false, 1);
         let mut data = TraceData::default();
         data.absorb(&t);
         assert!(data.is_empty());
@@ -296,8 +279,7 @@ mod tests {
     fn enabled_tracer_accumulates_and_summarizes() {
         let t = Tracer::new(1, 64, true);
         t.admitted(0.0, 7);
-        t.task_begin(1.0, 0, 7, 0, CmdKind::Step, false);
-        t.task_end(2.0, 0, 7, 0, CmdKind::Step, 5);
+        t.task_span(1.0, 2.0, 0, 7, 0, CmdKind::Step, false, 5);
         t.superstep_done(2.0, 7);
         t.outcome(2.0, 7, outcome::COMPLETED);
         let mut data = TraceData::default();

@@ -22,7 +22,6 @@
 mod builder;
 mod csr;
 mod ids;
-mod io;
 mod mutation;
 mod props;
 mod topology;
@@ -31,7 +30,6 @@ mod validate;
 pub use builder::GraphBuilder;
 pub use csr::{Graph, NeighborIter};
 pub use ids::{EdgeId, VertexId};
-pub use io::{read_edge_list, write_edge_list, GraphIoError};
 pub use mutation::{valid_weight, GraphMutation, MutationBatch, MutationError};
 pub use props::{RegionId, VertexProps};
 pub use topology::{AppliedMutation, EdgeChange, GraphDelta, TopoNeighbors, Topology};

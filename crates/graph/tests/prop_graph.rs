@@ -61,24 +61,4 @@ proptest! {
             prop_assert_eq!(g.degree(VertexId(v)), by_src[v as usize]);
         }
     }
-
-    /// Edge-list text round-trips through write/read.
-    #[test]
-    fn io_roundtrip((n, edges) in arb_edges(32, 64)) {
-        // Use integral weights so the text round-trip is exact.
-        let mut b = GraphBuilder::new(n as usize);
-        for &(s, t, w) in &edges {
-            b.add_edge(s, t, w.round());
-        }
-        let g = b.build();
-        let mut buf = Vec::new();
-        qgraph_graph::write_edge_list(&g, &mut buf).unwrap();
-        let g2 = qgraph_graph::read_edge_list(&buf[..]).unwrap();
-        prop_assert_eq!(g2.num_edges(), g.num_edges());
-        let mut a: Vec<_> = g.edges().map(|(s, t, w)| (s.0, t.0, w as i64)).collect();
-        let mut c: Vec<_> = g2.edges().map(|(s, t, w)| (s.0, t.0, w as i64)).collect();
-        a.sort_unstable();
-        c.sort_unstable();
-        prop_assert_eq!(a, c);
-    }
 }

@@ -1,9 +1,7 @@
 //! Time-stamped measurement series.
 
-use serde::{Deserialize, Serialize};
-
 /// One measurement: a value observed at a (virtual) time, in seconds.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Sample {
     /// Observation time in seconds.
     pub t: f64,
@@ -12,7 +10,7 @@ pub struct Sample {
 }
 
 /// An append-only series of [`Sample`]s ordered by time.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct TimeSeries {
     name: String,
     samples: Vec<Sample>,

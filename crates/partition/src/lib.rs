@@ -29,6 +29,6 @@ mod types;
 pub use domain::DomainPartitioner;
 pub use hash::HashPartitioner;
 pub use ldg::LdgPartitioner;
-pub use quality::{edge_cut, imbalance, locality_fraction, query_cut, PartitionQuality};
+pub use quality::{edge_cut, imbalance, locality_fraction, query_cut};
 pub use range::RangePartitioner;
 pub use types::{Partitioner, Partitioning, WorkerId};

@@ -71,31 +71,6 @@ pub fn locality_fraction(scopes: &[Vec<VertexId>], p: &Partitioning) -> f64 {
     local as f64 / scopes.len() as f64
 }
 
-/// A quality snapshot bundling the individual metrics, used in reports.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PartitionQuality {
-    /// Directed edge-cut.
-    pub edge_cut: usize,
-    /// Query-cut over the supplied scopes.
-    pub query_cut: usize,
-    /// Vertex-count imbalance.
-    pub imbalance: f64,
-    /// Fraction of fully-local queries.
-    pub locality: f64,
-}
-
-impl PartitionQuality {
-    /// Measure all metrics at once.
-    pub fn measure(graph: &Graph, p: &Partitioning, scopes: &[Vec<VertexId>]) -> Self {
-        PartitionQuality {
-            edge_cut: edge_cut(graph, p),
-            query_cut: query_cut(scopes, p),
-            imbalance: imbalance(&p.sizes()),
-            locality: locality_fraction(scopes, p),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,17 +134,13 @@ mod tests {
         // query-cut 2 (each query local) even if its edge-cut is larger.
         let g = path4();
         let p = split_at_middle();
-        let q = PartitionQuality::measure(
-            &g,
-            &p,
-            &[
-                vec![VertexId(0), VertexId(1)],
-                vec![VertexId(2), VertexId(3)],
-            ],
-        );
-        assert_eq!(q.query_cut, 2);
-        assert_eq!(q.locality, 1.0);
-        assert_eq!(q.edge_cut, 2);
-        assert_eq!(q.imbalance, 0.0);
+        let scopes = [
+            vec![VertexId(0), VertexId(1)],
+            vec![VertexId(2), VertexId(3)],
+        ];
+        assert_eq!(query_cut(&scopes, &p), 2);
+        assert_eq!(locality_fraction(&scopes, &p), 1.0);
+        assert_eq!(edge_cut(&g, &p), 2);
+        assert_eq!(imbalance(&p.sizes()), 0.0);
     }
 }

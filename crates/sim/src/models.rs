@@ -1,7 +1,5 @@
 //! Cost models for compute, network, and the combined cluster presets.
 
-use serde::{Deserialize, Serialize};
-
 use crate::SimTime;
 
 /// Messages per wire batch (the paper: 32 messages / 32 KiB): what
@@ -17,7 +15,7 @@ pub const STATE_BYTES_PER_VERTEX: u64 = 32;
 /// Defaults are in the ballpark of a JVM vertex-centric engine (the paper's
 /// implementation is 25k lines of Java); only their *ratio* to the network
 /// constants matters for the reproduced shapes.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ComputeModel {
     /// Cost of one vertex-function execution, in nanoseconds.
     pub vertex_update_ns: u64,
@@ -76,7 +74,7 @@ impl ComputeModel {
 /// co-located partitions use the loopback constants (the paper's scale-up
 /// machines run k partitions over loopback TCP). Messages from a worker to
 /// itself are free — that is precisely the locality the paper exploits.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct NetworkModel {
     /// One-way latency between distinct hosts, in nanoseconds.
     pub remote_latency_ns: u64,
@@ -176,7 +174,7 @@ impl NetworkModel {
 
 /// A complete simulated infrastructure: worker count, host mapping, and the
 /// two cost models. Mirrors the paper's M1 / M2 / C1 testbeds.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ClusterModel {
     /// Number of workers (graph partitions).
     pub num_workers: usize,

@@ -447,7 +447,6 @@ proptest! {
                     combiners,
                     qcut: (qcut == 1).then(|| QcutConfig {
                         locality_threshold: 1.0,
-                        ils_budget_secs: 1e-6,
                         ils_max_rounds: 8,
                         ..QcutConfig::default()
                     }),

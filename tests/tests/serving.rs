@@ -425,7 +425,6 @@ fn sim_qcut_trigger_before_first_activity_sample_is_guarded() {
             min_repartition_interval_secs: 0.0,
             ils_budget_secs: 1e-6,
             ils_max_rounds: 2,
-            ..Default::default()
         }),
         ..Default::default()
     };
