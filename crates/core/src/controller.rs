@@ -6,7 +6,7 @@ use std::collections::VecDeque;
 
 use rustc_hash::FxHashSet;
 
-use qgraph_graph::{AppliedMutation, MutationBatch, VertexId};
+use qgraph_graph::{AppliedMutation, EdgeChange, MutationBatch, VertexId};
 use qgraph_partition::{Partitioning, WorkerId};
 use qgraph_sim::SimTime;
 
@@ -486,17 +486,24 @@ pub fn place_new_vertices(partitioning: &mut Partitioning, applied: &AppliedMuta
         return;
     }
     let mut sizes = partitioning.sizes();
-    for (v, neighbors) in &applied.new_vertex_neighbors {
+    for &v in &applied.new_vertices {
         debug_assert_eq!(
             v.index(),
             partitioning.num_vertices(),
             "new vertices extend the assignment densely, in id order"
         );
+        // Only an `AddEdge` can connect a vertex the batch created, so its
+        // batch neighbors are the other ends of the `Inserted` records.
+        let neighbors = applied.edge_changes.iter().filter_map(|c| match *c {
+            EdgeChange::Inserted { from, to, .. } if from == v => Some(to),
+            EdgeChange::Inserted { from, to, .. } if to == v => Some(from),
+            _ => None,
+        });
         let mut votes = vec![0usize; partitioning.num_workers()];
         let mut any = false;
         for n in neighbors {
             if n.index() < partitioning.num_vertices() {
-                votes[partitioning.worker_of(*n).index()] += 1;
+                votes[partitioning.worker_of(n).index()] += 1;
                 any = true;
             }
         }

@@ -109,18 +109,6 @@ pub struct NeighborIter<'a> {
     pos: usize,
 }
 
-impl NeighborIter<'static> {
-    /// An iterator over no edges (used by the overlay view for vertices
-    /// with no base adjacency).
-    pub(crate) fn empty() -> Self {
-        NeighborIter {
-            targets: &[],
-            weights: &[],
-            pos: 0,
-        }
-    }
-}
-
 impl Iterator for NeighborIter<'_> {
     type Item = (VertexId, f32);
 

@@ -13,8 +13,8 @@
 //! * The CSR itself is immutable after [`GraphBuilder::build`]; queries
 //!   only ever read it, and all query-mutable state lives in
 //!   query-specific vertex data. *Topology* changes (the evolving-graph
-//!   serving model) go through the [`Topology`] overlay: a [`GraphDelta`]
-//!   of edge/vertex inserts, removals, and weight updates over the frozen
+//!   serving model) go through the [`Topology`] overlay: one
+//!   copy-on-write out-row per vertex a mutation changed, over the frozen
 //!   base, compacted back into a fresh CSR when it grows too large.
 
 #![forbid(unsafe_code)]
@@ -32,5 +32,5 @@ pub use csr::{Graph, NeighborIter};
 pub use ids::{EdgeId, VertexId};
 pub use mutation::{valid_weight, GraphMutation, MutationBatch, MutationError};
 pub use props::{RegionId, VertexProps};
-pub use topology::{AppliedMutation, EdgeChange, GraphDelta, TopoNeighbors, Topology};
+pub use topology::{AppliedMutation, EdgeChange, TopoNeighbors, Topology};
 pub use validate::{validate, GraphInvariantError};

@@ -1,13 +1,13 @@
 //! The evolving-graph view: an immutable CSR base plus a mutation overlay.
 //!
 //! A [`Topology`] is what the engines' workers read adjacency through. It
-//! starts as a thin pass-through over an [`Arc<Graph>`] (the common case:
-//! no mutations, zero overhead beyond one enum discriminant per
-//! `neighbors` call) and accumulates a [`GraphDelta`] as
-//! [`MutationBatch`]es apply. Reads merge base and overlay on the fly:
-//! base edges are filtered against removals and tombstones and re-weighted
-//! through the update map, then the added edges follow. When the overlay
-//! grows past a configurable fraction of the base (engine policy, see
+//! starts as a thin pass-through over an [`Arc<Graph>`] and accumulates an
+//! overlay as [`MutationBatch`]es apply: one copy-on-write out-row per
+//! vertex the batches changed. The first op that changes a vertex's
+//! out-edges copies its live row from the base CSR, later ops edit the
+//! copy in place, and a read returns the row if there is one, else the CSR
+//! row — no per-edge lookup either way. When the overlay grows past a
+//! configurable fraction of the base (engine policy, see
 //! `SystemConfig::compact_fraction` in `qgraph-core`),
 //! [`Topology::compacted`] rebuilds a fresh CSR with an empty overlay.
 //!
@@ -15,10 +15,10 @@
 //! * vertex ids are dense and never reused — [`GraphMutation::AddVertex`]
 //!   appends, [`GraphMutation::RemoveVertex`] only disconnects (the id
 //!   stays valid as an isolated vertex and may be reconnected later);
-//! * neighbor order is stable across compaction (base-filtered edges
-//!   first, then added edges, both in insertion order), so a query
-//!   replayed on the compacted CSR walks edges in the same order as on
-//!   the overlay — the mutation conformance tests pin this.
+//! * neighbor order is stable across compaction (surviving base edges
+//!   first, in base order, then added edges in insertion order), so a
+//!   query replayed on the compacted CSR walks edges in the same order as
+//!   on the overlay — the mutation conformance tests pin this.
 
 use std::sync::Arc;
 
@@ -29,35 +29,15 @@ use crate::{Graph, GraphBuilder, GraphMutation, MutationBatch, VertexId, VertexP
 
 /// The mutation overlay over an immutable CSR base.
 #[derive(Clone, Debug, Default)]
-pub struct GraphDelta {
-    /// Out-edges added per source vertex, in insertion order.
-    added_out: FxHashMap<VertexId, Vec<(VertexId, f32)>>,
-    /// Removed base edge pairs: every base `from -> to` parallel edge is
-    /// dead once the pair is here.
-    removed_edges: FxHashSet<(VertexId, VertexId)>,
-    /// Weight updates of base edges (applies to every parallel edge).
-    reweighted: FxHashMap<(VertexId, VertexId), f32>,
-    /// Vertex tombstones: base edges from *or to* these vertices are dead.
-    /// Added edges are pruned eagerly at removal time instead, so a
-    /// tombstoned vertex can be reconnected by later `AddEdge` ops.
-    dropped: FxHashSet<VertexId>,
+struct GraphDelta {
+    /// The live out-row of every vertex an op changed: its surviving base
+    /// edges in base order, then its added edges in insertion order.
+    rows: FxHashMap<VertexId, Vec<(VertexId, f32)>>,
     /// Vertices appended past the base id space.
     extra_vertices: u32,
     /// Total ops absorbed since the last compaction (the compaction
     /// policy's size signal).
     overlay_ops: usize,
-    /// Live in-degree per vertex, built lazily by the first
-    /// `RemoveVertex` (one O(V + E) scan) and maintained incrementally
-    /// afterwards, so disconnecting a vertex costs O(degree) instead of
-    /// a whole-graph in-edge scan per op. Dropped at compaction with the
-    /// rest of the overlay.
-    in_degrees: Option<Vec<u32>>,
-}
-
-impl GraphDelta {
-    fn is_empty(&self) -> bool {
-        self.overlay_ops == 0
-    }
 }
 
 /// One live-edge-level effect of an applied mutation op — the index
@@ -117,12 +97,11 @@ pub struct AppliedMutation {
     /// Every vertex incident to any op of the batch (sorted, deduplicated)
     /// — the staleness footprint for scope statistics.
     pub touched: Vec<VertexId>,
-    /// For each new vertex, the other endpoints of this batch's edges
-    /// incident to it — the input of the engines' placement heuristic.
-    pub new_vertex_neighbors: Vec<(VertexId, Vec<VertexId>)>,
     /// Live-edge effects of the batch, in op order — what the index
-    /// plane's incremental repair consumes. No-op mutations (removing a
-    /// dead edge, reweighting to the same value) contribute nothing.
+    /// plane's repair consumes, and where the placement heuristic finds
+    /// each new vertex's batch neighbors (its `Inserted` records). No-op
+    /// mutations (removing a dead edge, reweighting to the same value)
+    /// contribute nothing.
     pub edge_changes: Vec<EdgeChange>,
 }
 
@@ -174,8 +153,8 @@ impl Topology {
         self.live_edges
     }
 
-    /// Iterate over all vertex ids (tombstoned vertices included — they
-    /// are merely isolated).
+    /// Iterate over all vertex ids (removed vertices included — they are
+    /// merely isolated).
     pub fn vertices(&self) -> impl Iterator<Item = VertexId> {
         (0..self.num_vertices() as u32).map(VertexId)
     }
@@ -188,45 +167,24 @@ impl Topology {
         self.base.props()
     }
 
-    /// Out-degree of `v` under the overlay. `O(1)` on a compact topology,
-    /// `O(base degree)` otherwise.
+    /// Out-degree of `v` under the overlay. `O(1)`.
     pub fn degree(&self, v: VertexId) -> usize {
-        if self.delta.is_empty() {
-            self.base.degree(v)
-        } else {
-            self.neighbors(v).count()
-        }
+        self.neighbors(v).len()
     }
 
     /// Iterate over `(target, weight)` pairs of the live out-edges of `v`:
-    /// base edges (filtered + re-weighted) first, then added edges, both
-    /// in insertion order.
+    /// surviving base edges in base order, then added edges in insertion
+    /// order.
+    #[inline]
     pub fn neighbors(&self, v: VertexId) -> TopoNeighbors<'_> {
-        if self.delta.is_empty() {
-            return TopoNeighbors {
-                inner: NeighborsInner::Fast(self.base.neighbors(v)),
-            };
-        }
-        let base = if v.index() < self.base.num_vertices() && !self.delta.dropped.contains(&v) {
-            self.base.neighbors(v)
-        } else {
-            NeighborIter::empty()
+        let inner = match self.delta.rows.get(&v) {
+            Some(row) => NeighborsInner::Row(row.iter()),
+            None if v.index() < self.base.num_vertices() => {
+                NeighborsInner::Csr(self.base.neighbors(v))
+            }
+            None => NeighborsInner::Row([].iter()),
         };
-        let added = self
-            .delta
-            .added_out
-            .get(&v)
-            .map(|e| e.as_slice())
-            .unwrap_or(&[])
-            .iter();
-        TopoNeighbors {
-            inner: NeighborsInner::Overlay {
-                src: v,
-                base,
-                added,
-                delta: &self.delta,
-            },
-        }
+        TopoNeighbors { inner }
     }
 
     /// True if a live `v -> u` edge exists. `O(degree(v))`.
@@ -242,7 +200,7 @@ impl Topology {
 
     /// True when no overlay is pending (reads go straight to the CSR).
     pub fn is_compact(&self) -> bool {
-        self.delta.is_empty()
+        self.delta.overlay_ops == 0
     }
 
     /// Apply one batch atomically, bumping the epoch. Ops apply in order;
@@ -251,15 +209,16 @@ impl Topology {
     /// # Panics
     /// Panics if an op references a vertex id that does not exist at the
     /// point the op applies, or if any op carries a NaN, negative, or
-    /// infinite edge weight ([`MutationBatch::validate`] — checked up
-    /// front, so a rejected batch leaves the topology untouched).
+    /// infinite edge weight ([`MutationBatch::validate`]). Both are
+    /// checked up front, so a rejected batch leaves the topology
+    /// untouched.
     pub fn apply(&mut self, batch: &MutationBatch) -> AppliedMutation {
         if let Err(e) = batch.validate() {
             panic!("rejected mutation batch: {e}");
         }
+        self.check_ids(batch);
         let mut new_vertices: Vec<VertexId> = Vec::new();
         let mut touched: FxHashSet<VertexId> = FxHashSet::default();
-        let mut new_neighbors: FxHashMap<VertexId, Vec<VertexId>> = FxHashMap::default();
         let mut edge_changes: Vec<EdgeChange> = Vec::new();
         for op in batch.ops() {
             self.delta.overlay_ops += 1;
@@ -267,188 +226,121 @@ impl Topology {
                 GraphMutation::AddVertex => {
                     let id = VertexId(self.num_vertices() as u32);
                     self.delta.extra_vertices += 1;
-                    if let Some(ind) = &mut self.delta.in_degrees {
-                        ind.push(0);
-                    }
                     new_vertices.push(id);
-                    new_neighbors.insert(id, Vec::new());
                     touched.insert(id);
                 }
                 GraphMutation::AddEdge { from, to, weight } => {
-                    self.check_vertex(from, "AddEdge.from");
-                    self.check_vertex(to, "AddEdge.to");
-                    self.delta
-                        .added_out
-                        .entry(from)
-                        .or_default()
-                        .push((to, weight));
-                    edge_changes.push(EdgeChange::Inserted { from, to, weight });
+                    self.row_mut(from).push((to, weight));
                     self.live_edges += 1;
-                    if let Some(ind) = &mut self.delta.in_degrees {
-                        ind[to.index()] += 1;
-                    }
-                    touched.insert(from);
-                    touched.insert(to);
-                    if let Some(ns) = new_neighbors.get_mut(&from) {
-                        ns.push(to);
-                    }
-                    if let Some(ns) = new_neighbors.get_mut(&to) {
-                        ns.push(from);
-                    }
+                    edge_changes.push(EdgeChange::Inserted { from, to, weight });
+                    touched.extend([from, to]);
                 }
                 GraphMutation::RemoveEdge { from, to } => {
-                    self.check_vertex(from, "RemoveEdge.from");
-                    self.check_vertex(to, "RemoveEdge.to");
-                    let dead_weights: Vec<f32> = self
-                        .neighbors(from)
-                        .filter(|&(t, _)| t == to)
-                        .map(|(_, w)| w)
-                        .collect();
-                    let dead = dead_weights.len();
-                    for weight in dead_weights {
-                        edge_changes.push(EdgeChange::Removed { from, to, weight });
-                    }
-                    if dead > 0 {
-                        self.live_edges -= dead;
-                        if let Some(ind) = &mut self.delta.in_degrees {
-                            ind[to.index()] -= dead as u32;
-                        }
-                        self.delta.removed_edges.insert((from, to));
-                        self.delta.reweighted.remove(&(from, to));
-                        if let Some(es) = self.delta.added_out.get_mut(&from) {
-                            es.retain(|&(t, _)| t != to);
-                        }
-                    }
-                    touched.insert(from);
-                    touched.insert(to);
+                    self.remove_edges(from, to, &mut edge_changes);
+                    touched.extend([from, to]);
                 }
                 GraphMutation::SetWeight { from, to, weight } => {
-                    self.check_vertex(from, "SetWeight.from");
-                    self.check_vertex(to, "SetWeight.to");
-                    for (_, old) in self.neighbors(from).filter(|&(t, _)| t == to) {
-                        if old != weight {
-                            edge_changes.push(EdgeChange::Reweighted {
-                                from,
-                                to,
-                                old,
-                                new: weight,
-                            });
-                        }
-                    }
-                    // Base parallel edges go through the update map; added
-                    // ones are rewritten in place. A no-op when no live
-                    // edge matches.
-                    let base_live = from.index() < self.base.num_vertices()
-                        && !self.delta.dropped.contains(&from)
-                        && !self.delta.dropped.contains(&to)
-                        && !self.delta.removed_edges.contains(&(from, to))
-                        && self.base.has_edge(from, to);
-                    if base_live {
-                        self.delta.reweighted.insert((from, to), weight);
-                    }
-                    if let Some(es) = self.delta.added_out.get_mut(&from) {
-                        for e in es.iter_mut().filter(|(t, _)| *t == to) {
+                    if self.has_edge(from, to) {
+                        for e in self.row_mut(from).iter_mut().filter(|e| e.0 == to) {
+                            if e.1 != weight {
+                                edge_changes.push(EdgeChange::Reweighted {
+                                    from,
+                                    to,
+                                    old: e.1,
+                                    new: weight,
+                                });
+                            }
                             e.1 = weight;
                         }
                     }
-                    touched.insert(from);
-                    touched.insert(to);
+                    touched.extend([from, to]);
                 }
                 GraphMutation::RemoveVertex(v) => {
-                    self.check_vertex(v, "RemoveVertex");
-                    touched.insert(v);
-                    // Record every incident live edge for the repair
-                    // surface before anything is tombstoned. The in-edge
-                    // weights need one O(V + E) scan — same order as the
-                    // in-degree cache build below, and `RemoveVertex` is
-                    // the rare churn op (closures/follows are edge ops).
-                    for (t, w) in self.neighbors(v) {
-                        edge_changes.push(EdgeChange::Removed {
+                    // Out-edges (self-loops included) first, then every
+                    // in-neighbor's edges in id order: one O(V + E) scan,
+                    // and `RemoveVertex` is the rare churn op. `v`'s row is
+                    // empty by then, so its self-loops are recorded once.
+                    let out = edge_changes.len();
+                    edge_changes.extend(self.neighbors(v).map(|(to, weight)| {
+                        EdgeChange::Removed {
                             from: v,
-                            to: t,
-                            weight: w,
-                        });
-                    }
-                    for u in self.vertices() {
-                        if u == v {
-                            continue; // self-loops already recorded above
+                            to,
+                            weight,
                         }
-                        for (t, w) in self.neighbors(u) {
-                            if t == v {
-                                edge_changes.push(EdgeChange::Removed {
-                                    from: u,
-                                    to: v,
-                                    weight: w,
-                                });
-                            }
-                        }
+                    }));
+                    if edge_changes.len() > out {
+                        self.live_edges -= edge_changes.len() - out;
+                        self.delta.rows.insert(v, Vec::new());
                     }
-                    // Count live incident edges before tombstoning: out
-                    // via the view (O(degree)), in via the lazily built
-                    // in-degree cache — no whole-graph scan per op. A
-                    // self-loop is one edge counted on both sides.
-                    self.ensure_in_degrees();
-                    let out_edges: Vec<VertexId> = self.neighbors(v).map(|(t, _)| t).collect();
-                    let self_loops = out_edges.iter().filter(|&&t| t == v).count();
-                    let ind = self.delta.in_degrees.as_mut().expect("ensured above");
-                    let in_dead = ind[v.index()] as usize;
-                    self.live_edges -= out_edges.len() + in_dead - self_loops;
-                    for t in &out_edges {
-                        if *t != v {
-                            ind[t.index()] -= 1;
-                        }
+                    for u in (0..self.num_vertices() as u32).map(VertexId) {
+                        self.remove_edges(u, v, &mut edge_changes);
                     }
-                    ind[v.index()] = 0;
-                    // Prune added edges eagerly so the tombstone only ever
-                    // filters *base* edges (reconnection stays possible).
-                    self.delta.added_out.remove(&v);
-                    for es in self.delta.added_out.values_mut() {
-                        es.retain(|&(t, _)| t != v);
-                    }
-                    if v.index() < self.base.num_vertices() {
-                        self.delta.dropped.insert(v);
-                    }
+                    touched.insert(v);
                 }
             }
         }
         self.epoch += 1;
         let mut touched: Vec<VertexId> = touched.into_iter().collect();
         touched.sort_unstable();
-        let new_vertex_neighbors = new_vertices
-            .iter()
-            .map(|v| (*v, new_neighbors.remove(v).unwrap_or_default()))
-            .collect();
         AppliedMutation {
             epoch: self.epoch,
             ops: batch.len(),
             new_vertices,
             touched,
-            new_vertex_neighbors,
             edge_changes,
         }
     }
 
-    /// Build the live in-degree cache if absent (one O(V + E) pass over
-    /// the current view; incremental maintenance keeps it exact after).
-    fn ensure_in_degrees(&mut self) {
-        if self.delta.in_degrees.is_some() {
-            return;
-        }
-        let mut ind = vec![0u32; self.num_vertices()];
-        for v in self.vertices() {
-            for (t, _) in self.neighbors(v) {
-                ind[t.index()] += 1;
+    /// Panic unless every op's vertex ids exist at the point the op
+    /// applies, counting the batch's own `AddVertex` ops in order.
+    fn check_ids(&self, batch: &MutationBatch) {
+        let mut n = self.num_vertices();
+        for op in batch.ops() {
+            let (from, to) = match *op {
+                GraphMutation::AddVertex => {
+                    n += 1;
+                    continue;
+                }
+                GraphMutation::RemoveVertex(v) => (v, v),
+                GraphMutation::AddEdge { from, to, .. }
+                | GraphMutation::RemoveEdge { from, to }
+                | GraphMutation::SetWeight { from, to, .. } => (from, to),
+            };
+            for v in [from, to] {
+                assert!(
+                    v.index() < n,
+                    "{op:?}: vertex {v:?} out of range for {n} vertices"
+                );
             }
         }
-        self.delta.in_degrees = Some(ind);
     }
 
-    fn check_vertex(&self, v: VertexId, what: &str) {
-        assert!(
-            v.index() < self.num_vertices(),
-            "{what}: vertex {v:?} out of range for {} vertices",
-            self.num_vertices()
-        );
+    /// `v`'s overlay row, copied from the base CSR on first touch.
+    fn row_mut(&mut self, v: VertexId) -> &mut Vec<(VertexId, f32)> {
+        let base = &self.base;
+        self.delta.rows.entry(v).or_insert_with(|| {
+            if v.index() < base.num_vertices() {
+                base.neighbors(v).collect()
+            } else {
+                Vec::new()
+            }
+        })
+    }
+
+    /// Remove every live `from -> to` edge, recording each one. Copies no
+    /// row when no such edge is live.
+    fn remove_edges(&mut self, from: VertexId, to: VertexId, changes: &mut Vec<EdgeChange>) {
+        if !self.has_edge(from, to) {
+            return;
+        }
+        let row = self.row_mut(from);
+        let live = row.len();
+        for &(_, weight) in row.iter().filter(|e| e.0 == to) {
+            changes.push(EdgeChange::Removed { from, to, weight });
+        }
+        row.retain(|e| e.0 != to);
+        let dead = live - row.len();
+        self.live_edges -= dead;
     }
 
     /// Rebuild a standalone CSR equal to the current view. Vertex ids and
@@ -490,13 +382,8 @@ impl Topology {
 }
 
 enum NeighborsInner<'a> {
-    Fast(NeighborIter<'a>),
-    Overlay {
-        src: VertexId,
-        base: NeighborIter<'a>,
-        added: std::slice::Iter<'a, (VertexId, f32)>,
-        delta: &'a GraphDelta,
-    },
+    Csr(NeighborIter<'a>),
+    Row(std::slice::Iter<'a, (VertexId, f32)>),
 }
 
 /// Iterator over the live out-edges of one vertex under the overlay.
@@ -507,27 +394,24 @@ pub struct TopoNeighbors<'a> {
 impl Iterator for TopoNeighbors<'_> {
     type Item = (VertexId, f32);
 
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
         match &mut self.inner {
-            NeighborsInner::Fast(it) => it.next(),
-            NeighborsInner::Overlay {
-                src,
-                base,
-                added,
-                delta,
-            } => {
-                for (t, w) in base.by_ref() {
-                    if delta.removed_edges.contains(&(*src, t)) || delta.dropped.contains(&t) {
-                        continue;
-                    }
-                    let w = delta.reweighted.get(&(*src, t)).copied().unwrap_or(w);
-                    return Some((t, w));
-                }
-                added.next().copied()
-            }
+            NeighborsInner::Csr(it) => it.next(),
+            NeighborsInner::Row(it) => it.next().copied(),
+        }
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match &self.inner {
+            NeighborsInner::Csr(it) => it.size_hint(),
+            NeighborsInner::Row(it) => it.size_hint(),
         }
     }
 }
+
+impl ExactSizeIterator for TopoNeighbors<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -562,20 +446,42 @@ mod tests {
 
     #[test]
     fn rejected_batch_leaves_topology_untouched() {
-        let mut t = Topology::new(diamond());
-        let before = n(&t, 0);
-        let epoch = t.epoch();
-        let mut batch = MutationBatch::new();
-        batch.remove_edge(0, 1); // valid op first: atomicity means it must NOT apply
-        batch.push(crate::GraphMutation::SetWeight {
+        let mut bad_weight = MutationBatch::new();
+        bad_weight.remove_edge(0, 1); // valid op first: atomicity means it must NOT apply
+        bad_weight.push(crate::GraphMutation::SetWeight {
             from: VertexId(0),
             to: VertexId(2),
             weight: -1.0,
         });
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| t.apply(&batch)));
-        assert!(r.is_err());
-        assert_eq!(n(&t, 0), before);
-        assert_eq!(t.epoch(), epoch);
+        let mut bad_id = MutationBatch::new();
+        bad_id.remove_edge(0, 1).add_edge(0, 9, 1.0);
+        let mut bad_id_after_growth = MutationBatch::new();
+        bad_id_after_growth
+            .add_vertex()
+            .remove_edge(0, 1)
+            .add_edge(5, 0, 1.0);
+        for batch in [bad_weight, bad_id, bad_id_after_growth] {
+            let mut t = Topology::new(diamond());
+            let before = n(&t, 0);
+            let epoch = t.epoch();
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| t.apply(&batch)));
+            assert!(r.is_err(), "{batch:?}");
+            assert_eq!(n(&t, 0), before);
+            assert_eq!(t.epoch(), epoch);
+            assert_eq!(t.num_vertices(), 4);
+            assert_eq!(t.num_edges(), 4);
+            assert!(t.is_compact());
+        }
+        // A batch may create a vertex and connect it in the same breath.
+        let mut t = Topology::new(diamond());
+        let mut grow = MutationBatch::new();
+        grow.add_vertex()
+            .add_edge(4, 0, 1.0)
+            .add_vertex()
+            .add_edge(4, 5, 2.0);
+        t.apply(&grow);
+        assert_eq!(n(&t, 4), vec![(0, 1.0), (5, 2.0)]);
+        assert_eq!(t.num_edges(), 6);
     }
 
     #[test]
@@ -632,8 +538,19 @@ mod tests {
         assert_eq!(n(&t, 4), vec![(0, 1.0)]);
         assert_eq!(n(&t, 3), vec![(4, 2.0)]);
         assert_eq!(
-            applied.new_vertex_neighbors,
-            vec![(VertexId(4), vec![VertexId(0), VertexId(3)])]
+            applied.edge_changes,
+            vec![
+                EdgeChange::Inserted {
+                    from: VertexId(4),
+                    to: VertexId(0),
+                    weight: 1.0
+                },
+                EdgeChange::Inserted {
+                    from: VertexId(3),
+                    to: VertexId(4),
+                    weight: 2.0
+                },
+            ]
         );
     }
 
