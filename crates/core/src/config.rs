@@ -27,29 +27,22 @@ pub struct QcutConfig {
     pub locality_threshold: f64,
     /// Monitoring window μ in seconds on the executor's own clock: how
     /// long finished queries' statistics stay in the controller's view,
-    /// and (an eighth of it) the sub-window the activity imbalance is
-    /// measured over — on threads also the cap on the wait between Q-cut
-    /// checks. Virtual seconds in the simulation, session
-    /// wall-clock seconds in the thread runtime (short runs retain every
-    /// finished scope, bounded by a cap of 4 × [`QcutConfig::MAX_QUERIES`]).
-    /// Paper: 240 s.
+    /// and (an eighth of it) both the sub-window the activity imbalance is
+    /// measured over and the cap on the wait between Q-cut checks.
+    /// Virtual seconds in the simulation, session wall-clock seconds in
+    /// the thread runtime (short runs retain every finished scope, bounded
+    /// by a cap of 4 × [`QcutConfig::MAX_QUERIES`]). Paper: 240 s.
     pub monitoring_window_secs: f64,
     /// Time budget for one ILS run, which runs at the trigger, hidden
     /// behind query processing (paper §3.4). The simulation prices it: the
-    /// plan comes due this many virtual seconds after the trigger. On
-    /// threads the budget is the ILS's own run time — the plan comes due
-    /// as the ILS returns — and this value is not read. Paper: 2 s.
+    /// plan comes due this many virtual seconds after the trigger, and
+    /// this is the planning cost its pacing measures. On threads the
+    /// budget is the ILS's own run time — the plan comes due as the ILS
+    /// returns — and this value is not read. Paper: 2 s.
     pub ils_budget_secs: f64,
     /// Hard cap on ILS outer iterations (perturbation rounds), bounding the
     /// host CPU spent per run.
     pub ils_max_rounds: usize,
-    /// Cooldown: minimum virtual seconds between repartitionings in the
-    /// simulation, counted from the last plan's due instant (prevents
-    /// barrier thrashing while statistics are still converging). `0.0`
-    /// lets every superstep end re-trigger. On threads the coordinator
-    /// paces the trigger by its measured planning cost instead
-    /// ([`crate::controller::Controller::pace`]) and this value is not read. Paper: 10 s.
-    pub min_repartition_interval_secs: f64,
 }
 
 impl Default for QcutConfig {
@@ -59,7 +52,6 @@ impl Default for QcutConfig {
             monitoring_window_secs: 240.0,
             ils_budget_secs: 2.0,
             ils_max_rounds: 60,
-            min_repartition_interval_secs: 10.0,
         }
     }
 }
@@ -91,24 +83,23 @@ impl QcutConfig {
     /// The experiments run on graphs scaled down from the paper's (and on
     /// a virtual clock), so query latencies are roughly `factor`× shorter
     /// than the paper's wall-clock latencies; the adaptivity time
-    /// constants (monitoring window μ, ILS budget, repartition cooldown)
-    /// must shrink by the same factor to keep the *ratio* of adaptation
-    /// rate to query rate faithful. `factor = 1` is the paper verbatim.
-    /// The ILS budget and the cooldown are simulation-only (threads pace
-    /// Q-cut by measured planning cost), so on threads only μ scales.
+    /// constants (monitoring window μ, ILS budget) must shrink by the
+    /// same factor to keep the *ratio* of adaptation rate to query rate
+    /// faithful. `factor = 1` is the paper verbatim. The ILS budget is
+    /// simulation-only (threads measure the ILS's run time), so on threads
+    /// only μ scales.
     pub fn time_scaled(factor: f64) -> Self {
         assert!(factor > 0.0, "time scale must be positive");
         let base = QcutConfig::default();
         QcutConfig {
             monitoring_window_secs: base.monitoring_window_secs / factor,
             ils_budget_secs: base.ils_budget_secs / factor,
-            min_repartition_interval_secs: base.min_repartition_interval_secs / factor,
             ..base
         }
     }
 
     /// μ/8: the sub-window the activity imbalance is measured over, and
-    /// the cap on the thread runtime's wait between Q-cut checks.
+    /// the cap on the wait between Q-cut checks.
     pub fn sub_window(&self) -> SimTime {
         SimTime::from_secs_f64(self.monitoring_window_secs / 8.0)
     }
@@ -249,10 +240,6 @@ mod tests {
             base.monitoring_window_secs / 100.0
         );
         assert_eq!(q.ils_budget_secs, base.ils_budget_secs / 100.0);
-        assert_eq!(
-            q.min_repartition_interval_secs,
-            base.min_repartition_interval_secs / 100.0
-        );
         assert_eq!(
             (q.locality_threshold, q.ils_max_rounds),
             (base.locality_threshold, base.ils_max_rounds)

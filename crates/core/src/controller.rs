@@ -37,9 +37,8 @@ pub struct Controller {
     /// its ILS found nothing to move): the wait to the next check counts
     /// from here.
     last_repartition: SimTime,
-    /// The wait from `last_repartition` to the next check: the configured
-    /// cooldown in the simulation, paced by planning cost on threads
-    /// ([`Controller::pace`]).
+    /// The wait from `last_repartition` to the next check, from 0, paced
+    /// by what plans and their windows cost ([`Controller::pace`]).
     wait: SimTime,
     /// The straggler watch: per-partition vertex updates over a rolling
     /// μ/8 sub-window of the executor's clock, and the imbalance of the
@@ -68,29 +67,17 @@ struct StatsScratch {
 
 impl Controller {
     /// A controller over `workers` partitions with the given Q-cut
-    /// configuration (`None` = static), waiting the configured cooldown
-    /// between checks as the simulation does.
+    /// configuration (`None` = static). Its first check is due at once.
     pub fn new(cfg: Option<QcutConfig>, workers: usize) -> Self {
-        let cooldown = cfg
-            .as_ref()
-            .map_or(0.0, |c| c.min_repartition_interval_secs);
         Controller {
             cfg,
             finished: VecDeque::new(),
             last_repartition: SimTime::ZERO,
-            wait: SimTime::from_secs_f64(cooldown),
+            wait: SimTime::ZERO,
             activity: vec![0; workers],
             activity_since: SimTime::ZERO,
             activity_imbalance: 0.0,
             scratch: StatsScratch::default(),
-        }
-    }
-
-    /// The thread runtime's: a wait from 0, paced by [`Controller::pace`].
-    pub fn paced(cfg: Option<QcutConfig>, workers: usize) -> Self {
-        Controller {
-            wait: SimTime::ZERO,
-            ..Controller::new(cfg, workers)
         }
     }
 
@@ -176,15 +163,16 @@ impl Controller {
         self.last_repartition = now;
     }
 
-    /// Pace the next check after a plan that took `planned` to make
-    /// (threads): the wait — doubled unless the plan's window `raised`
-    /// locality — floored at `planned` and capped at μ/8. It never shrinks,
-    /// so plans that raise nothing number O(log₂(T / planned)) over `T`.
-    pub fn pace(&mut self, planned: SimTime, raised: bool) {
+    /// Pace the next check after a plan whose making, and window if it
+    /// opened one, took `cost` (see [`crate::coord`]): the wait — doubled
+    /// unless the window `raised` locality — floored at `cost` and capped
+    /// at μ/8. It never shrinks, so plans that raise nothing number
+    /// O(log₂(T / cost)) over `T`.
+    pub(crate) fn pace(&mut self, cost: SimTime, raised: bool) {
         let Some(cfg) = &self.cfg else { return };
         let factor = if raised { 1 } else { 2 };
         self.wait = SimTime(self.wait.as_nanos().saturating_mul(factor))
-            .max(planned)
+            .max(cost)
             .min(cfg.sub_window());
     }
 
@@ -531,15 +519,16 @@ pub fn place_new_vertices(partitioning: &mut Partitioning, applied: &AppliedMuta
 mod tests {
     use super::*;
 
-    /// Two partitions, μ = 100 s, a 10 s cooldown.
+    /// Two partitions, μ = 100 s, a 10 s wait between checks.
     fn ctl() -> Controller {
         let cfg = QcutConfig {
             monitoring_window_secs: 100.0,
-            min_repartition_interval_secs: 10.0,
             locality_threshold: 0.7,
             ..Default::default()
         };
-        Controller::new(Some(cfg), 2)
+        let mut c = Controller::new(Some(cfg), 2);
+        c.pace(SimTime::from_secs(10), false);
+        c
     }
 
     impl Controller {
@@ -598,7 +587,7 @@ mod tests {
         let c = ctl();
         assert!(hit(&c, 11, 0.5, 4));
         assert!(!hit(&c, 11, 0.9, 4), "locality fine, balance fine");
-        assert!(!hit(&c, 5, 0.5, 4), "cooldown");
+        assert!(!hit(&c, 5, 0.5, 4), "the wait");
         assert!(!hit(&c, 11, 0.5, 0), "no queries");
     }
 
@@ -632,7 +621,7 @@ mod tests {
 
     #[test]
     fn the_cooldown_counts_from_the_last_repartition_and_is_tested_first() {
-        let mut c = ctl(); // 10 s cooldown
+        let mut c = ctl(); // a 10 s wait
         assert_eq!(c.next_check(), SimTime::from_secs(10));
         c.plan_due(SimTime::from_secs(100));
         assert_eq!(c.next_check(), SimTime::from_secs(110));
@@ -641,7 +630,7 @@ mod tests {
         assert!(hit(&c, 110, 0.5, 4));
         c.restart_activity_watch(SimTime::ZERO);
         assert!(!hit(&c, 110, 0.9, 4), "elapsed, but nothing to fix");
-        // Inside the cooldown no query's locality is even looked at.
+        // Inside the wait no query's locality is even looked at.
         let mut looked = 0;
         let localities = [0.0, 0.0].into_iter().inspect(|_| looked += 1);
         assert!(!c.should_trigger(SimTime::from_secs(105), localities));
@@ -653,8 +642,8 @@ mod tests {
         let ms = SimTime::from_millis;
         let cap = QcutConfig::default().sub_window();
         assert_eq!(cap, SimTime::from_secs(30), "μ/8 at the paper's μ");
-        // A paced controller starts due: the first check may plan.
-        let mut c = Controller::paced(Some(QcutConfig::default()), 2);
+        // A controller starts due: the first check may plan.
+        let mut c = Controller::new(Some(QcutConfig::default()), 2);
         assert_eq!((c.wait(), c.next_check()), (SimTime::ZERO, SimTime::ZERO));
         let mut paced = |planned, raised| {
             c.pace(planned, raised);

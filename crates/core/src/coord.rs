@@ -51,8 +51,7 @@
 //! superstep at or after [`Coordinator::next_check`] (the wait's end; a
 //! check that declines leaves it due, so the next close checks again).
 //! Unless a plan is in flight, the [`Controller`] tests the wait since the
-//! last plan came due ([`Controller::next_check`]: the configured cooldown
-//! in the simulation, paced by planning cost on threads), then the mean
+//! last plan came due ([`Controller::next_check`]), then the mean
 //! lifetime locality of the running queries against Φ — read live from
 //! their records — and the activity imbalance of the last μ/8 sub-window
 //! ([`Controller::note_activity`]) against its threshold. A hit reads
@@ -66,6 +65,20 @@
 //! wait restarts when the plan comes due, and only a plan that moves
 //! something wants a window, which resolves it against the scopes
 //! gathered inside and migrates.
+//!
+//! ## One pacing rule
+//!
+//! Both runtimes pace the checks by what adaptation costs on their own
+//! clock (paper §3.4), not by a constant. The wait starts at 0; the
+//! executor only reports instants ([`Executor::now`]). A plan's cost P
+//! runs from the trigger's scope read to its due instant: the priced
+//! budget in the simulation, the scope statistics plus the ILS on
+//! threads. A plan that moves nothing paces at once; one that moves
+//! something paces as its window ends, with P plus the window's own
+//! duration. Either way the wait becomes `min(max(f · wait, cost), μ/8)`
+//! ([`Controller::pace`]), f = 1 when the window raised locality
+//! ([`RepartitionEvent::raised_locality`]) and 2 otherwise, so windows
+//! that raise nothing stay logarithmic in the run's length.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -332,15 +345,18 @@ enum Repartition {
     Wanted,
     /// Planned at the trigger; not due yet.
     Budgeted(IlsResult, SimTime),
-    /// A plan that came due and moves something: apply at the next window.
-    Due(IlsResult, SimTime),
+    /// A plan that came due and moves something, and what it took to
+    /// plan: apply at the next window, which paces the next check.
+    Due(IlsResult, SimTime, SimTime),
 }
 
-/// An open stop-the-world window: where its report events start.
+/// An open stop-the-world window: where its report events start, and
+/// what the plan it applies took to make.
 struct Window {
     entered: SimTime,
     mutations_from: usize,
     repartitions_from: usize,
+    planned: Option<SimTime>,
 }
 
 fn secs(t: SimTime) -> f64 {
@@ -395,6 +411,9 @@ pub(crate) struct Coordinator {
     parked: Vec<QueryId>,
     mutations: Vec<MutationBatch>,
     repartition: Repartition,
+    /// Where the plan in flight's cost counts from: the executor's clock
+    /// as the trigger's scope read returned.
+    planning_since: SimTime,
     window: Option<Window>,
 }
 
@@ -428,6 +447,7 @@ impl Coordinator {
             parked: Vec::new(),
             mutations: Vec::new(),
             repartition: Repartition::None,
+            planning_since: SimTime::ZERO,
             window: None,
         }
     }
@@ -756,6 +776,9 @@ impl Coordinator {
             return None;
         }
         let (_, live) = self.gather_scopes(x);
+        // On threads the read waits on lanes that hold a context: the
+        // plan's cost counts from its return.
+        let scoped = x.now();
         let st = &mut self.state;
         let stats = st.controller.build_scope_stats(&live, &st.partitioning);
         // Fewer than two non-empty scopes make a plan meaningless.
@@ -765,18 +788,24 @@ impl Coordinator {
         }
         let (result, budget) = st.controller.plan(&stats);
         self.repartition = Repartition::Budgeted(result, now);
+        self.planning_since = scoped;
         Some(now + budget)
     }
 
-    /// The budgeted plan came due: the wait to the next check restarts,
-    /// and a plan that moves something wants a window.
+    /// The budgeted plan came due: the wait to the next check restarts. A
+    /// plan that moves nothing paces it here; one that moves something
+    /// wants a window, which paces it as it ends (see the module docs).
     pub fn plan_due(&mut self, now: SimTime) {
-        self.state.controller.plan_due(now);
+        let controller = &mut self.state.controller;
+        controller.plan_due(now);
         if let Repartition::Budgeted(result, triggered_at) =
             std::mem::replace(&mut self.repartition, Repartition::None)
         {
-            if !result.plan.is_empty() {
-                self.repartition = Repartition::Due(result, triggered_at);
+            let planned = now.saturating_sub(self.planning_since);
+            if result.plan.is_empty() {
+                controller.pace(planned, false);
+            } else {
+                self.repartition = Repartition::Due(result, triggered_at, planned);
                 self.paused = true;
             }
         }
@@ -825,6 +854,7 @@ impl Coordinator {
             entered,
             mutations_from: report.mutations.len(),
             repartitions_from: report.repartitions.len(),
+            planned: None,
         });
     }
 
@@ -835,10 +865,11 @@ impl Coordinator {
     /// is pending costs no extra quiesce. The executor calls
     /// [`Coordinator::window_end`] when the window's work is done.
     pub fn window_apply<X: Executor>(&mut self, x: &mut X) {
-        let Some(entered) = self.window.as_ref().map(|w| w.entered) else {
+        let Some(win) = self.window.as_mut() else {
             debug_assert!(false, "window_apply without an open window");
             return;
         };
+        let entered = win.entered;
         let st = &mut self.state;
 
         // Phase 1: mutation epochs, in arrival order.
@@ -879,9 +910,10 @@ impl Coordinator {
         }
 
         // Phase 2: the repartition, under the same window.
-        if let Repartition::Due(result, triggered_at) =
+        if let Repartition::Due(result, triggered_at, planned) =
             std::mem::replace(&mut self.repartition, Repartition::None)
         {
+            win.planned = Some(planned);
             self.tracer.qcut_begin(secs(x.now()));
             self.repartition_phase(x, result, triggered_at, entered);
             self.tracer.qcut_end(secs(x.now()));
@@ -970,8 +1002,9 @@ impl Coordinator {
     }
 
     /// The window's work finished at `now`: stamp its duration on the
-    /// events it recorded, close it, resume the parked queries against
-    /// the (possibly new) layout and re-open admissions.
+    /// events it recorded, pace the next check if it applied a plan, close
+    /// it, resume the parked queries against the (possibly new) layout and
+    /// re-open admissions.
     pub fn window_end<X: Executor>(&mut self, x: &mut X, now: SimTime) {
         let Some(win) = self.window.take() else {
             debug_assert!(false, "window_end without an open window");
@@ -982,8 +1015,14 @@ impl Coordinator {
         for ev in &mut report.mutations[win.mutations_from..] {
             ev.barrier_duration = duration;
         }
-        for ev in &mut report.repartitions[win.repartitions_from..] {
+        let applied = &mut report.repartitions[win.repartitions_from..];
+        for ev in applied.iter_mut() {
             ev.barrier_duration = duration;
+        }
+        if let Some(planned) = win.planned {
+            let raised = applied.iter().any(RepartitionEvent::raised_locality);
+            let cost = planned + now.saturating_sub(win.entered);
+            self.state.controller.pace(cost, raised);
         }
         // Close the window before any release: a release is a dispatch,
         // and a dispatch inside the window is exactly the PR-2 race.
@@ -1241,13 +1280,10 @@ mod tests {
         assert!((ev.barrier_duration - 2e-6).abs() < 1e-12);
     }
 
-    /// Q-cut on with the given cooldown, every other constant the paper's.
-    fn adaptive(cooldown_secs: f64) -> SystemConfig {
+    /// Q-cut on with the paper's constants.
+    fn adaptive() -> SystemConfig {
         SystemConfig {
-            qcut: Some(QcutConfig {
-                min_repartition_interval_secs: cooldown_secs,
-                ..Default::default()
-            }),
+            qcut: Some(QcutConfig::default()),
             ..Default::default()
         }
     }
@@ -1291,15 +1327,15 @@ mod tests {
 
     #[test]
     fn the_cooldown_blocks_a_second_trigger_until_it_has_elapsed_again() {
-        let (mut core, mut x) = two_remote_queries(adaptive(1.0));
+        // The simulation's shape: the scope read returns at the trigger
+        // instant and the plan comes due one priced budget later.
+        let (mut core, mut x) = two_remote_queries(adaptive());
         x.scopes = split_scopes();
         let sec = 1_000_000;
-        // Locality 0 is under Φ, but the session is younger than the
-        // cooldown.
-        assert_eq!(core.trigger(&mut x, at(sec - 1)), None);
-        // The hit plans at the trigger; its plan comes due one budget (the
-        // paper's 2 s) later, and nothing re-triggers while it is in
-        // flight, though the cooldown has elapsed.
+        // The first wait is 0. The hit plans at the trigger; its plan
+        // comes due one budget (the paper's 2 s) later, and nothing
+        // re-triggers while it is in flight.
+        x.clock = at(sec);
         let due = at(3 * sec);
         assert_eq!(core.trigger(&mut x, at(sec)), Some(due));
         assert!(matches!(core.repartition, Repartition::Budgeted(_, t) if t == at(sec)));
@@ -1317,65 +1353,74 @@ mod tests {
         core.window_end(&mut x, at(3 * sec + 2));
         let ev = &core.state.report.repartitions[0];
         assert_eq!((ev.triggered_at, ev.applied_at), (1.0, 3.000001));
-        // The cooldown restarted when the plan came due.
+        assert!(ev.raised_locality());
+        // The wait restarted when the plan came due, and the window that
+        // raised locality set it to what the plan and the window cost:
+        // 2 s and 1 µs.
         assert!(!core.paused());
-        assert_eq!(core.trigger(&mut x, at(4 * sec - 1)), None);
-        assert!(!core.paused(), "one microsecond short of the cooldown");
-        assert_eq!(core.trigger(&mut x, at(4 * sec)), Some(at(6 * sec)));
+        assert_eq!(core.next_check(), at(5 * sec + 1));
+        assert_eq!(core.trigger(&mut x, at(5 * sec)), None);
+        assert!(!core.paused(), "one microsecond short of the wait");
+        assert_eq!(core.trigger(&mut x, at(5 * sec + 1)), Some(at(7 * sec + 1)));
     }
 
     #[test]
     fn a_measured_wait_replaces_the_configured_cooldown() {
-        // A cooldown of a whole second, which a paced controller never
-        // reads: its first wait of 0 lets the first check plan at once.
-        let (mut core, mut x) = two_remote_queries(adaptive(1.0));
+        // The thread runtime's shape: the plan comes due on the trigger's
+        // turn, its cost measured from the scope read's return.
+        let (mut core, mut x) = two_remote_queries(adaptive());
         x.scopes = split_scopes();
-        let cfg = core.state.controller.qcut_config().cloned();
-        core.state.controller = Controller::paced(cfg, 3);
+        assert_eq!(core.next_check(), SimTime::ZERO, "the first check plans");
+        x.clock = at(4);
         assert_eq!(core.trigger(&mut x, at(2)), Some(at(2_000_002)));
-        core.plan_due(at(3));
+        core.plan_due(at(14));
         assert!(core.paused(), "the plan moves something");
         for q in 0..2 {
-            core.release(&mut x, QueryId(q), at(3));
+            core.release(&mut x, QueryId(q), at(14));
         }
         x.pending = vec![(QueryId(0), 1), (QueryId(1), 1)];
-        x.clock = at(4);
+        x.clock = at(20);
         core.window_open(&x);
         core.window_apply(&mut x);
-        core.window_end(&mut x, at(5));
-        // The next wait counts from the plan's due instant, not the
-        // cooldown: due at 3 µs plus a plan time of 10 µs.
-        core.state.controller.pace(at(10), false);
-        assert_eq!(core.next_check(), at(13));
-        assert_eq!(core.trigger(&mut x, at(12)), None);
-        assert_eq!(core.trigger(&mut x, at(13)), Some(at(2_000_013)));
+        core.window_end(&mut x, at(25));
+        // The next wait counts from the plan's due instant: a plan time of
+        // 10 µs plus a window of 5 µs.
+        assert_eq!(core.next_check(), at(29));
+        assert_eq!(core.trigger(&mut x, at(28)), None);
+        assert_eq!(core.trigger(&mut x, at(29)), Some(at(2_000_029)));
     }
 
     #[test]
     fn a_hit_whose_plan_moves_nothing_opens_no_window() {
-        let (mut core, mut x) = two_remote_queries(adaptive(0.0));
+        let (mut core, mut x) = two_remote_queries(adaptive());
         // Each scope already lies on one partition: nothing to move.
         x.scopes = vec![
             (QueryId(0), 0, vec![VertexId(0), VertexId(1)]),
             (QueryId(1), 1, vec![VertexId(2), VertexId(3)]),
         ];
-        // The thread runtime's shape: the plan comes due on the trigger's
-        // turn.
+        // The thread runtime's shape: the scopes are read by 2 µs and the
+        // plan comes due on the trigger's turn, 3 µs later.
+        x.clock = at(2);
         core.trigger(&mut x, at(2));
-        core.plan_due(at(2));
+        core.plan_due(at(5));
         assert!(!core.paused(), "an empty plan wants no window");
         assert!(matches!(core.repartition, Repartition::None));
-        assert_eq!(core.next_check(), at(2), "the wait restarted");
+        assert_eq!(core.next_check(), at(8), "paced at once by the plan time");
+        // A second empty plan, quicker, doubles the wait.
+        x.clock = at(8);
+        core.trigger(&mut x, at(8));
+        core.plan_due(at(9));
+        assert_eq!(core.next_check(), at(15));
         // Both queries go on without parking.
         x.log.clear();
-        core.release(&mut x, QueryId(0), at(3));
+        core.release(&mut x, QueryId(0), at(10));
         assert_eq!(x.log, vec![Op::Superstep(0, vec![1], 3, 1)]);
         assert!(core.parked.is_empty());
     }
 
     #[test]
     fn a_declined_trigger_leaves_the_pause_and_the_plan_untouched() {
-        let mut cfg = adaptive(0.0);
+        let mut cfg = adaptive();
         cfg.qcut.as_mut().expect("adaptive").locality_threshold = 0.4;
         let (mut core, mut x) = two_remote_queries(cfg);
         let task = ping();
@@ -1399,7 +1444,7 @@ mod tests {
     #[test]
     fn fewer_than_two_known_scopes_never_open_a_window() {
         // One live query, nothing retained: not even a look at locality.
-        let (mut core, mut x, task) = (core(adaptive(0.0)), Script::default(), ping());
+        let (mut core, mut x, task) = (core(adaptive()), Script::default(), ping());
         core.submit(QueryId(0), Arc::new(ping()), at(0), None);
         core.admit(&mut x, at(0));
         for (w, to) in [(0, &[1][..]), (1, &[]), (2, &[])] {
@@ -1418,7 +1463,7 @@ mod tests {
         // The ILS input counts non-empty scopes: two live queries of
         // which one has an empty scope plan nothing, and the hit stays
         // wanted ...
-        let (mut core, mut x) = two_remote_queries(adaptive(0.0));
+        let (mut core, mut x) = two_remote_queries(adaptive());
         x.scopes = vec![(QueryId(0), 0, vec![VertexId(0)])];
         assert_eq!(core.trigger(&mut x, at(2)), None);
         assert!(matches!(core.repartition, Repartition::Wanted));
@@ -1434,7 +1479,7 @@ mod tests {
     fn a_hit_plans_once_the_scopes_it_lacked_are_retained() {
         // Both queries terminated on the lanes: their scopes travel with
         // their collects, so the hit finds none to plan over.
-        let (mut core, mut x) = two_remote_queries(adaptive(0.0));
+        let (mut core, mut x) = two_remote_queries(adaptive());
         assert_eq!(core.trigger(&mut x, at(2)), None);
         assert!(matches!(core.repartition, Repartition::Wanted));
         for (q, vs) in [(7, [0, 2]), (8, [1, 3])] {

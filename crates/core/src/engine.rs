@@ -931,4 +931,53 @@ mod tests {
         assert_eq!(*e.output(&q).unwrap(), 0);
         assert_eq!(e.report().outcomes[0].iterations, 0);
     }
+
+    /// The thrash net, the simulation's counterpart of
+    /// `runtime::tests::the_measured_wait_keeps_windows_that_raise_nothing_logarithmic`:
+    /// on a partitioning that keeps locality under Φ = 1 for the whole
+    /// run, every window that raised no locality doubles the wait, which
+    /// starts at no less than the priced plan time b and stops at μ/8.
+    /// Each plan comes due one b after its check, so the n-th such window
+    /// is due no earlier than the waits before it plus n · b: about
+    /// 1 + log₂(T / b) of them over a virtual run of T while the wait is
+    /// under μ/8, and one per μ/8 after that.
+    #[test]
+    fn windows_that_raise_nothing_stay_logarithmic() {
+        const N: u32 = 1024;
+        let assign = (0..N).map(|v| qgraph_partition::WorkerId(v % 2)).collect();
+        let interleaved = Partitioning::new(assign, 2);
+        let qcut = crate::QcutConfig {
+            locality_threshold: 1.0,
+            ..crate::QcutConfig::time_scaled(2000.0)
+        };
+        let b = qcut.ils_budget_secs;
+        let cap = qcut.monitoring_window_secs / 8.0 / b;
+        let cfg = SystemConfig {
+            qcut: Some(qcut),
+            ..Default::default()
+        };
+        let g = line_graph(N as usize);
+        let mut e = SimEngine::new(g, ClusterModel::scale_up(2), interleaved, cfg);
+        for v in 0..4 {
+            e.submit(ReachProgram::new(VertexId(v)));
+        }
+        e.run();
+        let report = e.report();
+        assert!(!report.repartitions.is_empty(), "Φ = 1: no window");
+        // In budgets: the earliest due instant of each such window.
+        let run = report.finished_at_secs / b;
+        let (mut due, mut wait, mut most) = (1.0, 1.0, 1);
+        while due + wait + 1.0 <= run {
+            due += wait + 1.0;
+            wait = (2.0 * wait).min(cap);
+            most += 1;
+        }
+        let flat = report.repartitions.iter().filter(|e| !e.raised_locality());
+        let flat = flat.count();
+        assert!(
+            flat <= most,
+            "{flat} of {} windows raised no locality in {run:.1} budgets, at most {most}",
+            report.repartitions.len()
+        );
+    }
 }

@@ -63,7 +63,7 @@ pub struct RepartitionEvent {
 
 impl RepartitionEvent {
     /// Did the migration raise locality — over the scopes the ILS
-    /// optimized, or over the live queries' alone? The thread runtime
+    /// optimized, or over the live queries' alone? The controller
     /// doubles its wait to the next Q-cut check after a window that did
     /// not.
     pub fn raised_locality(&self) -> bool {

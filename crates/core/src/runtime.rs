@@ -64,8 +64,8 @@
 //! every local in one message, or hands the query back to park when the
 //! serving loop has raised the park flag ([`Signals`]). A Q-cut check is
 //! due from an instant the coordinator publishes
-//! ([`Coordinator::next_check`], the last plan's due instant plus a wait
-//! paced by measured planning cost): the lane that closes a
+//! ([`Coordinator::next_check`], the last plan's due instant plus the
+//! core's paced wait): the lane that closes a
 //! superstep at or after it takes it and sends one [`Resp::Tick`]. A
 //! local superstep — one partition, nothing sent away — that goes on is
 //! begun in place: nobody can have put mail for it, so the lane seals its
@@ -103,14 +103,13 @@
 //! * a [`Resp::Tick`] — and, while a check is due, a query's collect,
 //!   which brings its scope — runs the core's one Q-cut trigger
 //!   ([`Coordinator::trigger`]) on the session clock: μ is session
-//!   wall-clock seconds here, and the cooldown and the ILS budget are not
-//!   read; a hit reads the scopes while the lanes compute, locking one
-//!   context at a time, runs the ILS on this turn and makes its plan due
-//!   as the ILS returns (`Coordinator::plan_due`) — a plan that moves
-//!   nothing opens no window. What the scope statistics and the ILS took,
-//!   and whether the plan's window raised locality
-//!   ([`RepartitionEvent::raised_locality`]), pace the next check
-//!   ([`Controller::pace`], from a first wait of 0);
+//!   wall-clock seconds here, and the ILS budget is not read; a hit reads
+//!   the scopes while the lanes compute, locking one context at a time,
+//!   runs the ILS on this turn and makes its plan due as the ILS returns
+//!   (`Coordinator::plan_due`) — a plan that moves nothing opens no
+//!   window. The core paces the next check from the instants this
+//!   executor reports (see [`crate::coord`]): what the scope statistics
+//!   and the ILS took, plus the window's own duration;
 //! * a lane that panics says so as it unwinds, and stopping the pool
 //!   re-raises the panic through `drain`;
 //! * the window reads nothing from the channel: a client message sent
@@ -154,7 +153,7 @@ use crate::pool::TaskPool;
 use crate::program::VertexProgram;
 use crate::qcut::{migrate, Migration};
 use crate::query::{QueryHandle, QueryId};
-use crate::report::{EngineReport, PoolCounters, RepartitionEvent};
+use crate::report::{EngineReport, PoolCounters};
 use crate::sched::check_submission;
 use crate::task::{Envelope, MessageBatch, QueryTask, TypedTask};
 use crate::trace::{CmdKind, Tracer};
@@ -478,8 +477,8 @@ impl Engine<Threads> {
     /// Create a runtime with an explicit configuration. The thread runtime
     /// honors `max_parallel_queries`, the admission policy, and — when
     /// `qcut` is set — the adaptive repartitioning loop, μ read in session
-    /// wall-clock seconds and paced by its measured planning cost, not by
-    /// the cooldown or the ILS budget; barrier mode and the
+    /// wall-clock seconds and paced by what its plans and windows take,
+    /// not by the ILS budget; barrier mode and the
     /// simulated cost model remain simulation-only.
     pub fn with_config(graph: Arc<Graph>, partitioning: Partitioning, cfg: SystemConfig) -> Self {
         assert_eq!(
@@ -488,7 +487,7 @@ impl Engine<Threads> {
             "partitioning does not cover the graph"
         );
         let (tx, rx) = channel();
-        let controller = Controller::paced(cfg.qcut.clone(), partitioning.num_workers());
+        let controller = Controller::new(cfg.qcut.clone(), partitioning.num_workers());
         let rt = Threads {
             state: EngineState {
                 topology: Topology::new(graph),
@@ -731,8 +730,6 @@ impl Threads {
             tracer,
             clock,
             run_started: clock.base,
-            scoped_at: SimTime::ZERO,
-            planned: None,
             inflight_ops: 0,
             pool_base,
             pool_tasks: pool_base.tasks,
@@ -835,12 +832,6 @@ struct PoolExec {
     /// Where the run window the next hand-over closes opened: where the
     /// previous one closed.
     run_started: f64,
-    /// When the last scope read returned: a hit's planning cost counts
-    /// from here, as the read itself waits on lanes that hold a context.
-    scoped_at: SimTime,
-    /// What the plan the pending window applies took to make: the window
-    /// paces the next check once it has measured its locality gain.
-    planned: Option<SimTime>,
     /// Queries on the lanes and collects the core issued, each owing the
     /// coordinator one message: zero while a window is wanted means the
     /// partitions are quiescent.
@@ -896,21 +887,11 @@ impl PoolExec {
 
     /// A due Q-cut check: the lanes' activity feeds the straggler watch,
     /// then the trigger runs. This turn paid for the ILS, so its plan is
-    /// due as it returns, and what the hit took to plan — the scope
-    /// statistics and the ILS, from the scope read's return — paces the
-    /// next check ([`Controller::pace`]): at once when the plan moves nothing,
-    /// else once its window has measured its locality gain.
+    /// due as it returns.
     fn check(&mut self, core: &mut Coordinator, now: SimTime) {
         self.note_activity(core, now);
         if core.trigger(self, now).is_some() {
-            let due = self.clock.now();
-            core.plan_due(due);
-            let planned = due.saturating_sub(self.scoped_at);
-            if core.paused() {
-                self.planned = Some(planned);
-            } else {
-                core.state.controller.pace(planned, false);
-            }
+            core.plan_due(self.clock.now());
         }
     }
 
@@ -1011,9 +992,7 @@ impl Executor for PoolExec {
             let ctx = lock_ctx(&p.ctx);
             ctx.worker.scope_report().collect::<Vec<_>>()
         };
-        let scopes = self.parts.iter().flat_map(read).collect();
-        self.scoped_at = self.clock.now();
-        scopes
+        self.parts.iter().flat_map(read).collect()
     }
 
     fn migrate(
@@ -1057,13 +1036,7 @@ fn serve(mut core: Coordinator, mut x: PoolExec) -> Stopped {
             // Mail is only ever held for live queries (`Collect` clears a
             // query's slots), so the core resolves every task.
             flush_mail(&x.parts, &x.hb, &|q| Arc::clone(&core.run(q).task));
-            let events = core.state.report.repartitions.len();
             core.window_apply(&mut x);
-            if let Some(planned) = x.planned.take() {
-                let applied = &core.state.report.repartitions[events..];
-                let raised = applied.iter().any(RepartitionEvent::raised_locality);
-                core.state.controller.pace(planned, raised);
-            }
             // The queries the window resumes must not park again on the
             // flag it leaves behind.
             x.signals.park.store(false, Ordering::Relaxed);
@@ -2503,37 +2476,28 @@ mod tests {
 
     #[test]
     fn a_default_config_run_repartitions_and_never_reads_the_cooldown() {
-        // SystemConfig::qgraph() keeps the paper's 10 s cooldown, which
-        // only the simulation counts: on threads the first check plans,
-        // so a millisecond run on the worst partitioning repartitions —
-        // with any cooldown at all. Two waves of short floods: a plan
-        // made at superstep 0 sees one-vertex scopes and moves nothing,
-        // and the later ones find scopes small enough to gather one move
-        // at a time within δ.
+        // The wait starts at 0: the first check plans, so a millisecond
+        // run on the worst partitioning repartitions. Two waves of short
+        // floods: a plan made at superstep 0 sees one-vertex scopes and
+        // moves nothing, and the later ones find scopes small enough to
+        // gather one move at a time within δ.
         const N: u32 = 1024;
         let g = line(N as usize);
-        let mut unread = SystemConfig::qgraph();
-        unread
-            .qcut
-            .as_mut()
-            .expect("Q-cut on")
-            .min_repartition_interval_secs = 1e9;
-        for cfg in [SystemConfig::qgraph(), unread] {
-            let mut e = ThreadEngine::with_config(Arc::clone(&g), interleaved(N), cfg);
-            let floods: Vec<_> = (0..32u32)
-                .map(|i| e.submit(ReachProgram::bounded(VertexId(32 * i), 16)))
-                .collect();
-            e.run();
-            for (i, h) in floods.iter().enumerate() {
-                let from = 32 * i as u32;
-                let reached: Vec<_> = (from..=from + 16).map(VertexId).collect();
-                assert_eq!(e.output(h).unwrap(), &reached);
-            }
-            assert!(!e.report().repartitions.is_empty(), "no window");
-            assert_ne!(e.partitioning(), &interleaved(N), "assignment untouched");
-            e.shutdown();
-            let wait = e.rt.state.controller.wait();
-            assert!(wait > SimTime::ZERO, "the wait travels with the controller");
+        let mut e =
+            ThreadEngine::with_config(Arc::clone(&g), interleaved(N), SystemConfig::qgraph());
+        let floods: Vec<_> = (0..32u32)
+            .map(|i| e.submit(ReachProgram::bounded(VertexId(32 * i), 16)))
+            .collect();
+        e.run();
+        for (i, h) in floods.iter().enumerate() {
+            let from = 32 * i as u32;
+            let reached: Vec<_> = (from..=from + 16).map(VertexId).collect();
+            assert_eq!(e.output(h).unwrap(), &reached);
         }
+        assert!(!e.report().repartitions.is_empty(), "no window");
+        assert_ne!(e.partitioning(), &interleaved(N), "assignment untouched");
+        e.shutdown();
+        let wait = e.rt.state.controller.wait();
+        assert!(wait > SimTime::ZERO, "the wait travels with the controller");
     }
 }

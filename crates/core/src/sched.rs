@@ -121,30 +121,17 @@ pub enum DopPolicy {
     Adaptive,
     /// Every query gets this budget, clamped to `[1, pool width]`.
     Fixed(usize),
-    /// Per-program-kind budgets (`(program name, budget)`); unlisted
-    /// kinds fall back to [`DopPolicy::Adaptive`]'s rule.
-    PerProgram(Vec<(String, usize)>),
 }
 
 impl DopPolicy {
-    /// Convenience constructor for [`DopPolicy::PerProgram`].
-    pub fn per_program(pairs: &[(&str, usize)]) -> Self {
-        DopPolicy::PerProgram(pairs.iter().map(|&(n, d)| (n.to_string(), d)).collect())
-    }
-
     /// The DoP budget for `task` under a pool of `pool_width` threads.
     /// Always in `[1, max(pool_width, 1)]`.
     pub fn budget(&self, task: &dyn QueryTask, pool_width: usize) -> usize {
         let width = pool_width.max(1);
-        let adaptive = |t: &dyn QueryTask| if t.point_query().is_some() { 1 } else { width };
         match self {
-            DopPolicy::Adaptive => adaptive(task),
+            DopPolicy::Adaptive if task.point_query().is_some() => 1,
+            DopPolicy::Adaptive => width,
             DopPolicy::Fixed(n) => (*n).clamp(1, width),
-            DopPolicy::PerProgram(table) => table
-                .iter()
-                .find(|(n, _)| n == task.program_name())
-                .map(|&(_, d)| d.clamp(1, width))
-                .unwrap_or_else(|| adaptive(task)),
         }
     }
 }
@@ -474,10 +461,6 @@ mod tests {
         assert_eq!(DopPolicy::Fixed(3).budget(&analytic, 8), 3);
         assert_eq!(DopPolicy::Fixed(99).budget(&analytic, 8), 8, "clamped");
         assert_eq!(DopPolicy::Fixed(0).budget(&analytic, 8), 1, "floored");
-
-        let per = DopPolicy::per_program(&[("reach", 2)]);
-        assert_eq!(per.budget(&analytic, 8), 2);
-        assert_eq!(per.budget(&point, 8), 1, "unlisted falls back to adaptive");
     }
 
     #[test]

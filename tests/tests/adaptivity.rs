@@ -131,7 +131,6 @@ fn queries_dispatched_while_barrier_pending_sim() {
             // barriers fire while dispatches from completions are still in
             // flight.
             locality_threshold: 1.0,
-            min_repartition_interval_secs: 0.0,
             ils_budget_secs: 1e-6,
             ils_max_rounds: 6,
             ..QcutConfig::time_scaled(2000.0)

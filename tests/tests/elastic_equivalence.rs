@@ -199,7 +199,6 @@ proptest! {
             DopPolicy::Adaptive,
             DopPolicy::Fixed(1),
             DopPolicy::Fixed(2),
-            DopPolicy::per_program(&[("sssp", 1), ("wcc", 4)]),
         ];
         for &w in &widths {
             for dop in &dops {
@@ -246,7 +245,6 @@ proptest! {
                     dop,
                     qcut: Some(QcutConfig {
                         locality_threshold: 1.0,
-                        min_repartition_interval_secs: 0.0,
                         ils_budget_secs: 1e-6,
                         ils_max_rounds: 8,
                         ..QcutConfig::default()

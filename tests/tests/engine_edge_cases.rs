@@ -109,7 +109,6 @@ fn queries_submitted_during_repartition_windows_still_answer() {
     let parts = HashPartitioner::default().partition(&graph, 4);
     let cfg = SystemConfig {
         qcut: Some(QcutConfig {
-            min_repartition_interval_secs: 0.001,
             ils_budget_secs: 0.0005,
             ..QcutConfig::time_scaled(2000.0)
         }),

@@ -269,11 +269,10 @@ proptest! {
         let cfg = SystemConfig {
             qcut: Some(QcutConfig {
                 // Trigger at every opportunity: any non-local query mix
-                // repartitions as soon as the cooldown (scaled away)
-                // allows, so the repartition points vary with the graph
+                // repartitions as soon as the wait (paced by a 1 µs
+                // budget) allows, so the repartition points vary with the graph
                 // and the hash seed rather than a tuned schedule.
                 locality_threshold: 1.0,
-                min_repartition_interval_secs: 0.0,
                 ils_budget_secs: 1e-6,
                 ils_max_rounds: 8,
                 ..QcutConfig::default()
@@ -396,7 +395,6 @@ proptest! {
                     combiners,
                     qcut: Some(QcutConfig {
                         locality_threshold: 1.0,
-                        min_repartition_interval_secs: 0.0,
                         ils_budget_secs: 1e-6,
                         ils_max_rounds: 8,
                         ..QcutConfig::default()

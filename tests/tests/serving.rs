@@ -422,7 +422,6 @@ fn sim_qcut_trigger_before_first_activity_sample_is_guarded() {
             // the imbalance evaluation repeatedly sees an empty window.
             monitoring_window_secs: 1e-12,
             locality_threshold: 1.0,
-            min_repartition_interval_secs: 0.0,
             ils_budget_secs: 1e-6,
             ils_max_rounds: 2,
         }),
