@@ -91,6 +91,14 @@ fn normalized_over_time(name: &str, reports: &[(Strategy, EngineReport)]) {
     print!("{}", table.render());
 }
 
+/// The activity imbalance over the 8 partitions of the figures' runs, in
+/// `window`-second buckets. It is read from the trace's task spans, which
+/// must all be there.
+fn imbalance_series(report: &EngineReport, window: f64) -> TimeSeries {
+    assert_eq!(report.trace.dropped_events, 0, "a truncated trace");
+    report.imbalance_series(8, window)
+}
+
 fn run_strategies(mk: impl Fn(Strategy) -> ExperimentSpec) -> Vec<(Strategy, EngineReport)> {
     Strategy::paper_set()
         .into_iter()
@@ -111,7 +119,7 @@ fn summary_table(name: &str, reports: &[(Strategy, EngineReport)]) {
         ],
     );
     for (s, r) in reports {
-        let imb = r.imbalance_series(8, (r.finished_at_secs / 10.0).max(1e-6));
+        let imb = imbalance_series(r, (r.finished_at_secs / 10.0).max(1e-6));
         table.row(&[
             s.name().to_string(),
             format!("{:.3}", r.total_latency()),
@@ -239,7 +247,7 @@ fn fig6e() {
         .iter()
         .map(|(s, r)| {
             let w = (r.finished_at_secs / 10.0).max(1e-6);
-            (*s, r.imbalance_series(8, w))
+            (*s, imbalance_series(r, w))
         })
         .collect();
     let buckets = series.iter().map(|(_, t)| t.len()).min().unwrap_or(0);

@@ -163,6 +163,10 @@ pub fn run_road_experiment(spec: &ExperimentSpec) -> EngineReport {
             .strategy
             .adaptive()
             .then(|| QcutConfig::time_scaled(spec.time_scale)),
+        // The figures' imbalance series reads the trace's task spans:
+        // every one of them, so no ring may fill.
+        trace: true,
+        trace_ring_capacity: usize::MAX,
         ..Default::default()
     };
 

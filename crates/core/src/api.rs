@@ -119,8 +119,7 @@ impl<R: Runtime> Engine<R> {
     }
 
     /// Run every submitted query to completion; returns the cumulative
-    /// report, whose last [`EngineReport::runs`] entry is the window this
-    /// call covers. A thread engine keeps serving afterwards.
+    /// report. A thread engine keeps serving afterwards.
     pub fn run(&mut self) -> &EngineReport {
         self.rt.drive();
         self.report()

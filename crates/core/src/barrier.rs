@@ -5,7 +5,7 @@
 //! actually involved in the query, and degenerates it to a free *local*
 //! barrier when the query ran on a single worker and sent no remote
 //! message. The traditional baseline ties each query's barrier to all
-//! workers every iteration.
+//! workers every iteration, and every query's release to the slowest.
 //!
 //! This module computes, for one completed superstep of one query, when
 //! the next superstep may start ([`decide`]); the timing model charges
@@ -75,10 +75,10 @@ pub fn decide(input: &BarrierInput<'_>, cluster: &ClusterModel) -> BarrierDecisi
             let down = max_ctl(input.involved_cur).max(max_ctl(input.involved_next));
             (input.compute_done + up + down).max(input.msg_arrival)
         }
-        BarrierMode::GlobalPerQuery | BarrierMode::SharedGlobal => {
+        BarrierMode::SharedGlobal => {
             // Every query synchronizes across *all* workers each iteration,
-            // local or not. (For SharedGlobal the engine additionally
-            // couples all queries' releases to the slowest one.)
+            // local or not; the engine additionally couples all queries'
+            // releases to the slowest one.
             let all: Vec<usize> = (0..cluster.num_workers).collect();
             let rt = max_ctl(&all);
             (input.compute_done + rt + rt).max(input.msg_arrival)
@@ -129,7 +129,7 @@ mod tests {
         let next = [1usize, 2];
         let mut input = base_input(&cur, &next, true);
         let hybrid = decide(&input, &cluster);
-        input.mode = BarrierMode::GlobalPerQuery;
+        input.mode = BarrierMode::SharedGlobal;
         let global = decide(&input, &cluster);
         assert!(global.release >= hybrid.release);
     }
@@ -140,7 +140,7 @@ mod tests {
         let cur = [2usize];
         let next = [2usize];
         let mut input = base_input(&cur, &next, false);
-        input.mode = BarrierMode::GlobalPerQuery;
+        input.mode = BarrierMode::SharedGlobal;
         let d = decide(&input, &cluster);
         assert!(d.is_local, "locality metric is mode-independent");
         assert!(

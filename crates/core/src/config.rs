@@ -4,18 +4,17 @@ use qgraph_sim::SimTime;
 
 use crate::sched::{AdmissionPolicy, DopPolicy};
 
-/// How query iterations are synchronized (paper §3.3).
+/// How query iterations are synchronized (paper §3.3): Q-Graph's hybrid
+/// barrier, or the traditional BSP baseline it is measured against.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BarrierMode {
     /// The hybrid barrier: per-query barriers limited to involved workers;
     /// fully local queries synchronize for free (no controller round-trip).
     Hybrid,
-    /// Per-query barriers (Seraph-style): every query runs an independent
-    /// barrier spanning *all* workers every iteration.
-    GlobalPerQuery,
-    /// Traditional BSP: one barrier *shared by all queries* — every query's
-    /// next iteration waits for every other query's current iteration (the
-    /// Figure 6d baseline, with the straggler problem §3.3 describes).
+    /// Traditional BSP: one barrier *shared by all queries* and spanning
+    /// all workers — every query's next iteration waits for every other
+    /// query's current iteration (the Figure 6d baseline, with the
+    /// straggler problem §3.3 describes).
     SharedGlobal,
 }
 

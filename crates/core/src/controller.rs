@@ -515,6 +515,21 @@ pub fn place_new_vertices(partitioning: &mut Partitioning, applied: &AppliedMuta
     }
 }
 
+/// The most windows that raise no locality a run of `run` seconds can
+/// hold under [`Controller::pace`]: after each, the wait to the next check
+/// doubles, from at least `first` up to `cap`, and the next plan takes at
+/// least `plan` more. The two runtimes' thrash nets count against it.
+#[cfg(test)]
+pub(crate) fn most_flat_windows(run: f64, first: f64, plan: f64, cap: f64) -> usize {
+    let (mut due, mut wait, mut most) = (plan, first, 1);
+    while due + wait + plan <= run {
+        due += wait + plan;
+        wait = (2.0 * wait).min(cap);
+        most += 1;
+    }
+    most
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -96,7 +96,7 @@ use crate::hb::Hb;
 use crate::index_plane::PointIndex;
 use crate::qcut::{migrate, IlsResult, Migration};
 use crate::query::{OutcomeStatus, QueryId, QueryOutcome, ServedBy};
-use crate::report::{ActivitySample, EngineReport, RepartitionEvent};
+use crate::report::{EngineReport, RepartitionEvent};
 use crate::sched::{try_index_path, QueueEntry, Scheduler};
 use crate::task::{Envelope, MessageBatch, QueryTask};
 use crate::trace::{outcome, Tracer};
@@ -343,8 +343,10 @@ enum Repartition {
     /// terminated query's scope travels with its collect: the next check
     /// plans without testing again.
     Wanted,
-    /// Planned at the trigger; not due yet.
-    Budgeted(IlsResult, SimTime),
+    /// Planned at the trigger; not due yet. The trigger instant, and
+    /// where the plan's cost counts from: the executor's clock as the
+    /// trigger's scope read returned.
+    Budgeted(IlsResult, SimTime, SimTime),
     /// A plan that came due and moves something, and what it took to
     /// plan: apply at the next window, which paces the next check.
     Due(IlsResult, SimTime, SimTime),
@@ -411,9 +413,6 @@ pub(crate) struct Coordinator {
     parked: Vec<QueryId>,
     mutations: Vec<MutationBatch>,
     repartition: Repartition,
-    /// Where the plan in flight's cost counts from: the executor's clock
-    /// as the trigger's scope read returned.
-    planning_since: SimTime,
     window: Option<Window>,
 }
 
@@ -447,7 +446,6 @@ impl Coordinator {
             parked: Vec::new(),
             mutations: Vec::new(),
             repartition: Repartition::None,
-            planning_since: SimTime::ZERO,
             window: None,
         }
     }
@@ -660,7 +658,10 @@ impl Coordinator {
         done_at: SimTime,
     ) -> Option<Close> {
         let q = rep.q;
-        self.note_activity(now, rep.worker, rep.stats.executed as u64);
+        let executed = rep.stats.executed as u64;
+        self.state
+            .controller
+            .note_activity(now, rep.worker, executed);
         let Some(run) = self.queries.get_mut(&q) else {
             panic!("protocol invariant: step report for {q}, which is not live");
         };
@@ -679,20 +680,6 @@ impl Coordinator {
             self.finish(x, q, now);
         }
         Some(close)
-    }
-
-    /// `executed` vertex updates on `worker`, seen at `now`: a report
-    /// sample, and the controller's straggler watch — per Step report in
-    /// the simulation, per partition whenever the thread coordinator looks.
-    pub fn note_activity(&mut self, now: SimTime, worker: usize, executed: u64) {
-        let t = secs(now);
-        let st = &mut self.state;
-        st.report.activity.push(ActivitySample {
-            t,
-            worker,
-            executed,
-        });
-        st.controller.note_activity(now, worker, executed);
     }
 
     /// Query `q` terminated: collect its state from every partition that
@@ -787,8 +774,7 @@ impl Coordinator {
             return None;
         }
         let (result, budget) = st.controller.plan(&stats);
-        self.repartition = Repartition::Budgeted(result, now);
-        self.planning_since = scoped;
+        self.repartition = Repartition::Budgeted(result, now, scoped);
         Some(now + budget)
     }
 
@@ -798,10 +784,10 @@ impl Coordinator {
     pub fn plan_due(&mut self, now: SimTime) {
         let controller = &mut self.state.controller;
         controller.plan_due(now);
-        if let Repartition::Budgeted(result, triggered_at) =
+        if let Repartition::Budgeted(result, triggered_at, scoped) =
             std::mem::replace(&mut self.repartition, Repartition::None)
         {
-            let planned = now.saturating_sub(self.planning_since);
+            let planned = now.saturating_sub(scoped);
             if result.plan.is_empty() {
                 controller.pace(planned, false);
             } else {
@@ -1243,7 +1229,7 @@ mod tests {
             trace: Vec::new(),
             num_clusters: 1,
         };
-        core.repartition = Repartition::Budgeted(due, at(1));
+        core.repartition = Repartition::Budgeted(due, at(1), at(1));
         core.plan_due(at(2));
         assert!(core.paused());
         // The superstep still runs to its end (deferred steps release
@@ -1338,7 +1324,7 @@ mod tests {
         x.clock = at(sec);
         let due = at(3 * sec);
         assert_eq!(core.trigger(&mut x, at(sec)), Some(due));
-        assert!(matches!(core.repartition, Repartition::Budgeted(_, t) if t == at(sec)));
+        assert!(matches!(core.repartition, Repartition::Budgeted(_, t, _) if t == at(sec)));
         assert_eq!(core.trigger(&mut x, at(sec + 1)), None);
         assert!(!core.paused());
         core.plan_due(due);
@@ -1471,7 +1457,7 @@ mod tests {
         // ... until the next check finds two scopes, and plans.
         x.scopes.push((QueryId(1), 1, vec![VertexId(2)]));
         assert_eq!(core.trigger(&mut x, at(3)), Some(at(2_000_003)));
-        assert!(matches!(core.repartition, Repartition::Budgeted(_, t) if t == at(3)));
+        assert!(matches!(core.repartition, Repartition::Budgeted(_, t, _) if t == at(3)));
         assert!(!core.paused());
     }
 

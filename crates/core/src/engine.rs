@@ -464,13 +464,9 @@ impl Runtime for Sim {
     // Runs until every submitted query, future arrivals included, has
     // finished.
     fn drive(&mut self) {
-        let run_started = self.x.events.now();
-        self.core
-            .state
-            .controller
-            .restart_activity_watch(run_started);
-
-        self.core.admit(&mut self.x, run_started);
+        let started = self.x.events.now();
+        self.core.state.controller.restart_activity_watch(started);
+        self.core.admit(&mut self.x, started);
         while let Some(ev) = self.x.events.pop() {
             let now = ev.at;
             match ev.payload {
@@ -538,17 +534,12 @@ impl Runtime for Sim {
         report.trace.absorb(&x.tracer);
         // `tasks` counts the same per-(query, partition) units the thread
         // runtime counts.
-        let pool_at_close = PoolCounters {
+        report.pool = PoolCounters {
             threads: x.pool_width,
             tasks: x.pool_tasks,
             steals: 0,
             idle_waits: 0,
         };
-        report.close_run(
-            run_started.as_secs_f64(),
-            report.finished_at_secs,
-            pool_at_close,
-        );
     }
 }
 
@@ -856,7 +847,7 @@ mod tests {
             e.report().total_latency()
         };
         let hybrid = run(BarrierMode::Hybrid);
-        let global = run(BarrierMode::GlobalPerQuery);
+        let global = run(BarrierMode::SharedGlobal);
         assert!(
             hybrid <= global,
             "hybrid {hybrid} must not exceed global {global}"
@@ -951,7 +942,7 @@ mod tests {
             ..crate::QcutConfig::time_scaled(2000.0)
         };
         let b = qcut.ils_budget_secs;
-        let cap = qcut.monitoring_window_secs / 8.0 / b;
+        let cap = qcut.monitoring_window_secs / 8.0;
         let cfg = SystemConfig {
             qcut: Some(qcut),
             ..Default::default()
@@ -964,20 +955,15 @@ mod tests {
         e.run();
         let report = e.report();
         assert!(!report.repartitions.is_empty(), "Φ = 1: no window");
-        // In budgets: the earliest due instant of each such window.
-        let run = report.finished_at_secs / b;
-        let (mut due, mut wait, mut most) = (1.0, 1.0, 1);
-        while due + wait + 1.0 <= run {
-            due += wait + 1.0;
-            wait = (2.0 * wait).min(cap);
-            most += 1;
-        }
+        let run = report.finished_at_secs;
+        let most = crate::controller::most_flat_windows(run, b, b, cap);
         let flat = report.repartitions.iter().filter(|e| !e.raised_locality());
         let flat = flat.count();
         assert!(
             flat <= most,
-            "{flat} of {} windows raised no locality in {run:.1} budgets, at most {most}",
-            report.repartitions.len()
+            "{flat} of {} windows raised no locality in {:.1} budgets, at most {most}",
+            report.repartitions.len(),
+            run / b
         );
     }
 }

@@ -90,7 +90,7 @@ pub use pool::PoolStats;
 pub use program::{Context, VertexProgram};
 pub use query::{OutcomeStatus, QueryHandle, QueryId, QueryOutcome, ServedBy};
 pub use report::{
-    EngineReport, MutationEvent, Percentiles, PoolCounters, ProgramSummary, RunSummary, SloReport,
+    EngineReport, MutationEvent, Percentiles, PoolCounters, ProgramSummary, SloReport,
 };
 pub use runtime::{EngineClient, ThreadEngine};
 pub use sched::{AdmissionPolicy, DopPolicy, Submission};

@@ -6,7 +6,11 @@
 //! report of its own and, at every drain and at the stop, hands its
 //! entries over ([`EngineReport::hand_over`]): they leave the coordinator,
 //! which keeps only the scalars ([`EngineReport::carry`]), and the engine
-//! appends them and closes the run window ([`EngineReport::close_run`]).
+//! appends them.
+//!
+//! Per-partition work has one record: the trace's `Step` task spans,
+//! which [`EngineReport::imbalance_series`] reads — so a report that
+//! plots it needs [`crate::SystemConfig::trace`] on and no dropped event.
 
 use qgraph_metrics::{Table, TimeSeries};
 use qgraph_partition::imbalance;
@@ -14,23 +18,7 @@ use qgraph_partition::imbalance;
 use crate::index_plane::IndexRepairEvent;
 use crate::qcut::IlsResult;
 use crate::query::QueryOutcome;
-use crate::trace::{TraceData, TraceSummary};
-
-/// One worker-activity observation: the vertex-function count of one step
-/// report, attributed to the instant it reached the coordinator. Figure 6e
-/// derives workload-imbalance curves from these. One sample per report:
-/// a superstep execution in the simulation; on the thread runtime a run
-/// of local supersteps closed on the partition's lane is one report, its
-/// executions summed at the report instant.
-#[derive(Clone, Copy, Debug)]
-pub struct ActivitySample {
-    /// Report time (the executor's clock, seconds).
-    pub t: f64,
-    /// Worker index.
-    pub worker: usize,
-    /// Vertex functions executed in the reported superstep(s).
-    pub executed: u64,
-}
+use crate::trace::{order, CmdKind, Event, Kind, TraceData, TraceSummary};
 
 /// One adaptive repartitioning (global barrier) event.
 #[derive(Clone, Debug)]
@@ -91,38 +79,6 @@ pub struct MutationEvent {
     pub barrier_duration: f64,
 }
 
-/// One run window: a `run()` call (or, on the serving loop, the interval
-/// between two drains). The engines' reports are *cumulative* across the
-/// engine's lifetime; run windows give every outcome and repartition a
-/// well-defined home so multi-run and long-serving reports stay
-/// interpretable — a later window never silently mixes with an earlier
-/// one's samples.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RunSummary {
-    /// Zero-based run index.
-    pub index: usize,
-    /// When the window opened (virtual seconds; the previous window's end
-    /// for serving drains).
-    pub started_at_secs: f64,
-    /// When the window closed.
-    pub finished_at_secs: f64,
-    /// `outcomes[outcomes_start..outcomes_end]` completed in this window.
-    pub outcomes_start: usize,
-    /// End of this window's outcome range (exclusive).
-    pub outcomes_end: usize,
-    /// `repartitions[repartitions_start..repartitions_end]` fired in this
-    /// window.
-    pub repartitions_start: usize,
-    /// End of this window's repartition range (exclusive).
-    pub repartitions_end: usize,
-    /// Pool work attributable to this window: the *delta* of the
-    /// cumulative [`EngineReport::pool`] counters since the previous
-    /// closed window (skipped empty windows fold into the next closed
-    /// one), so multi-run traces can attribute tasks and steals to a
-    /// run. `threads` carries the width at close, not a delta.
-    pub pool: PoolCounters,
-}
-
 /// Elastic-pool execution counters over the engine's lifetime (see
 /// [`crate::pool`]): how many per-(query, partition) compute tasks ran,
 /// how elastically, and how starved the pool was. The thread runtime
@@ -148,14 +104,11 @@ pub struct PoolCounters {
 }
 
 /// Everything measured over an engine's lifetime (cumulative across
-/// `run()` calls / serving drains; see [`EngineReport::runs`] for the
-/// per-run boundaries).
+/// `run()` calls and serving drains).
 #[derive(Clone, Debug, Default)]
 pub struct EngineReport {
     /// Per-query outcomes, in completion order.
     pub outcomes: Vec<QueryOutcome>,
-    /// Worker activity, one sample per step report.
-    pub activity: Vec<ActivitySample>,
     /// Adaptive repartitioning events.
     pub repartitions: Vec<RepartitionEvent>,
     /// Applied mutation epochs (the evolving-graph plane).
@@ -163,8 +116,6 @@ pub struct EngineReport {
     /// Label-index repairs, one per mutation batch absorbed by an
     /// installed index (the index plane; parallel to `mutations`).
     pub index_repairs: Vec<IndexRepairEvent>,
-    /// Completed run windows, oldest first.
-    pub runs: Vec<RunSummary>,
     /// Virtual time at which the last query finished.
     pub finished_at_secs: f64,
     /// Elastic-pool execution counters (cumulative).
@@ -194,7 +145,7 @@ impl EngineReport {
     /// Move every entry recorded so far out, as a report of its own with
     /// the scalars current; this one keeps only the scalars
     /// ([`EngineReport::carry`]). The receiver [`EngineReport::append`]s
-    /// it and closes its run window itself.
+    /// it.
     pub(crate) fn hand_over(&mut self) -> EngineReport {
         let carried = self.carry();
         std::mem::replace(self, carried)
@@ -203,7 +154,6 @@ impl EngineReport {
     /// Fold in what a recorder handed over ([`EngineReport::hand_over`]).
     pub(crate) fn append(&mut self, delta: EngineReport) {
         self.outcomes.extend(delta.outcomes);
-        self.activity.extend(delta.activity);
         self.repartitions.extend(delta.repartitions);
         self.mutations.extend(delta.mutations);
         self.index_repairs.extend(delta.index_repairs);
@@ -278,56 +228,6 @@ impl EngineReport {
         self.completed().filter(|o| !o.is_index_served()).count()
     }
 
-    /// Close the current run window at `finished_at_secs`: every outcome
-    /// and repartition recorded since the previous window becomes this
-    /// run's. Called by the engines at the end of `run()` / at each
-    /// serving drain with the pool counters *as of the close* — the
-    /// window keeps the delta since the previous closed window, so
-    /// summing `runs[..].pool` reproduces the cumulative counters.
-    /// Returns whether a window was recorded.
-    pub(crate) fn close_run(
-        &mut self,
-        started_at_secs: f64,
-        finished_at_secs: f64,
-        pool_at_close: PoolCounters,
-    ) -> bool {
-        self.pool = pool_at_close;
-        let (o0, r0) = self
-            .runs
-            .last()
-            .map(|r| (r.outcomes_end, r.repartitions_end))
-            .unwrap_or((0, 0));
-        if self.outcomes.len() == o0 && self.repartitions.len() == r0 {
-            // Nothing happened since the last boundary (an idle drain, an
-            // empty run): recording an empty window would only add noise.
-            // Its pool delta (if any) folds into the next closed window.
-            return false;
-        }
-        let prior = self.runs.iter().fold((0u64, 0u64, 0u64), |acc, r| {
-            (
-                acc.0 + r.pool.tasks,
-                acc.1 + r.pool.steals,
-                acc.2 + r.pool.idle_waits,
-            )
-        });
-        self.runs.push(RunSummary {
-            index: self.runs.len(),
-            started_at_secs,
-            finished_at_secs,
-            outcomes_start: o0,
-            outcomes_end: self.outcomes.len(),
-            repartitions_start: r0,
-            repartitions_end: self.repartitions.len(),
-            pool: PoolCounters {
-                threads: pool_at_close.threads,
-                tasks: pool_at_close.tasks.saturating_sub(prior.0),
-                steals: pool_at_close.steals.saturating_sub(prior.1),
-                idle_waits: pool_at_close.idle_waits.saturating_sub(prior.2),
-            },
-        });
-        true
-    }
-
     /// Per-query timeline summaries from the tracing plane: one
     /// [`crate::trace::QueryTimeline`] per traced query with the
     /// five-phase time-in-system breakdown (queued / executing /
@@ -336,15 +236,6 @@ impl EngineReport {
     /// [`crate::SystemConfig::trace`] was on.
     pub fn trace(&self) -> TraceSummary {
         self.trace.summary()
-    }
-
-    /// The outcomes completed within run window `index` (empty for an
-    /// unknown index).
-    pub fn run_outcomes(&self, index: usize) -> &[QueryOutcome] {
-        self.runs
-            .get(index)
-            .map(|r| &self.outcomes[r.outcomes_start..r.outcomes_end])
-            .unwrap_or(&[])
     }
 
     /// Latency samples over completion time.
@@ -365,21 +256,25 @@ impl EngineReport {
         s
     }
 
-    /// Workload imbalance over time: bucket worker activity into windows
-    /// of `window` seconds; imbalance of a window is
+    /// Workload imbalance over time: bucket the vertex updates of the
+    /// trace's `Step` spans, by partition at their end instant, into
+    /// windows of `window` seconds; imbalance of a window is
     /// `max_w(load) / mean_w(load) - 1` (0 = perfectly balanced;
-    /// [`qgraph_partition::imbalance`]).
+    /// [`qgraph_partition::imbalance`]). Empty unless
+    /// [`crate::SystemConfig::trace`] was on; a trace that dropped events
+    /// undercounts.
     pub fn imbalance_series(&self, num_workers: usize, window: f64) -> TimeSeries {
         assert!(window > 0.0);
         let mut s = TimeSeries::new("imbalance");
-        if self.activity.is_empty() {
-            return s;
-        }
+        let mut ends: Vec<&Event> = (self.trace.events.iter())
+            .filter(|e| e.kind == Kind::TaskEnd && e.cmd == CmdKind::Step)
+            .collect();
+        ends.sort_by(|a, b| order(a, b));
         let mut bucket_start = 0.0f64;
         let mut loads = vec![0usize; num_workers];
         let mut any = false;
-        for a in &self.activity {
-            while a.t >= bucket_start + window {
+        for e in ends {
+            while e.at_secs >= bucket_start + window {
                 if any {
                     s.push(bucket_start, imbalance(&loads));
                 }
@@ -387,7 +282,7 @@ impl EngineReport {
                 any = false;
                 bucket_start += window;
             }
-            loads[a.worker] += a.executed as usize;
+            loads[e.partition as usize] += e.aux as usize;
             any = true;
         }
         if any {
@@ -650,26 +545,15 @@ mod tests {
 
     #[test]
     fn imbalance_series_buckets() {
-        let r = EngineReport {
-            activity: vec![
-                ActivitySample {
-                    t: 0.1,
-                    worker: 0,
-                    executed: 10,
-                },
-                ActivitySample {
-                    t: 0.2,
-                    worker: 1,
-                    executed: 10,
-                },
-                ActivitySample {
-                    t: 1.5,
-                    worker: 0,
-                    executed: 20,
-                },
-            ],
-            ..Default::default()
-        };
+        let t = crate::trace::Tracer::new(2, 64, true);
+        // Recorded out of order: the series sorts by end instant.
+        t.task_span(1.4, 1.5, 0, 0, 0, CmdKind::Step, false, 20);
+        t.task_span(0.0, 0.1, 0, 0, 0, CmdKind::Step, false, 10);
+        t.task_span(0.1, 0.2, 1, 1, 1, CmdKind::Step, false, 10);
+        // A collect's span carries no vertex updates and is not read.
+        t.task_span(1.5, 1.6, 1, 1, 1, CmdKind::Collect, false, 0);
+        let mut r = EngineReport::default();
+        r.trace.absorb(&t);
         let s = r.imbalance_series(2, 1.0);
         assert_eq!(s.len(), 2);
         // First window balanced, second fully skewed (max/mean - 1 = 1.0).
@@ -685,52 +569,6 @@ mod tests {
         assert!(r.imbalance_series(2, 1.0).is_empty());
         assert!(r.per_program().is_empty());
         assert_eq!(r.program_table().num_rows(), 0);
-    }
-
-    #[test]
-    fn run_windows_partition_the_cumulative_report() {
-        let mut r = EngineReport {
-            outcomes: vec![outcome(0, 2, 1, 2), outcome(1, 5, 4, 4)],
-            ..Default::default()
-        };
-        r.close_run(0.0, 5.0, PoolCounters::default());
-        r.outcomes.push(outcome(6, 8, 1, 1));
-        r.close_run(5.0, 8.0, PoolCounters::default());
-        assert_eq!(r.runs.len(), 2);
-        assert_eq!(r.run_outcomes(0).len(), 2);
-        assert_eq!(r.run_outcomes(1).len(), 1);
-        assert_eq!(r.run_outcomes(1)[0].completed_at, SimTime::from_secs(8));
-        assert!(r.run_outcomes(2).is_empty(), "unknown window is empty");
-        let no_events = (r.runs[0].repartitions_start, r.runs[0].repartitions_end);
-        assert_eq!(no_events, (0, 0));
-        assert_eq!(r.runs[1].index, 1);
-        assert!(r.runs[0].finished_at_secs <= r.runs[1].started_at_secs);
-    }
-
-    #[test]
-    fn run_windows_attribute_pool_deltas() {
-        let counters = |tasks, steals, idle_waits| PoolCounters {
-            threads: 4,
-            tasks,
-            steals,
-            idle_waits,
-        };
-        let mut r = EngineReport {
-            outcomes: vec![outcome(0, 2, 1, 2)],
-            ..Default::default()
-        };
-        r.close_run(0.0, 5.0, counters(10, 2, 1));
-        // Idle drain: pool kept spinning but nothing completed — the
-        // skipped window's delta folds into the next closed one.
-        r.close_run(5.0, 6.0, counters(12, 2, 3));
-        r.outcomes.push(outcome(6, 8, 1, 1));
-        r.close_run(6.0, 8.0, counters(25, 6, 4));
-        assert_eq!(r.runs.len(), 2);
-        assert_eq!(r.runs[0].pool, counters(10, 2, 1));
-        assert_eq!(r.runs[1].pool, counters(15, 4, 3));
-        assert_eq!(r.pool, counters(25, 6, 4), "cumulative follows the close");
-        let summed: u64 = r.runs.iter().map(|w| w.pool.tasks).sum();
-        assert_eq!(summed, r.pool.tasks, "window deltas partition the total");
     }
 
     #[test]

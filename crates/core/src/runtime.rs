@@ -118,15 +118,15 @@
 //! ## One hand-off
 //!
 //! Every report entry has one owner. A session's coordinator records
-//! outcomes, activity samples, window events and trace events into a
-//! report that starts from the engine's scalars alone
-//! ([`EngineReport::carry`]). At every drain, and at the stop, it moves
-//! what it recorded since the previous hand-over into one [`Snapshot`],
-//! with the run window that closes and the layout; the engine appends the
-//! entries and closes the [`crate::RunSummary`] itself. The stop's
-//! snapshot comes back with the controller and the label index. Results
-//! become visible on the engine (`output`, `report`, `partitioning`) at
-//! these hand-overs: `run`, `drain` and `shutdown`.
+//! outcomes, window events and trace events into a report that starts
+//! from the engine's scalars alone ([`EngineReport::carry`]). At every
+//! drain, and at the stop, it moves what it recorded since the previous
+//! hand-over into one [`Snapshot`], with the layout; the engine appends
+//! the entries. A drain stamps the report's end at its instant, and so
+//! does the stop when it hands over an outcome or a repartition. The
+//! stop's snapshot comes back with the controller and the label index.
+//! Results become visible on the engine (`output`, `report`,
+//! `partitioning`) at these hand-overs: `run`, `drain` and `shutdown`.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -331,9 +331,6 @@ struct Snapshot {
     /// The entries, moved out of the coordinator's report
     /// ([`EngineReport::hand_over`]), with the scalars current.
     report: EngineReport,
-    /// The run window this hand-over closes: `(started, finished)`,
-    /// session-clock seconds.
-    run: (f64, f64),
     partitioning: Partitioning,
     topology: Topology,
     /// Outputs of the queries that finished since the previous hand-over.
@@ -562,9 +559,9 @@ impl Engine<Threads> {
 
     /// Block until everything submitted so far has completed, then take
     /// the coordinator's hand-over in: outputs, report entries and
-    /// partitioning. One run window ([`crate::RunSummary`]) closes per
-    /// drain. If concurrent clients keep submitting, the drain waits for
-    /// *them* too — it returns at a moment the engine is fully idle.
+    /// partitioning, and stamp the report's end. If concurrent clients
+    /// keep submitting, the drain waits for *them* too — it returns at a
+    /// moment the engine is fully idle.
     /// Starts the engine if it is not serving; [`Engine::run`] is this
     /// call.
     pub fn drain(&mut self) -> &EngineReport {
@@ -729,7 +726,6 @@ impl Threads {
             hb,
             tracer,
             clock,
-            run_started: clock.base,
             inflight_ops: 0,
             pool_base,
             pool_tasks: pool_base.tasks,
@@ -767,16 +763,10 @@ impl Threads {
         self.state.index = index;
     }
 
-    /// Take a hand-over in: append its entries and close the run window
-    /// it ends (a window that closes stamps the report's end), adopt the
-    /// layout, store the outputs.
+    /// Take a hand-over in: append its entries, adopt the layout, store
+    /// the outputs.
     fn absorb(&mut self, s: Snapshot) {
-        let report = &mut self.state.report;
-        report.append(s.report);
-        let (started, finished) = s.run;
-        if report.close_run(started, finished, report.pool) {
-            report.finished_at_secs = finished;
-        }
+        self.state.report.append(s.report);
         self.state.partitioning = s.partitioning;
         self.state.topology = s.topology;
         // Ids are dense. The counter publishes nothing, so `Relaxed`: a
@@ -829,9 +819,6 @@ struct PoolExec {
     tracer: Tracer,
     /// The session time base shared with every pool thread.
     clock: Clock,
-    /// Where the run window the next hand-over closes opened: where the
-    /// previous one closed.
-    run_started: f64,
     /// Queries on the lanes and collects the core issued, each owing the
     /// coordinator one message: zero while a window is wanted means the
     /// partitions are quiescent.
@@ -875,12 +862,13 @@ impl PoolExec {
         }
     }
 
-    /// Note the lanes' vertex updates since the last look.
+    /// Feed the lanes' vertex updates since the last look to the
+    /// straggler watch.
     fn note_activity(&self, core: &mut Coordinator, now: SimTime) {
         for (w, part) in self.parts.iter().enumerate() {
             let executed = part.executed.swap(0, Ordering::Relaxed);
             if executed > 0 {
-                core.note_activity(now, w, executed);
+                core.state.controller.note_activity(now, w, executed);
             }
         }
     }
@@ -901,13 +889,13 @@ impl PoolExec {
         self.parts.iter().map(|p| lock_ctx(&p.ctx)).collect()
     }
 
-    /// Hand over what the core recorded since the previous hand-over,
-    /// closing the run window at `now`: first the lanes' activity, the
-    /// pool counters as of now and the trace (the lanes are idle whenever
-    /// a window closes, so their rings drain fully), then every entry
-    /// leaves the core's report with the layout as it stands.
+    /// Hand over what the core recorded since the previous hand-over, at
+    /// `now`: first the pool counters as of now and the trace (the lanes
+    /// are idle at every hand-over, so their rings drain fully), then
+    /// every entry leaves the core's report with the layout as it stands.
+    /// A hand-over that brings an outcome or a repartition ends the report
+    /// at `now`.
     fn hand_over(&mut self, core: &mut Coordinator, now: SimTime) -> Snapshot {
-        self.note_activity(core, now);
         let (base, ps) = (self.pool_base, self.pool.stats());
         let st = &mut core.state;
         st.report.pool = PoolCounters {
@@ -917,10 +905,11 @@ impl PoolExec {
             idle_waits: base.idle_waits + ps.idle_waits,
         };
         st.report.trace.absorb(&self.tracer);
-        let end = now.as_secs_f64();
+        if !st.report.outcomes.is_empty() || !st.report.repartitions.is_empty() {
+            st.report.finished_at_secs = now.as_secs_f64();
+        }
         Snapshot {
             report: st.report.hand_over(),
-            run: (std::mem::replace(&mut self.run_started, end), end),
             partitioning: st.partitioning.clone(),
             topology: st.topology.clone(),
             outputs: std::mem::take(&mut self.finished),
@@ -1044,8 +1033,8 @@ fn serve(mut core: Coordinator, mut x: PoolExec) -> Stopped {
             continue;
         }
 
-        // The drain's hand-over fires at full idle and closes one run
-        // window; even an idle one stamps the report's end.
+        // The drain's hand-over fires at full idle; even an idle one
+        // stamps the report's end.
         if x.drain.is_some() && core.idle() && x.inflight_ops == 0 {
             let now = clock.now();
             core.state.report.finished_at_secs = now.as_secs_f64();
@@ -1117,7 +1106,7 @@ fn serve(mut core: Coordinator, mut x: PoolExec) -> Stopped {
     }
 
     // Teardown: the last hand-over — empty in the normal case, as
-    // shutdown() drained first; the engine closes a run window only if
+    // shutdown() drained first; it stamps the report's end only if
     // something happened since — then drain and join the pool threads,
     // propagating any pool thread's own panic payload.
     let snapshot = x.hand_over(&mut core, clock.now());
@@ -1984,10 +1973,6 @@ mod tests {
         assert_eq!(e.output(&q1).unwrap().len(), 5);
         assert_eq!(e.output(&q2).unwrap().len(), 2);
         assert_eq!(e.report().outcomes.len(), 2);
-        // Each run closed its own window over the cumulative report.
-        assert_eq!(e.report().runs.len(), 2);
-        assert_eq!(e.report().run_outcomes(0).len(), 1);
-        assert_eq!(e.report().run_outcomes(1).len(), 1);
     }
 
     /// `drain()` executes the backlog of an engine that was never started
@@ -2036,10 +2021,10 @@ mod tests {
     }
 
     /// The stop is the last hand-over, without the drain `shutdown` sends
-    /// first: with nothing recorded since the last drain it closes no run
-    /// window and stamps nothing; a query the coordinator admitted after
-    /// the last drain finishes before it stops, and its run window closes
-    /// at the engine — stamping the report's end — like a drain's.
+    /// first: with nothing recorded since the last drain it stamps
+    /// nothing; a query the coordinator admitted after the last drain
+    /// finishes before it stops, and the stop hands its outcome over,
+    /// stamping the report's end, like a drain.
     #[test]
     fn the_stop_hands_over_a_trailing_run_and_stamps_its_end() {
         let g = line(8);
@@ -2059,8 +2044,9 @@ mod tests {
         e.rt.stop();
         let report = e.report();
         assert!(report.finished_at_secs > drained_at);
-        assert_eq!((report.runs.len(), report.run_outcomes(0).len()), (1, 1));
-        assert_eq!(report.finished_at_secs, report.runs[0].finished_at_secs);
+        assert_eq!(report.outcomes.len(), 1);
+        let completed = report.outcomes[0].completed_at.as_secs_f64();
+        assert!(report.finished_at_secs >= completed);
         assert_eq!(report.pool.tasks, report.outcomes[0].tasks);
         assert_eq!(e.output(&q).unwrap().len(), 8);
     }
@@ -2438,39 +2424,57 @@ mod tests {
         }
     }
 
-    /// The thrash net: on a partitioning that keeps locality under Φ for
-    /// the whole run, the wait between checks doubles after every plan
-    /// whose window did not raise locality, so those windows stay
-    /// logarithmic in the run length.
+    /// The thrash net: a run whose windows cannot raise locality. Each
+    /// ping query circles a ring of its own, so its scope is the whole
+    /// ring and every superstep local; all rings start on partition 0,
+    /// beside far more idle vertices than partition 1 holds, so every plan
+    /// that finds a ring on partition 0 moves it over whole to rebalance —
+    /// locality 1 before and after. Φ above 1 makes every check plan. Each
+    /// window doubles the wait from at least its own duration, so they
+    /// stay logarithmic in the run length; a wait that never doubles
+    /// fails this.
     #[test]
     fn the_measured_wait_keeps_windows_that_raise_nothing_logarithmic() {
-        let g = line(1024);
-        let mut e =
-            ThreadEngine::with_config(Arc::clone(&g), interleaved(1024), SystemConfig::qgraph());
-        let qs: Vec<_> = (0..4u32)
-            .map(|i| e.submit(ReachProgram::new(VertexId(i))))
+        const RING: u32 = 4;
+        const RINGS: u32 = 256;
+        const IDLE: u32 = 16_384;
+        let n = RING * RINGS + IDLE;
+        let g = Arc::new(GraphBuilder::new(n as usize).build());
+        let all_on_0 = (0..n).map(|_| qgraph_partition::WorkerId(0)).collect();
+        let qcut = crate::QcutConfig {
+            locality_threshold: 2.0,
+            ils_max_rounds: 1,
+            ..Default::default()
+        };
+        let cap = qcut.monitoring_window_secs / 8.0;
+        let cfg = SystemConfig {
+            qcut: Some(qcut),
+            ..Default::default()
+        };
+        let mut e = ThreadEngine::with_config(g, Partitioning::new(all_on_0, 2), cfg);
+        let pings: Vec<_> = (0..RINGS)
+            .map(|r| {
+                let ring = (r * RING..(r + 1) * RING).map(VertexId).collect();
+                e.submit(PingProgram { ring, rounds: 50 })
+            })
             .collect();
         e.run();
-        for (i, q) in qs.iter().enumerate() {
-            assert_eq!(e.output(q).unwrap().len(), 1024 - i);
+        for h in &pings {
+            assert_eq!(*e.output(h).unwrap(), 49);
         }
         let report = e.report();
         let events = &report.repartitions;
+        assert!(!events.is_empty(), "every plan moves a ring, no window");
+        assert!(events.iter().all(|e| !e.raised_locality()));
+        let shortest = (events.iter().map(|e| e.barrier_duration)).fold(f64::INFINITY, f64::min);
+        let run = report.finished_at_secs;
+        let most = crate::controller::most_flat_windows(run, shortest, 0.0, cap);
         assert!(
-            !events.is_empty(),
-            "a thousand remote supersteps, no window"
-        );
-        // A plan takes at least a microsecond (it reads the scopes under
-        // locks, clusters and searches) and the wait never shrinks, so
-        // from a first wait of 0 the n-th doubling comes at least
-        // (2^(n-1) - 1) µs after the first plan.
-        let micros = report.finished_at_secs * 1e6;
-        let most = 1 + (micros + 1.0).log2().floor() as usize;
-        let flat = events.iter().filter(|e| !e.raised_locality()).count();
-        assert!(
-            flat <= most,
-            "{flat} of {} windows raised no locality in {micros:.0} µs, at most {most}",
-            events.len()
+            events.len() <= most,
+            "{} windows in {:.0} µs, the shortest {:.0} µs: at most {most}",
+            events.len(),
+            run * 1e6,
+            shortest * 1e6
         );
     }
 

@@ -35,6 +35,10 @@
 //!   (one track per lane, one per query) loadable in Perfetto, and
 //!   [`validate_chrome`] round-trips that JSON through a
 //!   validity + track-consistency + envelope-nesting check.
+//! * `EngineReport::imbalance_series` buckets the vertex updates of the
+//!   `Step` spans' [`Kind::TaskEnd`] events by partition: the trace is
+//!   the report's one record of per-partition work, complete when
+//!   nothing was dropped.
 //!
 //! The cost of tracing on the wall clock is tracked by `qbench` as
 //! `bench.trace_overhead` (a plain window's qps over a traced one's);

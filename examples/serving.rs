@@ -115,13 +115,4 @@ fn main() {
             r.moved_vertices, r.locality_before, r.locality_after
         );
     }
-    for w in &report.runs {
-        println!(
-            "run window {}: {} outcomes, {:.3}s..{:.3}s",
-            w.index,
-            w.outcomes_end - w.outcomes_start,
-            w.started_at_secs,
-            w.finished_at_secs
-        );
-    }
 }

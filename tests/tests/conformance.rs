@@ -20,6 +20,7 @@ use qgraph_algo::{
     ReachPointProgram, RoadAnswer, RoadProgram, SsspProgram,
 };
 use qgraph_core::programs::ReachProgram;
+use qgraph_core::trace::{CmdKind, Kind};
 use qgraph_core::{
     Engine, EngineBuilder, EngineReport, MutationBatch, QcutConfig, QueryHandle, QueryId, Runtime,
     SystemConfig, Topology,
@@ -418,9 +419,23 @@ fn supersteps_closed_on_the_lane_match_the_simulation_outcome_for_outcome() {
     let (graph, stream) = local_world();
     let k = 4;
     let parts = || DomainPartitioner.partition(&graph, k);
+    // Every Step leaves a span, none dropped.
+    let traced = SystemConfig {
+        trace: true,
+        trace_ring_capacity: usize::MAX,
+        ..Default::default()
+    };
+    // The Step spans and the vertex updates they carry.
+    let steps = |r: &EngineReport| -> (u64, u64) {
+        assert_eq!(r.trace.dropped_events, 0);
+        let ends = (r.trace.events.iter())
+            .filter(|ev| ev.kind == Kind::TaskEnd && ev.cmd == CmdKind::Step);
+        ends.fold((0, 0), |(n, executed), ev| (n + 1, executed + ev.aux))
+    };
 
     let mut sim = EngineBuilder::new(Arc::clone(&graph))
         .partitioning(parts())
+        .config(traced.clone())
         .build_sim();
     let sim_handles = submit_local(&mut sim, &stream);
     sim.run();
@@ -434,15 +449,16 @@ fn supersteps_closed_on_the_lane_match_the_simulation_outcome_for_outcome() {
         local * 5 > supersteps * 4,
         "the stream must be mostly local: {local} of {supersteps} supersteps"
     );
-    // The simulation reports every per-(query, partition) execution.
-    assert_eq!(sim.report().activity.len() as u64, tasks);
+    // The simulation runs one Step per per-(query, partition) execution.
+    let (sim_steps, sim_executed) = steps(sim.report());
+    assert_eq!(sim_steps, tasks);
 
     for width in [1, 2, k] {
         let mut e = EngineBuilder::new(Arc::clone(&graph))
             .partitioning(parts())
             .config(SystemConfig {
                 pool_threads: width,
-                ..Default::default()
+                ..traced.clone()
             })
             .build_threaded();
         let handles = submit_local(&mut e, &stream);
@@ -451,16 +467,16 @@ fn supersteps_closed_on_the_lane_match_the_simulation_outcome_for_outcome() {
         let report = e.shutdown();
         assert_eq!(fingerprint(report), want, "width {width}");
         assert_eq!(report.pool.tasks, tasks, "width {width}: one per execution");
-        // A report covers a whole chain: every execution it does not
-        // report on its own was closed on the lane — most local supersteps
+        // A Step span covers a whole chain: every execution without a
+        // span of its own was closed on the lane — most local supersteps
         // were, for the same vertex updates.
-        let closed_on_lane = tasks - report.activity.len() as u64;
+        let (steps, executed) = steps(report);
+        let closed_on_lane = tasks - steps;
         assert!(
             closed_on_lane * 2 > local,
             "width {width}: {closed_on_lane} of {local} local supersteps closed on the lane"
         );
-        let executed = |r: &EngineReport| -> u64 { r.activity.iter().map(|s| s.executed).sum() };
-        assert_eq!(executed(report), executed(sim.report()), "width {width}");
+        assert_eq!(executed, sim_executed, "width {width}");
     }
 }
 

@@ -116,11 +116,7 @@ fn barrier_modes_do_not_change_answers() {
         engine.run();
         handles.iter().map(|h| *engine.output(h).unwrap()).collect()
     };
-    let hybrid = run(BarrierMode::Hybrid);
-    let global = run(BarrierMode::GlobalPerQuery);
-    let shared = run(BarrierMode::SharedGlobal);
-    assert_eq!(hybrid, global);
-    assert_eq!(hybrid, shared);
+    assert_eq!(run(BarrierMode::Hybrid), run(BarrierMode::SharedGlobal));
 }
 
 #[test]

@@ -18,8 +18,8 @@ use qgraph_algo::{
 };
 use qgraph_core::programs::ReachProgram;
 use qgraph_core::{
-    AdmissionPolicy, Engine, EngineBuilder, OutcomeStatus, PoolCounters, QcutConfig, QueryHandle,
-    QueryId, Runtime, Submission, SystemConfig,
+    AdmissionPolicy, Engine, EngineBuilder, OutcomeStatus, QcutConfig, QueryHandle, QueryId,
+    Runtime, Submission, SystemConfig,
 };
 use qgraph_graph::{Graph, VertexId};
 use qgraph_integration_tests::{line_graph, small_road_world};
@@ -387,28 +387,20 @@ fn sim_open_loop_arrivals_respect_virtual_time() {
 }
 
 /// Satellite regression: reports are well-defined across multiple runs —
-/// every outcome belongs to exactly one run window, windows are
-/// chronological, and a later run's trigger state does not inherit the
-/// idle gap.
+/// the report is cumulative, and a run's end is a boundary the next run's
+/// outcomes come after.
 #[test]
 fn sim_reports_have_run_boundaries_across_multiple_runs() {
     let mut e = EngineBuilder::new(line_graph(32)).workers(2).build_sim();
     e.submit(ReachProgram::bounded(VertexId(0), 4));
     e.submit(ReachProgram::bounded(VertexId(8), 4));
-    e.run();
+    let first_end = e.run().finished_at_secs;
     e.submit(ReachProgram::bounded(VertexId(16), 4));
     e.run();
     let r = e.report();
-    assert_eq!(r.runs.len(), 2);
-    assert_eq!(r.run_outcomes(0).len(), 2);
-    assert_eq!(r.run_outcomes(1).len(), 1);
-    assert_eq!(
-        r.runs.iter().map(|w| w.outcomes_end).max().unwrap(),
-        r.outcomes.len(),
-        "every outcome is covered by a window"
-    );
-    assert!(r.runs[0].finished_at_secs <= r.runs[1].started_at_secs + 1e-9);
-    assert!(r.runs[1].finished_at_secs <= r.finished_at_secs + 1e-9);
+    assert_eq!(r.outcomes.len(), 3);
+    let last = r.outcomes[2].completed_at.as_secs_f64();
+    assert!(first_end <= last && last <= r.finished_at_secs + 1e-9);
 }
 
 /// Satellite regression: an aggressive trigger cadence with a tiny
@@ -499,11 +491,10 @@ fn thread_stream_races_repartition_barriers() {
     }
 }
 
-/// Multiple drains on one serve session: each drain closes a run window
-/// over the cumulative report and the engine keeps serving afterwards.
-/// Across drains, a stop and a restart, every outcome is handed over
-/// exactly once, the windows tile the outcomes and their pool deltas sum
-/// to the totals.
+/// Multiple drains on one serve session: each drain hands over into the
+/// cumulative report and the engine keeps serving afterwards. Across
+/// drains, a stop and a restart, every outcome is handed over exactly
+/// once.
 #[test]
 fn thread_serve_loop_drains_in_windows() {
     let mut e = EngineBuilder::new(line_graph(32))
@@ -518,14 +509,11 @@ fn thread_serve_loop_drains_in_windows() {
     let h3 = client.submit(ReachProgram::bounded(VertexId(16), 4));
     e.drain();
     assert!(e.output(&h2).is_some() && e.output(&h3).is_some());
-    // An idle drain closes no window but still stamps the report's end.
+    // An idle drain still stamps the report's end.
     let closed_at = e.report().finished_at_secs;
     thread::sleep(Duration::from_millis(1));
     assert!(e.drain().finished_at_secs > closed_at);
     let r = e.shutdown();
-    assert_eq!(r.runs.len(), 2, "one window per drain");
-    assert_eq!(r.run_outcomes(0).len(), 1);
-    assert_eq!(r.run_outcomes(1).len(), 2);
     assert_eq!(r.outcomes.len(), 3);
 
     // The next session: one query sent while stopped, one streamed.
@@ -534,29 +522,11 @@ fn thread_serve_loop_drains_in_windows() {
     let h5 = e.client().submit(ReachProgram::bounded(VertexId(4), 4));
     e.drain();
     assert!(e.output(&h4).is_some() && e.output(&h5).is_some());
-    // At a drain that closed a window, every counter ties out.
-    let r = e.report();
-    let summed =
-        |count: fn(&PoolCounters) -> u64| -> u64 { r.runs.iter().map(|w| count(&w.pool)).sum() };
-    let counters = (
-        summed(|p| p.tasks),
-        summed(|p| p.steals),
-        summed(|p| p.idle_waits),
-    );
-    assert_eq!(counters, (r.pool.tasks, r.pool.steals, r.pool.idle_waits));
     let r = e.shutdown();
     let mut ids: Vec<QueryId> = r.outcomes.iter().map(|o| o.id).collect();
     ids.sort_unstable();
     assert_eq!(ids, (0..5).map(QueryId).collect::<Vec<_>>(), "each once");
-    assert_eq!(r.runs.len(), 4);
-    let mut tiled = (0, r.runs[0].started_at_secs);
-    for (i, w) in r.runs.iter().enumerate() {
-        assert_eq!((w.index, w.outcomes_start), (i, tiled.0));
-        assert!(tiled.1 <= w.started_at_secs && w.started_at_secs <= w.finished_at_secs);
-        tiled = (w.outcomes_end, w.finished_at_secs);
-    }
-    assert_eq!(tiled.0, r.outcomes.len());
-    let tasks: u64 = r.runs.iter().map(|w| w.pool.tasks).sum();
+    let tasks: u64 = r.outcomes.iter().map(|o| o.tasks).sum();
     assert_eq!(tasks, r.pool.tasks);
 }
 

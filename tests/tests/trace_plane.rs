@@ -14,16 +14,16 @@
 //! * **export** — the Chrome trace-event JSON round-trips through
 //!   `validate_chrome` (JSON validity, declared-track references,
 //!   envelope nesting);
-//! * **run windows** — `RunSummary.pool` carries per-window deltas of
-//!   the pool counters, so multi-drain serving sessions can attribute
-//!   tasks/steals to the window that executed them;
+//! * **completeness** — a traced run's `Step` spans carry every vertex
+//!   update its outcomes count, the one record the figures' imbalance
+//!   series is read from;
 //! * **auditor interplay** — with `check-hb` also on, serving and
 //!   mutation schedules run clean with both instrumentation planes
 //!   live (they share the barrier drain points).
 
 use qgraph_algo::{BfsProgram, SsspProgram};
-use qgraph_core::trace::{outcome, validate_chrome, QueryTimeline};
-use qgraph_core::{EngineBuilder, EngineReport, SystemConfig};
+use qgraph_core::trace::{outcome, validate_chrome, CmdKind, Kind, QueryTimeline};
+use qgraph_core::{Engine, EngineBuilder, EngineReport, Runtime, SystemConfig};
 use qgraph_graph::VertexId;
 use qgraph_integration_tests::line_graph;
 use qgraph_partition::{HashPartitioner, RangePartitioner};
@@ -243,40 +243,36 @@ fn knob_off_records_nothing() {
     assert_eq!(report.trace.summary().timelines.len(), 0);
 }
 
-/// Run windows attribute pool work: two serving drains on one session,
-/// each window's `RunSummary.pool` carries the *delta* of tasks it
-/// executed, and the deltas sum back to the engine-lifetime counters.
+/// The trace is a complete record of per-partition work: on both
+/// runtimes, the vertex updates a traced run's `Step` spans carry sum to
+/// the outcomes' — what `EngineReport::imbalance_series` (Figure 6e and
+/// the figures' imbalance column) reads.
 #[test]
-fn run_windows_carry_pool_counter_deltas() {
-    let mut e = EngineBuilder::new(grid_world())
-        .workers(3)
-        .partitioner(HashPartitioner::default())
-        .config(traced_cfg())
-        .build_threaded();
-    e.submit(BfsProgram::new(VertexId(0), 30));
-    e.run();
-    e.submit(BfsProgram::new(VertexId(575), 30));
-    e.run();
-    let report = e.shutdown();
-    let windows: Vec<_> = report
-        .runs
-        .iter()
-        .filter(|r| r.outcomes_end > r.outcomes_start)
-        .collect();
-    assert!(windows.len() >= 2, "two drains -> two closed windows");
-    for w in &windows {
-        assert!(
-            w.pool.tasks > 0,
-            "window {} executed a query but its pool delta is empty",
-            w.index
-        );
-        assert_eq!(w.pool.threads, report.pool.threads);
+fn step_spans_carry_every_vertex_update() {
+    fn span_and_outcome_updates<R: Runtime>(mut e: Engine<R>) -> (u64, u64) {
+        for i in 0..6u32 {
+            e.submit(BfsProgram::new(VertexId(i * 97 % 576), 30));
+        }
+        e.run();
+        let report = e.report();
+        assert_eq!(report.trace.dropped_events, 0);
+        let steps = (report.trace.events.iter())
+            .filter(|ev| ev.kind == Kind::TaskEnd && ev.cmd == CmdKind::Step);
+        let updates = report.outcomes.iter().map(|o| o.vertex_updates).sum();
+        (steps.map(|ev| ev.aux).sum(), updates)
     }
-    let total: u64 = report.runs.iter().map(|r| r.pool.tasks).sum();
-    assert_eq!(
-        total, report.pool.tasks,
-        "window deltas must sum to the lifetime counter"
-    );
+    let builder = || {
+        EngineBuilder::new(grid_world())
+            .workers(3)
+            .partitioner(HashPartitioner::default())
+            .config(traced_cfg())
+    };
+    let sim = span_and_outcome_updates(builder().build_sim());
+    let threads = span_and_outcome_updates(builder().build_threaded());
+    for (runtime, (spans, updates)) in [("sim", sim), ("threads", threads)] {
+        assert!(updates > 0, "{runtime}");
+        assert_eq!(spans, updates, "{runtime}");
+    }
 }
 
 /// Both instrumentation planes at once: the tracer and the
