@@ -4,8 +4,8 @@
 //! with a hand-rolled tokenizer ([`lex`]), and applies the data-driven
 //! project rules ([`rules::RULES`]): adjacency access discipline,
 //! thread-spawn discipline, distance-comparison hygiene in the index,
-//! unwrap-free engine hot loops, epoch/SimTime attribution, and the
-//! `#![forbid(unsafe_code)]` floor. Findings are machine-readable
+//! unwrap-free engine hot loops, epoch/SimTime attribution, one erasure
+//! boundary in the engine core, and the `#![forbid(unsafe_code)]` floor. Findings are machine-readable
 //! (`Finding`, JSON via `--json` on the binary) and the whole pass
 //! runs as a tier-1 test asserting zero findings.
 //!

@@ -192,6 +192,20 @@ pub const RULES: &[Rule] = &[
         },
     },
     Rule {
+        name: "erasure-boundary",
+        summary: "downcast in the engine core outside the envelope helpers of task.rs",
+        scope: &["crates/core/src"],
+        // task.rs opens every envelope (batches, aggregates, migrated
+        // data, collected locals); api.rs hands a finished output back as
+        // the type the caller's handle names.
+        exempt: &["crates/core/src/task.rs", "crates/core/src/api.rs"],
+        check: Check::ForbidSeqs(&[
+            &[Pat::P("."), Pat::Id("downcast")],
+            &[Pat::P("."), Pat::Id("downcast_ref")],
+            &[Pat::P("."), Pat::Id("downcast_mut")],
+        ]),
+    },
+    Rule {
         name: "forbid-unsafe",
         summary: "crate root missing #![forbid(unsafe_code)]",
         scope: &["src/lib.rs", "/src/bin/", "src/main.rs"],

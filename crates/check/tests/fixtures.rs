@@ -214,6 +214,43 @@ fn time_epoch_arith_trace_exemption_is_dir_precise() {
 }
 
 #[test]
+fn erasure_boundary_fires_on_fixture() {
+    // All three shapes: `downcast`, `downcast_ref` and `downcast_mut`.
+    let findings = lint_source("crates/core/src/worker.rs", &fixture("erasure_boundary.rs"));
+    let hits = findings
+        .iter()
+        .filter(|f| f.rule == "erasure-boundary")
+        .count();
+    assert_eq!(
+        hits, 3,
+        "expected every seeded downcast to fire; got {findings:?}"
+    );
+}
+
+#[test]
+fn erasure_boundary_exempts_the_envelope_files() {
+    // task.rs opens the envelopes; api.rs returns a finished output as
+    // the caller's type.
+    for path in ["crates/core/src/task.rs", "crates/core/src/api.rs"] {
+        let findings = lint_source(path, &fixture("erasure_boundary.rs"));
+        assert!(
+            !findings.iter().any(|f| f.rule == "erasure-boundary"),
+            "{path} owns its downcasts: {findings:?}"
+        );
+    }
+}
+
+#[test]
+fn erasure_boundary_is_scoped_to_the_engine_core() {
+    // Outside crates/core/src the rule has nothing to say.
+    let findings = lint_source("crates/sim/src/fixture.rs", &fixture("erasure_boundary.rs"));
+    assert!(
+        !findings.iter().any(|f| f.rule == "erasure-boundary"),
+        "erasure-boundary fired out of scope: {findings:?}"
+    );
+}
+
+#[test]
 fn forbid_unsafe_fires_on_fixture() {
     assert_fires(
         "forbid-unsafe",
@@ -237,7 +274,7 @@ fn every_rule_has_a_fixture_test() {
     // guards: the count here must move in lockstep with RULES.
     assert_eq!(
         rules::RULES.len(),
-        6,
+        7,
         "rule added or removed — update the fixture suite to match"
     );
     // The thread-discipline sanction list is deliberate and small; a

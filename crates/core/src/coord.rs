@@ -151,14 +151,10 @@ pub(crate) trait Executor {
     /// Every `(query, partition, live scope vertices)` triple, each
     /// partition read between two of its Steps.
     fn scope_report(&mut self) -> Vec<(QueryId, usize, Vec<VertexId>)>;
-    /// Move the resolved transfers' vertex state *and* pending inboxes;
-    /// `task_of` resolves a live query's task. Returns the `(query,
+    /// Move the resolved transfers' vertex state *and* pending inboxes,
+    /// each query's local moving its own data. Returns the `(query,
     /// partition)` pairs that gained state.
-    fn migrate(
-        &mut self,
-        migration: &Migration,
-        task_of: &dyn Fn(QueryId) -> Arc<dyn QueryTask>,
-    ) -> Vec<(QueryId, usize)>;
+    fn migrate(&mut self, migration: &Migration) -> Vec<(QueryId, usize)>;
     /// Every `(query, partition)` pair with pending messages.
     fn pending_report(&mut self) -> Vec<(QueryId, usize)>;
 }
@@ -942,13 +938,10 @@ impl Coordinator {
         let running = live.iter().filter(|(_, vs)| !vs.is_empty()).count();
         let running = &observed[..running.min(observed.len())];
         let live_locality_before = migrate::scope_locality(running, &st.partitioning);
-        // Only live queries hold state on a partition: `Collect` took a
-        // finished one's.
-        let task_of = |q: QueryId| Arc::clone(&queries[&q].task);
         let mut gained = Vec::new();
         let (locality_before, locality_after) =
             migrate::apply_measured(&migration, &mut st.partitioning, &observed, || {
-                gained = x.migrate(&migration, &task_of);
+                gained = x.migrate(&migration);
             });
         let live_locality_after = migrate::scope_locality(running, &st.partitioning);
         let version = self.hb.publish_partitioning(0);
@@ -1104,11 +1097,7 @@ mod tests {
         fn scope_report(&mut self) -> Vec<(QueryId, usize, Vec<VertexId>)> {
             self.scopes.clone()
         }
-        fn migrate(
-            &mut self,
-            _: &Migration,
-            _: &dyn Fn(QueryId) -> Arc<dyn QueryTask>,
-        ) -> Vec<(QueryId, usize)> {
+        fn migrate(&mut self, _: &Migration) -> Vec<(QueryId, usize)> {
             self.log.push(Op::Migrate);
             self.gained.clone()
         }

@@ -214,12 +214,8 @@ impl Executor for SimExec {
         self.workers.iter().flat_map(Worker::scope_report).collect()
     }
 
-    fn migrate(
-        &mut self,
-        migration: &Migration,
-        task_of: &dyn Fn(QueryId) -> Arc<dyn QueryTask>,
-    ) -> Vec<(QueryId, usize)> {
-        let gained = migrate::apply_to_workers(migration, &mut self.workers, task_of);
+    fn migrate(&mut self, migration: &Migration) -> Vec<(QueryId, usize)> {
+        let gained = migrate::apply_to_workers(migration, &mut self.workers);
         // The migration lasts as long as the slowest pair's bulk transfer.
         self.window_cost += migration
             .per_pair
@@ -345,9 +341,7 @@ impl Engine<Sim> {
         let tracer = Tracer::new(k, cfg.trace_ring_capacity, cfg.trace);
         let x = SimExec {
             cluster,
-            workers: (0..k)
-                .map(|w| Worker::configured(w, cfg.combiners))
-                .collect(),
+            workers: (0..k).map(|w| Worker::new(w, cfg.combiners)).collect(),
             sched: (0..k)
                 .map(|_| WorkerSched {
                     queue: VecDeque::new(),

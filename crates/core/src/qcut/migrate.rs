@@ -9,8 +9,8 @@
 //! once per plan (overlapping scopes assigned to different destinations
 //! must not ping-pong their shared vertices). The *data plumbing* is one
 //! path too: inside the stop-the-world window no partition computes, so
-//! [`apply_to_workers`] extracts each move's vertices from the source
-//! worker and injects them into the destination directly —
+//! [`apply_to_workers`] hands each move's vertices from the source
+//! worker to the destination directly ([`Worker::move_vertices`]) —
 //! [`SimEngine`](crate::SimEngine) on the workers it owns,
 //! [`ThreadEngine`](crate::ThreadEngine) on the ones it holds locked in
 //! the partition contexts (their mailboxes flushed first).
@@ -19,7 +19,6 @@
 //! worker data can never disagree mid-plan.
 
 use std::borrow::BorrowMut;
-use std::sync::Arc;
 
 use rustc_hash::FxHashSet;
 
@@ -27,7 +26,6 @@ use qgraph_graph::VertexId;
 use qgraph_partition::{Partitioning, WorkerId};
 
 use crate::query::QueryId;
-use crate::task::QueryTask;
 use crate::worker::Worker;
 
 use super::MovePlan;
@@ -158,21 +156,19 @@ pub fn apply_measured(
 /// injected into the destination. The workers must be quiescent (no
 /// frozen superstep in flight): the simulation owns them, the thread
 /// runtime passes them out of the partition contexts it holds locked.
-/// `task_of` resolves a live query's task. Returns the `(query,
-/// destination)` pairs that gained state.
+/// Returns the `(query, destination)` pairs that gained state.
 pub fn apply_to_workers<W: BorrowMut<Worker>>(
     migration: &Migration,
     workers: &mut [W],
-    task_of: &dyn Fn(QueryId) -> Arc<dyn QueryTask>,
 ) -> Vec<(QueryId, usize)> {
     let mut gained = Vec::new();
     for mv in &migration.moves {
         let set: FxHashSet<VertexId> = mv.vertices.iter().copied().collect();
-        let data = workers[mv.from]
-            .borrow_mut()
-            .extract_vertices(task_of, &set);
-        gained.extend(data.iter().map(|(q, _)| (*q, mv.to)));
-        workers[mv.to].borrow_mut().inject_vertices(task_of, data);
+        let [from, to] = workers
+            .get_disjoint_mut([mv.from, mv.to])
+            .expect("a move joins two distinct partitions");
+        let moved = from.borrow_mut().move_vertices(to.borrow_mut(), &set);
+        gained.extend(moved.into_iter().map(|q| (q, mv.to)));
     }
     gained
 }
@@ -212,7 +208,7 @@ mod tests {
     use super::*;
     use crate::programs::ReachProgram;
     use crate::qcut::ScopeMove;
-    use crate::task::TypedTask;
+    use crate::task::{QueryTask, TypedTask};
 
     fn part(assign: &[u32], k: usize) -> Partitioning {
         Partitioning::new(assign.iter().map(|&w| WorkerId(w)).collect(), k)
@@ -315,18 +311,13 @@ mod tests {
         let mut b = qgraph_graph::GraphBuilder::new(3);
         b.add_edge(0, 1, 1.0);
         let g = qgraph_graph::Topology::new(b.build());
-        let task: Arc<TypedTask<ReachProgram>> =
-            Arc::new(TypedTask::new(ReachProgram::new(VertexId(0))));
+        let task = TypedTask::new(ReachProgram::new(VertexId(0)));
         let q = QueryId(0);
-        let mut workers = vec![Worker::new(0), Worker::new(1)];
-        workers[0].deliver(
-            task.as_ref(),
-            q,
-            task.batch_for_test(vec![(VertexId(0), 0)]),
-        );
+        let mut workers = vec![Worker::new(0, true), Worker::new(1, true)];
+        workers[0].deliver(&task, q, task.batch_for_test(vec![(VertexId(0), 0)]));
         workers[0].freeze(q);
         let prev = task.aggregate_identity();
-        workers[0].execute(q, task.as_ref(), &g, &prev, &|_| 0);
+        workers[0].execute(q, &task, &g, &prev, &|_| 0);
         let scope_before = workers[0].scope_size(q);
         assert_eq!(scope_before, 1);
         assert!(workers[0].has_pending(q));
@@ -341,11 +332,7 @@ mod tests {
             moved_vertices: 2,
             per_pair: vec![(0, 1, 2)],
         };
-        let task_of = {
-            let task = Arc::clone(&task);
-            move |_q: QueryId| task.clone() as Arc<dyn QueryTask>
-        };
-        apply_to_workers(&m, &mut workers, &task_of);
+        apply_to_workers(&m, &mut workers);
         assert_eq!(workers[0].scope_size(q), 0, "source fully drained");
         assert!(!workers[0].has_pending(q));
         assert_eq!(workers[1].scope_size(q), scope_before, "state conserved");

@@ -684,7 +684,7 @@ impl Threads {
                     hb.spawn_worker(w);
                     Partition {
                         ctx: Mutex::new(WorkerCtx {
-                            worker: Worker::configured(w, combiners),
+                            worker: Worker::new(w, combiners),
                             topology: Arc::clone(&shared_topology),
                             partitioning: Arc::clone(&shared_parts),
                             taken: Vec::new(),
@@ -984,14 +984,10 @@ impl Executor for PoolExec {
         self.parts.iter().flat_map(read).collect()
     }
 
-    fn migrate(
-        &mut self,
-        migration: &Migration,
-        task_of: &dyn Fn(QueryId) -> Arc<dyn QueryTask>,
-    ) -> Vec<(QueryId, usize)> {
+    fn migrate(&mut self, migration: &Migration) -> Vec<(QueryId, usize)> {
         let mut contexts = self.contexts();
         let mut workers: Vec<&mut Worker> = contexts.iter_mut().map(|c| &mut c.worker).collect();
-        migrate::apply_to_workers(migration, &mut workers, task_of)
+        migrate::apply_to_workers(migration, &mut workers)
     }
 
     fn pending_report(&mut self) -> Vec<(QueryId, usize)> {
@@ -1505,7 +1501,7 @@ mod tests {
             hb.spawn_worker(w);
             Partition {
                 ctx: Mutex::new(WorkerCtx {
-                    worker: Worker::new(w),
+                    worker: Worker::new(w, true),
                     topology: Arc::clone(&topology),
                     partitioning: Arc::clone(&parts),
                     taken: Vec::new(),
@@ -1862,7 +1858,7 @@ mod tests {
         };
         let mut contexts: Vec<_> = parts.iter().map(|p| lock_ctx(&p.ctx)).collect();
         let mut workers: Vec<&mut Worker> = contexts.iter_mut().map(|c| &mut c.worker).collect();
-        let gained = migrate::apply_to_workers(&migration, &mut workers, &task_of);
+        let gained = migrate::apply_to_workers(&migration, &mut workers);
         drop(contexts);
         assert_eq!(gained, vec![(Q, 0)]);
         assert_eq!(

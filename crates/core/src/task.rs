@@ -3,39 +3,46 @@
 //! The engines run *heterogeneous* concurrent queries — one engine
 //! instance executes SSSP, POI, and reachability programs side by side —
 //! so the runtimes cannot be generic over a single
-//! [`VertexProgram`]. Instead, every submitted program is wrapped in a
-//! [`TypedTask`] and handled through the object-safe [`QueryTask`] trait:
+//! [`VertexProgram`]. Two object-safe faces carry a program through them
+//! instead:
 //!
-//! * program-specific payloads (message batches, aggregates, vertex-state
-//!   envelopes, outputs) cross the erased boundary as
-//!   `Box<dyn Any + Send>` **envelopes** ([`Envelope`], [`MessageBatch`]);
-//! * the *only* code that downcasts is the per-query runner inside
-//!   [`TypedTask`], so a mismatched envelope is a library bug, caught by a
-//!   panic with a clear message, never a caller-visible `Any` API;
-//! * callers get their types back through [`QueryHandle`](crate::QueryHandle),
-//!   which carries the program type in a zero-sized marker and downcasts
-//!   the output envelope exactly once, in
-//!   [`Engine::output`](crate::Engine::output).
+//! * [`QueryTask`], one per query (a [`TypedTask`] behind an
+//!   `Arc<dyn QueryTask>`): the per-query work — admission's seed
+//!   batches, the aggregate at each barrier, an index answer, and
+//!   `finalize`;
+//! * [`LocalState`], one per (query, partition) (a [`QueryLocal`] in a
+//!   [`Worker`](crate::worker::Worker)): the per-partition work —
+//!   deliver, execute, and a migration's extract and inject. The local
+//!   holds the program, so it runs itself.
+//!
+//! Program-specific payloads (message batches, aggregates, migrated
+//! vertex data, outputs) cross the erased boundary as
+//! `Box<dyn Any + Send>` **envelopes** ([`Envelope`], [`MessageBatch`]),
+//! and this module's helpers open them: elsewhere in the core only the
+//! typed output lookup of [`Engine`](crate::Engine) downcasts (qlint's
+//! `erasure-boundary` rule). A mismatched envelope is a library bug,
+//! caught by a panic with a clear message, never a caller-visible `Any`
+//! API; a message batch names its sender's program as well, since two
+//! programs may share a message type.
 //!
 //! A message batch's payload is the sender's bucket itself — a
 //! `Box<Vec<(VertexId, Message)>>` coerced to an [`Envelope`], not a
-//! vector boxed a second time — and [`QueryTask::deliver`] downcasts it
-//! back to the same box, which the receiving [`QueryLocal`] keeps as the
-//! buffer of a bucket it will send (see [`crate::worker`]).
-//!
-//! The counts a runtime needs for cost accounting (how many messages a
-//! batch carries) ride alongside the envelope in [`MessageBatch`], so the
-//! simulation's network model never has to peek inside an erased payload.
+//! vector boxed a second time — and `MessageBatch::into_messages`
+//! downcasts it back to the same box, which the receiving [`QueryLocal`]
+//! keeps as the buffer of a bucket it will send (see [`crate::worker`]).
+//! The message counts ride alongside the envelope for the runtimes' cost
+//! models, so the simulation's network model never has to peek inside an
+//! erased payload.
 
-use std::any::Any;
+use std::any::{Any, TypeId};
 use std::sync::Arc;
 
-use rustc_hash::{FxHashMap, FxHashSet};
+use rustc_hash::FxHashMap;
 
 use qgraph_graph::{Topology, VertexId};
 
 use crate::program::VertexProgram;
-use crate::worker::{Batch, CombineScratch, LocalState, QueryLocal, SuperstepStats};
+use crate::worker::{Batch, LocalState, Moved, QueryLocal};
 
 /// A type-erased, sendable payload (messages, aggregate, states, output).
 pub type Envelope = Box<dyn Any + Send>;
@@ -53,6 +60,21 @@ pub(crate) fn take_output<P: VertexProgram>(
         .map(|b| *b)
 }
 
+/// Program `P`'s aggregate, out of its envelope.
+pub(crate) fn aggregate_of<P: VertexProgram>(envelope: &Envelope) -> &P::Aggregate {
+    envelope
+        .downcast_ref()
+        .expect("query task type mismatch: aggregate envelope is not this program's")
+}
+
+/// Program `P`'s migrated vertex data, out of the envelope
+/// [`LocalState::extract`] made of it.
+pub(crate) fn moved_of<P: VertexProgram>(data: Envelope) -> Moved<P> {
+    *data
+        .downcast()
+        .expect("query task type mismatch: migration envelope is not this program's")
+}
+
 /// A batch of one query's messages addressed to one worker. The payload is
 /// the sender's boxed `Vec<(VertexId, P::Message)>` as an [`Envelope`]
 /// (one allocation, which the receiver reuses); the message
@@ -63,10 +85,31 @@ pub(crate) fn take_output<P: VertexProgram>(
 pub struct MessageBatch {
     count: usize,
     pre_combine: usize,
+    /// The sending program's type: the payload's own type cannot tell
+    /// apart two programs with one message type.
+    program: TypeId,
     payload: Envelope,
 }
 
 impl MessageBatch {
+    /// Program `P`'s batch buffer as a batch: the box becomes the payload
+    /// as it is, no second allocation.
+    pub(crate) fn new<P: VertexProgram>(pre_combine: usize, msgs: Batch<P>) -> Self {
+        MessageBatch {
+            count: msgs.len(),
+            pre_combine,
+            program: TypeId::of::<P>(),
+            payload: msgs,
+        }
+    }
+
+    /// The batch's buffer, still in the box it travelled in.
+    pub(crate) fn into_messages<P: VertexProgram>(self) -> Batch<P> {
+        let mismatch = "query task type mismatch: message batch is not this program's";
+        assert!(self.program == TypeId::of::<P>(), "{mismatch}");
+        self.payload.downcast().expect(mismatch)
+    }
+
     /// Number of messages in the batch (post-combine).
     pub fn len(&self) -> usize {
         self.count
@@ -85,9 +128,10 @@ impl MessageBatch {
     }
 }
 
-/// The object-safe face of one submitted query: its program plus every
-/// typed operation a runtime needs, erased behind envelopes. Runtimes hold
-/// `Arc<dyn QueryTask>` per query and stay completely program-agnostic.
+/// The object-safe face of one submitted query: its program's per-query
+/// work, erased behind envelopes (the per-partition work is its
+/// [`LocalState`]'s). Runtimes hold `Arc<dyn QueryTask>` per query and
+/// stay completely program-agnostic.
 pub trait QueryTask: Send + Sync {
     /// The program-kind label (see [`VertexProgram::name`]).
     fn program_name(&self) -> &'static str;
@@ -131,41 +175,12 @@ pub trait QueryTask: Send + Sync {
         combiners: bool,
     ) -> Vec<(usize, MessageBatch)>;
 
-    /// Deliver a batch into `local`'s next-superstep inbox.
-    fn deliver(&self, local: &mut dyn LocalState, batch: MessageBatch);
-
-    /// Execute `local`'s frozen superstep; returns the step statistics,
-    /// the superstep's aggregate contribution, and remote message batches
-    /// bucketed by destination worker (combined sender-side through
-    /// `scratch` when the program carries a combiner).
-    fn execute(
-        &self,
-        local: &mut dyn LocalState,
-        graph: &Topology,
-        prev_aggregate: &Envelope,
-        home: usize,
-        route: &dyn Fn(VertexId) -> usize,
-        scratch: &mut CombineScratch,
-    ) -> (SuperstepStats, Envelope, Vec<(usize, MessageBatch)>);
-
-    /// Extract this query's data for the given vertices out of `local`
-    /// (migration), or `None` if the query holds nothing there.
-    fn extract(
-        &self,
-        local: &mut dyn LocalState,
-        vertices: &FxHashSet<VertexId>,
-    ) -> Option<Envelope>;
-
-    /// Inject a migration envelope produced by [`QueryTask::extract`].
-    fn inject(&self, local: &mut dyn LocalState, data: Envelope);
-
     /// Merge the locals collected from every worker and produce the
     /// query's output envelope (downcast by [`crate::QueryHandle`]).
     fn finalize(&self, graph: &Topology, locals: Vec<Box<dyn LocalState>>) -> Envelope;
 }
 
-/// The typed implementation of [`QueryTask`] for a program `P` — the
-/// per-query runner where every downcast in the system lives.
+/// The typed implementation of [`QueryTask`] for a program `P`.
 pub(crate) struct TypedTask<P: VertexProgram> {
     program: Arc<P>,
 }
@@ -177,45 +192,9 @@ impl<P: VertexProgram> TypedTask<P> {
         }
     }
 
-    fn local_mut<'a>(&self, local: &'a mut dyn LocalState) -> &'a mut QueryLocal<P> {
-        let any: &mut dyn Any = local;
-        any.downcast_mut::<QueryLocal<P>>()
-            .expect("query task type mismatch: local state is not this program's")
-    }
-
-    /// The batch's buffer, still in the box it travelled in.
-    fn messages(&self, batch: MessageBatch) -> Batch<P> {
-        batch
-            .payload
-            .downcast::<Vec<(VertexId, P::Message)>>()
-            .expect("query task type mismatch: message batch is not this program's")
-    }
-
-    fn aggregate<'a>(&self, envelope: &'a Envelope) -> &'a P::Aggregate {
-        envelope
-            .downcast_ref::<P::Aggregate>()
-            .expect("query task type mismatch: aggregate envelope is not this program's")
-    }
-
-    /// The box becomes the payload as it is: no second allocation.
-    fn wrap_batch(&self, pre_combine: usize, msgs: Batch<P>) -> MessageBatch {
-        MessageBatch {
-            count: msgs.len(),
-            pre_combine,
-            payload: msgs,
-        }
-    }
-
-    /// Sort a bucket by destination vertex and collapse each vertex's run
-    /// through the program's combiner (sender-side combining).
-    fn combine_bucket(&self, msgs: &mut Vec<(VertexId, P::Message)>) {
-        crate::worker::combine_in_place(self.program.as_ref(), msgs);
-    }
-
     #[cfg(test)]
     pub(crate) fn batch_for_test(&self, msgs: Vec<(VertexId, P::Message)>) -> MessageBatch {
-        let pre = msgs.len();
-        self.wrap_batch(pre, Box::new(msgs))
+        MessageBatch::new::<P>(msgs.len(), Box::new(msgs))
     }
 }
 
@@ -243,7 +222,7 @@ impl<P: VertexProgram> QueryTask for TypedTask<P> {
     }
 
     fn aggregate_combine(&self, acc: &mut Envelope, b: &Envelope) {
-        let b = self.aggregate(b).clone();
+        let b = aggregate_of::<P>(b).clone();
         let acc = acc
             .downcast_mut::<P::Aggregate>()
             .expect("query task type mismatch: aggregate envelope is not this program's");
@@ -251,7 +230,7 @@ impl<P: VertexProgram> QueryTask for TypedTask<P> {
     }
 
     fn clone_aggregate(&self, a: &Envelope) -> Envelope {
-        Box::new(self.aggregate(a).clone())
+        Box::new(aggregate_of::<P>(a).clone())
     }
 
     fn aggregate_sticky(&self) -> bool {
@@ -259,7 +238,7 @@ impl<P: VertexProgram> QueryTask for TypedTask<P> {
     }
 
     fn should_terminate(&self, aggregate: &Envelope) -> bool {
-        self.program.should_terminate(self.aggregate(aggregate))
+        self.program.should_terminate(aggregate_of::<P>(aggregate))
     }
 
     fn initial_batches(
@@ -277,58 +256,13 @@ impl<P: VertexProgram> QueryTask for TypedTask<P> {
             .map(|(w, mut msgs)| {
                 let pre = msgs.len();
                 if combiners {
-                    self.combine_bucket(&mut msgs);
+                    crate::worker::combine_in_place(self.program.as_ref(), &mut msgs);
                 }
-                (w, self.wrap_batch(pre, Box::new(msgs)))
+                (w, MessageBatch::new::<P>(pre, Box::new(msgs)))
             })
             .collect();
         out.sort_unstable_by_key(|(w, _)| *w); // deterministic order
         out
-    }
-
-    fn deliver(&self, local: &mut dyn LocalState, batch: MessageBatch) {
-        let msgs = self.messages(batch);
-        self.local_mut(local).deliver(msgs);
-    }
-
-    fn execute(
-        &self,
-        local: &mut dyn LocalState,
-        graph: &Topology,
-        prev_aggregate: &Envelope,
-        home: usize,
-        route: &dyn Fn(VertexId) -> usize,
-        scratch: &mut CombineScratch,
-    ) -> (SuperstepStats, Envelope, Vec<(usize, MessageBatch)>) {
-        let prev = self.aggregate(prev_aggregate);
-        let (stats, agg, remote) =
-            self.local_mut(local)
-                .execute(graph, self.program.as_ref(), prev, home, route, scratch);
-        let remote = remote
-            .into_iter()
-            .map(|(w, pre, msgs)| (w, self.wrap_batch(pre, msgs)))
-            .collect();
-        (stats, Box::new(agg), remote)
-    }
-
-    fn extract(
-        &self,
-        local: &mut dyn LocalState,
-        vertices: &FxHashSet<VertexId>,
-    ) -> Option<Envelope> {
-        let entries = self.local_mut(local).extract(vertices);
-        if entries.is_empty() {
-            None
-        } else {
-            Some(Box::new(entries))
-        }
-    }
-
-    fn inject(&self, local: &mut dyn LocalState, data: Envelope) {
-        let entries = *data
-            .downcast::<Vec<(VertexId, Option<P::State>, Vec<P::Message>)>>()
-            .expect("query task type mismatch: migration envelope is not this program's");
-        self.local_mut(local).inject(entries);
     }
 
     fn finalize(&self, graph: &Topology, locals: Vec<Box<dyn LocalState>>) -> Envelope {
@@ -349,6 +283,7 @@ impl<P: VertexProgram> QueryTask for TypedTask<P> {
 mod tests {
     use super::*;
     use crate::programs::ReachProgram;
+    use crate::worker::CombineScratch;
     use qgraph_graph::GraphBuilder;
 
     #[test]
@@ -370,19 +305,12 @@ mod tests {
         let task = TypedTask::new(ReachProgram::new(VertexId(0)));
         // Two locals that each visited one vertex.
         let mk = |v: u32| -> Box<dyn LocalState> {
-            let program = Arc::new(ReachProgram::new(VertexId(0)));
-            let mut local = QueryLocal::<ReachProgram>::new(Arc::clone(&program), true);
-            local.deliver(Box::new(vec![(VertexId(v), 0u32)]));
-            LocalState::freeze(&mut local);
-            local.execute(
-                &g,
-                program.as_ref(),
-                &(),
-                0,
-                &|_| 0,
-                &mut CombineScratch::default(),
-            );
-            Box::new(local)
+            let mut local = task.new_local(true);
+            local.deliver(task.batch_for_test(vec![(VertexId(v), 0u32)]));
+            local.freeze();
+            let prev = task.aggregate_identity();
+            local.execute(&g, &prev, 0, &|_| 0, &mut CombineScratch::default());
+            local
         };
         let out = task.finalize(&g, vec![mk(0), mk(3)]);
         let reached = out.downcast::<Vec<VertexId>>().expect("typed output");
@@ -404,10 +332,9 @@ mod tests {
         let arriving = task.batch_for_test(vec![(VertexId(0), 0)]);
         let sent = address(&arriving);
         let mut local = task.new_local(true);
-        task.deliver(local.as_mut(), arriving);
+        local.deliver(arriving);
         local.freeze();
-        let (_, _, remote) = task.execute(
-            local.as_mut(),
+        let (_, _, remote) = local.execute(
             &g,
             &task.aggregate_identity(),
             0,

@@ -39,13 +39,14 @@
 //! walked in index order, so the batches leave in ascending destination
 //! order without a sort.
 //!
-//! Since the heterogeneous-query redesign the worker is **not generic**:
-//! each query's local state is held behind the object-safe [`LocalState`]
-//! facade, and every operation whose signature mentions program-specific
-//! types (message delivery, superstep execution, vertex migration) is
-//! routed through that query's [`QueryTask`](crate::task::QueryTask),
-//! which downcasts back to the typed [`QueryLocal`] internally. One worker
-//! therefore executes SSSP, POI, and reachability queries side by side.
+//! The worker is **not generic**: each query's local state is held behind
+//! the object-safe [`LocalState`] face, which [`QueryLocal`] implements
+//! once with the program it holds — message delivery, superstep execution
+//! and a migration's extract and inject included, their program-specific
+//! payloads crossing as envelopes that [`crate::task`] opens. One worker
+//! therefore executes SSSP, POI, and reachability queries side by side,
+//! and a migration moves a query's vertices from worker to worker
+//! ([`Worker::move_vertices`]) without looking up its task.
 //!
 //! Workers are runtime-agnostic: both the discrete-event engine and the
 //! thread runtime drive the same code, passing a routing closure that
@@ -61,7 +62,7 @@ use qgraph_graph::{Topology, VertexId};
 use qgraph_sim::BATCH_MAX_MSGS;
 
 use crate::program::{Context, VertexProgram};
-use crate::task::{Envelope, MessageBatch, QueryTask};
+use crate::task::{aggregate_of, moved_of, Envelope, MessageBatch, QueryTask};
 use crate::QueryId;
 
 /// Counters reported after one local superstep; the sizes in it are what
@@ -98,10 +99,11 @@ pub struct SuperstepStats {
     pub tasks: usize,
 }
 
-/// The object-safe facade over one query's per-worker state: everything a
-/// runtime needs that does *not* mention program-specific types. Typed
-/// operations reach the concrete [`QueryLocal`] by downcasting through
-/// `Any` (the `LocalState: Any` supertrait) inside the query's task.
+/// The object-safe face of one query's state on one worker: a runtime
+/// drives it without knowing the program. [`QueryLocal`] implements it
+/// with the program it holds; program-specific payloads cross as
+/// envelopes. The `Any` supertrait lets the query's task take the typed
+/// locals back at `finalize`.
 pub trait LocalState: Any + Send {
     /// Does a next superstep have pending messages here?
     fn has_pending(&self) -> bool;
@@ -122,6 +124,42 @@ pub trait LocalState: Any + Send {
     /// can stream ids into a caller-owned buffer instead of allocating a
     /// fresh `Vec` per (query, worker) pair.
     fn for_each_scope_vertex(&self, f: &mut dyn FnMut(VertexId));
+
+    /// An empty local of the same query — same program, same combiner
+    /// gate — for a worker the query first reaches by migration.
+    fn fresh(&self) -> Box<dyn LocalState>;
+
+    /// Deliver a batch into the next-superstep inbox (a flat append) and
+    /// keep its emptied buffer for a bucket of a later superstep.
+    fn deliver(&mut self, batch: MessageBatch);
+
+    /// Execute the frozen superstep; returns the step statistics, the
+    /// superstep's aggregate contribution, and the remote messages.
+    ///
+    /// `route` resolves the *current* assignment; messages to `home` go
+    /// straight into the next inbox, others are returned as batches
+    /// bucketed by destination worker, in ascending worker order — each
+    /// combined sender-side through `scratch` when the program has a
+    /// combiner.
+    fn execute(
+        &mut self,
+        graph: &Topology,
+        prev_aggregate: &Envelope,
+        home: usize,
+        route: &dyn Fn(VertexId) -> usize,
+        scratch: &mut CombineScratch,
+    ) -> (SuperstepStats, Envelope, Vec<(usize, MessageBatch)>);
+
+    /// Take out all data of the given vertices — vertex state and pending
+    /// messages, as vertex-sorted entries — for migration to another
+    /// worker during a global barrier, or `None` if the query holds
+    /// nothing there. The frozen inbox must be empty (no superstep in
+    /// flight), which the engine guarantees by quiescing workers first.
+    fn extract(&mut self, vertices: &FxHashSet<VertexId>) -> Option<Envelope>;
+
+    /// Replay, entry by entry, what [`LocalState::extract`] took out of a
+    /// local of the same query.
+    fn inject(&mut self, data: Envelope);
 }
 
 /// Per-query, per-worker execution state for one program type `P`.
@@ -159,6 +197,14 @@ pub struct QueryLocal<P: VertexProgram> {
 /// list, so a batch crossing partitions moves one pointer and allocates
 /// nothing once buffers circulate.
 pub(crate) type Batch<P> = Box<Vec<(VertexId, <P as VertexProgram>::Message)>>;
+
+/// What a migration moves of one query: per vertex, in vertex order, its
+/// state (if it has any) and its pending messages in arrival order.
+pub(crate) type Moved<P> = Vec<(
+    VertexId,
+    Option<<P as VertexProgram>::State>,
+    Vec<<P as VertexProgram>::Message>,
+)>;
 
 /// How many emptied batch buffers a [`QueryLocal`] keeps. A superstep
 /// opens at most one bucket per other partition and, on a hash layout,
@@ -227,22 +273,31 @@ impl<P: VertexProgram> QueryLocal<P> {
         }
     }
 
-    /// Append one pending message, opportunistically combining into the
-    /// inbox tail when the previous delivery addressed the same vertex
-    /// (sender-side-combined batches arrive vertex-sorted, so intra-batch
-    /// duplicates are adjacent). Cross-batch duplicates coalesce at the
-    /// freeze.
-    #[inline]
-    fn push_pending(&mut self, to: VertexId, msg: P::Message) {
-        if self.combine {
-            if let Some((last_v, acc)) = self.next.last_mut() {
-                if *last_v == to && self.program.combine(acc, &msg) {
-                    return;
-                }
-            }
-        }
-        self.next.push((to, msg));
+    /// Consume the local, yielding the vertex states it accumulated (for
+    /// [`VertexProgram::finalize`]).
+    pub(crate) fn into_states(self) -> FxHashMap<VertexId, P::State> {
+        self.state
     }
+}
+
+/// Append one pending message to `inbox`, combining into its tail when the
+/// previous delivery addressed the same vertex (sender-side-combined
+/// batches arrive vertex-sorted, so intra-batch duplicates are adjacent).
+/// Cross-batch duplicates coalesce at the freeze. `combiner` is the
+/// program when combining is on.
+#[inline]
+fn push_pending<P: VertexProgram>(
+    inbox: &mut Vec<(VertexId, P::Message)>,
+    combiner: Option<&P>,
+    to: VertexId,
+    msg: P::Message,
+) {
+    if let (Some(program), Some((last_v, acc))) = (combiner, inbox.last_mut()) {
+        if *last_v == to && program.combine(acc, &msg) {
+            return;
+        }
+    }
+    inbox.push((to, msg));
 }
 
 impl<P: VertexProgram> LocalState for QueryLocal<P> {
@@ -303,58 +358,64 @@ impl<P: VertexProgram> LocalState for QueryLocal<P> {
             f(*v);
         }
     }
-}
 
-impl<P: VertexProgram> QueryLocal<P> {
-    /// Deliver a batch into the next-superstep inbox (a flat append) and
-    /// keep its emptied buffer for a bucket of a later superstep.
-    pub(crate) fn deliver(&mut self, mut batch: Batch<P>) {
+    fn fresh(&self) -> Box<dyn LocalState> {
+        Box::new(QueryLocal::new(Arc::clone(&self.program), self.combine))
+    }
+
+    fn deliver(&mut self, batch: MessageBatch) {
+        let mut batch = batch.into_messages::<P>();
+        let combiner = self.combine.then_some(self.program.as_ref());
         for (v, m) in batch.drain(..) {
-            self.push_pending(v, m);
+            push_pending(&mut self.next, combiner, v, m);
         }
         if self.spare.len() < SPARE_BATCHES {
             self.spare.push(batch);
         }
     }
 
-    /// Execute the frozen superstep.
-    ///
-    /// `route` resolves the *current* assignment; messages to `home` go
-    /// straight into the next inbox, others are returned bucketed by
-    /// destination worker as `(worker, pre-combine count, messages)`, in
-    /// ascending worker order — each bucket combined when the program has
-    /// a combiner.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn execute(
+    fn execute(
         &mut self,
         graph: &Topology,
-        program: &P,
-        prev_aggregate: &P::Aggregate,
+        prev_aggregate: &Envelope,
         home: usize,
         route: &dyn Fn(VertexId) -> usize,
         scratch: &mut CombineScratch,
-    ) -> (SuperstepStats, P::Aggregate, Vec<(usize, usize, Batch<P>)>) {
+    ) -> (SuperstepStats, Envelope, Vec<(usize, MessageBatch)>) {
+        // Split borrows: the program is read while the buffers change,
+        // with no `Arc` clone per superstep.
+        let QueryLocal {
+            cur,
+            cur_msgs,
+            next,
+            state,
+            program,
+            combine,
+            outgoing,
+            buckets,
+            spare,
+        } = self;
+        let program = program.as_ref();
+        let combiner = combine.then_some(program);
+        let prev_aggregate = aggregate_of::<P>(prev_aggregate);
         let mut stats = SuperstepStats {
             tasks: 1,
             ..SuperstepStats::default()
         };
         let mut aggregate = program.aggregate_identity();
-        let combine = |a: &mut P::Aggregate, b: &P::Aggregate| program.aggregate_combine(a, b);
+        let fold = |a: &mut P::Aggregate, b: &P::Aggregate| program.aggregate_combine(a, b);
 
-        // The frozen buffers and the outgoing vector are taken for the
-        // loop and handed back empty: their capacity amortizes across the
-        // query's supersteps instead of regrowing from zero at every one.
-        let mut cur = std::mem::take(&mut self.cur);
-        let mut cur_msgs = std::mem::take(&mut self.cur_msgs);
-        let mut outgoing = std::mem::take(&mut self.outgoing);
-        for (v, run) in &cur {
+        // The frozen buffers and the outgoing vector are emptied in place:
+        // their capacity amortizes across the query's supersteps instead
+        // of regrowing from zero at every one.
+        for (v, run) in cur.iter() {
             let msgs = &cur_msgs[run.clone()];
-            let state = self.state.entry(*v).or_insert_with(|| program.init_state());
+            let state = state.entry(*v).or_insert_with(|| program.init_state());
             let mut ctx = Context {
-                outgoing: &mut outgoing,
+                outgoing: &mut *outgoing,
                 aggregate: &mut aggregate,
                 prev_aggregate,
-                combine: &combine,
+                combine: &fold,
             };
             program.compute(graph, *v, state, msgs, &mut ctx);
             stats.executed += 1;
@@ -362,36 +423,34 @@ impl<P: VertexProgram> QueryLocal<P> {
         }
         cur.clear();
         cur_msgs.clear();
-        self.cur = cur;
-        self.cur_msgs = cur_msgs;
 
         // Route produced messages, applying the combiner *sender-side* as
         // the buckets are built: one direct-address scratch probe per
         // remote message merges it into an earlier message to the same
         // vertex — no hashing, no sort, nothing for the receiver to redo.
         // A bucket is opened on a spare buffer when there is one.
-        if self.combine {
+        if combiner.is_some() {
             scratch.begin(graph.num_vertices());
         }
         let mut opened = 0;
         for (to, msg) in outgoing.drain(..) {
             let w = route(to);
             if w == home {
-                self.push_pending(to, msg);
+                push_pending(next, combiner, to, msg);
                 stats.local_deliveries += 1;
                 continue;
             }
             stats.remote_pre_combine += 1;
-            if w >= self.buckets.len() {
-                self.buckets.resize_with(w + 1, || (0, None));
+            if w >= buckets.len() {
+                buckets.resize_with(w + 1, || (0, None));
             }
-            let (pre, bucket) = &mut self.buckets[w];
+            let (pre, bucket) = &mut buckets[w];
             *pre += 1;
             let bucket = bucket.get_or_insert_with(|| {
                 opened += 1;
-                self.spare.pop().unwrap_or_default()
+                spare.pop().unwrap_or_default()
             });
-            if self.combine {
+            if let Some(program) = combiner {
                 if let Some(slot) = scratch.slot(to) {
                     if program.combine(&mut bucket[slot].1, &msg) {
                         continue;
@@ -403,30 +462,21 @@ impl<P: VertexProgram> QueryLocal<P> {
             }
             bucket.push((to, msg));
         }
-        self.outgoing = outgoing;
-        stats.local_scope = self.state.len();
+        stats.local_scope = state.len();
 
         // The table is walked in index order, so the batches come out by
         // ascending destination — the deterministic order — unsorted.
         let mut remote = Vec::with_capacity(opened);
-        for (w, (pre, bucket)) in self.buckets.iter_mut().enumerate() {
+        for (w, (pre, bucket)) in buckets.iter_mut().enumerate() {
             if let Some(msgs) = bucket.take() {
                 stats.remote_deliveries += msgs.len();
-                remote.push((w, std::mem::take(pre), msgs));
+                remote.push((w, MessageBatch::new::<P>(std::mem::take(pre), msgs)));
             }
         }
-        (stats, aggregate, remote)
+        (stats, Box::new(aggregate), remote)
     }
 
-    /// Extract all data of the given vertices, for migration to another
-    /// worker during a global barrier. The frozen inbox must be empty (no
-    /// superstep in flight), which the engine guarantees by quiescing
-    /// workers first.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn extract(
-        &mut self,
-        vertices: &FxHashSet<VertexId>,
-    ) -> Vec<(VertexId, Option<P::State>, Vec<P::Message>)> {
+    fn extract(&mut self, vertices: &FxHashSet<VertexId>) -> Option<Envelope> {
         debug_assert!(self.cur.is_empty(), "migration during a running superstep");
         // Split the flat inbox: moved vertices' messages leave (grouped
         // per vertex, arrival order preserved), the rest stays pending.
@@ -449,34 +499,29 @@ impl<P: VertexProgram> QueryLocal<P> {
             .collect::<FxHashSet<_>>()
             .into_iter()
             .collect();
-        let mut entries = Vec::new();
+        let mut entries: Moved<P> = Vec::new();
         for v in touched {
             let st = self.state.remove(&v);
             let msgs = moved_msgs.remove(&v).unwrap_or_default();
             entries.push((v, st, msgs));
         }
+        if entries.is_empty() {
+            return None;
+        }
         entries.sort_unstable_by_key(|(v, _, _)| *v);
-        entries
+        Some(Box::new(entries))
     }
 
-    /// Inject migrated vertex data (the counterpart of
-    /// [`QueryLocal::extract`]).
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn inject(&mut self, entries: Vec<(VertexId, Option<P::State>, Vec<P::Message>)>) {
-        for (v, st, msgs) in entries {
+    fn inject(&mut self, data: Envelope) {
+        let combiner = self.combine.then_some(self.program.as_ref());
+        for (v, st, msgs) in moved_of::<P>(data) {
             if let Some(st) = st {
                 self.state.insert(v, st);
             }
             for m in msgs {
-                self.push_pending(v, m);
+                push_pending(&mut self.next, combiner, v, m);
             }
         }
-    }
-
-    /// Consume the local, yielding the vertex states it accumulated (for
-    /// [`VertexProgram::finalize`]).
-    pub(crate) fn into_states(self) -> FxHashMap<VertexId, P::State> {
-        self.state
     }
 }
 
@@ -510,26 +555,22 @@ pub(crate) fn combine_in_place<P: VertexProgram>(
 
 /// One worker: the container of all queries' local state on this
 /// partition. Queries of *different* program types coexist; each entry is
-/// a type-erased [`LocalState`] that the query's task downcasts.
+/// a type-erased [`LocalState`] that runs itself.
 pub struct Worker {
     /// This worker's id (index into the cluster).
     pub id: usize,
     queries: FxHashMap<QueryId, Box<dyn LocalState>>,
-    /// Combiners enabled for newly created query locals.
+    /// Combiners enabled for query locals created here (the engines
+    /// thread [`crate::SystemConfig::combiners`] through [`Worker::new`]).
     combiners: bool,
     /// Shared sender-side combine index (see [`CombineScratch`]).
     scratch: CombineScratch,
 }
 
 impl Worker {
-    /// An empty worker with combiners on.
-    pub fn new(id: usize) -> Self {
-        Self::configured(id, true)
-    }
-
-    /// An empty worker with explicit combiner gating (the engines thread
-    /// [`crate::SystemConfig::combiners`] through here).
-    pub fn configured(id: usize, combiners: bool) -> Self {
+    /// An empty worker; `combiners` gates the message combiner of the
+    /// query locals it creates.
+    pub fn new(id: usize, combiners: bool) -> Self {
         Worker {
             id,
             queries: FxHashMap::default(),
@@ -551,7 +592,8 @@ impl Worker {
     }
 
     /// Deliver `batches`, in order, into query `q`'s next-superstep inbox
-    /// under one lookup of the query's local.
+    /// under one lookup of the query's local (made from `task` when the
+    /// query has none here yet).
     pub fn deliver_all(
         &mut self,
         task: &dyn QueryTask,
@@ -560,7 +602,7 @@ impl Worker {
     ) {
         let local = self.local_or_new(task, q);
         for batch in batches {
-            task.deliver(local.as_mut(), batch);
+            local.deliver(batch);
         }
     }
 
@@ -580,9 +622,10 @@ impl Worker {
         self.queries.get(&q).map_or((0, 0), |l| l.frozen_counts())
     }
 
-    /// Execute the frozen superstep of query `q` under its `task`. The
-    /// returned stats carry both pre- and post-combine remote counts plus
-    /// the batch count under this worker's wire cap.
+    /// Execute the frozen superstep of query `q` (its local made from
+    /// `task` when the query has none here yet). The returned stats carry
+    /// both pre- and post-combine remote counts plus the batch count under
+    /// this worker's wire cap.
     pub fn execute(
         &mut self,
         q: QueryId,
@@ -599,14 +642,8 @@ impl Worker {
             .queries
             .entry(q)
             .or_insert_with(|| task.new_local(combiners));
-        let (mut stats, agg, remote) = task.execute(
-            local.as_mut(),
-            graph,
-            prev_aggregate,
-            home,
-            route,
-            &mut self.scratch,
-        );
+        let (mut stats, agg, remote) =
+            local.execute(graph, prev_aggregate, home, route, &mut self.scratch);
         stats.remote_batches = remote
             .iter()
             .map(|(_, b)| b.len().div_ceil(BATCH_MAX_MSGS))
@@ -626,28 +663,17 @@ impl Worker {
         }
     }
 
-    /// The live local scope vertex set of query `q`, materialized.
-    /// Prefer [`Worker::for_each_scope_vertex`] where a caller-owned
-    /// buffer can absorb the ids.
-    pub fn scope_vertices(&self, q: QueryId) -> Vec<VertexId> {
-        let mut out = Vec::new();
-        self.for_each_scope_vertex(q, &mut |v| out.push(v));
-        out
-    }
-
-    /// Queries with state on this worker.
-    pub fn active_queries(&self) -> impl Iterator<Item = QueryId> + '_ {
-        self.queries.keys().copied()
-    }
-
     /// This worker's part of a scope report: `(query, this worker, live
     /// scope vertices)` per query with state here, in no particular order.
     /// Only stable while no superstep of the query runs.
     pub(crate) fn scope_report(
         &self,
     ) -> impl Iterator<Item = (QueryId, usize, Vec<VertexId>)> + '_ {
-        self.active_queries()
-            .map(|q| (q, self.id, self.scope_vertices(q)))
+        self.queries.iter().map(|(&q, local)| {
+            let mut scope = Vec::new();
+            local.for_each_scope_vertex(&mut |v| scope.push(v));
+            (q, self.id, scope)
+        })
     }
 
     /// This worker's part of a pending report: `(query, this worker)` per
@@ -663,36 +689,29 @@ impl Worker {
         self.queries.remove(&q)
     }
 
-    /// Extract all per-query data of the given vertices, for migration to
-    /// another worker during a global barrier. `task_of` resolves each
-    /// query's task (which performs the typed extraction).
-    pub fn extract_vertices(
+    /// Move every query's data on `vertices` — vertex state *and* pending
+    /// next-superstep messages — from this worker to `to`, during a global
+    /// barrier; a query with no local on `to` gets a
+    /// [`LocalState::fresh`] one there. Returns the queries that moved
+    /// data, in id order, the order they are injected in.
+    pub fn move_vertices(
         &mut self,
-        task_of: &dyn Fn(QueryId) -> std::sync::Arc<dyn QueryTask>,
+        to: &mut Worker,
         vertices: &FxHashSet<VertexId>,
-    ) -> Vec<(QueryId, Envelope)> {
-        let mut out = Vec::new();
-        for (&q, local) in self.queries.iter_mut() {
-            if let Some(envelope) = task_of(q).extract(local.as_mut(), vertices) {
-                out.push((q, envelope));
-            }
+    ) -> Vec<QueryId> {
+        let mut moved: Vec<(QueryId, Envelope)> = self
+            .queries
+            .iter_mut()
+            .filter_map(|(&q, local)| Some((q, local.extract(vertices)?)))
+            .collect();
+        moved.sort_unstable_by_key(|(q, _)| *q);
+        let mut gained = Vec::with_capacity(moved.len());
+        for (q, data) in moved {
+            let fresh = || self.queries[&q].fresh();
+            to.queries.entry(q).or_insert_with(fresh).inject(data);
+            gained.push(q);
         }
-        out.sort_unstable_by_key(|(q, _)| *q);
-        out
-    }
-
-    /// Inject migrated vertex data (the counterpart of
-    /// [`Worker::extract_vertices`]).
-    pub fn inject_vertices(
-        &mut self,
-        task_of: &dyn Fn(QueryId) -> std::sync::Arc<dyn QueryTask>,
-        data: Vec<(QueryId, Envelope)>,
-    ) {
-        for (q, envelope) in data {
-            let task = task_of(q);
-            let local = self.local_or_new(task.as_ref(), q);
-            task.inject(local.as_mut(), envelope);
-        }
+        gained
     }
 }
 
@@ -723,7 +742,7 @@ mod tests {
     fn deliver_freeze_execute_cycle() {
         let g = line();
         let task = reach_task();
-        let mut w = Worker::new(0);
+        let mut w = Worker::new(0, true);
         let q = QueryId(0);
         w.deliver(&task, q, batch(&task, vec![(VertexId(0), 0)]));
         assert!(w.has_pending(q));
@@ -742,7 +761,7 @@ mod tests {
     fn remote_messages_bucketed_by_destination() {
         let g = line();
         let task = reach_task();
-        let mut w = Worker::new(0);
+        let mut w = Worker::new(0, true);
         let q = QueryId(0);
         w.deliver(&task, q, batch(&task, vec![(VertexId(0), 0)]));
         w.freeze(q);
@@ -763,7 +782,7 @@ mod tests {
         // Reach's combiner keeps the minimum hop: three messages to one
         // vertex freeze into a single apply.
         let task = reach_task();
-        let mut w = Worker::new(0);
+        let mut w = Worker::new(0, true);
         let q = QueryId(0);
         w.deliver(&task, q, batch(&task, vec![(VertexId(1), 3)]));
         w.deliver(&task, q, batch(&task, vec![(VertexId(2), 5)]));
@@ -781,7 +800,7 @@ mod tests {
     #[test]
     fn combiner_disabled_keeps_every_message() {
         let task = reach_task();
-        let mut w = Worker::configured(0, false);
+        let mut w = Worker::new(0, false);
         let q = QueryId(0);
         w.deliver(
             &task,
@@ -803,7 +822,7 @@ mod tests {
         }
         let g = Topology::new(b.build());
         let task = reach_task();
-        let mut w = Worker::new(0);
+        let mut w = Worker::new(0, true);
         let q = QueryId(0);
         w.deliver(&task, q, batch(&task, vec![(VertexId(0), 0)]));
         w.freeze(q);
@@ -817,34 +836,102 @@ mod tests {
     #[test]
     fn migration_roundtrip_preserves_state_and_inbox() {
         let g = line();
-        let task = std::sync::Arc::new(reach_task());
+        let task = reach_task();
         let q = QueryId(0);
-        let mut a = Worker::new(0);
-        a.deliver(task.as_ref(), q, batch(&task, vec![(VertexId(0), 0)]));
+        let mut a = Worker::new(0, true);
+        a.deliver(&task, q, batch(&task, vec![(VertexId(0), 0)]));
         a.freeze(q);
         let prev = task.aggregate_identity();
-        a.execute(q, task.as_ref(), &g, &prev, &|_| 0);
+        a.execute(q, &task, &g, &prev, &|_| 0);
         // Now vertex 0 has state, vertex 1 has a pending message.
         let moved: FxHashSet<VertexId> = [VertexId(0), VertexId(1)].into_iter().collect();
-        let task_of = {
-            let task = std::sync::Arc::clone(&task);
-            move |_q: QueryId| task.clone() as std::sync::Arc<dyn QueryTask>
-        };
-        let data = a.extract_vertices(&task_of, &moved);
+        let mut b = Worker::new(1, true);
+        assert_eq!(a.move_vertices(&mut b, &moved), vec![q]);
         assert_eq!(a.scope_size(q), 0);
         assert!(!a.has_pending(q));
-
-        let mut b = Worker::new(1);
-        b.inject_vertices(&task_of, data);
         assert_eq!(b.scope_size(q), 1);
         assert!(b.has_pending(q));
         assert_eq!(b.freeze(q), (1, 1));
     }
 
+    /// Query `q`'s frozen input on `w`: each vertex's reach messages.
+    fn frozen_runs(w: &Worker, q: QueryId) -> Vec<(VertexId, Vec<u32>)> {
+        let local: &dyn Any = w.queries[&q].as_ref();
+        let local = local.downcast_ref::<QueryLocal<ReachProgram>>();
+        let local = local.expect("a reach local");
+        let run = |(v, r): &(VertexId, Range<usize>)| (*v, local.cur_msgs[r.clone()].to_vec());
+        local.cur.iter().map(run).collect()
+    }
+
+    #[test]
+    fn a_move_into_a_worker_holding_the_query_merges_states_and_inboxes() {
+        // 0 -> 1 and 3 -> 4. On worker 0 the query holds vertex 0, with
+        // mail for 1 (its own, then a batch's) and 2; on worker 1 it holds
+        // vertex 3, with mail for 4 and 1. Vertices 0, 1 and 2 move to 1.
+        let mut b = GraphBuilder::new(5);
+        b.add_edge(0, 1, 1.0);
+        b.add_edge(3, 4, 1.0);
+        let g = Topology::new(b.build());
+        let task = reach_task();
+        let q = QueryId(0);
+        let prev = task.aggregate_identity();
+        let moved: FxHashSet<VertexId> = [0, 1, 2].map(VertexId).into_iter().collect();
+        // Vertex 1's inbox: worker 1's message first, then worker 0's two.
+        for (combiners, at_1) in [(true, vec![1]), (false, vec![2, 1, 5])] {
+            let mut src = Worker::new(0, combiners);
+            let mut dst = Worker::new(1, combiners);
+            let seeded = [
+                (&mut src, 0, vec![(VertexId(1), 5), (VertexId(2), 7)]),
+                (&mut dst, 3, vec![(VertexId(1), 2)]),
+            ];
+            for (w, seed, mail) in seeded {
+                let home = w.id;
+                w.deliver(&task, q, batch(&task, vec![(VertexId(seed), 0)]));
+                w.freeze(q);
+                w.execute(q, &task, &g, &prev, &|_| home);
+                w.deliver(&task, q, batch(&task, mail));
+            }
+            assert_eq!(src.move_vertices(&mut dst, &moved), vec![q]);
+            assert_eq!((src.scope_size(q), src.has_pending(q)), (0, false));
+            let mut scope = Vec::new();
+            dst.for_each_scope_vertex(q, &mut |v| scope.push(v));
+            scope.sort_unstable();
+            assert_eq!(scope, [VertexId(0), VertexId(3)], "combiners {combiners}");
+            dst.freeze(q);
+            let inbox = vec![
+                (VertexId(1), at_1),
+                (VertexId(2), vec![7]),
+                (VertexId(4), vec![1]),
+            ];
+            assert_eq!(frozen_runs(&dst, q), inbox, "combiners {combiners}");
+        }
+    }
+
+    #[test]
+    fn a_fresh_local_keeps_the_source_combiner_gate() {
+        // The destination never held the query and would combine; the
+        // local it takes is the source's kind, so vertex 1's messages stay
+        // apart, the moved ones and a later delivery alike.
+        let task = reach_task();
+        let q = QueryId(0);
+        let mut src = Worker::new(0, false);
+        src.deliver(
+            &task,
+            q,
+            batch(&task, vec![(VertexId(1), 3), (VertexId(1), 1)]),
+        );
+        let mut dst = Worker::new(1, true);
+        let moved: FxHashSet<VertexId> = [VertexId(1)].into_iter().collect();
+        assert_eq!(src.move_vertices(&mut dst, &moved), vec![q]);
+        dst.deliver(&task, q, batch(&task, vec![(VertexId(1), 2)]));
+        assert_eq!(dst.freeze(q), (1, 3));
+        assert_eq!(frozen_runs(&dst, q), [(VertexId(1), vec![3, 1, 2])]);
+    }
+
     #[test]
     fn extract_leaves_unmoved_pending_messages() {
         let task = reach_task();
-        let mut w = Worker::new(0);
+        let mut w = Worker::new(0, true);
         let q = QueryId(0);
         w.deliver(
             &task,
@@ -852,12 +939,7 @@ mod tests {
             batch(&task, vec![(VertexId(1), 1), (VertexId(2), 2)]),
         );
         let moved: FxHashSet<VertexId> = [VertexId(1)].into_iter().collect();
-        let task_of = {
-            let task = std::sync::Arc::new(reach_task());
-            move |_q: QueryId| task.clone() as std::sync::Arc<dyn QueryTask>
-        };
-        let data = w.extract_vertices(&task_of, &moved);
-        assert_eq!(data.len(), 1);
+        assert_eq!(w.move_vertices(&mut Worker::new(1, true), &moved), vec![q]);
         assert!(w.has_pending(q), "vertex 2's message stays");
         assert_eq!(w.freeze(q), (1, 1));
     }
@@ -867,7 +949,7 @@ mod tests {
         let g = line();
         let task = reach_task();
         let q = QueryId(0);
-        let mut w = Worker::new(0);
+        let mut w = Worker::new(0, true);
         w.deliver(&task, q, batch(&task, vec![(VertexId(0), 0)]));
         w.freeze(q);
         let prev = task.aggregate_identity();
@@ -875,7 +957,7 @@ mod tests {
         let local = w.take_local(q).expect("present");
         assert_eq!(local.scope_size(), 1);
         assert_eq!(w.scope_size(q), 0);
-        assert_eq!(w.active_queries().count(), 0);
+        assert_eq!(w.scope_report().count(), 0);
     }
 
     #[test]
@@ -887,7 +969,7 @@ mod tests {
             rounds: 2,
         });
         let (q1, q2) = (QueryId(1), QueryId(2));
-        let mut w = Worker::new(0);
+        let mut w = Worker::new(0, true);
         w.deliver(&reach, q1, batch(&reach, vec![(VertexId(0), 0)]));
         w.deliver(&ping, q2, ping.batch_for_test(vec![(VertexId(2), 0)]));
         w.freeze(q1);
@@ -906,7 +988,7 @@ mod tests {
 
     #[test]
     fn empty_freeze_is_harmless() {
-        let mut w = Worker::new(0);
+        let mut w = Worker::new(0, true);
         assert_eq!(w.freeze(QueryId(0)), (0, 0));
     }
 
@@ -915,7 +997,7 @@ mod tests {
         let g = line();
         let task = reach_task();
         let q = QueryId(0);
-        let mut w = Worker::new(0);
+        let mut w = Worker::new(0, true);
         w.deliver(&task, q, batch(&task, vec![(VertexId(0), 0)]));
         w.freeze(q);
         let prev = task.aggregate_identity();
@@ -923,9 +1005,12 @@ mod tests {
         let mut visited = Vec::new();
         w.for_each_scope_vertex(q, &mut |v| visited.push(v));
         visited.sort_unstable();
-        let mut materialized = w.scope_vertices(q);
-        materialized.sort_unstable();
-        assert_eq!(visited, materialized);
+        let mut report: Vec<_> = w.scope_report().collect();
+        let [(q0, 0, reported)] = &mut report[..] else {
+            panic!("one query's scope on worker 0");
+        };
+        reported.sort_unstable();
+        assert_eq!((*q0, &visited), (q, &*reported));
         // Unknown query: visitor is a no-op.
         w.for_each_scope_vertex(QueryId(9), &mut |_| panic!("no scope"));
     }
@@ -938,37 +1023,38 @@ mod tests {
             ring: vec![],
             rounds: 0,
         });
-        let mut w = Worker::new(0);
+        let mut w = Worker::new(0, true);
         let q = QueryId(0);
         w.deliver(&task, q, batch(&task, vec![(VertexId(0), 0)]));
         // Delivering a ping batch through the reach local must be caught.
         w.deliver_all(&ping, q, [ping.batch_for_test(vec![(VertexId(0), 0)])]);
     }
 
-    fn reach_local() -> (Arc<ReachProgram>, QueryLocal<ReachProgram>) {
-        let program = Arc::new(ReachProgram::new(VertexId(0)));
-        let local = QueryLocal::new(Arc::clone(&program), true);
-        (program, local)
+    fn reach_local() -> QueryLocal<ReachProgram> {
+        QueryLocal::new(Arc::new(ReachProgram::new(VertexId(0))), true)
     }
 
     #[test]
     fn a_delivered_batchs_buffer_is_the_next_bucket() {
         let g = line(); // 0 -> 1, with vertex 1 on worker 1
-        let (program, mut local) = reach_local();
+        let mut local = reach_local();
         let mut travelling: Batch<ReachProgram> = Box::new(Vec::with_capacity(7));
         travelling.push((VertexId(0), 0));
         let (envelope, buffer) = (&*travelling as *const Vec<_>, travelling.as_ptr());
-        local.deliver(travelling);
+        local.deliver(MessageBatch::new::<ReachProgram>(1, travelling));
         local.freeze();
         let route = |v: VertexId| v.0 as usize;
         let mut scratch = CombineScratch::default();
-        let (_, (), remote) = local.execute(&g, &program, &(), 0, &route, &mut scratch);
-        let [(1, 1, bucket)] = &remote[..] else {
+        let (_, _, mut remote) =
+            local.execute(&g, &(Box::new(()) as Envelope), 0, &route, &mut scratch);
+        let Some((1, batch)) = remote.pop().filter(|_| remote.is_empty()) else {
             panic!("one bucket, for worker 1");
         };
+        assert_eq!((batch.len(), batch.pre_combine()), (1, 1));
+        let bucket = batch.into_messages::<ReachProgram>();
         // Same box, same heap buffer: nothing was allocated for the batch.
         assert_eq!(
-            (&**bucket as *const Vec<_>, bucket.as_ptr()),
+            (&*bucket as *const Vec<_>, bucket.as_ptr()),
             (envelope, buffer)
         );
         assert_eq!((bucket.len(), bucket.capacity()), (1, 7));
@@ -977,9 +1063,12 @@ mod tests {
 
     #[test]
     fn the_spare_list_is_capped() {
-        let (_, mut local) = reach_local();
+        let mut local = reach_local();
         for i in 0..SPARE_BATCHES as u32 + 5 {
-            local.deliver(Box::new(vec![(VertexId(i), 0)]));
+            local.deliver(MessageBatch::new::<ReachProgram>(
+                1,
+                Box::new(vec![(VertexId(i), 0)]),
+            ));
             assert!(local.spare.len() <= SPARE_BATCHES);
         }
         assert_eq!(local.spare.len(), SPARE_BATCHES);
@@ -999,7 +1088,7 @@ mod tests {
         let g = Topology::new(b.build());
         let task = reach_task();
         let q = QueryId(0);
-        let mut w = Worker::new(0);
+        let mut w = Worker::new(0, true);
         let route = |v: VertexId| (5 - v.0 as usize) % 5;
         let prev = task.aggregate_identity();
         for round in 0..2 {
@@ -1030,7 +1119,7 @@ mod tests {
         let prev = task.aggregate_identity();
         // (remote_pre_combine, remote_deliveries, remote_batches)
         for (combiners, counts) in [(true, (2, 1, 1)), (false, (2, 2, 1))] {
-            let mut w = Worker::configured(0, combiners);
+            let mut w = Worker::new(0, combiners);
             for first in [0, 3] {
                 let seeds = vec![(VertexId(first), 0), (VertexId(first + 1), 3)];
                 w.deliver(&task, q, batch(&task, seeds));
