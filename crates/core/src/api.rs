@@ -318,7 +318,6 @@ impl EngineBuilder {
 mod tests {
     use super::*;
     use crate::programs::{PingProgram, ReachProgram};
-    use crate::sched::DopPolicy;
     use qgraph_graph::{GraphBuilder, VertexId};
     use qgraph_partition::RangePartitioner;
 
@@ -405,7 +404,6 @@ mod tests {
         // computes identical outputs on both runtimes.
         let narrow = || SystemConfig {
             pool_threads: 1,
-            dop: DopPolicy::Fixed(1),
             ..Default::default()
         };
         let builder = || EngineBuilder::new(line(8)).workers(4).config(narrow());

@@ -34,16 +34,6 @@ pub struct BarrierInput<'a> {
     pub crossed: bool,
 }
 
-/// The barrier's verdict for this iteration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BarrierDecision {
-    /// When the next superstep may start everywhere.
-    pub release: SimTime,
-    /// Whether this iteration counted as *completely local* — the
-    /// numerator of the paper's query-locality metric.
-    pub is_local: bool,
-}
-
 /// The one definition of a *completely local* superstep (paper §3.3): it
 /// ran on at most one worker and no message crossed a worker boundary.
 /// [`decide`] prices barriers with it and the coordinator core counts
@@ -52,8 +42,9 @@ pub fn is_local(involved: usize, crossed: bool) -> bool {
     involved <= 1 && !crossed
 }
 
-/// Compute the barrier release time for one query iteration.
-pub fn decide(input: &BarrierInput<'_>, cluster: &ClusterModel) -> BarrierDecision {
+/// When the next superstep of one query may start everywhere, after the
+/// iteration `input` describes.
+pub fn decide(input: &BarrierInput<'_>, cluster: &ClusterModel) -> SimTime {
     let is_local = is_local(input.involved_cur.len(), input.crossed);
 
     let max_ctl = |ws: &[usize]| -> SimTime {
@@ -63,7 +54,7 @@ pub fn decide(input: &BarrierInput<'_>, cluster: &ClusterModel) -> BarrierDecisi
             .unwrap_or(SimTime::ZERO)
     };
 
-    let release = match input.mode {
+    match input.mode {
         BarrierMode::Hybrid if is_local => {
             // Local query barrier: communication-free (paper §3.3 phase 2).
             input.compute_done
@@ -83,9 +74,7 @@ pub fn decide(input: &BarrierInput<'_>, cluster: &ClusterModel) -> BarrierDecisi
             let rt = max_ctl(&all);
             (input.compute_done + rt + rt).max(input.msg_arrival)
         }
-    };
-
-    BarrierDecision { release, is_local }
+    }
 }
 
 #[cfg(test)]
@@ -109,17 +98,17 @@ mod tests {
 
     #[test]
     fn local_barrier_is_free() {
-        let d = decide(&base_input(&[2], &[2], false), &c1());
-        assert!(d.is_local);
-        assert_eq!(d.release, SimTime::from_millis(10));
+        let input = base_input(&[2], &[2], false);
+        assert!(is_local(input.involved_cur.len(), input.crossed));
+        assert_eq!(decide(&input, &c1()), SimTime::from_millis(10));
     }
 
     #[test]
     fn limited_barrier_pays_control_round_trip() {
         let cluster = c1();
-        let d = decide(&base_input(&[1, 2], &[1, 2], true), &cluster);
-        assert!(!d.is_local);
-        assert!(d.release > SimTime::from_millis(10));
+        let input = base_input(&[1, 2], &[1, 2], true);
+        assert!(!is_local(input.involved_cur.len(), input.crossed));
+        assert!(decide(&input, &cluster) > SimTime::from_millis(10));
     }
 
     #[test]
@@ -131,7 +120,7 @@ mod tests {
         let hybrid = decide(&input, &cluster);
         input.mode = BarrierMode::SharedGlobal;
         let global = decide(&input, &cluster);
-        assert!(global.release >= hybrid.release);
+        assert!(global >= hybrid);
     }
 
     #[test]
@@ -141,10 +130,12 @@ mod tests {
         let next = [2usize];
         let mut input = base_input(&cur, &next, false);
         input.mode = BarrierMode::SharedGlobal;
-        let d = decide(&input, &cluster);
-        assert!(d.is_local, "locality metric is mode-independent");
         assert!(
-            d.release > SimTime::from_millis(10),
+            is_local(input.involved_cur.len(), input.crossed),
+            "locality metric is mode-independent"
+        );
+        assert!(
+            decide(&input, &cluster) > SimTime::from_millis(10),
             "but the baseline still pays the global round trip"
         );
     }
@@ -156,15 +147,14 @@ mod tests {
         let next = [1usize];
         let mut input = base_input(&cur, &next, true);
         input.msg_arrival = SimTime::from_secs(5);
-        let d = decide(&input, &cluster);
-        assert!(d.release >= SimTime::from_secs(5));
+        assert!(decide(&input, &cluster) >= SimTime::from_secs(5));
     }
 
     #[test]
     fn crossing_messages_break_locality_even_on_one_worker() {
         // A single involved worker that sent a remote message is not local:
         // a distant vertex was activated (paper §3.3).
-        let d = decide(&base_input(&[0], &[0, 1], true), &c1());
-        assert!(!d.is_local);
+        let input = base_input(&[0], &[0, 1], true);
+        assert!(!is_local(input.involved_cur.len(), input.crossed));
     }
 }

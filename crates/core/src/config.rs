@@ -2,7 +2,7 @@
 
 use qgraph_sim::SimTime;
 
-use crate::sched::{AdmissionPolicy, DopPolicy};
+use crate::sched::AdmissionPolicy;
 
 /// How query iterations are synchronized (paper §3.3): Q-Graph's hybrid
 /// barrier, or the traditional BSP baseline it is measured against.
@@ -142,12 +142,10 @@ pub struct SystemConfig {
     /// baseline's thread budget. Outputs and iteration counts are
     /// identical for every width; only wall-clock scheduling changes.
     /// The simulated engine prices the same width as a cap on
-    /// concurrently executing tasks.
+    /// concurrently executing tasks. Each query's degree-of-parallelism
+    /// budget follows from it at admission: analytics get the width,
+    /// point queries 1.
     pub pool_threads: usize,
-    /// Per-query degree-of-parallelism budgets chosen at admission (see
-    /// [`DopPolicy`]): how many of a superstep's per-partition tasks may
-    /// run concurrently. Structure-preserving for every budget.
-    pub dop: DopPolicy,
     /// Record structured trace events (see [`crate::trace`]). The one
     /// switch for the tracer, which every build compiles in; off, each
     /// call site costs one `Option` check. Off by default: tracing is
@@ -171,7 +169,6 @@ impl Default for SystemConfig {
             compact_fraction: 0.25,
             max_queued: None,
             pool_threads: 0,
-            dop: DopPolicy::Adaptive,
             trace: false,
             trace_ring_capacity: 65_536,
         }
@@ -221,7 +218,6 @@ mod tests {
         assert_eq!(s.compact_fraction, 0.25);
         assert!(s.max_queued.is_none(), "unbounded admission by default");
         assert_eq!(s.pool_threads, 0, "pool width follows partition count");
-        assert_eq!(s.dop, DopPolicy::Adaptive, "points narrow, analytics wide");
         assert!(!s.trace, "tracing is opt-in");
         assert_eq!(s.trace_ring_capacity, 65_536);
     }

@@ -3,11 +3,10 @@
 //!
 //! [`Coordinator`] owns everything protocol-shaped — the policy-ordered
 //! admission queue and the closed-loop slots, every live query's
-//! superstep state, release (*which* partitions compute a superstep, in
-//! *which* order, under what DoP budget — handed to the executor as one
-//! [`Superstep`]), step-completion accounting (aggregate roll-over,
-//! locality via [`barrier::is_local`], the next involved set, terminate →
-//! collect → outcome), parking while a stop-the-world window is wanted,
+//! [`Query`], release (*which* partitions compute a superstep, in *which*
+//! order, under what DoP budget), step-completion accounting (aggregate
+//! roll-over, locality via [`barrier::is_local`], the next involved set,
+//! terminate → collect → outcome), parking while a stop-the-world window is wanted,
 //! the window body itself (mutation epochs → compaction → index repair →
 //! Q-cut migration, publications, event stamping, unpark + re-admit), and
 //! every protocol-level hb / tracer stamp. It performs no IO and spawns
@@ -20,16 +19,18 @@
 //! [`ThreadEngine`](crate::ThreadEngine) turns them into pool commands.
 //! Neither knows about parked sets, locality counting or outcome fields.
 //!
-//! ## One superstep, one dispatch, one close
+//! ## One record, one fold, one close
 //!
-//! A query's superstep state is one [`Stepping`] record behind a shared
-//! lock ([`Record`]), with one fold ([`Stepping::fold`], a finished Step's
-//! [`StepReport`]) and one close ([`Stepping::close`]); whoever observes a
-//! superstep's last Step closes it there. [`Coordinator::step_done`] is
-//! fold + close, for the simulation's reports; the thread runtime's lanes
-//! fold, close and release the next superstep themselves (see
-//! [`crate::runtime`]), so its core hears of a query only when it
-//! terminates, parks for a window, or a Q-cut check is due.
+//! An admitted query is one [`Query`] ([`Record`]): its id, its task and
+//! its [`Stepping`] state behind one lock, with one fold
+//! ([`Stepping::fold`], a finished Step's [`StepReport`]) and one close
+//! ([`Stepping::close`]); whoever observes a superstep's last Step closes
+//! it there. [`Coordinator::step_done`] is fold + close, for the
+//! simulation's reports; the thread runtime's lanes fold, close and
+//! release the next superstep themselves, and count a terminated query's
+//! Collects down in the same record (see [`crate::runtime`]), so its core
+//! hears of a query only when it terminates, parks for a window, or a
+//! Q-cut check is due.
 //!
 //! What an executor owes for a dispatched superstep
 //! ([`Executor::superstep`]) is the BSP contract: every involved partition
@@ -97,24 +98,10 @@ use crate::index_plane::PointIndex;
 use crate::qcut::{migrate, IlsResult, Migration};
 use crate::query::{OutcomeStatus, QueryId, QueryOutcome, ServedBy};
 use crate::report::{EngineReport, RepartitionEvent};
-use crate::sched::{try_index_path, QueueEntry, Scheduler};
+use crate::sched::{dop_budget, try_index_path, QueueEntry, Scheduler};
 use crate::task::{Envelope, MessageBatch, QueryTask};
 use crate::trace::{outcome, Tracer};
 use crate::worker::{LocalState, SuperstepStats};
-
-/// One whole superstep of one query, as the core hands it to an executor
-/// (see the module docs for what the executor owes).
-pub(crate) struct Superstep<'a> {
-    pub task: &'a Arc<dyn QueryTask>,
-    /// The query's record, locked by the core for the call (`step`): an
-    /// executor may close supersteps where they end. `step.out.iterations`
-    /// is the superstep's index; a Step of superstep `n` produces input of
-    /// superstep `n + 1`. Superstep 0 is dispatched by admission; every
-    /// later one follows a close (a barrier release, or a window resuming
-    /// a parked query).
-    pub record: &'a Record,
-    pub step: &'a Stepping,
-}
 
 /// The dispatch vocabulary. The `*_report` and `migrate` calls are
 /// synchronous. `migrate` and `pending_report` are issued only inside a
@@ -127,12 +114,16 @@ pub(crate) trait Executor {
     /// Query `q` was admitted with `batch` addressed to `w`: input of its
     /// superstep 0 there.
     fn deliver(&mut self, q: QueryId, w: usize, task: &dyn QueryTask, batch: MessageBatch);
-    /// Run `q`'s next superstep and close it (see the module docs).
-    fn superstep(&mut self, q: QueryId, s: Superstep<'_>);
-    /// Hand back `q`'s local state on every partition in `touched` (the
-    /// query terminated): right away (one address space), or `None` and
-    /// later, all at once, as a [`Coordinator::collected`] input.
-    fn collect(&mut self, q: QueryId, touched: Vec<usize>) -> Option<Locals>;
+    /// Run the superstep `step` (the record's state, locked for the call)
+    /// just began, and close it (see the module docs). Its index is
+    /// `step.out.iterations`: 0 is dispatched by admission, every later
+    /// one follows a close (a barrier release, or a window's resume).
+    fn superstep(&mut self, record: &Record, step: &Stepping);
+    /// Hand back the terminated query's local state on every partition it
+    /// touched (the record's `touched`, which this takes): right away (one
+    /// address space), or `None` and later, all at once, as a
+    /// [`Coordinator::collected`] input.
+    fn collect(&mut self, record: &Record) -> Option<Locals>;
     /// Query `q` finished with `output`.
     fn complete(&mut self, q: QueryId, output: Envelope);
     /// Mutation epochs were applied: every partition must see the new
@@ -177,23 +168,71 @@ pub(crate) struct StepReport {
 /// A terminated query's collected local states.
 pub(crate) type Locals = Vec<Box<dyn LocalState>>;
 
-/// A query's superstep state, shared by the core and whoever closes its
-/// supersteps (see the module docs).
-pub(crate) type Record = Arc<Mutex<Stepping>>;
+/// An admitted query, shared by the core and whoever closes its
+/// supersteps or answers its collect (see the module docs).
+pub(crate) type Record = Arc<Query>;
 
-/// Lock a record, a mailbox or a collect, recovering from poisoning: each
-/// update leaves them valid, and a panic elsewhere surfaces on its own.
+/// Lock a record or a mailbox, recovering from poisoning: each update
+/// leaves them valid, and a panic elsewhere surfaces on its own.
 pub(crate) fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// One admitted query: built once at admission, until it completes.
+pub(crate) struct Query {
+    pub id: QueryId,
+    pub task: Arc<dyn QueryTask>,
+    step: Mutex<Stepping>,
+}
+
+impl Query {
+    /// Admit `task` as query `id` under the DoP budget `dop`
+    /// ([`dop_budget`]): nothing pending, nothing touched, `out` as the
+    /// outcome under construction.
+    pub fn new(
+        id: QueryId,
+        task: Arc<dyn QueryTask>,
+        out: QueryOutcome,
+        dop: usize,
+        partitions: usize,
+    ) -> Record {
+        let step = Stepping {
+            last_done: out.submitted_at,
+            out,
+            dop,
+            outstanding: 0,
+            released: 0,
+            involved_cur: Vec::new(),
+            next_involved: Vec::with_capacity(partitions),
+            crossed: false,
+            agg_prev: task.aggregate_identity(),
+            agg_acc: task.aggregate_identity(),
+            touched: Vec::with_capacity(partitions),
+            locals: Vec::new(),
+        };
+        Arc::new(Query {
+            id,
+            task,
+            step: Mutex::new(step),
+        })
+    }
+
+    pub fn stepping(&self) -> MutexGuard<'_, Stepping> {
+        relock(&self.step)
+    }
 }
 
 /// One admitted query's superstep state.
 pub(crate) struct Stepping {
     /// The outcome under construction: work counters accumulate in place.
     pub out: QueryOutcome,
-    /// DoP budget ([`crate::DopPolicy::budget`], fixed at admission).
+    /// Latest instant any of the query's Steps finished, as the executor
+    /// reported it to [`Coordinator::step_done`].
+    pub last_done: SimTime,
+    /// DoP budget, fixed at admission.
     pub dop: usize,
-    /// Steps of the current superstep not yet folded.
+    /// Steps of the current superstep not yet folded; once the query
+    /// terminated, Collects not yet answered.
     pub outstanding: usize,
     /// How many of `involved_cur` have been released.
     released: usize,
@@ -208,6 +247,8 @@ pub(crate) struct Stepping {
     agg_acc: Envelope,
     /// Partitions holding state for the query (sorted) — the collect set.
     pub touched: Vec<usize>,
+    /// The locals a collect gathered so far.
+    pub locals: Locals,
 }
 
 /// What a closed superstep leaves its query to do: start the next one
@@ -219,22 +260,6 @@ pub(crate) enum Close {
 }
 
 impl Stepping {
-    /// A query's record at admission: nothing pending, nothing touched.
-    pub fn new(task: &dyn QueryTask, out: QueryOutcome, dop: usize, partitions: usize) -> Self {
-        Stepping {
-            out,
-            dop,
-            outstanding: 0,
-            released: 0,
-            involved_cur: Vec::new(),
-            next_involved: Vec::with_capacity(partitions),
-            crossed: false,
-            agg_prev: task.aggregate_identity(),
-            agg_acc: task.aggregate_identity(),
-            touched: Vec::with_capacity(partitions),
-        }
-    }
-
     /// Start the next superstep: the pending set becomes the involved set,
     /// and the first `dop` of it are released.
     pub fn begin(&mut self) {
@@ -317,21 +342,6 @@ pub struct EngineState {
     pub report: EngineReport,
 }
 
-/// One admitted query.
-pub(crate) struct QueryRun {
-    pub task: Arc<dyn QueryTask>,
-    pub record: Record,
-    /// Latest instant any of the query's steps finished, as the executor
-    /// reported it to [`Coordinator::step_done`].
-    pub last_done: SimTime,
-}
-
-impl QueryRun {
-    pub fn stepping(&self) -> MutexGuard<'_, Stepping> {
-        relock(&self.record)
-    }
-}
-
 /// Where the next repartition stands; a plan carries its trigger instant.
 enum Repartition {
     None,
@@ -400,7 +410,7 @@ pub(crate) struct Coordinator {
     waiting: FxHashMap<QueryId, Arc<dyn QueryTask>>,
     /// Admitted, unfinished queries — ordered, so every float sum over
     /// them is taken in the same (id) order on every run.
-    queries: BTreeMap<QueryId, QueryRun>,
+    queries: BTreeMap<QueryId, Record>,
     /// No more admissions (shutdown requested): running queries finish.
     closed: bool,
     /// A window is wanted or open: no admissions, and queries reaching
@@ -468,7 +478,7 @@ impl Coordinator {
 
     /// Queries currently mid-superstep.
     pub fn computing(&self) -> usize {
-        let mid = |r: &&QueryRun| r.stepping().outstanding > 0;
+        let mid = |r: &&Record| r.stepping().outstanding > 0;
         self.queries.values().filter(mid).count()
     }
 
@@ -482,8 +492,8 @@ impl Coordinator {
         }
     }
 
-    /// Live query `q`'s superstep state (`q` must be live).
-    pub fn run(&self, q: QueryId) -> &QueryRun {
+    /// Live query `q`'s record (`q` must be live).
+    pub fn run(&self, q: QueryId) -> &Record {
         let live = self.queries.get(&q);
         live.unwrap_or_else(|| panic!("protocol invariant: {q} is not a live query"))
     }
@@ -566,21 +576,18 @@ impl Coordinator {
         let route = |v: VertexId| st.partitioning.worker_of(v).index();
         let batches = task.initial_batches(&st.topology, &route, self.cfg.combiners);
         // The budget is fixed at admission for the query's lifetime.
-        let dop = self.cfg.dop.budget(task.as_ref(), pool_width).max(1);
-        let mut step = Stepping::new(task.as_ref(), out, dop, batches.len());
+        let dop = dop_budget(task.as_ref(), pool_width);
+        let record = Query::new(q, task, out, dop, batches.len());
+        let mut step = record.stepping();
         // `initial_batches` is sorted by partition, so both sets are too.
         for (w, batch) in batches {
             step.touched.push(w);
             step.next_involved.push(w);
-            x.deliver(q, w, task.as_ref(), batch);
+            x.deliver(q, w, record.task.as_ref(), batch);
         }
         let empty = step.next_involved.is_empty();
-        let run = QueryRun {
-            task,
-            record: Arc::new(Mutex::new(step)),
-            last_done: now,
-        };
-        self.queries.insert(q, run);
+        drop(step);
+        self.queries.insert(q, record);
         if empty {
             // No initial messages: finalize over the empty state set.
             self.collected(x, q, Vec::new(), now);
@@ -629,14 +636,7 @@ impl Coordinator {
         for &w in step.released().1 {
             self.tracer.defer(secs(now), u64::from(q.0), w as u32);
         }
-        x.superstep(
-            q,
-            Superstep {
-                task: &run.task,
-                record: &run.record,
-                step: &step,
-            },
-        );
+        x.superstep(run, &step);
     }
 
     /// A Step finished at `done_at` (≥ `now` when the executor prices the
@@ -658,14 +658,14 @@ impl Coordinator {
         self.state
             .controller
             .note_activity(now, rep.worker, executed);
-        let Some(run) = self.queries.get_mut(&q) else {
+        let Some(run) = self.queries.get(&q) else {
             panic!("protocol invariant: step report for {q}, which is not live");
         };
-        run.last_done = run.last_done.max(done_at);
         // The executor releases the superstep's deferred Steps on its own
         // — even while a window is wanted: the superstep must complete
         // before the query can park.
         let mut step = run.stepping();
+        step.last_done = step.last_done.max(done_at);
         if !step.fold(run.task.as_ref(), &rep) {
             return None;
         }
@@ -684,8 +684,7 @@ impl Coordinator {
         let Some(run) = self.queries.get(&q) else {
             return;
         };
-        let touched = std::mem::take(&mut run.stepping().touched);
-        if let Some(locals) = x.collect(q, touched) {
+        if let Some(locals) = x.collect(run) {
             self.collected(x, q, locals, now);
         }
     }
@@ -696,8 +695,9 @@ impl Coordinator {
         let Some(run) = self.queries.remove(&q) else {
             panic!("protocol invariant: collected locals for {q}, which is not live");
         };
-        let mut out = run.stepping().out;
-        let at = run.last_done.max(now);
+        let step = run.stepping();
+        let (mut out, at) = (step.out, step.last_done.max(now));
+        drop(step);
         out.completed_at = at;
         out.last_epoch = self.state.topology.epoch();
         out.scope_size = locals.iter().map(|l| l.scope_size() as u64).sum();
@@ -724,6 +724,8 @@ impl Coordinator {
         self.tracer.outcome(at, u64::from(out.id.0), code);
         let report = &mut self.state.report;
         report.finished_at_secs = report.finished_at_secs.max(at);
+        // One pool task per superstep execution, wherever it ran.
+        report.pool.tasks += out.tasks;
         report.outcomes.push(out);
     }
 
@@ -1034,7 +1036,6 @@ mod tests {
     use crate::program::{Context, VertexProgram};
     use crate::programs::{PingProgram, Tally};
     use crate::qcut::{MovePlan, ScopeMove};
-    use crate::sched::DopPolicy;
     use crate::task::TypedTask;
     use qgraph_graph::{AppliedMutation, GraphBuilder};
     use qgraph_partition::{Partitioner, RangePartitioner};
@@ -1068,12 +1069,13 @@ mod tests {
         fn deliver(&mut self, q: QueryId, w: usize, _: &dyn QueryTask, _: MessageBatch) {
             self.log.push(Op::Deliver(q.0, w));
         }
-        fn superstep(&mut self, q: QueryId, s: Superstep<'_>) {
-            let (step, involved) = (s.step, s.step.involved_cur.clone());
+        fn superstep(&mut self, record: &Record, step: &Stepping) {
+            let (q, involved) = (record.id, step.involved_cur.clone());
             let index = step.out.iterations;
             self.log.push(Op::Superstep(q.0, involved, step.dop, index));
         }
-        fn collect(&mut self, q: QueryId, touched: Vec<usize>) -> Option<Locals> {
+        fn collect(&mut self, record: &Record) -> Option<Locals> {
+            let (q, touched) = (record.id, std::mem::take(&mut record.stepping().touched));
             let collects = touched.into_iter().map(|w| Op::Collect(q.0, w));
             self.log.extend(collects);
             Some(Vec::new())
@@ -1130,7 +1132,7 @@ mod tests {
 
     fn serial() -> SystemConfig {
         SystemConfig {
-            dop: DopPolicy::Fixed(1),
+            pool_threads: 1,
             ..Default::default()
         }
     }

@@ -1,7 +1,7 @@
 //! The discrete-event multi-query engine: the virtual-time executor of
 //! the coordinator core.
 //!
-//! [`SimEngine`] runs the query protocol of [`crate::coord`] — admission,
+//! [`SimEngine`] runs the query protocol of `coord` — admission,
 //! per-query barriers, DoP deferral, the stop-the-world window — exactly
 //! as the thread runtime does, while *time* advances on the `qgraph-sim`
 //! virtual clock using the cluster's compute/network cost models. Results
@@ -49,12 +49,14 @@ use crate::api::{Engine, Runtime};
 use crate::barrier::{self, BarrierInput};
 use crate::config::{BarrierMode, SystemConfig};
 use crate::controller::Controller;
-use crate::coord::{Close, Coordinator, EngineState, Executor, Locals, StepReport, Superstep};
+use crate::coord::{
+    Close, Coordinator, EngineState, Executor, Locals, Record, StepReport, Stepping,
+};
 use crate::hb::{kind, Hb};
 use crate::program::VertexProgram;
 use crate::qcut::{migrate, Migration};
 use crate::query::{QueryHandle, QueryId};
-use crate::report::{EngineReport, PoolCounters};
+use crate::report::EngineReport;
 use crate::sched::{check_submission, Submission};
 use crate::task::{Envelope, MessageBatch, QueryTask, TypedTask};
 use crate::trace::{CmdKind, Tracer};
@@ -118,9 +120,6 @@ struct SimExec {
     pool_width: usize,
     /// Worker tasks (compute or send) currently occupying pool threads.
     pool_busy: usize,
-    /// Compute tasks completed (the sim's [`PoolCounters::tasks`]; steals
-    /// and idle waits are physical-pool phenomena and stay 0 here).
-    pool_tasks: u64,
     events: EventQueue<Event>,
     outputs: Vec<Option<Envelope>>,
     /// Per query: latest arrival of any inter-worker message it sent.
@@ -169,12 +168,13 @@ impl Executor for SimExec {
     // nothing to save there. Superstep 0's Steps are admission's control
     // messages; every later superstep rides the barrier release whose
     // round trip its close already paid for.
-    fn superstep(&mut self, q: QueryId, s: Superstep<'_>) {
-        for &w in &s.step.involved_cur {
+    fn superstep(&mut self, record: &Record, step: &Stepping) {
+        let q = record.id;
+        for &w in &step.involved_cur {
             self.workers[w].freeze(q);
         }
-        let admitted = s.step.out.iterations == 0;
-        for &w in s.step.released().0 {
+        let admitted = step.out.iterations == 0;
+        for &w in step.released().0 {
             if admitted {
                 self.control_ready(q, w);
             } else {
@@ -183,7 +183,8 @@ impl Executor for SimExec {
         }
     }
 
-    fn collect(&mut self, q: QueryId, touched: Vec<usize>) -> Option<Locals> {
+    fn collect(&mut self, record: &Record) -> Option<Locals> {
+        let (q, touched) = (record.id, std::mem::take(&mut record.stepping().touched));
         let locals = touched.into_iter().map(|w| self.workers[w].take_local(q));
         Some(locals.flatten().collect())
     }
@@ -350,7 +351,6 @@ impl Engine<Sim> {
                 .collect(),
             pool_width: Coordinator::pool_width(&cfg, k),
             pool_busy: 0,
-            pool_tasks: 0,
             events: EventQueue::new(),
             outputs: Vec::new(),
             msg_arrival: Vec::new(),
@@ -526,14 +526,9 @@ impl Runtime for Sim {
         report.finished_at_secs = x.events.now().as_secs_f64();
         x.tracer.drain();
         report.trace.absorb(&x.tracer);
-        // `tasks` counts the same per-(query, partition) units the thread
-        // runtime counts.
-        report.pool = PoolCounters {
-            threads: x.pool_width,
-            tasks: x.pool_tasks,
-            steals: 0,
-            idle_waits: 0,
-        };
+        // The core counts the tasks as queries complete; steals and idle
+        // waits are physical-pool phenomena and stay 0 here.
+        report.pool.threads = x.pool_width;
     }
 }
 
@@ -607,7 +602,6 @@ impl Sim {
             x.control_ready(q, w2);
         }
         drop(step);
-        x.pool_tasks += 1;
         let (lane, id) = (w as u32, u64::from(q.0));
         x.tracer.task_span(
             began.as_secs_f64(),
@@ -649,10 +643,10 @@ impl Sim {
         if close == Close::Next {
             let run = self.core.run(q);
             let step = run.stepping();
-            let decision = barrier::decide(
+            let release = barrier::decide(
                 &BarrierInput {
                     mode,
-                    compute_done: run.last_done,
+                    compute_done: step.last_done,
                     msg_arrival: x.msg_arrival[q.index()],
                     involved_cur: &step.involved_cur,
                     involved_next: &step.next_involved,
@@ -660,7 +654,7 @@ impl Sim {
                 },
                 &x.cluster,
             );
-            let release = decision.release.max(now);
+            let release = release.max(now);
             if shared {
                 // Traditional BSP: hold the query until the slowest query
                 // of this round has also synchronized.

@@ -17,7 +17,7 @@
 //! The dependency points one way: `qgraph-core` knows only this trait,
 //! `qgraph-index` implements it. The engines hold an installed index as
 //! `Option<Box<dyn PointIndex>>` and consult it in the admission path
-//! (see [`crate::sched::try_index_path`]); a query admitted at graph
+//! (see `sched::try_index_path`); a query admitted at graph
 //! epoch *e* is index-served only when the index reports
 //! [`repaired_through`](PointIndex::repaired_through)` >= e`, so a stale
 //! index silently degrades to traversal instead of serving wrong answers.

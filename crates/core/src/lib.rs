@@ -93,7 +93,7 @@ pub use report::{
     EngineReport, MutationEvent, Percentiles, PoolCounters, ProgramSummary, SloReport,
 };
 pub use runtime::{EngineClient, ThreadEngine};
-pub use sched::{AdmissionPolicy, DopPolicy, Submission};
+pub use sched::{AdmissionPolicy, Submission};
 pub use trace::TraceData;
 
 // The mutation plane's graph-side vocabulary, re-exported so engine users

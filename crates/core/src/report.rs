@@ -4,8 +4,8 @@
 //! An engine's report is cumulative over its lifetime, and every entry in
 //! it has one owner. The thread runtime's coordinator records into a
 //! report of its own and, at every drain and at the stop, hands its
-//! entries over ([`EngineReport::hand_over`]): they leave the coordinator,
-//! which keeps only the scalars ([`EngineReport::carry`]), and the engine
+//! entries over (`EngineReport::hand_over`): they leave the coordinator,
+//! which keeps only the scalars (`EngineReport::carry`), and the engine
 //! appends them.
 //!
 //! Per-partition work has one record: the trace's `Step` task spans,

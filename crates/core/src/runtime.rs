@@ -3,7 +3,7 @@
 //!
 //! [`ThreadEngine`] runs the same worker code as the discrete-event engine
 //! — same [`crate::worker::Worker`], same vertex programs — and executes
-//! the same query protocol ([`crate::coord`]), on OS threads with
+//! the same query protocol (`coord`), on OS threads with
 //! `std::sync::mpsc` channels. It demonstrates that the library is an
 //! executable system, and the integration tests use it to cross-validate
 //! the simulator: both runtimes must produce identical query outputs.
@@ -11,8 +11,8 @@
 //! ## Morsel-style elastic execution
 //!
 //! Partitions are *logical actors*, not threads. Each partition's state —
-//! vertex values, inboxes, Q-cut scope — lives in a [`WorkerCtx`], and
-//! every dispatch the core emits for a partition becomes one [`Cmd`] task
+//! vertex values, inboxes, Q-cut scope — lives in a `WorkerCtx`, and
+//! every dispatch the core emits for a partition becomes one `Cmd` task
 //! in a shared [`TaskPool`] drawn by [`SystemConfig::pool_threads`] OS
 //! threads (default: one per partition, the fixed-partition baseline). The
 //! pool serializes tasks per partition, so partition ownership still
@@ -20,14 +20,14 @@
 //! drain many partitions, and many threads can race through one query's
 //! superstep. A query the core dispatches stays on the lanes until it
 //! terminates or parks, and then answers once on the coordinator channel
-//! ([`Resp`]), as does a collect the core issues itself; the count of
+//! (`Resp`), as does a collect the core issues itself; the count of
 //! those still unanswered is this executor's definition of quiescence.
 //!
 //! ## Messages stay on the lanes
 //!
 //! No message of a running query crosses the coordinator. Each partition
-//! owns a [`Mailbox`] beside its
-//! [`WorkerCtx`]: one lock, two slots keyed by query, chosen by the parity
+//! owns a `Mailbox` beside its
+//! `WorkerCtx`: one lock, two slots keyed by query, chosen by the parity
 //! of the superstep that will *read* them. A Step of superstep `n` first
 //! takes its own parity-`n` slot into the worker inbox and seals it, and
 //! after executing puts every remote batch straight into the destination's
@@ -42,8 +42,8 @@
 //! inboxes before it reads anything, so scope reports, migration and the
 //! pending report see every message.
 //!
-//! Taking does not dismantle the slot: [`Partition::take`] swaps the
-//! slot's vector with the empty one the [`WorkerCtx`] owns, so the entry
+//! Taking does not dismantle the slot: `Partition::take` swaps the
+//! slot's vector with the empty one the `WorkerCtx` owns, so the entry
 //! stays — with a buffer the next puts fill — until `Collect` removes it,
 //! and a Step's whole take is delivered under one lookup of the query's
 //! local ([`Worker::deliver_all`]). Together with the circulating batch
@@ -53,24 +53,24 @@
 //! ## Lanes close every superstep
 //!
 //! The core dispatches a query's first superstep (and a parked query's
-//! next) with its [`Record`]; from then on the lanes drive it. Every
-//! `Step` carries the record: the lane that finishes one folds its report
-//! in ([`Stepping::fold`]) and pushes the next held-back partition's Step
-//! itself, and the last finisher closes the superstep
-//! ([`Stepping::close`], the close the simulation's
-//! [`Coordinator::step_done`] runs too) and, under the same lock, begins
-//! the next one and pushes its first `dop` Steps ([`launch`]) — or pushes
-//! the `Collect`s of a terminated query, whose last sends the coordinator
-//! every local in one message, or hands the query back to park when the
-//! serving loop has raised the park flag ([`Signals`]). A Q-cut check is
-//! due from an instant the coordinator publishes
-//! ([`Coordinator::next_check`], the last plan's due instant plus the
-//! core's paced wait): the lane that closes a
-//! superstep at or after it takes it and sends one [`Resp::Tick`]. A
-//! local superstep — one partition, nothing sent away — that goes on is
-//! begun in place: nobody can have put mail for it, so the lane seals its
-//! inbox and executes again, up to [`LOCAL_QUANTUM`] times per `Step`
-//! (the paper's communication-free local barrier, §3.3).
+//! next) with its record — the core's one `Query` per admitted query: id,
+//! task and superstep state behind one lock — and from then on the lanes
+//! drive it. Every `Step` and `Collect` carries the record: the lane that
+//! finishes a Step folds its report in (`Stepping::fold`) and pushes the
+//! next held-back partition's Step itself, and the last finisher closes
+//! the superstep (`Stepping::close`, the simulation's close too) and,
+//! under the same lock, begins the next one and pushes its first `dop`
+//! Steps — or hands the query back to park when the park flag is up, or
+//! pushes a terminated query's `Collect`s, which the record counts down
+//! while it gathers their locals; the last sends them all to the
+//! coordinator in one message. A Q-cut check is due from an instant the
+//! coordinator publishes (the last plan's due instant plus the core's
+//! paced wait): the lane that closes a superstep at or after it takes it
+//! and sends one `Tick`. A local superstep — one partition, nothing sent
+//! away — that goes on is begun in place: nobody can have put mail for
+//! it, so the lane seals its inbox and executes again, up to
+//! `LOCAL_QUANTUM` = 4 times per `Step` (the paper's communication-free
+//! local barrier, §3.3).
 //!
 //! ## The window touches quiescent partitions directly
 //!
@@ -89,7 +89,7 @@
 //!
 //! The engine is *long-lived*: [`ThreadEngine::start`] spawns the pool
 //! plus a **coordinator** thread that owns the core and the drive loop
-//! ([`serve`]). Callers on any thread submit through a cloneable
+//! (`serve`). Callers on any thread submit through a cloneable
 //! [`EngineClient`] *while supersteps are in flight*; the engine's own
 //! `submit*` and `mutate` are its client's:
 //!
@@ -100,15 +100,15 @@
 //!   its type-erased task down the same channel the pool answers on; the
 //!   coordinator stamps the arrival time and hands both to the core, which
 //!   holds the task until the query completes — nothing else keeps it;
-//! * a [`Resp::Tick`] — and, while a check is due, a query's collect,
+//! * a `Resp::Tick` — and, while a check is due, a query's collect,
 //!   which brings its scope — runs the core's one Q-cut trigger
-//!   ([`Coordinator::trigger`]) on the session clock: μ is session
+//!   (`Coordinator::trigger`) on the session clock: μ is session
 //!   wall-clock seconds here, and the ILS budget is not read; a hit reads
 //!   the scopes while the lanes compute, locking one context at a time,
 //!   runs the ILS on this turn and makes its plan due as the ILS returns
 //!   (`Coordinator::plan_due`) — a plan that moves nothing opens no
 //!   window. The core paces the next check from the instants this
-//!   executor reports (see [`crate::coord`]): what the scope statistics
+//!   executor reports (see `coord`): what the scope statistics
 //!   and the ILS took, plus the window's own duration;
 //! * a lane that panics says so as it unwinds, and stopping the pool
 //!   re-raises the panic through `drain`;
@@ -119,9 +119,9 @@
 //!
 //! Every report entry has one owner. A session's coordinator records
 //! outcomes, window events and trace events into a report that starts
-//! from the engine's scalars alone ([`EngineReport::carry`]). At every
+//! from the engine's scalars alone (`EngineReport::carry`). At every
 //! drain, and at the stop, it moves what it recorded since the previous
-//! hand-over into one [`Snapshot`], with the layout; the engine appends
+//! hand-over into one `Snapshot`, with the layout; the engine appends
 //! the entries. A drain stamps the report's end at its instant, and so
 //! does the stop when it hands over an outcome or a repartition. The
 //! stop's snapshot comes back with the controller and the label index.
@@ -145,7 +145,6 @@ use crate::config::SystemConfig;
 use crate::controller::Controller;
 use crate::coord::{
     relock, Close, Coordinator, EngineState, Executor, Locals, Record, StepReport, Stepping,
-    Superstep,
 };
 use crate::hb::{kind, Hb};
 use crate::index_plane::PointIndex;
@@ -224,28 +223,17 @@ fn flush_mail(parts: &[Partition], hb: &Hb, task_of: &dyn Fn(QueryId) -> Arc<dyn
     }
 }
 
-/// A terminated query's collect: partitions still to answer, locals so far.
-struct Gather {
-    left: usize,
-    locals: Locals,
-}
-
 enum Cmd {
-    /// Execute query `q`'s superstep `index` here and fold it into the
-    /// query's record (see the module docs).
+    /// Execute the query's superstep `index` here and fold it into its
+    /// record (see the module docs).
     Step {
-        q: QueryId,
-        task: Arc<dyn QueryTask>,
         /// This Step's copy of the aggregate the superstep reads.
         prev_agg: Envelope,
         index: u32,
         record: Record,
     },
-    /// Hand query `q`'s local state here to the collect.
-    Collect {
-        q: QueryId,
-        gather: Arc<Mutex<Gather>>,
-    },
+    /// Hand the terminated query's local state here to its collect.
+    Collect(Record),
 }
 
 /// How many supersteps a lane begins in place per `Step` command (so one
@@ -728,7 +716,6 @@ impl Threads {
             clock,
             inflight_ops: 0,
             pool_base,
-            pool_tasks: pool_base.tasks,
             // The hook widens "quiescent" to one still-open op — exactly
             // the race the hb auditor exists to catch.
             #[cfg(feature = "check-hb")]
@@ -826,9 +813,6 @@ struct PoolExec {
     /// The pool counters the report carried into the session: this
     /// session's `TaskPool` counts from zero on top of them.
     pool_base: PoolCounters,
-    /// Superstep executions of completed queries, cumulative across serve
-    /// sessions.
-    pool_tasks: u64,
     /// How many unanswered ops still count as quiescent: 0, or 1 under
     /// [`ThreadEngine::hb_test_reintroduce_quiesce_race`].
     quiesce_at: usize,
@@ -898,12 +882,11 @@ impl PoolExec {
     fn hand_over(&mut self, core: &mut Coordinator, now: SimTime) -> Snapshot {
         let (base, ps) = (self.pool_base, self.pool.stats());
         let st = &mut core.state;
-        st.report.pool = PoolCounters {
-            threads: self.pool.width(),
-            tasks: self.pool_tasks,
-            steals: base.steals + ps.steals,
-            idle_waits: base.idle_waits + ps.idle_waits,
-        };
+        // The core counts the tasks as queries complete.
+        let pool = &mut st.report.pool;
+        pool.threads = self.pool.width();
+        pool.steals = base.steals + ps.steals;
+        pool.idle_waits = base.idle_waits + ps.idle_waits;
         st.report.trace.absorb(&self.tracer);
         if !st.report.outcomes.is_empty() || !st.report.repartitions.is_empty() {
             st.report.finished_at_secs = now.as_secs_f64();
@@ -928,20 +911,21 @@ impl Executor for PoolExec {
     }
 
     // The query goes onto the lanes until it terminates or parks.
-    fn superstep(&mut self, q: QueryId, s: Superstep<'_>) {
+    fn superstep(&mut self, record: &Record, step: &Stepping) {
         self.inflight_ops += 1;
         #[cfg(test)]
         self.traffic.dispatched.fetch_add(1, Ordering::Relaxed);
         let push = |w, cmd| self.pool.push(w, cmd);
-        launch(&push, &self.hb, None, q, s.task, s.record, s.step);
+        launch(&push, &self.hb, None, record, step);
     }
 
-    fn collect(&mut self, q: QueryId, touched: Vec<usize>) -> Option<Locals> {
-        if touched.is_empty() {
+    fn collect(&mut self, record: &Record) -> Option<Locals> {
+        let mut step = record.stepping();
+        if step.touched.is_empty() {
             return Some(Vec::new());
         }
         let push = |w, cmd| self.pool.push(w, cmd);
-        gather(&push, &self.hb, None, q, &touched);
+        gather(&push, &self.hb, None, record, &mut step);
         self.inflight_ops += 1;
         None
     }
@@ -1063,8 +1047,6 @@ fn serve(mut core: Coordinator, mut x: PoolExec) -> Stopped {
             }
             CoordMsg::Worker(Resp::Collected { q, locals }) => {
                 x.answered();
-                // One pool task per superstep execution, wherever it ran.
-                x.pool_tasks += core.run(q).stepping().out.tasks;
                 core.collected(&mut x, q, locals, now);
                 // A query's last close is heard here, with its scope: a
                 // due check sees it, as the simulation's does.
@@ -1128,58 +1110,61 @@ struct WorkerCtx {
     taken: Vec<MessageBatch>,
 }
 
-/// Push the first Steps of the superstep `step` just began, one `STEP`
-/// token per involved partition; `from`: `None` for the core's dispatch,
-/// else the partition whose lane closed the superstep before.
+/// Push the first Steps of the superstep the record's `step` just began,
+/// one `STEP` token per involved partition; `from`: `None` for the core's
+/// dispatch, else the partition whose lane closed the superstep before.
 fn launch(
     push: &dyn Fn(usize, Cmd),
     hb: &Hb,
     from: Option<usize>,
-    q: QueryId,
-    task: &Arc<dyn QueryTask>,
     record: &Record,
     step: &Stepping,
 ) {
+    let q = record.id.0;
     let (first, held_back) = step.released();
     for &w in first {
         match from {
-            None => hb.send_step(q.0, w),
+            None => hb.send_step(q, w),
             Some(from) => {
-                hb.token_open(q.0, kind::STEP);
+                hb.token_open(q, kind::STEP);
                 hb.lane_send_step(from, w);
             }
         }
         let cmd = Cmd::Step {
-            q,
-            task: Arc::clone(task),
-            prev_agg: task.clone_aggregate(&step.agg_prev),
+            prev_agg: record.task.clone_aggregate(&step.agg_prev),
             index: step.out.iterations,
             record: Arc::clone(record),
         };
         push(w, cmd);
     }
     for _ in held_back {
-        hb.token_open(q.0, kind::STEP);
+        hb.token_open(q, kind::STEP);
     }
 }
 
-/// Push a `Collect` of the terminated query `q` to every partition in
-/// `touched` (non-empty); `from` as for [`launch`].
-fn gather(push: &dyn Fn(usize, Cmd), hb: &Hb, from: Option<usize>, q: QueryId, touched: &[usize]) {
-    let gather = Arc::new(Mutex::new(Gather {
-        left: touched.len(),
-        locals: Vec::with_capacity(touched.len()),
-    }));
-    for &w in touched {
+/// Push a `Collect` of the terminated query to every partition it touched
+/// (the record's `touched`, non-empty, which this takes) and count them
+/// down from there; `from` as for [`launch`].
+fn gather(
+    push: &dyn Fn(usize, Cmd),
+    hb: &Hb,
+    from: Option<usize>,
+    record: &Record,
+    step: &mut Stepping,
+) {
+    let q = record.id.0;
+    let touched = std::mem::take(&mut step.touched);
+    step.outstanding = touched.len();
+    step.locals.reserve(touched.len());
+    for w in touched {
         match from {
-            None => hb.send_collect(q.0, w),
+            None => hb.send_collect(q, w),
             Some(from) => {
-                hb.token_open(q.0, kind::COLLECT);
+                hb.token_open(q, kind::COLLECT);
                 hb.lane_send_step(from, w);
             }
         }
-        let gather = Arc::clone(&gather);
-        push(w, Cmd::Collect { q, gather });
+        push(w, Cmd::Collect(Arc::clone(record)));
     }
 }
 
@@ -1225,8 +1210,8 @@ impl Lane {
         // matching send — the channel edge of the HB graph.
         hb.worker_recv(w);
         let (traced_q, kind) = match &cmd {
-            Cmd::Step { q, .. } => (*q, CmdKind::Step),
-            Cmd::Collect { q, .. } => (*q, CmdKind::Collect),
+            Cmd::Step { record, .. } => (record.id, CmdKind::Step),
+            Cmd::Collect(record) => (record.id, CmdKind::Collect),
         };
         // The lane span opens before the state lock: lock wait is part of
         // the task's runtime as the pool experiences it. Steals are
@@ -1237,13 +1222,11 @@ impl Lane {
         let begin_at = self.trace_now();
         let (executed, reply) = match cmd {
             Cmd::Step {
-                q,
-                task,
                 prev_agg,
                 index,
                 record,
-            } => self.step(push, tid, w, q, task, prev_agg, index, record),
-            Cmd::Collect { q, gather } => (0, self.collect(w, q, &gather)),
+            } => self.step(push, tid, w, prev_agg, index, record),
+            Cmd::Collect(record) => (0, self.collect(w, &record)),
         };
         if let Some(begin_at) = begin_at {
             tracer.task_span(
@@ -1267,19 +1250,16 @@ impl Lane {
     /// and as the superstep's last Step, close it and see to what follows.
     /// Returns the vertex updates and, when the query leaves the lanes
     /// here to park, the answer.
-    #[allow(clippy::too_many_arguments)]
     fn step(
         &self,
         push: &dyn Fn(usize, Cmd),
         tid: usize,
         w: usize,
-        q: QueryId,
-        task: Arc<dyn QueryTask>,
         mut prev_agg: Envelope,
         mut index: u32,
         record: Record,
     ) -> (u64, Option<Resp>) {
-        let hb = &self.hb;
+        let (hb, q, task) = (&self.hb, record.id, record.task.as_ref());
         let (mut executed, mut chained) = (0, 0);
         let mut guard = lock_ctx(&self.parts[w].ctx);
         let ctx = &mut *guard;
@@ -1288,8 +1268,7 @@ impl Lane {
         // superstep and lands in the other slot.
         hb.mail_take(w);
         self.parts[w].take(q, index, &mut ctx.taken);
-        ctx.worker
-            .deliver_all(task.as_ref(), q, ctx.taken.drain(..));
+        ctx.worker.deliver_all(task, q, ctx.taken.drain(..));
         ctx.worker.freeze(q);
         let route = |v: VertexId| ctx.partitioning.worker_of(v).index();
         let (mut step, close) = loop {
@@ -1299,7 +1278,7 @@ impl Lane {
             hb.worker_step(w);
             let (stats, agg, remote) =
                 ctx.worker
-                    .execute(q, task.as_ref(), &ctx.topology, &prev_agg, &route);
+                    .execute(q, task, &ctx.topology, &prev_agg, &route);
             executed += stats.executed as u64;
             // What the superstep sent away is input of the next one: in
             // the destinations' mailboxes before the fold can release it.
@@ -1316,13 +1295,13 @@ impl Lane {
                 remote: sent_to.collect(),
                 self_pending: ctx.worker.has_pending(q),
             };
-            let mut step = relock(&record);
+            let mut step = record.stepping();
             hb.record_join(q.0, w);
-            if !step.fold(task.as_ref(), &report) {
+            if !step.fold(task, &report) {
                 break (step, None);
             }
             hb.record_close(q.0, w);
-            let close = step.close(task.as_ref());
+            let close = step.close(task);
             self.closed(w, q);
             // The local barrier: a superstep on this partition alone that
             // sent nothing away and goes on involves this partition alone
@@ -1361,8 +1340,6 @@ impl Lane {
                     hb.lane_send_step(w, to);
                     let record = Arc::clone(&record);
                     let cmd = Cmd::Step {
-                        q,
-                        task,
                         prev_agg,
                         index,
                         record,
@@ -1372,8 +1349,7 @@ impl Lane {
                 None
             }
             Some(Close::Terminate) => {
-                let touched = std::mem::take(&mut step.touched);
-                gather(push, hb, Some(w), q, &touched);
+                gather(push, hb, Some(w), &record, &mut step);
                 None
             }
             // A window is wanted: the query waits at this barrier.
@@ -1385,7 +1361,7 @@ impl Lane {
                         self.tracer.defer(at, u64::from(q.0), p as u32);
                     }
                 }
-                launch(push, hb, Some(w), q, &task, &record, &step);
+                launch(push, hb, Some(w), &record, &step);
                 None
             }
         };
@@ -1413,20 +1389,21 @@ impl Lane {
         }
     }
 
-    /// A `Collect`: hand this partition's local of `q` over; the last of
-    /// the query's Collects answers with them all.
-    fn collect(&self, w: usize, q: QueryId, gather: &Mutex<Gather>) -> Option<Resp> {
+    /// A `Collect`: hand this partition's local of the query to its
+    /// record; the last of the query's Collects answers with them all.
+    fn collect(&self, w: usize, record: &Record) -> Option<Resp> {
+        let q = record.id;
         for slot in &mut relock(&self.parts[w].mail).slots {
             slot.remove(&q);
         }
         let local = lock_ctx(&self.parts[w].ctx).worker.take_local(q);
-        let mut gather = relock(gather);
+        let mut step = record.stepping();
         self.hb.record_join(q.0, w);
-        gather.locals.extend(local);
-        gather.left -= 1;
-        let reply = (gather.left == 0).then(|| {
+        step.locals.extend(local);
+        step.outstanding -= 1;
+        let reply = (step.outstanding == 0).then(|| {
             self.hb.record_close(q.0, w);
-            let locals = std::mem::take(&mut gather.locals);
+            let locals = std::mem::take(&mut step.locals);
             Resp::Collected { q, locals }
         });
         self.hb.token_close(q.0, kind::COLLECT);
@@ -1457,6 +1434,7 @@ impl Lane {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coord::Query;
     use crate::programs::{PingProgram, ReachProgram, Tally};
     use qgraph_graph::GraphBuilder;
     use qgraph_partition::{Partitioner, RangePartitioner};
@@ -1477,7 +1455,6 @@ mod tests {
     struct ByHand {
         lane: Lane,
         rx: Receiver<CoordMsg>,
-        task: Arc<dyn QueryTask>,
         record: Record,
         /// Commands pushed and not run yet.
         queue: std::cell::RefCell<std::collections::VecDeque<(usize, Cmd)>>,
@@ -1527,18 +1504,20 @@ mod tests {
             },
         };
         let route = |v: VertexId| parts.worker_of(v).index();
-        let mut step = Stepping::new(task.as_ref(), Default::default(), dop, k);
-        for (w, batch) in task.initial_batches(&topology, &route, true) {
+        let batches = task.initial_batches(&topology, &route, true);
+        let record = Query::new(Q, task, Default::default(), dop, k);
+        let mut step = record.stepping();
+        for (w, batch) in batches {
             hb.mail_put(0, w);
             lane.parts[w].put(Q, 0, batch);
             step.touched.push(w);
             step.next_involved.push(w);
         }
+        drop(step);
         ByHand {
             lane,
             rx,
-            task,
-            record: Arc::new(Mutex::new(step)),
+            record,
             queue: Default::default(),
         }
     }
@@ -1551,15 +1530,16 @@ mod tests {
         /// Begin query 0's next superstep and push its first Steps, the
         /// way the core's dispatch does.
         fn dispatch(&self) {
-            let mut step = relock(&self.record);
+            let mut step = self.record.stepping();
             step.begin();
-            let hb = &self.lane.hb;
-            launch(&self.push(), hb, None, Q, &self.task, &self.record, &step);
+            launch(&self.push(), &self.lane.hb, None, &self.record, &step);
         }
 
         /// Collect query 0 from `touched`, the way the core does.
         fn collect(&self, touched: &[usize]) {
-            gather(&self.push(), &self.lane.hb, None, Q, touched);
+            let mut step = self.record.stepping();
+            step.touched = touched.to_vec();
+            gather(&self.push(), &self.lane.hb, None, &self.record, &mut step);
         }
 
         /// Run the oldest pushed command; its partition.
@@ -1576,13 +1556,13 @@ mod tests {
             let queue = self.queue.borrow();
             let summary = queue.iter().map(|(w, cmd)| match cmd {
                 Cmd::Step { index, .. } => (*w, Some(*index)),
-                Cmd::Collect { .. } => (*w, None),
+                Cmd::Collect(_) => (*w, None),
             });
             summary.collect()
         }
 
         fn out(&self) -> crate::QueryOutcome {
-            relock(&self.record).out
+            self.record.stepping().out
         }
 
         /// Vertex updates counted for partition `w`.
@@ -1664,7 +1644,7 @@ mod tests {
         assert_eq!(by_hand.queued(), vec![(0, Some(executions as u32))]);
         assert!(by_hand.response().is_none());
         assert_eq!(by_hand.executed(0), executions);
-        assert_eq!(tally_of(&relock(&by_hand.record).agg_prev), 1);
+        assert_eq!(tally_of(&by_hand.record.stepping().agg_prev), 1);
         // Every execution was audited against the published versions; the
         // one token open is the pushed Step's.
         #[cfg(feature = "check-hb")]
@@ -1674,7 +1654,7 @@ mod tests {
         // superstep 0 with nothing to do, and as its last finisher closes
         // it and releases superstep 1 — partition 0 alone.
         let by_hand = seeded_lane(&g, parts(), tally(false, u64::MAX), 2);
-        relock(&by_hand.record).next_involved.push(1);
+        by_hand.record.stepping().next_involved.push(1);
         by_hand.dispatch();
         assert_eq!(by_hand.run_next(), 0);
         let out = by_hand.out();
@@ -1780,13 +1760,20 @@ mod tests {
         assert_eq!(by_hand.mail(1), [1, 1]);
         by_hand.queue.borrow_mut().clear();
         by_hand.collect(&[0, 1]);
-        for w in [0, 1] {
-            assert_eq!(by_hand.run_next(), w);
-            assert_eq!(by_hand.holds(w), [false, false]);
-        }
+        assert_eq!(by_hand.run_next(), 0);
+        assert_eq!(by_hand.holds(0), [false, false]);
+        // The first Collect answers nothing: the record owes one more.
+        assert!(by_hand.response().is_none());
+        assert_eq!(by_hand.record.stepping().outstanding, 1);
+        assert_eq!(by_hand.run_next(), 1);
+        assert_eq!(by_hand.holds(1), [false, false]);
         let Some(Resp::Collected { q: Q, locals }) = by_hand.response() else {
             panic!("the last Collect answers with every local");
         };
+        assert!(
+            by_hand.record.stepping().locals.is_empty(),
+            "the answer took every local along"
+        );
         assert_eq!(locals.len(), 1, "only partition 0 executed");
     }
 
@@ -2228,7 +2215,6 @@ mod tests {
 
     #[test]
     fn budgeted_supersteps_match_the_simulation_and_cost_the_coordinator_one_message_per_query() {
-        use crate::sched::DopPolicy;
         // A line dealt round-robin over four partitions: every hop crosses,
         // so every superstep is a full round of the lanes' fold and close.
         let g = line(48);
@@ -2260,7 +2246,7 @@ mod tests {
         };
         for dop in [1, 2] {
             let cfg = SystemConfig {
-                dop: DopPolicy::Fixed(dop),
+                pool_threads: dop,
                 ..Default::default()
             };
             let mut threads = ThreadEngine::with_config(Arc::clone(&g), parts(), cfg.clone());

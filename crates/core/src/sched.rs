@@ -105,34 +105,17 @@ impl AdmissionPolicy {
     }
 }
 
-/// How much intra-query parallelism the admission layer budgets each
-/// query under the elastic pool (see [`crate::pool`]): the *degree of
-/// parallelism* (DoP) is the number of a superstep's per-partition
-/// compute tasks the coordinator dispatches concurrently. State
-/// placement is untouched — a budget below the involved-partition count
-/// only *sequences* the superstep's tasks, so outputs, iteration counts,
-/// and locality are identical for every budget.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub enum DopPolicy {
-    /// Point/index-shaped queries ([`QueryTask::point_query`]) are pinned
-    /// to DoP 1 — they stay out of the pool's way — while analytics fan
-    /// up to the pool width.
-    #[default]
-    Adaptive,
-    /// Every query gets this budget, clamped to `[1, pool width]`.
-    Fixed(usize),
-}
-
-impl DopPolicy {
-    /// The DoP budget for `task` under a pool of `pool_width` threads.
-    /// Always in `[1, max(pool_width, 1)]`.
-    pub fn budget(&self, task: &dyn QueryTask, pool_width: usize) -> usize {
-        let width = pool_width.max(1);
-        match self {
-            DopPolicy::Adaptive if task.point_query().is_some() => 1,
-            DopPolicy::Adaptive => width,
-            DopPolicy::Fixed(n) => (*n).clamp(1, width),
-        }
+/// How many of a superstep's per-partition tasks `task` may run at once
+/// on an elastic pool (see [`crate::pool`]) `width` threads wide, fixed
+/// at admission: point queries ([`QueryTask::point_query`]) stay out of
+/// the pool's way at 1, analytics fan to the width. A budget only
+/// *sequences* a superstep's tasks, so outputs, iteration counts and
+/// locality are identical for every budget.
+pub(crate) fn dop_budget(task: &dyn QueryTask, width: usize) -> usize {
+    if task.point_query().is_some() {
+        1
+    } else {
+        width.max(1)
     }
 }
 
@@ -453,14 +436,9 @@ mod tests {
             "fixture must be point-shaped"
         );
 
-        let adaptive = DopPolicy::Adaptive;
-        assert_eq!(adaptive.budget(&analytic, 8), 8, "analytics fan to width");
-        assert_eq!(adaptive.budget(&point, 8), 1, "points stay narrow");
-        assert_eq!(adaptive.budget(&analytic, 0), 1, "width floor is 1");
-
-        assert_eq!(DopPolicy::Fixed(3).budget(&analytic, 8), 3);
-        assert_eq!(DopPolicy::Fixed(99).budget(&analytic, 8), 8, "clamped");
-        assert_eq!(DopPolicy::Fixed(0).budget(&analytic, 8), 1, "floored");
+        assert_eq!(dop_budget(&analytic, 8), 8, "analytics fan to width");
+        assert_eq!(dop_budget(&point, 8), 1, "points stay narrow");
+        assert_eq!(dop_budget(&analytic, 0), 1, "width floor is 1");
     }
 
     #[test]

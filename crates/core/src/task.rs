@@ -6,7 +6,7 @@
 //! [`VertexProgram`]. Two object-safe faces carry a program through them
 //! instead:
 //!
-//! * [`QueryTask`], one per query (a [`TypedTask`] behind an
+//! * [`QueryTask`], one per query (a `TypedTask` behind an
 //!   `Arc<dyn QueryTask>`): the per-query work — admission's seed
 //!   batches, the aggregate at each barrier, an index answer, and
 //!   `finalize`;

@@ -31,7 +31,7 @@
 //! per-destination bucket table in place of a per-superstep hash map —
 //! and the batch buffers themselves **circulate**: `deliver` drains a
 //! batch that arrived and parks its emptied, still boxed, buffer on a
-//! short spare list ([`SPARE_BATCHES`]); `execute` opens a bucket by
+//! short spare list (`SPARE_BATCHES`); `execute` opens a bucket by
 //! popping one; the box then travels as the [`MessageBatch`] payload to
 //! the next partition's spare list. On a hash layout a partition receives
 //! about as many batches as it sends, so the envelopes travel in circles;

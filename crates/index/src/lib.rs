@@ -17,11 +17,11 @@
 //!   one forward pass commits into both families. One builder, which the
 //!   in-barrier rebuild runs too.
 //! * **Serving** ([`LabelIndex`] implementing
-//!   [`PointIndex`](qgraph_core::PointIndex)) answers from the one label
+//!   [`PointIndex`]) answers from the one label
 //!   store ([`HubLabels`]); the engines consult it at admission, tag
 //!   outcomes `ServedBy::Index`, and fall back to traversal whenever the
 //!   index declines.
-//! * **Repair** ([`PointIndex::repair`](qgraph_core::PointIndex::repair))
+//! * **Repair** ([`PointIndex::repair`])
 //!   absorbs each applied mutation batch at the barrier by one rule: a
 //!   batch that moves some edge's cheapest parallel (up, down, appear or
 //!   vanish) or creates a vertex rebuilds the labels on the new topology

@@ -22,8 +22,7 @@ use proptest::prelude::*;
 use qgraph_algo::{BfsProgram, PoiProgram, RoadProgram, SsspProgram, WccProgram};
 use qgraph_core::programs::ReachProgram;
 use qgraph_core::{
-    DopPolicy, Engine, EngineReport, QcutConfig, QueryHandle, Runtime, SimEngine, SystemConfig,
-    ThreadEngine,
+    Engine, EngineReport, QcutConfig, QueryHandle, Runtime, SimEngine, SystemConfig, ThreadEngine,
 };
 use qgraph_graph::{Graph, GraphBuilder, MutationBatch, VertexId};
 use qgraph_integration_tests::fingerprint;
@@ -165,11 +164,10 @@ fn drive<R: Runtime>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Sim engine, adaptivity off: every (pool width, DoP budget) pair —
-    /// width 1, width = partitions, width > partitions; adaptive, pinned,
-    /// and per-program budgets — reproduces the fixed-partition
-    /// baseline's outputs *and* its full structural fingerprint across
-    /// two mutation epochs.
+    /// Sim engine, adaptivity off: every pool width — 1, 2, the
+    /// partition count and more, each the analytics' DoP budget —
+    /// reproduces the fixed-partition baseline's outputs *and* its full
+    /// structural fingerprint across two mutation epochs.
     #[test]
     fn sim_elastic_matches_fixed_partition_baseline(
         (n, extra) in arb_graph(32),
@@ -179,45 +177,33 @@ proptest! {
         depth in 0u32..4,
     ) {
         let g = build_tagged(n, &extra);
-        let mk = |pool_threads: usize, dop: DopPolicy| {
+        let mk = |pool_threads: usize| {
             let parts = HashPartitioner::default().partition(&g, k);
             SimEngine::new(
                 Arc::clone(&g),
                 ClusterModel::scale_up(k),
                 parts,
-                SystemConfig { pool_threads, dop, ..Default::default() },
+                SystemConfig { pool_threads, ..Default::default() },
             )
         };
 
-        let mut base = mk(0, DopPolicy::Adaptive);
+        let mut base = mk(0);
         let (bh_a, bh_b) = drive(&mut base, n, s, t, depth);
         let base_fp = fingerprint(base.report());
         check_pool_accounting(base.report(), k, k, None);
 
-        let widths = [1usize, k, 2 * k + 1];
-        let dops = [
-            DopPolicy::Adaptive,
-            DopPolicy::Fixed(1),
-            DopPolicy::Fixed(2),
-        ];
-        for &w in &widths {
-            for dop in &dops {
-                let cap = match dop {
-                    DopPolicy::Fixed(c) => Some(*c),
-                    _ => None,
-                };
-                let mut e = mk(w, dop.clone());
-                let (h_a, h_b) = drive(&mut e, n, s, t, depth);
-                assert_same_outputs!(e, base, h_a);
-                assert_same_outputs!(e, base, h_b);
-                prop_assert_eq!(h_a.sssp.id(), bh_a.sssp.id());
-                prop_assert_eq!(h_b.wcc.id(), bh_b.wcc.id());
-                prop_assert_eq!(
-                    &fingerprint(e.report()), &base_fp,
-                    "width {} dop {:?}: structure must match the baseline", w, dop
-                );
-                check_pool_accounting(e.report(), w, k, cap);
-            }
+        for w in [1usize, 2, k, 2 * k + 1] {
+            let mut e = mk(w);
+            let (h_a, h_b) = drive(&mut e, n, s, t, depth);
+            assert_same_outputs!(e, base, h_a);
+            assert_same_outputs!(e, base, h_b);
+            prop_assert_eq!(h_a.sssp.id(), bh_a.sssp.id());
+            prop_assert_eq!(h_b.wcc.id(), bh_b.wcc.id());
+            prop_assert_eq!(
+                &fingerprint(e.report()), &base_fp,
+                "width {}: structure must match the baseline", w
+            );
+            check_pool_accounting(e.report(), w, k, Some(w));
         }
     }
 
@@ -234,15 +220,15 @@ proptest! {
         t in 0u32..40,
     ) {
         let g = build_tagged(n, &extra);
-        let mk = |pool_threads: usize, dop: DopPolicy| {
-            let parts = HashPartitioner::with_seed(seed).partition(&g, 3);
+        let k = 3usize;
+        let mk = |pool_threads: usize| {
+            let parts = HashPartitioner::with_seed(seed).partition(&g, k);
             SimEngine::new(
                 Arc::clone(&g),
-                ClusterModel::scale_up(3),
+                ClusterModel::scale_up(k),
                 parts,
                 SystemConfig {
                     pool_threads,
-                    dop,
                     qcut: Some(QcutConfig {
                         locality_threshold: 1.0,
                         ils_budget_secs: 1e-6,
@@ -254,10 +240,10 @@ proptest! {
                 },
             )
         };
-        let mut base = mk(0, DopPolicy::Adaptive);
+        let mut base = mk(0);
         let (bh_a, bh_b) = drive(&mut base, n, s, t, 3);
-        for (w, dop) in [(1usize, DopPolicy::Fixed(1)), (2, DopPolicy::Adaptive), (7, DopPolicy::Fixed(2))] {
-            let mut e = mk(w, dop);
+        for w in [1usize, 2, k, 2 * k + 1] {
+            let mut e = mk(w);
             let (h_a, h_b) = drive(&mut e, n, s, t, 3);
             prop_assert_eq!(h_a.sssp.id(), bh_a.sssp.id());
             prop_assert_eq!(h_b.reach.id(), bh_b.reach.id());
@@ -268,7 +254,7 @@ proptest! {
                 e.partitioning().sizes().iter().sum::<usize>(),
                 base.partitioning().sizes().iter().sum::<usize>()
             );
-            check_pool_accounting(e.report(), w, 3, None);
+            check_pool_accounting(e.report(), w, k, Some(w));
         }
     }
 }
@@ -278,7 +264,7 @@ proptest! {
 
     /// Thread runtime: real pool threads drawing from the shared queues.
     /// With Q-cut off the full structural fingerprint must match the
-    /// fixed baseline at every width/budget; with the stop-the-world
+    /// fixed baseline at every width; with the stop-the-world
     /// Q-cut loop forced on, answers and accounting must. Mutation
     /// epochs land between drains on both sides.
     #[test]
@@ -291,14 +277,13 @@ proptest! {
     ) {
         let g = build_tagged(n, &extra);
         let k = 3usize;
-        let mk = |pool_threads: usize, dop: DopPolicy| {
+        let mk = |pool_threads: usize| {
             let parts = HashPartitioner::default().partition(&g, k);
             ThreadEngine::with_config(
                 Arc::clone(&g),
                 parts,
                 SystemConfig {
                     pool_threads,
-                    dop,
                     qcut: (qcut == 1).then(|| QcutConfig {
                         locality_threshold: 1.0,
                         ils_max_rounds: 8,
@@ -308,20 +293,11 @@ proptest! {
                 },
             )
         };
-        let mut base = mk(0, DopPolicy::Adaptive);
+        let mut base = mk(0);
         let (bh_a, bh_b) = drive(&mut base, n, s, t, depth);
         let base_fp = fingerprint(base.report());
-        for (w, dop) in [
-            (1usize, DopPolicy::Adaptive),
-            (1, DopPolicy::Fixed(1)),
-            (k + 2, DopPolicy::Fixed(2)),
-            (k + 2, DopPolicy::Adaptive),
-        ] {
-            let cap = match dop {
-                DopPolicy::Fixed(c) => Some(c),
-                _ => None,
-            };
-            let mut e = mk(w, dop.clone());
+        for w in [1usize, 2, k + 2] {
+            let mut e = mk(w);
             let (h_a, h_b) = drive(&mut e, n, s, t, depth);
             prop_assert_eq!(h_a.sssp.id(), bh_a.sssp.id());
             prop_assert_eq!(h_b.wcc.id(), bh_b.wcc.id());
@@ -330,10 +306,10 @@ proptest! {
             if qcut == 0 {
                 prop_assert_eq!(
                     &fingerprint(e.report()), &base_fp,
-                    "width {} dop {:?}: structure must match the baseline", w, dop
+                    "width {}: structure must match the baseline", w
                 );
             }
-            check_pool_accounting(e.report(), w, k, cap);
+            check_pool_accounting(e.report(), w, k, Some(w));
             e.shutdown();
         }
         base.shutdown();
@@ -362,29 +338,29 @@ fn sim_engine(graph: &Arc<Graph>, parts: &Partitioning, cfg: SystemConfig) -> Si
     )
 }
 
-/// One whole-graph WCC on an otherwise idle engine: under `Fixed(1)` its
-/// per-partition tasks run one at a time, under `Adaptive` it fans to the
-/// pool width. Same outputs, same task count, so only the wider budget
-/// can make it finish sooner.
+/// One whole-graph WCC on an otherwise idle engine: on a one-thread pool
+/// its budget is 1 and its per-partition tasks run one at a time, on the
+/// default pool it fans to the partition count. Same outputs, same task
+/// count, so only the wider budget can make it finish sooner.
 #[test]
 fn idle_analytic_finishes_sooner_at_adaptive_dop() {
     let net = serving_road();
     let parts = hash_parts(&net, 8);
     let graph = Arc::new(net.graph);
-    let run = |dop| {
+    let run = |pool_threads| {
         let mut e = sim_engine(
             &graph,
             &parts,
             SystemConfig {
-                dop,
+                pool_threads,
                 ..Default::default()
             },
         );
         e.submit(WccProgram);
         e.run().outcomes[0]
     };
-    let serial = run(DopPolicy::Fixed(1));
-    let elastic = run(DopPolicy::Adaptive);
+    let serial = run(1);
+    let elastic = run(0);
     assert!(
         elastic.time_in_system_secs() < serial.time_in_system_secs(),
         "idle analytic must speed up with DoP > 1: serial {:.6}s vs elastic {:.6}s",
@@ -393,15 +369,15 @@ fn idle_analytic_finishes_sooner_at_adaptive_dop() {
     );
     assert!(
         elastic.effective_dop > 1,
-        "the adaptive budget must actually fan the analytic out"
+        "the analytic's budget must actually fan it out"
     );
 }
 
 /// One job of the mixed open-loop stream.
 enum Job {
-    /// A road point query (pinned to DoP 1 under `Adaptive`).
+    /// A road point query (pinned to DoP 1).
     Point { source: VertexId, target: VertexId },
-    /// A deep k-hop flood (fans to the pool width under `Adaptive`).
+    /// A deep k-hop flood (fans to the pool width).
     Flood { source: VertexId, depth: u32 },
 }
 
@@ -429,13 +405,11 @@ fn run_stream(
     graph: &Arc<Graph>,
     parts: &Partitioning,
     jobs: &[Job],
-    dop: DopPolicy,
     pool_threads: usize,
     rate_qps: f64,
 ) -> EngineReport {
     let cfg = SystemConfig {
         pool_threads,
-        dop,
         ..Default::default()
     };
     let mut engine = sim_engine(graph, parts, cfg);
@@ -455,10 +429,10 @@ fn run_stream(
 
 /// Two engines at equal thread count `T` = 4 take the same mixed stream
 /// across a ladder of arrival rates:
-/// * fixed — `T` partitions, `DopPolicy::Fixed(T)`: one coarse lane per
-///   partition, every query fanned to everything it touches;
-/// * elastic — `4·T` partitions, `DopPolicy::Adaptive`: finer morsels on
-///   the same thread budget, point queries pinned to DoP 1.
+/// * fixed — `T` partitions: one coarse lane per partition;
+/// * elastic — `4·T` partitions: finer morsels on the same thread budget.
+///
+/// Both pin point queries to DoP 1 and fan analytics to the `T` threads.
 ///
 /// Each curve's knee is the highest rate whose p95 time-in-system stays
 /// under 4× that configuration's *own* idle p95 (finer partitions buy a
@@ -471,13 +445,12 @@ fn the_saturation_knee_shifts_right_for_elastic_dop() {
     let net = serving_road();
     let specs =
         WorkloadGenerator::new(&net).generate(&WorkloadConfig::single(80, false, false, 19));
-    let fixed = (hash_parts(&net, threads), DopPolicy::Fixed(threads));
-    let elastic = (hash_parts(&net, 4 * threads), DopPolicy::Adaptive);
+    let fixed = hash_parts(&net, threads);
+    let elastic = hash_parts(&net, 4 * threads);
     let graph = Arc::new(net.graph);
     let jobs = mixed_jobs(&specs, graph.num_vertices() as u32);
-    let run = |(parts, dop): &(Partitioning, DopPolicy), rate: f64| {
-        run_stream(&graph, parts, &jobs, dop.clone(), threads, rate).slo()
-    };
+    let run =
+        |parts: &Partitioning, rate: f64| run_stream(&graph, parts, &jobs, threads, rate).slo();
 
     // At 1 query/s the stream is effectively idle (virtual service times
     // are milliseconds): each curve's flat-region floor. The ladder
@@ -485,7 +458,7 @@ fn the_saturation_knee_shifts_right_for_elastic_dop() {
     let fixed_idle = run(&fixed, 1.0).time_in_system;
     let capacity_est = threads as f64 / ((fixed_idle.p50 + fixed_idle.p95) / 2.0).max(1e-9);
     let ladder = [0.25, 0.375, 0.56, 0.84, 1.27, 1.9, 2.85, 4.27, 6.4].map(|f| f * capacity_est);
-    let knee = |config: &(Partitioning, DopPolicy), idle_p95: f64| {
+    let knee = |config: &Partitioning, idle_p95: f64| {
         let threshold = 4.0 * idle_p95;
         let mut knee = 0.0f64;
         for &rate in &ladder {
