@@ -32,16 +32,27 @@
 //! hears of a query only when it terminates, parks for a window, or a
 //! Q-cut check is due.
 //!
+//! ## One mail plane
+//!
+//! A superstep's input lives in its query's record too. The record holds,
+//! per partition ([`Stepping::mail`]), the batches the current superstep
+//! reads there and those its Steps send for the next ([`Mail`]):
+//! admission puts the initial batches into the next input, a Step's fold
+//! puts what it sent there under the lock it folds under, and
+//! [`Stepping::begin`] swaps the two. So BSP isolation holds by
+//! construction on both runtimes: nothing a Step of superstep `n` sends
+//! can reach another Step of `n`, however late that one runs.
+//!
 //! What an executor owes for a dispatched superstep
-//! ([`Executor::superstep`]) is the BSP contract: every involved partition
-//! executes exactly the input that was pending for it when the superstep
-//! began — nothing a Step of this superstep sends may reach another Step
-//! of it, however late that one runs — at most `dop` Steps run at once,
+//! ([`Executor::superstep`]) is the rest of the BSP contract: every
+//! involved partition takes its input from the record into its inbox and
+//! executes it with what it sent itself, at most `dop` Steps run at once,
 //! and the held-back partitions go in `involved` order, one per completing
 //! Step ([`Stepping::next_deferred`]), decided where the completion is
-//! observed. The messages a Step sends away travel executor-side too; the
-//! core routes nothing but a query's initial batches
-//! ([`Executor::deliver`]).
+//! observed. Mail reaches a partition outside a Step in one place only: a
+//! window that migrates first delivers every live record's next input into
+//! the partitions ([`Executor::deliver`]), so migration moves every
+//! pending message with its vertex.
 //!
 //! ## The Q-cut trigger
 //!
@@ -84,8 +95,6 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use rustc_hash::FxHashMap;
-
 use qgraph_graph::{MutationBatch, Topology, VertexId};
 use qgraph_partition::Partitioning;
 use qgraph_sim::SimTime;
@@ -103,22 +112,22 @@ use crate::task::{Envelope, MessageBatch, QueryTask};
 use crate::trace::{outcome, Tracer};
 use crate::worker::{LocalState, SuperstepStats};
 
-/// The dispatch vocabulary. The `*_report` and `migrate` calls are
-/// synchronous. `migrate` and `pending_report` are issued only inside a
-/// window, while the partitions are idle; `scope_report` also at the
-/// trigger, while they compute.
+/// The dispatch vocabulary. `deliver` and the `*_report` and `migrate`
+/// calls are synchronous. `deliver`, `migrate` and `pending_report` are
+/// issued only inside a window, while the partitions are idle;
+/// `scope_report` also at the trigger, while they compute.
 pub(crate) trait Executor {
     /// A clock reading. Inside a window it advances as the executor
     /// completes (or prices) the window's work.
     fn now(&self) -> SimTime;
-    /// Query `q` was admitted with `batch` addressed to `w`: input of its
-    /// superstep 0 there.
-    fn deliver(&mut self, q: QueryId, w: usize, task: &dyn QueryTask, batch: MessageBatch);
+    /// Inside a window, ahead of a migration: `batches`, query `q`'s
+    /// pending input on partition `w`, go into that partition's inbox.
+    fn deliver(&mut self, q: QueryId, w: usize, task: &dyn QueryTask, batches: Vec<MessageBatch>);
     /// Run the superstep `step` (the record's state, locked for the call)
     /// just began, and close it (see the module docs). Its index is
     /// `step.out.iterations`: 0 is dispatched by admission, every later
     /// one follows a close (a barrier release, or a window's resume).
-    fn superstep(&mut self, record: &Record, step: &Stepping);
+    fn superstep(&mut self, record: &Record, step: &mut Stepping);
     /// Hand back the terminated query's local state on every partition it
     /// touched (the record's `touched`, which this takes): right away (one
     /// address space), or `None` and later, all at once, as a
@@ -158,9 +167,9 @@ pub(crate) struct StepReport {
     /// wire batches under the configured cap).
     pub stats: SuperstepStats,
     pub agg: Envelope,
-    /// The partitions the step sent messages to (the executor carries the
-    /// messages themselves).
-    pub remote: Vec<usize>,
+    /// What the step sent away, by destination partition: the fold puts
+    /// it into the record's next input.
+    pub remote: Vec<(usize, MessageBatch)>,
     /// The partition still holds pending messages for `q` after the step.
     pub self_pending: bool,
 }
@@ -172,8 +181,8 @@ pub(crate) type Locals = Vec<Box<dyn LocalState>>;
 /// supersteps or answers its collect (see the module docs).
 pub(crate) type Record = Arc<Query>;
 
-/// Lock a record or a mailbox, recovering from poisoning: each update
-/// leaves them valid, and a panic elsewhere surfaces on its own.
+/// Lock a record, recovering from poisoning: each update leaves it
+/// valid, and a panic elsewhere surfaces on its own.
 pub(crate) fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
@@ -187,8 +196,8 @@ pub(crate) struct Query {
 
 impl Query {
     /// Admit `task` as query `id` under the DoP budget `dop`
-    /// ([`dop_budget`]): nothing pending, nothing touched, `out` as the
-    /// outcome under construction.
+    /// ([`dop_budget`]) over `partitions` partitions: nothing pending,
+    /// nothing touched, `out` as the outcome under construction.
     pub fn new(
         id: QueryId,
         task: Arc<dyn QueryTask>,
@@ -208,6 +217,7 @@ impl Query {
             agg_prev: task.aggregate_identity(),
             agg_acc: task.aggregate_identity(),
             touched: Vec::with_capacity(partitions),
+            mail: (0..partitions).map(|_| Mail::default()).collect(),
             locals: Vec::new(),
         };
         Arc::new(Query {
@@ -247,8 +257,19 @@ pub(crate) struct Stepping {
     agg_acc: Envelope,
     /// Partitions holding state for the query (sorted) — the collect set.
     pub touched: Vec<usize>,
+    /// Per partition, the query's mail there.
+    pub mail: Vec<Mail>,
     /// The locals a collect gathered so far.
     pub locals: Locals,
+}
+
+/// One partition's mail in a query's record: the batches the current
+/// superstep reads there — its Step takes them — and those sent for the
+/// next.
+#[derive(Default)]
+pub(crate) struct Mail {
+    pub input: Vec<MessageBatch>,
+    pub next: Vec<MessageBatch>,
 }
 
 /// What a closed superstep leaves its query to do: start the next one
@@ -261,9 +282,14 @@ pub(crate) enum Close {
 
 impl Stepping {
     /// Start the next superstep: the pending set becomes the involved set,
-    /// and the first `dop` of it are released.
+    /// the next input the current one, and the first `dop` of it are
+    /// released. Every Step of the closed superstep took its input, so the
+    /// emptied buffers collect the new superstep's sends.
     pub fn begin(&mut self) {
         std::mem::swap(&mut self.involved_cur, &mut self.next_involved);
+        for mail in &mut self.mail {
+            std::mem::swap(&mut mail.input, &mut mail.next);
+        }
         self.next_involved.clear();
         self.crossed = false;
         let involved = self.involved_cur.len();
@@ -287,9 +313,10 @@ impl Stepping {
         Some(w)
     }
 
-    /// Fold one finished Step in: its work, where its messages went, its
-    /// aggregate contribution. True when it was the superstep's last.
-    pub fn fold(&mut self, task: &dyn QueryTask, rep: &StepReport) -> bool {
+    /// Fold one finished Step in: its work, its messages (into the next
+    /// input), its aggregate contribution. True when it was the
+    /// superstep's last.
+    pub fn fold(&mut self, task: &dyn QueryTask, rep: StepReport) -> bool {
         self.outstanding -= 1;
         let stats = &rep.stats;
         self.out.vertex_updates += stats.executed as u64;
@@ -301,9 +328,10 @@ impl Stepping {
         if rep.self_pending {
             insert_sorted(&mut self.next_involved, rep.worker);
         }
-        for &w in &rep.remote {
+        for (w, batch) in rep.remote {
             insert_sorted(&mut self.next_involved, w);
             insert_sorted(&mut self.touched, w);
+            self.mail[w].next.push(batch);
         }
         self.outstanding == 0
     }
@@ -406,8 +434,6 @@ pub(crate) struct Coordinator {
     hb: Hb,
     tracer: Tracer,
     scheduler: Scheduler,
-    /// Tasks of queued submissions, until admission moves them into a run.
-    waiting: FxHashMap<QueryId, Arc<dyn QueryTask>>,
     /// Admitted, unfinished queries — ordered, so every float sum over
     /// them is taken in the same (id) order on every run.
     queries: BTreeMap<QueryId, Record>,
@@ -445,7 +471,6 @@ impl Coordinator {
             cfg,
             hb,
             tracer,
-            waiting: FxHashMap::default(),
             queries: BTreeMap::new(),
             closed: false,
             paused: false,
@@ -493,7 +518,7 @@ impl Coordinator {
     }
 
     /// Live query `q`'s record (`q` must be live).
-    pub fn run(&self, q: QueryId) -> &Record {
+    pub fn query(&self, q: QueryId) -> &Record {
         let live = self.queries.get(&q);
         live.unwrap_or_else(|| panic!("protocol invariant: {q} is not a live query"))
     }
@@ -514,8 +539,7 @@ impl Coordinator {
     ) -> bool {
         self.tracer.admitted(secs(arrival), u64::from(q.0));
         let program = task.program_name();
-        if self.scheduler.push(q, program, arrival, deadline) {
-            self.waiting.insert(q, task);
+        if self.scheduler.push(q, task, arrival, deadline) {
             return true;
         }
         // Backpressure: the submission never executes, its output stays
@@ -552,14 +576,10 @@ impl Coordinator {
     }
 
     fn start_query<X: Executor>(&mut self, x: &mut X, entry: QueueEntry, now: SimTime) {
-        let q = entry.q;
-        let Some(task) = self.waiting.remove(&q) else {
-            debug_assert!(false, "queued {q} has no registered task");
-            return;
-        };
+        let (q, task, enqueued_at) = (entry.q, entry.task, entry.enqueued_at);
         let st = &self.state;
         let epoch = st.topology.epoch();
-        let mut out = blank_outcome(q, task.program_name(), entry.enqueued_at, now, epoch);
+        let mut out = blank_outcome(q, task.program_name(), enqueued_at, now, epoch);
 
         // Index fast path: an eligible point query whose index is repaired
         // through the admission epoch completes here, without occupying a
@@ -572,18 +592,18 @@ impl Coordinator {
         }
 
         // Route against the *current* assignment and topology.
-        let pool_width = Self::pool_width(&self.cfg, st.partitioning.num_workers());
+        let k = st.partitioning.num_workers();
         let route = |v: VertexId| st.partitioning.worker_of(v).index();
         let batches = task.initial_batches(&st.topology, &route, self.cfg.combiners);
         // The budget is fixed at admission for the query's lifetime.
-        let dop = dop_budget(task.as_ref(), pool_width);
-        let record = Query::new(q, task, out, dop, batches.len());
+        let dop = dop_budget(task.as_ref(), Self::pool_width(&self.cfg, k));
+        let record = Query::new(q, task, out, dop, k);
         let mut step = record.stepping();
         // `initial_batches` is sorted by partition, so both sets are too.
         for (w, batch) in batches {
             step.touched.push(w);
             step.next_involved.push(w);
-            x.deliver(q, w, record.task.as_ref(), batch);
+            step.mail[w].next.push(batch);
         }
         let empty = step.next_involved.is_empty();
         drop(step);
@@ -618,11 +638,11 @@ impl Coordinator {
     /// instant (the executor's BSP contract), which is what keeps
     /// budgeted execution output-identical to the all-at-once baseline.
     fn dispatch_superstep<X: Executor>(&mut self, x: &mut X, q: QueryId, now: SimTime) {
-        let Some(run) = self.queries.get(&q) else {
+        let Some(record) = self.queries.get(&q) else {
             debug_assert!(false, "released {q} is no longer live");
             return;
         };
-        let mut step = run.stepping();
+        let mut step = record.stepping();
         if step.next_involved.is_empty() {
             // Migration preserves pending messages, so a waiting query
             // cannot lose them: loud in debug, finish rather than
@@ -636,7 +656,7 @@ impl Coordinator {
         for &w in step.released().1 {
             self.tracer.defer(secs(now), u64::from(q.0), w as u32);
         }
-        x.superstep(run, &step);
+        x.superstep(record, &mut step);
     }
 
     /// A Step finished at `done_at` (≥ `now` when the executor prices the
@@ -658,19 +678,19 @@ impl Coordinator {
         self.state
             .controller
             .note_activity(now, rep.worker, executed);
-        let Some(run) = self.queries.get(&q) else {
+        let Some(record) = self.queries.get(&q) else {
             panic!("protocol invariant: step report for {q}, which is not live");
         };
         // The executor releases the superstep's deferred Steps on its own
         // — even while a window is wanted: the superstep must complete
         // before the query can park.
-        let mut step = run.stepping();
+        let mut step = record.stepping();
         step.last_done = step.last_done.max(done_at);
-        if !step.fold(run.task.as_ref(), &rep) {
+        if !step.fold(record.task.as_ref(), rep) {
             return None;
         }
         self.tracer.superstep_done(secs(now), u64::from(q.0));
-        let close = step.close(run.task.as_ref());
+        let close = step.close(record.task.as_ref());
         drop(step);
         if close == Close::Terminate {
             self.finish(x, q, now);
@@ -681,10 +701,10 @@ impl Coordinator {
     /// Query `q` terminated: collect its state from every partition that
     /// holds any.
     fn finish<X: Executor>(&mut self, x: &mut X, q: QueryId, now: SimTime) {
-        let Some(run) = self.queries.get(&q) else {
+        let Some(record) = self.queries.get(&q) else {
             return;
         };
-        if let Some(locals) = x.collect(run) {
+        if let Some(locals) = x.collect(record) {
             self.collected(x, q, locals, now);
         }
     }
@@ -692,10 +712,10 @@ impl Coordinator {
     /// Query `q` terminated and its collected locals arrived: finalize it
     /// and free its closed-loop slot.
     pub fn collected<X: Executor>(&mut self, x: &mut X, q: QueryId, locals: Locals, now: SimTime) {
-        let Some(run) = self.queries.remove(&q) else {
+        let Some(record) = self.queries.remove(&q) else {
             panic!("protocol invariant: collected locals for {q}, which is not live");
         };
-        let step = run.stepping();
+        let step = record.stepping();
         let (mut out, at) = (step.out, step.last_done.max(now));
         drop(step);
         out.completed_at = at;
@@ -710,7 +730,7 @@ impl Coordinator {
             }
             self.state.controller.record_finished_scope(q, scope, at);
         }
-        x.complete(q, run.task.finalize(&self.state.topology, locals));
+        x.complete(q, record.task.finalize(&self.state.topology, locals));
         self.conclude(out, outcome::COMPLETED);
         // Closed loop: the freed slot admits the next waiting query.
         self.admit(x, now);
@@ -822,9 +842,8 @@ impl Coordinator {
     // The stop-the-world window
     // ------------------------------------------------------------------
 
-    /// Open the window once the executor's partitions are quiescent. The
-    /// executor may then touch them (the thread runtime flushes their
-    /// mailboxes) before it runs [`Coordinator::window_apply`].
+    /// Open the window once the executor's partitions are quiescent; the
+    /// executor then runs [`Coordinator::window_apply`].
     pub fn window_open<X: Executor>(&mut self, x: &X) {
         let entered = x.now();
         // Open the auditor's window *before* anything else: if a dispatch
@@ -935,6 +954,19 @@ impl Coordinator {
         if migration.is_empty() {
             return;
         }
+        // Every pending message moves with its vertex: the live queries'
+        // next input goes into the partitions first. No record stays
+        // locked while the executor locks a partition.
+        for record in self.queries.values() {
+            let pending: Vec<_> = (record.stepping().mail.iter_mut())
+                .map(|mail| std::mem::take(&mut mail.next))
+                .enumerate()
+                .filter(|(_, batches)| !batches.is_empty())
+                .collect();
+            for (w, batches) in pending {
+                x.deliver(record.id, w, record.task.as_ref(), batches);
+            }
+        }
         let observed = st.controller.observed_scopes(&live);
         // The selection lists the live queries' scopes first.
         let running = live.iter().filter(|(_, vs)| !vs.is_empty()).count();
@@ -960,21 +992,21 @@ impl Coordinator {
             ils: result,
         });
         for (q, w) in gained {
-            if let Some(run) = self.queries.get(&q) {
-                insert_sorted(&mut run.stepping().touched, w);
+            if let Some(record) = self.queries.get(&q) {
+                insert_sorted(&mut record.stepping().touched, w);
             }
         }
         // The migration moved pending inboxes between partitions: rebuild
         // the next involved set of every query waiting at its barrier.
-        for run in self.queries.values() {
-            let mut step = run.stepping();
+        for record in self.queries.values() {
+            let mut step = record.stepping();
             if step.outstanding == 0 {
                 step.next_involved.clear();
             }
         }
         for (q, w) in x.pending_report() {
-            if let Some(run) = self.queries.get(&q) {
-                let mut step = run.stepping();
+            if let Some(record) = self.queries.get(&q) {
+                let mut step = record.stepping();
                 if step.outstanding == 0 {
                     insert_sorted(&mut step.next_involved, w);
                 }
@@ -1052,27 +1084,43 @@ mod tests {
         Migrate,
     }
 
-    /// Logs dispatches; answers the synchronous ones from canned data.
+    /// Logs dispatches; answers the synchronous ones from canned data,
+    /// and counts the batches the core delivers into each partition.
     #[derive(Default)]
     struct Script {
         log: Vec<Op>,
         clock: SimTime,
         scopes: Vec<(QueryId, usize, Vec<VertexId>)>,
         gained: Vec<(QueryId, usize)>,
+        /// Pending pairs reported besides those `inbox` holds.
         pending: Vec<(QueryId, usize)>,
+        /// Batches delivered per `(query, partition)` and not read yet; a
+        /// migration moves a query's batches with its vertices.
+        inbox: BTreeMap<(u32, usize), usize>,
+        /// Per dispatched superstep and involved partition, `(query,
+        /// partition, batches read)`: its input from the record and what
+        /// was delivered there.
+        read: Vec<(u32, usize, usize)>,
     }
 
     impl Executor for Script {
         fn now(&self) -> SimTime {
             self.clock
         }
-        fn deliver(&mut self, q: QueryId, w: usize, _: &dyn QueryTask, _: MessageBatch) {
+        fn deliver(&mut self, q: QueryId, w: usize, _: &dyn QueryTask, batches: Vec<MessageBatch>) {
             self.log.push(Op::Deliver(q.0, w));
+            *self.inbox.entry((q.0, w)).or_default() += batches.len();
         }
-        fn superstep(&mut self, record: &Record, step: &Stepping) {
+        fn superstep(&mut self, record: &Record, step: &mut Stepping) {
             let (q, involved) = (record.id, step.involved_cur.clone());
             let index = step.out.iterations;
-            self.log.push(Op::Superstep(q.0, involved, step.dop, index));
+            self.log
+                .push(Op::Superstep(q.0, involved.clone(), step.dop, index));
+            for w in involved {
+                let taken = std::mem::take(&mut step.mail[w].input).len();
+                let delivered = self.inbox.remove(&(q.0, w)).unwrap_or(0);
+                self.read.push((q.0, w, taken + delivered));
+            }
         }
         fn collect(&mut self, record: &Record) -> Option<Locals> {
             let (q, touched) = (record.id, std::mem::take(&mut record.stepping().touched));
@@ -1099,12 +1147,18 @@ mod tests {
         fn scope_report(&mut self) -> Vec<(QueryId, usize, Vec<VertexId>)> {
             self.scopes.clone()
         }
-        fn migrate(&mut self, _: &Migration) -> Vec<(QueryId, usize)> {
+        fn migrate(&mut self, migration: &Migration) -> Vec<(QueryId, usize)> {
             self.log.push(Op::Migrate);
+            for m in &migration.moves {
+                if let Some(n) = self.inbox.remove(&(m.query.0, m.from)) {
+                    *self.inbox.entry((m.query.0, m.to)).or_default() += n;
+                }
+            }
             self.gained.clone()
         }
         fn pending_report(&mut self) -> Vec<(QueryId, usize)> {
-            self.pending.clone()
+            let delivered = self.inbox.keys().map(|&(q, w)| (QueryId(q), w));
+            self.pending.iter().copied().chain(delivered).collect()
         }
     }
 
@@ -1142,8 +1196,10 @@ mod tests {
     }
 
     /// Partition `w` finished its step of query 0 having executed one
-    /// vertex and sent one message to each partition in `to`.
+    /// vertex and sent one message to each partition in `to` (its ring
+    /// vertex, `2 · to`).
     fn report(task: &TypedTask<PingProgram>, w: usize, to: &[usize]) -> StepReport {
+        let batch = |to: usize| task.batch_for_test(vec![(VertexId(2 * to as u32), 1)]);
         StepReport {
             q: QueryId(0),
             worker: w,
@@ -1155,7 +1211,7 @@ mod tests {
                 ..Default::default()
             },
             agg: task.aggregate_identity(),
-            remote: to.to_vec(),
+            remote: to.iter().map(|&to| (to, batch(to))).collect(),
             self_pending: false,
         }
     }
@@ -1167,18 +1223,17 @@ mod tests {
         core.admit(&mut x, at(1));
         assert_eq!(
             x.log,
-            vec![
-                Op::Deliver(0, 0),
-                Op::Deliver(0, 1),
-                Op::Deliver(0, 2),
-                Op::Superstep(0, vec![0, 1, 2], 1, 0),
-            ],
-            "one dispatch: all three inputs are in before it, the budget \
-             and the release order travel with it"
+            vec![Op::Superstep(0, vec![0, 1, 2], 1, 0)],
+            "one dispatch: the budget and the release order travel with it"
         );
-        // A step-done moves nothing: what a Step sent is the executor's to
-        // hold back until the next superstep, and so is the release of the
-        // deferred partitions, in involved order.
+        let seeds = vec![(0, 0, 1), (0, 1, 1), (0, 2, 1)];
+        assert_eq!(
+            x.read, seeds,
+            "each partition read its seed from the record"
+        );
+        // A step-done moves nothing: what a Step sent waits in the record
+        // until the next superstep, and the executor releases the deferred
+        // partitions, in involved order.
         x.log.clear();
         let outcome = core.step_done(&mut x, report(&task, 0, &[1]), at(2), at(2));
         assert_eq!(outcome, None);
@@ -1187,10 +1242,12 @@ mod tests {
         let outcome = core.step_done(&mut x, report(&task, 2, &[]), at(4), at(4));
         assert_eq!(outcome, Some(Close::Next));
         assert!(x.log.is_empty(), "nothing moves until the barrier opens");
-        // The next superstep involves only the partition that was sent to.
+        // The next superstep involves only the partition that was sent to,
+        // and reads what was sent.
         core.release(&mut x, QueryId(0), at(5));
         assert_eq!(x.log, vec![Op::Superstep(0, vec![1], 1, 1)]);
-        let out = core.run(QueryId(0)).stepping().out;
+        assert_eq!(x.read[3..], [(0, 1, 1)]);
+        let out = core.query(QueryId(0)).stepping().out;
         assert_eq!((out.iterations, out.local_iterations), (1, 0));
         assert_eq!((out.tasks, out.effective_dop), (4, 1));
     }
@@ -1234,15 +1291,16 @@ mod tests {
         core.release(&mut x, QueryId(0), at(6));
         assert!(x.log.is_empty() && core.parked == vec![QueryId(0)]);
 
-        // The window migrates {v0, v1}: the pending inbox on partition 0
-        // travels to partition 2, which the pending report reflects.
+        // The window migrates {v0, v1}: the pending input for partition 0
+        // is delivered there first and travels to partition 2, which the
+        // pending report reflects.
         x.clock = at(7);
         x.scopes = vec![(QueryId(0), 0, vec![VertexId(0), VertexId(1)])];
         x.gained = vec![(QueryId(0), 2)];
-        x.pending = vec![(QueryId(0), 2)];
         core.window_open(&x);
         core.window_apply(&mut x);
-        assert_eq!(x.log, vec![Op::Migrate, Op::PublishPartitioning]);
+        let window = vec![Op::Deliver(0, 0), Op::Migrate, Op::PublishPartitioning];
+        assert_eq!(x.log, window);
         assert_eq!(core.state.partitioning.worker_of(VertexId(1)).index(), 2);
         x.log.clear();
         core.window_end(&mut x, at(9));
@@ -1255,6 +1313,58 @@ mod tests {
         let ev = &core.state.report.repartitions[0];
         assert_eq!((ev.moved_vertices, ev.applied_at), (2, 7e-6));
         assert!((ev.barrier_duration - 2e-6).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_window_delivers_a_parked_querys_input_before_it_migrates_the_vertex() {
+        let cfg = SystemConfig {
+            qcut: Some(QcutConfig::default()),
+            ..serial()
+        };
+        let (mut core, mut x, task) = (core(cfg), Script::default(), ping());
+        core.submit(QueryId(0), Arc::new(ping()), at(0), None);
+        core.admit(&mut x, at(1));
+        // Superstep 0 sends vertex 2 (partition 1) its message; the query
+        // parks at the barrier a due plan wants a window for, with the
+        // message in its record.
+        core.step_done(&mut x, report(&task, 0, &[1]), at(2), at(2));
+        core.step_done(&mut x, report(&task, 1, &[]), at(3), at(3));
+        core.step_done(&mut x, report(&task, 2, &[]), at(4), at(4));
+        let plan = MovePlan {
+            moves: vec![ScopeMove {
+                query: QueryId(0),
+                from: 1,
+                to: 0,
+            }],
+        };
+        let due = IlsResult {
+            plan,
+            initial_cost: 2.0,
+            final_cost: 1.0,
+            trace: Vec::new(),
+            num_clusters: 1,
+        };
+        core.repartition = Repartition::Budgeted(due, at(4), at(4));
+        core.plan_due(at(5));
+        core.release(&mut x, QueryId(0), at(5));
+        assert_eq!(core.parked, vec![QueryId(0)]);
+        assert_eq!(core.query(QueryId(0)).stepping().mail[1].next.len(), 1);
+
+        // The window moves vertex 2 to partition 0. Nothing is canned: the
+        // pending report is what the delivery put and the migration moved.
+        x.log.clear();
+        x.scopes = vec![(QueryId(0), 1, vec![VertexId(2)])];
+        core.window_open(&x);
+        core.window_apply(&mut x);
+        let window = vec![Op::Deliver(0, 1), Op::Migrate, Op::PublishPartitioning];
+        assert_eq!(x.log, window, "delivered before the migration");
+        assert_eq!(core.state.partitioning.worker_of(VertexId(2)).index(), 0);
+        assert!(core.query(QueryId(0)).stepping().mail[1].next.is_empty());
+        x.log.clear();
+        core.window_end(&mut x, at(6));
+        // Superstep 1 runs where the message went, and reads it.
+        assert_eq!(x.log, vec![Op::Superstep(0, vec![0], 1, 1)]);
+        assert_eq!(x.read.last(), Some(&(0, 0, 1)));
     }
 
     /// Q-cut on with the paper's constants.
@@ -1411,7 +1521,7 @@ mod tests {
                 ..report(&task, 1, &[])
             };
             assert_eq!(core.step_done(&mut x, rep, at(3), at(3)), Some(Close::Next));
-            assert_eq!(core.run(q).stepping().out.locality(), 0.5);
+            assert_eq!(core.query(q).stepping().out.locality(), 0.5);
         }
         assert_eq!(core.trigger(&mut x, at(4)), None);
         assert!(!core.paused() && matches!(core.repartition, Repartition::None));
@@ -1495,7 +1605,7 @@ mod tests {
         let task = Arc::new(TypedTask::new(program.clone()));
         core.submit(QueryId(0), task, at(0), None);
         core.admit(&mut x, at(1));
-        let dispatched = vec![Op::Deliver(0, 1), Op::Superstep(0, vec![1], 3, 0)];
+        let dispatched = vec![Op::Superstep(0, vec![1], 3, 0)];
         assert_eq!(std::mem::take(&mut x.log), dispatched);
         (core, x, TypedTask::new(program))
     }
@@ -1522,14 +1632,14 @@ mod tests {
     /// `contributions`: fold and close each on the record, beginning the
     /// next in place while the query goes on. No coordinator turn.
     fn close_on_the_lane(core: &Coordinator, task: &dyn QueryTask, contributions: &[u64]) -> Close {
-        let mut step = core.run(QueryId(0)).stepping();
+        let mut step = core.query(QueryId(0)).stepping();
         let mut close = Close::Next;
         for (i, &c) in contributions.iter().enumerate() {
             if i > 0 {
                 assert_eq!(close, Close::Next, "closed past a termination");
                 step.begin();
             }
-            assert!(step.fold(task, &local_report(c)), "solo: its last Step");
+            assert!(step.fold(task, local_report(c)), "solo: its last Step");
             close = step.close(task);
         }
         close
@@ -1558,7 +1668,7 @@ mod tests {
             assert_eq!(close_on_the_lane(&chained, &task, &[1, 2, 3]), Close::Next);
             assert!(y.log.is_empty(), "two coordinator turns never happened");
 
-            let (a, b) = (single.run(QueryId(0)), chained.run(QueryId(0)));
+            let (a, b) = (single.query(QueryId(0)), chained.query(QueryId(0)));
             let (a, b) = (a.stepping(), b.stepping());
             // 3 supersteps, all local, 3 vertex updates, 3 tasks at DoP 1.
             assert_eq!(work(&b.out), [3, 3, 3, 0, 0, 0, 3, 1]);
@@ -1578,7 +1688,7 @@ mod tests {
             close_on_the_lane(&core, &task, &[1, 1, 1]),
             Close::Terminate
         );
-        let touched = std::mem::take(&mut core.run(QueryId(0)).stepping().touched);
+        let touched = std::mem::take(&mut core.query(QueryId(0)).stepping().touched);
         assert_eq!(touched, vec![1]);
         core.collected(&mut x, QueryId(0), Vec::new(), at(2));
         assert_eq!(x.log, vec![Op::Complete(0)]);
@@ -1600,7 +1710,7 @@ mod tests {
         assert_eq!(close_on_the_lane(&core, &task, &[1; 5]), Close::Next);
         core.release(&mut x, QueryId(0), at(2));
         assert!(x.log.is_empty() && core.parked == vec![QueryId(0)]);
-        assert_eq!(core.run(QueryId(0)).stepping().out.iterations, 5);
+        assert_eq!(core.query(QueryId(0)).stepping().out.iterations, 5);
         // The window resumes it where its messages are, as superstep 5.
         x.clock = at(3);
         core.window_open(&x);

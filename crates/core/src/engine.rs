@@ -19,9 +19,11 @@
 //! Each worker is a sequential resource processing one superstep task at a
 //! time (FIFO), and at most `pool_threads` workers compute at once;
 //! queueing across concurrent queries is what turns workload imbalance
-//! into the paper's straggler effects. A dispatched superstep seals every
-//! involved inbox at once (the cost model reads the frozen counts), and
-//! each of its Steps
+//! into the paper's straggler effects. A dispatched superstep moves every
+//! involved partition's input out of its query's record into the inbox
+//! and seals it, all at the release instant (the cost model reads the
+//! frozen counts); what a Step sends goes back into the record, for the
+//! next superstep. Each of its Steps
 //!
 //! 1. travels as a control message (admission; a budget slot freed by a
 //!    completing Step, one control hop after that completion) or rides
@@ -156,22 +158,23 @@ impl Executor for SimExec {
         self.events.now() + self.window_cost
     }
 
-    fn deliver(&mut self, q: QueryId, w: usize, task: &dyn QueryTask, batch: MessageBatch) {
-        self.workers[w].deliver(task, q, batch);
+    fn deliver(&mut self, q: QueryId, w: usize, task: &dyn QueryTask, batches: Vec<MessageBatch>) {
+        self.workers[w].deliver(task, q, batches);
     }
 
-    // Every involved inbox is sealed here, at the release instant, so
-    // whatever a Step of this superstep delivers lands in a next-superstep
-    // inbox however late a deferred partition runs. A one-partition
-    // superstep is not closed on the worker: `barrier::decide` already
-    // releases a local superstep at `compute_done`, so virtual time has
-    // nothing to save there. Superstep 0's Steps are admission's control
-    // messages; every later superstep rides the barrier release whose
-    // round trip its close already paid for.
-    fn superstep(&mut self, record: &Record, step: &Stepping) {
+    // Every involved partition takes its input and seals its inbox here,
+    // at the release instant. A one-partition superstep is not closed on
+    // the worker: `barrier::decide` already releases a local superstep at
+    // `compute_done`, so virtual time has nothing to save there.
+    // Superstep 0's Steps are admission's control messages; every later
+    // superstep rides the barrier release whose round trip its close
+    // already paid for.
+    fn superstep(&mut self, record: &Record, step: &mut Stepping) {
         let q = record.id;
         for &w in &step.involved_cur {
-            self.workers[w].freeze(q);
+            let worker = &mut self.workers[w];
+            worker.deliver(record.task.as_ref(), q, step.mail[w].input.drain(..));
+            worker.freeze(q);
         }
         let admitted = step.out.iterations == 0;
         for &w in step.released().0 {
@@ -576,23 +579,21 @@ impl Sim {
         debug_assert_eq!(x.sched[w].running.map(|(running, _)| running), Some(q));
         let began = x.sched[w].running.map_or(now, |(_, began)| began);
         let st = &self.core.state;
-        let run = self.core.run(q);
-        let mut step = run.stepping();
+        let record = self.core.query(q);
+        let (task, mut step) = (record.task.as_ref(), record.stepping());
         let route = |v: VertexId| st.partitioning.worker_of(v).index();
         let (stats, agg, remote) =
-            x.workers[w].execute(q, run.task.as_ref(), &st.topology, &step.agg_prev, &route);
+            x.workers[w].execute(q, task, &st.topology, &step.agg_prev, &route);
 
         // Serialization occupies this worker; the wire time then delays
-        // the messages further.
+        // the messages further. They wait in the record until the next
+        // superstep is released.
         let sent_at = now + x.cluster.network.serialize_cost(stats.remote_deliveries);
         let crossed = !remote.is_empty();
         let self_pending = x.workers[w].has_pending(q);
-        let mut sent_to = Vec::with_capacity(remote.len());
-        for (w2, batch) in remote {
-            let arrival = sent_at + x.cluster.message_cost(w, w2, batch.len());
+        for (w2, batch) in &remote {
+            let arrival = sent_at + x.cluster.message_cost(w, *w2, batch.len());
             x.msg_arrival[q.index()] = x.msg_arrival[q.index()].max(arrival);
-            x.workers[w2].deliver(run.task.as_ref(), q, batch);
-            sent_to.push(w2);
         }
         // The freed budget slot releases the superstep's next deferred
         // partition, priced as a fresh controller dispatch.
@@ -618,7 +619,7 @@ impl Sim {
             worker: w,
             stats,
             agg,
-            remote: sent_to,
+            remote,
             self_pending,
         };
         if let Some(close) = self.core.step_done(x, report, now, sent_at) {
@@ -641,8 +642,8 @@ impl Sim {
         let mode = self.core.cfg().barrier_mode;
         let shared = mode == BarrierMode::SharedGlobal;
         if close == Close::Next {
-            let run = self.core.run(q);
-            let step = run.stepping();
+            let record = self.core.query(q);
+            let step = record.stepping();
             let release = barrier::decide(
                 &BarrierInput {
                     mode,

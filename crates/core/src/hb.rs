@@ -42,29 +42,29 @@
 //! coordinator → partition edge taken under the context lock, and sets
 //! the version the partition holds.
 //!
-//! Since messages, Steps and Collects travel lane to lane, three more
-//! edges are stamped. A **mailbox** is a sync object per partition: a put
-//! joins the sender's clock into it ([`Hb::mail_put`] — a partition's
-//! Step, or the coordinator at admission), a take joins it into the
-//! owner's ([`Hb::mail_take`]). A **lane-to-lane hand-off**
-//! ([`Hb::lane_send_step`]) is a command-channel send whose snapshot is
-//! the sending partition's clock, not the coordinator's: a held-back Step
-//! a finishing Step releases, the next superstep's Steps a closing Step
-//! releases, the Collects of a query a closing Step terminated. The
-//! command queues then have several producers, and a snapshot is queued a
-//! moment before its command: two racing producers can queue them in
-//! opposite orders, which delays a join by one command but cannot lose
-//! one. A **superstep record** is a sync object per query: every member
-//! Step's fold joins its clock in ([`Hb::record_join`]) and the last
-//! finisher takes the lot ([`Hb::record_close`]) as it closes the
-//! superstep, so the next superstep's Steps it releases — or its one
-//! message to the coordinator — are ordered after every member; a
-//! query's Collects use the record the same way. One `STEP` token per
-//! involved partition is opened as a superstep begins ([`Hb::send_step`]
-//! for the released at the core's dispatch, [`Hb::token_open`] for the
-//! rest) and closed as its lane finishes the Step: after the fold and
-//! whatever the fold released, so a query on the lanes always holds an
-//! open token.
+//! Since Steps and Collects travel lane to lane, two more edges are
+//! stamped. A **lane-to-lane hand-off** ([`Hb::lane_send_step`]) is a
+//! command-channel send whose snapshot is the sending partition's clock,
+//! not the coordinator's: a held-back Step a finishing Step releases, the
+//! next superstep's Steps a closing Step releases, the Collects of a
+//! query a closing Step terminated. The command queues then have several
+//! producers, and a snapshot is queued a moment before its command: two
+//! racing producers can queue them in opposite orders, which delays a
+//! join by one command but cannot lose one. A **superstep record** is a
+//! sync object per query: every member Step's fold joins its clock in
+//! ([`Hb::record_join`]) and the last finisher takes the lot
+//! ([`Hb::record_close`]) as it closes the superstep, so the next
+//! superstep's Steps it releases — or its one message to the coordinator —
+//! are ordered after every member; a query's Collects use the record the
+//! same way. The messages a superstep sends need no edge of their own: a
+//! Step puts them into the query's record under the lock it folds under,
+//! before its join, and only Steps of the next superstep take them, which
+//! the closer's sends — or the coordinator's, after admission or a park —
+//! order after that close. One `STEP` token per involved partition is
+//! opened as a superstep begins ([`Hb::send_step`] for the released at
+//! the core's dispatch, [`Hb::token_open`] for the rest) and closed as its
+//! lane finishes the Step: after the fold and whatever the fold released,
+//! so a query on the lanes always holds an open token.
 
 /// Dispatch-token kinds (what kind of in-flight work a token stands
 /// for). `READY` is a scheduled-but-undelivered sim dispatch
@@ -138,8 +138,6 @@ mod imp {
         /// FIFO clock queue per partition command channel (producers: the
         /// coordinator, and lanes handing a deferred Step on).
         cmd_chans: Vec<VecDeque<VClock>>,
-        /// Sync-object clock per partition mailbox.
-        mail: Vec<VClock>,
         /// Sync-object clock per shared superstep record, by query.
         records: FxHashMap<u32, VClock>,
         /// Conservative sync-object clock for the many-producer
@@ -217,7 +215,6 @@ mod imp {
                 inner: Arc::new(Mutex::new(State {
                     clocks: (0..n).map(|_| VClock::new(n)).collect(),
                     cmd_chans: (0..k).map(|_| VecDeque::new()).collect(),
-                    mail: (0..k).map(|_| VClock::new(n)).collect(),
                     records: FxHashMap::default(),
                     msg_chan: VClock::new(n),
                     topo_pubs: FxHashMap::default(),
@@ -416,22 +413,6 @@ mod imp {
             self.send_entry(1 + from, to);
         }
 
-        /// `actor` (0 = the coordinator at admission, `1 + w` = partition
-        /// `w`'s Step) puts a message batch into partition `to`'s mailbox.
-        pub fn mail_put(&self, actor: usize, to: usize) {
-            let mut s = self.lock();
-            let snap = s.stamp(actor);
-            s.mail[to].join(&snap);
-        }
-
-        /// Worker `w` takes mail out of its own mailbox: ordered after
-        /// every put so far.
-        pub fn mail_take(&self, w: usize) {
-            let mut s = self.lock();
-            let mail = s.mail[w].clone();
-            s.clocks[1 + w].join(&mail);
-        }
-
         /// Worker `w` folds its Step into query `q`'s superstep record.
         pub fn record_join(&self, q: u32, w: usize) {
             let mut s = self.lock();
@@ -627,10 +608,6 @@ mod imp {
         #[inline(always)]
         pub fn lane_send_step(&self, _from: usize, _to: usize) {}
         #[inline(always)]
-        pub fn mail_put(&self, _actor: usize, _to: usize) {}
-        #[inline(always)]
-        pub fn mail_take(&self, _w: usize) {}
-        #[inline(always)]
         pub fn record_join(&self, _q: u32, _w: usize) {}
         #[inline(always)]
         pub fn record_close(&self, _q: u32, _w: usize) {}
@@ -686,19 +663,6 @@ mod tests {
         hb.spawn_worker(0);
         hb.spawn_worker(1);
         hb
-    }
-
-    #[test]
-    fn a_mailbox_put_orders_the_sender_before_the_take() {
-        let hb = two_workers();
-        hb.mail_put(1, 1); // partition 0's Step puts into partition 1's box
-        assert!(!hb.has_seen(2, 1), "no edge until the mail is taken");
-        hb.mail_take(1);
-        assert!(hb.has_seen(2, 1));
-        // The coordinator's admission put reaches the taker the same way.
-        hb.mail_put(0, 0);
-        hb.mail_take(0);
-        assert!(hb.has_seen(1, 0));
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! worker to the destination directly ([`Worker::move_vertices`]) —
 //! [`SimEngine`](crate::SimEngine) on the workers it owns,
 //! [`ThreadEngine`](crate::ThreadEngine) on the ones it holds locked in
-//! the partition contexts (their mailboxes flushed first).
+//! the partition contexts — on both, after the core delivered every live
+//! query's pending input from its record into the partitions.
 //!
 //! Ownership flips afterwards in one [`commit`] call, so routing state and
 //! worker data can never disagree mid-plan.
@@ -314,12 +315,14 @@ mod tests {
         let task = TypedTask::new(ReachProgram::new(VertexId(0)));
         let q = QueryId(0);
         let mut workers = vec![Worker::new(0, true), Worker::new(1, true)];
-        workers[0].deliver(&task, q, task.batch_for_test(vec![(VertexId(0), 0)]));
+        workers[0].deliver(&task, q, [task.batch_for_test(vec![(VertexId(0), 0)])]);
         workers[0].freeze(q);
         let prev = task.aggregate_identity();
         workers[0].execute(q, &task, &g, &prev, &|_| 0);
-        let scope_before = workers[0].scope_size(q);
-        assert_eq!(scope_before, 1);
+        // The worker's scope report: its one query's live scope vertices.
+        let scope =
+            |w: &Worker| -> Vec<VertexId> { w.scope_report().flat_map(|(_, _, vs)| vs).collect() };
+        assert_eq!(scope(&workers[0]), vids(&[0]));
         assert!(workers[0].has_pending(q));
 
         let m = Migration {
@@ -333,9 +336,9 @@ mod tests {
             per_pair: vec![(0, 1, 2)],
         };
         apply_to_workers(&m, &mut workers);
-        assert_eq!(workers[0].scope_size(q), 0, "source fully drained");
+        assert_eq!(scope(&workers[0]), vec![], "source fully drained");
         assert!(!workers[0].has_pending(q));
-        assert_eq!(workers[1].scope_size(q), scope_before, "state conserved");
+        assert_eq!(scope(&workers[1]), vids(&[0]), "state conserved");
         assert!(workers[1].has_pending(q), "inbox migrated with the vertex");
     }
 

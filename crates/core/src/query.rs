@@ -157,7 +157,8 @@ pub struct QueryOutcome {
     /// (destination, superstep) send — the unit the network model's
     /// per-batch overhead is charged in. Both runtimes count it in
     /// `Worker::execute`; on threads it is accounting only, as a Step's
-    /// messages to one destination move as one batch, mailbox to mailbox.
+    /// messages to one destination move as one batch, through the query's
+    /// record.
     pub remote_batches: u64,
     /// Total vertices this query activated (its global scope |GS(q)|).
     pub scope_size: u64,

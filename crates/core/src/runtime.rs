@@ -25,30 +25,24 @@
 //!
 //! ## Messages stay on the lanes
 //!
-//! No message of a running query crosses the coordinator. Each partition
-//! owns a `Mailbox` beside its
-//! `WorkerCtx`: one lock, two slots keyed by query, chosen by the parity
-//! of the superstep that will *read* them. A Step of superstep `n` first
-//! takes its own parity-`n` slot into the worker inbox and seals it, and
-//! after executing puts every remote batch straight into the destination's
-//! parity-`n + 1` slot — so BSP isolation holds by construction: a
+//! No message of a running query crosses the coordinator: a superstep's
+//! input lives in its query's record (see `coord`). A Step of superstep
+//! `n` takes its partition's input out of the record into the worker
+//! inbox and seals it, and its fold puts every remote batch into the
+//! record's input for `n + 1`, under the lock it folds under — so a
 //! partition of superstep `n` that runs late (deferred by the DoP budget)
-//! cannot see this superstep's output, whenever it runs. Two slots
-//! suffice: mail for `n + 2` is put by Steps of `n + 1`, which are
-//! dispatched only after every partition holding mail for `n` has taken
-//! it. Admission's initial batches go into parity-0 slots, `Collect`
-//! clears both of the query's slots (a query terminated by its aggregate
-//! may leave mail), and a window flushes every mailbox into the worker
-//! inboxes before it reads anything, so scope reports, migration and the
-//! pending report see every message.
+//! cannot see this superstep's output, whenever it runs. Admission puts
+//! the initial batches into the record, mail left by a query its
+//! aggregate terminated goes with the record, and a window that migrates
+//! has the core deliver every live record's pending input into the
+//! partitions first.
 //!
-//! Taking does not dismantle the slot: `Partition::take` swaps the
-//! slot's vector with the empty one the `WorkerCtx` owns, so the entry
-//! stays — with a buffer the next puts fill — until `Collect` removes it,
-//! and a Step's whole take is delivered under one lookup of the query's
-//! local ([`Worker::deliver_all`]). Together with the circulating batch
-//! buffers of [`crate::worker`], a steady-state Step puts, takes and
-//! delivers without touching the allocator.
+//! Taking trades buffers: the Step swaps the record's vector with the
+//! empty one the `WorkerCtx` owns, so the record keeps a buffer the next
+//! superstep's sends fill, and a Step's whole take is delivered under one
+//! lookup of the query's local ([`Worker::deliver`]). Together with the
+//! circulating batch buffers of [`crate::worker`], a steady-state Step
+//! puts, takes and delivers without touching the allocator.
 //!
 //! ## Lanes close every superstep
 //!
@@ -67,7 +61,7 @@
 //! coordinator publishes (the last plan's due instant plus the core's
 //! paced wait): the lane that closes a superstep at or after it takes it
 //! and sends one `Tick`. A local superstep — one partition, nothing sent
-//! away — that goes on is begun in place: nobody can have put mail for
+//! away — that goes on is begun in place: the record holds no input for
 //! it, so the lane seals its inbox and executes again, up to
 //! `LOCAL_QUANTUM` = 4 times per `Step` (the paper's communication-free
 //! local barrier, §3.3).
@@ -77,9 +71,9 @@
 //! A stop-the-world window opens only when no query is on the lanes and
 //! no collect is unanswered, so no lane computes until it ends. The
 //! coordinator then locks each partition's `WorkerCtx` itself, in
-//! partition order, and makes the simulation's [`Worker`] calls — mailbox
-//! flush, `Worker::scope_report`, [`migrate::apply_to_workers`],
-//! `Worker::pending_report` — and installs a new `Arc<Topology>` /
+//! partition order, and makes the simulation's [`Worker`] calls — the
+//! records' pending input delivered, `Worker::scope_report`,
+//! [`migrate::apply_to_workers`], `Worker::pending_report` — and installs a new `Arc<Topology>` /
 //! `Arc<Partitioning>` into every context before anything resumes. A lane
 //! releases its context before it answers, so a window never waits on a
 //! lane's epilogue. Outside a window the coordinator locks a context only
@@ -134,17 +128,16 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::Instant;
 
-use rustc_hash::FxHashMap;
-
 use qgraph_graph::{Graph, MutationBatch as GraphMutationBatch, Topology, VertexId};
 use qgraph_partition::Partitioning;
 use qgraph_sim::SimTime;
 
 use crate::api::{Engine, Runtime};
+use crate::barrier;
 use crate::config::SystemConfig;
 use crate::controller::Controller;
 use crate::coord::{
-    relock, Close, Coordinator, EngineState, Executor, Locals, Record, StepReport, Stepping,
+    Close, Coordinator, EngineState, Executor, Locals, Record, StepReport, Stepping,
 };
 use crate::hb::{kind, Hb};
 use crate::index_plane::PointIndex;
@@ -158,78 +151,27 @@ use crate::task::{Envelope, MessageBatch, QueryTask, TypedTask};
 use crate::trace::{CmdKind, Tracer};
 use crate::worker::Worker;
 
-/// Lock a partition's worker state. Unlike mail, a command that panicked
-/// mid-way may have left it torn, so poisoning propagates.
+/// Lock a partition's worker state. Unlike a record, a command that
+/// panicked mid-way may have left it torn, so poisoning propagates.
 fn lock_ctx(ctx: &Mutex<WorkerCtx>) -> MutexGuard<'_, WorkerCtx> {
     ctx.lock()
         // qlint: allow(no-unwrap-hot-loop) — poisoned ⇒ a sibling pool thread already panicked; propagate
         .expect("worker state poisoned by an earlier panic")
 }
 
-/// One partition's mail (see the module docs): per query, the batches
-/// other partitions' Steps — or admission — addressed here, in the slot of
-/// the parity of the superstep that will read them.
-#[derive(Default)]
-struct Mailbox {
-    slots: [FxHashMap<QueryId, Vec<MessageBatch>>; 2],
-}
-
-/// A partition: the worker state the pool serializes access to, the
-/// mailbox any lane may put into, and the vertex updates its Steps ran
-/// since the coordinator last looked.
+/// A partition: the worker state the pool serializes access to, and the
+/// vertex updates its Steps ran since the coordinator last looked.
 struct Partition {
     ctx: Mutex<WorkerCtx>,
-    mail: Mutex<Mailbox>,
     executed: AtomicU64,
 }
 
-impl Partition {
-    /// Add `batch` to the input of query `q`'s superstep `index` here.
-    fn put(&self, q: QueryId, index: u32, batch: MessageBatch) {
-        let mut mail = relock(&self.mail);
-        mail.slots[(index & 1) as usize]
-            .entry(q)
-            .or_default()
-            .push(batch);
-    }
-
-    /// Take what was put for query `q`'s superstep `index`, in put order,
-    /// into the empty `into`: the two buffers trade places, so the slot
-    /// entry stays (until `Collect`) with a buffer the next puts fill.
-    fn take(&self, q: QueryId, index: u32, into: &mut Vec<MessageBatch>) {
-        debug_assert!(into.is_empty(), "the taken mail would be lost");
-        let mut mail = relock(&self.mail);
-        if let Some(put) = mail.slots[(index & 1) as usize].get_mut(&q) {
-            std::mem::swap(put, into);
-        }
-    }
-}
-
-/// A window's first act: every mailbox's batches move into its worker's
-/// inboxes, in put order, leaving the slot entries and their buffers in
-/// place. Only while the partitions are quiescent, so nothing is put
-/// meanwhile.
-fn flush_mail(parts: &[Partition], hb: &Hb, task_of: &dyn Fn(QueryId) -> Arc<dyn QueryTask>) {
-    for (w, part) in parts.iter().enumerate() {
-        let mut ctx = lock_ctx(&part.ctx);
-        let mut mail = relock(&part.mail);
-        hb.mail_take(w);
-        for (&q, batches) in mail.slots.iter_mut().flatten() {
-            if !batches.is_empty() {
-                let task = task_of(q);
-                ctx.worker.deliver_all(task.as_ref(), q, batches.drain(..));
-            }
-        }
-    }
-}
-
 enum Cmd {
-    /// Execute the query's superstep `index` here and fold it into its
+    /// Execute the query's current superstep here and fold it into its
     /// record (see the module docs).
     Step {
         /// This Step's copy of the aggregate the superstep reads.
         prev_agg: Envelope,
-        index: u32,
         record: Record,
     },
     /// Hand the terminated query's local state here to its collect.
@@ -441,9 +383,6 @@ pub struct Threads {
     /// Test probe: what the coordinator dispatched and heard back.
     #[cfg(test)]
     traffic: Arc<StepTraffic>,
-    /// Test probe: the serving session's partitions (their mailboxes).
-    #[cfg(test)]
-    parts: Option<Arc<Vec<Partition>>>,
     /// Test probe: the serving session's signals (the park flag).
     #[cfg(test)]
     signals: Option<Arc<Signals>>,
@@ -493,8 +432,6 @@ impl Engine<Threads> {
             hb_test_early_quiesce: false,
             #[cfg(test)]
             traffic: Arc::default(),
-            #[cfg(test)]
-            parts: None,
             #[cfg(test)]
             signals: None,
         };
@@ -661,8 +598,7 @@ impl Threads {
         // Partition state stays partition-owned: one context per logical
         // worker, locked by whichever pool thread draws that partition's
         // next command — or, inside a window, by the coordinator — so the
-        // lock only moves the state between threads. The mailbox beside
-        // it is what other lanes reach.
+        // lock only moves the state between threads.
         let shared_parts = Arc::new(self.state.partitioning.clone());
         let shared_topology = Arc::new(self.state.topology.clone());
         let combiners = self.cfg.combiners;
@@ -677,7 +613,6 @@ impl Threads {
                             partitioning: Arc::clone(&shared_parts),
                             taken: Vec::new(),
                         }),
-                        mail: Mutex::default(),
                         executed: AtomicU64::default(),
                     }
                 })
@@ -689,7 +624,6 @@ impl Threads {
         });
         #[cfg(test)]
         {
-            self.parts = Some(Arc::clone(&parts));
             self.signals = Some(Arc::clone(&signals));
         }
         let lane = Lane {
@@ -786,8 +720,8 @@ impl Drop for Threads {
 /// state lives in the core it serves and leaves it at each hand-over.
 struct PoolExec {
     pool: TaskPool<Cmd>,
-    /// The partitions: admission puts a query's initial batches straight
-    /// into their mailboxes, and a window locks their contexts.
+    /// The partitions: a window and the trigger's scope read lock their
+    /// contexts.
     parts: Arc<Vec<Partition>>,
     signals: Arc<Signals>,
     /// The check instant last published; a lane that takes it swaps in
@@ -905,13 +839,14 @@ impl Executor for PoolExec {
         self.clock.now()
     }
 
-    fn deliver(&mut self, q: QueryId, w: usize, _: &dyn QueryTask, batch: MessageBatch) {
-        self.hb.mail_put(0, w);
-        self.parts[w].put(q, 0, batch);
+    fn deliver(&mut self, q: QueryId, w: usize, task: &dyn QueryTask, batches: Vec<MessageBatch>) {
+        lock_ctx(&self.parts[w].ctx)
+            .worker
+            .deliver(task, q, batches);
     }
 
     // The query goes onto the lanes until it terminates or parks.
-    fn superstep(&mut self, record: &Record, step: &Stepping) {
+    fn superstep(&mut self, record: &Record, step: &mut Stepping) {
         self.inflight_ops += 1;
         #[cfg(test)]
         self.traffic.dispatched.fetch_add(1, Ordering::Relaxed);
@@ -1002,9 +937,6 @@ fn serve(mut core: Coordinator, mut x: PoolExec) -> Stopped {
         // partition is touched.
         if core.paused() && x.inflight_ops <= x.quiesce_at {
             core.window_open(&x);
-            // Mail is only ever held for live queries (`Collect` clears a
-            // query's slots), so the core resolves every task.
-            flush_mail(&x.parts, &x.hb, &|q| Arc::clone(&core.run(q).task));
             core.window_apply(&mut x);
             // The queries the window resumes must not park again on the
             // flag it leaves behind.
@@ -1105,8 +1037,8 @@ struct WorkerCtx {
     worker: Worker,
     topology: Arc<Topology>,
     partitioning: Arc<Partitioning>,
-    /// The buffer a Step takes its mail into (see [`Partition::take`]);
-    /// empty between Steps.
+    /// The buffer a Step trades for its input in the record (see the
+    /// module docs); empty between Steps.
     taken: Vec<MessageBatch>,
 }
 
@@ -1132,7 +1064,6 @@ fn launch(
         }
         let cmd = Cmd::Step {
             prev_agg: record.task.clone_aggregate(&step.agg_prev),
-            index: step.out.iterations,
             record: Arc::clone(record),
         };
         push(w, cmd);
@@ -1221,11 +1152,7 @@ impl Lane {
         // span's serial cost on chained point queries in check.
         let begin_at = self.trace_now();
         let (executed, reply) = match cmd {
-            Cmd::Step {
-                prev_agg,
-                index,
-                record,
-            } => self.step(push, tid, w, prev_agg, index, record),
+            Cmd::Step { prev_agg, record } => self.step(push, tid, w, prev_agg, record),
             Cmd::Collect(record) => (0, self.collect(w, &record)),
         };
         if let Some(begin_at) = begin_at {
@@ -1246,8 +1173,8 @@ impl Lane {
         hb.pool_release(w);
     }
 
-    /// One `Step` (see the module docs): take, seal, execute, put, fold —
-    /// and as the superstep's last Step, close it and see to what follows.
+    /// One `Step` (see the module docs): take, seal, execute, fold — and
+    /// as the superstep's last Step, close it and see to what follows.
     /// Returns the vertex updates and, when the query leaves the lanes
     /// here to park, the answer.
     fn step(
@@ -1256,19 +1183,17 @@ impl Lane {
         tid: usize,
         w: usize,
         mut prev_agg: Envelope,
-        mut index: u32,
         record: Record,
     ) -> (u64, Option<Resp>) {
         let (hb, q, task) = (&self.hb, record.id, record.task.as_ref());
         let (mut executed, mut chained) = (0, 0);
         let mut guard = lock_ctx(&self.parts[w].ctx);
         let ctx = &mut *guard;
-        // This superstep's input: what was put for it, sealed with what
-        // the partition sent itself. Mail put from here on is for the next
-        // superstep and lands in the other slot.
-        hb.mail_take(w);
-        self.parts[w].take(q, index, &mut ctx.taken);
-        ctx.worker.deliver_all(task, q, ctx.taken.drain(..));
+        // This superstep's input: what was sent for it, traded for the
+        // partition's empty buffer, sealed with what the partition sent
+        // itself.
+        std::mem::swap(&mut record.stepping().mail[w].input, &mut ctx.taken);
+        ctx.worker.deliver(task, q, ctx.taken.drain(..));
         ctx.worker.freeze(q);
         let route = |v: VertexId| ctx.partitioning.worker_of(v).index();
         let (mut step, close) = loop {
@@ -1280,24 +1205,19 @@ impl Lane {
                 ctx.worker
                     .execute(q, task, &ctx.topology, &prev_agg, &route);
             executed += stats.executed as u64;
-            // What the superstep sent away is input of the next one: in
-            // the destinations' mailboxes before the fold can release it.
-            let sent_to = remote.into_iter().map(|(to, batch)| {
-                hb.mail_put(1 + w, to);
-                self.parts[to].put(q, index + 1, batch);
-                to
-            });
             let report = StepReport {
                 q,
                 worker: w,
                 stats,
                 agg,
-                remote: sent_to.collect(),
+                remote,
                 self_pending: ctx.worker.has_pending(q),
             };
+            // What the superstep sent away goes into the record's next
+            // input with the fold, before the fold can release it.
             let mut step = record.stepping();
             hb.record_join(q.0, w);
-            if !step.fold(task, &report) {
+            if !step.fold(task, report) {
                 break (step, None);
             }
             hb.record_close(q.0, w);
@@ -1305,13 +1225,13 @@ impl Lane {
             self.closed(w, q);
             // The local barrier: a superstep on this partition alone that
             // sent nothing away and goes on involves this partition alone
-            // next, and nothing else is stepping `q`, so nobody can have
-            // put mail for the inbox sealed below.
-            let local = step.involved_cur.len() == 1 && report.remote.is_empty();
+            // next, with nothing in the record for it: the inbox sealed
+            // below is its whole input.
+            let local = barrier::is_local(step.involved_cur.len(), step.crossed);
             if close == Close::Next && local && chained < LOCAL_QUANTUM && !self.parking() {
                 step.begin();
                 prev_agg = task.clone_aggregate(&step.agg_prev);
-                (index, chained) = (index + 1, chained + 1);
+                chained += 1;
                 drop(step);
                 ctx.worker.freeze(q);
                 continue;
@@ -1339,12 +1259,7 @@ impl Lane {
                     }
                     hb.lane_send_step(w, to);
                     let record = Arc::clone(&record);
-                    let cmd = Cmd::Step {
-                        prev_agg,
-                        index,
-                        record,
-                    };
-                    push(to, cmd);
+                    push(to, Cmd::Step { prev_agg, record });
                 }
                 None
             }
@@ -1393,9 +1308,6 @@ impl Lane {
     /// record; the last of the query's Collects answers with them all.
     fn collect(&self, w: usize, record: &Record) -> Option<Resp> {
         let q = record.id;
-        for slot in &mut relock(&self.parts[w].mail).slots {
-            slot.remove(&q);
-        }
         let local = lock_ctx(&self.parts[w].ctx).worker.take_local(q);
         let mut step = record.stepping();
         self.hb.record_join(q.0, w);
@@ -1450,8 +1362,8 @@ mod tests {
     /// A lane with no pool behind it: the test thread runs the pushed
     /// commands itself, oldest first, stamped for the auditor by whoever
     /// pushed them. Query 0 is `task` under the DoP budget `dop`, admitted:
-    /// its initial batches put where admission puts them, its record as
-    /// admission leaves it.
+    /// its record as admission leaves it, the initial batches in its next
+    /// input.
     struct ByHand {
         lane: Lane,
         rx: Receiver<CoordMsg>,
@@ -1483,7 +1395,6 @@ mod tests {
                     partitioning: Arc::clone(&parts),
                     taken: Vec::new(),
                 }),
-                mail: Mutex::default(),
                 executed: AtomicU64::default(),
             }
         };
@@ -1508,10 +1419,9 @@ mod tests {
         let record = Query::new(Q, task, Default::default(), dop, k);
         let mut step = record.stepping();
         for (w, batch) in batches {
-            hb.mail_put(0, w);
-            lane.parts[w].put(Q, 0, batch);
             step.touched.push(w);
             step.next_involved.push(w);
+            step.mail[w].next.push(batch);
         }
         drop(step);
         ByHand {
@@ -1550,12 +1460,14 @@ mod tests {
             w
         }
 
-        /// The commands waiting: a Step's partition and superstep, a
-        /// Collect's partition and `None`.
+        /// The commands waiting: a Step's partition and the superstep it
+        /// runs (the record's current one), a Collect's partition and
+        /// `None`.
         fn queued(&self) -> Vec<(usize, Option<u32>)> {
+            let superstep = self.out().iterations;
             let queue = self.queue.borrow();
             let summary = queue.iter().map(|(w, cmd)| match cmd {
-                Cmd::Step { index, .. } => (*w, Some(*index)),
+                Cmd::Step { .. } => (*w, Some(superstep)),
                 Cmd::Collect(_) => (*w, None),
             });
             summary.collect()
@@ -1579,18 +1491,11 @@ mod tests {
             Some(resp)
         }
 
-        /// Batches waiting in partition `w`'s mailbox for query 0, per
-        /// parity slot.
-        fn mail(&self, w: usize) -> [usize; 2] {
-            let mail = relock(&self.lane.parts[w].mail);
-            [0, 1].map(|slot| mail.slots[slot].get(&Q).map_or(0, Vec::len))
-        }
-
-        /// Does partition `w`'s mailbox have an entry for query 0, per
-        /// parity slot (a taken slot keeps its entry, empty).
-        fn holds(&self, w: usize) -> [bool; 2] {
-            let mail = relock(&self.lane.parts[w].mail);
-            [0, 1].map(|slot| mail.slots[slot].contains_key(&Q))
+        /// Batches waiting in query 0's record for partition `w`: the
+        /// current superstep's input, and the next one's.
+        fn input(&self, w: usize) -> [usize; 2] {
+            let step = self.record.stepping();
+            [step.mail[w].input.len(), step.mail[w].next.len()]
         }
 
         fn has_pending(&self, w: usize) -> bool {
@@ -1688,8 +1593,9 @@ mod tests {
         assert_eq!(by_hand.lane.hb.audited(), (3, 0));
 
         // A flood from vertex 0 of `{0,1} {2,3}`: the superstep at vertex
-        // 1 crosses, so it ends the chain — and what it sent waits in
-        // partition 1's mailbox for superstep 2, whose Step is pushed.
+        // 1 crosses, so it ends the chain — and what it sent waits in the
+        // record as superstep 2's input on partition 1, whose Step is
+        // pushed.
         let reach = Arc::new(TypedTask::new(ReachProgram::new(VertexId(0))));
         let by_hand = seeded_lane(&g, parts(), reach, 1);
         by_hand.dispatch();
@@ -1698,7 +1604,7 @@ mod tests {
         assert_eq!((out.iterations, out.local_iterations), (2, 1));
         assert_eq!((out.vertex_updates, out.remote_messages), (2, 1));
         assert_eq!(by_hand.queued(), vec![(1, Some(2))]);
-        assert_eq!((by_hand.mail(0), by_hand.mail(1)), ([0, 0], [1, 0]));
+        assert_eq!((by_hand.input(0), by_hand.input(1)), ([0, 0], [1, 0]));
     }
 
     /// A ping between vertex 0 (partition 0) and vertex 2 (partition 1) of
@@ -1716,23 +1622,26 @@ mod tests {
     #[test]
     fn a_deferred_step_executes_its_sealed_input_while_the_mail_waits() {
         let by_hand = ping_pong(&line(4), 1);
-        assert_eq!((by_hand.mail(0), by_hand.mail(1)), ([1, 0], [1, 0]));
+        // Admission left each partition's seed in the record's next input.
+        assert_eq!((by_hand.input(0), by_hand.input(1)), ([0, 1], [0, 1]));
         // Superstep 0 at DoP 1: partition 0 runs, partition 1 is held back.
         by_hand.dispatch();
+        assert_eq!((by_hand.input(0), by_hand.input(1)), ([1, 0], [1, 0]));
         assert_eq!(by_hand.queued(), vec![(0, Some(0))]);
         by_hand.run_next();
-        // Partition 0 sent to partition 1 *before* partition 1 ran: the
-        // batch sits in the slot superstep 1 will read, beside the input
-        // of superstep 0. Nothing went to the coordinator; the lane pushed
+        // Partition 0 took its input and sent to partition 1 *before*
+        // partition 1 ran: the batch waits in the next input, beside the
+        // current one. Nothing went to the coordinator; the lane pushed
         // the held-back Step itself.
-        assert_eq!((by_hand.mail(0), by_hand.mail(1)), ([0, 0], [1, 1]));
+        assert_eq!((by_hand.input(0), by_hand.input(1)), ([0, 0], [1, 1]));
         assert!(by_hand.response().is_none());
         assert_eq!(by_hand.queued(), vec![(1, Some(0))]);
         by_hand.run_next();
-        // Partition 1 executed exactly its sealed input — the batch for
-        // superstep 1 is still there — and, as the last finisher, closed
-        // superstep 0 and released superstep 1's first Step.
-        assert_eq!((by_hand.mail(0), by_hand.mail(1)), ([0, 1], [0, 1]));
+        // Partition 1 executed exactly its sealed input and, as the last
+        // finisher, closed superstep 0 and began superstep 1: what each
+        // partition sent the other is now its input. Superstep 1's first
+        // Step is pushed.
+        assert_eq!((by_hand.input(0), by_hand.input(1)), ([1, 0], [1, 0]));
         let out = by_hand.out();
         assert_eq!(
             (out.iterations, out.vertex_updates, out.remote_messages),
@@ -1746,27 +1655,23 @@ mod tests {
         // Superstep 1 reads what superstep 0 sent.
         by_hand.run_next();
         assert_eq!(by_hand.out().vertex_updates, 3);
-        assert_eq!((by_hand.mail(0), by_hand.mail(1)), ([0, 0], [1, 1]));
+        assert_eq!((by_hand.input(0), by_hand.input(1)), ([0, 0], [1, 1]));
         assert_eq!(by_hand.queued(), vec![(1, Some(1))]);
     }
 
     #[test]
-    fn a_collect_clears_both_of_the_querys_mail_slots() {
+    fn a_collect_counts_down_in_the_record_and_the_last_answers_with_every_local() {
         let by_hand = ping_pong(&line(4), 2);
-        // Leave mail in both parities on partition 1: the seed for
-        // superstep 0 and what partition 0's Step sent for superstep 1.
+        // Partition 0 executes superstep 0; partition 1 never does.
         by_hand.dispatch();
         assert_eq!(by_hand.run_next(), 0);
-        assert_eq!(by_hand.mail(1), [1, 1]);
         by_hand.queue.borrow_mut().clear();
         by_hand.collect(&[0, 1]);
         assert_eq!(by_hand.run_next(), 0);
-        assert_eq!(by_hand.holds(0), [false, false]);
         // The first Collect answers nothing: the record owes one more.
         assert!(by_hand.response().is_none());
         assert_eq!(by_hand.record.stepping().outstanding, 1);
         assert_eq!(by_hand.run_next(), 1);
-        assert_eq!(by_hand.holds(1), [false, false]);
         let Some(Resp::Collected { q: Q, locals }) = by_hand.response() else {
             panic!("the last Collect answers with every local");
         };
@@ -1778,61 +1683,59 @@ mod tests {
     }
 
     #[test]
-    fn a_taken_slot_keeps_its_entry_and_trades_buffers_with_the_partition() {
+    fn a_taken_input_trades_buffers_with_the_partition() {
         let by_hand = ping_pong(&line(4), 2);
-        let buffer = |w: usize, slot: usize| {
-            let mail = relock(&by_hand.lane.parts[w].mail);
-            (
-                mail.slots[slot][&Q].as_ptr(),
-                mail.slots[slot][&Q].capacity(),
-            )
+        let buffer = |w: usize| {
+            let step = by_hand.record.stepping();
+            (step.mail[w].input.as_ptr(), step.mail[w].input.capacity())
         };
-        let seeded = buffer(0, 0);
-        assert!(seeded.1 > 0 && by_hand.holds(0) == [true, false]);
-        // Superstep 0 on partition 0 takes the seed batch: the entry stays,
-        // empty, holding the (unallocated) buffer the partition owned, and
-        // the partition now owns the slot's.
         by_hand.dispatch();
+        let seeded = buffer(0);
+        assert!(seeded.1 > 0);
+        // Superstep 0 on partition 0 takes the seed batch: the record now
+        // holds the (unallocated) buffer the partition owned, and the
+        // partition the record's.
         assert_eq!(by_hand.run_next(), 0);
-        assert_eq!((by_hand.holds(0), by_hand.mail(0)), ([true, false], [0, 0]));
-        assert_eq!(buffer(0, 0).1, 0);
+        assert_eq!(buffer(0).1, 0);
         {
             let ctx = by_hand.lane.parts[0].ctx.lock().unwrap();
             assert!(ctx.taken.is_empty(), "delivered, every batch");
             assert_eq!((ctx.taken.as_ptr(), ctx.taken.capacity()), seeded);
         }
-        // Partition 1's Step sends back for superstep 1; superstep 2 would
-        // read parity 0 again, where the entry still is.
+        // Partition 1's Step sends back for superstep 1 and begins it;
+        // partition 0's Step of superstep 1 trades again, and the record
+        // keeps the buffer superstep 0 took: the next sends fill it.
         assert_eq!(by_hand.run_next(), 1);
-        assert_eq!((by_hand.holds(0), by_hand.mail(0)), ([true, true], [0, 1]));
+        assert_eq!(by_hand.input(0), [1, 0]);
         assert_eq!(by_hand.run_next(), 0);
-        assert_eq!((by_hand.holds(0), by_hand.mail(0)), ([true, true], [0, 0]));
-        // The buffer superstep 0 took is the one superstep 1's slot keeps.
-        assert_eq!(buffer(0, 1), seeded);
+        assert_eq!((by_hand.input(0), buffer(0)), ([0, 0], seeded));
     }
 
     #[test]
-    fn a_window_flushes_the_mail_so_a_pending_inbox_survives_migration() {
-        // A flood from vertex 0 of `{0,1} {2,3}` leaves one batch for
-        // vertex 2 in partition 1's mailbox, nothing in its inbox.
+    fn a_parked_querys_input_reaches_the_inbox_and_moves_with_its_vertex() {
+        // A flood from vertex 1 of `{0,1} {2,3}` under a wanted window:
+        // its superstep 0 sends to vertex 2, and the lane that closes it
+        // hands the query back with the batch in the record.
         let g = line(4);
-        let reach: Arc<dyn QueryTask> = Arc::new(TypedTask::new(ReachProgram::new(VertexId(0))));
+        let reach: Arc<dyn QueryTask> = Arc::new(TypedTask::new(ReachProgram::new(VertexId(1))));
         let by_hand = seeded_lane(&g, RangePartitioner.partition(&g, 2), Arc::clone(&reach), 1);
+        by_hand.lane.signals.park.store(true, Ordering::Relaxed);
         by_hand.dispatch();
         by_hand.run_next();
-        assert!(by_hand.mail(1) == [1, 0] && !by_hand.has_pending(1));
-        // The window's flush moves it into the inbox, where the pending
-        // report sees it.
-        let (parts, hb) = (&by_hand.lane.parts, &by_hand.lane.hb);
-        let task_of = |_: QueryId| Arc::clone(&reach);
-        flush_mail(parts, hb, &task_of);
-        assert_eq!(by_hand.mail(1), [0, 0]);
+        assert!(matches!(by_hand.response(), Some(Resp::Parked(Q))));
+        assert!(by_hand.input(1) == [0, 1] && !by_hand.has_pending(1));
+        // The window takes it out of the record into the partition's
+        // inbox, where the pending report sees it ...
+        let batches = std::mem::take(&mut by_hand.record.stepping().mail[1].next);
+        let parts = &by_hand.lane.parts;
+        lock_ctx(&parts[1].ctx)
+            .worker
+            .deliver(reach.as_ref(), Q, batches);
         assert_eq!(
             (by_hand.pending(0), by_hand.pending(1)),
             (vec![], vec![(Q, 1)])
         );
-
-        // Migrating vertex 2 to partition 0 takes the mailed message along.
+        // ... so migrating vertex 2 to partition 0 takes the message along.
         let migration = Migration {
             moves: vec![crate::qcut::VertexMove {
                 query: Q,
@@ -1852,7 +1755,16 @@ mod tests {
             (by_hand.pending(0), by_hand.pending(1)),
             (vec![(Q, 0)], vec![])
         );
-        assert_eq!((by_hand.mail(0), by_hand.mail(1)), ([0, 0], [0, 0]));
+        // Resumed there, superstep 1 takes an empty input from the record
+        // and executes vertex 2 from the inbox.
+        by_hand.lane.signals.park.store(false, Ordering::Relaxed);
+        by_hand.record.stepping().next_involved = vec![0];
+        by_hand.dispatch();
+        assert_eq!(by_hand.run_next(), 0);
+        let out = by_hand.out();
+        assert_eq!((out.iterations, out.vertex_updates), (2, 2));
+        assert_eq!((by_hand.input(0), by_hand.input(1)), ([0, 0], [1, 0]));
+        assert_eq!(by_hand.queued(), vec![(1, Some(2))]);
     }
 
     /// Submitted through the erased path, a task is held by the core while
@@ -2173,44 +2085,6 @@ mod tests {
             assert!(e.output(h).is_some());
         }
         assert_eq!(e.report().outcomes.len(), 7);
-    }
-
-    #[test]
-    fn no_mail_entry_outlives_its_query() {
-        // `take` leaves entries behind; `Collect` is what removes them. A
-        // mixed stream over an every-hop-crosses layout: floods that end by
-        // running dry, a ping, and a tally its aggregate stops while the
-        // fourth vertex's activation waits in the mail.
-        let g = line(48);
-        let assign = (0..48).map(|v| qgraph_partition::WorkerId(v % 4));
-        let mut e = ThreadEngine::with_config(
-            Arc::clone(&g),
-            Partitioning::new(assign.collect(), 4),
-            SystemConfig::default(),
-        );
-        for round in 0..3u32 {
-            for source in [0, 17, 30] {
-                e.submit(ReachProgram::bounded(VertexId(source + round), 9));
-            }
-            e.submit(PingProgram {
-                ring: (0..7).map(VertexId).collect(),
-                rounds: 5,
-            });
-            e.submit(Tally {
-                seed: VertexId(round),
-                hop: 1,
-                sticky: true,
-                stop_at: 3,
-            });
-            e.drain();
-            let parts = e.rt.parts.as_ref().expect("serving");
-            for (w, part) in parts.iter().enumerate() {
-                let mail = relock(&part.mail);
-                let left: Vec<_> = mail.slots.iter().flat_map(|s| s.keys()).collect();
-                assert!(left.is_empty(), "partition {w} still holds {left:?}");
-            }
-        }
-        assert_eq!(e.report().outcomes.len(), 15);
     }
 
     #[test]

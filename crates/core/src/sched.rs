@@ -24,6 +24,7 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 use qgraph_sim::SimTime;
 
@@ -170,13 +171,15 @@ pub(crate) fn check_submission(at_secs: Option<f64>, deadline_secs: Option<f64>)
     }
 }
 
-/// One waiting query: everything the policy needs to order it.
-#[derive(Clone, Debug)]
+/// One waiting query: its task, and everything the policy needs to order
+/// it.
+#[derive(Clone)]
 pub struct QueueEntry {
     /// The query.
     pub q: QueryId,
-    /// Its program-kind label (for [`AdmissionPolicy::ProgramPriority`]).
-    pub program: &'static str,
+    /// What it runs; its program name is the kind
+    /// [`AdmissionPolicy::ProgramPriority`] orders by.
+    pub task: Arc<dyn QueryTask>,
     /// When it entered the engine (arrival; the queueing-delay baseline).
     pub enqueued_at: SimTime,
     /// Absolute deadline (arrival + relative deadline), if any.
@@ -245,13 +248,13 @@ impl Scheduler {
         }
     }
 
-    /// Enqueue a query; `false` means the bounded queue was full and the
-    /// submission was rejected.
+    /// Enqueue query `q` running `task`; `false` means the bounded queue
+    /// was full and the submission was rejected.
     #[must_use = "a false push is a rejected submission the caller must surface"]
     pub fn push(
         &mut self,
         q: QueryId,
-        program: &'static str,
+        task: Arc<dyn QueryTask>,
         enqueued_at: SimTime,
         deadline: Option<SimTime>,
     ) -> bool {
@@ -266,7 +269,8 @@ impl Scheduler {
             // Higher priority -> smaller key; the offset keeps the full
             // i32 range non-negative.
             AdmissionPolicy::ProgramPriority(_) => {
-                (i64::from(i32::MAX) - i64::from(self.policy.priority_of(program))) as u128
+                let priority = self.policy.priority_of(task.program_name());
+                (i64::from(i32::MAX) - i64::from(priority)) as u128
             }
             // Earlier deadline -> smaller key; "none" is the max sentinel.
             AdmissionPolicy::Deadline => deadline.unwrap_or(SimTime::MAX).as_nanos() as u128,
@@ -275,7 +279,7 @@ impl Scheduler {
             key,
             entry: QueueEntry {
                 q,
-                program,
+                task,
                 enqueued_at,
                 deadline,
                 seq,
@@ -304,6 +308,7 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::task::TypedTask;
 
     fn entry_ids(s: &mut Scheduler) -> Vec<u32> {
         std::iter::from_fn(|| s.pop().map(|e| e.q.0)).collect()
@@ -313,7 +318,7 @@ mod tests {
     fn fifo_pops_in_arrival_order() {
         let mut s = Scheduler::new(AdmissionPolicy::Fifo);
         for i in 0..4 {
-            assert!(s.push(QueryId(i), "sssp", SimTime::from_secs(i as u64), None));
+            assert!(s.push(QueryId(i), kind("sssp"), SimTime::from_secs(i as u64), None));
         }
         assert_eq!(entry_ids(&mut s), vec![0, 1, 2, 3]);
         assert!(s.is_empty());
@@ -322,30 +327,45 @@ mod tests {
     #[test]
     fn program_priority_overtakes_fifo_within_kind() {
         let mut s = Scheduler::new(AdmissionPolicy::priorities(&[("poi", 10), ("sssp", 1)]));
-        assert!(s.push(QueryId(0), "sssp", SimTime::ZERO, None));
-        assert!(s.push(QueryId(1), "bfs", SimTime::ZERO, None)); // unlisted -> 0
-        assert!(s.push(QueryId(2), "poi", SimTime::ZERO, None));
-        assert!(s.push(QueryId(3), "poi", SimTime::ZERO, None));
-        assert!(s.push(QueryId(4), "sssp", SimTime::ZERO, None));
+        assert!(s.push(QueryId(0), kind("sssp"), SimTime::ZERO, None));
+        assert!(s.push(QueryId(1), kind("bfs"), SimTime::ZERO, None)); // unlisted -> 0
+        assert!(s.push(QueryId(2), kind("poi"), SimTime::ZERO, None));
+        assert!(s.push(QueryId(3), kind("poi"), SimTime::ZERO, None));
+        assert!(s.push(QueryId(4), kind("sssp"), SimTime::ZERO, None));
         assert_eq!(entry_ids(&mut s), vec![2, 3, 0, 4, 1]);
     }
 
     #[test]
     fn deadline_pops_earliest_first_and_undedlined_last() {
         let mut s = Scheduler::new(AdmissionPolicy::Deadline);
-        assert!(s.push(QueryId(0), "a", SimTime::ZERO, Some(SimTime::from_secs(50))));
-        assert!(s.push(QueryId(1), "b", SimTime::ZERO, None));
-        assert!(s.push(QueryId(2), "c", SimTime::ZERO, Some(SimTime::from_secs(5))));
-        assert!(s.push(QueryId(3), "d", SimTime::ZERO, Some(SimTime::from_secs(5))));
+        assert!(s.push(
+            QueryId(0),
+            kind("a"),
+            SimTime::ZERO,
+            Some(SimTime::from_secs(50))
+        ));
+        assert!(s.push(QueryId(1), kind("b"), SimTime::ZERO, None));
+        assert!(s.push(
+            QueryId(2),
+            kind("c"),
+            SimTime::ZERO,
+            Some(SimTime::from_secs(5))
+        ));
+        assert!(s.push(
+            QueryId(3),
+            kind("d"),
+            SimTime::ZERO,
+            Some(SimTime::from_secs(5))
+        ));
         assert_eq!(entry_ids(&mut s), vec![2, 3, 0, 1]);
     }
 
     #[test]
     fn negative_priorities_sort_below_unlisted() {
         let mut s = Scheduler::new(AdmissionPolicy::priorities(&[("bg", -5), ("fg", 5)]));
-        assert!(s.push(QueryId(0), "bg", SimTime::ZERO, None));
-        assert!(s.push(QueryId(1), "other", SimTime::ZERO, None)); // unlisted -> 0
-        assert!(s.push(QueryId(2), "fg", SimTime::ZERO, None));
+        assert!(s.push(QueryId(0), kind("bg"), SimTime::ZERO, None));
+        assert!(s.push(QueryId(1), kind("other"), SimTime::ZERO, None)); // unlisted -> 0
+        assert!(s.push(QueryId(2), kind("fg"), SimTime::ZERO, None));
         assert_eq!(entry_ids(&mut s), vec![2, 1, 0]);
     }
 
@@ -354,13 +374,13 @@ mod tests {
         let mut s = Scheduler::new(AdmissionPolicy::Fifo);
         assert!(s.push(
             QueryId(7),
-            "poi",
+            kind("poi"),
             SimTime::from_secs(3),
             Some(SimTime::from_secs(9)),
         ));
         let e = s.pop().unwrap();
         assert_eq!(e.q, QueryId(7));
-        assert_eq!(e.program, "poi");
+        assert_eq!(e.task.program_name(), "poi");
         assert_eq!(e.enqueued_at, SimTime::from_secs(3));
         assert_eq!(e.deadline, Some(SimTime::from_secs(9)));
     }
@@ -368,27 +388,38 @@ mod tests {
     #[test]
     fn bounded_queue_rejects_when_full() {
         let mut s = Scheduler::bounded(AdmissionPolicy::Fifo, Some(2));
-        assert!(s.push(QueryId(0), "a", SimTime::ZERO, None));
-        assert!(s.push(QueryId(1), "a", SimTime::ZERO, None));
-        assert!(!s.push(QueryId(2), "a", SimTime::ZERO, None), "full");
+        assert!(s.push(QueryId(0), kind("a"), SimTime::ZERO, None));
+        assert!(s.push(QueryId(1), kind("a"), SimTime::ZERO, None));
+        assert!(!s.push(QueryId(2), kind("a"), SimTime::ZERO, None), "full");
         let _ = s.pop();
-        assert!(s.push(QueryId(3), "a", SimTime::ZERO, None), "slot freed");
+        assert!(
+            s.push(QueryId(3), kind("a"), SimTime::ZERO, None),
+            "slot freed"
+        );
         assert_eq!(s.len(), 2);
     }
 
-    /// A do-nothing program that declares itself index-eligible — the
-    /// smallest point-shaped fixture (the real ones live in `qgraph-algo`,
-    /// which this crate cannot depend on).
-    struct PointProbe;
+    /// A do-nothing program named `name`; `point` makes it declare itself
+    /// index-eligible — the smallest point-shaped fixture (the real ones
+    /// live in `qgraph-algo`, which this crate cannot depend on).
+    struct Probe {
+        name: &'static str,
+        point: bool,
+    }
 
-    impl crate::VertexProgram for PointProbe {
+    /// A task of program kind `name`.
+    fn kind(name: &'static str) -> Arc<dyn QueryTask> {
+        Arc::new(TypedTask::new(Probe { name, point: false }))
+    }
+
+    impl crate::VertexProgram for Probe {
         type State = ();
         type Message = u32;
         type Aggregate = ();
         type Output = ();
 
         fn name(&self) -> &'static str {
-            "probe"
+            self.name
         }
         fn init_state(&self) -> Self::State {}
         fn aggregate_identity(&self) -> Self::Aggregate {}
@@ -415,7 +446,7 @@ mod tests {
         ) -> Self::Output {
         }
         fn point_query(&self) -> Option<crate::index_plane::PointQuery> {
-            Some(crate::index_plane::PointQuery::Reach {
+            self.point.then_some(crate::index_plane::PointQuery::Reach {
                 source: qgraph_graph::VertexId(0),
                 target: qgraph_graph::VertexId(1),
             })
@@ -425,12 +456,14 @@ mod tests {
     #[test]
     fn dop_budgets_follow_policy_and_clamp_to_width() {
         use crate::programs::ReachProgram;
-        use crate::task::TypedTask;
         use qgraph_graph::VertexId;
 
         // An analytic full-reach task vs. an index-shaped point query.
         let analytic = TypedTask::new(ReachProgram::new(VertexId(0)));
-        let point = TypedTask::new(PointProbe);
+        let point = TypedTask::new(Probe {
+            name: "probe",
+            point: true,
+        });
         assert!(
             point.point_query().is_some(),
             "fixture must be point-shaped"

@@ -12,8 +12,9 @@ pub const PNONE: u32 = u32::MAX;
 /// What a task-span event was executing (the pool command vocabulary).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CmdKind {
-    /// Superstep compute: take the partition's mail, seal the inbox and
-    /// execute the vertex function over the scope.
+    /// Superstep compute: take the partition's input from the query's
+    /// record, seal the inbox and execute the vertex function over the
+    /// scope.
     Step,
     /// Output collection after termination.
     Collect,

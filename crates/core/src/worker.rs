@@ -586,15 +586,10 @@ impl Worker {
             .or_insert_with(|| task.new_local(combiners))
     }
 
-    /// Deliver a message batch into query `q`'s next-superstep inbox.
-    pub fn deliver(&mut self, task: &dyn QueryTask, q: QueryId, batch: MessageBatch) {
-        self.deliver_all(task, q, [batch]);
-    }
-
     /// Deliver `batches`, in order, into query `q`'s next-superstep inbox
     /// under one lookup of the query's local (made from `task` when the
     /// query has none here yet).
-    pub fn deliver_all(
+    pub fn deliver(
         &mut self,
         task: &dyn QueryTask,
         q: QueryId,
@@ -649,18 +644,6 @@ impl Worker {
             .map(|(_, b)| b.len().div_ceil(BATCH_MAX_MSGS))
             .sum();
         (stats, agg, remote)
-    }
-
-    /// `|LS(q,w)|`: vertices query `q` has activated on this worker.
-    pub fn scope_size(&self, q: QueryId) -> usize {
-        self.queries.get(&q).map_or(0, |l| l.scope_size())
-    }
-
-    /// Visit query `q`'s live local-scope vertices without allocating.
-    pub fn for_each_scope_vertex(&self, q: QueryId, f: &mut dyn FnMut(VertexId)) {
-        if let Some(l) = self.queries.get(&q) {
-            l.for_each_scope_vertex(f);
-        }
     }
 
     /// This worker's part of a scope report: `(query, this worker, live
@@ -738,13 +721,26 @@ mod tests {
         task.batch_for_test(msgs)
     }
 
+    /// `|LS(q,w)|`: the vertices query `q` activated on `w`.
+    fn scope_size(w: &Worker, q: QueryId) -> usize {
+        w.queries.get(&q).map_or(0, |l| l.scope_size())
+    }
+
+    /// `LS(q,w)` as its local's visitor walks it, sorted.
+    fn scope(w: &Worker, q: QueryId) -> Vec<VertexId> {
+        let mut scope = Vec::new();
+        w.queries[&q].for_each_scope_vertex(&mut |v| scope.push(v));
+        scope.sort_unstable();
+        scope
+    }
+
     #[test]
     fn deliver_freeze_execute_cycle() {
         let g = line();
         let task = reach_task();
         let mut w = Worker::new(0, true);
         let q = QueryId(0);
-        w.deliver(&task, q, batch(&task, vec![(VertexId(0), 0)]));
+        w.deliver(&task, q, [batch(&task, vec![(VertexId(0), 0)])]);
         assert!(w.has_pending(q));
         assert_eq!(w.freeze(q), (1, 1));
         let prev = task.aggregate_identity();
@@ -753,7 +749,7 @@ mod tests {
         assert_eq!(stats.local_deliveries, 1); // 0 -> 1 stays local
         assert!(remote.is_empty());
         assert_eq!(stats.remote_batches, 0);
-        assert_eq!(w.scope_size(q), 1);
+        assert_eq!(scope_size(&w, q), 1);
         assert!(w.has_pending(q)); // vertex 1 activated
     }
 
@@ -763,7 +759,7 @@ mod tests {
         let task = reach_task();
         let mut w = Worker::new(0, true);
         let q = QueryId(0);
-        w.deliver(&task, q, batch(&task, vec![(VertexId(0), 0)]));
+        w.deliver(&task, q, [batch(&task, vec![(VertexId(0), 0)])]);
         w.freeze(q);
         // Route everything except vertex 0 to worker 1.
         let prev = task.aggregate_identity();
@@ -784,12 +780,12 @@ mod tests {
         let task = reach_task();
         let mut w = Worker::new(0, true);
         let q = QueryId(0);
-        w.deliver(&task, q, batch(&task, vec![(VertexId(1), 3)]));
-        w.deliver(&task, q, batch(&task, vec![(VertexId(2), 5)]));
+        w.deliver(&task, q, [batch(&task, vec![(VertexId(1), 3)])]);
+        w.deliver(&task, q, [batch(&task, vec![(VertexId(2), 5)])]);
         w.deliver(
             &task,
             q,
-            batch(&task, vec![(VertexId(1), 1), (VertexId(1), 2)]),
+            [batch(&task, vec![(VertexId(1), 1), (VertexId(1), 2)])],
         );
         assert!(w.has_pending(q));
         let (active, msgs) = w.freeze(q);
@@ -805,7 +801,7 @@ mod tests {
         w.deliver(
             &task,
             q,
-            batch(&task, vec![(VertexId(1), 3), (VertexId(1), 1)]),
+            [batch(&task, vec![(VertexId(1), 3), (VertexId(1), 1)])],
         );
         let (active, msgs) = w.freeze(q);
         assert_eq!((active, msgs), (1, 2));
@@ -824,7 +820,7 @@ mod tests {
         let task = reach_task();
         let mut w = Worker::new(0, true);
         let q = QueryId(0);
-        w.deliver(&task, q, batch(&task, vec![(VertexId(0), 0)]));
+        w.deliver(&task, q, [batch(&task, vec![(VertexId(0), 0)])]);
         w.freeze(q);
         let prev = task.aggregate_identity();
         let (stats, _, remote) = w.execute(q, &task, &g, &prev, &|v| usize::from(v != VertexId(0)));
@@ -839,7 +835,7 @@ mod tests {
         let task = reach_task();
         let q = QueryId(0);
         let mut a = Worker::new(0, true);
-        a.deliver(&task, q, batch(&task, vec![(VertexId(0), 0)]));
+        a.deliver(&task, q, [batch(&task, vec![(VertexId(0), 0)])]);
         a.freeze(q);
         let prev = task.aggregate_identity();
         a.execute(q, &task, &g, &prev, &|_| 0);
@@ -847,9 +843,9 @@ mod tests {
         let moved: FxHashSet<VertexId> = [VertexId(0), VertexId(1)].into_iter().collect();
         let mut b = Worker::new(1, true);
         assert_eq!(a.move_vertices(&mut b, &moved), vec![q]);
-        assert_eq!(a.scope_size(q), 0);
+        assert_eq!(scope_size(&a, q), 0);
         assert!(!a.has_pending(q));
-        assert_eq!(b.scope_size(q), 1);
+        assert_eq!(scope_size(&b, q), 1);
         assert!(b.has_pending(q));
         assert_eq!(b.freeze(q), (1, 1));
     }
@@ -886,16 +882,14 @@ mod tests {
             ];
             for (w, seed, mail) in seeded {
                 let home = w.id;
-                w.deliver(&task, q, batch(&task, vec![(VertexId(seed), 0)]));
+                w.deliver(&task, q, [batch(&task, vec![(VertexId(seed), 0)])]);
                 w.freeze(q);
                 w.execute(q, &task, &g, &prev, &|_| home);
-                w.deliver(&task, q, batch(&task, mail));
+                w.deliver(&task, q, [batch(&task, mail)]);
             }
             assert_eq!(src.move_vertices(&mut dst, &moved), vec![q]);
-            assert_eq!((src.scope_size(q), src.has_pending(q)), (0, false));
-            let mut scope = Vec::new();
-            dst.for_each_scope_vertex(q, &mut |v| scope.push(v));
-            scope.sort_unstable();
+            assert_eq!((scope_size(&src, q), src.has_pending(q)), (0, false));
+            let scope = scope(&dst, q);
             assert_eq!(scope, [VertexId(0), VertexId(3)], "combiners {combiners}");
             dst.freeze(q);
             let inbox = vec![
@@ -918,12 +912,12 @@ mod tests {
         src.deliver(
             &task,
             q,
-            batch(&task, vec![(VertexId(1), 3), (VertexId(1), 1)]),
+            [batch(&task, vec![(VertexId(1), 3), (VertexId(1), 1)])],
         );
         let mut dst = Worker::new(1, true);
         let moved: FxHashSet<VertexId> = [VertexId(1)].into_iter().collect();
         assert_eq!(src.move_vertices(&mut dst, &moved), vec![q]);
-        dst.deliver(&task, q, batch(&task, vec![(VertexId(1), 2)]));
+        dst.deliver(&task, q, [batch(&task, vec![(VertexId(1), 2)])]);
         assert_eq!(dst.freeze(q), (1, 3));
         assert_eq!(frozen_runs(&dst, q), [(VertexId(1), vec![3, 1, 2])]);
     }
@@ -936,7 +930,7 @@ mod tests {
         w.deliver(
             &task,
             q,
-            batch(&task, vec![(VertexId(1), 1), (VertexId(2), 2)]),
+            [batch(&task, vec![(VertexId(1), 1), (VertexId(2), 2)])],
         );
         let moved: FxHashSet<VertexId> = [VertexId(1)].into_iter().collect();
         assert_eq!(w.move_vertices(&mut Worker::new(1, true), &moved), vec![q]);
@@ -950,13 +944,13 @@ mod tests {
         let task = reach_task();
         let q = QueryId(0);
         let mut w = Worker::new(0, true);
-        w.deliver(&task, q, batch(&task, vec![(VertexId(0), 0)]));
+        w.deliver(&task, q, [batch(&task, vec![(VertexId(0), 0)])]);
         w.freeze(q);
         let prev = task.aggregate_identity();
         w.execute(q, &task, &g, &prev, &|_| 0);
         let local = w.take_local(q).expect("present");
         assert_eq!(local.scope_size(), 1);
-        assert_eq!(w.scope_size(q), 0);
+        assert_eq!(scope_size(&w, q), 0);
         assert_eq!(w.scope_report().count(), 0);
     }
 
@@ -970,20 +964,20 @@ mod tests {
         });
         let (q1, q2) = (QueryId(1), QueryId(2));
         let mut w = Worker::new(0, true);
-        w.deliver(&reach, q1, batch(&reach, vec![(VertexId(0), 0)]));
-        w.deliver(&ping, q2, ping.batch_for_test(vec![(VertexId(2), 0)]));
+        w.deliver(&reach, q1, [batch(&reach, vec![(VertexId(0), 0)])]);
+        w.deliver(&ping, q2, [ping.batch_for_test(vec![(VertexId(2), 0)])]);
         w.freeze(q1);
         let prev = reach.aggregate_identity();
         w.execute(q1, &reach, &g, &prev, &|_| 0);
-        assert_eq!(w.scope_size(q1), 1);
-        assert_eq!(w.scope_size(q2), 0);
+        assert_eq!(scope_size(&w, q1), 1);
+        assert_eq!(scope_size(&w, q2), 0);
         assert!(w.has_pending(q2));
 
         w.freeze(q2);
         let prev = ping.aggregate_identity();
         let (stats, _, _) = w.execute(q2, &ping, &g, &prev, &|_| 0);
         assert_eq!(stats.executed, 1);
-        assert_eq!(w.scope_size(q2), 1);
+        assert_eq!(scope_size(&w, q2), 1);
     }
 
     #[test]
@@ -998,21 +992,17 @@ mod tests {
         let task = reach_task();
         let q = QueryId(0);
         let mut w = Worker::new(0, true);
-        w.deliver(&task, q, batch(&task, vec![(VertexId(0), 0)]));
+        w.deliver(&task, q, [batch(&task, vec![(VertexId(0), 0)])]);
         w.freeze(q);
         let prev = task.aggregate_identity();
         w.execute(q, &task, &g, &prev, &|_| 0);
-        let mut visited = Vec::new();
-        w.for_each_scope_vertex(q, &mut |v| visited.push(v));
-        visited.sort_unstable();
+        let visited = scope(&w, q);
         let mut report: Vec<_> = w.scope_report().collect();
         let [(q0, 0, reported)] = &mut report[..] else {
             panic!("one query's scope on worker 0");
         };
         reported.sort_unstable();
         assert_eq!((*q0, &visited), (q, &*reported));
-        // Unknown query: visitor is a no-op.
-        w.for_each_scope_vertex(QueryId(9), &mut |_| panic!("no scope"));
     }
 
     #[test]
@@ -1025,9 +1015,9 @@ mod tests {
         });
         let mut w = Worker::new(0, true);
         let q = QueryId(0);
-        w.deliver(&task, q, batch(&task, vec![(VertexId(0), 0)]));
+        w.deliver(&task, q, [batch(&task, vec![(VertexId(0), 0)])]);
         // Delivering a ping batch through the reach local must be caught.
-        w.deliver_all(&ping, q, [ping.batch_for_test(vec![(VertexId(0), 0)])]);
+        w.deliver(&ping, q, [ping.batch_for_test(vec![(VertexId(0), 0)])]);
     }
 
     fn reach_local() -> QueryLocal<ReachProgram> {
@@ -1092,7 +1082,7 @@ mod tests {
         let route = |v: VertexId| (5 - v.0 as usize) % 5;
         let prev = task.aggregate_identity();
         for round in 0..2 {
-            w.deliver(&task, q, batch(&task, vec![(VertexId(5 * round), 0)]));
+            w.deliver(&task, q, [batch(&task, vec![(VertexId(5 * round), 0)])]);
             w.freeze(q);
             let (stats, _, remote) = w.execute(q, &task, &g, &prev, &route);
             let to: Vec<usize> = remote.iter().map(|(to, _)| *to).collect();
@@ -1122,7 +1112,7 @@ mod tests {
             let mut w = Worker::new(0, combiners);
             for first in [0, 3] {
                 let seeds = vec![(VertexId(first), 0), (VertexId(first + 1), 3)];
-                w.deliver(&task, q, batch(&task, seeds));
+                w.deliver(&task, q, [batch(&task, seeds)]);
                 w.freeze(q);
                 let (stats, _, remote) = w.execute(q, &task, &g, &prev, &route);
                 let got = (

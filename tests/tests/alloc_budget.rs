@@ -1,8 +1,9 @@
 //! The Step path's allocation budget: heap calls per pool task.
 //!
 //! A steady-state Step reuses every variable-size buffer it touches — the
-//! batch buffers circulate between partitions, the mailbox slots and the
-//! per-query routing state keep theirs — so what a pool task still costs
+//! batch buffers circulate between partitions, a query record's input
+//! vectors trade places with the partition's and the per-query routing
+//! state keeps its own — so what a pool task still costs
 //! the allocator is a handful of small fixed-size boxes (aggregates, the
 //! report, the command). This binary counts it: a counting
 //! `#[global_allocator]`, hence a test binary of its own with one `#[test]`
