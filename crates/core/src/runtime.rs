@@ -41,8 +41,10 @@
 //! empty one the `WorkerCtx` owns, so the record keeps a buffer the next
 //! superstep's sends fill, and a Step's whole take is delivered under one
 //! lookup of the query's local ([`Worker::deliver`]). Together with the
-//! circulating batch buffers of [`crate::worker`], a steady-state Step
-//! puts, takes and delivers without touching the allocator.
+//! batch buffers that circulate through each partition's pool (see
+//! [`crate::worker`]), a steady-state Step puts, takes and delivers
+//! without touching the allocator, and a collect hands the coordinator
+//! locals that hold no batch buffer to free.
 //!
 //! ## Lanes close every superstep
 //!

@@ -28,8 +28,9 @@
 //! A message batch's payload is the sender's bucket itself — a
 //! `Box<Vec<(VertexId, Message)>>` coerced to an [`Envelope`], not a
 //! vector boxed a second time — and `MessageBatch::into_messages`
-//! downcasts it back to the same box, which the receiving [`QueryLocal`]
-//! keeps as the buffer of a bucket it will send (see [`crate::worker`]).
+//! downcasts it back to the same box, which the receiving partition
+//! parks in its pool as the buffer of a bucket it will send
+//! (`pooled_batch` opens it again; see [`crate::worker`]).
 //! The message counts ride alongside the envelope for the runtimes' cost
 //! models, so the simulation's network model never has to peek inside an
 //! erased payload.
@@ -42,7 +43,7 @@ use rustc_hash::FxHashMap;
 use qgraph_graph::{Topology, VertexId};
 
 use crate::program::VertexProgram;
-use crate::worker::{Batch, LocalState, Moved, QueryLocal};
+use crate::worker::{Batch, LocalState, Moved, QueryLocal, Scratch};
 
 /// A type-erased, sendable payload (messages, aggregate, states, output).
 pub type Envelope = Box<dyn Any + Send>;
@@ -73,6 +74,17 @@ pub(crate) fn moved_of<P: VertexProgram>(data: Envelope) -> Moved<P> {
     *data
         .downcast()
         .expect("query task type mismatch: migration envelope is not this program's")
+}
+
+/// An emptied buffer of program `P`'s message type out of a partition's
+/// batch pool, if one is parked there.
+pub(crate) fn pooled_batch<P: VertexProgram>(scratch: &mut Scratch) -> Option<Batch<P>> {
+    let buffer = scratch.parked::<Vec<(VertexId, P::Message)>>().pop()?;
+    Some(
+        buffer
+            .downcast()
+            .expect("batch pool mismatch: a buffer parked under another type"),
+    )
 }
 
 /// A batch of one query's messages addressed to one worker. The payload is
@@ -175,8 +187,11 @@ pub trait QueryTask: Send + Sync {
         combiners: bool,
     ) -> Vec<(usize, MessageBatch)>;
 
-    /// Merge the locals collected from every worker and produce the
-    /// query's output envelope (downcast by [`crate::QueryHandle`]).
+    /// Produce the query's output envelope (downcast by
+    /// [`crate::QueryHandle`]) from the locals collected from every
+    /// worker: the program reads their states in place, local after
+    /// local. A vertex's state lives on its owner alone, so no two locals
+    /// hold one vertex.
     fn finalize(&self, graph: &Topology, locals: Vec<Box<dyn LocalState>>) -> Envelope;
 }
 
@@ -266,24 +281,41 @@ impl<P: VertexProgram> QueryTask for TypedTask<P> {
     }
 
     fn finalize(&self, graph: &Topology, locals: Vec<Box<dyn LocalState>>) -> Envelope {
-        let mut states: FxHashMap<VertexId, P::State> = FxHashMap::default();
-        for local in locals {
+        debug_assert!(
+            scopes_disjoint::<P>(&locals),
+            "two locals of one query hold the same vertex"
+        );
+        let mut states = locals.into_iter().flat_map(|local| {
             let any: Box<dyn Any> = local;
             let local = any
                 .downcast::<QueryLocal<P>>()
                 .expect("query task type mismatch: local state is not this program's");
-            states.extend(local.into_states());
-        }
-        let mut it = states.into_iter();
-        Box::new(self.program.finalize(graph, &mut it))
+            local.into_states()
+        });
+        Box::new(self.program.finalize(graph, &mut states))
     }
+}
+
+/// Does every vertex have its state in one of program `P`'s `locals` at
+/// most? One pass per pair of locals, allocating nothing.
+fn scopes_disjoint<P: VertexProgram>(locals: &[Box<dyn LocalState>]) -> bool {
+    fn typed<P: VertexProgram>(local: &dyn LocalState) -> &QueryLocal<P> {
+        let any: &dyn Any = local;
+        let local = any.downcast_ref();
+        local.expect("query task type mismatch: local state is not this program's")
+    }
+    locals.iter().enumerate().all(|(i, a)| {
+        let a = typed::<P>(a.as_ref());
+        let mut rest = locals[i + 1..].iter();
+        rest.all(|b| !a.shares_a_vertex_with(typed::<P>(b.as_ref())))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::programs::ReachProgram;
-    use crate::worker::CombineScratch;
+    use crate::worker::Scratch;
     use qgraph_graph::GraphBuilder;
 
     #[test]
@@ -299,22 +331,61 @@ mod tests {
         assert_eq!(batches[0].1.pre_combine(), 1);
     }
 
+    /// A reach local that visited `vertices` (the graph has no edges).
+    fn visited(
+        task: &TypedTask<ReachProgram>,
+        g: &Topology,
+        vertices: &[u32],
+    ) -> Box<dyn LocalState> {
+        let mut local = task.new_local(true);
+        let mut scratch = Scratch::default();
+        let seeds = vertices.iter().map(|&v| (VertexId(v), 0u32)).collect();
+        local.deliver(task.batch_for_test(seeds), &mut scratch);
+        local.freeze();
+        let prev = task.aggregate_identity();
+        local.execute(g, &prev, 0, &|_| 0, &mut scratch);
+        local
+    }
+
+    fn reached(out: Envelope) -> Vec<VertexId> {
+        *out.downcast::<Vec<VertexId>>().expect("typed output")
+    }
+
     #[test]
     fn finalize_merges_worker_locals() {
         let g = Topology::new(GraphBuilder::new(4).build());
         let task = TypedTask::new(ReachProgram::new(VertexId(0)));
         // Two locals that each visited one vertex.
-        let mk = |v: u32| -> Box<dyn LocalState> {
-            let mut local = task.new_local(true);
-            local.deliver(task.batch_for_test(vec![(VertexId(v), 0u32)]));
-            local.freeze();
-            let prev = task.aggregate_identity();
-            local.execute(&g, &prev, 0, &|_| 0, &mut CombineScratch::default());
-            local
-        };
-        let out = task.finalize(&g, vec![mk(0), mk(3)]);
-        let reached = out.downcast::<Vec<VertexId>>().expect("typed output");
-        assert_eq!(*reached, vec![VertexId(0), VertexId(3)]);
+        let out = task.finalize(&g, vec![visited(&task, &g, &[0]), visited(&task, &g, &[3])]);
+        assert_eq!(reached(out), vec![VertexId(0), VertexId(3)]);
+    }
+
+    #[test]
+    fn finalize_over_split_locals_equals_finalize_over_one() {
+        let g = Topology::new(GraphBuilder::new(8).build());
+        let task = TypedTask::new(ReachProgram::new(VertexId(0)));
+        let all = [6, 0, 3, 7, 1, 4];
+        let one = reached(task.finalize(&g, vec![visited(&task, &g, &all)]));
+        assert_eq!(one, [0, 1, 3, 4, 6, 7].map(VertexId));
+        for parts in [
+            vec![&[6, 0][..], &[3, 7], &[1, 4]],
+            vec![&[4], &[7, 3, 1], &[], &[0, 6]],
+        ] {
+            let locals = parts.iter().map(|p| visited(&task, &g, p)).collect();
+            assert_eq!(reached(task.finalize(&g, locals)), one, "{parts:?}");
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "two locals of one query hold the same vertex")]
+    fn finalize_rejects_a_vertex_on_two_locals() {
+        let g = Topology::new(GraphBuilder::new(4).build());
+        let task = TypedTask::new(ReachProgram::new(VertexId(0)));
+        task.finalize(
+            &g,
+            vec![visited(&task, &g, &[0, 2]), visited(&task, &g, &[2])],
+        );
     }
 
     #[test]
@@ -332,14 +403,15 @@ mod tests {
         let arriving = task.batch_for_test(vec![(VertexId(0), 0)]);
         let sent = address(&arriving);
         let mut local = task.new_local(true);
-        local.deliver(arriving);
+        let mut scratch = Scratch::default();
+        local.deliver(arriving, &mut scratch);
         local.freeze();
         let (_, _, remote) = local.execute(
             &g,
             &task.aggregate_identity(),
             0,
             &|v| v.0 as usize,
-            &mut CombineScratch::default(),
+            &mut scratch,
         );
         let [(1, leaving)] = &remote[..] else {
             panic!("one batch, for worker 1");

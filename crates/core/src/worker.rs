@@ -29,15 +29,18 @@
 //! [`QueryLocal`] keeps every buffer it works in across supersteps — the
 //! frozen runs, the inbox, the vector `compute` sends into, and a dense
 //! per-destination bucket table in place of a per-superstep hash map —
-//! and the batch buffers themselves **circulate**: `deliver` drains a
-//! batch that arrived and parks its emptied, still boxed, buffer on a
-//! short spare list (`SPARE_BATCHES`); `execute` opens a bucket by
-//! popping one; the box then travels as the [`MessageBatch`] payload to
-//! the next partition's spare list. On a hash layout a partition receives
-//! about as many batches as it sends, so the envelopes travel in circles;
-//! the list dies with the local when the query is collected. The table is
-//! walked in index order, so the batches leave in ascending destination
-//! order without a sort.
+//! and the batch buffers themselves **circulate** through one pool per
+//! partition, in the worker's [`Scratch`]: `deliver` drains a batch that
+//! arrived and parks its emptied, still boxed, buffer there, on the list
+//! of its message type (at most `POOL_BATCHES`); `execute` opens a bucket
+//! by popping one; the box then travels as the [`MessageBatch`] payload
+//! to the next partition's pool. On a hash layout a partition receives
+//! about as many batches as it sends, so the envelopes travel in circles.
+//! The pool belongs to the partition, not to a query: a new query's first
+//! supersteps send in the buffers of queries that finished, and a
+//! collected local holds no batch buffer. The table is walked in index
+//! order, so the batches leave in ascending destination order without a
+//! sort.
 //!
 //! The worker is **not generic**: each query's local state is held behind
 //! the object-safe [`LocalState`] face, which [`QueryLocal`] implements
@@ -52,7 +55,7 @@
 //! thread runtime drive the same code, passing a routing closure that
 //! resolves the current vertex→worker assignment.
 
-use std::any::Any;
+use std::any::{Any, TypeId};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -62,7 +65,7 @@ use qgraph_graph::{Topology, VertexId};
 use qgraph_sim::BATCH_MAX_MSGS;
 
 use crate::program::{Context, VertexProgram};
-use crate::task::{aggregate_of, moved_of, Envelope, MessageBatch, QueryTask};
+use crate::task::{aggregate_of, moved_of, pooled_batch, Envelope, MessageBatch, QueryTask};
 use crate::QueryId;
 
 /// Counters reported after one local superstep; the sizes in it are what
@@ -130,8 +133,9 @@ pub trait LocalState: Any + Send {
     fn fresh(&self) -> Box<dyn LocalState>;
 
     /// Deliver a batch into the next-superstep inbox (a flat append) and
-    /// keep its emptied buffer for a bucket of a later superstep.
-    fn deliver(&mut self, batch: MessageBatch);
+    /// park its emptied buffer in the partition's pool (`scratch`), for a
+    /// bucket of a later superstep of any query.
+    fn deliver(&mut self, batch: MessageBatch, scratch: &mut Scratch);
 
     /// Execute the frozen superstep; returns the step statistics, the
     /// superstep's aggregate contribution, and the remote messages.
@@ -139,6 +143,7 @@ pub trait LocalState: Any + Send {
     /// `route` resolves the *current* assignment; messages to `home` go
     /// straight into the next inbox, others are returned as batches
     /// bucketed by destination worker, in ascending worker order — each
+    /// opened on a buffer from `scratch`'s pool when it has one, and
     /// combined sender-side through `scratch` when the program has a
     /// combiner.
     fn execute(
@@ -147,7 +152,7 @@ pub trait LocalState: Any + Send {
         prev_aggregate: &Envelope,
         home: usize,
         route: &dyn Fn(VertexId) -> usize,
-        scratch: &mut CombineScratch,
+        scratch: &mut Scratch,
     ) -> (SuperstepStats, Envelope, Vec<(usize, MessageBatch)>);
 
     /// Take out all data of the given vertices — vertex state and pending
@@ -187,14 +192,11 @@ pub struct QueryLocal<P: VertexProgram> {
     /// worker: `(pre-combine count, open bucket)`. All closed between
     /// supersteps; kept so routing hashes nothing.
     buckets: Vec<(usize, Option<Batch<P>>)>,
-    /// Emptied buffers of delivered batches, at most [`SPARE_BATCHES`]:
-    /// the next buckets `execute` opens.
-    spare: Vec<Batch<P>>,
 }
 
 /// The buffer of one message batch. It stays boxed from the sender's
-/// bucket through the [`MessageBatch`] payload to the receiver's spare
-/// list, so a batch crossing partitions moves one pointer and allocates
+/// bucket through the [`MessageBatch`] payload to the receiver's pool,
+/// so a batch crossing partitions moves one pointer and allocates
 /// nothing once buffers circulate.
 pub(crate) type Batch<P> = Box<Vec<(VertexId, <P as VertexProgram>::Message)>>;
 
@@ -206,33 +208,41 @@ pub(crate) type Moved<P> = Vec<(
     Vec<<P as VertexProgram>::Message>,
 )>;
 
-/// How many emptied batch buffers a [`QueryLocal`] keeps. A superstep
-/// opens at most one bucket per other partition and, on a hash layout,
-/// receives about as many batches as it sends; anything past a few
-/// supersteps' worth would only be memory held by a query that stopped
-/// sending.
-const SPARE_BATCHES: usize = 32;
+/// How many emptied batch buffers a worker's pool keeps per message type.
+/// A superstep opens at most one bucket per other partition and, on a
+/// hash layout, a partition receives about as many batches as it sends;
+/// past a few supersteps' worth of its queries' buckets, a parked buffer
+/// is only memory.
+const POOL_BATCHES: usize = 64;
 
-/// Worker-owned sender-side combine index: a stamp-tagged
-/// direct-address array `vertex → slot in its destination bucket`.
+/// Worker-owned scratch, shared by every query on the partition: the
+/// sender-side combine index and the batch pool.
 ///
-/// One probe is a single indexed read (no hashing, no clearing — bumping
-/// the stamp invalidates every tag at once), so combining a remote
-/// message costs less than delivering it would have. Memory is `O(|V|)`
-/// *per worker* — the same order as the vertex→worker assignment the
-/// worker already routes against — and is shared by every query on the
-/// worker, preserving the sparse `O(scope)` per-query storage the
-/// multi-query model depends on. A destination vertex routes to exactly
-/// one worker, so the tag needs no worker component.
+/// The combine index is a stamp-tagged direct-address array `vertex →
+/// slot in its destination bucket`. One probe is a single indexed read
+/// (no hashing, no clearing — bumping the stamp invalidates every tag at
+/// once), so combining a remote message costs less than delivering it
+/// would have. Memory is `O(|V|)` *per worker* — the same order as the
+/// vertex→worker assignment the worker already routes against —
+/// preserving the sparse `O(scope)` per-query storage the multi-query
+/// model depends on. A destination vertex routes to exactly one worker,
+/// so the tag needs no worker component.
+///
+/// The pool holds emptied batch buffers, one list per message type (two
+/// programs with one message type share theirs), each at most
+/// `POOL_BATCHES` long: [`LocalState::deliver`] parks what it drained,
+/// and [`LocalState::execute`] opens its buckets from it.
 #[derive(Default)]
-pub struct CombineScratch {
+pub struct Scratch {
     /// `(stamp, bucket slot)` per vertex id.
     tags: Vec<(u64, u32)>,
     /// Current superstep's stamp; tags from older stamps are stale.
     stamp: u64,
+    /// The batch pool: per buffer type, the parked empty buffers.
+    pool: Vec<(TypeId, Vec<Envelope>)>,
 }
 
-impl CombineScratch {
+impl Scratch {
     /// Start a new superstep over a graph of `num_vertices`: grow the tag
     /// array if needed and invalidate every previous tag.
     #[inline]
@@ -255,6 +265,29 @@ impl CombineScratch {
     fn set_slot(&mut self, v: VertexId, slot: usize) {
         self.tags[v.0 as usize] = (self.stamp, slot as u32);
     }
+
+    /// The pool's list of parked buffers of type `B` — every entry a
+    /// `Box<B>`, empty.
+    pub(crate) fn parked<B: Any>(&mut self) -> &mut Vec<Envelope> {
+        let ty = TypeId::of::<B>();
+        let at = match self.pool.iter().position(|(t, _)| *t == ty) {
+            Some(at) => at,
+            None => {
+                self.pool.push((ty, Vec::new()));
+                self.pool.len() - 1
+            }
+        };
+        &mut self.pool[at].1
+    }
+
+    /// Park an emptied batch buffer, unless its type's list is full.
+    fn park<P: VertexProgram>(&mut self, buffer: Batch<P>) {
+        debug_assert!(buffer.is_empty(), "a parked batch buffer holds messages");
+        let list = self.parked::<Vec<(VertexId, P::Message)>>();
+        if list.len() < POOL_BATCHES {
+            list.push(buffer);
+        }
+    }
 }
 
 impl<P: VertexProgram> QueryLocal<P> {
@@ -269,7 +302,6 @@ impl<P: VertexProgram> QueryLocal<P> {
             combine,
             outgoing: Vec::new(),
             buckets: Vec::new(),
-            spare: Vec::new(),
         }
     }
 
@@ -277,6 +309,11 @@ impl<P: VertexProgram> QueryLocal<P> {
     /// [`VertexProgram::finalize`]).
     pub(crate) fn into_states(self) -> FxHashMap<VertexId, P::State> {
         self.state
+    }
+
+    /// Does a vertex have its state both here and in `other`?
+    pub(crate) fn shares_a_vertex_with(&self, other: &Self) -> bool {
+        self.state.keys().any(|v| other.state.contains_key(v))
     }
 }
 
@@ -363,15 +400,13 @@ impl<P: VertexProgram> LocalState for QueryLocal<P> {
         Box::new(QueryLocal::new(Arc::clone(&self.program), self.combine))
     }
 
-    fn deliver(&mut self, batch: MessageBatch) {
+    fn deliver(&mut self, batch: MessageBatch, scratch: &mut Scratch) {
         let mut batch = batch.into_messages::<P>();
         let combiner = self.combine.then_some(self.program.as_ref());
         for (v, m) in batch.drain(..) {
             push_pending(&mut self.next, combiner, v, m);
         }
-        if self.spare.len() < SPARE_BATCHES {
-            self.spare.push(batch);
-        }
+        scratch.park::<P>(batch);
     }
 
     fn execute(
@@ -380,7 +415,7 @@ impl<P: VertexProgram> LocalState for QueryLocal<P> {
         prev_aggregate: &Envelope,
         home: usize,
         route: &dyn Fn(VertexId) -> usize,
-        scratch: &mut CombineScratch,
+        scratch: &mut Scratch,
     ) -> (SuperstepStats, Envelope, Vec<(usize, MessageBatch)>) {
         // Split borrows: the program is read while the buffers change,
         // with no `Arc` clone per superstep.
@@ -393,7 +428,6 @@ impl<P: VertexProgram> LocalState for QueryLocal<P> {
             combine,
             outgoing,
             buckets,
-            spare,
         } = self;
         let program = program.as_ref();
         let combiner = combine.then_some(program);
@@ -428,7 +462,7 @@ impl<P: VertexProgram> LocalState for QueryLocal<P> {
         // the buckets are built: one direct-address scratch probe per
         // remote message merges it into an earlier message to the same
         // vertex — no hashing, no sort, nothing for the receiver to redo.
-        // A bucket is opened on a spare buffer when there is one.
+        // A bucket is opened on a pooled buffer when there is one.
         if combiner.is_some() {
             scratch.begin(graph.num_vertices());
         }
@@ -448,7 +482,7 @@ impl<P: VertexProgram> LocalState for QueryLocal<P> {
             *pre += 1;
             let bucket = bucket.get_or_insert_with(|| {
                 opened += 1;
-                spare.pop().unwrap_or_default()
+                pooled_batch::<P>(scratch).unwrap_or_default()
             });
             if let Some(program) = combiner {
                 if let Some(slot) = scratch.slot(to) {
@@ -563,8 +597,9 @@ pub struct Worker {
     /// Combiners enabled for query locals created here (the engines
     /// thread [`crate::SystemConfig::combiners`] through [`Worker::new`]).
     combiners: bool,
-    /// Shared sender-side combine index (see [`CombineScratch`]).
-    scratch: CombineScratch,
+    /// The combine index and batch pool every query here shares (see
+    /// [`Scratch`]).
+    scratch: Scratch,
 }
 
 impl Worker {
@@ -575,15 +610,23 @@ impl Worker {
             id,
             queries: FxHashMap::default(),
             combiners,
-            scratch: CombineScratch::default(),
+            scratch: Scratch::default(),
         }
     }
 
-    fn local_or_new(&mut self, task: &dyn QueryTask, q: QueryId) -> &mut Box<dyn LocalState> {
+    /// Query `q`'s local here (made from `task` when the query has none
+    /// yet), beside the scratch it delivers and executes with.
+    fn local_or_new(
+        &mut self,
+        task: &dyn QueryTask,
+        q: QueryId,
+    ) -> (&mut Box<dyn LocalState>, &mut Scratch) {
         let combiners = self.combiners;
-        self.queries
+        let local = self
+            .queries
             .entry(q)
-            .or_insert_with(|| task.new_local(combiners))
+            .or_insert_with(|| task.new_local(combiners));
+        (local, &mut self.scratch)
     }
 
     /// Deliver `batches`, in order, into query `q`'s next-superstep inbox
@@ -595,9 +638,9 @@ impl Worker {
         q: QueryId,
         batches: impl IntoIterator<Item = MessageBatch>,
     ) {
-        let local = self.local_or_new(task, q);
+        let (local, scratch) = self.local_or_new(task, q);
         for batch in batches {
-            local.deliver(batch);
+            local.deliver(batch, scratch);
         }
     }
 
@@ -630,15 +673,8 @@ impl Worker {
         route: &dyn Fn(VertexId) -> usize,
     ) -> (SuperstepStats, Envelope, Vec<(usize, MessageBatch)>) {
         let home = self.id;
-        let combiners = self.combiners;
-        // Split borrows: the query map and the combine scratch are
-        // disjoint worker fields.
-        let local = self
-            .queries
-            .entry(q)
-            .or_insert_with(|| task.new_local(combiners));
-        let (mut stats, agg, remote) =
-            local.execute(graph, prev_aggregate, home, route, &mut self.scratch);
+        let (local, scratch) = self.local_or_new(task, q);
+        let (mut stats, agg, remote) = local.execute(graph, prev_aggregate, home, route, scratch);
         stats.remote_batches = remote
             .iter()
             .map(|(_, b)| b.len().div_ceil(BATCH_MAX_MSGS))
@@ -1024,17 +1060,42 @@ mod tests {
         QueryLocal::new(Arc::new(ReachProgram::new(VertexId(0))), true)
     }
 
+    /// The heap addresses of a batch buffer: its box and its vector's.
+    fn addresses<M>(
+        buffer: &Vec<(VertexId, M)>,
+    ) -> (*const Vec<(VertexId, M)>, *const (VertexId, M)) {
+        (buffer as *const Vec<_>, buffer.as_ptr())
+    }
+
+    /// How many empty buffers of message type `M` the worker's pool holds
+    /// (it asserts each is empty, as it pops them all and puts them back).
+    fn pooled<P: VertexProgram>(w: &mut Worker) -> usize {
+        let mut popped = Vec::new();
+        while let Some(buffer) = pooled_batch::<P>(&mut w.scratch) {
+            assert!(buffer.is_empty(), "a pooled buffer holds messages");
+            popped.push(buffer);
+        }
+        let n = popped.len();
+        for buffer in popped.into_iter().rev() {
+            w.scratch.park::<P>(buffer);
+        }
+        n
+    }
+
     #[test]
     fn a_delivered_batchs_buffer_is_the_next_bucket() {
         let g = line(); // 0 -> 1, with vertex 1 on worker 1
         let mut local = reach_local();
         let mut travelling: Batch<ReachProgram> = Box::new(Vec::with_capacity(7));
         travelling.push((VertexId(0), 0));
-        let (envelope, buffer) = (&*travelling as *const Vec<_>, travelling.as_ptr());
-        local.deliver(MessageBatch::new::<ReachProgram>(1, travelling));
+        let sent = addresses(&travelling);
+        let mut scratch = Scratch::default();
+        local.deliver(
+            MessageBatch::new::<ReachProgram>(1, travelling),
+            &mut scratch,
+        );
         local.freeze();
         let route = |v: VertexId| v.0 as usize;
-        let mut scratch = CombineScratch::default();
         let (_, _, mut remote) =
             local.execute(&g, &(Box::new(()) as Envelope), 0, &route, &mut scratch);
         let Some((1, batch)) = remote.pop().filter(|_| remote.is_empty()) else {
@@ -1043,26 +1104,134 @@ mod tests {
         assert_eq!((batch.len(), batch.pre_combine()), (1, 1));
         let bucket = batch.into_messages::<ReachProgram>();
         // Same box, same heap buffer: nothing was allocated for the batch.
-        assert_eq!(
-            (&*bucket as *const Vec<_>, bucket.as_ptr()),
-            (envelope, buffer)
-        );
+        assert_eq!(addresses(&bucket), sent);
         assert_eq!((bucket.len(), bucket.capacity()), (1, 7));
-        assert!(local.spare.is_empty(), "the one spare is on its way");
+        assert!(
+            pooled_batch::<ReachProgram>(&mut scratch).is_none(),
+            "the one pooled buffer is on its way"
+        );
     }
 
     #[test]
-    fn the_spare_list_is_capped() {
-        let mut local = reach_local();
-        for i in 0..SPARE_BATCHES as u32 + 5 {
-            local.deliver(MessageBatch::new::<ReachProgram>(
-                1,
-                Box::new(vec![(VertexId(i), 0)]),
-            ));
-            assert!(local.spare.len() <= SPARE_BATCHES);
+    fn a_collected_querys_buffer_opens_the_next_querys_first_bucket() {
+        // Query 1's seed arrives first, then query 0's batch; query 0
+        // runs at home and is collected. Query 1's first superstep sends
+        // to worker 1 in the buffer query 0 left in the pool.
+        let g = line();
+        let task = reach_task();
+        let (done, next) = (QueryId(0), QueryId(1));
+        let mut w = Worker::new(0, true);
+        w.deliver(&task, next, [batch(&task, vec![(VertexId(0), 0)])]);
+        let mut left: Batch<ReachProgram> = Box::new(Vec::with_capacity(9));
+        left.push((VertexId(2), 0));
+        let parked = addresses(&left);
+        w.deliver(&task, done, [MessageBatch::new::<ReachProgram>(1, left)]);
+        w.freeze(done);
+        let prev = task.aggregate_identity();
+        let (_, _, remote) = w.execute(done, &task, &g, &prev, &|_| 0);
+        assert!(remote.is_empty(), "query 0 ran at home");
+        assert!(w.take_local(done).is_some());
+        assert_eq!(pooled::<ReachProgram>(&mut w), 2, "both seeds' buffers");
+
+        w.freeze(next);
+        let away = |v: VertexId| usize::from(v != VertexId(0));
+        let (_, _, mut remote) = w.execute(next, &task, &g, &prev, &away);
+        let Some((1, sent)) = remote.pop().filter(|_| remote.is_empty()) else {
+            panic!("one batch, for worker 1");
+        };
+        let sent = sent.into_messages::<ReachProgram>();
+        // Query 0's box and heap buffer: no allocation.
+        assert_eq!(addresses(&sent), parked);
+        assert_eq!((sent.capacity(), &sent[..]), (9, &[(VertexId(1), 1)][..]));
+        assert_eq!(pooled::<ReachProgram>(&mut w), 1, "query 1's seed buffer");
+    }
+
+    #[test]
+    fn the_pool_is_capped_per_message_type() {
+        // Reach and ping send `u32`s and share a list; tally's `()`s
+        // have their own.
+        let reach = reach_task();
+        let ping = TypedTask::new(crate::programs::PingProgram {
+            ring: vec![VertexId(0)],
+            rounds: 1,
+        });
+        let tally = TypedTask::new(crate::programs::Tally {
+            seed: VertexId(0),
+            hop: 0,
+            sticky: false,
+            stop_at: 1,
+        });
+        let mut w = Worker::new(0, false);
+        let extra = POOL_BATCHES as u32 + 5;
+        for i in 0..extra {
+            w.deliver(&reach, QueryId(0), [batch(&reach, vec![(VertexId(i), 0)])]);
+            w.deliver(
+                &ping,
+                QueryId(1),
+                [ping.batch_for_test(vec![(VertexId(i), 0)])],
+            );
+            w.deliver(
+                &tally,
+                QueryId(2),
+                [tally.batch_for_test(vec![(VertexId(i), ())])],
+            );
         }
-        assert_eq!(local.spare.len(), SPARE_BATCHES);
-        assert_eq!(local.next.len(), SPARE_BATCHES + 5, "no message lost");
+        assert_eq!(pooled::<ReachProgram>(&mut w), POOL_BATCHES);
+        assert_eq!(pooled::<crate::programs::Tally>(&mut w), POOL_BATCHES);
+        assert_eq!(w.scratch.pool.len(), 2, "one list per message type");
+        for q in 0..3 {
+            assert_eq!(w.freeze(QueryId(q)).1, extra as usize, "no message lost");
+        }
+    }
+
+    #[test]
+    fn a_recycled_buffer_carries_only_its_new_querys_messages() {
+        // Ping's seed arrives, then a full reach batch, whose buffer is
+        // on top of the pool. Ping, another program with the same message
+        // type, sends its one message to vertex 3 on worker 1 in it: the
+        // batch holds that message alone, and so does worker 1's frozen
+        // input of ping.
+        let g = line();
+        let reach = reach_task();
+        let ping = TypedTask::new(crate::programs::PingProgram {
+            ring: vec![VertexId(2), VertexId(3)],
+            rounds: 3,
+        });
+        let mut w = Worker::new(0, false);
+        w.deliver(
+            &ping,
+            QueryId(1),
+            [ping.batch_for_test(vec![(VertexId(2), 0)])],
+        );
+        let full: Vec<(VertexId, u32)> = (0..4).map(|v| (VertexId(v), 7)).collect();
+        w.deliver(&reach, QueryId(0), [batch(&reach, full)]);
+        w.freeze(QueryId(1));
+        let away = |v: VertexId| usize::from(v == VertexId(3));
+        let prev = ping.aggregate_identity();
+        let (_, _, mut remote) = w.execute(QueryId(1), &ping, &g, &prev, &away);
+        let Some((1, sent)) = remote.pop().filter(|_| remote.is_empty()) else {
+            panic!("one batch, for worker 1");
+        };
+        let sent = sent.into_messages::<crate::programs::PingProgram>();
+        assert_eq!((sent.capacity(), &sent[..]), (4, &[(VertexId(3), 1)][..]));
+        let mut far = Worker::new(1, false);
+        far.deliver(
+            &ping,
+            QueryId(1),
+            [MessageBatch::new::<crate::programs::PingProgram>(1, sent)],
+        );
+        far.freeze(QueryId(1));
+        let local: &dyn Any = far.queries[&QueryId(1)].as_ref();
+        let local = local.downcast_ref::<QueryLocal<crate::programs::PingProgram>>();
+        let local = local.expect("a ping local");
+        assert_eq!(local.cur, [(VertexId(3), 0..1)]);
+        assert_eq!(local.cur_msgs, [1]);
+        assert_eq!(
+            pooled::<ReachProgram>(&mut w),
+            1,
+            "ping's seed buffer, empty"
+        );
+        assert_eq!(pooled::<ReachProgram>(&mut far), 1, "reach's buffer, empty");
     }
 
     #[test]
