@@ -207,7 +207,7 @@ impl Controller {
     /// active queries' `localities` below Φ — extended with the straggler
     /// watch, see [`QcutConfig::IMBALANCE_THRESHOLD`]. The wait is tested
     /// before `localities` is consumed: on threads this runs at every due
-    /// check, a lane's `Tick` or a collect.
+    /// check, a lane's `Tick` or a query's termination.
     pub fn should_trigger(&self, now: SimTime, localities: impl Iterator<Item = f64>) -> bool {
         let Some(cfg) = &self.cfg else { return false };
         if now < self.next_check() {

@@ -6,13 +6,14 @@
 //! [`Query`], release (*which* partitions compute a superstep, in *which*
 //! order, under what DoP budget), step-completion accounting (aggregate
 //! roll-over, locality via [`barrier::is_local`], the next involved set,
-//! terminate → collect → outcome), parking while a stop-the-world window is wanted,
-//! the window body itself (mutation epochs → compaction → index repair →
-//! Q-cut migration, publications, event stamping, unpark + re-admit), and
-//! every protocol-level hb / tracer stamp. It performs no IO and spawns
-//! nothing: it takes *inputs* (submit, mutate, install-index, a step-done
-//! report, a collected local, clock readings) and emits *dispatches*
-//! through the statically-dispatched [`Executor`] it is handed.
+//! terminate → finalize → outcome), parking while a stop-the-world window
+//! is wanted, the window body itself (mutation epochs → compaction → index
+//! repair → Q-cut migration, publications, event stamping, unpark +
+//! re-admit), and every protocol-level hb / tracer stamp. It performs no
+//! IO and spawns nothing: it takes *inputs* (submit, mutate,
+//! install-index, a step-done report, a terminated query, clock readings)
+//! and emits *dispatches* through the statically-dispatched [`Executor`]
+//! it is handed.
 //!
 //! An executor answers "run this dispatch, tell me when it is done":
 //! [`SimEngine`](crate::SimEngine) prices dispatches on a virtual clock,
@@ -27,10 +28,19 @@
 //! ([`Stepping::close`]); whoever observes a superstep's last Step closes
 //! it there. [`Coordinator::step_done`] is fold + close, for the
 //! simulation's reports; the thread runtime's lanes fold, close and
-//! release the next superstep themselves, and count a terminated query's
-//! Collects down in the same record (see [`crate::runtime`]), so its core
-//! hears of a query only when it terminates, parks for a window, or a
-//! Q-cut check is due.
+//! release the next superstep themselves (see [`crate::runtime`]), so its
+//! core hears of a query only when it terminates, parks for a window, or
+//! a Q-cut check is due.
+//!
+//! The record is also the one home of the query's vertex data: one local
+//! per partition ([`Stepping::locals`], the paper's `LS(q,w)` with its
+//! inbox), a filled slot being a partition the query touched. A Step
+//! works on its partition's local — the simulation in place, under the
+//! record's lock; a lane takes it out under the lock it takes its input
+//! under and puts it back under the lock it folds under — so at every
+//! close all of the query's locals are at rest in the record. Ending a
+//! query is therefore one call, [`Coordinator::finish`]: it takes the
+//! locals out and finalizes over them, with no round over the partitions.
 //!
 //! ## One mail plane
 //!
@@ -49,10 +59,10 @@
 //! executes it with what it sent itself, at most `dop` Steps run at once,
 //! and the held-back partitions go in `involved` order, one per completing
 //! Step ([`Stepping::next_deferred`]), decided where the completion is
-//! observed. Mail reaches a partition outside a Step in one place only: a
+//! observed. Mail reaches a local outside a Step in one place only: a
 //! window that migrates first delivers every live record's next input into
-//! the partitions ([`Executor::deliver`]), so migration moves every
-//! pending message with its vertex.
+//! that record's own locals, so migration moves every pending message with
+//! its vertex.
 //!
 //! ## The Q-cut trigger
 //!
@@ -67,16 +77,21 @@
 //! lifetime locality of the running queries against Φ — read live from
 //! their records — and the activity imbalance of the last μ/8 sub-window
 //! ([`Controller::note_activity`]) against its threshold. A hit reads
-//! the scopes while partitions compute and runs the ILS there and then,
-//! hidden behind query processing as in the paper; a hit that finds fewer
-//! than two scopes stays wanted, and the next check plans without testing
-//! again (on threads a terminated query's scope reaches the core with its
-//! collect). The plan comes due ([`Coordinator::plan_due`]) one priced
+//! the scopes from the records while partitions compute — the locals at
+//! rest; one a running Step holds is skipped, so the read waits on no
+//! partition — and runs the ILS there and then, hidden behind query
+//! processing as in the paper; a hit that finds fewer than two scopes
+//! stays wanted, and the next check plans without testing again (on
+//! threads a terminated query's scope is retained as the core finishes
+//! it). The plan comes due ([`Coordinator::plan_due`]) one priced
 //! `ils_budget_secs` later in the simulation, and as soon as the ILS
 //! returns on threads, where the coordinator's turn has paid for it. The
 //! wait restarts when the plan comes due, and only a plan that moves
 //! something wants a window, which resolves it against the scopes
-//! gathered inside and migrates.
+//! gathered inside — every local at rest there — and migrates: a pass
+//! over the records that moves each query's data from one of its locals
+//! to another ([`migrate::transfer`]), after which the executor only
+//! prices the transfer.
 //!
 //! ## One pacing rule
 //!
@@ -110,29 +125,19 @@ use crate::report::{EngineReport, RepartitionEvent};
 use crate::sched::{dop_budget, try_index_path, QueueEntry, Scheduler};
 use crate::task::{Envelope, MessageBatch, QueryTask};
 use crate::trace::{outcome, Tracer};
-use crate::worker::{LocalState, SuperstepStats};
+use crate::worker::{LocalState, Scratch, SuperstepStats};
 
-/// The dispatch vocabulary. `deliver` and the `*_report` and `migrate`
-/// calls are synchronous. `deliver`, `migrate` and `pending_report` are
-/// issued only inside a window, while the partitions are idle;
-/// `scope_report` also at the trigger, while they compute.
+/// The dispatch vocabulary. `migrate` is synchronous and issued only
+/// inside a window, while the partitions are idle.
 pub(crate) trait Executor {
     /// A clock reading. Inside a window it advances as the executor
     /// completes (or prices) the window's work.
     fn now(&self) -> SimTime;
-    /// Inside a window, ahead of a migration: `batches`, query `q`'s
-    /// pending input on partition `w`, go into that partition's inbox.
-    fn deliver(&mut self, q: QueryId, w: usize, task: &dyn QueryTask, batches: Vec<MessageBatch>);
     /// Run the superstep `step` (the record's state, locked for the call)
     /// just began, and close it (see the module docs). Its index is
     /// `step.out.iterations`: 0 is dispatched by admission, every later
     /// one follows a close (a barrier release, or a window's resume).
     fn superstep(&mut self, record: &Record, step: &mut Stepping);
-    /// Hand back the terminated query's local state on every partition it
-    /// touched (the record's `touched`, which this takes): right away (one
-    /// address space), or `None` and later, all at once, as a
-    /// [`Coordinator::collected`] input.
-    fn collect(&mut self, record: &Record) -> Option<Locals>;
     /// Query `q` finished with `output`.
     fn complete(&mut self, q: QueryId, output: Envelope);
     /// Mutation epochs were applied: every partition must see the new
@@ -148,15 +153,9 @@ pub(crate) trait Executor {
     );
     /// A migration committed: publish the new assignment.
     fn publish_partitioning(&mut self, partitioning: &Partitioning, version: u64);
-    /// Every `(query, partition, live scope vertices)` triple, each
-    /// partition read between two of its Steps.
-    fn scope_report(&mut self) -> Vec<(QueryId, usize, Vec<VertexId>)>;
-    /// Move the resolved transfers' vertex state *and* pending inboxes,
-    /// each query's local moving its own data. Returns the `(query,
-    /// partition)` pairs that gained state.
-    fn migrate(&mut self, migration: &Migration) -> Vec<(QueryId, usize)>;
-    /// Every `(query, partition)` pair with pending messages.
-    fn pending_report(&mut self) -> Vec<(QueryId, usize)>;
+    /// The core moved the resolved transfers' vertex state and pending
+    /// inboxes between the records' locals: what the transfer costs.
+    fn migrate(&mut self, migration: &Migration);
 }
 
 /// One finished `Step`, as its partition reports it.
@@ -174,11 +173,8 @@ pub(crate) struct StepReport {
     pub self_pending: bool,
 }
 
-/// A terminated query's collected local states.
-pub(crate) type Locals = Vec<Box<dyn LocalState>>;
-
 /// An admitted query, shared by the core and whoever closes its
-/// supersteps or answers its collect (see the module docs).
+/// supersteps (see the module docs).
 pub(crate) type Record = Arc<Query>;
 
 /// Lock a record, recovering from poisoning: each update leaves it
@@ -196,8 +192,8 @@ pub(crate) struct Query {
 
 impl Query {
     /// Admit `task` as query `id` under the DoP budget `dop`
-    /// ([`dop_budget`]) over `partitions` partitions: nothing pending,
-    /// nothing touched, `out` as the outcome under construction.
+    /// ([`dop_budget`]) over `partitions` partitions: nothing pending, no
+    /// local anywhere, `out` as the outcome under construction.
     pub fn new(
         id: QueryId,
         task: Arc<dyn QueryTask>,
@@ -216,9 +212,8 @@ impl Query {
             crossed: false,
             agg_prev: task.aggregate_identity(),
             agg_acc: task.aggregate_identity(),
-            touched: Vec::with_capacity(partitions),
             mail: (0..partitions).map(|_| Mail::default()).collect(),
-            locals: Vec::new(),
+            locals: (0..partitions).map(|_| None).collect(),
         };
         Arc::new(Query {
             id,
@@ -229,6 +224,40 @@ impl Query {
 
     pub fn stepping(&self) -> MutexGuard<'_, Stepping> {
         relock(&self.step)
+    }
+
+    /// Deliver the next superstep's input into the query's own locals —
+    /// one made from its task (`combiners` gating the combiner) where it
+    /// has none — parking the drained buffers in `scratch`. For a window
+    /// about to migrate: every local is at rest, none frozen.
+    pub fn deliver_mail(&self, combiners: bool, scratch: &mut Scratch) {
+        let mut step = self.stepping();
+        let Stepping { mail, locals, .. } = &mut *step;
+        for (mail, local) in mail.iter_mut().zip(locals.iter_mut()) {
+            if mail.next.is_empty() {
+                continue;
+            }
+            let local = local.get_or_insert_with(|| self.task.new_local(combiners));
+            for batch in mail.next.drain(..) {
+                local.deliver(batch, scratch);
+            }
+        }
+    }
+
+    /// `(partition, live scope vertices)` of every local at rest in the
+    /// record, in partition order: a local a running Step holds is not
+    /// there to read.
+    pub fn scopes(&self) -> Vec<(usize, Vec<VertexId>)> {
+        let step = self.stepping();
+        let at_rest = step.locals.iter().enumerate();
+        let at_rest = at_rest.filter_map(|(w, local)| Some((w, local.as_ref()?)));
+        at_rest
+            .map(|(w, local)| {
+                let mut scope = Vec::with_capacity(local.scope_size());
+                local.for_each_scope_vertex(&mut |v| scope.push(v));
+                (w, scope)
+            })
+            .collect()
     }
 }
 
@@ -241,8 +270,7 @@ pub(crate) struct Stepping {
     pub last_done: SimTime,
     /// DoP budget, fixed at admission.
     pub dop: usize,
-    /// Steps of the current superstep not yet folded; once the query
-    /// terminated, Collects not yet answered.
+    /// Steps of the current superstep not yet folded.
     pub outstanding: usize,
     /// How many of `involved_cur` have been released.
     released: usize,
@@ -255,12 +283,11 @@ pub(crate) struct Stepping {
     /// The aggregate the current superstep reads.
     pub agg_prev: Envelope,
     agg_acc: Envelope,
-    /// Partitions holding state for the query (sorted) — the collect set.
-    pub touched: Vec<usize>,
     /// Per partition, the query's mail there.
     pub mail: Vec<Mail>,
-    /// The locals a collect gathered so far.
-    pub locals: Locals,
+    /// Per partition, the query's local there: `None` where it never
+    /// reached, or while a lane's Step holds it.
+    pub locals: Vec<Option<Box<dyn LocalState>>>,
 }
 
 /// One partition's mail in a query's record: the batches the current
@@ -273,7 +300,7 @@ pub(crate) struct Mail {
 }
 
 /// What a closed superstep leaves its query to do: start the next one
-/// over `next_involved` (or park first), or be collected.
+/// over `next_involved` (or park first), or finish.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Close {
     Next,
@@ -330,7 +357,6 @@ impl Stepping {
         }
         for (w, batch) in rep.remote {
             insert_sorted(&mut self.next_involved, w);
-            insert_sorted(&mut self.touched, w);
             self.mail[w].next.push(batch);
         }
         self.outstanding == 0
@@ -373,8 +399,7 @@ pub struct EngineState {
 /// Where the next repartition stands; a plan carries its trigger instant.
 enum Repartition {
     None,
-    /// A hit that found fewer than two scopes to plan over — on threads a
-    /// terminated query's scope travels with its collect: the next check
+    /// A hit that found fewer than two scopes to plan over: the next check
     /// plans without testing again.
     Wanted,
     /// Planned at the trigger; not due yet. The trigger instant, and
@@ -599,9 +624,8 @@ impl Coordinator {
         let dop = dop_budget(task.as_ref(), Self::pool_width(&self.cfg, k));
         let record = Query::new(q, task, out, dop, k);
         let mut step = record.stepping();
-        // `initial_batches` is sorted by partition, so both sets are too.
+        // `initial_batches` is sorted by partition, so the set is too.
         for (w, batch) in batches {
-            step.touched.push(w);
             step.next_involved.push(w);
             step.mail[w].next.push(batch);
         }
@@ -610,7 +634,7 @@ impl Coordinator {
         self.queries.insert(q, record);
         if empty {
             // No initial messages: finalize over the empty state set.
-            self.collected(x, q, Vec::new(), now);
+            self.finish(x, q, now);
         } else {
             self.dispatch_superstep(x, q, now);
         }
@@ -664,7 +688,7 @@ impl Coordinator {
     /// record and, when it was the superstep's last, close the superstep —
     /// `None` while Steps of it are still running. On `Next` the query
     /// waits at its barrier ([`Coordinator::release`]); on `Terminate` it
-    /// is collected. The simulation's path; the thread runtime's lanes fold
+    /// finishes. The simulation's path; the thread runtime's lanes fold
     /// and close on their own.
     pub fn step_done<X: Executor>(
         &mut self,
@@ -698,24 +722,15 @@ impl Coordinator {
         Some(close)
     }
 
-    /// Query `q` terminated: collect its state from every partition that
-    /// holds any.
-    fn finish<X: Executor>(&mut self, x: &mut X, q: QueryId, now: SimTime) {
-        let Some(record) = self.queries.get(&q) else {
-            return;
-        };
-        if let Some(locals) = x.collect(record) {
-            self.collected(x, q, locals, now);
-        }
-    }
-
-    /// Query `q` terminated and its collected locals arrived: finalize it
-    /// and free its closed-loop slot.
-    pub fn collected<X: Executor>(&mut self, x: &mut X, q: QueryId, locals: Locals, now: SimTime) {
+    /// Query `q` terminated, every local of it at rest in its record:
+    /// take them out in partition order, finalize over them and free its
+    /// closed-loop slot.
+    pub fn finish<X: Executor>(&mut self, x: &mut X, q: QueryId, now: SimTime) {
         let Some(record) = self.queries.remove(&q) else {
-            panic!("protocol invariant: collected locals for {q}, which is not live");
+            panic!("protocol invariant: {q} finished, but it is not live");
         };
-        let step = record.stepping();
+        let mut step = record.stepping();
+        let locals: Vec<_> = step.locals.iter_mut().filter_map(Option::take).collect();
         let (mut out, at) = (step.out, step.last_done.max(now));
         drop(step);
         out.completed_at = at;
@@ -780,9 +795,8 @@ impl Coordinator {
         if !wanted && !controller.should_trigger(now, localities) {
             return None;
         }
-        let (_, live) = self.gather_scopes(x);
-        // On threads the read waits on lanes that hold a context: the
-        // plan's cost counts from its return.
+        let (_, live) = self.gather_scopes();
+        // The plan's cost counts from the read's return.
         let scoped = x.now();
         let st = &mut self.state;
         let stats = st.controller.build_scope_stats(&live, &st.partitioning);
@@ -815,25 +829,25 @@ impl Coordinator {
         }
     }
 
-    /// The live queries' scopes, per partition (sorted by query, then
+    /// The live queries' scopes as their records hold them at rest
+    /// ([`Query::scopes`]): per partition (sorted by query, then
     /// partition) and unioned per query (sorted by query).
     #[allow(clippy::type_complexity)]
-    fn gather_scopes<X: Executor>(
+    fn gather_scopes(
         &self,
-        x: &mut X,
     ) -> (
         Vec<(QueryId, usize, Vec<VertexId>)>,
         Vec<(QueryId, Vec<VertexId>)>,
     ) {
-        let mut local = x.scope_report();
-        local.retain(|(q, _, _)| self.queries.contains_key(q));
-        local.sort_unstable_by_key(|(q, w, _)| (*q, *w));
+        let mut local = Vec::new();
         let mut live: Vec<(QueryId, Vec<VertexId>)> = Vec::new();
-        for (q, _, vs) in &local {
-            match live.last_mut() {
-                Some((last, all)) if last == q => all.extend_from_slice(vs),
-                _ => live.push((*q, vs.clone())),
+        for (&q, record) in &self.queries {
+            let scopes = record.scopes();
+            if scopes.is_empty() {
+                continue;
             }
+            live.push((q, scopes.iter().flat_map(|(_, vs)| vs).copied().collect()));
+            local.extend(scopes.into_iter().map(|(w, vs)| (q, w, vs)));
         }
         (local, live)
     }
@@ -934,7 +948,7 @@ impl Coordinator {
         triggered_at: SimTime,
         entered: SimTime,
     ) {
-        let (local, live) = self.gather_scopes(x);
+        let (local, live) = self.gather_scopes();
         let st = &mut self.state;
         // A live query's current scope on the source partition, or a
         // finished query's retained scope (the resolver's ownership
@@ -954,28 +968,24 @@ impl Coordinator {
         if migration.is_empty() {
             return;
         }
-        // Every pending message moves with its vertex: the live queries'
-        // next input goes into the partitions first. No record stays
-        // locked while the executor locks a partition.
+        // Every pending message moves with its vertex: each live record's
+        // next input goes into its own locals first, their buffers parked
+        // in a scratch of the window's.
+        let combiners = self.cfg.combiners;
+        let mut scratch = Scratch::default();
         for record in self.queries.values() {
-            let pending: Vec<_> = (record.stepping().mail.iter_mut())
-                .map(|mail| std::mem::take(&mut mail.next))
-                .enumerate()
-                .filter(|(_, batches)| !batches.is_empty())
-                .collect();
-            for (w, batches) in pending {
-                x.deliver(record.id, w, record.task.as_ref(), batches);
-            }
+            record.deliver_mail(combiners, &mut scratch);
         }
         let observed = st.controller.observed_scopes(&live);
         // The selection lists the live queries' scopes first.
         let running = live.iter().filter(|(_, vs)| !vs.is_empty()).count();
         let running = &observed[..running.min(observed.len())];
         let live_locality_before = migrate::scope_locality(running, &st.partitioning);
-        let mut gained = Vec::new();
+        let records = &self.queries;
         let (locality_before, locality_after) =
             migrate::apply_measured(&migration, &mut st.partitioning, &observed, || {
-                gained = x.migrate(&migration);
+                migrate::transfer(&migration, records.values(), combiners);
+                x.migrate(&migration);
             });
         let live_locality_after = migrate::scope_locality(running, &st.partitioning);
         let version = self.hb.publish_partitioning(0);
@@ -991,26 +1001,24 @@ impl Coordinator {
             live_locality_after,
             ils: result,
         });
-        for (q, w) in gained {
-            if let Some(record) = self.queries.get(&q) {
-                insert_sorted(&mut record.stepping().touched, w);
-            }
-        }
         // The migration moved pending inboxes between partitions: rebuild
-        // the next involved set of every query waiting at its barrier.
+        // the next involved set of every query waiting at its barrier from
+        // the locals that now hold them.
         for record in self.queries.values() {
             let mut step = record.stepping();
-            if step.outstanding == 0 {
-                step.next_involved.clear();
+            if step.outstanding > 0 {
+                continue;
             }
-        }
-        for (q, w) in x.pending_report() {
-            if let Some(record) = self.queries.get(&q) {
-                let mut step = record.stepping();
-                if step.outstanding == 0 {
-                    insert_sorted(&mut step.next_involved, w);
-                }
-            }
+            let Stepping {
+                next_involved,
+                locals,
+                ..
+            } = &mut *step;
+            let pending = locals
+                .iter()
+                .map(|l| l.as_ref().is_some_and(|l| l.has_pending()));
+            next_involved.clear();
+            next_involved.extend(pending.enumerate().filter(|(_, p)| *p).map(|(w, _)| w));
         }
     }
 
@@ -1069,47 +1077,35 @@ mod tests {
     use crate::programs::{PingProgram, Tally};
     use crate::qcut::{MovePlan, ScopeMove};
     use crate::task::TypedTask;
+    use crate::worker::Moved;
     use qgraph_graph::{AppliedMutation, GraphBuilder};
     use qgraph_partition::{Partitioner, RangePartitioner};
 
     #[derive(Clone, Debug, PartialEq)]
     enum Op {
-        Deliver(u32, usize),
         /// `(query, involved in release order, DoP budget, index)`.
         Superstep(u32, Vec<usize>, usize, u32),
-        Collect(u32, usize),
         Complete(u32),
         PublishTopology(u64),
         PublishPartitioning,
         Migrate,
     }
 
-    /// Logs dispatches; answers the synchronous ones from canned data,
-    /// and counts the batches the core delivers into each partition.
+    /// Logs dispatches and the batches each Step takes from its record.
+    /// It runs no Step: the tests write the reports, and put into the
+    /// records by hand the locals those Steps would have left there.
     #[derive(Default)]
     struct Script {
         log: Vec<Op>,
         clock: SimTime,
-        scopes: Vec<(QueryId, usize, Vec<VertexId>)>,
-        gained: Vec<(QueryId, usize)>,
-        /// Pending pairs reported besides those `inbox` holds.
-        pending: Vec<(QueryId, usize)>,
-        /// Batches delivered per `(query, partition)` and not read yet; a
-        /// migration moves a query's batches with its vertices.
-        inbox: BTreeMap<(u32, usize), usize>,
         /// Per dispatched superstep and involved partition, `(query,
-        /// partition, batches read)`: its input from the record and what
-        /// was delivered there.
+        /// partition, batches taken)`: its input from the record.
         read: Vec<(u32, usize, usize)>,
     }
 
     impl Executor for Script {
         fn now(&self) -> SimTime {
             self.clock
-        }
-        fn deliver(&mut self, q: QueryId, w: usize, _: &dyn QueryTask, batches: Vec<MessageBatch>) {
-            self.log.push(Op::Deliver(q.0, w));
-            *self.inbox.entry((q.0, w)).or_default() += batches.len();
         }
         fn superstep(&mut self, record: &Record, step: &mut Stepping) {
             let (q, involved) = (record.id, step.involved_cur.clone());
@@ -1118,15 +1114,8 @@ mod tests {
                 .push(Op::Superstep(q.0, involved.clone(), step.dop, index));
             for w in involved {
                 let taken = std::mem::take(&mut step.mail[w].input).len();
-                let delivered = self.inbox.remove(&(q.0, w)).unwrap_or(0);
-                self.read.push((q.0, w, taken + delivered));
+                self.read.push((q.0, w, taken));
             }
-        }
-        fn collect(&mut self, record: &Record) -> Option<Locals> {
-            let (q, touched) = (record.id, std::mem::take(&mut record.stepping().touched));
-            let collects = touched.into_iter().map(|w| Op::Collect(q.0, w));
-            self.log.extend(collects);
-            Some(Vec::new())
         }
         fn complete(&mut self, q: QueryId, _: Envelope) {
             self.log.push(Op::Complete(q.0));
@@ -1144,22 +1133,25 @@ mod tests {
         fn publish_partitioning(&mut self, _: &Partitioning, _: u64) {
             self.log.push(Op::PublishPartitioning);
         }
-        fn scope_report(&mut self) -> Vec<(QueryId, usize, Vec<VertexId>)> {
-            self.scopes.clone()
-        }
-        fn migrate(&mut self, migration: &Migration) -> Vec<(QueryId, usize)> {
+        fn migrate(&mut self, _: &Migration) {
             self.log.push(Op::Migrate);
-            for m in &migration.moves {
-                if let Some(n) = self.inbox.remove(&(m.query.0, m.from)) {
-                    *self.inbox.entry((m.query.0, m.to)).or_default() += n;
-                }
-            }
-            self.gained.clone()
         }
-        fn pending_report(&mut self) -> Vec<(QueryId, usize)> {
-            let delivered = self.inbox.keys().map(|&(q, w)| (QueryId(q), w));
-            self.pending.iter().copied().chain(delivered).collect()
-        }
+    }
+
+    /// Ping query `q`'s local on partition `w` holds state on `vertices`
+    /// and nothing pending, at rest in its record.
+    fn hold(core: &Coordinator, q: u32, w: usize, vertices: &[u32]) {
+        let record = core.query(QueryId(q));
+        let mut local = record.task.new_local(true);
+        let held = vertices.iter().map(|&v| (VertexId(v), Some(0), Vec::new()));
+        local.inject(Box::new(held.collect::<Moved<PingProgram>>()));
+        record.stepping().locals[w] = Some(local);
+    }
+
+    /// Does query `q` hold messages for a next superstep on partition `w`?
+    fn pending_at(core: &Coordinator, q: u32, w: usize) -> bool {
+        let step = core.query(QueryId(q)).stepping();
+        step.locals[w].as_ref().is_some_and(|l| l.has_pending())
     }
 
     /// Six vertices over three partitions: `{0,1} {2,3} {4,5}`.
@@ -1208,7 +1200,6 @@ mod tests {
                 remote_deliveries: to.len(),
                 remote_pre_combine: to.len(),
                 remote_batches: to.len(),
-                ..Default::default()
             },
             agg: task.aggregate_identity(),
             remote: to.iter().map(|&to| (to, batch(to))).collect(),
@@ -1292,22 +1283,21 @@ mod tests {
         assert!(x.log.is_empty() && core.parked == vec![QueryId(0)]);
 
         // The window migrates {v0, v1}: the pending input for partition 0
-        // is delivered there first and travels to partition 2, which the
-        // pending report reflects.
+        // is delivered into the local there first and travels to partition
+        // 2, where the rebuilt pending set finds it.
         x.clock = at(7);
-        x.scopes = vec![(QueryId(0), 0, vec![VertexId(0), VertexId(1)])];
-        x.gained = vec![(QueryId(0), 2)];
+        hold(&core, 0, 0, &[0, 1]);
         core.window_open(&x);
         core.window_apply(&mut x);
-        let window = vec![Op::Deliver(0, 0), Op::Migrate, Op::PublishPartitioning];
-        assert_eq!(x.log, window);
+        assert_eq!(x.log, vec![Op::Migrate, Op::PublishPartitioning]);
         assert_eq!(core.state.partitioning.worker_of(VertexId(1)).index(), 2);
+        assert!(!pending_at(&core, 0, 0) && pending_at(&core, 0, 2));
         x.log.clear();
         core.window_end(&mut x, at(9));
         assert_eq!(
             x.log,
             vec![Op::Superstep(0, vec![2], 1, 1)],
-            "resumed against the post-migration pending report, not the stale set"
+            "resumed where the pending input went, not the stale set"
         );
         assert!(!core.paused() && core.parked.is_empty());
         let ev = &core.state.report.repartitions[0];
@@ -1350,21 +1340,22 @@ mod tests {
         assert_eq!(core.parked, vec![QueryId(0)]);
         assert_eq!(core.query(QueryId(0)).stepping().mail[1].next.len(), 1);
 
-        // The window moves vertex 2 to partition 0. Nothing is canned: the
-        // pending report is what the delivery put and the migration moved.
+        // The window moves vertex 2 to partition 0: the message, delivered
+        // from the record into the local on partition 1, goes along.
         x.log.clear();
-        x.scopes = vec![(QueryId(0), 1, vec![VertexId(2)])];
+        hold(&core, 0, 1, &[2]);
         core.window_open(&x);
         core.window_apply(&mut x);
-        let window = vec![Op::Deliver(0, 1), Op::Migrate, Op::PublishPartitioning];
-        assert_eq!(x.log, window, "delivered before the migration");
+        assert_eq!(x.log, vec![Op::Migrate, Op::PublishPartitioning]);
         assert_eq!(core.state.partitioning.worker_of(VertexId(2)).index(), 0);
         assert!(core.query(QueryId(0)).stepping().mail[1].next.is_empty());
+        assert!(!pending_at(&core, 0, 1) && pending_at(&core, 0, 0));
         x.log.clear();
         core.window_end(&mut x, at(6));
-        // Superstep 1 runs where the message went, and reads it.
+        // Superstep 1 runs where the message went, with nothing left in
+        // the record for it.
         assert_eq!(x.log, vec![Op::Superstep(0, vec![0], 1, 1)]);
-        assert_eq!(x.read.last(), Some(&(0, 0, 1)));
+        assert_eq!(x.read.last(), Some(&(0, 0, 0)));
     }
 
     /// Q-cut on with the paper's constants.
@@ -1402,14 +1393,10 @@ mod tests {
 
     /// Each query's scope split over partitions 0 and 1 (`{0} {2}` and
     /// `{1} {3}`): the ILS gathers each onto one partition.
-    fn split_scopes() -> Vec<(QueryId, usize, Vec<VertexId>)> {
-        let (q0, q1) = (QueryId(0), QueryId(1));
-        vec![
-            (q0, 0, vec![VertexId(0)]),
-            (q0, 1, vec![VertexId(2)]),
-            (q1, 0, vec![VertexId(1)]),
-            (q1, 1, vec![VertexId(3)]),
-        ]
+    fn split_scopes(core: &Coordinator) {
+        for (q, w, v) in [(0, 0, 0), (0, 1, 2), (1, 0, 1), (1, 1, 3)] {
+            hold(core, q, w, &[v]);
+        }
     }
 
     #[test]
@@ -1417,7 +1404,7 @@ mod tests {
         // The simulation's shape: the scope read returns at the trigger
         // instant and the plan comes due one priced budget later.
         let (mut core, mut x) = two_remote_queries(adaptive());
-        x.scopes = split_scopes();
+        split_scopes(&core);
         let sec = 1_000_000;
         // The first wait is 0. The hit plans at the trigger; its plan
         // comes due one budget (the paper's 2 s) later, and nothing
@@ -1433,7 +1420,6 @@ mod tests {
         for q in 0..2 {
             core.release(&mut x, QueryId(q), due);
         }
-        x.pending = vec![(QueryId(0), 1), (QueryId(1), 1)];
         x.clock = at(3 * sec + 1);
         core.window_open(&x);
         core.window_apply(&mut x);
@@ -1456,7 +1442,7 @@ mod tests {
         // The thread runtime's shape: the plan comes due on the trigger's
         // turn, its cost measured from the scope read's return.
         let (mut core, mut x) = two_remote_queries(adaptive());
-        x.scopes = split_scopes();
+        split_scopes(&core);
         assert_eq!(core.next_check(), SimTime::ZERO, "the first check plans");
         x.clock = at(4);
         assert_eq!(core.trigger(&mut x, at(2)), Some(at(2_000_002)));
@@ -1465,7 +1451,6 @@ mod tests {
         for q in 0..2 {
             core.release(&mut x, QueryId(q), at(14));
         }
-        x.pending = vec![(QueryId(0), 1), (QueryId(1), 1)];
         x.clock = at(20);
         core.window_open(&x);
         core.window_apply(&mut x);
@@ -1481,10 +1466,8 @@ mod tests {
     fn a_hit_whose_plan_moves_nothing_opens_no_window() {
         let (mut core, mut x) = two_remote_queries(adaptive());
         // Each scope already lies on one partition: nothing to move.
-        x.scopes = vec![
-            (QueryId(0), 0, vec![VertexId(0), VertexId(1)]),
-            (QueryId(1), 1, vec![VertexId(2), VertexId(3)]),
-        ];
+        hold(&core, 0, 0, &[0, 1]);
+        hold(&core, 1, 1, &[2, 3]);
         // The thread runtime's shape: the scopes are read by 2 µs and the
         // plan comes due on the trigger's turn, 3 µs later.
         x.clock = at(2);
@@ -1537,7 +1520,7 @@ mod tests {
         for (w, to) in [(0, &[1][..]), (1, &[]), (2, &[])] {
             core.step_done(&mut x, report(&task, w, to), at(1), at(1));
         }
-        x.scopes = vec![(QueryId(0), 0, vec![VertexId(0)])];
+        hold(&core, 0, 0, &[0]);
         assert_eq!(core.trigger(&mut x, at(2)), None);
         assert!(matches!(core.repartition, Repartition::None));
         // A finished query's retained scope is the second one.
@@ -1551,12 +1534,13 @@ mod tests {
         // which one has an empty scope plan nothing, and the hit stays
         // wanted ...
         let (mut core, mut x) = two_remote_queries(adaptive());
-        x.scopes = vec![(QueryId(0), 0, vec![VertexId(0)])];
+        hold(&core, 0, 0, &[0]);
+        hold(&core, 1, 0, &[]);
         assert_eq!(core.trigger(&mut x, at(2)), None);
         assert!(matches!(core.repartition, Repartition::Wanted));
         assert_eq!(core.next_check(), SimTime::ZERO, "the wait did not restart");
         // ... until the next check finds two scopes, and plans.
-        x.scopes.push((QueryId(1), 1, vec![VertexId(2)]));
+        hold(&core, 1, 1, &[2]);
         assert_eq!(core.trigger(&mut x, at(3)), Some(at(2_000_003)));
         assert!(matches!(core.repartition, Repartition::Budgeted(_, t, _) if t == at(3)));
         assert!(!core.paused());
@@ -1564,8 +1548,8 @@ mod tests {
 
     #[test]
     fn a_hit_plans_once_the_scopes_it_lacked_are_retained() {
-        // Both queries terminated on the lanes: their scopes travel with
-        // their collects, so the hit finds none to plan over.
+        // The records hold no local at rest (on threads, running Steps may
+        // hold them all), so the hit finds no scope to plan over.
         let (mut core, mut x) = two_remote_queries(adaptive());
         assert_eq!(core.trigger(&mut x, at(2)), None);
         assert!(matches!(core.repartition, Repartition::Wanted));
@@ -1576,7 +1560,7 @@ mod tests {
                 .record_finished_scope(QueryId(q), scope, at(3));
         }
         for q in 0..2 {
-            core.collected(&mut x, QueryId(q), Vec::new(), at(3));
+            core.finish(&mut x, QueryId(q), at(3));
         }
         // No query runs any more, so the locality test would decline: the
         // wanted hit plans over the retained scopes without it, and the
@@ -1618,8 +1602,6 @@ mod tests {
             worker: 1,
             stats: SuperstepStats {
                 executed: 1,
-                local_deliveries: 1,
-                tasks: 1,
                 ..Default::default()
             },
             agg: Box::new(contribution),
@@ -1679,23 +1661,31 @@ mod tests {
     }
 
     #[test]
-    fn a_query_its_lane_terminated_completes_from_one_collect() {
+    fn a_query_its_lane_terminated_completes_from_the_locals_in_its_record() {
         // Sticky and stopping at 3: the third close ends the query, on the
-        // lane, which takes the collect set and hands back every local at
-        // once. The core's one turn completes the query.
+        // lane, whose Steps left the one local in the record. The core's
+        // one turn finalizes over it and completes the query.
         let (mut core, mut x, task) = solo_tally(true, 3);
         assert_eq!(
             close_on_the_lane(&core, &task, &[1, 1, 1]),
             Close::Terminate
         );
-        let touched = std::mem::take(&mut core.query(QueryId(0)).stepping().touched);
-        assert_eq!(touched, vec![1]);
-        core.collected(&mut x, QueryId(0), Vec::new(), at(2));
+        let record = Arc::clone(core.query(QueryId(0)));
+        let mut local = record.task.new_local(true);
+        let held: Moved<Tally> = vec![(VertexId(2), Some(()), Vec::new())];
+        local.inject(Box::new(held));
+        record.stepping().locals[1] = Some(local);
+        core.finish(&mut x, QueryId(0), at(2));
         assert_eq!(x.log, vec![Op::Complete(0)]);
         assert!(core.quiet());
+        assert!(
+            record.stepping().locals.iter().all(Option::is_none),
+            "the finish took every local out"
+        );
         let outcomes = &core.state.report.outcomes;
         assert_eq!(outcomes.len(), 1);
-        assert_eq!(work(&outcomes[0]), [3, 3, 3, 0, 0, 0, 3, 1]);
+        // One vertex in the finished scope.
+        assert_eq!(work(&outcomes[0]), [3, 3, 3, 0, 0, 1, 3, 1]);
     }
 
     #[test]
@@ -1863,9 +1853,7 @@ mod tests {
         x.log.clear();
         let outcome = core.step_done(&mut x, report(&task, 1, &[]), at(13), at(14));
         assert_eq!(outcome, Some(Close::Terminate));
-        let collects = [Op::Collect(0, 0), Op::Collect(0, 1), Op::Collect(0, 2)];
-        assert_eq!(x.log[..3], collects, "every partition that held state");
-        assert_eq!(x.log[3], Op::Complete(0));
+        assert_eq!(x.log[0], Op::Complete(0), "finished at once, no round");
 
         let by_id = |id: u32| {
             let outcomes = &core.state.report.outcomes;
@@ -1914,7 +1902,7 @@ mod tests {
         );
         assert_eq!((traversed.first_epoch, traversed.last_epoch), (0, 1));
         // 2 supersteps (the second one local), 4 vertex updates, 1 remote
-        // message in 1 batch, no collected scope, 3 + 1 tasks at DoP 1.
+        // message in 1 batch, no scope in the record, 3 + 1 tasks at DoP 1.
         assert_eq!(work(&traversed), [2, 1, 4, 1, 1, 0, 4, 1]);
         for id in [1, 2, 3] {
             assert_eq!((by_id(id).first_epoch, by_id(id).last_epoch), (0, 0));

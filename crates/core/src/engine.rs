@@ -19,11 +19,14 @@
 //! Each worker is a sequential resource processing one superstep task at a
 //! time (FIFO), and at most `pool_threads` workers compute at once;
 //! queueing across concurrent queries is what turns workload imbalance
-//! into the paper's straggler effects. A dispatched superstep moves every
-//! involved partition's input out of its query's record into the inbox
-//! and seals it, all at the release instant (the cost model reads the
-//! frozen counts); what a Step sends goes back into the record, for the
-//! next superstep. Each of its Steps
+//! into the paper's straggler effects. A query's locals live in its record
+//! (see `coord`), and the simulation never takes one out: a dispatched
+//! superstep moves every involved partition's input out of the record
+//! into that partition's local and seals it, all at the release instant
+//! (the cost model reads the frozen counts), and each Step executes the
+//! local in place, under the record's lock; what a Step sends goes back
+//! into the record, for the next superstep. The worker queues carry the
+//! records themselves. Each of its Steps
 //!
 //! 1. travels as a control message (admission; a budget slot freed by a
 //!    completing Step, one control hop after that completion) or rides
@@ -51,16 +54,14 @@ use crate::api::{Engine, Runtime};
 use crate::barrier::{self, BarrierInput};
 use crate::config::{BarrierMode, SystemConfig};
 use crate::controller::Controller;
-use crate::coord::{
-    Close, Coordinator, EngineState, Executor, Locals, Record, StepReport, Stepping,
-};
+use crate::coord::{Close, Coordinator, EngineState, Executor, Record, StepReport, Stepping};
 use crate::hb::{kind, Hb};
 use crate::program::VertexProgram;
-use crate::qcut::{migrate, Migration};
+use crate::qcut::Migration;
 use crate::query::{QueryHandle, QueryId};
 use crate::report::EngineReport;
 use crate::sched::{check_submission, Submission};
-use crate::task::{Envelope, MessageBatch, QueryTask, TypedTask};
+use crate::task::{Envelope, QueryTask, TypedTask};
 use crate::trace::{CmdKind, Tracer};
 use crate::worker::Worker;
 
@@ -72,10 +73,15 @@ enum Event {
         task: Arc<dyn QueryTask>,
         deadline: Option<SimTime>,
     },
-    /// Query `q` may run a superstep on worker `w`.
-    TaskReady { q: QueryId, w: usize },
-    /// Worker `w` finished computing query `q`'s superstep.
-    TaskDone { q: QueryId, w: usize },
+    /// The record's query may run a superstep on worker `w`, over a frozen
+    /// input of `(active vertices, messages)`.
+    TaskReady {
+        record: Record,
+        w: usize,
+        frozen: (usize, usize),
+    },
+    /// Worker `w` finished computing the superstep it runs.
+    TaskDone { w: usize },
     /// Worker `w` finished serializing/sending its outgoing messages.
     SendDone { w: usize },
     /// Query `q`'s barrier released: start the next superstep.
@@ -93,9 +99,11 @@ enum Event {
 }
 
 struct WorkerSched {
-    queue: VecDeque<QueryId>,
+    /// Tasks waiting: the query's record and the `(active vertices,
+    /// messages)` of its frozen input here, which price the task.
+    queue: VecDeque<(Record, (usize, usize))>,
     /// The task running and when it began.
-    running: Option<(QueryId, SimTime)>,
+    running: Option<(Record, SimTime)>,
 }
 
 /// The deterministic multi-query engine: the shared [`Engine`] front
@@ -158,10 +166,6 @@ impl Executor for SimExec {
         self.events.now() + self.window_cost
     }
 
-    fn deliver(&mut self, q: QueryId, w: usize, task: &dyn QueryTask, batches: Vec<MessageBatch>) {
-        self.workers[w].deliver(task, q, batches);
-    }
-
     // Every involved partition takes its input and seals its inbox here,
     // at the release instant. A one-partition superstep is not closed on
     // the worker: `barrier::decide` already releases a local superstep at
@@ -170,26 +174,22 @@ impl Executor for SimExec {
     // superstep rides the barrier release whose round trip its close
     // already paid for.
     fn superstep(&mut self, record: &Record, step: &mut Stepping) {
-        let q = record.id;
+        let task = record.task.as_ref();
         for &w in &step.involved_cur {
             let worker = &mut self.workers[w];
-            worker.deliver(record.task.as_ref(), q, step.mail[w].input.drain(..));
-            worker.freeze(q);
+            let local = step.locals[w].get_or_insert_with(|| worker.new_local(task));
+            worker.deliver(local.as_mut(), step.mail[w].input.drain(..));
+            local.freeze();
         }
         let admitted = step.out.iterations == 0;
         for &w in step.released().0 {
+            let frozen = frozen(step, w);
             if admitted {
-                self.control_ready(q, w);
+                self.control_ready(record, w, frozen);
             } else {
-                self.task_ready(q, w);
+                self.task_ready(Arc::clone(record), w, frozen);
             }
         }
-    }
-
-    fn collect(&mut self, record: &Record) -> Option<Locals> {
-        let (q, touched) = (record.id, std::mem::take(&mut record.stepping().touched));
-        let locals = touched.into_iter().map(|w| self.workers[w].take_local(q));
-        Some(locals.flatten().collect())
     }
 
     fn complete(&mut self, q: QueryId, output: Envelope) {
@@ -214,13 +214,8 @@ impl Executor for SimExec {
 
     fn publish_partitioning(&mut self, _: &Partitioning, _: u64) {}
 
-    fn scope_report(&mut self) -> Vec<(QueryId, usize, Vec<VertexId>)> {
-        self.workers.iter().flat_map(Worker::scope_report).collect()
-    }
-
-    fn migrate(&mut self, migration: &Migration) -> Vec<(QueryId, usize)> {
-        let gained = migrate::apply_to_workers(migration, &mut self.workers);
-        // The migration lasts as long as the slowest pair's bulk transfer.
+    // The migration lasts as long as the slowest pair's bulk transfer.
+    fn migrate(&mut self, migration: &Migration) {
         self.window_cost += migration
             .per_pair
             .iter()
@@ -230,15 +225,14 @@ impl Executor for SimExec {
             })
             .max()
             .unwrap_or(SimTime::ZERO);
-        gained
     }
+}
 
-    fn pending_report(&mut self) -> Vec<(QueryId, usize)> {
-        self.workers
-            .iter()
-            .flat_map(Worker::pending_report)
-            .collect()
-    }
+/// `(active vertices, messages)` of the query's frozen input on
+/// partition `w`.
+fn frozen(step: &Stepping, w: usize) -> (usize, usize) {
+    let local = step.locals[w].as_ref();
+    local.map_or((0, 0), |l| l.frozen_counts())
 }
 
 impl SimExec {
@@ -248,18 +242,20 @@ impl SimExec {
 
     /// executeQuery(q): a controller → worker dispatch, one control hop
     /// out.
-    fn control_ready(&mut self, q: QueryId, w: usize) {
+    fn control_ready(&mut self, record: &Record, w: usize, frozen: (usize, usize)) {
         let at = self.events.now() + self.cluster.control_cost_to_controller(w);
         self.inflight_ready += 1;
-        self.hb.token_open(q.0, kind::READY);
-        self.events.schedule(at, Event::TaskReady { q, w });
+        self.hb.token_open(record.id.0, kind::READY);
+        let record = Arc::clone(record);
+        self.events
+            .schedule(at, Event::TaskReady { record, w, frozen });
     }
 
-    fn task_ready(&mut self, q: QueryId, w: usize) {
+    fn task_ready(&mut self, record: Record, w: usize, frozen: (usize, usize)) {
         // Pre-frozen supersteps always run — during a STOP barrier they
         // are exactly the in-flight work the barrier drains.
-        self.hb.token_open(q.0, kind::TASK);
-        self.sched[w].queue.push_back(q);
+        self.hb.token_open(record.id.0, kind::TASK);
+        self.sched[w].queue.push_back((record, frozen));
         self.try_start(w);
     }
 
@@ -269,15 +265,14 @@ impl SimExec {
         if self.sched[w].running.is_some() || self.pool_busy >= self.pool_width {
             return;
         }
-        let Some(q) = self.sched[w].queue.pop_front() else {
+        let Some((record, (active, msgs))) = self.sched[w].queue.pop_front() else {
             return;
         };
         let now = self.events.now();
-        let (active, msgs) = self.workers[w].frozen_counts(q);
         let cost = self.cluster.compute.superstep_cost(active, msgs);
-        self.sched[w].running = Some((q, now));
+        self.sched[w].running = Some((record, now));
         self.pool_busy += 1;
-        self.events.schedule(now + cost, Event::TaskDone { q, w });
+        self.events.schedule(now + cost, Event::TaskDone { w });
     }
 
     /// Worker `w`'s pool thread freed up. The thread is not bound to the
@@ -286,8 +281,8 @@ impl SimExec {
     /// affinity-then-steal scan) for the next startable task.
     fn free_worker(&mut self, w: usize) {
         debug_assert!(self.sched[w].running.is_some());
-        if let Some((q, _)) = self.sched[w].running.take() {
-            self.hb.token_close(q.0, kind::TASK);
+        if let Some((record, _)) = self.sched[w].running.take() {
+            self.hb.token_close(record.id.0, kind::TASK);
         }
         self.pool_busy -= 1;
         for w in 0..self.sched.len() {
@@ -474,12 +469,12 @@ impl Runtime for Sim {
                         self.core.admit(&mut self.x, now);
                     }
                 }
-                Event::TaskReady { q, w } => {
+                Event::TaskReady { record, w, frozen } => {
                     self.x.inflight_ready -= 1;
-                    self.x.hb.token_close(q.0, kind::READY);
-                    self.x.task_ready(q, w);
+                    self.x.hb.token_close(record.id.0, kind::READY);
+                    self.x.task_ready(record, w, frozen);
                 }
-                Event::TaskDone { q, w } => self.on_task_done(now, q, w),
+                Event::TaskDone { w } => self.on_task_done(now, w),
                 Event::SendDone { w } => {
                     self.x.free_worker(w);
                     self.maybe_quiesced(now);
@@ -574,23 +569,28 @@ impl Sim {
     // Event handlers that need both the core and the executor
     // ------------------------------------------------------------------
 
-    fn on_task_done(&mut self, now: SimTime, q: QueryId, w: usize) {
+    fn on_task_done(&mut self, now: SimTime, w: usize) {
         let x = &mut self.x;
-        debug_assert_eq!(x.sched[w].running.map(|(running, _)| running), Some(q));
-        let began = x.sched[w].running.map_or(now, |(_, began)| began);
+        let Some((record, began)) = x.sched[w].running.clone() else {
+            panic!("protocol invariant: partition {w} finished a task it was not running");
+        };
+        let q = record.id;
         let st = &self.core.state;
-        let record = self.core.query(q);
-        let (task, mut step) = (record.task.as_ref(), record.stepping());
+        let mut guard = record.stepping();
+        let step = &mut *guard;
         let route = |v: VertexId| st.partitioning.worker_of(v).index();
+        let Some(local) = step.locals[w].as_mut() else {
+            panic!("protocol invariant: {q} runs on partition {w} without a local there");
+        };
         let (stats, agg, remote) =
-            x.workers[w].execute(q, task, &st.topology, &step.agg_prev, &route);
+            x.workers[w].execute(local.as_mut(), &st.topology, &step.agg_prev, &route);
+        let self_pending = local.has_pending();
 
         // Serialization occupies this worker; the wire time then delays
         // the messages further. They wait in the record until the next
         // superstep is released.
         let sent_at = now + x.cluster.network.serialize_cost(stats.remote_deliveries);
         let crossed = !remote.is_empty();
-        let self_pending = x.workers[w].has_pending(q);
         for (w2, batch) in &remote {
             let arrival = sent_at + x.cluster.message_cost(w, *w2, batch.len());
             x.msg_arrival[q.index()] = x.msg_arrival[q.index()].max(arrival);
@@ -600,9 +600,9 @@ impl Sim {
         if let Some(w2) = step.next_deferred() {
             x.tracer
                 .defer_release(now.as_secs_f64(), w as u32, u64::from(q.0), w2 as u32);
-            x.control_ready(q, w2);
+            x.control_ready(&record, w2, frozen(step, w2));
         }
-        drop(step);
+        drop(guard);
         let (lane, id) = (w as u32, u64::from(q.0));
         x.tracer.task_span(
             began.as_secs_f64(),

@@ -42,26 +42,26 @@
 //! coordinator → partition edge taken under the context lock, and sets
 //! the version the partition holds.
 //!
-//! Since Steps and Collects travel lane to lane, two more edges are
-//! stamped. A **lane-to-lane hand-off** ([`Hb::lane_send_step`]) is a
-//! command-channel send whose snapshot is the sending partition's clock,
-//! not the coordinator's: a held-back Step a finishing Step releases, the
-//! next superstep's Steps a closing Step releases, the Collects of a
-//! query a closing Step terminated. The command queues then have several
-//! producers, and a snapshot is queued a moment before its command: two
-//! racing producers can queue them in opposite orders, which delays a
-//! join by one command but cannot lose one. A **superstep record** is a
-//! sync object per query: every member Step's fold joins its clock in
-//! ([`Hb::record_join`]) and the last finisher takes the lot
+//! Since Steps travel lane to lane, two more edges are stamped. A
+//! **lane-to-lane hand-off** ([`Hb::lane_send_step`]) is a command-channel
+//! send whose snapshot is the sending partition's clock, not the
+//! coordinator's: a held-back Step a finishing Step releases, or the next
+//! superstep's Steps a closing Step releases. The command queues then
+//! have several producers, and a snapshot is queued a moment before its
+//! command: two racing producers can queue them in opposite orders, which
+//! delays a join by one command but cannot lose one. A **superstep
+//! record** is a sync object per query: every member Step's fold joins
+//! its clock in ([`Hb::record_join`]) and the last finisher takes the lot
 //! ([`Hb::record_close`]) as it closes the superstep, so the next
-//! superstep's Steps it releases — or its one message to the coordinator —
-//! are ordered after every member; a query's Collects use the record the
-//! same way. The messages a superstep sends need no edge of their own: a
+//! superstep's Steps it releases — or its one message to the coordinator,
+//! a park or a termination — are ordered after every member. The messages
+//! a superstep sends and the query's locals need no edge of their own: a
 //! Step puts them into the query's record under the lock it folds under,
 //! before its join, and only Steps of the next superstep take them, which
-//! the closer's sends — or the coordinator's, after admission or a park —
-//! order after that close. One `STEP` token per involved partition is
-//! opened as a superstep begins ([`Hb::send_step`] for the released at
+//! the closer's sends order after that close — or the coordinator, after
+//! the closer's message (it finalizes a terminated query's locals, and a
+//! window moves a parked one's). One `STEP` token per involved partition
+//! is opened as a superstep begins ([`Hb::send_step`] for the released at
 //! the core's dispatch, [`Hb::token_open`] for the rest) and closed as its
 //! lane finishes the Step: after the fold and whatever the fold released,
 //! so a query on the lanes always holds an open token.
@@ -69,12 +69,11 @@
 /// Dispatch-token kinds (what kind of in-flight work a token stands
 /// for). `READY` is a scheduled-but-undelivered sim dispatch
 /// (`Event::TaskReady`); `TASK` a superstep occupying a sim worker;
-/// `STEP`/`COLLECT` the thread runtime's in-flight worker commands.
+/// `STEP` the thread runtime's in-flight worker command.
 pub(crate) mod kind {
     pub const READY: u8 = 0;
     pub const TASK: u8 = 1;
     pub const STEP: u8 = 2;
-    pub const COLLECT: u8 = 3;
 
     #[cfg_attr(not(feature = "check-hb"), allow(dead_code))]
     pub fn name(k: u8) -> &'static str {
@@ -82,7 +81,6 @@ pub(crate) mod kind {
             READY => "TaskReady dispatch",
             TASK => "superstep task",
             STEP => "worker Step command",
-            COLLECT => "worker Collect command",
             _ => "work",
         }
     }
@@ -392,12 +390,6 @@ mod imp {
             self.send_entry(0, w);
         }
 
-        /// A `Collect` dispatch to worker `w`: channel edge + work token.
-        pub fn send_collect(&self, q: u32, w: usize) {
-            self.token_open(q, kind::COLLECT);
-            self.send_entry(0, w);
-        }
-
         /// `actor` queues a command for worker `w`.
         fn send_entry(&self, actor: usize, w: usize) {
             let mut s = self.lock();
@@ -406,9 +398,9 @@ mod imp {
         }
 
         /// Worker `from` pushes a command to worker `to` itself — a
-        /// held-back Step, the next superstep's, or a Collect: a
-        /// command-channel edge from a worker actor. (The command's token
-        /// is opened by the caller.)
+        /// held-back Step or the next superstep's: a command-channel edge
+        /// from a worker actor. (The command's token is opened by the
+        /// caller.)
         pub fn lane_send_step(&self, from: usize, to: usize) {
             self.send_entry(1 + from, to);
         }
@@ -603,8 +595,6 @@ mod imp {
         pub fn install_partitioning(&self, _w: usize, _version: u64) {}
         #[inline(always)]
         pub fn send_step(&self, _q: u32, _w: usize) {}
-        #[inline(always)]
-        pub fn send_collect(&self, _q: u32, _w: usize) {}
         #[inline(always)]
         pub fn lane_send_step(&self, _from: usize, _to: usize) {}
         #[inline(always)]

@@ -56,7 +56,7 @@ use std::thread;
 /// off its affine thread, and how often threads found nothing runnable.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Commands executed (every Step and every Collect is one).
+    /// Commands executed (every Step is one).
     pub tasks: u64,
     /// Commands executed by a thread the partition is not affine to.
     pub steals: u64,

@@ -1,6 +1,6 @@
 //! Shared [`MovePlan`] application: resolving scope-granularity move
 //! requests into concrete vertex transfers and replaying them on a
-//! partitioning and on worker state.
+//! partitioning and on the queries' state.
 //!
 //! Both runtimes repartition through this module. The *decision* of what
 //! moves where is pure and runtime-agnostic ([`resolve_plan`]): it turns
@@ -8,26 +8,24 @@
 //! vertex sets, enforcing the system invariant that a vertex moves at most
 //! once per plan (overlapping scopes assigned to different destinations
 //! must not ping-pong their shared vertices). The *data plumbing* is one
-//! path too: inside the stop-the-world window no partition computes, so
-//! [`apply_to_workers`] hands each move's vertices from the source
-//! worker to the destination directly ([`Worker::move_vertices`]) —
-//! [`SimEngine`](crate::SimEngine) on the workers it owns,
-//! [`ThreadEngine`](crate::ThreadEngine) on the ones it holds locked in
-//! the partition contexts — on both, after the core delivered every live
-//! query's pending input from its record into the partitions.
+//! path too: a query's state lives in its record, one local per partition
+//! (`coord::Stepping::locals`), and inside the stop-the-world window every
+//! local is at rest there. So `transfer` is a pass over the records: per
+//! move, every query's data on the move's vertices leaves its local on the
+//! source for its local on the destination — no partition is touched, on
+//! either runtime, after the core delivered every live query's pending
+//! input from its record into its own locals.
 //!
 //! Ownership flips afterwards in one [`commit`] call, so routing state and
-//! worker data can never disagree mid-plan.
-
-use std::borrow::BorrowMut;
+//! query data can never disagree mid-plan.
 
 use rustc_hash::FxHashSet;
 
 use qgraph_graph::VertexId;
 use qgraph_partition::{Partitioning, WorkerId};
 
+use crate::coord::Record;
 use crate::query::QueryId;
-use crate::worker::Worker;
 
 use super::MovePlan;
 
@@ -137,7 +135,8 @@ pub fn commit(migration: &Migration, partitioning: &mut Partitioning) {
 /// locality before, data `transfer`, ownership [`commit`], locality after
 /// — and return `(locality_before, locality_after)`. The core's window
 /// routes every migration through this, so the measurement protocol is
-/// written once; `transfer` is the executor's [`apply_to_workers`] call.
+/// written once; the window's `transfer` moves the data (this module's
+/// `transfer`) and prices it.
 pub fn apply_measured(
     migration: &Migration,
     partitioning: &mut Partitioning,
@@ -151,27 +150,29 @@ pub fn apply_measured(
     (locality_before, locality_after)
 }
 
-/// Apply the resolved transfers to the workers, indexed by partition:
-/// every query's data on the moved vertices — vertex state *and* pending
-/// next-superstep messages — is extracted from the source worker and
-/// injected into the destination. The workers must be quiescent (no
-/// frozen superstep in flight): the simulation owns them, the thread
-/// runtime passes them out of the partition contexts it holds locked.
-/// Returns the `(query, destination)` pairs that gained state.
-pub fn apply_to_workers<W: BorrowMut<Worker>>(
+/// Apply the resolved transfers to the `records`, given in query id
+/// order: move by move, every query's data on the moved vertices — vertex
+/// state *and* pending next-superstep messages — is extracted from its
+/// local on the source partition and injected into its local on the
+/// destination, made from its task (`combiners` gating the combiner) when
+/// it has none there yet. Every local must be at rest with no frozen
+/// superstep in it, which the window guarantees.
+pub(crate) fn transfer<'a>(
     migration: &Migration,
-    workers: &mut [W],
-) -> Vec<(QueryId, usize)> {
-    let mut gained = Vec::new();
+    records: impl Iterator<Item = &'a Record> + Clone,
+    combiners: bool,
+) {
     for mv in &migration.moves {
         let set: FxHashSet<VertexId> = mv.vertices.iter().copied().collect();
-        let [from, to] = workers
-            .get_disjoint_mut([mv.from, mv.to])
-            .expect("a move joins two distinct partitions");
-        let moved = from.borrow_mut().move_vertices(to.borrow_mut(), &set);
-        gained.extend(moved.into_iter().map(|q| (q, mv.to)));
+        for record in records.clone() {
+            let locals = &mut record.stepping().locals;
+            let Some(data) = locals[mv.from].as_mut().and_then(|l| l.extract(&set)) else {
+                continue;
+            };
+            let to = locals[mv.to].get_or_insert_with(|| record.task.new_local(combiners));
+            to.inject(data);
+        }
     }
-    gained
 }
 
 /// Scope-weighted locality of the given query scopes under `partitioning`:
@@ -206,10 +207,16 @@ pub fn scope_locality(scopes: &[(QueryId, &[VertexId])], partitioning: &Partitio
 
 #[cfg(test)]
 mod tests {
+    use std::sync::{Arc, Mutex};
+
+    use qgraph_graph::Topology;
+
     use super::*;
-    use crate::programs::ReachProgram;
+    use crate::coord::Query;
+    use crate::program::{Context, VertexProgram};
     use crate::qcut::ScopeMove;
     use crate::task::{QueryTask, TypedTask};
+    use crate::worker::Moved;
 
     fn part(assign: &[u32], k: usize) -> Partitioning {
         Partitioning::new(assign.iter().map(|&w| WorkerId(w)).collect(), k)
@@ -304,42 +311,110 @@ mod tests {
         assert_eq!(p.sizes().iter().sum::<usize>(), 3, "no vertex lost");
     }
 
-    #[test]
-    fn apply_to_workers_conserves_query_data() {
-        // Build real worker state (vertex 0 has state, vertex 1 a pending
-        // message), migrate both vertices, and check nothing is lost,
-        // duplicated, or left behind.
-        let mut b = qgraph_graph::GraphBuilder::new(3);
-        b.add_edge(0, 1, 1.0);
-        let g = qgraph_graph::Topology::new(b.build());
-        let task = TypedTask::new(ReachProgram::new(VertexId(0)));
-        let q = QueryId(0);
-        let mut workers = vec![Worker::new(0, true), Worker::new(1, true)];
-        workers[0].deliver(&task, q, [task.batch_for_test(vec![(VertexId(0), 0)])]);
-        workers[0].freeze(q);
-        let prev = task.aggregate_identity();
-        workers[0].execute(q, &task, &g, &prev, &|_| 0);
-        // The worker's scope report: its one query's live scope vertices.
-        let scope =
-            |w: &Worker| -> Vec<VertexId> { w.scope_report().flat_map(|(_, _, vs)| vs).collect() };
-        assert_eq!(scope(&workers[0]), vids(&[0]));
-        assert!(workers[0].has_pending(q));
+    /// A program whose combiner declines every merge and logs each offer
+    /// as `(tag, message)`. With combiners on, an inject offers each of a
+    /// vertex's pending messages after its first, so the log orders the
+    /// injects across queries.
+    struct Tagged {
+        tag: u32,
+        offers: Arc<Mutex<Vec<(u32, u32)>>>,
+    }
 
+    impl VertexProgram for Tagged {
+        type State = u32;
+        type Message = u32;
+        type Aggregate = ();
+        type Output = ();
+        fn init_state(&self) -> u32 {
+            0
+        }
+        fn aggregate_identity(&self) {}
+        fn aggregate_combine(&self, _: &mut (), _: &()) {}
+        fn combine(&self, _: &mut u32, other: &u32) -> bool {
+            self.offers.lock().unwrap().push((self.tag, *other));
+            false
+        }
+        fn initial_messages(&self, _: &Topology) -> Vec<(VertexId, u32)> {
+            Vec::new()
+        }
+        fn compute(
+            &self,
+            _: &Topology,
+            _: VertexId,
+            _: &mut u32,
+            _: &[u32],
+            _: &mut Context<'_, u32, ()>,
+        ) {
+        }
+        fn finalize(&self, _: &Topology, _: &mut dyn Iterator<Item = (VertexId, u32)>) {}
+    }
+
+    #[test]
+    fn transfer_conserves_query_data_move_by_move_then_by_query_id() {
+        // Queries 0 and 1 each hold vertex 0 on partition 0 and vertex 1
+        // on partition 1: a state and two pending messages each. Two moves
+        // send both vertices to partition 2.
+        let offers = Arc::new(Mutex::new(Vec::new()));
+        let records: Vec<Record> = (0..2)
+            .map(|tag| {
+                let program = Tagged {
+                    tag,
+                    offers: Arc::clone(&offers),
+                };
+                let task: Arc<dyn QueryTask> = Arc::new(TypedTask::new(program));
+                let record = Query::new(QueryId(tag), task, Default::default(), 1, 3);
+                for w in 0..2 {
+                    let mut local = record.task.new_local(true);
+                    let held: Moved<Tagged> =
+                        vec![(VertexId(w), Some(tag), vec![10 * w, 10 * w + 1])];
+                    local.inject(Box::new(held));
+                    record.stepping().locals[w as usize] = Some(local);
+                }
+                record
+            })
+            .collect();
+        offers.lock().unwrap().clear();
         let m = Migration {
-            moves: vec![VertexMove {
-                query: q,
-                from: 0,
-                to: 1,
-                vertices: vids(&[0, 1]),
-            }],
+            moves: vec![
+                VertexMove {
+                    query: QueryId(0),
+                    from: 0,
+                    to: 2,
+                    vertices: vids(&[0]),
+                },
+                VertexMove {
+                    query: QueryId(1),
+                    from: 1,
+                    to: 2,
+                    vertices: vids(&[1]),
+                },
+            ],
             moved_vertices: 2,
-            per_pair: vec![(0, 1, 2)],
+            per_pair: vec![(0, 2, 1), (1, 2, 1)],
         };
-        apply_to_workers(&m, &mut workers);
-        assert_eq!(scope(&workers[0]), vec![], "source fully drained");
-        assert!(!workers[0].has_pending(q));
-        assert_eq!(scope(&workers[1]), vids(&[0]), "state conserved");
-        assert!(workers[1].has_pending(q), "inbox migrated with the vertex");
+        transfer(&m, records.iter(), true);
+        // Move by move, and within a move query by query, in id order:
+        // each query's data moves whichever query the move was planned for.
+        let order = vec![(0, 1), (1, 1), (0, 11), (1, 11)];
+        assert_eq!(*offers.lock().unwrap(), order);
+        for record in &records {
+            let mut step = record.stepping();
+            for w in 0..2 {
+                let source = step.locals[w].as_ref().expect("left in place");
+                assert_eq!((source.scope_size(), source.has_pending()), (0, false));
+            }
+            let gained = step.locals[2].as_mut().expect("made from the task");
+            let mut scope = Vec::new();
+            gained.for_each_scope_vertex(&mut |v| scope.push(v));
+            scope.sort_unstable();
+            assert_eq!(scope, vids(&[0, 1]), "{}: state conserved", record.id);
+            assert_eq!(
+                gained.freeze(),
+                (2, 4),
+                "{}: inboxes moved along",
+                record.id
+            );
+        }
     }
 
     #[test]

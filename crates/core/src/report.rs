@@ -92,9 +92,8 @@ pub struct PoolCounters {
     pub threads: usize,
     /// Per-(query, partition) superstep executions — the sum of
     /// [`QueryOutcome::tasks`] over the traversed queries, on both
-    /// runtimes. Not pool commands: a Collect is not counted, and a
-    /// thread-runtime Step that closes `n` further local supersteps on its
-    /// lane counts `1 + n`.
+    /// runtimes. Not pool commands: a thread-runtime Step that closes `n`
+    /// further local supersteps on its lane counts `1 + n`.
     pub tasks: u64,
     /// Tasks a thread executed off its affine partition (thread runtime
     /// only).
@@ -550,8 +549,8 @@ mod tests {
         t.task_span(1.4, 1.5, 0, 0, 0, CmdKind::Step, false, 20);
         t.task_span(0.0, 0.1, 0, 0, 0, CmdKind::Step, false, 10);
         t.task_span(0.1, 0.2, 1, 1, 1, CmdKind::Step, false, 10);
-        // A collect's span carries no vertex updates and is not read.
-        t.task_span(1.5, 1.6, 1, 1, 1, CmdKind::Collect, false, 0);
+        // A span that is not a Step's is not read.
+        t.task_span(1.5, 1.6, 1, 1, 1, CmdKind::Other, false, 0);
         let mut r = EngineReport::default();
         r.trace.absorb(&t);
         let s = r.imbalance_series(2, 1.0);

@@ -10,76 +10,79 @@
 //!
 //! ## Morsel-style elastic execution
 //!
-//! Partitions are *logical actors*, not threads. Each partition's state —
-//! vertex values, inboxes, Q-cut scope — lives in a `WorkerCtx`, and
-//! every dispatch the core emits for a partition becomes one `Cmd` task
+//! Partitions are *logical actors*, not threads. Each partition's own
+//! state — its batch pool and combine scratch, its view of the published
+//! topology and assignment — lives in a `WorkerCtx`; a query's vertex
+//! values, inboxes and scope there live in the query's record (see
+//! `coord`). Every Step of a superstep on a partition is one `Cmd` task
 //! in a shared [`TaskPool`] drawn by [`SystemConfig::pool_threads`] OS
 //! threads (default: one per partition, the fixed-partition baseline). The
 //! pool serializes tasks per partition, so partition ownership still
-//! governs *state placement*, while *compute* is elastic: one thread can
-//! drain many partitions, and many threads can race through one query's
+//! governs *placement*, while *compute* is elastic: one thread can drain
+//! many partitions, and many threads can race through one query's
 //! superstep. A query the core dispatches stays on the lanes until it
 //! terminates or parks, and then answers once on the coordinator channel
-//! (`Resp`), as does a collect the core issues itself; the count of
-//! those still unanswered is this executor's definition of quiescence.
+//! (`Resp`); the count of queries still unanswered is this executor's
+//! definition of quiescence.
 //!
 //! ## Messages stay on the lanes
 //!
 //! No message of a running query crosses the coordinator: a superstep's
 //! input lives in its query's record (see `coord`). A Step of superstep
-//! `n` takes its partition's input out of the record into the worker
-//! inbox and seals it, and its fold puts every remote batch into the
+//! `n` takes its partition's input and its partition's local out of the
+//! record under one lock, delivers the input into the local's inbox and
+//! seals it; its fold puts the local back and every remote batch into the
 //! record's input for `n + 1`, under the lock it folds under — so a
 //! partition of superstep `n` that runs late (deferred by the DoP budget)
-//! cannot see this superstep's output, whenever it runs. Admission puts
-//! the initial batches into the record, mail left by a query its
-//! aggregate terminated goes with the record, and a window that migrates
-//! has the core deliver every live record's pending input into the
-//! partitions first.
+//! cannot see this superstep's output, whenever it runs, and every local
+//! is at rest in the record at every close. Admission puts the initial
+//! batches into the record, mail left by a query its aggregate terminated
+//! goes with the record, and a window that migrates has the core deliver
+//! every live record's pending input into that record's locals first.
 //!
 //! Taking trades buffers: the Step swaps the record's vector with the
 //! empty one the `WorkerCtx` owns, so the record keeps a buffer the next
-//! superstep's sends fill, and a Step's whole take is delivered under one
-//! lookup of the query's local ([`Worker::deliver`]). Together with the
-//! batch buffers that circulate through each partition's pool (see
-//! [`crate::worker`]), a steady-state Step puts, takes and delivers
-//! without touching the allocator, and a collect hands the coordinator
-//! locals that hold no batch buffer to free.
+//! superstep's sends fill ([`Worker::deliver`] delivers the whole take).
+//! Together with the batch buffers that circulate through each
+//! partition's pool (see [`crate::worker`]), a steady-state Step puts,
+//! takes and delivers without touching the allocator, and a finished
+//! query's locals hold no batch buffer for the coordinator to free.
 //!
 //! ## Lanes close every superstep
 //!
 //! The core dispatches a query's first superstep (and a parked query's
 //! next) with its record — the core's one `Query` per admitted query: id,
-//! task and superstep state behind one lock — and from then on the lanes
-//! drive it. Every `Step` and `Collect` carries the record: the lane that
+//! task, superstep state, mail and locals behind one lock — and from then
+//! on the lanes drive it. Every `Step` carries the record: the lane that
 //! finishes a Step folds its report in (`Stepping::fold`) and pushes the
 //! next held-back partition's Step itself, and the last finisher closes
 //! the superstep (`Stepping::close`, the simulation's close too) and,
 //! under the same lock, begins the next one and pushes its first `dop`
-//! Steps — or hands the query back to park when the park flag is up, or
-//! pushes a terminated query's `Collect`s, which the record counts down
-//! while it gathers their locals; the last sends them all to the
-//! coordinator in one message. A Q-cut check is due from an instant the
-//! coordinator publishes (the last plan's due instant plus the core's
-//! paced wait): the lane that closes a superstep at or after it takes it
-//! and sends one `Tick`. A local superstep — one partition, nothing sent
-//! away — that goes on is begun in place: the record holds no input for
-//! it, so the lane seals its inbox and executes again, up to
+//! Steps — or hands the query back to park when the park flag is up, or,
+//! when the query terminated, sends the coordinator its one
+//! `Resp::Terminated`: the locals are all in the record, and the
+//! coordinator finalizes over them (`Coordinator::finish`) with no further
+//! pool command. A Q-cut check is due from an instant the coordinator
+//! publishes (the last plan's due instant plus the core's paced wait): the
+//! lane that closes a superstep at or after it takes it and sends one
+//! `Tick`. A local superstep — one partition, nothing sent away — that
+//! goes on is begun in place: the record holds no input for it, so the
+//! lane takes its local again, seals its inbox and executes again, up to
 //! `LOCAL_QUANTUM` = 4 times per `Step` (the paper's communication-free
 //! local barrier, §3.3).
 //!
-//! ## The window touches quiescent partitions directly
+//! ## The window works on the records
 //!
-//! A stop-the-world window opens only when no query is on the lanes and
-//! no collect is unanswered, so no lane computes until it ends. The
-//! coordinator then locks each partition's `WorkerCtx` itself, in
-//! partition order, and makes the simulation's [`Worker`] calls — the
-//! records' pending input delivered, `Worker::scope_report`,
-//! [`migrate::apply_to_workers`], `Worker::pending_report` — and installs a new `Arc<Topology>` /
-//! `Arc<Partitioning>` into every context before anything resumes. A lane
-//! releases its context before it answers, so a window never waits on a
-//! lane's epilogue. Outside a window the coordinator locks a context only
-//! for the Q-cut trigger's scope read, one at a time.
+//! A stop-the-world window opens only when no query is on the lanes, so
+//! no lane computes until it ends and every local is at rest in its
+//! record. The core reads the scopes, delivers the pending input and
+//! migrates there (see `coord`); this executor's part is to install a new
+//! `Arc<Topology>` / `Arc<Partitioning>` into every partition's
+//! `WorkerCtx` — the only time the coordinator locks one — before
+//! anything resumes. A lane releases its context before it answers, so a
+//! window never waits on a lane's epilogue. The Q-cut trigger's scope read
+//! outside a window locks records, not contexts: it skips a local a
+//! running Step holds, and so never waits on a lane.
 //!
 //! ## Streaming submission and the serving loop
 //!
@@ -96,16 +99,16 @@
 //!   its type-erased task down the same channel the pool answers on; the
 //!   coordinator stamps the arrival time and hands both to the core, which
 //!   holds the task until the query completes — nothing else keeps it;
-//! * a `Resp::Tick` — and, while a check is due, a query's collect,
-//!   which brings its scope — runs the core's one Q-cut trigger
-//!   (`Coordinator::trigger`) on the session clock: μ is session
-//!   wall-clock seconds here, and the ILS budget is not read; a hit reads
-//!   the scopes while the lanes compute, locking one context at a time,
-//!   runs the ILS on this turn and makes its plan due as the ILS returns
-//!   (`Coordinator::plan_due`) — a plan that moves nothing opens no
-//!   window. The core paces the next check from the instants this
-//!   executor reports (see `coord`): what the scope statistics
-//!   and the ILS took, plus the window's own duration;
+//! * a `Resp::Tick` — and, while a check is due, a query's termination,
+//!   whose scope the core retains as it finishes the query — runs the
+//!   core's one Q-cut trigger (`Coordinator::trigger`) on the session
+//!   clock: μ is session wall-clock seconds here, and the ILS budget is
+//!   not read; a hit reads the scopes from the records while the lanes
+//!   compute, runs the ILS on this turn and makes its plan due as the
+//!   ILS returns (`Coordinator::plan_due`) — a plan that moves nothing
+//!   opens no window. The core paces the next check from the instants
+//!   this executor reports (see `coord`): what the scope statistics and
+//!   the ILS took, plus the window's own duration;
 //! * a lane that panics says so as it unwinds, and stopping the pool
 //!   re-raises the panic through `drain`;
 //! * the window reads nothing from the channel: a client message sent
@@ -138,14 +141,12 @@ use crate::api::{Engine, Runtime};
 use crate::barrier;
 use crate::config::SystemConfig;
 use crate::controller::Controller;
-use crate::coord::{
-    Close, Coordinator, EngineState, Executor, Locals, Record, StepReport, Stepping,
-};
+use crate::coord::{Close, Coordinator, EngineState, Executor, Record, StepReport, Stepping};
 use crate::hb::{kind, Hb};
 use crate::index_plane::PointIndex;
 use crate::pool::TaskPool;
 use crate::program::VertexProgram;
-use crate::qcut::{migrate, Migration};
+use crate::qcut::Migration;
 use crate::query::{QueryHandle, QueryId};
 use crate::report::{EngineReport, PoolCounters};
 use crate::sched::check_submission;
@@ -168,16 +169,12 @@ struct Partition {
     executed: AtomicU64,
 }
 
-enum Cmd {
-    /// Execute the query's current superstep here and fold it into its
-    /// record (see the module docs).
-    Step {
-        /// This Step's copy of the aggregate the superstep reads.
-        prev_agg: Envelope,
-        record: Record,
-    },
-    /// Hand the terminated query's local state here to its collect.
-    Collect(Record),
+/// The one pool command, a `Step`: execute the query's current superstep
+/// here and fold it into its record (see the module docs).
+struct Cmd {
+    /// This Step's copy of the aggregate the superstep reads.
+    prev_agg: Envelope,
+    record: Record,
 }
 
 /// How many supersteps a lane begins in place per `Step` command (so one
@@ -212,8 +209,8 @@ const LOCAL_QUANTUM: u32 = 4;
 enum Resp {
     /// Query `q` closed a superstep while a window was wanted.
     Parked(QueryId),
-    /// Query `q` terminated: every partition's local.
-    Collected { q: QueryId, locals: Locals },
+    /// Query `q` terminated: its locals are all at rest in its record.
+    Terminated(QueryId),
     /// A superstep closed at or after the published Q-cut check instant.
     Tick,
     /// A lane is unwinding from a panic.
@@ -441,9 +438,9 @@ impl Engine<Threads> {
     }
 
     /// Test-only hook: re-introduce the historical bug where the
-    /// stop-the-world barrier opened its quiesce window while one
-    /// Step/Collect was still outstanding (the coordinator treats a
-    /// single in-flight op as "quiescent"). The `check-hb` auditor must
+    /// stop-the-world barrier opened its quiesce window while one query
+    /// was still on the lanes (the coordinator treats a single in-flight
+    /// op as "quiescent"). The `check-hb` auditor must
     /// flag that dispatch-inside-quiesce race deterministically; the
     /// regression test in `tests/` keeps it that way.
     #[cfg(feature = "check-hb")]
@@ -599,8 +596,8 @@ impl Threads {
         let core = Coordinator::new(state, self.cfg.clone(), hb.clone(), tracer.clone());
         // Partition state stays partition-owned: one context per logical
         // worker, locked by whichever pool thread draws that partition's
-        // next command — or, inside a window, by the coordinator — so the
-        // lock only moves the state between threads.
+        // next command — or, inside a window, by the coordinator installing
+        // a publication — so the lock only moves the state between threads.
         let shared_parts = Arc::new(self.state.partitioning.clone());
         let shared_topology = Arc::new(self.state.topology.clone());
         let combiners = self.cfg.combiners;
@@ -716,14 +713,14 @@ impl Drop for Threads {
     }
 }
 
-/// The `TaskPool` executor: turns the core's superstep and collect
-/// dispatches into pool commands and channel traffic, and works a window
-/// on the quiescent partitions directly. All of the session's measurement
-/// state lives in the core it serves and leaves it at each hand-over.
+/// The `TaskPool` executor: turns the core's superstep dispatches into
+/// pool commands and channel traffic, and installs a window's
+/// publications into the quiescent partitions. All of the session's
+/// measurement state lives in the core it serves and leaves it at each
+/// hand-over.
 struct PoolExec {
     pool: TaskPool<Cmd>,
-    /// The partitions: a window and the trigger's scope read lock their
-    /// contexts.
+    /// The partitions: a window's installs lock their contexts.
     parts: Arc<Vec<Partition>>,
     signals: Arc<Signals>,
     /// The check instant last published; a lane that takes it swaps in
@@ -733,8 +730,8 @@ struct PoolExec {
     /// Outputs of finished queries, until the next hand-over.
     finished: Vec<(QueryId, Envelope)>,
     /// Happens-before auditor (no-op unless `check-hb`): stamps the
-    /// command/response channel edges, the Step/Collect tokens and the
-    /// window's installs.
+    /// command/response channel edges, the Step tokens and the window's
+    /// installs.
     hb: Hb,
     /// Structured event recorder (no-op unless `SystemConfig::trace`); the
     /// pool threads hold clones of the same recorder and stamp off the
@@ -742,9 +739,8 @@ struct PoolExec {
     tracer: Tracer,
     /// The session time base shared with every pool thread.
     clock: Clock,
-    /// Queries on the lanes and collects the core issued, each owing the
-    /// coordinator one message: zero while a window is wanted means the
-    /// partitions are quiescent.
+    /// Queries on the lanes, each owing the coordinator one message: zero
+    /// while a window is wanted means the partitions are quiescent.
     inflight_ops: usize,
     /// The pool counters the report carried into the session: this
     /// session's `TaskPool` counts from zero on top of them.
@@ -841,12 +837,6 @@ impl Executor for PoolExec {
         self.clock.now()
     }
 
-    fn deliver(&mut self, q: QueryId, w: usize, task: &dyn QueryTask, batches: Vec<MessageBatch>) {
-        lock_ctx(&self.parts[w].ctx)
-            .worker
-            .deliver(task, q, batches);
-    }
-
     // The query goes onto the lanes until it terminates or parks.
     fn superstep(&mut self, record: &Record, step: &mut Stepping) {
         self.inflight_ops += 1;
@@ -854,17 +844,6 @@ impl Executor for PoolExec {
         self.traffic.dispatched.fetch_add(1, Ordering::Relaxed);
         let push = |w, cmd| self.pool.push(w, cmd);
         launch(&push, &self.hb, None, record, step);
-    }
-
-    fn collect(&mut self, record: &Record) -> Option<Locals> {
-        let mut step = record.stepping();
-        if step.touched.is_empty() {
-            return Some(Vec::new());
-        }
-        let push = |w, cmd| self.pool.push(w, cmd);
-        gather(&push, &self.hb, None, record, &mut step);
-        self.inflight_ops += 1;
-        None
     }
 
     fn complete(&mut self, q: QueryId, output: Envelope) {
@@ -895,29 +874,9 @@ impl Executor for PoolExec {
         }
     }
 
-    // Also read at the trigger, while lanes compute: one context at a
-    // time, so a lane (which holds only its own) never waits on a cycle.
-    fn scope_report(&mut self) -> Vec<(QueryId, usize, Vec<VertexId>)> {
-        let read = |p: &Partition| {
-            let ctx = lock_ctx(&p.ctx);
-            ctx.worker.scope_report().collect::<Vec<_>>()
-        };
-        self.parts.iter().flat_map(read).collect()
-    }
-
-    fn migrate(&mut self, migration: &Migration) -> Vec<(QueryId, usize)> {
-        let mut contexts = self.contexts();
-        let mut workers: Vec<&mut Worker> = contexts.iter_mut().map(|c| &mut c.worker).collect();
-        migrate::apply_to_workers(migration, &mut workers)
-    }
-
-    fn pending_report(&mut self) -> Vec<(QueryId, usize)> {
-        let contexts = self.contexts();
-        contexts
-            .iter()
-            .flat_map(|c| c.worker.pending_report())
-            .collect()
-    }
+    // The core moved the data between the records' locals; the window's
+    // wall-clock duration is its price.
+    fn migrate(&mut self, _: &Migration) {}
 }
 
 /// The serving loop: feeds the core from the one channel that carries
@@ -935,7 +894,7 @@ fn serve(mut core: Coordinator, mut x: PoolExec) -> Stopped {
         x.publish(&core);
         // Stop-the-world window — mutation epochs and/or Q-cut — once the
         // lanes have handed back every query (each is then parked at its
-        // barrier, or collected). The auditor's window opens before any
+        // barrier, or finished). The auditor's window opens before any
         // partition is touched.
         if core.paused() && x.inflight_ops <= x.quiesce_at {
             core.window_open(&x);
@@ -979,11 +938,12 @@ fn serve(mut core: Coordinator, mut x: PoolExec) -> Stopped {
                 x.answered();
                 core.release(&mut x, q, now);
             }
-            CoordMsg::Worker(Resp::Collected { q, locals }) => {
+            CoordMsg::Worker(Resp::Terminated(q)) => {
                 x.answered();
-                core.collected(&mut x, q, locals, now);
-                // A query's last close is heard here, with its scope: a
-                // due check sees it, as the simulation's does.
+                core.finish(&mut x, q, now);
+                // A query's last close is heard here, its scope retained
+                // as it finished: a due check sees it, as the simulation's
+                // does.
                 if now >= core.next_check() {
                     x.check(&mut core, now);
                 }
@@ -1027,14 +987,13 @@ fn serve(mut core: Coordinator, mut x: PoolExec) -> Stopped {
 }
 
 /// The partition-owned state a pool task operates on: the logical
-/// actor's [`Worker`] (vertex values, inboxes, Q-cut scope) plus its view
+/// actor's [`Worker`] (its batch pool and combine scratch) plus its view
 /// of the published topology and assignment. Placement stays fixed to the
-/// partition — only *compute* is elastic — so everything that used to be
-/// a dedicated worker thread's locals lives here, and whichever pool
-/// thread draws the partition's next command locks it; inside a window the
-/// coordinator does, and at the Q-cut trigger it reads the scopes under
-/// it. The pool serializes commands per partition and a window opens only
-/// at quiescence, so the lock exists to move the state between threads.
+/// partition — only *compute* is elastic — so whichever pool thread draws
+/// the partition's next command locks it; inside a window the coordinator
+/// does, to install what was published. The pool serializes commands per
+/// partition and a window opens only at quiescence, so the lock exists to
+/// move the state between threads.
 struct WorkerCtx {
     worker: Worker,
     topology: Arc<Topology>,
@@ -1064,7 +1023,7 @@ fn launch(
                 hb.lane_send_step(from, w);
             }
         }
-        let cmd = Cmd::Step {
+        let cmd = Cmd {
             prev_agg: record.task.clone_aggregate(&step.agg_prev),
             record: Arc::clone(record),
         };
@@ -1072,32 +1031,6 @@ fn launch(
     }
     for _ in held_back {
         hb.token_open(q, kind::STEP);
-    }
-}
-
-/// Push a `Collect` of the terminated query to every partition it touched
-/// (the record's `touched`, non-empty, which this takes) and count them
-/// down from there; `from` as for [`launch`].
-fn gather(
-    push: &dyn Fn(usize, Cmd),
-    hb: &Hb,
-    from: Option<usize>,
-    record: &Record,
-    step: &mut Stepping,
-) {
-    let q = record.id.0;
-    let touched = std::mem::take(&mut step.touched);
-    step.outstanding = touched.len();
-    step.locals.reserve(touched.len());
-    for w in touched {
-        match from {
-            None => hb.send_collect(q, w),
-            Some(from) => {
-                hb.token_open(q, kind::COLLECT);
-                hb.lane_send_step(from, w);
-            }
-        }
-        push(w, Cmd::Collect(Arc::clone(record)));
     }
 }
 
@@ -1128,9 +1061,9 @@ impl Drop for Unwind<'_> {
 }
 
 impl Lane {
-    /// One pool task: pool thread `tid` executes a single command against
-    /// partition `w`'s state; `push` enqueues further commands from here
-    /// (the Steps and Collects that follow a Step, see the module docs).
+    /// One pool task: pool thread `tid` executes a single Step against
+    /// partition `w`'s state; `push` enqueues further Steps from here (see
+    /// the module docs).
     /// The hb auditor brackets the task with the pool hand-off edges
     /// ([`Hb::pool_acquire`]/[`Hb::pool_release`]) that carry the
     /// actor-serialization guarantee dedicated threads would give for free.
@@ -1142,10 +1075,7 @@ impl Lane {
         // Every executed command joins the clock snapshot queued at the
         // matching send — the channel edge of the HB graph.
         hb.worker_recv(w);
-        let (traced_q, kind) = match &cmd {
-            Cmd::Step { record, .. } => (record.id, CmdKind::Step),
-            Cmd::Collect(record) => (record.id, CmdKind::Collect),
-        };
+        let traced_q = cmd.record.id;
         // The lane span opens before the state lock: lock wait is part of
         // the task's runtime as the pool experiences it. Steals are
         // labelled the same way `pick()` counts them — off the affine
@@ -1153,10 +1083,7 @@ impl Lane {
         // stamp below: one ring lock per task instead of two keeps the
         // span's serial cost on chained point queries in check.
         let begin_at = self.trace_now();
-        let (executed, reply) = match cmd {
-            Cmd::Step { prev_agg, record } => self.step(push, tid, w, prev_agg, record),
-            Cmd::Collect(record) => (0, self.collect(w, &record)),
-        };
+        let (executed, reply) = self.step(push, tid, w, cmd.prev_agg, cmd.record);
         if let Some(begin_at) = begin_at {
             tracer.task_span(
                 begin_at,
@@ -1164,7 +1091,7 @@ impl Lane {
                 tid as u32,
                 u64::from(traced_q.0),
                 w as u32,
-                kind,
+                CmdKind::Step,
                 w % self.width != tid,
                 executed,
             );
@@ -1178,7 +1105,7 @@ impl Lane {
     /// One `Step` (see the module docs): take, seal, execute, fold — and
     /// as the superstep's last Step, close it and see to what follows.
     /// Returns the vertex updates and, when the query leaves the lanes
-    /// here to park, the answer.
+    /// here to park or because it terminated, the answer.
     fn step(
         &self,
         push: &dyn Fn(usize, Cmd),
@@ -1191,12 +1118,18 @@ impl Lane {
         let (mut executed, mut chained) = (0, 0);
         let mut guard = lock_ctx(&self.parts[w].ctx);
         let ctx = &mut *guard;
-        // This superstep's input: what was sent for it, traded for the
-        // partition's empty buffer, sealed with what the partition sent
+        // This superstep's input — what was sent for it, traded for the
+        // partition's empty buffer — and the query's local here, taken
+        // under one lock; the input is sealed with what the partition sent
         // itself.
-        std::mem::swap(&mut record.stepping().mail[w].input, &mut ctx.taken);
-        ctx.worker.deliver(task, q, ctx.taken.drain(..));
-        ctx.worker.freeze(q);
+        let held = {
+            let mut step = record.stepping();
+            std::mem::swap(&mut step.mail[w].input, &mut ctx.taken);
+            step.locals[w].take()
+        };
+        let mut local = held.unwrap_or_else(|| ctx.worker.new_local(task));
+        ctx.worker.deliver(local.as_mut(), ctx.taken.drain(..));
+        local.freeze();
         let route = |v: VertexId| ctx.partitioning.worker_of(v).index();
         let (mut step, close) = loop {
             // The superstep reads the published topology and assignment:
@@ -1205,7 +1138,7 @@ impl Lane {
             hb.worker_step(w);
             let (stats, agg, remote) =
                 ctx.worker
-                    .execute(q, task, &ctx.topology, &prev_agg, &route);
+                    .execute(local.as_mut(), &ctx.topology, &prev_agg, &route);
             executed += stats.executed as u64;
             let report = StepReport {
                 q,
@@ -1213,13 +1146,15 @@ impl Lane {
                 stats,
                 agg,
                 remote,
-                self_pending: ctx.worker.has_pending(q),
+                self_pending: local.has_pending(),
             };
             // What the superstep sent away goes into the record's next
-            // input with the fold, before the fold can release it.
+            // input with the fold, before the fold can release it; the
+            // local goes back under the same lock.
             let mut step = record.stepping();
             hb.record_join(q.0, w);
             if !step.fold(task, report) {
+                step.locals[w] = Some(local);
                 break (step, None);
             }
             hb.record_close(q.0, w);
@@ -1228,16 +1163,18 @@ impl Lane {
             // The local barrier: a superstep on this partition alone that
             // sent nothing away and goes on involves this partition alone
             // next, with nothing in the record for it: the inbox sealed
-            // below is its whole input.
-            let local = barrier::is_local(step.involved_cur.len(), step.crossed);
-            if close == Close::Next && local && chained < LOCAL_QUANTUM && !self.parking() {
+            // below is its whole input. The Step keeps the local it would
+            // put back and take again under this one lock.
+            let solo = barrier::is_local(step.involved_cur.len(), step.crossed);
+            if close == Close::Next && solo && chained < LOCAL_QUANTUM && !self.parking() {
                 step.begin();
                 prev_agg = task.clone_aggregate(&step.agg_prev);
                 chained += 1;
                 drop(step);
-                ctx.worker.freeze(q);
+                local.freeze();
                 continue;
             }
+            step.locals[w] = Some(local);
             break (step, Some(close));
         };
         drop(guard);
@@ -1261,14 +1198,13 @@ impl Lane {
                     }
                     hb.lane_send_step(w, to);
                     let record = Arc::clone(&record);
-                    push(to, Cmd::Step { prev_agg, record });
+                    push(to, Cmd { prev_agg, record });
                 }
                 None
             }
-            Some(Close::Terminate) => {
-                gather(push, hb, Some(w), &record, &mut step);
-                None
-            }
+            // Every local is at rest in the record: the coordinator
+            // finalizes over them.
+            Some(Close::Terminate) => Some(Resp::Terminated(q)),
             // A window is wanted: the query waits at this barrier.
             Some(Close::Next) if self.parking() => Some(Resp::Parked(q)),
             Some(Close::Next) => {
@@ -1304,24 +1240,6 @@ impl Lane {
         {
             self.answer(w, Resp::Tick);
         }
-    }
-
-    /// A `Collect`: hand this partition's local of the query to its
-    /// record; the last of the query's Collects answers with them all.
-    fn collect(&self, w: usize, record: &Record) -> Option<Resp> {
-        let q = record.id;
-        let local = lock_ctx(&self.parts[w].ctx).worker.take_local(q);
-        let mut step = record.stepping();
-        self.hb.record_join(q.0, w);
-        step.locals.extend(local);
-        step.outstanding -= 1;
-        let reply = (step.outstanding == 0).then(|| {
-            self.hb.record_close(q.0, w);
-            let locals = std::mem::take(&mut step.locals);
-            Resp::Collected { q, locals }
-        });
-        self.hb.token_close(q.0, kind::COLLECT);
-        reply
     }
 
     /// A window is wanted.
@@ -1421,7 +1339,6 @@ mod tests {
         let record = Query::new(Q, task, Default::default(), dop, k);
         let mut step = record.stepping();
         for (w, batch) in batches {
-            step.touched.push(w);
             step.next_involved.push(w);
             step.mail[w].next.push(batch);
         }
@@ -1447,13 +1364,6 @@ mod tests {
             launch(&self.push(), &self.lane.hb, None, &self.record, &step);
         }
 
-        /// Collect query 0 from `touched`, the way the core does.
-        fn collect(&self, touched: &[usize]) {
-            let mut step = self.record.stepping();
-            step.touched = touched.to_vec();
-            gather(&self.push(), &self.lane.hb, None, &self.record, &mut step);
-        }
-
         /// Run the oldest pushed command; its partition.
         fn run_next(&self) -> usize {
             let next = self.queue.borrow_mut().pop_front();
@@ -1462,17 +1372,12 @@ mod tests {
             w
         }
 
-        /// The commands waiting: a Step's partition and the superstep it
-        /// runs (the record's current one), a Collect's partition and
-        /// `None`.
-        fn queued(&self) -> Vec<(usize, Option<u32>)> {
+        /// The Steps waiting: each one's partition and the superstep it
+        /// runs (the record's current one).
+        fn queued(&self) -> Vec<(usize, u32)> {
             let superstep = self.out().iterations;
             let queue = self.queue.borrow();
-            let summary = queue.iter().map(|(w, cmd)| match cmd {
-                Cmd::Step { .. } => (*w, Some(superstep)),
-                Cmd::Collect(_) => (*w, None),
-            });
-            summary.collect()
+            queue.iter().map(|(w, _)| (*w, superstep)).collect()
         }
 
         fn out(&self) -> crate::QueryOutcome {
@@ -1500,15 +1405,18 @@ mod tests {
             [step.mail[w].input.len(), step.mail[w].next.len()]
         }
 
+        /// Does query 0's local on partition `w` hold messages for a next
+        /// superstep?
         fn has_pending(&self, w: usize) -> bool {
-            let ctx = self.lane.parts[w].ctx.lock().unwrap();
-            ctx.worker.has_pending(Q)
+            let step = self.record.stepping();
+            step.locals[w].as_ref().is_some_and(|l| l.has_pending())
         }
 
-        /// Partition `w`'s part of a pending report.
-        fn pending(&self, w: usize) -> Vec<(QueryId, usize)> {
-            let ctx = self.lane.parts[w].ctx.lock().unwrap();
-            ctx.worker.pending_report().collect()
+        /// The partitions whose locals are at rest in the record.
+        fn at_rest(&self) -> Vec<usize> {
+            let step = self.record.stepping();
+            let slots = step.locals.iter().enumerate();
+            slots.filter(|(_, l)| l.is_some()).map(|(w, _)| w).collect()
         }
     }
 
@@ -1548,7 +1456,7 @@ mod tests {
             (out.vertex_updates, out.tasks),
             (executions, executions + 1)
         );
-        assert_eq!(by_hand.queued(), vec![(0, Some(executions as u32))]);
+        assert_eq!(by_hand.queued(), vec![(0, executions as u32)]);
         assert!(by_hand.response().is_none());
         assert_eq!(by_hand.executed(0), executions);
         assert_eq!(tally_of(&by_hand.record.stepping().agg_prev), 1);
@@ -1569,28 +1477,23 @@ mod tests {
         assert_eq!(by_hand.run_next(), 1);
         let out = by_hand.out();
         assert_eq!((out.iterations, out.local_iterations), (1, 0));
-        assert_eq!(by_hand.queued(), vec![(0, Some(1))]);
+        assert_eq!(by_hand.queued(), vec![(0, 1)]);
     }
 
     #[test]
     fn a_chain_stops_before_a_terminating_close_and_at_a_crossing_step() {
         let g = line(4);
         let parts = || RangePartitioner.partition(&g, 2);
-        // Sticky and stopping at 3: the third close ends the query, and the
-        // lane collects it instead of executing again. The last Collect
-        // answers for the query.
+        // Sticky and stopping at 3: the third close ends the query instead
+        // of executing again, and answers for it.
         let by_hand = seeded_lane(&g, parts(), tally(true, 3), 1);
         by_hand.dispatch();
         by_hand.run_next();
         let out = by_hand.out();
         assert_eq!((out.iterations, out.vertex_updates, out.tasks), (3, 3, 3));
-        assert_eq!(by_hand.queued(), vec![(0, None)]);
-        assert!(by_hand.response().is_none());
-        by_hand.run_next();
-        let Some(Resp::Collected { q: Q, locals }) = by_hand.response() else {
-            panic!("the last Collect answers with every local");
-        };
-        assert_eq!(locals.len(), 1);
+        assert!(by_hand.queued().is_empty());
+        assert!(matches!(by_hand.response(), Some(Resp::Terminated(Q))));
+        assert_eq!(by_hand.at_rest(), vec![0]);
         #[cfg(feature = "check-hb")]
         assert_eq!(by_hand.lane.hb.audited(), (3, 0));
 
@@ -1605,7 +1508,7 @@ mod tests {
         let out = by_hand.out();
         assert_eq!((out.iterations, out.local_iterations), (2, 1));
         assert_eq!((out.vertex_updates, out.remote_messages), (2, 1));
-        assert_eq!(by_hand.queued(), vec![(1, Some(2))]);
+        assert_eq!(by_hand.queued(), vec![(1, 2)]);
         assert_eq!((by_hand.input(0), by_hand.input(1)), ([0, 0], [1, 0]));
     }
 
@@ -1629,7 +1532,7 @@ mod tests {
         // Superstep 0 at DoP 1: partition 0 runs, partition 1 is held back.
         by_hand.dispatch();
         assert_eq!((by_hand.input(0), by_hand.input(1)), ([1, 0], [1, 0]));
-        assert_eq!(by_hand.queued(), vec![(0, Some(0))]);
+        assert_eq!(by_hand.queued(), vec![(0, 0)]);
         by_hand.run_next();
         // Partition 0 took its input and sent to partition 1 *before*
         // partition 1 ran: the batch waits in the next input, beside the
@@ -1637,7 +1540,7 @@ mod tests {
         // the held-back Step itself.
         assert_eq!((by_hand.input(0), by_hand.input(1)), ([0, 0], [1, 1]));
         assert!(by_hand.response().is_none());
-        assert_eq!(by_hand.queued(), vec![(1, Some(0))]);
+        assert_eq!(by_hand.queued(), vec![(1, 0)]);
         by_hand.run_next();
         // Partition 1 executed exactly its sealed input and, as the last
         // finisher, closed superstep 0 and began superstep 1: what each
@@ -1649,7 +1552,7 @@ mod tests {
             (out.iterations, out.vertex_updates, out.remote_messages),
             (1, 2, 2)
         );
-        assert_eq!(by_hand.queued(), vec![(0, Some(1))]);
+        assert_eq!(by_hand.queued(), vec![(0, 1)]);
         assert!(by_hand.response().is_none());
         // Both of superstep 1's tokens are open, the held-back one's too.
         #[cfg(feature = "check-hb")]
@@ -1658,30 +1561,30 @@ mod tests {
         by_hand.run_next();
         assert_eq!(by_hand.out().vertex_updates, 3);
         assert_eq!((by_hand.input(0), by_hand.input(1)), ([0, 0], [1, 1]));
-        assert_eq!(by_hand.queued(), vec![(1, Some(1))]);
+        assert_eq!(by_hand.queued(), vec![(1, 1)]);
     }
 
     #[test]
-    fn a_collect_counts_down_in_the_record_and_the_last_answers_with_every_local() {
+    fn a_terminating_close_answers_once_with_every_local_at_rest_in_the_record() {
+        // Four rounds of ping-pong, both partitions at once: every Step
+        // puts its local back as it folds, so each close finds both at
+        // rest. The last close answers, and nothing runs after it.
         let by_hand = ping_pong(&line(4), 2);
-        // Partition 0 executes superstep 0; partition 1 never does.
         by_hand.dispatch();
-        assert_eq!(by_hand.run_next(), 0);
-        by_hand.queue.borrow_mut().clear();
-        by_hand.collect(&[0, 1]);
-        assert_eq!(by_hand.run_next(), 0);
-        // The first Collect answers nothing: the record owes one more.
-        assert!(by_hand.response().is_none());
-        assert_eq!(by_hand.record.stepping().outstanding, 1);
-        assert_eq!(by_hand.run_next(), 1);
-        let Some(Resp::Collected { q: Q, locals }) = by_hand.response() else {
-            panic!("the last Collect answers with every local");
-        };
-        assert!(
-            by_hand.record.stepping().locals.is_empty(),
-            "the answer took every local along"
-        );
-        assert_eq!(locals.len(), 1, "only partition 0 executed");
+        let mut steps = 0;
+        while !by_hand.queued().is_empty() {
+            assert!(by_hand.response().is_none(), "answered before the end");
+            by_hand.run_next();
+            steps += 1;
+            if by_hand.record.stepping().outstanding == 0 {
+                assert_eq!(by_hand.at_rest(), vec![0, 1], "after step {steps}");
+            }
+        }
+        assert_eq!((steps, by_hand.out().iterations), (8, 4));
+        assert!(matches!(by_hand.response(), Some(Resp::Terminated(Q))));
+        assert_eq!(by_hand.at_rest(), vec![0, 1]);
+        #[cfg(feature = "check-hb")]
+        assert_eq!(by_hand.lane.hb.audited(), (8, 0), "no token left open");
     }
 
     #[test]
@@ -1726,17 +1629,13 @@ mod tests {
         by_hand.run_next();
         assert!(matches!(by_hand.response(), Some(Resp::Parked(Q))));
         assert!(by_hand.input(1) == [0, 1] && !by_hand.has_pending(1));
-        // The window takes it out of the record into the partition's
-        // inbox, where the pending report sees it ...
-        let batches = std::mem::take(&mut by_hand.record.stepping().mail[1].next);
-        let parts = &by_hand.lane.parts;
-        lock_ctx(&parts[1].ctx)
-            .worker
-            .deliver(reach.as_ref(), Q, batches);
-        assert_eq!(
-            (by_hand.pending(0), by_hand.pending(1)),
-            (vec![], vec![(Q, 1)])
-        );
+        // The window takes it out of the record's mail into the record's
+        // local on partition 1 ...
+        by_hand
+            .record
+            .deliver_mail(true, &mut crate::worker::Scratch::default());
+        assert_eq!(by_hand.input(1), [0, 0]);
+        assert!(!by_hand.has_pending(0) && by_hand.has_pending(1));
         // ... so migrating vertex 2 to partition 0 takes the message along.
         let migration = Migration {
             moves: vec![crate::qcut::VertexMove {
@@ -1748,17 +1647,10 @@ mod tests {
             moved_vertices: 1,
             per_pair: vec![(1, 0, 1)],
         };
-        let mut contexts: Vec<_> = parts.iter().map(|p| lock_ctx(&p.ctx)).collect();
-        let mut workers: Vec<&mut Worker> = contexts.iter_mut().map(|c| &mut c.worker).collect();
-        let gained = migrate::apply_to_workers(&migration, &mut workers);
-        drop(contexts);
-        assert_eq!(gained, vec![(Q, 0)]);
-        assert_eq!(
-            (by_hand.pending(0), by_hand.pending(1)),
-            (vec![(Q, 0)], vec![])
-        );
+        crate::qcut::migrate::transfer(&migration, [&by_hand.record].into_iter(), true);
+        assert!(by_hand.has_pending(0) && !by_hand.has_pending(1));
         // Resumed there, superstep 1 takes an empty input from the record
-        // and executes vertex 2 from the inbox.
+        // and executes vertex 2 from the local's inbox.
         by_hand.lane.signals.park.store(false, Ordering::Relaxed);
         by_hand.record.stepping().next_involved = vec![0];
         by_hand.dispatch();
@@ -1766,7 +1658,91 @@ mod tests {
         let out = by_hand.out();
         assert_eq!((out.iterations, out.vertex_updates), (2, 2));
         assert_eq!((by_hand.input(0), by_hand.input(1)), ([0, 0], [1, 0]));
-        assert_eq!(by_hand.queued(), vec![(1, Some(2))]);
+        assert_eq!(by_hand.queued(), vec![(1, 2)]);
+    }
+
+    /// What a [`Peeking`] flood saw: per vertex it computed, its record's
+    /// scopes at rest, each sorted.
+    type Seen = Arc<Mutex<Vec<(VertexId, Vec<(usize, Vec<VertexId>)>)>>>;
+
+    /// A flood that, as each vertex computes, reads its own record's
+    /// scopes the way the Q-cut trigger does, while its Step runs.
+    struct Peeking {
+        flood: ReachProgram,
+        record: Arc<std::sync::OnceLock<std::sync::Weak<Query>>>,
+        seen: Seen,
+    }
+
+    impl VertexProgram for Peeking {
+        type State = crate::programs::ReachState;
+        type Message = u32;
+        type Aggregate = ();
+        type Output = Vec<VertexId>;
+
+        fn init_state(&self) -> Self::State {
+            self.flood.init_state()
+        }
+        fn aggregate_identity(&self) {}
+        fn aggregate_combine(&self, _: &mut (), _: &()) {}
+        fn initial_messages(&self, graph: &Topology) -> Vec<(VertexId, u32)> {
+            self.flood.initial_messages(graph)
+        }
+        fn compute(
+            &self,
+            graph: &Topology,
+            vertex: VertexId,
+            state: &mut Self::State,
+            messages: &[u32],
+            ctx: &mut crate::program::Context<'_, u32, ()>,
+        ) {
+            let record = self.record.get().and_then(std::sync::Weak::upgrade);
+            let mut scopes = record.expect("the record is set").scopes();
+            scopes.iter_mut().for_each(|(_, vs)| vs.sort_unstable());
+            self.seen.lock().unwrap().push((vertex, scopes));
+            self.flood.compute(graph, vertex, state, messages, ctx);
+        }
+        fn finalize(
+            &self,
+            graph: &Topology,
+            states: &mut dyn Iterator<Item = (VertexId, Self::State)>,
+        ) -> Vec<VertexId> {
+            self.flood.finalize(graph, states)
+        }
+    }
+
+    #[test]
+    fn the_scope_read_skips_a_local_its_step_holds_and_sees_it_after_the_fold() {
+        // A flood from vertex 0 of `{0,1} {2,3}`: partition 0 runs vertices
+        // 0 and 1 (a chain of two local supersteps), partition 1 vertices 2
+        // and 3. A read during a Step does not wait for it: it skips the
+        // local the Step holds, and finds it at rest once the Step folded.
+        let g = line(4);
+        let (cell, seen) = (Arc::default(), Seen::default());
+        let peeking = Peeking {
+            flood: ReachProgram::new(VertexId(0)),
+            record: Arc::clone(&cell),
+            seen: Arc::clone(&seen),
+        };
+        let task = Arc::new(TypedTask::new(peeking));
+        let by_hand = seeded_lane(&g, RangePartitioner.partition(&g, 2), task, 1);
+        cell.set(Arc::downgrade(&by_hand.record)).expect("set once");
+        by_hand.dispatch();
+        assert_eq!(by_hand.run_next(), 0);
+        assert_eq!(by_hand.run_next(), 1);
+        assert!(matches!(by_hand.response(), Some(Resp::Terminated(Q))));
+        let v = |ids: &[u32]| ids.iter().map(|&v| VertexId(v)).collect::<Vec<_>>();
+        let first = vec![(0, v(&[0, 1]))];
+        let expected = vec![
+            (VertexId(0), vec![]),
+            (VertexId(1), vec![]),
+            (VertexId(2), first.clone()),
+            (VertexId(3), first),
+        ];
+        assert_eq!(*seen.lock().unwrap(), expected);
+        let mut scopes = by_hand.record.scopes();
+        scopes.iter_mut().for_each(|(_, vs)| vs.sort_unstable());
+        let both = vec![(0, v(&[0, 1])), (1, v(&[2, 3]))];
+        assert_eq!(scopes, both, "every local at rest");
     }
 
     /// Submitted through the erased path, a task is held by the core while

@@ -10,8 +10,9 @@
 //!   `Arc<dyn QueryTask>`): the per-query work — admission's seed
 //!   batches, the aggregate at each barrier, an index answer, and
 //!   `finalize`;
-//! * [`LocalState`], one per (query, partition) (a [`QueryLocal`] in a
-//!   [`Worker`](crate::worker::Worker)): the per-partition work —
+//! * [`LocalState`], one per (query, partition) (a [`QueryLocal`] in the
+//!   query's record, run by a [`Worker`](crate::worker::Worker)): the
+//!   per-partition work —
 //!   deliver, execute, and a migration's extract and inject. The local
 //!   holds the program, so it runs itself.
 //!
@@ -188,9 +189,9 @@ pub trait QueryTask: Send + Sync {
     ) -> Vec<(usize, MessageBatch)>;
 
     /// Produce the query's output envelope (downcast by
-    /// [`crate::QueryHandle`]) from the locals collected from every
-    /// worker: the program reads their states in place, local after
-    /// local. A vertex's state lives on its owner alone, so no two locals
+    /// [`crate::QueryHandle`]) from the locals its record held, one per
+    /// partition it touched: the program reads their states in place,
+    /// local after local. A vertex's state lives on its owner alone, so no two locals
     /// hold one vertex.
     fn finalize(&self, graph: &Topology, locals: Vec<Box<dyn LocalState>>) -> Envelope;
 }

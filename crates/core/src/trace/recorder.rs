@@ -16,8 +16,6 @@ pub enum CmdKind {
     /// record, seal the inbox and execute the vertex function over the
     /// scope.
     Step,
-    /// Output collection after termination.
-    Collect,
     /// Anything else the pool runs (scope reports, state migration, …).
     Other,
 }
@@ -27,7 +25,6 @@ impl CmdKind {
     pub fn name(self) -> &'static str {
         match self {
             CmdKind::Step => "step",
-            CmdKind::Collect => "collect",
             CmdKind::Other => "other",
         }
     }

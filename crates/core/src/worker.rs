@@ -1,12 +1,16 @@
 //! Worker-side query execution (paper §3.1, "low-level vertex-centric,
 //! local knowledge").
 //!
-//! A [`Worker`] owns, for every query it participates in, a sparse
-//! [`QueryLocal`]: the query-specific vertex data of the vertices the query
-//! activated here (its local scope `LS(q,w)`), plus double-buffered message
-//! inboxes. Sparse storage is essential for the multi-query model — dense
+//! A query's state on one partition is a sparse [`QueryLocal`]: the
+//! query-specific vertex data of the vertices the query activated there
+//! (its local scope `LS(q,w)`), plus double-buffered message inboxes.
+//! Sparse storage is essential for the multi-query model — dense
 //! per-query arrays would cost `O(|V| · |Q|)` memory while localized
-//! queries touch a tiny graph fraction.
+//! queries touch a tiny graph fraction. The locals live in their query's
+//! record, one slot per partition (`coord::Stepping::locals`), and leave
+//! with it when the query finishes; a [`Worker`] holds only what belongs
+//! to the partition: its id, the combiner gate of the locals made there,
+//! and the [`Scratch`] every query's Steps share.
 //!
 //! ## The message plane
 //!
@@ -38,9 +42,9 @@
 //! about as many batches as it sends, so the envelopes travel in circles.
 //! The pool belongs to the partition, not to a query: a new query's first
 //! supersteps send in the buffers of queries that finished, and a
-//! collected local holds no batch buffer. The table is walked in index
-//! order, so the batches leave in ascending destination order without a
-//! sort.
+//! finished query's locals hold no batch buffer. The table is walked in
+//! index order, so the batches leave in ascending destination order
+//! without a sort.
 //!
 //! The worker is **not generic**: each query's local state is held behind
 //! the object-safe [`LocalState`] face, which [`QueryLocal`] implements
@@ -48,8 +52,8 @@
 //! and a migration's extract and inject included, their program-specific
 //! payloads crossing as envelopes that [`crate::task`] opens. One worker
 //! therefore executes SSSP, POI, and reachability queries side by side,
-//! and a migration moves a query's vertices from worker to worker
-//! ([`Worker::move_vertices`]) without looking up its task.
+//! and a migration moves a query's vertices from one of its locals to
+//! another without looking up its task.
 //!
 //! Workers are runtime-agnostic: both the discrete-event engine and the
 //! thread runtime drive the same code, passing a routing closure that
@@ -66,19 +70,13 @@ use qgraph_sim::BATCH_MAX_MSGS;
 
 use crate::program::{Context, VertexProgram};
 use crate::task::{aggregate_of, moved_of, pooled_batch, Envelope, MessageBatch, QueryTask};
-use crate::QueryId;
 
-/// Counters reported after one local superstep; the sizes in it are what
-/// the worker piggybacks to the controller as `stats(q, |LS(q,w)|, I_w, w)`.
+/// Counters reported after one local superstep: what the query's outcome
+/// and the simulation's network model read of it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SuperstepStats {
     /// Vertex functions executed.
     pub executed: usize,
-    /// Messages consumed (post-combine: what the compute cost model
-    /// charges per `message_apply`).
-    pub messages_in: usize,
-    /// Messages that stayed on this worker.
-    pub local_deliveries: usize,
     /// Messages destined for other workers, *after* sender-side combining
     /// — what actually crosses the wire and what the network cost model
     /// prices.
@@ -93,13 +91,6 @@ pub struct SuperstepStats {
     /// what the simulation's `NetworkModel::transfer_cost` prices, so
     /// thread-runtime accounting and sim pricing agree.
     pub remote_batches: usize,
-    /// `|LS(q,w)|` after the step.
-    pub local_scope: usize,
-    /// Elastic-pool compute tasks this report covers — one
-    /// per-(query, partition) superstep execution is one task, so a
-    /// single report carries `1` and aggregation across the involved
-    /// partitions yields the superstep's task count.
-    pub tasks: usize,
 }
 
 /// The object-safe face of one query's state on one worker: a runtime
@@ -128,10 +119,6 @@ pub trait LocalState: Any + Send {
     /// fresh `Vec` per (query, worker) pair.
     fn for_each_scope_vertex(&self, f: &mut dyn FnMut(VertexId));
 
-    /// An empty local of the same query — same program, same combiner
-    /// gate — for a worker the query first reaches by migration.
-    fn fresh(&self) -> Box<dyn LocalState>;
-
     /// Deliver a batch into the next-superstep inbox (a flat append) and
     /// park its emptied buffer in the partition's pool (`scratch`), for a
     /// bucket of a later superstep of any query.
@@ -157,9 +144,9 @@ pub trait LocalState: Any + Send {
 
     /// Take out all data of the given vertices — vertex state and pending
     /// messages, as vertex-sorted entries — for migration to another
-    /// worker during a global barrier, or `None` if the query holds
-    /// nothing there. The frozen inbox must be empty (no superstep in
-    /// flight), which the engine guarantees by quiescing workers first.
+    /// of the query's locals during a global barrier, or `None` if it
+    /// holds nothing there. The frozen inbox must be empty (no superstep
+    /// in flight), which the engine guarantees by quiescing first.
     fn extract(&mut self, vertices: &FxHashSet<VertexId>) -> Option<Envelope>;
 
     /// Replay, entry by entry, what [`LocalState::extract`] took out of a
@@ -396,10 +383,6 @@ impl<P: VertexProgram> LocalState for QueryLocal<P> {
         }
     }
 
-    fn fresh(&self) -> Box<dyn LocalState> {
-        Box::new(QueryLocal::new(Arc::clone(&self.program), self.combine))
-    }
-
     fn deliver(&mut self, batch: MessageBatch, scratch: &mut Scratch) {
         let mut batch = batch.into_messages::<P>();
         let combiner = self.combine.then_some(self.program.as_ref());
@@ -432,10 +415,7 @@ impl<P: VertexProgram> LocalState for QueryLocal<P> {
         let program = program.as_ref();
         let combiner = combine.then_some(program);
         let prev_aggregate = aggregate_of::<P>(prev_aggregate);
-        let mut stats = SuperstepStats {
-            tasks: 1,
-            ..SuperstepStats::default()
-        };
+        let mut stats = SuperstepStats::default();
         let mut aggregate = program.aggregate_identity();
         let fold = |a: &mut P::Aggregate, b: &P::Aggregate| program.aggregate_combine(a, b);
 
@@ -453,7 +433,6 @@ impl<P: VertexProgram> LocalState for QueryLocal<P> {
             };
             program.compute(graph, *v, state, msgs, &mut ctx);
             stats.executed += 1;
-            stats.messages_in += msgs.len();
         }
         cur.clear();
         cur_msgs.clear();
@@ -471,7 +450,6 @@ impl<P: VertexProgram> LocalState for QueryLocal<P> {
             let w = route(to);
             if w == home {
                 push_pending(next, combiner, to, msg);
-                stats.local_deliveries += 1;
                 continue;
             }
             stats.remote_pre_combine += 1;
@@ -496,7 +474,6 @@ impl<P: VertexProgram> LocalState for QueryLocal<P> {
             }
             bucket.push((to, msg));
         }
-        stats.local_scope = state.len();
 
         // The table is walked in index order, so the batches come out by
         // ascending destination — the deterministic order — unsorted.
@@ -587,13 +564,13 @@ pub(crate) fn combine_in_place<P: VertexProgram>(
     msgs.truncate(w + 1);
 }
 
-/// One worker: the container of all queries' local state on this
-/// partition. Queries of *different* program types coexist; each entry is
-/// a type-erased [`LocalState`] that runs itself.
+/// One worker: what belongs to the partition rather than to a query —
+/// its id, the combiner gate of the query locals made here, and the
+/// scratch their Steps share. The locals themselves live in their
+/// queries' records (see the module docs).
 pub struct Worker {
     /// This worker's id (index into the cluster).
     pub id: usize,
-    queries: FxHashMap<QueryId, Box<dyn LocalState>>,
     /// Combiners enabled for query locals created here (the engines
     /// thread [`crate::SystemConfig::combiners`] through [`Worker::new`]).
     combiners: bool,
@@ -608,136 +585,53 @@ impl Worker {
     pub fn new(id: usize, combiners: bool) -> Self {
         Worker {
             id,
-            queries: FxHashMap::default(),
             combiners,
             scratch: Scratch::default(),
         }
     }
 
-    /// Query `q`'s local here (made from `task` when the query has none
-    /// yet), beside the scratch it delivers and executes with.
-    fn local_or_new(
-        &mut self,
-        task: &dyn QueryTask,
-        q: QueryId,
-    ) -> (&mut Box<dyn LocalState>, &mut Scratch) {
-        let combiners = self.combiners;
-        let local = self
-            .queries
-            .entry(q)
-            .or_insert_with(|| task.new_local(combiners));
-        (local, &mut self.scratch)
+    /// An empty local of `task`'s query, for a partition the query has
+    /// not reached before.
+    pub fn new_local(&self, task: &dyn QueryTask) -> Box<dyn LocalState> {
+        task.new_local(self.combiners)
     }
 
-    /// Deliver `batches`, in order, into query `q`'s next-superstep inbox
-    /// under one lookup of the query's local (made from `task` when the
-    /// query has none here yet).
+    /// Deliver `batches`, in order, into `local`'s next-superstep inbox,
+    /// parking their buffers in this partition's pool.
     pub fn deliver(
         &mut self,
-        task: &dyn QueryTask,
-        q: QueryId,
+        local: &mut dyn LocalState,
         batches: impl IntoIterator<Item = MessageBatch>,
     ) {
-        let (local, scratch) = self.local_or_new(task, q);
         for batch in batches {
-            local.deliver(batch, scratch);
+            local.deliver(batch, &mut self.scratch);
         }
     }
 
-    /// Does query `q` have pending messages for a next superstep here?
-    pub fn has_pending(&self, q: QueryId) -> bool {
-        self.queries.get(&q).is_some_and(|l| l.has_pending())
-    }
-
-    /// Freeze query `q`'s pending inbox as the current superstep's input;
-    /// returns `(active vertices, messages)` for the cost model.
-    pub fn freeze(&mut self, q: QueryId) -> (usize, usize) {
-        self.queries.get_mut(&q).map_or((0, 0), |l| l.freeze())
-    }
-
-    /// `(active vertices, messages)` of the already-frozen superstep input.
-    pub fn frozen_counts(&self, q: QueryId) -> (usize, usize) {
-        self.queries.get(&q).map_or((0, 0), |l| l.frozen_counts())
-    }
-
-    /// Execute the frozen superstep of query `q` (its local made from
-    /// `task` when the query has none here yet). The returned stats carry
+    /// Execute `local`'s frozen superstep here. The returned stats carry
     /// both pre- and post-combine remote counts plus the batch count under
-    /// this worker's wire cap.
+    /// the wire cap.
     pub fn execute(
         &mut self,
-        q: QueryId,
-        task: &dyn QueryTask,
+        local: &mut dyn LocalState,
         graph: &Topology,
         prev_aggregate: &Envelope,
         route: &dyn Fn(VertexId) -> usize,
     ) -> (SuperstepStats, Envelope, Vec<(usize, MessageBatch)>) {
-        let home = self.id;
-        let (local, scratch) = self.local_or_new(task, q);
-        let (mut stats, agg, remote) = local.execute(graph, prev_aggregate, home, route, scratch);
+        let (mut stats, agg, remote) =
+            local.execute(graph, prev_aggregate, self.id, route, &mut self.scratch);
         stats.remote_batches = remote
             .iter()
             .map(|(_, b)| b.len().div_ceil(BATCH_MAX_MSGS))
             .sum();
         (stats, agg, remote)
     }
-
-    /// This worker's part of a scope report: `(query, this worker, live
-    /// scope vertices)` per query with state here, in no particular order.
-    /// Only stable while no superstep of the query runs.
-    pub(crate) fn scope_report(
-        &self,
-    ) -> impl Iterator<Item = (QueryId, usize, Vec<VertexId>)> + '_ {
-        self.queries.iter().map(|(&q, local)| {
-            let mut scope = Vec::new();
-            local.for_each_scope_vertex(&mut |v| scope.push(v));
-            (q, self.id, scope)
-        })
-    }
-
-    /// This worker's part of a pending report: `(query, this worker)` per
-    /// query with messages waiting for a next superstep here.
-    pub(crate) fn pending_report(&self) -> impl Iterator<Item = (QueryId, usize)> + '_ {
-        let pending = self.queries.iter().filter(|(_, l)| l.has_pending());
-        pending.map(|(&q, _)| (q, self.id))
-    }
-
-    /// Remove query `q` entirely, returning its local state (for the
-    /// task's `finalize`).
-    pub fn take_local(&mut self, q: QueryId) -> Option<Box<dyn LocalState>> {
-        self.queries.remove(&q)
-    }
-
-    /// Move every query's data on `vertices` — vertex state *and* pending
-    /// next-superstep messages — from this worker to `to`, during a global
-    /// barrier; a query with no local on `to` gets a
-    /// [`LocalState::fresh`] one there. Returns the queries that moved
-    /// data, in id order, the order they are injected in.
-    pub fn move_vertices(
-        &mut self,
-        to: &mut Worker,
-        vertices: &FxHashSet<VertexId>,
-    ) -> Vec<QueryId> {
-        let mut moved: Vec<(QueryId, Envelope)> = self
-            .queries
-            .iter_mut()
-            .filter_map(|(&q, local)| Some((q, local.extract(vertices)?)))
-            .collect();
-        moved.sort_unstable_by_key(|(q, _)| *q);
-        let mut gained = Vec::with_capacity(moved.len());
-        for (q, data) in moved {
-            let fresh = || self.queries[&q].fresh();
-            to.queries.entry(q).or_insert_with(fresh).inject(data);
-            gained.push(q);
-        }
-        gained
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::programs::ReachProgram;
+    use crate::programs::{PingProgram, ReachProgram, Tally};
     use crate::task::TypedTask;
     use qgraph_graph::GraphBuilder;
 
@@ -757,17 +651,32 @@ mod tests {
         task.batch_for_test(msgs)
     }
 
-    /// `|LS(q,w)|`: the vertices query `q` activated on `w`.
-    fn scope_size(w: &Worker, q: QueryId) -> usize {
-        w.queries.get(&q).map_or(0, |l| l.scope_size())
+    fn vids(ids: &[u32]) -> FxHashSet<VertexId> {
+        ids.iter().map(|&v| VertexId(v)).collect()
     }
 
-    /// `LS(q,w)` as its local's visitor walks it, sorted.
-    fn scope(w: &Worker, q: QueryId) -> Vec<VertexId> {
+    /// `LS(q,w)` as the local's visitor walks it, sorted.
+    fn scope(local: &dyn LocalState) -> Vec<VertexId> {
         let mut scope = Vec::new();
-        w.queries[&q].for_each_scope_vertex(&mut |v| scope.push(v));
+        local.for_each_scope_vertex(&mut |v| scope.push(v));
         scope.sort_unstable();
         scope
+    }
+
+    /// A reach local's frozen input: each vertex's messages.
+    fn frozen_runs(local: &dyn LocalState) -> Vec<(VertexId, Vec<u32>)> {
+        let local: &dyn Any = local;
+        let local = local.downcast_ref::<QueryLocal<ReachProgram>>();
+        let local = local.expect("a reach local");
+        let run = |(v, r): &(VertexId, Range<usize>)| (*v, local.cur_msgs[r.clone()].to_vec());
+        local.cur.iter().map(run).collect()
+    }
+
+    /// Partition `w` runs `local`'s frozen superstep with everything
+    /// routed home: the local's state grows, its own mail stays pending.
+    fn run_at_home(w: &mut Worker, local: &mut dyn LocalState, g: &Topology) {
+        let (home, prev) = (w.id, reach_task().aggregate_identity());
+        w.execute(local, g, &prev, &|_| home);
     }
 
     #[test]
@@ -775,18 +684,17 @@ mod tests {
         let g = line();
         let task = reach_task();
         let mut w = Worker::new(0, true);
-        let q = QueryId(0);
-        w.deliver(&task, q, [batch(&task, vec![(VertexId(0), 0)])]);
-        assert!(w.has_pending(q));
-        assert_eq!(w.freeze(q), (1, 1));
+        let mut l = w.new_local(&task);
+        w.deliver(l.as_mut(), [batch(&task, vec![(VertexId(0), 0)])]);
+        assert!(l.has_pending());
+        assert_eq!(l.freeze(), (1, 1));
         let prev = task.aggregate_identity();
-        let (stats, _agg, remote) = w.execute(q, &task, &g, &prev, &|_| 0);
+        let (stats, _agg, remote) = w.execute(l.as_mut(), &g, &prev, &|_| 0);
         assert_eq!(stats.executed, 1);
-        assert_eq!(stats.local_deliveries, 1); // 0 -> 1 stays local
-        assert!(remote.is_empty());
+        assert!(remote.is_empty(), "0 -> 1 stays local");
         assert_eq!(stats.remote_batches, 0);
-        assert_eq!(scope_size(&w, q), 1);
-        assert!(w.has_pending(q)); // vertex 1 activated
+        assert_eq!(l.scope_size(), 1);
+        assert!(l.has_pending()); // vertex 1 activated
     }
 
     #[test]
@@ -794,19 +702,20 @@ mod tests {
         let g = line();
         let task = reach_task();
         let mut w = Worker::new(0, true);
-        let q = QueryId(0);
-        w.deliver(&task, q, [batch(&task, vec![(VertexId(0), 0)])]);
-        w.freeze(q);
+        let mut l = w.new_local(&task);
+        w.deliver(l.as_mut(), [batch(&task, vec![(VertexId(0), 0)])]);
+        l.freeze();
         // Route everything except vertex 0 to worker 1.
         let prev = task.aggregate_identity();
-        let (stats, _, remote) = w.execute(q, &task, &g, &prev, &|v| usize::from(v != VertexId(0)));
+        let away = |v: VertexId| usize::from(v != VertexId(0));
+        let (stats, _, remote) = w.execute(l.as_mut(), &g, &prev, &away);
         assert_eq!(stats.remote_deliveries, 1);
         assert_eq!(stats.remote_pre_combine, 1);
         assert_eq!(stats.remote_batches, 1);
         assert_eq!(remote.len(), 1);
         assert_eq!(remote[0].0, 1);
         assert_eq!(remote[0].1.len(), 1);
-        assert!(!w.has_pending(q));
+        assert!(!l.has_pending());
     }
 
     #[test]
@@ -815,16 +724,13 @@ mod tests {
         // vertex freeze into a single apply.
         let task = reach_task();
         let mut w = Worker::new(0, true);
-        let q = QueryId(0);
-        w.deliver(&task, q, [batch(&task, vec![(VertexId(1), 3)])]);
-        w.deliver(&task, q, [batch(&task, vec![(VertexId(2), 5)])]);
-        w.deliver(
-            &task,
-            q,
-            [batch(&task, vec![(VertexId(1), 1), (VertexId(1), 2)])],
-        );
-        assert!(w.has_pending(q));
-        let (active, msgs) = w.freeze(q);
+        let mut l = w.new_local(&task);
+        w.deliver(l.as_mut(), [batch(&task, vec![(VertexId(1), 3)])]);
+        w.deliver(l.as_mut(), [batch(&task, vec![(VertexId(2), 5)])]);
+        let twice = vec![(VertexId(1), 1), (VertexId(1), 2)];
+        w.deliver(l.as_mut(), [batch(&task, twice)]);
+        assert!(l.has_pending());
+        let (active, msgs) = l.freeze();
         assert_eq!(active, 2);
         assert_eq!(msgs, 2, "per-vertex runs collapse to one message");
     }
@@ -833,14 +739,10 @@ mod tests {
     fn combiner_disabled_keeps_every_message() {
         let task = reach_task();
         let mut w = Worker::new(0, false);
-        let q = QueryId(0);
-        w.deliver(
-            &task,
-            q,
-            [batch(&task, vec![(VertexId(1), 3), (VertexId(1), 1)])],
-        );
-        let (active, msgs) = w.freeze(q);
-        assert_eq!((active, msgs), (1, 2));
+        let mut l = w.new_local(&task);
+        let twice = vec![(VertexId(1), 3), (VertexId(1), 1)];
+        w.deliver(l.as_mut(), [batch(&task, twice)]);
+        assert_eq!(l.freeze(), (1, 2));
     }
 
     #[test]
@@ -855,11 +757,12 @@ mod tests {
         let g = Topology::new(b.build());
         let task = reach_task();
         let mut w = Worker::new(0, true);
-        let q = QueryId(0);
-        w.deliver(&task, q, [batch(&task, vec![(VertexId(0), 0)])]);
-        w.freeze(q);
+        let mut l = w.new_local(&task);
+        w.deliver(l.as_mut(), [batch(&task, vec![(VertexId(0), 0)])]);
+        l.freeze();
         let prev = task.aggregate_identity();
-        let (stats, _, remote) = w.execute(q, &task, &g, &prev, &|v| usize::from(v != VertexId(0)));
+        let away = |v: VertexId| usize::from(v != VertexId(0));
+        let (stats, _, remote) = w.execute(l.as_mut(), &g, &prev, &away);
         assert_eq!(stats.remote_deliveries, n);
         assert_eq!(stats.remote_batches, 2);
         assert_eq!(remote.len(), 1);
@@ -869,30 +772,19 @@ mod tests {
     fn migration_roundtrip_preserves_state_and_inbox() {
         let g = line();
         let task = reach_task();
-        let q = QueryId(0);
-        let mut a = Worker::new(0, true);
-        a.deliver(&task, q, [batch(&task, vec![(VertexId(0), 0)])]);
-        a.freeze(q);
-        let prev = task.aggregate_identity();
-        a.execute(q, &task, &g, &prev, &|_| 0);
+        let mut w = Worker::new(0, true);
+        let mut a = w.new_local(&task);
+        w.deliver(a.as_mut(), [batch(&task, vec![(VertexId(0), 0)])]);
+        a.freeze();
+        run_at_home(&mut w, a.as_mut(), &g);
         // Now vertex 0 has state, vertex 1 has a pending message.
-        let moved: FxHashSet<VertexId> = [VertexId(0), VertexId(1)].into_iter().collect();
-        let mut b = Worker::new(1, true);
-        assert_eq!(a.move_vertices(&mut b, &moved), vec![q]);
-        assert_eq!(scope_size(&a, q), 0);
-        assert!(!a.has_pending(q));
-        assert_eq!(scope_size(&b, q), 1);
-        assert!(b.has_pending(q));
-        assert_eq!(b.freeze(q), (1, 1));
-    }
-
-    /// Query `q`'s frozen input on `w`: each vertex's reach messages.
-    fn frozen_runs(w: &Worker, q: QueryId) -> Vec<(VertexId, Vec<u32>)> {
-        let local: &dyn Any = w.queries[&q].as_ref();
-        let local = local.downcast_ref::<QueryLocal<ReachProgram>>();
-        let local = local.expect("a reach local");
-        let run = |(v, r): &(VertexId, Range<usize>)| (*v, local.cur_msgs[r.clone()].to_vec());
-        local.cur.iter().map(run).collect()
+        let mut b = Worker::new(1, true).new_local(&task);
+        b.inject(a.extract(&vids(&[0, 1])).expect("data on both"));
+        assert_eq!((a.scope_size(), a.has_pending()), (0, false));
+        assert_eq!(b.scope_size(), 1);
+        assert!(b.has_pending());
+        assert_eq!(b.freeze(), (1, 1));
+        assert!(a.extract(&vids(&[0, 1])).is_none(), "nothing left to move");
     }
 
     #[test]
@@ -905,155 +797,111 @@ mod tests {
         b.add_edge(3, 4, 1.0);
         let g = Topology::new(b.build());
         let task = reach_task();
-        let q = QueryId(0);
-        let prev = task.aggregate_identity();
-        let moved: FxHashSet<VertexId> = [0, 1, 2].map(VertexId).into_iter().collect();
         // Vertex 1's inbox: worker 1's message first, then worker 0's two.
         for (combiners, at_1) in [(true, vec![1]), (false, vec![2, 1, 5])] {
-            let mut src = Worker::new(0, combiners);
-            let mut dst = Worker::new(1, combiners);
+            let mut workers = [Worker::new(0, combiners), Worker::new(1, combiners)];
+            let mut locals = [workers[0].new_local(&task), workers[1].new_local(&task)];
             let seeded = [
-                (&mut src, 0, vec![(VertexId(1), 5), (VertexId(2), 7)]),
-                (&mut dst, 3, vec![(VertexId(1), 2)]),
+                (0, vec![(VertexId(1), 5), (VertexId(2), 7)]),
+                (3, vec![(VertexId(1), 2)]),
             ];
-            for (w, seed, mail) in seeded {
-                let home = w.id;
-                w.deliver(&task, q, [batch(&task, vec![(VertexId(seed), 0)])]);
-                w.freeze(q);
-                w.execute(q, &task, &g, &prev, &|_| home);
-                w.deliver(&task, q, [batch(&task, mail)]);
+            for ((w, local), (seed, mail)) in workers.iter_mut().zip(&mut locals).zip(seeded) {
+                w.deliver(local.as_mut(), [batch(&task, vec![(VertexId(seed), 0)])]);
+                local.freeze();
+                run_at_home(w, local.as_mut(), &g);
+                w.deliver(local.as_mut(), [batch(&task, mail)]);
             }
-            assert_eq!(src.move_vertices(&mut dst, &moved), vec![q]);
-            assert_eq!((scope_size(&src, q), src.has_pending(q)), (0, false));
-            let scope = scope(&dst, q);
+            let [src, dst] = &mut locals;
+            dst.inject(src.extract(&vids(&[0, 1, 2])).expect("data to move"));
+            assert_eq!((src.scope_size(), src.has_pending()), (0, false));
+            let scope = scope(dst.as_ref());
             assert_eq!(scope, [VertexId(0), VertexId(3)], "combiners {combiners}");
-            dst.freeze(q);
+            dst.freeze();
             let inbox = vec![
                 (VertexId(1), at_1),
                 (VertexId(2), vec![7]),
                 (VertexId(4), vec![1]),
             ];
-            assert_eq!(frozen_runs(&dst, q), inbox, "combiners {combiners}");
+            assert_eq!(frozen_runs(dst.as_ref()), inbox, "combiners {combiners}");
         }
-    }
-
-    #[test]
-    fn a_fresh_local_keeps_the_source_combiner_gate() {
-        // The destination never held the query and would combine; the
-        // local it takes is the source's kind, so vertex 1's messages stay
-        // apart, the moved ones and a later delivery alike.
-        let task = reach_task();
-        let q = QueryId(0);
-        let mut src = Worker::new(0, false);
-        src.deliver(
-            &task,
-            q,
-            [batch(&task, vec![(VertexId(1), 3), (VertexId(1), 1)])],
-        );
-        let mut dst = Worker::new(1, true);
-        let moved: FxHashSet<VertexId> = [VertexId(1)].into_iter().collect();
-        assert_eq!(src.move_vertices(&mut dst, &moved), vec![q]);
-        dst.deliver(&task, q, [batch(&task, vec![(VertexId(1), 2)])]);
-        assert_eq!(dst.freeze(q), (1, 3));
-        assert_eq!(frozen_runs(&dst, q), [(VertexId(1), vec![3, 1, 2])]);
     }
 
     #[test]
     fn extract_leaves_unmoved_pending_messages() {
         let task = reach_task();
         let mut w = Worker::new(0, true);
-        let q = QueryId(0);
-        w.deliver(
-            &task,
-            q,
-            [batch(&task, vec![(VertexId(1), 1), (VertexId(2), 2)])],
-        );
-        let moved: FxHashSet<VertexId> = [VertexId(1)].into_iter().collect();
-        assert_eq!(w.move_vertices(&mut Worker::new(1, true), &moved), vec![q]);
-        assert!(w.has_pending(q), "vertex 2's message stays");
-        assert_eq!(w.freeze(q), (1, 1));
-    }
-
-    #[test]
-    fn take_local_removes_query() {
-        let g = line();
-        let task = reach_task();
-        let q = QueryId(0);
-        let mut w = Worker::new(0, true);
-        w.deliver(&task, q, [batch(&task, vec![(VertexId(0), 0)])]);
-        w.freeze(q);
-        let prev = task.aggregate_identity();
-        w.execute(q, &task, &g, &prev, &|_| 0);
-        let local = w.take_local(q).expect("present");
-        assert_eq!(local.scope_size(), 1);
-        assert_eq!(scope_size(&w, q), 0);
-        assert_eq!(w.scope_report().count(), 0);
+        let mut l = w.new_local(&task);
+        let two = vec![(VertexId(1), 1), (VertexId(2), 2)];
+        w.deliver(l.as_mut(), [batch(&task, two)]);
+        assert!(l.extract(&vids(&[1])).is_some());
+        assert!(l.has_pending(), "vertex 2's message stays");
+        assert_eq!(l.freeze(), (1, 1));
     }
 
     #[test]
     fn multiple_queries_of_mixed_types_are_isolated() {
         let g = line();
         let reach = reach_task();
-        let ping = TypedTask::new(crate::programs::PingProgram {
+        let ping = TypedTask::new(PingProgram {
             ring: vec![VertexId(2), VertexId(3)],
             rounds: 2,
         });
-        let (q1, q2) = (QueryId(1), QueryId(2));
+        // Two queries' locals on one worker, sharing its scratch.
         let mut w = Worker::new(0, true);
-        w.deliver(&reach, q1, [batch(&reach, vec![(VertexId(0), 0)])]);
-        w.deliver(&ping, q2, [ping.batch_for_test(vec![(VertexId(2), 0)])]);
-        w.freeze(q1);
+        let (mut l1, mut l2) = (w.new_local(&reach), w.new_local(&ping));
+        w.deliver(l1.as_mut(), [batch(&reach, vec![(VertexId(0), 0)])]);
+        w.deliver(l2.as_mut(), [ping.batch_for_test(vec![(VertexId(2), 0)])]);
+        l1.freeze();
         let prev = reach.aggregate_identity();
-        w.execute(q1, &reach, &g, &prev, &|_| 0);
-        assert_eq!(scope_size(&w, q1), 1);
-        assert_eq!(scope_size(&w, q2), 0);
-        assert!(w.has_pending(q2));
+        w.execute(l1.as_mut(), &g, &prev, &|_| 0);
+        assert_eq!((l1.scope_size(), l2.scope_size()), (1, 0));
+        assert!(l2.has_pending());
 
-        w.freeze(q2);
+        l2.freeze();
         let prev = ping.aggregate_identity();
-        let (stats, _, _) = w.execute(q2, &ping, &g, &prev, &|_| 0);
+        let (stats, _, _) = w.execute(l2.as_mut(), &g, &prev, &|_| 0);
         assert_eq!(stats.executed, 1);
-        assert_eq!(scope_size(&w, q2), 1);
+        assert_eq!(l2.scope_size(), 1);
     }
 
     #[test]
     fn empty_freeze_is_harmless() {
-        let mut w = Worker::new(0, true);
-        assert_eq!(w.freeze(QueryId(0)), (0, 0));
+        let w = Worker::new(0, true);
+        assert_eq!(w.new_local(&reach_task()).freeze(), (0, 0));
     }
 
     #[test]
     fn scope_visitor_matches_materialized_set() {
         let g = line();
         let task = reach_task();
-        let q = QueryId(0);
         let mut w = Worker::new(0, true);
-        w.deliver(&task, q, [batch(&task, vec![(VertexId(0), 0)])]);
-        w.freeze(q);
-        let prev = task.aggregate_identity();
-        w.execute(q, &task, &g, &prev, &|_| 0);
-        let visited = scope(&w, q);
-        let mut report: Vec<_> = w.scope_report().collect();
-        let [(q0, 0, reported)] = &mut report[..] else {
-            panic!("one query's scope on worker 0");
-        };
-        reported.sort_unstable();
-        assert_eq!((*q0, &visited), (q, &*reported));
+        let mut l = w.new_local(&task);
+        w.deliver(l.as_mut(), [batch(&task, vec![(VertexId(0), 0)])]);
+        l.freeze();
+        run_at_home(&mut w, l.as_mut(), &g);
+        l.freeze();
+        run_at_home(&mut w, l.as_mut(), &g);
+        let any: &dyn Any = l.as_ref();
+        let typed = any.downcast_ref::<QueryLocal<ReachProgram>>();
+        let mut states: Vec<VertexId> = typed.expect("reach").state.keys().copied().collect();
+        states.sort_unstable();
+        assert_eq!(scope(l.as_ref()), states);
+        assert_eq!((l.scope_size(), states.len()), (2, 2));
     }
 
     #[test]
     #[should_panic(expected = "query task type mismatch")]
     fn wrong_task_type_panics_in_debug() {
         let task = reach_task();
-        let ping = TypedTask::new(crate::programs::PingProgram {
+        let ping = TypedTask::new(PingProgram {
             ring: vec![],
             rounds: 0,
         });
         let mut w = Worker::new(0, true);
-        let q = QueryId(0);
-        w.deliver(&task, q, [batch(&task, vec![(VertexId(0), 0)])]);
+        let mut l = w.new_local(&task);
+        w.deliver(l.as_mut(), [batch(&task, vec![(VertexId(0), 0)])]);
         // Delivering a ping batch through the reach local must be caught.
-        w.deliver(&ping, q, [ping.batch_for_test(vec![(VertexId(0), 0)])]);
+        w.deliver(l.as_mut(), [ping.batch_for_test(vec![(VertexId(0), 0)])]);
     }
 
     fn reach_local() -> QueryLocal<ReachProgram> {
@@ -1115,27 +963,28 @@ mod tests {
     #[test]
     fn a_collected_querys_buffer_opens_the_next_querys_first_bucket() {
         // Query 1's seed arrives first, then query 0's batch; query 0
-        // runs at home and is collected. Query 1's first superstep sends
-        // to worker 1 in the buffer query 0 left in the pool.
+        // runs at home and finishes, its local dropped. Query 1's first
+        // superstep sends to worker 1 in the buffer query 0 left in the
+        // pool.
         let g = line();
         let task = reach_task();
-        let (done, next) = (QueryId(0), QueryId(1));
         let mut w = Worker::new(0, true);
-        w.deliver(&task, next, [batch(&task, vec![(VertexId(0), 0)])]);
+        let (mut done, mut next) = (w.new_local(&task), w.new_local(&task));
+        w.deliver(next.as_mut(), [batch(&task, vec![(VertexId(0), 0)])]);
         let mut left: Batch<ReachProgram> = Box::new(Vec::with_capacity(9));
         left.push((VertexId(2), 0));
         let parked = addresses(&left);
-        w.deliver(&task, done, [MessageBatch::new::<ReachProgram>(1, left)]);
-        w.freeze(done);
+        w.deliver(done.as_mut(), [MessageBatch::new::<ReachProgram>(1, left)]);
+        done.freeze();
         let prev = task.aggregate_identity();
-        let (_, _, remote) = w.execute(done, &task, &g, &prev, &|_| 0);
+        let (_, _, remote) = w.execute(done.as_mut(), &g, &prev, &|_| 0);
         assert!(remote.is_empty(), "query 0 ran at home");
-        assert!(w.take_local(done).is_some());
+        drop(done);
         assert_eq!(pooled::<ReachProgram>(&mut w), 2, "both seeds' buffers");
 
-        w.freeze(next);
+        next.freeze();
         let away = |v: VertexId| usize::from(v != VertexId(0));
-        let (_, _, mut remote) = w.execute(next, &task, &g, &prev, &away);
+        let (_, _, mut remote) = w.execute(next.as_mut(), &g, &prev, &away);
         let Some((1, sent)) = remote.pop().filter(|_| remote.is_empty()) else {
             panic!("one batch, for worker 1");
         };
@@ -1151,36 +1000,31 @@ mod tests {
         // Reach and ping send `u32`s and share a list; tally's `()`s
         // have their own.
         let reach = reach_task();
-        let ping = TypedTask::new(crate::programs::PingProgram {
+        let ping = TypedTask::new(PingProgram {
             ring: vec![VertexId(0)],
             rounds: 1,
         });
-        let tally = TypedTask::new(crate::programs::Tally {
+        let tally = TypedTask::new(Tally {
             seed: VertexId(0),
             hop: 0,
             sticky: false,
             stop_at: 1,
         });
         let mut w = Worker::new(0, false);
+        let tasks: [&dyn QueryTask; 3] = [&reach, &ping, &tally];
+        let mut locals = tasks.map(|t| w.new_local(t));
         let extra = POOL_BATCHES as u32 + 5;
         for i in 0..extra {
-            w.deliver(&reach, QueryId(0), [batch(&reach, vec![(VertexId(i), 0)])]);
-            w.deliver(
-                &ping,
-                QueryId(1),
-                [ping.batch_for_test(vec![(VertexId(i), 0)])],
-            );
-            w.deliver(
-                &tally,
-                QueryId(2),
-                [tally.batch_for_test(vec![(VertexId(i), ())])],
-            );
+            let v = VertexId(i);
+            w.deliver(locals[0].as_mut(), [batch(&reach, vec![(v, 0)])]);
+            w.deliver(locals[1].as_mut(), [ping.batch_for_test(vec![(v, 0)])]);
+            w.deliver(locals[2].as_mut(), [tally.batch_for_test(vec![(v, ())])]);
         }
         assert_eq!(pooled::<ReachProgram>(&mut w), POOL_BATCHES);
-        assert_eq!(pooled::<crate::programs::Tally>(&mut w), POOL_BATCHES);
+        assert_eq!(pooled::<Tally>(&mut w), POOL_BATCHES);
         assert_eq!(w.scratch.pool.len(), 2, "one list per message type");
-        for q in 0..3 {
-            assert_eq!(w.freeze(QueryId(q)).1, extra as usize, "no message lost");
+        for local in &mut locals {
+            assert_eq!(local.freeze().1, extra as usize, "no message lost");
         }
     }
 
@@ -1193,36 +1037,31 @@ mod tests {
         // input of ping.
         let g = line();
         let reach = reach_task();
-        let ping = TypedTask::new(crate::programs::PingProgram {
+        let ping = TypedTask::new(PingProgram {
             ring: vec![VertexId(2), VertexId(3)],
             rounds: 3,
         });
         let mut w = Worker::new(0, false);
-        w.deliver(
-            &ping,
-            QueryId(1),
-            [ping.batch_for_test(vec![(VertexId(2), 0)])],
-        );
+        let (mut pinging, mut reaching) = (w.new_local(&ping), w.new_local(&reach));
+        let seed = ping.batch_for_test(vec![(VertexId(2), 0)]);
+        w.deliver(pinging.as_mut(), [seed]);
         let full: Vec<(VertexId, u32)> = (0..4).map(|v| (VertexId(v), 7)).collect();
-        w.deliver(&reach, QueryId(0), [batch(&reach, full)]);
-        w.freeze(QueryId(1));
+        w.deliver(reaching.as_mut(), [batch(&reach, full)]);
+        pinging.freeze();
         let away = |v: VertexId| usize::from(v == VertexId(3));
         let prev = ping.aggregate_identity();
-        let (_, _, mut remote) = w.execute(QueryId(1), &ping, &g, &prev, &away);
+        let (_, _, mut remote) = w.execute(pinging.as_mut(), &g, &prev, &away);
         let Some((1, sent)) = remote.pop().filter(|_| remote.is_empty()) else {
             panic!("one batch, for worker 1");
         };
-        let sent = sent.into_messages::<crate::programs::PingProgram>();
+        let sent = sent.into_messages::<PingProgram>();
         assert_eq!((sent.capacity(), &sent[..]), (4, &[(VertexId(3), 1)][..]));
         let mut far = Worker::new(1, false);
-        far.deliver(
-            &ping,
-            QueryId(1),
-            [MessageBatch::new::<crate::programs::PingProgram>(1, sent)],
-        );
-        far.freeze(QueryId(1));
-        let local: &dyn Any = far.queries[&QueryId(1)].as_ref();
-        let local = local.downcast_ref::<QueryLocal<crate::programs::PingProgram>>();
+        let mut there = far.new_local(&ping);
+        far.deliver(there.as_mut(), [MessageBatch::new::<PingProgram>(1, sent)]);
+        there.freeze();
+        let local: &dyn Any = there.as_ref();
+        let local = local.downcast_ref::<QueryLocal<PingProgram>>();
         let local = local.expect("a ping local");
         assert_eq!(local.cur, [(VertexId(3), 0..1)]);
         assert_eq!(local.cur_msgs, [1]);
@@ -1246,14 +1085,14 @@ mod tests {
         }
         let g = Topology::new(b.build());
         let task = reach_task();
-        let q = QueryId(0);
         let mut w = Worker::new(0, true);
+        let mut l = w.new_local(&task);
         let route = |v: VertexId| (5 - v.0 as usize) % 5;
         let prev = task.aggregate_identity();
         for round in 0..2 {
-            w.deliver(&task, q, [batch(&task, vec![(VertexId(5 * round), 0)])]);
-            w.freeze(q);
-            let (stats, _, remote) = w.execute(q, &task, &g, &prev, &route);
+            w.deliver(l.as_mut(), [batch(&task, vec![(VertexId(5 * round), 0)])]);
+            l.freeze();
+            let (stats, _, remote) = w.execute(l.as_mut(), &g, &prev, &route);
             let to: Vec<usize> = remote.iter().map(|(to, _)| *to).collect();
             assert_eq!(to, vec![1, 2, 3, 4], "round {round}");
             assert!(remote
@@ -1273,17 +1112,17 @@ mod tests {
         }
         let g = Topology::new(b.build());
         let task = reach_task();
-        let q = QueryId(0);
         let route = |v: VertexId| usize::from(v == VertexId(2));
         let prev = task.aggregate_identity();
         // (remote_pre_combine, remote_deliveries, remote_batches)
         for (combiners, counts) in [(true, (2, 1, 1)), (false, (2, 2, 1))] {
             let mut w = Worker::new(0, combiners);
+            let mut l = w.new_local(&task);
             for first in [0, 3] {
                 let seeds = vec![(VertexId(first), 0), (VertexId(first + 1), 3)];
-                w.deliver(&task, q, [batch(&task, seeds)]);
-                w.freeze(q);
-                let (stats, _, remote) = w.execute(q, &task, &g, &prev, &route);
+                w.deliver(l.as_mut(), [batch(&task, seeds)]);
+                l.freeze();
+                let (stats, _, remote) = w.execute(l.as_mut(), &g, &prev, &route);
                 let got = (
                     stats.remote_pre_combine,
                     stats.remote_deliveries,

@@ -27,10 +27,7 @@ pub use arrivals::{arrival_times, schedule_open_loop, ArrivalConfig, ArrivalPatt
 pub use churn::{
     edge_churn, moves_a_minimum, road_closures, social_follows, ChurnConfig, TimedMutation,
 };
-pub use points::{
-    generate_point_queries, schedule_point_queries, PairSkew, PointQuerySpec, PointWorkloadConfig,
-    TimedPointQuery,
-};
+pub use points::{generate_point_queries, PairSkew, PointQuerySpec, PointWorkloadConfig};
 pub use queries::{QueryKind, QuerySpec, WorkloadConfig, WorkloadGenerator, WorkloadPhase};
 pub use road::{City, RoadNetwork, RoadNetworkConfig, RoadNetworkGenerator};
 pub use social::{generate_ba, generate_ws, BarabasiAlbertConfig, WattsStrogatzConfig};

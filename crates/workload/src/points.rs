@@ -7,15 +7,13 @@
 //! valid under churn — either uniformly or skewed toward the head of the
 //! list (vertex ids are creation-ordered, so a power-law skew toward low
 //! indices models the "popular old entities" pattern of social graphs).
-//! The streams plug into the same open-loop arrival machinery as the
-//! traversal workloads ([`crate::ArrivalConfig`]).
+//! A stream is made open-loop by zipping it with the arrival instants
+//! the traversal workloads use ([`crate::arrival_times`]).
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use qgraph_graph::VertexId;
-
-use crate::arrivals::{arrival_times, ArrivalConfig};
 
 /// How source/target pairs are drawn from the live vertex list.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -116,30 +114,6 @@ fn sample(live: &[VertexId], skew: PairSkew, rng: &mut SmallRng) -> VertexId {
     live[((pos * live.len() as f64) as usize).min(live.len() - 1)]
 }
 
-/// One point query of an open-loop stream: what to ask and when.
-#[derive(Clone, Copy, Debug)]
-pub struct TimedPointQuery {
-    /// The query pair.
-    pub spec: PointQuerySpec,
-    /// Arrival time in seconds from stream start.
-    pub at_secs: f64,
-}
-
-/// Zip a point-query stream with an arrival process (truncating to the
-/// shorter of the two) — the index-plane counterpart of
-/// [`crate::schedule_open_loop`].
-pub fn schedule_point_queries(
-    specs: &[PointQuerySpec],
-    cfg: &ArrivalConfig,
-) -> Vec<TimedPointQuery> {
-    let times = arrival_times(cfg);
-    specs
-        .iter()
-        .zip(times)
-        .map(|(&spec, at_secs)| TimedPointQuery { spec, at_secs })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,15 +177,5 @@ mod tests {
             .filter(|s| s.reach)
             .count();
         assert!((300..700).contains(&reaches), "got {reaches}");
-    }
-
-    #[test]
-    fn schedules_reuse_arrival_patterns() {
-        let live = live(20);
-        let specs = generate_point_queries(&live, &PointWorkloadConfig::uniform(10, 3));
-        let timed = schedule_point_queries(&specs, &ArrivalConfig::uniform(10, 5.0));
-        assert_eq!(timed.len(), 10);
-        assert_eq!(timed[2].at_secs, 0.4);
-        assert_eq!(timed[7].spec, specs[7]);
     }
 }
