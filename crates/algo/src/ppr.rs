@@ -183,6 +183,7 @@ impl VertexProgram for PprProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qgraph_core::programs::Uncombined;
     use qgraph_core::{SimEngine, SystemConfig};
     use qgraph_graph::Graph;
     use qgraph_graph::GraphBuilder;
@@ -254,22 +255,24 @@ mod tests {
     #[test]
     fn combined_and_uncombined_masses_agree_within_tolerance() {
         // The tolerance-based equivalence the combiner contract requires
-        // for approximately-associative folds: same graph, combiners on
-        // vs off, per-vertex masses within a few ulps of each other.
-        let g = path(40);
-        let run = |combiners: bool| {
-            let parts = RangePartitioner.partition(&g, 2);
-            let cfg = SystemConfig {
-                combiners,
-                ..Default::default()
-            };
-            let mut e = SimEngine::new(Arc::clone(&g), ClusterModel::scale_up(2), parts, cfg);
-            let q = e.submit(PprProgram::new(VertexId(20), 0.15, 1e-5));
+        // for approximately-associative folds: same graph, PPR with its
+        // combiner vs `Uncombined`, per-vertex masses within a few ulps of
+        // each other.
+        fn run<P: VertexProgram<Output = Vec<(VertexId, f32)>>>(
+            g: &Arc<Graph>,
+            program: P,
+        ) -> Vec<(VertexId, f32)> {
+            let parts = RangePartitioner.partition(g, 2);
+            let cfg = SystemConfig::default();
+            let mut e = SimEngine::new(Arc::clone(g), ClusterModel::scale_up(2), parts, cfg);
+            let q = e.submit(program);
             e.run();
             e.take_output(&q).unwrap()
-        };
-        let on = run(true);
-        let off = run(false);
+        }
+        let g = path(40);
+        let ppr = PprProgram::new(VertexId(20), 0.15, 1e-5);
+        let on = run(&g, ppr.clone());
+        let off = run(&g, Uncombined(ppr));
         let masses = |out: &[(VertexId, f32)]| {
             let mut m: Vec<(VertexId, f32)> = out.to_vec();
             m.sort_by_key(|(v, _)| *v);

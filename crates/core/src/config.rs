@@ -104,7 +104,9 @@ impl QcutConfig {
     }
 }
 
-/// Top-level engine configuration.
+/// Top-level engine configuration. Message combining is not configured
+/// here: it is the program's, which has a combiner
+/// ([`crate::VertexProgram::combine`]) or declines.
 #[derive(Clone, Debug)]
 pub struct SystemConfig {
     /// Barrier synchronization mode.
@@ -119,12 +121,6 @@ pub struct SystemConfig {
     /// [`crate::sched`]). FIFO reproduces the paper's batches; the other
     /// policies reorder admission for mixed streams.
     pub admission: AdmissionPolicy,
-    /// Apply vertex-level message combiners
-    /// ([`crate::VertexProgram::combine`]) at both ends of the wire.
-    /// Combining is output-preserving by the combiner contract; disable
-    /// it only for A/B checks (only the combiner on ≡ off equivalence
-    /// tests do).
-    pub combiners: bool,
     /// Mutation-plane compaction threshold: at a mutation epoch barrier,
     /// rebuild the CSR (see `qgraph_graph::Topology::compacted`) once the
     /// overlay's op count reaches this fraction of the base edge count.
@@ -165,7 +161,6 @@ impl Default for SystemConfig {
             qcut: None,
             max_parallel_queries: 16,
             admission: AdmissionPolicy::Fifo,
-            combiners: true,
             compact_fraction: 0.25,
             max_queued: None,
             pool_threads: 0,
@@ -213,7 +208,6 @@ mod tests {
         assert_eq!(s.max_parallel_queries, 16);
         assert_eq!(s.barrier_mode, BarrierMode::Hybrid);
         assert!(s.qcut.is_none());
-        assert!(s.combiners, "combiners are on by default");
         assert_eq!(qgraph_sim::BATCH_MAX_MSGS, 32, "the paper's batch cap");
         assert_eq!(s.compact_fraction, 0.25);
         assert!(s.max_queued.is_none(), "unbounded admission by default");

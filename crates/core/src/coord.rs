@@ -203,6 +203,7 @@ impl Query {
     ) -> Record {
         let step = Stepping {
             last_done: out.submitted_at,
+            msg_arrival: SimTime::ZERO,
             out,
             dop,
             outstanding: 0,
@@ -227,17 +228,17 @@ impl Query {
     }
 
     /// Deliver the next superstep's input into the query's own locals —
-    /// one made from its task (`combiners` gating the combiner) where it
-    /// has none — parking the drained buffers in `scratch`. For a window
-    /// about to migrate: every local is at rest, none frozen.
-    pub fn deliver_mail(&self, combiners: bool, scratch: &mut Scratch) {
+    /// one made from its task where it has none — parking the drained
+    /// buffers in `scratch`. For a window about to migrate: every local is
+    /// at rest, none frozen.
+    pub fn deliver_mail(&self, scratch: &mut Scratch) {
         let mut step = self.stepping();
         let Stepping { mail, locals, .. } = &mut *step;
         for (mail, local) in mail.iter_mut().zip(locals.iter_mut()) {
             if mail.next.is_empty() {
                 continue;
             }
-            let local = local.get_or_insert_with(|| self.task.new_local(combiners));
+            let local = local.get_or_insert_with(|| self.task.new_local());
             for batch in mail.next.drain(..) {
                 local.deliver(batch, scratch);
             }
@@ -268,6 +269,10 @@ pub(crate) struct Stepping {
     /// Latest instant any of the query's Steps finished, as the executor
     /// reported it to [`Coordinator::step_done`].
     pub last_done: SimTime,
+    /// Latest arrival of any message the query sent between partitions,
+    /// as the simulation prices it; with `last_done`, what
+    /// [`barrier::decide`] reads.
+    pub msg_arrival: SimTime,
     /// DoP budget, fixed at admission.
     pub dop: usize,
     /// Steps of the current superstep not yet folded.
@@ -619,7 +624,7 @@ impl Coordinator {
         // Route against the *current* assignment and topology.
         let k = st.partitioning.num_workers();
         let route = |v: VertexId| st.partitioning.worker_of(v).index();
-        let batches = task.initial_batches(&st.topology, &route, self.cfg.combiners);
+        let batches = task.initial_batches(&st.topology, &route);
         // The budget is fixed at admission for the query's lifetime.
         let dop = dop_budget(task.as_ref(), Self::pool_width(&self.cfg, k));
         let record = Query::new(q, task, out, dop, k);
@@ -971,10 +976,9 @@ impl Coordinator {
         // Every pending message moves with its vertex: each live record's
         // next input goes into its own locals first, their buffers parked
         // in a scratch of the window's.
-        let combiners = self.cfg.combiners;
         let mut scratch = Scratch::default();
         for record in self.queries.values() {
-            record.deliver_mail(combiners, &mut scratch);
+            record.deliver_mail(&mut scratch);
         }
         let observed = st.controller.observed_scopes(&live);
         // The selection lists the live queries' scopes first.
@@ -984,7 +988,7 @@ impl Coordinator {
         let records = &self.queries;
         let (locality_before, locality_after) =
             migrate::apply_measured(&migration, &mut st.partitioning, &observed, || {
-                migrate::transfer(&migration, records.values(), combiners);
+                migrate::transfer(&migration, records.values());
                 x.migrate(&migration);
             });
         let live_locality_after = migrate::scope_locality(running, &st.partitioning);
@@ -1142,7 +1146,7 @@ mod tests {
     /// and nothing pending, at rest in its record.
     fn hold(core: &Coordinator, q: u32, w: usize, vertices: &[u32]) {
         let record = core.query(QueryId(q));
-        let mut local = record.task.new_local(true);
+        let mut local = record.task.new_local();
         let held = vertices.iter().map(|&v| (VertexId(v), Some(0), Vec::new()));
         local.inject(Box::new(held.collect::<Moved<PingProgram>>()));
         record.stepping().locals[w] = Some(local);
@@ -1671,7 +1675,7 @@ mod tests {
             Close::Terminate
         );
         let record = Arc::clone(core.query(QueryId(0)));
-        let mut local = record.task.new_local(true);
+        let mut local = record.task.new_local();
         let held: Moved<Tally> = vec![(VertexId(2), Some(()), Vec::new())];
         local.inject(Box::new(held));
         record.stepping().locals[1] = Some(local);

@@ -62,8 +62,8 @@ use crate::query::{QueryHandle, QueryId};
 use crate::report::EngineReport;
 use crate::sched::{check_submission, Submission};
 use crate::task::{Envelope, QueryTask, TypedTask};
-use crate::trace::{CmdKind, Tracer};
-use crate::worker::Worker;
+use crate::trace::Tracer;
+use crate::worker::Scratch;
 
 enum Event {
     /// A streamed query's virtual arrival time was reached: it enters the
@@ -121,7 +121,8 @@ pub struct Sim {
 /// queue, and the cost models that turn dispatches into delays.
 struct SimExec {
     cluster: ClusterModel,
-    workers: Vec<Worker>,
+    /// Per partition, the combine index and batch pool its Steps share.
+    scratch: Vec<Scratch>,
     sched: Vec<WorkerSched>,
     /// The simulated elastic pool's thread count: a global concurrency
     /// cap over the per-worker FIFO queues. With fewer threads than
@@ -132,8 +133,6 @@ struct SimExec {
     pool_busy: usize,
     events: EventQueue<Event>,
     outputs: Vec<Option<Envelope>>,
-    /// Per query: latest arrival of any inter-worker message it sent.
-    msg_arrival: Vec<SimTime>,
     /// `TaskReady` dispatches scheduled but not yet delivered. Quiescence
     /// requires this to reach zero: a control message racing the STOP
     /// barrier would otherwise start a superstep mid-migration.
@@ -174,11 +173,11 @@ impl Executor for SimExec {
     // superstep rides the barrier release whose round trip its close
     // already paid for.
     fn superstep(&mut self, record: &Record, step: &mut Stepping) {
-        let task = record.task.as_ref();
         for &w in &step.involved_cur {
-            let worker = &mut self.workers[w];
-            let local = step.locals[w].get_or_insert_with(|| worker.new_local(task));
-            worker.deliver(local.as_mut(), step.mail[w].input.drain(..));
+            let local = step.locals[w].get_or_insert_with(|| record.task.new_local());
+            for batch in step.mail[w].input.drain(..) {
+                local.deliver(batch, &mut self.scratch[w]);
+            }
             local.freeze();
         }
         let admitted = step.out.iterations == 0;
@@ -340,7 +339,7 @@ impl Engine<Sim> {
         let tracer = Tracer::new(k, cfg.trace_ring_capacity, cfg.trace);
         let x = SimExec {
             cluster,
-            workers: (0..k).map(|w| Worker::new(w, cfg.combiners)).collect(),
+            scratch: (0..k).map(|_| Scratch::default()).collect(),
             sched: (0..k)
                 .map(|_| WorkerSched {
                     queue: VecDeque::new(),
@@ -351,7 +350,6 @@ impl Engine<Sim> {
             pool_busy: 0,
             events: EventQueue::new(),
             outputs: Vec::new(),
-            msg_arrival: Vec::new(),
             inflight_ready: 0,
             window_scheduled: false,
             window_cost: SimTime::ZERO,
@@ -545,7 +543,6 @@ impl Sim {
             .deadline_secs
             .map(|d| arrival + SimTime::from_secs_f64(d));
         x.outputs.push(None);
-        x.msg_arrival.push(SimTime::ZERO);
         if arrival > now {
             x.events
                 .schedule(arrival, Event::Arrival { q, task, deadline });
@@ -583,7 +580,7 @@ impl Sim {
             panic!("protocol invariant: {q} runs on partition {w} without a local there");
         };
         let (stats, agg, remote) =
-            x.workers[w].execute(local.as_mut(), &st.topology, &step.agg_prev, &route);
+            local.execute(&st.topology, &step.agg_prev, w, &route, &mut x.scratch[w]);
         let self_pending = local.has_pending();
 
         // Serialization occupies this worker; the wire time then delays
@@ -593,7 +590,7 @@ impl Sim {
         let crossed = !remote.is_empty();
         for (w2, batch) in &remote {
             let arrival = sent_at + x.cluster.message_cost(w, *w2, batch.len());
-            x.msg_arrival[q.index()] = x.msg_arrival[q.index()].max(arrival);
+            step.msg_arrival = step.msg_arrival.max(arrival);
         }
         // The freed budget slot releases the superstep's next deferred
         // partition, priced as a fresh controller dispatch.
@@ -610,7 +607,6 @@ impl Sim {
             lane,
             id,
             lane,
-            CmdKind::Step,
             false,
             stats.executed as u64,
         );
@@ -648,7 +644,7 @@ impl Sim {
                 &BarrierInput {
                     mode,
                     compute_done: step.last_done,
-                    msg_arrival: x.msg_arrival[q.index()],
+                    msg_arrival: step.msg_arrival,
                     involved_cur: &step.involved_cur,
                     involved_next: &step.next_involved,
                     crossed: step.crossed,

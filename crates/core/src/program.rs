@@ -65,19 +65,22 @@ pub trait VertexProgram: Send + Sync + 'static {
     /// for every message pair — in practice the same commutative,
     /// associative, *exactly representable* fold `compute` already applies
     /// (min for SSSP/BFS distances, OR for reachability flags). Exact
-    /// folds keep results bit-identical with combining on or off, which
-    /// is what the engine-wide equivalence property tests pin. A fold
+    /// folds keep results bit-identical to the program without its
+    /// combiner ([`crate::programs::Uncombined`]), which is what the
+    /// engine-wide equivalence property tests pin. A fold
     /// that is only *approximately* associative (a floating-point sum)
     /// may still opt in when it carries compensation in the message
     /// (Kahan/Neumaier partial sums, see `qgraph_algo`'s PPR residuals)
     /// and ships with a tolerance-based equivalence test instead of the
     /// bit-identical one; otherwise it should decline.
     ///
-    /// The engines apply combiners at both ends of the wire: sender-side
-    /// when a superstep's remote messages are bucketed per destination
-    /// worker, and receiver-side when the pending inbox is coalesced at
-    /// the superstep freeze — N relaxations addressed to one vertex
-    /// collapse to 1 before they are priced, shipped, or applied.
+    /// The engines offer every message to it at both ends of the wire:
+    /// sender-side when a superstep's remote messages (and the seed
+    /// messages) are bucketed per destination worker, and receiver-side
+    /// when the pending inbox is coalesced at the superstep freeze — N
+    /// relaxations addressed to one vertex collapse to 1 before they are
+    /// priced, shipped, or applied. To run a program without its
+    /// combiner, submit it as [`crate::programs::Uncombined`].
     fn combine(&self, _acc: &mut Self::Message, _other: &Self::Message) -> bool {
         false
     }

@@ -3,6 +3,7 @@
 
 use qgraph_graph::{Topology, VertexId};
 
+use crate::index_plane::{PointAnswer, PointQuery};
 use crate::program::{Context, VertexProgram};
 
 /// Reachability: floods from a source; the output is the set of reached
@@ -164,6 +165,67 @@ impl VertexProgram for PingProgram {
     }
 }
 
+/// `P` without its combiner: every method and associated type forwards
+/// to `P` except [`VertexProgram::combine`], which declines, so every
+/// message is delivered and applied on its own. Running a program and its
+/// `Uncombined` form side by side checks the combiner contract: equal
+/// outputs, and `remote_messages == remote_messages_pre_combine` on the
+/// uncombined side.
+#[derive(Clone, Debug)]
+pub struct Uncombined<P>(pub P);
+
+impl<P: VertexProgram> VertexProgram for Uncombined<P> {
+    type State = P::State;
+    type Message = P::Message;
+    type Aggregate = P::Aggregate;
+    type Output = P::Output;
+
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn init_state(&self) -> P::State {
+        self.0.init_state()
+    }
+    fn aggregate_identity(&self) -> P::Aggregate {
+        self.0.aggregate_identity()
+    }
+    fn aggregate_combine(&self, a: &mut P::Aggregate, b: &P::Aggregate) {
+        self.0.aggregate_combine(a, b)
+    }
+    fn aggregate_sticky(&self) -> bool {
+        self.0.aggregate_sticky()
+    }
+    fn initial_messages(&self, graph: &Topology) -> Vec<(VertexId, P::Message)> {
+        self.0.initial_messages(graph)
+    }
+    fn compute(
+        &self,
+        graph: &Topology,
+        vertex: VertexId,
+        state: &mut P::State,
+        messages: &[P::Message],
+        ctx: &mut Context<'_, P::Message, P::Aggregate>,
+    ) {
+        self.0.compute(graph, vertex, state, messages, ctx)
+    }
+    fn should_terminate(&self, aggregate: &P::Aggregate) -> bool {
+        self.0.should_terminate(aggregate)
+    }
+    fn finalize(
+        &self,
+        graph: &Topology,
+        states: &mut dyn Iterator<Item = (VertexId, P::State)>,
+    ) -> P::Output {
+        self.0.finalize(graph, states)
+    }
+    fn point_query(&self) -> Option<PointQuery> {
+        self.0.point_query()
+    }
+    fn output_from_answer(&self, answer: &PointAnswer) -> Option<P::Output> {
+        self.0.output_from_answer(answer)
+    }
+}
+
 /// Test program for the superstep close: one active vertex that forever
 /// activates the vertex `hop` ids on (itself when 0), contributing 1 to a
 /// summed aggregate every superstep — per superstep, or over the run when
@@ -277,6 +339,10 @@ mod tests {
         let mut m = 1u32;
         assert!(!ping.combine(&mut m, &2));
         assert_eq!(m, 1);
+        // Uncombined declines what reach would fold, and keeps its name.
+        let p = Uncombined(p);
+        assert!(!p.combine(&mut acc, &1));
+        assert_eq!((acc, p.name()), (3, "reach"));
     }
 
     #[test]

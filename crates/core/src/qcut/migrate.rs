@@ -154,13 +154,11 @@ pub fn apply_measured(
 /// order: move by move, every query's data on the moved vertices — vertex
 /// state *and* pending next-superstep messages — is extracted from its
 /// local on the source partition and injected into its local on the
-/// destination, made from its task (`combiners` gating the combiner) when
-/// it has none there yet. Every local must be at rest with no frozen
+/// destination, made from its task when it has none there yet. Every local must be at rest with no frozen
 /// superstep in it, which the window guarantees.
 pub(crate) fn transfer<'a>(
     migration: &Migration,
     records: impl Iterator<Item = &'a Record> + Clone,
-    combiners: bool,
 ) {
     for mv in &migration.moves {
         let set: FxHashSet<VertexId> = mv.vertices.iter().copied().collect();
@@ -169,7 +167,7 @@ pub(crate) fn transfer<'a>(
             let Some(data) = locals[mv.from].as_mut().and_then(|l| l.extract(&set)) else {
                 continue;
             };
-            let to = locals[mv.to].get_or_insert_with(|| record.task.new_local(combiners));
+            let to = locals[mv.to].get_or_insert_with(|| record.task.new_local());
             to.inject(data);
         }
     }
@@ -312,9 +310,9 @@ mod tests {
     }
 
     /// A program whose combiner declines every merge and logs each offer
-    /// as `(tag, message)`. With combiners on, an inject offers each of a
-    /// vertex's pending messages after its first, so the log orders the
-    /// injects across queries.
+    /// as `(tag, message)`. An inject offers each of a vertex's pending
+    /// messages after its first, so the log orders the injects across
+    /// queries.
     struct Tagged {
         tag: u32,
         offers: Arc<Mutex<Vec<(u32, u32)>>>,
@@ -364,7 +362,7 @@ mod tests {
                 let task: Arc<dyn QueryTask> = Arc::new(TypedTask::new(program));
                 let record = Query::new(QueryId(tag), task, Default::default(), 1, 3);
                 for w in 0..2 {
-                    let mut local = record.task.new_local(true);
+                    let mut local = record.task.new_local();
                     let held: Moved<Tagged> =
                         vec![(VertexId(w), Some(tag), vec![10 * w, 10 * w + 1])];
                     local.inject(Box::new(held));
@@ -392,7 +390,7 @@ mod tests {
             moved_vertices: 2,
             per_pair: vec![(0, 2, 1), (1, 2, 1)],
         };
-        transfer(&m, records.iter(), true);
+        transfer(&m, records.iter());
         // Move by move, and within a move query by query, in id order:
         // each query's data moves whichever query the move was planned for.
         let order = vec![(0, 1), (1, 1), (0, 11), (1, 11)];

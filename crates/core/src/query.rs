@@ -156,7 +156,7 @@ pub struct QueryOutcome {
     /// cap ([`qgraph_sim::BATCH_MAX_MSGS`], 32): `Σ ⌈msgs/cap⌉` per
     /// (destination, superstep) send — the unit the network model's
     /// per-batch overhead is charged in. Both runtimes count it in
-    /// `Worker::execute`; on threads it is accounting only, as a Step's
+    /// the query local's `execute`; on threads it is accounting only, as a Step's
     /// messages to one destination move as one batch, through the query's
     /// record.
     pub remote_batches: u64,

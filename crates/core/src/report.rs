@@ -18,7 +18,7 @@ use qgraph_partition::imbalance;
 use crate::index_plane::IndexRepairEvent;
 use crate::qcut::IlsResult;
 use crate::query::QueryOutcome;
-use crate::trace::{order, CmdKind, Event, Kind, TraceData, TraceSummary};
+use crate::trace::{order, Event, Kind, TraceData, TraceSummary};
 
 /// One adaptive repartitioning (global barrier) event.
 #[derive(Clone, Debug)]
@@ -266,7 +266,7 @@ impl EngineReport {
         assert!(window > 0.0);
         let mut s = TimeSeries::new("imbalance");
         let mut ends: Vec<&Event> = (self.trace.events.iter())
-            .filter(|e| e.kind == Kind::TaskEnd && e.cmd == CmdKind::Step)
+            .filter(|e| e.kind == Kind::TaskEnd)
             .collect();
         ends.sort_by(|a, b| order(a, b));
         let mut bucket_start = 0.0f64;
@@ -546,11 +546,9 @@ mod tests {
     fn imbalance_series_buckets() {
         let t = crate::trace::Tracer::new(2, 64, true);
         // Recorded out of order: the series sorts by end instant.
-        t.task_span(1.4, 1.5, 0, 0, 0, CmdKind::Step, false, 20);
-        t.task_span(0.0, 0.1, 0, 0, 0, CmdKind::Step, false, 10);
-        t.task_span(0.1, 0.2, 1, 1, 1, CmdKind::Step, false, 10);
-        // A span that is not a Step's is not read.
-        t.task_span(1.5, 1.6, 1, 1, 1, CmdKind::Other, false, 0);
+        t.task_span(1.4, 1.5, 0, 0, 0, false, 20);
+        t.task_span(0.0, 0.1, 0, 0, 0, false, 10);
+        t.task_span(0.1, 0.2, 1, 1, 1, false, 10);
         let mut r = EngineReport::default();
         r.trace.absorb(&t);
         let s = r.imbalance_series(2, 1.0);

@@ -2,7 +2,8 @@
 //! of the coordinator core.
 //!
 //! [`ThreadEngine`] runs the same worker code as the discrete-event engine
-//! — same [`crate::worker::Worker`], same vertex programs — and executes
+//! — same query locals over the same per-partition scratch, same vertex
+//! programs — and executes
 //! the same query protocol (`coord`), on OS threads with
 //! `std::sync::mpsc` channels. It demonstrates that the library is an
 //! executable system, and the integration tests use it to cross-validate
@@ -42,7 +43,7 @@
 //!
 //! Taking trades buffers: the Step swaps the record's vector with the
 //! empty one the `WorkerCtx` owns, so the record keeps a buffer the next
-//! superstep's sends fill ([`Worker::deliver`] delivers the whole take).
+//! superstep's sends fill (the Step delivers the whole take).
 //! Together with the batch buffers that circulate through each
 //! partition's pool (see [`crate::worker`]), a steady-state Step puts,
 //! takes and delivers without touching the allocator, and a finished
@@ -151,8 +152,8 @@ use crate::query::{QueryHandle, QueryId};
 use crate::report::{EngineReport, PoolCounters};
 use crate::sched::check_submission;
 use crate::task::{Envelope, MessageBatch, QueryTask, TypedTask};
-use crate::trace::{CmdKind, Tracer};
-use crate::worker::Worker;
+use crate::trace::Tracer;
+use crate::worker::Scratch;
 
 /// Lock a partition's worker state. Unlike a record, a command that
 /// panicked mid-way may have left it torn, so poisoning propagates.
@@ -600,14 +601,13 @@ impl Threads {
         // a publication — so the lock only moves the state between threads.
         let shared_parts = Arc::new(self.state.partitioning.clone());
         let shared_topology = Arc::new(self.state.topology.clone());
-        let combiners = self.cfg.combiners;
         let parts: Arc<Vec<Partition>> = Arc::new(
             (0..k)
                 .map(|w| {
                     hb.spawn_worker(w);
                     Partition {
                         ctx: Mutex::new(WorkerCtx {
-                            worker: Worker::new(w, combiners),
+                            scratch: Scratch::default(),
                             topology: Arc::clone(&shared_topology),
                             partitioning: Arc::clone(&shared_parts),
                             taken: Vec::new(),
@@ -987,7 +987,7 @@ fn serve(mut core: Coordinator, mut x: PoolExec) -> Stopped {
 }
 
 /// The partition-owned state a pool task operates on: the logical
-/// actor's [`Worker`] (its batch pool and combine scratch) plus its view
+/// actor's [`Scratch`] (its batch pool and combine index) plus its view
 /// of the published topology and assignment. Placement stays fixed to the
 /// partition — only *compute* is elastic — so whichever pool thread draws
 /// the partition's next command locks it; inside a window the coordinator
@@ -995,7 +995,7 @@ fn serve(mut core: Coordinator, mut x: PoolExec) -> Stopped {
 /// partition and a window opens only at quiescence, so the lock exists to
 /// move the state between threads.
 struct WorkerCtx {
-    worker: Worker,
+    scratch: Scratch,
     topology: Arc<Topology>,
     partitioning: Arc<Partitioning>,
     /// The buffer a Step trades for its input in the record (see the
@@ -1091,7 +1091,6 @@ impl Lane {
                 tid as u32,
                 u64::from(traced_q.0),
                 w as u32,
-                CmdKind::Step,
                 w % self.width != tid,
                 executed,
             );
@@ -1127,8 +1126,10 @@ impl Lane {
             std::mem::swap(&mut step.mail[w].input, &mut ctx.taken);
             step.locals[w].take()
         };
-        let mut local = held.unwrap_or_else(|| ctx.worker.new_local(task));
-        ctx.worker.deliver(local.as_mut(), ctx.taken.drain(..));
+        let mut local = held.unwrap_or_else(|| task.new_local());
+        for batch in ctx.taken.drain(..) {
+            local.deliver(batch, &mut ctx.scratch);
+        }
         local.freeze();
         let route = |v: VertexId| ctx.partitioning.worker_of(v).index();
         let (mut step, close) = loop {
@@ -1137,8 +1138,7 @@ impl Lane {
             // latest publication before any vertex executes.
             hb.worker_step(w);
             let (stats, agg, remote) =
-                ctx.worker
-                    .execute(local.as_mut(), &ctx.topology, &prev_agg, &route);
+                local.execute(&ctx.topology, &prev_agg, w, &route, &mut ctx.scratch);
             executed += stats.executed as u64;
             let report = StepReport {
                 q,
@@ -1310,7 +1310,7 @@ mod tests {
             hb.spawn_worker(w);
             Partition {
                 ctx: Mutex::new(WorkerCtx {
-                    worker: Worker::new(w, true),
+                    scratch: Scratch::default(),
                     topology: Arc::clone(&topology),
                     partitioning: Arc::clone(&parts),
                     taken: Vec::new(),
@@ -1335,7 +1335,7 @@ mod tests {
             },
         };
         let route = |v: VertexId| parts.worker_of(v).index();
-        let batches = task.initial_batches(&topology, &route, true);
+        let batches = task.initial_batches(&topology, &route);
         let record = Query::new(Q, task, Default::default(), dop, k);
         let mut step = record.stepping();
         for (w, batch) in batches {
@@ -1631,9 +1631,7 @@ mod tests {
         assert!(by_hand.input(1) == [0, 1] && !by_hand.has_pending(1));
         // The window takes it out of the record's mail into the record's
         // local on partition 1 ...
-        by_hand
-            .record
-            .deliver_mail(true, &mut crate::worker::Scratch::default());
+        by_hand.record.deliver_mail(&mut Scratch::default());
         assert_eq!(by_hand.input(1), [0, 0]);
         assert!(!by_hand.has_pending(0) && by_hand.has_pending(1));
         // ... so migrating vertex 2 to partition 0 takes the message along.
@@ -1647,7 +1645,7 @@ mod tests {
             moved_vertices: 1,
             per_pair: vec![(1, 0, 1)],
         };
-        crate::qcut::migrate::transfer(&migration, [&by_hand.record].into_iter(), true);
+        crate::qcut::migrate::transfer(&migration, [&by_hand.record].into_iter());
         assert!(by_hand.has_pending(0) && !by_hand.has_pending(1));
         // Resumed there, superstep 1 takes an empty input from the record
         // and executes vertex 2 from the local's inbox.

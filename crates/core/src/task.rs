@@ -11,10 +11,9 @@
 //!   batches, the aggregate at each barrier, an index answer, and
 //!   `finalize`;
 //! * [`LocalState`], one per (query, partition) (a [`QueryLocal`] in the
-//!   query's record, run by a [`Worker`](crate::worker::Worker)): the
-//!   per-partition work —
-//!   deliver, execute, and a migration's extract and inject. The local
-//!   holds the program, so it runs itself.
+//!   query's record, run over its partition's [`Scratch`]): the
+//!   per-partition work — deliver, execute, and a migration's extract and
+//!   inject. The local holds the program, so it runs itself.
 //!
 //! Program-specific payloads (message batches, aggregates, migrated
 //! vertex data, outputs) cross the erased boundary as
@@ -32,7 +31,7 @@
 //! downcasts it back to the same box, which the receiving partition
 //! parks in its pool as the buffer of a bucket it will send
 //! (`pooled_batch` opens it again; see [`crate::worker`]).
-//! The message counts ride alongside the envelope for the runtimes' cost
+//! The message count rides alongside the envelope for the runtimes' cost
 //! models, so the simulation's network model never has to peek inside an
 //! erased payload.
 
@@ -90,14 +89,12 @@ pub(crate) fn pooled_batch<P: VertexProgram>(scratch: &mut Scratch) -> Option<Ba
 
 /// A batch of one query's messages addressed to one worker. The payload is
 /// the sender's boxed `Vec<(VertexId, P::Message)>` as an [`Envelope`]
-/// (one allocation, which the receiver reuses); the message
-/// counts are carried openly for the runtimes' cost models: `count` is
-/// what the batch actually holds (post sender-side combining — what the
-/// wire carries and the network model prices), `pre_combine` what the
-/// producing superstep addressed to this worker before the combiner ran.
+/// (one allocation, which the receiver reuses); the message count is
+/// carried openly for the runtimes' cost models: what the batch actually
+/// holds (post sender-side combining — what the wire carries and the
+/// network model prices).
 pub struct MessageBatch {
     count: usize,
-    pre_combine: usize,
     /// The sending program's type: the payload's own type cannot tell
     /// apart two programs with one message type.
     program: TypeId,
@@ -107,10 +104,9 @@ pub struct MessageBatch {
 impl MessageBatch {
     /// Program `P`'s batch buffer as a batch: the box becomes the payload
     /// as it is, no second allocation.
-    pub(crate) fn new<P: VertexProgram>(pre_combine: usize, msgs: Batch<P>) -> Self {
+    pub(crate) fn new<P: VertexProgram>(msgs: Batch<P>) -> Self {
         MessageBatch {
             count: msgs.len(),
-            pre_combine,
             program: TypeId::of::<P>(),
             payload: msgs,
         }
@@ -126,13 +122,6 @@ impl MessageBatch {
     /// Number of messages in the batch (post-combine).
     pub fn len(&self) -> usize {
         self.count
-    }
-
-    /// Messages addressed to this batch's worker before sender-side
-    /// combining; `len() ≤ pre_combine()`, equal when the program has no
-    /// combiner (or combining is disabled).
-    pub fn pre_combine(&self) -> usize {
-        self.pre_combine
     }
 
     /// Is the batch empty?
@@ -159,9 +148,8 @@ pub trait QueryTask: Send + Sync {
     /// traversal.
     fn envelope_from_answer(&self, answer: &crate::index_plane::PointAnswer) -> Option<Envelope>;
 
-    /// Fresh per-worker local state for this query; `combiners` gates the
-    /// program's message combiner (see [`VertexProgram::combine`]).
-    fn new_local(&self, combiners: bool) -> Box<dyn LocalState>;
+    /// Fresh per-partition local state for this query.
+    fn new_local(&self) -> Box<dyn LocalState>;
 
     /// The aggregator's identity element, enveloped.
     fn aggregate_identity(&self) -> Envelope;
@@ -180,12 +168,11 @@ pub trait QueryTask: Send + Sync {
     fn should_terminate(&self, aggregate: &Envelope) -> bool;
 
     /// The seed messages, pre-bucketed by destination worker via `route`
-    /// and combined per destination vertex when `combiners` is set.
+    /// and offered to the program's combiner per destination vertex.
     fn initial_batches(
         &self,
         graph: &Topology,
         route: &dyn Fn(VertexId) -> usize,
-        combiners: bool,
     ) -> Vec<(usize, MessageBatch)>;
 
     /// Produce the query's output envelope (downcast by
@@ -210,7 +197,7 @@ impl<P: VertexProgram> TypedTask<P> {
 
     #[cfg(test)]
     pub(crate) fn batch_for_test(&self, msgs: Vec<(VertexId, P::Message)>) -> MessageBatch {
-        MessageBatch::new::<P>(msgs.len(), Box::new(msgs))
+        MessageBatch::new::<P>(Box::new(msgs))
     }
 }
 
@@ -229,8 +216,8 @@ impl<P: VertexProgram> QueryTask for TypedTask<P> {
             .map(|out| Box::new(out) as Envelope)
     }
 
-    fn new_local(&self, combiners: bool) -> Box<dyn LocalState> {
-        Box::new(QueryLocal::<P>::new(Arc::clone(&self.program), combiners))
+    fn new_local(&self) -> Box<dyn LocalState> {
+        Box::new(QueryLocal::<P>::new(Arc::clone(&self.program)))
     }
 
     fn aggregate_identity(&self) -> Envelope {
@@ -261,7 +248,6 @@ impl<P: VertexProgram> QueryTask for TypedTask<P> {
         &self,
         graph: &Topology,
         route: &dyn Fn(VertexId) -> usize,
-        combiners: bool,
     ) -> Vec<(usize, MessageBatch)> {
         let mut by_worker: FxHashMap<usize, Vec<(VertexId, P::Message)>> = FxHashMap::default();
         for (v, m) in self.program.initial_messages(graph) {
@@ -270,11 +256,8 @@ impl<P: VertexProgram> QueryTask for TypedTask<P> {
         let mut out: Vec<(usize, MessageBatch)> = by_worker
             .into_iter()
             .map(|(w, mut msgs)| {
-                let pre = msgs.len();
-                if combiners {
-                    crate::worker::combine_in_place(self.program.as_ref(), &mut msgs);
-                }
-                (w, MessageBatch::new::<P>(pre, Box::new(msgs)))
+                crate::worker::combine_in_place(self.program.as_ref(), &mut msgs);
+                (w, MessageBatch::new::<P>(Box::new(msgs)))
             })
             .collect();
         out.sort_unstable_by_key(|(w, _)| *w); // deterministic order
@@ -325,11 +308,10 @@ mod tests {
         b.add_edge(0, 1, 1.0);
         let g = Topology::new(b.build());
         let task = TypedTask::new(ReachProgram::new(VertexId(2)));
-        let batches = task.initial_batches(&g, &|v| v.0 as usize % 2, true);
+        let batches = task.initial_batches(&g, &|v| v.0 as usize % 2);
         assert_eq!(batches.len(), 1);
         assert_eq!(batches[0].0, 0); // vertex 2 routes to worker 0
         assert_eq!(batches[0].1.len(), 1);
-        assert_eq!(batches[0].1.pre_combine(), 1);
     }
 
     /// A reach local that visited `vertices` (the graph has no edges).
@@ -338,7 +320,7 @@ mod tests {
         g: &Topology,
         vertices: &[u32],
     ) -> Box<dyn LocalState> {
-        let mut local = task.new_local(true);
+        let mut local = task.new_local();
         let mut scratch = Scratch::default();
         let seeds = vertices.iter().map(|&v| (VertexId(v), 0u32)).collect();
         local.deliver(task.batch_for_test(seeds), &mut scratch);
@@ -403,11 +385,11 @@ mod tests {
         };
         let arriving = task.batch_for_test(vec![(VertexId(0), 0)]);
         let sent = address(&arriving);
-        let mut local = task.new_local(true);
+        let mut local = task.new_local();
         let mut scratch = Scratch::default();
         local.deliver(arriving, &mut scratch);
         local.freeze();
-        let (_, _, remote) = local.execute(
+        let (stats, _, remote) = local.execute(
             &g,
             &task.aggregate_identity(),
             0,
@@ -418,7 +400,7 @@ mod tests {
             panic!("one batch, for worker 1");
         };
         assert_eq!(address(leaving), sent);
-        assert_eq!((leaving.len(), leaving.pre_combine()), (1, 1));
+        assert_eq!((leaving.len(), stats.remote_pre_combine), (1, 1));
     }
 
     #[test]

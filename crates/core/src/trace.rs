@@ -57,7 +57,7 @@ mod recorder;
 mod summary;
 
 pub use chrome::{export_chrome, validate_chrome, ChromeStats};
-pub use recorder::{order, outcome, CmdKind, Event, Kind, Track, PNONE, QNONE};
+pub use recorder::{order, outcome, Event, Kind, Track, PNONE, QNONE};
 pub use summary::{summarize, QueryTimeline, TraceSummary};
 
 use crate::index_plane::IndexRepairEvent;
@@ -148,23 +148,14 @@ impl Tracer {
         lane: u32,
         q: u64,
         p: u32,
-        cmd: CmdKind,
         stolen: bool,
         executed: u64,
     ) {
         if let Some(r) = &self.rec {
             r.record2(
                 lane as usize + 1,
-                Event::task(
-                    begin_at,
-                    Kind::TaskBegin,
-                    lane,
-                    q,
-                    p,
-                    cmd,
-                    u64::from(stolen),
-                ),
-                Event::task(end_at, Kind::TaskEnd, lane, q, p, cmd, executed),
+                Event::task(begin_at, Kind::TaskBegin, lane, q, p, u64::from(stolen)),
+                Event::task(end_at, Kind::TaskEnd, lane, q, p, executed),
             );
         }
     }
@@ -273,7 +264,7 @@ mod tests {
         let t = Tracer::new(2, 64, false);
         assert!(!t.enabled());
         t.admitted(0.0, 1);
-        t.task_span(0.1, 0.2, 0, 1, 0, CmdKind::Step, false, 1);
+        t.task_span(0.1, 0.2, 0, 1, 0, false, 1);
         let mut data = TraceData::default();
         data.absorb(&t);
         assert!(data.is_empty());
@@ -283,7 +274,7 @@ mod tests {
     fn enabled_tracer_accumulates_and_summarizes() {
         let t = Tracer::new(1, 64, true);
         t.admitted(0.0, 7);
-        t.task_span(1.0, 2.0, 0, 7, 0, CmdKind::Step, false, 5);
+        t.task_span(1.0, 2.0, 0, 7, 0, false, 5);
         t.superstep_done(2.0, 7);
         t.outcome(2.0, 7, outcome::COMPLETED);
         let mut data = TraceData::default();

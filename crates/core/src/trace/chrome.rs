@@ -23,7 +23,7 @@
 
 use super::json::{self, Value};
 use super::summary::fold_queries;
-use super::{order, CmdKind, Event, Kind, Track, QNONE};
+use super::{order, Event, Kind, Track, QNONE};
 
 const PID_ENGINE: f64 = 1.0;
 const PID_QUERIES: f64 = 2.0;
@@ -103,7 +103,8 @@ fn coord_pair(kind: Kind) -> Option<(Kind, &'static str)> {
 }
 
 /// Render `events` as Chrome trace-event JSON. The stream need not be
-/// sorted; lane spans are paired by (lane, query, partition, cmd).
+/// sorted; lane spans — every one a Step, named `step` — are paired by
+/// (lane, query, partition).
 pub fn export_chrome(events: &[Event]) -> String {
     let mut sorted: Vec<Event> = events.to_vec();
     sorted.sort_by(order);
@@ -138,7 +139,7 @@ pub fn export_chrome(events: &[Event]) -> String {
     // --- Lane task spans: pair Begin/End by full identity, most
     // recent first (lanes run one task at a time, but a truncated
     // stream may interleave keys).
-    let mut open: Vec<(u32, u64, u32, CmdKind, f64, u64)> = Vec::new();
+    let mut open: Vec<(u32, u64, u32, f64, u64)> = Vec::new();
     // --- Coordinator spans: one pending begin per pair kind.
     let mut coord_open: Vec<(Kind, f64, u64)> = Vec::new();
 
@@ -146,21 +147,21 @@ pub fn export_chrome(events: &[Event]) -> String {
         match ev.kind {
             Kind::TaskBegin => {
                 if let Track::Lane(l) = ev.track {
-                    open.push((l, ev.query, ev.partition, ev.cmd, ev.at_secs, ev.aux));
+                    open.push((l, ev.query, ev.partition, ev.at_secs, ev.aux));
                 }
             }
             Kind::TaskEnd => {
                 if let Track::Lane(l) = ev.track {
-                    let key = (l, ev.query, ev.partition, ev.cmd);
+                    let key = (l, ev.query, ev.partition);
                     if let Some(i) = open
                         .iter()
-                        .rposition(|&(ol, oq, op, oc, _, _)| (ol, oq, op, oc) == key)
+                        .rposition(|&(ol, oq, op, _, _)| (ol, oq, op) == key)
                     {
-                        let (_, q, p, cmd, t0, stolen) = open.remove(i);
+                        let (_, q, p, t0, stolen) = open.remove(i);
                         let name = if q == QNONE {
-                            cmd.name().to_string()
+                            "step".to_string()
                         } else {
-                            format!("{} q{q} p{p}", cmd.name())
+                            format!("step q{q} p{p}")
                         };
                         let args = format!(
                             "\"query\":{},\"partition\":{},\"stolen\":{},\"executed\":{}",
@@ -351,8 +352,8 @@ mod tests {
         let q = 3;
         vec![
             Event::query(0.0, Kind::Admitted, q),
-            Event::task(0.5, Kind::TaskBegin, 1, q, 2, CmdKind::Step, 0),
-            Event::task(1.0, Kind::TaskEnd, 1, q, 2, CmdKind::Step, 40),
+            Event::task(0.5, Kind::TaskBegin, 1, q, 2, 0),
+            Event::task(1.0, Kind::TaskEnd, 1, q, 2, 40),
             Event::query(1.0, Kind::SuperstepDone, q),
             Event::coord(1.2, Kind::QuiesceBegin, 0),
             Event::query(1.2, Kind::Park, q),
@@ -363,8 +364,8 @@ mod tests {
             Event::coord(1.5, Kind::RepairEnd, 1 << 32 | 2534),
             Event::coord(1.5, Kind::QuiesceEnd, 0),
             Event::query(1.5, Kind::Unpark, q),
-            Event::task(1.6, Kind::TaskBegin, 0, q, 1, CmdKind::Step, 1),
-            Event::task(2.0, Kind::TaskEnd, 0, q, 1, CmdKind::Step, 12),
+            Event::task(1.6, Kind::TaskBegin, 0, q, 1, 1),
+            Event::task(2.0, Kind::TaskEnd, 0, q, 1, 12),
             Event::query(2.0, Kind::SuperstepDone, q),
             Event::query_aux(2.0, Kind::Outcome, q, outcome::COMPLETED),
         ]

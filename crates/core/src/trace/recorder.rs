@@ -9,27 +9,6 @@ pub const QNONE: u64 = u64::MAX;
 /// "No partition" marker for [`Event::partition`].
 pub const PNONE: u32 = u32::MAX;
 
-/// What a task-span event was executing (the pool command vocabulary).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CmdKind {
-    /// Superstep compute: take the partition's input from the query's
-    /// record, seal the inbox and execute the vertex function over the
-    /// scope.
-    Step,
-    /// Anything else the pool runs (scope reports, state migration, …).
-    Other,
-}
-
-impl CmdKind {
-    /// Stable display name (Chrome span names, summaries).
-    pub fn name(self) -> &'static str {
-        match self {
-            CmdKind::Step => "step",
-            CmdKind::Other => "other",
-        }
-    }
-}
-
 /// The event vocabulary. Span-shaped kinds come in `*Begin`/`*End`
 /// pairs; the rest are instants.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,7 +18,9 @@ pub enum Kind {
     /// A query left the system (completed / rejected / index-served);
     /// `aux` is an [`outcome`] code.
     Outcome,
-    /// A pool lane started executing a task; `aux` bit 0 = stolen
+    /// A pool lane started executing a task — every task is a Step: take
+    /// the partition's input from the query's record, seal the inbox and
+    /// execute the vertex function over the scope. `aux` bit 0 = stolen
     /// (executed off the partition's affine lane).
     TaskBegin,
     /// The matching task finished; `aux` = vertices executed (steps).
@@ -112,8 +93,6 @@ pub struct Event {
     pub query: u64,
     /// Touched partition, or [`PNONE`].
     pub partition: u32,
-    /// Task-span command kind ([`CmdKind::Other`] when meaningless).
-    pub cmd: CmdKind,
     /// Kind-specific payload (see each [`Kind`] variant).
     pub aux: u64,
 }
@@ -127,7 +106,6 @@ impl Event {
             track: Track::Query(q),
             query: q,
             partition: PNONE,
-            cmd: CmdKind::Other,
             aux: 0,
         }
     }
@@ -141,22 +119,13 @@ impl Event {
     }
 
     /// A task-span event on an execution lane.
-    pub fn task(
-        at_secs: f64,
-        kind: Kind,
-        lane: u32,
-        q: u64,
-        p: u32,
-        cmd: CmdKind,
-        aux: u64,
-    ) -> Event {
+    pub fn task(at_secs: f64, kind: Kind, lane: u32, q: u64, p: u32, aux: u64) -> Event {
         Event {
             at_secs,
             kind,
             track: Track::Lane(lane),
             query: q,
             partition: p,
-            cmd,
             aux,
         }
     }
@@ -169,7 +138,6 @@ impl Event {
             track: Track::Coordinator,
             query: QNONE,
             partition: PNONE,
-            cmd: CmdKind::Other,
             aux,
         }
     }
@@ -369,7 +337,7 @@ mod tests {
                     for i in 0..200 {
                         r.record(
                             1 + lane as usize,
-                            Event::task(i as f64, Kind::TaskBegin, lane, 0, lane, CmdKind::Step, 0),
+                            Event::task(i as f64, Kind::TaskBegin, lane, 0, lane, 0),
                         );
                     }
                 });

@@ -227,10 +227,10 @@ pub fn summarize(events: &[Event], dropped: u64) -> TraceSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{outcome, CmdKind};
+    use crate::trace::outcome;
 
     fn task(at: f64, kind: Kind, q: u64) -> Event {
-        Event::task(at, kind, 0, q, 0, CmdKind::Step, 0)
+        Event::task(at, kind, 0, q, 0, 0)
     }
 
     #[test]

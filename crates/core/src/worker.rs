@@ -8,9 +8,8 @@
 //! per-query arrays would cost `O(|V| · |Q|)` memory while localized
 //! queries touch a tiny graph fraction. The locals live in their query's
 //! record, one slot per partition (`coord::Stepping::locals`), and leave
-//! with it when the query finishes; a [`Worker`] holds only what belongs
-//! to the partition: its id, the combiner gate of the locals made there,
-//! and the [`Scratch`] every query's Steps share.
+//! with it when the query finishes; a partition holds only the
+//! [`Scratch`] every query's Steps there share.
 //!
 //! ## The message plane
 //!
@@ -19,22 +18,22 @@
 //! per-message heap `Vec` growth on the hot path. The inbox is sorted and
 //! **coalesced exactly once**, at the superstep freeze, into a run-length
 //! layout (`cur` runs over a contiguous `cur_msgs` buffer) that `execute`
-//! walks in deterministic vertex order. Programs with a combiner
-//! ([`crate::VertexProgram::combine`]) collapse each vertex's run to a
+//! walks in deterministic vertex order. A program's combiner
+//! ([`crate::VertexProgram::combine`]) collapses each vertex's run to a
 //! single message during that coalesce (receiver side) and again when a
 //! superstep's remote messages are bucketed per destination worker
 //! (sender side), so N relaxations addressed to one vertex cost 1 on the
-//! wire and 1 at apply time. [`SuperstepStats`] reports both the
-//! pre-combine and the post-combine remote counts so the runtimes can
-//! charge combined traffic while still accounting for what combining
-//! saved.
+//! wire and 1 at apply time; a program without one declines every offer.
+//! [`SuperstepStats`] reports both the pre-combine and the post-combine
+//! remote counts so the runtimes can charge combined traffic while still
+//! accounting for what combining saved.
 //!
 //! A steady-state superstep allocates nothing for its messages. The
 //! [`QueryLocal`] keeps every buffer it works in across supersteps — the
 //! frozen runs, the inbox, the vector `compute` sends into, and a dense
 //! per-destination bucket table in place of a per-superstep hash map —
 //! and the batch buffers themselves **circulate** through one pool per
-//! partition, in the worker's [`Scratch`]: `deliver` drains a batch that
+//! partition, in its [`Scratch`]: `deliver` drains a batch that
 //! arrived and parks its emptied, still boxed, buffer there, on the list
 //! of its message type (at most `POOL_BATCHES`); `execute` opens a bucket
 //! by popping one; the box then travels as the [`MessageBatch`] payload
@@ -46,18 +45,20 @@
 //! index order, so the batches leave in ascending destination order
 //! without a sort.
 //!
-//! The worker is **not generic**: each query's local state is held behind
-//! the object-safe [`LocalState`] face, which [`QueryLocal`] implements
-//! once with the program it holds — message delivery, superstep execution
-//! and a migration's extract and inject included, their program-specific
-//! payloads crossing as envelopes that [`crate::task`] opens. One worker
-//! therefore executes SSSP, POI, and reachability queries side by side,
-//! and a migration moves a query's vertices from one of its locals to
-//! another without looking up its task.
+//! A partition is **not generic**: each query's local state is held
+//! behind the object-safe [`LocalState`] face, which [`QueryLocal`]
+//! implements once with the program it holds — message delivery,
+//! superstep execution and a migration's extract and inject included,
+//! their program-specific payloads crossing as envelopes that
+//! [`crate::task`] opens. One partition therefore executes SSSP, POI, and
+//! reachability queries side by side, and a migration moves a query's
+//! vertices from one of its locals to another without looking up its
+//! task.
 //!
-//! Workers are runtime-agnostic: both the discrete-event engine and the
-//! thread runtime drive the same code, passing a routing closure that
-//! resolves the current vertex→worker assignment.
+//! The locals are runtime-agnostic: both the discrete-event engine and
+//! the thread runtime call [`LocalState::deliver`] and
+//! [`LocalState::execute`] with their partition's index, its scratch and
+//! a routing closure that resolves the current vertex→worker assignment.
 
 use std::any::{Any, TypeId};
 use std::ops::Range;
@@ -69,7 +70,7 @@ use qgraph_graph::{Topology, VertexId};
 use qgraph_sim::BATCH_MAX_MSGS;
 
 use crate::program::{Context, VertexProgram};
-use crate::task::{aggregate_of, moved_of, pooled_batch, Envelope, MessageBatch, QueryTask};
+use crate::task::{aggregate_of, moved_of, pooled_batch, Envelope, MessageBatch};
 
 /// Counters reported after one local superstep: what the query's outcome
 /// and the simulation's network model read of it.
@@ -127,12 +128,12 @@ pub trait LocalState: Any + Send {
     /// Execute the frozen superstep; returns the step statistics, the
     /// superstep's aggregate contribution, and the remote messages.
     ///
-    /// `route` resolves the *current* assignment; messages to `home` go
-    /// straight into the next inbox, others are returned as batches
-    /// bucketed by destination worker, in ascending worker order — each
-    /// opened on a buffer from `scratch`'s pool when it has one, and
-    /// combined sender-side through `scratch` when the program has a
-    /// combiner.
+    /// `route` resolves the *current* assignment; messages to `home`, the
+    /// executing partition, go straight into the next inbox, others are
+    /// returned as batches bucketed by destination worker, in ascending
+    /// worker order — each opened on a buffer from `scratch`'s pool when
+    /// it has one, and offered to the program's combiner sender-side
+    /// through `scratch`.
     fn execute(
         &mut self,
         graph: &Topology,
@@ -169,16 +170,13 @@ pub struct QueryLocal<P: VertexProgram> {
     state: FxHashMap<VertexId, P::State>,
     /// The program, kept for the combiner at coalesce time.
     program: Arc<P>,
-    /// Apply the program's combiner (engines disable this to verify
-    /// output equivalence).
-    combine: bool,
     /// What `compute` produced this superstep, before routing. Empty
     /// between supersteps; kept for its capacity.
     outgoing: Vec<(VertexId, P::Message)>,
     /// Routing table of the running superstep, indexed by destination
-    /// worker: `(pre-combine count, open bucket)`. All closed between
-    /// supersteps; kept so routing hashes nothing.
-    buckets: Vec<(usize, Option<Batch<P>>)>,
+    /// worker: its open bucket. All closed between supersteps; kept so
+    /// routing hashes nothing.
+    buckets: Vec<Option<Batch<P>>>,
 }
 
 /// The buffer of one message batch. It stays boxed from the sender's
@@ -202,7 +200,7 @@ pub(crate) type Moved<P> = Vec<(
 /// is only memory.
 const POOL_BATCHES: usize = 64;
 
-/// Worker-owned scratch, shared by every query on the partition: the
+/// Partition-owned scratch, shared by every query on the partition: the
 /// sender-side combine index and the batch pool.
 ///
 /// The combine index is a stamp-tagged direct-address array `vertex →
@@ -210,7 +208,7 @@ const POOL_BATCHES: usize = 64;
 /// (no hashing, no clearing — bumping the stamp invalidates every tag at
 /// once), so combining a remote message costs less than delivering it
 /// would have. Memory is `O(|V|)` *per worker* — the same order as the
-/// vertex→worker assignment the worker already routes against —
+/// vertex→worker assignment the partition already routes against —
 /// preserving the sparse `O(scope)` per-query storage the multi-query
 /// model depends on. A destination vertex routes to exactly one worker,
 /// so the tag needs no worker component.
@@ -278,15 +276,14 @@ impl Scratch {
 }
 
 impl<P: VertexProgram> QueryLocal<P> {
-    /// Fresh empty state for `program`; `combine` gates the combiner.
-    pub(crate) fn new(program: Arc<P>, combine: bool) -> Self {
+    /// Fresh empty state for `program`.
+    pub(crate) fn new(program: Arc<P>) -> Self {
         QueryLocal {
             cur: Vec::new(),
             cur_msgs: Vec::new(),
             next: Vec::new(),
             state: FxHashMap::default(),
             program,
-            combine,
             outgoing: Vec::new(),
             buckets: Vec::new(),
         }
@@ -304,19 +301,19 @@ impl<P: VertexProgram> QueryLocal<P> {
     }
 }
 
-/// Append one pending message to `inbox`, combining into its tail when the
-/// previous delivery addressed the same vertex (sender-side-combined
-/// batches arrive vertex-sorted, so intra-batch duplicates are adjacent).
-/// Cross-batch duplicates coalesce at the freeze. `combiner` is the
-/// program when combining is on.
+/// Append one pending message to `inbox`, offering it to `program`'s
+/// combiner with the tail when the previous delivery addressed the same
+/// vertex (sender-side-combined batches arrive vertex-sorted, so
+/// intra-batch duplicates are adjacent). Cross-batch duplicates coalesce
+/// at the freeze.
 #[inline]
 fn push_pending<P: VertexProgram>(
     inbox: &mut Vec<(VertexId, P::Message)>,
-    combiner: Option<&P>,
+    program: &P,
     to: VertexId,
     msg: P::Message,
 ) {
-    if let (Some(program), Some((last_v, acc))) = (combiner, inbox.last_mut()) {
+    if let Some((last_v, acc)) = inbox.last_mut() {
         if *last_v == to && program.combine(acc, &msg) {
             return;
         }
@@ -336,8 +333,8 @@ impl<P: VertexProgram> LocalState for QueryLocal<P> {
     ///
     /// This is the single sort + coalesce of the inbox lifecycle: the
     /// flat pending vec is stably sorted by vertex (preserving arrival
-    /// order within a vertex) and split into per-vertex runs; a combiner
-    /// collapses each run as it is built.
+    /// order within a vertex) and split into per-vertex runs; the
+    /// program's combiner collapses each run as it is built.
     fn freeze(&mut self) -> (usize, usize) {
         debug_assert!(self.cur.is_empty(), "freeze with unexecuted frozen inbox");
         let mut buf = std::mem::take(&mut self.next);
@@ -347,11 +344,8 @@ impl<P: VertexProgram> LocalState for QueryLocal<P> {
         for (v, m) in buf.drain(..) {
             match self.cur.last_mut() {
                 Some((last_v, run)) if *last_v == v => {
-                    if self.combine {
-                        let acc = &mut self.cur_msgs[run.end - 1];
-                        if self.program.combine(acc, &m) {
-                            continue;
-                        }
+                    if self.program.combine(&mut self.cur_msgs[run.end - 1], &m) {
+                        continue;
                     }
                     self.cur_msgs.push(m);
                     run.end += 1;
@@ -385,9 +379,8 @@ impl<P: VertexProgram> LocalState for QueryLocal<P> {
 
     fn deliver(&mut self, batch: MessageBatch, scratch: &mut Scratch) {
         let mut batch = batch.into_messages::<P>();
-        let combiner = self.combine.then_some(self.program.as_ref());
         for (v, m) in batch.drain(..) {
-            push_pending(&mut self.next, combiner, v, m);
+            push_pending(&mut self.next, self.program.as_ref(), v, m);
         }
         scratch.park::<P>(batch);
     }
@@ -408,12 +401,10 @@ impl<P: VertexProgram> LocalState for QueryLocal<P> {
             next,
             state,
             program,
-            combine,
             outgoing,
             buckets,
         } = self;
         let program = program.as_ref();
-        let combiner = combine.then_some(program);
         let prev_aggregate = aggregate_of::<P>(prev_aggregate);
         let mut stats = SuperstepStats::default();
         let mut aggregate = program.aggregate_identity();
@@ -442,46 +433,41 @@ impl<P: VertexProgram> LocalState for QueryLocal<P> {
         // remote message merges it into an earlier message to the same
         // vertex — no hashing, no sort, nothing for the receiver to redo.
         // A bucket is opened on a pooled buffer when there is one.
-        if combiner.is_some() {
-            scratch.begin(graph.num_vertices());
-        }
+        scratch.begin(graph.num_vertices());
         let mut opened = 0;
         for (to, msg) in outgoing.drain(..) {
             let w = route(to);
             if w == home {
-                push_pending(next, combiner, to, msg);
+                push_pending(next, program, to, msg);
                 continue;
             }
             stats.remote_pre_combine += 1;
             if w >= buckets.len() {
-                buckets.resize_with(w + 1, || (0, None));
+                buckets.resize_with(w + 1, || None);
             }
-            let (pre, bucket) = &mut buckets[w];
-            *pre += 1;
-            let bucket = bucket.get_or_insert_with(|| {
+            let bucket = buckets[w].get_or_insert_with(|| {
                 opened += 1;
                 pooled_batch::<P>(scratch).unwrap_or_default()
             });
-            if let Some(program) = combiner {
-                if let Some(slot) = scratch.slot(to) {
-                    if program.combine(&mut bucket[slot].1, &msg) {
-                        continue;
-                    }
+            if let Some(slot) = scratch.slot(to) {
+                if program.combine(&mut bucket[slot].1, &msg) {
+                    continue;
                 }
-                // First sighting — or a declined combine: later messages
-                // target the newest occurrence.
-                scratch.set_slot(to, bucket.len());
             }
+            // First sighting — or a declined combine: later messages
+            // target the newest occurrence.
+            scratch.set_slot(to, bucket.len());
             bucket.push((to, msg));
         }
 
         // The table is walked in index order, so the batches come out by
         // ascending destination — the deterministic order — unsorted.
         let mut remote = Vec::with_capacity(opened);
-        for (w, (pre, bucket)) in buckets.iter_mut().enumerate() {
+        for (w, bucket) in buckets.iter_mut().enumerate() {
             if let Some(msgs) = bucket.take() {
                 stats.remote_deliveries += msgs.len();
-                remote.push((w, MessageBatch::new::<P>(std::mem::take(pre), msgs)));
+                stats.remote_batches += msgs.len().div_ceil(BATCH_MAX_MSGS);
+                remote.push((w, MessageBatch::new::<P>(msgs)));
             }
         }
         (stats, Box::new(aggregate), remote)
@@ -524,13 +510,12 @@ impl<P: VertexProgram> LocalState for QueryLocal<P> {
     }
 
     fn inject(&mut self, data: Envelope) {
-        let combiner = self.combine.then_some(self.program.as_ref());
         for (v, st, msgs) in moved_of::<P>(data) {
             if let Some(st) = st {
                 self.state.insert(v, st);
             }
             for m in msgs {
-                push_pending(&mut self.next, combiner, v, m);
+                push_pending(&mut self.next, self.program.as_ref(), v, m);
             }
         }
     }
@@ -564,75 +549,11 @@ pub(crate) fn combine_in_place<P: VertexProgram>(
     msgs.truncate(w + 1);
 }
 
-/// One worker: what belongs to the partition rather than to a query —
-/// its id, the combiner gate of the query locals made here, and the
-/// scratch their Steps share. The locals themselves live in their
-/// queries' records (see the module docs).
-pub struct Worker {
-    /// This worker's id (index into the cluster).
-    pub id: usize,
-    /// Combiners enabled for query locals created here (the engines
-    /// thread [`crate::SystemConfig::combiners`] through [`Worker::new`]).
-    combiners: bool,
-    /// The combine index and batch pool every query here shares (see
-    /// [`Scratch`]).
-    scratch: Scratch,
-}
-
-impl Worker {
-    /// An empty worker; `combiners` gates the message combiner of the
-    /// query locals it creates.
-    pub fn new(id: usize, combiners: bool) -> Self {
-        Worker {
-            id,
-            combiners,
-            scratch: Scratch::default(),
-        }
-    }
-
-    /// An empty local of `task`'s query, for a partition the query has
-    /// not reached before.
-    pub fn new_local(&self, task: &dyn QueryTask) -> Box<dyn LocalState> {
-        task.new_local(self.combiners)
-    }
-
-    /// Deliver `batches`, in order, into `local`'s next-superstep inbox,
-    /// parking their buffers in this partition's pool.
-    pub fn deliver(
-        &mut self,
-        local: &mut dyn LocalState,
-        batches: impl IntoIterator<Item = MessageBatch>,
-    ) {
-        for batch in batches {
-            local.deliver(batch, &mut self.scratch);
-        }
-    }
-
-    /// Execute `local`'s frozen superstep here. The returned stats carry
-    /// both pre- and post-combine remote counts plus the batch count under
-    /// the wire cap.
-    pub fn execute(
-        &mut self,
-        local: &mut dyn LocalState,
-        graph: &Topology,
-        prev_aggregate: &Envelope,
-        route: &dyn Fn(VertexId) -> usize,
-    ) -> (SuperstepStats, Envelope, Vec<(usize, MessageBatch)>) {
-        let (mut stats, agg, remote) =
-            local.execute(graph, prev_aggregate, self.id, route, &mut self.scratch);
-        stats.remote_batches = remote
-            .iter()
-            .map(|(_, b)| b.len().div_ceil(BATCH_MAX_MSGS))
-            .sum();
-        (stats, agg, remote)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::programs::{PingProgram, ReachProgram, Tally};
-    use crate::task::TypedTask;
+    use crate::programs::{PingProgram, ReachProgram, Tally, Uncombined};
+    use crate::task::{QueryTask, TypedTask};
     use qgraph_graph::GraphBuilder;
 
     fn line() -> Topology {
@@ -647,7 +568,15 @@ mod tests {
         TypedTask::new(ReachProgram::new(VertexId(0)))
     }
 
-    fn batch(task: &TypedTask<ReachProgram>, msgs: Vec<(VertexId, u32)>) -> MessageBatch {
+    /// Reach from vertex 0 without its combiner.
+    fn uncombined_reach_task() -> TypedTask<Uncombined<ReachProgram>> {
+        TypedTask::new(Uncombined(ReachProgram::new(VertexId(0))))
+    }
+
+    fn batch<P: VertexProgram>(
+        task: &TypedTask<P>,
+        msgs: Vec<(VertexId, P::Message)>,
+    ) -> MessageBatch {
         task.batch_for_test(msgs)
     }
 
@@ -663,33 +592,37 @@ mod tests {
         scope
     }
 
-    /// A reach local's frozen input: each vertex's messages.
-    fn frozen_runs(local: &dyn LocalState) -> Vec<(VertexId, Vec<u32>)> {
+    /// A local of program `P`, typed.
+    fn typed<P: VertexProgram>(local: &dyn LocalState) -> &QueryLocal<P> {
         let local: &dyn Any = local;
-        let local = local.downcast_ref::<QueryLocal<ReachProgram>>();
-        let local = local.expect("a reach local");
+        local.downcast_ref().expect("a local of this program")
+    }
+
+    /// A local's frozen input: each vertex's messages.
+    fn frozen_runs<P: VertexProgram>(local: &dyn LocalState) -> Vec<(VertexId, Vec<P::Message>)> {
+        let local = typed::<P>(local);
         let run = |(v, r): &(VertexId, Range<usize>)| (*v, local.cur_msgs[r.clone()].to_vec());
         local.cur.iter().map(run).collect()
     }
 
-    /// Partition `w` runs `local`'s frozen superstep with everything
+    /// Partition `home` runs `local`'s frozen superstep with everything
     /// routed home: the local's state grows, its own mail stays pending.
-    fn run_at_home(w: &mut Worker, local: &mut dyn LocalState, g: &Topology) {
-        let (home, prev) = (w.id, reach_task().aggregate_identity());
-        w.execute(local, g, &prev, &|_| home);
+    fn run_at_home(home: usize, s: &mut Scratch, local: &mut dyn LocalState, g: &Topology) {
+        let prev = reach_task().aggregate_identity();
+        local.execute(g, &prev, home, &|_| home, s);
     }
 
     #[test]
     fn deliver_freeze_execute_cycle() {
         let g = line();
         let task = reach_task();
-        let mut w = Worker::new(0, true);
-        let mut l = w.new_local(&task);
-        w.deliver(l.as_mut(), [batch(&task, vec![(VertexId(0), 0)])]);
+        let mut s = Scratch::default();
+        let mut l = task.new_local();
+        l.deliver(batch(&task, vec![(VertexId(0), 0)]), &mut s);
         assert!(l.has_pending());
         assert_eq!(l.freeze(), (1, 1));
         let prev = task.aggregate_identity();
-        let (stats, _agg, remote) = w.execute(l.as_mut(), &g, &prev, &|_| 0);
+        let (stats, _agg, remote) = l.execute(&g, &prev, 0, &|_| 0, &mut s);
         assert_eq!(stats.executed, 1);
         assert!(remote.is_empty(), "0 -> 1 stays local");
         assert_eq!(stats.remote_batches, 0);
@@ -701,14 +634,14 @@ mod tests {
     fn remote_messages_bucketed_by_destination() {
         let g = line();
         let task = reach_task();
-        let mut w = Worker::new(0, true);
-        let mut l = w.new_local(&task);
-        w.deliver(l.as_mut(), [batch(&task, vec![(VertexId(0), 0)])]);
+        let mut s = Scratch::default();
+        let mut l = task.new_local();
+        l.deliver(batch(&task, vec![(VertexId(0), 0)]), &mut s);
         l.freeze();
         // Route everything except vertex 0 to worker 1.
         let prev = task.aggregate_identity();
         let away = |v: VertexId| usize::from(v != VertexId(0));
-        let (stats, _, remote) = w.execute(l.as_mut(), &g, &prev, &away);
+        let (stats, _, remote) = l.execute(&g, &prev, 0, &away, &mut s);
         assert_eq!(stats.remote_deliveries, 1);
         assert_eq!(stats.remote_pre_combine, 1);
         assert_eq!(stats.remote_batches, 1);
@@ -723,12 +656,12 @@ mod tests {
         // Reach's combiner keeps the minimum hop: three messages to one
         // vertex freeze into a single apply.
         let task = reach_task();
-        let mut w = Worker::new(0, true);
-        let mut l = w.new_local(&task);
-        w.deliver(l.as_mut(), [batch(&task, vec![(VertexId(1), 3)])]);
-        w.deliver(l.as_mut(), [batch(&task, vec![(VertexId(2), 5)])]);
+        let mut s = Scratch::default();
+        let mut l = task.new_local();
+        l.deliver(batch(&task, vec![(VertexId(1), 3)]), &mut s);
+        l.deliver(batch(&task, vec![(VertexId(2), 5)]), &mut s);
         let twice = vec![(VertexId(1), 1), (VertexId(1), 2)];
-        w.deliver(l.as_mut(), [batch(&task, twice)]);
+        l.deliver(batch(&task, twice), &mut s);
         assert!(l.has_pending());
         let (active, msgs) = l.freeze();
         assert_eq!(active, 2);
@@ -737,11 +670,10 @@ mod tests {
 
     #[test]
     fn combiner_disabled_keeps_every_message() {
-        let task = reach_task();
-        let mut w = Worker::new(0, false);
-        let mut l = w.new_local(&task);
+        let task = uncombined_reach_task();
+        let mut l = task.new_local();
         let twice = vec![(VertexId(1), 3), (VertexId(1), 1)];
-        w.deliver(l.as_mut(), [batch(&task, twice)]);
+        l.deliver(batch(&task, twice), &mut Scratch::default());
         assert_eq!(l.freeze(), (1, 2));
     }
 
@@ -756,13 +688,13 @@ mod tests {
         }
         let g = Topology::new(b.build());
         let task = reach_task();
-        let mut w = Worker::new(0, true);
-        let mut l = w.new_local(&task);
-        w.deliver(l.as_mut(), [batch(&task, vec![(VertexId(0), 0)])]);
+        let mut s = Scratch::default();
+        let mut l = task.new_local();
+        l.deliver(batch(&task, vec![(VertexId(0), 0)]), &mut s);
         l.freeze();
         let prev = task.aggregate_identity();
         let away = |v: VertexId| usize::from(v != VertexId(0));
-        let (stats, _, remote) = w.execute(l.as_mut(), &g, &prev, &away);
+        let (stats, _, remote) = l.execute(&g, &prev, 0, &away, &mut s);
         assert_eq!(stats.remote_deliveries, n);
         assert_eq!(stats.remote_batches, 2);
         assert_eq!(remote.len(), 1);
@@ -772,13 +704,13 @@ mod tests {
     fn migration_roundtrip_preserves_state_and_inbox() {
         let g = line();
         let task = reach_task();
-        let mut w = Worker::new(0, true);
-        let mut a = w.new_local(&task);
-        w.deliver(a.as_mut(), [batch(&task, vec![(VertexId(0), 0)])]);
+        let mut s = Scratch::default();
+        let mut a = task.new_local();
+        a.deliver(batch(&task, vec![(VertexId(0), 0)]), &mut s);
         a.freeze();
-        run_at_home(&mut w, a.as_mut(), &g);
+        run_at_home(0, &mut s, a.as_mut(), &g);
         // Now vertex 0 has state, vertex 1 has a pending message.
-        let mut b = Worker::new(1, true).new_local(&task);
+        let mut b = task.new_local();
         b.inject(a.extract(&vids(&[0, 1])).expect("data on both"));
         assert_eq!((a.scope_size(), a.has_pending()), (0, false));
         assert_eq!(b.scope_size(), 1);
@@ -787,52 +719,59 @@ mod tests {
         assert!(a.extract(&vids(&[0, 1])).is_none(), "nothing left to move");
     }
 
-    #[test]
-    fn a_move_into_a_worker_holding_the_query_merges_states_and_inboxes() {
-        // 0 -> 1 and 3 -> 4. On worker 0 the query holds vertex 0, with
-        // mail for 1 (its own, then a batch's) and 2; on worker 1 it holds
-        // vertex 3, with mail for 4 and 1. Vertices 0, 1 and 2 move to 1.
+    /// 0 -> 1 and 3 -> 4. On partition 0 the query holds vertex 0, with
+    /// mail for 1 (its own, then a batch's) and 2; on partition 1 it holds
+    /// vertex 3, with mail for 4 and 1. Vertices 0, 1 and 2 move to 1:
+    /// vertex 1's inbox there is `at_1`.
+    fn move_into_a_partition_holding_the_query<P: VertexProgram<Message = u32>>(
+        task: &TypedTask<P>,
+        at_1: Vec<u32>,
+    ) {
         let mut b = GraphBuilder::new(5);
         b.add_edge(0, 1, 1.0);
         b.add_edge(3, 4, 1.0);
         let g = Topology::new(b.build());
-        let task = reach_task();
-        // Vertex 1's inbox: worker 1's message first, then worker 0's two.
-        for (combiners, at_1) in [(true, vec![1]), (false, vec![2, 1, 5])] {
-            let mut workers = [Worker::new(0, combiners), Worker::new(1, combiners)];
-            let mut locals = [workers[0].new_local(&task), workers[1].new_local(&task)];
-            let seeded = [
-                (0, vec![(VertexId(1), 5), (VertexId(2), 7)]),
-                (3, vec![(VertexId(1), 2)]),
-            ];
-            for ((w, local), (seed, mail)) in workers.iter_mut().zip(&mut locals).zip(seeded) {
-                w.deliver(local.as_mut(), [batch(&task, vec![(VertexId(seed), 0)])]);
-                local.freeze();
-                run_at_home(w, local.as_mut(), &g);
-                w.deliver(local.as_mut(), [batch(&task, mail)]);
-            }
-            let [src, dst] = &mut locals;
-            dst.inject(src.extract(&vids(&[0, 1, 2])).expect("data to move"));
-            assert_eq!((src.scope_size(), src.has_pending()), (0, false));
-            let scope = scope(dst.as_ref());
-            assert_eq!(scope, [VertexId(0), VertexId(3)], "combiners {combiners}");
-            dst.freeze();
-            let inbox = vec![
-                (VertexId(1), at_1),
-                (VertexId(2), vec![7]),
-                (VertexId(4), vec![1]),
-            ];
-            assert_eq!(frozen_runs(dst.as_ref()), inbox, "combiners {combiners}");
+        let mut scratch = [Scratch::default(), Scratch::default()];
+        let mut locals = [task.new_local(), task.new_local()];
+        let seeded = [
+            (0, vec![(VertexId(1), 5), (VertexId(2), 7)]),
+            (3, vec![(VertexId(1), 2)]),
+        ];
+        let parts = scratch.iter_mut().zip(&mut locals).zip(seeded);
+        for (home, ((s, local), (seed, mail))) in parts.enumerate() {
+            local.deliver(batch(task, vec![(VertexId(seed), 0)]), s);
+            local.freeze();
+            run_at_home(home, s, local.as_mut(), &g);
+            local.deliver(batch(task, mail), s);
         }
+        let [src, dst] = &mut locals;
+        dst.inject(src.extract(&vids(&[0, 1, 2])).expect("data to move"));
+        assert_eq!((src.scope_size(), src.has_pending()), (0, false));
+        let name = std::any::type_name::<P>();
+        assert_eq!(scope(dst.as_ref()), [VertexId(0), VertexId(3)], "{name}");
+        dst.freeze();
+        let inbox = vec![
+            (VertexId(1), at_1),
+            (VertexId(2), vec![7]),
+            (VertexId(4), vec![1]),
+        ];
+        assert_eq!(frozen_runs::<P>(dst.as_ref()), inbox, "{name}");
+    }
+
+    #[test]
+    fn a_move_into_a_worker_holding_the_query_merges_states_and_inboxes() {
+        // Vertex 1's inbox: partition 1's message first, then partition
+        // 0's two.
+        move_into_a_partition_holding_the_query(&reach_task(), vec![1]);
+        move_into_a_partition_holding_the_query(&uncombined_reach_task(), vec![2, 1, 5]);
     }
 
     #[test]
     fn extract_leaves_unmoved_pending_messages() {
         let task = reach_task();
-        let mut w = Worker::new(0, true);
-        let mut l = w.new_local(&task);
+        let mut l = task.new_local();
         let two = vec![(VertexId(1), 1), (VertexId(2), 2)];
-        w.deliver(l.as_mut(), [batch(&task, two)]);
+        l.deliver(batch(&task, two), &mut Scratch::default());
         assert!(l.extract(&vids(&[1])).is_some());
         assert!(l.has_pending(), "vertex 2's message stays");
         assert_eq!(l.freeze(), (1, 1));
@@ -846,44 +785,42 @@ mod tests {
             ring: vec![VertexId(2), VertexId(3)],
             rounds: 2,
         });
-        // Two queries' locals on one worker, sharing its scratch.
-        let mut w = Worker::new(0, true);
-        let (mut l1, mut l2) = (w.new_local(&reach), w.new_local(&ping));
-        w.deliver(l1.as_mut(), [batch(&reach, vec![(VertexId(0), 0)])]);
-        w.deliver(l2.as_mut(), [ping.batch_for_test(vec![(VertexId(2), 0)])]);
+        // Two queries' locals on one partition, sharing its scratch.
+        let mut s = Scratch::default();
+        let (mut l1, mut l2) = (reach.new_local(), ping.new_local());
+        l1.deliver(batch(&reach, vec![(VertexId(0), 0)]), &mut s);
+        l2.deliver(batch(&ping, vec![(VertexId(2), 0)]), &mut s);
         l1.freeze();
         let prev = reach.aggregate_identity();
-        w.execute(l1.as_mut(), &g, &prev, &|_| 0);
+        l1.execute(&g, &prev, 0, &|_| 0, &mut s);
         assert_eq!((l1.scope_size(), l2.scope_size()), (1, 0));
         assert!(l2.has_pending());
 
         l2.freeze();
         let prev = ping.aggregate_identity();
-        let (stats, _, _) = w.execute(l2.as_mut(), &g, &prev, &|_| 0);
+        let (stats, _, _) = l2.execute(&g, &prev, 0, &|_| 0, &mut s);
         assert_eq!(stats.executed, 1);
         assert_eq!(l2.scope_size(), 1);
     }
 
     #[test]
     fn empty_freeze_is_harmless() {
-        let w = Worker::new(0, true);
-        assert_eq!(w.new_local(&reach_task()).freeze(), (0, 0));
+        assert_eq!(reach_task().new_local().freeze(), (0, 0));
     }
 
     #[test]
     fn scope_visitor_matches_materialized_set() {
         let g = line();
         let task = reach_task();
-        let mut w = Worker::new(0, true);
-        let mut l = w.new_local(&task);
-        w.deliver(l.as_mut(), [batch(&task, vec![(VertexId(0), 0)])]);
+        let mut s = Scratch::default();
+        let mut l = task.new_local();
+        l.deliver(batch(&task, vec![(VertexId(0), 0)]), &mut s);
         l.freeze();
-        run_at_home(&mut w, l.as_mut(), &g);
+        run_at_home(0, &mut s, l.as_mut(), &g);
         l.freeze();
-        run_at_home(&mut w, l.as_mut(), &g);
-        let any: &dyn Any = l.as_ref();
-        let typed = any.downcast_ref::<QueryLocal<ReachProgram>>();
-        let mut states: Vec<VertexId> = typed.expect("reach").state.keys().copied().collect();
+        run_at_home(0, &mut s, l.as_mut(), &g);
+        let typed = typed::<ReachProgram>(l.as_ref());
+        let mut states: Vec<VertexId> = typed.state.keys().copied().collect();
         states.sort_unstable();
         assert_eq!(scope(l.as_ref()), states);
         assert_eq!((l.scope_size(), states.len()), (2, 2));
@@ -897,15 +834,15 @@ mod tests {
             ring: vec![],
             rounds: 0,
         });
-        let mut w = Worker::new(0, true);
-        let mut l = w.new_local(&task);
-        w.deliver(l.as_mut(), [batch(&task, vec![(VertexId(0), 0)])]);
+        let mut s = Scratch::default();
+        let mut l = task.new_local();
+        l.deliver(batch(&task, vec![(VertexId(0), 0)]), &mut s);
         // Delivering a ping batch through the reach local must be caught.
-        w.deliver(l.as_mut(), [ping.batch_for_test(vec![(VertexId(0), 0)])]);
+        l.deliver(batch(&ping, vec![(VertexId(0), 0)]), &mut s);
     }
 
     fn reach_local() -> QueryLocal<ReachProgram> {
-        QueryLocal::new(Arc::new(ReachProgram::new(VertexId(0))), true)
+        QueryLocal::new(Arc::new(ReachProgram::new(VertexId(0))))
     }
 
     /// The heap addresses of a batch buffer: its box and its vector's.
@@ -915,17 +852,18 @@ mod tests {
         (buffer as *const Vec<_>, buffer.as_ptr())
     }
 
-    /// How many empty buffers of message type `M` the worker's pool holds
-    /// (it asserts each is empty, as it pops them all and puts them back).
-    fn pooled<P: VertexProgram>(w: &mut Worker) -> usize {
+    /// How many empty buffers of message type `M` the partition's pool
+    /// holds (it asserts each is empty, as it pops them all and puts them
+    /// back).
+    fn pooled<P: VertexProgram>(s: &mut Scratch) -> usize {
         let mut popped = Vec::new();
-        while let Some(buffer) = pooled_batch::<P>(&mut w.scratch) {
+        while let Some(buffer) = pooled_batch::<P>(s) {
             assert!(buffer.is_empty(), "a pooled buffer holds messages");
             popped.push(buffer);
         }
         let n = popped.len();
         for buffer in popped.into_iter().rev() {
-            w.scratch.park::<P>(buffer);
+            s.park::<P>(buffer);
         }
         n
     }
@@ -938,18 +876,15 @@ mod tests {
         travelling.push((VertexId(0), 0));
         let sent = addresses(&travelling);
         let mut scratch = Scratch::default();
-        local.deliver(
-            MessageBatch::new::<ReachProgram>(1, travelling),
-            &mut scratch,
-        );
+        local.deliver(MessageBatch::new::<ReachProgram>(travelling), &mut scratch);
         local.freeze();
         let route = |v: VertexId| v.0 as usize;
-        let (_, _, mut remote) =
+        let (stats, _, mut remote) =
             local.execute(&g, &(Box::new(()) as Envelope), 0, &route, &mut scratch);
         let Some((1, batch)) = remote.pop().filter(|_| remote.is_empty()) else {
             panic!("one bucket, for worker 1");
         };
-        assert_eq!((batch.len(), batch.pre_combine()), (1, 1));
+        assert_eq!((batch.len(), stats.remote_pre_combine), (1, 1));
         let bucket = batch.into_messages::<ReachProgram>();
         // Same box, same heap buffer: nothing was allocated for the batch.
         assert_eq!(addresses(&bucket), sent);
@@ -968,23 +903,23 @@ mod tests {
         // pool.
         let g = line();
         let task = reach_task();
-        let mut w = Worker::new(0, true);
-        let (mut done, mut next) = (w.new_local(&task), w.new_local(&task));
-        w.deliver(next.as_mut(), [batch(&task, vec![(VertexId(0), 0)])]);
+        let mut s = Scratch::default();
+        let (mut done, mut next) = (task.new_local(), task.new_local());
+        next.deliver(batch(&task, vec![(VertexId(0), 0)]), &mut s);
         let mut left: Batch<ReachProgram> = Box::new(Vec::with_capacity(9));
         left.push((VertexId(2), 0));
         let parked = addresses(&left);
-        w.deliver(done.as_mut(), [MessageBatch::new::<ReachProgram>(1, left)]);
+        done.deliver(MessageBatch::new::<ReachProgram>(left), &mut s);
         done.freeze();
         let prev = task.aggregate_identity();
-        let (_, _, remote) = w.execute(done.as_mut(), &g, &prev, &|_| 0);
+        let (_, _, remote) = done.execute(&g, &prev, 0, &|_| 0, &mut s);
         assert!(remote.is_empty(), "query 0 ran at home");
         drop(done);
-        assert_eq!(pooled::<ReachProgram>(&mut w), 2, "both seeds' buffers");
+        assert_eq!(pooled::<ReachProgram>(&mut s), 2, "both seeds' buffers");
 
         next.freeze();
         let away = |v: VertexId| usize::from(v != VertexId(0));
-        let (_, _, mut remote) = w.execute(next.as_mut(), &g, &prev, &away);
+        let (_, _, mut remote) = next.execute(&g, &prev, 0, &away, &mut s);
         let Some((1, sent)) = remote.pop().filter(|_| remote.is_empty()) else {
             panic!("one batch, for worker 1");
         };
@@ -992,14 +927,14 @@ mod tests {
         // Query 0's box and heap buffer: no allocation.
         assert_eq!(addresses(&sent), parked);
         assert_eq!((sent.capacity(), &sent[..]), (9, &[(VertexId(1), 1)][..]));
-        assert_eq!(pooled::<ReachProgram>(&mut w), 1, "query 1's seed buffer");
+        assert_eq!(pooled::<ReachProgram>(&mut s), 1, "query 1's seed buffer");
     }
 
     #[test]
     fn the_pool_is_capped_per_message_type() {
         // Reach and ping send `u32`s and share a list; tally's `()`s
         // have their own.
-        let reach = reach_task();
+        let reach = uncombined_reach_task();
         let ping = TypedTask::new(PingProgram {
             ring: vec![VertexId(0)],
             rounds: 1,
@@ -1010,19 +945,19 @@ mod tests {
             sticky: false,
             stop_at: 1,
         });
-        let mut w = Worker::new(0, false);
+        let mut s = Scratch::default();
         let tasks: [&dyn QueryTask; 3] = [&reach, &ping, &tally];
-        let mut locals = tasks.map(|t| w.new_local(t));
+        let mut locals = tasks.map(|t| t.new_local());
         let extra = POOL_BATCHES as u32 + 5;
         for i in 0..extra {
             let v = VertexId(i);
-            w.deliver(locals[0].as_mut(), [batch(&reach, vec![(v, 0)])]);
-            w.deliver(locals[1].as_mut(), [ping.batch_for_test(vec![(v, 0)])]);
-            w.deliver(locals[2].as_mut(), [tally.batch_for_test(vec![(v, ())])]);
+            locals[0].deliver(batch(&reach, vec![(v, 0)]), &mut s);
+            locals[1].deliver(batch(&ping, vec![(v, 0)]), &mut s);
+            locals[2].deliver(batch(&tally, vec![(v, ())]), &mut s);
         }
-        assert_eq!(pooled::<ReachProgram>(&mut w), POOL_BATCHES);
-        assert_eq!(pooled::<Tally>(&mut w), POOL_BATCHES);
-        assert_eq!(w.scratch.pool.len(), 2, "one list per message type");
+        assert_eq!(pooled::<ReachProgram>(&mut s), POOL_BATCHES);
+        assert_eq!(pooled::<Tally>(&mut s), POOL_BATCHES);
+        assert_eq!(s.pool.len(), 2, "one list per message type");
         for local in &mut locals {
             assert_eq!(local.freeze().1, extra as usize, "no message lost");
         }
@@ -1036,37 +971,34 @@ mod tests {
         // batch holds that message alone, and so does worker 1's frozen
         // input of ping.
         let g = line();
-        let reach = reach_task();
+        let reach = uncombined_reach_task();
         let ping = TypedTask::new(PingProgram {
             ring: vec![VertexId(2), VertexId(3)],
             rounds: 3,
         });
-        let mut w = Worker::new(0, false);
-        let (mut pinging, mut reaching) = (w.new_local(&ping), w.new_local(&reach));
-        let seed = ping.batch_for_test(vec![(VertexId(2), 0)]);
-        w.deliver(pinging.as_mut(), [seed]);
+        let mut s = Scratch::default();
+        let (mut pinging, mut reaching) = (ping.new_local(), reach.new_local());
+        pinging.deliver(batch(&ping, vec![(VertexId(2), 0)]), &mut s);
         let full: Vec<(VertexId, u32)> = (0..4).map(|v| (VertexId(v), 7)).collect();
-        w.deliver(reaching.as_mut(), [batch(&reach, full)]);
+        reaching.deliver(batch(&reach, full), &mut s);
         pinging.freeze();
         let away = |v: VertexId| usize::from(v == VertexId(3));
         let prev = ping.aggregate_identity();
-        let (_, _, mut remote) = w.execute(pinging.as_mut(), &g, &prev, &away);
+        let (_, _, mut remote) = pinging.execute(&g, &prev, 0, &away, &mut s);
         let Some((1, sent)) = remote.pop().filter(|_| remote.is_empty()) else {
             panic!("one batch, for worker 1");
         };
         let sent = sent.into_messages::<PingProgram>();
         assert_eq!((sent.capacity(), &sent[..]), (4, &[(VertexId(3), 1)][..]));
-        let mut far = Worker::new(1, false);
-        let mut there = far.new_local(&ping);
-        far.deliver(there.as_mut(), [MessageBatch::new::<PingProgram>(1, sent)]);
+        let mut far = Scratch::default();
+        let mut there = ping.new_local();
+        there.deliver(MessageBatch::new::<PingProgram>(sent), &mut far);
         there.freeze();
-        let local: &dyn Any = there.as_ref();
-        let local = local.downcast_ref::<QueryLocal<PingProgram>>();
-        let local = local.expect("a ping local");
+        let local = typed::<PingProgram>(there.as_ref());
         assert_eq!(local.cur, [(VertexId(3), 0..1)]);
         assert_eq!(local.cur_msgs, [1]);
         assert_eq!(
-            pooled::<ReachProgram>(&mut w),
+            pooled::<ReachProgram>(&mut s),
             1,
             "ping's seed buffer, empty"
         );
@@ -1085,55 +1017,58 @@ mod tests {
         }
         let g = Topology::new(b.build());
         let task = reach_task();
-        let mut w = Worker::new(0, true);
-        let mut l = w.new_local(&task);
+        let mut s = Scratch::default();
+        let mut l = task.new_local();
         let route = |v: VertexId| (5 - v.0 as usize) % 5;
         let prev = task.aggregate_identity();
         for round in 0..2 {
-            w.deliver(l.as_mut(), [batch(&task, vec![(VertexId(5 * round), 0)])]);
+            l.deliver(batch(&task, vec![(VertexId(5 * round), 0)]), &mut s);
             l.freeze();
-            let (stats, _, remote) = w.execute(l.as_mut(), &g, &prev, &route);
+            let (stats, _, remote) = l.execute(&g, &prev, 0, &route, &mut s);
             let to: Vec<usize> = remote.iter().map(|(to, _)| *to).collect();
             assert_eq!(to, vec![1, 2, 3, 4], "round {round}");
-            assert!(remote
-                .iter()
-                .all(|(_, b)| b.len() == 1 && b.pre_combine() == 1));
-            assert_eq!((stats.remote_deliveries, stats.remote_batches), (4, 4));
+            assert!(remote.iter().all(|(_, b)| b.len() == 1));
+            let counts = (stats.remote_pre_combine, stats.remote_deliveries);
+            assert_eq!((counts, stats.remote_batches), ((4, 4), 4));
         }
     }
 
-    #[test]
-    fn sender_side_counts_with_the_combiner_on_and_off() {
-        // Two vertices at home relax the one vertex that is away, 2, in
-        // each of two supersteps (0 and 1, then 3 and 4).
+    /// Two vertices at home relax the one vertex that is away, 2, in each
+    /// of two supersteps (0 and 1, then 3 and 4): each superstep's
+    /// `(remote_pre_combine, remote_deliveries, remote_batches)` is
+    /// `counts`.
+    fn sender_side_counts<P: VertexProgram<Message = u32>>(
+        task: &TypedTask<P>,
+        counts: (usize, usize, usize),
+    ) {
         let mut b = GraphBuilder::new(5);
         for s in [0, 1, 3, 4] {
             b.add_edge(s, 2, 1.0);
         }
         let g = Topology::new(b.build());
-        let task = reach_task();
         let route = |v: VertexId| usize::from(v == VertexId(2));
         let prev = task.aggregate_identity();
-        // (remote_pre_combine, remote_deliveries, remote_batches)
-        for (combiners, counts) in [(true, (2, 1, 1)), (false, (2, 2, 1))] {
-            let mut w = Worker::new(0, combiners);
-            let mut l = w.new_local(&task);
-            for first in [0, 3] {
-                let seeds = vec![(VertexId(first), 0), (VertexId(first + 1), 3)];
-                w.deliver(l.as_mut(), [batch(&task, seeds)]);
-                l.freeze();
-                let (stats, _, remote) = w.execute(l.as_mut(), &g, &prev, &route);
-                let got = (
-                    stats.remote_pre_combine,
-                    stats.remote_deliveries,
-                    stats.remote_batches,
-                );
-                assert_eq!(got, counts, "combiners {combiners}");
-                assert_eq!(
-                    (remote[0].1.pre_combine(), remote[0].1.len()),
-                    (2, counts.1)
-                );
-            }
+        let mut s = Scratch::default();
+        let mut l = task.new_local();
+        for first in [0, 3] {
+            let seeds = vec![(VertexId(first), 0), (VertexId(first + 1), 3)];
+            l.deliver(batch(task, seeds), &mut s);
+            l.freeze();
+            let (stats, _, remote) = l.execute(&g, &prev, 0, &route, &mut s);
+            let got = (
+                stats.remote_pre_combine,
+                stats.remote_deliveries,
+                stats.remote_batches,
+            );
+            let name = std::any::type_name::<P>();
+            assert_eq!(got, counts, "{name}");
+            assert_eq!(remote[0].1.len(), counts.1, "{name}");
         }
+    }
+
+    #[test]
+    fn sender_side_counts_with_the_combiner_on_and_off() {
+        sender_side_counts(&reach_task(), (2, 1, 1));
+        sender_side_counts(&uncombined_reach_task(), (2, 2, 1));
     }
 }

@@ -20,7 +20,7 @@ use qgraph_algo::{
     ReachPointProgram, RoadAnswer, RoadProgram, SsspProgram,
 };
 use qgraph_core::programs::ReachProgram;
-use qgraph_core::trace::{CmdKind, Kind};
+use qgraph_core::trace::Kind;
 use qgraph_core::{
     Engine, EngineBuilder, EngineReport, MutationBatch, QcutConfig, QueryHandle, QueryId, Runtime,
     SystemConfig, Topology,
@@ -428,8 +428,7 @@ fn supersteps_closed_on_the_lane_match_the_simulation_outcome_for_outcome() {
     // The Step spans and the vertex updates they carry.
     let steps = |r: &EngineReport| -> (u64, u64) {
         assert_eq!(r.trace.dropped_events, 0);
-        let ends = (r.trace.events.iter())
-            .filter(|ev| ev.kind == Kind::TaskEnd && ev.cmd == CmdKind::Step);
+        let ends = (r.trace.events.iter()).filter(|ev| ev.kind == Kind::TaskEnd);
         ends.fold((0, 0), |(n, executed), ev| (n + 1, executed + ev.aux))
     };
 

@@ -1,16 +1,17 @@
 //! Cross-crate property tests on system invariants.
 
+use std::convert::identity;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use qgraph_algo::{
     dijkstra_to, BfsProgram, PoiProgram, PprProgram, RoadProgram, SsspProgram, WccProgram,
 };
-use qgraph_core::programs::ReachProgram;
+use qgraph_core::programs::{ReachProgram, Uncombined};
 use qgraph_core::qcut::{
     cluster_queries, local_search, migrate, run_qcut, MovePlan, ScopeMove, ScopeStats, Solution,
 };
-use qgraph_core::{Engine, QcutConfig, QueryId, Runtime, SimEngine, SystemConfig, ThreadEngine};
+use qgraph_core::{QcutConfig, QueryId, SimEngine, SystemConfig, ThreadEngine, VertexProgram};
 use qgraph_graph::{Graph, GraphBuilder, VertexId};
 use qgraph_partition::{HashPartitioner, Partitioner, Partitioning, WorkerId};
 use qgraph_sim::ClusterModel;
@@ -56,48 +57,50 @@ fn build_tagged(n: usize, extra: &[(u32, u32, f32)]) -> Arc<Graph> {
     Arc::new(g)
 }
 
-/// The mixed workload of the combiner-equivalence tests: every builtin
-/// combiner-carrying program submitted into one engine (the four
-/// acceptance programs plus the Road dispatch wrapper and whole-graph
-/// WCC).
-struct MixedHandles {
-    sssp: qgraph_core::QueryHandle<SsspProgram>,
-    bfs: qgraph_core::QueryHandle<BfsProgram>,
-    poi: qgraph_core::QueryHandle<PoiProgram>,
-    reach: qgraph_core::QueryHandle<ReachProgram>,
-    road: qgraph_core::QueryHandle<RoadProgram>,
-    wcc: qgraph_core::QueryHandle<WccProgram>,
+/// The handles of the mixed workload of the combiner-equivalence tests
+/// (see [`submit_mixed!`]).
+struct Mixed<A, B, C, D, E, F> {
+    sssp: A,
+    bfs: B,
+    poi: C,
+    reach: D,
+    road: E,
+    wcc: F,
 }
 
-fn submit_mixed<R: Runtime>(
-    e: &mut Engine<R>,
-    n: usize,
-    s: u32,
-    t: u32,
-    depth: u32,
-) -> MixedHandles {
-    let s = VertexId(s % n as u32);
-    let t = VertexId(t % n as u32);
-    MixedHandles {
-        sssp: e.submit(SsspProgram::new(s, t)),
-        bfs: e.submit(BfsProgram::new(t, depth)),
-        poi: e.submit(PoiProgram::new(s)),
-        reach: e.submit(ReachProgram::bounded(t, depth + 2)),
-        road: e.submit(RoadProgram::sssp(t, s)),
-        wcc: e.submit(WccProgram),
-    }
+/// Submit the mixed workload into engine `$e`: every builtin
+/// combiner-carrying program (the four acceptance programs plus the Road
+/// dispatch wrapper and whole-graph WCC), each passed through `$wrap` —
+/// `identity` runs the programs as they are, `Uncombined` the same
+/// programs without their combiners.
+macro_rules! submit_mixed {
+    ($e:expr, $wrap:expr, $n:expr, $s:expr, $t:expr, $depth:expr) => {{
+        let (n, s, t, depth): (usize, u32, u32, u32) = ($n, $s, $t, $depth);
+        let s = VertexId(s % n as u32);
+        let t = VertexId(t % n as u32);
+        let e = &mut $e;
+        Mixed {
+            sssp: e.submit($wrap(SsspProgram::new(s, t))),
+            bfs: e.submit($wrap(BfsProgram::new(t, depth))),
+            poi: e.submit($wrap(PoiProgram::new(s))),
+            reach: e.submit($wrap(ReachProgram::bounded(t, depth + 2))),
+            road: e.submit($wrap(RoadProgram::sssp(t, s))),
+            wcc: e.submit($wrap(WccProgram)),
+        }
+    }};
 }
 
-/// Assert the two engines' outputs agree for every mixed-workload handle.
+/// Assert engine `$a`'s outputs under handles `$ha` equal engine `$b`'s
+/// under `$hb`, for every mixed-workload query.
 macro_rules! assert_same_outputs {
-    ($a:expr, $b:expr, $h:expr) => {{
-        prop_assert_eq!($a.output(&$h.sssp), $b.output(&$h.sssp));
-        prop_assert_eq!($a.output(&$h.bfs), $b.output(&$h.bfs));
-        prop_assert_eq!($a.output(&$h.poi), $b.output(&$h.poi));
-        prop_assert_eq!($a.output(&$h.reach), $b.output(&$h.reach));
-        prop_assert_eq!($a.output(&$h.road), $b.output(&$h.road));
-        prop_assert_eq!($a.output(&$h.wcc), $b.output(&$h.wcc));
-        prop_assert!($a.output(&$h.sssp).is_some(), "queries must finish");
+    ($a:expr, $ha:expr, $b:expr, $hb:expr) => {{
+        prop_assert_eq!($a.output(&$ha.sssp), $b.output(&$hb.sssp));
+        prop_assert_eq!($a.output(&$ha.bfs), $b.output(&$hb.bfs));
+        prop_assert_eq!($a.output(&$ha.poi), $b.output(&$hb.poi));
+        prop_assert_eq!($a.output(&$ha.reach), $b.output(&$hb.reach));
+        prop_assert_eq!($a.output(&$ha.road), $b.output(&$hb.road));
+        prop_assert_eq!($a.output(&$ha.wcc), $b.output(&$hb.wcc));
+        prop_assert!($a.output(&$ha.sssp).is_some(), "queries must finish");
     }};
 }
 
@@ -305,13 +308,14 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Tentpole acceptance: a combined run and a combiner-disabled run of
-    /// the same mixed workload (SSSP, BFS, POI, Reach, Road, WCC) are
-    /// *identical* on the sim engine — same outputs, same completion
-    /// order, same per-query iteration/locality/scope structure — and the
-    /// combine accounting is coherent: `remote_messages ≤
-    /// remote_messages_pre_combine`, produced (pre-combine) traffic is
-    /// unchanged by combining, and the disabled run combines nothing.
+    /// Tentpole acceptance: a combined run and an uncombined run
+    /// ([`Uncombined`]) of the same mixed workload (SSSP, BFS, POI, Reach,
+    /// Road, WCC) are *identical* on the sim engine — same outputs, same
+    /// completion order, same per-query iteration/locality/scope
+    /// structure — and the combine accounting is coherent:
+    /// `remote_messages ≤ remote_messages_pre_combine`, produced
+    /// (pre-combine) traffic is unchanged by combining, and the
+    /// uncombined run combines nothing.
     #[test]
     fn sim_combiner_equivalence(
         (n, extra) in arb_graph(36),
@@ -321,14 +325,13 @@ proptest! {
         depth in 0u32..5,
     ) {
         let g = build_tagged(n, &extra);
-        let mk = |combiners: bool| {
+        let mk = || {
             let parts = HashPartitioner::default().partition(&g, k);
             SimEngine::new(
                 Arc::clone(&g),
                 ClusterModel::scale_up(k),
                 parts,
                 SystemConfig {
-                    combiners,
                     // Sequential admission pins the completion order, so
                     // the ordering comparison below is meaningful.
                     max_parallel_queries: 1,
@@ -336,14 +339,14 @@ proptest! {
                 },
             )
         };
-        let mut on = mk(true);
-        let mut off = mk(false);
-        let h = submit_mixed(&mut on, n, s, t, depth);
-        let h2 = submit_mixed(&mut off, n, s, t, depth);
+        let mut on = mk();
+        let mut off = mk();
+        let h = submit_mixed!(on, identity, n, s, t, depth);
+        let h2 = submit_mixed!(off, Uncombined, n, s, t, depth);
         prop_assert_eq!(h.sssp.id(), h2.sssp.id(), "same submission order → same ids");
         on.run();
         off.run();
-        assert_same_outputs!(on, off, h);
+        assert_same_outputs!(on, h, off, h2);
 
         let ids_on: Vec<QueryId> = on.report().outcomes.iter().map(|o| o.id).collect();
         let ids_off: Vec<QueryId> = off.report().outcomes.iter().map(|o| o.id).collect();
@@ -364,7 +367,7 @@ proptest! {
             );
             prop_assert_eq!(
                 b.remote_messages, b.remote_messages_pre_combine,
-                "combiner-disabled run combines nothing"
+                "the uncombined run combines nothing"
             );
             prop_assert!(a.remote_messages <= b.remote_messages);
             prop_assert!(a.remote_batches <= a.remote_messages);
@@ -373,7 +376,7 @@ proptest! {
     }
 
     /// Same equivalence under adaptive Q-cut forced at arbitrary points:
-    /// outputs agree between combined and uncombined runs (superstep
+    /// outputs agree between combined and [`Uncombined`] runs (superstep
     /// *timing* differs, so migrations land differently — only answers
     /// and partition invariants are comparable), and the partition cover
     /// survives in both.
@@ -385,14 +388,13 @@ proptest! {
         t in 0u32..40,
     ) {
         let g = build_tagged(n, &extra);
-        let mk = |combiners: bool| {
+        let mk = || {
             let parts = HashPartitioner::with_seed(seed).partition(&g, 3);
             SimEngine::new(
                 Arc::clone(&g),
                 ClusterModel::scale_up(3),
                 parts,
                 SystemConfig {
-                    combiners,
                     qcut: Some(QcutConfig {
                         locality_threshold: 1.0,
                         ils_budget_secs: 1e-6,
@@ -404,16 +406,16 @@ proptest! {
                 },
             )
         };
-        let mut on = mk(true);
-        let mut off = mk(false);
-        let h = submit_mixed(&mut on, n, s, t, 3);
-        let h_b = submit_mixed(&mut on, n, t, s.wrapping_add(7), 2);
-        submit_mixed(&mut off, n, s, t, 3);
-        submit_mixed(&mut off, n, t, s.wrapping_add(7), 2);
+        let mut on = mk();
+        let mut off = mk();
+        let h = submit_mixed!(on, identity, n, s, t, 3);
+        let h_b = submit_mixed!(on, identity, n, t, s.wrapping_add(7), 2);
+        let h2 = submit_mixed!(off, Uncombined, n, s, t, 3);
+        let h2_b = submit_mixed!(off, Uncombined, n, t, s.wrapping_add(7), 2);
         on.run();
         off.run();
-        assert_same_outputs!(on, off, h);
-        assert_same_outputs!(on, off, h_b);
+        assert_same_outputs!(on, h, off, h2);
+        assert_same_outputs!(on, h_b, off, h2_b);
         for e in [&on, &off] {
             prop_assert_eq!(e.partitioning().num_vertices(), n);
             prop_assert_eq!(e.partitioning().sizes().iter().sum::<usize>(), n);
@@ -423,7 +425,7 @@ proptest! {
         }
     }
 
-    /// The thread runtime agrees too: combined and combiner-disabled runs
+    /// The thread runtime agrees too: combined and [`Uncombined`] runs
     /// of the mixed workload produce identical outputs with Q-cut off and
     /// with the stop-the-world Q-cut loop forced on, and the combine
     /// accounting stays coherent.
@@ -436,13 +438,12 @@ proptest! {
         depth in 0u32..4,
     ) {
         let g = build_tagged(n, &extra);
-        let mk = |combiners: bool| {
+        let mk = || {
             let parts = HashPartitioner::default().partition(&g, 2);
             ThreadEngine::with_config(
                 Arc::clone(&g),
                 parts,
                 SystemConfig {
-                    combiners,
                     qcut: (qcut == 1).then(|| QcutConfig {
                         locality_threshold: 1.0,
                         ils_max_rounds: 8,
@@ -452,13 +453,13 @@ proptest! {
                 },
             )
         };
-        let mut on = mk(true);
-        let mut off = mk(false);
-        let h = submit_mixed(&mut on, n, s, t, depth);
-        submit_mixed(&mut off, n, s, t, depth);
+        let mut on = mk();
+        let mut off = mk();
+        let h = submit_mixed!(on, identity, n, s, t, depth);
+        let h2 = submit_mixed!(off, Uncombined, n, s, t, depth);
         on.run();
         off.run();
-        assert_same_outputs!(on, off, h);
+        assert_same_outputs!(on, h, off, h2);
         for (a, b) in on.report().outcomes.iter().zip(off.report().outcomes.iter()) {
             prop_assert!(a.remote_messages <= a.remote_messages_pre_combine);
             prop_assert_eq!(b.remote_messages, b.remote_messages_pre_combine);
@@ -487,18 +488,23 @@ proptest! {
     ) {
         let g = build(n, &extra);
         let src = VertexId(src % n as u32);
-        let run = |combiners: bool| {
-            let cfg = SystemConfig { combiners, ..Default::default() };
-            let parts = HashPartitioner::default().partition(&g, k);
-            let mut e = SimEngine::new(Arc::clone(&g), ClusterModel::scale_up(k), parts, cfg);
-            let q = e.submit(PprProgram::new(src, 0.15, 1e-3));
+        fn run<P: VertexProgram<Output = Vec<(VertexId, f32)>>>(
+            g: &Arc<Graph>,
+            k: usize,
+            program: P,
+        ) -> Vec<(VertexId, f32)> {
+            let cfg = SystemConfig::default();
+            let parts = HashPartitioner::default().partition(g, k);
+            let mut e = SimEngine::new(Arc::clone(g), ClusterModel::scale_up(k), parts, cfg);
+            let q = e.submit(program);
             e.run();
             let mut out = e.take_output(&q).unwrap();
             out.sort_by_key(|(v, _)| *v);
             out
-        };
-        let on = run(true);
-        let off = run(false);
+        }
+        let ppr = PprProgram::new(src, 0.15, 1e-3);
+        let on = run(&g, k, ppr.clone());
+        let off = run(&g, k, Uncombined(ppr));
         let tol = 1e-3f32;
         let mut i = 0usize;
         let mut j = 0usize;

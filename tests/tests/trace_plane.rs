@@ -22,7 +22,7 @@
 //!   live (they share the barrier drain points).
 
 use qgraph_algo::{BfsProgram, SsspProgram};
-use qgraph_core::trace::{outcome, validate_chrome, CmdKind, Kind, QueryTimeline};
+use qgraph_core::trace::{outcome, validate_chrome, Kind, QueryTimeline};
 use qgraph_core::{Engine, EngineBuilder, EngineReport, Runtime, SystemConfig};
 use qgraph_graph::VertexId;
 use qgraph_integration_tests::line_graph;
@@ -256,8 +256,7 @@ fn step_spans_carry_every_vertex_update() {
         e.run();
         let report = e.report();
         assert_eq!(report.trace.dropped_events, 0);
-        let steps = (report.trace.events.iter())
-            .filter(|ev| ev.kind == Kind::TaskEnd && ev.cmd == CmdKind::Step);
+        let steps = (report.trace.events.iter()).filter(|ev| ev.kind == Kind::TaskEnd);
         let updates = report.outcomes.iter().map(|o| o.vertex_updates).sum();
         (steps.map(|ev| ev.aux).sum(), updates)
     }
